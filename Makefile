@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify bench bench-batch bench-json bench-smoke trace-smoke aggregate-smoke failover-smoke overload-smoke stream-smoke crash experiments
+.PHONY: build test vet race verify verify-benchmark bench bench-batch bench-json bench-smoke trace-smoke aggregate-smoke failover-smoke overload-smoke stream-smoke crash experiments
 
 build:
 	$(GO) build ./...
@@ -17,10 +17,19 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# verify is the fast CI gate: static checks plus the plain test suite.
-# The race-checked suite runs as its own CI job (make race) so a data
-# race and a logic failure are reported separately.
-verify: vet test
+# verify is the fast CI gate: static checks plus the plain test suite,
+# then the same for the repository benchmark, which is a module of its
+# own (benchmark/, replace ortoa => ../) that `./...` does not reach —
+# so an internal rename that breaks its build against
+# internal/core, transport or wire fails here, not in a benchmark run.
+# -short skips its one test that deploys the tiers. The race-checked
+# suite runs as its own CI job (make race) so a data race and a logic
+# failure are reported separately.
+verify: vet test verify-benchmark
+
+verify-benchmark:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test -short ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
@@ -82,13 +91,14 @@ failover-smoke:
 overload-smoke:
 	$(GO) run ./cmd/ortoa-bench -experiment overload -quick
 
-# stream-smoke runs the chunk-streaming experiment in quick mode:
-# monolithic vs streamed access requests over a link calibrated so one
-# table costs about one build time on the wire. The experiment
-# self-audits — it fails unless streaming beats monolithic by the gate
-# factor, every streamed request frame stays within the chunk budget,
-# the mid-stream fault drill loses no acknowledged write, and the
-# shape auditors record zero length violations (DESIGN.md §16). A zero
+# stream-smoke runs the request-streaming experiment in quick mode:
+# access requests sent whole vs cut under a frame budget, over a link
+# calibrated so one table costs about one build time on the wire. The
+# experiment self-audits — it fails unless the cut request beats the
+# whole one by the gate factor, crosses as exactly RequestFrames(1)
+# frames with none over budget, the mid-request fault drill loses no
+# acknowledged write, and the shape auditors record zero length
+# violations (DESIGN.md §16). A zero
 # exit is the assertion.
 stream-smoke:
 	$(GO) run ./cmd/ortoa-bench -experiment stream -quick

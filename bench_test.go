@@ -224,7 +224,7 @@ func benchBatchKeys() []string {
 }
 
 // BenchmarkReadBatch64WAN measures the batched pipeline end to end:
-// one MsgLBLAccessBatch round trip for 64 keys.
+// one LBL round for 64 keys.
 func BenchmarkReadBatch64WAN(b *testing.B) {
 	client := benchDeployLink(b, batchBenchLink, 160, batchBenchSize)
 	keys := benchBatchKeys()

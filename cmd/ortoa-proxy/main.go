@@ -55,7 +55,7 @@ func main() {
 	shedDeadline := flag.Bool("shed-deadline", true, "drop client requests whose deadline budget expired before doing any work (needs -max-inflight)")
 	retryAfter := flag.Duration("retry-after", 0, "backoff hint carried in busy rejections (0 = default 25ms)")
 	reconcileScan := flag.Int("reconcile-scan", 0, "probe up to N counter steps to reconcile after crash desync, e.g. when resuming from a stale -state snapshot (LBL; 0 disables)")
-	streamChunk := flag.Int("stream-chunk", 0, "stream each access table to the server in sealed chunks of about this many bytes as they are built, pipelining garbling against the WAN (LBL; 0 keeps one-frame requests)")
+	streamChunk := flag.Int("stream-chunk", 0, "request frame budget in bytes: longer requests are cut at group boundaries and sent frame by frame as they are built, pipelining garbling against the WAN (LBL; 0 never cuts)")
 	peers := flag.String("peers", "", "comma-separated names of every proxy in a multi-proxy deployment, e.g. host1:7002,host2:7002 (LBL; claims this proxy's ring share of counter ranges and enables adoption on fence; requires -self)")
 	self := flag.String("self", "", "this proxy's name within -peers (clients' -proxies member names must match for first-try owner routing)")
 	ranges := flag.String("ranges", "", "comma-separated counter range ids to claim explicitly instead of ring placement, e.g. 0,5,9 (LBL; enables adoption on fence)")

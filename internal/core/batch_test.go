@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 
@@ -230,74 +229,6 @@ func TestLBLBatchInterleavedWithSingles(t *testing.T) {
 		if _, _, err := proxy.Access(OpRead, k, nil); err != nil {
 			t.Errorf("final read %s: %v", k, err)
 		}
-	}
-}
-
-// --- batch obliviousness ---
-
-// observedBatchRun issues one AccessBatch of ops accesses of the given
-// op and returns the sorted observation list plus the exchange count.
-func observedBatchRun(t *testing.T, mode LBLMode, op Op, valueSize, ops int) []exchange {
-	t.Helper()
-	r, proxy, _ := newLBL(t, mode, valueSize)
-	data := map[string][]byte{}
-	for i := 0; i < ops; i++ {
-		data[fmt.Sprintf("key-%02d", i)] = make([]byte, valueSize)
-	}
-	loadData(t, r, proxy, data)
-	var mu sync.Mutex
-	var seen []exchange
-	r.server.SetObserver(func(msgType byte, reqLen, respLen int) {
-		mu.Lock()
-		seen = append(seen, exchange{msgType, reqLen, respLen})
-		mu.Unlock()
-	})
-	batch := make([]BatchOp, 0, ops)
-	for i := 0; i < ops; i++ {
-		key := fmt.Sprintf("key-%02d", i)
-		if op == OpWrite {
-			v := make([]byte, valueSize)
-			v[0] = byte(i)
-			batch = append(batch, BatchOp{Op: OpWrite, Key: key, Value: v})
-		} else {
-			batch = append(batch, BatchOp{Op: OpRead, Key: key})
-		}
-	}
-	if _, _, err := proxy.AccessBatch(batch); err != nil {
-		t.Fatalf("batch of %s: %v", op, err)
-	}
-	sort.Slice(seen, func(i, j int) bool {
-		a, b := seen[i], seen[j]
-		if a.msgType != b.msgType {
-			return a.msgType < b.msgType
-		}
-		if a.reqLen != b.reqLen {
-			return a.reqLen < b.reqLen
-		}
-		return a.respLen < b.respLen
-	})
-	return seen
-}
-
-func TestObliviousnessLBLBatch(t *testing.T) {
-	// A batch of pure reads and a batch of pure writes must present the
-	// adversary with identical views: the same single exchange, of the
-	// same message type and sizes. Batching widens the frame but adds no
-	// operation-dependent signal.
-	const valueSize = 8
-	const ops = 12
-	for _, mode := range allLBLModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			reads := observedBatchRun(t, mode, OpRead, valueSize, ops)
-			writes := observedBatchRun(t, mode, OpWrite, valueSize, ops)
-			assertIdenticalViews(t, reads, writes)
-			if len(reads) != 1 {
-				t.Errorf("batch of %d distinct keys produced %d exchanges, want 1", ops, len(reads))
-			}
-			if reads[0].msgType != MsgLBLAccessBatch {
-				t.Errorf("observed msgType %#x, want MsgLBLAccessBatch", reads[0].msgType)
-			}
-		})
 	}
 }
 

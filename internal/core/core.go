@@ -41,7 +41,13 @@ const (
 	// store during initialization; records are already encoded by the
 	// trusted side, so one handler serves every protocol.
 	MsgLoad byte = 0x01
-	// MsgLBLAccess is an LBL-ORTOA access (§5.2).
+	// MsgLBLAccess is an LBL-ORTOA access round (§5.2): the request is
+	// one segment per accessed key back to back (encoded key, ownership
+	// claim, table geometry, encryption table), in one frame or cut into
+	// several at group boundaries; the response is one fixed-width slot
+	// per key (status, label block). One key in one frame is the paper's
+	// single access; more keys amortize the round trip without changing
+	// what the adversary learns per access (lbl.go, lblserver.go).
 	MsgLBLAccess byte = 0x02
 	// MsgTEEAccess is a TEE-ORTOA access (§4.1).
 	MsgTEEAccess byte = 0x03
@@ -61,29 +67,12 @@ const (
 	// MsgFHESetRelin ships a relinearization (evaluation) key to the
 	// FHE server, which then keeps stored ciphertexts at degree 1.
 	MsgFHESetRelin byte = 0x0A
-	// MsgLBLAccessBatch packs many LBL-ORTOA accesses into a single
-	// frame: one shared table geometry header followed by one
-	// (encoded key, encryption table) pair per access, answered by one
-	// frame carrying every access's response labels. Batching amortizes
-	// the per-frame and per-round-trip overhead ORTOA's one-round-trip
-	// design targets (§5.2, §6.3) without changing what the adversary
-	// learns per access.
-	MsgLBLAccessBatch byte = 0x0B
 	// MsgEpochClaim asserts ownership of one counter range in a
 	// multi-proxy deployment: the server bumps the range's fencing
 	// epoch past every epoch it has granted and returns the new one
 	// (epoch.go). Fixed-width request (rangeID ‖ minEpoch) and response
 	// (epoch), so claims are strict shape classes both ways.
 	MsgEpochClaim byte = 0x0C
-	// MsgLBLAccessStream is a chunked LBL access: the same round as
-	// MsgLBLAccess / MsgLBLAccessBatch, but the request arrives as a
-	// begin/chunk/end frame sequence (wire/stream.go) sharing one
-	// request id, so the proxy can write sealed groups to the wire as
-	// workers produce them and the server can trial-decrypt each chunk
-	// before the last one lands. The response is the single existing
-	// frame; every segment header is fixed-width so the streamed shape
-	// is as operation-oblivious as the monolithic one.
-	MsgLBLAccessStream byte = 0x0D
 )
 
 // Protocol errors.

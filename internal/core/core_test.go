@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -15,6 +16,7 @@ import (
 	"ortoa/internal/kvstore"
 	"ortoa/internal/netsim"
 	"ortoa/internal/transport"
+	"ortoa/internal/wire"
 )
 
 // rig is an in-process protocol deployment over a loopback netsim link.
@@ -69,6 +71,14 @@ func newLBL(t *testing.T, mode LBLMode, valueSize int) (*rig, *LBLProxy, *LBLSer
 		t.Fatal(err)
 	}
 	return r, proxy, srv
+}
+
+// buildRequest encodes the whole one-key request for key at counter ct
+// — the frame exchange sends when no frame budget cuts it.
+func (p *LBLProxy) buildRequest(op Op, key string, value []byte, ct uint64) ([]byte, error) {
+	req := make([]byte, p.cfg.RequestBytesPerAccess())
+	err := p.buildFrame(req, []run{{seg: 0, g0: 0, g1: p.cfg.Groups()}}, []tableSpec{{op, key, value, ct}})
+	return req, err
 }
 
 func allLBLModes() []LBLMode {
@@ -342,8 +352,8 @@ func TestLBLStatsPopulated(t *testing.T) {
 	if stats.PrepBytes != proxy.Config().RequestBytesPerAccess() {
 		t.Errorf("PrepBytes = %d, want %d", stats.PrepBytes, proxy.Config().RequestBytesPerAccess())
 	}
-	if stats.RespBytes != proxy.Config().Groups()*prf.Size {
-		t.Errorf("RespBytes = %d, want %d", stats.RespBytes, proxy.Config().Groups()*prf.Size)
+	if stats.RespBytes != proxy.Config().ResponseBytesPerAccess() {
+		t.Errorf("RespBytes = %d, want %d", stats.RespBytes, proxy.Config().ResponseBytesPerAccess())
 	}
 }
 
@@ -804,5 +814,54 @@ func TestPadValue(t *testing.T) {
 func TestOpString(t *testing.T) {
 	if OpRead.String() != "read" || OpWrite.String() != "write" {
 		t.Error("Op.String broken")
+	}
+}
+
+// TestBulkLoadCutsFramesByBytes: 1,024 records of a 4 KiB value's LBL
+// encoding do not fit one frame, so BulkLoad must cut by bytes as well
+// as by count — while small records keep the 1,024-record framing.
+func TestBulkLoadCutsFramesByBytes(t *testing.T) {
+	r := newRig(t)
+	var frames, records, largest int
+	r.server.Handle(MsgLoad, func(_ context.Context, payload []byte) ([]byte, error) {
+		rd := wire.NewReader(payload)
+		n := int(rd.Uvarint())
+		for i := 0; i < n; i++ {
+			rd.BytesPfx()
+			rd.BytesPfx()
+		}
+		frames, records, largest = frames+1, records+n, max(largest, len(payload))
+		return nil, rd.Finish()
+	})
+	for _, tc := range []struct {
+		valueSize, frames int // frames 0: as many as the byte budget demands
+	}{{160, 2}, {4 << 10, 0}} {
+		proxy, err := NewLBLProxy(LBLConfig{ValueSize: tc.valueSize, Mode: LBLPointPermute}, prf.NewRandom(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rec, err := proxy.BuildRecord("k", make([]byte, tc.valueSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One encoded record stands in for all 2,000: framing depends on
+		// sizes only.
+		kvs := make([]KV, 2000)
+		for i := range kvs {
+			kvs[i] = KV{Key: fmt.Sprintf("%016d", i), Record: rec}
+		}
+		frames, records, largest = 0, 0, 0
+		if err := BulkLoad(r.client, kvs); err != nil {
+			t.Fatalf("loading 2000 × %d B values: %v", tc.valueSize, err)
+		}
+		want := tc.frames
+		if want == 0 {
+			perFrame := bulkLoadBytes / (len(rec) + 16 + 2*binary.MaxVarintLen32)
+			want = (len(kvs) + perFrame - 1) / perFrame
+		}
+		if records != len(kvs) || frames != want || largest > bulkLoadBytes {
+			t.Errorf("%d B values: %d records in %d frames (largest %d B), want %d records in %d frames of at most %d B",
+				tc.valueSize, records, frames, largest, len(kvs), want, bulkLoadBytes)
+		}
 	}
 }

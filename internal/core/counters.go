@@ -26,12 +26,11 @@ type counterShard struct {
 type counterEntry struct {
 	mu sync.Mutex
 	ct uint64
-	// pending, when non-nil, records a round at counter ct whose
-	// outcome is unknown (the transport failed ambiguously). The next
-	// access to the key must settle it — by replaying the same request
-	// id, which the server answers at-most-once — before ct can be
-	// trusted again. Guarded by mu.
-	pending *pendingRound
+	// pending records that a round keyed at counter ct has an unknown
+	// outcome (the transport failed ambiguously). The next access to
+	// the key must settle it — with a probe at ct, pending.go — before
+	// ct can be trusted again. Guarded by mu.
+	pending bool
 }
 
 func newCounterTable() *counterTable {
@@ -196,7 +195,7 @@ func (t *counterTable) load(r io.Reader) error {
 	for _, e := range parsed {
 		ent := t.acquire(e.key)
 		ent.ct = e.ct
-		ent.pending = nil // a restored counter supersedes any ambiguous round
+		ent.pending = false // a restored counter supersedes any ambiguous round
 		ent.mu.Unlock()
 	}
 	return nil

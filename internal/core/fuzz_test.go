@@ -1,46 +1,226 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"ortoa/internal/crypto/prf"
 	"ortoa/internal/kvstore"
+	"ortoa/internal/netsim"
+	"ortoa/internal/transport"
 )
 
 // The server-side handlers parse payloads from an untrusted network.
 // Arbitrary bytes must produce errors, never panics or state
 // corruption.
 
-func seededLBLStore(f *testing.F) (*LBLServer, []byte) {
-	f.Helper()
+// seededLBLServer returns a server holding one record and a well-formed
+// request for it.
+func seededLBLServer(tb testing.TB) (*LBLServer, []byte) {
+	tb.Helper()
 	store := kvstore.New()
 	srv := NewLBLServer(store)
 	proxy, err := NewLBLProxy(LBLConfig{ValueSize: 4, Mode: LBLPointPermute}, prf.NewRandom(), nil)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	ek, rec, err := proxy.BuildRecord("k", []byte{1, 2, 3, 4})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	store.Put(ek, rec)
-	// A well-formed request as fuzz seed.
 	req, err := proxy.buildRequest(OpRead, "k", nil, 0)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	return srv, req
 }
 
+// FuzzLBLServerPayload drives the one LBL handler with frame sequences:
+// payload is the bytes of a request and cuts says where its frames end
+// (each little-endian byte pair is the next frame's length; what is
+// left after the last cut is the final frame). Whatever arrives — frames
+// reordered, duplicated, short, oversize, or extra, geometry changing
+// mid-request, an early end, a continuation with no head — the handler
+// must not panic, and may change a record only for a key whose slot it
+// answered slotOK in a request it accepted whole.
 func FuzzLBLServerPayload(f *testing.F) {
-	srv, seed := seededLBLStore(f)
-	f.Add(seed)
-	f.Add([]byte{})
-	f.Add(make([]byte, 17))
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		// Errors are expected; panics are bugs.
-		srv.handleAccess(context.Background(), payload) //nolint:errcheck
+	cfg := LBLConfig{ValueSize: 4, Mode: LBLPointPermute, StreamChunkBytes: 256}
+	proxy, err := NewLBLProxy(cfg, prf.NewRandom(), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	keys := []string{"a", "b"}
+	records := map[string][]byte{}
+	specs := make([]tableSpec, len(keys))
+	for i, k := range keys {
+		ek, rec, err := proxy.BuildRecord(k, []byte{1, 2, 3, byte(i)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		records[ek] = rec
+		specs[i] = tableSpec{op: OpRead, key: k}
+	}
+	var runs []run
+	var frames [][]byte
+	for cut := (frameCutter{cfg: cfg, n: len(specs)}); !cut.done(); {
+		runs = cut.next(runs[:0])
+		frame := make([]byte, cfg.frameBytes(runs))
+		if err := proxy.buildFrame(frame, runs, specs); err != nil {
+			f.Fatal(err)
+		}
+		frames = append(frames, frame)
+	}
+	if len(frames) < 4 {
+		f.Fatalf("seed request is %d frames; want several", len(frames))
+	}
+	seed := func(frames ...[]byte) {
+		var payload, cuts []byte
+		for i, fr := range frames {
+			payload = append(payload, fr...)
+			if i < len(frames)-1 {
+				cuts = binary.LittleEndian.AppendUint16(cuts, uint16(len(fr)))
+			}
+		}
+		f.Add(payload, cuts)
+	}
+	last := len(frames) - 1
+	geometry := bytes.Clone(bytes.Join(frames, nil))
+	geometry[cfg.RequestBytesPerAccess()+prf.Size+lblClaimLen] = byte(LBLWide) // the second segment's mode
+	seed(frames...)                                                            // well-formed
+	seed(bytes.Join(frames, nil))                                              // the same bytes as one frame
+	seed(frames[0], frames[2], frames[1])                                      // reordered
+	seed(frames[0], frames[1], frames[1], frames[2])                           // duplicated
+	seed(frames[0], frames[1][:len(frames[1])-8], frames[2])                   // short chunk
+	seed(frames[0], append(bytes.Clone(frames[1]), 0, 0, 0, 0, 0, 0, 0, 0))    // oversize chunk
+	seed(append(frames[:last+1:last+1], frames[last])...)                      // extra chunk
+	seed(geometry)                                                             // geometry changes mid-request
+	seed(frames[:last]...)                                                     // early end
+	seed(frames[1:]...)                                                        // continuation with no head
+	f.Add([]byte{}, []byte{})
+	f.Add(make([]byte, 17), []byte{1, 0})
+
+	f.Fuzz(func(t *testing.T, payload, cuts []byte) {
+		store := kvstore.New()
+		for ek, rec := range records {
+			store.Put(ek, rec) //nolint:errcheck // no WAL attached
+		}
+		var sequence [][]byte
+		for ; len(cuts) >= 2; cuts = cuts[2:] {
+			n := min(int(binary.LittleEndian.Uint16(cuts)), len(payload))
+			sequence, payload = append(sequence, payload[:n]), payload[n:]
+		}
+		sequence = append(sequence, payload)
+		var next func() ([]byte, bool, error)
+		if len(sequence) > 1 {
+			i := 0
+			next = func() ([]byte, bool, error) {
+				i++
+				return sequence[i], i < len(sequence)-1, nil
+			}
+		}
+		resp, err := NewLBLServer(store).access(context.Background(), sequence[0], next)
+		changed := 0
+		for ek, rec := range records {
+			if now, _ := store.Get(ek); !bytes.Equal(now, rec) {
+				changed++
+			}
+		}
+		installed := 0
+		for i := 0; err == nil && i < len(resp); i += cfg.ResponseBytesPerAccess() {
+			if resp[i] == slotOK {
+				installed++
+			}
+		}
+		if changed != installed {
+			t.Fatalf("%d records changed, %d slots answered slotOK (err %v)", changed, installed, err)
+		}
+	})
+}
+
+// FuzzLBLProxyResponse plays a tampering server against the proxy's
+// response handling — the slot parser in round and the label check in
+// recoverRange: the honest response to a real request is XORed with
+// mask and grown or shrunk by resize bytes before the proxy sees it.
+// Anything but the honest response must fail closed — ErrTampered
+// unless the status byte became a well-formed rejection — and must
+// never advance the key's counter; no input may panic.
+func FuzzLBLProxyResponse(f *testing.F) {
+	cfg := LBLConfig{ValueSize: 4, Mode: LBLPointPermute}
+	slotLen := cfg.ResponseBytesPerAccess()
+	f.Add([]byte{}, int16(0))                            // honest
+	f.Add([]byte{slotStale}, int16(0))                   // status flipped to a rejection
+	f.Add([]byte{0x80}, int16(0))                        // unknown status
+	f.Add([]byte{0, 1}, int16(0))                        // one label bit flipped
+	f.Add(make([]byte, slotLen), int16(-1))              // one byte short
+	f.Add([]byte{}, int16(slotLen))                      // a slot too many
+	f.Add([]byte{}, int16(-slotLen))                     // empty response
+	f.Add(bytes.Repeat([]byte{0xFF}, slotLen), int16(0)) // everything flipped
+
+	r := &rig{store: kvstore.New(), server: transport.NewServer()}
+	l := netsim.Listen(netsim.Loopback)
+	go r.server.Serve(l) //nolint:errcheck // returns on Close
+	f.Cleanup(func() { r.server.Close() })
+	var err error
+	if r.client, err = transport.Dial(l.Dial, 1); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { r.client.Close() })
+	honestSrv := NewLBLServer(r.store)
+	var mask []byte
+	var resize int
+	var honest bool
+	r.server.Handle(MsgLBLAccess, func(ctx context.Context, payload []byte) ([]byte, error) {
+		resp, err := honestSrv.handleAccess(ctx, payload)
+		if err != nil {
+			return nil, err
+		}
+		reply := bytes.Clone(resp)
+		for i := range reply {
+			if i < len(mask) {
+				reply[i] ^= mask[i]
+			}
+		}
+		if resize < 0 {
+			reply = reply[:max(len(reply)+resize, 0)]
+		} else {
+			reply = append(reply, make([]byte, resize)...)
+		}
+		honest = bytes.Equal(reply, resp)
+		return reply, nil
+	})
+
+	f.Fuzz(func(t *testing.T, m []byte, grow int16) {
+		mask, resize = m, int(grow)
+		proxy, err := NewLBLProxy(cfg, prf.NewRandom(), r.client)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ek, rec, err := proxy.BuildRecord("k", []byte{1, 2, 3, 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.store.Put(ek, rec) //nolint:errcheck // no WAL attached
+		got, _, err := proxy.Access(OpRead, "k", nil)
+		entry := proxy.counters.acquire("k")
+		ct := entry.ct
+		entry.mu.Unlock()
+		if honest {
+			if err != nil || !bytes.Equal(got, []byte{1, 2, 3, 4}) || ct != 1 {
+				t.Fatalf("honest response: value %v, err %v, counter %d", got, err, ct)
+			}
+			return
+		}
+		var rejected *transport.RemoteError
+		if err == nil || !errors.Is(err, ErrTampered) && !errors.As(err, &rejected) {
+			t.Fatalf("tampered response accepted or misreported: value %v, err %v", got, err)
+		}
+		if ct != 0 {
+			t.Fatalf("tampered response advanced the counter to %d", ct)
+		}
 	})
 }
 

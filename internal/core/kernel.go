@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 
 	"ortoa/internal/crypto/prf"
@@ -45,21 +46,18 @@ func (k *TableBuildKernel) TableBytes() int { return len(k.table) }
 // same (operation-type obliviousness).
 func (k *TableBuildKernel) Op() error {
 	k.ct++
-	return k.proxy.buildAccessTable(k.table, "bench", OpWrite, k.value, k.ct, k.workers)
+	return k.proxy.buildGroups(k.table, "bench", OpWrite, k.value, k.ct, 0, k.proxy.cfg.Groups(), k.workers)
 }
 
 // A RecoverKernel repeatedly performs one access's server half — trial
 // decryption and label install (§5.2 steps 2.1–2.2) — followed by the
 // proxy's label recovery and §5.4 integrity check, against prebuilt
-// tables. Table construction is paid in Prepare, outside the measured
+// requests. Table construction is paid in Prepare, outside the measured
 // op.
 type RecoverKernel struct {
 	proxy   *LBLProxy
 	srv     *LBLServer
-	geo     tableGeometry
-	ek      string
-	tables  [][]byte
-	labels  []byte
+	tables  [][]byte // whole one-key requests, as the handler receives them
 	workers int
 	ct      uint64 // counter the record sits at; tables[used:] are built from it
 	used    int
@@ -82,21 +80,13 @@ func NewRecoverKernel(cfg LBLConfig, window, workers int) (*RecoverKernel, error
 		return nil, err
 	}
 	k := &RecoverKernel{
-		proxy: p,
-		srv:   NewLBLServer(store),
-		geo: tableGeometry{
-			mode:     cfg.Mode,
-			groups:   cfg.Groups(),
-			entryLen: cfg.Mode.entryLen(),
-			nEntries: cfg.Mode.entries(),
-		},
-		ek:      ek,
+		proxy:   p,
+		srv:     NewLBLServer(store),
 		tables:  make([][]byte, window),
-		labels:  make([]byte, cfg.Groups()*prf.Size),
 		workers: workers,
 	}
 	for i := range k.tables {
-		k.tables[i] = make([]byte, cfg.TableBytes())
+		k.tables[i] = make([]byte, cfg.RequestBytesPerAccess())
 	}
 	return k, nil
 }
@@ -107,8 +97,10 @@ func (k *RecoverKernel) Window() int { return len(k.tables) }
 // Prepare rebuilds the window of tables at the record's next counters.
 // Call it before each run of Window() Ops.
 func (k *RecoverKernel) Prepare() error {
+	whole := []run{{seg: 0, g0: 0, g1: k.proxy.cfg.Groups()}}
 	for i := range k.tables {
-		if err := k.proxy.buildAccessTable(k.tables[i], "bench", OpRead, nil, k.ct+uint64(i), k.workers); err != nil {
+		spec := []tableSpec{{op: OpRead, key: "bench", ct: k.ct + uint64(i)}}
+		if err := k.proxy.buildFrame(k.tables[i], whole, spec); err != nil {
 			return err
 		}
 	}
@@ -122,11 +114,15 @@ func (k *RecoverKernel) Op() error {
 	if k.used >= len(k.tables) {
 		return errors.New("core: recover kernel window exhausted; call Prepare")
 	}
-	if err := k.srv.accessOne(k.ek, k.geo, k.tables[k.used], k.labels); err != nil {
+	resp, err := k.srv.handleAccess(context.Background(), k.tables[k.used])
+	if err != nil {
+		return err
+	}
+	if err := slotError(resp[0]); err != nil {
 		return err
 	}
 	k.used++
 	k.ct++
-	_, err := k.proxy.recoverWorkers(OpRead, "bench", nil, k.ct, k.labels, k.workers)
+	_, err = k.proxy.recoverWorkers(OpRead, "bench", nil, k.ct, resp[1:], k.workers)
 	return err
 }

@@ -1,0 +1,115 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"ortoa/internal/crypto/prf"
+)
+
+// The recovery ladder (fence → claim, stale → reconcile) belongs to the
+// round, so every way of reaching a round gets it per key: these tests
+// reach it through the aggregator and through AccessBatch, where a
+// fenced or desynchronized key used to surface its rejection.
+
+// TestAggregatedRoundAdoptsFencedRange: a window dispatched by the
+// aggregator over an AutoAdopt proxy whose range a peer has claimed
+// must claim the range back and complete every session's access.
+func TestAggregatedRoundAdoptsFencedRange(t *testing.T) {
+	const n = 4
+	r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute, ReconcileScan: 8, AutoAdopt: true})
+	a, b := peers[0], peers[1]
+	data := map[string][]byte{}
+	for i := 0; i < n; i++ {
+		data[fmt.Sprintf("key-%02d", i)] = []byte{byte(i), 0, 0, 0}
+	}
+	loadData(t, r, a, data)
+	for k := range data {
+		if _, err := b.ClaimRange(RangeOf(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	agg := NewAggregator(AggregatorConfig{Window: time.Hour, MaxBatch: n}, a)
+	t.Cleanup(agg.Close)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, _, err := agg.Access(OpRead, fmt.Sprintf("key-%02d", i), nil)
+			if err != nil {
+				t.Errorf("session %d surfaced %v instead of adopting the fenced range", i, err)
+			} else if v[0] != byte(i) {
+				t.Errorf("session %d read %v", i, v)
+			}
+		}(i)
+	}
+	wg.Wait()
+}
+
+// TestBatchReconcilesDesyncedKey: one key of a batch is two counters
+// ahead of the server's record. With ReconcileScan the round rebases
+// that key and answers it; its batch mates are answered by the first
+// lap and never fail.
+func TestBatchReconcilesDesyncedKey(t *testing.T) {
+	r, proxy := newLBLReconcile(t, LBLPointPermute, 8, prf.NewRandom())
+	loadData(t, r, proxy, map[string][]byte{"a": {1, 1, 1, 1}, "b": {2, 2, 2, 2}, "c": {3, 3, 3, 3}})
+	old := serverRecord(t, r, proxy, "b")
+	mustWrite(t, proxy, "b", []byte{7, 7, 7, 7})
+	mustWrite(t, proxy, "b", []byte{8, 8, 8, 8})
+	regressServer(t, r, proxy, "b", old) // server back at counter 0, proxy at 2
+
+	values, _, err := proxy.AccessBatch([]BatchOp{{Op: OpRead, Key: "a"}, {Op: OpRead, Key: "b"}, {Op: OpRead, Key: "c"}})
+	if err != nil {
+		t.Fatalf("batch with one desynced key: %v", err)
+	}
+	for i, want := range [][]byte{{1, 1, 1, 1}, {2, 2, 2, 2}, {3, 3, 3, 3}} {
+		if !bytes.Equal(values[i], want) {
+			t.Errorf("value %d = %v, want %v", i, values[i], want)
+		}
+	}
+}
+
+// TestLadderLapsBounded: a peer that re-claims the range every time
+// this proxy claims it keeps every retry fenced. The round must give up
+// after recoveryAllowance claims and surface the fence — for that key
+// only.
+func TestLadderLapsBounded(t *testing.T) {
+	r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute, ReconcileScan: 8, AutoAdopt: true})
+	a, b := peers[0], peers[1]
+	contested, calm := "key-00", "key-01"
+	for RangeOf(calm) == RangeOf(contested) {
+		calm += "x"
+	}
+	loadData(t, r, a, map[string][]byte{contested: {1, 1, 1, 1}, calm: {2, 2, 2, 2}})
+	if _, err := b.ClaimRange(RangeOf(contested)); err != nil {
+		t.Fatal(err)
+	}
+	var claims atomic.Int64
+	var reclaiming atomic.Bool
+	r.server.SetObserver(func(msgType byte, _, _ int) {
+		// Every claim a makes is answered — before a hears back — by b
+		// taking the range again. b's own claim passes through here too,
+		// nested inside a's, and is let through.
+		if msgType == MsgEpochClaim && reclaiming.CompareAndSwap(false, true) {
+			claims.Add(1)
+			b.ClaimRange(RangeOf(contested)) //nolint:errcheck
+			reclaiming.Store(false)
+		}
+	})
+	results, _ := a.AccessBatchResults(context.Background(), []BatchOp{{Op: OpRead, Key: contested}, {Op: OpRead, Key: calm}})
+	if !isFencedRound(results[0].Err) {
+		t.Errorf("contested key: %v, want the fence to surface once the allowance is spent", results[0].Err)
+	}
+	if results[1].Err != nil || !bytes.Equal(results[1].Value, []byte{2, 2, 2, 2}) {
+		t.Errorf("calm key: %v, %v", results[1].Value, results[1].Err)
+	}
+	if got := claims.Load(); got != recoveryAllowance {
+		t.Errorf("proxy claimed the range %d times, want recoveryAllowance = %d", got, recoveryAllowance)
+	}
+}

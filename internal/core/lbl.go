@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -119,15 +122,14 @@ type LBLConfig struct {
 	// The retry then rebases the key's counter through ReconcileScan,
 	// which AutoAdopt therefore requires to be useful. See epoch.go.
 	AutoAdopt bool
-	// StreamChunkBytes, when positive, selects the chunked-streaming
-	// request path (MsgLBLAccessStream): the proxy writes sealed groups
-	// to the wire in chunks of about this many table bytes as workers
-	// produce them, and the server trial-decrypts each chunk before the
-	// last one lands, pipelining the garbling CPU against the WAN. It
-	// also bounds the proxy's peak table memory per access to one chunk
-	// instead of the full ℓ/y groups. Zero keeps the monolithic
-	// single-frame path. Tables that fit in one chunk fall back to the
-	// monolithic path automatically.
+	// StreamChunkBytes, when positive, is the request frame budget: a
+	// request longer than this is cut at whole-group boundaries into
+	// frames of at most about this many bytes, written to the wire as
+	// workers seal them, so the server trial-decrypts one frame's groups
+	// while the proxy garbles the next and the WAN carries both. It also
+	// bounds the proxy's peak request memory to one frame. Zero sends
+	// every request as one frame, as does any request the budget already
+	// covers.
 	StreamChunkBytes int
 }
 
@@ -144,104 +146,33 @@ func (c LBLConfig) ServerBytesPerValue() int {
 	return n
 }
 
+// groupBytes returns the size of one group's table entries
+// (2^y · E_len).
+func (c LBLConfig) groupBytes() int { return c.Mode.entries() * c.Mode.entryLen() }
+
 // TableBytes returns the size of one access's encryption table
 // (2^y · E_len · ℓ/y).
-func (c LBLConfig) TableBytes() int {
-	return c.Groups() * c.Mode.entries() * c.Mode.entryLen()
-}
+func (c LBLConfig) TableBytes() int { return c.Groups() * c.groupBytes() }
 
-// RequestBytesPerAccess returns the exact access payload size
-// (§5.3.2: 2^y · E_len · ℓ/y table entries plus framing, including the
-// fixed-width ownership claim of epoch.go).
-func (c LBLConfig) RequestBytesPerAccess() int {
+// segHeaderLen is the size of what precedes the table in one access's
+// request segment: encoded key, the fixed-width ownership claim of
+// epoch.go, mode, and the group count and entry length as uvarints.
+func (c LBLConfig) segHeaderLen() int {
 	return prf.Size + lblClaimLen + 1 +
 		wire.UvarintLen(uint64(c.Groups())) +
-		wire.UvarintLen(uint64(c.Mode.entryLen())) +
-		c.TableBytes()
+		wire.UvarintLen(uint64(c.Mode.entryLen()))
 }
 
-// BatchRequestBytes returns the exact MsgLBLAccessBatch payload size
-// for n accesses: one shared geometry header plus n (key, claim, table)
-// triples.
-func (c LBLConfig) BatchRequestBytes(n int) int {
-	return 1 +
-		wire.UvarintLen(uint64(c.Groups())) +
-		wire.UvarintLen(uint64(c.Mode.entryLen())) +
-		wire.UvarintLen(uint64(n)) +
-		n*(prf.Size+lblClaimLen+c.TableBytes())
-}
+// RequestBytesPerAccess returns the exact size of one access's request
+// segment (§5.3.2: 2^y · E_len · ℓ/y table entries plus framing). A
+// request for n keys is n segments back to back.
+func (c LBLConfig) RequestBytesPerAccess() int { return c.segHeaderLen() + c.TableBytes() }
 
-// streamChunkGroups returns how many whole groups one stream chunk
-// carries under the configured chunk budget, at least one.
-func (c LBLConfig) streamChunkGroups() int {
-	per := c.Mode.entries() * c.Mode.entryLen()
-	g := c.StreamChunkBytes / per
-	if g < 1 {
-		g = 1
-	}
-	if max := c.Groups(); g > max {
-		g = max
-	}
-	return g
-}
-
-// streamChunks returns how many chunk frames one access's table spans.
-func (c LBLConfig) streamChunks() int {
-	cg := c.streamChunkGroups()
-	return (c.Groups() + cg - 1) / cg
-}
-
-// streaming reports whether the chunked-streaming path is active: a
-// chunk budget is configured and the table actually spans more than
-// one chunk (a single-chunk stream would add frames without overlap).
-func (c LBLConfig) streaming() bool {
-	return c.StreamChunkBytes > 0 && c.streamChunks() > 1
-}
-
-// batchStreamLayout returns how a batch of n accesses is chunked under
-// the configured budget: whole per-key segments per chunk, at least
-// one.
-func (c LBLConfig) batchStreamLayout(n int) (perChunk, nChunks int) {
-	segLen := prf.Size + lblClaimLen + c.TableBytes()
-	perChunk = c.StreamChunkBytes / segLen
-	if perChunk < 1 {
-		perChunk = 1
-	}
-	if perChunk > n {
-		perChunk = n
-	}
-	nChunks = (n + perChunk - 1) / perChunk
-	return perChunk, nChunks
-}
-
-// batchStreaming reports whether a batch of n accesses takes the
-// chunked-streaming path: a budget is configured and the batch spans
-// more than one chunk. Single-chunk batches keep the monolithic frame
-// — which then never exceeds roughly one chunk budget plus a segment.
-func (c LBLConfig) batchStreaming(n int) bool {
-	if c.StreamChunkBytes <= 0 {
-		return false
-	}
-	_, nChunks := c.batchStreamLayout(n)
-	return nChunks > 1
-}
-
-// streamBeginSingleLen is the fixed width of a single-access stream
-// begin frame: kind, sub, encoded key, ownership claim, mode, then
-// little-endian u32 groups, entry length, chunk groups, chunk count.
-const streamBeginSingleLen = 2 + prf.Size + lblClaimLen + 1 + 4*4
-
-// streamBeginBatchLen is the fixed width of a batch stream begin
-// frame: kind, sub, mode, then little-endian u32 groups, entry length,
-// batch size, keys per chunk, chunk count.
-const streamBeginBatchLen = 2 + 1 + 5*4
-
-// StreamRequestBytes returns the total streamed request bytes for one
-// access: begin and end frames, per-chunk headers, and the table.
-func (c LBLConfig) StreamRequestBytes() int {
-	return streamBeginSingleLen + c.streamChunks()*wire.StreamChunkHeaderLen +
-		c.TableBytes() + wire.StreamEndLen
-}
+// ResponseBytesPerAccess returns the exact size of one access's
+// response slot: a status code and a label block, zero-filled when the
+// status is a failure, so responses are length-pinned whatever
+// happened to each key.
+func (c LBLConfig) ResponseBytesPerAccess() int { return 1 + c.Groups()*prf.Size }
 
 func (c LBLConfig) validate() error {
 	if c.ValueSize <= 0 {
@@ -254,6 +185,106 @@ func (c LBLConfig) validate() error {
 		return fmt.Errorf("core: negative stream chunk budget %d", c.StreamChunkBytes)
 	}
 	return nil
+}
+
+// A run is a range of one segment's groups carried by one frame. A run
+// starting at group 0 is preceded by its segment's header.
+type run struct{ seg, g0, g1 int }
+
+// A frameCutter walks an n-segment request frame by frame. It is the
+// one chunking rule: the logical payload is cut at whole-group
+// boundaries, each frame taking as many groups (and the segment
+// headers between them) as fit in StreamChunkBytes, and at least one.
+// Cuts depend only on the table geometry, n, and the budget — never on
+// operations or values — so frame counts and lengths are as
+// operation-oblivious as the payload itself.
+type frameCutter struct {
+	cfg    LBLConfig
+	n      int
+	seg, g int // the next group to send
+}
+
+func (c *frameCutter) done() bool { return c.seg == c.n }
+
+// next appends the next frame's runs to runs.
+func (c *frameCutter) next(runs []run) []run {
+	groups, gl := c.cfg.Groups(), c.cfg.groupBytes()
+	room := c.cfg.StreamChunkBytes
+	if room <= 0 {
+		room = math.MaxInt
+	}
+	for c.seg < c.n {
+		if c.g == 0 {
+			room -= c.cfg.segHeaderLen()
+		}
+		k := groups - c.g
+		if fit := room / gl; fit < k {
+			k = fit
+		}
+		if k <= 0 {
+			if len(runs) > 0 {
+				break
+			}
+			k = 1
+		}
+		runs = append(runs, run{c.seg, c.g, c.g + k})
+		room -= k * gl
+		if c.g += k; c.g == groups {
+			c.seg, c.g = c.seg+1, 0
+		}
+	}
+	return runs
+}
+
+// frameBytes returns the length of a frame carrying runs.
+func (c LBLConfig) frameBytes(runs []run) int {
+	n := 0
+	for _, r := range runs {
+		if r.g0 == 0 {
+			n += c.segHeaderLen()
+		}
+		n += (r.g1 - r.g0) * c.groupBytes()
+	}
+	return n
+}
+
+// RequestFrames returns how many frames a request for n keys crosses
+// the wire as: ⌈payload/budget⌉ up to group alignment, and 1 without a
+// budget.
+func (c LBLConfig) RequestFrames(n int) int {
+	cut := frameCutter{cfg: c, n: n}
+	frames := 0
+	for runs := []run(nil); !cut.done(); frames++ {
+		runs = cut.next(runs[:0])
+	}
+	return frames
+}
+
+// maxRoundBytes caps one request frame and one response, leaving ample
+// headroom under transport.MaxFrameSize, and maxRoundKeys caps the keys
+// of one round, limiting the memory a single request can pin on the
+// server; larger batches are split into several rounds transparently.
+const (
+	maxRoundBytes = 48 << 20
+	maxRoundKeys  = 1 << 16
+)
+
+// roundKeys returns how many keys one round may carry: as many as keep
+// the response — and, when no frame budget cuts the request, the
+// request frame too — under maxRoundBytes.
+func (c LBLConfig) roundKeys() int {
+	per := c.ResponseBytesPerAccess()
+	if c.StreamChunkBytes <= 0 {
+		per = c.RequestBytesPerAccess()
+	}
+	n := maxRoundBytes / per
+	if n > maxRoundKeys {
+		n = maxRoundKeys
+	}
+	if n < 1 {
+		n = 1
+	}
+	return n
 }
 
 // groupBits extracts the y-bit group g from value (little-endian bit
@@ -365,6 +396,27 @@ func (p *LBLProxy) BuildRecord(key string, value []byte) (encKey string, record 
 	return string(ek[:]), rec, nil
 }
 
+// A BatchOp is one operation of an AccessBatch. For OpWrite, Value must
+// be exactly ValueSize bytes; for OpRead it is ignored.
+type BatchOp struct {
+	Op    Op
+	Key   string
+	Value []byte
+}
+
+// check validates one operation before any counter is touched.
+func (p *LBLProxy) check(op *BatchOp) error {
+	switch {
+	case p.client == nil:
+		return fmt.Errorf("core: LBL proxy has no server connection")
+	case op.Op != OpRead && op.Op != OpWrite:
+		return fmt.Errorf("core: unknown op %d", op.Op)
+	case op.Op == OpWrite && len(op.Value) != p.cfg.ValueSize:
+		return ErrValueSize
+	}
+	return nil
+}
+
 // Access performs one oblivious access (§5.2). For reads, newValue is
 // ignored and the stored value is returned. For writes, newValue
 // (exactly ValueSize bytes) replaces the stored value; the returned
@@ -375,15 +427,136 @@ func (p *LBLProxy) Access(op Op, key string, newValue []byte) ([]byte, AccessSta
 
 // AccessContext is Access with a caller context: cancellation plus the
 // active trace span, under which the whole proxy-side stage tree
-// (counter_acquire, table_build, rpc, label_recover) is recorded.
+// (counter_acquire, table_build, rpc, label_recover) is recorded. It is
+// a round of one.
 func (p *LBLProxy) AccessContext(ctx context.Context, op Op, key string, newValue []byte) ([]byte, AccessStats, error) {
+	accs := [1]roundAccess{{BatchOp: BatchOp{Op: op, Key: key, Value: newValue}}}
+	if err := p.check(&accs[0].BatchOp); err != nil {
+		return nil, AccessStats{}, err
+	}
+	stats := p.round(ctx, accs[:])
+	return accs[0].value, stats, accs[0].err
+}
+
+// AccessBatch performs many oblivious accesses in (normally) one round
+// trip: one round acquires every key's counter, builds all encryption
+// tables, sends them as one request, and recovers every value from the
+// one response (§5.2 amortized; see DESIGN.md).
+//
+// Results are returned in input order; reads yield the stored value,
+// writes echo the written value. Two cases need more than one round:
+// batches past the per-round key cap are split, and accesses to a key
+// that appears more than once are issued in occurrence-order waves,
+// because a key's label schedule is counter-indexed and its accesses
+// must not share a counter value.
+//
+// On a per-key failure (e.g. an unloaded key), the remaining accesses
+// still complete — their values are set and their counters committed —
+// and AccessBatch returns the first error alongside the partial
+// results.
+func (p *LBLProxy) AccessBatch(ops []BatchOp) ([][]byte, AccessStats, error) {
+	for i := range ops {
+		if err := p.check(&ops[i]); err != nil {
+			return nil, AccessStats{}, fmt.Errorf("batch op %d (%q): %w", i, ops[i].Key, err)
+		}
+	}
+	results, stats := p.AccessBatchResults(context.Background(), ops)
+	values := make([][]byte, len(ops))
+	var firstErr error
+	for i, r := range results {
+		values[i] = r.Value
+		if r.Err != nil && firstErr == nil {
+			firstErr = r.Err
+		}
+	}
+	return values, stats, firstErr
+}
+
+// A BatchResult is one access's outcome within a batched round: the
+// value (the stored value for a read, the written value echoed for a
+// write) or that access's individual error.
+type BatchResult struct {
+	Value []byte
+	Err   error
+}
+
+// AccessBatchResults is AccessBatch with per-access outcomes instead
+// of first-error-wins: every access's value or error is reported at
+// its own index, and an invalid op (unknown op code, wrong write
+// size) fails only itself — the rest of the batch still runs. It
+// exists for front ends that multiplex independent sessions into one
+// request (the Aggregator): one session's unloaded key must not fail
+// its window mates.
+func (p *LBLProxy) AccessBatchResults(ctx context.Context, ops []BatchOp) ([]BatchResult, AccessStats) {
 	var stats AccessStats
-	if op == OpWrite && len(newValue) != p.cfg.ValueSize {
-		return nil, stats, ErrValueSize
+	results := make([]BatchResult, len(ops))
+	// Wave w holds the w-th occurrence of each key, so duplicate keys
+	// never share a round (their counters must advance between them).
+	occurrence := make(map[string]int, len(ops))
+	var waves [][]int
+	for i := range ops {
+		if err := p.check(&ops[i]); err != nil {
+			results[i].Err = fmt.Errorf("batch op %d (%q): %w", i, ops[i].Key, err)
+			continue
+		}
+		w := occurrence[ops[i].Key]
+		occurrence[ops[i].Key] = w + 1
+		if w == len(waves) {
+			waves = append(waves, nil)
+		}
+		waves[w] = append(waves[w], i)
 	}
-	if p.client == nil {
-		return nil, stats, fmt.Errorf("core: LBL proxy has no server connection")
+	perRound := p.cfg.roundKeys()
+	for _, wave := range waves {
+		// Deterministic lock order: counters are acquired in sorted key
+		// order, so concurrent rounds cannot deadlock.
+		sort.Slice(wave, func(a, b int) bool { return ops[wave[a]].Key < ops[wave[b]].Key })
+		for len(wave) > 0 {
+			idxs := wave[:min(perRound, len(wave))]
+			wave = wave[len(idxs):]
+			accs := make([]roundAccess, len(idxs))
+			for j, i := range idxs {
+				accs[j].BatchOp = ops[i]
+			}
+			st := p.round(ctx, accs)
+			stats.PrepBytes += st.PrepBytes
+			stats.RespBytes += st.RespBytes
+			for j, i := range idxs {
+				results[i] = BatchResult{Value: accs[j].value, Err: accs[j].err}
+			}
+		}
 	}
+	return results, stats
+}
+
+// A roundAccess is one key's access on its way through a round.
+type roundAccess struct {
+	BatchOp
+	entry *counterEntry
+	value []byte // the outcome: the recovered value,
+	err   error  // or why there is none
+	// Laps of the recovery ladder this access has climbed.
+	claimed, reconciled int
+}
+
+// recoveryAllowance bounds each recovery transition per access. The
+// transitions may chain: an adoption (fence → claim) typically exposes
+// a desynchronized counter on its retry (the adopter starts from a
+// stale or empty snapshot), which reconciliation then rebases. The
+// allowance is >1 because during a live ownership handoff a peer can
+// adopt the range back (or advance the counter) between our recovery
+// step and its retry; the transient resolves within a lap or two.
+const recoveryAllowance = 3
+
+// round is the one LBL access procedure (§5.2, Fig 1), for k ≥ 1
+// distinct keys in sorted order: acquire their counters, settle rounds
+// parked on them, then build, send, and judge each key's outcome —
+// recover and commit on success, climb the recovery ladder and go
+// around again on a fence or staleness rejection the configuration lets
+// it repair, fail otherwise. Outcomes land in accs; one key's failure
+// never fails its round mates.
+func (p *LBLProxy) round(ctx context.Context, accs []roundAccess) AccessStats {
+	var stats AccessStats
 	root, ctx := p.traceStart(ctx, "lbl_access")
 	defer root.End()
 
@@ -391,173 +564,115 @@ func (p *LBLProxy) AccessContext(ctx context.Context, op Op, key string, newValu
 	// so a key's accesses must not interleave (see counterTable).
 	sw := obs.StartWatch(p.mx.enabled)
 	spAcq := root.Child("counter_acquire")
-	entry := p.counters.acquire(key)
-	defer entry.mu.Unlock()
-	if entry.pending != nil {
-		// A previous round for this key failed ambiguously; settle it
-		// (at-most-once replay, see pending.go) before building a table
-		// at a counter value that may already be stale.
-		if err := p.resolvePending(key, entry); err != nil {
-			spAcq.End()
-			p.mx.errors.Inc()
-			return nil, stats, err
+	live := make([]*roundAccess, 0, len(accs))
+	defer func() {
+		for i := range accs {
+			accs[i].entry.mu.Unlock()
 		}
+	}()
+	for i := range accs {
+		accs[i].entry = p.counters.acquire(accs[i].Key)
+	}
+	for i := range accs {
+		a := &accs[i]
+		// A previous round for this key failed ambiguously; settle it
+		// (see pending.go) before building a table at a counter value
+		// that may already be stale.
+		if a.entry.pending {
+			if a.err = p.resolvePending(a.Key, a.entry); a.err != nil {
+				continue
+			}
+		}
+		live = append(live, a)
 	}
 	spAcq.End()
 	dAcquire := sw.Lap(p.mx.acquire)
+	p.mx.keys.Add(int64(len(accs)))
 
-	var dBuild, dRPC time.Duration
-	var resp []byte
-	// Each recovery transition below is bounded per access, and they may
-	// chain: an adoption (fence → claim) typically exposes a
-	// desynchronized counter on its retry (the adopter starts from a
-	// stale or empty snapshot), which reconciliation then rebases. The
-	// allowance is >1 because during a live ownership handoff a peer can
-	// adopt the range back (or advance the counter) between our recovery
-	// step and its retry; the transient resolves within a lap or two.
-	const recoveryAllowance = 3
-	var claimed, reconciled int
-	streamed := p.cfg.streaming()
-	for {
+	var dBuild, dRPC, dRecover time.Duration
+	specs := make([]tableSpec, 0, len(live))
+	for len(live) > 0 {
 		// Dead callers get no table: garbling is the proxy's most
-		// expensive stage, so an access whose propagated deadline has
+		// expensive stage, so a round whose propagated deadline has
 		// already passed is dropped before building anything
 		// (DESIGN.md §15). Nothing was sent — a definite non-execution,
 		// never parked as ambiguous.
 		if ctx.Err() != nil {
-			p.mx.errors.Inc()
-			return nil, stats, errDeadlineBeforeBuild
-		}
-		var reqW *wire.Writer
-		var id uint64
-		var err error
-		if streamed {
-			// Chunked-streaming path: build and send are one pipelined
-			// stage, so the build/rpc split comes from streamAccess's own
-			// sealing measurement rather than stopwatch laps.
-			id = p.client.NextID()
-			var db time.Duration
-			resp, db, err = p.streamAccess(ctx, root, id, op, key, newValue, entry.ct)
-			wall := sw.Lap(nil)
-			dBuild += db
-			dr := wall - db
-			if dr < 0 {
-				dr = 0
-			}
-			dRPC += dr
-			if p.mx.enabled {
-				p.mx.build.Observe(db)
-				p.mx.rpc.Observe(dr)
-			}
-			stats.PrepBytes = p.cfg.StreamRequestBytes()
-		} else {
-			// The request buffer is pooled: framing allocates nothing in
-			// steady state. It is released after the RPC settles — except
-			// when the round is parked for at-most-once replay, which
-			// retains the bytes.
-			spBuild := root.Child("table_build")
-			reqW = wire.GetWriter(p.cfg.RequestBytesPerAccess())
-			if err = p.buildRequestInto(reqW, op, key, newValue, entry.ct); err != nil {
-				spBuild.End()
-				wire.PutWriter(reqW)
-				p.mx.errors.Inc()
-				return nil, stats, err
-			}
-			req := reqW.Bytes()
-			spBuild.End()
-			dBuild += sw.Lap(p.mx.build)
-			stats.PrepBytes = len(req)
-
-			id = p.client.NextID()
-			spRPC := root.Child("rpc")
-			resp, err = p.client.CallContextID(trace.ContextWith(ctx, spRPC), id, MsgLBLAccess, req)
-			spRPC.End()
-		}
-		if err == nil {
-			if reqW != nil {
-				wire.PutWriter(reqW)
-			}
+			failAll(live, errDeadlineBeforeBuild)
 			break
 		}
-		if transport.Ambiguous(err) {
-			// The round may have executed; park it so the key's next
-			// access settles the outcome before trusting the counter.
-			// A monolithic round parks its request bytes, so reqW is not
-			// returned to the pool; a streamed round's chunks went out in
-			// pooled frames, so it parks none — resolution rebuilds a
-			// monolithic request at the same counter (pending.go).
-			pr := &pendingRound{id: id, msgType: MsgLBLAccess,
-				op: op, value: pendingValue(op, newValue)}
-			if reqW != nil {
-				pr.req = reqW.Bytes()
-			}
-			entry.pending = pr
-			p.mx.pendingSaved.Inc()
-			p.mx.errors.Inc()
-			return nil, stats, err
+		specs = specs[:0]
+		for _, a := range live {
+			specs = append(specs, tableSpec{a.Op, a.Key, a.Value, a.entry.ct})
 		}
-		if reqW != nil {
-			wire.PutWriter(reqW)
+		resp, sent, db, err := p.exchange(ctx, root, specs)
+		// Build and send are one pipelined stage when the request spans
+		// frames, so the build/rpc split comes from the sealing time
+		// exchange measured rather than from two laps.
+		dr := max(sw.Lap(nil)-db, 0)
+		dBuild, dRPC = dBuild+db, dRPC+dr
+		if p.mx.enabled {
+			p.mx.build.Observe(db)
+			p.mx.rpc.Observe(dr)
 		}
-		if claimed < recoveryAllowance && p.cfg.AutoAdopt && isFencedRound(err) {
-			// The range's epoch moved past ours: we are being handed
-			// ownership (or re-learning it after a restart). Claim the
-			// range — fencing out every older owner — and retry at the
-			// granted epoch.
-			claimed++
-			p.mx.fencedRounds.Inc()
-			if !streamed {
-				sw.Lap(p.mx.rpc)
+		stats.PrepBytes += sent
+		stats.RespBytes += len(resp)
+		if err != nil {
+			if transport.Ambiguous(err) {
+				// The round may have executed; park it on every key so
+				// each key's next access settles the outcome before
+				// trusting the counter.
+				for _, a := range live {
+					a.entry.pending = true
+				}
+				p.mx.pendingSaved.Add(int64(len(live)))
 			}
-			if _, cerr := p.ClaimRange(RangeOf(key)); cerr == nil {
-				sw.Lap(nil)
-				continue
-			}
-			p.mx.errors.Inc()
-			return nil, stats, err
+			failAll(live, err)
+			break
 		}
-		if reconciled < recoveryAllowance && p.cfg.ReconcileScan > 0 && isStaleRound(err) {
-			// A fresh stale rejection with no parked round means the
-			// counter and the server's record have desynchronized
-			// (crash recovery on either side, or a just-adopted range
-			// whose counters we never held). Re-locate the server's
-			// counter and retry this access at the rebased value.
-			reconciled++
-			if !streamed {
-				sw.Lap(p.mx.rpc)
-			}
-			if rerr := p.reconcile(key, entry); rerr == nil {
-				sw.Lap(nil)
-				continue
-			}
-			p.mx.errors.Inc()
-			return nil, stats, err
-		}
-		p.mx.errors.Inc()
-		return nil, stats, err
-	}
-	if !streamed {
-		dRPC += sw.Lap(p.mx.rpc)
-	}
-	stats.RespBytes = len(resp)
 
-	spRec := root.Child("label_recover")
-	value, err := p.recover(op, key, newValue, entry.ct+1, resp)
-	spRec.End()
-	if err != nil {
-		p.mx.errors.Inc()
-		return nil, stats, err
+		spRec := root.Child("label_recover")
+		slotLen := p.cfg.ResponseBytesPerAccess()
+		outer, inner := fanOut(len(live), p.cfg.Groups())
+		forEach(len(live), outer, func(i int) error { //nolint:errcheck // outcomes land per access
+			a, slot := live[i], resp[i*slotLen:(i+1)*slotLen]
+			if a.err = slotError(slot[0]); a.err == nil {
+				a.value, a.err = p.recoverWorkers(a.Op, a.Key, a.Value, a.entry.ct+1, slot[1:], inner)
+			}
+			return nil
+		})
+		spRec.End()
+		dRecover += sw.Lap(p.mx.recover)
+
+		retry := live[:0]
+		for i, a := range live {
+			if a.err == nil {
+				a.entry.ct++ // commit the counter only after a successful round
+			} else if p.climb(a, resp[i*slotLen]) {
+				a.err = nil
+				retry = append(retry, a)
+			}
+		}
+		if live = retry; len(live) > 0 {
+			sw.Lap(nil) // ladder time belongs to no stage
+		}
 	}
-	dRecover := sw.Lap(p.mx.recover)
-	entry.ct++ // commit the counter only after a successful round
-	if p.mx.enabled {
+
+	failed := 0
+	for i := range accs {
+		if accs[i].err != nil {
+			failed++
+		}
+	}
+	p.mx.errors.Add(int64(failed))
+	if p.mx.enabled && failed < len(accs) {
 		total := dAcquire + dBuild + dRPC + dRecover
 		p.mx.e2e.ObserveExemplar(total, root.TraceID())
 		if p.mx.slow.Worthy(total) {
-			ek := p.prf.EncodeKey(key)
+			ek := p.prf.EncodeKey(accs[0].Key)
 			p.mx.slow.Record(obs.Trace{
 				At:    time.Now(),
-				Label: traceLabel(ek[:]),
+				Label: fmt.Sprintf("keys=%d %s", len(accs), traceLabel(ek[:])),
 				Total: total,
 				Stages: []obs.Stage{
 					{Name: "counter_acquire", D: dAcquire},
@@ -568,7 +683,154 @@ func (p *LBLProxy) AccessContext(ctx context.Context, op Op, key string, newValu
 			})
 		}
 	}
-	return value, stats, nil
+	return stats
+}
+
+func failAll(live []*roundAccess, err error) {
+	for _, a := range live {
+		a.err = err
+	}
+}
+
+// climb takes one step of the recovery ladder for an access the server
+// rejected with status, reporting whether the access should go around
+// again: a fence is answered by claiming the range, staleness by
+// re-locating the server's counter, each at most recoveryAllowance
+// times per access.
+func (p *LBLProxy) climb(a *roundAccess, status byte) bool {
+	switch {
+	case status == slotFenced && p.cfg.AutoAdopt && a.claimed < recoveryAllowance:
+		// The range's epoch moved past ours: we are being handed
+		// ownership (or re-learning it after a restart). Claim the
+		// range — fencing out every older owner — and retry at the
+		// granted epoch.
+		a.claimed++
+		p.mx.fencedRounds.Inc()
+		_, err := p.ClaimRange(RangeOf(a.Key))
+		return err == nil
+	case status == slotStale && p.cfg.ReconcileScan > 0 && a.reconciled < recoveryAllowance:
+		// A fresh stale rejection with no parked round means the
+		// counter and the server's record have desynchronized (crash
+		// recovery on either side, or a just-adopted range whose
+		// counters we never held). Re-locate the server's counter and
+		// retry at the rebased value.
+		a.reconciled++
+		return p.reconcile(a.Key, a.entry) == nil
+	}
+	return false
+}
+
+// A tableSpec says what one request segment encodes: the operation on
+// key, keyed at counter ct.
+type tableSpec struct {
+	op    Op
+	key   string
+	value []byte
+	ct    uint64
+}
+
+// exchange is the one builder and sender: it encodes specs as one
+// request — one segment per spec, back to back — cuts it into frames,
+// and returns the server's response, validated to hold one slot per
+// spec. This is the only place that knows whether a request crosses the
+// wire as one frame or several: a request that fits is one ordinary
+// call, which the transport may retry; a longer one is the same bytes
+// sealed and written frame by frame from one pooled buffer, which it
+// never retries. Also returned: the request bytes sealed and the time
+// spent sealing them.
+func (p *LBLProxy) exchange(ctx context.Context, root *trace.Span, specs []tableSpec) (resp []byte, sent int, build time.Duration, err error) {
+	cut := frameCutter{cfg: p.cfg, n: len(specs)}
+	var runsBuf [2]run
+	runs := cut.next(runsBuf[:0])
+	w := wire.GetWriter(p.cfg.frameBytes(runs))
+	defer wire.PutWriter(w)
+	// table_build ends when the last frame is sealed, rpc when the
+	// response lands: back to back for one frame, overlapping for
+	// several — the gap between their ends is the pipeline's tail.
+	spBuild := root.Child("table_build")
+	defer spBuild.End()
+	frames := 0
+	seal := func() error {
+		w.Reset()
+		t0 := time.Now()
+		err := p.buildFrame(w.Extend(p.cfg.frameBytes(runs)), runs, specs)
+		build += time.Since(t0)
+		sent += w.Len()
+		frames++
+		if cut.done() {
+			spBuild.End()
+		}
+		return err
+	}
+	if err = seal(); err != nil {
+		return nil, 0, build, err // nothing was sent
+	}
+	id := p.client.NextID()
+	spRPC := root.Child("rpc")
+	defer spRPC.End()
+	ctx = trace.ContextWith(ctx, spRPC)
+	if cut.done() {
+		resp, err = p.client.CallContextID(ctx, id, MsgLBLAccess, w.Bytes())
+	} else {
+		resp, err = p.client.CallStreamContextID(ctx, id, MsgLBLAccess, func(send func([]byte, bool) error) error {
+			for {
+				last := cut.done()
+				if err := send(w.Bytes(), last); err != nil || last {
+					return err
+				}
+				runs = cut.next(runs[:0])
+				if err := seal(); err != nil {
+					return err
+				}
+			}
+		})
+	}
+	p.mx.frames.Add(int64(frames))
+	if err == nil && len(resp) != len(specs)*p.cfg.ResponseBytesPerAccess() {
+		err = fmt.Errorf("%w: response has %d bytes, want %d slots of %d", ErrTampered,
+			len(resp), len(specs), p.cfg.ResponseBytesPerAccess())
+	}
+	return resp, sent, build, err
+}
+
+// buildFrame encodes the frame carrying runs into frame (steps 1.1–1.5
+// of §5.2 for those groups): each run's segment header when it starts
+// its segment, then its groups' table entries, sealed in place across
+// workers.
+func (p *LBLProxy) buildFrame(frame []byte, runs []run, specs []tableSpec) error {
+	gl := p.cfg.groupBytes()
+	var tablesBuf [2][]byte
+	tables := tablesBuf[:0]
+	total := 0
+	for _, r := range runs {
+		if r.g0 == 0 {
+			ek := p.prf.EncodeKey(specs[r.seg].key)
+			rid := RangeOf(specs[r.seg].key)
+			frame = frame[p.cfg.putSegHeader(frame, ek[:], rid, p.rangeEpoch(rid)):]
+		}
+		n := (r.g1 - r.g0) * gl
+		tables = append(tables, frame[:n])
+		frame = frame[n:]
+		total += r.g1 - r.g0
+	}
+	outer, inner := fanOut(len(runs), total/len(runs))
+	return forEach(len(runs), outer, func(i int) error {
+		r, s := runs[i], &specs[runs[i].seg]
+		return p.buildGroups(tables[i], s.key, s.op, s.value, s.ct, r.g0, r.g1, inner)
+	})
+}
+
+// putSegHeader encodes one request segment's header into dst and
+// returns its length.
+func (c LBLConfig) putSegHeader(dst, encKey []byte, rangeID uint32, epoch uint64) int {
+	n := copy(dst, encKey)
+	putClaim(dst[n:], rangeID, epoch)
+	n += lblClaimLen
+	dst[n] = byte(c.Mode)
+	n++
+	n += binary.PutUvarint(dst[n:], uint64(c.Groups()))
+	n += binary.PutUvarint(dst[n:], uint64(c.Mode.entryLen()))
+	return n
 }
 
 // minGroupsPerWorker bounds the table-build and recovery fan-out:
@@ -576,8 +838,8 @@ func (p *LBLProxy) AccessContext(ctx context.Context, op Op, key string, newValu
 // than the crypto it offloads.
 const minGroupsPerWorker = 64
 
-// tableWorkers returns the worker count for a CPU-bound pass over a
-// groups-group table under GOMAXPROCS, never exceeding one worker per
+// tableWorkers returns the worker count for a CPU-bound pass over
+// groups groups under GOMAXPROCS, never exceeding one worker per
 // minGroupsPerWorker groups.
 func tableWorkers(groups int) int {
 	w := runtime.GOMAXPROCS(0)
@@ -590,85 +852,74 @@ func tableWorkers(groups int) int {
 	return w
 }
 
-// buildRequestInto encodes the MsgLBLAccess request for key at counter
-// ct into w (steps 1.1–1.5 of §5.2).
-func (p *LBLProxy) buildRequestInto(w *wire.Writer, op Op, key string, newValue []byte, ct uint64) error {
-	cfg := p.cfg
-	ek := p.prf.EncodeKey(key)
-	w.Raw(ek[:])
-	rid := RangeOf(key)
-	w.Uint32(rid)
-	w.Uint64(p.rangeEpoch(rid))
-	w.Byte(byte(cfg.Mode))
-	w.Uvarint(uint64(cfg.Groups()))
-	w.Uvarint(uint64(cfg.Mode.entryLen()))
-	return p.appendAccessTable(w, key, op, newValue, ct, tableWorkers(cfg.Groups()))
+// fanOut splits tableWorkers across a pass over jobs tables of about
+// groups groups each: outer workers take whole tables, and only when
+// there are fewer tables than workers does each table fan out further.
+func fanOut(jobs, groups int) (outer, inner int) {
+	w := tableWorkers(jobs * groups)
+	return min(w, jobs), max(w/jobs, 1)
 }
 
-// buildRequest is the allocating form of buildRequestInto, used by the
-// cold paths (reconciliation probes, pending-round resolution) whose
-// requests may be retained indefinitely and so must not come from the
-// writer pool.
-func (p *LBLProxy) buildRequest(op Op, key string, newValue []byte, ct uint64) ([]byte, error) {
-	w := wire.NewWriter(p.cfg.RequestBytesPerAccess())
-	if err := p.buildRequestInto(w, op, key, newValue, ct); err != nil {
-		return nil, err
+// forEach runs fn(i) for i in [0, n) across workers goroutines and
+// returns their errors joined; with one worker it runs inline and stops
+// at the first error.
+func forEach(n, workers int, fn func(i int) error) error {
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return w.Bytes(), nil
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
-// appendAccessTable appends key's encryption table for counter ct to w
-// (steps 1.2–1.5 of §5.2), building it in place in w's buffer.
-func (p *LBLProxy) appendAccessTable(w *wire.Writer, key string, op Op, newValue []byte, ct uint64, workers int) error {
-	return p.buildAccessTable(w.Extend(p.cfg.TableBytes()), key, op, newValue, ct, workers)
-}
-
-// buildAccessTable fills table — exactly cfg.TableBytes() bytes — with
-// key's encryption table for counter ct, fanning group ranges out
+// buildGroups fills table with groups [g0, g1) of key's encryption
+// table for counter ct (table[0] holds group g0), fanning the range out
 // across workers. Entry slots are fixed-size, so each worker seals
 // directly into its precomputed offsets; workers share nothing but the
 // read-only inputs, a cloned label generator each, and one lane each of
 // a seeded crypto-strength shuffle stream (see shuffle.go). The label
-// schedule and the entry-placement distribution are identical to the
-// sequential build, so the server-visible transcript distribution — and
-// with it the obliviousness argument — is unchanged. workers <= 1
-// builds inline, allocation-free.
-func (p *LBLProxy) buildAccessTable(table []byte, key string, op Op, newValue []byte, ct uint64, workers int) error {
-	groups := p.cfg.Groups()
+// schedule and the entry-placement distribution are identical to a
+// sequential build of the whole table — placements are independent and
+// uniform per group in every variant — so the server-visible transcript
+// distribution, and with it the obliviousness argument, does not depend
+// on how a table is split across workers or frames. workers <= 1 builds
+// inline, allocation-free.
+func (p *LBLProxy) buildGroups(table []byte, key string, op Op, newValue []byte, ct uint64, g0, g1, workers int) error {
 	gen := p.prf.LabelGen(key)
-	if workers > groups {
-		workers = groups
+	n := g1 - g0
+	if workers <= 1 || n <= 1 {
+		return p.buildGroupRange(table, gen, newCryptoShuffler(), op, newValue, ct, g0, g1, g0)
 	}
-	if workers <= 1 {
-		return p.buildGroupRange(table, gen, newCryptoShuffler(), op, newValue, ct, 0, groups, 0)
-	}
+	workers = min(workers, n)
 	seed := newShuffleSeed()
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		g0 := groups * wk / workers
-		g1 := groups * (wk + 1) / workers
-		wg.Add(1)
-		go func(wk, g0, g1 int) {
-			defer wg.Done()
-			errs[wk] = p.buildGroupRange(table, gen.Clone(), seed.stream(uint32(wk)), op, newValue, ct, g0, g1, 0)
-		}(wk, g0, g1)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return forEach(workers, workers, func(wk int) error {
+		return p.buildGroupRange(table, gen.Clone(), seed.stream(uint32(wk)), op, newValue, ct,
+			g0+n*wk/workers, g0+n*(wk+1)/workers, g0)
+	})
 }
 
 // buildGroupRange seals groups [g0, g1) of the table into their slots
 // (steps 1.2–1.5 of §5.2 for those groups). gen and shuf are owned by
 // the caller — one per worker — so the loop body allocates nothing.
-// table holds groups starting at absolute group gBase: full-table
-// builders pass 0, the streaming path passes its chunk's first group
-// so one chunk-sized buffer serves the whole table.
+// table holds groups starting at absolute group gBase — the first
+// group of the run being built, so a frame-sized buffer serves any part
+// of the table.
 func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *cryptoShuffler, op Op, newValue []byte, ct uint64, g0, g1, gBase int) error {
 	cfg := p.cfg
 	y := cfg.Mode.Y()
@@ -732,225 +983,11 @@ func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *crypto
 	return nil
 }
 
-// buildChunkGroups seals groups [g0, g1) into a chunk-local table
-// buffer (table[0] holds group g0), fanning out across workers like
-// buildAccessTable. Entry placement draws fresh crypto-random shuffle
-// streams per chunk; placements are independent and uniform per group
-// in every variant, so the transcript distribution is identical to the
-// monolithic build's.
-func (p *LBLProxy) buildChunkGroups(table []byte, gen *prf.LabelGen, op Op, newValue []byte, ct uint64, g0, g1 int) error {
-	n := g1 - g0
-	workers := tableWorkers(n)
-	if workers <= 1 {
-		return p.buildGroupRange(table, gen, newCryptoShuffler(), op, newValue, ct, g0, g1, g0)
-	}
-	seed := newShuffleSeed()
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		a := g0 + n*wk/workers
-		b := g0 + n*(wk+1)/workers
-		wg.Add(1)
-		go func(wk, a, b int) {
-			defer wg.Done()
-			errs[wk] = p.buildGroupRange(table, gen.Clone(), seed.stream(uint32(wk)), op, newValue, ct, a, b, g0)
-		}(wk, a, b)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// streamAccess performs one access over the chunked-streaming path
-// (MsgLBLAccessStream): the table is sealed chunk-by-chunk into one
-// pooled buffer and each chunk is written to the wire as soon as it is
-// sealed, so the server trial-decrypts chunk i while the proxy seals
-// chunk i+1 and the WAN carries both. Returns the response labels and
-// the time spent sealing (the build share of the wall time; the rest
-// is wire and server time the pipeline overlaps).
-func (p *LBLProxy) streamAccess(ctx context.Context, root *trace.Span, id uint64, op Op, key string, newValue []byte, ct uint64) ([]byte, time.Duration, error) {
-	cfg := p.cfg
-	groups := cfg.Groups()
-	nEntries := cfg.Mode.entries()
-	entryLen := cfg.Mode.entryLen()
-	cg := cfg.streamChunkGroups()
-	nChunks := cfg.streamChunks()
-	gen := p.prf.LabelGen(key)
-
-	// The spans deliberately overlap: table_build ends when the last
-	// chunk is sealed, rpc when the response lands — the gap between
-	// their ends is the pipeline's tail, visible per trace.
-	spBuild := root.Child("table_build")
-	buildEnded := false
-	endBuild := func() {
-		if !buildEnded {
-			buildEnded = true
-			spBuild.End()
-		}
-	}
-	defer endBuild()
-	spRPC := root.Child("rpc")
-	defer spRPC.End()
-
-	var buildTime time.Duration
-	resp, err := p.client.CallStreamContextID(trace.ContextWith(ctx, spRPC), id, MsgLBLAccessStream,
-		func(send func([]byte) error) error {
-			bw := wire.GetWriter(streamBeginSingleLen)
-			bw.Byte(wire.StreamBegin)
-			bw.Byte(wire.StreamSingle)
-			ek := p.prf.EncodeKey(key)
-			bw.Raw(ek[:])
-			rid := RangeOf(key)
-			putClaim(bw.Extend(lblClaimLen), rid, p.rangeEpoch(rid))
-			bw.Byte(byte(cfg.Mode))
-			bw.Uint32(uint32(groups))
-			bw.Uint32(uint32(entryLen))
-			bw.Uint32(uint32(cg))
-			bw.Uint32(uint32(nChunks))
-			serr := send(bw.Bytes())
-			wire.PutWriter(bw)
-			if serr != nil {
-				return serr
-			}
-			// One pooled chunk buffer, reused for every chunk: the
-			// transport copies the payload into its frame buffer before
-			// send returns, so peak proxy table memory per access is one
-			// chunk budget, not the full ℓ/y-group table.
-			cw := wire.GetWriter(wire.StreamChunkHeaderLen + cg*nEntries*entryLen)
-			defer wire.PutWriter(cw)
-			for i := 0; i < nChunks; i++ {
-				g0 := i * cg
-				g1 := g0 + cg
-				if g1 > groups {
-					g1 = groups
-				}
-				cw.Reset()
-				wire.PutStreamChunkHeader(cw, wire.StreamSingle, byte(cfg.Mode), uint32(groups), uint32(i), uint32(g1-g0))
-				t0 := time.Now()
-				if berr := p.buildChunkGroups(cw.Extend((g1-g0)*nEntries*entryLen), gen, op, newValue, ct, g0, g1); berr != nil {
-					return berr
-				}
-				buildTime += time.Since(t0)
-				if serr := send(cw.Bytes()); serr != nil {
-					return serr
-				}
-				p.mx.streamChunks.Inc()
-			}
-			endBuild()
-			ew := wire.GetWriter(wire.StreamEndLen)
-			wire.PutStreamEnd(ew, wire.StreamSingle, uint32(nChunks))
-			serr = send(ew.Bytes())
-			wire.PutWriter(ew)
-			return serr
-		})
-	if err == nil {
-		p.mx.streamRounds.Inc()
-	}
-	return resp, buildTime, err
-}
-
-// streamBatch performs one batched round over the chunked-streaming
-// path: whole per-key segments (key, claim, table) are sealed
-// chunk-by-chunk into one pooled buffer and shipped as they complete,
-// so the server decrypts the first keys while later tables are still
-// being garbled. Returns the batch response and the time spent
-// sealing.
-func (p *LBLProxy) streamBatch(ctx context.Context, root *trace.Span, id uint64, ops []BatchOp, idxs []int, entries []*counterEntry, inner int) ([]byte, time.Duration, error) {
-	cfg := p.cfg
-	groups := cfg.Groups()
-	segLen := prf.Size + lblClaimLen + cfg.TableBytes()
-	n := len(idxs)
-	perChunk, nChunks := cfg.batchStreamLayout(n)
-
-	spBuild := root.Child("table_build")
-	buildEnded := false
-	endBuild := func() {
-		if !buildEnded {
-			buildEnded = true
-			spBuild.End()
-		}
-	}
-	defer endBuild()
-	spRPC := root.Child("rpc")
-	defer spRPC.End()
-
-	var buildTime time.Duration
-	resp, err := p.client.CallStreamContextID(trace.ContextWith(ctx, spRPC), id, MsgLBLAccessStream,
-		func(send func([]byte) error) error {
-			bw := wire.GetWriter(streamBeginBatchLen)
-			bw.Byte(wire.StreamBegin)
-			bw.Byte(wire.StreamBatch)
-			bw.Byte(byte(cfg.Mode))
-			bw.Uint32(uint32(groups))
-			bw.Uint32(uint32(cfg.Mode.entryLen()))
-			bw.Uint32(uint32(n))
-			bw.Uint32(uint32(perChunk))
-			bw.Uint32(uint32(nChunks))
-			serr := send(bw.Bytes())
-			wire.PutWriter(bw)
-			if serr != nil {
-				return serr
-			}
-			cw := wire.GetWriter(wire.StreamChunkHeaderLen + perChunk*segLen)
-			defer wire.PutWriter(cw)
-			buildErrs := make([]error, perChunk)
-			for c := 0; c < nChunks; c++ {
-				k0 := c * perChunk
-				k1 := k0 + perChunk
-				if k1 > n {
-					k1 = n
-				}
-				cw.Reset()
-				wire.PutStreamChunkHeader(cw, wire.StreamBatch, byte(cfg.Mode), uint32(groups), uint32(c), uint32(k1-k0))
-				segs := cw.Extend((k1 - k0) * segLen)
-				t0 := time.Now()
-				forEachBatched(k1-k0, func(j int) {
-					op := ops[idxs[k0+j]]
-					seg := segs[j*segLen : (j+1)*segLen]
-					ek := p.prf.EncodeKey(op.Key)
-					copy(seg, ek[:])
-					rid := RangeOf(op.Key)
-					putClaim(seg[prf.Size:], rid, p.rangeEpoch(rid))
-					buildErrs[j] = p.buildAccessTable(seg[prf.Size+lblClaimLen:], op.Key, op.Op, op.Value, entries[k0+j].ct, inner)
-				})
-				buildTime += time.Since(t0)
-				for _, berr := range buildErrs[:k1-k0] {
-					if berr != nil {
-						return berr
-					}
-				}
-				if serr := send(cw.Bytes()); serr != nil {
-					return serr
-				}
-				p.mx.streamChunks.Inc()
-			}
-			endBuild()
-			ew := wire.GetWriter(wire.StreamEndLen)
-			wire.PutStreamEnd(ew, wire.StreamBatch, uint32(nChunks))
-			serr = send(ew.Bytes())
-			wire.PutWriter(ew)
-			return serr
-		})
-	if err == nil {
-		p.mx.streamRounds.Inc()
-	}
-	return resp, buildTime, err
-}
-
-// recover maps the server's returned labels back to plaintext bits
-// using the counter-(ct+1) label schedule, and performs the §5.4
+// recoverWorkers maps the server's returned labels back to plaintext
+// bits using the counter-ctNew label schedule, and performs the §5.4
 // integrity check: every returned label must be one the proxy could
-// have generated.
-func (p *LBLProxy) recover(op Op, key string, newValue []byte, ctNew uint64, resp []byte) ([]byte, error) {
-	return p.recoverWorkers(op, key, newValue, ctNew, resp, tableWorkers(p.cfg.Groups()))
-}
-
-// recoverWorkers is recover with an explicit fan-out: group ranges are
-// recovered across workers, each with a cloned label generator. Ranges
+// have generated. Group ranges are recovered across workers, each with
+// a cloned label generator. Ranges
 // are aligned to whole value bytes because setGroupBits read-modify-
 // writes its byte — two workers must never share one.
 func (p *LBLProxy) recoverWorkers(op Op, key string, newValue []byte, ctNew uint64, resp []byte, workers int) ([]byte, error) {
@@ -1021,447 +1058,4 @@ func (p *LBLProxy) recoverRange(value, resp []byte, gen *prf.LabelGen, ctNew uin
 		}
 	}
 	return nil
-}
-
-// A BatchOp is one operation of an AccessBatch. For OpWrite, Value must
-// be exactly ValueSize bytes; for OpRead it is ignored.
-type BatchOp struct {
-	Op    Op
-	Key   string
-	Value []byte
-}
-
-// maxBatchFrameBytes caps one MsgLBLAccessBatch payload, leaving ample
-// headroom under transport.MaxFrameSize; larger batches are split into
-// several RPCs transparently.
-const maxBatchFrameBytes = 48 << 20
-
-// AccessBatch performs many oblivious accesses in (normally) one round
-// trip: it acquires every key's counter, builds all encryption tables,
-// sends them in a single MsgLBLAccessBatch frame, and recovers every
-// value from the single response (§5.2 amortized; see DESIGN.md).
-//
-// Results are returned in input order; reads yield the stored value,
-// writes echo the written value. Two cases need more than one RPC:
-// batches whose tables exceed the frame cap are split, and accesses to
-// a key that appears more than once are issued in occurrence-order
-// waves, because a key's label schedule is counter-indexed and its
-// accesses must not share a counter value.
-//
-// On a per-key server error (e.g. an unloaded key), the remaining
-// accesses still complete — their values are set and their counters
-// committed — and AccessBatch returns the first error alongside the
-// partial results.
-func (p *LBLProxy) AccessBatch(ops []BatchOp) ([][]byte, AccessStats, error) {
-	var stats AccessStats
-	if p.client == nil {
-		return nil, stats, fmt.Errorf("core: LBL proxy has no server connection")
-	}
-	for i := range ops {
-		switch ops[i].Op {
-		case OpRead:
-		case OpWrite:
-			if len(ops[i].Value) != p.cfg.ValueSize {
-				return nil, stats, fmt.Errorf("batch op %d (%q): %w", i, ops[i].Key, ErrValueSize)
-			}
-		default:
-			return nil, stats, fmt.Errorf("core: batch op %d: unknown op %d", i, ops[i].Op)
-		}
-	}
-
-	all := make([]int, len(ops))
-	for i := range all {
-		all[i] = i
-	}
-	values := make([][]byte, len(ops))
-	firstErr := p.accessBatchIndices(context.Background(), ops, all, values, make([]error, len(ops)), &stats)
-	return values, stats, firstErr
-}
-
-// A BatchResult is one access's outcome within a batched round: the
-// value (the stored value for a read, the written value echoed for a
-// write) or that access's individual error.
-type BatchResult struct {
-	Value []byte
-	Err   error
-}
-
-// AccessBatchResults is AccessBatch with per-access outcomes instead
-// of first-error-wins: every access's value or error is reported at
-// its own index, and an invalid op (unknown op code, wrong write
-// size) fails only itself — the rest of the batch still runs. It
-// exists for front ends that multiplex independent sessions into one
-// frame (the Aggregator): one session's unloaded key must not fail
-// its window mates.
-func (p *LBLProxy) AccessBatchResults(ctx context.Context, ops []BatchOp) ([]BatchResult, AccessStats) {
-	var stats AccessStats
-	results := make([]BatchResult, len(ops))
-	if p.client == nil {
-		err := fmt.Errorf("core: LBL proxy has no server connection")
-		for i := range results {
-			results[i].Err = err
-		}
-		return results, stats
-	}
-	valid := make([]int, 0, len(ops))
-	for i := range ops {
-		switch ops[i].Op {
-		case OpRead:
-			valid = append(valid, i)
-		case OpWrite:
-			if len(ops[i].Value) != p.cfg.ValueSize {
-				results[i].Err = fmt.Errorf("batch op %d (%q): %w", i, ops[i].Key, ErrValueSize)
-				continue
-			}
-			valid = append(valid, i)
-		default:
-			results[i].Err = fmt.Errorf("core: batch op %d: unknown op %d", i, ops[i].Op)
-		}
-	}
-	values := make([][]byte, len(ops))
-	errs := make([]error, len(ops))
-	p.accessBatchIndices(ctx, ops, valid, values, errs, &stats)
-	for _, i := range valid {
-		results[i] = BatchResult{Value: values[i], Err: errs[i]}
-	}
-	return results, stats
-}
-
-// accessBatchIndices runs the accesses ops[include...] through the
-// wave/chunk pipeline, filling values and errs at the original
-// indices, and returns the first error in chunk-processing order.
-// Callers have already validated the included ops.
-func (p *LBLProxy) accessBatchIndices(ctx context.Context, ops []BatchOp, include []int, values [][]byte, errs []error, stats *AccessStats) error {
-	// Wave w holds the w-th occurrence of each key, so duplicate keys
-	// never share a frame (their counters must advance between them).
-	occurrence := make(map[string]int, len(include))
-	var waves [][]int
-	for _, i := range include {
-		w := occurrence[ops[i].Key]
-		occurrence[ops[i].Key] = w + 1
-		if w == len(waves) {
-			waves = append(waves, nil)
-		}
-		waves[w] = append(waves[w], i)
-	}
-
-	// Monolithic batches must fit one request frame, so the per-call cap
-	// derives from the per-key segment (key, claim, table) size. With a
-	// stream chunk budget configured, each chunk travels in its own
-	// frame, so the binding frame is the single response — a status byte
-	// plus a label block per key — and large-value batches no longer
-	// split into extra waves just because their tables would not share
-	// one request frame.
-	var maxPerCall int
-	if p.cfg.StreamChunkBytes > 0 {
-		maxPerCall = (maxBatchFrameBytes - 32) / (1 + p.cfg.Groups()*prf.Size)
-		if maxPerCall > maxBatchAccesses {
-			maxPerCall = maxBatchAccesses
-		}
-	} else {
-		maxPerCall = (maxBatchFrameBytes - 32) / (prf.Size + lblClaimLen + p.cfg.TableBytes())
-	}
-	if maxPerCall < 1 {
-		maxPerCall = 1
-	}
-
-	var firstErr error
-	for _, wave := range waves {
-		// Deterministic lock order: counters are acquired in sorted key
-		// order, so concurrent AccessBatch calls cannot deadlock.
-		sort.Slice(wave, func(a, b int) bool { return ops[wave[a]].Key < ops[wave[b]].Key })
-		for start := 0; start < len(wave); start += maxPerCall {
-			end := start + maxPerCall
-			if end > len(wave) {
-				end = len(wave)
-			}
-			st, err := p.accessBatchChunk(ctx, ops, wave[start:end], values, errs)
-			stats.PrepBytes += st.PrepBytes
-			stats.RespBytes += st.RespBytes
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
-}
-
-// batchWorkers returns the worker count for the CPU-bound stages of a
-// batch of n accesses: table construction and label recovery both fan
-// out across cores, mirroring the server's handler, so the one-frame
-// pipeline never loses to the concurrent fallback on compute.
-func batchWorkers(n int) int {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// forEachBatched runs fn(i) for i in [0, n) across batchWorkers(n)
-// goroutines and returns after all complete.
-func forEachBatched(n int, fn func(i int)) {
-	workers := batchWorkers(n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// accessBatchChunk performs one MsgLBLAccessBatch RPC for the accesses
-// ops[idxs...], whose keys are unique and sorted. It fills values at
-// the original indices and commits the counter of every access the
-// server completed. Per-access failures are recorded in errs at the
-// original indices; a failure before the frame is sent (or a
-// transport failure of the frame itself) fails every access in the
-// chunk, since none of them ran.
-func (p *LBLProxy) accessBatchChunk(ctx context.Context, ops []BatchOp, idxs []int, values [][]byte, errs []error) (AccessStats, error) {
-	var stats AccessStats
-	root, ctx := p.traceStart(ctx, "lbl_access_batch")
-	defer root.End()
-	cfg := p.cfg
-	groups := cfg.Groups()
-	failChunk := func(err error) {
-		for _, idx := range idxs {
-			if errs[idx] == nil {
-				errs[idx] = err
-			}
-		}
-	}
-
-	sw := obs.StartWatch(p.mx.enabled)
-	spAcq := root.Child("counter_acquire")
-	entries := make([]*counterEntry, len(idxs))
-	for i, idx := range idxs {
-		entries[i] = p.counters.acquire(ops[idx].Key)
-	}
-	defer func() {
-		for _, e := range entries {
-			e.mu.Unlock()
-		}
-	}()
-	// Settle any ambiguous earlier rounds before building tables: a
-	// resolution can advance a key's counter, and the tables below must
-	// be built at the settled values. An unresolvable round fails the
-	// whole chunk — no frame was sent, so no counter state changed.
-	for i, idx := range idxs {
-		if entries[i].pending != nil {
-			if err := p.resolvePending(ops[idx].Key, entries[i]); err != nil {
-				failChunk(err)
-				return stats, err
-			}
-		}
-	}
-	spAcq.End()
-	sw.Lap(p.mx.batchAcquire)
-	p.mx.batchKeys.Add(int64(len(idxs)))
-
-	// Dead callers get no tables: drop the chunk before garbling
-	// anything if the propagated deadline has already passed — no frame
-	// was sent, so this is a definite non-execution for every key.
-	if ctx.Err() != nil {
-		failChunk(errDeadlineBeforeBuild)
-		return stats, errDeadlineBeforeBuild
-	}
-
-	segLen := prf.Size + lblClaimLen + cfg.TableBytes()
-	inner := runtime.GOMAXPROCS(0) / len(idxs)
-	if inner < 1 {
-		inner = 1
-	}
-
-	var resp []byte
-	var req []byte
-	var id uint64
-	var err error
-	if cfg.batchStreaming(len(idxs)) {
-		// Chunked-streaming path: segments are sealed and shipped
-		// chunk-by-chunk, so the server starts decrypting the first keys
-		// while later tables are still being garbled.
-		id = p.client.NextID()
-		var db time.Duration
-		resp, db, err = p.streamBatch(ctx, root, id, ops, idxs, entries, inner)
-		wall := sw.Lap(nil)
-		dr := wall - db
-		if dr < 0 {
-			dr = 0
-		}
-		if p.mx.enabled {
-			p.mx.batchBuild.Observe(db)
-			p.mx.batchRPC.Observe(dr)
-		}
-		_, nChunks := cfg.batchStreamLayout(len(idxs))
-		stats.PrepBytes = streamBeginBatchLen + nChunks*wire.StreamChunkHeaderLen +
-			len(idxs)*segLen + wire.StreamEndLen
-	} else {
-		// Build every key's ek‖table segment in parallel, sealing directly
-		// into the frame: segments are fixed-size, so each builder owns a
-		// precomputed byte range of the pooled request buffer — no per-key
-		// writers, no splice pass. Table construction is the proxy's
-		// dominant CPU cost (2·ℓ PRFs plus 2^y·ℓ/y seals per key, §6.3.3),
-		// so it must not serialize behind a single core when the concurrent
-		// fallback would not. The batch already fans out across keys; inner
-		// per-table workers only multiply up to the core count when the
-		// batch is smaller than the machine.
-		spBuild := root.Child("table_build")
-		w := wire.GetWriter(cfg.BatchRequestBytes(len(idxs)))
-		// Exactly-once release: every exit funnels through this flag, so
-		// no error path can double-return the buffer or leak it. The
-		// parked-rounds path below keeps the bytes by setting the flag
-		// without putting.
-		released := false
-		release := func(keep bool) {
-			if !released {
-				released = true
-				if !keep {
-					wire.PutWriter(w)
-				}
-			}
-		}
-		defer release(false)
-		w.Byte(byte(cfg.Mode))
-		w.Uvarint(uint64(groups))
-		w.Uvarint(uint64(cfg.Mode.entryLen()))
-		w.Uvarint(uint64(len(idxs)))
-		segs := w.Extend(len(idxs) * segLen)
-		buildErrs := make([]error, len(idxs))
-		forEachBatched(len(idxs), func(i int) {
-			op := ops[idxs[i]]
-			seg := segs[i*segLen : (i+1)*segLen]
-			ek := p.prf.EncodeKey(op.Key)
-			copy(seg, ek[:])
-			rid := RangeOf(op.Key)
-			putClaim(seg[prf.Size:], rid, p.rangeEpoch(rid))
-			buildErrs[i] = p.buildAccessTable(seg[prf.Size+lblClaimLen:], op.Key, op.Op, op.Value, entries[i].ct, inner)
-		})
-		for _, berr := range buildErrs {
-			if berr != nil {
-				spBuild.End()
-				failChunk(berr)
-				return stats, berr
-			}
-		}
-		spBuild.End()
-		sw.Lap(p.mx.batchBuild)
-		stats.PrepBytes = w.Len()
-
-		id = p.client.NextID()
-		req = w.Bytes()
-		spRPC := root.Child("rpc")
-		resp, err = p.client.CallContextID(trace.ContextWith(ctx, spRPC), id, MsgLBLAccessBatch, req)
-		spRPC.End()
-		if transport.Ambiguous(err) {
-			release(true) // the parked rounds below own the bytes
-		} else {
-			release(false)
-		}
-		if err == nil {
-			sw.Lap(p.mx.batchRPC)
-		}
-	}
-	if err != nil {
-		if transport.Ambiguous(err) {
-			// The whole chunk is ambiguous. Park the same round on every
-			// key; each key settles its own slice of the outcome on its
-			// next access (replays of one id dedup to a single execution
-			// server-side). Monolithic rounds share the retained request
-			// bytes; streamed rounds park none — the server applies their
-			// chunks incrementally, so resolution probes each key
-			// individually instead of replaying bytes (pending.go).
-			for i, e := range entries {
-				op := ops[idxs[i]]
-				e.pending = &pendingRound{id: id, msgType: MsgLBLAccessBatch, req: req,
-					batch: true, pos: i, op: op.Op, value: pendingValue(op.Op, op.Value)}
-			}
-			p.mx.pendingSaved.Add(int64(len(entries)))
-			failChunk(err)
-			return stats, err
-		}
-		failChunk(err)
-		return stats, err
-	}
-	stats.RespBytes = len(resp)
-
-	// First pass, sequential: walk the variable-length response to
-	// slice out each access's labels or error.
-	r := wire.NewReader(resp)
-	labelSlices := make([][]byte, len(idxs))
-	remoteMsgs := make([]string, len(idxs))
-	failed := make([]bool, len(idxs))
-	for i := range idxs {
-		if status := r.Byte(); status != 0 {
-			failed[i] = true
-			remoteMsgs[i] = r.String()
-			continue
-		}
-		labelSlices[i] = r.Raw(groups * prf.Size)
-		if r.Err() != nil {
-			break // truncated response; reported via Finish below
-		}
-	}
-	if err := r.Finish(); err != nil {
-		err = fmt.Errorf("%w: malformed batch response: %v", ErrTampered, err)
-		failChunk(err)
-		return stats, err
-	}
-
-	// Second pass, parallel: recover each value from its labels (2^y·ℓ/y
-	// PRF comparisons per key in the worst case).
-	spRec := root.Child("label_recover")
-	recovered := make([][]byte, len(idxs))
-	recoverErrs := make([]error, len(idxs))
-	forEachBatched(len(idxs), func(i int) {
-		if failed[i] {
-			return
-		}
-		op := ops[idxs[i]]
-		recovered[i], recoverErrs[i] = p.recoverWorkers(op.Op, op.Key, op.Value, entries[i].ct+1, labelSlices[i], inner)
-	})
-	spRec.End()
-	sw.Lap(p.mx.batchRecover)
-
-	var firstErr error
-	for i, idx := range idxs {
-		op := ops[idx]
-		if failed[i] {
-			// Per-key failure: the server left this record untouched,
-			// so the counter must not advance.
-			errs[idx] = fmt.Errorf("core: batch access %q: %w", op.Key, &transport.RemoteError{Msg: remoteMsgs[i]})
-			if firstErr == nil {
-				firstErr = errs[idx]
-			}
-			continue
-		}
-		if recoverErrs[i] != nil {
-			errs[idx] = fmt.Errorf("core: batch access %q: %w", op.Key, recoverErrs[i])
-			if firstErr == nil {
-				firstErr = errs[idx]
-			}
-			continue
-		}
-		entries[i].ct++ // commit only after a successful round
-		values[idx] = recovered[i]
-	}
-	return stats, firstErr
 }

@@ -53,11 +53,10 @@ func NewLBLServer(store *kvstore.Store) *LBLServer {
 	return &LBLServer{store: store}
 }
 
-// Register installs the LBL access handlers on ts.
+// Register installs the LBL access handler and the ownership-claim
+// handler of epoch.go on ts.
 func (s *LBLServer) Register(ts *transport.Server) {
 	ts.Handle(MsgLBLAccess, s.handleAccess)
-	ts.Handle(MsgLBLAccessBatch, s.handleAccessBatch)
-	ts.Handle(MsgLBLAccessStream, s.handleAccessStream)
 	ts.Handle(MsgEpochClaim, s.handleEpochClaim)
 }
 
@@ -76,13 +75,13 @@ type lblRecord struct {
 	dbits  []byte // groups × 1, point-and-permute only
 }
 
-func parseLBLRecord(raw []byte, wantMode LBLMode, wantGroups int) (*lblRecord, error) {
+func parseLBLRecord(raw []byte, wantMode LBLMode, wantGroups int) (lblRecord, error) {
 	if len(raw) < 1 {
-		return nil, errors.New("core: empty LBL record")
+		return lblRecord{}, errors.New("core: empty LBL record")
 	}
-	rec := &lblRecord{mode: LBLMode(raw[0])}
+	rec := lblRecord{mode: LBLMode(raw[0])}
 	if rec.mode != wantMode {
-		return nil, fmt.Errorf("core: record mode %v does not match request mode %v", rec.mode, wantMode)
+		return rec, fmt.Errorf("core: record mode %v does not match request mode %v", rec.mode, wantMode)
 	}
 	body := raw[1:]
 	need := wantGroups * prf.Size
@@ -90,7 +89,7 @@ func parseLBLRecord(raw []byte, wantMode LBLMode, wantGroups int) (*lblRecord, e
 		need += wantGroups
 	}
 	if len(body) != need {
-		return nil, fmt.Errorf("core: LBL record body %d bytes, want %d", len(body), need)
+		return rec, fmt.Errorf("core: LBL record body %d bytes, want %d", len(body), need)
 	}
 	rec.labels = body[:wantGroups*prf.Size]
 	if rec.mode.hasDbits() {
@@ -99,8 +98,8 @@ func parseLBLRecord(raw []byte, wantMode LBLMode, wantGroups int) (*lblRecord, e
 	return rec, nil
 }
 
-// tableGeometry is the shared shape of the encryption tables in one
-// request: the variant plus the derived per-table sizes.
+// tableGeometry is the shape every encryption table in one request
+// shares: the variant plus the derived per-table sizes.
 type tableGeometry struct {
 	mode     LBLMode
 	groups   int
@@ -108,35 +107,20 @@ type tableGeometry struct {
 	nEntries int
 }
 
-func (g tableGeometry) tableBytes() int { return g.groups * g.nEntries * g.entryLen }
+func (g tableGeometry) groupBytes() int { return g.nEntries * g.entryLen }
 
-// readGeometry consumes and validates the (mode, groups, entryLen)
-// header shared by MsgLBLAccess and MsgLBLAccessBatch.
-func readGeometry(r *wire.Reader) (tableGeometry, error) {
-	var g tableGeometry
-	g.mode = LBLMode(r.Byte())
-	g.groups = int(r.Uvarint())
-	g.entryLen = int(r.Uvarint())
+// readSegHeader consumes one request segment's header from r: the
+// encoded key, the ownership claim, and the validated table geometry.
+func readSegHeader(r *wire.Reader) (encKey, claim []byte, geo tableGeometry, err error) {
+	encKey = r.Raw(prf.Size)
+	claim = r.Raw(lblClaimLen)
+	geo.mode = LBLMode(r.Byte())
+	geo.groups = int(r.Uvarint())
+	geo.entryLen = int(r.Uvarint())
 	if err := r.Err(); err != nil {
-		return g, err
+		return nil, nil, geo, err
 	}
-	err := g.validate()
-	return g, err
-}
-
-// readStreamGeometry is readGeometry for stream begin frames, whose
-// geometry fields are fixed-width u32s (wire/stream.go) so begin-frame
-// lengths are class-invariant.
-func readStreamGeometry(r *wire.Reader) (tableGeometry, error) {
-	var g tableGeometry
-	g.mode = LBLMode(r.Byte())
-	g.groups = int(r.Uint32())
-	g.entryLen = int(r.Uint32())
-	if err := r.Err(); err != nil {
-		return g, err
-	}
-	err := g.validate()
-	return g, err
+	return encKey, claim, geo, geo.validate()
 }
 
 // validate checks the parsed header fields and fills nEntries.
@@ -154,13 +138,76 @@ func (g *tableGeometry) validate() error {
 	return nil
 }
 
-// staleTableMarker tags the server's fencing rejections: an access
-// table keyed at a counter whose labels this record has already moved
-// past. The proxy's ambiguous-round resolution (pending.go) relies on
-// the marker — a stale rejection proves some round at that counter
-// executed — so both the point-and-permute and try-all decrypt
-// failures below must carry it.
+// Response slot statuses. A response is one fixed-width slot per
+// request segment — a status, then the label block, left zero on
+// failure — so what happened to each key never shows in a length. The
+// proxy's recovery ladder runs on the codes; slotError turns a failure
+// back into the constant-text error callers and relays classify.
+const (
+	slotOK byte = iota
+	// slotNotFound: the store was not initialized with this key.
+	slotNotFound
+	// slotStale is the fencing rejection: the table is keyed at a
+	// counter whose labels this record has already moved past (some
+	// entry the stored labels should open does not), or the record moved
+	// while the table was being decrypted. The proxy's ambiguous-round
+	// resolution (pending.go) relies on it — a stale rejection proves
+	// some round at that counter executed.
+	slotStale
+	// slotFenced: the ownership claim is behind the range's epoch
+	// (epoch.go). Checked before any record work.
+	slotFenced
+	// slotExpired: the deadline budget ran out before the key's labels
+	// were installed (DESIGN.md §15).
+	slotExpired
+	// slotRejected: the record and the request disagree (mode or size),
+	// the claim names no range, or the store could not journal the
+	// update.
+	slotRejected
+)
+
+// staleTableMarker, like the fence and expiry markers, is the constant
+// text a stale rejection carries across relays.
 const staleTableMarker = "stale access table"
+
+var (
+	errStaleTable  = errors.New("core: " + staleTableMarker + ": record is not at this table's counter")
+	errRejected    = errors.New("core: access rejected: record does not match the request")
+	errSlotUnknown = fmt.Errorf("%w: unknown response status", ErrTampered)
+)
+
+// slotError returns the error a response slot's status stands for, nil
+// for slotOK. The record is untouched in every failure case. Failures
+// are RemoteErrors with constant texts — no key, counter, or epoch
+// values — exactly what a relay one hop up would forward.
+func slotError(status byte) error {
+	var err error
+	switch status {
+	case slotOK:
+		return nil
+	case slotNotFound:
+		err = ErrNotFound
+	case slotStale:
+		err = errStaleTable
+	case slotFenced:
+		err = errFencedEpoch
+	case slotExpired:
+		err = errExpiredRound
+	case slotRejected:
+		err = errRejected
+	default:
+		return errSlotUnknown
+	}
+	return &transport.RemoteError{Msg: err.Error()}
+}
+
+// isStaleRound reports whether err is the server's fencing rejection:
+// an access table keyed at a counter whose labels the server has
+// already replaced.
+func isStaleRound(err error) bool {
+	var re *transport.RemoteError
+	return errors.As(err, &re) && strings.Contains(re.Msg, staleTableMarker)
+}
 
 // expiredRoundMarker tags the server's deadline drops: the request's
 // propagated budget (frame header, DESIGN.md §15) ran out before trial
@@ -195,18 +242,6 @@ func IsDeadlineExpired(err error) bool {
 		(strings.Contains(re.Msg, expiredRoundMarker) || strings.Contains(re.Msg, expiredBuildMarker))
 }
 
-// checkBudget drops a round whose deadline already passed. It runs
-// after parsing but before the epoch fence and any record work: an
-// expired round must cost the server no trial decryption and leave the
-// store untouched.
-func (s *LBLServer) checkBudget(ctx context.Context) error {
-	if ctx.Err() == nil {
-		return nil
-	}
-	s.expiredRounds.Add(1)
-	return errExpiredRound
-}
-
 // recPool recycles server-side record buffers: each successful access
 // displaces the store's previous record slice — same length, exclusively
 // ours once the update commits — which becomes a later access's
@@ -217,600 +252,345 @@ var recPool = sync.Pool{New: func() any { return new([]byte) }}
 // decrypt the table entries rec's stored labels open, writing the
 // recovered new labels (and, under point-and-permute, the next
 // decryption bits) into newLabels/newDbits at absolute group offsets.
-// table is the full table, absolutely indexed. Returns the number of
-// authenticated decryptions attempted; a group none of whose entries
-// opens yields a staleTableMarker error — fencing proof for the
-// proxy's ambiguous-round resolution. Shared by the monolithic
-// handlers (whole-table ranges inside the store update) and the
-// streaming handlers (one chunk's range per arriving frame).
-func decryptRange(geo tableGeometry, rec *lblRecord, table []byte, g0, g1 int, newLabels, newDbits []byte) (int64, error) {
+// table holds exactly those groups' entries (table[0] is group g0's).
+// Returns the number of authenticated decryptions attempted and whether
+// every group opened; a group none of whose entries opens means the
+// table is not keyed at the record's counter.
+func decryptRange(geo tableGeometry, rec *lblRecord, table []byte, g0, g1 int, newLabels, newDbits []byte) (attempts int64, ok bool) {
 	mode, entryLen, nEntries := geo.mode, geo.entryLen, geo.nEntries
-	var attempts int64
 	var plainBuf [prf.Size + 1]byte
 	plain := plainBuf[:mode.entryPlainLen()]
 	sealer := secretbox.NewLabelSealer()
 	for g := g0; g < g1; g++ {
 		stored := rec.labels[g*prf.Size : (g+1)*prf.Size]
-		entries := table[g*nEntries*entryLen : (g+1)*nEntries*entryLen]
+		entries := table[(g-g0)*nEntries*entryLen : (g-g0+1)*nEntries*entryLen]
 		// Every trial in a group opens under the same stored label,
 		// so the pad is derived once and each trial is a tag
 		// comparison — up to 2^y−1 hashes saved per group on the
 		// try-all path.
 		opener, oerr := sealer.Opener(stored)
 		if oerr != nil {
-			return attempts, oerr
+			return attempts, false
 		}
 		if mode.hasDbits() {
 			// Point-and-permute: exactly one decryption, at the
 			// stored entry index.
 			d := int(rec.dbits[g]) & (nEntries - 1)
 			attempts++
-			if derr := opener.OpenInto(plain, entries[d*entryLen:(d+1)*entryLen]); derr != nil {
-				return attempts, fmt.Errorf("core: %s: group %d entry %d undecryptable", staleTableMarker, g, d)
+			if opener.OpenInto(plain, entries[d*entryLen:(d+1)*entryLen]) != nil {
+				return attempts, false
 			}
 			newDbits[g] = plain[prf.Size]
 		} else {
 			// Try each shuffled entry; the recognition tag
 			// identifies the one our label opens (§5.2 step 2.1).
 			hit := false
-			for e := 0; e < nEntries; e++ {
+			for e := 0; e < nEntries && !hit; e++ {
 				attempts++
-				if derr := opener.OpenInto(plain, entries[e*entryLen:(e+1)*entryLen]); derr == nil {
-					hit = true
-					break
-				}
+				hit = opener.OpenInto(plain, entries[e*entryLen:(e+1)*entryLen]) == nil
 			}
 			if !hit {
-				return attempts, fmt.Errorf("core: %s: group %d: no table entry decryptable", staleTableMarker, g)
+				return attempts, false
 			}
 		}
 		copy(newLabels[g*prf.Size:], plain[:prf.Size])
 	}
-	return attempts, nil
+	return attempts, true
 }
 
-// accessOne executes steps 2.1–2.2 of §5.2 for one key: atomically
-// decrypt the table entries the stored labels open and install the
-// recovered new labels. The new labels are written to labelsOut, which
-// must be groups × prf.Size bytes and is owned by the caller — batch
-// handlers point workers at disjoint ranges of one response-sized
-// buffer.
-func (s *LBLServer) accessOne(encKey string, geo tableGeometry, table, labelsOut []byte) error {
-	if s.mx.enabled {
-		defer s.mx.access.Since(time.Now())
+// requestAbortMarker tags the rejection of a request that died or
+// misbehaved before completing. Labels install only once the whole
+// request has landed, so every record is untouched. Constant text like
+// the other rejection markers.
+const requestAbortMarker = "request aborted before completion"
+
+// handleAccess is the one LBL access handler (steps 2.1–2.2 of §5.2).
+// A request is n ≥ 1 segments back to back — encoded key, ownership
+// claim, geometry, table — arriving whole in payload or, when the proxy
+// cut it, continued over the transport's StreamReader; the handler
+// consumes segments as their bytes land, trial-decrypting each arrived
+// run of groups against a snapshot of the key's record, and installs
+// every key's new labels once the last byte confirms the request
+// complete. The response is one fixed-width slot per segment. Work and
+// response shape depend only on the table geometry and n, never on
+// operation types, so the server learns nothing beyond "these n objects
+// were accessed".
+func (s *LBLServer) handleAccess(ctx context.Context, payload []byte) ([]byte, error) {
+	var next func() ([]byte, bool, error)
+	if sr := transport.StreamFrom(ctx); sr != nil {
+		next = func() ([]byte, bool, error) { return sr.Next(ctx) }
 	}
-	mode, groups := geo.mode, geo.groups
-	// Trial decryptions are counted locally and published once per
-	// access: a per-entry atomic add is a cross-core cacheline ping-pong
-	// when batch workers run in parallel.
-	var attempts int64
-	bp := recPool.Get().(*[]byte)
-	applied := false
-	err := s.store.Update(encKey, func(old []byte) ([]byte, error) {
-		rec, err := parseLBLRecord(old, mode, groups)
-		if err != nil {
+	return s.access(ctx, payload, next)
+}
+
+// access serves one request: head is its first frame, and next, when
+// non-nil, yields each further frame and whether another follows.
+func (s *LBLServer) access(ctx context.Context, head []byte, next func() ([]byte, bool, error)) ([]byte, error) {
+	sp := trace.StartChild(ctx, "server_decrypt")
+	defer sp.End()
+	req := lblRequest{srv: s, ctx: ctx}
+	defer req.release()
+	for frame, more := head, next != nil; ; {
+		if err := req.consume(frame); err != nil {
 			return nil, err
 		}
-		newRec := *bp
-		if cap(newRec) < len(old) {
-			newRec = make([]byte, len(old))
+		if !more {
+			return req.finish()
+		}
+		var err error
+		if frame, more, err = next(); err != nil {
+			if ctx.Err() != nil {
+				s.expiredRounds.Add(1)
+				return nil, errExpiredRound
+			}
+			return nil, fmt.Errorf("core: %s: %v", requestAbortMarker, err)
+		}
+	}
+}
+
+// An lblRequest is one access request being consumed.
+type lblRequest struct {
+	srv  *LBLServer
+	ctx  context.Context
+	geo  tableGeometry // the first segment's; every later segment must repeat it
+	segs []*lblSegment // in arrival order
+}
+
+// An lblSegment is one key's access within a request: the status its
+// response slot will carry and, while that is still slotOK, the
+// snapshot of the key's record its table is being decrypted against
+// and the record being built from what the decryptions recover.
+type lblSegment struct {
+	key      string
+	status   byte
+	fed      int // groups consumed so far
+	rec      lblRecord
+	snap     *[]byte // pooled: the record as it was when the segment began
+	next     *[]byte // pooled: the record to install
+	attempts int64
+	busy     time.Duration
+}
+
+// segRun is a run of groups [g0, g1) of seg's table, as it arrived.
+type segRun struct {
+	seg    *lblSegment
+	g0, g1 int
+	table  []byte
+}
+
+// consume takes the next frame of the request: any mix of segment
+// headers and whole groups, in order. Each run of groups is
+// trial-decrypted before consume returns, so frame's bytes need not
+// outlive the call.
+func (req *lblRequest) consume(frame []byte) error {
+	var runsBuf [2]segRun
+	runs := runsBuf[:0]
+	for len(frame) > 0 {
+		var seg *lblSegment
+		if n := len(req.segs); n > 0 && req.segs[n-1].fed < req.geo.groups {
+			seg = req.segs[n-1]
 		} else {
-			newRec = newRec[:len(old)]
+			r := wire.NewReader(frame)
+			encKey, claim, geo, err := readSegHeader(r)
+			if err != nil {
+				return err
+			}
+			if n == 0 {
+				req.geo = geo
+			} else if geo != req.geo {
+				return fmt.Errorf("core: %s: segment %d changes the table geometry", requestAbortMarker, n)
+			}
+			if n == maxRoundKeys {
+				return fmt.Errorf("core: request exceeds %d accesses", maxRoundKeys)
+			}
+			seg = req.begin(string(encKey), claim)
+			req.segs = append(req.segs, seg)
+			frame = frame[len(frame)-r.Remaining():]
 		}
-		*bp = newRec
-		newRec[0] = byte(mode)
-		newLabels := newRec[1 : 1+groups*prf.Size]
-		var newDbits []byte
-		if mode.hasDbits() {
-			newDbits = newRec[1+groups*prf.Size:]
+		gl := req.geo.groupBytes()
+		k := min(req.geo.groups-seg.fed, len(frame)/gl)
+		if k == 0 {
+			return fmt.Errorf("core: %s: frame is not cut at a group boundary", requestAbortMarker)
 		}
-		a, derr := decryptRange(geo, rec, table, 0, groups, newLabels, newDbits)
-		attempts += a
-		if derr != nil {
-			return nil, derr
+		runs = append(runs, segRun{seg, seg.fed, seg.fed + k, frame[:k*gl]})
+		seg.fed += k
+		frame = frame[k*gl:]
+	}
+	// Runs in one frame belong to different keys, so they fan out across
+	// workers like whole keys do.
+	forEach(len(runs), min(len(runs), runtime.GOMAXPROCS(0)), func(i int) error { //nolint:errcheck // outcomes land per segment
+		req.decrypt(runs[i])
+		return nil
+	})
+	return nil
+}
+
+// begin opens a segment: budget, then the ownership fence, then the
+// record snapshot — in that order, so an expired or fenced access costs
+// no record work and no trial decryption.
+func (req *lblRequest) begin(key string, claim []byte) *lblSegment {
+	s, geo := req.srv, req.geo
+	seg := &lblSegment{key: key}
+	if req.ctx.Err() != nil {
+		s.expiredRounds.Add(1)
+		seg.status = slotExpired
+		return seg
+	}
+	if err := s.checkEpoch(readClaim(claim)); err != nil {
+		seg.status = slotRejected
+		if errors.Is(err, errFencedEpoch) {
+			seg.status = slotFenced
 		}
-		copy(labelsOut, newLabels)
+		return seg
+	}
+	var t0 time.Time
+	if s.mx.enabled {
+		t0 = time.Now()
+		defer func() { seg.busy += time.Since(t0) }()
+	}
+	seg.snap = recPool.Get().(*[]byte)
+	snap, err := s.store.AppendGet((*seg.snap)[:0], key)
+	*seg.snap = snap
+	if err != nil {
+		seg.status = slotNotFound
+		return seg
+	}
+	if seg.rec, err = parseLBLRecord(snap, geo.mode, geo.groups); err != nil {
+		seg.status = slotRejected
+		return seg
+	}
+	seg.next = recPool.Get().(*[]byte)
+	if cap(*seg.next) < len(snap) {
+		*seg.next = make([]byte, len(snap))
+	}
+	*seg.next = (*seg.next)[:len(snap)]
+	(*seg.next)[0] = byte(geo.mode)
+	return seg
+}
+
+// labels returns the label block and decryption bits of the record
+// being built.
+func (seg *lblSegment) labels(geo tableGeometry) (labels, dbits []byte) {
+	body := (*seg.next)[1:]
+	return body[:geo.groups*prf.Size], body[geo.groups*prf.Size:]
+}
+
+// decrypt trial-decrypts one arrived run against its segment's
+// snapshot (step 2.1), unless the segment has already failed.
+func (req *lblRequest) decrypt(run segRun) {
+	seg := run.seg
+	if seg.status != slotOK {
+		return
+	}
+	if req.ctx.Err() != nil {
+		req.srv.expiredRounds.Add(1)
+		seg.status = slotExpired
+		return
+	}
+	var t0 time.Time
+	if req.srv.mx.enabled {
+		t0 = time.Now()
+		defer func() { seg.busy += time.Since(t0) }()
+	}
+	labels, dbits := seg.labels(req.geo)
+	a, ok := decryptRange(req.geo, &seg.rec, run.table, run.g0, run.g1, labels, dbits)
+	seg.attempts += a
+	if !ok {
+		seg.status = slotStale
+	}
+}
+
+// finish completes the request once its last byte has landed: it must
+// end on a segment boundary — a cut or truncated request can never
+// pass as complete — and only then does any key's record change. Each
+// key's new labels install by compare-and-swap against its snapshot
+// (step 2.2) and are copied into its response slot.
+func (req *lblRequest) finish() ([]byte, error) {
+	n := len(req.segs)
+	if n == 0 || req.segs[n-1].fed < req.geo.groups {
+		return nil, fmt.Errorf("core: %s: request ends inside segment %d", requestAbortMarker, n)
+	}
+	// The response is retained by the transport's at-most-once dedup
+	// cache, so it must be freshly allocated, never pooled.
+	slotLen := 1 + req.geo.groups*prf.Size
+	out := make([]byte, n*slotLen)
+	forEach(n, min(n, runtime.GOMAXPROCS(0)), func(i int) error { //nolint:errcheck // outcomes land per slot
+		slot := out[i*slotLen : (i+1)*slotLen]
+		slot[0] = req.install(req.segs[i], slot[1:])
+		return nil
+	})
+	return out, nil
+}
+
+// install swaps seg's new record in, provided the stored record is
+// still the snapshot the table was decrypted against, and returns the
+// segment's final status. A record that moved in between was advanced
+// by a concurrent round keyed at the same counter — which a correct
+// proxy never issues — so this round is, by the label schedule's own
+// fencing, stale.
+func (req *lblRequest) install(seg *lblSegment, labelsOut []byte) byte {
+	s := req.srv
+	if seg.status != slotOK {
+		return seg.status
+	}
+	if req.ctx.Err() != nil {
+		s.expiredRounds.Add(1)
+		return slotExpired
+	}
+	var t0 time.Time
+	if s.mx.enabled {
+		t0 = time.Now()
+	}
+	labels, _ := seg.labels(req.geo)
+	swapped := false
+	err := s.store.Update(seg.key, func(old []byte) ([]byte, error) {
+		if !bytes.Equal(old, *seg.snap) {
+			return nil, errStaleTable
+		}
+		copy(labelsOut, labels)
 		// Hand the store the new record; the displaced old slice is
-		// recycled below once the update commits.
-		*bp = old
-		applied = true
+		// recycled by release once the update commits.
+		newRec := *seg.next
+		*seg.next = old
+		swapped = true
 		return newRec, nil
 	})
-	if err != nil && applied {
+	switch {
+	case err == nil:
+		s.ops.Add(1)
+		// Trial decryptions are counted per segment and published once:
+		// a per-entry atomic add is a cross-core cacheline ping-pong when
+		// workers run in parallel.
+		s.decryptAttempts.Add(seg.attempts)
+		if s.mx.enabled {
+			s.mx.access.Observe(seg.busy + time.Since(t0))
+		}
+		return slotOK
+	case swapped:
 		// The closure succeeded but journaling or the durability wait
 		// failed; the store may retain either buffer, so recycle
 		// neither.
-		*bp = nil
-	}
-	recPool.Put(bp)
-	if errors.Is(err, kvstore.ErrNotFound) {
-		return ErrNotFound
-	}
-	if err != nil {
-		return err
-	}
-	s.ops.Add(1)
-	s.decryptAttempts.Add(attempts)
-	return nil
-}
-
-func (s *LBLServer) handleAccess(ctx context.Context, payload []byte) ([]byte, error) {
-	r := wire.NewReader(payload)
-	encKey := r.Raw(prf.Size)
-	claim := r.Raw(lblClaimLen)
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	geo, err := readGeometry(r)
-	if err != nil {
-		return nil, err
-	}
-	table := r.Raw(geo.tableBytes())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	// Expired-on-arrival rounds are dropped before the fence and before
-	// any decryption: nobody is waiting for the answer.
-	if err := s.checkBudget(ctx); err != nil {
-		return nil, err
-	}
-	// The ownership fence runs before any record work: a fenced round
-	// must leave the store untouched (epoch.go).
-	if err := s.checkEpoch(readClaim(claim)); err != nil {
-		return nil, err
-	}
-	sp := trace.StartChild(ctx, "server_decrypt")
-	defer sp.End()
-	// The response is retained by the transport's at-most-once dedup
-	// cache, so it must be freshly allocated, never pooled.
-	labels := make([]byte, geo.groups*prf.Size)
-	if err := s.accessOne(string(encKey), geo, table, labels); err != nil {
-		return nil, err
-	}
-	return labels, nil
-}
-
-// maxBatchAccesses bounds one batch frame's key count, limiting the
-// memory a single request can pin.
-const maxBatchAccesses = 1 << 16
-
-// handleAccessBatch serves MsgLBLAccessBatch: one geometry header, then
-// n (encoded key, table) pairs. Accesses fan out across the kvstore's
-// shards in parallel and every access is answered in the one response
-// frame — a status byte per key, then the response labels (or an error
-// string). Work and response shape depend only on the table geometry
-// and key count, never on operation types, so a batch leaks exactly as
-// much as n single accesses: nothing beyond "n objects were accessed".
-func (s *LBLServer) handleAccessBatch(ctx context.Context, payload []byte) ([]byte, error) {
-	r := wire.NewReader(payload)
-	geo, err := readGeometry(r)
-	if err != nil {
-		return nil, err
-	}
-	n := int(r.Uvarint())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if n <= 0 || n > maxBatchAccesses {
-		return nil, fmt.Errorf("core: implausible batch size %d", n)
-	}
-	sp := trace.StartChild(ctx, "server_decrypt")
-	defer sp.End()
-	keys := make([]string, n)
-	claims := make([][]byte, n)
-	tables := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		keys[i] = string(r.Raw(prf.Size))
-		claims[i] = r.Raw(lblClaimLen)
-		tables[i] = r.Raw(geo.tableBytes())
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-
-	// One label buffer for the whole batch: workers write into disjoint
-	// per-key ranges, so the fan-out costs one allocation rather than n.
-	stride := geo.groups * prf.Size
-	labelsBuf := make([]byte, n*stride)
-	errs := make([]error, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				// Per-key budget check: the batch's remaining deadline is
-				// re-tested before every key's decryption, so a batch that
-				// expires mid-flight stops burning trial decryptions on
-				// keys whose answers nobody will read.
-				if err := s.checkBudget(ctx); err != nil {
-					errs[i] = err
-					continue
-				}
-				// Per-key fence: one stale-epoch access must not fail
-				// its batch mates, so the fence is a per-key status like
-				// any other access error.
-				if err := s.checkEpoch(readClaim(claims[i])); err != nil {
-					errs[i] = err
-					continue
-				}
-				errs[i] = s.accessOne(keys[i], geo, tables[i], labelsBuf[i*stride:(i+1)*stride])
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Like handleAccess, the assembled response is retained by the
-	// transport's dedup cache — not poolable.
-	out := wire.NewWriter(n * (1 + stride))
-	for i := range errs {
-		if errs[i] != nil {
-			out.Byte(1)
-			out.String(errs[i].Error())
-			continue
-		}
-		out.Byte(0)
-		out.Raw(labelsBuf[i*stride : (i+1)*stride])
-	}
-	return out.Bytes(), nil
-}
-
-// streamAbortMarker tags rejections of a chunked stream that died or
-// misbehaved before completing: the record (or, for a batch, the keys
-// in chunks that never arrived) was left untouched. Constant text like
-// the other rejection markers — and deliberately free of the
-// staleness, fence, and expiry markers, so the proxy's ambiguous-round
-// resolution classifies an aborted stream as a definite rejection
-// rather than proof of execution.
-const streamAbortMarker = "stream aborted before completion"
-
-// handleAccessStream serves MsgLBLAccessStream: the begin frame
-// arrives as the handler payload, the chunk and end frames through the
-// transport's StreamReader. The logical round — and its single
-// response, dedup entry, deadline budget, and trace — is exactly a
-// monolithic access's; only the request arrival is incremental.
-func (s *LBLServer) handleAccessStream(ctx context.Context, payload []byte) ([]byte, error) {
-	sr := transport.StreamFrom(ctx)
-	if sr == nil {
-		return nil, errors.New("core: " + streamAbortMarker + ": no stream attached")
-	}
-	r := wire.NewReader(payload)
-	if kind := r.Byte(); kind != wire.StreamBegin {
-		return nil, fmt.Errorf("core: stream request opens with segment kind %d", kind)
-	}
-	switch sub := r.Byte(); sub {
-	case wire.StreamSingle:
-		return s.streamAccessOne(ctx, r, sr)
-	case wire.StreamBatch:
-		return s.streamAccessBatch(ctx, r, sr)
+		*seg.next = nil
+		clear(labelsOut)
+		return slotRejected
+	case errors.Is(err, kvstore.ErrNotFound):
+		return slotNotFound
+	case errors.Is(err, errStaleTable):
+		return slotStale
 	default:
-		return nil, fmt.Errorf("core: unknown stream sub-type %d", sub)
+		return slotRejected
 	}
 }
 
-// nextStreamChunk reads and validates one chunk segment: correct
-// sub-type, geometry, position, and element count, with a body of
-// exactly wantCount × elemLen bytes. A read failure is an abort (the
-// stream died mid-flight) unless the handler's own deadline expired.
-func (s *LBLServer) nextStreamChunk(ctx context.Context, sr *transport.StreamReader, wantSub byte, geo tableGeometry, wantIndex, wantCount, elemLen int) ([]byte, error) {
-	seg, err := sr.Next(ctx)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.expiredRounds.Add(1)
-			return nil, errExpiredRound
+// release returns every segment's pooled buffers: after a successful
+// install the record the store displaced, otherwise the unused ones.
+func (req *lblRequest) release() {
+	for _, seg := range req.segs {
+		if seg.snap != nil {
+			recPool.Put(seg.snap)
 		}
-		return nil, fmt.Errorf("core: %s: %v", streamAbortMarker, err)
-	}
-	r := wire.NewReader(seg)
-	if kind := r.Byte(); kind != wire.StreamChunk {
-		return nil, fmt.Errorf("core: %s: segment kind %d where chunk %d expected", streamAbortMarker, kind, wantIndex)
-	}
-	sub, mode, groups, index, count := wire.ReadStreamChunkHeader(r)
-	if rerr := r.Err(); rerr != nil {
-		return nil, rerr
-	}
-	if sub != wantSub || LBLMode(mode) != geo.mode || int(groups) != geo.groups {
-		return nil, fmt.Errorf("core: %s: chunk %d does not match the stream's geometry", streamAbortMarker, wantIndex)
-	}
-	if int(index) != wantIndex || int(count) != wantCount {
-		return nil, fmt.Errorf("core: %s: chunk (%d×%d) where (%d×%d) expected", streamAbortMarker, index, count, wantIndex, wantCount)
-	}
-	body := r.Raw(wantCount * elemLen)
-	if rerr := r.Err(); rerr != nil {
-		return nil, rerr
-	}
-	if rerr := r.Finish(); rerr != nil {
-		return nil, rerr
-	}
-	return body, nil
-}
-
-// nextStreamEnd reads and validates the end segment, which re-commits
-// the chunk count so a truncated stream can never pass as complete.
-func (s *LBLServer) nextStreamEnd(ctx context.Context, sr *transport.StreamReader, wantSub byte, wantChunks int) error {
-	seg, err := sr.Next(ctx)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.expiredRounds.Add(1)
-			return errExpiredRound
-		}
-		return fmt.Errorf("core: %s: %v", streamAbortMarker, err)
-	}
-	r := wire.NewReader(seg)
-	if kind := r.Byte(); kind != wire.StreamEnd {
-		return fmt.Errorf("core: %s: segment kind %d where end expected", streamAbortMarker, kind)
-	}
-	sub := r.Byte()
-	chunks := r.Uint32()
-	if rerr := r.Err(); rerr != nil {
-		return rerr
-	}
-	if rerr := r.Finish(); rerr != nil {
-		return rerr
-	}
-	if sub != wantSub || int(chunks) != wantChunks {
-		return fmt.Errorf("core: %s: end frame re-commits %d chunks, want %d", streamAbortMarker, chunks, wantChunks)
-	}
-	return nil
-}
-
-// streamAccessOne serves a single-access stream: trial decryption of
-// each chunk's groups runs as the chunk arrives — against a snapshot
-// of the record — overlapping the remaining chunks' wire time, and the
-// labels install atomically once the end frame confirms the stream
-// complete. If the record moved between snapshot and install (a
-// concurrent round for the same key, which a correct proxy never
-// issues), the install falls back to re-decrypting the accumulated
-// table against the current record inside the store update.
-func (s *LBLServer) streamAccessOne(ctx context.Context, r *wire.Reader, sr *transport.StreamReader) ([]byte, error) {
-	encKey := r.Raw(prf.Size)
-	claim := r.Raw(lblClaimLen)
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	geo, err := readStreamGeometry(r)
-	if err != nil {
-		return nil, err
-	}
-	chunkGroups := int(r.Uint32())
-	nChunks := int(r.Uint32())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	if chunkGroups <= 0 || chunkGroups > geo.groups ||
-		nChunks != (geo.groups+chunkGroups-1)/chunkGroups {
-		return nil, fmt.Errorf("core: implausible stream chunking %d×%d for %d groups", nChunks, chunkGroups, geo.groups)
-	}
-	// Budget and fence run before any record work, as on the monolithic
-	// path; the budget is re-tested per chunk below.
-	if err := s.checkBudget(ctx); err != nil {
-		return nil, err
-	}
-	if err := s.checkEpoch(readClaim(claim)); err != nil {
-		return nil, err
-	}
-	sp := trace.StartChild(ctx, "server_decrypt")
-	defer sp.End()
-
-	key := string(encKey)
-	snap, err := s.store.Get(key)
-	if errors.Is(err, kvstore.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	if err != nil {
-		return nil, err
-	}
-	snapRec, err := parseLBLRecord(snap, geo.mode, geo.groups)
-	if err != nil {
-		return nil, err
-	}
-
-	table := make([]byte, geo.tableBytes())
-	newLabels := make([]byte, geo.groups*prf.Size)
-	var newDbits []byte
-	if geo.mode.hasDbits() {
-		newDbits = make([]byte, geo.groups)
-	}
-	groupLen := geo.nEntries * geo.entryLen
-	var attempts int64
-	for i := 0; i < nChunks; i++ {
-		g0 := i * chunkGroups
-		g1 := g0 + chunkGroups
-		if g1 > geo.groups {
-			g1 = geo.groups
-		}
-		body, cerr := s.nextStreamChunk(ctx, sr, wire.StreamSingle, geo, i, g1-g0, groupLen)
-		if cerr != nil {
-			return nil, cerr
-		}
-		if berr := s.checkBudget(ctx); berr != nil {
-			return nil, berr
-		}
-		copy(table[g0*groupLen:], body)
-		// A decryption failure against the snapshot is a staleness
-		// rejection (the proxy's counter is behind): abort now, record
-		// untouched, remaining frames drain as audited orphans.
-		a, derr := decryptRange(geo, snapRec, table, g0, g1, newLabels, newDbits)
-		attempts += a
-		if derr != nil {
-			return nil, derr
+		if seg.next != nil {
+			recPool.Put(seg.next)
 		}
 	}
-	if eerr := s.nextStreamEnd(ctx, sr, wire.StreamSingle, nChunks); eerr != nil {
-		return nil, eerr
-	}
-	if err := s.checkBudget(ctx); err != nil {
-		return nil, err
-	}
-
-	// The response is retained by the transport's dedup cache, so it
-	// must be freshly allocated, never pooled.
-	labels := make([]byte, geo.groups*prf.Size)
-	bp := recPool.Get().(*[]byte)
-	applied := false
-	err = s.store.Update(key, func(old []byte) ([]byte, error) {
-		rec, perr := parseLBLRecord(old, geo.mode, geo.groups)
-		if perr != nil {
-			return nil, perr
-		}
-		newRec := *bp
-		if cap(newRec) < len(old) {
-			newRec = make([]byte, len(old))
-		} else {
-			newRec = newRec[:len(old)]
-		}
-		*bp = newRec
-		newRec[0] = byte(geo.mode)
-		dstLabels := newRec[1 : 1+geo.groups*prf.Size]
-		var dstDbits []byte
-		if geo.mode.hasDbits() {
-			dstDbits = newRec[1+geo.groups*prf.Size:]
-		}
-		if bytes.Equal(old, snap) {
-			// Fast path: the record is exactly the snapshot the chunks
-			// were decrypted against — install the precomputed labels.
-			copy(dstLabels, newLabels)
-			copy(dstDbits, newDbits)
-		} else {
-			a, derr := decryptRange(geo, rec, table, 0, geo.groups, dstLabels, dstDbits)
-			attempts += a
-			if derr != nil {
-				return nil, derr
-			}
-		}
-		copy(labels, dstLabels)
-		*bp = old
-		applied = true
-		return newRec, nil
-	})
-	if err != nil && applied {
-		*bp = nil
-	}
-	recPool.Put(bp)
-	if errors.Is(err, kvstore.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.ops.Add(1)
-	s.decryptAttempts.Add(attempts)
-	return labels, nil
-}
-
-// streamAccessBatch serves a batch stream: each chunk carries whole
-// per-key (key, claim, table) segments, applied through accessOne as
-// the chunk arrives — so the first keys' decryptions overlap the later
-// keys' garbling and wire time — and the single response frame is
-// identical to handleAccessBatch's. Keys in chunks that never arrive
-// are untouched; because earlier chunks may already have applied, the
-// proxy resolves an aborted batch stream by probing each key rather
-// than replaying bytes (pending.go).
-func (s *LBLServer) streamAccessBatch(ctx context.Context, r *wire.Reader, sr *transport.StreamReader) ([]byte, error) {
-	geo, err := readStreamGeometry(r)
-	if err != nil {
-		return nil, err
-	}
-	n := int(r.Uint32())
-	perChunk := int(r.Uint32())
-	nChunks := int(r.Uint32())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	if n <= 0 || n > maxBatchAccesses {
-		return nil, fmt.Errorf("core: implausible batch size %d", n)
-	}
-	if perChunk <= 0 || perChunk > n || nChunks != (n+perChunk-1)/perChunk {
-		return nil, fmt.Errorf("core: implausible stream chunking %d×%d for %d accesses", nChunks, perChunk, n)
-	}
-	if err := s.checkBudget(ctx); err != nil {
-		return nil, err
-	}
-	sp := trace.StartChild(ctx, "server_decrypt")
-	defer sp.End()
-
-	segLen := prf.Size + lblClaimLen + geo.tableBytes()
-	stride := geo.groups * prf.Size
-	labelsBuf := make([]byte, n*stride)
-	errs := make([]error, n)
-	for c := 0; c < nChunks; c++ {
-		k0 := c * perChunk
-		k1 := k0 + perChunk
-		if k1 > n {
-			k1 = n
-		}
-		body, cerr := s.nextStreamChunk(ctx, sr, wire.StreamBatch, geo, c, k1-k0, segLen)
-		if cerr != nil {
-			return nil, cerr
-		}
-		// Fan this chunk's accesses out like the monolithic batch
-		// handler; the next chunk's wire time overlaps the decryption.
-		count := k1 - k0
-		workers := runtime.GOMAXPROCS(0)
-		if workers > count {
-			workers = count
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					j := int(next.Add(1)) - 1
-					if j >= count {
-						return
-					}
-					k := k0 + j
-					seg := body[j*segLen : (j+1)*segLen]
-					if err := s.checkBudget(ctx); err != nil {
-						errs[k] = err
-						continue
-					}
-					if err := s.checkEpoch(readClaim(seg[prf.Size : prf.Size+lblClaimLen])); err != nil {
-						errs[k] = err
-						continue
-					}
-					errs[k] = s.accessOne(string(seg[:prf.Size]), geo, seg[prf.Size+lblClaimLen:], labelsBuf[k*stride:(k+1)*stride])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if eerr := s.nextStreamEnd(ctx, sr, wire.StreamBatch, nChunks); eerr != nil {
-		return nil, eerr
-	}
-
-	out := wire.NewWriter(n * (1 + stride))
-	for i := range errs {
-		if errs[i] != nil {
-			out.Byte(1)
-			out.String(errs[i].Error())
-			continue
-		}
-		out.Byte(0)
-		out.Raw(labelsBuf[i*stride : (i+1)*stride])
-	}
-	return out.Bytes(), nil
 }

@@ -76,30 +76,6 @@ func assertIdenticalViews(t *testing.T, reads, writes []exchange) {
 	}
 }
 
-func lblObsRig(mode LBLMode, valueSize int) func(t *testing.T) (*rig, Accessor) {
-	return func(t *testing.T) (*rig, Accessor) {
-		r, proxy, _ := newLBL(t, mode, valueSize)
-		data := map[string][]byte{}
-		for i := 0; i < 4; i++ {
-			data[fmt.Sprintf("key-%02d", i)] = make([]byte, valueSize)
-		}
-		loadData(t, r, proxy, data)
-		return r, proxy
-	}
-}
-
-func TestObliviousnessLBLAllModes(t *testing.T) {
-	const valueSize = 8
-	const ops = 12
-	for _, mode := range allLBLModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			reads := observedRun(t, lblObsRig(mode, valueSize), OpRead, valueSize, ops)
-			writes := observedRun(t, lblObsRig(mode, valueSize), OpWrite, valueSize, ops)
-			assertIdenticalViews(t, reads, writes)
-		})
-	}
-}
-
 func TestObliviousnessTEE(t *testing.T) {
 	const valueSize = 16
 	const ops = 12

@@ -33,8 +33,8 @@ func traceLabel(encKey []byte) string {
 }
 
 // lblProxyObs instruments the trusted LBL proxy: one histogram per
-// access stage, end-to-end latency, the batch pipeline's stages, and
-// a slow-trace log of the worst accesses.
+// round stage, end-to-end latency, and a slow-trace log of the worst
+// rounds. A round of one key is one access.
 type lblProxyObs struct {
 	enabled bool
 
@@ -45,17 +45,11 @@ type lblProxyObs struct {
 	e2e     *obs.Histogram // sum of the four stages
 	errors  *obs.Counter
 
-	batchAcquire *obs.Histogram // per-chunk counter acquisition
-	batchBuild   *obs.Histogram // parallel table build, per chunk
-	batchRPC     *obs.Histogram // one MsgLBLAccessBatch round trip
-	batchRecover *obs.Histogram // parallel label recovery, per chunk
-	batchKeys    *obs.Counter   // accesses carried in batch chunks
-
-	streamRounds *obs.Counter // rounds carried by the chunked-streaming path
-	streamChunks *obs.Counter // chunk frames emitted on the streaming path
+	keys   *obs.Counter // accesses carried by rounds; keys/rounds is the batching factor
+	frames *obs.Counter // request frames sealed; frames/rounds > 1 means the frame budget is cutting requests
 
 	pendingSaved    *obs.Counter // rounds parked after ambiguous transport failures
-	pendingResolved *obs.Counter // parked rounds settled by at-most-once replay
+	pendingResolved *obs.Counter // parked rounds settled by a probe
 
 	reconcileProbes *obs.Counter // read-shaped probes sent to re-locate a server counter
 	reconciledKeys  *obs.Counter // keys whose counter was rebased after crash desync
@@ -75,11 +69,7 @@ func (p *LBLProxy) Instrument(reg *obs.Registry) {
 	}
 	stage := func(name string) *obs.Histogram {
 		return reg.Histogram(`ortoa_lbl_stage_seconds{stage="`+name+`"}`,
-			"LBL proxy per-access stage latency (§5.2 steps)")
-	}
-	batchStage := func(name string) *obs.Histogram {
-		return reg.Histogram(`ortoa_lbl_batch_stage_seconds{stage="`+name+`"}`,
-			"LBL proxy per-chunk batch pipeline stage latency")
+			"LBL proxy per-round stage latency (§5.2 steps)")
 	}
 	p.mx = lblProxyObs{
 		enabled: true,
@@ -87,20 +77,14 @@ func (p *LBLProxy) Instrument(reg *obs.Registry) {
 		build:   stage("table_build"),
 		rpc:     stage("rpc"),
 		recover: stage("label_recover"),
-		e2e:     reg.Histogram("ortoa_lbl_access_seconds", "LBL proxy end-to-end access latency"),
+		e2e:     reg.Histogram("ortoa_lbl_access_seconds", "LBL proxy end-to-end round latency (one observation per round with at least one success)"),
 		errors:  reg.Counter("ortoa_lbl_access_errors_total", "LBL accesses that failed"),
 
-		batchAcquire: batchStage("counter_acquire"),
-		batchBuild:   batchStage("table_build"),
-		batchRPC:     batchStage("rpc"),
-		batchRecover: batchStage("label_recover"),
-		batchKeys:    reg.Counter("ortoa_lbl_batch_accesses_total", "accesses carried in batch chunks"),
-
-		streamRounds: reg.Counter("ortoa_lbl_stream_rounds_total", "rounds carried by the chunked-streaming request path (MsgLBLAccessStream)"),
-		streamChunks: reg.Counter("ortoa_lbl_stream_chunks_total", "stream chunk frames emitted by the proxy"),
+		keys:   reg.Counter("ortoa_lbl_round_accesses_total", "accesses carried by LBL rounds"),
+		frames: reg.Counter("ortoa_lbl_request_frames_total", "LBL request frames sealed (more than one per round when the frame budget cuts requests)"),
 
 		pendingSaved:    reg.Counter("ortoa_lbl_pending_rounds_total", "LBL rounds parked after an ambiguous transport failure"),
-		pendingResolved: reg.Counter("ortoa_lbl_pending_resolved_total", "parked LBL rounds settled by at-most-once replay"),
+		pendingResolved: reg.Counter("ortoa_lbl_pending_resolved_total", "parked LBL rounds settled by a read-shaped probe at the parked counter"),
 
 		reconcileProbes: reg.Counter("ortoa_lbl_reconcile_probes_total", "read-shaped probes sent to re-locate a server counter after crash desync"),
 		reconciledKeys:  reg.Counter("ortoa_lbl_reconciled_keys_total", "keys whose counter was rebased by reconciliation"),

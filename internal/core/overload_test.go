@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"ortoa/internal/kvstore"
+	"ortoa/internal/crypto/prf"
 	"ortoa/internal/netsim"
 	"ortoa/internal/transport"
 )
@@ -18,25 +18,36 @@ import (
 // before it costs trial decryptions or table builds, aggregator
 // brownout, and the router's busy breaker.
 
-func TestCheckBudget(t *testing.T) {
-	s := NewLBLServer(kvstore.New())
-	if err := s.checkBudget(context.Background()); err != nil {
-		t.Fatalf("fresh ctx: %v", err)
-	}
-	if got := s.expiredRounds.Load(); got != 0 {
-		t.Fatalf("expiredRounds after fresh ctx = %d", got)
-	}
+// TestExpiredRoundSlot: a request whose deadline has already passed is
+// answered slot by slot with slotExpired — before the fence, before any
+// trial decryption — and leaves the record untouched.
+func TestExpiredRoundSlot(t *testing.T) {
+	srv, req := seededLBLServer(t)
+	before, _ := srv.store.Get(string(req[:prf.Size]))
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
-	err := s.checkBudget(ctx)
-	if !errors.Is(err, errExpiredRound) {
-		t.Fatalf("expired ctx: err = %v, want errExpiredRound", err)
+	resp, err := srv.handleAccess(ctx, req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !IsDeadlineExpired(err) {
-		t.Error("IsDeadlineExpired(errExpiredRound) = false")
+	if resp[0] != slotExpired || !bytes.Equal(resp[1:], make([]byte, len(resp)-1)) {
+		t.Fatalf("expired round answered status %d with a non-zero body", resp[0])
 	}
-	if got := s.expiredRounds.Load(); got != 1 {
+	if !IsDeadlineExpired(slotError(resp[0])) {
+		t.Error("IsDeadlineExpired(slotError(slotExpired)) = false")
+	}
+	if got := srv.expiredRounds.Load(); got != 1 {
 		t.Errorf("expiredRounds = %d, want 1", got)
+	}
+	if got := srv.DecryptAttempts(); got != 0 {
+		t.Errorf("expired round cost %d trial decryptions", got)
+	}
+	if after, _ := srv.store.Get(string(req[:prf.Size])); !bytes.Equal(before, after) {
+		t.Error("expired round changed the record")
+	}
+	// The same request with time to spare executes.
+	if resp, err := srv.handleAccess(context.Background(), req); err != nil || resp[0] != slotOK {
+		t.Fatalf("fresh ctx: status %v, err %v", resp, err)
 	}
 }
 

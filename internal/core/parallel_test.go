@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand/v2"
 	"runtime"
 	"testing"
@@ -20,13 +21,17 @@ func applyTable(t *testing.T, cfg LBLConfig, ek string, record, table []byte) (l
 	if err := store.Put(ek, append([]byte(nil), record...)); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewLBLServer(store)
-	geo := tableGeometry{mode: cfg.Mode, groups: cfg.Groups(), entryLen: cfg.Mode.entryLen(), nEntries: cfg.Mode.entries()}
-	labels = make([]byte, cfg.Groups()*prf.Size)
-	if err := srv.accessOne(ek, geo, table, labels); err != nil {
+	req := make([]byte, cfg.segHeaderLen(), cfg.RequestBytesPerAccess())
+	cfg.putSegHeader(req, []byte(ek), 0, 0)
+	resp, err := NewLBLServer(store).handleAccess(context.Background(), append(req, table...))
+	if err != nil {
 		t.Fatal(err)
 	}
-	newRec, err := store.Get(ek)
+	if err := slotError(resp[0]); err != nil {
+		t.Fatal(err)
+	}
+	labels = resp[1:]
+	newRec, err = store.Get(ek)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +67,10 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 			}
 			seq := make([]byte, cfg.TableBytes())
 			par := make([]byte, cfg.TableBytes())
-			if err := proxy.buildAccessTable(seq, "obj", OpWrite, newValue, 0, 1); err != nil {
+			if err := proxy.buildGroups(seq, "obj", OpWrite, newValue, 0, 0, cfg.Groups(), 1); err != nil {
 				t.Fatal(err)
 			}
-			if err := proxy.buildAccessTable(par, "obj", OpWrite, newValue, 0, 4); err != nil {
+			if err := proxy.buildGroups(par, "obj", OpWrite, newValue, 0, 0, cfg.Groups(), 4); err != nil {
 				t.Fatal(err)
 			}
 
@@ -114,7 +119,7 @@ func TestParallelBuildShuffleUniform(t *testing.T) {
 	slot0 := 0
 	perWorkerSlot0 := [4]int{}
 	for ct := uint64(0); ct < rounds; ct++ {
-		if err := proxy.buildAccessTable(table, "obj", OpRead, nil, ct, 4); err != nil {
+		if err := proxy.buildGroups(table, "obj", OpRead, nil, ct, 0, groups, 4); err != nil {
 			t.Fatal(err)
 		}
 		for g := 0; g < groups; g++ {

@@ -2,227 +2,91 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strings"
 
-	"ortoa/internal/crypto/prf"
 	"ortoa/internal/transport"
-	"ortoa/internal/wire"
 )
 
-// Ambiguous-round resolution. An LBL access whose transport call fails
-// ambiguously (lost connection, deadline) may or may not have executed
-// on the server. The proxy cannot simply retry with a fresh request:
-// the counter-indexed label schedule (§5.2) means a re-execution at
-// the same counter value would install new labels twice and the server
-// would then hold labels the proxy's recovery cannot recognize —
-// permanent desynchronization, the one failure §5.3.1 flags as
-// unrecoverable.
+// Ambiguous-round resolution. An LBL round whose transport call fails
+// ambiguously (lost connection, deadline, a multi-frame request cut
+// mid-flight) may or may not have executed on the server. The proxy
+// cannot simply retry with a fresh request: the counter-indexed label
+// schedule (§5.2) means that if the lost round did execute, the
+// server's labels have moved to counter ct+1 while the proxy still
+// builds tables at ct — and guessing wrong either way is permanent
+// desynchronization, the one failure §5.3.1 flags as unrecoverable.
 //
-// Instead the proxy parks the exact round — request id and request
-// bytes (tables embed shuffle randomness, so they cannot be rebuilt
-// bit-identically) — on the key's counter entry. The next access to
-// that key first replays the parked round under the same request id.
-// The transport's at-most-once dedup cache makes the replay safe:
-// whether the original executed or was lost, the replay yields the
-// outcome of exactly one execution. The proxy then commits or discards
-// the counter increment accordingly, and only after that builds the
-// new access at a counter value it can trust.
+// Instead the proxy parks the round: it marks the key's counter entry
+// pending, and the next access to that key first settles the mark with
+// a probe — a fresh read-shaped round of one keyed at the same counter
+// ct — before building anything at a counter value it can trust.
 //
-// Two properties of the protocol make resolution total, not just
-// likely. First, rounds are self-fencing: a table is keyed by the
-// counter-ct labels, so out of all rounds ever built for a key at
-// counter ct, at most ONE can apply — the server rejects the rest as
-// stale (the staleTableMarker errors in lblserver.go). A stale
-// rejection during resolution is therefore proof that some round at
-// ct already executed, and the counter can be committed. Second, the
-// transport distinguishes "executed but response evicted"
-// (transport.IsReplayEvicted) from never-executed, which also proves
-// execution. Between replays, fencing, and eviction tombstones, every
-// resolution path ends with the proxy knowing whether ct advanced.
-
-// A pendingRound is one ambiguous in-flight round parked on a
-// counterEntry.
-type pendingRound struct {
-	id      uint64 // transport request id; the replay reuses it
-	msgType byte
-	// req is the exact request payload of the original attempt. It is
-	// nil for rounds that went out over the chunked-streaming path,
-	// whose table bytes lived in pooled chunk frames: a single access
-	// rebuilds a monolithic request at the same counter on resolution
-	// (the dedup cache replays by id alone if the original executed,
-	// and a rebuilt table is a fresh valid round at ct if it did not),
-	// while a streamed batch must probe per key instead — the server
-	// applies streamed chunks incrementally, so a byte replay could
-	// re-answer keys from chunks that already applied.
-	req   []byte
-	batch bool // the round was a MsgLBLAccessBatch-shaped batch
-	pos   int  // this key's index within the batch chunk
-	op    Op
-	value []byte // written value (private copy), for write-back verification
-}
-
-// pendingValue copies newValue for parking on a pendingRound; the
-// caller may reuse its slice after Access returns.
-func pendingValue(op Op, newValue []byte) []byte {
-	if op != OpWrite {
-		return nil
-	}
-	return append([]byte(nil), newValue...)
-}
+// One property of the protocol makes the probe decisive, not just
+// likely: rounds are self-fencing. A table is keyed by the counter-ct
+// labels, so out of all rounds ever built for a key at counter ct, at
+// most ONE can apply — the server rejects the rest as stale (slotStale
+// in lblserver.go). So either the probe executes, which proves the
+// parked round never did and now never can, or the probe is rejected
+// stale, which only a round at ct having executed can cause. Both
+// outcomes advance the counter exactly one step; they differ only in
+// whether the parked operation applied, which the original caller was
+// already told is unknown. The probe needs nothing from the parked
+// round — not its bytes, its request id, or its shape — which is why
+// every kind of round (one key or many, one frame or several) parks
+// the same way, and why a probe that itself fails ambiguously simply
+// leaves the mark in place.
+//
+// Obliviousness of resolution traffic: probes are always read-shaped
+// and are triggered by the ambiguous transport failure alone, which
+// strikes reads and writes alike.
 
 // resolvePending settles entry's parked round so the counter is
-// trustworthy again. On return with nil error the round's outcome is
-// known — the counter was committed (a round at ct executed) or left
-// unchanged (the server provably rejected it without touching the
-// record) — and the pending mark is cleared. A non-nil error means
-// either the network is still failing (a pending round remains parked
-// for the next access) or the outcome failed integrity checks
-// (pending dropped; replaying a tampered round cannot help). The
-// caller must hold entry.mu.
+// trustworthy again. On nil return the counter has advanced past the
+// parked round's value and the mark is cleared. An error means the
+// network is still failing or the server is shedding load (the round
+// stays parked for the next access), or the probe was rejected for a
+// reason that says nothing about the parked round (the mark is
+// dropped; a resulting desynchronization is reconcile.go's to repair).
+// The caller must hold entry.mu.
 func (p *LBLProxy) resolvePending(key string, entry *counterEntry) error {
-	pr := entry.pending
-	req := pr.req
-	if req == nil {
-		// A streamed round parked no bytes. Batches settle by probing
-		// (see pendingRound.req); single accesses rebuild a monolithic
-		// request at the parked counter and replay under the same id.
-		if pr.batch {
-			return p.probePending(key, entry)
-		}
-		var err error
-		if req, err = p.buildRequest(pr.op, key, pr.value, entry.ct); err != nil {
-			return fmt.Errorf("core: rebuilding streamed round for %q: %w", key, err)
-		}
-	}
-	resp, err := p.client.CallContextID(context.Background(), pr.id, pr.msgType, req)
+	_, err := p.probe(key, entry.ct)
 	switch {
 	case err == nil:
-		// One execution's response in hand — the original's, replayed
-		// from the dedup cache, or the round executing just now.
-	case transport.Ambiguous(err):
-		return fmt.Errorf("core: round for %q still unresolved: %w", key, err)
-	case transport.IsReplayEvicted(err):
-		// The round executed; only its response bytes are gone. For a
-		// single access that alone settles the counter. For a batch the
-		// per-key statuses are lost with the response, so probe the
-		// key's counter state instead.
-		if pr.batch {
-			return p.probePending(key, entry)
-		}
-		return p.settlePending(entry, true)
-	case isStaleRound(err):
-		// Fencing rejection: the server's labels have moved past this
-		// table's counter, which only a round at ct executing can
-		// cause. The parked round is that round (or was fenced out by
-		// it — for a single access they are the same round).
-		return p.settlePending(entry, true)
-	default:
-		// Any other RemoteError is the outcome of the one execution:
-		// the server rejected the round and left the record untouched.
-		return p.settlePending(entry, false)
-	}
-	labels, remoteMsg, err := pr.extract(resp, p.cfg)
-	if err != nil {
-		entry.pending = nil
-		return fmt.Errorf("core: resolving round for %q: %w", key, err)
-	}
-	if remoteMsg != "" {
-		// Per-key rejection inside a batch frame. A stale rejection is
-		// fencing proof that this key's sub-access (or its original)
-		// executed at ct; anything else left the record untouched.
-		return p.settlePending(entry, strings.Contains(remoteMsg, staleTableMarker))
-	}
-	if _, err := p.recover(pr.op, key, pr.value, entry.ct+1, labels); err != nil {
-		entry.pending = nil
-		return fmt.Errorf("core: resolving round for %q: %w", key, err)
-	}
-	return p.settlePending(entry, true)
-}
-
-// settlePending clears the parked round, committing its counter step
-// if a round at ct is known to have executed.
-func (p *LBLProxy) settlePending(entry *counterEntry, executed bool) error {
-	if executed {
 		entry.ct++
-	}
-	entry.pending = nil
-	p.mx.pendingResolved.Inc()
-	return nil
-}
-
-// probePending settles a parked round whose per-key outcome is
-// unrecoverable (a batch whose cached response was evicted) by issuing
-// a fresh read keyed at the current counter. Fencing makes the probe
-// decisive: at most one round keyed at ct can ever execute, so either
-// the probe executes (the parked round never did, and now never can)
-// or the probe is rejected stale (the parked round did). Both
-// outcomes advance the counter exactly one step; they differ only in
-// whether the parked operation applied, which the original caller
-// already treats as unknown.
-func (p *LBLProxy) probePending(key string, entry *counterEntry) error {
-	req, err := p.buildRequest(OpRead, key, nil, entry.ct)
-	if err != nil {
-		return err
-	}
-	id := p.client.NextID()
-	resp, err := p.client.CallContextID(context.Background(), id, MsgLBLAccess, req)
-	switch {
-	case err == nil:
-		if _, rerr := p.recover(OpRead, key, nil, entry.ct+1, resp); rerr != nil {
-			entry.pending = nil
-			return fmt.Errorf("core: probing round for %q: %w", key, rerr)
-		}
-		return p.settlePending(entry, true) // the probe's own step
-	case transport.Ambiguous(err):
-		// The probe's outcome is itself unknown. Park the probe in
-		// place of the batch round: it lives in the same two-state
-		// space, so the next access resolves it the ordinary way (and
-		// its single-access response replays cheaply).
-		entry.pending = &pendingRound{id: id, msgType: MsgLBLAccess, req: req, op: OpRead}
+		entry.pending = false
+		p.mx.pendingResolved.Inc()
+		return nil
+	case transport.Ambiguous(err) || transport.IsBusy(err):
 		return fmt.Errorf("core: round for %q still unresolved: %w", key, err)
-	case isStaleRound(err) || transport.IsReplayEvicted(err):
-		return p.settlePending(entry, true)
 	default:
-		entry.pending = nil
+		entry.pending = false
 		return fmt.Errorf("core: probing round for %q: %w", key, err)
 	}
 }
 
-// isStaleRound reports whether err is the server's fencing rejection:
-// an access table keyed at a counter whose labels the server has
-// already replaced.
-func isStaleRound(err error) bool {
-	var re *transport.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, staleTableMarker)
-}
-
-// extract slices this round's labels out of the replayed response
-// payload; remoteMsg is non-empty if the server rejected this key's
-// access within an otherwise-successful batch frame.
-func (pr *pendingRound) extract(resp []byte, cfg LBLConfig) (labels []byte, remoteMsg string, err error) {
-	if !pr.batch {
-		return resp, "", nil
+// probe issues one read-shaped round of one for key, keyed at counter
+// ct, through the same builder and sender as every other round. It
+// reports whether the probe executed — the server's record was at ct
+// and is now at ct+1 — or was rejected stale with the record untouched
+// (false, nil). Any other outcome is an error.
+func (p *LBLProxy) probe(key string, ct uint64) (executed bool, err error) {
+	spec := [1]tableSpec{{op: OpRead, key: key, ct: ct}}
+	resp, _, _, err := p.exchange(context.Background(), nil, spec[:])
+	if transport.IsReplayEvicted(err) {
+		// The transport retried the probe and the server had already
+		// executed it; only the response bytes are gone.
+		return true, nil
 	}
-	labelLen := cfg.Groups() * prf.Size
-	r := wire.NewReader(resp)
-	for i := 0; ; i++ {
-		var l []byte
-		var msg string
-		if r.Byte() != 0 {
-			msg = r.String()
-			if msg == "" {
-				msg = "unspecified server error"
-			}
-		} else {
-			l = r.Raw(labelLen)
-		}
-		if r.Err() != nil {
-			return nil, "", fmt.Errorf("%w: malformed batch replay: %v", ErrTampered, r.Err())
-		}
-		if i == pr.pos {
-			return l, msg, nil
-		}
+	if err != nil {
+		return false, err
+	}
+	switch status := resp[0]; status {
+	case slotOK:
+		_, err := p.recoverWorkers(OpRead, key, nil, ct+1, resp[1:], tableWorkers(p.cfg.Groups()))
+		return err == nil, err
+	case slotStale:
+		return false, nil
+	default:
+		return false, slotError(status)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"ortoa/internal/transport"
@@ -36,7 +35,7 @@ import (
 // recovery episode sees the same exchange sequence whatever the
 // operation types involved, so crashes add no op-type leak (the
 // recovery-path analogue of the §5.2 argument; asserted by
-// TestRecoveryObliviousness).
+// the desync rows of TestLBLRequestParity).
 //
 // Under a lossy policy the server can regress while rounds are parked,
 // in which case pending resolution's fencing inferences can commit a
@@ -81,42 +80,29 @@ func (p *LBLProxy) reconcile(key string, entry *counterEntry) error {
 	return errReconcile(key, fmt.Errorf("server counter not within %d of %d", scan, entry.ct))
 }
 
-// probeCounter issues one read-shaped access keyed at counter cand.
-// A hit (the server's record was at cand) advances the record to
-// cand+1 and rebases entry.ct; a stale rejection means cand is wrong
-// and the record is untouched. An ambiguous transport failure parks
-// the probe as the entry's pending round — rebased to cand, so the
-// standard resolution path applies — and surfaces the error.
+// probeCounter issues one read-shaped round of one keyed at counter
+// cand (pending.go's probe). A hit (the server's record was at cand)
+// advances the record to cand+1 and rebases entry.ct; a stale rejection
+// means cand is wrong and the record is untouched. An ambiguous
+// transport failure parks the probe on the entry — rebased to cand, so
+// the standard resolution path applies — and surfaces the error.
 func (p *LBLProxy) probeCounter(key string, entry *counterEntry, cand uint64) (bool, error) {
-	req, err := p.buildRequest(OpRead, key, nil, cand)
-	if err != nil {
-		return false, errReconcile(key, err)
-	}
 	p.mx.reconcileProbes.Inc()
-	id := p.client.NextID()
-	resp, err := p.client.CallContextID(context.Background(), id, MsgLBLAccess, req)
+	hit, err := p.probe(key, cand)
 	switch {
-	case err == nil:
-		if _, rerr := p.recover(OpRead, key, nil, cand+1, resp); rerr != nil {
-			return false, errReconcile(key, rerr)
-		}
+	case err == nil && hit:
 		entry.ct = cand + 1
 		return true, nil
-	case isStaleRound(err):
+	case err == nil:
 		return false, nil // wrong candidate; record untouched
 	case transport.Ambiguous(err):
 		// The probe may have executed. Rebase to the candidate and park
-		// the probe so the key's next access settles it exactly like any
-		// other ambiguous round.
+		// it so the key's next access settles it exactly like any other
+		// ambiguous round.
 		entry.ct = cand
-		entry.pending = &pendingRound{id: id, msgType: MsgLBLAccess, req: req, op: OpRead}
+		entry.pending = true
 		p.mx.pendingSaved.Inc()
 		return false, errReconcile(key, err)
-	case transport.IsReplayEvicted(err):
-		// Executed, response gone: the probe decrypted, so cand was
-		// right and the record is now at cand+1.
-		entry.ct = cand + 1
-		return true, nil
 	default:
 		return false, errReconcile(key, err)
 	}

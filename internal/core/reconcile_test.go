@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 
 	"ortoa/internal/crypto/prf"
@@ -173,46 +172,4 @@ func TestReconcileMetrics(t *testing.T) {
 	if strings.Contains(out, "ortoa_lbl_reconcile_probes_total 0") {
 		t.Error("reconcile_probes_total stayed zero through a reconciliation")
 	}
-}
-
-// TestRecoveryObliviousness checks that a crash-recovery episode leaks
-// no operation type: the adversary's view of a reconciliation
-// triggered by a read must be identical to one triggered by a write —
-// same exchange count, same message types, same sizes. Probes are
-// always read-shaped and stale rejections are emitted identically for
-// both op types, so the episodes must be indistinguishable.
-func TestRecoveryObliviousness(t *testing.T) {
-	const valueSize = 4
-	episode := func(t *testing.T, op Op) []exchange {
-		r, proxy := newLBLReconcile(t, LBLSpaceOpt, 8, prf.NewRandom())
-		loadData(t, r, proxy, map[string][]byte{"k": {0, 0, 0, 0}})
-		mustWrite(t, proxy, "k", []byte{1, 1, 1, 1})
-		old := serverRecord(t, r, proxy, "k")
-		mustWrite(t, proxy, "k", []byte{2, 2, 2, 2})
-		mustWrite(t, proxy, "k", []byte{3, 3, 3, 3})
-		regressServer(t, r, proxy, "k", old) // server at 1, proxy at 3
-
-		// Observe only the recovery episode itself.
-		var mu sync.Mutex
-		var seen []exchange
-		r.server.SetObserver(func(msgType byte, reqLen, respLen int) {
-			mu.Lock()
-			seen = append(seen, exchange{msgType, reqLen, respLen})
-			mu.Unlock()
-		})
-		value := make([]byte, valueSize)
-		var err error
-		if op == OpWrite {
-			_, _, err = proxy.Access(OpWrite, "k", value)
-		} else {
-			_, _, err = proxy.Access(OpRead, "k", nil)
-		}
-		if err != nil {
-			t.Fatalf("%v-triggered recovery failed: %v", op, err)
-		}
-		return seen
-	}
-	reads := episode(t, OpRead)
-	writes := episode(t, OpWrite)
-	assertIdenticalViews(t, reads, writes)
 }

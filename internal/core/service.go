@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -64,23 +65,38 @@ func loaderHandler(store *kvstore.Store) transport.HandlerFunc {
 	}
 }
 
-// BulkLoad sends records to the server in batches.
+// bulkLoadRecords and bulkLoadBytes bound one MsgLoad frame: at most
+// this many records, and — for records large enough that the count
+// alone would overflow transport.MaxFrameSize — at most about this many
+// bytes, half the frame limit.
+const (
+	bulkLoadRecords = 1024
+	bulkLoadBytes   = transport.MaxFrameSize / 2
+)
+
+// BulkLoad sends records to the server in batches, cutting a batch at
+// bulkLoadRecords records or bulkLoadBytes bytes, whichever comes
+// first. A batch always carries at least one record.
 func BulkLoad(client *transport.Client, records []KV) error {
-	const batchSize = 1024
-	for start := 0; start < len(records); start += batchSize {
-		end := start + batchSize
-		if end > len(records) {
-			end = len(records)
+	for len(records) > 0 {
+		n, size := 0, 0
+		for n < len(records) && n < bulkLoadRecords {
+			rec := len(records[n].Key) + len(records[n].Record) + 2*binary.MaxVarintLen32
+			if n > 0 && size+rec > bulkLoadBytes {
+				break
+			}
+			n, size = n+1, size+rec
 		}
-		w := wire.NewWriter(64 * (end - start))
-		w.Uvarint(uint64(end - start))
-		for _, kv := range records[start:end] {
+		w := wire.NewWriter(size)
+		w.Uvarint(uint64(n))
+		for _, kv := range records[:n] {
 			w.BytesPfx([]byte(kv.Key))
 			w.BytesPfx(kv.Record)
 		}
 		if _, err := client.Call(MsgLoad, w.Bytes()); err != nil {
 			return fmt.Errorf("core: bulk load: %w", err)
 		}
+		records = records[n:]
 	}
 	return nil
 }

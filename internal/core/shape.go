@@ -1,9 +1,6 @@
 package core
 
-import (
-	"ortoa/internal/crypto/prf"
-	"ortoa/internal/wire"
-)
+import "ortoa/internal/wire"
 
 // ShapeClassify is the transport.ShapeClassifier for the ORTOA message
 // set: it maps each access frame to the public parameters its length
@@ -11,11 +8,14 @@ import (
 // frames of a given class are byte-identical in length" as a live
 // invariant (§2.2, §5.3.2).
 //
-//   - MsgLBLAccess / MsgLBLAccessBatch: class folds the table geometry
-//     (mode, group count, entry length — all in the clear in the frame)
-//     and the batch size. Requests are strict; single-access responses
-//     (a fixed block of labels) are strict too, while batch responses
-//     carry per-key error strings and are only distribution-tracked.
+//   - MsgLBLAccess: class folds the table geometry (mode, group
+//     count, entry length — all in the clear in the first segment's
+//     header) and how many whole groups the frame carries, which tells
+//     requests for different key counts — and the head frame of a
+//     request cut under a frame budget — apart. Requests and responses
+//     (fixed-width slots) are strict. Only a request's first frame is
+//     self-describing; the transport classifies continuation frames by
+//     position under the head's class (transport.frameShape).
 //   - MsgTEEAccess: fixed-size sealed request and response per
 //     deployment; strict both ways.
 //   - Everything else is observed but never length-checked: MsgClientAccess
@@ -26,24 +26,11 @@ import (
 func ShapeClassify(msgType byte, payload []byte) (class uint64, strictReq, strictResp bool) {
 	switch msgType {
 	case MsgLBLAccess:
-		r := wire.NewReader(payload)
-		r.Raw(prf.Size)
-		r.Raw(lblClaimLen) // fixed-width ownership claim (epoch.go)
-		geo, err := readGeometry(r)
+		_, _, geo, err := readSegHeader(wire.NewReader(payload))
 		if err != nil {
 			return 0, false, false
 		}
-		return lblShapeClass(geo, 1), true, true
-	case MsgLBLAccessBatch:
-		r := wire.NewReader(payload)
-		geo, err := readGeometry(r)
-		n := r.Uvarint()
-		if err != nil || r.Err() != nil {
-			return 0, false, false
-		}
-		return lblShapeClass(geo, n), true, false
-	case MsgLBLAccessStream:
-		return streamShapeClassify(payload)
+		return lblShapeClass(geo, uint64(len(payload)/geo.groupBytes())), true, true
 	case MsgTEEAccess:
 		return 0, true, true
 	case MsgEpochClaim:
@@ -55,64 +42,11 @@ func ShapeClassify(msgType byte, payload []byte) (class uint64, strictReq, stric
 	return 0, false, false
 }
 
-// streamShapeClassify classifies one frame of a chunked stream
-// (wire/stream.go). Every segment header field is fixed-width and
-// public (segment kind, sub-type, geometry, chunk index, element
-// count), so every stream request frame is strict: within a class the
-// length is fully determined. The single logical response rides on the
-// begin frame's class — strict for single accesses (a fixed label
-// block), distribution-tracked for batches (per-key error strings),
-// exactly like the monolithic encodings.
-func streamShapeClassify(payload []byte) (uint64, bool, bool) {
-	r := wire.NewReader(payload)
-	kind := r.Byte()
-	switch kind {
-	case wire.StreamBegin:
-		sub := r.Byte()
-		if sub == wire.StreamSingle {
-			r.Raw(prf.Size)
-			r.Raw(lblClaimLen)
-		}
-		mode := r.Byte()
-		groups := r.Uint32()
-		if r.Err() != nil {
-			return 0, false, false
-		}
-		return streamShapeClass(kind, sub, mode, groups, 0), true, sub == wire.StreamSingle
-	case wire.StreamChunk:
-		sub, mode, groups, _, count := wire.ReadStreamChunkHeader(r)
-		if r.Err() != nil {
-			return 0, false, false
-		}
-		// The chunk index is deliberately not folded in: all chunks of
-		// one class must be the same length, and merging indices makes
-		// the auditor check exactly that. Only the final short chunk
-		// differs, and its smaller count gives it its own class.
-		return streamShapeClass(kind, sub, mode, groups, uint64(count)), true, false
-	case wire.StreamEnd:
-		sub := r.Byte()
-		chunks := r.Uint32()
-		if r.Err() != nil {
-			return 0, false, false
-		}
-		return streamShapeClass(kind, sub, 0, 0, uint64(chunks)), true, false
-	}
-	return 0, false, false
-}
-
-// streamShapeClass packs a stream frame's public parameters into one
-// class value, disjoint from lblShapeClass by the 0xA tag in the top
-// nibble. Fields occupy non-overlapping bit ranges for every realistic
-// configuration (groups < 2^24, count ≤ max(groups, batch size)).
-func streamShapeClass(kind, sub, mode byte, groups uint32, n uint64) uint64 {
-	return uint64(0xA)<<60 ^ uint64(kind)<<56 ^ uint64(sub)<<52 ^ uint64(mode)<<48 ^ uint64(groups)<<24 ^ n
-}
-
-// lblShapeClass packs the public geometry parameters and batch size
-// into one class value. Collisions would only ever merge classes —
-// which can produce a false alarm, never mask a real divergence — and
-// the fields are small enough that the packing is collision-free for
-// every realistic configuration.
+// lblShapeClass packs the public geometry parameters and the frame's
+// group count into one class value. Collisions would only ever merge
+// classes — which can produce a false alarm, never mask a real
+// divergence — and the fields (3, 7, 22 and 31 bits) do not overlap
+// for any configuration the server accepts.
 func lblShapeClass(geo tableGeometry, n uint64) uint64 {
-	return uint64(geo.mode)<<56 ^ uint64(geo.groups)<<32 ^ uint64(geo.entryLen)<<24 ^ n
+	return uint64(geo.mode)<<60 ^ uint64(geo.entryLen)<<53 ^ uint64(geo.groups)<<31 ^ n
 }

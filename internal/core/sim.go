@@ -62,38 +62,17 @@ func (s *LBLSimulator) labelState(key string) ([][]byte, error) {
 	return labels, nil
 }
 
-// Simulate produces a server-bound access message for key, shaped
-// exactly like a real LBL request, from dummy values only.
-func (s *LBLSimulator) Simulate(key string) ([]byte, error) {
+// Simulate produces the server-bound frames of one access round over
+// keys, shaped exactly like the real proxy's request — one segment per
+// key, cut into frames by the same rule — from dummy values only. The
+// ROR-RW projection holds frame by frame: real read requests, real
+// write requests, and simulated requests have identical frame counts,
+// per-frame lengths, and segment headers.
+func (s *LBLSimulator) Simulate(keys ...string) ([][]byte, error) {
 	cfg := s.cfg
-	groups := cfg.Groups()
-	labels, err := s.labelState(key)
-	if err != nil {
-		return nil, err
-	}
-
 	nEntries := cfg.Mode.entries()
 	entryLen := cfg.Mode.entryLen()
 	plainLen := cfg.Mode.entryPlainLen()
-
-	w := wire.NewWriter(cfg.RequestBytesPerAccess())
-	// The simulator does not know the PRF key; a random encoded key of
-	// the right size stands in (the adversary sees PRF outputs either
-	// way).
-	ek := make([]byte, prf.Size)
-	if _, err := rand.Read(ek); err != nil {
-		return nil, err
-	}
-	w.Raw(ek)
-	// The fixed-width ownership claim (epoch.go). The simulator knows
-	// the key — range placement is routing data, the same datum sharded
-	// deployments already reveal by which server a request reaches —
-	// and stamps the single-proxy epoch 0. Fixed width keeps simulated
-	// and real frames structurally identical whatever the epoch.
-	putClaim(w.Extend(lblClaimLen), RangeOf(key), 0)
-	w.Byte(byte(cfg.Mode))
-	w.Uvarint(uint64(groups))
-	w.Uvarint(uint64(entryLen))
 
 	// Scratch shared across groups: the valid entry's plaintext, one
 	// junk-key buffer, the all-zeros junk plaintext, and the slot
@@ -102,123 +81,71 @@ func (s *LBLSimulator) Simulate(key string) ([]byte, error) {
 	// the retained new label allocates.
 	shuf := newCryptoShuffler()
 	sealer := secretbox.NewLabelSealer()
-	table := w.Extend(cfg.TableBytes())
 	plain := make([]byte, plainLen)
 	junkKey := make([]byte, prf.Size)
 	zeroPlain := make([]byte, plainLen)
 	var perm [16]int
-	for g := 0; g < groups; g++ {
-		nl, err := randomLabel()
-		if err != nil {
-			return nil, err
-		}
-		// Like the real proxy's step 1.5, the simulator's entry order
-		// must be cryptographically unpredictable — the single openable
-		// entry is generated first, so a guessable placement would
-		// distinguish simulated transcripts.
-		shuf.perm(nEntries, perm[:])
-		slots := table[g*nEntries*entryLen : (g+1)*nEntries*entryLen]
-		// One valid entry: Enc_{ol}(nl ‖ pad).
-		copy(plain, nl)
-		if err := sealer.SealInto(slots[perm[0]*entryLen:(perm[0]+1)*entryLen], labels[g], plain); err != nil {
-			return nil, err
-		}
-		// 2^y − 1 entries of zeros under fresh labels the server
-		// cannot open.
-		for e := 1; e < nEntries; e++ {
-			if _, err := rand.Read(junkKey); err != nil {
-				return nil, err
-			}
-			slot := perm[e]
-			if err := sealer.SealInto(slots[slot*entryLen:(slot+1)*entryLen], junkKey, zeroPlain); err != nil {
-				return nil, err
-			}
-		}
-		// The simulator's server now stores the new label.
-		labels[g] = nl
-	}
-	return w.Bytes(), nil
-}
 
-// SimulateStream produces the frame payload sequence of one streamed
-// access (MsgLBLAccessStream begin/chunk/end, wire/stream.go) for key,
-// shaped exactly like the real proxy's stream, from dummy values only.
-// The ROR-RW projection extends frame-by-frame: real read streams,
-// real write streams, and simulated streams have identical frame
-// counts, per-frame lengths, and headers.
-func (s *LBLSimulator) SimulateStream(key string) ([][]byte, error) {
-	cfg := s.cfg
-	groups := cfg.Groups()
-	labels, err := s.labelState(key)
-	if err != nil {
-		return nil, err
-	}
-
-	nEntries := cfg.Mode.entries()
-	entryLen := cfg.Mode.entryLen()
-	plainLen := cfg.Mode.entryPlainLen()
-	cg := cfg.streamChunkGroups()
-	nChunks := cfg.streamChunks()
-
-	frames := make([][]byte, 0, nChunks+2)
-	bw := wire.NewWriter(streamBeginSingleLen)
-	bw.Byte(wire.StreamBegin)
-	bw.Byte(wire.StreamSingle)
-	ek := make([]byte, prf.Size)
-	if _, err := rand.Read(ek); err != nil {
-		return nil, err
-	}
-	bw.Raw(ek)
-	putClaim(bw.Extend(lblClaimLen), RangeOf(key), 0)
-	bw.Byte(byte(cfg.Mode))
-	bw.Uint32(uint32(groups))
-	bw.Uint32(uint32(entryLen))
-	bw.Uint32(uint32(cg))
-	bw.Uint32(uint32(nChunks))
-	frames = append(frames, bw.Bytes())
-
-	shuf := newCryptoShuffler()
-	sealer := secretbox.NewLabelSealer()
-	plain := make([]byte, plainLen)
-	junkKey := make([]byte, prf.Size)
-	zeroPlain := make([]byte, plainLen)
-	var perm [16]int
-	for i := 0; i < nChunks; i++ {
-		g0 := i * cg
-		g1 := g0 + cg
-		if g1 > groups {
-			g1 = groups
-		}
-		cw := wire.NewWriter(wire.StreamChunkHeaderLen + (g1-g0)*nEntries*entryLen)
-		wire.PutStreamChunkHeader(cw, wire.StreamSingle, byte(cfg.Mode), uint32(groups), uint32(i), uint32(g1-g0))
-		table := cw.Extend((g1 - g0) * nEntries * entryLen)
-		for g := g0; g < g1; g++ {
-			nl, err := randomLabel()
+	var frames [][]byte
+	var runs []run
+	for cut := (frameCutter{cfg: cfg, n: len(keys)}); !cut.done(); {
+		runs = cut.next(runs[:0])
+		frame := make([]byte, cfg.frameBytes(runs))
+		frames = append(frames, frame)
+		for _, r := range runs {
+			key := keys[r.seg]
+			labels, err := s.labelState(key)
 			if err != nil {
 				return nil, err
 			}
-			shuf.perm(nEntries, perm[:])
-			slots := table[(g-g0)*nEntries*entryLen : (g-g0+1)*nEntries*entryLen]
-			copy(plain, nl)
-			if err := sealer.SealInto(slots[perm[0]*entryLen:(perm[0]+1)*entryLen], labels[g], plain); err != nil {
-				return nil, err
-			}
-			for e := 1; e < nEntries; e++ {
-				if _, err := rand.Read(junkKey); err != nil {
+			if r.g0 == 0 {
+				// The simulator does not know the PRF key; a random encoded
+				// key of the right size stands in (the adversary sees PRF
+				// outputs either way). It does know the key, so it stamps the
+				// key's range — routing data, the same datum sharded
+				// deployments already reveal by which server a request
+				// reaches — under the single-proxy epoch 0. The claim is
+				// fixed-width, so simulated and real frames are structurally
+				// identical whatever the epoch.
+				ek, err := randomLabel()
+				if err != nil {
 					return nil, err
 				}
-				slot := perm[e]
-				if err := sealer.SealInto(slots[slot*entryLen:(slot+1)*entryLen], junkKey, zeroPlain); err != nil {
+				frame = frame[cfg.putSegHeader(frame, ek, RangeOf(key), 0):]
+			}
+			for g := r.g0; g < r.g1; g++ {
+				nl, err := randomLabel()
+				if err != nil {
 					return nil, err
 				}
+				// Like the real proxy's step 1.5, the simulator's entry
+				// order must be cryptographically unpredictable — the single
+				// openable entry is generated first, so a guessable
+				// placement would distinguish simulated transcripts.
+				shuf.perm(nEntries, perm[:])
+				slots := frame[:nEntries*entryLen]
+				frame = frame[nEntries*entryLen:]
+				// One valid entry: Enc_{ol}(nl ‖ pad).
+				copy(plain, nl)
+				if err := sealer.SealInto(slots[perm[0]*entryLen:(perm[0]+1)*entryLen], labels[g], plain); err != nil {
+					return nil, err
+				}
+				// 2^y − 1 entries of zeros under fresh labels the server
+				// cannot open.
+				for e := 1; e < nEntries; e++ {
+					if _, err := rand.Read(junkKey); err != nil {
+						return nil, err
+					}
+					slot := perm[e]
+					if err := sealer.SealInto(slots[slot*entryLen:(slot+1)*entryLen], junkKey, zeroPlain); err != nil {
+						return nil, err
+					}
+				}
+				// The simulator's server now stores the new label.
+				labels[g] = nl
 			}
-			labels[g] = nl
 		}
-		frames = append(frames, cw.Bytes())
 	}
-	ew := wire.NewWriter(wire.StreamEndLen)
-	wire.PutStreamEnd(ew, wire.StreamSingle, uint32(nChunks))
-	frames = append(frames, ew.Bytes())
 	return frames, nil
 }
 

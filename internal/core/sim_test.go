@@ -56,48 +56,6 @@ func TestLBLTranscriptFreshPerCounter(t *testing.T) {
 	}
 }
 
-func TestLBLSimulatorMatchesRealShape(t *testing.T) {
-	for _, mode := range allLBLModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			cfg := LBLConfig{ValueSize: 8, Mode: mode}
-			proxy, err := NewLBLProxy(cfg, prf.NewRandom(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sim, err := NewLBLSimulator(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			real, err := proxy.buildRequest(OpWrite, "k", bytes.Repeat([]byte{1}, 8), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			simulated, err := sim.Simulate("k")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(real) != len(simulated) {
-				t.Errorf("real transcript %dB, simulated %dB", len(real), len(simulated))
-			}
-			// Multi-access sequence: every simulated transcript keeps
-			// the real shape.
-			for i := 0; i < 5; i++ {
-				again, err := sim.Simulate("k")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(again) != len(real) {
-					t.Errorf("access %d: simulated %dB, want %dB", i, len(again), len(real))
-				}
-				if bytes.Equal(again, simulated) {
-					t.Error("simulator repeated a transcript verbatim")
-				}
-				simulated = again
-			}
-		})
-	}
-}
-
 func TestTEESimulatorMatchesRealShape(t *testing.T) {
 	cfg := TEEConfig{ValueSize: 16}
 	client, err := NewTEEClient(cfg, prf.NewRandom(), newTestKey(), nil)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
 	"testing"
 	"time"
 
@@ -15,20 +14,18 @@ import (
 	"ortoa/internal/transport"
 )
 
-// These tests exercise the chunked-streaming request path
-// (MsgLBLAccessStream): correctness of streamed single and batch
-// accesses, the obliviousness of the per-frame wire view, parity with
-// the SimulateStream simulator, and ambiguity resolution when a stream
-// dies mid-flight.
+// These tests exercise requests cut under a frame budget
+// (LBLConfig.StreamChunkBytes): correctness of multi-frame rounds of
+// one key and of many, the framing a budget does and does not produce,
+// and ambiguity resolution when a request dies mid-flight. The wire
+// view's obliviousness and simulator parity are rows of
+// TestLBLRequestParity.
 
-// streamCfg returns an LBL config whose table spans roughly nChunks
-// stream chunks.
-func streamCfg(mode LBLMode, valueSize, nChunks int) LBLConfig {
+// streamCfg returns an LBL config whose one-key request spans roughly
+// nFrames frames.
+func streamCfg(mode LBLMode, valueSize, nFrames int) LBLConfig {
 	cfg := LBLConfig{ValueSize: valueSize, Mode: mode}
-	cfg.StreamChunkBytes = cfg.TableBytes() / nChunks
-	if cfg.StreamChunkBytes < 1 {
-		cfg.StreamChunkBytes = 1
-	}
+	cfg.StreamChunkBytes = max(cfg.RequestBytesPerAccess()/nFrames, 1)
 	return cfg
 }
 
@@ -48,21 +45,14 @@ func TestLBLStreamReadWrite(t *testing.T) {
 	for _, mode := range allLBLModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := streamCfg(mode, 8, 4)
-			if !cfg.streaming() {
-				t.Fatalf("config does not stream: budget %dB, table %dB", cfg.StreamChunkBytes, cfg.TableBytes())
+			if cfg.RequestFrames(1) < 4 {
+				t.Fatalf("budget %dB does not cut the %dB request", cfg.StreamChunkBytes, cfg.RequestBytesPerAccess())
 			}
 			r, proxy, _ := newLBLStream(t, cfg)
 			loadData(t, r, proxy, map[string][]byte{"k": bytes.Repeat([]byte{7}, 8)})
-			got, _, err := proxy.Access(OpRead, "k", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, bytes.Repeat([]byte{7}, 8)) {
-				t.Errorf("streamed read = %v", got)
-			}
 			current := bytes.Repeat([]byte{7}, 8)
 			for i := 0; i < 12; i++ {
-				if i%3 == 0 {
+				if i%3 == 1 {
 					current = bytes.Repeat([]byte{byte(i + 1)}, 8)
 					if _, _, err := proxy.Access(OpWrite, "k", current); err != nil {
 						t.Fatalf("access %d: %v", i, err)
@@ -81,71 +71,67 @@ func TestLBLStreamReadWrite(t *testing.T) {
 	}
 }
 
-func TestLBLStreamStatsAndSingleCall(t *testing.T) {
-	// A streamed access is still ONE logical RPC (the paper's one-round
-	// claim), spread over nChunks+2 frames, and its stats account the
-	// streamed framing exactly.
-	cfg := streamCfg(LBLPointPermute, 8, 4)
-	r, proxy, _ := newLBLStream(t, cfg)
-	loadData(t, r, proxy, map[string][]byte{"k": make([]byte, 8)})
-
-	frames := 0
-	r.server.SetObserver(func(msgType byte, reqLen, respLen int) {
-		if msgType == MsgLBLAccessStream {
-			frames++
-		}
-	})
-	before := r.client.Stats().Calls
-	_, stats, err := proxy.Access(OpRead, "k", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.client.Stats().Calls - before; got != 1 {
-		t.Errorf("streamed access made %d logical calls, want 1", got)
-	}
-	if want := cfg.streamChunks() + 2; frames != want {
-		t.Errorf("streamed access crossed as %d frames, want %d (begin + chunks + end)", frames, want)
-	}
-	if stats.PrepBytes != cfg.StreamRequestBytes() {
-		t.Errorf("PrepBytes = %d, want %d", stats.PrepBytes, cfg.StreamRequestBytes())
-	}
-	if stats.RespBytes != cfg.Groups()*prf.Size {
-		t.Errorf("RespBytes = %d, want %d", stats.RespBytes, cfg.Groups()*prf.Size)
-	}
-}
-
-func TestLBLStreamFallbackMonolithic(t *testing.T) {
-	// A chunk budget the whole table fits in must fall back to the
-	// monolithic single-frame path: no stream frames on the wire.
-	cfg := LBLConfig{ValueSize: 8, Mode: LBLPointPermute}
-	cfg.StreamChunkBytes = cfg.TableBytes() // one chunk: no overlap to win
-	if cfg.streaming() {
-		t.Fatal("single-chunk config claims to stream")
-	}
-	r, proxy, _ := newLBLStream(t, cfg)
-	loadData(t, r, proxy, map[string][]byte{"k": make([]byte, 8)})
-	mono, streamed := 0, 0
-	r.server.SetObserver(func(msgType byte, reqLen, respLen int) {
-		switch msgType {
-		case MsgLBLAccess:
-			mono++
-		case MsgLBLAccessStream:
-			streamed++
-		}
-	})
-	if _, _, err := proxy.Access(OpWrite, "k", bytes.Repeat([]byte{1}, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if mono != 1 || streamed != 0 {
-		t.Errorf("single-chunk access used %d monolithic / %d stream frames, want 1/0", mono, streamed)
+// TestLBLRequestFraming pins the one chunking rule from the outside: a
+// request a budget cuts is still ONE logical call (the paper's
+// one-round claim) spread over RequestFrames frames, none over budget,
+// carrying exactly the unbudgeted request's bytes; a request the budget
+// already covers, or with no budget at all, is one ordinary frame.
+func TestLBLRequestFraming(t *testing.T) {
+	base := LBLConfig{ValueSize: 8, Mode: LBLPointPermute}
+	for _, tc := range []struct {
+		name   string
+		budget int
+		frames int // 0: whatever RequestFrames says, but more than one
+	}{
+		{"no budget", 0, 1},
+		{"budget covers the request", base.RequestBytesPerAccess(), 1},
+		{"budget cuts the request", base.RequestBytesPerAccess() / 4, 0},
+		{"budget below one group", 1, base.Groups()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			cfg.StreamChunkBytes = tc.budget
+			want := cfg.RequestFrames(1)
+			if tc.frames != 0 && want != tc.frames || tc.frames == 0 && want < 2 {
+				t.Fatalf("RequestFrames(1) = %d, want %d (0 = several)", want, tc.frames)
+			}
+			r, proxy, _ := newLBLStream(t, cfg)
+			loadData(t, r, proxy, map[string][]byte{"k": make([]byte, 8)})
+			var frames, total, largest int
+			r.server.SetObserver(func(msgType byte, reqLen, respLen int) {
+				if msgType == MsgLBLAccess {
+					frames, total, largest = frames+1, total+reqLen, max(largest, reqLen)
+				}
+			})
+			before := r.client.Stats().Calls
+			_, stats, err := proxy.Access(OpWrite, "k", bytes.Repeat([]byte{1}, 8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.client.Stats().Calls - before; got != 1 {
+				t.Errorf("access made %d logical calls, want 1", got)
+			}
+			if frames != want {
+				t.Errorf("request crossed as %d frames, want %d", frames, want)
+			}
+			if total != cfg.RequestBytesPerAccess() || stats.PrepBytes != total {
+				t.Errorf("frames carried %dB (PrepBytes %d), want the %dB request", total, stats.PrepBytes, cfg.RequestBytesPerAccess())
+			}
+			if floor := cfg.segHeaderLen() + cfg.groupBytes(); tc.budget > 0 && largest > max(tc.budget, floor) {
+				t.Errorf("largest frame %dB exceeds the %dB budget", largest, tc.budget)
+			}
+			if stats.RespBytes != cfg.ResponseBytesPerAccess() {
+				t.Errorf("RespBytes = %d, want %d", stats.RespBytes, cfg.ResponseBytesPerAccess())
+			}
+		})
 	}
 }
 
-func TestLBLStreamBatch(t *testing.T) {
+func TestLBLCutBatch(t *testing.T) {
 	cfg := streamCfg(LBLPointPermute, 8, 2)
 	const n = 9
-	if !cfg.batchStreaming(n) {
-		t.Fatalf("batch of %d does not stream under budget %dB", n, cfg.StreamChunkBytes)
+	if cfg.RequestFrames(n) < n {
+		t.Fatalf("batch of %d is not cut under budget %dB", n, cfg.StreamChunkBytes)
 	}
 	r, proxy, _ := newLBLStream(t, cfg)
 	data := map[string][]byte{}
@@ -176,160 +162,6 @@ func TestLBLStreamBatch(t *testing.T) {
 	}
 }
 
-func lblStreamObsRig(cfg LBLConfig) func(t *testing.T) (*rig, Accessor) {
-	return func(t *testing.T) (*rig, Accessor) {
-		r, proxy, _ := newLBLStream(t, cfg)
-		data := map[string][]byte{}
-		for i := 0; i < 4; i++ {
-			data[fmt.Sprintf("key-%02d", i)] = make([]byte, cfg.ValueSize)
-		}
-		loadData(t, r, proxy, data)
-		return r, proxy
-	}
-}
-
-// TestObliviousnessLBLStream extends the adversary's-view comparison
-// to the streamed path: every frame of a streamed access — begin,
-// each chunk, end — is observed individually, and the per-frame
-// multisets of (type, reqLen, respLen) must be identical between pure
-// reads and pure writes.
-func TestObliviousnessLBLStream(t *testing.T) {
-	const valueSize = 8
-	const ops = 8
-	for _, mode := range allLBLModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			cfg := streamCfg(mode, valueSize, 4)
-			reads := observedRun(t, lblStreamObsRig(cfg), OpRead, valueSize, ops)
-			writes := observedRun(t, lblStreamObsRig(cfg), OpWrite, valueSize, ops)
-			assertIdenticalViews(t, reads, writes)
-			// The streamed path was genuinely on: more frames than
-			// accesses, in the exact begin+chunks+end count.
-			want := ops * (cfg.streamChunks() + 2)
-			if len(reads) != want {
-				t.Errorf("observed %d stream frames for %d accesses, want %d", len(reads), ops, want)
-			}
-		})
-	}
-}
-
-// TestObliviousnessLBLStreamTraced re-runs the streamed comparison
-// with tracing armed on every hop and shape auditors shared across the
-// read and write runs: per-class frame lengths must be pinned across
-// both runs, traced or not, with zero violations.
-func TestObliviousnessLBLStreamTraced(t *testing.T) {
-	const valueSize = 8
-	const ops = 8
-	cfg := streamCfg(LBLPointPermute, valueSize, 4)
-	reg := obs.NewRegistry()
-	serverAud := obs.NewShapeAuditor(reg, "server")
-	proxyAud := obs.NewShapeAuditor(reg, "proxy")
-	mkTraced := func(traced bool) func(t *testing.T) (*rig, Accessor) {
-		return func(t *testing.T) (*rig, Accessor) {
-			r, acc := lblStreamObsRig(cfg)(t)
-			r.server.AuditShape(serverAud, ShapeClassify)
-			r.client.AuditShape(proxyAud, ShapeClassify)
-			if traced {
-				r.server.SetTracer(reg.Tracer("server", 1<<10))
-				r.client.SetTracer(reg.Tracer("proxy", 1<<10))
-				acc.(*LBLProxy).TraceWith(reg.Tracer("proxy", 1<<10))
-			}
-			return r, acc
-		}
-	}
-	reads := observedRun(t, mkTraced(true), OpRead, valueSize, ops)
-	writes := observedRun(t, mkTraced(false), OpWrite, valueSize, ops)
-	assertIdenticalViews(t, reads, writes)
-	if vp, vs := proxyAud.Violations(), serverAud.Violations(); vp != 0 || vs != 0 {
-		t.Fatalf("shape auditor: proxy=%d server=%d violations across traced read + untraced write runs, want 0/0", vp, vs)
-	}
-	// The traced run produced the streamed pipeline's stage spans.
-	have := map[string]bool{}
-	for _, rec := range reg.TraceRecords() {
-		have[rec.Name] = true
-	}
-	for _, want := range []string{"table_build", "rpc", "server_decrypt"} {
-		if !have[want] {
-			t.Fatalf("no %q span recorded on the streamed path", want)
-		}
-	}
-}
-
-// TestLBLStreamSimulatorParity checks the frame-by-frame ROR-RW
-// projection: the real streamed request and SimulateStream's output
-// have identical frame counts and per-frame lengths, and the simulated
-// frames carry the exact segment headers the wire format pins.
-func TestLBLStreamSimulatorParity(t *testing.T) {
-	for _, mode := range allLBLModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			cfg := streamCfg(mode, 8, 4)
-			r, proxy, _ := newLBLStream(t, cfg)
-			loadData(t, r, proxy, map[string][]byte{"k": make([]byte, 8)})
-			var real []int
-			r.server.SetObserver(func(msgType byte, reqLen, respLen int) {
-				if msgType == MsgLBLAccessStream {
-					real = append(real, reqLen)
-				}
-			})
-			if _, _, err := proxy.Access(OpWrite, "k", bytes.Repeat([]byte{9}, 8)); err != nil {
-				t.Fatal(err)
-			}
-
-			sim, err := NewLBLSimulator(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			frames, err := sim.SimulateStream("k")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(frames) != len(real) {
-				t.Fatalf("simulator emitted %d frames, real stream %d", len(frames), len(real))
-			}
-			// The begin frame's observation is recorded with its paired
-			// response, after the continuation frames — compare as
-			// multisets of frame lengths.
-			simLens := make([]int, len(frames))
-			for i, f := range frames {
-				simLens[i] = len(f)
-			}
-			realLens := append([]int(nil), real...)
-			sort.Ints(simLens)
-			sort.Ints(realLens)
-			for i := range simLens {
-				if simLens[i] != realLens[i] {
-					t.Fatalf("frame length multisets differ: simulated %v, real %v", simLens, realLens)
-				}
-			}
-			// Header structure: begin, then indexed chunks, then end.
-			if frames[0][0] != 0x01 || frames[0][1] != 0x00 {
-				t.Errorf("begin frame header = % x", frames[0][:2])
-			}
-			for i := 1; i < len(frames)-1; i++ {
-				if frames[i][0] != 0x02 {
-					t.Errorf("frame %d kind = %#x, want chunk", i, frames[i][0])
-				}
-			}
-			if frames[len(frames)-1][0] != 0x03 {
-				t.Errorf("last frame kind = %#x, want end", frames[len(frames)-1][0])
-			}
-			// Fresh randomness: a second simulated stream has the same
-			// shape but different bytes.
-			again, err := sim.SimulateStream("k")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range again {
-				if len(again[i]) != len(frames[i]) {
-					t.Errorf("second stream frame %d: %dB, want %dB", i, len(again[i]), len(frames[i]))
-				}
-			}
-			if bytes.Equal(again[1], frames[1]) {
-				t.Error("simulator repeated a chunk verbatim")
-			}
-		})
-	}
-}
-
 // newFaultStreamRig builds a streamed LBL deployment over a faulty
 // link. The plan starts deactivated so setup traffic is clean.
 func newFaultStreamRig(t *testing.T, cfg LBLConfig, plan *netsim.FaultPlan) (*rig, *LBLProxy) {
@@ -355,10 +187,11 @@ func newFaultStreamRig(t *testing.T, cfg LBLConfig, plan *netsim.FaultPlan) (*ri
 	return r, proxy
 }
 
-// TestLBLStreamBlackholedResponse kills the response of a streamed
+// TestLBLStreamBlackholedResponse kills the response of a multi-frame
 // write after the server executed it. The access must fail ambiguous,
-// park the round, and the next access must settle it through the
-// dedup replay so the acked-by-server write is not lost.
+// park the round, and the next access must settle it — its probe is
+// rejected stale, proving the write executed — so the write the server
+// applied is not lost.
 func TestLBLStreamBlackholedResponse(t *testing.T) {
 	cfg := streamCfg(LBLPointPermute, 8, 4)
 	plan := &netsim.FaultPlan{BlackholeProb: 1, MaxFaults: 1}
@@ -378,9 +211,8 @@ func TestLBLStreamBlackholedResponse(t *testing.T) {
 	}
 	plan.SetActive(false)
 
-	// The next access first resolves the parked streamed round (dedup
-	// replay of a rebuilt monolithic frame under the same id), then
-	// reads at the settled counter.
+	// The next access first resolves the parked round with a probe at
+	// the parked counter, then reads at the settled counter.
 	got, _, err := proxy.Access(OpRead, "k", nil)
 	if err != nil {
 		t.Fatalf("read after ambiguous streamed write: %v", err)

@@ -63,7 +63,7 @@ func (c *Cluster) AccessBatch(ops []core.BatchOp) ([][]byte, error) {
 
 // BatchPipeline measures the batched oblivious-access pipeline against
 // the concurrent single-access path it replaces: same keys, same link,
-// same protocol — one MsgLBLAccessBatch frame versus one RPC per key
+// same protocol — one request frame versus one RPC per key
 // windowed at fallbackWindow in flight. Reported RPC counts come from
 // the transport's own counters, so the one-round-trip claim is measured,
 // not assumed.
@@ -165,7 +165,7 @@ func BatchPipeline(opt Options) (*Table, error) {
 			fmtTput(float64(size)/singles.Seconds()), fmt.Sprint(singleRPCs))
 	}
 	t.Notes = append(t.Notes,
-		"batched path packs the whole batch into one MsgLBLAccessBatch frame (1 rpc/batch)",
+		"batched path packs the whole batch into one MsgLBLAccess request (1 rpc/batch)",
 		fmt.Sprintf("concurrent path issues one RPC per key, %d in flight, so latency scales with ceil(batch/%d) round trips", fallbackWindow, fallbackWindow))
 	return t, nil
 }

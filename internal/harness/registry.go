@@ -43,7 +43,7 @@ var Experiments = []Experiment{
 	{"stages", "measured LBL per-stage latency breakdown (Fig 3c companion)", Stages},
 	{"trace", "Fig 3c breakdown from one cross-process distributed trace (observability extension)", TraceBreakdown},
 	{"bench", "LBL kernel microbenchmarks with JSON output (perf baseline)", Bench},
-	{"stream", "chunk-streamed table build pipelined against the wire vs monolithic (perf extension)", Stream},
+	{"stream", "requests cut under a frame budget, table build pipelined against the wire, vs sent whole (perf extension)", Stream},
 }
 
 // Lookup returns the experiment with the given id.

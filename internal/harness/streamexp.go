@@ -15,9 +15,9 @@ import (
 	"ortoa/internal/transport"
 )
 
-// This file implements the "stream" experiment: the chunked-streaming
-// request path (core.LBLConfig.StreamChunkBytes) against the
-// monolithic single-frame path, over a WAN link calibrated so table
+// This file implements the "stream" experiment: requests cut under a
+// frame budget (core.LBLConfig.StreamChunkBytes) against the same
+// requests sent as one frame, over a WAN link calibrated so table
 // garbling and wire transmission cost about the same — the regime
 // where pipelining the build against the wire pays the most. The
 // experiment self-audits: it fails unless streaming wins by the gate
@@ -25,7 +25,7 @@ import (
 // budget, and unless the shape auditors see zero length violations,
 // including through the mid-stream fault drill.
 
-// streamChunksTarget is how many chunks one access table spans.
+// streamChunksTarget is about how many frames one access request spans.
 const streamChunksTarget = 16
 
 // streamSpeedupGate / streamSpeedupGateQuick are the self-audit
@@ -86,8 +86,8 @@ type streamRun struct {
 }
 
 // runStreamPath deploys one proxy/server pair over link and measures
-// rounds sequential accesses. A cfg with StreamChunkBytes > 0 selects
-// the streaming path; 0 the monolithic one. The deployment's shape
+// rounds sequential accesses. A cfg with StreamChunkBytes > 0 cuts each
+// request into frames; 0 sends it whole. The deployment's shape
 // auditors must come back clean.
 func runStreamPath(cfg core.LBLConfig, rounds int, link netsim.Link) (streamRun, error) {
 	var run streamRun
@@ -122,7 +122,7 @@ func runStreamPath(cfg core.LBLConfig, rounds int, link netsim.Link) (streamRun,
 	var mu sync.Mutex
 	accessFrames := 0
 	serverTS.SetObserver(func(msgType byte, reqLen, respLen int) {
-		if msgType != core.MsgLBLAccess && msgType != core.MsgLBLAccessStream {
+		if msgType != core.MsgLBLAccess {
 			return
 		}
 		mu.Lock()
@@ -293,15 +293,15 @@ func measureStreamBench(valueSize, rounds int) (StreamBench, error) {
 	}
 	monoRun, err := runStreamPath(mono, rounds, link)
 	if err != nil {
-		return StreamBench{}, fmt.Errorf("monolithic path: %w", err)
+		return StreamBench{}, fmt.Errorf("whole request: %w", err)
 	}
 	strRun, err := runStreamPath(streamed, rounds, link)
 	if err != nil {
-		return StreamBench{}, fmt.Errorf("streamed path: %w", err)
+		return StreamBench{}, fmt.Errorf("cut request: %w", err)
 	}
 	return StreamBench{
 		ValueSize:     valueSize,
-		Chunks:        strRun.frames - 2, // begin + chunks + end
+		Chunks:        strRun.frames,
 		ChunkBytes:    streamed.StreamChunkBytes,
 		BandwidthBps:  link.Bandwidth,
 		RTTMillis:     float64(link.RTT) / 1e6,
@@ -337,29 +337,29 @@ func Stream(opt Options) (*Table, error) {
 	}
 	monoRun, err := runStreamPath(mono, rounds, link)
 	if err != nil {
-		return nil, fmt.Errorf("monolithic path: %w", err)
+		return nil, fmt.Errorf("whole request: %w", err)
 	}
 	strRun, err := runStreamPath(streamed, rounds, link)
 	if err != nil {
-		return nil, fmt.Errorf("streamed path: %w", err)
+		return nil, fmt.Errorf("cut request: %w", err)
 	}
 	speedup := float64(monoRun.perOp) / float64(strRun.perOp)
 
-	// Framing witnesses: the monolithic path must cross as one frame
-	// per access, the streamed path as begin + chunks + end, and no
-	// streamed request frame may exceed the chunk budget plus its fixed
-	// headers — that bound is what caps per-stream buffering on both
+	// Framing witnesses: without a budget a request must cross as one
+	// frame, with one as ⌈payload/budget⌉ frames (up to group alignment,
+	// which RequestFrames accounts for), and no frame may exceed the
+	// budget — that bound is what caps per-request buffering on both
 	// ends instead of a whole-table frame.
 	if monoRun.frames != 1 {
-		return nil, fmt.Errorf("harness: monolithic path crossed as %d frames per access, want 1", monoRun.frames)
+		return nil, fmt.Errorf("harness: unbudgeted request crossed as %d frames per access, want 1", monoRun.frames)
 	}
-	if strRun.frames < 3 {
-		return nil, fmt.Errorf("harness: streamed path crossed as %d frames per access; streaming did not engage", strRun.frames)
+	if want := streamed.RequestFrames(1); strRun.frames != want || want < streamChunksTarget {
+		return nil, fmt.Errorf("harness: budgeted request crossed as %d frames per access, want %d (at least %d)",
+			strRun.frames, want, streamChunksTarget)
 	}
-	frameBound := streamed.StreamChunkBytes + 64
-	if strRun.maxFrame > frameBound {
-		return nil, fmt.Errorf("harness: streamed request frame %dB exceeds chunk budget bound %dB",
-			strRun.maxFrame, frameBound)
+	if strRun.maxFrame > streamed.StreamChunkBytes {
+		return nil, fmt.Errorf("harness: request frame %dB exceeds the %dB frame budget",
+			strRun.maxFrame, streamed.StreamChunkBytes)
 	}
 
 	// Mid-stream fault drill on a small streamed config: the ambiguity
@@ -378,24 +378,24 @@ func Stream(opt Options) (*Table, error) {
 
 	t := &Table{
 		ID: "stream",
-		Title: fmt.Sprintf("Chunk-streamed table build pipelined against the wire (%d KiB values, point-permute, calibrated WAN)",
+		Title: fmt.Sprintf("Requests cut under a frame budget, table build pipelined against the wire (%d KiB values, point-permute, calibrated WAN)",
 			valueSize>>10),
 		Columns: []string{"path", "frames/op", "ms/op", "speedup", "max-req-frame"},
 	}
-	t.AddRow("monolithic", fmt.Sprint(monoRun.frames), fmtMSf(int64(monoRun.perOp)), "1.00x",
+	t.AddRow("whole", fmt.Sprint(monoRun.frames), fmtMSf(int64(monoRun.perOp)), "1.00x",
 		fmtBytes(int64(monoRun.maxFrame)))
-	t.AddRow("streamed", fmt.Sprint(strRun.frames), fmtMSf(int64(strRun.perOp)),
+	t.AddRow("cut", fmt.Sprint(strRun.frames), fmtMSf(int64(strRun.perOp)),
 		fmt.Sprintf("%.2fx", speedup), fmtBytes(int64(strRun.maxFrame)))
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("link calibrated to this host: table build %s, bandwidth %s/s (one table ≈ one build time on the wire), RTT %s",
 			build.Round(time.Microsecond), fmtBytes(link.Bandwidth), link.RTT.Round(time.Microsecond)),
-		fmt.Sprintf("streamed request frames bounded by the %s chunk budget; the monolithic frame carries the whole %s table",
+		fmt.Sprintf("cut request frames bounded by the %s frame budget; the whole request is one frame carrying the %s table",
 			fmtBytes(int64(streamed.StreamChunkBytes)), fmtBytes(int64(mono.TableBytes()))),
 		fmt.Sprintf("fault drill: %d injected connection resets, %d failed accesses, no acknowledged write lost, 0 shape violations",
 			resets, failed),
 		"netsim meters transmission time without blocking the sender, so build/wire overlap is genuine simulated-clock overlap")
 	if speedup < gate {
-		return nil, fmt.Errorf("harness: streaming speedup %.2fx below the %.1fx gate (mono %s/op, streamed %s/op)",
+		return nil, fmt.Errorf("harness: cutting speedup %.2fx below the %.1fx gate (whole %s/op, cut %s/op)",
 			speedup, gate, monoRun.perOp.Round(time.Microsecond), strRun.perOp.Round(time.Microsecond))
 	}
 	return t, nil

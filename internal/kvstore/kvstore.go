@@ -57,17 +57,20 @@ func (s *Store) shardFor(key string) *shard {
 
 // Get returns a copy of the value stored under key.
 func (s *Store) Get(key string) ([]byte, error) {
+	return s.AppendGet(nil, key)
+}
+
+// AppendGet appends a copy of the value stored under key to dst, so a
+// caller that reads records at a steady rate can reuse one buffer.
+func (s *Store) AppendGet(dst []byte, key string) ([]byte, error) {
 	sh := s.shardFor(key)
 	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	v, ok := sh.items[key]
 	if !ok {
-		sh.mu.RUnlock()
-		return nil, ErrNotFound
+		return dst, ErrNotFound
 	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	sh.mu.RUnlock()
-	return out, nil
+	return append(dst, v...), nil
 }
 
 // Put stores a copy of value under key, replacing any previous value.

@@ -24,6 +24,15 @@
 // Multiple requests may be in flight on one connection; responses are
 // matched by id, so a slow request does not stall the pipeline.
 //
+// A request too long for one frame travels as several frames sharing
+// one id on one connection (CallStreamContextID): flagMore on every
+// frame but the last, flagCont on every frame but the first, each
+// continuation frame's budget field carrying its position so a lost or
+// reordered frame fails the request instead of shortening it. There are
+// no separate begin or end frames — the frames' payloads are simply
+// consecutive runs of the request's bytes — and the response is the one
+// ordinary frame.
+//
 // The session id gives the transport at-most-once semantics across
 // connection failures: every Client stamps its frames with one random
 // session id, request ids are unique within a session, and the server
@@ -61,13 +70,21 @@ const (
 	flagResponse = 1 << 0
 	flagError    = 1 << 1
 	flagBusy     = 1 << 2
-	// flagStream marks a request frame that belongs to a chunked
-	// stream: the first such frame for a (session, id) opens the
-	// stream and dispatches the handler; later frames with the same id
-	// are continuation chunks consumed by that handler via
-	// StreamFrom(ctx). The server answers the whole stream with the
-	// single response frame the handler returns.
-	flagStream = 1 << 3
+	// flagMore marks a request frame that is not the last of its
+	// request: further frames with the same (session, id) follow on the
+	// same connection. A request that fits one frame carries neither
+	// flagMore nor flagCont and is an ordinary call.
+	flagMore = 1 << 3
+	// flagCont marks a continuation frame: its payload is the next run
+	// of bytes of the request a flagMore frame with the same id opened.
+	// The handler dispatched for the head frame consumes continuations
+	// through StreamFrom(ctx) and answers the whole request with one
+	// response frame. A continuation frame's budget field carries its
+	// position within the request instead of a deadline (the head frame
+	// fixed the deadline), so the receiver rejects a request with a
+	// lost or reordered frame instead of taking the remainder as
+	// complete.
+	flagCont = 1 << 4
 )
 
 // MsgBusy is the message type of an admission-rejection response: the
@@ -290,7 +307,9 @@ type HandlerFunc func(ctx context.Context, payload []byte) ([]byte, error)
 // carry. class partitions legitimately different sizes (batch size);
 // strictReq/strictResp say whether the request/response length is
 // pinned within the class. Unclassified message types return
-// (0, false, false) and feed only the length distributions.
+// (0, false, false) and feed only the length distributions. Of a
+// multi-frame request only the first frame is shown to the classifier;
+// the transport derives the other frames' classes from it (frameShape).
 type ShapeClassifier func(msgType byte, payload []byte) (class uint64, strictReq, strictResp bool)
 
 // An Observer sees exactly what a network adversary at the server
@@ -422,20 +441,6 @@ func (s *Server) AuditShape(a *obs.ShapeAuditor, classify ShapeClassifier) {
 	s.shapeMu.Unlock()
 }
 
-// auditExchange records one request/response pair with the shape
-// auditor, if installed.
-func (s *Server) auditExchange(msgType byte, payload, resp []byte, flags byte) {
-	s.shapeMu.RLock()
-	a, classify := s.shapeAud, s.shapeClassify
-	s.shapeMu.RUnlock()
-	if a == nil {
-		return
-	}
-	class, strictReq, strictResp := classify(msgType, payload)
-	a.Observe("in", msgType, class, strictReq, len(payload))
-	a.Observe("out", msgType, class, strictResp && flags&flagError == 0, len(resp))
-}
-
 // SetObserver installs an adversary's-eye traffic observer, invoked
 // once per served request with the exchanged payload sizes.
 func (s *Server) SetObserver(obs Observer) {
@@ -508,71 +513,114 @@ func (s *Server) untrack(conn net.Conn) {
 	}
 }
 
-// streamChunkBuffer bounds how many undelivered chunk frames a stream
+// streamFrameBuffer bounds how many undelivered continuation frames a
 // handler can fall behind by before the connection's read loop blocks,
 // back-pressuring the sender through TCP instead of buffering an
-// unbounded table in server memory.
-const streamChunkBuffer = 8
+// unbounded request in server memory.
+const streamFrameBuffer = 8
 
-// A StreamReader delivers the continuation chunk payloads of a
-// streamed request (flagStream) to its handler, in arrival order.
-type StreamReader struct {
-	ch       chan []byte
-	connDone chan struct{} // closed when the carrying connection's read loop exits
+// A frameShape tracks one multi-frame request for the shape auditor.
+// Only the head frame is self-describing; continuation frame k is
+// audited under the head's class extended by k, which pins its length
+// because senders cut frames by a rule over public parameters alone.
+// The last frame's length — and the response's — also depends on how
+// many elements the request carries, which the head frame cannot say,
+// so their class folds in the request's total length.
+type frameShape struct {
+	head, last            uint64 // classes of the head frame and of the last frame
+	strictReq, strictResp bool
+	total                 int // request bytes so far
 }
 
-// Next returns the next chunk payload, blocking until one arrives, ctx
-// expires, or the carrying connection is lost (no more chunks can ever
-// arrive).
-func (sr *StreamReader) Next(ctx context.Context) ([]byte, error) {
-	select {
-	case p := <-sr.ch:
-		return p, nil
-	default:
+// cont accounts for the continuation frame at position k (the head is
+// position 0), n bytes long, and returns its class.
+func (fs *frameShape) cont(k uint32, n int, last bool) uint64 {
+	fs.total += n
+	c := fs.head ^ uint64(k)*0x9E3779B97F4A7C15
+	if last {
+		c ^= uint64(fs.total) * 0xC2B2AE3D27D4EB4F
+		fs.last = c
 	}
+	return c
+}
+
+// response returns the class the request's response is audited under:
+// the last frame's once the whole request went by, else the head's.
+func (fs *frameShape) response(complete bool) uint64 {
+	if complete {
+		return fs.last
+	}
+	return fs.head
+}
+
+// A streamFrame is one continuation frame on its way to the handler.
+type streamFrame struct {
+	payload []byte
+	more    bool // further frames follow
+	lost    bool // a frame before this one never arrived
+}
+
+// streamState is the read loop's record of one inbound multi-frame
+// request.
+type streamState struct {
+	ch    chan streamFrame
+	done  chan struct{} // closed when the handler has produced its response
+	next  uint32        // position the next continuation frame must carry
+	shape frameShape
+}
+
+// A StreamReader delivers the continuation frames of a multi-frame
+// request to its handler, in order.
+type StreamReader struct {
+	st       *streamState
+	connDone chan struct{} // closed when the carrying connection's read loop exits
+	complete bool          // the handler consumed the request's last frame
+}
+
+// Next returns the next continuation payload and whether further
+// frames follow it. It blocks until a frame arrives, ctx expires, or
+// the carrying connection is lost. A request one of whose frames was
+// lost or reordered fails here: the frames that did arrive can never
+// pass for the whole request.
+func (sr *StreamReader) Next(ctx context.Context) (payload []byte, more bool, err error) {
+	var f streamFrame
 	select {
-	case p := <-sr.ch:
-		return p, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-sr.connDone:
-		// Drain anything the read loop delivered before dying.
+	case f = <-sr.st.ch:
+	default:
 		select {
-		case p := <-sr.ch:
-			return p, nil
-		default:
-			return nil, errors.New("transport: stream connection lost")
+		case f = <-sr.st.ch:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		case <-sr.connDone:
+			// Drain anything the read loop delivered before dying.
+			select {
+			case f = <-sr.st.ch:
+			default:
+				return nil, false, errors.New("transport: connection lost mid-request")
+			}
 		}
 	}
+	if f.lost {
+		return nil, false, errors.New("transport: request frame lost or out of order")
+	}
+	sr.complete = !f.more
+	return f.payload, f.more, nil
 }
 
 type streamCtxKey struct{}
 
 // StreamFrom returns the request's StreamReader when the handler was
-// dispatched for a streamed request, or nil for a monolithic one.
+// dispatched for the head of a multi-frame request, or nil when the
+// payload is the whole request.
 func StreamFrom(ctx context.Context) *StreamReader {
 	sr, _ := ctx.Value(streamCtxKey{}).(*StreamReader)
 	return sr
 }
 
-// streamState is the read loop's record of one active inbound stream.
-type streamState struct {
-	ch   chan []byte
-	done chan struct{} // closed when the stream's handler has produced its response
-}
-
-// auditFrame records a single direction-only frame observation (a
-// stream continuation chunk, which has no paired response) with the
-// shape auditor, if installed.
-func (s *Server) auditFrame(msgType byte, payload []byte) {
+func (s *Server) shape() (*obs.ShapeAuditor, ShapeClassifier) {
 	s.shapeMu.RLock()
-	a, classify := s.shapeAud, s.shapeClassify
-	s.shapeMu.RUnlock()
-	if a == nil {
-		return
-	}
-	class, strictReq, _ := classify(msgType, payload)
-	a.Observe("in", msgType, class, strictReq, len(payload))
+	defer s.shapeMu.RUnlock()
+	return s.shapeAud, s.shapeClassify
 }
 
 // serveConn reads request frames until the connection fails or Close
@@ -585,17 +633,61 @@ func (s *Server) serveConn(conn net.Conn) {
 	var pending sync.WaitGroup
 	defer pending.Wait()
 	// connDone closes before pending.Wait runs (defers are LIFO), so a
-	// stream handler blocked on chunks that will never arrive wakes up
-	// instead of deadlocking shutdown.
+	// handler blocked on frames that will never arrive wakes up instead
+	// of deadlocking shutdown.
 	connDone := make(chan struct{})
 	defer close(connDone)
-	// streams tracks active inbound streams by request id. Only this
-	// read loop touches the map; handlers see the chunk channel.
+	// streams tracks inbound multi-frame requests by request id. Only
+	// this read loop touches the map; handlers see the frame channel.
 	var streams map[uint64]*streamState
 	for {
 		sid, id, tr, budget, msgType, flags, payload, err := readFrame(conn)
 		if err != nil {
 			return // closed, draining, or corrupt; stop reading
+		}
+		m := s.metrics.Load()
+		if m != nil {
+			m.framesIn.Inc()
+			m.bytesIn.Add(int64(headerSize + len(payload)))
+		}
+		if flags&flagCont != 0 {
+			// Every continuation frame crossed the wire, so every one is
+			// shown to the observer and the auditor — strictly while its
+			// request is open, as an unclassifiable orphan once the handler
+			// has answered (early error, shed, dedup replay) or a frame
+			// before it was lost.
+			s.observe(msgType, len(payload), 0)
+			st := streams[id]
+			if st != nil {
+				select {
+				case <-st.done:
+					st = nil
+				default:
+				}
+			}
+			f := streamFrame{payload: payload, more: flags&flagMore != 0}
+			var class uint64
+			var strict bool
+			aud, _ := s.shape()
+			if st != nil {
+				if f.lost = budget != st.next; !f.lost && aud != nil {
+					class, strict = st.shape.cont(st.next, len(payload), !f.more), st.shape.strictReq
+				}
+				st.next++
+			}
+			aud.Observe("in", msgType, class, strict, len(payload))
+			if st == nil || f.lost || !f.more {
+				delete(streams, id)
+			}
+			if st != nil {
+				// A full buffer blocks this read loop — deliberate
+				// backpressure — unless the handler finishes first.
+				select {
+				case st.ch <- f:
+				case <-st.done:
+				}
+			}
+			continue
 		}
 		// Rehydrate the frame's millisecond budget into an absolute
 		// deadline at arrival time: queue time spent here counts against
@@ -604,76 +696,52 @@ func (s *Server) serveConn(conn net.Conn) {
 		if budget > 0 {
 			deadline = time.Now().Add(time.Duration(budget) * time.Millisecond)
 		}
-		m := s.metrics.Load()
-		if m != nil {
-			m.framesIn.Inc()
-			m.bytesIn.Add(int64(headerSize + len(payload)))
-		}
 		var sr *StreamReader
-		if flags&flagStream != 0 {
-			isBegin := len(payload) > 0 && payload[0] == wire.StreamBegin
-			if st, ok := streams[id]; ok {
-				stale := false
+		if flags&flagMore != 0 {
+			// Head of a multi-frame request: open the stream, then
+			// dispatch the head payload like any request with the reader
+			// attached. (A request resent after it completed re-dispatches
+			// here and is answered from the dedup cache like any retry.)
+			if old := streams[id]; old != nil {
+				// A second head for a request still arriving: what follows
+				// can no longer be attributed to either, so the open request
+				// fails as if a frame had been lost and this frame is dropped
+				// like any orphan.
+				delete(streams, id)
 				select {
-				case <-st.done:
-					// The handler already answered (shed, errored, or
-					// completed): the id's stream is over.
-					stale = true
-					delete(streams, id)
-				default:
-				}
-				if !stale {
-					// Continuation chunk: audit it as the adversary sees
-					// it, then feed the handler. A full buffer blocks
-					// this read loop — deliberate backpressure — unless
-					// the handler finishes first.
-					s.auditFrame(msgType, payload)
+				case old.ch <- streamFrame{lost: true}:
+					aud, _ := s.shape()
+					aud.Observe("in", msgType, 0, false, len(payload))
 					s.observe(msgType, len(payload), 0)
-					select {
-					case st.ch <- payload:
-					case <-st.done:
-						delete(streams, id)
-					}
 					continue
+				case <-old.done:
 				}
 			}
-			if !isBegin {
-				// A chunk with no open stream: its handler already
-				// finished (early error, shed, or dedup replay). The
-				// frame still crossed the wire, so it is still audited,
-				// then dropped.
-				s.auditFrame(msgType, payload)
-				s.observe(msgType, len(payload), 0)
-				continue
+			st := &streamState{ch: make(chan streamFrame, streamFrameBuffer), done: make(chan struct{}), next: 1}
+			if aud, classify := s.shape(); aud != nil {
+				st.shape.head, st.shape.strictReq, st.shape.strictResp = classify(msgType, payload)
+				st.shape.total = len(payload)
+				aud.Observe("in", msgType, st.shape.head, st.shape.strictReq, len(payload))
 			}
-			// Begin frame: open the stream, then dispatch the begin
-			// payload like a normal request with the reader attached.
-			// (A retried begin re-dispatches here and is answered from
-			// the dedup cache like any monolithic retry.)
 			if streams == nil {
 				streams = make(map[uint64]*streamState)
 			}
-			st := &streamState{ch: make(chan []byte, streamChunkBuffer), done: make(chan struct{})}
 			streams[id] = st
-			sr = &StreamReader{ch: st.ch, connDone: connDone}
-			pending.Add(1)
-			go func() {
-				defer pending.Done()
-				defer close(st.done)
-				s.serveRequest(conn, &wmu, sid, id, tr, deadline, msgType, payload, m, sr)
-			}()
-			continue
+			sr = &StreamReader{st: st, connDone: connDone}
 		}
 		pending.Add(1)
 		go func() {
 			defer pending.Done()
-			s.serveRequest(conn, &wmu, sid, id, tr, deadline, msgType, payload, m, nil)
+			if sr != nil {
+				defer close(sr.st.done)
+			}
+			s.serveRequest(conn, &wmu, sid, id, tr, deadline, msgType, payload, m, sr)
 		}()
 	}
 }
 
-// serveRequest admits, executes, and answers one request frame (the
-// begin frame, for a streamed request).
+// serveRequest admits, executes, and answers one request (dispatched on
+// its head frame when it spans several).
 func (s *Server) serveRequest(conn net.Conn, wmu *sync.Mutex, sid, id uint64, tr trace.SpanContext, deadline time.Time, msgType byte, payload []byte, m *serverMetrics, sr *StreamReader) {
 	var flags byte
 	var resp []byte
@@ -684,7 +752,6 @@ func (s *Server) serveRequest(conn net.Conn, wmu *sync.Mutex, sid, id uint64, tr
 			flags, resp = s.respondReleasing(adm, sid, id, tr, deadline, msgType, payload, m, sr)
 		default: // admitShed, admitExpired — one wire shape for both
 			msgOut, flags, resp = MsgBusy, flagResponse|flagBusy, adm.busyPayload()
-			s.auditBusy(msgType, payload, resp)
 		}
 	} else {
 		flags, resp = s.respond(sid, id, tr, deadline, msgType, payload, m, sr)
@@ -694,9 +761,7 @@ func (s *Server) serveRequest(conn net.Conn, wmu *sync.Mutex, sid, id uint64, tr
 		m.bytesOut.Add(int64(headerSize + len(resp)))
 	}
 	s.observe(msgType, len(payload), len(resp))
-	if msgOut != MsgBusy {
-		s.auditExchange(msgType, payload, resp, flags)
-	}
+	s.auditExchange(msgType, msgOut, payload, resp, flags, sr)
 	wmu.Lock()
 	// Responses echo the request's trace ref, so a traced
 	// caller can stitch both directions into one trace.
@@ -712,29 +777,41 @@ func (s *Server) serveRequest(conn net.Conn, wmu *sync.Mutex, sid, id uint64, tr
 }
 
 // respondReleasing runs respond under an admission slot, releasing it
-// however the handler exits. A streamed request holds its one slot for
-// the whole stream: admission happened at the begin frame, and chunks
-// ride the already-admitted call.
+// however the handler exits. A multi-frame request holds its one slot
+// throughout: admission happened at the head frame, and continuation
+// frames ride the already-admitted call.
 func (s *Server) respondReleasing(adm *admission, sid, id uint64, tr trace.SpanContext, deadline time.Time, msgType byte, payload []byte, m *serverMetrics, sr *StreamReader) (byte, []byte) {
 	defer adm.release()
 	return s.respond(sid, id, tr, deadline, msgType, payload, m, sr)
 }
 
-// auditBusy records a shed exchange with the shape auditor: the
-// request under its own class as usual, the rejection under MsgBusy
-// with the same class and a strictly pinned length — every busy frame
-// is wire.BudgetLen bytes whatever was shed, so the auditor proves
-// shedding is operation-type invisible.
-func (s *Server) auditBusy(msgType byte, payload, resp []byte) {
-	s.shapeMu.RLock()
-	a, classify := s.shapeAud, s.shapeClassify
-	s.shapeMu.RUnlock()
-	if a == nil {
+// auditExchange records one request/response pair with the shape
+// auditor, if installed: the request under its own class (the read loop
+// already recorded the frames of a multi-frame request), the response
+// under the same class. Error responses are observed but never
+// length-checked. A MsgBusy rejection is pinned strictly whatever was
+// shed — every busy frame is wire.BudgetLen bytes — so the auditor
+// proves shedding is operation-type invisible.
+func (s *Server) auditExchange(msgType, msgOut byte, payload, resp []byte, flags byte, sr *StreamReader) {
+	aud, classify := s.shape()
+	if aud == nil {
 		return
 	}
-	class, strictReq, _ := classify(msgType, payload)
-	a.Observe("in", msgType, class, strictReq, len(payload))
-	a.Observe("out", MsgBusy, class, true, len(resp))
+	var class uint64
+	var strictResp bool
+	if sr == nil {
+		var strictReq bool
+		class, strictReq, strictResp = classify(msgType, payload)
+		aud.Observe("in", msgType, class, strictReq, len(payload))
+	} else {
+		class, strictResp = sr.st.shape.response(sr.complete), sr.st.shape.strictResp
+	}
+	if msgOut == MsgBusy {
+		strictResp = true
+	} else if flags&flagError != 0 {
+		strictResp = false
+	}
+	aud.Observe("out", msgOut, class, strictResp, len(resp))
 }
 
 // respond produces the response for one request frame: a dedup-cache
@@ -1148,24 +1225,24 @@ func (c *Client) CallContextID(ctx context.Context, id uint64, msgType byte, pay
 
 // errStreamDone is the sentinel send returns once the peer has already
 // answered (busy, error, or early response): the producer should stop
-// sending and let the stream call return that response.
-var errStreamDone = errors.New("transport: stream already answered")
+// sending and let the call return that response.
+var errStreamDone = errors.New("transport: request already answered")
 
-// CallStreamContextID issues one logical request as a chunked stream
-// of frames sharing the request id: produce is called with a send
-// function and emits the begin, chunk, and end payloads in order; the
-// call then blocks for the single response frame. The payload passed
-// to send is copied before send returns, so the producer may reuse one
-// buffer across chunks — peak memory stays bounded by the chunk size.
+// CallStreamContextID issues one request whose payload is too long for
+// one frame as several frames sharing the request id: produce calls
+// send once per frame, in order, marking the last; the call then blocks
+// for the single response frame. The payload passed to send is copied
+// before send returns, so the producer may reuse one buffer across
+// frames — peak memory stays bounded by the frame size.
 //
-// Streams are conn-affine (every frame rides one pooled connection, in
-// order) and never retried by the transport: a failure after the first
-// frame is ambiguous exactly like a monolithic send failure, and a
-// failure before it is reported as a *NotSentError, which Ambiguous
-// classifies as definite. send returns errStreamDone (an internal
-// sentinel) once the peer has answered early; produce should return
-// any error from send unchanged.
-func (c *Client) CallStreamContextID(ctx context.Context, id uint64, msgType byte, produce func(send func(payload []byte) error) error) ([]byte, error) {
+// Multi-frame requests are conn-affine (every frame rides one pooled
+// connection, in order) and never retried by the transport: a failure
+// after the first frame is ambiguous exactly like a one-frame send
+// failure, and a failure before it is reported as a *NotSentError,
+// which Ambiguous classifies as definite. send returns errStreamDone
+// (an internal sentinel) once the peer has answered early; produce
+// should return any error from send unchanged.
+func (c *Client) CallStreamContextID(ctx context.Context, id uint64, msgType byte, produce func(send func(payload []byte, last bool) error) error) ([]byte, error) {
 	if c.closed.Load() {
 		return nil, &NotSentError{Err: ErrClosed}
 	}
@@ -1206,21 +1283,22 @@ func (c *Client) CallStreamContextID(ctx context.Context, id uint64, msgType byt
 	return resp, err
 }
 
-// callStream runs one streamed call on this connection. All frames are
-// written under wmu in producer order, so chunks arrive in sequence.
-func (cc *clientConn) callStream(ctx context.Context, id uint64, tr trace.SpanContext, msgType byte, produce func(send func(payload []byte) error) error) ([]byte, error) {
+// callStream runs one multi-frame call on this connection. All frames
+// are written under wmu in producer order, so they arrive in sequence.
+func (cc *clientConn) callStream(ctx context.Context, id uint64, tr trace.SpanContext, msgType byte, produce func(send func(payload []byte, last bool) error) error) ([]byte, error) {
 	pc := pendingCall{ch: make(chan result, 1), msgType: msgType}
 	aud, classify := cc.client.shape()
-	registered := false
-	var conn net.Conn // pinned at registration: the whole stream rides one physical conn
+	var shape frameShape
+	var sent uint32   // frames written so far
+	var conn net.Conn // pinned at registration: the whole request rides one physical conn
 	var early *result
-	send := func(payload []byte) error {
+	send := func(payload []byte, last bool) error {
 		if early != nil {
 			return errStreamDone
 		}
-		if registered {
+		if sent > 0 {
 			// An early response (busy, handler error) aborts the
-			// producer: the remaining chunks would only be dropped.
+			// producer: the remaining frames would only be dropped.
 			select {
 			case res := <-pc.ch:
 				early = &res
@@ -1231,22 +1309,24 @@ func (cc *clientConn) callStream(ctx context.Context, id uint64, tr trace.SpanCo
 		if len(payload) > MaxFrameSize-minFrameLen {
 			return ErrFrameTooLarge
 		}
-		// The budget restamps on every frame, so the server's
-		// rehydrated deadline tracks the caller's true remaining time
-		// however long the stream takes to produce.
+		// The head frame carries the caller's remaining budget; a
+		// continuation frame carries its position instead, but still
+		// refuses to go out once the caller's deadline has passed.
 		budget, err := callBudget(ctx)
 		if err != nil {
 			return err
 		}
-		if aud != nil {
-			class, strictReq, strictResp := classify(msgType, payload)
-			if !registered {
-				// The response is audited under the begin frame's class.
-				pc.class, pc.strictResp = class, strictResp
-			}
-			aud.Observe("out", msgType, class, strictReq, len(payload))
+		var flags byte
+		if !last {
+			flags |= flagMore
 		}
-		if !registered {
+		if sent == 0 {
+			if aud != nil {
+				shape.head, shape.strictReq, shape.strictResp = classify(msgType, payload)
+				shape.total = len(payload)
+				aud.Observe("out", msgType, shape.head, shape.strictReq, len(payload))
+				pc.class, pc.strictResp = shape.head, shape.strictResp
+			}
 			cc.mu.Lock()
 			if cc.dead != nil {
 				err := cc.dead
@@ -1256,33 +1336,48 @@ func (cc *clientConn) callStream(ctx context.Context, id uint64, tr trace.SpanCo
 			conn = cc.conn
 			cc.pending[id] = pc
 			cc.mu.Unlock()
-			registered = true
+		} else {
+			flags |= flagCont
+			budget = sent
+			if aud != nil {
+				aud.Observe("out", msgType, shape.cont(sent, len(payload), last), shape.strictReq, len(payload))
+				if last {
+					// The response is audited under the last frame's class.
+					pc.class = shape.last
+					cc.mu.Lock()
+					if _, ok := cc.pending[id]; ok {
+						cc.pending[id] = pc
+					}
+					cc.mu.Unlock()
+				}
+			}
 		}
+		sent++
 		cc.wmu.Lock()
-		err = writeFrame(conn, cc.client.session, id, tr, budget, msgType, flagStream, payload)
+		err = writeFrame(conn, cc.client.session, id, tr, budget, msgType, flags, payload)
 		cc.wmu.Unlock()
 		if err != nil {
-			return fmt.Errorf("transport: stream send: %w", err)
+			return fmt.Errorf("transport: send: %w", err)
 		}
 		cc.client.bytesSent.Add(int64(headerSize + len(payload)))
 		return nil
 	}
 	perr := produce(send)
 	if perr != nil && !errors.Is(perr, errStreamDone) {
-		if registered {
+		if sent > 0 {
 			cc.mu.Lock()
 			delete(cc.pending, id)
 			cc.mu.Unlock()
-			// At least the begin frame may have reached the peer: the
-			// outcome is unknown, exactly like a monolithic send failure.
+			// At least the head frame may have reached the peer: the
+			// outcome is unknown, exactly like a one-frame send failure.
 			return nil, perr
 		}
 		return nil, &NotSentError{Err: perr}
 	}
-	if !registered {
+	if sent == 0 {
 		// produce sent nothing and reported success — a producer bug,
 		// but a definite one.
-		return nil, &NotSentError{Err: errors.New("transport: stream produced no frames")}
+		return nil, &NotSentError{Err: errors.New("transport: request produced no frames")}
 	}
 	cc.client.calls.Add(1)
 	if early != nil {
