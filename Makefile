@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify verify-benchmark bench bench-batch bench-json bench-smoke trace-smoke aggregate-smoke failover-smoke overload-smoke stream-smoke crash experiments
+.PHONY: build test vet race verify verify-benchmark bench bench-batch bench-json bench-smoke trace-smoke aggregate-smoke drills failover-smoke overload-smoke stream-smoke crash experiments
 
 build:
 	$(GO) build ./...
@@ -58,11 +58,12 @@ bench-smoke:
 	$(GO) test -run XXX -bench 'Kernel1KiB|LBLBuildRequest|SealLabel|OpenLabel' -benchtime 5x ./internal/core/ ./internal/crypto/secretbox/
 	$(GO) run ./cmd/ortoa-bench -experiment bench -bench-baseline BENCH_5.json
 
-# trace-smoke runs the one-trace Fig 3c experiment: a traced LBL
-# workload must yield a complete cross-process span tree whose stage
-# spans sum to the end-to-end span within 1%, with zero obliviousness
-# shape violations while tracing is on (DESIGN.md §13). The experiment
-# self-audits; a zero exit is the assertion.
+# trace-smoke runs the measured Fig 3c experiment: one instrumented and
+# traced LBL workload must yield a complete cross-process span tree
+# whose stage spans sum to the end-to-end span within 1%, stage
+# histograms whose means sum to the end-to-end mean within 10%, and zero
+# obliviousness shape violations while tracing is on (DESIGN.md §13).
+# The experiment self-audits; a zero exit is the assertion.
 trace-smoke:
 	$(GO) run ./cmd/ortoa-bench -experiment trace -quick
 
@@ -72,44 +73,35 @@ trace-smoke:
 aggregate-smoke:
 	$(GO) run ./cmd/ortoa-bench -experiment aggregate -quick
 
-# failover-smoke runs the multi-proxy high-availability experiment in
-# quick mode: proxy-count scaling plus the kill-and-adopt drill — one
-# proxy is crash-killed mid-workload, survivors adopt its counter
-# ranges through the epoch fence, and the experiment self-audits that
-# no acknowledged write was lost and no obliviousness shape violation
-# occurred (DESIGN.md §14). A zero exit is the assertion.
-failover-smoke:
-	$(GO) run ./cmd/ortoa-bench -experiment failover -quick
+# drills runs every fault drill through ortoa-bench: chaos (transport
+# faults, then the same with a proxy crash-restart), failover
+# (kill-and-adopt across the epoch fence, DESIGN.md §14), overload (10x
+# offered load against admission control, §15) and stream (requests cut
+# under a frame budget, reset mid-request, §16) in -quick mode, and crash
+# (50 seeded kill/restart cycles under the group-commit WAL, the
+# SyncNever rollback phase and the never-vs-group-commit throughput
+# bound, §10) at full scale. Every drill stands on the same
+# harness.Cluster and runs the one workload and audit of
+# internal/harness/drill.go under its own fault — no acknowledged write
+# lost, at most one round per counter value, zero obliviousness shape
+# violations — plus whatever it adds (goodput floor, speedup gate, fence
+# crossings). The experiments self-audit; a zero exit is the assertion.
+# `make drill-<id>` runs one; CI runs them as one matrix job.
+DRILLS := chaos failover overload stream crash
 
-# overload-smoke runs the overload-shedding experiment in quick mode:
-# an admission-limited 2-proxy cluster is offered 10x its provisioned
-# concurrency, and the experiment self-audits that goodput stays >=70%
-# of measured capacity, accepted-request p99 stays bounded, no
-# acknowledged write is lost, and the shape auditor records zero
-# length violations — shedding is operation-type invisible
-# (DESIGN.md §15). A zero exit is the assertion.
-overload-smoke:
-	$(GO) run ./cmd/ortoa-bench -experiment overload -quick
+drills: $(DRILLS:%=drill-%)
 
-# stream-smoke runs the request-streaming experiment in quick mode:
-# access requests sent whole vs cut under a frame budget, over a link
-# calibrated so one table costs about one build time on the wire. The
-# experiment self-audits — it fails unless the cut request beats the
-# whole one by the gate factor, crosses as exactly RequestFrames(1)
-# frames with none over budget, the mid-request fault drill loses no
-# acknowledged write, and the shape auditors record zero length
-# violations (DESIGN.md §16). A zero
-# exit is the assertion.
-stream-smoke:
-	$(GO) run ./cmd/ortoa-bench -experiment stream -quick
-
-# crash runs the kill/restart durability experiment at full scale:
-# 50 seeded crash/recovery cycles under the group-commit WAL, the
-# SyncNever rollback/reconciliation phase, and the never-vs-group-
-# commit throughput bound (DESIGN.md §10). The experiment self-audits;
-# a zero exit is the assertion.
-crash:
+drill-crash:
 	$(GO) run ./cmd/ortoa-bench -experiment crash
+
+drill-%:
+	$(GO) run ./cmd/ortoa-bench -experiment $* -quick
+
+# The per-drill names README, DESIGN.md and the verify skill use.
+failover-smoke: drill-failover
+overload-smoke: drill-overload
+stream-smoke: drill-stream
+crash: drill-crash
 
 experiments:
 	$(GO) run ./cmd/ortoa-bench -quick

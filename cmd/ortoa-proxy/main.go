@@ -47,9 +47,6 @@ func main() {
 	stateEvery := flag.Duration("state-interval", 0, "also save -state crash-atomically this often, bounding the counter-loss window (0 disables)")
 	aggWindow := flag.Duration("agg-window", 0, "coalesce concurrent client accesses into shared batch round trips, waiting at most this long per window (LBL; 0 disables)")
 	aggMaxBatch := flag.Int("agg-max-batch", 0, "dispatch an aggregation window early at this many accesses (0 = default 64)")
-	aggMaxPending := flag.Int("agg-max-pending", 0, "reject client accesses beyond this many admitted-but-unanswered (0 = default 4x max-batch)")
-	aggBrownoutPending := flag.Int("agg-brownout-pending", 0, "pending depth at which aggregation browns out: bigger batches, quarter-length windows (0 = default half of agg-max-pending)")
-	aggBrownoutMaxBatch := flag.Int("agg-brownout-max-batch", 0, "aggregation window size trigger under brownout (0 = default 2x agg-max-batch)")
 	maxInflight := flag.Int("max-inflight", 0, "handle at most this many client requests concurrently, shedding overload with constant-size busy frames (0 disables admission control)")
 	maxQueue := flag.Int("max-queue", 0, "client requests waiting for an inflight slot before overflow is shed, served newest-first (needs -max-inflight)")
 	shedDeadline := flag.Bool("shed-deadline", true, "drop client requests whose deadline budget expired before doing any work (needs -max-inflight)")
@@ -227,11 +224,8 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() {
 		serveErr <- client.ServeProxyOptions(l, ortoa.ProxyServeOptions{
-			AggWindow:           *aggWindow,
-			AggMaxBatch:         *aggMaxBatch,
-			AggMaxPending:       *aggMaxPending,
-			AggBrownoutPending:  *aggBrownoutPending,
-			AggBrownoutMaxBatch: *aggBrownoutMaxBatch,
+			AggWindow:   *aggWindow,
+			AggMaxBatch: *aggMaxBatch,
 			Admission: ortoa.AdmissionOptions{
 				MaxInflight:  *maxInflight,
 				MaxQueue:     *maxQueue,

@@ -15,7 +15,7 @@ import (
 // the same counter value, or the second would target labels the first
 // already replaced.
 type counterTable struct {
-	shards [64]counterShard
+	shards [NumRanges]counterShard // lock stripes, one per counter range
 }
 
 type counterShard struct {
@@ -42,13 +42,7 @@ func newCounterTable() *counterTable {
 }
 
 func (t *counterTable) shardFor(key string) *counterShard {
-	// FNV-1a, inlined to avoid an allocation per access.
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return &t.shards[h%64]
+	return &t.shards[RangeOf(key)]
 }
 
 // acquire locks key's counter and returns its entry. The caller must

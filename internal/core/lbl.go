@@ -634,7 +634,7 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess) AccessStats {
 		spRec := root.Child("label_recover")
 		slotLen := p.cfg.ResponseBytesPerAccess()
 		outer, inner := fanOut(len(live), p.cfg.Groups())
-		forEach(len(live), outer, func(i int) error { //nolint:errcheck // outcomes land per access
+		ForEach(len(live), outer, func(i int) error { //nolint:errcheck // outcomes land per access
 			a, slot := live[i], resp[i*slotLen:(i+1)*slotLen]
 			if a.err = slotError(slot[0]); a.err == nil {
 				a.value, a.err = p.recoverWorkers(a.Op, a.Key, a.Value, a.entry.ct+1, slot[1:], inner)
@@ -814,7 +814,7 @@ func (p *LBLProxy) buildFrame(frame []byte, runs []run, specs []tableSpec) error
 		total += r.g1 - r.g0
 	}
 	outer, inner := fanOut(len(runs), total/len(runs))
-	return forEach(len(runs), outer, func(i int) error {
+	return ForEach(len(runs), outer, func(i int) error {
 		r, s := runs[i], &specs[runs[i].seg]
 		return p.buildGroups(tables[i], s.key, s.op, s.value, s.ct, r.g0, r.g1, inner)
 	})
@@ -860,10 +860,10 @@ func fanOut(jobs, groups int) (outer, inner int) {
 	return min(w, jobs), max(w/jobs, 1)
 }
 
-// forEach runs fn(i) for i in [0, n) across workers goroutines and
+// ForEach runs fn(i) for i in [0, n) across workers goroutines and
 // returns their errors joined; with one worker it runs inline and stops
 // at the first error.
-func forEach(n, workers int, fn func(i int) error) error {
+func ForEach(n, workers int, fn func(i int) error) error {
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
@@ -908,7 +908,7 @@ func (p *LBLProxy) buildGroups(table []byte, key string, op Op, newValue []byte,
 	}
 	workers = min(workers, n)
 	seed := newShuffleSeed()
-	return forEach(workers, workers, func(wk int) error {
+	return ForEach(workers, workers, func(wk int) error {
 		return p.buildGroupRange(table, gen.Clone(), seed.stream(uint32(wk)), op, newValue, ct,
 			g0+n*wk/workers, g0+n*(wk+1)/workers, g0)
 	})

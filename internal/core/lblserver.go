@@ -418,7 +418,7 @@ func (req *lblRequest) consume(frame []byte) error {
 	}
 	// Runs in one frame belong to different keys, so they fan out across
 	// workers like whole keys do.
-	forEach(len(runs), min(len(runs), runtime.GOMAXPROCS(0)), func(i int) error { //nolint:errcheck // outcomes land per segment
+	ForEach(len(runs), min(len(runs), runtime.GOMAXPROCS(0)), func(i int) error { //nolint:errcheck // outcomes land per segment
 		req.decrypt(runs[i])
 		return nil
 	})
@@ -514,7 +514,7 @@ func (req *lblRequest) finish() ([]byte, error) {
 	// cache, so it must be freshly allocated, never pooled.
 	slotLen := 1 + req.geo.groups*prf.Size
 	out := make([]byte, n*slotLen)
-	forEach(n, min(n, runtime.GOMAXPROCS(0)), func(i int) error { //nolint:errcheck // outcomes land per slot
+	ForEach(n, min(n, runtime.GOMAXPROCS(0)), func(i int) error { //nolint:errcheck // outcomes land per slot
 		slot := out[i*slotLen : (i+1)*slotLen]
 		slot[0] = req.install(req.segs[i], slot[1:])
 		return nil

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"sort"
+	"strconv"
+)
 
 // Counter-range partitioning for multi-proxy deployments. The LBL
 // proxy's only irreplaceable state is the per-key access counter
@@ -21,16 +24,21 @@ import "sort"
 // deployments the failover experiment scales to.
 const NumRanges = 64
 
-// RangeOf maps a plaintext key to its counter range. Same inlined
-// FNV-1a as counterTable.shardFor, so the mapping allocates nothing on
-// the access path.
-func RangeOf(key string) uint32 {
+// RangeOf maps a plaintext key to its counter range — the one place a
+// key is hashed for placement: the proxy's counter table stripes its
+// locks by it, proxies own ranges, and sharded deployments place whole
+// ranges (RangePlacement).
+func RangeOf(key string) uint32 { return uint32(fnv1a(key) % NumRanges) }
+
+// fnv1a is 64-bit FNV-1a, written out because hash/fnv costs an
+// allocation per call on the access path.
+func fnv1a(s string) uint64 {
 	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
-	return uint32(h % NumRanges)
+	return h
 }
 
 // ringVnodes is the number of virtual points each member contributes
@@ -55,17 +63,6 @@ type ringPoint struct {
 	owner string
 }
 
-// ringHash hashes a ring point name onto the circle (FNV-1a over the
-// full 64-bit space, distinct from RangeOf's mod-NumRanges fold).
-func ringHash(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // NewRing builds the ring for the given member names. Order does not
 // matter and duplicates are ignored; an empty member set yields a ring
 // that owns nothing (Owner returns "").
@@ -88,7 +85,7 @@ func NewRing(members []string) *Ring {
 	for _, m := range r.members {
 		for v := 0; v < ringVnodes; v++ {
 			vbuf = [8]byte{byte(v), byte(v >> 8), '#', 'v', 'n', 'o', 'd', 'e'}
-			r.points = append(r.points, ringPoint{ringHash(m + string(vbuf[:])), m})
+			r.points = append(r.points, ringPoint{fnv1a(m + string(vbuf[:])), m})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -108,7 +105,7 @@ func NewRing(members []string) *Ring {
 // resolve walks clockwise from the range's position to the first
 // member point.
 func (r *Ring) resolve(rangeID uint32) string {
-	h := ringHash(rangeIDName(rangeID))
+	h := fnv1a(rangeIDName(rangeID))
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap
@@ -147,4 +144,24 @@ func (r *Ring) Ranges(member string) []uint32 {
 		}
 	}
 	return out
+}
+
+// RangePlacement spreads the counter ranges over n shards through a
+// ring of shard names and returns the shard index holding each range,
+// so a sharded deployment places keys by the same unit proxy ownership
+// moves: growing or shrinking the shard set relocates only the ranges
+// consistent hashing must move.
+func RangePlacement(n int) [NumRanges]int {
+	names := make([]string, n)
+	index := make(map[string]int, n)
+	for i := range names {
+		names[i] = "shard-" + strconv.Itoa(i)
+		index[names[i]] = i
+	}
+	ring := NewRing(names)
+	var placement [NumRanges]int
+	for rid := range placement {
+		placement[rid] = index[ring.Owner(uint32(rid))]
+	}
+	return placement
 }

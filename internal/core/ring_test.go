@@ -151,3 +151,34 @@ func TestRingMembershipEdgeCases(t *testing.T) {
 		t.Error("member order changed the assignment")
 	}
 }
+
+// TestRangePlacement pins the one placement function sharded
+// deployments share with proxy ownership: every range lands on a valid
+// shard, every shard of a realistic deployment holds some, and growing
+// the shard set moves ranges only onto the new shard.
+func TestRangePlacement(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		placement := RangePlacement(n)
+		held := make([]int, n)
+		for rid, si := range placement {
+			if si < 0 || si >= n {
+				t.Fatalf("n=%d: range %d placed on shard %d", n, rid, si)
+			}
+			held[si]++
+		}
+		for si, c := range held {
+			if c == 0 {
+				t.Errorf("n=%d: shard %d holds no range (%v)", n, si, held)
+			}
+		}
+		grown := RangePlacement(n + 1)
+		for rid := range placement {
+			if grown[rid] != placement[rid] && grown[rid] != n {
+				t.Errorf("n=%d→%d: range %d moved from shard %d to old shard %d", n, n+1, rid, placement[rid], grown[rid])
+			}
+		}
+	}
+	if got, want := RangePlacement(3)[RangeOf("some-key")], RangePlacement(3)[RangeOf("some-key")]; got != want {
+		t.Errorf("placement not deterministic: %d then %d", got, want)
+	}
+}

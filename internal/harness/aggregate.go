@@ -3,14 +3,13 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"ortoa/internal/core"
 	"ortoa/internal/crypto/prf"
-	"ortoa/internal/kvstore"
 	"ortoa/internal/netsim"
 	"ortoa/internal/obs"
+	"ortoa/internal/tier"
 	"ortoa/internal/transport"
 	"ortoa/internal/workload"
 )
@@ -52,13 +51,14 @@ func (g gatedBatchAccessor) AccessBatchResults(ctx context.Context, ops []core.B
 // aggRig is one end-to-end deployment for the aggregate experiment:
 // end-user sessions → proxy front end (netsim loopback) → LBL proxy →
 // server (netsim WAN RTT), with the proxy→server path gated at
-// fallbackWindow concurrent round trips for both compared paths.
+// fallbackWindow concurrent round trips for both compared paths. The
+// tiers are the standard ones (internal/tier); the gate is the one
+// piece this rig interposes.
 type aggRig struct {
-	serverTS *transport.Server
-	proxyTS  *transport.Server
-	rpc      *transport.Client
+	server   *tier.Server
+	proxy    *tier.Proxy
+	front    *tier.Front
 	users    []*transport.Client
-	agg      *core.Aggregator
 	sessions []*core.RemoteAccessor
 }
 
@@ -75,60 +75,52 @@ func newAggRig(sessions, valueSize int, aggregated bool, reg *obs.Registry) (*ag
 	// many-connection singles path would enjoy aggregate bandwidth no
 	// shared uplink provides, hiding the round-trip effect under a
 	// simulation artifact.
-	store := kvstore.New()
-	r.serverTS = transport.NewServer()
-	r.serverTS.AuditShape(obs.NewShapeAuditor(reg, "server"), core.ShapeClassify)
-	core.RegisterLoader(r.serverTS, store)
-	core.NewLBLServer(store).Register(r.serverTS)
+	var err error
+	if r.server, err = tier.NewServer(tier.ServerConfig{ValueSize: valueSize, Metrics: reg}); err != nil {
+		return fail(err)
+	}
 	serverLn := netsim.Listen(netsim.Link{RTT: netsim.London.RTT})
-	go r.serverTS.Serve(serverLn)
+	go r.server.Transport.Serve(serverLn) //nolint:errcheck // returns on Close
 
-	rpc, err := transport.Dial(serverLn.Dial, fallbackWindow)
+	r.proxy, err = tier.NewProxy(tier.ProxyConfig{
+		ValueSize: valueSize,
+		PRF:       prf.NewRandom(),
+		LBL:       core.LBLConfig{Mode: core.LBLPointPermute},
+		Transport: transport.Options{PoolSize: fallbackWindow},
+		Metrics:   reg,
+	}, serverLn.Dial)
 	if err != nil {
 		return fail(err)
 	}
-	r.rpc = rpc
-	rpc.AuditShape(obs.NewShapeAuditor(reg, "proxy"), core.ShapeClassify)
-	proxy, err := core.NewLBLProxy(core.LBLConfig{ValueSize: valueSize, Mode: core.LBLPointPermute}, prf.NewRandom(), rpc)
-	if err != nil {
-		return fail(err)
-	}
-
-	records := make([]core.KV, sessions)
-	for i := range records {
-		value := make([]byte, valueSize)
-		ek, rec, err := proxy.BuildRecord(workload.Key(i), value)
+	for i := 0; i < sessions; i++ {
+		ek, rec, err := r.proxy.BuildRecord(workload.Key(i), make([]byte, valueSize))
 		if err != nil {
 			return fail(err)
 		}
-		records[i] = core.KV{Key: ek, Record: rec}
-	}
-	if err := core.BulkLoad(rpc, records); err != nil {
-		return fail(err)
+		if err := r.server.Store.Put(ek, rec); err != nil {
+			return fail(err)
+		}
 	}
 
 	// Both paths spend the same fallbackWindow-slot budget on server
 	// round trips; aggregation differs only in how many accesses one
 	// slot carries.
 	gate := make(chan struct{}, fallbackWindow)
-	var accessor core.Accessor
+	r.proxy.Accessor = gatedAccessor{slots: gate, next: r.proxy.Accessor}
+	r.proxy.Batch = gatedBatchAccessor{slots: gate, next: r.proxy.Batch}
+	var fcfg tier.FrontConfig
 	if aggregated {
-		r.agg = core.NewAggregator(core.AggregatorConfig{
-			Window:   aggWindowLen,
-			MaxBatch: sessions,
-		}, gatedBatchAccessor{slots: gate, next: proxy})
-		accessor = r.agg
-	} else {
-		accessor = gatedAccessor{slots: gate, next: proxy}
+		fcfg = tier.FrontConfig{AggWindow: aggWindowLen, AggMaxBatch: sessions}
 	}
 
 	// Proxy front end and one connection per end-user session, as in
 	// the §2.1 deployment: every session is an independent client that
 	// issues one access at a time.
-	r.proxyTS = transport.NewServer()
-	core.RegisterProxyService(r.proxyTS, accessor)
+	if r.front, err = r.proxy.NewFront(fcfg); err != nil {
+		return fail(err)
+	}
 	userLn := netsim.Listen(netsim.Loopback)
-	go r.proxyTS.Serve(userLn)
+	go r.front.Transport.Serve(userLn) //nolint:errcheck // returns on Close
 	for s := 0; s < sessions; s++ {
 		uc, err := transport.Dial(userLn.Dial, 1)
 		if err != nil {
@@ -144,17 +136,11 @@ func (r *aggRig) Close() {
 	for _, uc := range r.users {
 		uc.Close()
 	}
-	if r.proxyTS != nil {
-		r.proxyTS.Close()
+	if r.proxy != nil {
+		r.proxy.Close() //nolint:errcheck // best-effort teardown
 	}
-	if r.agg != nil {
-		r.agg.Close()
-	}
-	if r.rpc != nil {
-		r.rpc.Close()
-	}
-	if r.serverTS != nil {
-		r.serverTS.Close()
+	if r.server != nil {
+		r.server.Close() //nolint:errcheck
 	}
 }
 
@@ -192,43 +178,28 @@ func Aggregate(opt Options) (*Table, error) {
 		}
 		defer r.Close()
 
-		before := r.rpc.Stats().Calls
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		errc := make(chan error, 1)
-		for s := 0; s < sessions; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				<-start
-				key := workload.Key(s)
-				for i := 0; i < rounds; i++ {
-					if _, _, err := r.sessions[s].Access(core.OpRead, key, nil); err != nil {
-						select {
-						case errc <- fmt.Errorf("session %d: %w", s, err):
-						default:
-						}
-						return
-					}
-				}
-			}(s)
-		}
+		before := r.proxy.RPC.Stats().Calls
 		begin := time.Now()
-		close(start)
-		wg.Wait()
+		err = core.ForEach(sessions, sessions, func(s int) error {
+			key := workload.Key(s)
+			for i := 0; i < rounds; i++ {
+				if _, _, err := r.sessions[s].Access(core.OpRead, key, nil); err != nil {
+					return fmt.Errorf("session %d: %w", s, err)
+				}
+			}
+			return nil
+		})
 		elapsed := time.Since(begin)
-		select {
-		case err := <-errc:
+		if err != nil {
 			return 0, 0, 0, err
-		default:
 		}
 
 		ops := sessions * rounds
-		rpcs := r.rpc.Stats().Calls - before
+		rpcs := r.proxy.RPC.Stats().Calls - before
 		tput = float64(ops) / elapsed.Seconds()
 		rpcsPerOp = float64(rpcs) / float64(ops)
-		if r.agg != nil {
-			coalesce = r.agg.Stats().CoalesceRatio()
+		if r.front.Agg != nil {
+			coalesce = r.front.Agg.Stats().CoalesceRatio()
 		}
 		if vp, vs := shapeViolations(reg); vp+vs != 0 {
 			return 0, 0, 0, fmt.Errorf("obliviousness shape violations: proxy=%d server=%d", vp, vs)

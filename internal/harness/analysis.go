@@ -7,9 +7,8 @@ import (
 	"ortoa/internal/core"
 	"ortoa/internal/crypto/prf"
 	"ortoa/internal/fhe"
-	"ortoa/internal/kvstore"
 	"ortoa/internal/netsim"
-	"ortoa/internal/transport"
+	"ortoa/internal/obs"
 	"ortoa/internal/workload"
 )
 
@@ -48,61 +47,22 @@ func FHENoise(opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	valueSize := minInt(paperValueSize, params.PlaintextCapacity()-2)
-	cfg := core.FHEConfig{Params: params, ValueSize: valueSize, MaxDegree: 64}
-
-	store := kvstore.New()
-	srv := transport.NewServer()
-	defer srv.Close()
-	listener := netsim.Listen(netsim.Loopback)
-	go srv.Serve(listener) //nolint:errcheck // returns on Close
-	core.NewFHEServer(store, cfg).Register(srv)
-	rpc, err := transport.Dial(listener.Dial, 1)
+	valueSize := min(paperValueSize, params.PlaintextCapacity()-2)
+	rig, err := newFHERig(core.FHEConfig{Params: params, MaxDegree: 64}, valueSize)
 	if err != nil {
 		return nil, err
 	}
-	defer rpc.Close()
-	client, err := core.NewFHEClient(cfg, prf.NewRandom(), rpc)
-	if err != nil {
-		return nil, err
-	}
+	defer rig.Close()
 
-	value := make([]byte, valueSize)
-	for i := range value {
-		value[i] = byte(i)
-	}
-	ek, rec, err := client.BuildRecord("object", value)
-	if err != nil {
-		return nil, err
-	}
-	store.Put(ek, rec)
-
-	failedAt := 0
 	maxAccesses := 20
 	if opt.Quick {
 		maxAccesses = 12
 	}
-	for access := 1; access <= maxAccesses; access++ {
-		got, _, err := client.Access(core.OpRead, "object", nil)
-		ok := err == nil && string(got) == string(value)
-		recNow, gerr := store.Get(ek)
-		if gerr != nil {
-			return nil, gerr
-		}
-		degree := "-"
-		budget := 0
-		if ct, uerr := fhe.UnmarshalCiphertext(params, recNow); uerr == nil {
-			degree = fmt.Sprint(ct.Degree())
-		}
-		budget, berr := client.NoiseBudgetOf(recNow)
-		if berr != nil {
-			budget = -1
-		}
-		t.AddRow(fmt.Sprint(access), degree, fmt.Sprint(budget), fmt.Sprint(len(recNow)), fmt.Sprint(ok))
-		if !ok {
-			failedAt = access
-			break
-		}
+	failedAt, _, err := rig.exhaust(maxAccesses, func(access int, st fheObjectState) {
+		t.AddRow(fmt.Sprint(access), st.degree, fmt.Sprint(st.budget), fmt.Sprint(st.size), fmt.Sprint(st.ok))
+	})
+	if err != nil {
+		return nil, err
 	}
 	if failedAt > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf("decryption degraded at access %d (paper: ~10 with SEAL N=32768 defaults)", failedAt))
@@ -224,21 +184,16 @@ func LBLModeAblation(opt Options) (*Table, error) {
 	}
 	for _, mode := range modes {
 		cfg := core.LBLConfig{ValueSize: paperValueSize, Mode: mode}
-		cluster, err := NewCluster(Config{
-			System: SystemLBL, Link: netsim.Oregon, ValueSize: paperValueSize,
-			LBLMode: mode, ConnsPerShard: minInt(opt.conc(), 64),
-			Data: workload.InitialData(wl),
-		})
+		// The decrypt count is the server's own exported counter, which
+		// outlives the cluster Measure tears down.
+		reg := obs.NewRegistry()
+		res, err := Measure(Config{
+			System: SystemLBL, Link: netsim.Oregon, ValueSize: paperValueSize, LBLMode: mode, Metrics: reg,
+		}, wl, opt.conc(), opt.ops())
 		if err != nil {
-			return nil, err
-		}
-		res, err := Run(RunConfig{Cluster: cluster, Workload: wl, Concurrency: opt.conc(), OpsPerClient: opt.ops()})
-		if err != nil {
-			cluster.Close()
 			return nil, fmt.Errorf("%v: %w", mode, err)
 		}
-		decryptsPerOp := float64(cluster.shards[0].lblSrv.DecryptAttempts()) / float64(res.Ops)
-		cluster.Close()
+		decryptsPerOp := float64(reg.Value("ortoa_lbl_server_decrypt_attempts_total")) / float64(res.Ops)
 		t.AddRow(mode.String(), fmt.Sprint(cfg.ServerBytesPerValue()), fmt.Sprint(cfg.RequestBytesPerAccess()),
 			fmtMS(res.Latency.Mean), fmtTput(res.Throughput), fmt.Sprintf("%.0f", decryptsPerOp))
 	}

@@ -11,7 +11,9 @@ import (
 	"ortoa/internal/crypto/secretbox"
 	"ortoa/internal/kvstore"
 	"ortoa/internal/netsim"
+	"ortoa/internal/tier"
 	"ortoa/internal/transport"
+	"ortoa/internal/wire"
 	"ortoa/internal/workload"
 )
 
@@ -77,18 +79,10 @@ func (p *plainEncryptedAccessor) Access(op core.Op, key string, newValue []byte)
 
 func (p *plainEncryptedAccessor) putRecord(ek, sealed []byte) error {
 	// MsgBaselinePut payload: encKey ‖ uvarint len ‖ sealed.
-	buf := make([]byte, 0, len(ek)+len(sealed)+4)
-	buf = append(buf, ek...)
-	// Single-byte uvarint is fine for test-sized records; fall back to
-	// two-byte form when needed.
-	n := len(sealed)
-	for n >= 0x80 {
-		buf = append(buf, byte(n)|0x80)
-		n >>= 7
-	}
-	buf = append(buf, byte(n))
-	buf = append(buf, sealed...)
-	_, err := p.rpc.Call(core.MsgBaselinePut, buf)
+	w := wire.NewWriter(len(ek) + len(sealed) + 4)
+	w.Raw(ek)
+	w.BytesPfx(sealed)
+	_, err := p.rpc.Call(core.MsgBaselinePut, w.Bytes())
 	return err
 }
 
@@ -101,47 +95,55 @@ func (p *plainEncryptedAccessor) BuildRecord(key string, value []byte) (string, 
 // and plays the adversary. Returns (accuracy, write precision, writes).
 func runSnapshotAttack(target string, numKeys, ops int, writeFrac float64) (float64, float64, int, error) {
 	const valueSize = 16
-	store := kvstore.New()
-	srv := transport.NewServer()
-	defer srv.Close()
-	listener := netsim.Listen(netsim.Loopback)
-	go srv.Serve(listener) //nolint:errcheck // returns on Close
-	rpc, err := transport.Dial(listener.Dial, 1)
-	if err != nil {
-		return 0, 0, 0, err
+	data := make(map[string][]byte, numKeys)
+	for i := 0; i < numKeys; i++ {
+		data[workload.Key(i)] = make([]byte, valueSize)
 	}
-	defer rpc.Close()
 
 	var accessor core.Accessor
-	var builder interface {
-		BuildRecord(key string, value []byte) (string, []byte, error)
-	}
+	var store *kvstore.Store
 	switch target {
 	case "plain-encrypted":
-		core.NewBaselineServer(store).Register(srv)
-		pa := &plainEncryptedAccessor{prf: prf.NewRandom(), rpc: rpc}
-		pa.box, err = secretbox.NewBox(secretbox.NewRandomKey())
+		// The comparison store shares the baseline's server tier; only its
+		// trusted side — reads that do not write back — is its own.
+		srv, err := tier.NewServer(tier.ServerConfig{Protocol: tier.Baseline, ValueSize: valueSize})
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		accessor, builder = pa, pa
-	case "ORTOA-LBL":
-		core.NewLBLServer(store).Register(srv)
-		proxy, perr := core.NewLBLProxy(core.LBLConfig{ValueSize: valueSize, Mode: core.LBLPointPermute}, prf.NewRandom(), rpc)
-		if perr != nil {
-			return 0, 0, 0, perr
+		defer srv.Close()
+		listener := netsim.Listen(netsim.Loopback)
+		go srv.Transport.Serve(listener) //nolint:errcheck // returns on Close
+		rpc, err := transport.Dial(listener.Dial, 1)
+		if err != nil {
+			return 0, 0, 0, err
 		}
-		accessor, builder = proxy, proxy
+		defer rpc.Close()
+		pa := &plainEncryptedAccessor{prf: prf.NewRandom(), rpc: rpc}
+		if pa.box, err = secretbox.NewBox(secretbox.NewRandomKey()); err != nil {
+			return 0, 0, 0, err
+		}
+		for key, value := range data {
+			ek, rec, err := pa.BuildRecord(key, value)
+			if err != nil {
+				return 0, 0, 0, err
+			}
+			if err := srv.Store.Put(ek, rec); err != nil {
+				return 0, 0, 0, err
+			}
+		}
+		accessor, store = pa, srv.Store
+	case "ORTOA-LBL":
+		cluster, err := NewCluster(Config{
+			System: SystemLBL, Link: netsim.Loopback, ValueSize: valueSize,
+			LBLMode: core.LBLPointPermute, ConnsPerShard: 1, Data: data,
+		})
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		defer cluster.Close()
+		accessor, store = cluster.shards[0].px.Accessor, cluster.shards[0].srv.Store
 	default:
 		return 0, 0, 0, fmt.Errorf("unknown target %q", target)
-	}
-
-	for i := 0; i < numKeys; i++ {
-		ek, rec, err := builder.BuildRecord(workload.Key(i), make([]byte, valueSize))
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		store.Put(ek, rec)
 	}
 
 	// snapshot captures a canonical (sorted) image of the store;

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"ortoa/internal/core"
@@ -19,46 +18,37 @@ const fallbackWindow = 16
 // LBL batch RPC per touched shard, and returns values in input order.
 // Only SystemLBL clusters support it.
 func (c *Cluster) AccessBatch(ops []core.BatchOp) ([][]byte, error) {
-	perShard := make(map[*shard][]int)
+	perShard := make([][]int, len(c.shards)) // op indices by owning shard
 	for i := range ops {
-		sh := c.shardFor(ops[i].Key)
-		perShard[sh] = append(perShard[sh], i)
+		si := c.placement[core.RangeOf(ops[i].Key)]
+		perShard[si] = append(perShard[si], i)
 	}
 	values := make([][]byte, len(ops))
-	var wg sync.WaitGroup
-	errc := make(chan error, 1)
-	for sh, idxs := range perShard {
-		proxy, ok := sh.accessor.(*core.LBLProxy)
-		if !ok {
-			return nil, fmt.Errorf("harness: %T has no batch path", sh.accessor)
+	err := core.ForEach(len(c.shards), len(c.shards), func(si int) error {
+		idxs, px := perShard[si], c.shards[si].px
+		if len(idxs) == 0 {
+			return nil
 		}
-		wg.Add(1)
-		go func(proxy *core.LBLProxy, idxs []int) {
-			defer wg.Done()
-			sub := make([]core.BatchOp, len(idxs))
-			for j, i := range idxs {
-				sub[j] = ops[i]
-			}
-			vals, _, err := proxy.AccessBatch(sub)
-			if err != nil {
-				select {
-				case errc <- err:
-				default:
-				}
-				return
-			}
-			for j, i := range idxs {
-				values[i] = vals[j]
-			}
-		}(proxy, idxs)
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
+		if px == nil || px.LBL == nil {
+			return fmt.Errorf("harness: %s has no batch path", c.cfg.System)
+		}
+		sub := make([]core.BatchOp, len(idxs))
+		for j, i := range idxs {
+			sub[j] = ops[i]
+		}
+		vals, _, err := px.LBL.AccessBatch(sub)
+		if err != nil {
+			return err
+		}
+		for j, i := range idxs {
+			values[i] = vals[j]
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	default:
-		return values, nil
 	}
+	return values, nil
 }
 
 // BatchPipeline measures the batched oblivious-access pipeline against
@@ -129,30 +119,10 @@ func BatchPipeline(opt Options) (*Table, error) {
 			return nil, fmt.Errorf("batched size %d: %w", size, err)
 		}
 		singles, singleRPCs, err := measure(func() error {
-			sem := make(chan struct{}, fallbackWindow)
-			var wg sync.WaitGroup
-			errc := make(chan error, 1)
-			for i := range ops {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					sem <- struct{}{}
-					defer func() { <-sem }()
-					if _, _, err := cluster.Access(ops[i].Op, ops[i].Key, nil); err != nil {
-						select {
-						case errc <- err:
-						default:
-						}
-					}
-				}(i)
-			}
-			wg.Wait()
-			select {
-			case err := <-errc:
+			return core.ForEach(len(ops), fallbackWindow, func(i int) error {
+				_, _, err := cluster.Access(ops[i].Op, ops[i].Key, nil)
 				return err
-			default:
-				return nil
-			}
+			})
 		})
 		cluster.Close()
 		if err != nil {

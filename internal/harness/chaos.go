@@ -1,40 +1,26 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
-	"math/rand/v2"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"ortoa/internal/core"
 	"ortoa/internal/netsim"
-	"ortoa/internal/obs"
 	"ortoa/internal/transport"
 )
 
-// Chaos runs a mixed LBL read/write workload while the link injects
+// Chaos runs the drill workload (drill.go) while the link injects
 // connection resets, delivery stalls, blackholed responses, and timed
 // partition windows, then switches the faults off and audits every
 // key. It is the end-to-end check of the fault-tolerance layer: the
 // paper's protocol analysis (§5) assumes the one round trip completes,
 // and this experiment is where the repo demonstrates what happens when
-// it doesn't.
+// it doesn't. Its fault produces only ambiguity — at-most-once retries
+// absorb everything else — so any definite failure is fatal.
 //
-// The audit asserts the two properties a fault must never break:
-//
-//   - No lost or duplicated writes. Each worker owns a disjoint key
-//     set and tracks the set of values a key may legitimately hold —
-//     the last confirmed value, plus any write whose outcome the
-//     transport left ambiguous. The post-fault read must return a
-//     member of that set.
-//   - Counter/label-schedule consistency. A read only succeeds if the
-//     proxy recognizes every returned label under the key's current
-//     counter (§5.4); after recovery every key must read cleanly, so a
-//     single double-applied or half-applied round — which would
-//     desynchronize the schedule permanently (§5.3.1) — fails the
-//     audit as ErrTampered.
+// A second phase reruns the faults against a 3-proxy HA deployment and
+// crash-restarts one proxy mid-run, so transport faults, ownership
+// handoff, and epoch-fence adoption all overlap; there handoff
+// rejections are legitimate too.
 //
 // Obliviousness under retries is asserted separately by the
 // deterministic-fault test in internal/core (the traces here are
@@ -48,189 +34,32 @@ func Chaos(opt Options) (*Table, error) {
 		Columns: []string{"phase", "ops", "ok", "ambiguous", "retries", "reconnects",
 			"dedup hits", "rounds parked/settled", "faults (reset/stall/hole/part)"},
 	}
-
-	workers := opt.conc()
-	const keysPerWorker = 4
-	opsPerWorker := opt.ops() * 8
-
-	plan := &netsim.FaultPlan{
-		Seed:           42,
-		ResetProb:      0.02,
-		StallProb:      0.05,
-		StallFor:       25 * time.Millisecond,
-		BlackholeProb:  0.03,
-		PartitionEvery: 400 * time.Millisecond,
-		PartitionFor:   60 * time.Millisecond,
-	}
-	link := netsim.Link{RTT: 2 * time.Millisecond, Fault: plan}
-
-	nKeys := workers * keysPerWorker
-	data := make(map[string][]byte, nKeys)
-	keys := make([]string, nKeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("chaos-%04d", i)
-		data[keys[i]] = chaosValue(paperValueSize, uint64(i), 0)
-	}
-
-	reg := obs.NewRegistry()
-	cluster, err := NewCluster(Config{
-		System:        SystemLBL,
-		Link:          link,
-		ValueSize:     paperValueSize,
-		Data:          data,
-		LBLMode:       core.LBLPointPermute,
-		ConnsPerShard: 4,
-		Transport: transport.Options{
-			CallTimeout:      150 * time.Millisecond,
-			Retry:            transport.RetryPolicy{Attempts: 8, Backoff: 5 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
-			ReconnectBackoff: 5 * time.Millisecond,
-		},
-		Metrics: reg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer cluster.Close()
-
-	// Each worker owns keys [w*keysPerWorker, (w+1)*keysPerWorker) and
-	// tracks, per key, every value the key may legitimately hold: the
-	// last confirmed value plus writes with unresolved outcomes. A
-	// successful read collapses the set to what it returned — after
-	// checking membership.
-	type keyState struct {
-		acceptable map[string]bool
-	}
-	var (
-		mu                          sync.Mutex
-		firstFatal                  error
-		totalOps, totalOK, totalAmb int64
-	)
-	states := make([]map[string]*keyState, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(7, uint64(w)))
-			own := keys[w*keysPerWorker : (w+1)*keysPerWorker]
-			st := make(map[string]*keyState, len(own))
-			for _, k := range own {
-				st[k] = &keyState{acceptable: map[string]bool{string(data[k]): true}}
-			}
-			states[w] = st
-			var ops, ok, amb int64
-			var fatal error
-			for i := 0; i < opsPerWorker && fatal == nil; i++ {
-				key := own[rng.IntN(len(own))]
-				ops++
-				if rng.IntN(2) == 0 { // read
-					got, _, err := cluster.Access(core.OpRead, key, nil)
-					switch {
-					case err == nil:
-						if !st[key].acceptable[string(got)] {
-							fatal = fmt.Errorf("worker %d: read %q returned a value no write produced (lost or duplicated write)", w, key)
-							break
-						}
-						ok++
-						st[key].acceptable = map[string]bool{string(got): true}
-					case transport.Ambiguous(err):
-						amb++ // outcome unknown; reads don't change state
-					default:
-						fatal = fmt.Errorf("worker %d: read %q: %w", w, key, err)
-					}
-					continue
-				}
-				val := chaosValue(paperValueSize, uint64(w*opsPerWorker+i), 1)
-				_, _, err := cluster.Access(core.OpWrite, key, val)
-				switch {
-				case err == nil:
-					ok++
-					st[key].acceptable = map[string]bool{string(val): true}
-				case transport.Ambiguous(err):
-					amb++
-					st[key].acceptable[string(val)] = true // may or may not have applied
-				default:
-					fatal = fmt.Errorf("worker %d: write %q: %w", w, key, err)
-				}
-			}
-			mu.Lock()
-			totalOps += ops
-			totalOK += ok
-			totalAmb += amb
-			if fatal != nil && firstFatal == nil {
-				firstFatal = fatal
-			}
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	if firstFatal != nil {
-		return nil, fmt.Errorf("harness: chaos workload: %w", firstFatal)
-	}
-
-	// Recovery audit on a healthy network: every key must read cleanly
-	// (label schedule consistent) and return an acceptable value (no
-	// write lost or applied twice). Residual parked rounds are settled
-	// by these reads' at-most-once replays.
-	plan.SetActive(false)
-	var audited int
-	for w := 0; w < workers; w++ {
-		for key, st := range states[w] {
-			got, _, err := cluster.Access(core.OpRead, key, nil)
-			if err != nil {
-				if errors.Is(err, core.ErrTampered) {
-					return nil, fmt.Errorf("harness: chaos audit: %q label schedule desynchronized: %w", key, err)
-				}
-				return nil, fmt.Errorf("harness: chaos audit: read %q after recovery: %w", key, err)
-			}
-			if !st.acceptable[string(got)] {
-				return nil, fmt.Errorf("harness: chaos audit: %q holds a value no write produced (lost or duplicated write)", key)
-			}
-			audited++
+	for _, proxies := range []int{0, 3} {
+		if err := chaosPhase(t, opt, proxies); err != nil {
+			return nil, err
 		}
-	}
-
-	retries := reg.Counter("ortoa_transport_client_retries_total", "").Value()
-	reconnects := reg.Counter("ortoa_transport_client_reconnects_total", "").Value()
-	dedupHits := reg.Counter("ortoa_transport_server_dedup_hits_total", "").Value()
-	parked := reg.Counter("ortoa_lbl_pending_rounds_total", "").Value()
-	settled := reg.Counter("ortoa_lbl_pending_resolved_total", "").Value()
-	fs := plan.Stats()
-	faults := fmt.Sprintf("%d/%d/%d/%d", fs.Resets, fs.Stalls, fs.Blackholes, fs.PartitionDrops+fs.DialRefusals)
-	counters := fmt.Sprintf("%d/%d", parked, settled)
-	t.AddRow("workload", fmt.Sprint(totalOps), fmt.Sprint(totalOK), fmt.Sprint(totalAmb),
-		fmt.Sprint(retries), fmt.Sprint(reconnects), fmt.Sprint(dedupHits), counters, faults)
-	t.AddRow("audit", fmt.Sprint(audited), fmt.Sprint(audited), "0", "-", "-", "-", "-", "faults off")
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("audit passed: %d keys consistent after %d injected faults — no lost/duplicated writes, label schedules intact", audited, fs.Total()),
-		"ambiguous ops are calls whose outcome the transport could not determine; their parked rounds settle via at-most-once replay on the key's next access")
-	if fs.Total() == 0 {
-		t.Notes = append(t.Notes, "warning: fault plan injected nothing; increase ops for a meaningful run")
-	}
-	if vp, vs := shapeViolations(reg); vp+vs != 0 {
-		return nil, fmt.Errorf("harness: obliviousness shape violations under faults: proxy=%d server=%d", vp, vs)
-	}
-	t.Notes = append(t.Notes, "shape auditor: 0 length violations on either side — retried and replayed frames stayed byte-identical to first sends")
-
-	if err := chaosMultiProxy(t, opt); err != nil {
-		return nil, err
 	}
 	return t, nil
 }
 
-// chaosMultiProxy reruns the fault-injected workload against a 3-proxy
-// HA deployment and crash-restarts one proxy mid-run, so transport
-// faults, ownership handoff, and epoch-fence adoption all overlap. The
-// same two invariants must hold — no lost/duplicated writes, label
-// schedules consistent — plus the failover one: zero obliviousness
-// shape violations across the handoff.
-func chaosMultiProxy(t *Table, opt Options) error {
+// chaosPhase runs the fault-injected drill against a single proxy
+// (proxies == 0) or a proxy fleet one of whose members is
+// crash-restarted halfway through, and appends its rows and notes.
+func chaosPhase(t *Table, opt Options, proxies int) error {
 	workers := opt.conc()
 	const keysPerWorker = 4
 	opsPerWorker := opt.ops() * 8
 
+	var (
+		name, prefix = "", "chaos"           // row and key prefixes
+		seed, gen    = uint64(42), uint64(0) // fault-plan seed, value generation
+		tolerate     = outcomeAmbiguous
+	)
+	if proxies > 0 {
+		name, prefix, seed, gen, tolerate = "mp-", "chaos-mp", 43, 5, outcomeRejected
+	}
 	plan := &netsim.FaultPlan{
-		Seed:           43,
+		Seed:           seed,
 		ResetProb:      0.02,
 		StallProb:      0.05,
 		StallFor:       25 * time.Millisecond,
@@ -238,87 +67,75 @@ func chaosMultiProxy(t *Table, opt Options) error {
 		PartitionEvery: 400 * time.Millisecond,
 		PartitionFor:   60 * time.Millisecond,
 	}
+	keys, data := drillData(prefix, workers*keysPerWorker, paperValueSize, gen)
 
-	nKeys := workers * keysPerWorker
-	data := make(map[string][]byte, nKeys)
-	keys := make([]string, nKeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("chaos-mp-%04d", i)
-		data[keys[i]] = chaosValue(paperValueSize, uint64(i), 5)
-	}
-
-	reg := obs.NewRegistry()
-	cluster, err := NewCluster(Config{
-		System:        SystemLBL,
+	cluster, err := drillCluster(data, Config{
 		Link:          netsim.Link{RTT: 2 * time.Millisecond, Fault: plan},
-		ValueSize:     paperValueSize,
-		Data:          data,
-		LBLMode:       core.LBLPointPermute,
 		ConnsPerShard: 4,
-		Proxies:       3,
+		Proxies:       proxies,
 		Transport: transport.Options{
 			CallTimeout:      150 * time.Millisecond,
 			Retry:            transport.RetryPolicy{Attempts: 8, Backoff: 5 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
 			ReconnectBackoff: 5 * time.Millisecond,
 		},
-		Metrics: reg,
 	})
 	if err != nil {
 		return err
 	}
 	defer cluster.Close()
+	reg := cluster.cfg.Metrics
 
-	// Crash-restart one proxy halfway through: its ranges are adopted by
-	// the survivors under fault injection, then re-adopted back on
-	// demand once it returns.
-	total := int64(workers * opsPerWorker)
-	var done atomic.Int64
-	coordErr := make(chan error, 1)
-	go func() {
-		for done.Load() < total/2 {
-			time.Sleep(time.Millisecond)
-		}
-		coordErr <- cluster.RestartProxy(0)
-	}()
-	states, totals, werr := mixedWorkload(cluster, keys, workers, opsPerWorker, 6, &done, nil)
-	cerr := <-coordErr
-	if werr != nil {
-		return fmt.Errorf("harness: multi-proxy chaos workload: %w", werr)
+	d := newDrill(cluster, keys, workers, gen+1, tolerate)
+	if proxies > 0 {
+		// Crash-restart one proxy halfway through: its ranges are adopted
+		// by the survivors under fault injection, then re-adopted back on
+		// demand once it returns.
+		d.at(int64(workers*opsPerWorker/2), func() error {
+			if err := cluster.KillProxy(0); err != nil {
+				return err
+			}
+			// The link may be inside a partition window when the proxy
+			// comes back; like a supervised daemon, retry its startup dial.
+			err := cluster.RecoverProxy(0)
+			for attempt := 0; err != nil && attempt < 50; attempt++ {
+				time.Sleep(10 * time.Millisecond)
+				err = cluster.RecoverProxy(0)
+			}
+			return err
+		})
 	}
-	if cerr != nil {
-		return fmt.Errorf("harness: multi-proxy chaos restart: %w", cerr)
+	if err := d.run(opsPerWorker); err != nil {
+		return fmt.Errorf("harness: %schaos workload: %w", name, err)
 	}
 
+	// Recovery audit on a healthy network. Residual parked rounds are
+	// settled by these reads' at-most-once replays.
 	plan.SetActive(false)
-	audited, err := auditKeys(cluster, states)
+	audited, err := d.audit()
 	if err != nil {
-		return fmt.Errorf("harness: multi-proxy chaos audit: %w", err)
-	}
-	if vp, vs := shapeViolations(reg); vp+vs != 0 {
-		return fmt.Errorf("harness: obliviousness shape violations under multi-proxy faults: proxy=%d server=%d", vp, vs)
+		return fmt.Errorf("harness: %schaos audit: %w", name, err)
 	}
 
-	retries := reg.Value("ortoa_transport_client_retries_total")
-	reconnects := reg.Value("ortoa_transport_client_reconnects_total")
-	dedupHits := reg.Value("ortoa_transport_server_dedup_hits_total")
-	counters := fmt.Sprintf("%d/%d", reg.Value("ortoa_lbl_pending_rounds_total"), reg.Value("ortoa_lbl_pending_resolved_total"))
 	fs := plan.Stats()
-	faults := fmt.Sprintf("%d/%d/%d/%d", fs.Resets, fs.Stalls, fs.Blackholes, fs.PartitionDrops+fs.DialRefusals)
-	t.AddRow("mp-workload", fmt.Sprint(totals.ops), fmt.Sprint(totals.ok), fmt.Sprint(totals.amb),
-		fmt.Sprint(retries), fmt.Sprint(reconnects), fmt.Sprint(dedupHits), counters, faults)
-	t.AddRow("mp-audit", fmt.Sprint(audited), fmt.Sprint(audited), "0", "-", "-", "-", "-", "faults off")
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("multi-proxy audit passed: %d keys consistent across %d faults plus a proxy crash-restart — %d adoption claims, %d rounds fenced, 0 shape violations",
-			audited, fs.Total(), reg.Value("ortoa_lbl_epoch_claims_total"), reg.Value("ortoa_lbl_server_fenced_rounds_total")))
-	return nil
-}
-
-// chaosValue builds a deterministic ValueSize-byte value for write i of
-// generation gen, distinguishable from every other (i, gen).
-func chaosValue(size int, i, gen uint64) []byte {
-	v := make([]byte, size)
-	for j := range v {
-		v[j] = byte(i>>((uint(j)%8)*8)) ^ byte(gen*131) ^ byte(j)
+	t.AddRow(name+"workload", fmt.Sprint(d.totals.ops), fmt.Sprint(d.totals.ok), fmt.Sprint(d.totals.amb),
+		fmt.Sprint(reg.Value("ortoa_transport_client_retries_total")),
+		fmt.Sprint(reg.Value("ortoa_transport_client_reconnects_total")),
+		fmt.Sprint(reg.Value("ortoa_transport_server_dedup_hits_total")),
+		fmt.Sprintf("%d/%d", reg.Value("ortoa_lbl_pending_rounds_total"), reg.Value("ortoa_lbl_pending_resolved_total")),
+		fmt.Sprintf("%d/%d/%d/%d", fs.Resets, fs.Stalls, fs.Blackholes, fs.PartitionDrops+fs.DialRefusals))
+	t.AddRow(name+"audit", fmt.Sprint(audited), fmt.Sprint(audited), "0", "-", "-", "-", "-", "faults off")
+	if proxies > 0 {
+		t.Notes = append(t.Notes,
+			fmt.Sprintf("multi-proxy audit passed: %d keys consistent across %d faults plus a proxy crash-restart — %d adoption claims, %d rounds fenced, 0 shape violations",
+				audited, fs.Total(), reg.Value("ortoa_lbl_epoch_claims_total"), reg.Value("ortoa_lbl_server_fenced_rounds_total")))
+		return nil
 	}
-	return v
+	t.Notes = append(t.Notes,
+		fmt.Sprintf("audit passed: %d keys consistent after %d injected faults — no lost/duplicated writes, label schedules intact", audited, fs.Total()),
+		"ambiguous ops are calls whose outcome the transport could not determine; their parked rounds settle via at-most-once replay on the key's next access",
+		"shape auditor: 0 length violations on either side — retried and replayed frames stayed byte-identical to first sends")
+	if fs.Total() == 0 {
+		t.Notes = append(t.Notes, "warning: fault plan injected nothing; increase ops for a meaningful run")
+	}
+	return nil
 }

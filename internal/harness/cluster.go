@@ -7,7 +7,6 @@ package harness
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net"
 	"runtime"
 	"sync"
@@ -21,6 +20,7 @@ import (
 	"ortoa/internal/kvstore"
 	"ortoa/internal/netsim"
 	"ortoa/internal/obs"
+	"ortoa/internal/tier"
 	"ortoa/internal/transport"
 )
 
@@ -64,9 +64,10 @@ type Config struct {
 	Transport transport.Options
 	// Metrics, when non-nil, instruments every shard's store,
 	// transport, and protocol sides against one shared registry (series
-	// aggregate across shards). The stages experiment uses it to read
-	// per-stage latency breakdowns. Metrics also arms the obliviousness
-	// shape auditors on both sides of every shard's link.
+	// aggregate across shards), first and on every restart. The trace
+	// experiment reads per-stage latency breakdowns from it. Metrics
+	// also arms the obliviousness shape auditors on both sides of every
+	// shard's link.
 	Metrics *obs.Registry
 	// TraceBuffer, when positive, turns on distributed tracing
 	// (requires Metrics): proxies and servers retain up to this many
@@ -132,6 +133,8 @@ type DurabilityConfig struct {
 type Cluster struct {
 	cfg    Config
 	shards []*shard
+	// placement maps each counter range to the shard holding its keys.
+	placement [core.NumRanges]int
 
 	// Multi-proxy deployments only (Config.Proxies > 0, proxies.go).
 	prf     *prf.PRF // shared proxy secret — all peers derive identical labels
@@ -139,32 +142,33 @@ type Cluster struct {
 	router  *core.Router
 }
 
+// A shard is one server tier behind a stable dial identity, plus — in
+// single-proxy deployments — the trusted tier in front of it.
 type shard struct {
-	rpc      *transport.Client
-	accessor core.Accessor
+	// px is nil in multi-proxy deployments, where the fleet's proxies
+	// share the one shard.
+	px *tier.Proxy
 
-	// listener is swapped on Restart; the client pool's dial closure
-	// reads it, so reconnects find the reborn server.
+	// listener is swapped on Restart; dial reads it, so reconnects find
+	// the reborn server.
 	listener atomic.Pointer[netsim.Listener]
-
-	auds clusterAuditors
+	link     netsim.Link
+	// scfg is what the server tier is built from, first and on every
+	// Restart.
+	scfg tier.ServerConfig
 
 	mu       sync.Mutex // guards the restartable fields below
-	store    *kvstore.Store
-	lblSrv   *core.LBLServer
-	srv      *transport.Server
-	stopCkpt func()
+	srv      *tier.Server
+	replayed int64 // WAL records replayed by servers since retired
 
-	// Durable shards only.
-	fsys     *crashfs.FS
-	stateDir string
-	dur      *DurabilityConfig
-	link     netsim.Link
-	replayed int64 // WAL records replayed across all restarts
+	fsys *crashfs.FS // durable shards only
+}
 
-	// admission, when non-nil, is reapplied to rebuilt servers on
-	// Restart so a recovered shard keeps shedding overload.
-	admission *transport.AdmissionConfig
+// systemProtocol names each evaluated system's tier protocol.
+var systemProtocol = map[System]tier.Protocol{
+	SystemLBL:      tier.LBL,
+	SystemTEE:      tier.TEE,
+	SystemBaseline: tier.Baseline,
 }
 
 // NewCluster builds, loads, and connects a deployment.
@@ -178,6 +182,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.ValueSize <= 0 {
 		return nil, fmt.Errorf("harness: ValueSize must be positive")
 	}
+	if _, ok := systemProtocol[cfg.System]; !ok {
+		return nil, fmt.Errorf("harness: unknown system %q", cfg.System)
+	}
 	if cfg.Durability != nil && cfg.System != SystemLBL {
 		return nil, fmt.Errorf("harness: Durability requires %s (got %s)", SystemLBL, cfg.System)
 	}
@@ -189,21 +196,19 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("harness: Proxies requires a single shard (got %d)", cfg.Shards)
 		}
 	}
-	c := &Cluster{cfg: cfg}
-	auds := clusterAuditors{
-		server: obs.NewShapeAuditor(cfg.Metrics, "server"),
-		proxy:  obs.NewShapeAuditor(cfg.Metrics, "proxy"),
-	}
+	c := &Cluster{cfg: cfg, placement: core.RangePlacement(cfg.Shards)}
 	for i := 0; i < cfg.Shards; i++ {
-		sh, err := newShard(cfg, i, auds)
+		sh, err := c.newShard(i)
+		if sh != nil {
+			c.shards = append(c.shards, sh)
+		}
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		c.shards = append(c.shards, sh)
 	}
 	if cfg.Proxies > 0 {
-		if err := c.buildProxies(cfg, c.shards[0]); err != nil {
+		if err := c.buildProxies(); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -215,132 +220,83 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// clusterAuditors is the per-process shape-auditor pair every shard's
-// transport endpoints share: one deployment, one violations counter
-// per side.
-type clusterAuditors struct {
-	server *obs.ShapeAuditor
-	proxy  *obs.ShapeAuditor
-}
-
-func newShard(cfg Config, idx int, auds clusterAuditors) (*shard, error) {
-	sh := &shard{link: cfg.Link, dur: cfg.Durability, auds: auds, admission: cfg.Admission}
-	ok := false
-	defer func() {
-		if !ok {
-			if sh.stopCkpt != nil {
-				sh.stopCkpt()
-			}
-			if sh.rpc != nil {
-				sh.rpc.Close()
-			}
-			if sh.srv != nil {
-				sh.srv.Close()
-			}
-			if sh.store != nil {
-				sh.store.DetachWAL() //nolint:errcheck
-			}
-		}
-	}()
-	store := kvstore.New()
-	if d := cfg.Durability; d != nil {
-		// Durable shards skip store instrumentation: restarts replace
-		// the store, and re-registering its gauges would double-count.
-		sh.fsys = crashfs.New(&crashfs.Plan{Seed: d.Seed + uint64(idx), TornWriteProb: d.TornWriteProb})
-		sh.stateDir = "state"
-		if err := store.Recover(sh.stateDir, kvstore.DurabilityOptions{
-			Policy: d.Policy, SyncInterval: d.SyncInterval, FS: sh.fsys,
-		}); err != nil {
-			return nil, err
-		}
-		if d.CheckpointInterval > 0 {
-			sh.stopCkpt = store.StartCheckpoints(d.CheckpointInterval)
-		}
-	} else {
-		store.Instrument(cfg.Metrics)
-	}
-	sh.store = store
-	srv := transport.NewServer()
-	srv.Instrument(cfg.Metrics)
-	srv.AuditShape(auds.server, core.ShapeClassify)
-	if cfg.Metrics != nil && cfg.TraceBuffer > 0 {
-		srv.SetTracer(cfg.Metrics.Tracer("server", cfg.TraceBuffer))
-	}
+// newShard starts shard idx's server tier and, unless a proxy fleet
+// will front it, its trusted tier. A partly built shard is returned
+// with the error so Close can release it.
+func (c *Cluster) newShard(idx int) (*shard, error) {
+	cfg := c.cfg
+	sh := &shard{link: cfg.Link, scfg: tier.ServerConfig{
+		Protocol:          systemProtocol[cfg.System],
+		ValueSize:         cfg.ValueSize,
+		EnclaveTransition: cfg.EnclaveTransition,
+		Metrics:           cfg.Metrics,
+		TraceBuffer:       cfg.TraceBuffer,
+	}}
 	if cfg.Admission != nil {
-		srv.LimitAdmission(*cfg.Admission)
+		sh.scfg.Admission = *cfg.Admission
 	}
-	listener := netsim.Listen(cfg.Link)
-	go srv.Serve(listener) //nolint:errcheck // returns on Close
-	sh.srv = srv
-	sh.listener.Store(listener)
-
-	topts := cfg.Transport
-	topts.PoolSize = cfg.ConnsPerShard
-	dial := listener.Dial
-	if cfg.Durability != nil {
-		// Indirect through the listener pointer so reconnects after a
-		// Restart reach the replacement server.
-		dial = func() (net.Conn, error) { return sh.listener.Load().Dial() }
+	if d := cfg.Durability; d != nil {
+		sh.fsys = crashfs.New(&crashfs.Plan{Seed: d.Seed + uint64(idx), TornWriteProb: d.TornWriteProb})
+		sh.scfg.StateDir = "state"
+		sh.scfg.Durability = kvstore.DurabilityOptions{Policy: d.Policy, SyncInterval: d.SyncInterval, FS: sh.fsys}
+		sh.scfg.CheckpointInterval = d.CheckpointInterval
 	}
-	client, err := transport.DialOptions(dial, topts)
-	if err != nil {
+	if err := sh.serve(); err != nil {
 		return nil, err
 	}
-	client.Instrument(cfg.Metrics)
-	client.AuditShape(auds.proxy, core.ShapeClassify)
-	if cfg.Metrics != nil && cfg.TraceBuffer > 0 {
-		client.SetTracer(cfg.Metrics.Tracer("proxy", cfg.TraceBuffer))
+	if cfg.Proxies > 0 {
+		return sh, nil
 	}
-	sh.rpc = client
-
-	switch cfg.System {
-	case SystemLBL:
-		lblSrv := core.NewLBLServer(store)
-		lblSrv.Instrument(cfg.Metrics)
-		lblSrv.Register(srv)
-		lcfg := core.LBLConfig{ValueSize: cfg.ValueSize, Mode: cfg.LBLMode, StreamChunkBytes: cfg.StreamChunkBytes}
-		if cfg.Durability != nil {
-			lcfg.ReconcileScan = cfg.Durability.ReconcileScan
-		}
-		proxy, err := core.NewLBLProxy(lcfg, prf.NewRandom(), client)
-		if err != nil {
-			return nil, err
-		}
-		proxy.Instrument(cfg.Metrics)
-		if cfg.Metrics != nil && cfg.TraceBuffer > 0 {
-			proxy.TraceWith(cfg.Metrics.Tracer("proxy", cfg.TraceBuffer))
-		}
-		sh.accessor = proxy
-		sh.lblSrv = lblSrv
-	case SystemTEE:
-		teeSrv, err := core.NewTEEServer(store, cfg.EnclaveTransition)
-		if err != nil {
-			return nil, err
-		}
-		teeSrv.Instrument(cfg.Metrics)
-		teeSrv.Register(srv)
-		teeClient, err := core.NewTEEClient(core.TEEConfig{ValueSize: cfg.ValueSize}, prf.NewRandom(), secretbox.NewRandomKey(), client)
-		if err != nil {
-			return nil, err
-		}
-		if err := teeClient.AttestAndProvision(teeSrv.Enclave()); err != nil {
-			return nil, err
-		}
-		teeClient.Instrument(cfg.Metrics)
-		sh.accessor = teeClient
-	case SystemBaseline:
-		core.NewBaselineServer(store).Register(srv)
-		proxy, err := core.NewBaselineProxy(core.BaselineConfig{ValueSize: cfg.ValueSize}, prf.NewRandom(), secretbox.NewRandomKey(), client)
-		if err != nil {
-			return nil, err
-		}
-		sh.accessor = proxy
-	default:
-		return nil, fmt.Errorf("harness: unknown system %q", cfg.System)
+	pcfg := c.proxyConfig(prf.NewRandom())
+	if d := cfg.Durability; d != nil {
+		pcfg.LBL.ReconcileScan = d.ReconcileScan
 	}
-	ok = true
+	px, err := tier.NewProxy(pcfg, sh.dial)
+	if err != nil {
+		return sh, err
+	}
+	sh.px = px
+	if px.TEE != nil {
+		if err := px.TEE.AttestAndProvision(sh.srv.TEE.Enclave()); err != nil {
+			return sh, err
+		}
+	}
 	return sh, nil
 }
+
+// proxyConfig is the trusted tier every proxy of the cluster is built
+// from, keyed with f.
+func (c *Cluster) proxyConfig(f *prf.PRF) tier.ProxyConfig {
+	topts := c.cfg.Transport
+	topts.PoolSize = c.cfg.ConnsPerShard
+	return tier.ProxyConfig{
+		Protocol:    systemProtocol[c.cfg.System],
+		ValueSize:   c.cfg.ValueSize,
+		PRF:         f,
+		DataKey:     secretbox.NewRandomKey(),
+		LBL:         core.LBLConfig{Mode: c.cfg.LBLMode, StreamChunkBytes: c.cfg.StreamChunkBytes},
+		Transport:   topts,
+		Metrics:     c.cfg.Metrics,
+		TraceBuffer: c.cfg.TraceBuffer,
+	}
+}
+
+// serve builds the shard's server tier from scfg — recovering the
+// store first on a durable shard — and serves it on a fresh listener.
+func (sh *shard) serve() error {
+	srv, err := tier.NewServer(sh.scfg)
+	if err != nil {
+		return err
+	}
+	listener := netsim.Listen(sh.link)
+	go srv.Transport.Serve(listener) //nolint:errcheck // returns on Close
+	sh.srv = srv
+	sh.listener.Store(listener)
+	return nil
+}
+
+// dial reaches whichever server currently serves the shard.
+func (sh *shard) dial() (net.Conn, error) { return sh.listener.Load().Dial() }
 
 // Restart crash-kills shard i's server — no flush, open handles die,
 // unsynced disk state resolves per the crash plan — then recovers a
@@ -349,44 +305,30 @@ func newShard(cfg Config, idx int, auds clusterAuditors) (*shard, error) {
 // ambiguity/pending machinery; acknowledged writes survive per the
 // fsync policy's contract. Requires Config.Durability.
 func (c *Cluster) Restart(i int) error {
-	if i < 0 || i >= len(c.shards) {
-		return fmt.Errorf("harness: no shard %d", i)
-	}
-	sh := c.shards[i]
-	if sh.fsys == nil {
-		return fmt.Errorf("harness: shard %d is not durable (Config.Durability unset)", i)
+	sh, err := c.durableShard(i)
+	if err != nil {
+		return err
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.stopCkpt != nil {
-		sh.stopCkpt()
-		sh.stopCkpt = nil
-	}
 	sh.srv.Close() //nolint:errcheck // best-effort kill
 	sh.fsys.Crash()
-
-	store := kvstore.New()
-	if err := store.Recover(sh.stateDir, kvstore.DurabilityOptions{
-		Policy: sh.dur.Policy, SyncInterval: sh.dur.SyncInterval, FS: sh.fsys,
-	}); err != nil {
+	sh.replayed += sh.srv.Store.WALReplayed() // retire the dead store's count
+	if err := sh.serve(); err != nil {
 		return fmt.Errorf("harness: recovering shard %d: %w", i, err)
 	}
-	sh.replayed += sh.store.WALReplayed() // retire the dead store's count
-	lblSrv := core.NewLBLServer(store)
-	srv := transport.NewServer()
-	srv.AuditShape(sh.auds.server, core.ShapeClassify)
-	if sh.admission != nil {
-		srv.LimitAdmission(*sh.admission)
-	}
-	lblSrv.Register(srv)
-	listener := netsim.Listen(sh.link)
-	go srv.Serve(listener) //nolint:errcheck // returns on Close
-	sh.store, sh.lblSrv, sh.srv = store, lblSrv, srv
-	sh.listener.Store(listener)
-	if sh.dur.CheckpointInterval > 0 {
-		sh.stopCkpt = store.StartCheckpoints(sh.dur.CheckpointInterval)
-	}
 	return nil
+}
+
+// durableShard validates i against the shards and Config.Durability.
+func (c *Cluster) durableShard(i int) (*shard, error) {
+	if i < 0 || i >= len(c.shards) {
+		return nil, fmt.Errorf("harness: no shard %d", i)
+	}
+	if c.shards[i].fsys == nil {
+		return nil, fmt.Errorf("harness: shard %d is not durable (Config.Durability unset)", i)
+	}
+	return c.shards[i], nil
 }
 
 // WALReplayedTotal sums WAL records replayed during recoveries across
@@ -395,7 +337,7 @@ func (c *Cluster) WALReplayedTotal() int64 {
 	var n int64
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		n += sh.replayed + sh.store.WALReplayed()
+		n += sh.replayed + sh.srv.Store.WALReplayed()
 		sh.mu.Unlock()
 	}
 	return n
@@ -424,15 +366,12 @@ func (c *Cluster) DiskStats() crashfs.Stats {
 // snapshot plus WAL rotation — giving crash tests a known durable
 // baseline. Requires Config.Durability.
 func (c *Cluster) Checkpoint(i int) error {
-	if i < 0 || i >= len(c.shards) {
-		return fmt.Errorf("harness: no shard %d", i)
-	}
-	sh := c.shards[i]
-	if sh.fsys == nil {
-		return fmt.Errorf("harness: shard %d is not durable (Config.Durability unset)", i)
+	sh, err := c.durableShard(i)
+	if err != nil {
+		return err
 	}
 	sh.mu.Lock()
-	store := sh.store
+	store := sh.srv.Store
 	sh.mu.Unlock()
 	return store.Checkpoint()
 }
@@ -442,82 +381,42 @@ func (c *Cluster) Generations() []uint64 {
 	gens := make([]uint64, len(c.shards))
 	for i, sh := range c.shards {
 		sh.mu.Lock()
-		gens[i] = sh.store.Generation()
+		gens[i] = sh.srv.Store.Generation()
 		sh.mu.Unlock()
 	}
 	return gens
 }
 
-// recordBuilder is implemented by every trusted-side protocol client.
-type recordBuilder interface {
-	BuildRecord(key string, value []byte) (string, []byte, error)
-}
-
 // load encodes and installs the initial database, building records in
 // parallel (record building is PRF/AES-heavy for LBL).
 func (c *Cluster) load(data map[string][]byte) error {
-	type kv struct{ k, v string }
-	keys := make([]kv, 0, len(data))
-	for k, v := range data {
-		keys = append(keys, kv{k, string(v)})
+	keys := make([]string, 0, len(data))
+	for k := range data {
+		keys = append(keys, k)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(keys) {
-		workers = len(keys)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	errc := make(chan error, workers)
-	chunk := (len(keys) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(keys) {
-			hi = len(keys)
+	return core.ForEach(len(keys), runtime.GOMAXPROCS(0), func(i int) error {
+		sh := c.shardFor(keys[i])
+		builder := sh.px
+		if builder == nil {
+			// A fleet shares one PRF: any member encodes the records
+			// every member can read.
+			builder = c.proxies[0].px
 		}
-		if lo >= hi {
-			break
+		ek, rec, err := builder.BuildRecord(keys[i], data[keys[i]])
+		if err != nil {
+			return fmt.Errorf("harness: building record for %q: %w", keys[i], err)
 		}
-		wg.Add(1)
-		go func(part []kv) {
-			defer wg.Done()
-			for _, e := range part {
-				sh := c.shardFor(e.k)
-				builder, ok := sh.accessor.(recordBuilder)
-				if !ok {
-					errc <- fmt.Errorf("harness: %T cannot build records", sh.accessor)
-					return
-				}
-				ek, rec, err := builder.BuildRecord(e.k, []byte(e.v))
-				if err != nil {
-					errc <- fmt.Errorf("harness: building record for %q: %w", e.k, err)
-					return
-				}
-				if err := sh.store.Put(ek, rec); err != nil {
-					errc <- fmt.Errorf("harness: loading %q: %w", e.k, err)
-					return
-				}
-			}
-		}(keys[lo:hi])
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		return err
-	default:
+		if err := sh.srv.Store.Put(ek, rec); err != nil {
+			return fmt.Errorf("harness: loading %q: %w", keys[i], err)
+		}
 		return nil
-	}
+	})
 }
 
+// shardFor places key by its counter range, the unit proxy ownership
+// and the public ShardedClient partition by too.
 func (c *Cluster) shardFor(key string) *shard {
-	if len(c.shards) == 1 {
-		return c.shards[0]
-	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return c.shards[h.Sum32()%uint32(len(c.shards))]
+	return c.shards[c.placement[core.RangeOf(key)]]
 }
 
 // Access routes one operation to the owning shard — or, in a
@@ -527,11 +426,7 @@ func (c *Cluster) Access(op core.Op, key string, value []byte) ([]byte, core.Acc
 	if c.router != nil {
 		return c.router.Access(op, key, value)
 	}
-	return c.shardFor(key).Access(op, key, value)
-}
-
-func (s *shard) Access(op core.Op, key string, value []byte) ([]byte, core.AccessStats, error) {
-	return s.accessor.Access(op, key, value)
+	return c.shardFor(key).px.Accessor.Access(op, key, value)
 }
 
 // TrafficStats aggregates proxy→server traffic across shards and, in
@@ -544,11 +439,13 @@ func (c *Cluster) TrafficStats() transport.Stats {
 		total.Calls += st.Calls
 	}
 	for _, sh := range c.shards {
-		add(sh.rpc.Stats())
+		if sh.px != nil {
+			add(sh.px.RPC.Stats())
+		}
 	}
 	for _, pn := range c.proxies {
 		pn.mu.Lock()
-		add(pn.rpc.Stats())
+		add(pn.px.RPC.Stats())
 		pn.mu.Unlock()
 	}
 	return total
@@ -566,13 +463,13 @@ func (c *Cluster) AdmissionStats() transport.AdmissionStats {
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		add(sh.srv.AdmissionStats())
+		add(sh.srv.Transport.AdmissionStats())
 		sh.mu.Unlock()
 	}
 	for _, pn := range c.proxies {
 		pn.mu.Lock()
 		if !pn.down {
-			add(pn.front.AdmissionStats())
+			add(pn.front.Transport.AdmissionStats())
 		}
 		pn.mu.Unlock()
 	}
@@ -584,7 +481,7 @@ func (c *Cluster) ServerBytes() int64 {
 	var n int64
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		n += sh.store.Bytes()
+		n += sh.srv.Store.Bytes()
 		sh.mu.Unlock()
 	}
 	return n
@@ -597,23 +494,12 @@ func (c *Cluster) Shards() int { return len(c.shards) }
 func (c *Cluster) Close() {
 	c.closeProxies()
 	for _, sh := range c.shards {
-		if sh == nil {
-			continue
-		}
-		if sh.rpc != nil {
-			sh.rpc.Close()
+		if sh.px != nil {
+			sh.px.Close() //nolint:errcheck // best-effort teardown
 		}
 		sh.mu.Lock()
-		if sh.stopCkpt != nil {
-			sh.stopCkpt()
-			sh.stopCkpt = nil
-		}
-		if sh.srv != nil {
-			sh.srv.Close()
-		}
-		if sh.store != nil {
-			sh.store.DetachWAL() //nolint:errcheck // best-effort flush
-		}
+		sh.srv.Close()           //nolint:errcheck
+		sh.srv.Store.DetachWAL() //nolint:errcheck // best-effort flush
 		sh.mu.Unlock()
 	}
 }

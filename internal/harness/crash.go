@@ -1,20 +1,16 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
-	"math/rand/v2"
-	"sync"
 	"time"
 
 	"ortoa/internal/core"
 	"ortoa/internal/kvstore"
 	"ortoa/internal/netsim"
-	"ortoa/internal/obs"
 	"ortoa/internal/transport"
 )
 
-// Crash runs a mixed LBL read/write workload while shard servers are
+// Crash runs the drill workload (drill.go) while shard servers are
 // repeatedly crash-killed — no flush, open file handles die, unsynced
 // disk state settles per a seeded crash plan with torn final writes —
 // and recovered from their WAL + snapshot, with background checkpoints
@@ -22,25 +18,14 @@ import (
 // layer: the WAL's group-commit contract (§ DESIGN.md 10) promises
 // that an acknowledged write survives any crash, and this experiment
 // is where the repo demonstrates it, across dozens of kill/restart
-// cycles.
+// cycles over one set of acceptable values.
 //
-// The audit asserts the three properties a crash must never break
-// under the group-commit policy:
-//
-//   - No lost acknowledged writes. Each worker owns a disjoint key set
-//     and tracks the values a key may legitimately hold — the last
-//     confirmed write, plus writes whose outcome a crash left
-//     ambiguous. Every read, and the final post-crash audit, must
-//     return a member of that set; a write that was acknowledged and
-//     then rolled back would surface as a non-member.
-//   - No duplicate applications. Counter fencing makes a replayed
-//     round idempotent — re-executing an already-applied round is
-//     fenced as stale — so a double apply would desynchronize the
-//     label schedule and fail the audit read (ErrTampered / stale).
-//   - Re-convergence. Crashes strand proxy/server counter desync
-//     (parked rounds against a rolled-back server); the proxies'
-//     reconciliation scan must re-locate every counter so the final
-//     audit reads all keys cleanly.
+// On top of the drill's two invariants it pins re-convergence: crashes
+// strand proxy/server counter desync (parked rounds against a
+// rolled-back server), and the proxies' reconciliation scan must
+// re-locate every counter so the final audit reads all keys cleanly.
+// A shard is down for part of every cycle, so any definite failure
+// short of tampering is a skipped operation here.
 //
 // A second, smaller phase reruns the crash machinery at the lossy end
 // of the policy spectrum (SyncNever): acknowledged writes since the
@@ -59,35 +44,21 @@ func Crash(opt Options) (*Table, error) {
 	workers := opt.conc()
 	const keysPerWorker = 2
 	const shards = 2
-	opsPerCycle := opt.ops()
 	cycles := 50
 	if opt.Quick {
 		cycles = 12
 	}
+	keys, data := drillData("crash", workers*keysPerWorker, paperValueSize, 0)
 
-	nKeys := workers * keysPerWorker
-	data := make(map[string][]byte, nKeys)
-	keys := make([]string, nKeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("crash-%04d", i)
-		data[keys[i]] = chaosValue(paperValueSize, uint64(i), 0)
-	}
-
-	reg := obs.NewRegistry()
-	cluster, err := NewCluster(Config{
-		System:        SystemLBL,
+	cluster, err := drillCluster(data, Config{
 		Link:          netsim.Link{RTT: 500 * time.Microsecond},
-		ValueSize:     paperValueSize,
-		Data:          data,
 		Shards:        shards,
-		LBLMode:       core.LBLPointPermute,
 		ConnsPerShard: 4,
 		Transport: transport.Options{
 			CallTimeout:      250 * time.Millisecond,
 			Retry:            transport.RetryPolicy{Attempts: 8, Backoff: 2 * time.Millisecond, MaxBackoff: 50 * time.Millisecond},
 			ReconnectBackoff: time.Millisecond,
 		},
-		Metrics: reg,
 		Durability: &DurabilityConfig{
 			Policy:             kvstore.SyncGroupCommit,
 			CheckpointInterval: 15 * time.Millisecond,
@@ -100,173 +71,47 @@ func Crash(opt Options) (*Table, error) {
 		return nil, err
 	}
 	defer cluster.Close()
+	reg := cluster.cfg.Metrics
 
-	// Worker state mirrors the chaos experiment: per key, the set of
-	// values the key may legitimately hold. A confirmed write collapses
-	// the set; an ambiguous one (crash mid-call) widens it.
-	type keyState struct {
-		acceptable map[string]bool
-	}
-	states := make([]map[string]*keyState, workers)
-	for w := 0; w < workers; w++ {
-		st := make(map[string]*keyState, keysPerWorker)
-		for _, k := range keys[w*keysPerWorker : (w+1)*keysPerWorker] {
-			st[k] = &keyState{acceptable: map[string]bool{string(data[k]): true}}
-		}
-		states[w] = st
-	}
-
-	var (
-		mu                                    sync.Mutex
-		firstFatal                            error
-		totalOps, totalOK, totalAmb, totalDwn int64
-	)
-	restarts := 0
+	d := newDrill(cluster, keys, workers, 2, outcomeFailed)
 	for cycle := 0; cycle < cycles; cycle++ {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w, cycle int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewPCG(uint64(cycle), uint64(w)))
-				own := keys[w*keysPerWorker : (w+1)*keysPerWorker]
-				st := states[w]
-				var ops, ok, amb, dwn int64
-				var fatal error
-				for i := 0; i < opsPerCycle && fatal == nil; i++ {
-					key := own[rng.IntN(len(own))]
-					ops++
-					if rng.IntN(2) == 0 { // read
-						got, _, err := cluster.Access(core.OpRead, key, nil)
-						switch {
-						case err == nil:
-							if !st[key].acceptable[string(got)] {
-								fatal = fmt.Errorf("worker %d: read %q returned a value no acknowledged or in-flight write produced (lost or duplicated write)", w, key)
-								break
-							}
-							ok++
-							st[key].acceptable = map[string]bool{string(got): true}
-						case transport.Ambiguous(err):
-							amb++ // reads don't change state
-						case errors.Is(err, core.ErrTampered):
-							fatal = fmt.Errorf("worker %d: read %q: %w", w, key, err)
-						default:
-							dwn++ // server down or mid-recovery; state unchanged
-						}
-						continue
-					}
-					val := chaosValue(paperValueSize, uint64((cycle*workers+w)*opsPerCycle+i), 2)
-					_, _, err := cluster.Access(core.OpWrite, key, val)
-					switch {
-					case err == nil:
-						ok++
-						st[key].acceptable = map[string]bool{string(val): true}
-					case transport.Ambiguous(err):
-						amb++
-						st[key].acceptable[string(val)] = true // may or may not have applied
-					case errors.Is(err, core.ErrTampered):
-						fatal = fmt.Errorf("worker %d: write %q: %w", w, key, err)
-					default:
-						dwn++
-					}
-				}
-				mu.Lock()
-				totalOps += ops
-				totalOK += ok
-				totalAmb += amb
-				totalDwn += dwn
-				if fatal != nil && firstFatal == nil {
-					firstFatal = fatal
-				}
-				mu.Unlock()
-			}(w, cycle)
-		}
 		// Kill a shard mid-cycle, while the workload is in flight.
-		time.Sleep(2 * time.Millisecond)
-		if err := cluster.Restart(cycle % shards); err != nil {
-			wg.Wait()
+		d.at(0, func() error {
+			time.Sleep(2 * time.Millisecond)
+			return cluster.Restart(cycle % shards)
+		})
+		if err := d.run(opt.ops()); err != nil {
 			return nil, fmt.Errorf("harness: crash cycle %d: %w", cycle, err)
 		}
-		restarts++
-		wg.Wait()
-		mu.Lock()
-		fatal := firstFatal
-		mu.Unlock()
-		if fatal != nil {
-			return nil, fmt.Errorf("harness: crash workload: %w", fatal)
-		}
 	}
 
-	// Final audit on live servers: every key must read cleanly (label
-	// schedule re-converged) and return an acceptable value (no
-	// acknowledged write lost, none applied twice). Residual parked
-	// rounds and counter desync settle through these reads.
-	var audited int
-	for w := 0; w < workers; w++ {
-		for key, st := range states[w] {
-			var got []byte
-			var err error
-			for attempt := 0; attempt < 5; attempt++ {
-				got, _, err = cluster.Access(core.OpRead, key, nil)
-				if err == nil || errors.Is(err, core.ErrTampered) {
-					break
-				}
-				time.Sleep(5 * time.Millisecond) // transient: pool redialing
-			}
-			if err != nil {
-				if errors.Is(err, core.ErrTampered) {
-					return nil, fmt.Errorf("harness: crash audit: %q label schedule desynchronized (duplicate or half-applied round): %w", key, err)
-				}
-				return nil, fmt.Errorf("harness: crash audit: read %q after final restart: %w", key, err)
-			}
-			if !st.acceptable[string(got)] {
-				return nil, fmt.Errorf("harness: crash audit: %q lost an acknowledged write (or applied one twice)", key)
-			}
-			audited++
-		}
+	// Final audit on live servers. Residual parked rounds and counter
+	// desync settle through these reads.
+	audited, err := d.audit()
+	if err != nil {
+		return nil, fmt.Errorf("harness: crash audit: %w", err)
 	}
 
-	parked := reg.Counter("ortoa_lbl_pending_rounds_total", "").Value()
-	settled := reg.Counter("ortoa_lbl_pending_resolved_total", "").Value()
-	probes := reg.Counter("ortoa_lbl_reconcile_probes_total", "").Value()
-	reconciled := reg.Counter("ortoa_lbl_reconciled_keys_total", "").Value()
-	replayed := cluster.WALReplayedTotal()
-	disk := cluster.DiskStats()
-	t.AddRow("workload", fmt.Sprint(totalOps), fmt.Sprint(totalOK), fmt.Sprint(totalAmb),
-		fmt.Sprint(totalDwn), fmt.Sprint(restarts), fmt.Sprint(replayed),
-		fmt.Sprintf("%d/%d", parked, settled), fmt.Sprintf("%d/%d", probes, reconciled))
+	t.AddRow("workload", fmt.Sprint(d.totals.ops), fmt.Sprint(d.totals.ok), fmt.Sprint(d.totals.amb),
+		fmt.Sprint(d.totals.failed), fmt.Sprint(cycles), fmt.Sprint(cluster.WALReplayedTotal()),
+		fmt.Sprintf("%d/%d", reg.Value("ortoa_lbl_pending_rounds_total"), reg.Value("ortoa_lbl_pending_resolved_total")),
+		fmt.Sprintf("%d/%d", reg.Value("ortoa_lbl_reconcile_probes_total"), reg.Value("ortoa_lbl_reconciled_keys_total")))
 	t.AddRow("audit", fmt.Sprint(audited), fmt.Sprint(audited), "0", "0", "0", "-", "-", "-")
+	disk := cluster.DiskStats()
 	gens := cluster.Generations()
 
-	rb, err := crashRollbackPhase()
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, rb.row)
-
-	tp, err := crashThroughputPhase(opt)
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, tp.rows...)
-
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("audit passed: %d keys consistent after %d crash/restart cycles — zero acknowledged writes lost, zero duplicate applications, all counters re-converged", audited, restarts),
+		fmt.Sprintf("audit passed: %d keys consistent after %d crash/restart cycles — zero acknowledged writes lost, zero duplicate applications, all counters re-converged", audited, cycles),
 		fmt.Sprintf("disk: %d crashes, %d torn writes, %d unsynced writes dropped, %d dir entries rolled back; checkpoint generations %v",
 			disk.Crashes, disk.TornWrites, disk.DroppedWrites, disk.DroppedOps, gens),
-		"group commit leaves nothing unsynced at a crash by construction, so the workload phase expects zero rollbacks; \"down\" ops failed fast against a killed shard, \"ambiguous\" ops stay in the audit's acceptable sets",
-		fmt.Sprintf("rollback phase (SyncNever): %d acknowledged-but-unsynced writes rolled back by a crash as the policy permits; all %d keys re-converged via %d reconciliation probes and accepted fresh traffic",
-			rb.lost, rb.keys, rb.probes),
-		fmt.Sprintf("bench phase: group-commit %.0f ops/s vs never-fsync %.0f ops/s — %.2fx the never-fsync time (bound: 2x); concurrent writers share each fsync, so durable-on-ack costs far less than one fsync per write",
-			tp.gcRate, tp.neverRate, tp.ratio))
+		"group commit leaves nothing unsynced at a crash by construction, so the workload phase expects zero rollbacks; \"down\" ops failed fast against a killed shard, \"ambiguous\" ops stay in the audit's acceptable sets")
+	if err := crashRollbackPhase(t); err != nil {
+		return nil, err
+	}
+	if err := crashThroughputPhase(t, opt); err != nil {
+		return nil, err
+	}
 	return t, nil
-}
-
-// crashThroughput summarizes the policy-cost phase.
-type crashThroughput struct {
-	rows              [][]string
-	neverRate, gcRate float64 // ops/s
-	ratio             float64 // gc time / never time
 }
 
 // crashThroughputPhase prices durable-on-ack: the same concurrent
@@ -277,25 +122,16 @@ type crashThroughput struct {
 // orders of magnitude off. The clusters run on the paper's datacenter
 // link (Table 2's 500µs RTT, like the workload phase): durability cost
 // is a claim about deployments, where commit latency overlaps the
-// network round trip, not about a zero-RTT lock microbenchmark.
-func crashThroughputPhase(opt Options) (*crashThroughput, error) {
+// network round trip, not about a zero-RTT lock microbenchmark. It
+// appends its rows and note to t.
+func crashThroughputPhase(t *Table, opt Options) error {
 	workers := opt.conc()
 	const keysPerWorker = 2
 	perWorker := opt.ops() * 4
-	nKeys := workers * keysPerWorker
-	data := make(map[string][]byte, nKeys)
-	keys := make([]string, nKeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("bench-%04d", i)
-		data[keys[i]] = chaosValue(paperValueSize, uint64(i), 11)
-	}
+	keys, data := drillData("bench", workers*keysPerWorker, paperValueSize, 11)
 	run := func(policy kvstore.SyncPolicy) (time.Duration, error) {
-		cluster, err := NewCluster(Config{
-			System:        SystemLBL,
+		cluster, err := drillCluster(data, Config{
 			Link:          netsim.Link{RTT: 500 * time.Microsecond},
-			ValueSize:     paperValueSize,
-			Data:          data,
-			LBLMode:       core.LBLPointPermute,
 			ConnsPerShard: 8,
 			Durability:    &DurabilityConfig{Policy: policy, Seed: 3},
 		})
@@ -303,34 +139,11 @@ func crashThroughputPhase(opt Options) (*crashThroughput, error) {
 			return 0, err
 		}
 		defer cluster.Close()
+		// No fault is injected, so nothing but success is tolerated.
+		d := newDrill(cluster, keys, workers, 12, outcomeOK)
 		start := time.Now()
-		var wg sync.WaitGroup
-		errs := make(chan error, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewPCG(17, uint64(w)))
-				own := keys[w*keysPerWorker : (w+1)*keysPerWorker]
-				for i := 0; i < perWorker; i++ {
-					key := own[rng.IntN(len(own))]
-					var err error
-					if rng.IntN(2) == 0 {
-						_, _, err = cluster.Access(core.OpRead, key, nil)
-					} else {
-						_, _, err = cluster.Access(core.OpWrite, key, chaosValue(paperValueSize, uint64(w*perWorker+i), 12))
-					}
-					if err != nil {
-						errs <- fmt.Errorf("harness: bench worker %d: %w", w, err)
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			return 0, err
+		if err := d.run(perWorker); err != nil {
+			return 0, fmt.Errorf("harness: bench: %w", err)
 		}
 		return time.Since(start), nil
 	}
@@ -342,134 +155,101 @@ func crashThroughputPhase(opt Options) (*crashThroughput, error) {
 			return 0, err
 		}
 		d2, err := run(policy)
-		if err != nil {
-			return 0, err
-		}
-		if d2 < d1 {
-			return d2, nil
-		}
-		return d1, nil
+		return min(d1, d2), err
 	}
 	dNever, err := best(kvstore.SyncNever)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	dGC, err := best(kvstore.SyncGroupCommit)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	total := workers * perWorker
 	ratio := dGC.Seconds() / dNever.Seconds()
 	if ratio > 2.0 {
-		return nil, fmt.Errorf("harness: group-commit ran %.2fx slower than never-fsync (%v vs %v for %d ops), exceeding the 2x durable-on-ack budget",
+		return fmt.Errorf("harness: group-commit ran %.2fx slower than never-fsync (%v vs %v for %d ops), exceeding the 2x durable-on-ack budget",
 			ratio, dGC, dNever, total)
 	}
 	rate := func(d time.Duration) float64 { return float64(total) / d.Seconds() }
-	row := func(name string) []string {
-		return []string{name, fmt.Sprint(total), fmt.Sprint(total), "0", "0", "0", "-", "-", "-"}
+	for _, name := range []string{"bench(never)", "bench(group-commit)"} {
+		t.AddRow(name, fmt.Sprint(total), fmt.Sprint(total), "0", "0", "0", "-", "-", "-")
 	}
-	return &crashThroughput{
-		rows:      [][]string{row("bench(never)"), row("bench(group-commit)")},
-		neverRate: rate(dNever),
-		gcRate:    rate(dGC),
-		ratio:     ratio,
-	}, nil
-}
-
-// crashRollback summarizes the lossy-policy phase for the table.
-type crashRollback struct {
-	row    []string
-	lost   int
-	keys   int
-	probes int64
+	t.Notes = append(t.Notes, fmt.Sprintf("bench phase: group-commit %.0f ops/s vs never-fsync %.0f ops/s — %.2fx the never-fsync time (bound: 2x); concurrent writers share each fsync, so durable-on-ack costs far less than one fsync per write",
+		rate(dGC), rate(dNever), ratio))
+	return nil
 }
 
 // crashRollbackPhase crashes a SyncNever shard holding
 // acknowledged-but-unsynced writes and verifies the §5.3.1 failure
 // mode is healed: the server rolls back to the last checkpoint, and
-// the proxy's reconciliation scan must re-locate every counter.
-func crashRollbackPhase() (*crashRollback, error) {
+// the proxy's reconciliation scan must re-locate every counter. It
+// appends its row and note to t.
+func crashRollbackPhase(t *Table) error {
 	const rbKeys = 8
 	const rbWrites = 3
-	data := make(map[string][]byte, rbKeys)
-	keys := make([]string, rbKeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("rollback-%02d", i)
-		data[keys[i]] = chaosValue(paperValueSize, uint64(i), 7)
-	}
-	reg := obs.NewRegistry()
-	cluster, err := NewCluster(Config{
-		System:        SystemLBL,
+	keys, data := drillData("rollback", rbKeys, paperValueSize, 7)
+	cluster, err := drillCluster(data, Config{
 		Link:          netsim.Loopback,
-		ValueSize:     paperValueSize,
-		Data:          data,
-		LBLMode:       core.LBLPointPermute,
 		ConnsPerShard: 2,
 		Transport: transport.Options{
 			CallTimeout:      250 * time.Millisecond,
 			Retry:            transport.RetryPolicy{Attempts: 8, Backoff: 2 * time.Millisecond, MaxBackoff: 50 * time.Millisecond},
 			ReconnectBackoff: time.Millisecond,
 		},
-		Metrics:    reg,
 		Durability: &DurabilityConfig{Policy: kvstore.SyncNever, Seed: 2, ReconcileScan: 32},
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer cluster.Close()
+	reg := cluster.cfg.Metrics
 	// Make the loaded database the durable baseline; everything after
 	// this checkpoint is acknowledged but unsynced.
 	if err := cluster.Checkpoint(0); err != nil {
-		return nil, fmt.Errorf("harness: rollback baseline checkpoint: %w", err)
+		return fmt.Errorf("harness: rollback baseline checkpoint: %w", err)
 	}
-	var ops, lost int
+	ops := 0
 	for _, k := range keys {
 		for i := 0; i < rbWrites; i++ {
 			if _, _, err := cluster.Access(core.OpWrite, k, chaosValue(paperValueSize, uint64(i), 8)); err != nil {
-				return nil, fmt.Errorf("harness: rollback write %q: %w", k, err)
+				return fmt.Errorf("harness: rollback write %q: %w", k, err)
 			}
 			ops++
-			lost++
 		}
 	}
 	if err := cluster.Restart(0); err != nil {
-		return nil, fmt.Errorf("harness: rollback restart: %w", err)
+		return fmt.Errorf("harness: rollback restart: %w", err)
 	}
 	for _, k := range keys {
-		var got []byte
-		var err error
-		for attempt := 0; attempt < 5; attempt++ {
-			got, _, err = cluster.Access(core.OpRead, k, nil)
-			if err == nil || errors.Is(err, core.ErrTampered) {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+		got, err := readBack(cluster, k)
 		if err != nil {
-			return nil, fmt.Errorf("harness: rollback audit: %q did not re-converge: %w", k, err)
+			return fmt.Errorf("harness: rollback audit: %q did not re-converge: %w", k, err)
 		}
 		ops++
 		if string(got) != string(data[k]) {
-			return nil, fmt.Errorf("harness: rollback audit: %q = %x, want the checkpointed value (rollback must land on the durable baseline)", k, got[:4])
+			return fmt.Errorf("harness: rollback audit: %q = %x, want the checkpointed value (rollback must land on the durable baseline)", k, got[:4])
 		}
 		// The schedule must accept fresh traffic after reconciliation.
 		nv := chaosValue(paperValueSize, uint64(len(k)), 9)
 		if _, _, err := cluster.Access(core.OpWrite, k, nv); err != nil {
-			return nil, fmt.Errorf("harness: rollback post-write %q: %w", k, err)
+			return fmt.Errorf("harness: rollback post-write %q: %w", k, err)
 		}
 		got, _, err = cluster.Access(core.OpRead, k, nil)
 		if err != nil || string(got) != string(nv) {
-			return nil, fmt.Errorf("harness: rollback post-read %q: %v", k, err)
+			return fmt.Errorf("harness: rollback post-read %q: %v", k, err)
 		}
 		ops += 2
 	}
-	probes := reg.Counter("ortoa_lbl_reconcile_probes_total", "").Value()
-	reconciled := reg.Counter("ortoa_lbl_reconciled_keys_total", "").Value()
+	probes := reg.Value("ortoa_lbl_reconcile_probes_total")
+	reconciled := reg.Value("ortoa_lbl_reconciled_keys_total")
 	if reconciled != int64(rbKeys) {
-		return nil, fmt.Errorf("harness: rollback reconciled %d keys, want %d", reconciled, rbKeys)
+		return fmt.Errorf("harness: rollback reconciled %d keys, want %d", reconciled, rbKeys)
 	}
-	row := []string{"rollback", fmt.Sprint(ops), fmt.Sprint(ops), "0", "0", "1",
+	t.AddRow("rollback", fmt.Sprint(ops), fmt.Sprint(ops), "0", "0", "1",
 		fmt.Sprint(cluster.WALReplayedTotal()),
-		"0/0", fmt.Sprintf("%d/%d", probes, reconciled)}
-	return &crashRollback{row: row, lost: lost, keys: rbKeys, probes: probes}, nil
+		"0/0", fmt.Sprintf("%d/%d", probes, reconciled))
+	t.Notes = append(t.Notes, fmt.Sprintf("rollback phase (SyncNever): %d acknowledged-but-unsynced writes rolled back by a crash as the policy permits; all %d keys re-converged via %d reconciliation probes and accepted fresh traffic",
+		rbKeys*rbWrites, rbKeys, probes))
+	return nil
 }

@@ -92,7 +92,7 @@ func measureSystems(systems []System, link netsim.Link, wl workload.Config, opt 
 	for _, sys := range systems {
 		res, err := Measure(
 			Config{System: sys, Link: link, ValueSize: wl.ValueSize, Shards: shards, LBLMode: core.LBLPointPermute},
-			wl, opt.conc()*maxInt(1, shards), opt.ops(),
+			wl, opt.conc()*max(1, shards), opt.ops(),
 		)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sys, err)
@@ -100,13 +100,6 @@ func measureSystems(systems []System, link netsim.Link, wl workload.Config, opt 
 		results = append(results, res)
 	}
 	return results, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Fig2a reproduces Figure 2a: latency and throughput of LBL-ORTOA,
@@ -414,18 +407,11 @@ func measureDataset(sys System, ds workload.Dataset, opt Options) (Result, error
 	data := ds.Data()
 	cluster, err := NewCluster(Config{
 		System: sys, Link: netsim.Oregon, ValueSize: ds.ValueSize,
-		LBLMode: core.LBLPointPermute, ConnsPerShard: minInt(opt.conc(), 64), Data: data,
+		LBLMode: core.LBLPointPermute, ConnsPerShard: min(opt.conc(), 64), Data: data,
 	})
 	if err != nil {
 		return Result{}, err
 	}
 	defer cluster.Close()
 	return RunKeyed(cluster, ds.Records, opt.conc(), opt.ops(), ds.ValueSize)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,17 +1,11 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
-	"math/rand/v2"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ortoa/internal/core"
 	"ortoa/internal/netsim"
-	"ortoa/internal/obs"
-	"ortoa/internal/stats"
 	"ortoa/internal/transport"
 	"ortoa/internal/workload"
 )
@@ -25,21 +19,16 @@ import (
 // latency/throughput — proxy-side crypto (table build, label recovery)
 // scales out until the shared server saturates.
 //
-// Phase 2 is the kill-and-adopt drill: a 3-proxy fleet serves a live
-// mixed workload while the coordinator crash-kills the proxy owning
-// the first key's range, lets the survivors adopt its ranges through
-// the epoch fence (claim → counter rebase via the reconcile spiral),
-// then recovers it — the reborn proxy starts empty and re-adopts on
-// demand. The audit then asserts the failover invariants:
-//
-//   - Zero lost acknowledged writes: every confirmed write's value (or
-//     a legitimately ambiguous successor) is what the key reads back.
-//   - At most one round per counter value applied: every key reads
-//     cleanly after the handoff — a double-applied round would
-//     desynchronize the label schedule permanently (ErrTampered).
-//   - Zero obliviousness shape violations: fences, claims, adoption
-//     retries, and failover traffic all stay inside the fixed frame
-//     classes the shape auditor pins.
+// Phase 2 is the kill-and-adopt drill: a 3-proxy fleet serves the
+// drill workload (drill.go) while the coordinator crash-kills the proxy
+// owning the first key's range, lets the survivors adopt its ranges
+// through the epoch fence (claim → counter rebase via the reconcile
+// spiral), then recovers it — the reborn proxy starts empty and
+// re-adopts on demand. Handoff rejections are legitimate mid-drill. On
+// top of the drill's audit it requires that the kill really crossed the
+// fence (fenced rounds, adoption claims, router failovers all nonzero)
+// and that fences, claims, adoption retries and failover traffic all
+// stayed inside the fixed frame classes the shape auditor pins.
 func Failover(opt Options) (*Table, error) {
 	t := &Table{
 		ID:    "failover",
@@ -72,21 +61,10 @@ func Failover(opt Options) (*Table, error) {
 	const keysPerWorker = 4
 	opsPerWorker := opt.ops() * 8
 
-	nKeys := workers * keysPerWorker
-	data := make(map[string][]byte, nKeys)
-	keys := make([]string, nKeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("failover-%04d", i)
-		data[keys[i]] = chaosValue(paperValueSize, uint64(i), 3)
-	}
+	keys, data := drillData("failover", workers*keysPerWorker, paperValueSize, 3)
 
-	reg := obs.NewRegistry()
-	cluster, err := NewCluster(Config{
-		System:        SystemLBL,
+	cluster, err := drillCluster(data, Config{
 		Link:          netsim.Link{RTT: time.Millisecond},
-		ValueSize:     paperValueSize,
-		Data:          data,
-		LBLMode:       core.LBLPointPermute,
 		ConnsPerShard: 4,
 		Proxies:       3,
 		Transport: transport.Options{
@@ -94,12 +72,12 @@ func Failover(opt Options) (*Table, error) {
 			Retry:            transport.RetryPolicy{Attempts: 4, Backoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond},
 			ReconnectBackoff: 5 * time.Millisecond,
 		},
-		Metrics: reg,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer cluster.Close()
+	reg := cluster.cfg.Metrics
 	startupClaims := reg.Value("ortoa_lbl_epoch_claims_total")
 
 	// Kill the proxy that owns the first key's range, so at least that
@@ -113,35 +91,15 @@ func Failover(opt Options) (*Table, error) {
 	}
 
 	total := int64(workers * opsPerWorker)
-	killAt, recoverAt := total/3, 2*total/3
-	var done atomic.Int64
-	coordErr := make(chan error, 1)
-	go func() {
-		for done.Load() < killAt {
-			time.Sleep(time.Millisecond)
-		}
-		if err := cluster.KillProxy(victim); err != nil {
-			coordErr <- fmt.Errorf("killing proxy %d: %w", victim, err)
-			return
-		}
-		for done.Load() < recoverAt {
-			time.Sleep(time.Millisecond)
-		}
-		coordErr <- cluster.RecoverProxy(victim)
-	}()
-
+	d := newDrill(cluster, keys, workers, 4, outcomeRejected)
+	d.at(total/3, func() error { return cluster.KillProxy(victim) })
+	d.at(2*total/3, func() error { return cluster.RecoverProxy(victim) })
 	start := time.Now()
-	states, totals, werr := mixedWorkload(cluster, keys, workers, opsPerWorker, 4, &done, nil)
+	if err := d.run(opsPerWorker); err != nil {
+		return nil, fmt.Errorf("harness: failover drill: %w", err)
+	}
 	elapsed := time.Since(start)
-	// Always drain the coordinator (mixedWorkload's final done.Store
-	// releases it) so kill/recover never race the deferred Close.
-	cerr := <-coordErr
-	if werr != nil {
-		return nil, fmt.Errorf("harness: failover workload: %w", werr)
-	}
-	if cerr != nil {
-		return nil, fmt.Errorf("harness: failover drill: %w", cerr)
-	}
+	totals := d.totals
 
 	// The reborn proxy must be probed back into the ring before the
 	// audit, so audit reads exercise its on-demand re-adoption too.
@@ -154,7 +112,7 @@ func Failover(opt Options) (*Table, error) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	audited, err := auditKeys(cluster, states)
+	audited, err := d.audit()
 	if err != nil {
 		return nil, fmt.Errorf("harness: failover audit: %w", err)
 	}
@@ -171,9 +129,6 @@ func Failover(opt Options) (*Table, error) {
 	if failovers == 0 {
 		return nil, fmt.Errorf("harness: router recorded no failovers across a proxy kill")
 	}
-	if vp, vs := shapeViolations(reg); vp+vs != 0 {
-		return nil, fmt.Errorf("harness: obliviousness shape violations during failover: proxy=%d server=%d", vp, vs)
-	}
 
 	tput := float64(totals.ops) / elapsed.Seconds()
 	t.AddRow("kill-adopt", "3", fmt.Sprint(totals.ops), fmt.Sprint(totals.ok), "-",
@@ -186,172 +141,4 @@ func Failover(opt Options) (*Table, error) {
 			claims-startupClaims, startupClaims, fenced, failovers),
 		"shape auditor: 0 length violations — fence rejections, claims, and adoption retries are frame-class invisible")
 	return t, nil
-}
-
-// workloadTotals aggregates a mixedWorkload run.
-type workloadTotals struct{ ops, ok, amb, busy, expired int64 }
-
-// keyAudit tracks the set of values one key may legitimately hold: the
-// last confirmed value plus any write whose outcome was left ambiguous.
-type keyAudit struct{ acceptable map[string]bool }
-
-func opName(isRead bool) string {
-	if isRead {
-		return "read"
-	}
-	return "write"
-}
-
-// maxBusyRetries bounds how often one operation may be re-offered
-// after busy rejections before the workload declares starvation. At
-// millisecond retry-after hints this is tens of seconds of refusal on
-// one op — admission control always admits MaxInflight requests, so a
-// live deployment can only hit this if shedding stopped making progress.
-const maxBusyRetries = 10000
-
-// mixedWorkload drives a 50/50 read/write workload with workers owning
-// disjoint key sets (keys is split evenly), tracking per-key acceptable
-// value sets for a later audit. Busy rejections are definite
-// not-executed outcomes, so the op is re-offered in place after the
-// shedder's retry-after hint (counted per rejection in totals.busy) —
-// the closed-loop behavior of a client honoring the hint. gen
-// namespaces written values; done, when non-nil, is bumped after every
-// completed operation so a coordinator can time fault injection
-// against progress; rec, when non-nil, records the latency of every
-// successful operation (the accepted-request latency the overload
-// experiment bounds).
-func mixedWorkload(cluster *Cluster, keys []string, workers, opsPerWorker int, gen uint64, done *atomic.Int64, rec *stats.Recorder) ([]map[string]*keyAudit, workloadTotals, error) {
-	keysPerWorker := len(keys) / workers
-	states := make([]map[string]*keyAudit, workers)
-	var (
-		mu         sync.Mutex
-		firstFatal error
-		totals     workloadTotals
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(gen, uint64(w)))
-			own := keys[w*keysPerWorker : (w+1)*keysPerWorker]
-			st := make(map[string]*keyAudit, len(own))
-			for _, k := range own {
-				ka := &keyAudit{acceptable: map[string]bool{}}
-				if v, seeded := cluster.cfg.Data[k]; seeded {
-					ka.acceptable[string(v)] = true
-				}
-				st[k] = ka
-			}
-			states[w] = st
-			var ops, ok, amb, busy, expired int64
-			var fatal error
-			for i := 0; i < opsPerWorker && fatal == nil; i++ {
-				key := own[rng.IntN(len(own))]
-				ops++
-				isRead := rng.IntN(2) == 0
-				var val []byte
-				if !isRead {
-					val = chaosValue(cluster.cfg.ValueSize, uint64(w*opsPerWorker+i), gen)
-				}
-				for tries := 0; fatal == nil; tries++ {
-					opStart := time.Now()
-					var got []byte
-					var err error
-					if isRead {
-						got, _, err = cluster.Access(core.OpRead, key, nil)
-					} else {
-						_, _, err = cluster.Access(core.OpWrite, key, val)
-					}
-					if transport.IsBusy(err) {
-						// Shed before executing — definite, so the acceptable
-						// set is unchanged and the op can simply be offered
-						// again after the shedder's hint.
-						busy++
-						if tries >= maxBusyRetries {
-							fatal = fmt.Errorf("worker %d: %q starved: %d consecutive busy rejections", w, key, tries)
-							break
-						}
-						time.Sleep(busyDelay(err))
-						continue
-					}
-					switch {
-					case err == nil:
-						if isRead && len(st[key].acceptable) > 0 && !st[key].acceptable[string(got)] {
-							fatal = fmt.Errorf("worker %d: read %q returned a value no write produced (lost or duplicated write)", w, key)
-							break
-						}
-						ok++
-						if rec != nil {
-							rec.Add(time.Since(opStart))
-						}
-						if isRead {
-							st[key].acceptable = map[string]bool{string(got): true}
-						} else {
-							st[key].acceptable = map[string]bool{string(val): true}
-						}
-					case transport.Ambiguous(err):
-						amb++ // outcome unknown; reads don't change state
-						if !isRead {
-							st[key].acceptable[string(val)] = true // may or may not have applied
-						}
-					case core.IsHandoffTransient(err), core.IsDeadlineExpired(err):
-						// Definite rejection mid-handoff, or the deadline
-						// budget ran out before the round executed — the
-						// acceptable set is unchanged either way. An app
-						// would retry; here it is a skipped op.
-						if core.IsDeadlineExpired(err) {
-							expired++
-						}
-					default:
-						fatal = fmt.Errorf("worker %d: %s %q: %w", w, opName(isRead), key, err)
-					}
-					break
-				}
-				if done != nil {
-					done.Add(1)
-				}
-			}
-			mu.Lock()
-			totals.ops += ops
-			totals.ok += ok
-			totals.amb += amb
-			totals.busy += busy
-			totals.expired += expired
-			if fatal != nil && firstFatal == nil {
-				firstFatal = fatal
-			}
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	if done != nil {
-		// Release a coordinator still waiting on a progress threshold.
-		done.Store(int64(workers) * int64(opsPerWorker))
-	}
-	return states, totals, firstFatal
-}
-
-// auditKeys re-reads every tracked key on a healthy deployment: reads
-// must succeed (label schedule consistent — at most one round per
-// counter value ever applied) and return an acceptable value (no
-// acknowledged write lost, none applied twice).
-func auditKeys(cluster *Cluster, states []map[string]*keyAudit) (int, error) {
-	audited := 0
-	for _, st := range states {
-		for key, ka := range st {
-			got, _, err := cluster.Access(core.OpRead, key, nil)
-			if err != nil {
-				if errors.Is(err, core.ErrTampered) {
-					return audited, fmt.Errorf("%q label schedule desynchronized: %w", key, err)
-				}
-				return audited, fmt.Errorf("read %q after recovery: %w", key, err)
-			}
-			if len(ka.acceptable) > 0 && !ka.acceptable[string(got)] {
-				return audited, fmt.Errorf("%q holds a value no write produced (lost or duplicated write)", key)
-			}
-			audited++
-		}
-	}
-	return audited, nil
 }

@@ -6,8 +6,8 @@ import (
 	"ortoa/internal/core"
 	"ortoa/internal/crypto/prf"
 	"ortoa/internal/fhe"
-	"ortoa/internal/kvstore"
 	"ortoa/internal/netsim"
+	"ortoa/internal/tier"
 	"ortoa/internal/transport"
 )
 
@@ -32,7 +32,7 @@ func FHERelinAblation(opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	valueSize := minInt(32, params.PlaintextCapacity()-2)
+	valueSize := min(32, params.PlaintextCapacity()-2)
 
 	type outcome struct {
 		failedAt  int
@@ -41,65 +41,22 @@ func FHERelinAblation(opt Options) (*Table, error) {
 	outcomes := map[bool]outcome{}
 
 	for _, relin := range []bool{false, true} {
-		cfg := core.FHEConfig{Params: params, ValueSize: valueSize, MaxDegree: 64}
-		store := kvstore.New()
-		srv := transport.NewServer()
-		listener := netsim.Listen(netsim.Loopback)
-		go srv.Serve(listener) //nolint:errcheck // returns on Close
-		core.NewFHEServer(store, cfg).Register(srv)
-		rpc, err := transport.Dial(listener.Dial, 1)
-		if err != nil {
-			srv.Close()
-			return nil, err
-		}
-		client, err := core.NewFHEClient(cfg, prf.NewRandom(), rpc)
-		if err != nil {
-			rpc.Close()
-			srv.Close()
-			return nil, err
-		}
+		cfg := core.FHEConfig{Params: params, MaxDegree: 64}
 		if relin {
-			if err := client.ProvisionRelinKey(); err != nil {
-				rpc.Close()
-				srv.Close()
-				return nil, err
-			}
+			cfg.RelinBaseBits = 24 // the client provisions an evaluation key at setup
 		}
-		value := make([]byte, valueSize)
-		for i := range value {
-			value[i] = byte(i)
-		}
-		ek, rec, err := client.BuildRecord("object", value)
+		rig, err := newFHERig(cfg, valueSize)
 		if err != nil {
-			rpc.Close()
-			srv.Close()
 			return nil, err
 		}
-		store.Put(ek, rec)
-
-		oc := outcome{}
-		for access := 1; access <= maxAccesses; access++ {
-			got, _, err := client.Access(core.OpRead, "object", nil)
-			ok := err == nil && string(got) == string(value)
-			recNow, _ := store.Get(ek)
-			degree := "-"
-			if ct, uerr := fhe.UnmarshalCiphertext(params, recNow); uerr == nil {
-				degree = fmt.Sprint(ct.Degree())
-			}
-			budget, berr := client.NoiseBudgetOf(recNow)
-			if berr != nil {
-				budget = -1
-			}
-			t.AddRow(fmt.Sprint(relin), fmt.Sprint(access), degree, fmt.Sprint(len(recNow)), fmt.Sprint(budget), fmt.Sprint(ok))
-			oc.finalSize = len(recNow)
-			if !ok {
-				oc.failedAt = access
-				break
-			}
+		failedAt, last, err := rig.exhaust(maxAccesses, func(access int, st fheObjectState) {
+			t.AddRow(fmt.Sprint(relin), fmt.Sprint(access), st.degree, fmt.Sprint(st.size), fmt.Sprint(st.budget), fmt.Sprint(st.ok))
+		})
+		rig.Close()
+		if err != nil {
+			return nil, err
 		}
-		outcomes[relin] = oc
-		rpc.Close()
-		srv.Close()
+		outcomes[relin] = outcome{failedAt: failedAt, finalSize: last.size}
 	}
 
 	plain, rl := outcomes[false], outcomes[true]
@@ -112,4 +69,93 @@ func FHERelinAblation(opt Options) (*Table, error) {
 				plain.failedAt, rl.failedAt))
 	}
 	return t, nil
+}
+
+// An fheRig is one FHE-ORTOA server/client pair over a loopback link,
+// holding a single object — what the §3.3 experiments access until the
+// noise budget gives out.
+type fheRig struct {
+	srv    *tier.Server
+	px     *tier.Proxy
+	params fhe.Parameters
+	ek     string
+	value  []byte
+}
+
+func newFHERig(cfg core.FHEConfig, valueSize int) (*fheRig, error) {
+	srv, err := tier.NewServer(tier.ServerConfig{Protocol: tier.FHE, ValueSize: valueSize, FHE: cfg})
+	if err != nil {
+		return nil, err
+	}
+	listener := netsim.Listen(netsim.Loopback)
+	go srv.Transport.Serve(listener) //nolint:errcheck // returns on Close
+	r := &fheRig{srv: srv, params: cfg.Params, value: make([]byte, valueSize)}
+	r.px, err = tier.NewProxy(tier.ProxyConfig{
+		Protocol: tier.FHE, ValueSize: valueSize, PRF: prf.NewRandom(), FHE: cfg,
+		Transport: transport.Options{PoolSize: 1},
+	}, listener.Dial)
+	if err != nil {
+		srv.Close()
+		return nil, err
+	}
+	for i := range r.value {
+		r.value[i] = byte(i)
+	}
+	var rec []byte
+	if r.ek, rec, err = r.px.BuildRecord("object", r.value); err == nil {
+		err = srv.Store.Put(r.ek, rec)
+	}
+	if err != nil {
+		r.Close()
+		return nil, err
+	}
+	return r, nil
+}
+
+func (r *fheRig) Close() {
+	r.px.Close()  //nolint:errcheck // best-effort teardown
+	r.srv.Close() //nolint:errcheck
+}
+
+// fheObjectState is the stored ciphertext after one access.
+type fheObjectState struct {
+	degree string // "-" when the record no longer parses
+	budget int    // remaining noise budget in bits, -1 when unmeasurable
+	size   int    // record bytes
+	ok     bool   // the access decrypted to the object's value
+}
+
+// access reads the object once and inspects what the server now stores.
+func (r *fheRig) access() (fheObjectState, error) {
+	got, _, err := r.px.Accessor.Access(core.OpRead, "object", nil)
+	st := fheObjectState{degree: "-", ok: err == nil && string(got) == string(r.value)}
+	rec, err := r.srv.Store.Get(r.ek)
+	if err != nil {
+		return st, err
+	}
+	st.size = len(rec)
+	if ct, err := fhe.UnmarshalCiphertext(r.params, rec); err == nil {
+		st.degree = fmt.Sprint(ct.Degree())
+	}
+	if st.budget, err = r.px.FHE.NoiseBudgetOf(rec); err != nil {
+		st.budget = -1
+	}
+	return st, nil
+}
+
+// exhaust reads the object up to limit times, handing each access's
+// outcome to row, and stops at the first read that no longer decrypts
+// to the object's value. It returns that access's number (0 if every
+// read decrypted) and the object's final state.
+func (r *fheRig) exhaust(limit int, row func(access int, st fheObjectState)) (failedAt int, last fheObjectState, err error) {
+	for access := 1; access <= limit; access++ {
+		if last, err = r.access(); err != nil {
+			return 0, last, err
+		}
+		row(access, last)
+		if !last.ok {
+			return access, last, nil
+		}
+	}
+	return 0, last, nil
 }

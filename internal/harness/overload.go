@@ -1,28 +1,13 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"ortoa/internal/core"
 	"ortoa/internal/netsim"
-	"ortoa/internal/obs"
 	"ortoa/internal/stats"
 	"ortoa/internal/transport"
 )
-
-// busyDelay returns how long a workload worker backs off after a busy
-// rejection: the shedder's retry-after hint when it reached the client
-// intact, else a small default — enough to let a slot free up without
-// the saturation drill ever going idle.
-func busyDelay(err error) time.Duration {
-	var be *transport.BusyError
-	if errors.As(err, &be) && be.RetryAfter > 0 {
-		return be.RetryAfter
-	}
-	return 2 * time.Millisecond
-}
 
 // Overload drives the deployment past saturation and checks that it
 // degrades the way §15 of DESIGN.md promises instead of collapsing:
@@ -42,9 +27,9 @@ func busyDelay(err error) time.Duration {
 //   - Accepted requests keep a bounded p99 (no accepted request rode a
 //     multi-second queue; the queue's job is to stay short and shed).
 //   - The overflow was actually shed: admission counters moved.
-//   - Zero lost acknowledged writes: busy rejections are definite
-//     not-executed outcomes, so the audit's acceptable sets never widen
-//     on a shed write.
+//   - The drill's audit (drill.go) over both phases' keys: busy and
+//     expired rejections claim "not executed", so they never widened an
+//     acceptable set, and no acknowledged write may be lost.
 //   - Zero obliviousness shape violations: busy frames, expired-round
 //     rejections, and breaker traffic all stay inside the fixed frame
 //     classes the shape auditor pins.
@@ -64,29 +49,18 @@ func Overload(opt Options) (*Table, error) {
 	// Disjoint key sets per phase: a key written in phase 1 must never
 	// be read against phase 2's acceptable sets (and vice versa), so
 	// each phase audits only its own writes.
-	capKeys := make([]string, baseWorkers*4)
-	overKeys := make([]string, overWorkers*2)
-	data := make(map[string][]byte, len(capKeys)+len(overKeys))
-	for i := range capKeys {
-		capKeys[i] = fmt.Sprintf("capacity-%04d", i)
-		data[capKeys[i]] = chaosValue(paperValueSize, uint64(i), 13)
-	}
-	for i := range overKeys {
-		overKeys[i] = fmt.Sprintf("overload-%04d", i)
-		data[overKeys[i]] = chaosValue(paperValueSize, uint64(i), 15)
+	capKeys, data := drillData("capacity", baseWorkers*4, paperValueSize, 13)
+	overKeys, overData := drillData("overload", overWorkers*2, paperValueSize, 15)
+	for k, v := range overData {
+		data[k] = v
 	}
 
 	// One cluster for both phases, provisioned for baseWorkers: every
 	// shard server and proxy front end admits at most baseWorkers
 	// concurrent requests plus a bounded LIFO queue, sheds
 	// deadline-expired work, and hints the retry pace.
-	reg := obs.NewRegistry()
-	cluster, err := NewCluster(Config{
-		System:        SystemLBL,
+	cluster, err := drillCluster(data, Config{
 		Link:          netsim.Link{RTT: time.Millisecond},
-		ValueSize:     paperValueSize,
-		Data:          data,
-		LBLMode:       core.LBLPointPermute,
 		ConnsPerShard: 8,
 		Proxies:       2,
 		Transport: transport.Options{
@@ -100,39 +74,41 @@ func Overload(opt Options) (*Table, error) {
 			ShedExpired: true,
 			RetryAfter:  5 * time.Millisecond,
 		},
-		Metrics: reg,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer cluster.Close()
+	reg := cluster.cfg.Metrics
+
+	// phase offers the cluster `workers` closed loops of the drill
+	// workload and returns the drill with the goodput it achieved.
+	phase := func(what string, keys []string, workers, ops int, gen uint64) (*drill, float64, error) {
+		d := newDrill(cluster, keys, workers, gen, outcomeRejected)
+		d.rec = stats.NewRecorder(workers * ops)
+		start := time.Now()
+		if err := d.run(ops); err != nil {
+			return nil, 0, fmt.Errorf("harness: overload %s phase: %w", what, err)
+		}
+		return d, float64(d.totals.ok) / time.Since(start).Seconds(), nil
+	}
 
 	// Phase 1: capacity at provisioned concurrency.
-	rec1 := stats.NewRecorder(baseWorkers * capOps)
-	start := time.Now()
-	states1, tot1, werr := mixedWorkload(cluster, capKeys, baseWorkers, capOps, 14, nil, rec1)
-	elapsed1 := time.Since(start)
-	if werr != nil {
-		return nil, fmt.Errorf("harness: overload capacity phase: %w", werr)
+	d1, capacity, err := phase("capacity", capKeys, baseWorkers, capOps, 14)
+	if err != nil {
+		return nil, err
 	}
-	if tot1.ok == 0 {
+	if d1.totals.ok == 0 {
 		return nil, fmt.Errorf("harness: capacity phase completed no operations")
 	}
-	capacity := float64(tot1.ok) / elapsed1.Seconds()
-	adm1 := cluster.AdmissionStats()
-	sum1 := rec1.Summarize()
+	tot1, adm1, sum1 := d1.totals, cluster.AdmissionStats(), d1.rec.Summarize()
 
 	// Phase 2: 10x offered load against the same admission limits.
-	rec2 := stats.NewRecorder(overWorkers * overOps)
-	start = time.Now()
-	states2, tot2, werr := mixedWorkload(cluster, overKeys, overWorkers, overOps, 16, nil, rec2)
-	elapsed2 := time.Since(start)
-	if werr != nil {
-		return nil, fmt.Errorf("harness: overload 10x phase: %w", werr)
+	d2, goodput, err := phase("10x", overKeys, overWorkers, overOps, 16)
+	if err != nil {
+		return nil, err
 	}
-	goodput := float64(tot2.ok) / elapsed2.Seconds()
-	adm2 := cluster.AdmissionStats()
-	sum2 := rec2.Summarize()
+	tot2, adm2, sum2 := d2.totals, cluster.AdmissionStats(), d2.rec.Summarize()
 	shed2 := (adm2.Shed + adm2.Expired) - (adm1.Shed + adm1.Expired)
 
 	// Invariants. Goodput is the one the paper's threat model cannot
@@ -154,15 +130,12 @@ func Overload(opt Options) (*Table, error) {
 	// expired rejection claimed "not executed", so no acceptable set may
 	// have silently widened, and no acknowledged write may be lost.
 	audited := 0
-	for _, states := range [][]map[string]*keyAudit{states1, states2} {
-		n, err := auditKeys(cluster, states)
+	for _, d := range []*drill{d1, d2} {
+		n, err := d.audit()
 		if err != nil {
 			return nil, fmt.Errorf("harness: overload audit: %w", err)
 		}
 		audited += n
-	}
-	if vp, vs := shapeViolations(reg); vp+vs != 0 {
-		return nil, fmt.Errorf("harness: obliviousness shape violations under overload: proxy=%d server=%d", vp, vs)
 	}
 
 	t.AddRow("capacity", fmt.Sprint(baseWorkers), fmt.Sprint(tot1.ops), fmt.Sprint(tot1.ok),

@@ -10,7 +10,7 @@ import (
 	"ortoa/internal/core"
 	"ortoa/internal/crypto/prf"
 	"ortoa/internal/netsim"
-	"ortoa/internal/transport"
+	"ortoa/internal/tier"
 )
 
 // Multi-proxy high-availability deployments (LBL only). With
@@ -29,49 +29,45 @@ import (
 // true counter; 4096 covers every workload in this harness.
 const defaultProxyReconcileScan = 4096
 
-// A proxyNode is one restartable trusted proxy: its own connection pool
-// to the shard server, its own LBL proxy state, and a front-end
-// transport server clients reach through a stable listener pointer.
+// A proxyNode is one restartable trusted proxy: its own trusted tier —
+// connection pool to the shard server and LBL proxy state — and the
+// front end clients reach through a stable listener pointer.
 type proxyNode struct {
 	name string
-	auds clusterAuditors
 
 	// listener is swapped on recovery; the router's dial closure reads
 	// it, so a reborn proxy is reachable at the same identity.
 	listener atomic.Pointer[netsim.Listener]
 
 	mu    sync.Mutex // guards the restartable fields below
-	rpc   *transport.Client
-	proxy *core.LBLProxy
-	front *transport.Server
+	px    *tier.Proxy
+	front *tier.Front
 	down  bool
 }
 
 // buildProxies stands up the proxy fleet and router over the already
 // built shard. Called before load(), which then builds records through
 // the shared-PRF proxy at c.proxies[0].
-func (c *Cluster) buildProxies(cfg Config, sh *shard) error {
+func (c *Cluster) buildProxies() error {
+	cfg := c.cfg
 	c.prf = prf.NewRandom()
 	names := make([]string, cfg.Proxies)
 	for i := range names {
 		names[i] = fmt.Sprintf("proxy-%d", i)
 	}
 	ring := core.NewRing(names)
-	for i := 0; i < cfg.Proxies; i++ {
-		pn := &proxyNode{name: names[i], auds: sh.auds}
-		if err := pn.start(cfg, sh, c.prf, true); err != nil {
-			return fmt.Errorf("harness: starting %s: %w", names[i], err)
-		}
-		// Startup handshake: each proxy claims its ring partition, so
-		// every range starts at epoch ≥ 1 with exactly one owner.
-		if err := pn.proxy.ClaimOwned(ring, pn.name); err != nil {
-			return fmt.Errorf("harness: %s claiming ranges: %w", pn.name, err)
+	for _, name := range names {
+		pn := &proxyNode{name: name}
+		if err := c.startProxy(pn); err != nil {
+			return fmt.Errorf("harness: starting %s: %w", name, err)
 		}
 		c.proxies = append(c.proxies, pn)
+		// Startup handshake: each proxy claims its ring partition, so
+		// every range starts at epoch ≥ 1 with exactly one owner.
+		if err := pn.px.LBL.ClaimOwned(ring, pn.name); err != nil {
+			return fmt.Errorf("harness: %s claiming ranges: %w", pn.name, err)
+		}
 	}
-	// The shard's record builder must use the shared PRF: replace the
-	// placeholder accessor before load() runs.
-	sh.accessor = c.proxies[0].proxy
 
 	members := make([]core.RouterMember, len(c.proxies))
 	for i, pn := range c.proxies {
@@ -81,13 +77,10 @@ func (c *Cluster) buildProxies(cfg Config, sh *shard) error {
 			Dial: func() (net.Conn, error) { return pn.listener.Load().Dial() },
 		}
 	}
+	ropts := cfg.Transport // end users run the fleet's fault-tolerance policy
+	ropts.PoolSize = 4
 	router, err := core.NewRouter(members, core.RouterOptions{
-		Client: transport.Options{
-			PoolSize:         4,
-			CallTimeout:      cfg.Transport.CallTimeout,
-			Retry:            cfg.Transport.Retry,
-			ReconnectBackoff: cfg.Transport.ReconnectBackoff,
-		},
+		Client:        ropts,
 		ProbeInterval: 25 * time.Millisecond,
 		Metrics:       cfg.Metrics,
 	})
@@ -98,57 +91,34 @@ func (c *Cluster) buildProxies(cfg Config, sh *shard) error {
 	return nil
 }
 
-// start builds (or rebuilds) the node's server client, proxy state, and
-// front end. A rebuilt node starts with empty counters and no claimed
-// ranges: ownership is re-acquired on demand through the epoch fence
+// startProxy builds (or rebuilds) the node's trusted tier and front
+// end. A rebuilt node starts with empty counters and no claimed ranges:
+// ownership is re-acquired on demand through the epoch fence
 // (AutoAdopt), exactly like a production proxy restarted from nothing.
-// instrument is false on recovery — handles with per-instance callbacks
-// would double-register (the restarted-store precedent in newShard).
-func (pn *proxyNode) start(cfg Config, sh *shard, f *prf.PRF, instrument bool) error {
-	topts := cfg.Transport
-	topts.PoolSize = cfg.ConnsPerShard
-	dial := func() (net.Conn, error) { return sh.listener.Load().Dial() }
-	client, err := transport.DialOptions(dial, topts)
+func (c *Cluster) startProxy(pn *proxyNode) error {
+	pcfg := c.proxyConfig(c.prf)
+	pcfg.LBL.AutoAdopt = true
+	pcfg.LBL.ReconcileScan = c.cfg.ProxyReconcileScan
+	if pcfg.LBL.ReconcileScan <= 0 {
+		pcfg.LBL.ReconcileScan = defaultProxyReconcileScan
+	}
+	px, err := tier.NewProxy(pcfg, c.shards[0].dial)
 	if err != nil {
 		return err
 	}
-	if instrument {
-		client.Instrument(cfg.Metrics)
+	var fcfg tier.FrontConfig
+	if c.cfg.Admission != nil {
+		fcfg.Admission = *c.cfg.Admission
 	}
-	client.AuditShape(pn.auds.proxy, core.ShapeClassify)
-
-	scan := cfg.ProxyReconcileScan
-	if scan <= 0 {
-		scan = defaultProxyReconcileScan
-	}
-	proxy, err := core.NewLBLProxy(core.LBLConfig{
-		ValueSize:        cfg.ValueSize,
-		Mode:             cfg.LBLMode,
-		ReconcileScan:    scan,
-		AutoAdopt:        true,
-		StreamChunkBytes: cfg.StreamChunkBytes,
-	}, f, client)
+	front, err := px.NewFront(fcfg)
 	if err != nil {
-		client.Close()
+		px.Close() //nolint:errcheck // reporting the front-end error
 		return err
 	}
-	if instrument {
-		proxy.Instrument(cfg.Metrics)
-		if cfg.Metrics != nil && cfg.TraceBuffer > 0 {
-			proxy.TraceWith(cfg.Metrics.Tracer("proxy", cfg.TraceBuffer))
-		}
-	}
+	l := netsim.Listen(c.cfg.ProxyLink)
+	go front.Transport.Serve(l) //nolint:errcheck // returns on Close
 
-	front := transport.NewServer()
-	front.AuditShape(pn.auds.proxy, core.ShapeClassify)
-	if cfg.Admission != nil {
-		front.LimitAdmission(*cfg.Admission)
-	}
-	core.RegisterProxyService(front, proxy)
-	l := netsim.Listen(cfg.ProxyLink)
-	go front.Serve(l) //nolint:errcheck // returns on Close
-
-	pn.rpc, pn.proxy, pn.front = client, proxy, front
+	pn.px, pn.front = px, front
 	pn.down = false
 	pn.listener.Store(l)
 	return nil
@@ -182,8 +152,8 @@ func (c *Cluster) KillProxy(i int) error {
 	// Server pool first: in-flight accesses inside front-end handlers
 	// fail fast instead of gracefully draining — this is a crash, not a
 	// shutdown.
-	pn.rpc.Close()
-	pn.front.Close() //nolint:errcheck // best-effort kill
+	pn.px.RPC.Close() //nolint:errcheck // best-effort kill
+	pn.px.Close()     //nolint:errcheck
 	pn.down = true
 	return nil
 }
@@ -202,7 +172,7 @@ func (c *Cluster) RecoverProxy(i int) error {
 	if !pn.down {
 		return fmt.Errorf("harness: proxy %d is not down", i)
 	}
-	return pn.start(c.cfg, c.shards[0], c.prf, false)
+	return c.startProxy(pn)
 }
 
 // RestartProxy crash-kills proxy i and immediately recovers it — the
@@ -228,11 +198,8 @@ func (c *Cluster) closeProxies() {
 	}
 	for _, pn := range c.proxies {
 		pn.mu.Lock()
-		if !pn.down {
-			pn.rpc.Close()
-			pn.front.Close() //nolint:errcheck
-			pn.down = true
-		}
+		pn.px.Close() //nolint:errcheck // idempotent: a killed node is already closed
+		pn.down = true
 		pn.mu.Unlock()
 	}
 }

@@ -40,8 +40,7 @@ var Experiments = []Experiment{
 	{"crash", "repeated kill/restart under durable-on-ack group commit (robustness extension)", Crash},
 	{"attack-snapshot", "multi-snapshot adversary vs plain store and ORTOA (§1)", SnapshotAttack},
 	{"oram-rounds", "one-round vs two-round tree ORAM (§8 sketch)", ORAMRounds},
-	{"stages", "measured LBL per-stage latency breakdown (Fig 3c companion)", Stages},
-	{"trace", "Fig 3c breakdown from one cross-process distributed trace (observability extension)", TraceBreakdown},
+	{"trace", "measured Fig 3c companion: one cross-process trace plus the run's stage histograms (observability extension)", TraceBreakdown},
 	{"bench", "LBL kernel microbenchmarks with JSON output (perf baseline)", Bench},
 	{"stream", "requests cut under a frame budget, table build pipelined against the wire, vs sent whole (perf extension)", Stream},
 }

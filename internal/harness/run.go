@@ -41,46 +41,85 @@ func Run(cfg RunConfig) (Result, error) {
 	if cfg.Cluster == nil {
 		return Result{}, fmt.Errorf("harness: RunConfig requires a Cluster")
 	}
-	if cfg.Concurrency <= 0 || cfg.OpsPerClient <= 0 {
+	return runClosedLoop(cfg.Cluster, cfg.Concurrency, cfg.OpsPerClient, func(worker int) (func() workload.Request, error) {
+		wl := cfg.Workload
+		wl.Seed = cfg.Workload.Seed + uint64(worker)*1_000_003 + 1
+		gen, err := workload.NewGenerator(wl)
+		if err != nil {
+			return nil, err
+		}
+		return gen.Next, nil
+	})
+}
+
+// RunKeyed drives a 50/50 read/write closed-loop workload over an
+// explicit key set (the real-dataset experiments of Fig 4, whose keys
+// are not the synthetic key space).
+func RunKeyed(cluster *Cluster, records []workload.Record, concurrency, opsPerClient, valueSize int) (Result, error) {
+	if len(records) == 0 {
+		return Result{}, fmt.Errorf("harness: RunKeyed needs records")
+	}
+	return runClosedLoop(cluster, concurrency, opsPerClient, func(worker int) (func() workload.Request, error) {
+		rng := rand.New(rand.NewPCG(uint64(worker), 0xDA7A))
+		return func() workload.Request {
+			req := workload.Request{Op: core.OpRead, Key: records[rng.IntN(len(records))].Key}
+			if rng.IntN(2) == 1 {
+				req.Op, req.Value = core.OpWrite, make([]byte, valueSize)
+				for j := range req.Value {
+					req.Value[j] = byte(rng.Uint32())
+				}
+			}
+			return req
+		}, nil
+	})
+}
+
+// runClosedLoop has `concurrency` client threads each issue
+// opsPerClient requests drawn from their own source(worker) stream,
+// waiting for every response before the next request (§6), and
+// measures latency, throughput and proxy↔server traffic. Failed
+// operations are counted and the first error returned alongside the
+// result; a run in which every operation failed returns no result.
+func runClosedLoop(cluster *Cluster, concurrency, opsPerClient int, source func(worker int) (func() workload.Request, error)) (Result, error) {
+	if concurrency <= 0 || opsPerClient <= 0 {
 		return Result{}, fmt.Errorf("harness: Concurrency and OpsPerClient must be positive")
 	}
-	totalOps := cfg.Concurrency * cfg.OpsPerClient
+	totalOps := concurrency * opsPerClient
 	rec := stats.NewRecorder(totalOps)
-	before := cfg.Cluster.TrafficStats()
+	before := cluster.TrafficStats()
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	errCount := 0
 	var firstErr error
+	fail := func(err error) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		mu.Unlock()
+	}
 
 	start := time.Now()
-	for w := 0; w < cfg.Concurrency; w++ {
+	for w := 0; w < concurrency; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			wl := cfg.Workload
-			wl.Seed = cfg.Workload.Seed + uint64(worker)*1_000_003 + 1
-			gen, err := workload.NewGenerator(wl)
+			next, err := source(worker)
 			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
+				fail(err)
 				return
 			}
-			for i := 0; i < cfg.OpsPerClient; i++ {
-				req := gen.Next()
+			for i := 0; i < opsPerClient; i++ {
+				req := next()
 				opStart := time.Now()
-				_, _, err := cfg.Cluster.Access(req.Op, req.Key, req.Value)
+				_, _, err := cluster.Access(req.Op, req.Key, req.Value)
 				rec.Add(time.Since(opStart))
 				if err != nil {
 					mu.Lock()
 					errCount++
-					if firstErr == nil {
-						firstErr = fmt.Errorf("harness: %s %q: %w", req.Op, req.Key, err)
-					}
 					mu.Unlock()
+					fail(fmt.Errorf("harness: %s %q: %w", req.Op, req.Key, err))
 				}
 			}
 		}(w)
@@ -91,106 +130,24 @@ func Run(cfg RunConfig) (Result, error) {
 		return Result{}, firstErr
 	}
 
-	after := cfg.Cluster.TrafficStats()
-	res := Result{
-		System:     cfg.Cluster.cfg.System,
-		Latency:    rec.Summarize(),
-		Throughput: stats.Throughput(totalOps, elapsed),
-		Elapsed:    elapsed,
-		Ops:        totalOps,
-		Errors:     errCount,
-	}
-	if totalOps > 0 {
-		res.BytesSentOp = float64(after.BytesSent-before.BytesSent) / float64(totalOps)
-		res.BytesRecvOp = float64(after.BytesReceived-before.BytesReceived) / float64(totalOps)
-	}
-	if firstErr != nil {
-		return res, firstErr
-	}
-	return res, nil
-}
-
-// RunKeyed drives a 50/50 read/write closed-loop workload over an
-// explicit key set (the real-dataset experiments of Fig 4, whose keys
-// are not the synthetic key space).
-func RunKeyed(cluster *Cluster, records []workload.Record, concurrency, opsPerClient, valueSize int) (Result, error) {
-	if len(records) == 0 {
-		return Result{}, fmt.Errorf("harness: RunKeyed needs records")
-	}
-	totalOps := concurrency * opsPerClient
-	rec := stats.NewRecorder(totalOps)
-	before := cluster.TrafficStats()
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	errCount := 0
-	var firstErr error
-
-	start := time.Now()
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(uint64(worker), 0xDA7A))
-			for i := 0; i < opsPerClient; i++ {
-				r := records[rng.IntN(len(records))]
-				op := core.OpRead
-				var value []byte
-				if rng.IntN(2) == 1 {
-					op = core.OpWrite
-					value = make([]byte, valueSize)
-					for j := range value {
-						value[j] = byte(rng.Uint32())
-					}
-				}
-				opStart := time.Now()
-				_, _, err := cluster.Access(op, r.Key, value)
-				rec.Add(time.Since(opStart))
-				if err != nil {
-					mu.Lock()
-					errCount++
-					if firstErr == nil {
-						firstErr = fmt.Errorf("harness: %s %q: %w", op, r.Key, err)
-					}
-					mu.Unlock()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
 	after := cluster.TrafficStats()
-	res := Result{
-		System:     cluster.cfg.System,
-		Latency:    rec.Summarize(),
-		Throughput: stats.Throughput(totalOps, elapsed),
-		Elapsed:    elapsed,
-		Ops:        totalOps,
-		Errors:     errCount,
-	}
-	if totalOps > 0 {
-		res.BytesSentOp = float64(after.BytesSent-before.BytesSent) / float64(totalOps)
-		res.BytesRecvOp = float64(after.BytesReceived-before.BytesReceived) / float64(totalOps)
-	}
-	if firstErr != nil {
-		return res, firstErr
-	}
-	return res, nil
+	return Result{
+		System:      cluster.cfg.System,
+		Latency:     rec.Summarize(),
+		Throughput:  stats.Throughput(totalOps, elapsed),
+		Elapsed:     elapsed,
+		Ops:         totalOps,
+		Errors:      errCount,
+		BytesSentOp: float64(after.BytesSent-before.BytesSent) / float64(totalOps),
+		BytesRecvOp: float64(after.BytesReceived-before.BytesReceived) / float64(totalOps),
+	}, firstErr
 }
 
 // Measure builds a cluster for cfg, runs the workload once, and tears
 // the cluster down — the one-shot helper most experiments use.
 func Measure(ccfg Config, wl workload.Config, concurrency, opsPerClient int) (Result, error) {
 	if ccfg.ConnsPerShard == 0 {
-		per := concurrency / max(1, ccfg.Shards)
-		if per < 1 {
-			per = 1
-		}
-		if per > 64 {
-			per = 64
-		}
-		ccfg.ConnsPerShard = per
+		ccfg.ConnsPerShard = min(max(concurrency/max(1, ccfg.Shards), 1), 64)
 	}
 	if ccfg.Data == nil {
 		ccfg.Data = workload.InitialData(wl)

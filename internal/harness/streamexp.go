@@ -8,11 +8,8 @@ import (
 	"time"
 
 	"ortoa/internal/core"
-	"ortoa/internal/crypto/prf"
-	"ortoa/internal/kvstore"
 	"ortoa/internal/netsim"
 	"ortoa/internal/obs"
-	"ortoa/internal/transport"
 )
 
 // This file implements the "stream" experiment: requests cut under a
@@ -85,6 +82,20 @@ type streamRun struct {
 	frames   int           // access request frames per access
 }
 
+// streamCluster deploys one LBL proxy/server pair for cfg over link.
+func streamCluster(cfg core.LBLConfig, link netsim.Link, data map[string][]byte, reg *obs.Registry) (*Cluster, error) {
+	return NewCluster(Config{
+		System:           SystemLBL,
+		Link:             link,
+		ValueSize:        cfg.ValueSize,
+		Data:             data,
+		LBLMode:          cfg.Mode,
+		StreamChunkBytes: cfg.StreamChunkBytes,
+		ConnsPerShard:    2,
+		Metrics:          reg,
+	})
+}
+
 // runStreamPath deploys one proxy/server pair over link and measures
 // rounds sequential accesses. A cfg with StreamChunkBytes > 0 cuts each
 // request into frames; 0 sends it whole. The deployment's shape
@@ -92,36 +103,16 @@ type streamRun struct {
 func runStreamPath(cfg core.LBLConfig, rounds int, link netsim.Link) (streamRun, error) {
 	var run streamRun
 	reg := obs.NewRegistry()
-	store := kvstore.New()
-	serverTS := transport.NewServer()
-	serverTS.AuditShape(obs.NewShapeAuditor(reg, "server"), core.ShapeClassify)
-	core.RegisterLoader(serverTS, store)
-	core.NewLBLServer(store).Register(serverTS)
-	ln := netsim.Listen(link)
-	go serverTS.Serve(ln) //nolint:errcheck // returns on Close
-	defer serverTS.Close()
-
-	rpc, err := transport.Dial(ln.Dial, 2)
+	const key = "stream-key"
+	cluster, err := streamCluster(cfg, link, map[string][]byte{key: make([]byte, cfg.ValueSize)}, reg)
 	if err != nil {
 		return run, err
 	}
-	defer rpc.Close()
-	rpc.AuditShape(obs.NewShapeAuditor(reg, "proxy"), core.ShapeClassify)
-	proxy, err := core.NewLBLProxy(cfg, prf.NewRandom(), rpc)
-	if err != nil {
-		return run, err
-	}
-	ek, rec, err := proxy.BuildRecord("stream-key", make([]byte, cfg.ValueSize))
-	if err != nil {
-		return run, err
-	}
-	if err := core.BulkLoad(rpc, []core.KV{{Key: ek, Record: rec}}); err != nil {
-		return run, err
-	}
+	defer cluster.Close()
 
 	var mu sync.Mutex
 	accessFrames := 0
-	serverTS.SetObserver(func(msgType byte, reqLen, respLen int) {
+	cluster.shards[0].srv.Transport.SetObserver(func(msgType byte, reqLen, respLen int) {
 		if msgType != core.MsgLBLAccess {
 			return
 		}
@@ -133,7 +124,7 @@ func runStreamPath(cfg core.LBLConfig, rounds int, link netsim.Link) (streamRun,
 		mu.Unlock()
 	})
 
-	if _, _, err := proxy.Access(core.OpRead, "stream-key", nil); err != nil { // warm
+	if _, _, err := cluster.Access(core.OpRead, key, nil); err != nil { // warm
 		return run, err
 	}
 	mu.Lock()
@@ -144,11 +135,11 @@ func runStreamPath(cfg core.LBLConfig, rounds int, link netsim.Link) (streamRun,
 	for i := 0; i < rounds; i++ {
 		if i%2 == 0 {
 			value[0] = byte(i)
-			if _, _, err := proxy.Access(core.OpWrite, "stream-key", value); err != nil {
+			if _, _, err := cluster.Access(core.OpWrite, key, value); err != nil {
 				return run, fmt.Errorf("access %d: %w", i, err)
 			}
 		} else {
-			got, _, err := proxy.Access(core.OpRead, "stream-key", nil)
+			got, _, err := cluster.Access(core.OpRead, key, nil)
 			if err != nil {
 				return run, fmt.Errorf("access %d: %w", i, err)
 			}
@@ -167,103 +158,36 @@ func runStreamPath(cfg core.LBLConfig, rounds int, link netsim.Link) (streamRun,
 	return run, nil
 }
 
-// streamFaultDrill runs a sequential streamed workload through random
-// connection resets (streams dying mid-chunk) and verifies the
-// ambiguity machinery: every read observes a value the write history
-// could have produced, the final state loses no acknowledged write,
-// and the shape auditors stay clean through every fault.
+// streamFaultDrill runs the drill workload (drill.go), one worker on
+// one key, through random connection resets — requests dying between
+// frames — and audits it: a request cut after its table reached the
+// server, or whose response was lost, may or may not have applied, and
+// nothing else may move the key. A reset usually kills the pooled
+// connections, so any definite failure is a skipped access and the
+// worker pauses after one, letting the background redial land so the
+// drill spends its accesses on live streams, not dead sockets.
 func streamFaultDrill(cfg core.LBLConfig, accesses int) (resets int64, failed int, err error) {
 	plan := &netsim.FaultPlan{Seed: 11, ResetProb: 0.05, MaxFaults: 8}
 	plan.SetActive(false)
 	reg := obs.NewRegistry()
-	store := kvstore.New()
-	serverTS := transport.NewServer()
-	serverTS.AuditShape(obs.NewShapeAuditor(reg, "server"), core.ShapeClassify)
-	core.RegisterLoader(serverTS, store)
-	core.NewLBLServer(store).Register(serverTS)
-	ln := netsim.Listen(netsim.Link{Fault: plan})
-	go serverTS.Serve(ln) //nolint:errcheck // returns on Close
-	defer serverTS.Close()
+	keys, data := drillData("fault-key", 1, cfg.ValueSize, 17)
+	cluster, err := streamCluster(cfg, netsim.Link{Fault: plan}, data, reg)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer cluster.Close()
 
-	rpc, err := transport.Dial(ln.Dial, 2)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer rpc.Close()
-	rpc.AuditShape(obs.NewShapeAuditor(reg, "proxy"), core.ShapeClassify)
-	proxy, err := core.NewLBLProxy(cfg, prf.NewRandom(), rpc)
-	if err != nil {
-		return 0, 0, err
-	}
-	initial := make([]byte, cfg.ValueSize)
-	ek, rec, err := proxy.BuildRecord("fault-key", initial)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := core.BulkLoad(rpc, []core.KV{{Key: ek, Record: rec}}); err != nil {
-		return 0, 0, err
-	}
-
+	d := newDrill(cluster, keys, 1, 18, outcomeFailed)
+	d.failPause = 20 * time.Millisecond
 	plan.SetActive(true)
-	// possible tracks every value the key may hold: an ambiguous write
-	// (stream cut after the table reached the server, or the response
-	// lost) may or may not have applied; a successful access collapses
-	// the set to what it observed or wrote.
-	possible := map[string]bool{string(initial): true}
-	// A failed access usually means the reset killed the pooled
-	// connections; pausing briefly lets the background redial land so
-	// the drill spends its accesses on live streams, not dead sockets.
-	backoff := func() { time.Sleep(20 * time.Millisecond) }
-	for i := 0; i < accesses; i++ {
-		if i%3 == 2 {
-			got, _, rerr := proxy.Access(core.OpRead, "fault-key", nil)
-			if rerr != nil {
-				failed++
-				backoff()
-				continue
-			}
-			if !possible[string(got)] {
-				return 0, 0, fmt.Errorf("access %d read a value outside the possible set", i)
-			}
-			possible = map[string]bool{string(got): true}
-			continue
-		}
-		v := make([]byte, cfg.ValueSize)
-		v[0], v[1] = byte(i+1), byte(i>>8)
-		if _, _, werr := proxy.Access(core.OpWrite, "fault-key", v); werr != nil {
-			failed++
-			if transport.Ambiguous(werr) {
-				possible[string(v)] = true
-			}
-			backoff()
-			continue
-		}
-		possible = map[string]bool{string(v): true}
+	if err := d.run(accesses); err != nil {
+		return 0, 0, fmt.Errorf("stream fault drill: %w", err)
 	}
 	plan.SetActive(false)
-
-	// Final verification on a healthy network; the retry loop gives the
-	// pool's background redial (exponential backoff) time to restore
-	// connections killed by the last reset.
-	var got []byte
-	for attempt := 0; ; attempt++ {
-		var rerr error
-		got, _, rerr = proxy.Access(core.OpRead, "fault-key", nil)
-		if rerr == nil {
-			break
-		}
-		if attempt == 40 {
-			return 0, 0, fmt.Errorf("final read after fault drill: %w", rerr)
-		}
-		time.Sleep(50 * time.Millisecond)
+	if _, err := d.audit(); err != nil {
+		return 0, 0, fmt.Errorf("stream fault drill audit: %w", err)
 	}
-	if !possible[string(got)] {
-		return 0, 0, fmt.Errorf("final value outside the possible set: an acknowledged write was lost or a ghost write applied")
-	}
-	if vp, vs := shapeViolations(reg); vp+vs != 0 {
-		return 0, 0, fmt.Errorf("obliviousness shape violations under faults: proxy=%d server=%d", vp, vs)
-	}
-	return plan.Stats().Resets, failed, nil
+	return plan.Stats().Resets, int(d.totals.amb + d.totals.failed), nil
 }
 
 // StreamBench is the bench experiment's streamed-vs-monolithic
@@ -281,33 +205,51 @@ type StreamBench struct {
 	Speedup       float64 `json:"speedup"`
 }
 
-// measureStreamBench runs the calibrated monolithic-vs-streamed pair
-// at valueSize and returns the machine-readable point.
-func measureStreamBench(valueSize, rounds int) (StreamBench, error) {
+// A streamPair is the same sequential accesses measured twice over one
+// link calibrated to this host: sent whole, and cut under a frame
+// budget of about 1/streamChunksTarget of the table.
+type streamPair struct {
+	whole, cut streamRun
+	cfg        core.LBLConfig // the cut path's config; the whole path's has no budget
+	link       netsim.Link
+	build      time.Duration // calibrated table-build time
+}
+
+func (p streamPair) speedup() float64 { return float64(p.whole.perOp) / float64(p.cut.perOp) }
+
+func measureStreamPair(valueSize, rounds int) (streamPair, error) {
 	mono := core.LBLConfig{ValueSize: valueSize, Mode: core.LBLPointPermute}
-	streamed := mono
-	streamed.StreamChunkBytes = (mono.TableBytes() + streamChunksTarget - 1) / streamChunksTarget
-	link, _, err := calibrateStreamLink(mono)
+	p := streamPair{cfg: mono}
+	p.cfg.StreamChunkBytes = (mono.TableBytes() + streamChunksTarget - 1) / streamChunksTarget
+	var err error
+	if p.link, p.build, err = calibrateStreamLink(mono); err != nil {
+		return p, err
+	}
+	if p.whole, err = runStreamPath(mono, rounds, p.link); err != nil {
+		return p, fmt.Errorf("whole request: %w", err)
+	}
+	if p.cut, err = runStreamPath(p.cfg, rounds, p.link); err != nil {
+		return p, fmt.Errorf("cut request: %w", err)
+	}
+	return p, nil
+}
+
+// measureStreamBench runs the calibrated pair at valueSize and returns
+// the machine-readable point.
+func measureStreamBench(valueSize, rounds int) (StreamBench, error) {
+	p, err := measureStreamPair(valueSize, rounds)
 	if err != nil {
 		return StreamBench{}, err
 	}
-	monoRun, err := runStreamPath(mono, rounds, link)
-	if err != nil {
-		return StreamBench{}, fmt.Errorf("whole request: %w", err)
-	}
-	strRun, err := runStreamPath(streamed, rounds, link)
-	if err != nil {
-		return StreamBench{}, fmt.Errorf("cut request: %w", err)
-	}
 	return StreamBench{
 		ValueSize:     valueSize,
-		Chunks:        strRun.frames,
-		ChunkBytes:    streamed.StreamChunkBytes,
-		BandwidthBps:  link.Bandwidth,
-		RTTMillis:     float64(link.RTT) / 1e6,
-		MonoMsPerOp:   float64(monoRun.perOp) / 1e6,
-		StreamMsPerOp: float64(strRun.perOp) / 1e6,
-		Speedup:       float64(monoRun.perOp) / float64(strRun.perOp),
+		Chunks:        p.cut.frames,
+		ChunkBytes:    p.cfg.StreamChunkBytes,
+		BandwidthBps:  p.link.Bandwidth,
+		RTTMillis:     float64(p.link.RTT) / 1e6,
+		MonoMsPerOp:   float64(p.whole.perOp) / 1e6,
+		StreamMsPerOp: float64(p.cut.perOp) / 1e6,
+		Speedup:       p.speedup(),
 	}, nil
 }
 
@@ -326,52 +268,38 @@ func Stream(opt Options) (*Table, error) {
 	if opt.Ops > 0 {
 		rounds = opt.Ops
 	}
-
-	mono := core.LBLConfig{ValueSize: valueSize, Mode: core.LBLPointPermute}
-	streamed := mono
-	streamed.StreamChunkBytes = (mono.TableBytes() + streamChunksTarget - 1) / streamChunksTarget
-
-	link, build, err := calibrateStreamLink(mono)
+	p, err := measureStreamPair(valueSize, rounds)
 	if err != nil {
 		return nil, err
 	}
-	monoRun, err := runStreamPath(mono, rounds, link)
-	if err != nil {
-		return nil, fmt.Errorf("whole request: %w", err)
-	}
-	strRun, err := runStreamPath(streamed, rounds, link)
-	if err != nil {
-		return nil, fmt.Errorf("cut request: %w", err)
-	}
-	speedup := float64(monoRun.perOp) / float64(strRun.perOp)
 
 	// Framing witnesses: without a budget a request must cross as one
 	// frame, with one as ⌈payload/budget⌉ frames (up to group alignment,
 	// which RequestFrames accounts for), and no frame may exceed the
 	// budget — that bound is what caps per-request buffering on both
 	// ends instead of a whole-table frame.
-	if monoRun.frames != 1 {
-		return nil, fmt.Errorf("harness: unbudgeted request crossed as %d frames per access, want 1", monoRun.frames)
+	if p.whole.frames != 1 {
+		return nil, fmt.Errorf("harness: unbudgeted request crossed as %d frames per access, want 1", p.whole.frames)
 	}
-	if want := streamed.RequestFrames(1); strRun.frames != want || want < streamChunksTarget {
+	if want := p.cfg.RequestFrames(1); p.cut.frames != want || want < streamChunksTarget {
 		return nil, fmt.Errorf("harness: budgeted request crossed as %d frames per access, want %d (at least %d)",
-			strRun.frames, want, streamChunksTarget)
+			p.cut.frames, want, streamChunksTarget)
 	}
-	if strRun.maxFrame > streamed.StreamChunkBytes {
+	if p.cut.maxFrame > p.cfg.StreamChunkBytes {
 		return nil, fmt.Errorf("harness: request frame %dB exceeds the %dB frame budget",
-			strRun.maxFrame, streamed.StreamChunkBytes)
+			p.cut.maxFrame, p.cfg.StreamChunkBytes)
 	}
 
 	// Mid-stream fault drill on a small streamed config: the ambiguity
 	// machinery is size-independent, and faults on 33 MiB tables would
 	// only be slow.
-	drill := core.LBLConfig{ValueSize: 512, Mode: core.LBLPointPermute}
-	drill.StreamChunkBytes = drill.TableBytes() / 4
+	drillCfg := core.LBLConfig{ValueSize: 512, Mode: core.LBLPointPermute}
+	drillCfg.StreamChunkBytes = drillCfg.TableBytes() / 4
 	drillAccesses := 60
 	if opt.Quick {
 		drillAccesses = 30
 	}
-	resets, failed, err := streamFaultDrill(drill, drillAccesses)
+	resets, failed, err := streamFaultDrill(drillCfg, drillAccesses)
 	if err != nil {
 		return nil, err
 	}
@@ -382,21 +310,21 @@ func Stream(opt Options) (*Table, error) {
 			valueSize>>10),
 		Columns: []string{"path", "frames/op", "ms/op", "speedup", "max-req-frame"},
 	}
-	t.AddRow("whole", fmt.Sprint(monoRun.frames), fmtMSf(int64(monoRun.perOp)), "1.00x",
-		fmtBytes(int64(monoRun.maxFrame)))
-	t.AddRow("cut", fmt.Sprint(strRun.frames), fmtMSf(int64(strRun.perOp)),
-		fmt.Sprintf("%.2fx", speedup), fmtBytes(int64(strRun.maxFrame)))
+	t.AddRow("whole", fmt.Sprint(p.whole.frames), fmtMSf(int64(p.whole.perOp)), "1.00x",
+		fmtBytes(int64(p.whole.maxFrame)))
+	t.AddRow("cut", fmt.Sprint(p.cut.frames), fmtMSf(int64(p.cut.perOp)),
+		fmt.Sprintf("%.2fx", p.speedup()), fmtBytes(int64(p.cut.maxFrame)))
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("link calibrated to this host: table build %s, bandwidth %s/s (one table ≈ one build time on the wire), RTT %s",
-			build.Round(time.Microsecond), fmtBytes(link.Bandwidth), link.RTT.Round(time.Microsecond)),
+			p.build.Round(time.Microsecond), fmtBytes(p.link.Bandwidth), p.link.RTT.Round(time.Microsecond)),
 		fmt.Sprintf("cut request frames bounded by the %s frame budget; the whole request is one frame carrying the %s table",
-			fmtBytes(int64(streamed.StreamChunkBytes)), fmtBytes(int64(mono.TableBytes()))),
+			fmtBytes(int64(p.cfg.StreamChunkBytes)), fmtBytes(int64(p.cfg.TableBytes()))),
 		fmt.Sprintf("fault drill: %d injected connection resets, %d failed accesses, no acknowledged write lost, 0 shape violations",
 			resets, failed),
 		"netsim meters transmission time without blocking the sender, so build/wire overlap is genuine simulated-clock overlap")
-	if speedup < gate {
+	if p.speedup() < gate {
 		return nil, fmt.Errorf("harness: cutting speedup %.2fx below the %.1fx gate (whole %s/op, cut %s/op)",
-			speedup, gate, monoRun.perOp.Round(time.Microsecond), strRun.perOp.Round(time.Microsecond))
+			p.speedup(), gate, p.whole.perOp.Round(time.Microsecond), p.cut.perOp.Round(time.Microsecond))
 	}
 	return t, nil
 }

@@ -24,6 +24,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -286,7 +287,8 @@ const (
 
 // metric is one registered entry: exactly one of the value fields is
 // set. fn-backed entries are evaluated at scrape time (for values a
-// component already tracks, like kvstore record counts).
+// component already tracks, like kvstore record counts) as the sum of
+// their sources plus what retired sources left behind.
 type metric struct {
 	name string // full name including any {label="..."} suffix
 	help string
@@ -295,7 +297,25 @@ type metric struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	fn      func() int64
+	fns     []*funcSource // replaced, never mutated in place: snapshots stay valid
+	retired int64         // final values of retired counter sources
+}
+
+// A funcSource is one component instance's callback behind a
+// func-backed series.
+type funcSource struct {
+	m  *metric
+	fn func() int64
+}
+
+// funcValue sums a func-backed metric. m must be a snapshot taken
+// under the registry lock; the callbacks run outside it.
+func (m *metric) funcValue() int64 {
+	v := m.retired
+	for _, src := range m.fns {
+		v += src.fn()
+	}
+	return v
 }
 
 // A Registry names and exports a set of metrics. Metrics are created
@@ -304,6 +324,16 @@ type metric struct {
 // histogram). A nil *Registry is a valid "observability off" registry:
 // every constructor returns nil, and nil metrics discard updates.
 type Registry struct {
+	*registryState
+
+	// scoped marks a Scope view; owned lists the func-backed sources
+	// registered through it (guarded by mu), which Retire withdraws.
+	scoped bool
+	owned  []*funcSource
+}
+
+// registryState is what a Registry and every Scope view of it share.
+type registryState struct {
 	mu      sync.Mutex
 	metrics map[string]*metric
 	slowMu  sync.Mutex
@@ -311,6 +341,7 @@ type Registry struct {
 
 	healthMu sync.Mutex
 	health   map[string]func() error
+	auditors map[string]*ShapeAuditor // one per process label (NewShapeAuditor)
 
 	hookMu sync.Mutex
 	hooks  []func()
@@ -323,7 +354,47 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{metrics: make(map[string]*metric), slow: make(map[string]*SlowLog)}
+	return &Registry{registryState: &registryState{
+		metrics:  make(map[string]*metric),
+		slow:     make(map[string]*SlowLog),
+		auditors: make(map[string]*ShapeAuditor),
+	}}
+}
+
+// Scope returns a view of r for one component instance that may be
+// replaced while the registry lives on — a restarted shard server, a
+// recovered proxy. Everything registered through the view lands in r
+// as usual; Retire then withdraws what only that instance could
+// report. Returns nil on a nil registry.
+func (r *Registry) Scope() *Registry {
+	if r == nil {
+		return nil
+	}
+	return &Registry{registryState: r.registryState, scoped: true}
+}
+
+// Retire ends a Scope. Its func-backed gauges stop reporting — a dead
+// instance's record count, queue depth or owned ranges would otherwise
+// be summed into its replacement's — and its func-backed counters
+// freeze at their final value, so totals stay monotone without the
+// registry pinning the dead instance in memory. Handle-backed series
+// are shared by name and unaffected. The callbacks run under the
+// registry lock and must not call back into the registry. No-op on nil
+// and on a registry that is not a Scope.
+func (r *Registry) Retire() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, src := range r.owned {
+		m := src.m
+		if m.kind == kindCounter {
+			m.retired += src.fn()
+		}
+		m.fns = slices.DeleteFunc(slices.Clone(m.fns), func(other *funcSource) bool { return other == src })
+	}
+	r.owned = nil
 }
 
 // register returns the existing metric for name or installs m.
@@ -383,14 +454,14 @@ func (r *Registry) Value(name string) int64 {
 		return 0
 	}
 	r.mu.Lock()
-	m, ok := r.metrics[name]
-	r.mu.Unlock()
-	if !ok {
-		return 0
+	var m metric
+	if p, ok := r.metrics[name]; ok {
+		m = *p
 	}
+	r.mu.Unlock()
 	switch {
-	case m.fn != nil:
-		return m.fn()
+	case m.fns != nil:
+		return m.funcValue()
 	case m.counter != nil:
 		return m.counter.Value()
 	case m.gauge != nil:
@@ -470,14 +541,18 @@ func (r *Registry) CheckHealth() []HealthResult {
 func (r *Registry) registerFunc(name, help string, kind metricKind, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		if m.fn != nil {
-			prev := m.fn
-			m.fn = func() int64 { return prev() + fn() }
-		}
-		return
+	m, ok := r.metrics[name]
+	if !ok {
+		m = &metric{name: name, help: help, kind: kind, fns: []*funcSource{}}
+		r.metrics[name] = m
+	} else if m.fns == nil {
+		return // name already taken by a handle-backed series
 	}
-	r.metrics[name] = &metric{name: name, help: help, kind: kind, fn: fn}
+	src := &funcSource{m: m, fn: fn}
+	m.fns = append(slices.Clip(m.fns), src)
+	if r.scoped {
+		r.owned = append(r.owned, src)
+	}
 }
 
 // OnScrape registers fn to run at the start of every WritePrometheus
@@ -614,8 +689,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	// Scrape hooks refresh pull-model metrics (runtime stats) and may
 	// register series, so they run before the snapshot below.
 	r.runScrapeHooks()
-	// Snapshot metric structs under the lock: registerFunc may still be
-	// chaining fn callbacks while a scrape is in flight.
+	// Snapshot metric structs under the lock: registerFunc and Retire
+	// may still be replacing source lists while a scrape is in flight.
 	r.mu.Lock()
 	ms := make([]*metric, 0, len(r.metrics))
 	for _, m := range r.metrics {
@@ -648,8 +723,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		var err error
 		switch {
-		case m.fn != nil:
-			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.fn())
+		case m.fns != nil:
+			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.funcValue())
 		case m.counter != nil:
 			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.counter.Value())
 		case m.gauge != nil:

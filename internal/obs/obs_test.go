@@ -302,3 +302,69 @@ func TestServeAdmin(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 }
+
+// TestScopeRetire pins what retiring a Scope withdraws: its func-backed
+// gauges stop reporting, its func-backed counters freeze into the
+// series' total, and everything registered outside it — directly on the
+// registry or through another scope — is untouched.
+func TestScopeRetire(t *testing.T) {
+	reg := NewRegistry()
+	reg.GaugeFunc("records", "", func() int64 { return 1 })
+	old, live := reg.Scope(), reg.Scope()
+	served := int64(5)
+	old.GaugeFunc("records", "", func() int64 { return 10 })
+	old.CounterFunc("ops_total", "", func() int64 { return served })
+	live.GaugeFunc("records", "", func() int64 { return 100 })
+	live.CounterFunc("ops_total", "", func() int64 { return 2 })
+	old.Counter("frames_total", "").Add(3) // handle-backed: shared by name
+	if got := reg.Value("records"); got != 111 {
+		t.Fatalf("records = %d before retiring, want 111", got)
+	}
+
+	old.Retire()
+	served = 99  // the retired instance is no longer read
+	old.Retire() // idempotent
+	if got := reg.Value("records"); got != 101 {
+		t.Errorf("records = %d after retiring one scope, want 101", got)
+	}
+	if got := live.Value("ops_total"); got != 7 {
+		t.Errorf("ops_total = %d after retiring one scope, want 5 frozen + 2 live", got)
+	}
+	if got := live.Counter("frames_total", "").Value(); got != 3 {
+		t.Errorf("frames_total = %d, want the shared handle's 3", got)
+	}
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"records 101", "ops_total 7", "frames_total 3"} {
+		if !strings.Contains(buf.String(), line+"\n") {
+			t.Errorf("scrape missing %q:\n%s", line, buf.String())
+		}
+	}
+
+	var none *Registry
+	none.Scope().Retire() // nil-safe end to end
+	reg.Retire()          // not a scope: no-op
+	if got := reg.Value("records"); got != 101 {
+		t.Errorf("records = %d after retiring the root, want 101", got)
+	}
+}
+
+// TestShapeAuditorPerLabel pins that a registry has one auditor per
+// process label, so endpoints built at different times share pins.
+func TestShapeAuditorPerLabel(t *testing.T) {
+	reg := NewRegistry()
+	a := NewShapeAuditor(reg, "proxy")
+	if b := NewShapeAuditor(reg.Scope(), "proxy"); b != a {
+		t.Error("a second auditor was created for the same registry and label")
+	}
+	if c := NewShapeAuditor(reg, "server"); c == a {
+		t.Error("labels share an auditor")
+	}
+	a.Observe("out", 2, 1, true, 100)
+	NewShapeAuditor(reg, "proxy").Observe("out", 2, 1, true, 101)
+	if a.Violations() != 1 {
+		t.Errorf("violations = %d, want 1: the rebuilt endpoint must be held to its predecessor's pin", a.Violations())
+	}
+}

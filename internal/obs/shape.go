@@ -45,15 +45,25 @@ type shapeSeries struct {
 	msgType byte
 }
 
-// NewShapeAuditor returns an auditor exporting its counters under the
-// given process label ("proxy" or "server") and registering a
-// shape_<proc> health check that fails once any violation is seen.
-// Returns nil on a nil registry; a nil auditor ignores all frames.
+// NewShapeAuditor returns reg's auditor for the given process label
+// ("proxy" or "server"), creating it on first use: it exports its
+// counters under that label and registers a shape_<proc> health check
+// that fails once any violation is seen. One registry has one auditor
+// per label, like its violations counter and health check, so every
+// endpoint of a process side is held to the same pinned lengths and a
+// rebuilt endpoint to the ones its predecessor pinned. Returns nil on
+// a nil registry; a nil auditor ignores all frames.
 func NewShapeAuditor(reg *Registry, proc string) *ShapeAuditor {
 	if reg == nil {
 		return nil
 	}
-	a := &ShapeAuditor{
+	reg.healthMu.Lock()
+	a, ok := reg.auditors[proc]
+	reg.healthMu.Unlock()
+	if ok {
+		return a
+	}
+	a = &ShapeAuditor{
 		violations: reg.Counter(
 			fmt.Sprintf(`ortoa_obliviousness_shape_violations_total{proc=%q}`, proc),
 			"access frames whose length diverged from their class's pinned length (any nonzero value is an information leak)"),
@@ -63,6 +73,13 @@ func NewShapeAuditor(reg *Registry, proc string) *ShapeAuditor {
 		frames:  make(map[shapeSeries]*Counter),
 		lengths: make(map[shapeSeries]*Histogram),
 	}
+	reg.healthMu.Lock()
+	if first, raced := reg.auditors[proc]; raced {
+		reg.healthMu.Unlock()
+		return first
+	}
+	reg.auditors[proc] = a
+	reg.healthMu.Unlock()
 	reg.Health("shape_"+proc, func() error {
 		if n := a.violations.Value(); n > 0 {
 			a.mu.Lock()

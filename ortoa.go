@@ -14,7 +14,7 @@ import (
 	"ortoa/internal/fhe"
 	"ortoa/internal/kvstore"
 	"ortoa/internal/obs"
-	"ortoa/internal/obs/trace"
+	"ortoa/internal/tier"
 	"ortoa/internal/transport"
 	"ortoa/internal/vfs"
 )
@@ -211,9 +211,7 @@ func ServeMetrics(addr string, reg *obs.Registry) (*http.Server, error) {
 // plus the selected protocol's handlers. It learns neither values nor
 // operation types.
 type Server struct {
-	store    *kvstore.Store
-	ts       *transport.Server
-	stopCkpt func()
+	tier *tier.Server
 }
 
 // NewServer builds a server for cfg.
@@ -221,65 +219,50 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.ValueSize <= 0 {
 		return nil, fmt.Errorf("ortoa: ServerConfig.ValueSize must be positive")
 	}
-	s := &Server{store: kvstore.New(), ts: transport.NewServer()}
-	s.store.Instrument(cfg.Metrics)
-	s.ts.Instrument(cfg.Metrics)
-	s.ts.AuditShape(obs.NewShapeAuditor(cfg.Metrics, "server"), core.ShapeClassify)
-	if cfg.Metrics != nil && cfg.TraceBuffer > 0 {
-		s.ts.SetTracer(cfg.Metrics.Tracer("server", cfg.TraceBuffer))
+	tcfg := tier.ServerConfig{
+		Protocol:          tier.Protocol(cfg.Protocol),
+		ValueSize:         cfg.ValueSize,
+		EnclaveTransition: cfg.EnclaveTransition,
+		Metrics:           cfg.Metrics,
+		TraceBuffer:       cfg.TraceBuffer,
+		Admission:         cfg.Admission.config(),
 	}
-	s.ts.LimitAdmission(cfg.Admission.config())
-	core.RegisterLoader(s.ts, s.store)
-	switch cfg.Protocol {
-	case ProtocolLBL, "":
-		lblSrv := core.NewLBLServer(s.store)
-		lblSrv.Instrument(cfg.Metrics)
-		lblSrv.Register(s.ts)
-	case ProtocolTEE:
-		teeSrv, err := core.NewTEEServer(s.store, cfg.EnclaveTransition)
-		if err != nil {
-			return nil, err
-		}
-		teeSrv.Instrument(cfg.Metrics)
-		teeSrv.Register(s.ts)
-	case ProtocolFHE:
+	if cfg.Protocol == ProtocolFHE {
 		params, err := cfg.FHE.params()
 		if err != nil {
 			return nil, err
 		}
-		fheSrv := core.NewFHEServer(s.store, core.FHEConfig{Params: params, ValueSize: cfg.ValueSize})
-		fheSrv.Instrument(cfg.Metrics)
-		fheSrv.Register(s.ts)
-	case ProtocolBaseline2RTT:
-		core.NewBaselineServer(s.store).Register(s.ts)
-	default:
-		return nil, fmt.Errorf("ortoa: unknown protocol %q", cfg.Protocol)
+		tcfg.FHE.Params = params
 	}
-	return s, nil
+	t, err := tier.NewServer(tcfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Server{tier: t}, nil
 }
 
 // Serve accepts connections from l until Close. It always returns a
 // non-nil error.
-func (s *Server) Serve(l net.Listener) error { return s.ts.Serve(l) }
+func (s *Server) Serve(l net.Listener) error { return s.tier.Transport.Serve(l) }
 
 // Records returns the number of stored records.
-func (s *Server) Records() int { return s.store.Len() }
+func (s *Server) Records() int { return s.tier.Store.Len() }
 
 // StorageBytes returns the server-side storage footprint (§5.3.1).
-func (s *Server) StorageBytes() int64 { return s.store.Bytes() }
+func (s *Server) StorageBytes() int64 { return s.tier.Store.Bytes() }
 
 // SaveSnapshot persists the (encrypted) store to path.
-func (s *Server) SaveSnapshot(path string) error { return s.store.SaveFile(path) }
+func (s *Server) SaveSnapshot(path string) error { return s.tier.Store.SaveFile(path) }
 
 // LoadSnapshot restores a SaveSnapshot file into the store.
-func (s *Server) LoadSnapshot(path string) error { return s.store.LoadFile(path) }
+func (s *Server) LoadSnapshot(path string) error { return s.tier.Store.LoadFile(path) }
 
 // AttachWAL replays the write-ahead log at path into the store and
 // journals every subsequent record mutation, so a crashed server
 // restarts with its records intact. Call before Serve. Mutations are
 // acknowledged from the OS buffer cache (FsyncNever); use
 // AttachWALPolicy or OpenState for a crash-durability guarantee.
-func (s *Server) AttachWAL(path string) error { return s.store.AttachWAL(path) }
+func (s *Server) AttachWAL(path string) error { return s.tier.Store.AttachWAL(path) }
 
 // AttachWALPolicy is AttachWAL with an explicit fsync policy.
 // FsyncInterval fsyncs every syncInterval (default 1s); a crash loses
@@ -291,7 +274,7 @@ func (s *Server) AttachWALPolicy(path string, fsync FsyncPolicy, syncInterval ti
 	if err != nil {
 		return err
 	}
-	return s.store.AttachWALOptions(path, kvstore.WALOptions{Policy: policy, Interval: syncInterval})
+	return s.tier.Store.AttachWALOptions(path, kvstore.WALOptions{Policy: policy, Interval: syncInterval})
 }
 
 // DurabilityOptions configures OpenState.
@@ -318,46 +301,34 @@ func (s *Server) OpenState(dir string, opts DurabilityOptions) error {
 	if err != nil {
 		return err
 	}
-	if err := s.store.Recover(dir, kvstore.DurabilityOptions{
+	return s.tier.OpenState(dir, kvstore.DurabilityOptions{
 		Policy:       policy,
 		SyncInterval: opts.SyncInterval,
-	}); err != nil {
-		return err
-	}
-	if opts.CheckpointInterval > 0 {
-		s.stopCkpt = s.store.StartCheckpoints(opts.CheckpointInterval)
-	}
-	return nil
+	}, opts.CheckpointInterval)
 }
 
 // Checkpoint snapshots the store and rotates the WAL to a fresh
 // generation, retiring the previous pair (OpenState stores only). Safe
 // under concurrent traffic.
-func (s *Server) Checkpoint() error { return s.store.Checkpoint() }
+func (s *Server) Checkpoint() error { return s.tier.Store.Checkpoint() }
 
 // Generation returns the committed checkpoint generation (OpenState
 // stores; 0 otherwise).
-func (s *Server) Generation() uint64 { return s.store.Generation() }
+func (s *Server) Generation() uint64 { return s.tier.Store.Generation() }
 
 // SyncWAL flushes and fsyncs the write-ahead log.
-func (s *Server) SyncWAL() error { return s.store.SyncWAL() }
+func (s *Server) SyncWAL() error { return s.tier.Store.SyncWAL() }
 
 // CompactWAL rewrites the log to one record per live key. Every ORTOA
 // access rewrites a record, so logs grow linearly with traffic;
 // periodic compaction bounds restart time.
-func (s *Server) CompactWAL() error { return s.store.CompactWAL() }
+func (s *Server) CompactWAL() error { return s.tier.Store.CompactWAL() }
 
 // DetachWAL flushes, fsyncs, and closes the log.
-func (s *Server) DetachWAL() error { return s.store.DetachWAL() }
+func (s *Server) DetachWAL() error { return s.tier.Store.DetachWAL() }
 
 // Close stops serving and halts background checkpoints.
-func (s *Server) Close() error {
-	if s.stopCkpt != nil {
-		s.stopCkpt()
-		s.stopCkpt = nil
-	}
-	return s.ts.Close()
-}
+func (s *Server) Close() error { return s.tier.Close() }
 
 // ClientConfig configures the trusted side.
 type ClientConfig struct {
@@ -429,19 +400,8 @@ type ClientConfig struct {
 // baseline) or a key-holding client (TEE, FHE). It is safe for
 // concurrent use; LBL accesses to the same key serialize internally.
 type Client struct {
-	protocol  Protocol
 	valueSize int
-	accessor  core.Accessor
-	builder   interface {
-		BuildRecord(key string, value []byte) (string, []byte, error)
-	}
-	rpc       *transport.Client
-	teeClient *core.TEEClient
-	lblProxy  *core.LBLProxy
-	fheSecret []byte
-	metrics   *obs.Registry
-	tracer    *trace.Tracer
-	shapeAud  *obs.ShapeAuditor
+	tier      *tier.Proxy
 
 	// directory tracks loaded keys in sorted order, enabling the
 	// §8.2-style range reads over primary keys.
@@ -452,14 +412,6 @@ type Client struct {
 	// name is deterministic, so two concurrent saves of one path would
 	// race on the same temp file.
 	saveMu sync.Mutex
-
-	// proxyMu guards the proxy front ends started by ServeProxy, so
-	// Close can stop their listeners, drain accepted end-user
-	// connections, and flush aggregation windows.
-	proxyMu     sync.Mutex
-	proxySrvs   []*transport.Server
-	proxyAggs   []*core.Aggregator
-	proxyClosed bool
 }
 
 // NewClient connects a client using dial (e.g. a net.Dialer bound to
@@ -471,111 +423,67 @@ func NewClient(cfg ClientConfig, dial func() (net.Conn, error)) (*Client, error)
 	if err := cfg.Keys.validate(); err != nil {
 		return nil, err
 	}
+	f, err := prf.New(cfg.Keys.PRFKey)
+	if err != nil {
+		return nil, err
+	}
+	mode, err := cfg.LBLVariant.mode()
+	if err != nil {
+		return nil, err
+	}
 	conns := cfg.Conns
 	if conns <= 0 {
 		conns = 4
 	}
-	rpc, err := transport.DialOptions(dial, transport.Options{
-		PoolSize:    conns,
-		CallTimeout: cfg.CallTimeout,
-		Retry:       transport.RetryPolicy{Attempts: cfg.RetryAttempts},
-	})
-	if err != nil {
-		return nil, err
+	tcfg := tier.ProxyConfig{
+		Protocol:  tier.Protocol(cfg.Protocol),
+		ValueSize: cfg.ValueSize,
+		PRF:       f,
+		DataKey:   cfg.Keys.DataKey,
+		LBL:       core.LBLConfig{Mode: mode, ReconcileScan: cfg.ReconcileScan, AutoAdopt: cfg.AutoAdopt, StreamChunkBytes: cfg.StreamChunk},
+		Transport: transport.Options{
+			PoolSize:    conns,
+			CallTimeout: cfg.CallTimeout,
+			Retry:       transport.RetryPolicy{Attempts: cfg.RetryAttempts},
+		},
+		Metrics:     cfg.Metrics,
+		TraceBuffer: cfg.TraceBuffer,
 	}
-	f, err := prf.New(cfg.Keys.PRFKey)
-	if err != nil {
-		rpc.Close()
-		return nil, err
-	}
-	c := &Client{protocol: cfg.Protocol, valueSize: cfg.ValueSize, rpc: rpc, metrics: cfg.Metrics}
-	rpc.Instrument(cfg.Metrics)
-	c.shapeAud = obs.NewShapeAuditor(cfg.Metrics, "proxy")
-	rpc.AuditShape(c.shapeAud, core.ShapeClassify)
-	if cfg.Metrics != nil && cfg.TraceBuffer > 0 {
-		c.tracer = cfg.Metrics.Tracer("proxy", cfg.TraceBuffer)
-		rpc.SetTracer(c.tracer)
-	}
-	switch cfg.Protocol {
-	case ProtocolLBL, "":
-		mode, err := cfg.LBLVariant.mode()
-		if err != nil {
-			rpc.Close()
-			return nil, err
-		}
-		proxy, err := core.NewLBLProxy(core.LBLConfig{ValueSize: cfg.ValueSize, Mode: mode, ReconcileScan: cfg.ReconcileScan, AutoAdopt: cfg.AutoAdopt, StreamChunkBytes: cfg.StreamChunk}, f, rpc)
-		if err != nil {
-			rpc.Close()
-			return nil, err
-		}
-		proxy.Instrument(cfg.Metrics)
-		proxy.TraceWith(c.tracer)
-		c.accessor, c.builder, c.lblProxy = proxy, proxy, proxy
-	case ProtocolTEE:
-		teeClient, err := core.NewTEEClient(core.TEEConfig{ValueSize: cfg.ValueSize}, f, cfg.Keys.DataKey, rpc)
-		if err != nil {
-			rpc.Close()
-			return nil, err
-		}
-		teeClient.Instrument(cfg.Metrics)
-		c.accessor, c.builder, c.teeClient = teeClient, teeClient, teeClient
-	case ProtocolFHE:
+	if cfg.Protocol == ProtocolFHE {
 		params, err := cfg.FHE.params()
 		if err != nil {
-			rpc.Close()
 			return nil, err
 		}
-		var sk *fhe.SecretKey
+		tcfg.FHE = core.FHEConfig{Params: params, RelinBaseBits: cfg.FHE.RelinBaseBits}
 		if len(cfg.Keys.FHESecretKey) > 0 {
-			sk, err = params.UnmarshalSecretKey(cfg.Keys.FHESecretKey)
-		} else {
-			sk, err = params.KeyGen()
-		}
-		if err != nil {
-			rpc.Close()
-			return nil, err
-		}
-		fheClient, err := core.NewFHEClientWithKey(core.FHEConfig{
-			Params: params, ValueSize: cfg.ValueSize, RelinBaseBits: cfg.FHE.RelinBaseBits,
-		}, f, sk, rpc)
-		if err != nil {
-			rpc.Close()
-			return nil, err
-		}
-		if cfg.FHE.RelinBaseBits > 0 {
-			if err := fheClient.ProvisionRelinKey(); err != nil {
-				rpc.Close()
-				return nil, fmt.Errorf("ortoa: provisioning relinearization key: %w", err)
+			if tcfg.FHESecretKey, err = params.UnmarshalSecretKey(cfg.Keys.FHESecretKey); err != nil {
+				return nil, err
 			}
 		}
-		fheClient.Instrument(cfg.Metrics)
-		c.accessor, c.builder = fheClient, fheClient
-		c.fheSecret = sk.Marshal()
-	case ProtocolBaseline2RTT:
-		proxy, err := core.NewBaselineProxy(core.BaselineConfig{ValueSize: cfg.ValueSize}, f, cfg.Keys.DataKey, rpc)
-		if err != nil {
-			rpc.Close()
-			return nil, err
-		}
-		c.accessor, c.builder = proxy, proxy
-	default:
-		rpc.Close()
-		return nil, fmt.Errorf("ortoa: unknown protocol %q", cfg.Protocol)
 	}
-	return c, nil
+	t, err := tier.NewProxy(tcfg, dial)
+	if err != nil {
+		return nil, err
+	}
+	return &Client{valueSize: cfg.ValueSize, tier: t}, nil
 }
 
 // FHESecretKey returns the serialized BFV secret key in use
 // (ProtocolFHE only), so it can be stored in Keys for later sessions.
-func (c *Client) FHESecretKey() []byte { return c.fheSecret }
+func (c *Client) FHESecretKey() []byte {
+	if c.tier.FHE == nil {
+		return nil
+	}
+	return c.tier.FHE.SecretKey().Marshal()
+}
 
 // Provision attests the server's enclave and provisions the data key
 // (ProtocolTEE only). Call once before accesses.
 func (c *Client) Provision() error {
-	if c.teeClient == nil {
+	if c.tier.TEE == nil {
 		return fmt.Errorf("ortoa: Provision applies only to ProtocolTEE")
 	}
-	return c.teeClient.AttestAndProvisionRemote()
+	return c.tier.TEE.AttestAndProvisionRemote()
 }
 
 // Load encodes initial records and bulk-loads them into the server —
@@ -588,13 +496,13 @@ func (c *Client) Load(data map[string][]byte) error {
 		if err != nil {
 			return fmt.Errorf("ortoa: value for %q: %w", k, err)
 		}
-		ek, rec, err := c.builder.BuildRecord(k, padded)
+		ek, rec, err := c.tier.BuildRecord(k, padded)
 		if err != nil {
 			return fmt.Errorf("ortoa: encoding %q: %w", k, err)
 		}
 		records = append(records, core.KV{Key: ek, Record: rec})
 	}
-	if err := core.BulkLoad(c.rpc, records); err != nil {
+	if err := core.BulkLoad(c.tier.RPC, records); err != nil {
 		return err
 	}
 	keys := make([]string, 0, len(data))
@@ -630,7 +538,7 @@ func (c *Client) Keys() []string {
 // Read obliviously fetches the value stored under key. The server
 // cannot distinguish this from a Write.
 func (c *Client) Read(key string) ([]byte, error) {
-	v, _, err := c.accessor.Access(core.OpRead, key, nil)
+	v, _, err := c.tier.Accessor.Access(core.OpRead, key, nil)
 	return v, err
 }
 
@@ -642,7 +550,7 @@ func (c *Client) Write(key string, value []byte) error {
 	if err != nil {
 		return err
 	}
-	_, _, err = c.accessor.Access(core.OpWrite, key, padded)
+	_, _, err = c.tier.Accessor.Access(core.OpWrite, key, padded)
 	return err
 }
 
@@ -652,7 +560,7 @@ func (c *Client) ValueSize() int { return c.valueSize }
 // TrafficStats reports cumulative proxy→server traffic: the
 // communication quantities §5.3.2 and §6.3.3 analyze.
 func (c *Client) TrafficStats() (bytesSent, bytesReceived, calls int64) {
-	st := c.rpc.Stats()
+	st := c.tier.RPC.Stats()
 	return st.BytesSent, st.BytesReceived, st.Calls
 }
 
@@ -675,12 +583,12 @@ type KVPair struct {
 // protocols fall back to pipelining concurrent single accesses over the
 // connection pool.
 func (c *Client) ReadBatch(keys []string) ([]KVPair, error) {
-	if c.lblProxy != nil {
+	if c.tier.LBL != nil {
 		ops := make([]core.BatchOp, len(keys))
 		for i, key := range keys {
 			ops[i] = core.BatchOp{Op: core.OpRead, Key: key}
 		}
-		values, _, err := c.lblProxy.AccessBatch(ops)
+		values, _, err := c.tier.LBL.AccessBatch(ops)
 		if err != nil {
 			return nil, fmt.Errorf("ortoa: batch read: %w", err)
 		}
@@ -699,33 +607,18 @@ func (c *Client) ReadBatch(keys []string) ([]KVPair, error) {
 // compare against.
 func (c *Client) readBatchConcurrent(keys []string) ([]KVPair, error) {
 	out := make([]KVPair, len(keys))
-	var wg sync.WaitGroup
-	errc := make(chan error, 1)
-	sem := make(chan struct{}, batchParallelism)
-	for i, key := range keys {
-		wg.Add(1)
-		go func(i int, key string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			v, err := c.Read(key)
-			if err != nil {
-				select {
-				case errc <- fmt.Errorf("ortoa: batch read %q: %w", key, err):
-				default:
-				}
-				return
-			}
-			out[i] = KVPair{Key: key, Value: v}
-		}(i, key)
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
+	err := core.ForEach(len(keys), batchParallelism, func(i int) error {
+		v, err := c.Read(keys[i])
+		if err != nil {
+			return fmt.Errorf("ortoa: batch read %q: %w", keys[i], err)
+		}
+		out[i] = KVPair{Key: keys[i], Value: v}
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	default:
-		return out, nil
 	}
+	return out, nil
 }
 
 // WriteBatch obliviously writes many entries. Under ProtocolLBL the
@@ -733,7 +626,7 @@ func (c *Client) readBatchConcurrent(keys []string) ([]KVPair, error) {
 // server from a ReadBatch of the same size; other protocols write
 // concurrently, one access per entry.
 func (c *Client) WriteBatch(entries map[string][]byte) error {
-	if c.lblProxy != nil {
+	if c.tier.LBL != nil {
 		ops := make([]core.BatchOp, 0, len(entries))
 		for key, value := range entries {
 			padded, err := core.PadValue(value, c.valueSize)
@@ -742,35 +635,21 @@ func (c *Client) WriteBatch(entries map[string][]byte) error {
 			}
 			ops = append(ops, core.BatchOp{Op: core.OpWrite, Key: key, Value: padded})
 		}
-		if _, _, err := c.lblProxy.AccessBatch(ops); err != nil {
+		if _, _, err := c.tier.LBL.AccessBatch(ops); err != nil {
 			return fmt.Errorf("ortoa: batch write: %w", err)
 		}
 		return nil
 	}
-	var wg sync.WaitGroup
-	errc := make(chan error, 1)
-	sem := make(chan struct{}, batchParallelism)
-	for key, value := range entries {
-		wg.Add(1)
-		go func(key string, value []byte) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := c.Write(key, value); err != nil {
-				select {
-				case errc <- fmt.Errorf("ortoa: batch write %q: %w", key, err):
-				default:
-				}
-			}
-		}(key, value)
+	keys := make([]string, 0, len(entries))
+	for key := range entries {
+		keys = append(keys, key)
 	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		return err
-	default:
+	return core.ForEach(len(keys), batchParallelism, func(i int) error {
+		if err := c.Write(keys[i], entries[keys[i]]); err != nil {
+			return fmt.Errorf("ortoa: batch write %q: %w", keys[i], err)
+		}
 		return nil
-	}
+	})
 }
 
 // ReadRange reads up to limit consecutive keys starting at start
@@ -812,18 +691,18 @@ func (c *Client) rangeKeys(start string, limit int) []string {
 // Concurrent SaveState calls (for example a periodic saver racing a
 // shutdown save) serialize internally.
 func (c *Client) SaveState(path string) error {
-	if c.lblProxy == nil {
+	if c.tier.LBL == nil {
 		return nil
 	}
 	c.saveMu.Lock()
 	defer c.saveMu.Unlock()
-	return vfs.WriteFileAtomic(vfs.OS{}, path, c.lblProxy.SaveCounters)
+	return vfs.WriteFileAtomic(vfs.OS{}, path, c.tier.LBL.SaveCounters)
 }
 
 // LoadState restores a SaveState file. Call before issuing accesses
 // when resuming an LBL deployment against an existing server store.
 func (c *Client) LoadState(path string) error {
-	if c.lblProxy == nil {
+	if c.tier.LBL == nil {
 		return nil
 	}
 	f, err := os.Open(path)
@@ -831,7 +710,7 @@ func (c *Client) LoadState(path string) error {
 		return err
 	}
 	defer f.Close()
-	return c.lblProxy.LoadCounters(f)
+	return c.tier.LBL.LoadCounters(f)
 }
 
 // ClaimRanges asserts ownership of explicit counter ranges (LBL
@@ -840,10 +719,10 @@ func (c *Client) LoadState(path string) error {
 // owner before it can touch a record. Range ids live in
 // [0, NumCounterRanges). Returns an error for non-LBL protocols.
 func (c *Client) ClaimRanges(rangeIDs []uint32) error {
-	if c.lblProxy == nil {
+	if c.tier.LBL == nil {
 		return fmt.Errorf("ortoa: range ownership requires ProtocolLBL")
 	}
-	return c.lblProxy.ClaimRanges(rangeIDs)
+	return c.tier.LBL.ClaimRanges(rangeIDs)
 }
 
 // ClaimOwnedRanges claims the counter ranges the deployment's
@@ -854,7 +733,7 @@ func (c *Client) ClaimRanges(rangeIDs []uint32) error {
 // deployment; the routing side is DialProxyGroup, whose member names
 // must match peers for first-try routing to land on owners.
 func (c *Client) ClaimOwnedRanges(peers []string, self string) ([]uint32, error) {
-	if c.lblProxy == nil {
+	if c.tier.LBL == nil {
 		return nil, fmt.Errorf("ortoa: range ownership requires ProtocolLBL")
 	}
 	found := false
@@ -868,7 +747,7 @@ func (c *Client) ClaimOwnedRanges(peers []string, self string) ([]uint32, error)
 		return nil, fmt.Errorf("ortoa: self %q is not in the peer list %v", self, peers)
 	}
 	rids := core.NewRing(peers).Ranges(self)
-	if err := c.lblProxy.ClaimRanges(rids); err != nil {
+	if err := c.tier.LBL.ClaimRanges(rids); err != nil {
 		return nil, err
 	}
 	return rids, nil
@@ -900,19 +779,6 @@ type ProxyServeOptions struct {
 	// AggMaxBatch dispatches a window early once it holds this many
 	// accesses (default core DefaultAggMaxBatch, 64).
 	AggMaxBatch int
-	// AggMaxPending bounds admitted-but-unanswered accesses; arrivals
-	// beyond it are rejected with an overload error instead of
-	// queueing unboundedly (default 4×AggMaxBatch).
-	AggMaxPending int
-	// AggBrownoutPending is the pending depth at which the aggregator
-	// browns out: new windows open with a larger size trigger
-	// (AggBrownoutMaxBatch) and a quarter-length time window, trading
-	// per-access coalescing latency for backlog drain rate (default
-	// AggMaxPending/2).
-	AggBrownoutPending int
-	// AggBrownoutMaxBatch is the size trigger for windows opened under
-	// brownout (default 2×AggMaxBatch).
-	AggBrownoutMaxBatch int
 	// Admission, when MaxInflight is positive, bounds the front end's
 	// concurrent end-user requests and sheds overload with
 	// constant-size busy rejections (see AdmissionOptions).
@@ -922,45 +788,15 @@ type ProxyServeOptions struct {
 // ServeProxyOptions is ServeProxy with explicit front-end options.
 // It blocks until Close.
 func (c *Client) ServeProxyOptions(l net.Listener, opts ProxyServeOptions) error {
-	accessor := c.accessor
-	var agg *core.Aggregator
-	if opts.AggWindow > 0 {
-		if c.lblProxy == nil {
-			return fmt.Errorf("ortoa: access aggregation requires ProtocolLBL")
-		}
-		agg = core.NewAggregator(core.AggregatorConfig{
-			Window:           opts.AggWindow,
-			MaxBatch:         opts.AggMaxBatch,
-			MaxPending:       opts.AggMaxPending,
-			BrownoutPending:  opts.AggBrownoutPending,
-			BrownoutMaxBatch: opts.AggBrownoutMaxBatch,
-		}, c.lblProxy)
-		agg.Instrument(c.metrics)
-		agg.TraceWith(c.tracer)
-		accessor = agg
+	front, err := c.tier.NewFront(tier.FrontConfig{
+		AggWindow:   opts.AggWindow,
+		AggMaxBatch: opts.AggMaxBatch,
+		Admission:   opts.Admission.config(),
+	})
+	if err != nil {
+		return err
 	}
-	ts := transport.NewServer()
-	ts.Instrument(c.metrics)
-	ts.AuditShape(c.shapeAud, core.ShapeClassify)
-	if c.tracer != nil {
-		ts.SetTracer(c.tracer)
-	}
-	ts.LimitAdmission(opts.Admission.config())
-	core.RegisterProxyService(ts, accessor)
-	c.proxyMu.Lock()
-	if c.proxyClosed {
-		c.proxyMu.Unlock()
-		if agg != nil {
-			agg.Close()
-		}
-		return transport.ErrClosed
-	}
-	c.proxySrvs = append(c.proxySrvs, ts)
-	if agg != nil {
-		c.proxyAggs = append(c.proxyAggs, agg)
-	}
-	c.proxyMu.Unlock()
-	return ts.Serve(l)
+	return front.Transport.Serve(l)
 }
 
 // Close shuts the client down gracefully: proxy front ends started
@@ -969,20 +805,7 @@ func (c *Client) ServeProxyOptions(l net.Listener, opts ProxyServeOptions) error
 // windows flush, and only then are the connections to the server
 // released. Close is idempotent and safe to call concurrently with
 // serving.
-func (c *Client) Close() error {
-	c.proxyMu.Lock()
-	srvs, aggs := c.proxySrvs, c.proxyAggs
-	c.proxySrvs, c.proxyAggs = nil, nil
-	c.proxyClosed = true
-	c.proxyMu.Unlock()
-	for _, ts := range srvs {
-		ts.Close()
-	}
-	for _, agg := range aggs {
-		agg.Close()
-	}
-	return c.rpc.Close()
-}
+func (c *Client) Close() error { return c.tier.Close() }
 
 // A ProxyClient is an end-user handle that routes requests through a
 // trusted proxy started with ServeProxy. It holds no secrets.

@@ -2,18 +2,20 @@ package ortoa
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
-	"sync"
+
+	"ortoa/internal/core"
 )
 
-// A ShardedClient hash-partitions keys across multiple independent
+// A ShardedClient partitions keys across multiple independent
 // deployments (proxy/server pairs), the scaling strategy of §6.2.4:
 // "the system can scale the number of proxies without compromising
 // security", since ORTOA hides operation types, not which shard a key
 // lives on.
 type ShardedClient struct {
 	shards []*Client
+	// placement maps each counter range to the shard holding its keys.
+	placement [core.NumRanges]int
 }
 
 // NewShardedClient combines clients into one sharded deployment. All
@@ -29,20 +31,22 @@ func NewShardedClient(clients []*Client) (*ShardedClient, error) {
 			return nil, fmt.Errorf("ortoa: shard %d has value size %d, shard 0 has %d", i, c.ValueSize(), size)
 		}
 	}
-	return &ShardedClient{shards: clients}, nil
+	return &ShardedClient{shards: clients, placement: core.RangePlacement(len(clients))}, nil
 }
 
 // Shards returns the number of partitions.
 func (s *ShardedClient) Shards() int { return len(s.shards) }
 
-// shardIndex is the partition function: FNV-1a over the key, modulo
-// the shard count. It is the single source of truth for placement —
-// Load, the access paths, and the batch paths all route through it, so
-// the mapping cannot silently diverge between loading and accessing.
+// shardIndex is the partition function: the key's counter range
+// (NumCounterRanges of them), placed on a shard by a consistent-hash
+// ring over the shard positions — the same unit and ring that assign
+// counter ownership to proxies, so adding a shard moves whole ranges
+// and only those that must move. It is the single source of truth for
+// placement — Load, the access paths, and the batch paths all route
+// through it, so the mapping cannot silently diverge between loading
+// and accessing.
 func (s *ShardedClient) shardIndex(key string) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(len(s.shards)))
+	return s.placement[core.RangeOf(key)]
 }
 
 func (s *ShardedClient) shardFor(key string) *Client {
@@ -92,35 +96,23 @@ func (s *ShardedClient) ReadBatch(keys []string) ([]KVPair, error) {
 		positions[si] = append(positions[si], i)
 	}
 	out := make([]KVPair, len(keys))
-	var wg sync.WaitGroup
-	errc := make(chan error, 1)
-	for si := range s.shards {
+	err := core.ForEach(len(s.shards), len(s.shards), func(si int) error {
 		if len(perShard[si]) == 0 {
-			continue
+			return nil
 		}
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			pairs, err := s.shards[si].ReadBatch(perShard[si])
-			if err != nil {
-				select {
-				case errc <- fmt.Errorf("ortoa: shard %d batch read: %w", si, err):
-				default:
-				}
-				return
-			}
-			for j, p := range pairs {
-				out[positions[si][j]] = p
-			}
-		}(si)
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
+		pairs, err := s.shards[si].ReadBatch(perShard[si])
+		if err != nil {
+			return fmt.Errorf("ortoa: shard %d batch read: %w", si, err)
+		}
+		for j, p := range pairs {
+			out[positions[si][j]] = p
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	default:
-		return out, nil
 	}
+	return out, nil
 }
 
 // ReadRange reads up to limit consecutive keys starting at start
@@ -163,30 +155,15 @@ func (s *ShardedClient) WriteBatch(entries map[string][]byte) error {
 		}
 		perShard[si][key] = value
 	}
-	var wg sync.WaitGroup
-	errc := make(chan error, 1)
-	for si := range s.shards {
+	return core.ForEach(len(s.shards), len(s.shards), func(si int) error {
 		if len(perShard[si]) == 0 {
-			continue
+			return nil
 		}
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			if err := s.shards[si].WriteBatch(perShard[si]); err != nil {
-				select {
-				case errc <- fmt.Errorf("ortoa: shard %d batch write: %w", si, err):
-				default:
-				}
-			}
-		}(si)
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		return err
-	default:
+		if err := s.shards[si].WriteBatch(perShard[si]); err != nil {
+			return fmt.Errorf("ortoa: shard %d batch write: %w", si, err)
+		}
 		return nil
-	}
+	})
 }
 
 // SaveState persists every shard's protocol state, suffixing the path
