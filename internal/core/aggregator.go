@@ -111,7 +111,7 @@ func (c AggregatorConfig) brownoutMaxBatch() int {
 type Aggregator struct {
 	cfg     AggregatorConfig
 	backend BatchAccessor
-	tracer  atomic.Pointer[trace.Tracer]
+	stageObs
 
 	mu      sync.Mutex
 	cur     *aggWindow // open window accepting arrivals, nil if none
@@ -133,7 +133,7 @@ type aggWaiter struct {
 	op       BatchOp
 	ch       chan BatchResult
 	ctx      context.Context // caller context; a passed deadline drops the access unsent
-	admitted time.Time       // when the access joined the window
+	admitted time.Time       // when the access joined the window, on the stage family's clock
 	sp       *trace.Span     // agg_session span, ended when the result is delivered
 }
 
@@ -154,7 +154,7 @@ func NewAggregator(cfg AggregatorConfig, backend BatchAccessor) *Aggregator {
 	if cfg.Window <= 0 {
 		panic("core: AggregatorConfig.Window must be positive")
 	}
-	return &Aggregator{cfg: cfg, backend: backend}
+	return &Aggregator{cfg: cfg, backend: backend, stageObs: stageObs{stages: aggStages(nil)}}
 }
 
 // Access admits one oblivious access into the current window and
@@ -187,9 +187,7 @@ func (a *Aggregator) AccessContext(ctx context.Context, op Op, key string, newVa
 	}
 	a.pending++
 	a.accesses.Add(1)
-	if a.mx.enabled {
-		a.mx.queueDepth.Set(int64(a.pending))
-	}
+	a.mx.queueDepth.Set(int64(a.pending))
 	w := a.cur
 	if w == nil {
 		// First access of a new window: arm the time trigger. The
@@ -216,7 +214,7 @@ func (a *Aggregator) AccessContext(ctx context.Context, op Op, key string, newVa
 		sp = w.sp.Child("agg_session")
 	}
 	w.waiters = append(w.waiters, aggWaiter{op: BatchOp{Op: op, Key: key, Value: newValue},
-		ch: ch, ctx: ctx, admitted: time.Now(), sp: sp})
+		ch: ch, ctx: ctx, admitted: a.stages.Now(), sp: sp})
 	full := len(w.waiters) >= w.limit
 	if full {
 		a.detachLocked(w)
@@ -230,14 +228,6 @@ func (a *Aggregator) AccessContext(ctx context.Context, op Op, key string, newVa
 	}
 	res := <-ch
 	return res.Value, stats, res.Err
-}
-
-// TraceWith attaches a tracer: subsequent windows record agg_window
-// spans parenting their sessions' agg_session spans.
-func (a *Aggregator) TraceWith(t *trace.Tracer) {
-	if t != nil {
-		a.tracer.Store(t)
-	}
 }
 
 // timerFire is the window's time trigger. It races the size trigger
@@ -283,43 +273,30 @@ func (a *Aggregator) dispatch(w *aggWindow) {
 		ops[i] = w.waiters[i].op
 	}
 	a.batches.Add(1)
-	if a.mx.enabled {
-		// The histogram's integer scale records a count, not a time:
-		// bucket k holds windows that coalesced ~2^k accesses.
-		a.mx.windowSize.Observe(time.Duration(n))
-	}
+	// The histogram's integer scale records a count, not a time: bucket
+	// k holds windows that coalesced ~2^k accesses.
+	a.mx.windowSize.Observe(time.Duration(n))
 	// The batch executes under the window's span: the proxy-side stage
 	// tree and the server's decrypt span join the window trace, shared
 	// by all n sessions.
-	dispatchedAt := time.Now()
+	dispatchedAt := a.stages.Now()
 	results, _ := a.backend.AccessBatchResults(trace.ContextWith(context.Background(), w.sp), ops)
-	rpcDone := time.Now()
+	rpc := a.stages.Now().Sub(dispatchedAt)
 	a.mu.Lock()
 	a.pending -= n
-	if a.mx.enabled {
-		a.mx.queueDepth.Set(int64(a.pending))
-	}
+	a.mx.queueDepth.Set(int64(a.pending))
 	a.mu.Unlock()
 	for i := range w.waiters {
-		w.waiters[i].sp.End()
-		if a.mx.enabled {
-			// Slowlog attribution: the time an access spent waiting for
-			// window mates is coalescing latency, not server time — it is
-			// reported as its own stage, never folded into the rpc stage.
-			wait := dispatchedAt.Sub(w.waiters[i].admitted)
-			total := wait + rpcDone.Sub(dispatchedAt)
-			if a.mx.slow.Worthy(total) {
-				a.mx.slow.Record(obs.Trace{
-					At:    w.waiters[i].admitted,
-					Label: fmt.Sprintf("window=%d key=%s", n, traceLabel([]byte(ops[i].Key))),
-					Total: total,
-					Stages: []obs.Stage{
-						{Name: "window_wait", D: wait},
-						{Name: "batch_rpc", D: rpcDone.Sub(dispatchedAt)},
-					},
-				})
-			}
-		}
+		wt := &w.waiters[i]
+		wt.sp.End()
+		// The time an access spent waiting for window mates is coalescing
+		// latency, not server time: its own stage, never folded into the
+		// round trip. The aggregator holds no PRF, so the label carries no
+		// key material at all — the window, the session's place in it, and
+		// (on the entry) the trace id that resolves to its span tree.
+		a.stages.Record(wt.admitted, wt.sp.TraceID(), failedAccesses(results[i].Err),
+			func() string { return fmt.Sprintf("window=%d session=%d", n, i) },
+			dispatchedAt.Sub(wt.admitted), rpc)
 	}
 	w.sp.End()
 	for i := range w.waiters {
@@ -349,9 +326,7 @@ func (a *Aggregator) shedExpired(w *aggWindow) {
 	a.expired.Add(int64(dead))
 	a.mu.Lock()
 	a.pending -= dead
-	if a.mx.enabled {
-		a.mx.queueDepth.Set(int64(a.pending))
-	}
+	a.mx.queueDepth.Set(int64(a.pending))
 	a.mu.Unlock()
 }
 
@@ -408,32 +383,27 @@ func (a *Aggregator) Stats() AggregatorStats {
 	}
 }
 
-// aggObs instruments the aggregation front end.
+// aggObs instruments the aggregation front end beyond its sessions'
+// stage family (aggStages).
 type aggObs struct {
-	enabled    bool
 	windowSize *obs.Histogram // accesses coalesced per dispatched window
 	queueDepth *obs.Gauge     // admitted accesses awaiting an answer
-	slow       *obs.SlowLog   // slowest aggregated accesses, window metadata attached
 }
 
 // Instrument registers the aggregator's metrics (ortoa_agg_*) with
 // reg. Call before serving accesses; a nil registry leaves the
 // aggregator uninstrumented.
 func (a *Aggregator) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	reg.CounterFunc("ortoa_agg_accesses_total", "accesses admitted into aggregation windows", a.accesses.Load)
 	reg.CounterFunc("ortoa_agg_windows_total", "aggregation windows dispatched; accesses/windows is the coalesce ratio", a.batches.Load)
 	reg.CounterFunc("ortoa_agg_rejected_total", "accesses refused by the pending-budget backpressure", a.rejected.Load)
 	reg.CounterFunc("ortoa_agg_brownout_windows_total", "aggregation windows opened in brownout mode (pending depth past BrownoutPending)", a.brownouts.Load)
 	reg.CounterFunc("ortoa_agg_expired_total", "admitted accesses answered unsent because their deadline passed while coalescing", a.expired.Load)
+	a.stages = aggStages(reg)
 	a.mx = aggObs{
-		enabled: true,
 		windowSize: reg.Histogram("ortoa_agg_window_accesses",
 			"accesses coalesced per dispatched window (integer count on the duration scale)"),
 		queueDepth: reg.Gauge("ortoa_agg_queue_depth",
 			"admitted accesses waiting in the open window or in flight"),
-		slow: reg.SlowLog("agg_access", 32),
 	}
 }

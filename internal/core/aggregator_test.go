@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
@@ -373,11 +374,16 @@ func TestObliviousnessAggregatedWindow(t *testing.T) {
 // fix: an aggregated access's entry names the window it rode
 // (window=N) and reports coalescing latency as its own window_wait
 // stage plus a batch_rpc stage — the wait is never folded into rpc.
+// The aggregator holds no PRF, so its labels must carry no key material
+// at all — neither the text of a plaintext key's prefix nor its hex —
+// and point at the access through the trace id instead.
 func TestAggregatorSlowlogWindowMetadata(t *testing.T) {
 	const n = 4
 	_, _, agg := newAggRig(t, n, 4, AggregatorConfig{Window: time.Hour, MaxBatch: n})
 	reg := obs.NewRegistry()
 	agg.Instrument(reg)
+	tr := reg.Tracer("proxy", 64)
+	agg.TraceWith(tr)
 
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -396,9 +402,21 @@ func TestAggregatorSlowlogWindowMetadata(t *testing.T) {
 	if len(entries) != n {
 		t.Fatalf("slowlog retained %d entries, want %d", len(entries), n)
 	}
+	sessions := map[uint64]bool{}
+	for _, rec := range tr.Snapshot() {
+		sessions[rec.TraceID] = sessions[rec.TraceID] || rec.Name == "agg_session"
+	}
 	for _, e := range entries {
 		if !strings.Contains(e.Label, fmt.Sprintf("window=%d", n)) {
 			t.Fatalf("entry label %q missing window size", e.Label)
+		}
+		for _, leak := range []string{"key-", hex.EncodeToString([]byte("key-")), "ek="} {
+			if strings.Contains(e.Label, leak) {
+				t.Fatalf("entry label %q carries key material (%q): /slowlog must never show plaintext key bytes", e.Label, leak)
+			}
+		}
+		if !sessions[e.TraceID] {
+			t.Fatalf("entry %q carries trace id %016x, which resolves to no agg_session span", e.Label, e.TraceID)
 		}
 		stages := map[string]time.Duration{}
 		var sum time.Duration

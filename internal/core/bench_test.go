@@ -113,8 +113,8 @@ func newBenchLBL(b *testing.B, mode LBLMode, valueSize int) (*rig, *LBLProxy, *L
 
 // BenchmarkTableBuildKernel1KiB measures the headline perf kernel:
 // 1 KiB basic-mode encryption-table construction across worker counts.
-// CI runs this as a smoke check; BENCH_5.json records the calibrated
-// numbers (see `make bench-json`).
+// CI runs this as a smoke check; the repository benchmark's per-layer
+// ledger (core.proxy.table_build_us and friends) holds the gated numbers.
 func BenchmarkTableBuildKernel1KiB(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

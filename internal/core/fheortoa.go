@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"ortoa/internal/crypto/prf"
 	"ortoa/internal/fhe"
@@ -101,11 +100,8 @@ func (s *FHEServer) relinKey() *fhe.RelinKey {
 }
 
 func (s *FHEServer) handleAccess(ctx context.Context, payload []byte) ([]byte, error) {
-	sp := trace.StartChild(ctx, "server_fhe_eval")
-	defer sp.End()
-	if s.mx.enabled {
-		defer s.mx.eval.Since(time.Now())
-	}
+	iv := obs.Time(s.mx.eval, trace.StartChild(ctx, "server_fhe_eval"))
+	defer iv.End()
 	r := wire.NewReader(payload)
 	encKey := r.Raw(prf.Size)
 	rawR := r.BytesPfx()
@@ -175,7 +171,7 @@ type FHEClient struct {
 	prf    *prf.PRF
 	sk     *fhe.SecretKey
 	client *transport.Client
-	mx     fheClientObs
+	stageObs
 }
 
 // ProvisionRelinKey generates a relinearization key (using
@@ -213,7 +209,7 @@ func NewFHEClientWithKey(cfg FHEConfig, f *prf.PRF, sk *fhe.SecretKey, client *t
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &FHEClient{cfg: cfg, prf: f, sk: sk, client: client}, nil
+	return &FHEClient{cfg: cfg, prf: f, sk: sk, client: client, stageObs: stageObs{stages: fheStages(nil)}}, nil
 }
 
 // SecretKey returns the client's BFV secret key, for sharing with
@@ -256,8 +252,7 @@ func (c *FHEClient) NoiseBudgetOf(record []byte) (int, error) {
 // FHE(c_w), and FHE(v_new) and decrypts the homomorphic result. After
 // too many accesses to the same object the accumulated noise corrupts
 // decryption; the error wraps fhe.ErrNoiseOverflow.
-func (c *FHEClient) Access(op Op, key string, newValue []byte) ([]byte, AccessStats, error) {
-	var stats AccessStats
+func (c *FHEClient) Access(op Op, key string, newValue []byte) (value []byte, stats AccessStats, err error) {
 	if op == OpWrite && len(newValue) != c.cfg.ValueSize {
 		return nil, stats, ErrValueSize
 	}
@@ -270,61 +265,51 @@ func (c *FHEClient) Access(op Op, key string, newValue []byte) ([]byte, AccessSt
 		crBit, cwBit = 1, 0
 		vNew = make([]byte, c.cfg.ValueSize) // 'empty' value (§3.1)
 	}
-	sw := obs.StartWatch(c.mx.enabled)
+	clk, ctx := c.start(context.Background(), "fhe_access")
+	clk.Enter(fheEncrypt)
+	ek := c.prf.EncodeKey(key)
+	defer func() { clk.Done(1, failedAccesses(err), func() string { return traceLabel(ek) }) }()
 	params := c.cfg.Params
 	ctR, err := params.Encrypt(c.sk, params.EncodeBit(crBit))
 	if err != nil {
-		c.mx.errors.Inc()
 		return nil, stats, err
 	}
 	ctW, err := params.Encrypt(c.sk, params.EncodeBit(cwBit))
 	if err != nil {
-		c.mx.errors.Inc()
 		return nil, stats, err
 	}
 	ctNew, err := c.encryptValue(vNew)
 	if err != nil {
-		c.mx.errors.Inc()
 		return nil, stats, err
 	}
-
-	ek := c.prf.EncodeKey(key)
 	w := wire.NewWriter(prf.Size + 3*(params.PlaintextCapacity()*8))
 	w.Raw(ek[:])
 	w.BytesPfx(ctR.Marshal(params))
 	w.BytesPfx(ctW.Marshal(params))
 	w.BytesPfx(ctNew.Marshal(params))
 	stats.PrepBytes = w.Len()
-	dEncrypt := sw.Lap(c.mx.encrypt)
 
-	resp, err := c.client.Call(MsgFHEAccess, w.Bytes())
+	clk.Enter(fheRPC)
+	resp, err := c.client.CallContext(clk.Context(ctx), MsgFHEAccess, w.Bytes())
 	if err != nil {
-		c.mx.errors.Inc()
 		return nil, stats, err
 	}
-	dRPC := sw.Lap(c.mx.rpc)
+	clk.Enter(fheDecrypt)
 	stats.RespBytes = len(resp)
-
 	res, err := fhe.UnmarshalCiphertext(params, resp)
 	if err != nil {
-		c.mx.errors.Inc()
 		return nil, stats, err
 	}
 	coeffs, err := params.Decrypt(c.sk, res)
 	if err != nil {
-		c.mx.errors.Inc()
 		return nil, stats, err
 	}
-	value, err := params.DecodeBytes(coeffs)
+	value, err = params.DecodeBytes(coeffs)
 	if err != nil {
-		c.mx.errors.Inc()
 		return nil, stats, err
 	}
 	if len(value) != c.cfg.ValueSize {
-		c.mx.errors.Inc()
 		return nil, stats, fmt.Errorf("core: decrypted %d bytes, want %d: %w", len(value), c.cfg.ValueSize, fhe.ErrNoiseOverflow)
 	}
-	dDecrypt := sw.Lap(c.mx.decrypt)
-	c.mx.e2e.Observe(dEncrypt + dRPC + dDecrypt)
 	return value, stats, nil
 }

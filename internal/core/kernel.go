@@ -10,9 +10,9 @@ import (
 
 // This file exports fixtures for the two dominant LBL-ORTOA CPU
 // kernels — proxy-side table construction and the server recover/apply
-// pass plus proxy label recovery — so the harness "bench" experiment
-// and the benchmark smoke job measure the real hot paths with explicit
-// worker counts, without a transport in the way.
+// pass plus proxy label recovery — so the repository benchmark's
+// per-layer ledger and the benchmark smoke job measure the real hot
+// paths with explicit worker counts, without a transport in the way.
 
 // A TableBuildKernel repeatedly builds one access's encryption table
 // (§5.2 steps 1.2–1.5) into a reused buffer.

@@ -11,12 +11,10 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ortoa/internal/crypto/prf"
 	"ortoa/internal/crypto/secretbox"
 	"ortoa/internal/obs"
-	"ortoa/internal/obs/trace"
 	"ortoa/internal/transport"
 	"ortoa/internal/wire"
 )
@@ -311,34 +309,13 @@ type LBLProxy struct {
 	prf      *prf.PRF
 	counters *counterTable
 	client   *transport.Client
-	tracer   atomic.Pointer[trace.Tracer]
 	// epochs holds the proxy's last granted epoch per counter range,
 	// stamped into every access frame (epoch.go). All zeros — the
 	// single-proxy state — stamps legacy epoch-0 claims the server
 	// always admits.
 	epochs [NumRanges]atomic.Uint64
-	mx     lblProxyObs
-}
-
-// TraceWith attaches a tracer: subsequent accesses record per-stage
-// span trees, and their trace ids ride the request frames so the
-// server's spans join the same trace.
-func (p *LBLProxy) TraceWith(t *trace.Tracer) {
-	if t != nil {
-		p.tracer.Store(t)
-	}
-}
-
-// traceStart opens the root span for one proxy-side operation: a child
-// of the caller's span when the request arrived traced (the proxy front
-// end's server_handle span), else a fresh root from the proxy's own
-// tracer, else nil no-op spans throughout.
-func (p *LBLProxy) traceStart(ctx context.Context, name string) (*trace.Span, context.Context) {
-	if sp := trace.FromContext(ctx); sp != nil {
-		c := sp.Child(name)
-		return c, trace.ContextWith(ctx, c)
-	}
-	return p.tracer.Load().Start(ctx, name)
+	stageObs
+	mx lblProxyObs
 }
 
 // NewLBLProxy returns a proxy using f as its PRF and client to reach
@@ -347,7 +324,8 @@ func NewLBLProxy(cfg LBLConfig, f *prf.PRF, client *transport.Client) (*LBLProxy
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &LBLProxy{cfg: cfg, prf: f, counters: newCounterTable(), client: client}, nil
+	return &LBLProxy{cfg: cfg, prf: f, counters: newCounterTable(), client: client,
+		stageObs: stageObs{stages: LBLStages(nil)}}, nil
 }
 
 // Config returns the proxy's configuration.
@@ -557,13 +535,11 @@ const recoveryAllowance = 3
 // never fails its round mates.
 func (p *LBLProxy) round(ctx context.Context, accs []roundAccess) AccessStats {
 	var stats AccessStats
-	root, ctx := p.traceStart(ctx, "lbl_access")
-	defer root.End()
+	clk, ctx := p.start(ctx, "lbl_access")
 
 	// Per-key serialization: the label schedule is counter-indexed,
 	// so a key's accesses must not interleave (see counterTable).
-	sw := obs.StartWatch(p.mx.enabled)
-	spAcq := root.Child("counter_acquire")
+	clk.Enter(lblAcquire)
 	live := make([]*roundAccess, 0, len(accs))
 	defer func() {
 		for i := range accs {
@@ -585,11 +561,8 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess) AccessStats {
 		}
 		live = append(live, a)
 	}
-	spAcq.End()
-	dAcquire := sw.Lap(p.mx.acquire)
 	p.mx.keys.Add(int64(len(accs)))
 
-	var dBuild, dRPC, dRecover time.Duration
 	specs := make([]tableSpec, 0, len(live))
 	for len(live) > 0 {
 		// Dead callers get no table: garbling is the proxy's most
@@ -605,16 +578,7 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess) AccessStats {
 		for _, a := range live {
 			specs = append(specs, tableSpec{a.Op, a.Key, a.Value, a.entry.ct})
 		}
-		resp, sent, db, err := p.exchange(ctx, root, specs)
-		// Build and send are one pipelined stage when the request spans
-		// frames, so the build/rpc split comes from the sealing time
-		// exchange measured rather than from two laps.
-		dr := max(sw.Lap(nil)-db, 0)
-		dBuild, dRPC = dBuild+db, dRPC+dr
-		if p.mx.enabled {
-			p.mx.build.Observe(db)
-			p.mx.rpc.Observe(dr)
-		}
+		resp, sent, err := p.exchange(ctx, &clk, specs)
 		stats.PrepBytes += sent
 		stats.RespBytes += len(resp)
 		if err != nil {
@@ -631,7 +595,7 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess) AccessStats {
 			break
 		}
 
-		spRec := root.Child("label_recover")
+		clk.Enter(lblRecover)
 		slotLen := p.cfg.ResponseBytesPerAccess()
 		outer, inner := fanOut(len(live), p.cfg.Groups())
 		ForEach(len(live), outer, func(i int) error { //nolint:errcheck // outcomes land per access
@@ -641,8 +605,7 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess) AccessStats {
 			}
 			return nil
 		})
-		spRec.End()
-		dRecover += sw.Lap(p.mx.recover)
+		clk.Leave() // ladder time belongs to no stage
 
 		retry := live[:0]
 		for i, a := range live {
@@ -653,9 +616,7 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess) AccessStats {
 				retry = append(retry, a)
 			}
 		}
-		if live = retry; len(live) > 0 {
-			sw.Lap(nil) // ladder time belongs to no stage
-		}
+		live = retry
 	}
 
 	failed := 0
@@ -664,25 +625,9 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess) AccessStats {
 			failed++
 		}
 	}
-	p.mx.errors.Add(int64(failed))
-	if p.mx.enabled && failed < len(accs) {
-		total := dAcquire + dBuild + dRPC + dRecover
-		p.mx.e2e.ObserveExemplar(total, root.TraceID())
-		if p.mx.slow.Worthy(total) {
-			ek := p.prf.EncodeKey(accs[0].Key)
-			p.mx.slow.Record(obs.Trace{
-				At:    time.Now(),
-				Label: fmt.Sprintf("keys=%d %s", len(accs), traceLabel(ek[:])),
-				Total: total,
-				Stages: []obs.Stage{
-					{Name: "counter_acquire", D: dAcquire},
-					{Name: "table_build", D: dBuild},
-					{Name: "rpc", D: dRPC},
-					{Name: "label_recover", D: dRecover},
-				},
-			})
-		}
-	}
+	clk.Done(len(accs), failed, func() string {
+		return fmt.Sprintf("keys=%d %s", len(accs), traceLabel(p.prf.EncodeKey(accs[0].Key)))
+	})
 	return stats
 }
 
@@ -732,43 +677,34 @@ type tableSpec struct {
 // exchange is the one builder and sender: it encodes specs as one
 // request — one segment per spec, back to back — cuts it into frames,
 // and returns the server's response, validated to hold one slot per
-// spec. This is the only place that knows whether a request crosses the
-// wire as one frame or several: a request that fits is one ordinary
-// call, which the transport may retry; a longer one is the same bytes
-// sealed and written frame by frame from one pooled buffer, which it
-// never retries. Also returned: the request bytes sealed and the time
-// spent sealing them.
-func (p *LBLProxy) exchange(ctx context.Context, root *trace.Span, specs []tableSpec) (resp []byte, sent int, build time.Duration, err error) {
+// spec, and the request bytes sealed. This is the only place that knows
+// whether a request crosses the wire as one frame or several: a request
+// that fits is one ordinary call, which the transport may retry; a
+// longer one is the same bytes sealed and written frame by frame from
+// one pooled buffer, which it never retries. On clk it is the
+// table_build stage until the first frame is sealed and the rpc stage
+// from then until the response lands.
+func (p *LBLProxy) exchange(ctx context.Context, clk *obs.Clock, specs []tableSpec) (resp []byte, sent int, err error) {
 	cut := frameCutter{cfg: p.cfg, n: len(specs)}
 	var runsBuf [2]run
 	runs := cut.next(runsBuf[:0])
 	w := wire.GetWriter(p.cfg.frameBytes(runs))
 	defer wire.PutWriter(w)
-	// table_build ends when the last frame is sealed, rpc when the
-	// response lands: back to back for one frame, overlapping for
-	// several — the gap between their ends is the pipeline's tail.
-	spBuild := root.Child("table_build")
-	defer spBuild.End()
+	clk.Enter(lblBuild)
 	frames := 0
 	seal := func() error {
 		w.Reset()
-		t0 := time.Now()
 		err := p.buildFrame(w.Extend(p.cfg.frameBytes(runs)), runs, specs)
-		build += time.Since(t0)
 		sent += w.Len()
 		frames++
-		if cut.done() {
-			spBuild.End()
-		}
 		return err
 	}
 	if err = seal(); err != nil {
-		return nil, 0, build, err // nothing was sent
+		return nil, 0, err // nothing was sent
 	}
 	id := p.client.NextID()
-	spRPC := root.Child("rpc")
-	defer spRPC.End()
-	ctx = trace.ContextWith(ctx, spRPC)
+	clk.Enter(lblRPC)
+	ctx = clk.Context(ctx)
 	if cut.done() {
 		resp, err = p.client.CallContextID(ctx, id, MsgLBLAccess, w.Bytes())
 	} else {
@@ -779,7 +715,9 @@ func (p *LBLProxy) exchange(ctx context.Context, root *trace.Span, specs []table
 					return err
 				}
 				runs = cut.next(runs[:0])
-				if err := seal(); err != nil {
+				// Sealed while earlier frames are on the wire: the time is
+				// table_build's, not the round trip's.
+				if err := clk.Overlap(lblBuild, seal); err != nil {
 					return err
 				}
 			}
@@ -790,7 +728,7 @@ func (p *LBLProxy) exchange(ctx context.Context, root *trace.Span, specs []table
 		err = fmt.Errorf("%w: response has %d bytes, want %d slots of %d", ErrTampered,
 			len(resp), len(specs), p.cfg.ResponseBytesPerAccess())
 	}
-	return resp, sent, build, err
+	return resp, sent, err
 }
 
 // buildFrame encodes the frame carrying runs into frame (steps 1.1–1.5

@@ -9,11 +9,11 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ortoa/internal/crypto/prf"
 	"ortoa/internal/crypto/secretbox"
 	"ortoa/internal/kvstore"
+	"ortoa/internal/obs"
 	"ortoa/internal/obs/trace"
 	"ortoa/internal/transport"
 	"ortoa/internal/wire"
@@ -368,7 +368,7 @@ type lblSegment struct {
 	snap     *[]byte // pooled: the record as it was when the segment began
 	next     *[]byte // pooled: the record to install
 	attempts int64
-	busy     time.Duration
+	busy     obs.Interval // record work: snapshot, trial decryptions, install
 }
 
 // segRun is a run of groups [g0, g1) of seg's table, as it arrived.
@@ -443,11 +443,8 @@ func (req *lblRequest) begin(key string, claim []byte) *lblSegment {
 		}
 		return seg
 	}
-	var t0 time.Time
-	if s.mx.enabled {
-		t0 = time.Now()
-		defer func() { seg.busy += time.Since(t0) }()
-	}
+	seg.busy = obs.Time(s.mx.access, nil)
+	defer seg.busy.Pause()
 	seg.snap = recPool.Get().(*[]byte)
 	snap, err := s.store.AppendGet((*seg.snap)[:0], key)
 	*seg.snap = snap
@@ -487,11 +484,8 @@ func (req *lblRequest) decrypt(run segRun) {
 		seg.status = slotExpired
 		return
 	}
-	var t0 time.Time
-	if req.srv.mx.enabled {
-		t0 = time.Now()
-		defer func() { seg.busy += time.Since(t0) }()
-	}
+	seg.busy.Resume()
+	defer seg.busy.Pause()
 	labels, dbits := seg.labels(req.geo)
 	a, ok := decryptRange(req.geo, &seg.rec, run.table, run.g0, run.g1, labels, dbits)
 	seg.attempts += a
@@ -537,10 +531,7 @@ func (req *lblRequest) install(seg *lblSegment, labelsOut []byte) byte {
 		s.expiredRounds.Add(1)
 		return slotExpired
 	}
-	var t0 time.Time
-	if s.mx.enabled {
-		t0 = time.Now()
-	}
+	seg.busy.Resume()
 	labels, _ := seg.labels(req.geo)
 	swapped := false
 	err := s.store.Update(seg.key, func(old []byte) ([]byte, error) {
@@ -562,9 +553,7 @@ func (req *lblRequest) install(seg *lblSegment, labelsOut []byte) byte {
 		// a per-entry atomic add is a cross-core cacheline ping-pong when
 		// workers run in parallel.
 		s.decryptAttempts.Add(seg.attempts)
-		if s.mx.enabled {
-			s.mx.access.Observe(seg.busy + time.Since(t0))
-		}
+		seg.busy.End() // only an access that installed is observed
 		return slotOK
 	case swapped:
 		// The closure succeeded but journaling or the durability wait

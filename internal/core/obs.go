@@ -1,17 +1,23 @@
 package core
 
 import (
+	"context"
 	"encoding/hex"
+	"sync/atomic"
 
+	"ortoa/internal/crypto/prf"
 	"ortoa/internal/obs"
+	"ortoa/internal/obs/trace"
 )
 
-// This file holds the protocol layer's observability bundles: one
-// value-typed struct of metric handles per protocol side, embedded in
-// the proxy/client/server structs. The zero value (all-nil handles,
-// enabled=false) is the "observability off" state, so uninstrumented
-// hot paths pay one branch per stage and never read the clock (see
-// obs.Stopwatch). Instrument methods must be called before the
+// This file holds the protocol layer's observability: the stage family
+// each trusted-side component times its accesses with, and one
+// value-typed struct of further metric handles per protocol side,
+// embedded in the proxy/client/server structs. The zero value (all-nil
+// handles, an unmetered family) is the "observability off" state, in
+// which hot paths pay one branch per stage boundary and never read the
+// clock (see obs.Clock). Instrument methods accept a nil registry (it
+// leaves the component in that state) and must be called before the
 // component serves traffic — the bundle is written without
 // synchronization.
 //
@@ -19,32 +25,103 @@ import (
 // the proxy-side steps 1.1–1.5 and 3.1–3.2 of §5.2 plus the wire time
 // between them, which together make up the per-access latency that
 // Fig 3 decomposes. DESIGN.md §8 maps every metric to its paper
-// stage.
+// stage. Each family is declared here and nowhere else: the
+// declaration names the stage histograms, the spans and the slow-log
+// columns, and the constants beside it are the stages' positions.
 
-// traceLabel renders an encoded (PRF-image) key prefix for slow-trace
-// labels. Plaintext keys never reach the trace log — the label is the
-// same pseudonym the untrusted server sees on the wire.
-func traceLabel(encKey []byte) string {
-	n := 4
-	if len(encKey) < n {
-		n = len(encKey)
-	}
-	return "ek=" + hex.EncodeToString(encKey[:n])
+// The LBL proxy's stages, in LBLStages' order.
+const (
+	lblAcquire = iota // per-key counter acquisition (serialization point), step 1.1
+	lblBuild          // encryption-table build, steps 1.2–1.5: time spent sealing frames
+	lblRPC            // wire round trip, request out to response in, less the sealing it overlapped
+	lblRecover        // label→bit recovery + §5.4 integrity check, steps 3.1–3.2
+)
+
+// LBLStages declares the LBL proxy's stage family (ortoa_lbl_*, slow
+// log lbl_access) against reg; nil declares it unmetered. Readers of
+// the family — the trace experiment — take the stage names from here.
+func LBLStages(reg *obs.Registry) *obs.Stages {
+	return reg.Stages("ortoa_lbl", "LBL proxy per-round stage latency (§5.2 steps)",
+		"counter_acquire", "table_build", "rpc", "label_recover")
 }
 
-// lblProxyObs instruments the trusted LBL proxy: one histogram per
-// round stage, end-to-end latency, and a slow-trace log of the worst
-// rounds. A round of one key is one access.
+// The TEE client's stages: selector + value sealing, the round trip,
+// result unsealing + length check (§4.1).
+const (
+	teeSeal = iota
+	teeRPC
+	teeOpen
+)
+
+func teeStages(reg *obs.Registry) *obs.Stages {
+	return reg.Stages("ortoa_tee", "TEE client per-access stage latency (§4.1)", "seal", "rpc", "open")
+}
+
+// The FHE client's stages: selector + value encryption and marshalling,
+// the round trip, result decryption and decoding (§3.1).
+const (
+	fheEncrypt = iota
+	fheRPC
+	fheDecrypt
+)
+
+func fheStages(reg *obs.Registry) *obs.Stages {
+	return reg.Stages("ortoa_fhe", "FHE client per-access stage latency (§3.1)", "encrypt", "rpc", "decrypt")
+}
+
+// An aggregated access's stages, per session: the wait for window mates
+// — coalescing latency, never folded into the round trip — and the
+// window's shared batch round.
+func aggStages(reg *obs.Registry) *obs.Stages {
+	return reg.Stages("ortoa_agg", "aggregated access per-session stage latency", "window_wait", "batch_rpc")
+}
+
+// stageObs is what a trusted-side component times accesses with: its
+// stage family and, once TraceWith attached one, a tracer for accesses
+// that arrive without a span of their own.
+type stageObs struct {
+	stages *obs.Stages
+	tracer atomic.Pointer[trace.Tracer]
+}
+
+// TraceWith attaches a tracer: subsequent accesses that arrive untraced
+// start their own traces in it — a proxy's or client's stage span tree,
+// whose trace id rides the request frames so the server's spans join
+// it; an aggregator's agg_window span parenting its sessions'.
+func (o *stageObs) TraceWith(t *trace.Tracer) {
+	if t != nil {
+		o.tracer.Store(t)
+	}
+}
+
+// start begins one access's clock under a root span named root: a child
+// of the caller's span when the request arrived traced (the proxy front
+// end's server_handle span), else a fresh root from the component's own
+// tracer, else no spans at all.
+func (o *stageObs) start(ctx context.Context, root string) (obs.Clock, context.Context) {
+	return o.stages.Start(ctx, o.tracer.Load(), root)
+}
+
+// failedAccesses is the failed count a single access reports to its
+// stage family.
+func failedAccesses(err error) int {
+	if err != nil {
+		return 1
+	}
+	return 0
+}
+
+// traceLabel renders an encoded (PRF-image) key prefix for slow-log
+// labels. Plaintext keys never reach the slow log — the label is the
+// same pseudonym the untrusted server sees on the wire, and the
+// parameter's type keeps a plaintext key from being passed by mistake.
+func traceLabel(encKey prf.Output) string {
+	return "ek=" + hex.EncodeToString(encKey[:4])
+}
+
+// lblProxyObs counts what the LBL proxy does beyond timing accesses. A
+// round of one key is one access.
 type lblProxyObs struct {
-	enabled bool
-
-	acquire *obs.Histogram // per-key counter acquisition (serialization point)
-	build   *obs.Histogram // encryption-table build, steps 1.1–1.5
-	rpc     *obs.Histogram // wire round trip, request out to response in
-	recover *obs.Histogram // label→bit recovery + §5.4 integrity check
-	e2e     *obs.Histogram // sum of the four stages
-	errors  *obs.Counter
-
 	keys   *obs.Counter // accesses carried by rounds; keys/rounds is the batching factor
 	frames *obs.Counter // request frames sealed; frames/rounds > 1 means the frame budget is cutting requests
 
@@ -56,30 +133,14 @@ type lblProxyObs struct {
 
 	epochClaims  *obs.Counter // counter ranges claimed (adoption or startup, epoch.go)
 	fencedRounds *obs.Counter // accesses rejected by the server's epoch fence
-
-	slow *obs.SlowLog
 }
 
-// Instrument registers the proxy's access-stage metrics
+// Instrument registers the proxy's stage family and counters
 // (ortoa_lbl_*) with reg. Call before serving accesses; a nil
 // registry leaves the proxy uninstrumented at zero cost.
 func (p *LBLProxy) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	stage := func(name string) *obs.Histogram {
-		return reg.Histogram(`ortoa_lbl_stage_seconds{stage="`+name+`"}`,
-			"LBL proxy per-round stage latency (§5.2 steps)")
-	}
+	p.stages = LBLStages(reg)
 	p.mx = lblProxyObs{
-		enabled: true,
-		acquire: stage("counter_acquire"),
-		build:   stage("table_build"),
-		rpc:     stage("rpc"),
-		recover: stage("label_recover"),
-		e2e:     reg.Histogram("ortoa_lbl_access_seconds", "LBL proxy end-to-end round latency (one observation per round with at least one success)"),
-		errors:  reg.Counter("ortoa_lbl_access_errors_total", "LBL accesses that failed"),
-
 		keys:   reg.Counter("ortoa_lbl_round_accesses_total", "accesses carried by LBL rounds"),
 		frames: reg.Counter("ortoa_lbl_request_frames_total", "LBL request frames sealed (more than one per round when the frame budget cuts requests)"),
 
@@ -91,8 +152,6 @@ func (p *LBLProxy) Instrument(reg *obs.Registry) {
 
 		epochClaims:  reg.Counter("ortoa_lbl_epoch_claims_total", "counter-range ownership claims issued (startup or failover adoption)"),
 		fencedRounds: reg.Counter("ortoa_lbl_fenced_rounds_total", "accesses rejected by the server's epoch fence before adoption"),
-
-		slow: reg.SlowLog("lbl_access", 32),
 	}
 	reg.GaugeFunc("ortoa_lbl_owned_ranges", "counter ranges this proxy has claimed (epoch > 0)", p.OwnedRanges)
 }
@@ -100,17 +159,13 @@ func (p *LBLProxy) Instrument(reg *obs.Registry) {
 // lblServerObs instruments the untrusted LBL server's handler work:
 // the atomic read-decrypt-install of steps 2.1–2.2.
 type lblServerObs struct {
-	enabled bool
-	access  *obs.Histogram
+	access *obs.Histogram
 }
 
 // Instrument registers the server's metrics (ortoa_lbl_server_*) with
 // reg, including scrape-time views of the ops and decrypt-attempt
 // totals the server already tracks. Call before Register.
 func (s *LBLServer) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	reg.CounterFunc("ortoa_lbl_server_ops_total", "LBL accesses served", s.ops.Load)
 	reg.CounterFunc("ortoa_lbl_server_decrypt_attempts_total",
 		"authenticated decryptions attempted (the cost §10.2 halves)", s.decryptAttempts.Load)
@@ -123,106 +178,43 @@ func (s *LBLServer) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("ortoa_lbl_server_expired_rounds_total",
 		"accesses dropped because their deadline budget expired before trial decryption", s.expiredRounds.Load)
 	s.mx = lblServerObs{
-		enabled: true,
-		access:  reg.Histogram("ortoa_lbl_server_access_seconds", "store read + label swap per access (§5.2 steps 2.1–2.2)"),
+		access: reg.Histogram("ortoa_lbl_server_access_seconds", "store read + label swap per access (§5.2 steps 2.1–2.2)"),
 	}
 }
 
-// fheClientObs instruments the trusted FHE side's access stages.
-type fheClientObs struct {
-	enabled bool
-	encrypt *obs.Histogram // selector + value encryption and marshalling
-	rpc     *obs.Histogram
-	decrypt *obs.Histogram // result decryption and decoding
-	e2e     *obs.Histogram
-	errors  *obs.Counter
-}
-
-// Instrument registers the client's access-stage metrics (ortoa_fhe_*)
-// with reg. Call before serving accesses.
-func (c *FHEClient) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	stage := func(name string) *obs.Histogram {
-		return reg.Histogram(`ortoa_fhe_stage_seconds{stage="`+name+`"}`,
-			"FHE client per-access stage latency (§3.1)")
-	}
-	c.mx = fheClientObs{
-		enabled: true,
-		encrypt: stage("encrypt"),
-		rpc:     stage("rpc"),
-		decrypt: stage("decrypt"),
-		e2e:     reg.Histogram("ortoa_fhe_access_seconds", "FHE end-to-end access latency"),
-		errors:  reg.Counter("ortoa_fhe_access_errors_total", "FHE accesses that failed"),
-	}
-}
+// Instrument registers the client's stage family (ortoa_fhe_*) with
+// reg. Call before serving accesses.
+func (c *FHEClient) Instrument(reg *obs.Registry) { c.stages = fheStages(reg) }
 
 // fheServerObs instruments the homomorphic evaluation of Pcr'.
 type fheServerObs struct {
-	enabled bool
-	eval    *obs.Histogram
+	eval *obs.Histogram
 }
 
 // Instrument registers the server's metrics (ortoa_fhe_server_*) with
 // reg. Call before Register.
 func (s *FHEServer) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	s.mx = fheServerObs{
-		enabled: true,
-		eval:    reg.Histogram("ortoa_fhe_server_eval_seconds", "homomorphic Pcr' evaluation per access (§3.1)"),
+		eval: reg.Histogram("ortoa_fhe_server_eval_seconds", "homomorphic Pcr' evaluation per access (§3.1)"),
 	}
 }
 
-// teeClientObs instruments the trusted TEE side's access stages.
-type teeClientObs struct {
-	enabled bool
-	seal    *obs.Histogram // selector + value sealing
-	rpc     *obs.Histogram
-	open    *obs.Histogram // result unsealing + length check
-	e2e     *obs.Histogram
-	errors  *obs.Counter
-}
-
-// Instrument registers the client's access-stage metrics (ortoa_tee_*)
-// with reg. Call before serving accesses.
-func (c *TEEClient) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	stage := func(name string) *obs.Histogram {
-		return reg.Histogram(`ortoa_tee_stage_seconds{stage="`+name+`"}`,
-			"TEE client per-access stage latency (§4.1)")
-	}
-	c.mx = teeClientObs{
-		enabled: true,
-		seal:    stage("seal"),
-		rpc:     stage("rpc"),
-		open:    stage("open"),
-		e2e:     reg.Histogram("ortoa_tee_access_seconds", "TEE end-to-end access latency"),
-		errors:  reg.Counter("ortoa_tee_access_errors_total", "TEE accesses that failed"),
-	}
-}
+// Instrument registers the client's stage family (ortoa_tee_*) with
+// reg. Call before serving accesses.
+func (c *TEEClient) Instrument(reg *obs.Registry) { c.stages = teeStages(reg) }
 
 // teeServerObs instruments the host-side handler and the enclave
 // crossing it pays per access.
 type teeServerObs struct {
-	enabled bool
-	access  *obs.Histogram
-	ecall   *obs.Histogram
+	access *obs.Histogram
+	ecall  *obs.Histogram
 }
 
 // Instrument registers the server's metrics (ortoa_tee_server_*) with
 // reg. Call before Register.
 func (s *TEEServer) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	s.mx = teeServerObs{
-		enabled: true,
-		access:  reg.Histogram("ortoa_tee_server_access_seconds", "store read + enclave selection per access (§4.1)"),
-		ecall:   reg.Histogram("ortoa_tee_server_ecall_seconds", "enclave crossing (ECall) latency"),
+		access: reg.Histogram("ortoa_tee_server_access_seconds", "store read + enclave selection per access (§4.1)"),
+		ecall:  reg.Histogram("ortoa_tee_server_ecall_seconds", "enclave crossing (ECall) latency"),
 	}
 }

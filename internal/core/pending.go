@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"ortoa/internal/obs"
 	"ortoa/internal/transport"
 )
 
@@ -71,7 +72,8 @@ func (p *LBLProxy) resolvePending(key string, entry *counterEntry) error {
 // (false, nil). Any other outcome is an error.
 func (p *LBLProxy) probe(key string, ct uint64) (executed bool, err error) {
 	spec := [1]tableSpec{{op: OpRead, key: key, ct: ct}}
-	resp, _, _, err := p.exchange(context.Background(), nil, spec[:])
+	var untimed obs.Clock // a probe is part of no access's stages
+	resp, _, err := p.exchange(context.Background(), &untimed, spec[:])
 	if transport.IsReplayEvicted(err) {
 		// The transport retried the probe and the server had already
 		// executed it; only the response bytes are gone.

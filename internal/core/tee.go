@@ -130,11 +130,8 @@ func (s *TEEServer) handleProvision(_ context.Context, payload []byte) ([]byte, 
 }
 
 func (s *TEEServer) handleAccess(ctx context.Context, payload []byte) ([]byte, error) {
-	sp := trace.StartChild(ctx, "server_ecall")
-	defer sp.End()
-	if s.mx.enabled {
-		defer s.mx.access.Since(time.Now())
-	}
+	iv := obs.Time(s.mx.access, trace.StartChild(ctx, "server_ecall"))
+	defer iv.End()
 	r := wire.NewReader(payload)
 	encKey := r.Raw(prf.Size)
 	sealedCr := r.BytesPfx()
@@ -151,9 +148,9 @@ func (s *TEEServer) handleAccess(ctx context.Context, payload []byte) ([]byte, e
 		w.BytesPfx(sealedCr)
 		w.BytesPfx(old)
 		w.BytesPfx(sealedNew)
-		sw := obs.StartWatch(s.mx.enabled)
+		ecall := obs.Time(s.mx.ecall, nil)
 		out, err := s.enclave.ECall(w.Bytes())
-		sw.Lap(s.mx.ecall)
+		ecall.End()
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +181,7 @@ type TEEClient struct {
 	box    *secretbox.Box
 	key    []byte
 	client *transport.Client
-	mx     teeClientObs
+	stageObs
 }
 
 // NewTEEClient returns a trusted client keyed with dataKey.
@@ -196,7 +193,8 @@ func NewTEEClient(cfg TEEConfig, f *prf.PRF, dataKey []byte, client *transport.C
 	if err != nil {
 		return nil, err
 	}
-	return &TEEClient{cfg: cfg, prf: f, box: box, key: append([]byte(nil), dataKey...), client: client}, nil
+	return &TEEClient{cfg: cfg, prf: f, box: box, key: append([]byte(nil), dataKey...), client: client,
+		stageObs: stageObs{stages: teeStages(nil)}}, nil
 }
 
 // AttestAndProvision verifies the enclave runs the expected selector
@@ -252,8 +250,7 @@ func (c *TEEClient) BuildRecord(key string, value []byte) (string, []byte, error
 
 // Access performs one oblivious access (§4.1). Reads send an
 // indistinguishable random dummy as v_new; the enclave discards it.
-func (c *TEEClient) Access(op Op, key string, newValue []byte) ([]byte, AccessStats, error) {
-	var stats AccessStats
+func (c *TEEClient) Access(op Op, key string, newValue []byte) (value []byte, stats AccessStats, err error) {
 	if op == OpWrite && len(newValue) != c.cfg.ValueSize {
 		return nil, stats, ErrValueSize
 	}
@@ -269,32 +266,29 @@ func (c *TEEClient) Access(op Op, key string, newValue []byte) ([]byte, AccessSt
 			return nil, stats, err
 		}
 	}
-	sw := obs.StartWatch(c.mx.enabled)
+	clk, ctx := c.start(context.Background(), "tee_access")
+	clk.Enter(teeSeal)
 	ek := c.prf.EncodeKey(key)
+	defer func() { clk.Done(1, failedAccesses(err), func() string { return traceLabel(ek) }) }()
 	w := wire.NewWriter(prf.Size + 2*c.cfg.ValueSize)
 	w.Raw(ek[:])
 	w.BytesPfx(c.box.Seal([]byte{cr}))
 	w.BytesPfx(c.box.Seal(vNew))
 	stats.PrepBytes = w.Len()
-	dSeal := sw.Lap(c.mx.seal)
 
-	resp, err := c.client.Call(MsgTEEAccess, w.Bytes())
+	clk.Enter(teeRPC)
+	resp, err := c.client.CallContext(clk.Context(ctx), MsgTEEAccess, w.Bytes())
 	if err != nil {
-		c.mx.errors.Inc()
 		return nil, stats, err
 	}
-	dRPC := sw.Lap(c.mx.rpc)
+	clk.Enter(teeOpen)
 	stats.RespBytes = len(resp)
-	value, err := c.box.Open(resp)
+	value, err = c.box.Open(resp)
 	if err != nil {
-		c.mx.errors.Inc()
 		return nil, stats, fmt.Errorf("%w: %v", ErrTampered, err)
 	}
 	if len(value) != c.cfg.ValueSize {
-		c.mx.errors.Inc()
 		return nil, stats, fmt.Errorf("%w: result has %d bytes", ErrTampered, len(value))
 	}
-	dOpen := sw.Lap(c.mx.open)
-	c.mx.e2e.Observe(dSeal + dRPC + dOpen)
 	return value, stats, nil
 }

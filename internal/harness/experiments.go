@@ -23,16 +23,6 @@ type Options struct {
 	// Concurrency overrides the client thread count (0 = default 32,
 	// the paper's default).
 	Concurrency int
-	// BenchOut, when non-empty, is a path the "bench" experiment writes
-	// its machine-readable JSON report to (see BENCH_5.json).
-	BenchOut string
-	// BenchBaseline, when non-empty, is a prior BenchOut report to
-	// compare against: the "bench" experiment fails if any kernel
-	// point's ops/s dropped more than benchRegressionPct below the
-	// baseline. The comparison only gates when the run is shaped like
-	// the baseline (same value size and CPU count); otherwise it is
-	// reported as a note and skipped.
-	BenchBaseline string
 }
 
 func (o Options) keys() int {

@@ -41,7 +41,6 @@ var Experiments = []Experiment{
 	{"attack-snapshot", "multi-snapshot adversary vs plain store and ORTOA (§1)", SnapshotAttack},
 	{"oram-rounds", "one-round vs two-round tree ORAM (§8 sketch)", ORAMRounds},
 	{"trace", "measured Fig 3c companion: one cross-process trace plus the run's stage histograms (observability extension)", TraceBreakdown},
-	{"bench", "LBL kernel microbenchmarks with JSON output (perf baseline)", Bench},
 	{"stream", "requests cut under a frame budget, table build pipelined against the wire, vs sent whole (perf extension)", Stream},
 }
 

@@ -190,21 +190,6 @@ func streamFaultDrill(cfg core.LBLConfig, accesses int) (resets int64, failed in
 	return plan.Stats().Resets, int(d.totals.amb + d.totals.failed), nil
 }
 
-// StreamBench is the bench experiment's streamed-vs-monolithic
-// end-to-end point (BenchReport.Stream). It is additive: the bench
-// regression gate reads only the kernel sections, so baselines
-// written before this section exist stay comparable.
-type StreamBench struct {
-	ValueSize     int     `json:"value_size"`
-	Chunks        int     `json:"chunks"`
-	ChunkBytes    int     `json:"chunk_bytes"`
-	BandwidthBps  int64   `json:"link_bandwidth_bps"`
-	RTTMillis     float64 `json:"link_rtt_ms"`
-	MonoMsPerOp   float64 `json:"monolithic_ms_per_op"`
-	StreamMsPerOp float64 `json:"streamed_ms_per_op"`
-	Speedup       float64 `json:"speedup"`
-}
-
 // A streamPair is the same sequential accesses measured twice over one
 // link calibrated to this host: sent whole, and cut under a frame
 // budget of about 1/streamChunksTarget of the table.
@@ -232,25 +217,6 @@ func measureStreamPair(valueSize, rounds int) (streamPair, error) {
 		return p, fmt.Errorf("cut request: %w", err)
 	}
 	return p, nil
-}
-
-// measureStreamBench runs the calibrated pair at valueSize and returns
-// the machine-readable point.
-func measureStreamBench(valueSize, rounds int) (StreamBench, error) {
-	p, err := measureStreamPair(valueSize, rounds)
-	if err != nil {
-		return StreamBench{}, err
-	}
-	return StreamBench{
-		ValueSize:     valueSize,
-		Chunks:        p.cut.frames,
-		ChunkBytes:    p.cfg.StreamChunkBytes,
-		BandwidthBps:  p.link.Bandwidth,
-		RTTMillis:     float64(p.link.RTT) / 1e6,
-		MonoMsPerOp:   float64(p.whole.perOp) / 1e6,
-		StreamMsPerOp: float64(p.cut.perOp) / 1e6,
-		Speedup:       p.speedup(),
-	}, nil
 }
 
 // Stream measures the chunked-streaming request path against the

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
@@ -187,7 +186,7 @@ func TestAdminConcurrentScrape(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for i := 0; i < 300; i++ {
-				sp, _ := tr.Start(context.Background(), "lbl_access")
+				sp := tr.StartRoot("lbl_access")
 				sp.Child("rpc").End()
 				sp.End()
 				ops.Inc()

@@ -27,31 +27,3 @@ func BenchmarkHistogramObserveParallel(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkDisabledStopwatch measures the uninstrumented path a
-// protocol pays when metrics are off: one branch, no clock read.
-func BenchmarkDisabledStopwatch(b *testing.B) {
-	var h *Histogram
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sw := StartWatch(false)
-		sw.Lap(h)
-		sw.Lap(h)
-		sw.Lap(h)
-		sw.Lap(h)
-	}
-}
-
-// BenchmarkEnabledStopwatch measures the instrumented stage-timing
-// path: one clock read plus one Observe per lap.
-func BenchmarkEnabledStopwatch(b *testing.B) {
-	var h Histogram
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sw := StartWatch(true)
-		sw.Lap(&h)
-		sw.Lap(&h)
-		sw.Lap(&h)
-		sw.Lap(&h)
-	}
-}

@@ -6,11 +6,11 @@
 //
 // The paper's evaluation (§6, Figs 2–5) is entirely about where access
 // latency goes — proxy compute vs. network round trip vs. server work —
-// so the protocol hot paths record one histogram sample per stage (see
-// DESIGN.md §8 for the metric ↔ paper-stage map). Metrics are opt-in:
-// every instrumented component accepts a nil *Registry, and all metric
-// methods are nil-receiver no-ops, so the disabled path costs one
-// branch and allocates nothing.
+// so the protocol hot paths time each access through a declared stage
+// family (stages.go; DESIGN.md §8 has the metric ↔ paper-stage map).
+// Metrics are opt-in: every instrumented component accepts a nil
+// *Registry, and all metric methods are nil-receiver no-ops, so the
+// disabled path costs one branch and allocates nothing.
 //
 // The package is stdlib-only and safe for concurrent use. Hot-path
 // operations (Counter.Add, Gauge.Set, Histogram.Observe) take no locks:
@@ -121,7 +121,13 @@ type Histogram struct {
 }
 
 // Observe records one duration sample.
-func (h *Histogram) Observe(d time.Duration) {
+func (h *Histogram) Observe(d time.Duration) { h.ObserveExemplar(d, 0) }
+
+// ObserveExemplar records one sample and, when traceID is nonzero,
+// attaches it as the bucket's exemplar — the most recent trace to land
+// in that latency bucket. Slow-bucket exemplars are how an operator
+// goes from "p99 regressed" to one concrete span tree.
+func (h *Histogram) ObserveExemplar(d time.Duration, traceID uint64) {
 	if h == nil {
 		return
 	}
@@ -136,29 +142,9 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[idx].Add(1)
 	h.sum.Add(ns)
 	h.count.Add(1)
-}
-
-// ObserveExemplar records one sample like Observe and, when traceID is
-// nonzero, attaches it as the bucket's exemplar — the most recent
-// trace to land in that latency bucket. Slow-bucket exemplars are how
-// an operator goes from "p99 regressed" to one concrete span tree.
-func (h *Histogram) ObserveExemplar(d time.Duration, traceID uint64) {
-	if h == nil {
-		return
+	if traceID != 0 {
+		h.exemplars[idx].Store(traceID)
 	}
-	h.Observe(d)
-	if traceID == 0 {
-		return
-	}
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
-	}
-	idx := bits.Len64(uint64(ns))
-	if idx >= histBuckets {
-		idx = histBuckets - 1
-	}
-	h.exemplars[idx].Store(traceID)
 }
 
 // Since records the elapsed time from start. It is shorthand for
@@ -241,40 +227,6 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 	}
 	return time.Duration(bucketUpper(histBuckets - 1))
 }
-
-// A Stopwatch times the consecutive stages of one request. Created
-// disabled it costs one branch per Lap and never reads the clock, so
-// uninstrumented hot paths stay free of timing overhead.
-type Stopwatch struct {
-	t  time.Time
-	on bool
-}
-
-// StartWatch starts a stopwatch; pass enabled=false to get an inert
-// one.
-func StartWatch(enabled bool) Stopwatch {
-	if !enabled {
-		return Stopwatch{}
-	}
-	return Stopwatch{t: time.Now(), on: true}
-}
-
-// Lap records the time since the previous lap (or start) into h and
-// restarts the lap clock, returning the lap duration. Disabled
-// stopwatches return 0 without touching the clock or h.
-func (s *Stopwatch) Lap(h *Histogram) time.Duration {
-	if !s.on {
-		return 0
-	}
-	now := time.Now()
-	d := now.Sub(s.t)
-	s.t = now
-	h.Observe(d)
-	return d
-}
-
-// Enabled reports whether the stopwatch is live.
-func (s *Stopwatch) Enabled() bool { return s.on }
 
 // metricKind drives Prometheus TYPE lines.
 type metricKind uint8

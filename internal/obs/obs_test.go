@@ -91,10 +91,10 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	g.Add(1)
 	h.Observe(time.Second)
 	h.Since(time.Now())
-	if l.Worthy(time.Hour) {
+	if l.worthy(time.Hour) {
 		t.Fatal("nil slowlog admitted a trace")
 	}
-	l.Record(Trace{Total: time.Hour})
+	l.record(Trace{Total: time.Hour})
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || l.Len() != 0 {
 		t.Fatal("nil metrics must stay zero")
 	}
@@ -102,27 +102,6 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	r.GaugeFunc("f", "", func() int64 { return 1 })
 	if err := r.WritePrometheus(nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestDisabledPathAllocationFree locks down the acceptance criterion
-// that uninstrumented hot paths allocate nothing: nil metric updates
-// and disabled stopwatch laps must be alloc-free (and, for the
-// stopwatch, clock-read-free — not measurable here, but the branch
-// structure is).
-func TestDisabledPathAllocationFree(t *testing.T) {
-	var c *Counter
-	var h *Histogram
-	var l *SlowLog
-	allocs := testing.AllocsPerRun(1000, func() {
-		c.Add(1)
-		h.Observe(time.Millisecond)
-		sw := StartWatch(false)
-		sw.Lap(h)
-		l.Worthy(time.Second)
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled path allocates %.1f per op, want 0", allocs)
 	}
 }
 
@@ -139,27 +118,6 @@ func TestEnabledHotPathAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("hot path allocates %.1f per op, want 0", allocs)
-	}
-}
-
-func TestStopwatchLaps(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("stage_seconds", "")
-	sw := StartWatch(true)
-	time.Sleep(2 * time.Millisecond)
-	d := sw.Lap(h)
-	if d < time.Millisecond {
-		t.Fatalf("lap = %v, want >= 1ms", d)
-	}
-	if h.Count() != 1 {
-		t.Fatalf("histogram count = %d, want 1", h.Count())
-	}
-	off := StartWatch(false)
-	if got := off.Lap(h); got != 0 {
-		t.Fatalf("disabled lap = %v, want 0", got)
-	}
-	if h.Count() != 1 {
-		t.Fatal("disabled lap recorded a sample")
 	}
 }
 
@@ -205,8 +163,8 @@ func TestSlowLogRetainsSlowest(t *testing.T) {
 	l := r.SlowLog("access", 4)
 	for i := 1; i <= 10; i++ {
 		total := time.Duration(i) * time.Millisecond
-		if l.Worthy(total) {
-			l.Record(Trace{At: time.Now(), Label: "req", Total: total,
+		if l.worthy(total) {
+			l.record(Trace{At: time.Now(), Label: "req", Total: total,
 				Stages: []Stage{{Name: "build", D: total / 2}, {Name: "rpc", D: total / 2}}})
 		}
 	}
@@ -221,13 +179,13 @@ func TestSlowLogRetainsSlowest(t *testing.T) {
 		}
 	}
 	// Once full, the floor rejects faster requests without locking.
-	if l.Worthy(3 * time.Millisecond) {
+	if l.worthy(3 * time.Millisecond) {
 		t.Fatal("slowlog should reject below-floor totals")
 	}
-	if l.Worthy(7 * time.Millisecond) {
+	if l.worthy(7 * time.Millisecond) {
 		t.Fatal("floor is inclusive: equal totals are rejected")
 	}
-	if !l.Worthy(11 * time.Millisecond) {
+	if !l.worthy(11 * time.Millisecond) {
 		t.Fatal("slowlog should admit a new slowest")
 	}
 }
@@ -238,7 +196,7 @@ func TestAdminEndpoints(t *testing.T) {
 	h := r.Histogram("lat_seconds", "latency")
 	h.Observe(time.Millisecond)
 	l := r.SlowLog("access", 4)
-	l.Record(Trace{At: time.Now(), Label: "k", Total: time.Second,
+	l.record(Trace{At: time.Now(), Label: "k", Total: time.Second,
 		Stages: []Stage{{Name: "rpc", D: time.Second}}})
 
 	ts := httptest.NewServer(AdminMux(r))

@@ -32,8 +32,8 @@ func TestConcurrentHammer(t *testing.T) {
 				g.Inc()
 				d := time.Duration(i%1000+1) * time.Microsecond
 				h.Observe(d)
-				if l.Worthy(d) {
-					l.Record(Trace{Total: d, Label: "w", Stages: []Stage{{Name: "s", D: d}}})
+				if l.worthy(d) {
+					l.record(Trace{Total: d, Label: "w", Stages: []Stage{{Name: "s", D: d}}})
 				}
 				g.Dec()
 			}

@@ -18,12 +18,15 @@ type Stage struct {
 // A Trace is one retained per-request record: the request's total
 // latency and its per-stage breakdown. Label identifies the request
 // non-sensitively (the proxy uses a truncated key digest, never the
-// plaintext key).
+// plaintext key); TraceID, when nonzero, is the request's span tree on
+// /trace. Entries are written by a stage family's report (stages.go)
+// and nowhere else.
 type Trace struct {
-	At     time.Time
-	Label  string
-	Total  time.Duration
-	Stages []Stage
+	At      time.Time
+	Label   string
+	Total   time.Duration
+	TraceID uint64
+	Stages  []Stage
 }
 
 // A SlowLog retains the slowest N requests seen, so the tail of the
@@ -51,16 +54,16 @@ func newSlowLog(name string, capacity int) *SlowLog {
 	return &SlowLog{name: name, cap: capacity}
 }
 
-// Worthy reports whether a request with the given total would be
-// retained — callers check it before materializing a Trace, keeping
-// the common (fast-request) path allocation-free.
-func (l *SlowLog) Worthy(total time.Duration) bool {
+// worthy reports whether a request with the given total would be
+// retained — checked before materializing a Trace, keeping the common
+// (fast-request) path allocation-free.
+func (l *SlowLog) worthy(total time.Duration) bool {
 	return l != nil && int64(total) > l.floor.Load()
 }
 
-// Record retains the trace if it is among the slowest seen. Callers
-// should gate on Worthy first; Record re-checks under the lock.
-func (l *SlowLog) Record(t Trace) {
+// record retains the trace if it is among the slowest seen. Callers
+// gate on worthy first; record re-checks under the lock.
+func (l *SlowLog) record(t Trace) {
 	if l == nil || int64(t.Total) <= l.floor.Load() {
 		return
 	}
@@ -117,6 +120,11 @@ func (l *SlowLog) WriteText(w io.Writer) error {
 	for _, t := range l.Entries() {
 		if _, err := fmt.Fprintf(w, "%s total=%v label=%s", t.At.Format(time.RFC3339Nano), t.Total, t.Label); err != nil {
 			return err
+		}
+		if t.TraceID != 0 {
+			if _, err := fmt.Fprintf(w, " trace=%016x", t.TraceID); err != nil {
+				return err
+			}
 		}
 		for _, s := range t.Stages {
 			if _, err := fmt.Fprintf(w, " %s=%v", s.Name, s.D); err != nil {

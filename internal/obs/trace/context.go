@@ -30,19 +30,3 @@ func FromContext(ctx context.Context) *Span {
 func StartChild(ctx context.Context, name string) *Span {
 	return FromContext(ctx).Child(name)
 }
-
-// Start begins a span in t: a child of the active span in ctx when one
-// is present, a new root otherwise. The second return is ctx carrying
-// the new span. A nil tracer returns (nil, ctx).
-func (t *Tracer) Start(ctx context.Context, name string) (*Span, context.Context) {
-	if t == nil {
-		return nil, ctx
-	}
-	var s *Span
-	if p := FromContext(ctx); p != nil {
-		s = t.start(SpanContext{TraceID: p.sc.TraceID, SpanID: newID()}, p.sc.SpanID, name)
-	} else {
-		s = t.StartRoot(name)
-	}
-	return s, ContextWith(ctx, s)
-}

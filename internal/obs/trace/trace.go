@@ -98,8 +98,8 @@ type Span struct {
 	endOnce atomic.Bool
 }
 
-func (t *Tracer) start(sc SpanContext, parent uint64, name string) *Span {
-	return &Span{tracer: t, sc: sc, parent: parent, name: name, start: time.Now()}
+func (t *Tracer) startAt(sc SpanContext, parent uint64, name string, at time.Time) *Span {
+	return &Span{tracer: t, sc: sc, parent: parent, name: name, start: at}
 }
 
 // StartRoot begins a new trace with a fresh trace id.
@@ -107,7 +107,17 @@ func (t *Tracer) StartRoot(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.start(SpanContext{TraceID: newID(), SpanID: newID()}, 0, name)
+	return t.StartRootAt(name, time.Now())
+}
+
+// StartRootAt is StartRoot for a caller that has already read the
+// clock: the span starts at at. A stage clock (obs.Stages) opens and
+// closes adjacent spans on one reading, so they tile without gaps.
+func (t *Tracer) StartRootAt(name string, at time.Time) *Span {
+	if t == nil {
+		return nil
+	}
+	return t.startAt(SpanContext{TraceID: newID(), SpanID: newID()}, 0, name, at)
 }
 
 // StartRemote begins a span continuing a trace whose context arrived
@@ -118,7 +128,7 @@ func (t *Tracer) StartRemote(sc SpanContext, name string) *Span {
 	if t == nil || !sc.Valid() {
 		return nil
 	}
-	return t.start(SpanContext{TraceID: sc.TraceID, SpanID: newID()}, sc.SpanID, name)
+	return t.startAt(SpanContext{TraceID: sc.TraceID, SpanID: newID()}, sc.SpanID, name, time.Now())
 }
 
 // Child begins a span within the same trace, parented on s, recorded
@@ -128,7 +138,15 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.tracer.start(SpanContext{TraceID: s.sc.TraceID, SpanID: newID()}, s.sc.SpanID, name)
+	return s.ChildAt(name, time.Now())
+}
+
+// ChildAt is Child starting at the caller's clock reading.
+func (s *Span) ChildAt(name string, at time.Time) *Span {
+	if s == nil {
+		return nil
+	}
+	return s.tracer.startAt(SpanContext{TraceID: s.sc.TraceID, SpanID: newID()}, s.sc.SpanID, name, at)
 }
 
 // Context returns the span's wire context (zero for nil).
@@ -151,6 +169,13 @@ func (s *Span) TraceID() uint64 {
 // End finishes the span and publishes its record. End is idempotent;
 // only the first call records.
 func (s *Span) End() {
+	if s != nil {
+		s.EndAt(time.Now())
+	}
+}
+
+// EndAt is End at the caller's clock reading.
+func (s *Span) EndAt(at time.Time) {
 	if s == nil || s.endOnce.Swap(true) {
 		return
 	}
@@ -162,7 +187,7 @@ func (s *Span) End() {
 		Name:     s.name,
 		Process:  t.process,
 		Start:    s.start,
-		Duration: time.Since(s.start),
+		Duration: at.Sub(s.start),
 	}
 	t.slots[(t.pos.Add(1)-1)&t.mask].Store(r)
 }

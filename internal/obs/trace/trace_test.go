@@ -40,11 +40,6 @@ func TestNilSafety(t *testing.T) {
 	if StartChild(ctx, "z") != nil {
 		t.Fatal("StartChild without an active span must be nil")
 	}
-
-	s2, ctx2 := tr.Start(context.Background(), "w")
-	if s2 != nil || ctx2 != context.Background() {
-		t.Fatal("nil tracer Start must return (nil, ctx)")
-	}
 }
 
 func TestParentLinkage(t *testing.T) {
@@ -131,9 +126,10 @@ func TestCapacityRounding(t *testing.T) {
 
 func TestContextThreading(t *testing.T) {
 	tr := NewTracer("p", 16)
-	root, ctx := tr.Start(context.Background(), "root")
-	if root == nil || FromContext(ctx) != root {
-		t.Fatal("Start must install the new span in ctx")
+	root := tr.StartRoot("root")
+	ctx := ContextWith(context.Background(), root)
+	if FromContext(ctx) != root {
+		t.Fatal("ContextWith must install the span in ctx")
 	}
 	child := StartChild(ctx, "child")
 	if child.TraceID() != root.TraceID() {
@@ -143,14 +139,6 @@ func TestContextThreading(t *testing.T) {
 	recs := tr.Snapshot()
 	if len(recs) != 1 || recs[0].ParentID != root.Context().SpanID {
 		t.Fatalf("ctx child must parent on the ctx span; got %+v", recs)
-	}
-
-	// Start with an active ctx span continues that trace (child, not a
-	// fresh root), even on a different tracer.
-	other := NewTracer("q", 16)
-	cont, _ := other.Start(ctx, "cont")
-	if cont.TraceID() != root.TraceID() {
-		t.Fatal("Start under an active span must continue its trace")
 	}
 }
 

@@ -236,6 +236,7 @@ func (p *Proxy) wire(cfg ProxyConfig) error {
 			return err
 		}
 		client.Instrument(p.metrics)
+		client.TraceWith(p.tracer)
 		p.Accessor, p.builder, p.TEE = client, client, client
 	case FHE:
 		cfg.FHE.ValueSize = cfg.ValueSize
@@ -256,6 +257,7 @@ func (p *Proxy) wire(cfg ProxyConfig) error {
 			}
 		}
 		client.Instrument(p.metrics)
+		client.TraceWith(p.tracer)
 		p.Accessor, p.builder, p.FHE = client, client, client
 	case Baseline:
 		proxy, err := core.NewBaselineProxy(core.BaselineConfig{ValueSize: cfg.ValueSize}, cfg.PRF, cfg.DataKey, p.RPC)

@@ -55,34 +55,65 @@ func TestFrameLengthConstantTracedOrNot(t *testing.T) {
 	}
 }
 
+// TestTracePropagatesToServer pins the client→server join of DESIGN.md
+// §13 — caller's span → transport_attempt → server_handle → the
+// handler's own span — for a request sent as one frame and for one cut
+// into several: a multi-frame call is an attempt like any other, so a
+// traced streamed access resolves to the same tree.
 func TestTracePropagatesToServer(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		frames []string
+	}{{"one frame", []string{"traced"}}, {"three frames", []string{"tra", "c", "ed"}}} {
+		t.Run(tc.name, func(t *testing.T) { tracePropagates(t, tc.frames) })
+	}
+}
+
+func tracePropagates(t *testing.T, frames []string) {
 	reg := obs.NewRegistry()
 	serverTr := reg.Tracer("server", 64)
 	clientTr := reg.Tracer("proxy", 64)
 
-	s := NewServer()
+	s, l := startJoinServer(t)
 	s.SetTracer(serverTr)
-	s.Handle(msgEcho, func(ctx context.Context, p []byte) ([]byte, error) {
+	join, _ := s.handler(msgJoin)
+	s.Handle(msgJoin, func(ctx context.Context, p []byte) ([]byte, error) {
 		sp := trace.StartChild(ctx, "server_decrypt")
-		sp.End()
-		return p, nil
+		defer sp.End()
+		return join(ctx, p)
 	})
-	l := netsim.Listen(netsim.Loopback)
-	go s.Serve(l)
-	defer s.Close()
 	c := dialTest(t, l, 1)
 	c.SetTracer(clientTr)
 
-	root, ctx := clientTr.Start(context.Background(), "lbl_access")
-	if _, err := c.CallContext(ctx, msgEcho, []byte("traced")); err != nil {
-		t.Fatal(err)
+	root := clientTr.StartRoot("lbl_access")
+	ctx := trace.ContextWith(context.Background(), root)
+	var resp []byte
+	var err error
+	if len(frames) == 1 {
+		resp, err = c.CallContext(ctx, msgJoin, []byte(frames[0]))
+	} else {
+		resp, err = c.CallStreamContextID(ctx, c.NextID(), msgJoin, func(send func([]byte, bool) error) error {
+			for i, f := range frames {
+				if err := send([]byte(f), i == len(frames)-1); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	if err != nil || string(resp) != "traced" {
+		t.Fatalf("call = %q, %v", resp, err)
 	}
 	root.End()
 
 	var attempt trace.SpanRecord
 	for _, r := range clientTr.Snapshot() {
-		if r.Name == "transport_attempt" {
+		switch r.Name {
+		case "transport_attempt":
 			attempt = r
+		case "lbl_access":
+		default:
+			t.Errorf("client recorded an unknown span %q", r.Name)
 		}
 	}
 	if attempt.SpanID == 0 {
@@ -164,7 +195,8 @@ func TestReplayedResponseJoinsOriginalTrace(t *testing.T) {
 	defer c.Close()
 	c.SetTracer(clientTr)
 
-	root, ctx := clientTr.Start(context.Background(), "lbl_access")
+	root := clientTr.StartRoot("lbl_access")
+	ctx := trace.ContextWith(context.Background(), root)
 	if _, err := c.CallContext(ctx, msgCount, []byte("x")); err != nil {
 		t.Fatalf("call failed despite retries: %v", err)
 	}

@@ -839,8 +839,10 @@ func (s *Server) respond(sid, id uint64, tr trace.SpanContext, deadline time.Tim
 			return sess.replay(entry)
 		}
 	}
+	var latency *obs.Histogram
 	if m != nil {
 		m.inflight.Inc()
+		latency = m.handlerLatency
 	}
 	ctx := context.Background()
 	if !deadline.IsZero() {
@@ -861,7 +863,7 @@ func (s *Server) respond(sid, id uint64, tr trace.SpanContext, deadline time.Tim
 			ctx = trace.ContextWith(ctx, sp)
 		}
 	}
-	sw := obs.StartWatch(m != nil)
+	iv := obs.Time(latency, sp)
 	h, ok := s.handler(msgType)
 	var resp []byte
 	flags := byte(flagResponse)
@@ -874,7 +876,7 @@ func (s *Server) respond(sid, id uint64, tr trace.SpanContext, deadline time.Tim
 	} else {
 		resp = out
 	}
-	sp.End()
+	iv.End()
 	if len(resp) > MaxFrameSize-minFrameLen {
 		// An oversized response would fail the frame write and tear the
 		// connection down; surface it to the caller as an error instead.
@@ -882,7 +884,6 @@ func (s *Server) respond(sid, id uint64, tr trace.SpanContext, deadline time.Tim
 		resp = []byte(fmt.Sprintf("transport: %d byte response exceeds max frame size", len(resp)))
 	}
 	if m != nil {
-		sw.Lap(m.handlerLatency)
 		m.inflight.Dec()
 		if flags&flagError != 0 {
 			m.handlerErrors.Inc()
@@ -1205,23 +1206,36 @@ func (c *Client) CallContextID(ctx context.Context, id uint64, msgType byte, pay
 	if len(payload) > MaxFrameSize-minFrameLen {
 		return nil, ErrFrameTooLarge
 	}
+	return c.do(ctx, id, msgType, payload, nil)
+}
+
+// do is the one instrumented call, for a request of one frame (payload)
+// or of several (produce): in-flight and pool-saturation accounting,
+// send-to-response latency across every attempt, and the error count.
+func (c *Client) do(ctx context.Context, id uint64, msgType byte, payload []byte, produce frameProducer) ([]byte, error) {
 	m := c.metrics.Load()
+	var latency *obs.Histogram
 	if m != nil {
 		if m.inflight.Inc() > int64(len(c.conns)) {
 			m.poolSaturated.Inc()
 		}
-		start := time.Now()
-		defer func() {
-			m.callLatency.Since(start)
-			m.inflight.Dec()
-		}()
+		latency = m.callLatency
 	}
-	resp, err := c.callRetry(ctx, id, msgType, payload, m)
-	if err != nil && m != nil {
-		m.callErrors.Inc()
+	iv := obs.Time(latency, nil)
+	resp, err := c.callRetry(ctx, id, msgType, payload, produce, m)
+	iv.End()
+	if m != nil {
+		m.inflight.Dec()
+		if err != nil {
+			m.callErrors.Inc()
+		}
 	}
 	return resp, err
 }
+
+// A frameProducer writes a multi-frame request: it calls send once per
+// frame, in order, marking the last (see CallStreamContextID).
+type frameProducer = func(send func(payload []byte, last bool) error) error
 
 // errStreamDone is the sentinel send returns once the peer has already
 // answered (busy, error, or early response): the producer should stop
@@ -1246,46 +1260,16 @@ func (c *Client) CallStreamContextID(ctx context.Context, id uint64, msgType byt
 	if c.closed.Load() {
 		return nil, &NotSentError{Err: ErrClosed}
 	}
-	m := c.metrics.Load()
-	if m != nil {
-		if m.inflight.Inc() > int64(len(c.conns)) {
-			m.poolSaturated.Inc()
-		}
-		start := time.Now()
-		defer func() {
-			m.callLatency.Since(start)
-			m.inflight.Dec()
-		}()
-	}
-	cc := c.pickConn()
-	if cc == nil {
-		if m != nil {
-			m.callErrors.Inc()
-		}
-		return nil, &NotSentError{Err: ErrNoLiveConns}
-	}
-	sp := trace.StartChild(ctx, "transport_stream")
-	if sp == nil {
-		if t := c.tracer.Load(); t != nil {
-			sp = t.StartRoot("transport_stream")
-		}
-	}
-	defer sp.End()
-	if c.opts.CallTimeout > 0 {
-		actx, cancel := context.WithTimeout(ctx, c.opts.CallTimeout)
-		defer cancel()
-		ctx = actx
-	}
-	resp, err := cc.callStream(ctx, id, sp.Context(), msgType, produce)
-	if err != nil && m != nil {
-		m.callErrors.Inc()
+	resp, err := c.do(ctx, id, msgType, nil, produce)
+	if errors.Is(err, ErrNoLiveConns) {
+		err = &NotSentError{Err: err}
 	}
 	return resp, err
 }
 
 // callStream runs one multi-frame call on this connection. All frames
 // are written under wmu in producer order, so they arrive in sequence.
-func (cc *clientConn) callStream(ctx context.Context, id uint64, tr trace.SpanContext, msgType byte, produce func(send func(payload []byte, last bool) error) error) ([]byte, error) {
+func (cc *clientConn) callStream(ctx context.Context, id uint64, tr trace.SpanContext, msgType byte, produce frameProducer) ([]byte, error) {
 	pc := pendingCall{ch: make(chan result, 1), msgType: msgType}
 	aud, classify := cc.client.shape()
 	var shape frameShape
@@ -1394,10 +1378,15 @@ func (cc *clientConn) callStream(ctx context.Context, id uint64, tr trace.SpanCo
 	}
 }
 
-func (c *Client) callRetry(ctx context.Context, id uint64, msgType byte, payload []byte, m *clientMetrics) ([]byte, error) {
+func (c *Client) callRetry(ctx context.Context, id uint64, msgType byte, payload []byte, produce frameProducer, m *clientMetrics) ([]byte, error) {
 	attempts := c.opts.Retry.attempts()
+	if produce != nil {
+		// The frames are produced once, as they are sent: there is
+		// nothing to send again.
+		attempts = 1
+	}
 	for attempt := 0; ; attempt++ {
-		resp, err := c.attempt(ctx, id, msgType, payload)
+		resp, err := c.attempt(ctx, id, msgType, payload, produce)
 		if err == nil {
 			return resp, nil
 		}
@@ -1420,29 +1409,31 @@ func (c *Client) callRetry(ctx context.Context, id uint64, msgType byte, payload
 	}
 }
 
-// attempt issues one try of a call on the next live pooled connection,
-// bounded by the per-attempt CallTimeout. Each attempt gets its own
-// span — a child of the caller's span when ctx carries one, a fresh
-// root when only the client's own tracer is set — and the attempt's
-// span context rides the frame header, so retries reuse the request id
-// AND the trace id: a response replayed from the server's dedup cache
-// lands in the original trace.
-func (c *Client) attempt(ctx context.Context, id uint64, msgType byte, payload []byte) ([]byte, error) {
+// attempt issues one try of a call, of one frame or several, on the
+// next live pooled connection, bounded by the per-attempt CallTimeout.
+// Each attempt gets its own transport_attempt span — a child of the
+// caller's span when ctx carries one, a fresh root when only the
+// client's own tracer is set — and the attempt's span context rides the
+// frame header, so retries reuse the request id AND the trace id: a
+// response replayed from the server's dedup cache lands in the original
+// trace.
+func (c *Client) attempt(ctx context.Context, id uint64, msgType byte, payload []byte, produce frameProducer) ([]byte, error) {
 	cc := c.pickConn()
 	if cc == nil {
 		return nil, ErrNoLiveConns
 	}
 	sp := trace.StartChild(ctx, "transport_attempt")
 	if sp == nil {
-		if t := c.tracer.Load(); t != nil {
-			sp = t.StartRoot("transport_attempt")
-		}
+		sp = c.tracer.Load().StartRoot("transport_attempt")
 	}
 	defer sp.End()
 	if c.opts.CallTimeout > 0 {
 		actx, cancel := context.WithTimeout(ctx, c.opts.CallTimeout)
 		defer cancel()
 		ctx = actx
+	}
+	if produce != nil {
+		return cc.callStream(ctx, id, sp.Context(), msgType, produce)
 	}
 	return cc.call(ctx, id, sp.Context(), msgType, payload)
 }
