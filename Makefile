@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify verify-benchmark bench bench-batch bench-smoke trace-smoke aggregate-smoke drills failover-smoke overload-smoke stream-smoke crash experiments
+.PHONY: build test vet race verify verify-benchmark noaes bench bench-batch bench-smoke trace-smoke aggregate-smoke drills failover-smoke overload-smoke stream-smoke crash experiments
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,14 @@ verify-benchmark:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test -short ./...
 
+# noaes re-runs the entry-format tests — the known-answer vectors, the
+# sealer's properties, the carried-schedule and request parity tests —
+# on Go's table-driven AES, which hardware without AES instructions
+# falls back to: both implementations must produce the same bytes, or
+# two hosts of one deployment could not open each other's tables.
+noaes:
+	GODEBUG=cpu.aes=off $(GO) test -count=1 -run 'Label|Sealer|KnownAnswer|Parity' ./internal/crypto/... ./internal/core/
+
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
@@ -44,7 +52,7 @@ bench-batch:
 # elsewhere — the repository benchmark (benchmark/, BENCHMARK.json)
 # measures these kernels in its per-layer ledger on every PR.
 bench-smoke:
-	$(GO) test -run XXX -bench 'Kernel1KiB|LBLBuildRequest|SealLabel|OpenLabel' -benchtime 5x ./internal/core/ ./internal/crypto/secretbox/
+	$(GO) test -run XXX -bench 'Kernel1KiB|LBLBuildRequest|LabelSeal|LabelOpen' -benchtime 5x ./internal/core/ ./internal/crypto/secretbox/
 
 # trace-smoke runs the measured Fig 3c experiment: an instrumented and
 # traced LBL workload, with requests sent whole and again cut into

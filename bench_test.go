@@ -206,7 +206,7 @@ func benchDeployLink(b *testing.B, link netsim.Link, valueSize, keys int) *Clien
 // batchBenchLink models the paper's cross-country hop (Table 2's
 // N.Virginia propagation delay, bandwidth left unlimited so the
 // comparison isolates round trips). Batching's payoff is round trips,
-// not CPU: on loopback the SHA-256 sealing work dominates and both
+// not CPU: on loopback the table-sealing work dominates and both
 // paths measure the same, so the benchmark runs where the paper's
 // deployments do — behind real latency. The concurrent fallback is
 // windowed at batchParallelism in-flight calls, so a batch of 64 costs

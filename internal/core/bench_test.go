@@ -164,3 +164,48 @@ func BenchmarkRecoverKernel1KiB(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWorkerCrossover is the measurement minGroupsPerBuildWorker and
+// minGroupsPerRecoverWorker are set from (EXPERIMENTS.md, "Worker
+// crossover"): one access's table build and its label recovery,
+// sequential against two workers, from 64 groups to 16 384
+// (point-and-permute, 16 B to 4 KiB values).
+func BenchmarkWorkerCrossover(b *testing.B) {
+	for _, groups := range []int{64, 128, 256, 640, 16384} {
+		cfg := LBLConfig{ValueSize: groups / 4, Mode: LBLPointPermute}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("build/groups=%d/workers=%d", groups, workers), func(b *testing.B) {
+				k, err := NewTableBuildKernel(cfg, workers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := k.Op(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("recover/groups=%d/workers=%d", groups, workers), func(b *testing.B) {
+				p, err := NewLBLProxy(cfg, prf.NewRandom(), nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ek, rec, err := p.BuildRecord("bench", make([]byte, cfg.ValueSize))
+				if err != nil {
+					b.Fatal(err)
+				}
+				spec := p.spec(OpRead, "bench", nil, 0)
+				resp := serveSpec(b, p, spec, ek, rec)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := p.recoverWorkers(OpRead, nil, spec.news, resp, workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -73,11 +73,17 @@ func newLBL(t *testing.T, mode LBLMode, valueSize int) (*rig, *LBLProxy, *LBLSer
 	return r, proxy, srv
 }
 
+// spec returns the tableSpec for op on key at counter ct, with a
+// schedule buffer of its own.
+func (p *LBLProxy) spec(op Op, key string, value []byte, ct uint64) tableSpec {
+	return tableSpec{op, key, value, ct, make([]byte, p.cfg.scheduleBytes())}
+}
+
 // buildRequest encodes the whole one-key request for key at counter ct
 // — the frame exchange sends when no frame budget cuts it.
 func (p *LBLProxy) buildRequest(op Op, key string, value []byte, ct uint64) ([]byte, error) {
 	req := make([]byte, p.cfg.RequestBytesPerAccess())
-	err := p.buildFrame(req, []run{{seg: 0, g0: 0, g1: p.cfg.Groups()}}, []tableSpec{{op, key, value, ct}})
+	err := p.buildFrame(req, []run{{seg: 0, g0: 0, g1: p.cfg.Groups()}}, []tableSpec{p.spec(op, key, value, ct)})
 	return req, err
 }
 

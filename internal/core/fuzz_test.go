@@ -62,7 +62,7 @@ func FuzzLBLServerPayload(f *testing.F) {
 			f.Fatal(err)
 		}
 		records[ek] = rec
-		specs[i] = tableSpec{op: OpRead, key: k}
+		specs[i] = proxy.spec(OpRead, k, nil, 0)
 	}
 	var runs []run
 	var frames [][]byte
@@ -88,18 +88,25 @@ func FuzzLBLServerPayload(f *testing.F) {
 		f.Add(payload, cuts)
 	}
 	last := len(frames) - 1
+	modeAt := prf.Size + lblClaimLen // a segment's mode byte
 	geometry := bytes.Clone(bytes.Join(frames, nil))
-	geometry[cfg.RequestBytesPerAccess()+prf.Size+lblClaimLen] = byte(LBLWide) // the second segment's mode
-	seed(frames...)                                                            // well-formed
-	seed(bytes.Join(frames, nil))                                              // the same bytes as one frame
-	seed(frames[0], frames[2], frames[1])                                      // reordered
-	seed(frames[0], frames[1], frames[1], frames[2])                           // duplicated
-	seed(frames[0], frames[1][:len(frames[1])-8], frames[2])                   // short chunk
-	seed(frames[0], append(bytes.Clone(frames[1]), 0, 0, 0, 0, 0, 0, 0, 0))    // oversize chunk
-	seed(append(frames[:last+1:last+1], frames[last])...)                      // extra chunk
-	seed(geometry)                                                             // geometry changes mid-request
-	seed(frames[:last]...)                                                     // early end
-	seed(frames[1:]...)                                                        // continuation with no head
+	// The second segment's mode.
+	geometry[cfg.RequestBytesPerAccess()+modeAt] = byte(LBLWide) | entryFormat<<modeBits
+	v1 := bytes.Clone(bytes.Join(frames, nil))
+	// As a proxy older than the entry-format stamp wrote it.
+	v1[modeAt] = byte(cfg.Mode)
+
+	seed(frames...)                                                         // well-formed
+	seed(bytes.Join(frames, nil))                                           // the same bytes as one frame
+	seed(frames[0], frames[2], frames[1])                                   // reordered
+	seed(frames[0], frames[1], frames[1], frames[2])                        // duplicated
+	seed(frames[0], frames[1][:len(frames[1])-8], frames[2])                // short chunk
+	seed(frames[0], append(bytes.Clone(frames[1]), 0, 0, 0, 0, 0, 0, 0, 0)) // oversize chunk
+	seed(append(frames[:last+1:last+1], frames[last])...)                   // extra chunk
+	seed(geometry)                                                          // geometry changes mid-request
+	seed(v1)                                                                // another entry format
+	seed(frames[:last]...)                                                  // early end
+	seed(frames[1:]...)                                                     // continuation with no head
 	f.Add([]byte{}, []byte{})
 	f.Add(make([]byte, 17), []byte{1, 0})
 

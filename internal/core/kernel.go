@@ -19,9 +19,8 @@ import (
 type TableBuildKernel struct {
 	proxy   *LBLProxy
 	table   []byte
-	value   []byte
+	spec    tableSpec
 	workers int
-	ct      uint64
 }
 
 // NewTableBuildKernel returns a kernel for cfg that builds each table
@@ -32,9 +31,10 @@ func NewTableBuildKernel(cfg LBLConfig, workers int) (*TableBuildKernel, error) 
 		return nil, err
 	}
 	return &TableBuildKernel{
-		proxy:   p,
-		table:   make([]byte, cfg.TableBytes()),
-		value:   make([]byte, cfg.ValueSize),
+		proxy: p,
+		table: make([]byte, cfg.TableBytes()),
+		spec: tableSpec{op: OpWrite, key: "bench", value: make([]byte, cfg.ValueSize),
+			news: make([]byte, cfg.scheduleBytes())},
 		workers: workers,
 	}, nil
 }
@@ -45,19 +45,21 @@ func (k *TableBuildKernel) TableBytes() int { return len(k.table) }
 // Op builds one table. It is write-shaped; by design reads cost the
 // same (operation-type obliviousness).
 func (k *TableBuildKernel) Op() error {
-	k.ct++
-	return k.proxy.buildGroups(k.table, "bench", OpWrite, k.value, k.ct, 0, k.proxy.cfg.Groups(), k.workers)
+	k.spec.ct++
+	return k.proxy.buildGroups(k.table, &k.spec, 0, k.proxy.cfg.Groups(), k.workers)
 }
 
 // A RecoverKernel repeatedly performs one access's server half — trial
 // decryption and label install (§5.2 steps 2.1–2.2) — followed by the
 // proxy's label recovery and §5.4 integrity check, against prebuilt
 // requests. Table construction is paid in Prepare, outside the measured
-// op.
+// op; Prepare keeps each table's schedule, as a round does, for Op to
+// recover against.
 type RecoverKernel struct {
 	proxy   *LBLProxy
 	srv     *LBLServer
 	tables  [][]byte // whole one-key requests, as the handler receives them
+	news    [][]byte // the schedule each table installs
 	workers int
 	ct      uint64 // counter the record sits at; tables[used:] are built from it
 	used    int
@@ -83,10 +85,12 @@ func NewRecoverKernel(cfg LBLConfig, window, workers int) (*RecoverKernel, error
 		proxy:   p,
 		srv:     NewLBLServer(store),
 		tables:  make([][]byte, window),
+		news:    make([][]byte, window),
 		workers: workers,
 	}
 	for i := range k.tables {
 		k.tables[i] = make([]byte, cfg.RequestBytesPerAccess())
+		k.news[i] = make([]byte, cfg.scheduleBytes())
 	}
 	return k, nil
 }
@@ -99,7 +103,7 @@ func (k *RecoverKernel) Window() int { return len(k.tables) }
 func (k *RecoverKernel) Prepare() error {
 	whole := []run{{seg: 0, g0: 0, g1: k.proxy.cfg.Groups()}}
 	for i := range k.tables {
-		spec := []tableSpec{{op: OpRead, key: "bench", ct: k.ct + uint64(i)}}
+		spec := []tableSpec{{op: OpRead, key: "bench", ct: k.ct + uint64(i), news: k.news[i]}}
 		if err := k.proxy.buildFrame(k.tables[i], whole, spec); err != nil {
 			return err
 		}
@@ -121,8 +125,8 @@ func (k *RecoverKernel) Op() error {
 	if err := slotError(resp[0]); err != nil {
 		return err
 	}
+	_, err = k.proxy.recoverWorkers(OpRead, nil, k.news[k.used], resp[1:], k.workers)
 	k.used++
 	k.ct++
-	_, err = k.proxy.recoverWorkers(OpRead, "bench", nil, k.ct, resp[1:], k.workers)
 	return err
 }

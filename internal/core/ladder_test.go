@@ -3,13 +3,17 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ortoa/internal/crypto/prf"
+	"ortoa/internal/obs"
+	"ortoa/internal/transport"
 )
 
 // The recovery ladder (fence → claim, stale → reconcile) belongs to the
@@ -111,5 +115,52 @@ func TestLadderLapsBounded(t *testing.T) {
 	}
 	if got := claims.Load(); got != recoveryAllowance {
 		t.Errorf("proxy claimed the range %d times, want recoveryAllowance = %d", got, recoveryAllowance)
+	}
+}
+
+// TestEntryFormatMismatchIsDefinite: a request stamped with another
+// entry format — here v1, as a proxy older than the stamp wrote it —
+// comes from a different release, whose tables this server's labels
+// cannot open. Left to trial decryption that would answer slotStale and
+// send a reconciling proxy up the ladder, recoveryAllowance scans per
+// key, to report a desynchronization that is not there. Instead it is
+// refused at the header: one request, a constant text, no probe, nothing
+// parked, the record untouched.
+func TestEntryFormatMismatchIsDefinite(t *testing.T) {
+	r, proxy := newLBLReconcile(t, LBLPointPermute, 8, prf.NewRandom())
+	proxy.Instrument(obs.NewRegistry())
+	loadData(t, r, proxy, map[string][]byte{"k": {1, 2, 3, 4}})
+	before := serverRecord(t, r, proxy, "k")
+
+	srv := NewLBLServer(r.store)
+	var requests atomic.Int64
+	r.server.Handle(MsgLBLAccess, func(ctx context.Context, payload []byte) ([]byte, error) {
+		requests.Add(1)
+		v1 := bytes.Clone(payload)
+		v1[prf.Size+lblClaimLen] &= 1<<modeBits - 1
+		return srv.handleAccess(ctx, v1)
+	})
+
+	_, _, err := proxy.Access(OpRead, "k", nil)
+	var remote *transport.RemoteError
+	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, errEntryFormat.Error()) {
+		t.Fatalf("v1-stamped request: %v, want the entry-format rejection", err)
+	}
+	if transport.Ambiguous(err) || isStaleRound(err) {
+		t.Errorf("rejection %v reads as ambiguous or stale", err)
+	}
+	if n := requests.Load(); n != 1 {
+		t.Errorf("server saw %d requests, want 1: the rejection must not start a reconcile scan", n)
+	}
+	if probes, parked := proxy.mx.reconcileProbes.Value(), proxy.mx.pendingSaved.Value(); probes != 0 || parked != 0 {
+		t.Errorf("proxy sent %d reconcile probes and parked %d rounds, want 0 and 0", probes, parked)
+	}
+	entry := proxy.counters.acquire("k")
+	if entry.pending || entry.ct != 0 {
+		t.Errorf("counter entry after the rejection: ct %d, pending %v", entry.ct, entry.pending)
+	}
+	entry.mu.Unlock()
+	if after := serverRecord(t, r, proxy, "k"); !bytes.Equal(after, before) {
+		t.Error("the rejected request changed the record")
 	}
 }

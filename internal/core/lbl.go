@@ -95,7 +95,7 @@ func (m LBLMode) entryPlainLen() int {
 }
 
 // entryLen is the sealed length of one table entry.
-func (m LBLMode) entryLen() int { return m.entryPlainLen() + secretbox.LabelOverhead }
+func (m LBLMode) entryLen() int { return m.entryPlainLen() + secretbox.LabelTagSize }
 
 // LBLConfig fixes the parameters shared by an LBL proxy and the
 // records it creates.
@@ -125,9 +125,12 @@ type LBLConfig struct {
 	// frames of at most about this many bytes, written to the wire as
 	// workers seal them, so the server trial-decrypts one frame's groups
 	// while the proxy garbles the next and the WAN carries both. It also
-	// bounds the proxy's peak request memory to one frame. Zero sends
-	// every request as one frame, as does any request the budget already
-	// covers.
+	// bounds the proxy's request buffer to one frame — not the access's
+	// whole footprint: the label schedule the build carries to recovery
+	// (scheduleBytes, 0.64× the request under y = 2: 40 KB at 160 B, 1 MB
+	// at 4 KiB) stays live per key from first seal to recovery whatever
+	// the budget. Zero sends every request as one frame, as does any
+	// request the budget already covers.
 	StreamChunkBytes int
 }
 
@@ -152,9 +155,15 @@ func (c LBLConfig) groupBytes() int { return c.Mode.entries() * c.Mode.entryLen(
 // (2^y · E_len · ℓ/y).
 func (c LBLConfig) TableBytes() int { return c.Groups() * c.groupBytes() }
 
+// scheduleBytes returns the size of the label schedule one access's
+// table installs from: the 2^y counter-ct+1 labels of every group, which
+// the build derives and recovery compares the response against.
+func (c LBLConfig) scheduleBytes() int { return c.Groups() * c.Mode.entries() * prf.Size }
+
 // segHeaderLen is the size of what precedes the table in one access's
 // request segment: encoded key, the fixed-width ownership claim of
-// epoch.go, mode, and the group count and entry length as uvarints.
+// epoch.go, the mode byte (which also carries the entry format), and the
+// group count and entry length as uvarints.
 func (c LBLConfig) segHeaderLen() int {
 	return prf.Size + lblClaimLen + 1 +
 		wire.UvarintLen(uint64(c.Groups())) +
@@ -313,7 +322,8 @@ type LBLProxy struct {
 	// stamped into every access frame (epoch.go). All zeros — the
 	// single-proxy state — stamps legacy epoch-0 claims the server
 	// always admits.
-	epochs [NumRanges]atomic.Uint64
+	epochs    [NumRanges]atomic.Uint64
+	schedules schedulePool
 	stageObs
 	mx lblProxyObs
 }
@@ -564,6 +574,9 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess) AccessStats {
 	p.mx.keys.Add(int64(len(accs)))
 
 	specs := make([]tableSpec, 0, len(live))
+	per := p.cfg.scheduleBytes()
+	sched := p.schedules.get(len(live) * per)
+	defer p.schedules.put(sched)
 	for len(live) > 0 {
 		// Dead callers get no table: garbling is the proxy's most
 		// expensive stage, so a round whose propagated deadline has
@@ -575,8 +588,8 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess) AccessStats {
 			break
 		}
 		specs = specs[:0]
-		for _, a := range live {
-			specs = append(specs, tableSpec{a.Op, a.Key, a.Value, a.entry.ct})
+		for i, a := range live {
+			specs = append(specs, tableSpec{a.Op, a.Key, a.Value, a.entry.ct, sched[i*per : (i+1)*per]})
 		}
 		resp, sent, err := p.exchange(ctx, &clk, specs)
 		stats.PrepBytes += sent
@@ -597,11 +610,11 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess) AccessStats {
 
 		clk.Enter(lblRecover)
 		slotLen := p.cfg.ResponseBytesPerAccess()
-		outer, inner := fanOut(len(live), p.cfg.Groups())
+		outer, inner := fanOut(len(live), p.cfg.Groups(), minGroupsPerRecoverWorker)
 		ForEach(len(live), outer, func(i int) error { //nolint:errcheck // outcomes land per access
 			a, slot := live[i], resp[i*slotLen:(i+1)*slotLen]
 			if a.err = slotError(slot[0]); a.err == nil {
-				a.value, a.err = p.recoverWorkers(a.Op, a.Key, a.Value, a.entry.ct+1, slot[1:], inner)
+				a.value, a.err = p.recoverWorkers(a.Op, a.Value, specs[i].news, slot[1:], inner)
 			}
 			return nil
 		})
@@ -672,6 +685,53 @@ type tableSpec struct {
 	key   string
 	value []byte
 	ct    uint64
+	// news is the schedule the build carries to recovery: scheduleBytes
+	// long, it receives the 2^y counter-ct+1 labels of each group as the
+	// build derives them (group g's at g·2^y·prf.Size, in bit-value
+	// order), and recovery matches the server's response against them
+	// instead of deriving them again.
+	news []byte
+}
+
+// A schedulePool recycles the schedule buffers of a proxy's rounds: one
+// buffer per round, taken before the first seal and returned when the
+// round is over, however it ended — an ambiguous failure parks nothing
+// of it, the probe that settles the round takes its own. It keeps a
+// returned buffer only while it holds no more of them than rounds are
+// still in flight, so what it retains follows the load down as well as
+// up (at 4 KiB values a buffer is 1 MB) and an idle proxy keeps one. A
+// free list rather than a sync.Pool so that a round's allocation count
+// stays exact: TestInstrumentationAllocations compares counts, and under
+// the race detector a sync.Pool drops a quarter of its puts.
+type schedulePool struct {
+	mu   sync.Mutex
+	free [][]byte
+	out  int // buffers taken and not yet returned
+}
+
+// get returns a buffer of n bytes; its contents are whatever an earlier
+// round left.
+func (sp *schedulePool) get(n int) []byte {
+	sp.mu.Lock()
+	sp.out++
+	var b []byte
+	if k := len(sp.free); k > 0 {
+		b, sp.free = sp.free[k-1], sp.free[:k-1]
+	}
+	sp.mu.Unlock()
+	if cap(b) < n {
+		b = make([]byte, n)
+	}
+	return b[:n]
+}
+
+func (sp *schedulePool) put(b []byte) {
+	sp.mu.Lock()
+	sp.out--
+	if len(sp.free) <= sp.out {
+		sp.free = append(sp.free, b)
+	}
+	sp.mu.Unlock()
 }
 
 // exchange is the one builder and sender: it encodes specs as one
@@ -681,9 +741,10 @@ type tableSpec struct {
 // whether a request crosses the wire as one frame or several: a request
 // that fits is one ordinary call, which the transport may retry; a
 // longer one is the same bytes sealed and written frame by frame from
-// one pooled buffer, which it never retries. On clk it is the
-// table_build stage until the first frame is sealed and the rpc stage
-// from then until the response lands.
+// one pooled buffer, which it never retries. Each spec's news receives
+// the labels its table installs, for the caller to recover the response
+// against. On clk it is the table_build stage until the first frame is
+// sealed and the rpc stage from then until the response lands.
 func (p *LBLProxy) exchange(ctx context.Context, clk *obs.Clock, specs []tableSpec) (resp []byte, sent int, err error) {
 	cut := frameCutter{cfg: p.cfg, n: len(specs)}
 	var runsBuf [2]run
@@ -751,12 +812,26 @@ func (p *LBLProxy) buildFrame(frame []byte, runs []run, specs []tableSpec) error
 		frame = frame[n:]
 		total += r.g1 - r.g0
 	}
-	outer, inner := fanOut(len(runs), total/len(runs))
+	outer, inner := fanOut(len(runs), total/len(runs), minGroupsPerBuildWorker)
 	return ForEach(len(runs), outer, func(i int) error {
-		r, s := runs[i], &specs[runs[i].seg]
-		return p.buildGroups(tables[i], s.key, s.op, s.value, s.ct, r.g0, r.g1, inner)
+		r := runs[i]
+		return p.buildGroups(tables[i], &specs[r.seg], r.g0, r.g1, inner)
 	})
 }
+
+// The mode byte of a segment header carries the LBL variant in its low
+// modeBits bits and, above them, the version of the table-entry format
+// (secretbox's label pad; v2 is the fixed-key-AES pad). Only in-flight
+// table bytes depend on the format, so proxy and server must agree on
+// it, and a server refuses any other version before reading a record —
+// a definite rejection, where leaving the mismatch to trial decryption
+// would answer slotStale and send the proxy up the reconcile ladder.
+// Proxies older than the stamp wrote zeros there, which reads as no
+// version at all.
+const (
+	modeBits    = 4
+	entryFormat = 2
+)
 
 // putSegHeader encodes one request segment's header into dst and
 // returns its length.
@@ -764,37 +839,37 @@ func (c LBLConfig) putSegHeader(dst, encKey []byte, rangeID uint32, epoch uint64
 	n := copy(dst, encKey)
 	putClaim(dst[n:], rangeID, epoch)
 	n += lblClaimLen
-	dst[n] = byte(c.Mode)
+	dst[n] = byte(c.Mode) | entryFormat<<modeBits
 	n++
 	n += binary.PutUvarint(dst[n:], uint64(c.Groups()))
 	n += binary.PutUvarint(dst[n:], uint64(c.Mode.entryLen()))
 	return n
 }
 
-// minGroupsPerWorker bounds the table-build and recovery fan-out:
-// below this many groups per worker the goroutine handoff costs more
-// than the crypto it offloads.
-const minGroupsPerWorker = 64
+// minGroupsPerBuildWorker and minGroupsPerRecoverWorker bound the
+// table-build and recovery fan-out: below this many groups per worker
+// the goroutine handoff costs more than the work it offloads. Each is
+// where two workers first beat one by more than 10 % on the measured
+// crossover (EXPERIMENTS.md, "Worker crossover"; BenchmarkWorkerCrossover):
+// a group costs ≈500 ns to build — 18 AES blocks — and ≈30 ns to
+// recover, now that recovery only compares, so they cross 64× apart.
+const (
+	minGroupsPerBuildWorker   = 128
+	minGroupsPerRecoverWorker = 8192
+)
 
 // tableWorkers returns the worker count for a CPU-bound pass over
 // groups groups under GOMAXPROCS, never exceeding one worker per
-// minGroupsPerWorker groups.
-func tableWorkers(groups int) int {
-	w := runtime.GOMAXPROCS(0)
-	if cap := groups / minGroupsPerWorker; w > cap {
-		w = cap
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+// minPerWorker groups.
+func tableWorkers(groups, minPerWorker int) int {
+	return max(min(runtime.GOMAXPROCS(0), groups/minPerWorker), 1)
 }
 
 // fanOut splits tableWorkers across a pass over jobs tables of about
 // groups groups each: outer workers take whole tables, and only when
 // there are fewer tables than workers does each table fan out further.
-func fanOut(jobs, groups int) (outer, inner int) {
-	w := tableWorkers(jobs * groups)
+func fanOut(jobs, groups, minPerWorker int) (outer, inner int) {
+	w := tableWorkers(jobs*groups, minPerWorker)
 	return min(w, jobs), max(w/jobs, 1)
 }
 
@@ -826,57 +901,60 @@ func ForEach(n, workers int, fn func(i int) error) error {
 	return errors.Join(errs...)
 }
 
-// buildGroups fills table with groups [g0, g1) of key's encryption
-// table for counter ct (table[0] holds group g0), fanning the range out
-// across workers. Entry slots are fixed-size, so each worker seals
-// directly into its precomputed offsets; workers share nothing but the
-// read-only inputs, a cloned label generator each, and one lane each of
-// a seeded crypto-strength shuffle stream (see shuffle.go). The label
-// schedule and the entry-placement distribution are identical to a
-// sequential build of the whole table — placements are independent and
-// uniform per group in every variant — so the server-visible transcript
-// distribution, and with it the obliviousness argument, does not depend
-// on how a table is split across workers or frames. workers <= 1 builds
-// inline, allocation-free.
-func (p *LBLProxy) buildGroups(table []byte, key string, op Op, newValue []byte, ct uint64, g0, g1, workers int) error {
-	gen := p.prf.LabelGen(key)
+// buildGroups fills table with groups [g0, g1) of s's encryption table
+// (table[0] holds group g0) and s.news with those groups' new labels,
+// fanning the range out across workers. Entry slots are fixed-size, so
+// each worker seals directly into its precomputed offsets; workers share
+// nothing but the read-only inputs, a cloned label generator each, and
+// one lane each of a seeded crypto-strength shuffle stream (see
+// shuffle.go). The label schedule and the entry-placement distribution
+// are identical to a sequential build of the whole table — placements
+// are independent and uniform per group in every variant — so the
+// server-visible transcript distribution, and with it the obliviousness
+// argument, does not depend on how a table is split across workers or
+// frames. workers <= 1 builds inline.
+func (p *LBLProxy) buildGroups(table []byte, s *tableSpec, g0, g1, workers int) error {
+	gen := p.prf.LabelGen(s.key)
 	n := g1 - g0
 	if workers <= 1 || n <= 1 {
-		return p.buildGroupRange(table, gen, newCryptoShuffler(), op, newValue, ct, g0, g1, g0)
+		return p.buildGroupRange(table, gen, newCryptoShuffler(), s, g0, g1, g0)
 	}
 	workers = min(workers, n)
 	seed := newShuffleSeed()
 	return ForEach(workers, workers, func(wk int) error {
-		return p.buildGroupRange(table, gen.Clone(), seed.stream(uint32(wk)), op, newValue, ct,
+		return p.buildGroupRange(table, gen.Clone(), seed.stream(uint32(wk)), s,
 			g0+n*wk/workers, g0+n*(wk+1)/workers, g0)
 	})
 }
 
-// buildGroupRange seals groups [g0, g1) of the table into their slots
-// (steps 1.2–1.5 of §5.2 for those groups). gen and shuf are owned by
-// the caller — one per worker — so the loop body allocates nothing.
-// table holds groups starting at absolute group gBase — the first
-// group of the run being built, so a frame-sized buffer serves any part
-// of the table.
-func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *cryptoShuffler, op Op, newValue []byte, ct uint64, g0, g1, gBase int) error {
+// buildGroupRange seals groups [g0, g1) of s's table into their slots
+// (steps 1.2–1.5 of §5.2 for those groups), leaving each group's new
+// labels in s.news. gen and shuf are owned by the caller — one per
+// worker — so the loop body allocates nothing. table holds groups
+// starting at absolute group gBase — the first group of the run being
+// built, so a frame-sized buffer serves any part of the table.
+func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *cryptoShuffler, s *tableSpec, g0, g1, gBase int) error {
 	cfg := p.cfg
 	y := cfg.Mode.Y()
 	nEntries := cfg.Mode.entries()
 	entryLen := cfg.Mode.entryLen()
 	sealer := secretbox.NewLabelSealer()
+	op, ct := s.op, s.ct
 
-	var olds, news [16]prf.Output
+	var olds [16]prf.Output
 	var plain [prf.Size + 1]byte
 	var perm [16]int
 	for g := g0; g < g1; g++ {
 		slots := table[(g-gBase)*nEntries*entryLen : (g-gBase+1)*nEntries*entryLen]
+		news := s.news[g*nEntries*prf.Size : (g+1)*nEntries*prf.Size]
 		for b := 0; b < nEntries; b++ {
 			olds[b] = gen.Label(g, uint8(b), ct)
-			news[b] = gen.Label(g, uint8(b), ct+1)
+			l := gen.Label(g, uint8(b), ct+1)
+			copy(news[b*prf.Size:], l[:])
 		}
 		var newBits uint8
 		if op == OpWrite {
-			newBits = groupBits(newValue, g, y)
+			newBits = groupBits(s.value, g, y)
 		}
 
 		if cfg.Mode.hasDbits() {
@@ -892,7 +970,7 @@ func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *crypto
 				if op == OpWrite {
 					target = newBits
 				}
-				copy(plain[:prf.Size], news[target][:])
+				copy(plain[:prf.Size], news[int(target)*prf.Size:])
 				plain[prf.Size] = target ^ rNew
 				if err := sealer.SealInto(slots[e*entryLen:(e+1)*entryLen], olds[b][:], plain[:]); err != nil {
 					return err
@@ -908,12 +986,12 @@ func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *crypto
 		// bits by position.
 		shuf.perm(nEntries, perm[:])
 		for b := 0; b < nEntries; b++ {
-			target := uint8(b)
+			target := b
 			if op == OpWrite {
-				target = newBits
+				target = int(newBits)
 			}
 			slot := perm[b]
-			if err := sealer.SealInto(slots[slot*entryLen:(slot+1)*entryLen], olds[b][:], news[target][:]); err != nil {
+			if err := sealer.SealInto(slots[slot*entryLen:(slot+1)*entryLen], olds[b][:], news[target*prf.Size:(target+1)*prf.Size]); err != nil {
 				return err
 			}
 		}
@@ -922,25 +1000,23 @@ func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *crypto
 }
 
 // recoverWorkers maps the server's returned labels back to plaintext
-// bits using the counter-ctNew label schedule, and performs the §5.4
-// integrity check: every returned label must be one the proxy could
-// have generated. Group ranges are recovered across workers, each with
-// a cloned label generator. Ranges
-// are aligned to whole value bytes because setGroupBits read-modify-
-// writes its byte — two workers must never share one.
-func (p *LBLProxy) recoverWorkers(op Op, key string, newValue []byte, ctNew uint64, resp []byte, workers int) ([]byte, error) {
+// bits using news, the schedule the table was built to install, and
+// performs the §5.4 integrity check: every returned label must be one
+// the proxy could have generated. Group ranges are recovered across
+// workers, aligned to whole value bytes because setGroupBits read-
+// modify-writes its byte — two workers must never share one.
+func (p *LBLProxy) recoverWorkers(op Op, newValue, news, resp []byte, workers int) ([]byte, error) {
 	cfg := p.cfg
 	groups := cfg.Groups()
 	if len(resp) != groups*prf.Size {
 		return nil, fmt.Errorf("%w: response has %d bytes, want %d", ErrTampered, len(resp), groups*prf.Size)
 	}
-	gen := p.prf.LabelGen(key)
 	value := make([]byte, cfg.ValueSize)
 	if workers > cfg.ValueSize {
 		workers = cfg.ValueSize
 	}
 	if workers <= 1 {
-		if err := p.recoverRange(value, resp, gen, ctNew, 0, groups); err != nil {
+		if err := p.recoverRange(value, resp, news, 0, groups); err != nil {
 			return nil, err
 		}
 	} else {
@@ -953,7 +1029,7 @@ func (p *LBLProxy) recoverWorkers(op Op, key string, newValue []byte, ctNew uint
 			wg.Add(1)
 			go func(wk, g0, g1 int) {
 				defer wg.Done()
-				errs[wk] = p.recoverRange(value, resp, gen.Clone(), ctNew, g0, g1)
+				errs[wk] = p.recoverRange(value, resp, news, g0, g1)
 			}(wk, b0*groupsPerByte, b1*groupsPerByte)
 		}
 		wg.Wait()
@@ -975,17 +1051,17 @@ func (p *LBLProxy) recoverWorkers(op Op, key string, newValue []byte, ctNew uint
 }
 
 // recoverRange recovers groups [g0, g1) of value from the response
-// labels (§5.4 check included).
-func (p *LBLProxy) recoverRange(value, resp []byte, gen *prf.LabelGen, ctNew uint64, g0, g1 int) error {
-	cfg := p.cfg
-	y := cfg.Mode.Y()
-	nEntries := cfg.Mode.entries()
-	var got prf.Output
+// labels (§5.4 check included): a group's bits are the index of the
+// first of its scheduled labels the returned label equals.
+func (p *LBLProxy) recoverRange(value, resp, news []byte, g0, g1 int) error {
+	y := p.cfg.Mode.Y()
+	nEntries := p.cfg.Mode.entries()
 	for g := g0; g < g1; g++ {
-		copy(got[:], resp[g*prf.Size:])
+		got := prf.Output(resp[g*prf.Size:])
+		cands := news[g*nEntries*prf.Size : (g+1)*nEntries*prf.Size]
 		matched := false
 		for b := 0; b < nEntries; b++ {
-			if got.Equal(gen.Label(g, uint8(b), ctNew)) {
+			if got.Equal(prf.Output(cands[b*prf.Size:])) {
 				setGroupBits(value, g, y, uint8(b))
 				matched = true
 				break

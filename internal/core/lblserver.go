@@ -109,16 +109,25 @@ type tableGeometry struct {
 
 func (g tableGeometry) groupBytes() int { return g.nEntries * g.entryLen }
 
+// errEntryFormat refuses a request whose tables were sealed in another
+// entry format (see entryFormat): proxy and server are different
+// releases. Constant text like every other rejection.
+var errEntryFormat = errors.New("core: table entry format mismatch: proxy and server must run the same release")
+
 // readSegHeader consumes one request segment's header from r: the
 // encoded key, the ownership claim, and the validated table geometry.
 func readSegHeader(r *wire.Reader) (encKey, claim []byte, geo tableGeometry, err error) {
 	encKey = r.Raw(prf.Size)
 	claim = r.Raw(lblClaimLen)
-	geo.mode = LBLMode(r.Byte())
+	mode := r.Byte()
+	geo.mode = LBLMode(mode & (1<<modeBits - 1))
 	geo.groups = int(r.Uvarint())
 	geo.entryLen = int(r.Uvarint())
 	if err := r.Err(); err != nil {
 		return nil, nil, geo, err
+	}
+	if mode>>modeBits != entryFormat {
+		return nil, nil, geo, errEntryFormat
 	}
 	return encKey, claim, geo, geo.validate()
 }
@@ -266,7 +275,7 @@ func decryptRange(geo tableGeometry, rec *lblRecord, table []byte, g0, g1 int, n
 		entries := table[(g-g0)*nEntries*entryLen : (g-g0+1)*nEntries*entryLen]
 		// Every trial in a group opens under the same stored label,
 		// so the pad is derived once and each trial is a tag
-		// comparison — up to 2^y−1 hashes saved per group on the
+		// comparison — up to 2^y−1 derivations saved per group on the
 		// try-all path.
 		opener, oerr := sealer.Opener(stored)
 		if oerr != nil {

@@ -67,11 +67,15 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 			}
 			seq := make([]byte, cfg.TableBytes())
 			par := make([]byte, cfg.TableBytes())
-			if err := proxy.buildGroups(seq, "obj", OpWrite, newValue, 0, 0, cfg.Groups(), 1); err != nil {
+			seqSpec, parSpec := proxy.spec(OpWrite, "obj", newValue, 0), proxy.spec(OpWrite, "obj", newValue, 0)
+			if err := proxy.buildGroups(seq, &seqSpec, 0, cfg.Groups(), 1); err != nil {
 				t.Fatal(err)
 			}
-			if err := proxy.buildGroups(par, "obj", OpWrite, newValue, 0, 0, cfg.Groups(), 4); err != nil {
+			if err := proxy.buildGroups(par, &parSpec, 0, cfg.Groups(), 4); err != nil {
 				t.Fatal(err)
+			}
+			if !bytes.Equal(seqSpec.news, parSpec.news) {
+				t.Error("carried schedules diverge after sequential vs parallel build")
 			}
 
 			seqLabels, seqRec := applyTable(t, cfg, ek, rec, seq)
@@ -86,7 +90,7 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 			// Both recoveries — sequential and fanned out — must yield
 			// the written value.
 			for _, workers := range []int{1, 4} {
-				got, err := proxy.recoverWorkers(OpWrite, "obj", newValue, 1, parLabels, workers)
+				got, err := proxy.recoverWorkers(OpWrite, newValue, parSpec.news, parLabels, workers)
 				if err != nil {
 					t.Fatalf("recover with %d workers: %v", workers, err)
 				}
@@ -118,14 +122,21 @@ func TestParallelBuildShuffleUniform(t *testing.T) {
 	const rounds = 200
 	slot0 := 0
 	perWorkerSlot0 := [4]int{}
+	sealer := secretbox.NewLabelSealer()
+	var plain [prf.Size]byte
 	for ct := uint64(0); ct < rounds; ct++ {
-		if err := proxy.buildGroups(table, "obj", OpRead, nil, ct, 0, groups, 4); err != nil {
+		spec := proxy.spec(OpRead, "obj", nil, ct)
+		if err := proxy.buildGroups(table, &spec, 0, groups, 4); err != nil {
 			t.Fatal(err)
 		}
 		for g := 0; g < groups; g++ {
 			old0 := gen.Label(g, 0, ct)
 			e0 := table[g*2*entryLen : g*2*entryLen+entryLen]
-			if _, err := secretbox.OpenLabel(old0[:], e0); err == nil {
+			opener, err := sealer.Opener(old0[:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opener.OpenInto(plain[:], e0) == nil {
 				slot0++
 				perWorkerSlot0[g*4/groups]++
 			}
@@ -148,8 +159,10 @@ func TestParallelBuildShuffleUniform(t *testing.T) {
 
 // End-to-end accesses with the worker pool engaged (GOMAXPROCS raised
 // so tableWorkers fans out): values must round-trip exactly as in the
-// sequential configuration. Run under -race this also checks the
-// build/recover goroutines share no state.
+// sequential configuration. Run under -race this also checks the build
+// goroutines share no state (recovery fans out only past
+// minGroupsPerRecoverWorker; TestCarriedScheduleParity and
+// TestParallelBuildMatchesSequential drive its workers directly).
 func TestAccessEndToEndWithWorkerPool(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)

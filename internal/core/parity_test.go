@@ -61,7 +61,7 @@ func parityKeys(n int) []string {
 
 // builtFrames cuts and seals the request for specs exactly as exchange
 // does, without sending it, and reports where segment headers sit.
-func builtFrames(t *testing.T, p *LBLProxy, specs []tableSpec) (frames [][]byte, headers [][]int) {
+func builtFrames(t testing.TB, p *LBLProxy, specs []tableSpec) (frames [][]byte, headers [][]int) {
 	t.Helper()
 	var runs []run
 	for cut := (frameCutter{cfg: p.cfg, n: len(specs)}); !cut.done(); {
@@ -96,8 +96,8 @@ func requestParity(t *testing.T, cfg LBLConfig, n int, traced, desync bool) {
 	}
 	readSpecs, writeSpecs := make([]tableSpec, n), make([]tableSpec, n)
 	for i, k := range keys {
-		readSpecs[i] = tableSpec{op: OpRead, key: k, ct: 3}
-		writeSpecs[i] = tableSpec{op: OpWrite, key: k, value: value, ct: 3}
+		readSpecs[i] = offline.spec(OpRead, k, nil, 3)
+		writeSpecs[i] = offline.spec(OpWrite, k, value, 3)
 	}
 	reads, headers := builtFrames(t, offline, readSpecs)
 	writes, _ := builtFrames(t, offline, writeSpecs)

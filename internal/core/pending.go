@@ -71,7 +71,9 @@ func (p *LBLProxy) resolvePending(key string, entry *counterEntry) error {
 // and is now at ct+1 — or was rejected stale with the record untouched
 // (false, nil). Any other outcome is an error.
 func (p *LBLProxy) probe(key string, ct uint64) (executed bool, err error) {
-	spec := [1]tableSpec{{op: OpRead, key: key, ct: ct}}
+	sched := p.schedules.get(p.cfg.scheduleBytes())
+	defer p.schedules.put(sched)
+	spec := [1]tableSpec{{op: OpRead, key: key, ct: ct, news: sched}}
 	var untimed obs.Clock // a probe is part of no access's stages
 	resp, _, err := p.exchange(context.Background(), &untimed, spec[:])
 	if transport.IsReplayEvicted(err) {
@@ -84,7 +86,7 @@ func (p *LBLProxy) probe(key string, ct uint64) (executed bool, err error) {
 	}
 	switch status := resp[0]; status {
 	case slotOK:
-		_, err := p.recoverWorkers(OpRead, key, nil, ct+1, resp[1:], tableWorkers(p.cfg.Groups()))
+		_, err := p.recoverWorkers(OpRead, nil, spec[0].news, resp[1:], tableWorkers(p.cfg.Groups(), minGroupsPerRecoverWorker))
 		return err == nil, err
 	case slotStale:
 		return false, nil

@@ -33,41 +33,49 @@ func BenchmarkOpen(b *testing.B) {
 	}
 }
 
-// BenchmarkSealLabel is the proxy's per-entry cost: 2^y·ℓ/y of these
+// BenchmarkLabelSeal is the proxy's per-entry cost: 2^y·ℓ/y of these
 // per LBL access (2560 at the paper's 160-byte default).
-func BenchmarkSealLabel(b *testing.B) {
+func BenchmarkLabelSeal(b *testing.B) {
 	label := NewRandomKey()
 	plain := make([]byte, 17)
+	slot := make([]byte, len(plain)+LabelTagSize)
+	s := NewLabelSealer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SealLabel(label, plain); err != nil {
+		if err := s.SealInto(slot, label, plain); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkOpenLabelHit is the server's point-and-permute cost: one
-// per group.
-func BenchmarkOpenLabelHit(b *testing.B) {
+// BenchmarkLabelOpenHit is the server's point-and-permute cost: one
+// pad derivation and one opened entry per group.
+func BenchmarkLabelOpenHit(b *testing.B) {
 	label := NewRandomKey()
-	ct, _ := SealLabel(label, make([]byte, 17))
+	plain := make([]byte, 17)
+	ct, _ := sealLabel(label, plain)
+	s := NewLabelSealer()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OpenLabel(label, ct); err != nil {
+		o, _ := s.Opener(label)
+		if err := o.OpenInto(plain, ct); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkOpenLabelMiss is the try-decrypt failure path the
-// non-point-and-permute variants pay (§10.2's motivation).
-func BenchmarkOpenLabelMiss(b *testing.B) {
-	ct, _ := SealLabel(NewRandomKey(), make([]byte, 17))
-	wrong := NewRandomKey()
+// BenchmarkLabelOpenMiss is the try-decrypt failure path the
+// non-point-and-permute variants pay (§10.2's motivation): the pad is
+// derived once per group, so a miss is a tag comparison.
+func BenchmarkLabelOpenMiss(b *testing.B) {
+	plain := make([]byte, 17)
+	ct, _ := sealLabel(NewRandomKey(), plain)
+	s := NewLabelSealer()
+	wrong, _ := s.Opener(NewRandomKey())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OpenLabel(wrong, ct); err == nil {
+		if wrong.OpenInto(plain, ct) == nil {
 			b.Fatal("miss decrypted")
 		}
 	}

@@ -2,9 +2,12 @@ package secretbox
 
 import (
 	"bytes"
+	"crypto/aes"
 	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"testing"
+	"testing/quick"
 )
 
 func randBytes(t *testing.T, n int) []byte {
@@ -16,57 +19,127 @@ func randBytes(t *testing.T, n int) []byte {
 	return p
 }
 
-// The in-place sealer must be byte-compatible with SealLabel: both sides
-// of the wire may mix the two code paths across versions.
-func TestLabelSealerMatchesSealLabel(t *testing.T) {
-	label := randBytes(t, 16)
-	for _, n := range []int{0, 1, 16, MaxLabelPlaintext} {
-		plaintext := randBytes(t, n)
-		want, err := SealLabel(label, plaintext)
+// refSeal is the entry construction written straight from crypto/aes,
+// sharing no code with the sealer: pad = H(L) ‖ H(L ⊕ 1) with
+// H(x) = AES_K(x) ⊕ x and K the domain string folded to 16 bytes; the
+// entry is body ⊕ pad[:n], then pad[24:32].
+func refSeal(label, plaintext []byte) []byte {
+	key := make([]byte, 16)
+	for i, c := range []byte("ortoa/lbl-entry/v2") {
+		key[i%16] ^= c
+	}
+	pi, err := aes.NewCipher(key)
+	if err != nil {
+		panic(err)
+	}
+	var pad [32]byte
+	for blk := 0; blk < 2; blk++ {
+		x := bytes.Clone(label)
+		x[0] ^= byte(blk)
+		pi.Encrypt(pad[16*blk:], x)
+		for i := range x {
+			pad[16*blk+i] ^= x[i]
+		}
+	}
+	out := make([]byte, 0, len(plaintext)+8)
+	for i, b := range plaintext {
+		out = append(out, b^pad[i])
+	}
+	return append(out, pad[24:]...)
+}
+
+// TestLabelSealerKnownAnswer pins the entry format: the sealer, the
+// independent reference above and the recorded bytes must agree, on
+// AES instructions and on Go's table-driven fallback alike (CI runs
+// this with GODEBUG=cpu.aes=off too). A change to these vectors is a
+// wire-format change and needs a new labelDomain version.
+func TestLabelSealerKnownAnswer(t *testing.T) {
+	for _, v := range []struct{ label, plaintext, sealed string }{
+		{"00000000000000000000000000000000", "0000000000000000000000000000000000",
+			"e975ad40e97bcfc981b997d72e11d23c69302fc1b93563e119"},
+		{"000102030405060708090a0b0c0d0e0f", "101112131415161718191a1b1c1d1e1f20",
+			"bb2018d1df444c09db13394402877b64f2e76929aac2bd0abf"},
+		{"ffeeddccbbaa99887766554433221100", "6f72746f612d6c626c2d656e7472792121",
+			"176230aacfd896b201b95327c4b843e70e4f1edcdbf304849b"},
+	} {
+		label, _ := hex.DecodeString(v.label)
+		plaintext, _ := hex.DecodeString(v.plaintext)
+		want, _ := hex.DecodeString(v.sealed)
+		got, err := sealLabel(label, plaintext)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := NewLabelSealer()
-		got := make([]byte, n+LabelTagSize)
-		if err := s.SealInto(got, label, plaintext); err != nil {
+		if !bytes.Equal(got, want) {
+			t.Errorf("label %s: sealed = %x, want %s", v.label, got, v.sealed)
+		}
+		if ref := refSeal(label, plaintext); !bytes.Equal(ref, want) {
+			t.Errorf("label %s: reference = %x, want %s", v.label, ref, v.sealed)
+		}
+	}
+	// And off the vectors: sealer and reference agree at every length.
+	label := randBytes(t, 16)
+	for n := 0; n <= MaxLabelPlaintext; n++ {
+		plaintext := randBytes(t, n)
+		got, err := sealLabel(label, plaintext)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("plaintext len %d: SealInto = %x, SealLabel = %x", n, got, want)
+		if want := refSeal(label, plaintext); !bytes.Equal(got, want) {
+			t.Errorf("plaintext len %d: sealer = %x, reference = %x", n, got, want)
 		}
 	}
 }
 
-func TestLabelOpenerRoundTripAndCompat(t *testing.T) {
-	label := randBytes(t, 16)
-	plaintext := randBytes(t, 17)
-	sealed, err := SealLabel(label, plaintext)
-	if err != nil {
-		t.Fatal(err)
+// TestLabelPadProperties quick-checks the pad block itself: its two
+// halves are outputs of π at different points and must differ, and every
+// bit of the label reaches both the tag and the body pad — a label bit
+// the tag ignored would let a wrong label open an entry, one the body
+// pad ignored would leak it.
+func TestLabelPadProperties(t *testing.T) {
+	const body = MaxLabelPlaintext
+	f := func(label [16]byte) bool {
+		var s, flipped LabelSealer
+		s.derive(label[:])
+		if bytes.Equal(s.pad[:16], s.pad[16:]) {
+			return false
+		}
+		for bit := 0; bit < 128; bit++ {
+			l := label
+			l[bit/8] ^= 1 << (bit % 8)
+			flipped.derive(l[:])
+			if bytes.Equal(flipped.pad[body:], s.pad[body:]) || bytes.Equal(flipped.pad[:body], s.pad[:body]) {
+				return false
+			}
+		}
+		return true
 	}
-	s := NewLabelSealer()
-	o, err := s.Opener(label)
-	if err != nil {
-		t.Fatal(err)
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
-	got := make([]byte, len(plaintext))
-	if err := o.OpenInto(got, sealed); err != nil {
-		t.Fatal(err)
+}
+
+// TestLabelOpenerWrongLabelLeavesDst: a miss is ErrDecrypt and writes
+// nothing — the server's trial decryption reuses one plaintext buffer
+// across trials.
+func TestLabelOpenerWrongLabelLeavesDst(t *testing.T) {
+	f := func(label, wrong [16]byte, plaintext [17]byte) bool {
+		if label == wrong {
+			return true
+		}
+		sealed, err := sealLabel(label[:], plaintext[:])
+		if err != nil {
+			return false
+		}
+		s := NewLabelSealer()
+		o, err := s.Opener(wrong[:])
+		if err != nil {
+			return false
+		}
+		dst := bytes.Repeat([]byte{0xA5}, len(plaintext))
+		return errors.Is(o.OpenInto(dst, sealed), ErrDecrypt) && bytes.Equal(dst, bytes.Repeat([]byte{0xA5}, len(plaintext)))
 	}
-	if !bytes.Equal(got, plaintext) {
-		t.Errorf("OpenInto = %x, want %x", got, plaintext)
-	}
-	// And the symmetric direction: OpenLabel opens SealInto output.
-	sealed2 := make([]byte, len(plaintext)+LabelTagSize)
-	if err := s.SealInto(sealed2, label, plaintext); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := OpenLabel(label, sealed2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got2, plaintext) {
-		t.Errorf("OpenLabel(SealInto) = %x, want %x", got2, plaintext)
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -96,8 +169,8 @@ func TestLabelOpenerRejects(t *testing.T) {
 		mut := append([]byte(nil), sealed...)
 		mut[i] ^= 0x01
 		// Flips in the pad-covered prefix change the plaintext, not the
-		// tag; only tag flips are detectable — same contract as
-		// OpenLabel, which the §5.4 proxy-side integrity check covers.
+		// tag; only tag flips are detectable — the §5.4 proxy-side
+		// integrity check covers the rest.
 		if i >= len(plaintext) {
 			if err := right.OpenInto(dst, mut); !errors.Is(err, ErrDecrypt) {
 				t.Errorf("tag flip at %d: err = %v, want ErrDecrypt", i, err)
