@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify verify-benchmark noaes bench bench-batch bench-smoke trace-smoke aggregate-smoke drills failover-smoke overload-smoke stream-smoke crash experiments
+.PHONY: build test vet race verify verify-benchmark noaes bench bench-smoke trace-smoke drills failover-smoke overload-smoke stream-smoke crash experiments
 
 build:
 	$(GO) build ./...
@@ -42,11 +42,6 @@ noaes:
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# bench-batch compares the one-frame batch pipeline against the
-# concurrent single-access fallback over a simulated WAN link.
-bench-batch:
-	$(GO) test -run XXX -bench 'Batch64' -benchtime 10x .
-
 # bench-smoke is the CI benchmark smoke: one short pass over the kernel
 # and hot-path benchmarks, checking they still run. Timings are gated
 # elsewhere — the repository benchmark (benchmark/, BENCHMARK.json)
@@ -65,25 +60,18 @@ bench-smoke:
 trace-smoke:
 	$(GO) run ./cmd/ortoa-bench -experiment trace -quick
 
-# aggregate-smoke runs the cross-session aggregation experiment in
-# quick mode: 64 single-key sessions through the coalescing window vs
-# the per-request path over a simulated London link (DESIGN.md §12).
-aggregate-smoke:
-	$(GO) run ./cmd/ortoa-bench -experiment aggregate -quick
-
 # drills runs every fault drill through ortoa-bench: chaos (transport
 # faults, then the same with a proxy crash-restart), failover
 # (kill-and-adopt across the epoch fence, DESIGN.md §14), overload (10x
 # offered load against admission control, §15) and stream (requests cut
 # under a frame budget, reset mid-request, §16) in -quick mode, and crash
-# (50 seeded kill/restart cycles under the group-commit WAL, the
-# SyncNever rollback phase and the never-vs-group-commit throughput
-# bound, §10) at full scale. Every drill stands on the same
-# harness.Cluster and runs the one workload and audit of
+# (50 seeded kill/restart cycles under the group-commit WAL and the
+# SyncNever rollback phase, §10) at full scale. Every drill stands on
+# the same harness.Cluster and runs the one workload and audit of
 # internal/harness/drill.go under its own fault — no acknowledged write
 # lost, at most one round per counter value, zero obliviousness shape
-# violations — plus whatever it adds (goodput floor, speedup gate, fence
-# crossings). The experiments self-audit; a zero exit is the assertion.
+# violations — plus whatever it adds (goodput floor, fence crossings).
+# The experiments self-audit; a zero exit is the assertion.
 # `make drill-<id>` runs one; CI runs them as one matrix job.
 DRILLS := chaos failover overload stream crash
 
@@ -101,5 +89,8 @@ overload-smoke: drill-overload
 stream-smoke: drill-stream
 crash: drill-crash
 
+# experiments prints every registered experiment's table at smoke
+# scale. That each one still runs is already part of `make verify`:
+# TestEveryExperimentQuick (internal/harness) ranges over the registry.
 experiments:
 	$(GO) run ./cmd/ortoa-bench -quick

@@ -69,10 +69,10 @@ func main() {
 		Metrics:           reg,
 		TraceBuffer:       *traceBuffer,
 		Admission: ortoa.AdmissionOptions{
-			MaxInflight:  *maxInflight,
-			MaxQueue:     *maxQueue,
-			ShedDeadline: *shedDeadline,
-			RetryAfter:   *retryAfter,
+			MaxInflight: *maxInflight,
+			MaxQueue:    *maxQueue,
+			ShedExpired: *shedDeadline,
+			RetryAfter:  *retryAfter,
 		},
 	})
 	if err != nil {

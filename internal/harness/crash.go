@@ -108,76 +108,7 @@ func Crash(opt Options) (*Table, error) {
 	if err := crashRollbackPhase(t); err != nil {
 		return nil, err
 	}
-	if err := crashThroughputPhase(t, opt); err != nil {
-		return nil, err
-	}
 	return t, nil
-}
-
-// crashThroughputPhase prices durable-on-ack: the same concurrent
-// mixed workload runs against two identical clusters differing only in
-// fsync policy, and the acceptance bound is that group commit stays
-// within 2x of never-fsync. Batching concurrent writers into a shared
-// fsync is what makes that hold — serial fsync-per-write would be
-// orders of magnitude off. The clusters run on the paper's datacenter
-// link (Table 2's 500µs RTT, like the workload phase): durability cost
-// is a claim about deployments, where commit latency overlaps the
-// network round trip, not about a zero-RTT lock microbenchmark. It
-// appends its rows and note to t.
-func crashThroughputPhase(t *Table, opt Options) error {
-	workers := opt.conc()
-	const keysPerWorker = 2
-	perWorker := opt.ops() * 4
-	keys, data := drillData("bench", workers*keysPerWorker, paperValueSize, 11)
-	run := func(policy kvstore.SyncPolicy) (time.Duration, error) {
-		cluster, err := drillCluster(data, Config{
-			Link:          netsim.Link{RTT: 500 * time.Microsecond},
-			ConnsPerShard: 8,
-			Durability:    &DurabilityConfig{Policy: policy, Seed: 3},
-		})
-		if err != nil {
-			return 0, err
-		}
-		defer cluster.Close()
-		// No fault is injected, so nothing but success is tolerated.
-		d := newDrill(cluster, keys, workers, 12, outcomeOK)
-		start := time.Now()
-		if err := d.run(perWorker); err != nil {
-			return 0, fmt.Errorf("harness: bench: %w", err)
-		}
-		return time.Since(start), nil
-	}
-	// Two runs per policy, keep the faster: damps scheduler noise so
-	// the 2x bound measures the policy, not the machine.
-	best := func(policy kvstore.SyncPolicy) (time.Duration, error) {
-		d1, err := run(policy)
-		if err != nil {
-			return 0, err
-		}
-		d2, err := run(policy)
-		return min(d1, d2), err
-	}
-	dNever, err := best(kvstore.SyncNever)
-	if err != nil {
-		return err
-	}
-	dGC, err := best(kvstore.SyncGroupCommit)
-	if err != nil {
-		return err
-	}
-	total := workers * perWorker
-	ratio := dGC.Seconds() / dNever.Seconds()
-	if ratio > 2.0 {
-		return fmt.Errorf("harness: group-commit ran %.2fx slower than never-fsync (%v vs %v for %d ops), exceeding the 2x durable-on-ack budget",
-			ratio, dGC, dNever, total)
-	}
-	rate := func(d time.Duration) float64 { return float64(total) / d.Seconds() }
-	for _, name := range []string{"bench(never)", "bench(group-commit)"} {
-		t.AddRow(name, fmt.Sprint(total), fmt.Sprint(total), "0", "0", "0", "-", "-", "-")
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf("bench phase: group-commit %.0f ops/s vs never-fsync %.0f ops/s — %.2fx the never-fsync time (bound: 2x); concurrent writers share each fsync, so durable-on-ack costs far less than one fsync per write",
-		rate(dGC), rate(dNever), ratio))
-	return nil
 }
 
 // crashRollbackPhase crashes a SyncNever shard holding

@@ -21,8 +21,12 @@ func TestCrashQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 5 {
-		t.Fatalf("crash table has %d rows, want 5 (workload, audit, rollback, bench x2)", len(tbl.Rows))
+	if len(tbl.Rows) != 3 {
+		t.Fatalf("crash table has %d rows, want 3 (workload, audit, rollback)", len(tbl.Rows))
+	}
+	// The rollback phase loads 8 keys; its scan must re-locate them all.
+	if rb := tbl.Rows[2]; rb[0] != "rollback" || !strings.HasSuffix(rb[len(rb)-1], "/8") {
+		t.Errorf("rollback row = %v, want probes/reconciled ending /8", rb)
 	}
 	found := false
 	for _, n := range tbl.Notes {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"io"
 	"strconv"
 	"strings"
 	"testing"
@@ -8,6 +9,38 @@ import (
 
 // quickOpts keeps experiment smoke tests fast.
 var quickOpts = Options{Quick: true, Keys: 32, Ops: 2, Concurrency: 4}
+
+// TestEveryExperimentQuick runs every registered experiment at smoke
+// scale. An experiment must return a nil error — the drills and the
+// trace experiment self-audit, so that is their whole verdict — and a
+// table with rows that renders. It ranges over the registry, so an
+// experiment is covered from the change that registers it; the tests
+// below assert what particular tables must say.
+func TestEveryExperimentQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measured experiments in -short mode")
+	}
+	for _, e := range Experiments {
+		t.Run(e.ID, func(t *testing.T) {
+			// overload's verdict is a goodput floor against a capacity
+			// it measures itself; the race detector's slowdown of the
+			// CPU-bound stages broke it in 1 of 12 runs on a 2-CPU host.
+			if e.ID == "overload" && raceEnabled {
+				t.Skip("goodput floor is not meaningful under the race detector")
+			}
+			tbl, err := e.Run(quickOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tbl.Rows) == 0 {
+				t.Fatal("table has no rows")
+			}
+			if err := tbl.Render(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
 
 func TestORAMRoundsQuick(t *testing.T) {
 	if testing.Short() {
@@ -44,19 +77,6 @@ func TestORAMRoundsQuick(t *testing.T) {
 	}
 	if !(lat(tbl.Rows[1]) < lat(tbl.Rows[0])*0.75) {
 		t.Errorf("one-round latency %.1f not well below two-round %.1f", lat(tbl.Rows[1]), lat(tbl.Rows[0]))
-	}
-}
-
-func TestZipfAblationQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measured experiment in -short mode")
-	}
-	tbl, err := ZipfAblation(quickOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("ablation-zipf has %d rows", len(tbl.Rows))
 	}
 }
 
@@ -115,21 +135,6 @@ func TestFig3bNotesMentionCrossover(t *testing.T) {
 	}
 }
 
-func TestRunAllQuickSubset(t *testing.T) {
-	// RunAll over just the analytic experiments, by building a custom
-	// writer run. (The measured set is exercised individually above
-	// and by the benchmarks.)
-	for _, id := range []string{"table2", "cost", "fig6"} {
-		exp, err := Lookup(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := exp.Run(Options{Quick: true}); err != nil {
-			t.Errorf("%s: %v", id, err)
-		}
-	}
-}
-
 func TestSnapshotAttackQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measured experiment in -short mode")
@@ -147,48 +152,5 @@ func TestSnapshotAttackQuick(t *testing.T) {
 	}
 	if tbl.Rows[1][3] == "100%" {
 		t.Error("attack fully identified ORTOA operations")
-	}
-}
-
-func TestAggregateQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measured experiment in -short mode")
-	}
-	// No Concurrency override: the point is sessions (64) far above
-	// the round-trip budget (16), where aggregation must win.
-	tbl, err := Aggregate(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("aggregate has %d rows", len(tbl.Rows))
-	}
-	base, agg := tbl.Rows[0], tbl.Rows[1]
-	tput := func(row []string) float64 {
-		v, err := strconv.ParseFloat(row[2], 64)
-		if err != nil {
-			t.Fatalf("bad tput %q", row[2])
-		}
-		return v
-	}
-	// One server RPC per access unaggregated; far fewer aggregated.
-	if base[4] != "1.00" {
-		t.Errorf("per-request rpcs/op = %s, want 1.00", base[4])
-	}
-	rpcs, err := strconv.ParseFloat(agg[4], 64)
-	if err != nil || rpcs >= 0.5 {
-		t.Errorf("aggregated rpcs/op = %s, want well below 1", agg[4])
-	}
-	coalesce, err := strconv.ParseFloat(agg[5], 64)
-	if err != nil || coalesce < 2 {
-		t.Errorf("coalesce ratio = %s, want >= 2 accesses/window", agg[5])
-	}
-	// The acceptance target is 2x; assert a floor with headroom for
-	// shared-runner timing noise (measured ~2.9x). Race-detector
-	// instrumentation inflates the batch table-build stage enough to
-	// erase the timing win, so only the functional assertions above
-	// run under -race.
-	if !raceEnabled && tput(agg) < 1.5*tput(base) {
-		t.Errorf("aggregated tput %.0f not well above per-request %.0f", tput(agg), tput(base))
 	}
 }

@@ -59,7 +59,11 @@ func Failover(opt Options) (*Table, error) {
 	// Phase 2: the kill-and-adopt drill.
 	workers := opt.conc()
 	const keysPerWorker = 4
-	opsPerWorker := opt.ops() * 8
+	// The victim is dead for a third of the run. Keep that window several
+	// rounds per worker long however few ops were asked for, or the
+	// victim is back before any access has reached its dead endpoint
+	// and the fence-crossing checks below have nothing to see.
+	opsPerWorker := max(opt.ops()*8, 24)
 
 	keys, data := drillData("failover", workers*keysPerWorker, paperValueSize, 3)
 

@@ -168,8 +168,11 @@ func TestLookup(t *testing.T) {
 	if _, err := Lookup("fig2a"); err != nil {
 		t.Error(err)
 	}
-	if _, err := Lookup("bogus"); err == nil {
-		t.Error("Lookup accepted unknown id")
+	// "batch" is a deleted experiment's id: it must not resolve.
+	for _, id := range []string{"bogus", "batch"} {
+		if _, err := Lookup(id); err == nil {
+			t.Errorf("Lookup accepted unknown id %q", id)
+		}
 	}
 	// Every registered experiment has a unique, nonempty id.
 	seen := map[string]bool{}
@@ -181,23 +184,6 @@ func TestLookup(t *testing.T) {
 			t.Errorf("duplicate experiment id %q", e.ID)
 		}
 		seen[e.ID] = true
-	}
-}
-
-func TestAnalyticExperiments(t *testing.T) {
-	// The analytic (non-measuring) experiments must run instantly.
-	for _, id := range []string{"table2", "cost", "fig6"} {
-		exp, err := Lookup(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tbl, err := exp.Run(Options{Quick: true})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(tbl.Rows) == 0 {
-			t.Errorf("%s produced no rows", id)
-		}
 	}
 }
 

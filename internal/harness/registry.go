@@ -32,8 +32,6 @@ var Experiments = []Experiment{
 	{"ablation-tee", "TEE transition-cost sensitivity (§6.2.1, extension)", EnclaveCostAblation},
 	{"ablation-fhe-relin", "FHE-ORTOA with vs without relinearization (extension)", FHERelinAblation},
 	{"ablation-zipf", "LBL-ORTOA under Zipfian key skew (extension)", ZipfAblation},
-	{"batch", "batched access pipeline vs concurrent singles (extension)", BatchPipeline},
-	{"aggregate", "cross-session aggregation window vs per-request proxying (extension)", Aggregate},
 	{"chaos", "mixed workload under injected transport faults (robustness extension)", Chaos},
 	{"failover", "multi-proxy kill-and-adopt drill with epoch-fenced ownership (robustness extension)", Failover},
 	{"overload", "overload shedding: goodput and bounded latency at 10x offered load (robustness extension)", Overload},
@@ -41,7 +39,7 @@ var Experiments = []Experiment{
 	{"attack-snapshot", "multi-snapshot adversary vs plain store and ORTOA (§1)", SnapshotAttack},
 	{"oram-rounds", "one-round vs two-round tree ORAM (§8 sketch)", ORAMRounds},
 	{"trace", "measured Fig 3c companion: one cross-process trace plus the run's stage histograms (observability extension)", TraceBreakdown},
-	{"stream", "requests cut under a frame budget, table build pipelined against the wire, vs sent whole (perf extension)", Stream},
+	{"stream", "requests cut under a frame budget, reset mid-request (robustness extension)", Stream},
 }
 
 // Lookup returns the experiment with the given id.

@@ -173,8 +173,7 @@ type ProxyConfig struct {
 type Proxy struct {
 	// Accessor performs accesses; Batch is the same proxy's batch entry
 	// point, which aggregating front ends coalesce into (LBL only, else
-	// nil). A rig that must interpose on either — the aggregate
-	// experiment's round-trip gate — replaces them before NewFront.
+	// nil).
 	Accessor core.Accessor
 	Batch    core.BatchAccessor
 	RPC      *transport.Client

@@ -37,22 +37,30 @@ import (
 // so overload behavior cannot leak operation types (the ShapeAuditor
 // pins the busy frame's length per request class on both ends).
 
-// AdmissionConfig bounds a Server's concurrent work. The zero value
-// disables admission control (the historical unbounded behavior).
+// AdmissionConfig bounds a server's (or proxy front end's) concurrent
+// work with deadline-aware load shedding. Requests beyond MaxInflight
+// wait in a bounded queue served newest-first — under saturation LIFO
+// preserves goodput where FIFO would age every request to its deadline
+// — and requests that cannot be served are rejected with a
+// constant-size busy frame (IsBusy) carrying a retry-after hint, before
+// any protocol work happens. Rejections are shape-audited under the
+// request's own class, so shedding leaks no operation types. The zero
+// value disables admission control.
 type AdmissionConfig struct {
-	// MaxInflight is the number of concurrently executing handlers; 0
-	// or negative disables admission control entirely.
+	// MaxInflight is the number of requests handled concurrently;
+	// zero or negative disables admission control entirely.
 	MaxInflight int
-	// MaxQueue is the number of requests that may wait beyond
-	// MaxInflight before arrivals shed. Zero means no queue: overflow
-	// sheds immediately.
+	// MaxQueue bounds requests waiting for an inflight slot. Zero
+	// means no queue: overflow is shed immediately.
 	MaxQueue int
-	// ShedExpired drops requests whose deadline budget expired before
-	// execution — on arrival, while queued, and when the queue needs
-	// room — answering them busy instead of burning handler time.
+	// ShedExpired drops requests whose propagated deadline budget has
+	// already expired — work the caller has abandoned — on arrival,
+	// while queued, and when the queue needs room, answering them busy
+	// before spending an inflight slot on them.
 	ShedExpired bool
-	// RetryAfter is the backoff hint stamped into busy frames. Zero
-	// means 25ms.
+	// RetryAfter is the backoff hint carried in busy rejections
+	// (default 25ms). Clients honor it as a floor on their retry
+	// backoff.
 	RetryAfter time.Duration
 }
 

@@ -128,39 +128,10 @@ func (o FHEOptions) params() (fhe.Parameters, error) {
 }
 
 // AdmissionOptions bounds a server's (or proxy front end's)
-// concurrent work with deadline-aware load shedding. Requests beyond
-// MaxInflight wait in a bounded queue served newest-first — under
-// saturation LIFO preserves goodput where FIFO would age every
-// request to its deadline — and requests that cannot be served are
-// rejected with a constant-size busy frame (IsBusy) carrying a
-// retry-after hint, before any protocol work happens. Rejections are
-// shape-audited under the request's own class, so shedding leaks no
-// operation types. The zero value disables admission control.
-type AdmissionOptions struct {
-	// MaxInflight is the number of requests handled concurrently;
-	// zero or negative disables admission control entirely.
-	MaxInflight int
-	// MaxQueue bounds requests waiting for an inflight slot. Zero
-	// means no queue: overflow is shed immediately.
-	MaxQueue int
-	// ShedDeadline, when true, drops queued (and arriving) requests
-	// whose propagated deadline budget has already expired — work the
-	// caller has abandoned — before spending an inflight slot on them.
-	ShedDeadline bool
-	// RetryAfter is the backoff hint carried in busy rejections
-	// (default 25ms). Clients honor it as a floor on their retry
-	// backoff.
-	RetryAfter time.Duration
-}
-
-func (o AdmissionOptions) config() transport.AdmissionConfig {
-	return transport.AdmissionConfig{
-		MaxInflight: o.MaxInflight,
-		MaxQueue:    o.MaxQueue,
-		ShedExpired: o.ShedDeadline,
-		RetryAfter:  o.RetryAfter,
-	}
-}
+// concurrent work with deadline-aware load shedding; the zero value
+// disables it. It is the transport's own configuration, documented
+// there field by field.
+type AdmissionOptions = transport.AdmissionConfig
 
 // ServerConfig configures the untrusted storage server.
 type ServerConfig struct {
@@ -225,7 +196,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		EnclaveTransition: cfg.EnclaveTransition,
 		Metrics:           cfg.Metrics,
 		TraceBuffer:       cfg.TraceBuffer,
-		Admission:         cfg.Admission.config(),
+		Admission:         cfg.Admission,
 	}
 	if cfg.Protocol == ProtocolFHE {
 		params, err := cfg.FHE.params()
@@ -265,10 +236,11 @@ func (s *Server) LoadSnapshot(path string) error { return s.tier.Store.LoadFile(
 func (s *Server) AttachWAL(path string) error { return s.tier.Store.AttachWAL(path) }
 
 // AttachWALPolicy is AttachWAL with an explicit fsync policy.
-// FsyncInterval fsyncs every syncInterval (default 1s); a crash loses
-// at most that window of acknowledged writes. FsyncGroupCommit
-// acknowledges a mutation only after its record is fsynced, with
-// concurrent writers sharing one fsync — durable-on-ack.
+// FsyncInterval fsyncs every syncInterval (zero selects the default of
+// kvstore.WALOptions.Interval); a crash loses at most that window of
+// acknowledged writes. FsyncGroupCommit acknowledges a mutation only
+// after its record is fsynced, with concurrent writers sharing one
+// fsync — durable-on-ack.
 func (s *Server) AttachWALPolicy(path string, fsync FsyncPolicy, syncInterval time.Duration) error {
 	policy, err := fsync.policy()
 	if err != nil {
@@ -281,7 +253,8 @@ func (s *Server) AttachWALPolicy(path string, fsync FsyncPolicy, syncInterval ti
 type DurabilityOptions struct {
 	// Fsync is the WAL fsync policy (default FsyncInterval).
 	Fsync FsyncPolicy
-	// SyncInterval is the FsyncInterval flush cadence (default 1s).
+	// SyncInterval is the FsyncInterval flush cadence, as syncInterval
+	// is AttachWALPolicy's.
 	SyncInterval time.Duration
 	// CheckpointInterval, when positive, runs background checkpoints —
 	// snapshot + WAL rotation — bounding recovery replay time. The
@@ -603,8 +576,7 @@ func (c *Client) ReadBatch(keys []string) ([]KVPair, error) {
 
 // readBatchConcurrent is the pre-batch-RPC path: one RPC per key,
 // pipelined over the connection pool. It remains for the protocols
-// without a batch handler and as the baseline the batch benchmarks
-// compare against.
+// without a batch handler.
 func (c *Client) readBatchConcurrent(keys []string) ([]KVPair, error) {
 	out := make([]KVPair, len(keys))
 	err := core.ForEach(len(keys), batchParallelism, func(i int) error {
@@ -791,7 +763,7 @@ func (c *Client) ServeProxyOptions(l net.Listener, opts ProxyServeOptions) error
 	front, err := c.tier.NewFront(tier.FrontConfig{
 		AggWindow:   opts.AggWindow,
 		AggMaxBatch: opts.AggMaxBatch,
-		Admission:   opts.Admission.config(),
+		Admission:   opts.Admission,
 	})
 	if err != nil {
 		return err
