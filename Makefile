@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify verify-benchmark noaes bench bench-smoke trace-smoke drills failover-smoke overload-smoke stream-smoke crash experiments
+.PHONY: build test vet race verify verify-benchmark noaes fuzz-smoke bench bench-smoke trace-smoke drills failover-smoke overload-smoke stream-smoke crash experiments
 
 build:
 	$(GO) build ./...
@@ -13,7 +13,9 @@ vet:
 
 # race runs the full test suite under the race detector; the batched
 # pipeline tests exercise concurrent AccessBatch/Access interleavings,
-# parallel per-shard batch fan-out, and server shutdown draining.
+# parallel per-shard batch fan-out, and server shutdown draining, and the
+# aggregator tests window closes racing arrivals, held chains rejoining
+# as their keys return, and Close racing both.
 race:
 	$(GO) test -race ./...
 
@@ -38,6 +40,18 @@ verify-benchmark:
 # two hosts of one deployment could not open each other's tables.
 noaes:
 	GODEBUG=cpu.aes=off $(GO) test -count=1 -run 'Label|Sealer|KnownAnswer|Parity' ./internal/crypto/... ./internal/core/
+
+# fuzz-smoke runs each trust-boundary fuzzer of internal/core for 10 s of
+# generated inputs (`go test` alone runs only their seed corpora): frame
+# sequences at the server's one handler — whole, cut, reordered, with a
+# key repeated — and tampered response slots at the proxy, a chain's
+# included. The fuzz engine takes one target per run; -run='^$$' keeps
+# the unit tests out of it.
+fuzz-smoke:
+	@for f in $$($(GO) test -list '^Fuzz' ./internal/core/ | grep '^Fuzz'); do \
+		echo "== $$f"; \
+		$(GO) test -run='^$$' -fuzz="^$$f\$$" -fuzztime=10s ./internal/core/ || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"ortoa"
-	"ortoa/internal/core"
 	"ortoa/internal/obs"
 	"ortoa/internal/workload"
 )
@@ -46,7 +45,6 @@ func main() {
 	statePath := flag.String("state", "", "LBL access-counter state file (restored at startup, saved on shutdown)")
 	stateEvery := flag.Duration("state-interval", 0, "also save -state crash-atomically this often, bounding the counter-loss window (0 disables)")
 	aggWindow := flag.Duration("agg-window", 0, "coalesce concurrent client accesses into shared batch round trips, waiting at most this long per window (LBL; 0 disables)")
-	aggMaxBatch := flag.Int("agg-max-batch", 0, "dispatch an aggregation window early at this many accesses (0 = default 64)")
 	maxInflight := flag.Int("max-inflight", 0, "handle at most this many client requests concurrently, shedding overload with constant-size busy frames (0 disables admission control)")
 	maxQueue := flag.Int("max-queue", 0, "client requests waiting for an inflight slot before overflow is shed, served newest-first (needs -max-inflight)")
 	shedDeadline := flag.Bool("shed-deadline", true, "drop client requests whose deadline budget expired before doing any work (needs -max-inflight)")
@@ -189,11 +187,7 @@ func main() {
 	}
 	log.Printf("proxying protocol=%s server=%s on %s", *protocol, *serverAddr, l.Addr())
 	if *aggWindow > 0 {
-		maxBatch := *aggMaxBatch
-		if maxBatch <= 0 {
-			maxBatch = core.DefaultAggMaxBatch
-		}
-		log.Printf("aggregating client accesses: window=%s max-batch=%d", *aggWindow, maxBatch)
+		log.Printf("aggregating client accesses: window=%s", *aggWindow)
 	}
 	if *maxInflight > 0 {
 		log.Printf("admission control: max-inflight=%d max-queue=%d shed-deadline=%v", *maxInflight, *maxQueue, *shedDeadline)
@@ -224,8 +218,7 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() {
 		serveErr <- client.ServeProxyOptions(l, ortoa.ProxyServeOptions{
-			AggWindow:   *aggWindow,
-			AggMaxBatch: *aggMaxBatch,
+			AggWindow: *aggWindow,
 			Admission: ortoa.AdmissionOptions{
 				MaxInflight: *maxInflight,
 				MaxQueue:    *maxQueue,

@@ -12,11 +12,23 @@ import (
 	"ortoa/internal/obs/trace"
 )
 
-// Aggregation defaults; see AggregatorConfig.
-const (
-	DefaultAggMaxBatch      = 64
-	defaultAggPendingFactor = 4
-)
+// aggWindowBytes is the request size at which a window closes without
+// waiting for its timer. One constant, not an estimate of the link: the
+// transport pipelines independent calls on its connections and overlaps
+// their round trips, so a window past what one connection drains in a
+// few milliseconds only makes its accesses wait for each other's bytes,
+// and a smaller one is never worse once a key's chain is never split.
+// 128 KiB is the small end of the sweep that sized it, not a knee: on the
+// benchmark's WAN workload the point below it, one access per window,
+// reads a few percent better still (EXPERIMENTS.md, "Cross-session
+// aggregation"; ROADMAP asks whether the window earns its code at all).
+const aggWindowBytes = 128 << 10
+
+// DefaultAggMaxPending is the default admission budget. It counts every
+// access admitted and not yet answered — held for its key, waiting in
+// the open window, or in flight — alike, and is independent of how
+// large a window grows.
+const DefaultAggMaxPending = 256
 
 // ErrAggregatorOverloaded rejects an access admitted beyond the
 // aggregator's pending budget — the backpressure signal. The access
@@ -27,8 +39,7 @@ var ErrAggregatorOverloaded = errors.New("core: aggregator overloaded: pending-a
 var ErrAggregatorClosed = errors.New("core: aggregator closed")
 
 // A BatchAccessor executes many oblivious accesses as one round trip,
-// reporting each access's outcome individually. *LBLProxy implements
-// it via AccessBatchResults.
+// reporting each access's outcome individually. *LBLProxy implements it.
 type BatchAccessor interface {
 	AccessBatchResults(ctx context.Context, ops []BatchOp) ([]BatchResult, AccessStats)
 }
@@ -36,93 +47,71 @@ type BatchAccessor interface {
 // AggregatorConfig tunes an Aggregator.
 type AggregatorConfig struct {
 	// Window is the longest an access waits for company: the window
-	// dispatches at most this long after its first access arrives.
+	// dispatches at most this long after its first access joins it.
 	// It is the latency the slowest-coalescing access pays to buy the
 	// round-trip amortization; it must be positive.
 	Window time.Duration
-	// MaxBatch dispatches a window early once it holds this many
-	// accesses (default DefaultAggMaxBatch). It bounds the batch frame
-	// size and the tail latency added by table-build time.
-	MaxBatch int
 	// MaxPending is the admission budget: the total number of accesses
-	// admitted but not yet answered — waiting in the open window or in
-	// flight in a dispatched batch. An access arriving beyond it is
+	// admitted but not yet answered. An access arriving beyond it is
 	// rejected with ErrAggregatorOverloaded instead of queueing
-	// unboundedly (default 4×MaxBatch).
+	// unboundedly (default DefaultAggMaxPending).
 	MaxPending int
-	// BrownoutPending is the pending depth at which new windows open in
-	// brownout mode: a larger size trigger (BrownoutMaxBatch) and a
-	// quarter-length time trigger, trading per-access coalescing
-	// latency for throughput while the backlog drains. Default
-	// MaxPending/2.
-	BrownoutPending int
-	// BrownoutMaxBatch is the size trigger for windows opened under
-	// brownout. Default 2×MaxBatch.
-	BrownoutMaxBatch int
-}
-
-func (c AggregatorConfig) maxBatch() int {
-	if c.MaxBatch > 0 {
-		return c.MaxBatch
-	}
-	return DefaultAggMaxBatch
 }
 
 func (c AggregatorConfig) maxPending() int {
 	if c.MaxPending > 0 {
 		return c.MaxPending
 	}
-	return defaultAggPendingFactor * c.maxBatch()
-}
-
-func (c AggregatorConfig) brownoutPending() int {
-	if c.BrownoutPending > 0 {
-		return c.BrownoutPending
-	}
-	return (c.maxPending() + 1) / 2
-}
-
-func (c AggregatorConfig) brownoutMaxBatch() int {
-	if c.BrownoutMaxBatch > 0 {
-		return c.BrownoutMaxBatch
-	}
-	return 2 * c.maxBatch()
+	return DefaultAggMaxPending
 }
 
 // An Aggregator multiplexes concurrent single-object accesses from
 // independent sessions into shared oblivious batch round trips: the
-// first access opens a time/size window, later arrivals join it in
-// FIFO order, and when the window closes — its timer fires or it
-// reaches MaxBatch — one session issues the whole window as a single
-// round (one request, one response) and demultiplexes the per-access results
-// (and per-access errors) back to the waiters.
+// first access opens a window, later arrivals join it, and when the
+// window closes — it holds as many accesses as fit the byte budget
+// (aggWindowBytes; at least one), or its timer fires — its accesses go out as a single
+// round (one request, one response) and the per-access results (and
+// per-access errors) are demultiplexed back to the waiters.
 //
-// The hand-off mirrors the WAL's group commit (DESIGN.md §10): the
-// closer becomes the window's leader while a fresh window opens
-// immediately for new arrivals, so dispatch never blocks admission
-// and windows pipeline behind one another.
+// No window waits for a key. The aggregator knows which keys ride
+// dispatched, unanswered windows; an access to such a key is held, per
+// key, and when that key's round returns everything held for it joins
+// the open window together — as one chain (LBLProxy.round), never split
+// by the byte budget — so a busy key is served as many accesses per
+// round trip as arrived during the last one, and no two in-flight
+// windows ever queue on one counter. Order is FIFO per key: a key's
+// accesses are applied, and answered, in the order they were admitted;
+// accesses to different keys may overtake each other.
+//
+// A fresh window opens for new arrivals the moment one closes, so
+// dispatch never blocks admission and windows pipeline behind one
+// another — the hand-off mirrors the WAL's group commit (DESIGN.md §10).
 //
 // Aggregator implements Accessor, so it drops into the proxy service
 // in place of the per-request LBLProxy (see Client.ServeProxy).
-// Security: the server sees exactly the batch frames a native
-// AccessBatch of the same sizes would produce — aggregation changes
-// who contributed the accesses, never their shape on the wire
-// (TestObliviousnessAggregatedWindow).
+// Security: the server sees exactly the frames a native AccessBatch of
+// the same keys would produce — aggregation changes who contributed the
+// accesses, never their shape on the wire
+// (TestObliviousnessAggregatedWindow) — and which access waits for which
+// depends on key identity and arrival time only, never on operation type.
 type Aggregator struct {
 	cfg     AggregatorConfig
 	backend BatchAccessor
+	fill    int // accesses at which a window is sent: what fits aggWindowBytes, at least one
 	stageObs
 
-	mu      sync.Mutex
-	cur     *aggWindow // open window accepting arrivals, nil if none
-	pending int        // admitted accesses not yet answered
-	closed  bool
+	mu       sync.Mutex
+	cur      *aggWindow             // open window accepting arrivals, nil if none
+	inflight map[string]int         // keys of dispatched, unanswered windows → accesses their window carries for them
+	held     map[string][]aggWaiter // accesses to in-flight keys, in admission order
+	pending  int                    // admitted accesses not yet answered: held, windowed and in flight
+	closed   bool
+	sending  sync.WaitGroup // dispatched, unanswered windows; Add under mu
 
-	accesses  atomic.Int64 // admitted accesses
-	batches   atomic.Int64 // windows dispatched
-	rejected  atomic.Int64 // accesses refused by backpressure
-	brownouts atomic.Int64 // windows opened in brownout mode
-	expired   atomic.Int64 // waiters answered unsent: deadline passed in the window
+	accesses atomic.Int64 // admitted accesses
+	batches  atomic.Int64 // windows dispatched
+	rejected atomic.Int64 // accesses refused by backpressure
+	expired  atomic.Int64 // waiters answered unsent: deadline passed before their window left
 
 	mx aggObs
 }
@@ -133,28 +122,31 @@ type aggWaiter struct {
 	op       BatchOp
 	ch       chan BatchResult
 	ctx      context.Context // caller context; a passed deadline drops the access unsent
-	admitted time.Time       // when the access joined the window, on the stage family's clock
+	admitted time.Time       // when the access arrived, on the stage family's clock,
+	joined   time.Time       // and when it joined its window: later only if it was held for its key
 	sp       *trace.Span     // agg_session span, ended when the result is delivered
 }
 
-// An aggWindow is one open or in-flight aggregation window. waiters
-// is append-only in admission order (FIFO — results demultiplex by
-// index, so no session can be starved or reordered past another).
+// An aggWindow is one open or in-flight aggregation window. waiters is
+// append-only in joining order; results demultiplex by index.
 type aggWindow struct {
-	waiters    []aggWaiter
-	limit      int // size trigger, fixed at window open (brownout-aware)
-	timer      *time.Timer
-	sp         *trace.Span // agg_window span, opened with the window
-	dispatched bool        // detached from the aggregator; owned by its leader
+	waiters []aggWaiter
+	keys    []string    // the distinct keys of waiters, once sent: what the window holds in flight
+	timer   *time.Timer // nil in a window opened after Close
+	sp      *trace.Span // agg_window span, opened with the window
+	sent    bool        // detached from the aggregator; owned by its dispatch
 }
 
-// NewAggregator returns an aggregator dispatching to backend. Window
-// must be positive.
-func NewAggregator(cfg AggregatorConfig, backend BatchAccessor) *Aggregator {
+// NewAggregator returns an aggregator dispatching to backend, whose
+// requests grow by accessBytes (LBLConfig.RequestBytesPerAccess) per
+// access. Window must be positive.
+func NewAggregator(cfg AggregatorConfig, accessBytes int, backend BatchAccessor) *Aggregator {
 	if cfg.Window <= 0 {
 		panic("core: AggregatorConfig.Window must be positive")
 	}
-	return &Aggregator{cfg: cfg, backend: backend, stageObs: stageObs{stages: aggStages(nil)}}
+	return &Aggregator{cfg: cfg, backend: backend, fill: max(aggWindowBytes/accessBytes, 1),
+		inflight: make(map[string]int), held: make(map[string][]aggWaiter),
+		stageObs: stageObs{stages: aggStages(nil)}}
 }
 
 // Access admits one oblivious access into the current window and
@@ -168,10 +160,10 @@ func (a *Aggregator) Access(op Op, key string, newValue []byte) ([]byte, AccessS
 
 // AccessContext is Access with a caller context. When ctx carries a
 // trace span (a traced end-user request through the proxy front end),
-// the access's agg_session span — its wait for the window plus the
-// shared round trip — is recorded in that request's own trace;
-// otherwise it parents on the window's agg_window span, so the window
-// trace shows one window span parenting its N session spans.
+// the access's agg_session span — its waits plus the shared round trip —
+// is recorded in that request's own trace; otherwise it parents on the
+// agg_window span of the window it joins, so the window trace shows one
+// window span parenting its N session spans.
 func (a *Aggregator) AccessContext(ctx context.Context, op Op, key string, newValue []byte) ([]byte, AccessStats, error) {
 	var stats AccessStats
 	ch := make(chan BatchResult, 1)
@@ -188,85 +180,114 @@ func (a *Aggregator) AccessContext(ctx context.Context, op Op, key string, newVa
 	a.pending++
 	a.accesses.Add(1)
 	a.mx.queueDepth.Set(int64(a.pending))
-	w := a.cur
-	if w == nil {
-		// First access of a new window: arm the time trigger. The
-		// window's triggers are fixed at open from the pending depth —
-		// under brownout pressure, a bigger size trigger and a shorter
-		// time trigger amortize the round trip across more accesses and
-		// drain the backlog before waiters age to deadline-death.
-		limit, window := a.cfg.maxBatch(), a.cfg.Window
-		if a.pending >= a.cfg.brownoutPending() {
-			limit, window = a.cfg.brownoutMaxBatch(), a.cfg.Window/4
-			if window <= 0 {
-				window = time.Millisecond
-			}
-			a.brownouts.Add(1)
-		}
-		w = &aggWindow{limit: limit, sp: a.tracer.Load().StartRoot("agg_window")}
-		w.timer = time.AfterFunc(window, func() { a.timerFire(w) })
-		a.cur = w
-	}
-	var sp *trace.Span
-	if p := trace.FromContext(ctx); p != nil {
-		sp = p.Child("agg_session")
+	now := a.stages.Now()
+	wt := aggWaiter{op: BatchOp{Op: op, Key: key, Value: newValue}, ch: ch, ctx: ctx,
+		admitted: now, sp: trace.FromContext(ctx).Child("agg_session")}
+	if a.inflight[key] > 0 {
+		a.held[key] = append(a.held[key], wt)
 	} else {
-		sp = w.sp.Child("agg_session")
-	}
-	w.waiters = append(w.waiters, aggWaiter{op: BatchOp{Op: op, Key: key, Value: newValue},
-		ch: ch, ctx: ctx, admitted: a.stages.Now(), sp: sp})
-	full := len(w.waiters) >= w.limit
-	if full {
-		a.detachLocked(w)
+		a.joinLocked(now, wt)
 	}
 	a.mu.Unlock()
-	if full {
-		// Size trigger: the filling session is the leader — it issues
-		// the batch itself while a.cur == nil lets the next arrival
-		// open a fresh window concurrently (leader/follower hand-off).
-		a.dispatch(w)
-	}
 	res := <-ch
 	return res.Value, stats, res.Err
 }
 
-// timerFire is the window's time trigger. It races the size trigger
-// and Close; whoever detaches the window first (under a.mu) leads it.
-func (a *Aggregator) timerFire(w *aggWindow) {
-	a.mu.Lock()
-	if w.dispatched {
-		a.mu.Unlock()
-		return
+// joinLocked adds wts — one arrival, or everything held for one key — to
+// the open window, opening one if there is none, and sends the window if
+// it then holds as many accesses as fit the byte budget. That is checked
+// after they have all joined, never between them: a key's held accesses
+// split across windows would be back to waiting a round trip for each
+// other. Callers hold a.mu.
+func (a *Aggregator) joinLocked(now time.Time, wts ...aggWaiter) {
+	w := a.cur
+	if w == nil {
+		w = &aggWindow{sp: a.tracer.Load().StartRoot("agg_window")}
+		if !a.closed {
+			w.timer = time.AfterFunc(a.cfg.Window, func() { a.timerFire(w) })
+		}
+		a.cur = w
 	}
-	a.detachLocked(w)
-	a.mu.Unlock()
-	a.dispatch(w)
+	for _, wt := range wts {
+		wt.joined = now
+		if wt.sp == nil {
+			wt.sp = w.sp.Child("agg_session")
+		}
+		w.waiters = append(w.waiters, wt)
+	}
+	// After Close nothing waits for company: what was held when it was
+	// called flows out as its keys come back.
+	if len(w.waiters) >= a.fill || a.closed {
+		a.sendLocked(w)
+	}
 }
 
-// detachLocked removes w from the admission path: new arrivals open a
-// fresh window. Callers hold a.mu; exactly one caller wins (guarded
-// by w.dispatched) and must then call dispatch(w) outside the lock.
-func (a *Aggregator) detachLocked(w *aggWindow) {
-	w.dispatched = true
-	w.timer.Stop()
+// timerFire is the window's time trigger. It races the byte trigger and
+// Close; whoever gets to the window first (under a.mu) sends it.
+func (a *Aggregator) timerFire(w *aggWindow) {
+	a.mu.Lock()
+	if !w.sent {
+		a.sendLocked(w)
+	}
+	a.mu.Unlock()
+}
+
+// sendLocked closes w: new arrivals open a fresh window, waiters whose
+// deadline has passed are answered unsent, the keys of the rest are in
+// flight from here until the round returns, and the round runs on a
+// goroutine of its own. Callers hold a.mu; w must not have been sent.
+func (a *Aggregator) sendLocked(w *aggWindow) {
+	w.sent = true
+	if w.timer != nil {
+		w.timer.Stop()
+	}
 	if a.cur == w {
 		a.cur = nil
 	}
-}
-
-// dispatch issues a detached window's accesses as one batch round
-// trip and hands each waiter its result. Waiters whose deadline passed
-// while they coalesced are answered without joining the batch — the
-// access was never sent, a definite outcome (IsDeadlineExpired), and
-// the server never spends trial decryptions on work the caller has
-// already abandoned.
-func (a *Aggregator) dispatch(w *aggWindow) {
-	a.shedExpired(w)
+	a.shedExpiredLocked(w)
 	if len(w.waiters) == 0 {
-		// Everyone aged out: nothing to send.
+		// Everyone aged out: nothing to send, and no key to hold.
 		w.sp.End()
 		return
 	}
+	for i := range w.waiters {
+		key := w.waiters[i].op.Key
+		if a.inflight[key]++; a.inflight[key] == 1 {
+			w.keys = append(w.keys, key)
+		}
+	}
+	a.sending.Add(1)
+	go a.dispatch(w)
+}
+
+// shedExpiredLocked answers — and removes from w — every waiter whose
+// context deadline has already passed, so the round carries only
+// accesses someone is still waiting for: the access was never sent, a
+// definite outcome (IsDeadlineExpired), and the server never spends
+// trial decryptions on work the caller has already abandoned. An access
+// held for its key is shed here like any other, when its window leaves.
+func (a *Aggregator) shedExpiredLocked(w *aggWindow) {
+	live := w.waiters[:0]
+	for _, wt := range w.waiters {
+		if wt.ctx != nil && wt.ctx.Err() != nil {
+			wt.sp.End()
+			wt.ch <- BatchResult{Err: errDeadlineBeforeBuild}
+			continue
+		}
+		live = append(live, wt)
+	}
+	if dead := len(w.waiters) - len(live); dead > 0 {
+		w.waiters = live
+		a.expired.Add(int64(dead))
+		a.pending -= dead
+		a.mx.queueDepth.Set(int64(a.pending))
+	}
+}
+
+// dispatch issues a sent window's accesses as one batch round trip,
+// ends its keys' time in flight, and hands each waiter its result.
+func (a *Aggregator) dispatch(w *aggWindow) {
+	defer a.sending.Done()
 	n := len(w.waiters)
 	ops := make([]BatchOp, n)
 	for i := range w.waiters {
@@ -281,22 +302,37 @@ func (a *Aggregator) dispatch(w *aggWindow) {
 	// by all n sessions.
 	dispatchedAt := a.stages.Now()
 	results, _ := a.backend.AccessBatchResults(trace.ContextWith(context.Background(), w.sp), ops)
-	rpc := a.stages.Now().Sub(dispatchedAt)
+	returnedAt := a.stages.Now()
+	rpc := returnedAt.Sub(dispatchedAt)
+
 	a.mu.Lock()
 	a.pending -= n
 	a.mx.queueDepth.Set(int64(a.pending))
+	// Each key once, however many of the window's accesses named it: a
+	// second release would un-mark a key whose held chain this one has
+	// just put back in flight, and two windows would share it.
+	for _, key := range w.keys {
+		a.mx.chainLen.Observe(time.Duration(a.inflight[key]))
+		delete(a.inflight, key)
+		if held := a.held[key]; len(held) > 0 {
+			delete(a.held, key)
+			a.joinLocked(returnedAt, held...)
+		}
+	}
 	a.mu.Unlock()
+
 	for i := range w.waiters {
 		wt := &w.waiters[i]
 		wt.sp.End()
-		// The time an access spent waiting for window mates is coalescing
-		// latency, not server time: its own stage, never folded into the
-		// round trip. The aggregator holds no PRF, so the label carries no
-		// key material at all — the window, the session's place in it, and
-		// (on the entry) the trace id that resolves to its span tree.
+		// The time an access spent held for its key or waiting for window
+		// mates is coalescing latency, not server time: stages of their own,
+		// never folded into the round trip. The aggregator holds no PRF, so
+		// the label carries no key material at all — the window, the
+		// session's place in it, and (on the entry) the trace id that
+		// resolves to its span tree.
 		a.stages.Record(wt.admitted, wt.sp.TraceID(), failedAccesses(results[i].Err),
 			func() string { return fmt.Sprintf("window=%d session=%d", n, i) },
-			dispatchedAt.Sub(wt.admitted), rpc)
+			wt.joined.Sub(wt.admitted), dispatchedAt.Sub(wt.joined), rpc)
 	}
 	w.sp.End()
 	for i := range w.waiters {
@@ -304,63 +340,33 @@ func (a *Aggregator) dispatch(w *aggWindow) {
 	}
 }
 
-// shedExpired answers — and removes from w — every waiter whose
-// context deadline has already passed, so a dispatched batch carries
-// only accesses someone is still waiting for.
-func (a *Aggregator) shedExpired(w *aggWindow) {
-	live := w.waiters[:0]
-	var dead int
-	for _, wt := range w.waiters {
-		if wt.ctx != nil && wt.ctx.Err() != nil {
-			dead++
-			wt.sp.End()
-			wt.ch <- BatchResult{Err: errDeadlineBeforeBuild}
-			continue
-		}
-		live = append(live, wt)
-	}
-	if dead == 0 {
-		return
-	}
-	w.waiters = live
-	a.expired.Add(int64(dead))
-	a.mu.Lock()
-	a.pending -= dead
-	a.mx.queueDepth.Set(int64(a.pending))
-	a.mu.Unlock()
-}
-
-// Close dispatches the open window immediately and rejects later
-// accesses with ErrAggregatorClosed. Every already-admitted access is
-// answered: callers that need those answers delivered must drain
-// their request sources first (Client.Close drains the proxy
-// transport servers before closing the aggregator).
+// Close sends the open window immediately, rejects later accesses with
+// ErrAggregatorClosed, and returns once every already-admitted access
+// has been answered — those in flight by their rounds, those held for a
+// key by the rounds that follow as the keys come back. Callers that
+// need those answers delivered must drain their request sources first
+// (Client.Close drains the proxy transport servers before closing the
+// aggregator).
 func (a *Aggregator) Close() {
 	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return
-	}
-	a.closed = true
-	w := a.cur
-	if w != nil {
-		a.detachLocked(w)
+	if !a.closed {
+		a.closed = true
+		if a.cur != nil {
+			a.sendLocked(a.cur)
+		}
 	}
 	a.mu.Unlock()
-	if w != nil {
-		a.dispatch(w)
-	}
+	a.sending.Wait()
 }
 
 // AggregatorStats is a point-in-time view of an aggregator's
 // counters. CoalesceRatio is accesses per dispatched window — the
 // round-trip amortization factor.
 type AggregatorStats struct {
-	Accesses  int64
-	Batches   int64
-	Rejected  int64
-	Brownouts int64 // windows opened in brownout mode
-	Expired   int64 // waiters answered unsent after their deadline passed
+	Accesses int64
+	Batches  int64
+	Rejected int64
+	Expired  int64 // waiters answered unsent after their deadline passed
 }
 
 // CoalesceRatio returns accesses per dispatched window (0 before the
@@ -375,11 +381,10 @@ func (s AggregatorStats) CoalesceRatio() float64 {
 // Stats returns the aggregator's cumulative counters.
 func (a *Aggregator) Stats() AggregatorStats {
 	return AggregatorStats{
-		Accesses:  a.accesses.Load(),
-		Batches:   a.batches.Load(),
-		Rejected:  a.rejected.Load(),
-		Brownouts: a.brownouts.Load(),
-		Expired:   a.expired.Load(),
+		Accesses: a.accesses.Load(),
+		Batches:  a.batches.Load(),
+		Rejected: a.rejected.Load(),
+		Expired:  a.expired.Load(),
 	}
 }
 
@@ -387,6 +392,7 @@ func (a *Aggregator) Stats() AggregatorStats {
 // stage family (aggStages).
 type aggObs struct {
 	windowSize *obs.Histogram // accesses coalesced per dispatched window
+	chainLen   *obs.Histogram // accesses a dispatched window carried for one key
 	queueDepth *obs.Gauge     // admitted accesses awaiting an answer
 }
 
@@ -397,13 +403,14 @@ func (a *Aggregator) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("ortoa_agg_accesses_total", "accesses admitted into aggregation windows", a.accesses.Load)
 	reg.CounterFunc("ortoa_agg_windows_total", "aggregation windows dispatched; accesses/windows is the coalesce ratio", a.batches.Load)
 	reg.CounterFunc("ortoa_agg_rejected_total", "accesses refused by the pending-budget backpressure", a.rejected.Load)
-	reg.CounterFunc("ortoa_agg_brownout_windows_total", "aggregation windows opened in brownout mode (pending depth past BrownoutPending)", a.brownouts.Load)
-	reg.CounterFunc("ortoa_agg_expired_total", "admitted accesses answered unsent because their deadline passed while coalescing", a.expired.Load)
+	reg.CounterFunc("ortoa_agg_expired_total", "admitted accesses answered unsent because their deadline passed before their window left", a.expired.Load)
 	a.stages = aggStages(reg)
 	a.mx = aggObs{
 		windowSize: reg.Histogram("ortoa_agg_window_accesses",
 			"accesses coalesced per dispatched window (integer count on the duration scale)"),
+		chainLen: reg.Histogram("ortoa_agg_chain_accesses",
+			"accesses a dispatched window carried for one key, sent as one chain (integer count on the duration scale)"),
 		queueDepth: reg.Gauge("ortoa_agg_queue_depth",
-			"admitted accesses waiting in the open window or in flight"),
+			"admitted accesses held for a key, waiting in the open window or in flight"),
 	}
 }

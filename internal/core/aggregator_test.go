@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -30,10 +31,18 @@ func sortExchanges(s []exchange) {
 	})
 }
 
+// closeAt makes agg's windows close at exactly n accesses (a held chain
+// aside), the deterministic trigger of these tests, as a byte budget of
+// n accesses' request bytes would.
+func closeAt(agg *Aggregator, n int) *Aggregator {
+	agg.fill = n
+	return agg
+}
+
 // newAggRig builds an LBL deployment with n loaded keys ("key-00"…)
 // whose value byte i is the key index, plus an aggregator over the
-// proxy with the given window config.
-func newAggRig(t *testing.T, n, valueSize int, cfg AggregatorConfig) (*rig, *LBLProxy, *Aggregator) {
+// proxy whose windows wait for window and close at trigger accesses.
+func newAggRig(t *testing.T, n, valueSize int, window time.Duration, trigger int) (*rig, *LBLProxy, *Aggregator) {
 	t.Helper()
 	r, proxy, _ := newLBL(t, LBLPointPermute, valueSize)
 	data := map[string][]byte{}
@@ -43,7 +52,7 @@ func newAggRig(t *testing.T, n, valueSize int, cfg AggregatorConfig) (*rig, *LBL
 		data[fmt.Sprintf("key-%02d", i)] = v
 	}
 	loadData(t, r, proxy, data)
-	agg := NewAggregator(cfg, proxy)
+	agg := closeAt(NewAggregator(AggregatorConfig{Window: window}, proxy.Config().RequestBytesPerAccess(), proxy), trigger)
 	t.Cleanup(agg.Close)
 	return r, proxy, agg
 }
@@ -53,7 +62,7 @@ func newAggRig(t *testing.T, n, valueSize int, cfg AggregatorConfig) (*rig, *LBL
 // as one batch, and every session gets its own key's value back.
 func TestAggregatorCoalescesConcurrentSessions(t *testing.T) {
 	const n = 8
-	_, _, agg := newAggRig(t, n, 4, AggregatorConfig{Window: time.Hour, MaxBatch: n})
+	_, _, agg := newAggRig(t, n, 4, time.Hour, n)
 
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -84,7 +93,7 @@ func TestAggregatorCoalescesConcurrentSessions(t *testing.T) {
 // TestAggregatorTimerDispatch checks the time trigger: a window that
 // never fills still dispatches after Window.
 func TestAggregatorTimerDispatch(t *testing.T) {
-	_, _, agg := newAggRig(t, 4, 4, AggregatorConfig{Window: 2 * time.Millisecond, MaxBatch: 64})
+	_, _, agg := newAggRig(t, 4, 4, 2*time.Millisecond, 64)
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
@@ -113,8 +122,7 @@ func TestAggregatorWindowCloseRacesArrivals(t *testing.T) {
 	const sessions = 8
 	const rounds = 6
 	const valueSize = 4
-	_, _, agg := newAggRig(t, sessions, valueSize,
-		AggregatorConfig{Window: 200 * time.Microsecond, MaxBatch: 4})
+	_, _, agg := newAggRig(t, sessions, valueSize, 200*time.Microsecond, 4)
 
 	var wg sync.WaitGroup
 	for s := 0; s < sessions; s++ {
@@ -171,7 +179,7 @@ func (stubBatch) AccessBatchResults(_ context.Context, ops []BatchOp) ([]BatchRe
 // queued, and that the parked accesses still complete.
 func TestAggregatorBackpressure(t *testing.T) {
 	const budget = 4
-	agg := NewAggregator(AggregatorConfig{Window: time.Hour, MaxBatch: 100, MaxPending: budget}, stubBatch{})
+	agg := closeAt(NewAggregator(AggregatorConfig{Window: time.Hour, MaxPending: budget}, 1, stubBatch{}), 100)
 
 	var wg sync.WaitGroup
 	for i := 0; i < budget; i++ {
@@ -187,12 +195,7 @@ func TestAggregatorBackpressure(t *testing.T) {
 		}(i)
 	}
 	// The window is an hour long, so the budget stays full until Close.
-	for deadline := time.Now().Add(5 * time.Second); agg.Stats().Accesses < budget; {
-		if time.Now().After(deadline) {
-			t.Fatal("parked accesses never admitted")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	waitAdmitted(t, agg, budget)
 
 	if _, _, err := agg.Access(OpRead, "overflow", nil); !errors.Is(err, ErrAggregatorOverloaded) {
 		t.Fatalf("overflow access error = %v, want ErrAggregatorOverloaded", err)
@@ -215,7 +218,7 @@ func TestAggregatorBackpressure(t *testing.T) {
 // unaffected.
 func TestAggregatorErrorIsolation(t *testing.T) {
 	const n = 8
-	_, _, agg := newAggRig(t, n-2, 4, AggregatorConfig{Window: time.Hour, MaxBatch: n})
+	_, _, agg := newAggRig(t, n-2, 4, time.Hour, n)
 
 	errs := make([]error, n)
 	vals := make([][]byte, n)
@@ -285,8 +288,8 @@ func TestAccessBatchResultsPerOpErrors(t *testing.T) {
 	if res[4].Err == nil {
 		t.Error("op 4 (unknown op) succeeded, want error")
 	}
-	// Ops 3 and 5 hit the same key, so they ran in counter-ordered
-	// waves; the read in the later wave sees the write.
+	// Ops 3 and 5 hit the same key, so they ran as one chain, in input
+	// order; the read behind the write sees it.
 	if res[5].Err != nil || res[5].Value[0] != 7 {
 		t.Errorf("op 5 = %+v, want beta's new value", res[5])
 	}
@@ -295,13 +298,14 @@ func TestAccessBatchResultsPerOpErrors(t *testing.T) {
 // TestObliviousnessAggregatedWindow checks the aggregation security
 // argument at the adversary's boundary: the server's view of one
 // aggregated window of n concurrent single-key sessions is identical
-// to its view of a natural AccessBatch of n keys — and aggregated
-// read windows are indistinguishable from aggregated write windows.
+// to its view of a natural AccessBatch of the same keys — and aggregated
+// read windows are indistinguishable from aggregated write windows. The
+// chain row gives several sessions the same key: the window then carries
+// a chain, as the natural batch with the same duplicates does.
 func TestObliviousnessAggregatedWindow(t *testing.T) {
-	const n = 6
 	const valueSize = 8
 
-	observe := func(r *rig) (*[]exchange, *sync.Mutex) {
+	observe := func(r *rig) *[]exchange {
 		var mu sync.Mutex
 		seen := &[]exchange{}
 		r.server.SetObserver(func(msgType byte, reqLen, respLen int) {
@@ -309,7 +313,7 @@ func TestObliviousnessAggregatedWindow(t *testing.T) {
 			*seen = append(*seen, exchange{msgType, reqLen, respLen})
 			mu.Unlock()
 		})
-		return seen, &mu
+		return seen
 	}
 	sorted := func(seen []exchange) []exchange {
 		out := append([]exchange(nil), seen...)
@@ -317,69 +321,87 @@ func TestObliviousnessAggregatedWindow(t *testing.T) {
 		return out
 	}
 
-	aggregatedRun := func(t *testing.T, op Op) []exchange {
-		r, _, agg := newAggRig(t, n, valueSize, AggregatorConfig{Window: time.Hour, MaxBatch: n})
-		seen, _ := observe(r)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				var err error
-				if op == OpWrite {
-					v := make([]byte, valueSize)
-					v[0] = byte(i + 100)
-					_, _, err = agg.Access(OpWrite, fmt.Sprintf("key-%02d", i), v)
-				} else {
-					_, _, err = agg.Access(OpRead, fmt.Sprintf("key-%02d", i), nil)
+	for _, tc := range []struct {
+		name string
+		keys []int // the key each session accesses
+	}{
+		{"distinct", []int{0, 1, 2, 3, 4, 5}},
+		{"chain", []int{0, 1, 1, 2, 2, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := len(tc.keys)
+			aggregatedRun := func(t *testing.T, op Op) []exchange {
+				r, _, agg := newAggRig(t, n, valueSize, time.Hour, n)
+				seen := observe(r)
+				var wg sync.WaitGroup
+				for i, k := range tc.keys {
+					wg.Add(1)
+					go func(i, k int) {
+						defer wg.Done()
+						var err error
+						if op == OpWrite {
+							v := make([]byte, valueSize)
+							v[0] = byte(i + 100)
+							_, _, err = agg.Access(OpWrite, fmt.Sprintf("key-%02d", k), v)
+						} else {
+							_, _, err = agg.Access(OpRead, fmt.Sprintf("key-%02d", k), nil)
+						}
+						if err != nil {
+							t.Errorf("session %d: %v", i, err)
+						}
+					}(i, k)
 				}
-				if err != nil {
-					t.Errorf("session %d: %v", i, err)
+				wg.Wait()
+				if st := agg.Stats(); st.Batches != 1 {
+					t.Errorf("the %d sessions left in %d windows, want 1", n, st.Batches)
 				}
-			}(i)
-		}
-		wg.Wait()
-		return sorted(*seen)
+				return sorted(*seen)
+			}
+
+			naturalRun := func(t *testing.T) []exchange {
+				r, proxy, _ := newLBL(t, LBLPointPermute, valueSize)
+				data := map[string][]byte{}
+				for i := 0; i < n; i++ {
+					data[fmt.Sprintf("key-%02d", i)] = make([]byte, valueSize)
+				}
+				loadData(t, r, proxy, data)
+				seen := observe(r)
+				ops := make([]BatchOp, n)
+				for i, k := range tc.keys {
+					ops[i] = BatchOp{Op: OpRead, Key: fmt.Sprintf("key-%02d", k)}
+				}
+				if _, _, err := proxy.AccessBatch(ops); err != nil {
+					t.Fatal(err)
+				}
+				return sorted(*seen)
+			}
+
+			aggReads := aggregatedRun(t, OpRead)
+			aggWrites := aggregatedRun(t, OpWrite)
+			natural := naturalRun(t)
+			if len(natural) != 1 {
+				t.Fatalf("the natural batch crossed as %d exchanges, want 1", len(natural))
+			}
+
+			// Aggregated window vs natural batch of the same keys: identical.
+			assertIdenticalViews(t, aggReads, natural)
+			// Aggregated reads vs aggregated writes: identical.
+			assertIdenticalViews(t, aggReads, aggWrites)
+		})
 	}
-
-	naturalRun := func(t *testing.T) []exchange {
-		r, proxy, _ := newLBL(t, LBLPointPermute, valueSize)
-		data := map[string][]byte{}
-		for i := 0; i < n; i++ {
-			data[fmt.Sprintf("key-%02d", i)] = make([]byte, valueSize)
-		}
-		loadData(t, r, proxy, data)
-		seen, _ := observe(r)
-		ops := make([]BatchOp, n)
-		for i := range ops {
-			ops[i] = BatchOp{Op: OpRead, Key: fmt.Sprintf("key-%02d", i)}
-		}
-		if _, _, err := proxy.AccessBatch(ops); err != nil {
-			t.Fatal(err)
-		}
-		return sorted(*seen)
-	}
-
-	aggReads := aggregatedRun(t, OpRead)
-	aggWrites := aggregatedRun(t, OpWrite)
-	natural := naturalRun(t)
-
-	// Aggregated window vs natural batch of the same size: identical.
-	assertIdenticalViews(t, aggReads, natural)
-	// Aggregated reads vs aggregated writes: identical.
-	assertIdenticalViews(t, aggReads, aggWrites)
 }
 
 // TestAggregatorSlowlogWindowMetadata checks the slowlog attribution
 // fix: an aggregated access's entry names the window it rode
-// (window=N) and reports coalescing latency as its own window_wait
-// stage plus a batch_rpc stage — the wait is never folded into rpc.
+// (window=N) and reports coalescing latency as stages of its own —
+// key_wait, window_wait — beside batch_rpc: the waits are never folded
+// into rpc.
 // The aggregator holds no PRF, so its labels must carry no key material
 // at all — neither the text of a plaintext key's prefix nor its hex —
 // and point at the access through the trace id instead.
 func TestAggregatorSlowlogWindowMetadata(t *testing.T) {
 	const n = 4
-	_, _, agg := newAggRig(t, n, 4, AggregatorConfig{Window: time.Hour, MaxBatch: n})
+	_, _, agg := newAggRig(t, n, 4, time.Hour, n)
 	reg := obs.NewRegistry()
 	agg.Instrument(reg)
 	tr := reg.Tracer("proxy", 64)
@@ -424,14 +446,228 @@ func TestAggregatorSlowlogWindowMetadata(t *testing.T) {
 			stages[s.Name] = s.D
 			sum += s.D
 		}
-		if _, ok := stages["window_wait"]; !ok {
-			t.Fatalf("entry %q has no window_wait stage: %+v", e.Label, e.Stages)
-		}
-		if _, ok := stages["batch_rpc"]; !ok {
-			t.Fatalf("entry %q has no batch_rpc stage: %+v", e.Label, e.Stages)
+		for _, want := range []string{"key_wait", "window_wait", "batch_rpc"} {
+			if _, ok := stages[want]; !ok {
+				t.Fatalf("entry %q has no %s stage: %+v", e.Label, want, e.Stages)
+			}
 		}
 		if sum != e.Total {
 			t.Fatalf("entry %q stages sum to %v but total is %v: latency misattributed", e.Label, sum, e.Total)
+		}
+	}
+}
+
+// waitAdmitted returns once agg has admitted n accesses in all.
+func waitAdmitted(t *testing.T, agg *Aggregator, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); agg.Stats().Accesses < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("access %d never admitted", n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// admitAfter starts one access on its own goroutine and returns once the
+// aggregator has admitted it, so a test can fix the order accesses are
+// admitted in.
+func admitAfter(t *testing.T, agg *Aggregator, wg *sync.WaitGroup, op Op, key string, tag byte) {
+	t.Helper()
+	before := agg.Stats().Accesses
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var value []byte
+		if op == OpWrite {
+			value = []byte{tag, 0, 0, 0}
+		}
+		if _, _, err := agg.Access(op, key, value); err != nil {
+			t.Errorf("access %s %s: %v", op, key, err)
+		}
+	}()
+	waitAdmitted(t, agg, before+1)
+}
+
+// TestAggregatorHoldsBusyKey pins the per-key deferral: while a key's
+// round is in flight, accesses to it are held — no window carries them
+// to queue on the key's counter — and accesses to other keys leave
+// without waiting for it; when the round returns, everything held for
+// the key leaves together, past the byte budget, in the order it was
+// admitted.
+func TestAggregatorHoldsBusyKey(t *testing.T) {
+	backend := &gatedBackend{entered: make(chan struct{}, 8), gate: make(chan struct{}, 8)}
+	agg := closeAt(NewAggregator(AggregatorConfig{Window: time.Hour}, 1, backend), 1)
+	var wg sync.WaitGroup
+	admitAfter(t, agg, &wg, OpRead, "hot", 0)
+	<-backend.entered // round 1 holds "hot" in flight
+	admitAfter(t, agg, &wg, OpWrite, "hot", 1)
+	admitAfter(t, agg, &wg, OpWrite, "hot", 2)
+	admitAfter(t, agg, &wg, OpRead, "calm", 0)
+	<-backend.entered // "calm" left at once: it waits for no one's key
+	admitAfter(t, agg, &wg, OpWrite, "hot", 3)
+	if rounds := backend.roundKeys(); len(rounds) != 2 {
+		t.Fatalf("rounds while hot is in flight = %q, want [hot calm]: held accesses must not be sent", rounds)
+	}
+	backend.gate <- struct{}{} // round 1 returns; nothing says which of the two the token reaches first
+	backend.gate <- struct{}{}
+	<-backend.entered // the held chain
+	backend.gate <- struct{}{}
+	wg.Wait()
+	agg.Close()
+	want := []string{"hot", "calm", "hot=1 hot=2 hot=3"}
+	if rounds := backend.roundKeys(); fmt.Sprint(rounds) != fmt.Sprint(want) {
+		t.Errorf("rounds = %q, want %q", rounds, want)
+	}
+	if len(backend.shared) != 0 {
+		t.Errorf("keys %q were in two rounds at once", backend.shared)
+	}
+}
+
+// TestAggregatorNeverSharesAKey is the invariant behind the deferral,
+// under a workload where one key draws most of the traffic: no two
+// in-flight rounds ever carry the same key. A window that carries a key
+// several times must end that key's time in flight once — releasing it
+// per waiter un-marks the key again after its held chain has already
+// been sent, and the next window shares it.
+func TestAggregatorNeverSharesAKey(t *testing.T) {
+	backend := &gatedBackend{entered: make(chan struct{}, 1<<12)}
+	agg := closeAt(NewAggregator(AggregatorConfig{Window: 100 * time.Microsecond}, 1, backend), 2)
+	const sessions, rounds = 16, 40
+	var wg sync.WaitGroup
+	for s := 0; s < sessions; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				key := "hot"
+				if (s+r)%4 == 0 {
+					key = fmt.Sprintf("cold-%d", s)
+				}
+				if _, _, err := agg.Access(OpRead, key, nil); err != nil {
+					t.Errorf("session %d access %d: %v", s, r, err)
+					return
+				}
+				runtime.Gosched()
+			}
+		}(s)
+	}
+	wg.Wait()
+	agg.Close()
+	if len(backend.shared) != 0 {
+		t.Fatalf("%d times a key was in two rounds at once (first: %q)", len(backend.shared), backend.shared[0])
+	}
+	chained := 0
+	for _, ops := range backend.rounds {
+		hot := 0
+		for _, op := range ops {
+			if op.Key == "hot" {
+				hot++
+			}
+		}
+		if hot > 1 {
+			chained++
+		}
+	}
+	if chained == 0 {
+		t.Error("no round carried the hot key more than once: the workload never exercised a chain")
+	}
+}
+
+// TestAggregatorCloseAnswersHeld: Close returns only once every admitted
+// access has its answer — the open window's by the round Close sends,
+// those held for a key by the round that follows when the key comes
+// back.
+func TestAggregatorCloseAnswersHeld(t *testing.T) {
+	backend := &gatedBackend{entered: make(chan struct{}, 8), gate: make(chan struct{})}
+	agg := closeAt(NewAggregator(AggregatorConfig{Window: time.Hour}, 1, backend), 2)
+	var wg sync.WaitGroup
+	admitAfter(t, agg, &wg, OpRead, "hot", 0)
+	admitAfter(t, agg, &wg, OpRead, "warm", 0)
+	<-backend.entered // round 1: hot, warm
+	admitAfter(t, agg, &wg, OpWrite, "hot", 1)
+	admitAfter(t, agg, &wg, OpWrite, "hot", 2)
+	admitAfter(t, agg, &wg, OpRead, "calm", 0) // alone in the open window, an hour to wait
+
+	closed := make(chan struct{})
+	go func() {
+		agg.Close()
+		close(closed)
+	}()
+	<-backend.entered // Close sent the open window
+	select {
+	case <-closed:
+		t.Fatal("Close returned with accesses in flight and held")
+	case <-time.After(10 * time.Millisecond):
+	}
+	close(backend.gate)
+	<-closed
+	wg.Wait() // every access was answered without error
+	want := []string{"hot warm", "calm", "hot=1 hot=2"}
+	if rounds := backend.roundKeys(); fmt.Sprint(rounds) != fmt.Sprint(want) {
+		t.Errorf("rounds = %q, want %q", rounds, want)
+	}
+	if _, _, err := agg.Access(OpRead, "late", nil); !errors.Is(err, ErrAggregatorClosed) {
+		t.Errorf("post-close access error = %v, want ErrAggregatorClosed", err)
+	}
+}
+
+// TestAggregatorPendingBudgetIsItsOwn: the admission budget does not
+// shrink with the windows. With windows of one access, 32 concurrent
+// sessions — a quarter of them on one key, so held — are all admitted.
+func TestAggregatorPendingBudgetIsItsOwn(t *testing.T) {
+	if got := (AggregatorConfig{}).maxPending(); got != DefaultAggMaxPending {
+		t.Fatalf("default pending budget = %d, want DefaultAggMaxPending = %d", got, DefaultAggMaxPending)
+	}
+	backend := &gatedBackend{entered: make(chan struct{}, 64), gate: make(chan struct{})}
+	agg := closeAt(NewAggregator(AggregatorConfig{Window: time.Hour}, 1, backend), 1)
+	var wg sync.WaitGroup
+	for s := 0; s < 32; s++ {
+		key := "hot"
+		if s%4 != 0 {
+			key = fmt.Sprintf("key-%d", s)
+		}
+		admitAfter(t, agg, &wg, OpRead, key, 0)
+	}
+	close(backend.gate)
+	wg.Wait()
+	if st := agg.Stats(); st.Rejected != 0 || st.Accesses != 32 {
+		t.Errorf("stats = %+v, want 32 admitted and none rejected", st)
+	}
+}
+
+// TestAggregatorWindowClosesOnBytes pins the size trigger itself, which
+// every other test replaces through closeAt: with the timer an hour
+// away, a window leaves when it holds as many accesses as fit
+// aggWindowBytes at the request bytes one access costs, and an access
+// too large to share the budget leaves alone.
+func TestAggregatorWindowClosesOnBytes(t *testing.T) {
+	for _, tc := range []struct {
+		accessBytes int
+		want        []string
+	}{
+		{LBLConfig{ValueSize: 160, Mode: LBLPointPermute}.RequestBytesPerAccess(), []string{"a b", "c d"}},
+		{aggWindowBytes/4 + 1, []string{"a b c", "d"}},
+		{aggWindowBytes / 4, []string{"a b c d"}},
+		{2 * aggWindowBytes, []string{"a", "b", "c", "d"}},
+	} {
+		backend := &gatedBackend{entered: make(chan struct{}, 8)}
+		agg := NewAggregator(AggregatorConfig{Window: time.Hour}, tc.accessBytes, backend)
+		var wg sync.WaitGroup
+		for i, key := range []string{"a", "b", "c", "d"} {
+			admitAfter(t, agg, &wg, OpRead, key, 0)
+			// Rounds run on goroutines of their own: let a window that has
+			// just been sent reach the backend before the next can.
+			for deadline := time.Now().Add(5 * time.Second); len(backend.roundKeys()) < (i+1)/agg.fill; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d B an access: %d rounds after %d accesses", tc.accessBytes, len(backend.roundKeys()), i+1)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		agg.Close() // sends what the bytes left open
+		wg.Wait()
+		if rounds := backend.roundKeys(); fmt.Sprint(rounds) != fmt.Sprint(tc.want) {
+			t.Errorf("%d B an access: rounds = %q, want %q", tc.accessBytes, rounds, tc.want)
 		}
 	}
 }

@@ -101,31 +101,45 @@ func TestLBLBatchSingleRPC(t *testing.T) {
 }
 
 func TestLBLBatchDuplicateKeys(t *testing.T) {
-	// Duplicate keys must not share a counter value: occurrences are
-	// issued in waves, each a separate RPC, and read-after-write
-	// ordering within the batch holds per key.
-	r, proxy, _ := newLBL(t, LBLSpaceOpt, 2)
-	loadData(t, r, proxy, map[string][]byte{"dup": {1, 1}, "other": {9, 9}})
-	ops := []BatchOp{
-		{Op: OpRead, Key: "dup"},
-		{Op: OpWrite, Key: "dup", Value: []byte{2, 2}},
-		{Op: OpRead, Key: "dup"},
-		{Op: OpRead, Key: "other"},
-	}
-	before := r.client.Stats().Calls
-	values, _, err := proxy.AccessBatch(ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 occurrences of "dup" → 3 waves → 3 RPCs ("other" rides wave 0).
-	if got := r.client.Stats().Calls - before; got != 3 {
-		t.Errorf("batch with triplicate key made %d RPCs, want 3", got)
-	}
-	want := [][]byte{{1, 1}, {2, 2}, {2, 2}, {9, 9}}
-	for i := range want {
-		if !bytes.Equal(values[i], want[i]) {
-			t.Errorf("op %d value = %v, want %v", i, values[i], want[i])
-		}
+	// A key named more than once travels as one chain: its accesses are
+	// keyed at consecutive counters, applied in input order inside the
+	// one round trip, and each is answered from its own label block — so
+	// the read behind the write returns the written value — in every
+	// variant (point-and-permute carries its decryption bits through the
+	// chain).
+	for _, mode := range allLBLModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			r, proxy, srv := newLBL(t, mode, 2)
+			loadData(t, r, proxy, map[string][]byte{"dup": {1, 1}, "other": {9, 9}})
+			ops := []BatchOp{
+				{Op: OpRead, Key: "dup"},
+				{Op: OpWrite, Key: "dup", Value: []byte{2, 2}},
+				{Op: OpRead, Key: "dup"},
+				{Op: OpRead, Key: "other"},
+			}
+			before := r.client.Stats().Calls
+			values, _, err := proxy.AccessBatch(ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.client.Stats().Calls - before; got != 1 {
+				t.Errorf("batch with a triplicate key made %d RPCs, want 1", got)
+			}
+			want := [][]byte{{1, 1}, {2, 2}, {2, 2}, {9, 9}}
+			for i := range want {
+				if !bytes.Equal(values[i], want[i]) {
+					t.Errorf("op %d value = %v, want %v", i, values[i], want[i])
+				}
+			}
+			if got := srv.Ops(); got != 4 {
+				t.Errorf("server counted %d accesses, want 4", got)
+			}
+			// The counter committed all three steps: the key is still in step.
+			got, _, err := proxy.Access(OpRead, "dup", nil)
+			if err != nil || !bytes.Equal(got, []byte{2, 2}) {
+				t.Errorf("read after the chain = %v, %v", got, err)
+			}
+		})
 	}
 }
 

@@ -26,11 +26,15 @@ type counterShard struct {
 type counterEntry struct {
 	mu sync.Mutex
 	ct uint64
-	// pending records that a round keyed at counter ct has an unknown
-	// outcome (the transport failed ambiguously). The next access to
-	// the key must settle it — with a probe at ct, pending.go — before
-	// ct can be trusted again. Guarded by mu.
-	pending bool
+	// pending, when positive, records that a round whose chain for this
+	// key was pending accesses long, keyed at counters ct … ct+pending-1,
+	// has an unknown outcome (the transport failed ambiguously). The next
+	// access to the key must settle it — with a probe at ct, pending.go —
+	// before ct can be trusted again. probed records that such a probe
+	// failed ambiguously itself and may have run, which matters to a chain
+	// longer than one; it is never set while pending is 0. Guarded by mu.
+	pending int
+	probed  bool
 }
 
 func newCounterTable() *counterTable {
@@ -189,7 +193,7 @@ func (t *counterTable) load(r io.Reader) error {
 	for _, e := range parsed {
 		ent := t.acquire(e.key)
 		ent.ct = e.ct
-		ent.pending = false // a restored counter supersedes any ambiguous round
+		ent.pending, ent.probed = 0, false // a restored counter supersedes any ambiguous round
 		ent.mu.Unlock()
 	}
 	return nil

@@ -44,9 +44,11 @@ func seededLBLServer(tb testing.TB) (*LBLServer, []byte) {
 // (each little-endian byte pair is the next frame's length; what is
 // left after the last cut is the final frame). Whatever arrives — frames
 // reordered, duplicated, short, oversize, or extra, geometry changing
-// mid-request, an early end, a continuation with no head — the handler
-// must not panic, and may change a record only for a key whose slot it
-// answered slotOK in a request it accepted whole.
+// mid-request, an early end, a continuation with no head, a key repeated
+// next to itself (a chain) or apart — the handler must not panic, may
+// change a record only for a key whose slot it answered slotOK in a
+// request it accepted whole, and answers every slot slotOK that it
+// counts as an access served.
 func FuzzLBLServerPayload(f *testing.F) {
 	cfg := LBLConfig{ValueSize: 4, Mode: LBLPointPermute, StreamChunkBytes: 256}
 	proxy, err := NewLBLProxy(cfg, prf.NewRandom(), nil)
@@ -107,6 +109,20 @@ func FuzzLBLServerPayload(f *testing.F) {
 	seed(v1)                                                                // another entry format
 	seed(frames[:last]...)                                                  // early end
 	seed(frames[1:]...)                                                     // continuation with no head
+	// A repeated key: a chain of three and a bystander, cut and whole; the
+	// chain with its middle member keyed wrong; the key repeated with the
+	// bystander in between, which is no chain.
+	chained := func(counters ...uint64) [][]byte {
+		chain := []tableSpec{proxy.spec(OpRead, "a", nil, counters[0]), proxy.spec(OpWrite, "a", []byte{9, 9, 9, 9}, counters[1]),
+			proxy.spec(OpRead, "a", nil, counters[2]), specs[1]}
+		frames, _ := builtFrames(f, proxy, chain)
+		return frames
+	}
+	seed(chained(0, 1, 2)...)
+	seed(bytes.Join(chained(0, 1, 2), nil))
+	seed(chained(0, 5, 2)...)
+	apart, _ := builtFrames(f, proxy, []tableSpec{specs[0], specs[1], proxy.spec(OpRead, "a", nil, 1)})
+	seed(bytes.Join(apart, nil))
 	f.Add([]byte{}, []byte{})
 	f.Add(make([]byte, 17), []byte{1, 0})
 
@@ -129,7 +145,8 @@ func FuzzLBLServerPayload(f *testing.F) {
 				return sequence[i], i < len(sequence)-1, nil
 			}
 		}
-		resp, err := NewLBLServer(store).access(context.Background(), sequence[0], next)
+		srv := NewLBLServer(store)
+		resp, err := srv.access(context.Background(), sequence[0], next)
 		changed := 0
 		for ek, rec := range records {
 			if now, _ := store.Get(ek); !bytes.Equal(now, rec) {
@@ -142,18 +159,20 @@ func FuzzLBLServerPayload(f *testing.F) {
 				installed++
 			}
 		}
-		if changed != installed {
-			t.Fatalf("%d records changed, %d slots answered slotOK (err %v)", changed, installed, err)
+		// A chain answers several slots for one record.
+		if changed > installed || (changed == 0) != (installed == 0) || srv.Ops() != int64(installed) {
+			t.Fatalf("%d records changed, %d slots answered slotOK, %d accesses counted (err %v)", changed, installed, srv.Ops(), err)
 		}
 	})
 }
 
 // FuzzLBLProxyResponse plays a tampering server against the proxy's
 // response handling — the slot parser in round and the label check in
-// recoverRange: the honest response to a real request is XORed with
-// mask and grown or shrunk by resize bytes before the proxy sees it.
-// Anything but the honest response must fail closed — ErrTampered
-// unless the status byte became a well-formed rejection — and must
+// recoverRange: the honest response to a real request, a chain of two
+// reads of one key, is XORed with mask and grown or shrunk by resize
+// bytes before the proxy sees it. Anything but the honest response must
+// fail closed, for both accesses, wherever the damage is — ErrTampered
+// unless the status bytes became one well-formed rejection — and must
 // never advance the key's counter; no input may panic.
 func FuzzLBLProxyResponse(f *testing.F) {
 	cfg := LBLConfig{ValueSize: 4, Mode: LBLPointPermute}
@@ -166,6 +185,10 @@ func FuzzLBLProxyResponse(f *testing.F) {
 	f.Add([]byte{}, int16(slotLen))                      // a slot too many
 	f.Add([]byte{}, int16(-slotLen))                     // empty response
 	f.Add(bytes.Repeat([]byte{0xFF}, slotLen), int16(0)) // everything flipped
+	// The chain's second slot alone: its status, then one label bit.
+	f.Add(append(make([]byte, slotLen), slotStale), int16(0))
+	f.Add(append(make([]byte, slotLen), 0, 1), int16(0))
+	f.Add(append(append([]byte{slotStale}, make([]byte, slotLen-1)...), slotStale), int16(0)) // one rejection, twice
 
 	r := &rig{store: kvstore.New(), server: transport.NewServer()}
 	l := netsim.Listen(netsim.Loopback)
@@ -211,22 +234,25 @@ func FuzzLBLProxyResponse(f *testing.F) {
 			t.Fatal(err)
 		}
 		r.store.Put(ek, rec) //nolint:errcheck // no WAL attached
-		got, _, err := proxy.Access(OpRead, "k", nil)
+		results, _ := proxy.AccessBatchResults(context.Background(), []BatchOp{{Op: OpRead, Key: "k"}, {Op: OpRead, Key: "k"}})
 		entry := proxy.counters.acquire("k")
 		ct := entry.ct
 		entry.mu.Unlock()
-		if honest {
-			if err != nil || !bytes.Equal(got, []byte{1, 2, 3, 4}) || ct != 1 {
-				t.Fatalf("honest response: value %v, err %v, counter %d", got, err, ct)
+		for i, res := range results {
+			got, err := res.Value, res.Err
+			if honest {
+				if err != nil || !bytes.Equal(got, []byte{1, 2, 3, 4}) || ct != 2 {
+					t.Fatalf("honest response, access %d: value %v, err %v, counter %d", i, got, err, ct)
+				}
+				continue
 			}
-			return
-		}
-		var rejected *transport.RemoteError
-		if err == nil || !errors.Is(err, ErrTampered) && !errors.As(err, &rejected) {
-			t.Fatalf("tampered response accepted or misreported: value %v, err %v", got, err)
-		}
-		if ct != 0 {
-			t.Fatalf("tampered response advanced the counter to %d", ct)
+			var rejected *transport.RemoteError
+			if err == nil || got != nil || !errors.Is(err, ErrTampered) && !errors.As(err, &rejected) {
+				t.Fatalf("tampered response accepted or misreported, access %d: value %v, err %v", i, got, err)
+			}
+			if ct != 0 {
+				t.Fatalf("tampered response advanced the counter to %d", ct)
+			}
 		}
 	})
 }

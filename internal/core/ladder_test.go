@@ -38,7 +38,7 @@ func TestAggregatedRoundAdoptsFencedRange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	agg := NewAggregator(AggregatorConfig{Window: time.Hour, MaxBatch: n}, a)
+	agg := closeAt(NewAggregator(AggregatorConfig{Window: time.Hour}, 1, a), n)
 	t.Cleanup(agg.Close)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -59,62 +59,93 @@ func TestAggregatedRoundAdoptsFencedRange(t *testing.T) {
 // TestBatchReconcilesDesyncedKey: one key of a batch is two counters
 // ahead of the server's record. With ReconcileScan the round rebases
 // that key and answers it; its batch mates are answered by the first
-// lap and never fail.
+// lap and never fail. The chain row accesses the desynchronized key
+// three times in the batch: the stale chain costs one reconcile, on its
+// head, and its members re-key from the rebased counter.
 func TestBatchReconcilesDesyncedKey(t *testing.T) {
-	r, proxy := newLBLReconcile(t, LBLPointPermute, 8, prf.NewRandom())
-	loadData(t, r, proxy, map[string][]byte{"a": {1, 1, 1, 1}, "b": {2, 2, 2, 2}, "c": {3, 3, 3, 3}})
-	old := serverRecord(t, r, proxy, "b")
-	mustWrite(t, proxy, "b", []byte{7, 7, 7, 7})
-	mustWrite(t, proxy, "b", []byte{8, 8, 8, 8})
-	regressServer(t, r, proxy, "b", old) // server back at counter 0, proxy at 2
+	for _, tc := range []struct {
+		name string
+		ops  []BatchOp
+		want [][]byte
+	}{
+		{"single", []BatchOp{{Op: OpRead, Key: "a"}, {Op: OpRead, Key: "b"}, {Op: OpRead, Key: "c"}},
+			[][]byte{{1, 1, 1, 1}, {2, 2, 2, 2}, {3, 3, 3, 3}}},
+		{"chain", []BatchOp{{Op: OpRead, Key: "a"}, {Op: OpRead, Key: "b"}, {Op: OpWrite, Key: "b", Value: []byte{9, 9, 9, 9}}, {Op: OpRead, Key: "b"}, {Op: OpRead, Key: "c"}},
+			[][]byte{{1, 1, 1, 1}, {2, 2, 2, 2}, {9, 9, 9, 9}, {9, 9, 9, 9}, {3, 3, 3, 3}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, proxy := newLBLReconcile(t, LBLPointPermute, 8, prf.NewRandom())
+			reg := obs.NewRegistry()
+			proxy.Instrument(reg)
+			loadData(t, r, proxy, map[string][]byte{"a": {1, 1, 1, 1}, "b": {2, 2, 2, 2}, "c": {3, 3, 3, 3}})
+			old := serverRecord(t, r, proxy, "b")
+			mustWrite(t, proxy, "b", []byte{7, 7, 7, 7})
+			mustWrite(t, proxy, "b", []byte{8, 8, 8, 8})
+			regressServer(t, r, proxy, "b", old) // server back at counter 0, proxy at 2
 
-	values, _, err := proxy.AccessBatch([]BatchOp{{Op: OpRead, Key: "a"}, {Op: OpRead, Key: "b"}, {Op: OpRead, Key: "c"}})
-	if err != nil {
-		t.Fatalf("batch with one desynced key: %v", err)
-	}
-	for i, want := range [][]byte{{1, 1, 1, 1}, {2, 2, 2, 2}, {3, 3, 3, 3}} {
-		if !bytes.Equal(values[i], want) {
-			t.Errorf("value %d = %v, want %v", i, values[i], want)
-		}
+			values, _, err := proxy.AccessBatch(tc.ops)
+			if err != nil {
+				t.Fatalf("batch with one desynced key: %v", err)
+			}
+			for i, want := range tc.want {
+				if !bytes.Equal(values[i], want) {
+					t.Errorf("value %d = %v, want %v", i, values[i], want)
+				}
+			}
+			if got := reg.Value("ortoa_lbl_reconciled_keys_total"); got != 1 {
+				t.Errorf("%d reconciliations, want 1 for the one desynchronized key", got)
+			}
+		})
 	}
 }
 
 // TestLadderLapsBounded: a peer that re-claims the range every time
 // this proxy claims it keeps every retry fenced. The round must give up
 // after recoveryAllowance claims and surface the fence — for that key
-// only.
+// only, and once per chain however many of the round's accesses name
+// the key.
 func TestLadderLapsBounded(t *testing.T) {
-	r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute, ReconcileScan: 8, AutoAdopt: true})
-	a, b := peers[0], peers[1]
-	contested, calm := "key-00", "key-01"
-	for RangeOf(calm) == RangeOf(contested) {
-		calm += "x"
-	}
-	loadData(t, r, a, map[string][]byte{contested: {1, 1, 1, 1}, calm: {2, 2, 2, 2}})
-	if _, err := b.ClaimRange(RangeOf(contested)); err != nil {
-		t.Fatal(err)
-	}
-	var claims atomic.Int64
-	var reclaiming atomic.Bool
-	r.server.SetObserver(func(msgType byte, _, _ int) {
-		// Every claim a makes is answered — before a hears back — by b
-		// taking the range again. b's own claim passes through here too,
-		// nested inside a's, and is let through.
-		if msgType == MsgEpochClaim && reclaiming.CompareAndSwap(false, true) {
-			claims.Add(1)
-			b.ClaimRange(RangeOf(contested)) //nolint:errcheck
-			reclaiming.Store(false)
-		}
-	})
-	results, _ := a.AccessBatchResults(context.Background(), []BatchOp{{Op: OpRead, Key: contested}, {Op: OpRead, Key: calm}})
-	if !isFencedRound(results[0].Err) {
-		t.Errorf("contested key: %v, want the fence to surface once the allowance is spent", results[0].Err)
-	}
-	if results[1].Err != nil || !bytes.Equal(results[1].Value, []byte{2, 2, 2, 2}) {
-		t.Errorf("calm key: %v, %v", results[1].Value, results[1].Err)
-	}
-	if got := claims.Load(); got != recoveryAllowance {
-		t.Errorf("proxy claimed the range %d times, want recoveryAllowance = %d", got, recoveryAllowance)
+	for _, k := range []int{1, 3} {
+		t.Run(fmt.Sprintf("chain=%d", k), func(t *testing.T) {
+			r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute, ReconcileScan: 8, AutoAdopt: true})
+			a, b := peers[0], peers[1]
+			contested, calm := "key-00", "key-01"
+			for RangeOf(calm) == RangeOf(contested) {
+				calm += "x"
+			}
+			loadData(t, r, a, map[string][]byte{contested: {1, 1, 1, 1}, calm: {2, 2, 2, 2}})
+			if _, err := b.ClaimRange(RangeOf(contested)); err != nil {
+				t.Fatal(err)
+			}
+			var claims atomic.Int64
+			var reclaiming atomic.Bool
+			r.server.SetObserver(func(msgType byte, _, _ int) {
+				// Every claim a makes is answered — before a hears back — by b
+				// taking the range again. b's own claim passes through here too,
+				// nested inside a's, and is let through.
+				if msgType == MsgEpochClaim && reclaiming.CompareAndSwap(false, true) {
+					claims.Add(1)
+					b.ClaimRange(RangeOf(contested)) //nolint:errcheck
+					reclaiming.Store(false)
+				}
+			})
+			ops := []BatchOp{{Op: OpRead, Key: calm}}
+			for i := 0; i < k; i++ {
+				ops = append(ops, BatchOp{Op: OpRead, Key: contested})
+			}
+			results, _ := a.AccessBatchResults(context.Background(), ops)
+			if results[0].Err != nil || !bytes.Equal(results[0].Value, []byte{2, 2, 2, 2}) {
+				t.Errorf("calm key: %v, %v", results[0].Value, results[0].Err)
+			}
+			for i := 1; i <= k; i++ {
+				if !isFencedRound(results[i].Err) {
+					t.Errorf("contested access %d: %v, want the fence to surface once the allowance is spent", i, results[i].Err)
+				}
+			}
+			if got := claims.Load(); got != recoveryAllowance {
+				t.Errorf("proxy claimed the range %d times, want recoveryAllowance = %d", got, recoveryAllowance)
+			}
+		})
 	}
 }
 
@@ -156,7 +187,7 @@ func TestEntryFormatMismatchIsDefinite(t *testing.T) {
 		t.Errorf("proxy sent %d reconcile probes and parked %d rounds, want 0 and 0", probes, parked)
 	}
 	entry := proxy.counters.acquire("k")
-	if entry.pending || entry.ct != 0 {
+	if entry.pending != 0 || entry.ct != 0 {
 		t.Errorf("counter entry after the rejection: ct %d, pending %v", entry.ct, entry.pending)
 	}
 	entry.mu.Unlock()

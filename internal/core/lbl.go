@@ -426,17 +426,17 @@ func (p *LBLProxy) AccessContext(ctx context.Context, op Op, key string, newValu
 	return accs[0].value, stats, accs[0].err
 }
 
-// AccessBatch performs many oblivious accesses in (normally) one round
-// trip: one round acquires every key's counter, builds all encryption
-// tables, sends them as one request, and recovers every value from the
-// one response (§5.2 amortized; see DESIGN.md).
+// AccessBatch performs many oblivious accesses in one round trip: one
+// round acquires every key's counter, builds all encryption tables,
+// sends them as one request, and recovers every value from the one
+// response (§5.2 amortized; see DESIGN.md).
 //
 // Results are returned in input order; reads yield the stored value,
-// writes echo the written value. Two cases need more than one round:
-// batches past the per-round key cap are split, and accesses to a key
-// that appears more than once are issued in occurrence-order waves,
-// because a key's label schedule is counter-indexed and its accesses
-// must not share a counter value.
+// writes echo the written value. A key may appear more than once: its
+// accesses travel as one chain, keyed at consecutive counter values and
+// applied by the server in input order, so a read after a write to the
+// same key returns the written value — still within the one round trip.
+// Only batches past the per-round key cap are split into several rounds.
 //
 // On a per-key failure (e.g. an unloaded key), the remaining accesses
 // still complete — their values are set and their counters committed —
@@ -478,56 +478,90 @@ type BatchResult struct {
 func (p *LBLProxy) AccessBatchResults(ctx context.Context, ops []BatchOp) ([]BatchResult, AccessStats) {
 	var stats AccessStats
 	results := make([]BatchResult, len(ops))
-	// Wave w holds the w-th occurrence of each key, so duplicate keys
-	// never share a round (their counters must advance between them).
-	occurrence := make(map[string]int, len(ops))
-	var waves [][]int
+	order := make([]int, 0, len(ops))
 	for i := range ops {
 		if err := p.check(&ops[i]); err != nil {
 			results[i].Err = fmt.Errorf("batch op %d (%q): %w", i, ops[i].Key, err)
 			continue
 		}
-		w := occurrence[ops[i].Key]
-		occurrence[ops[i].Key] = w + 1
-		if w == len(waves) {
-			waves = append(waves, nil)
-		}
-		waves[w] = append(waves[w], i)
+		order = append(order, i)
 	}
+	// Deterministic lock order: counters are acquired in sorted key
+	// order, so concurrent rounds cannot deadlock. The sort is stable, so
+	// a key's accesses stay in input order — the order its chain applies.
+	sort.SliceStable(order, func(a, b int) bool { return ops[order[a]].Key < ops[order[b]].Key })
 	perRound := p.cfg.roundKeys()
-	for _, wave := range waves {
-		// Deterministic lock order: counters are acquired in sorted key
-		// order, so concurrent rounds cannot deadlock.
-		sort.Slice(wave, func(a, b int) bool { return ops[wave[a]].Key < ops[wave[b]].Key })
-		for len(wave) > 0 {
-			idxs := wave[:min(perRound, len(wave))]
-			wave = wave[len(idxs):]
-			accs := make([]roundAccess, len(idxs))
-			for j, i := range idxs {
-				accs[j].BatchOp = ops[i]
-			}
-			st := p.round(ctx, accs)
-			stats.PrepBytes += st.PrepBytes
-			stats.RespBytes += st.RespBytes
-			for j, i := range idxs {
-				results[i] = BatchResult{Value: accs[j].value, Err: accs[j].err}
-			}
+	for len(order) > 0 {
+		idxs := order[:min(perRound, len(order))]
+		order = order[len(idxs):]
+		accs := make([]roundAccess, len(idxs))
+		for j, i := range idxs {
+			accs[j].BatchOp = ops[i]
+		}
+		st := p.round(ctx, accs)
+		stats.PrepBytes += st.PrepBytes
+		stats.RespBytes += st.RespBytes
+		for j, i := range idxs {
+			results[i] = BatchResult{Value: accs[j].value, Err: accs[j].err}
 		}
 	}
 	return results, stats
 }
 
-// A roundAccess is one key's access on its way through a round.
+// A roundAccess is one access on its way through a round.
 type roundAccess struct {
 	BatchOp
-	entry *counterEntry
 	value []byte // the outcome: the recovered value,
 	err   error  // or why there is none
-	// Laps of the recovery ladder this access has climbed.
+}
+
+// A keyChain is a round's accesses to one key, in the order they apply.
+// They share the key's counter entry and its lock, are keyed at
+// consecutive counter values — the table at counter c maps the labels at
+// c to the labels at c+1 whatever the value is (§5.2), so the proxy can
+// build the k-th before the first has run — and the server installs them
+// all or none (lblserver.go). The chain is therefore the unit of
+// everything that follows a round: one commit of len(accs) counter
+// steps, one parked outcome, one climb of the recovery ladder.
+type keyChain struct {
+	accs  []roundAccess
+	entry *counterEntry
+	first int // the head's spec and response slot in the current lap
+	// What the last lap's response said: the rejection every slot of the
+	// chain carried, if it was one, for the ladder to answer, and the
+	// error the chain fails with if it cannot — the rejection's, or
+	// ErrTampered's with status left slotOK, nil when every value
+	// recovered.
+	status byte
+	err    error
+	// Laps of the recovery ladder this chain has climbed.
 	claimed, reconciled int
 }
 
-// recoveryAllowance bounds each recovery transition per access. The
+func (c *keyChain) key() string { return c.accs[0].Key }
+
+func (c *keyChain) fail(err error) {
+	for i := range c.accs {
+		c.accs[i].value, c.accs[i].err = nil, err
+	}
+}
+
+// chainsOf cuts accs, in which a key's accesses sit next to each other,
+// into one chain per key.
+func chainsOf(accs []roundAccess) []keyChain {
+	chains := make([]keyChain, 0, len(accs))
+	for i := 0; i < len(accs); {
+		j := i + 1
+		for j < len(accs) && accs[j].Key == accs[i].Key {
+			j++
+		}
+		chains = append(chains, keyChain{accs: accs[i:j]})
+		i = j
+	}
+	return chains
+}
+
+// recoveryAllowance bounds each recovery transition per chain. The
 // transitions may chain: an adoption (fence → claim) typically exposes
 // a desynchronized counter on its retry (the adopter starts from a
 // stale or empty snapshot), which reconciliation then rebases. The
@@ -537,45 +571,50 @@ type roundAccess struct {
 const recoveryAllowance = 3
 
 // round is the one LBL access procedure (§5.2, Fig 1), for k ≥ 1
-// distinct keys in sorted order: acquire their counters, settle rounds
-// parked on them, then build, send, and judge each key's outcome —
-// recover and commit on success, climb the recovery ladder and go
-// around again on a fence or staleness rejection the configuration lets
-// it repair, fail otherwise. Outcomes land in accs; one key's failure
-// never fails its round mates.
+// accesses in sorted key order, a key's accesses next to each other in
+// the order they apply: acquire each key's counter, settle rounds parked
+// on it, then build, send, and judge each key's chain — recover and
+// commit on success, climb the recovery ladder and go around again on a
+// fence or staleness rejection the configuration lets it repair, fail
+// otherwise. Outcomes land in accs; one key's failure never fails its
+// round mates.
 func (p *LBLProxy) round(ctx context.Context, accs []roundAccess) AccessStats {
 	var stats AccessStats
 	clk, ctx := p.start(ctx, "lbl_access")
 
 	// Per-key serialization: the label schedule is counter-indexed,
-	// so a key's accesses must not interleave (see counterTable).
+	// so a key's rounds must not interleave (see counterTable).
 	clk.Enter(lblAcquire)
-	live := make([]*roundAccess, 0, len(accs))
+	chains := chainsOf(accs)
+	live := make([]*keyChain, 0, len(chains))
 	defer func() {
-		for i := range accs {
-			accs[i].entry.mu.Unlock()
+		for i := range chains {
+			chains[i].entry.mu.Unlock()
 		}
 	}()
-	for i := range accs {
-		accs[i].entry = p.counters.acquire(accs[i].Key)
+	for i := range chains {
+		chains[i].entry = p.counters.acquire(chains[i].key())
 	}
-	for i := range accs {
-		a := &accs[i]
+	members := 0
+	for i := range chains {
+		c := &chains[i]
 		// A previous round for this key failed ambiguously; settle it
 		// (see pending.go) before building a table at a counter value
 		// that may already be stale.
-		if a.entry.pending {
-			if a.err = p.resolvePending(a.Key, a.entry); a.err != nil {
+		if c.entry.pending > 0 {
+			if err := p.resolvePending(c.key(), c.entry); err != nil {
+				c.fail(err)
 				continue
 			}
 		}
-		live = append(live, a)
+		live = append(live, c)
+		members += len(c.accs)
 	}
 	p.mx.keys.Add(int64(len(accs)))
 
-	specs := make([]tableSpec, 0, len(live))
+	specs := make([]tableSpec, 0, members)
 	per := p.cfg.scheduleBytes()
-	sched := p.schedules.get(len(live) * per)
+	sched := p.schedules.get(members * per)
 	defer p.schedules.put(sched)
 	for len(live) > 0 {
 		// Dead callers get no table: garbling is the proxy's most
@@ -588,19 +627,23 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess) AccessStats {
 			break
 		}
 		specs = specs[:0]
-		for i, a := range live {
-			specs = append(specs, tableSpec{a.Op, a.Key, a.Value, a.entry.ct, sched[i*per : (i+1)*per]})
+		for _, c := range live {
+			c.first = len(specs)
+			for j := range c.accs {
+				a, i := &c.accs[j], len(specs)
+				specs = append(specs, tableSpec{a.Op, a.Key, a.Value, c.entry.ct + uint64(j), sched[i*per : (i+1)*per]})
+			}
 		}
 		resp, sent, err := p.exchange(ctx, &clk, specs)
 		stats.PrepBytes += sent
 		stats.RespBytes += len(resp)
 		if err != nil {
 			if transport.Ambiguous(err) {
-				// The round may have executed; park it on every key so
-				// each key's next access settles the outcome before
-				// trusting the counter.
-				for _, a := range live {
-					a.entry.pending = true
+				// The round may have executed; park it on every key, with
+				// its chain's length, so each key's next access settles the
+				// outcome before trusting the counter.
+				for _, c := range live {
+					c.entry.pending = len(c.accs)
 				}
 				p.mx.pendingSaved.Add(int64(len(live)))
 			}
@@ -611,22 +654,23 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess) AccessStats {
 		clk.Enter(lblRecover)
 		slotLen := p.cfg.ResponseBytesPerAccess()
 		outer, inner := fanOut(len(live), p.cfg.Groups(), minGroupsPerRecoverWorker)
-		ForEach(len(live), outer, func(i int) error { //nolint:errcheck // outcomes land per access
-			a, slot := live[i], resp[i*slotLen:(i+1)*slotLen]
-			if a.err = slotError(slot[0]); a.err == nil {
-				a.value, a.err = p.recoverWorkers(a.Op, a.Value, specs[i].news, slot[1:], inner)
-			}
+		ForEach(len(live), outer, func(i int) error { //nolint:errcheck // outcomes land per chain
+			c := live[i]
+			p.recoverChain(c, specs[c.first:], resp[c.first*slotLen:], inner)
 			return nil
 		})
 		clk.Leave() // ladder time belongs to no stage
 
 		retry := live[:0]
-		for i, a := range live {
-			if a.err == nil {
-				a.entry.ct++ // commit the counter only after a successful round
-			} else if p.climb(a, resp[i*slotLen]) {
-				a.err = nil
-				retry = append(retry, a)
+		for _, c := range live {
+			switch {
+			case c.err == nil:
+				// Commit the counter only after a successful round.
+				c.entry.ct += uint64(len(c.accs))
+			case p.climb(c):
+				retry = append(retry, c)
+			default:
+				c.fail(c.err)
 			}
 		}
 		live = retry
@@ -644,36 +688,67 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess) AccessStats {
 	return stats
 }
 
-func failAll(live []*roundAccess, err error) {
-	for _, a := range live {
-		a.err = err
+func failAll(live []*keyChain, err error) {
+	for _, c := range live {
+		c.fail(err)
 	}
 }
 
-// climb takes one step of the recovery ladder for an access the server
-// rejected with status, reporting whether the access should go around
-// again: a fence is answered by claiming the range, staleness by
-// re-locating the server's counter, each at most recoveryAllowance
-// times per access.
-func (p *LBLProxy) climb(a *roundAccess, status byte) bool {
+// errChainSplit rejects a response whose slots for one chain disagree:
+// the server installs a chain whole or not at all, so it answers every
+// member with one status.
+var errChainSplit = fmt.Errorf("%w: response slots of one key's chain carry different statuses", ErrTampered)
+
+// recoverChain reads c's outcome out of slots, its members' response
+// slots in order, against specs, their table specs. A chain succeeds as
+// a whole — every slot slotOK and every member's value recovered, each
+// from its own label block, so a read behind a write decodes the written
+// value — or fails as a whole, leaving c.status and c.err for the ladder.
+func (p *LBLProxy) recoverChain(c *keyChain, specs []tableSpec, slots []byte, workers int) {
+	slotLen := p.cfg.ResponseBytesPerAccess()
+	c.status, c.err = slotOK, nil
+	for j := range c.accs {
+		if slots[j*slotLen] != slots[0] {
+			c.err = errChainSplit
+			return
+		}
+	}
+	if slots[0] != slotOK {
+		c.status, c.err = slots[0], slotError(slots[0])
+		return
+	}
+	for j := range c.accs {
+		a := &c.accs[j]
+		if a.value, c.err = p.recoverWorkers(a.Op, a.Value, specs[j].news, slots[j*slotLen+1:(j+1)*slotLen], workers); c.err != nil {
+			return
+		}
+	}
+}
+
+// climb takes one step of the recovery ladder for a chain the server
+// rejected, reporting whether the chain should go around again: a fence
+// is answered by claiming the range, staleness by re-locating the
+// server's counter — once for the chain, whose members re-key from the
+// rebased counter — each at most recoveryAllowance times per chain.
+func (p *LBLProxy) climb(c *keyChain) bool {
 	switch {
-	case status == slotFenced && p.cfg.AutoAdopt && a.claimed < recoveryAllowance:
+	case c.status == slotFenced && p.cfg.AutoAdopt && c.claimed < recoveryAllowance:
 		// The range's epoch moved past ours: we are being handed
 		// ownership (or re-learning it after a restart). Claim the
 		// range — fencing out every older owner — and retry at the
 		// granted epoch.
-		a.claimed++
+		c.claimed++
 		p.mx.fencedRounds.Inc()
-		_, err := p.ClaimRange(RangeOf(a.Key))
+		_, err := p.ClaimRange(RangeOf(c.key()))
 		return err == nil
-	case status == slotStale && p.cfg.ReconcileScan > 0 && a.reconciled < recoveryAllowance:
+	case c.status == slotStale && p.cfg.ReconcileScan > 0 && c.reconciled < recoveryAllowance:
 		// A fresh stale rejection with no parked round means the
 		// counter and the server's record have desynchronized (crash
 		// recovery on either side, or a just-adopted range whose
 		// counters we never held). Re-locate the server's counter and
 		// retry at the rebased value.
-		a.reconciled++
-		return p.reconcile(a.Key, a.entry) == nil
+		c.reconciled++
+		return p.reconcile(c.key(), c.entry) == nil
 	}
 	return false
 }

@@ -320,10 +320,14 @@ const requestAbortMarker = "request aborted before completion"
 // consumes segments as their bytes land, trial-decrypting each arrived
 // run of groups against a snapshot of the key's record, and installs
 // every key's new labels once the last byte confirms the request
-// complete. The response is one fixed-width slot per segment. Work and
-// response shape depend only on the table geometry and n, never on
-// operation types, so the server learns nothing beyond "these n objects
-// were accessed".
+// complete. Consecutive segments that name one key are a chain: each is
+// decrypted against the record the one before it built, and the chain
+// installs as one compare-and-swap from the first's snapshot to the
+// last's record, all or none. The response is one fixed-width slot per
+// segment. Work and response shape depend only on the table geometry, n,
+// and which encoded keys repeat — all in clear in the request — never on
+// operation types, so the server learns nothing beyond "these n accesses
+// were made to these objects".
 func (s *LBLServer) handleAccess(ctx context.Context, payload []byte) ([]byte, error) {
 	var next func() ([]byte, bool, error)
 	if sr := transport.StreamFrom(ctx); sr != nil {
@@ -365,17 +369,21 @@ type lblRequest struct {
 	segs []*lblSegment // in arrival order
 }
 
-// An lblSegment is one key's access within a request: the status its
-// response slot will carry and, while that is still slotOK, the
-// snapshot of the key's record its table is being decrypted against
-// and the record being built from what the decryptions recover.
+// An lblSegment is one access within a request: the status its chain
+// has earned through it and, while that is still slotOK, the record its
+// table is being decrypted against and the record being built from what
+// the decryptions recover.
 type lblSegment struct {
-	key      string
-	status   byte
-	fed      int // groups consumed so far
+	key    string
+	status byte
+	fed    int // groups consumed so far
+	// prev is the segment before this one when that names the same key:
+	// this segment continues prev's chain, and rec is the record prev
+	// builds, not a stored one.
+	prev     *lblSegment
 	rec      lblRecord
-	snap     *[]byte // pooled: the record as it was when the segment began
-	next     *[]byte // pooled: the record to install
+	snap     *[]byte // pooled, a chain's head only: the stored record as it was when the chain began
+	next     *[]byte // pooled: the record this segment builds
 	attempts int64
 	busy     obs.Interval // record work: snapshot, trial decryptions, install
 }
@@ -425,21 +433,33 @@ func (req *lblRequest) consume(frame []byte) error {
 		seg.fed += k
 		frame = frame[k*gl:]
 	}
-	// Runs in one frame belong to different keys, so they fan out across
-	// workers like whole keys do.
+	// Runs in one frame fan out across workers like whole keys do, a
+	// chain's runs to one worker in order: a member's table opens under
+	// the labels its predecessor's recovers.
 	ForEach(len(runs), min(len(runs), runtime.GOMAXPROCS(0)), func(i int) error { //nolint:errcheck // outcomes land per segment
+		if i > 0 && runs[i].seg.prev == runs[i-1].seg {
+			return nil // decrypted behind its predecessor
+		}
 		req.decrypt(runs[i])
+		for i++; i < len(runs) && runs[i].seg.prev == runs[i-1].seg; i++ {
+			req.decrypt(runs[i])
+		}
 		return nil
 	})
 	return nil
 }
 
 // begin opens a segment: budget, then the ownership fence, then the
-// record snapshot — in that order, so an expired or fenced access costs
-// no record work and no trial decryption.
+// record its table opens — in that order, so an expired or fenced access
+// costs no record work and no trial decryption. A chain's head snapshots
+// the stored record; a segment naming the same key as the one before it
+// continues that chain from the record its predecessor is building.
 func (req *lblRequest) begin(key string, claim []byte) *lblSegment {
 	s, geo := req.srv, req.geo
 	seg := &lblSegment{key: key}
+	if n := len(req.segs); n > 0 && req.segs[n-1].key == key {
+		seg.prev = req.segs[n-1]
+	}
 	if req.ctx.Err() != nil {
 		s.expiredRounds.Add(1)
 		seg.status = slotExpired
@@ -454,22 +474,34 @@ func (req *lblRequest) begin(key string, claim []byte) *lblSegment {
 	}
 	seg.busy = obs.Time(s.mx.access, nil)
 	defer seg.busy.Pause()
-	seg.snap = recPool.Get().(*[]byte)
-	snap, err := s.store.AppendGet((*seg.snap)[:0], key)
-	*seg.snap = snap
-	if err != nil {
-		seg.status = slotNotFound
+	var from []byte
+	if seg.prev == nil {
+		seg.snap = recPool.Get().(*[]byte)
+		snap, err := s.store.AppendGet((*seg.snap)[:0], key)
+		*seg.snap = snap
+		if err != nil {
+			seg.status = slotNotFound
+			return seg
+		}
+		from = snap
+	} else if seg.prev.next == nil {
+		// The chain failed before this segment: there is no record to go on
+		// from, and install reports the earlier status for all of it.
+		seg.status = seg.prev.status
 		return seg
+	} else {
+		from = *seg.prev.next
 	}
-	if seg.rec, err = parseLBLRecord(snap, geo.mode, geo.groups); err != nil {
+	var err error
+	if seg.rec, err = parseLBLRecord(from, geo.mode, geo.groups); err != nil {
 		seg.status = slotRejected
 		return seg
 	}
 	seg.next = recPool.Get().(*[]byte)
-	if cap(*seg.next) < len(snap) {
-		*seg.next = make([]byte, len(snap))
+	if cap(*seg.next) < len(from) {
+		*seg.next = make([]byte, len(from))
 	}
-	*seg.next = (*seg.next)[:len(snap)]
+	*seg.next = (*seg.next)[:len(from)]
 	(*seg.next)[0] = byte(geo.mode)
 	return seg
 }
@@ -506,8 +538,8 @@ func (req *lblRequest) decrypt(run segRun) {
 // finish completes the request once its last byte has landed: it must
 // end on a segment boundary — a cut or truncated request can never
 // pass as complete — and only then does any key's record change. Each
-// key's new labels install by compare-and-swap against its snapshot
-// (step 2.2) and are copied into its response slot.
+// chain's new labels install by compare-and-swap against its head's
+// snapshot (step 2.2) and are copied into its members' response slots.
 func (req *lblRequest) finish() ([]byte, error) {
 	n := len(req.segs)
 	if n == 0 || req.segs[n-1].fed < req.geo.groups {
@@ -518,58 +550,82 @@ func (req *lblRequest) finish() ([]byte, error) {
 	slotLen := 1 + req.geo.groups*prf.Size
 	out := make([]byte, n*slotLen)
 	ForEach(n, min(n, runtime.GOMAXPROCS(0)), func(i int) error { //nolint:errcheck // outcomes land per slot
-		slot := out[i*slotLen : (i+1)*slotLen]
-		slot[0] = req.install(req.segs[i], slot[1:])
+		if req.segs[i].prev != nil {
+			return nil // answered with its chain's head
+		}
+		j := i + 1
+		for j < n && req.segs[j].prev != nil {
+			j++
+		}
+		chain, slots := req.segs[i:j], out[i*slotLen:j*slotLen]
+		status := req.install(chain, slots)
+		if status != slotOK {
+			clear(slots)
+		}
+		for k := range chain {
+			slots[k*slotLen] = status
+		}
 		return nil
 	})
 	return out, nil
 }
 
-// install swaps seg's new record in, provided the stored record is
-// still the snapshot the table was decrypted against, and returns the
-// segment's final status. A record that moved in between was advanced
-// by a concurrent round keyed at the same counter — which a correct
-// proxy never issues — so this round is, by the label schedule's own
-// fencing, stale.
-func (req *lblRequest) install(seg *lblSegment, labelsOut []byte) byte {
+// install swaps the record chain's last member built in for the one its
+// head snapshotted, provided that is still what the store holds, fills
+// slots with each member's label block, and returns the chain's status —
+// the first failure any member met, or what the swap came to. One
+// update, so one WAL record, takes the record through all of the chain's
+// counter steps or none of them: that is what lets the proxy settle an
+// ambiguous chain with one probe (pending.go). A record that moved in
+// between was advanced by a concurrent round keyed at the same counter
+// — which a correct proxy never issues — so this round is, by the label
+// schedule's own fencing, stale.
+func (req *lblRequest) install(chain []*lblSegment, slots []byte) byte {
 	s := req.srv
-	if seg.status != slotOK {
-		return seg.status
+	for _, seg := range chain {
+		if seg.status != slotOK {
+			return seg.status
+		}
 	}
 	if req.ctx.Err() != nil {
 		s.expiredRounds.Add(1)
 		return slotExpired
 	}
-	seg.busy.Resume()
-	labels, _ := seg.labels(req.geo)
+	head, tail := chain[0], chain[len(chain)-1]
+	head.busy.Resume()
+	slotLen := len(slots) / len(chain)
 	swapped := false
-	err := s.store.Update(seg.key, func(old []byte) ([]byte, error) {
-		if !bytes.Equal(old, *seg.snap) {
+	err := s.store.Update(head.key, func(old []byte) ([]byte, error) {
+		if !bytes.Equal(old, *head.snap) {
 			return nil, errStaleTable
 		}
-		copy(labelsOut, labels)
+		for k, seg := range chain {
+			labels, _ := seg.labels(req.geo)
+			copy(slots[k*slotLen+1:(k+1)*slotLen], labels)
+		}
 		// Hand the store the new record; the displaced old slice is
 		// recycled by release once the update commits.
-		newRec := *seg.next
-		*seg.next = old
+		newRec := *tail.next
+		*tail.next = old
 		swapped = true
 		return newRec, nil
 	})
 	switch {
 	case err == nil:
-		s.ops.Add(1)
+		s.ops.Add(int64(len(chain)))
 		// Trial decryptions are counted per segment and published once:
 		// a per-entry atomic add is a cross-core cacheline ping-pong when
 		// workers run in parallel.
-		s.decryptAttempts.Add(seg.attempts)
-		seg.busy.End() // only an access that installed is observed
+		for _, seg := range chain {
+			s.decryptAttempts.Add(seg.attempts)
+			seg.busy.End() // only an access that installed is observed
+		}
 		return slotOK
 	case swapped:
 		// The closure succeeded but journaling or the durability wait
 		// failed; the store may retain either buffer, so recycle
 		// neither.
-		*seg.next = nil
-		clear(labelsOut)
+		*tail.next = nil
 		return slotRejected
 	case errors.Is(err, kvstore.ErrNotFound):
 		return slotNotFound
@@ -581,7 +637,8 @@ func (req *lblRequest) install(seg *lblSegment, labelsOut []byte) byte {
 }
 
 // release returns every segment's pooled buffers: after a successful
-// install the record the store displaced, otherwise the unused ones.
+// install the record the store displaced and the records a chain passed
+// through, otherwise the unused ones.
 func (req *lblRequest) release() {
 	for _, seg := range req.segs {
 		if seg.snap != nil {

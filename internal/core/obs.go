@@ -69,11 +69,12 @@ func fheStages(reg *obs.Registry) *obs.Stages {
 	return reg.Stages("ortoa_fhe", "FHE client per-access stage latency (§3.1)", "encrypt", "rpc", "decrypt")
 }
 
-// An aggregated access's stages, per session: the wait for window mates
-// — coalescing latency, never folded into the round trip — and the
-// window's shared batch round.
+// An aggregated access's stages, per session: the wait for its key's
+// round in flight to return and the wait for window mates — coalescing
+// latency, never folded into the round trip — and the window's shared
+// batch round.
 func aggStages(reg *obs.Registry) *obs.Stages {
-	return reg.Stages("ortoa_agg", "aggregated access per-session stage latency", "window_wait", "batch_rpc")
+	return reg.Stages("ortoa_agg", "aggregated access per-session stage latency", "key_wait", "window_wait", "batch_rpc")
 }
 
 // stageObs is what a trusted-side component times accesses with: its

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,8 +16,8 @@ import (
 )
 
 // Overload-path tests (DESIGN.md §15): deadline budgets dropping work
-// before it costs trial decryptions or table builds, aggregator
-// brownout, and the router's busy breaker.
+// before it costs trial decryptions or table builds, the aggregator
+// shedding expired waiters, and the router's busy breaker.
 
 // TestExpiredRoundSlot: a request whose deadline has already passed is
 // answered slot by slot with slotExpired — before the fence, before any
@@ -171,23 +172,42 @@ func TestServerDropsExpiredRound(t *testing.T) {
 }
 
 // gatedBackend is a BatchAccessor whose round trips block on gate,
-// recording each batch's size — a stand-in proxy for aggregator tests
-// that need pending depth held high deterministically.
+// recording each round's operations — a stand-in proxy for aggregator
+// tests that need rounds held in flight deterministically. It also
+// keeps the invariant the aggregator owes a real proxy: a key two
+// rounds hold at once is recorded in shared.
 type gatedBackend struct {
 	mu      sync.Mutex
-	sizes   []int
-	entered chan struct{} // one tick per batch arrival
-	gate    chan struct{} // closed to release all batches
+	rounds  [][]BatchOp
+	busy    map[string]bool
+	shared  []string
+	entered chan struct{} // one tick per round arrival
+	gate    chan struct{} // one token, or its close, releases a round; nil never holds one
 }
 
 func (b *gatedBackend) AccessBatchResults(_ context.Context, ops []BatchOp) ([]BatchResult, AccessStats) {
 	b.mu.Lock()
-	b.sizes = append(b.sizes, len(ops))
+	b.rounds = append(b.rounds, append([]BatchOp(nil), ops...))
+	if b.busy == nil {
+		b.busy = map[string]bool{}
+	}
+	mine := map[string]bool{}
+	for _, op := range ops {
+		if b.busy[op.Key] && !mine[op.Key] {
+			b.shared = append(b.shared, op.Key)
+		}
+		b.busy[op.Key], mine[op.Key] = true, true
+	}
 	b.mu.Unlock()
 	b.entered <- struct{}{}
 	if b.gate != nil {
 		<-b.gate
 	}
+	b.mu.Lock()
+	for key := range mine {
+		delete(b.busy, key)
+	}
+	b.mu.Unlock()
 	res := make([]BatchResult, len(ops))
 	for i := range res {
 		res[i] = BatchResult{Value: []byte{byte(i)}}
@@ -195,115 +215,129 @@ func (b *gatedBackend) AccessBatchResults(_ context.Context, ops []BatchOp) ([]B
 	return res, AccessStats{}
 }
 
-func (b *gatedBackend) batchSizes() []int {
+// roundKeys renders the rounds seen so far, one string per round: each
+// op's key, followed by its first value byte if it is a write.
+func (b *gatedBackend) roundKeys() []string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append([]int(nil), b.sizes...)
-}
-
-// TestAggregatorBrownout: once pending depth reaches BrownoutPending,
-// new windows open with the larger brownout size trigger, amortizing
-// the round trip across more accesses while the backlog drains.
-func TestAggregatorBrownout(t *testing.T) {
-	backend := &gatedBackend{entered: make(chan struct{}, 4), gate: make(chan struct{})}
-	agg := NewAggregator(AggregatorConfig{
-		Window:           time.Hour, // size triggers only
-		MaxBatch:         2,
-		MaxPending:       100,
-		BrownoutPending:  3,
-		BrownoutMaxBatch: 4,
-	}, backend)
-
-	var wg sync.WaitGroup
-	access := func() {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := agg.Access(OpRead, "k", nil); err != nil {
-				t.Errorf("access: %v", err)
+	var out []string
+	for _, ops := range b.rounds {
+		var sb strings.Builder
+		for i, op := range ops {
+			if i > 0 {
+				sb.WriteByte(' ')
 			}
-		}()
-	}
-	waitStat := func(name string, get func() int64, want int64) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for get() != want {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s never reached %d (now %d)", name, want, get())
+			sb.WriteString(op.Key)
+			if op.Op == OpWrite {
+				fmt.Fprintf(&sb, "=%d", op.Value[0])
 			}
-			time.Sleep(time.Millisecond)
 		}
+		out = append(out, sb.String())
 	}
-
-	// Two accesses fill a normal window (limit 2); its leader blocks in
-	// the backend holding pending at 2.
-	access()
-	waitStat("accesses", func() int64 { return agg.Stats().Accesses }, 1)
-	access()
-	<-backend.entered
-
-	// Third access: pending hits BrownoutPending, so ITS window opens
-	// in brownout with the bigger size trigger.
-	access()
-	waitStat("accesses", func() int64 { return agg.Stats().Accesses }, 3)
-	if got := agg.Stats().Brownouts; got != 1 {
-		t.Fatalf("brownouts = %d, want 1 (window opened at pending >= 3)", got)
-	}
-
-	// Three more fill the brownout window to its limit of 4.
-	access()
-	access()
-	access()
-	<-backend.entered
-
-	close(backend.gate)
-	wg.Wait()
-	if sizes := backend.batchSizes(); len(sizes) != 2 || sizes[0] != 2 || sizes[1] != 4 {
-		t.Errorf("batch sizes = %v, want [2 4]", sizes)
-	}
+	return out
 }
 
 // TestAggregatorShedsExpiredWaiter: a waiter whose deadline passes
-// while its window coalesces is answered unsent at dispatch — the
-// batch that goes out carries only live accesses.
+// before its window leaves is answered unsent — the round that goes out
+// carries only live accesses — whether it spent the time in the window
+// or held for a key whose round was in flight.
 func TestAggregatorShedsExpiredWaiter(t *testing.T) {
-	backend := &gatedBackend{entered: make(chan struct{}, 1)}
-	agg := NewAggregator(AggregatorConfig{Window: 40 * time.Millisecond, MaxBatch: 64}, backend)
+	expiring := func(agg *Aggregator, key string, err *error, wg *sync.WaitGroup) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+			defer cancel()
+			_, _, *err = agg.AccessContext(ctx, OpRead, key, nil)
+		}()
+	}
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var expiredErr error
-	go func() {
-		defer wg.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		defer cancel()
-		_, _, expiredErr = agg.AccessContext(ctx, OpRead, "dead", nil)
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for agg.Stats().Accesses == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first access never admitted")
+	t.Run("windowed", func(t *testing.T) {
+		backend := &gatedBackend{entered: make(chan struct{}, 1)}
+		agg := NewAggregator(AggregatorConfig{Window: 40 * time.Millisecond}, 1, backend)
+		var wg sync.WaitGroup
+		var expiredErr error
+		expiring(agg, "dead", &expiredErr, &wg)
+		waitAdmitted(t, agg, 1)
+
+		v, _, err := agg.Access(OpRead, "live", nil)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("live access: %v", err)
 		}
-		time.Sleep(time.Millisecond)
-	}
+		if v == nil {
+			t.Error("live access returned no value")
+		}
+		if !IsDeadlineExpired(expiredErr) {
+			t.Errorf("expired waiter err = %v, want deadline-expired", expiredErr)
+		}
+		if st := agg.Stats(); st.Expired != 1 {
+			t.Errorf("Expired = %d, want 1", st.Expired)
+		}
+		if rounds := backend.roundKeys(); len(rounds) != 1 || rounds[0] != "live" {
+			t.Errorf("rounds = %q, want [live] (expired waiter shed before send)", rounds)
+		}
+	})
 
-	v, _, err := agg.Access(OpRead, "live", nil)
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("live access: %v", err)
-	}
-	if v == nil {
-		t.Error("live access returned no value")
-	}
-	if !IsDeadlineExpired(expiredErr) {
-		t.Errorf("expired waiter err = %v, want deadline-expired", expiredErr)
-	}
-	if st := agg.Stats(); st.Expired != 1 {
-		t.Errorf("Expired = %d, want 1", st.Expired)
-	}
-	if sizes := backend.batchSizes(); len(sizes) != 1 || sizes[0] != 1 {
-		t.Errorf("batch sizes = %v, want [1] (expired waiter shed before send)", sizes)
-	}
+	t.Run("held", func(t *testing.T) {
+		backend := &gatedBackend{entered: make(chan struct{}, 2), gate: make(chan struct{})}
+		agg := closeAt(NewAggregator(AggregatorConfig{Window: time.Hour}, 1, backend), 1)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := agg.Access(OpRead, "hot", nil); err != nil {
+				t.Errorf("first access: %v", err)
+			}
+		}()
+		<-backend.entered // "hot" is in flight
+
+		var expiredErr, liveErr error
+		expiring(agg, "hot", &expiredErr, &wg)
+		waitAdmitted(t, agg, 2)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, liveErr = agg.Access(OpRead, "hot", nil)
+		}()
+		waitAdmitted(t, agg, 3)
+		time.Sleep(10 * time.Millisecond) // the held access's deadline passes
+		close(backend.gate)
+		wg.Wait()
+		if liveErr != nil {
+			t.Errorf("live held access: %v", liveErr)
+		}
+		if !IsDeadlineExpired(expiredErr) {
+			t.Errorf("expired held access err = %v, want deadline-expired", expiredErr)
+		}
+		if st := agg.Stats(); st.Expired != 1 {
+			t.Errorf("Expired = %d, want 1", st.Expired)
+		}
+		if rounds := backend.roundKeys(); len(rounds) != 2 || rounds[1] != "hot" {
+			t.Errorf("rounds = %q, want [hot hot]: the expired held access is shed, the live one follows alone", rounds)
+		}
+	})
+
+	// A window whose every waiter expired sends nothing, and must leave
+	// none of its keys marked in flight: the next access to one of them
+	// would be held for a round that never returns.
+	t.Run("whole window", func(t *testing.T) {
+		backend := &gatedBackend{entered: make(chan struct{}, 1)}
+		agg := NewAggregator(AggregatorConfig{Window: 20 * time.Millisecond}, 1, backend)
+		var wg sync.WaitGroup
+		var expiredErr error
+		expiring(agg, "k", &expiredErr, &wg)
+		wg.Wait()
+		if !IsDeadlineExpired(expiredErr) {
+			t.Fatalf("expired waiter err = %v, want deadline-expired", expiredErr)
+		}
+		if _, _, err := agg.Access(OpRead, "k", nil); err != nil {
+			t.Fatalf("access after the all-expired window: %v", err)
+		}
+		if rounds := backend.roundKeys(); len(rounds) != 1 || rounds[0] != "k" {
+			t.Errorf("rounds = %q, want [k]", rounds)
+		}
+	})
 }
 
 // TestRouterBusyBreaker: consecutive busy rejections bench a member

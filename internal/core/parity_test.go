@@ -18,7 +18,9 @@ import (
 // per-frame lengths, same segment headers — and answer with the same
 // response, while the live shape auditors, which hold every request
 // frame (continuations included) and every response strict, see no
-// violation. The desync rows run the same comparison through a crash-
+// violation. The chain row names keys more than once: a chain of reads
+// and a chain of writes are as alike as single accesses are, and the
+// simulator, which knows only the keys, emits the same chain. The desync rows run the same comparison through a crash-
 // recovery episode (reconcile.go): probes are read-shaped and stale
 // rejections are emitted identically for both op types, so a recovery
 // triggered by reads must be indistinguishable from one triggered by
@@ -28,7 +30,13 @@ func TestLBLRequestParity(t *testing.T) {
 	for _, mode := range allLBLModes() {
 		base := LBLConfig{ValueSize: valueSize, Mode: mode}
 		seg := base.RequestBytesPerAccess()
-		for _, n := range []int{1, 3, 64} {
+		for _, keys := range [][]string{parityKeys(1), parityKeys(3), parityKeys(64),
+			{"key-00", "key-00", "key-00", "key-01", "key-02", "key-02"}} {
+			n := len(keys)
+			chain := ""
+			if keys[0] == keys[1%n] && n > 1 {
+				chain = "/chain"
+			}
 			for _, budget := range []struct {
 				name  string
 				bytes int
@@ -42,8 +50,8 @@ func TestLBLRequestParity(t *testing.T) {
 				cfg.StreamChunkBytes = budget.bytes
 				for _, traced := range []bool{false, true} {
 					for _, desync := range []bool{false, true} {
-						name := fmt.Sprintf("%v/n=%d/budget=%s/traced=%v/desync=%v", mode, n, budget.name, traced, desync)
-						t.Run(name, func(t *testing.T) { requestParity(t, cfg, n, traced, desync) })
+						name := fmt.Sprintf("%v/n=%d%s/budget=%s/traced=%v/desync=%v", mode, n, chain, budget.name, traced, desync)
+						t.Run(name, func(t *testing.T) { requestParity(t, cfg, keys, traced, desync) })
 					}
 				}
 			}
@@ -84,8 +92,8 @@ func builtFrames(t testing.TB, p *LBLProxy, specs []tableSpec) (frames [][]byte,
 	return frames, headers
 }
 
-func requestParity(t *testing.T, cfg LBLConfig, n int, traced, desync bool) {
-	keys := parityKeys(n)
+func requestParity(t *testing.T, cfg LBLConfig, keys []string, traced, desync bool) {
+	n := len(keys)
 	value := bytes.Repeat([]byte{0x5A}, cfg.ValueSize)
 
 	// Off the wire: what the builder seals for reads, for writes, and
@@ -96,8 +104,14 @@ func requestParity(t *testing.T, cfg LBLConfig, n int, traced, desync bool) {
 	}
 	readSpecs, writeSpecs := make([]tableSpec, n), make([]tableSpec, n)
 	for i, k := range keys {
-		readSpecs[i] = offline.spec(OpRead, k, nil, 3)
-		writeSpecs[i] = offline.spec(OpWrite, k, value, 3)
+		// A key's accesses are keyed at consecutive counters, as round
+		// keys a chain.
+		ct := uint64(3)
+		if i > 0 && keys[i-1] == k {
+			ct = readSpecs[i-1].ct + 1
+		}
+		readSpecs[i] = offline.spec(OpRead, k, nil, ct)
+		writeSpecs[i] = offline.spec(OpWrite, k, value, ct)
 	}
 	reads, headers := builtFrames(t, offline, readSpecs)
 	writes, _ := builtFrames(t, offline, writeSpecs)
@@ -157,7 +171,7 @@ func requestParity(t *testing.T, cfg LBLConfig, n int, traced, desync bool) {
 		r.client.AuditShape(proxyAud, ShapeClassify)
 		pcfg := cfg
 		if desync {
-			pcfg.ReconcileScan = 4
+			pcfg.ReconcileScan = 8
 		}
 		proxy, err := NewLBLProxy(pcfg, prf.NewRandom(), r.client)
 		if err != nil {
@@ -180,7 +194,8 @@ func requestParity(t *testing.T, cfg LBLConfig, n int, traced, desync bool) {
 		loadData(t, r, proxy, data)
 		if desync {
 			// The server "crashes" back to its loaded state after two
-			// rounds the proxy counted: every key is two counters behind.
+			// rounds the proxy counted: every key is two counters behind
+			// for each time the round names it.
 			old := map[string][]byte{}
 			for _, k := range keys {
 				old[k] = serverRecord(t, r, proxy, k)

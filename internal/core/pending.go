@@ -18,24 +18,39 @@ import (
 // desynchronization, the one failure §5.3.1 flags as unrecoverable.
 //
 // Instead the proxy parks the round: it marks the key's counter entry
-// pending, and the next access to that key first settles the mark with
-// a probe — a fresh read-shaped round of one keyed at the same counter
-// ct — before building anything at a counter value it can trust.
+// pending, with the length k of the key's chain in the round, and the
+// next access to that key first settles the mark with a probe — a fresh
+// read-shaped round of one keyed at the same counter ct — before
+// building anything at a counter value it can trust.
 //
-// One property of the protocol makes the probe decisive, not just
-// likely: rounds are self-fencing. A table is keyed by the counter-ct
+// Two properties of the protocol make the probe decisive, not just
+// likely. Rounds are self-fencing: a table is keyed by the counter-ct
 // labels, so out of all rounds ever built for a key at counter ct, at
 // most ONE can apply — the server rejects the rest as stale (slotStale
-// in lblserver.go). So either the probe executes, which proves the
-// parked round never did and now never can, or the probe is rejected
-// stale, which only a round at ct having executed can cause. Both
-// outcomes advance the counter exactly one step; they differ only in
-// whether the parked operation applied, which the original caller was
-// already told is unknown. The probe needs nothing from the parked
-// round — not its bytes, its request id, or its shape — which is why
-// every kind of round (one key or many, one frame or several) parks
-// the same way, and why a probe that itself fails ambiguously simply
-// leaves the mark in place.
+// in lblserver.go). And a chain installs whole or not at all: its k
+// tables are applied by one compare-and-swap from the record at ct to
+// the record at ct+k. So either the probe executes, which proves the
+// parked chain never ran and — its head's labels being gone — now never
+// can, and the counter is ct+1; or the probe is rejected stale, which
+// only a round at ct having executed can cause, so all of the chain ran
+// and the counter is ct+k. The two outcomes differ in whether the parked
+// operations applied, which the original callers were already told is
+// unknown. The probe needs nothing from the parked round — not its
+// bytes, its request id, or its shape — which is why every kind of
+// round (one key or many, one frame or several) parks the same way.
+//
+// A probe that itself fails ambiguously leaves the mark in place, and
+// for a chain of one that is all: whichever of the two rounds at ct ran,
+// the counter is ct+1. For a longer chain it is a third candidate — the
+// probe ran alone and the record is at ct+1, not ct+k — that a later
+// stale answer at ct cannot tell from the chain's. The entry therefore
+// remembers that a probe at ct may have run (probed), and a stale answer
+// at ct then only rules ct out: the mark moves up to ct+1, one step
+// shorter, and the next probe is keyed there — executed, and only the
+// lost probe ever ran; stale, and the chain did, nothing else being able
+// to have left ct+1 behind. The candidates are never more than the lowest
+// counter, its successor and the chain's end, because the probe is always
+// keyed at the lowest.
 //
 // Obliviousness of resolution traffic: probes are always read-shaped
 // and are triggered by the ambiguous transport failure alone, which
@@ -43,25 +58,40 @@ import (
 
 // resolvePending settles entry's parked round so the counter is
 // trustworthy again. On nil return the counter has advanced past the
-// parked round's value and the mark is cleared. An error means the
-// network is still failing or the server is shedding load (the round
-// stays parked for the next access), or the probe was rejected for a
-// reason that says nothing about the parked round (the mark is
+// last probe — and, if the parked chain ran, past all of it — and the
+// mark is cleared. An error means the network is still failing or the
+// server is shedding load (the round stays parked for the next access,
+// and remembers that its probe may have run), or the probe was rejected
+// for a reason that says nothing about the parked round (the mark is
 // dropped; a resulting desynchronization is reconcile.go's to repair).
 // The caller must hold entry.mu.
 func (p *LBLProxy) resolvePending(key string, entry *counterEntry) error {
-	_, err := p.probe(key, entry.ct)
-	switch {
-	case err == nil:
-		entry.ct++
-		entry.pending = false
-		p.mx.pendingResolved.Inc()
-		return nil
-	case transport.Ambiguous(err) || transport.IsBusy(err):
-		return fmt.Errorf("core: round for %q still unresolved: %w", key, err)
-	default:
-		entry.pending = false
-		return fmt.Errorf("core: probing round for %q: %w", key, err)
+	for {
+		executed, err := p.probe(key, entry.ct)
+		switch {
+		case err == nil && !executed && entry.probed && entry.pending > 1:
+			// Stale at ct, which the chain or an earlier probe of ours may
+			// have caused: ct is ruled out, ct+1 and the chain's end are not.
+			entry.ct++
+			entry.pending--
+			entry.probed = false
+			continue
+		case err == nil:
+			if executed {
+				entry.ct++
+			} else {
+				entry.ct += uint64(entry.pending)
+			}
+			entry.pending, entry.probed = 0, false
+			p.mx.pendingResolved.Inc()
+			return nil
+		case transport.Ambiguous(err) || transport.IsBusy(err):
+			entry.probed = entry.probed || transport.Ambiguous(err)
+			return fmt.Errorf("core: round for %q still unresolved: %w", key, err)
+		default:
+			entry.pending, entry.probed = 0, false
+			return fmt.Errorf("core: probing round for %q: %w", key, err)
+		}
 	}
 }
 

@@ -100,7 +100,7 @@ func (p *LBLProxy) probeCounter(key string, entry *counterEntry, cand uint64) (b
 		// it so the key's next access settles it exactly like any other
 		// ambiguous round.
 		entry.ct = cand
-		entry.pending = true
+		entry.pending = 1
 		p.mx.pendingSaved.Inc()
 		return false, errReconcile(key, err)
 	default:

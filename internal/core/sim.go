@@ -67,7 +67,11 @@ func (s *LBLSimulator) labelState(key string) ([][]byte, error) {
 // key, cut into frames by the same rule — from dummy values only. The
 // ROR-RW projection holds frame by frame: real read requests, real
 // write requests, and simulated requests have identical frame counts,
-// per-frame lengths, and segment headers.
+// per-frame lengths, and segment headers. A key named more than once is
+// a chain here as it is on the wire: the simulator's stored labels move
+// group by group as it goes, so each of the key's segments is sealed
+// under the labels the one before it installed — the order the server
+// applies them in.
 func (s *LBLSimulator) Simulate(keys ...string) ([][]byte, error) {
 	cfg := s.cfg
 	nEntries := cfg.Mode.entries()

@@ -280,10 +280,9 @@ func (p *Proxy) BuildRecord(key string, value []byte) (string, []byte, error) {
 type FrontConfig struct {
 	// AggWindow, when positive, coalesces concurrent end-user accesses
 	// into shared LBL rounds, dispatching a window at most this long
-	// after its first access arrives or once it holds AggMaxBatch
-	// accesses (default core.DefaultAggMaxBatch).
-	AggWindow   time.Duration
-	AggMaxBatch int
+	// after its first access joins it, or as soon as its request reaches
+	// the aggregator's byte budget.
+	AggWindow time.Duration
 	// Admission bounds the front end's concurrent end-user requests.
 	Admission transport.AdmissionConfig
 }
@@ -310,7 +309,7 @@ func (p *Proxy) NewFront(cfg FrontConfig) (*Front, error) {
 		if p.Batch == nil {
 			return nil, fmt.Errorf("tier: access aggregation requires the LBL protocol")
 		}
-		f.Agg = core.NewAggregator(core.AggregatorConfig{Window: cfg.AggWindow, MaxBatch: cfg.AggMaxBatch}, p.Batch)
+		f.Agg = core.NewAggregator(core.AggregatorConfig{Window: cfg.AggWindow}, p.LBL.Config().RequestBytesPerAccess(), p.Batch)
 		f.Agg.Instrument(p.metrics)
 		f.Agg.TraceWith(p.tracer)
 		accessor = f.Agg

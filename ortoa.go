@@ -744,13 +744,13 @@ func (c *Client) ServeProxy(l net.Listener) error {
 type ProxyServeOptions struct {
 	// AggWindow, when positive, turns on cross-session access
 	// aggregation (ProtocolLBL only): concurrent end-user requests are
-	// coalesced into shared LBL rounds. A window
-	// dispatches at most AggWindow after its first access arrives —
-	// the latency each access may pay to buy the amortization.
+	// coalesced into shared LBL rounds. A window dispatches at most
+	// AggWindow after its first access joins it — the latency each
+	// access may pay to buy the amortization — and sooner once the
+	// request it would send reaches a fixed byte budget; accesses to one
+	// key that arrive while that key's round is in flight follow it as
+	// one chain in the next.
 	AggWindow time.Duration
-	// AggMaxBatch dispatches a window early once it holds this many
-	// accesses (default core DefaultAggMaxBatch, 64).
-	AggMaxBatch int
 	// Admission, when MaxInflight is positive, bounds the front end's
 	// concurrent end-user requests and sheds overload with
 	// constant-size busy rejections (see AdmissionOptions).
@@ -761,9 +761,8 @@ type ProxyServeOptions struct {
 // It blocks until Close.
 func (c *Client) ServeProxyOptions(l net.Listener, opts ProxyServeOptions) error {
 	front, err := c.tier.NewFront(tier.FrontConfig{
-		AggWindow:   opts.AggWindow,
-		AggMaxBatch: opts.AggMaxBatch,
-		Admission:   opts.Admission,
+		AggWindow: opts.AggWindow,
+		Admission: opts.Admission,
 	})
 	if err != nil {
 		return err

@@ -133,10 +133,7 @@ func TestServeProxyAggregated(t *testing.T) {
 	const n = 8
 	const valueSize = 8
 	client, proxyLn := newProxyDeployment(t, n, valueSize, netsim.Loopback)
-	go client.ServeProxyOptions(proxyLn, ProxyServeOptions{
-		AggWindow:   500 * time.Microsecond,
-		AggMaxBatch: n,
-	})
+	go client.ServeProxyOptions(proxyLn, ProxyServeOptions{AggWindow: 500 * time.Microsecond})
 
 	users, err := DialProxy(proxyLn.Dial, 4)
 	if err != nil {
