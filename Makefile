@@ -14,8 +14,8 @@ vet:
 # race runs the full test suite under the race detector; the batched
 # pipeline tests exercise concurrent AccessBatch/Access interleavings,
 # parallel per-shard batch fan-out, and server shutdown draining, and the
-# aggregator tests window closes racing arrivals, held chains rejoining
-# as their keys return, and Close racing both.
+# aggregator tests arrivals for a key racing that key's round returning,
+# held chains leaving as their keys come back, and Close racing both.
 race:
 	$(GO) test -race ./...
 

@@ -28,7 +28,11 @@ import (
 	"ortoa/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main's body, returning the exit status so that deferred closes
+// run before the process exits; log.Fatal is for failures before serving.
+func run() int {
 	log.SetPrefix("ortoa-proxy: ")
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 
@@ -44,7 +48,7 @@ func main() {
 	loadSynthetic := flag.Int("load-synthetic", 0, "bulk-load N synthetic records at startup")
 	statePath := flag.String("state", "", "LBL access-counter state file (restored at startup, saved on shutdown)")
 	stateEvery := flag.Duration("state-interval", 0, "also save -state crash-atomically this often, bounding the counter-loss window (0 disables)")
-	aggWindow := flag.Duration("agg-window", 0, "coalesce concurrent client accesses into shared batch round trips, waiting at most this long per window (LBL; 0 disables)")
+	aggregate := flag.Bool("aggregate", false, "coalesce client accesses per key: accesses to a key whose round is in flight follow it as one chain in one round trip (LBL)")
 	maxInflight := flag.Int("max-inflight", 0, "handle at most this many client requests concurrently, shedding overload with constant-size busy frames (0 disables admission control)")
 	maxQueue := flag.Int("max-queue", 0, "client requests waiting for an inflight slot before overflow is shed, served newest-first (needs -max-inflight)")
 	shedDeadline := flag.Bool("shed-deadline", true, "drop client requests whose deadline budget expired before doing any work (needs -max-inflight)")
@@ -68,6 +72,9 @@ func main() {
 	multiProxy := *peers != "" || *ranges != ""
 	if multiProxy && ortoa.Protocol(*protocol) != ortoa.ProtocolLBL {
 		log.Fatal("-peers/-ranges (multi-proxy range ownership) require -protocol lbl")
+	}
+	if *aggregate && ortoa.Protocol(*protocol) != ortoa.ProtocolLBL {
+		log.Fatal("-aggregate (access aggregation) requires -protocol lbl")
 	}
 	if *peers != "" && *self == "" {
 		log.Fatal("-peers requires -self (this proxy's name within the peer list)")
@@ -186,8 +193,8 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("proxying protocol=%s server=%s on %s", *protocol, *serverAddr, l.Addr())
-	if *aggWindow > 0 {
-		log.Printf("aggregating client accesses: window=%s", *aggWindow)
+	if *aggregate {
+		log.Print("aggregating client accesses per key")
 	}
 	if *maxInflight > 0 {
 		log.Printf("admission control: max-inflight=%d max-queue=%d shed-deadline=%v", *maxInflight, *maxQueue, *shedDeadline)
@@ -215,35 +222,40 @@ func main() {
 		}()
 	}
 
+	opts := ortoa.ProxyServeOptions{
+		Admission: ortoa.AdmissionOptions{
+			MaxInflight: *maxInflight,
+			MaxQueue:    *maxQueue,
+			ShedExpired: *shedDeadline,
+			RetryAfter:  *retryAfter,
+		},
+	}
+	if *aggregate {
+		opts.AggWindow = 1 // on; the magnitude is not read
+	}
 	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- client.ServeProxyOptions(l, ortoa.ProxyServeOptions{
-			AggWindow: *aggWindow,
-			Admission: ortoa.AdmissionOptions{
-				MaxInflight: *maxInflight,
-				MaxQueue:    *maxQueue,
-				ShedExpired: *shedDeadline,
-				RetryAfter:  *retryAfter,
-			},
-		})
-	}()
+	go func() { serveErr <- client.ServeProxyOptions(l, opts) }()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	status := 0
 	select {
 	case s := <-sig:
 		log.Printf("received %s; draining", s)
 	case err := <-serveErr:
+		// Serving ended by itself: a failure, reported by the exit status
+		// once the state below is closed and saved.
 		log.Printf("proxy stopped: %v", err)
+		status = 1
 	}
 	close(stopSaver)
 
 	// Graceful shutdown: Close stops the listener, drains accepted
-	// client connections (in-flight accesses complete) and flushes
-	// aggregation windows before releasing the server connections —
-	// only then is the final counter snapshot taken, so it reflects
-	// every acknowledged access. Returning (not os.Exit) lets the
-	// deferred admin.Close run.
+	// client connections (in-flight accesses complete) and lets the
+	// aggregator answer what it holds before releasing the server
+	// connections — only then is the final counter snapshot taken, so it
+	// reflects every acknowledged access. Returning (not os.Exit) lets
+	// the deferred admin.Close run.
 	if err := client.Close(); err != nil {
 		log.Printf("closing client: %v", err)
 	}
@@ -254,4 +266,5 @@ func main() {
 			log.Printf("saved LBL counters to %s", *statePath)
 		}
 	}
+	return status
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -16,244 +15,334 @@ import (
 	"ortoa/internal/obs"
 )
 
-// sortExchanges orders observations the way observedRun does, so
-// multisets compare positionally.
-func sortExchanges(s []exchange) {
-	sort.Slice(s, func(i, j int) bool {
-		a, b := s[i], s[j]
-		if a.msgType != b.msgType {
-			return a.msgType < b.msgType
-		}
-		if a.reqLen != b.reqLen {
-			return a.reqLen < b.reqLen
-		}
-		return a.respLen < b.respLen
-	})
-}
-
-// closeAt makes agg's windows close at exactly n accesses (a held chain
-// aside), the deterministic trigger of these tests, as a byte budget of
-// n accesses' request bytes would.
-func closeAt(agg *Aggregator, n int) *Aggregator {
-	agg.fill = n
-	return agg
-}
+// aggValueSize is the value size of the aggregator tests' deployments,
+// and of the writes admitAfter issues.
+const aggValueSize = 4
 
 // newAggRig builds an LBL deployment with n loaded keys ("key-00"…)
-// whose value byte i is the key index, plus an aggregator over the
-// proxy whose windows wait for window and close at trigger accesses.
-func newAggRig(t *testing.T, n, valueSize int, window time.Duration, trigger int) (*rig, *LBLProxy, *Aggregator) {
+// whose value byte 0 is the key index, and an aggregator over its proxy
+// through a gatedBackend: rounds are recorded, held at the gate until
+// the test opens it, and then executed by the real proxy.
+func newAggRig(t *testing.T, n int) (*rig, *gatedBackend, *Aggregator) {
 	t.Helper()
-	r, proxy, _ := newLBL(t, LBLPointPermute, valueSize)
+	r, proxy, _ := newLBL(t, LBLPointPermute, aggValueSize)
 	data := map[string][]byte{}
 	for i := 0; i < n; i++ {
-		v := make([]byte, valueSize)
+		v := make([]byte, aggValueSize)
 		v[0] = byte(i)
 		data[fmt.Sprintf("key-%02d", i)] = v
 	}
 	loadData(t, r, proxy, data)
-	agg := closeAt(NewAggregator(AggregatorConfig{Window: window}, proxy.Config().RequestBytesPerAccess(), proxy), trigger)
+	backend := &gatedBackend{inner: proxy, entered: make(chan struct{}, 64), gate: make(chan struct{})}
+	agg := NewAggregator(backend)
 	t.Cleanup(agg.Close)
-	return r, proxy, agg
+	return r, backend, agg
 }
 
-// TestAggregatorCoalescesConcurrentSessions checks the core promise:
-// concurrent sessions' single-key accesses land in one window, go out
-// as one batch, and every session gets its own key's value back.
+// waitAdmitted returns once agg has admitted n accesses in all.
+func waitAdmitted(t *testing.T, agg *Aggregator, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); agg.accesses.Load() < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("access %d never admitted", n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// admitAfter starts one access on its own goroutine — a write of
+// {tag, 0, 0, 0} or a read — and returns once the aggregator has admitted
+// it, so a test can fix the order accesses are admitted in. The access
+// must succeed; its value is behind the returned pointer once wg is done.
+func admitAfter(t *testing.T, agg *Aggregator, wg *sync.WaitGroup, op Op, key string, tag byte) *[]byte {
+	t.Helper()
+	before := agg.accesses.Load()
+	got := new([]byte)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var value []byte
+		if op == OpWrite {
+			value = []byte{tag, 0, 0, 0}
+		}
+		v, _, err := agg.Access(op, key, value)
+		if err != nil {
+			t.Errorf("access %s %s: %v", op, key, err)
+		}
+		*got = v
+	}()
+	waitAdmitted(t, agg, before+1)
+	return got
+}
+
+// TestAggregatorCoalescesConcurrentSessions checks the core promise
+// against a real proxy and server: sessions on distinct keys never wait
+// for each other — n keys are n rounds in flight at once — and sessions
+// that arrive for a key while its round is in flight leave together, as
+// one chain in one server RPC, applied in the order they were admitted,
+// each session getting its own answer.
 func TestAggregatorCoalescesConcurrentSessions(t *testing.T) {
 	const n = 8
-	_, _, agg := newAggRig(t, n, 4, time.Hour, n)
-
+	r, backend, agg := newAggRig(t, n)
+	view := observe(r)
 	var wg sync.WaitGroup
+	first := make([]*[]byte, n)
+	for i := range first {
+		first[i] = admitAfter(t, agg, &wg, OpRead, fmt.Sprintf("key-%02d", i), 0)
+	}
 	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, _, err := agg.Access(OpRead, fmt.Sprintf("key-%02d", i), nil)
-			if err != nil {
-				t.Errorf("session %d: %v", i, err)
-				return
-			}
-			if v[0] != byte(i) {
-				t.Errorf("session %d read %v, want first byte %d", i, v, i)
-			}
-		}(i)
+		<-backend.entered // the gate is shut: all n rounds are in flight together
 	}
+	w1 := admitAfter(t, agg, &wg, OpWrite, "key-00", 41)
+	rd := admitAfter(t, agg, &wg, OpRead, "key-00", 0)
+	w2 := admitAfter(t, agg, &wg, OpWrite, "key-00", 42)
+	if rounds := backend.roundKeys(); len(rounds) != n {
+		t.Fatalf("rounds while key-00 is in flight = %q, want %d: held accesses must not be sent", rounds, n)
+	}
+	close(backend.gate)
 	wg.Wait()
 
-	st := agg.Stats()
-	if st.Accesses != n || st.Batches != 1 {
-		t.Errorf("stats = %+v, want %d accesses in 1 window", st, n)
+	for i, v := range first {
+		if (*v)[0] != byte(i) {
+			t.Errorf("session %d read %v, want first byte %d", i, *v, i)
+		}
 	}
-	if got := st.CoalesceRatio(); got != n {
-		t.Errorf("coalesce ratio = %v, want %d", got, n)
+	if (*w1)[0] != 41 || (*rd)[0] != 41 || (*w2)[0] != 42 {
+		t.Errorf("chain answered %v %v %v, want 41 41 42: members apply in admission order", *w1, *rd, *w2)
+	}
+	rounds := backend.roundKeys()
+	if len(rounds) != n+1 || rounds[n] != "key-00=41 key-00 key-00=42" {
+		t.Errorf("rounds = %q, want %d rounds of one and the chain key-00=41 key-00 key-00=42", rounds, n)
+	}
+	if rpcs := len(view.sorted()); rpcs != n+1 {
+		t.Errorf("server answered %d RPCs, want %d: the chain of three costs one", rpcs, n+1)
+	}
+	if accesses, rounds := agg.accesses.Load(), agg.rounds.Load(); accesses != n+3 || rounds != n+1 {
+		t.Errorf("counted %d accesses in %d rounds, want %d in %d", accesses, rounds, n+3, n+1)
 	}
 }
 
-// TestAggregatorTimerDispatch checks the time trigger: a window that
-// never fills still dispatches after Window.
-func TestAggregatorTimerDispatch(t *testing.T) {
-	_, _, agg := newAggRig(t, 4, 4, 2*time.Millisecond, 64)
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, _, err := agg.Access(OpRead, fmt.Sprintf("key-%02d", i), nil)
-			if err != nil {
-				t.Errorf("session %d: %v", i, err)
-			} else if v[0] != byte(i) {
-				t.Errorf("session %d read %v", i, v)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if st := agg.Stats(); st.Accesses != 3 || st.Batches == 0 {
-		t.Errorf("stats = %+v, want 3 accesses dispatched", st)
-	}
+// yieldingStub is a BatchAccessor whose round trip is one yield of the
+// processor: long enough for an arrival to slip in, short enough that
+// most rounds return with little or nothing held.
+type yieldingStub struct{}
+
+func (yieldingStub) AccessBatchResults(_ context.Context, ops []BatchOp) ([]BatchResult, AccessStats) {
+	runtime.Gosched()
+	return make([]BatchResult, len(ops)), AccessStats{}
 }
 
-// TestAggregatorWindowCloseRacesArrivals hammers the hand-off: tiny
-// windows and a small size trigger while many sessions issue
-// dependent read/write sequences, so window closes (timer and size
-// triggers racing) constantly overlap new arrivals. Run under -race
-// this is the aggregator's main concurrency test.
-func TestAggregatorWindowCloseRacesArrivals(t *testing.T) {
-	const sessions = 8
-	const rounds = 6
-	const valueSize = 4
-	_, _, agg := newAggRig(t, sessions, valueSize, 200*time.Microsecond, 4)
+// TestAggregatorArrivalRacesRoundReturn is the aggregator's main
+// concurrency test; run it under -race. The one race the design has is an
+// arrival for a key against that key's round returning: the arrival must
+// either be part of what the return sends next or find the key free and
+// leave by itself — never be appended to a list no one will send, never
+// overtake an access admitted before it, never put two rounds on the key.
+func TestAggregatorArrivalRacesRoundReturn(t *testing.T) {
+	// An instant backend, so every round returns about when the next
+	// access arrives; accesses admitted one by one, each carrying its
+	// place in the order, without waiting for answers.
+	t.Run("stub", func(t *testing.T) {
+		const n = 4000
+		backend := &gatedBackend{inner: yieldingStub{}, entered: make(chan struct{}, n)}
+		agg := NewAggregator(backend)
+		outstanding := make(chan struct{}, DefaultAggMaxPending/2) // stay inside the pending budget
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			outstanding <- struct{}{}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if _, _, err := agg.Access(OpWrite, "k", []byte{byte(i), byte(i >> 8)}); err != nil {
+					t.Errorf("access %d: %v", i, err)
+				}
+				<-outstanding
+			}(i)
+			for agg.accesses.Load() <= int64(i) {
+				runtime.Gosched()
+			}
+			// Vary how far the round in flight gets before the next arrival:
+			// from "certainly held" to "probably finds the key free".
+			for y := 0; y < i%8; y++ {
+				runtime.Gosched()
+			}
+		}
+		answered := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(answered)
+		}()
+		select {
+		case <-answered:
+		case <-time.After(30 * time.Second):
+			t.Fatal("accesses admitted and never answered: held for a round that will not return")
+		}
+		agg.Close()
+		if len(backend.shared) != 0 {
+			t.Fatalf("%d times the key was in two rounds at once", len(backend.shared))
+		}
+		next, alone := 0, 0
+		for _, ops := range backend.rounds {
+			if len(ops) == 1 {
+				alone++
+			}
+			for _, op := range ops {
+				if got := int(op.Value[0]) | int(op.Value[1])<<8; got != next {
+					t.Fatalf("the backend saw access %d where %d was due: lost or overtaken", got, next)
+				}
+				next++
+			}
+		}
+		if next != n {
+			t.Fatalf("the backend saw %d accesses, want %d", next, n)
+		}
+		t.Logf("%d rounds, %d of one access", len(backend.rounds), alone)
+	})
 
-	var wg sync.WaitGroup
-	for s := 0; s < sessions; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
+	// Dependent sequences through the real proxy: each key has a writer
+	// that reads back what it last wrote and a reader that must never
+	// see the key's value go backwards.
+	t.Run("proxy", func(t *testing.T) {
+		const keys, laps = 8, 6
+		_, backend, agg := newAggRig(t, keys)
+		agg.Instrument(obs.NewRegistry())
+		close(backend.gate)
+		go func() {
+			for range backend.entered {
+			}
+		}()
+		defer close(backend.entered)
+		var writers, readers sync.WaitGroup
+		done := make(chan struct{})
+		for s := 0; s < keys; s++ {
 			key := fmt.Sprintf("key-%02d", s)
-			want := byte(s)
-			for r := 0; r < rounds; r++ {
-				v, _, err := agg.Access(OpRead, key, nil)
-				if err != nil {
-					t.Errorf("session %d round %d read: %v", s, r, err)
-					return
+			writers.Add(1)
+			go func(s int) {
+				defer writers.Done()
+				want := byte(s)
+				for lap := 0; lap < laps; lap++ {
+					v, _, err := agg.Access(OpRead, key, nil)
+					if err != nil || v[0] != want {
+						t.Errorf("writer %d lap %d read %v, %v; want first byte %d", s, lap, v, err, want)
+						return
+					}
+					want = byte(s + 16*(lap+1))
+					if _, _, err := agg.Access(OpWrite, key, []byte{want, 0, 0, 0}); err != nil {
+						t.Errorf("writer %d lap %d write: %v", s, lap, err)
+						return
+					}
 				}
-				if v[0] != want {
-					t.Errorf("session %d round %d read %d, want %d", s, r, v[0], want)
-					return
+			}(s)
+			readers.Add(1)
+			go func(s int) {
+				defer readers.Done()
+				last := byte(s)
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					v, _, err := agg.Access(OpRead, key, nil)
+					if err != nil || v[0] < last || (v[0]-byte(s))%16 != 0 {
+						t.Errorf("reader %d read %v, %v after %d: values go s, s+16, s+32, … and never back", s, v, err, last)
+						return
+					}
+					last = v[0]
 				}
-				want = byte(s + 16 + r)
-				nv := make([]byte, valueSize)
-				nv[0] = want
-				if _, _, err := agg.Access(OpWrite, key, nv); err != nil {
-					t.Errorf("session %d round %d write: %v", s, r, err)
-					return
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-
-	st := agg.Stats()
-	if st.Accesses != sessions*rounds*2 {
-		t.Errorf("accesses = %d, want %d", st.Accesses, sessions*rounds*2)
-	}
-	if st.Batches == 0 || st.Rejected != 0 {
-		t.Errorf("stats = %+v, want dispatched windows and no rejections", st)
-	}
+			}(s)
+		}
+		writers.Wait()
+		close(done)
+		readers.Wait()
+		agg.Close()
+		if len(backend.shared) != 0 {
+			t.Errorf("keys %q were in two rounds at once", backend.shared)
+		}
+		if rejected := agg.rejected.Load(); rejected != 0 {
+			t.Errorf("%d accesses rejected, want none", rejected)
+		}
+		// An access admitted while its key's round was returning must not
+		// read as held for a negative time.
+		assertAggStagesSum(t, agg, uint64(agg.accesses.Load()))
+	})
 }
 
-// stubBatch is a BatchAccessor that answers instantly, echoing each
-// op's key as its value.
-type stubBatch struct{}
-
-func (stubBatch) AccessBatchResults(_ context.Context, ops []BatchOp) ([]BatchResult, AccessStats) {
-	res := make([]BatchResult, len(ops))
-	for i := range ops {
-		res[i] = BatchResult{Value: []byte(ops[i].Key)}
-	}
-	return res, AccessStats{}
-}
-
-// TestAggregatorBackpressure fills the pending budget with parked
-// accesses and checks that the next arrival is rejected rather than
-// queued, and that the parked accesses still complete.
+// TestAggregatorBackpressure fills the pending budget — accesses in
+// flight and, a quarter of them, held for one key, counted alike — and
+// checks that the next arrival is rejected rather than queued, and that
+// every admitted access still completes.
 func TestAggregatorBackpressure(t *testing.T) {
-	const budget = 4
-	agg := closeAt(NewAggregator(AggregatorConfig{Window: time.Hour, MaxPending: budget}, 1, stubBatch{}), 100)
-
+	backend := &gatedBackend{entered: make(chan struct{}, 2*DefaultAggMaxPending), gate: make(chan struct{})}
+	agg := NewAggregator(backend)
 	var wg sync.WaitGroup
-	for i := 0; i < budget; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, _, err := agg.Access(OpRead, fmt.Sprintf("k%d", i), nil)
-			if err != nil {
-				t.Errorf("parked access %d: %v", i, err)
-			} else if string(v) != fmt.Sprintf("k%d", i) {
-				t.Errorf("parked access %d got %q", i, v)
-			}
-		}(i)
+	for i := 0; i < DefaultAggMaxPending; i++ {
+		key := "hot"
+		if i%4 != 0 {
+			key = fmt.Sprintf("k%d", i)
+		}
+		admitAfter(t, agg, &wg, OpRead, key, 0)
 	}
-	// The window is an hour long, so the budget stays full until Close.
-	waitAdmitted(t, agg, budget)
-
+	// The gate is shut, so the budget stays full.
 	if _, _, err := agg.Access(OpRead, "overflow", nil); !errors.Is(err, ErrAggregatorOverloaded) {
 		t.Fatalf("overflow access error = %v, want ErrAggregatorOverloaded", err)
 	}
-	if st := agg.Stats(); st.Rejected != 1 {
-		t.Errorf("rejected = %d, want 1", st.Rejected)
+	if admitted, rejected := agg.accesses.Load(), agg.rejected.Load(); admitted != DefaultAggMaxPending || rejected != 1 {
+		t.Errorf("%d admitted and %d rejected, want %d and 1", admitted, rejected, DefaultAggMaxPending)
 	}
 
-	agg.Close() // flushes the parked window; every admitted access answers
-	wg.Wait()
-
+	close(backend.gate)
+	wg.Wait() // every admitted access answers
+	if _, _, err := agg.Access(OpRead, "after", nil); err != nil {
+		t.Errorf("access once the budget has drained: %v", err)
+	}
+	agg.Close()
 	if _, _, err := agg.Access(OpRead, "late", nil); !errors.Is(err, ErrAggregatorClosed) {
 		t.Errorf("post-close access error = %v, want ErrAggregatorClosed", err)
 	}
 }
 
-// TestAggregatorErrorIsolation puts two doomed accesses — an unloaded
-// key and a wrong-size write — in a window with six good ones: the
-// bad accesses fail individually and the rest of the window is
-// unaffected.
+// TestAggregatorErrorIsolation puts a doomed access — a wrong-size write
+// — inside a chain, and another — an unloaded key — in a round beside it:
+// each fails by itself, the rest of the chain is applied and answered as
+// if the bad member were not there, and the chain is still one round.
 func TestAggregatorErrorIsolation(t *testing.T) {
-	const n = 8
-	_, _, agg := newAggRig(t, n-2, 4, time.Hour, n)
-
-	errs := make([]error, n)
-	vals := make([][]byte, n)
+	_, backend, agg := newAggRig(t, 2)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	doomed := func(op Op, key string, value []byte) *error {
+		before, err := agg.accesses.Load(), new(error)
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			switch i {
-			case n - 2: // never loaded
-				vals[i], _, errs[i] = agg.Access(OpRead, "ghost", nil)
-			case n - 1: // wrong write size
-				vals[i], _, errs[i] = agg.Access(OpWrite, "key-00", []byte{1, 2})
-			default:
-				vals[i], _, errs[i] = agg.Access(OpRead, fmt.Sprintf("key-%02d", i), nil)
-			}
-		}(i)
+			_, _, *err = agg.Access(op, key, value)
+		}()
+		waitAdmitted(t, agg, before+1)
+		return err
 	}
+	admitAfter(t, agg, &wg, OpRead, "key-00", 0)
+	<-backend.entered // key-00 is in flight: what follows is its chain
+	w := admitAfter(t, agg, &wg, OpWrite, "key-00", 7)
+	badSize := doomed(OpWrite, "key-00", []byte{1, 2})
+	rd := admitAfter(t, agg, &wg, OpRead, "key-00", 0)
+	ghost := doomed(OpRead, "ghost", nil)
+	<-backend.entered // rounds reach the backend on goroutines of their own: one at a time, so their order is known
+	other := admitAfter(t, agg, &wg, OpRead, "key-01", 0)
+	<-backend.entered
+	close(backend.gate)
 	wg.Wait()
 
-	for i := 0; i < n-2; i++ {
-		if errs[i] != nil {
-			t.Errorf("good access %d failed: %v", i, errs[i])
-		} else if vals[i][0] != byte(i) {
-			t.Errorf("good access %d read %v", i, vals[i])
-		}
+	if !errors.Is(*badSize, ErrValueSize) {
+		t.Errorf("wrong-size write error = %v, want ErrValueSize", *badSize)
 	}
-	if errs[n-2] == nil {
+	if *ghost == nil {
 		t.Error("ghost-key access succeeded, want error")
 	}
-	if !errors.Is(errs[n-1], ErrValueSize) {
-		t.Errorf("wrong-size write error = %v, want ErrValueSize", errs[n-1])
+	if (*w)[0] != 7 || (*rd)[0] != 7 || (*other)[0] != 1 {
+		t.Errorf("good accesses answered %v %v %v, want first bytes 7 7 1", *w, *rd, *other)
 	}
-	if st := agg.Stats(); st.Batches != 1 {
-		t.Errorf("batches = %d, want the whole window in one dispatch", st.Batches)
+	want := []string{"key-00", "ghost", "key-01", "key-00=7 key-00=1 key-00"}
+	if rounds := backend.roundKeys(); fmt.Sprint(rounds) != fmt.Sprint(want) {
+		t.Errorf("rounds = %q, want %q", rounds, want)
 	}
 }
 
@@ -296,94 +385,55 @@ func TestAccessBatchResultsPerOpErrors(t *testing.T) {
 }
 
 // TestObliviousnessAggregatedWindow checks the aggregation security
-// argument at the adversary's boundary: the server's view of one
-// aggregated window of n concurrent single-key sessions is identical
-// to its view of a natural AccessBatch of the same keys — and aggregated
-// read windows are indistinguishable from aggregated write windows. The
-// chain row gives several sessions the same key: the window then carries
-// a chain, as the natural batch with the same duplicates does.
+// argument at the adversary's boundary: the server's view of an
+// aggregated chain — k sessions' accesses to one key, held while the
+// key's round was in flight and sent together — is identical to its view
+// of a natural AccessBatch of the same k ops, and aggregated read chains
+// are indistinguishable from aggregated write chains.
 func TestObliviousnessAggregatedWindow(t *testing.T) {
-	const valueSize = 8
-
-	observe := func(r *rig) *[]exchange {
-		var mu sync.Mutex
-		seen := &[]exchange{}
-		r.server.SetObserver(func(msgType byte, reqLen, respLen int) {
-			mu.Lock()
-			*seen = append(*seen, exchange{msgType, reqLen, respLen})
-			mu.Unlock()
-		})
-		return seen
-	}
-	sorted := func(seen []exchange) []exchange {
-		out := append([]exchange(nil), seen...)
-		sortExchanges(out)
-		return out
-	}
-
-	for _, tc := range []struct {
-		name string
-		keys []int // the key each session accesses
-	}{
-		{"distinct", []int{0, 1, 2, 3, 4, 5}},
-		{"chain", []int{0, 1, 1, 2, 2, 2}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			n := len(tc.keys)
+	for _, k := range []int{1, 3, 6} {
+		t.Run(fmt.Sprintf("chain=%d", k), func(t *testing.T) {
+			// A round of one puts the key in flight; the k accesses admitted
+			// behind it are the chain.
 			aggregatedRun := func(t *testing.T, op Op) []exchange {
-				r, _, agg := newAggRig(t, n, valueSize, time.Hour, n)
-				seen := observe(r)
+				r, backend, agg := newAggRig(t, 1)
+				view := observe(r)
 				var wg sync.WaitGroup
-				for i, k := range tc.keys {
-					wg.Add(1)
-					go func(i, k int) {
-						defer wg.Done()
-						var err error
-						if op == OpWrite {
-							v := make([]byte, valueSize)
-							v[0] = byte(i + 100)
-							_, _, err = agg.Access(OpWrite, fmt.Sprintf("key-%02d", k), v)
-						} else {
-							_, _, err = agg.Access(OpRead, fmt.Sprintf("key-%02d", k), nil)
-						}
-						if err != nil {
-							t.Errorf("session %d: %v", i, err)
-						}
-					}(i, k)
+				admitAfter(t, agg, &wg, op, "key-00", 100)
+				<-backend.entered
+				for i := 0; i < k; i++ {
+					admitAfter(t, agg, &wg, op, "key-00", byte(101+i))
 				}
+				close(backend.gate)
 				wg.Wait()
-				if st := agg.Stats(); st.Batches != 1 {
-					t.Errorf("the %d sessions left in %d windows, want 1", n, st.Batches)
+				if rounds := agg.rounds.Load(); rounds != 2 {
+					t.Errorf("the %d held sessions left in %d rounds, want 1", k, rounds-1)
 				}
-				return sorted(*seen)
+				return view.sorted()
 			}
-
 			naturalRun := func(t *testing.T) []exchange {
-				r, proxy, _ := newLBL(t, LBLPointPermute, valueSize)
-				data := map[string][]byte{}
-				for i := 0; i < n; i++ {
-					data[fmt.Sprintf("key-%02d", i)] = make([]byte, valueSize)
+				r, proxy, _ := newLBL(t, LBLPointPermute, aggValueSize)
+				loadData(t, r, proxy, map[string][]byte{"key-00": make([]byte, aggValueSize)})
+				view := observe(r)
+				for _, n := range []int{1, k} {
+					ops := make([]BatchOp, n)
+					for i := range ops {
+						ops[i] = BatchOp{Op: OpRead, Key: "key-00"}
+					}
+					if _, _, err := proxy.AccessBatch(ops); err != nil {
+						t.Fatal(err)
+					}
 				}
-				loadData(t, r, proxy, data)
-				seen := observe(r)
-				ops := make([]BatchOp, n)
-				for i, k := range tc.keys {
-					ops[i] = BatchOp{Op: OpRead, Key: fmt.Sprintf("key-%02d", k)}
-				}
-				if _, _, err := proxy.AccessBatch(ops); err != nil {
-					t.Fatal(err)
-				}
-				return sorted(*seen)
+				return view.sorted()
 			}
 
 			aggReads := aggregatedRun(t, OpRead)
 			aggWrites := aggregatedRun(t, OpWrite)
 			natural := naturalRun(t)
-			if len(natural) != 1 {
-				t.Fatalf("the natural batch crossed as %d exchanges, want 1", len(natural))
+			if len(natural) != 2 {
+				t.Fatalf("the two natural batches crossed as %d exchanges, want 2", len(natural))
 			}
-
-			// Aggregated window vs natural batch of the same keys: identical.
+			// Aggregated chain vs natural batch of the same ops: identical.
 			assertIdenticalViews(t, aggReads, natural)
 			// Aggregated reads vs aggregated writes: identical.
 			assertIdenticalViews(t, aggReads, aggWrites)
@@ -391,47 +441,44 @@ func TestObliviousnessAggregatedWindow(t *testing.T) {
 	}
 }
 
-// TestAggregatorSlowlogWindowMetadata checks the slowlog attribution
-// fix: an aggregated access's entry names the window it rode
-// (window=N) and reports coalescing latency as stages of its own —
-// key_wait, window_wait — beside batch_rpc: the waits are never folded
-// into rpc.
+// TestAggregatorSlowlogWindowMetadata checks what an aggregated access
+// leaves behind: a slow-log entry that names the chain it rode (chain=N
+// member=i) and reports the time it was held for its key as a stage of
+// its own — key_wait, zero for an access that found its key free — beside
+// batch_rpc, never folded into it; the two sum to the entry's total and,
+// over all accesses, the stage histograms sum to ortoa_agg_access_seconds
+// exactly.
 // The aggregator holds no PRF, so its labels must carry no key material
 // at all — neither the text of a plaintext key's prefix nor its hex —
 // and point at the access through the trace id instead.
 func TestAggregatorSlowlogWindowMetadata(t *testing.T) {
-	const n = 4
-	_, _, agg := newAggRig(t, n, 4, time.Hour, n)
+	const k = 3
+	_, backend, agg := newAggRig(t, 1)
 	reg := obs.NewRegistry()
 	agg.Instrument(reg)
 	tr := reg.Tracer("proxy", 64)
 	agg.TraceWith(tr)
 
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, _, err := agg.Access(OpRead, fmt.Sprintf("key-%02d", i), nil); err != nil {
-				t.Errorf("session %d: %v", i, err)
-			}
-		}(i)
+	admitAfter(t, agg, &wg, OpRead, "key-00", 0)
+	<-backend.entered
+	for i := 0; i < k; i++ {
+		admitAfter(t, agg, &wg, OpRead, "key-00", 0)
 	}
+	close(backend.gate)
 	wg.Wait()
 
-	slow := reg.SlowLog("agg_access", 32)
-	entries := slow.Entries()
-	if len(entries) != n {
-		t.Fatalf("slowlog retained %d entries, want %d", len(entries), n)
+	entries := reg.SlowLog("agg_access", 32).Entries()
+	if len(entries) != 1+k {
+		t.Fatalf("slowlog retained %d entries, want %d", len(entries), 1+k)
 	}
 	sessions := map[uint64]bool{}
 	for _, rec := range tr.Snapshot() {
 		sessions[rec.TraceID] = sessions[rec.TraceID] || rec.Name == "agg_session"
 	}
+	labels := map[string]bool{}
 	for _, e := range entries {
-		if !strings.Contains(e.Label, fmt.Sprintf("window=%d", n)) {
-			t.Fatalf("entry label %q missing window size", e.Label)
-		}
+		labels[e.Label] = true
 		for _, leak := range []string{"key-", hex.EncodeToString([]byte("key-")), "ek="} {
 			if strings.Contains(e.Label, leak) {
 				t.Fatalf("entry label %q carries key material (%q): /slowlog must never show plaintext key bytes", e.Label, leak)
@@ -440,63 +487,50 @@ func TestAggregatorSlowlogWindowMetadata(t *testing.T) {
 		if !sessions[e.TraceID] {
 			t.Fatalf("entry %q carries trace id %016x, which resolves to no agg_session span", e.Label, e.TraceID)
 		}
-		stages := map[string]time.Duration{}
-		var sum time.Duration
-		for _, s := range e.Stages {
-			stages[s.Name] = s.D
-			sum += s.D
+		if len(e.Stages) != 2 || e.Stages[0].Name != "key_wait" || e.Stages[1].Name != "batch_rpc" {
+			t.Fatalf("entry %q has stages %+v, want key_wait and batch_rpc", e.Label, e.Stages)
 		}
-		for _, want := range []string{"key_wait", "window_wait", "batch_rpc"} {
-			if _, ok := stages[want]; !ok {
-				t.Fatalf("entry %q has no %s stage: %+v", e.Label, want, e.Stages)
-			}
+		if held := strings.HasPrefix(e.Label, fmt.Sprintf("chain=%d ", k)); held != (e.Stages[0].D > 0) {
+			t.Errorf("entry %q was held for %v: only a chain's members wait for their key", e.Label, e.Stages[0].D)
 		}
-		if sum != e.Total {
+		if sum := e.Stages[0].D + e.Stages[1].D; sum != e.Total {
 			t.Fatalf("entry %q stages sum to %v but total is %v: latency misattributed", e.Label, sum, e.Total)
 		}
 	}
+	for _, want := range []string{"chain=1 member=0", "chain=3 member=0", "chain=3 member=1", "chain=3 member=2"} {
+		if !labels[want] {
+			t.Errorf("no entry labelled %q among %v", want, labels)
+		}
+	}
+	assertAggStagesSum(t, agg, 1+k)
 }
 
-// waitAdmitted returns once agg has admitted n accesses in all.
-func waitAdmitted(t *testing.T, agg *Aggregator, n int64) {
+// assertAggStagesSum checks the stage clock's promise on agg's family:
+// every stage was observed once per answered access, and the stages' sums
+// add up to ortoa_agg_access_seconds' exactly.
+func assertAggStagesSum(t *testing.T, agg *Aggregator, accesses uint64) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); agg.Stats().Accesses < n; {
-		if time.Now().After(deadline) {
-			t.Fatalf("access %d never admitted", n)
+	var sum time.Duration
+	for i, name := range agg.stages.Names() {
+		h := agg.stages.Histogram(i)
+		if h.Count() != accesses {
+			t.Errorf("stage %s has %d observations, want %d", name, h.Count(), accesses)
 		}
-		time.Sleep(100 * time.Microsecond)
+		sum += h.Sum()
+	}
+	if e2e := agg.stages.Access(); e2e.Count() != accesses || e2e.Sum() != sum {
+		t.Errorf("ortoa_agg_access_seconds: count %d sum %v, want %d and the stages' %v", e2e.Count(), e2e.Sum(), accesses, sum)
 	}
 }
 
-// admitAfter starts one access on its own goroutine and returns once the
-// aggregator has admitted it, so a test can fix the order accesses are
-// admitted in.
-func admitAfter(t *testing.T, agg *Aggregator, wg *sync.WaitGroup, op Op, key string, tag byte) {
-	t.Helper()
-	before := agg.Stats().Accesses
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var value []byte
-		if op == OpWrite {
-			value = []byte{tag, 0, 0, 0}
-		}
-		if _, _, err := agg.Access(op, key, value); err != nil {
-			t.Errorf("access %s %s: %v", op, key, err)
-		}
-	}()
-	waitAdmitted(t, agg, before+1)
-}
-
-// TestAggregatorHoldsBusyKey pins the per-key deferral: while a key's
-// round is in flight, accesses to it are held — no window carries them
-// to queue on the key's counter — and accesses to other keys leave
-// without waiting for it; when the round returns, everything held for
-// the key leaves together, past the byte budget, in the order it was
-// admitted.
+// TestAggregatorHoldsBusyKey pins the per-key hold: while a key's round
+// is in flight, accesses to it are held — no round carries them to queue
+// on the key's counter — and accesses to other keys leave without
+// waiting for it; when the round returns, everything held for the key
+// leaves together, in the order it was admitted.
 func TestAggregatorHoldsBusyKey(t *testing.T) {
 	backend := &gatedBackend{entered: make(chan struct{}, 8), gate: make(chan struct{}, 8)}
-	agg := closeAt(NewAggregator(AggregatorConfig{Window: time.Hour}, 1, backend), 1)
+	agg := NewAggregator(backend)
 	var wg sync.WaitGroup
 	admitAfter(t, agg, &wg, OpRead, "hot", 0)
 	<-backend.entered // round 1 holds "hot" in flight
@@ -523,15 +557,12 @@ func TestAggregatorHoldsBusyKey(t *testing.T) {
 	}
 }
 
-// TestAggregatorNeverSharesAKey is the invariant behind the deferral,
-// under a workload where one key draws most of the traffic: no two
-// in-flight rounds ever carry the same key. A window that carries a key
-// several times must end that key's time in flight once — releasing it
-// per waiter un-marks the key again after its held chain has already
-// been sent, and the next window shares it.
+// TestAggregatorNeverSharesAKey is the invariant behind the hold, under
+// a workload where one key draws most of the traffic: no two in-flight
+// rounds ever carry the same key, and every round carries one key only.
 func TestAggregatorNeverSharesAKey(t *testing.T) {
 	backend := &gatedBackend{entered: make(chan struct{}, 1<<12)}
-	agg := closeAt(NewAggregator(AggregatorConfig{Window: 100 * time.Microsecond}, 1, backend), 2)
+	agg := NewAggregator(backend)
 	const sessions, rounds = 16, 40
 	var wg sync.WaitGroup
 	for s := 0; s < sessions; s++ {
@@ -558,13 +589,12 @@ func TestAggregatorNeverSharesAKey(t *testing.T) {
 	}
 	chained := 0
 	for _, ops := range backend.rounds {
-		hot := 0
 		for _, op := range ops {
-			if op.Key == "hot" {
-				hot++
+			if op.Key != ops[0].Key {
+				t.Fatalf("a round carried keys %q and %q: every aggregated round is one key's chain", ops[0].Key, op.Key)
 			}
 		}
-		if hot > 1 {
+		if len(ops) > 1 {
 			chained++
 		}
 	}
@@ -574,26 +604,22 @@ func TestAggregatorNeverSharesAKey(t *testing.T) {
 }
 
 // TestAggregatorCloseAnswersHeld: Close returns only once every admitted
-// access has its answer — the open window's by the round Close sends,
-// those held for a key by the round that follows when the key comes
-// back.
+// access has its answer — those in flight by their rounds, those held
+// for a key by the round that follows when the key comes back.
 func TestAggregatorCloseAnswersHeld(t *testing.T) {
 	backend := &gatedBackend{entered: make(chan struct{}, 8), gate: make(chan struct{})}
-	agg := closeAt(NewAggregator(AggregatorConfig{Window: time.Hour}, 1, backend), 2)
+	agg := NewAggregator(backend)
 	var wg sync.WaitGroup
 	admitAfter(t, agg, &wg, OpRead, "hot", 0)
-	admitAfter(t, agg, &wg, OpRead, "warm", 0)
-	<-backend.entered // round 1: hot, warm
+	<-backend.entered // round 1: hot
 	admitAfter(t, agg, &wg, OpWrite, "hot", 1)
 	admitAfter(t, agg, &wg, OpWrite, "hot", 2)
-	admitAfter(t, agg, &wg, OpRead, "calm", 0) // alone in the open window, an hour to wait
 
 	closed := make(chan struct{})
 	go func() {
 		agg.Close()
 		close(closed)
 	}()
-	<-backend.entered // Close sent the open window
 	select {
 	case <-closed:
 		t.Fatal("Close returned with accesses in flight and held")
@@ -602,72 +628,11 @@ func TestAggregatorCloseAnswersHeld(t *testing.T) {
 	close(backend.gate)
 	<-closed
 	wg.Wait() // every access was answered without error
-	want := []string{"hot warm", "calm", "hot=1 hot=2"}
+	want := []string{"hot", "hot=1 hot=2"}
 	if rounds := backend.roundKeys(); fmt.Sprint(rounds) != fmt.Sprint(want) {
 		t.Errorf("rounds = %q, want %q", rounds, want)
 	}
 	if _, _, err := agg.Access(OpRead, "late", nil); !errors.Is(err, ErrAggregatorClosed) {
 		t.Errorf("post-close access error = %v, want ErrAggregatorClosed", err)
-	}
-}
-
-// TestAggregatorPendingBudgetIsItsOwn: the admission budget does not
-// shrink with the windows. With windows of one access, 32 concurrent
-// sessions — a quarter of them on one key, so held — are all admitted.
-func TestAggregatorPendingBudgetIsItsOwn(t *testing.T) {
-	if got := (AggregatorConfig{}).maxPending(); got != DefaultAggMaxPending {
-		t.Fatalf("default pending budget = %d, want DefaultAggMaxPending = %d", got, DefaultAggMaxPending)
-	}
-	backend := &gatedBackend{entered: make(chan struct{}, 64), gate: make(chan struct{})}
-	agg := closeAt(NewAggregator(AggregatorConfig{Window: time.Hour}, 1, backend), 1)
-	var wg sync.WaitGroup
-	for s := 0; s < 32; s++ {
-		key := "hot"
-		if s%4 != 0 {
-			key = fmt.Sprintf("key-%d", s)
-		}
-		admitAfter(t, agg, &wg, OpRead, key, 0)
-	}
-	close(backend.gate)
-	wg.Wait()
-	if st := agg.Stats(); st.Rejected != 0 || st.Accesses != 32 {
-		t.Errorf("stats = %+v, want 32 admitted and none rejected", st)
-	}
-}
-
-// TestAggregatorWindowClosesOnBytes pins the size trigger itself, which
-// every other test replaces through closeAt: with the timer an hour
-// away, a window leaves when it holds as many accesses as fit
-// aggWindowBytes at the request bytes one access costs, and an access
-// too large to share the budget leaves alone.
-func TestAggregatorWindowClosesOnBytes(t *testing.T) {
-	for _, tc := range []struct {
-		accessBytes int
-		want        []string
-	}{
-		{LBLConfig{ValueSize: 160, Mode: LBLPointPermute}.RequestBytesPerAccess(), []string{"a b", "c d"}},
-		{aggWindowBytes/4 + 1, []string{"a b c", "d"}},
-		{aggWindowBytes / 4, []string{"a b c d"}},
-		{2 * aggWindowBytes, []string{"a", "b", "c", "d"}},
-	} {
-		backend := &gatedBackend{entered: make(chan struct{}, 8)}
-		agg := NewAggregator(AggregatorConfig{Window: time.Hour}, tc.accessBytes, backend)
-		var wg sync.WaitGroup
-		for i, key := range []string{"a", "b", "c", "d"} {
-			admitAfter(t, agg, &wg, OpRead, key, 0)
-			// Rounds run on goroutines of their own: let a window that has
-			// just been sent reach the backend before the next can.
-			for deadline := time.Now().Add(5 * time.Second); len(backend.roundKeys()) < (i+1)/agg.fill; {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d B an access: %d rounds after %d accesses", tc.accessBytes, len(backend.roundKeys()), i+1)
-				}
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-		agg.Close() // sends what the bytes left open
-		wg.Wait()
-		if rounds := backend.roundKeys(); fmt.Sprint(rounds) != fmt.Sprint(tc.want) {
-			t.Errorf("%d B an access: rounds = %q, want %q", tc.accessBytes, rounds, tc.want)
-		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ortoa/internal/crypto/prf"
 	"ortoa/internal/obs"
@@ -21,9 +20,9 @@ import (
 // reach it through the aggregator and through AccessBatch, where a
 // fenced or desynchronized key used to surface its rejection.
 
-// TestAggregatedRoundAdoptsFencedRange: a window dispatched by the
-// aggregator over an AutoAdopt proxy whose range a peer has claimed
-// must claim the range back and complete every session's access.
+// TestAggregatedRoundAdoptsFencedRange: rounds dispatched by the
+// aggregator over an AutoAdopt proxy whose ranges a peer has claimed
+// must claim them back and complete every session's access.
 func TestAggregatedRoundAdoptsFencedRange(t *testing.T) {
 	const n = 4
 	r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute, ReconcileScan: 8, AutoAdopt: true})
@@ -38,7 +37,7 @@ func TestAggregatedRoundAdoptsFencedRange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	agg := closeAt(NewAggregator(AggregatorConfig{Window: time.Hour}, 1, a), n)
+	agg := NewAggregator(a)
 	t.Cleanup(agg.Close)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

@@ -473,8 +473,8 @@ type BatchResult struct {
 // its own index, and an invalid op (unknown op code, wrong write
 // size) fails only itself — the rest of the batch still runs. It
 // exists for front ends that multiplex independent sessions into one
-// request (the Aggregator): one session's unloaded key must not fail
-// its window mates.
+// request (the Aggregator): one session's malformed write must not
+// fail the rest of its chain.
 func (p *LBLProxy) AccessBatchResults(ctx context.Context, ops []BatchOp) ([]BatchResult, AccessStats) {
 	var stats AccessStats
 	results := make([]BatchResult, len(ops))

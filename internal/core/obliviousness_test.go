@@ -25,18 +25,52 @@ type exchange struct {
 	respLen int
 }
 
+// sortExchanges orders observations so that multisets compare
+// positionally.
+func sortExchanges(s []exchange) {
+	sort.Slice(s, func(i, j int) bool {
+		a, b := s[i], s[j]
+		if a.msgType != b.msgType {
+			return a.msgType < b.msgType
+		}
+		if a.reqLen != b.reqLen {
+			return a.reqLen < b.reqLen
+		}
+		return a.respLen < b.respLen
+	})
+}
+
+// serverView records what the untrusted server sees of a rig: one
+// exchange per RPC it answered.
+type serverView struct {
+	mu   sync.Mutex
+	seen []exchange
+}
+
+func observe(r *rig) *serverView {
+	v := &serverView{}
+	r.server.SetObserver(func(msgType byte, reqLen, respLen int) {
+		v.mu.Lock()
+		v.seen = append(v.seen, exchange{msgType, reqLen, respLen})
+		v.mu.Unlock()
+	})
+	return v
+}
+
+func (v *serverView) sorted() []exchange {
+	v.mu.Lock()
+	out := append([]exchange(nil), v.seen...)
+	v.mu.Unlock()
+	sortExchanges(out)
+	return out
+}
+
 // observedRun performs ops accesses of the given op and returns the
 // sorted observation list.
 func observedRun(t *testing.T, mkRig func(t *testing.T) (*rig, Accessor), op Op, valueSize, ops int) []exchange {
 	t.Helper()
 	r, accessor := mkRig(t)
-	var mu sync.Mutex
-	var seen []exchange
-	r.server.SetObserver(func(msgType byte, reqLen, respLen int) {
-		mu.Lock()
-		seen = append(seen, exchange{msgType, reqLen, respLen})
-		mu.Unlock()
-	})
+	view := observe(r)
 	value := make([]byte, valueSize)
 	for i := 0; i < ops; i++ {
 		key := fmt.Sprintf("key-%02d", i%4)
@@ -51,17 +85,7 @@ func observedRun(t *testing.T, mkRig func(t *testing.T) (*rig, Accessor), op Op,
 			t.Fatalf("%s %d: %v", op, i, err)
 		}
 	}
-	sort.Slice(seen, func(i, j int) bool {
-		a, b := seen[i], seen[j]
-		if a.msgType != b.msgType {
-			return a.msgType < b.msgType
-		}
-		if a.reqLen != b.reqLen {
-			return a.reqLen < b.reqLen
-		}
-		return a.respLen < b.respLen
-	})
-	return seen
+	return view.sorted()
 }
 
 func assertIdenticalViews(t *testing.T, reads, writes []exchange) {

@@ -70,11 +70,10 @@ func fheStages(reg *obs.Registry) *obs.Stages {
 }
 
 // An aggregated access's stages, per session: the wait for its key's
-// round in flight to return and the wait for window mates — coalescing
-// latency, never folded into the round trip — and the window's shared
-// batch round.
+// round in flight to return — coalescing latency, never folded into the
+// round trip — and the batch round it shares with its chain.
 func aggStages(reg *obs.Registry) *obs.Stages {
-	return reg.Stages("ortoa_agg", "aggregated access per-session stage latency", "key_wait", "window_wait", "batch_rpc")
+	return reg.Stages("ortoa_agg", "aggregated access per-session stage latency", "key_wait", "batch_rpc")
 }
 
 // stageObs is what a trusted-side component times accesses with: its
@@ -88,7 +87,7 @@ type stageObs struct {
 // TraceWith attaches a tracer: subsequent accesses that arrive untraced
 // start their own traces in it — a proxy's or client's stage span tree,
 // whose trace id rides the request frames so the server's spans join
-// it; an aggregator's agg_window span parenting its sessions'.
+// it; an aggregator's agg_round span parenting its sessions'.
 func (o *stageObs) TraceWith(t *trace.Tracer) {
 	if t != nil {
 		o.tracer.Store(t)

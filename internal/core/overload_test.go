@@ -175,8 +175,10 @@ func TestServerDropsExpiredRound(t *testing.T) {
 // recording each round's operations — a stand-in proxy for aggregator
 // tests that need rounds held in flight deterministically. It also
 // keeps the invariant the aggregator owes a real proxy: a key two
-// rounds hold at once is recorded in shared.
+// rounds hold at once is recorded in shared. With inner set the rounds
+// it lets through are executed there; otherwise it answers them itself.
 type gatedBackend struct {
+	inner   BatchAccessor
 	mu      sync.Mutex
 	rounds  [][]BatchOp
 	busy    map[string]bool
@@ -185,7 +187,7 @@ type gatedBackend struct {
 	gate    chan struct{} // one token, or its close, releases a round; nil never holds one
 }
 
-func (b *gatedBackend) AccessBatchResults(_ context.Context, ops []BatchOp) ([]BatchResult, AccessStats) {
+func (b *gatedBackend) AccessBatchResults(ctx context.Context, ops []BatchOp) ([]BatchResult, AccessStats) {
 	b.mu.Lock()
 	b.rounds = append(b.rounds, append([]BatchOp(nil), ops...))
 	if b.busy == nil {
@@ -203,15 +205,20 @@ func (b *gatedBackend) AccessBatchResults(_ context.Context, ops []BatchOp) ([]B
 	if b.gate != nil {
 		<-b.gate
 	}
+	var res []BatchResult
+	if b.inner != nil {
+		res, _ = b.inner.AccessBatchResults(ctx, ops)
+	} else {
+		res = make([]BatchResult, len(ops))
+		for i := range res {
+			res[i] = BatchResult{Value: []byte{byte(i)}}
+		}
+	}
 	b.mu.Lock()
 	for key := range mine {
 		delete(b.busy, key)
 	}
 	b.mu.Unlock()
-	res := make([]BatchResult, len(ops))
-	for i := range res {
-		res[i] = BatchResult{Value: []byte{byte(i)}}
-	}
 	return res, AccessStats{}
 }
 
@@ -238,9 +245,9 @@ func (b *gatedBackend) roundKeys() []string {
 }
 
 // TestAggregatorShedsExpiredWaiter: a waiter whose deadline passes
-// before its window leaves is answered unsent — the round that goes out
-// carries only live accesses — whether it spent the time in the window
-// or held for a key whose round was in flight.
+// before its round leaves is answered unsent — the round that goes out
+// carries only live accesses — and a key whose every waiter expired is
+// free again.
 func TestAggregatorShedsExpiredWaiter(t *testing.T) {
 	expiring := func(agg *Aggregator, key string, err *error, wg *sync.WaitGroup) {
 		wg.Add(1)
@@ -251,38 +258,11 @@ func TestAggregatorShedsExpiredWaiter(t *testing.T) {
 			_, _, *err = agg.AccessContext(ctx, OpRead, key, nil)
 		}()
 	}
-
-	t.Run("windowed", func(t *testing.T) {
-		backend := &gatedBackend{entered: make(chan struct{}, 1)}
-		agg := NewAggregator(AggregatorConfig{Window: 40 * time.Millisecond}, 1, backend)
-		var wg sync.WaitGroup
-		var expiredErr error
-		expiring(agg, "dead", &expiredErr, &wg)
-		waitAdmitted(t, agg, 1)
-
-		v, _, err := agg.Access(OpRead, "live", nil)
-		wg.Wait()
-		if err != nil {
-			t.Fatalf("live access: %v", err)
-		}
-		if v == nil {
-			t.Error("live access returned no value")
-		}
-		if !IsDeadlineExpired(expiredErr) {
-			t.Errorf("expired waiter err = %v, want deadline-expired", expiredErr)
-		}
-		if st := agg.Stats(); st.Expired != 1 {
-			t.Errorf("Expired = %d, want 1", st.Expired)
-		}
-		if rounds := backend.roundKeys(); len(rounds) != 1 || rounds[0] != "live" {
-			t.Errorf("rounds = %q, want [live] (expired waiter shed before send)", rounds)
-		}
-	})
-
-	t.Run("held", func(t *testing.T) {
-		backend := &gatedBackend{entered: make(chan struct{}, 2), gate: make(chan struct{})}
-		agg := closeAt(NewAggregator(AggregatorConfig{Window: time.Hour}, 1, backend), 1)
-		var wg sync.WaitGroup
+	// hotInFlight returns an aggregator whose key "hot" has a round held
+	// in flight at the backend's gate.
+	hotInFlight := func(t *testing.T, wg *sync.WaitGroup) (*gatedBackend, *Aggregator) {
+		backend := &gatedBackend{entered: make(chan struct{}, 4), gate: make(chan struct{})}
+		agg := NewAggregator(backend)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -290,8 +270,13 @@ func TestAggregatorShedsExpiredWaiter(t *testing.T) {
 				t.Errorf("first access: %v", err)
 			}
 		}()
-		<-backend.entered // "hot" is in flight
+		<-backend.entered
+		return backend, agg
+	}
 
+	t.Run("held", func(t *testing.T) {
+		var wg sync.WaitGroup
+		backend, agg := hotInFlight(t, &wg)
 		var expiredErr, liveErr error
 		expiring(agg, "hot", &expiredErr, &wg)
 		waitAdmitted(t, agg, 2)
@@ -310,29 +295,52 @@ func TestAggregatorShedsExpiredWaiter(t *testing.T) {
 		if !IsDeadlineExpired(expiredErr) {
 			t.Errorf("expired held access err = %v, want deadline-expired", expiredErr)
 		}
-		if st := agg.Stats(); st.Expired != 1 {
-			t.Errorf("Expired = %d, want 1", st.Expired)
+		if expired := agg.expired.Load(); expired != 1 {
+			t.Errorf("expired = %d, want 1", expired)
 		}
 		if rounds := backend.roundKeys(); len(rounds) != 2 || rounds[1] != "hot" {
 			t.Errorf("rounds = %q, want [hot hot]: the expired held access is shed, the live one follows alone", rounds)
 		}
 	})
 
-	// A window whose every waiter expired sends nothing, and must leave
-	// none of its keys marked in flight: the next access to one of them
-	// would be held for a round that never returns.
-	t.Run("whole window", func(t *testing.T) {
-		backend := &gatedBackend{entered: make(chan struct{}, 1)}
-		agg := NewAggregator(AggregatorConfig{Window: 20 * time.Millisecond}, 1, backend)
+	// A chain whose every waiter expired sends nothing, and must not
+	// leave its key marked in flight: the next access to it would be held
+	// for a round that never returns.
+	t.Run("whole chain", func(t *testing.T) {
 		var wg sync.WaitGroup
+		backend, agg := hotInFlight(t, &wg)
 		var expiredErr error
-		expiring(agg, "k", &expiredErr, &wg)
+		expiring(agg, "hot", &expiredErr, &wg)
+		waitAdmitted(t, agg, 2)
+		time.Sleep(10 * time.Millisecond)
+		close(backend.gate)
 		wg.Wait()
 		if !IsDeadlineExpired(expiredErr) {
 			t.Fatalf("expired waiter err = %v, want deadline-expired", expiredErr)
 		}
+		if _, _, err := agg.Access(OpRead, "hot", nil); err != nil {
+			t.Fatalf("access after the all-expired chain: %v", err)
+		}
+		if rounds := backend.roundKeys(); len(rounds) != 2 {
+			t.Errorf("rounds = %q, want [hot hot]", rounds)
+		}
+	})
+
+	// An access that arrives already expired is a round of one whose only
+	// waiter is shed: same outcome, same free key.
+	t.Run("arrival", func(t *testing.T) {
+		backend := &gatedBackend{entered: make(chan struct{}, 1)}
+		agg := NewAggregator(backend)
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+		defer cancel()
+		if _, _, err := agg.AccessContext(ctx, OpRead, "k", nil); !IsDeadlineExpired(err) {
+			t.Fatalf("expired arrival err = %v, want deadline-expired", err)
+		}
 		if _, _, err := agg.Access(OpRead, "k", nil); err != nil {
-			t.Fatalf("access after the all-expired window: %v", err)
+			t.Fatalf("access after the expired arrival: %v", err)
+		}
+		if expired := agg.expired.Load(); expired != 1 {
+			t.Errorf("expired = %d, want 1", expired)
 		}
 		if rounds := backend.roundKeys(); len(rounds) != 1 || rounds[0] != "k" {
 			t.Errorf("rounds = %q, want [k]", rounds)

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"ortoa/internal/core"
 	"ortoa/internal/crypto/prf"
@@ -72,7 +71,7 @@ func TestMetricInventory(t *testing.T) {
 		tier.ServerConfig{Protocol: tier.LBL, StateDir: t.TempDir(),
 			Durability: kvstore.DurabilityOptions{Policy: kvstore.SyncGroupCommit}, Admission: admission},
 		tier.ProxyConfig{Protocol: tier.LBL, LBL: core.LBLConfig{Mode: core.LBLPointPermute, ReconcileScan: 4, AutoAdopt: true}})
-	front, err := lbl.NewFront(tier.FrontConfig{AggWindow: time.Millisecond, Admission: admission})
+	front, err := lbl.NewFront(tier.FrontConfig{Aggregate: true, Admission: admission})
 	if err != nil {
 		t.Fatal(err)
 	}

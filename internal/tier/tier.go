@@ -278,11 +278,10 @@ func (p *Proxy) BuildRecord(key string, value []byte) (string, []byte, error) {
 // FrontConfig tunes one proxy front end. The zero value proxies each
 // end-user request as its own access.
 type FrontConfig struct {
-	// AggWindow, when positive, coalesces concurrent end-user accesses
-	// into shared LBL rounds, dispatching a window at most this long
-	// after its first access joins it, or as soon as its request reaches
-	// the aggregator's byte budget.
-	AggWindow time.Duration
+	// Aggregate coalesces end-user accesses per key (LBL only): an access
+	// to a key whose round is in flight is held and follows it, with
+	// everything else held for the key, as one chain.
+	Aggregate bool
 	// Admission bounds the front end's concurrent end-user requests.
 	Admission transport.AdmissionConfig
 }
@@ -291,7 +290,7 @@ type FrontConfig struct {
 // Transport.Serve; the owning Proxy's Close stops it.
 type Front struct {
 	Transport *transport.Server
-	Agg       *core.Aggregator // nil unless FrontConfig.AggWindow was set
+	Agg       *core.Aggregator // nil unless FrontConfig.Aggregate was set
 }
 
 // NewFront builds a front end exposing p to end users (§2.1's
@@ -305,11 +304,11 @@ func (p *Proxy) NewFront(cfg FrontConfig) (*Front, error) {
 	}
 	f := &Front{Transport: transport.NewServer()}
 	accessor := p.Accessor
-	if cfg.AggWindow > 0 {
+	if cfg.Aggregate {
 		if p.Batch == nil {
 			return nil, fmt.Errorf("tier: access aggregation requires the LBL protocol")
 		}
-		f.Agg = core.NewAggregator(core.AggregatorConfig{Window: cfg.AggWindow}, p.LBL.Config().RequestBytesPerAccess(), p.Batch)
+		f.Agg = core.NewAggregator(p.Batch)
 		f.Agg.Instrument(p.metrics)
 		f.Agg.TraceWith(p.tracer)
 		accessor = f.Agg
@@ -324,9 +323,10 @@ func (p *Proxy) NewFront(cfg FrontConfig) (*Front, error) {
 }
 
 // Close shuts the tier down gracefully: front ends stop accepting and
-// drain (in-flight end-user accesses complete and are answered),
-// aggregation windows flush, and only then are the connections to the
-// server released and this instance's scrape-time metrics retired.
+// drain (in-flight end-user accesses complete and are answered), the
+// aggregator answers what it still holds, and only then are the
+// connections to the server released and this instance's scrape-time
+// metrics retired.
 // Close is idempotent and safe to call concurrently with serving. A
 // crash drill closes RPC first, so in-flight accesses fail instead of
 // draining.

@@ -743,13 +743,12 @@ func (c *Client) ServeProxy(l net.Listener) error {
 // its own access round trip.
 type ProxyServeOptions struct {
 	// AggWindow, when positive, turns on cross-session access
-	// aggregation (ProtocolLBL only): concurrent end-user requests are
-	// coalesced into shared LBL rounds. A window dispatches at most
-	// AggWindow after its first access joins it — the latency each
-	// access may pay to buy the amortization — and sooner once the
-	// request it would send reaches a fixed byte budget; accesses to one
-	// key that arrive while that key's round is in flight follow it as
-	// one chain in the next.
+	// aggregation (ProtocolLBL only); its magnitude is not read. An
+	// access to a key with no round in flight is sent at once; accesses
+	// to a key whose round is in flight are held and follow it together
+	// as one chain — one request, one round trip. Nothing waits on a
+	// timer. (The field is an on/off that keeps a duration's name and
+	// type until the repository benchmark, which assigns it, can move.)
 	AggWindow time.Duration
 	// Admission, when MaxInflight is positive, bounds the front end's
 	// concurrent end-user requests and sheds overload with
@@ -761,7 +760,7 @@ type ProxyServeOptions struct {
 // It blocks until Close.
 func (c *Client) ServeProxyOptions(l net.Listener, opts ProxyServeOptions) error {
 	front, err := c.tier.NewFront(tier.FrontConfig{
-		AggWindow: opts.AggWindow,
+		Aggregate: opts.AggWindow > 0,
 		Admission: opts.Admission,
 	})
 	if err != nil {
@@ -772,10 +771,10 @@ func (c *Client) ServeProxyOptions(l net.Listener, opts ProxyServeOptions) error
 
 // Close shuts the client down gracefully: proxy front ends started
 // with ServeProxy stop accepting, accepted end-user connections drain
-// (their in-flight accesses complete and are answered), aggregation
-// windows flush, and only then are the connections to the server
-// released. Close is idempotent and safe to call concurrently with
-// serving.
+// (their in-flight accesses complete and are answered), the aggregator
+// answers what it still holds, and only then are the connections to the
+// server released. Close is idempotent and safe to call concurrently
+// with serving.
 func (c *Client) Close() error { return c.tier.Close() }
 
 // A ProxyClient is an end-user handle that routes requests through a

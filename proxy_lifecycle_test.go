@@ -127,13 +127,16 @@ func TestCloseDrainsInFlightProxyAccess(t *testing.T) {
 }
 
 // TestServeProxyAggregated runs end users through an aggregating
-// front end: concurrent sessions coalesce into shared batch round
-// trips and still each get their own answer.
+// front end: every session gets its own answer, and sessions that
+// arrive for one key while its round is in flight share the next
+// round trip.
 func TestServeProxyAggregated(t *testing.T) {
 	const n = 8
 	const valueSize = 8
-	client, proxyLn := newProxyDeployment(t, n, valueSize, netsim.Loopback)
-	go client.ServeProxyOptions(proxyLn, ProxyServeOptions{AggWindow: 500 * time.Microsecond})
+	// A real RTT to the server keeps a key's round in flight long enough
+	// for the other sessions to arrive behind it.
+	client, proxyLn := newProxyDeployment(t, n, valueSize, netsim.Link{RTT: 20 * time.Millisecond})
+	go client.ServeProxyOptions(proxyLn, ProxyServeOptions{AggWindow: 1})
 
 	users, err := DialProxy(proxyLn.Dial, 4)
 	if err != nil {
@@ -173,10 +176,25 @@ func TestServeProxyAggregated(t *testing.T) {
 		}(u)
 	}
 	wg.Wait()
+
+	_, _, before := client.TrafficStats()
+	for u := 0; u < n; u++ {
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			if v, err := users.Read("key-000"); err != nil || v[0] != 100 {
+				t.Errorf("user %d read of the shared key = %v, %v; want first byte 100", u, v, err)
+			}
+		}(u)
+	}
+	wg.Wait()
+	if _, _, after := client.TrafficStats(); after-before >= n {
+		t.Errorf("%d concurrent reads of one key cost %d server RPCs, want fewer: those held for the key leave as one chain", n, after-before)
+	}
 }
 
 // TestServeProxyAggregationRequiresLBL pins the configuration error:
-// aggregation coalesces into multi-key LBL rounds, which only the
+// aggregation sends a key's held accesses as a chain, which only the
 // LBL protocol has.
 func TestServeProxyAggregationRequiresLBL(t *testing.T) {
 	server, err := NewServer(ServerConfig{Protocol: ProtocolBaseline2RTT, ValueSize: 8})
