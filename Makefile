@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify verify-benchmark noaes fuzz-smoke bench bench-smoke trace-smoke drills failover-smoke overload-smoke stream-smoke crash experiments
+.PHONY: build test vet race verify verify-benchmark benchmark-smoke noaes fuzz-smoke bench bench-smoke trace-smoke drills failover-smoke overload-smoke stream-smoke crash experiments
 
 build:
 	$(GO) build ./...
@@ -14,8 +14,9 @@ vet:
 # race runs the full test suite under the race detector; the batched
 # pipeline tests exercise concurrent AccessBatch/Access interleavings,
 # parallel per-shard batch fan-out, and server shutdown draining, and the
-# aggregator tests arrivals for a key racing that key's round returning,
-# held chains leaving as their keys come back, and Close racing both.
+# hold tests arrivals for a key racing that key's round returning, held
+# chains leaving as their keys come back under resets, and Close draining
+# both.
 race:
 	$(GO) test -race ./...
 
@@ -32,6 +33,17 @@ verify: vet test verify-benchmark
 verify-benchmark:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test -short ./...
+
+# benchmark-smoke runs the instrument, where verify-benchmark only builds
+# it: the benchmark module's quick run without -short — three real tiers,
+# untraced and traced, every value checked, exactly the metric names
+# BENCHMARK.json promises — and two seconds of the chained WAN workload
+# through run.sh, which exits non-zero on any failed or wrong operation.
+# A code change that rewires what benchmark/deploy.go stands on fails
+# here, not in the benchmark pipeline's run.
+benchmark-smoke:
+	$(GO) -C benchmark test -count=1 -run TestQuickRun ./...
+	bash benchmark/run.sh -workload wan-agg-160b -seconds 2
 
 # noaes re-runs the entry-format tests — the known-answer vectors, the
 # sealer's properties, the carried-schedule and request parity tests —

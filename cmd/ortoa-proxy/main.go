@@ -48,11 +48,10 @@ func run() int {
 	loadSynthetic := flag.Int("load-synthetic", 0, "bulk-load N synthetic records at startup")
 	statePath := flag.String("state", "", "LBL access-counter state file (restored at startup, saved on shutdown)")
 	stateEvery := flag.Duration("state-interval", 0, "also save -state crash-atomically this often, bounding the counter-loss window (0 disables)")
-	aggregate := flag.Bool("aggregate", false, "coalesce client accesses per key: accesses to a key whose round is in flight follow it as one chain in one round trip (LBL)")
 	maxInflight := flag.Int("max-inflight", 0, "handle at most this many client requests concurrently, shedding overload with constant-size busy frames (0 disables admission control)")
 	maxQueue := flag.Int("max-queue", 0, "client requests waiting for an inflight slot before overflow is shed, served newest-first (needs -max-inflight)")
 	shedDeadline := flag.Bool("shed-deadline", true, "drop client requests whose deadline budget expired before doing any work (needs -max-inflight)")
-	retryAfter := flag.Duration("retry-after", 0, "backoff hint carried in busy rejections (0 = default 25ms)")
+	retryAfter := flag.Duration("retry-after", 0, "backoff hint carried in busy rejections (0 = default 25ms; needs -max-inflight)")
 	reconcileScan := flag.Int("reconcile-scan", 0, "probe up to N counter steps to reconcile after crash desync, e.g. when resuming from a stale -state snapshot (LBL; 0 disables)")
 	streamChunk := flag.Int("stream-chunk", 0, "request frame budget in bytes: longer requests are cut at group boundaries and sent frame by frame as they are built, pipelining garbling against the WAN (LBL; 0 never cuts)")
 	peers := flag.String("peers", "", "comma-separated names of every proxy in a multi-proxy deployment, e.g. host1:7002,host2:7002 (LBL; claims this proxy's ring share of counter ranges and enables adoption on fence; requires -self)")
@@ -73,11 +72,12 @@ func run() int {
 	if multiProxy && ortoa.Protocol(*protocol) != ortoa.ProtocolLBL {
 		log.Fatal("-peers/-ranges (multi-proxy range ownership) require -protocol lbl")
 	}
-	if *aggregate && ortoa.Protocol(*protocol) != ortoa.ProtocolLBL {
-		log.Fatal("-aggregate (access aggregation) requires -protocol lbl")
-	}
 	if *peers != "" && *self == "" {
 		log.Fatal("-peers requires -self (this proxy's name within the peer list)")
+	}
+	if *maxInflight <= 0 && (*maxQueue != 0 || *retryAfter != 0) {
+		// The gate is the one bound a front end has: a mistyped one must not pass for a set one.
+		log.Fatal("-max-queue and -retry-after require -max-inflight (without it nothing is bounded)")
 	}
 	if multiProxy && *reconcileScan <= 0 {
 		// An adopter rebases a dead peer's counters through the
@@ -193,9 +193,6 @@ func run() int {
 		log.Fatal(err)
 	}
 	log.Printf("proxying protocol=%s server=%s on %s", *protocol, *serverAddr, l.Addr())
-	if *aggregate {
-		log.Print("aggregating client accesses per key")
-	}
 	if *maxInflight > 0 {
 		log.Printf("admission control: max-inflight=%d max-queue=%d shed-deadline=%v", *maxInflight, *maxQueue, *shedDeadline)
 	}
@@ -230,9 +227,6 @@ func run() int {
 			RetryAfter:  *retryAfter,
 		},
 	}
-	if *aggregate {
-		opts.AggWindow = 1 // on; the magnitude is not read
-	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- client.ServeProxyOptions(l, opts) }()
 
@@ -250,12 +244,12 @@ func run() int {
 	}
 	close(stopSaver)
 
-	// Graceful shutdown: Close stops the listener, drains accepted
-	// client connections (in-flight accesses complete) and lets the
-	// aggregator answer what it holds before releasing the server
-	// connections — only then is the final counter snapshot taken, so it
-	// reflects every acknowledged access. Returning (not os.Exit) lets
-	// the deferred admin.Close run.
+	// Graceful shutdown: Close stops the listener and drains accepted
+	// client connections (in-flight accesses complete, those held for a
+	// busy key included) before releasing the server connections — only
+	// then is the final counter snapshot taken, so it reflects every
+	// acknowledged access. Returning (not os.Exit) lets the deferred
+	// admin.Close run.
 	if err := client.Close(); err != nil {
 		log.Printf("closing client: %v", err)
 	}

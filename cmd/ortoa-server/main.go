@@ -7,10 +7,11 @@
 //	ortoa-server -listen :7001 -protocol lbl -value-size 160
 //
 // With -snapshot, the store is restored at startup (if the file
-// exists) and saved on SIGINT/SIGTERM. With -wal, every mutation is
-// journaled under the -fsync policy (group-commit = durable-on-ack);
-// adding -checkpoint-interval turns -wal into a state directory with
-// background checkpoints bounding recovery replay time.
+// exists) and saved on SIGINT/SIGTERM, once serving has stopped. With
+// -wal, every mutation is journaled under the -fsync policy
+// (group-commit = durable-on-ack); adding -checkpoint-interval turns
+// -wal into a state directory with background checkpoints bounding
+// recovery replay time.
 package main
 
 import (
@@ -47,8 +48,13 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "handle at most this many requests concurrently, shedding overload with constant-size busy frames (0 disables admission control)")
 	maxQueue := flag.Int("max-queue", 0, "requests waiting for an inflight slot before overflow is shed, served newest-first (needs -max-inflight)")
 	shedDeadline := flag.Bool("shed-deadline", true, "drop requests whose propagated deadline budget expired before doing any work (needs -max-inflight)")
-	retryAfter := flag.Duration("retry-after", 0, "backoff hint carried in busy rejections (0 = default 25ms)")
+	retryAfter := flag.Duration("retry-after", 0, "backoff hint carried in busy rejections (0 = default 25ms; needs -max-inflight)")
 	flag.Parse()
+
+	if *maxInflight <= 0 && (*maxQueue != 0 || *retryAfter != 0) {
+		// There is no gate without -max-inflight: a mistyped bound must not pass for a set one.
+		log.Fatal("-max-queue and -retry-after require -max-inflight (without it nothing is bounded)")
+	}
 
 	var reg *obs.Registry
 	if *metricsAddr != "" {
@@ -120,26 +126,6 @@ func main() {
 	}
 	log.Printf("serving protocol=%s value-size=%d on %s", *protocol, *valueSize, l.Addr())
 
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-		<-sig
-		if *snapshot != "" {
-			if err := server.SaveSnapshot(*snapshot); err != nil {
-				log.Printf("saving snapshot: %v", err)
-			} else {
-				log.Printf("saved %d records to %s", server.Records(), *snapshot)
-			}
-		}
-		if *walPath != "" {
-			if err := server.DetachWAL(); err != nil {
-				log.Printf("closing WAL: %v", err)
-			}
-		}
-		server.Close()
-		l.Close()
-	}()
-
 	// Periodic stats for operators.
 	go func() {
 		for range time.Tick(30 * time.Second) {
@@ -147,7 +133,37 @@ func main() {
 		}
 	}()
 
-	if err := server.Serve(l); err != nil {
-		log.Printf("server stopped: %v", err)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- server.Serve(l) }()
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	select {
+	case s := <-sig:
+		log.Printf("received %s; draining", s)
+	case err := <-serveErr:
+		log.Printf("serving ended by itself: %v", err)
+	}
+	shutdown(server, *snapshot)
+	log.Print("server stopped")
+}
+
+// shutdown stops server without losing an acknowledged access: it stops
+// serving and drains first, then saves the snapshot, when one is named,
+// and only then detaches the log, if there is one. Detached any earlier,
+// the store would go on serving — and acknowledging — accesses that are
+// in neither the snapshot nor the log.
+func shutdown(server *ortoa.Server, snapshot string) {
+	if err := server.Close(); err != nil {
+		log.Printf("closing server: %v", err)
+	}
+	if snapshot != "" {
+		if err := server.SaveSnapshot(snapshot); err != nil {
+			log.Printf("saving snapshot: %v", err)
+		} else {
+			log.Printf("saved %d records to %s", server.Records(), snapshot)
+		}
+	}
+	if err := server.DetachWAL(); err != nil {
+		log.Printf("closing WAL: %v", err)
 	}
 }

@@ -113,7 +113,7 @@ func (p *BaselineProxy) Access(op Op, key string, newValue []byte) ([]byte, Acce
 	// Serialize per key so a concurrent get→put pair cannot interleave
 	// and lose an update.
 	entry := p.locks.acquire(key)
-	defer entry.mu.Unlock()
+	defer p.locks.release(entry)
 
 	ek := p.prf.EncodeKey(key)
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -327,5 +328,43 @@ func TestCryptoShufflerIntNBounds(t *testing.T) {
 		if got := shuf.intN(n); got < 0 || got >= n {
 			t.Fatalf("intN(%d) = %d", n, got)
 		}
+	}
+}
+
+// TestAccessBatchResultsPerOpErrors exercises the per-op outcome API
+// directly: valid and invalid ops mixed in one call.
+func TestAccessBatchResultsPerOpErrors(t *testing.T) {
+	r, proxy, _ := newLBL(t, LBLPointPermute, 4)
+	loadData(t, r, proxy, map[string][]byte{
+		"alpha": {1, 0, 0, 0},
+		"beta":  {2, 0, 0, 0},
+	})
+	res, _ := proxy.AccessBatchResults(context.Background(), []BatchOp{
+		{Op: OpRead, Key: "alpha"},
+		{Op: OpWrite, Key: "beta", Value: []byte{9}}, // wrong size
+		{Op: OpRead, Key: "missing"},
+		{Op: OpWrite, Key: "beta", Value: []byte{7, 0, 0, 0}},
+		{Op: Op(99), Key: "alpha"},
+		{Op: OpRead, Key: "beta"},
+	})
+	if res[0].Err != nil || res[0].Value[0] != 1 {
+		t.Errorf("op 0 = %+v, want alpha's value", res[0])
+	}
+	if !errors.Is(res[1].Err, ErrValueSize) {
+		t.Errorf("op 1 err = %v, want ErrValueSize", res[1].Err)
+	}
+	if res[2].Err == nil {
+		t.Error("op 2 (missing key) succeeded, want error")
+	}
+	if res[3].Err != nil || !bytes.Equal(res[3].Value, []byte{7, 0, 0, 0}) {
+		t.Errorf("op 3 = %+v, want written value echoed", res[3])
+	}
+	if res[4].Err == nil {
+		t.Error("op 4 (unknown op) succeeded, want error")
+	}
+	// Ops 3 and 5 hit the same key, so they ran as one chain, in input
+	// order; the read behind the write sees it.
+	if res[5].Err != nil || res[5].Value[0] != 7 {
+		t.Errorf("op 5 = %+v, want beta's new value", res[5])
 	}
 }

@@ -354,7 +354,7 @@ func TestLBLAmbiguousChainResolves(t *testing.T) {
 			if tc.ran {
 				want = written
 			}
-			entry.mu.Unlock()
+			proxy.counters.release(entry)
 			// ReconcileScan is 0: a counter off the server's fails this read.
 			var value []byte
 			for attempt := 0; attempt < 40; attempt++ {

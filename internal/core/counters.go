@@ -2,20 +2,28 @@ package core
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
+	"time"
+
+	"ortoa/internal/obs/trace"
 )
 
 // A counterTable is the proxy's only persistent state for LBL-ORTOA:
 // the per-key access counter (§5.3.1 — 8 bytes per key, ~8 MB for 1M
-// objects). It also provides the per-key mutual exclusion LBL-ORTOA
-// needs: two concurrent accesses to one key must not build tables from
-// the same counter value, or the second would target labels the first
-// already replaced.
+// objects). It is also where a key's accesses queue: two concurrent
+// accesses to one key must not build tables from the same counter value,
+// or the second would target labels the first already replaced, so a key
+// has one owner at a time and whatever else wants it waits on its entry,
+// in the order it arrived.
 type counterTable struct {
-	shards [NumRanges]counterShard // lock stripes, one per counter range
+	shards   [NumRanges]counterShard // lock stripes, one per counter range
+	maxChain int                     // most held accesses that leave as one chain; below 2, one at a time
+	expired  atomic.Int64            // held accesses answered unsent: deadline passed before their chain left
 }
 
 type counterShard struct {
@@ -24,7 +32,11 @@ type counterShard struct {
 }
 
 type counterEntry struct {
-	mu sync.Mutex
+	mu    sync.Mutex   // guards owned and held; never held across a round trip
+	owned bool         // a round — or load, or save — has the key
+	held  []*keyWaiter // what waits for it, in admission order
+
+	// The rest belongs to the key's owner, who alone reads and writes it.
 	ct uint64
 	// pending, when positive, records that a round whose chain for this
 	// key was pending accesses long, keyed at counters ct … ct+pending-1,
@@ -32,9 +44,26 @@ type counterEntry struct {
 	// access to the key must settle it — with a probe at ct, pending.go —
 	// before ct can be trusted again. probed records that such a probe
 	// failed ambiguously itself and may have run, which matters to a chain
-	// longer than one; it is never set while pending is 0. Guarded by mu.
+	// longer than one; it is never set while pending is 0.
 	pending int
 	probed  bool
+}
+
+// A keyWaiter is one caller in line for a key: a single access, or
+// (own) a caller that wants the key to itself — a multi-key round, load,
+// save — and uses none of the access's fields.
+type keyWaiter struct {
+	acc      [1]roundAccess  // the access, then its outcome; an array so that a chain of one is its round's accesses as it stands
+	ctx      context.Context // its caller's
+	admitted time.Time       // when it arrived, on the stage family's clock
+	sp       *trace.Span     // its wait, under the caller's span
+	own      bool
+	// wake is closed when the wait is over. chain is then the waiters,
+	// this one first, that the key was handed to and that this one
+	// carries through a round (alone, if own) — or nil: another access
+	// carried this one, and its outcome is in acc.
+	wake  chan struct{}
+	chain []*keyWaiter
 }
 
 func newCounterTable() *counterTable {
@@ -45,14 +74,9 @@ func newCounterTable() *counterTable {
 	return t
 }
 
-func (t *counterTable) shardFor(key string) *counterShard {
-	return &t.shards[RangeOf(key)]
-}
-
-// acquire locks key's counter and returns its entry. The caller must
-// call entry.mu.Unlock when the access completes.
-func (t *counterTable) acquire(key string) *counterEntry {
-	sh := t.shardFor(key)
+// entry returns key's counter entry, created at counter 0.
+func (t *counterTable) entry(key string) *counterEntry {
+	sh := &t.shards[RangeOf(key)]
 	sh.mu.Lock()
 	e, ok := sh.entries[key]
 	if !ok {
@@ -60,8 +84,69 @@ func (t *counterTable) acquire(key string) *counterEntry {
 		sh.entries[key] = e
 	}
 	sh.mu.Unlock()
-	e.mu.Lock()
 	return e
+}
+
+// take gives the key to w's caller if no one has it. Otherwise w joins
+// the line and take reports false: its caller waits on w.wake.
+func (e *counterEntry) take(w *keyWaiter) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.owned {
+		e.owned = true
+		return true
+	}
+	w.wake = make(chan struct{})
+	w.sp = trace.FromContext(w.ctx).Child("key_wait")
+	e.held = append(e.held, w)
+	return false
+}
+
+// acquire returns key's entry once the caller owns it, after whatever
+// was in line for it first. The caller must release it.
+func (t *counterTable) acquire(key string) *counterEntry {
+	e := t.entry(key)
+	if w := (&keyWaiter{own: true}); !e.take(w) {
+		<-w.wake
+	}
+	return e
+}
+
+// release gives e's key up. If anything waits, the key passes on still
+// owned — so an arrival is in the line already or behind what leaves now,
+// never in between — to the head of the line: alone if it wants the key
+// to itself, else with the single accesses behind it, up to maxChain in
+// all, which it carries as one chain (LBLProxy.lead). Accesses whose
+// deadline has passed are answered unsent first — a definite outcome
+// (IsDeadlineExpired), and no trial decryptions for a caller that has
+// given up — and a chain that leaves empty serves the next in line.
+func (t *counterTable) release(e *counterEntry) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for len(e.held) > 0 {
+		n := 1
+		for !e.held[0].own && n < len(e.held) && n < t.maxChain && !e.held[n].own {
+			n++
+		}
+		chain := make([]*keyWaiter, 0, n)
+		for _, w := range e.held[:n] {
+			w.sp.End()
+			if !w.own && w.ctx.Err() != nil {
+				w.acc[0].err = errDeadlineBeforeBuild
+				t.expired.Add(1)
+				close(w.wake)
+				continue
+			}
+			chain = append(chain, w)
+		}
+		e.held = e.held[n:]
+		if len(chain) > 0 {
+			chain[0].chain = chain
+			close(chain[0].wake)
+			return
+		}
+	}
+	e.held, e.owned = nil, false // and the line's backing array goes
 }
 
 // Len returns the number of tracked keys.
@@ -99,30 +184,34 @@ func (t *counterTable) save(w io.Writer) error {
 	}
 	written := 0
 	for i := range t.shards {
+		// The stripe lock is not held while waiting for a key: the key's
+		// owner may be a multi-key round about to look up its next key in
+		// this very stripe.
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		for key, e := range sh.entries {
+		keys := make([]string, 0, len(sh.entries))
+		for key := range sh.entries {
+			keys = append(keys, key)
+		}
+		sh.mu.Unlock()
+		for _, key := range keys {
 			var lenBuf [binary.MaxVarintLen64]byte
 			n := binary.PutUvarint(lenBuf[:], uint64(len(key)))
 			if _, err := bw.Write(lenBuf[:n]); err != nil {
-				sh.mu.Unlock()
 				return err
 			}
 			if _, err := bw.WriteString(key); err != nil {
-				sh.mu.Unlock()
 				return err
 			}
-			e.mu.Lock()
+			e := t.acquire(key)
 			ct := e.ct
-			e.mu.Unlock()
+			t.release(e)
 			binary.LittleEndian.PutUint64(cnt[:], ct)
 			if _, err := bw.Write(cnt[:]); err != nil {
-				sh.mu.Unlock()
 				return err
 			}
 			written++
 		}
-		sh.mu.Unlock()
 	}
 	if got := t.Len(); got != written {
 		return fmt.Errorf("core: counters mutated during save (%d vs %d)", written, got)
@@ -194,7 +283,7 @@ func (t *counterTable) load(r io.Reader) error {
 		ent := t.acquire(e.key)
 		ent.ct = e.ct
 		ent.pending, ent.probed = 0, false // a restored counter supersedes any ambiguous round
-		ent.mu.Unlock()
+		t.release(ent)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -15,12 +16,12 @@ func TestCounterAcquireCreatesAtZero(t *testing.T) {
 		t.Errorf("fresh counter = %d", e.ct)
 	}
 	e.ct = 5
-	e.mu.Unlock()
+	tbl.release(e)
 	e = tbl.acquire("k")
 	if e.ct != 5 {
 		t.Errorf("counter lost: %d", e.ct)
 	}
-	e.mu.Unlock()
+	tbl.release(e)
 }
 
 func TestCounterMutualExclusion(t *testing.T) {
@@ -35,13 +36,13 @@ func TestCounterMutualExclusion(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				e := tbl.acquire("hot")
 				e.ct++
-				e.mu.Unlock()
+				tbl.release(e)
 			}
 		}()
 	}
 	wg.Wait()
 	e := tbl.acquire("hot")
-	defer e.mu.Unlock()
+	defer tbl.release(e)
 	if e.ct != workers*rounds {
 		t.Errorf("counter = %d, want %d (lost increments)", e.ct, workers*rounds)
 	}
@@ -54,7 +55,7 @@ func TestCounterSaveLoadRoundTrip(t *testing.T) {
 		key := fmt.Sprintf("key-%04d", i)
 		e := tbl.acquire(key)
 		e.ct = uint64(i * 7)
-		e.mu.Unlock()
+		tbl.release(e)
 		want[key] = uint64(i * 7)
 	}
 	var buf bytes.Buffer
@@ -73,7 +74,7 @@ func TestCounterSaveLoadRoundTrip(t *testing.T) {
 		if e.ct != ct {
 			t.Errorf("restored[%q] = %d, want %d", key, e.ct, ct)
 		}
-		e.mu.Unlock()
+		restored.release(e)
 	}
 }
 
@@ -88,7 +89,7 @@ func TestCounterLoadTruncated(t *testing.T) {
 	tbl := newCounterTable()
 	e := tbl.acquire("k")
 	e.ct = 9
-	e.mu.Unlock()
+	tbl.release(e)
 	var buf bytes.Buffer
 	if err := tbl.save(&buf); err != nil {
 		t.Fatal(err)
@@ -158,7 +159,7 @@ func TestCounterLoadCorruptSnapshots(t *testing.T) {
 		for k, ct := range map[string]uint64{"alpha": 3, "beta": 9} {
 			e := tbl.acquire(k)
 			e.ct = ct
-			e.mu.Unlock()
+			tbl.release(e)
 		}
 		var buf bytes.Buffer
 		if err := tbl.save(&buf); err != nil {
@@ -217,7 +218,7 @@ func TestCounterLoadRejectsWithoutClobbering(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			e := tbl.acquire(fmt.Sprintf("key-%02d", i))
 			e.ct = 1000 + uint64(i)
-			e.mu.Unlock()
+			tbl.release(e)
 		}
 		var buf bytes.Buffer
 		if err := tbl.save(&buf); err != nil {
@@ -229,7 +230,7 @@ func TestCounterLoadRejectsWithoutClobbering(t *testing.T) {
 	live := newCounterTable()
 	e := live.acquire("key-00")
 	e.ct = 7
-	e.mu.Unlock()
+	live.release(e)
 
 	if err := live.load(bytes.NewReader(snap[:len(snap)-4])); err == nil {
 		t.Fatal("load accepted truncated snapshot")
@@ -238,8 +239,37 @@ func TestCounterLoadRejectsWithoutClobbering(t *testing.T) {
 		t.Errorf("failed load grew the table to %d entries", n)
 	}
 	e = live.acquire("key-00")
-	defer e.mu.Unlock()
+	defer live.release(e)
 	if e.ct != 7 {
 		t.Errorf("failed load overwrote live counter: %d, want 7", e.ct)
+	}
+}
+
+// TestCounterSaveWaitsForAKeyOutsideItsStripe: save waits its turn for a
+// key a round owns, and must not hold the key's lock stripe meanwhile —
+// the owner may be a multi-key round about to look up its next key in
+// that very stripe, which would then wait for save, and save for it.
+func TestCounterSaveWaitsForAKeyOutsideItsStripe(t *testing.T) {
+	tbl := newCounterTable()
+	first, second := "key-0", ""
+	for i := 1; second == ""; i++ {
+		if k := fmt.Sprintf("key-%d", i); RangeOf(k) == RangeOf(first) {
+			second = k
+		}
+	}
+	tbl.release(tbl.acquire(second)) // both keys exist before the save counts them
+	a := tbl.acquire(first)
+	saved := make(chan error, 1)
+	go func() { saved <- tbl.save(&bytes.Buffer{}) }()
+	for waiting := 0; waiting == 0; runtime.Gosched() { // save is in line for the first key
+		a.mu.Lock()
+		waiting = len(a.held)
+		a.mu.Unlock()
+	}
+	b := tbl.acquire(second) // the round's next key, same stripe
+	tbl.release(b)
+	tbl.release(a)
+	if err := <-saved; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -237,7 +237,7 @@ func FuzzLBLProxyResponse(f *testing.F) {
 		results, _ := proxy.AccessBatchResults(context.Background(), []BatchOp{{Op: OpRead, Key: "k"}, {Op: OpRead, Key: "k"}})
 		entry := proxy.counters.acquire("k")
 		ct := entry.ct
-		entry.mu.Unlock()
+		proxy.counters.release(entry)
 		for i, res := range results {
 			got, err := res.Value, res.Err
 			if honest {

@@ -17,13 +17,14 @@ import (
 
 // The recovery ladder (fence → claim, stale → reconcile) belongs to the
 // round, so every way of reaching a round gets it per key: these tests
-// reach it through the aggregator and through AccessBatch, where a
-// fenced or desynchronized key used to surface its rejection.
+// reach it through held chains and through AccessBatch, where a fenced
+// or desynchronized key used to surface its rejection.
 
-// TestAggregatedRoundAdoptsFencedRange: rounds dispatched by the
-// aggregator over an AutoAdopt proxy whose ranges a peer has claimed
-// must claim them back and complete every session's access.
-func TestAggregatedRoundAdoptsFencedRange(t *testing.T) {
+// TestHeldRoundAdoptsFencedRange: concurrent sessions, three to a key so
+// that some are held and leave as chains, on an AutoAdopt proxy whose
+// ranges a peer has claimed: their rounds must claim the ranges back and
+// complete every session's access.
+func TestHeldRoundAdoptsFencedRange(t *testing.T) {
 	const n = 4
 	r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute, ReconcileScan: 8, AutoAdopt: true})
 	a, b := peers[0], peers[1]
@@ -37,20 +38,18 @@ func TestAggregatedRoundAdoptsFencedRange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	agg := NewAggregator(a)
-	t.Cleanup(agg.Close)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for s := 0; s < 3*n; s++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := agg.Access(OpRead, fmt.Sprintf("key-%02d", i), nil)
+			v, _, err := a.Access(OpRead, fmt.Sprintf("key-%02d", i), nil)
 			if err != nil {
-				t.Errorf("session %d surfaced %v instead of adopting the fenced range", i, err)
+				t.Errorf("session on key %d surfaced %v instead of adopting the fenced range", i, err)
 			} else if v[0] != byte(i) {
-				t.Errorf("session %d read %v", i, v)
+				t.Errorf("session on key %d read %v", i, v)
 			}
-		}(i)
+		}(s % n)
 	}
 	wg.Wait()
 }
@@ -189,7 +188,7 @@ func TestEntryFormatMismatchIsDefinite(t *testing.T) {
 	if entry.pending != 0 || entry.ct != 0 {
 		t.Errorf("counter entry after the rejection: ct %d, pending %v", entry.ct, entry.pending)
 	}
-	entry.mu.Unlock()
+	proxy.counters.release(entry)
 	if after := serverRecord(t, r, proxy, "k"); !bytes.Equal(after, before) {
 		t.Error("the rejected request changed the record")
 	}

@@ -11,10 +11,12 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ortoa/internal/crypto/prf"
 	"ortoa/internal/crypto/secretbox"
 	"ortoa/internal/obs"
+	"ortoa/internal/obs/trace"
 	"ortoa/internal/transport"
 	"ortoa/internal/wire"
 )
@@ -325,7 +327,8 @@ type LBLProxy struct {
 	epochs    [NumRanges]atomic.Uint64
 	schedules schedulePool
 	stageObs
-	mx lblProxyObs
+	sessions *obs.Stages // the per-caller family of single accesses (ortoa_agg); nil unmetered
+	mx       lblProxyObs
 }
 
 // NewLBLProxy returns a proxy using f as its PRF and client to reach
@@ -334,8 +337,10 @@ func NewLBLProxy(cfg LBLConfig, f *prf.PRF, client *transport.Client) (*LBLProxy
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &LBLProxy{cfg: cfg, prf: f, counters: newCounterTable(), client: client,
-		stageObs: stageObs{stages: LBLStages(nil)}}, nil
+	p := &LBLProxy{cfg: cfg, prf: f, counters: newCounterTable(), client: client,
+		stageObs: stageObs{stages: LBLStages(nil)}}
+	p.counters.maxChain = cfg.roundKeys()
+	return p, nil
 }
 
 // Config returns the proxy's configuration.
@@ -414,16 +419,71 @@ func (p *LBLProxy) Access(op Op, key string, newValue []byte) ([]byte, AccessSta
 }
 
 // AccessContext is Access with a caller context: cancellation plus the
-// active trace span, under which the whole proxy-side stage tree
-// (counter_acquire, table_build, rpc, label_recover) is recorded. It is
-// a round of one.
+// active trace span. An access that finds its key free runs at once, a
+// round of one on its caller's goroutine and context, the proxy-side
+// stage tree (counter_acquire, table_build, rpc, label_recover) under
+// the caller's span. One that finds its key's round in flight is held on
+// the key's counter entry, and when that round returns everything held
+// for the key leaves together, in the order it was admitted, as one chain
+// (lead). Nothing else makes an access wait — no timer, no size to fill —
+// and which access waits for which depends on key identity and arrival
+// time only, never on operation type. AccessStats is the round's for the
+// access that carried it and zero for the others of its chain.
 func (p *LBLProxy) AccessContext(ctx context.Context, op Op, key string, newValue []byte) ([]byte, AccessStats, error) {
-	accs := [1]roundAccess{{BatchOp: BatchOp{Op: op, Key: key, Value: newValue}}}
-	if err := p.check(&accs[0].BatchOp); err != nil {
+	w := &keyWaiter{ctx: ctx}
+	acc := &w.acc[0]
+	acc.BatchOp = BatchOp{Op: op, Key: key, Value: newValue}
+	if err := p.check(&acc.BatchOp); err != nil {
 		return nil, AccessStats{}, err
 	}
-	stats := p.round(ctx, accs[:])
-	return accs[0].value, stats, accs[0].err
+	w.admitted = p.sessions.Now()
+	e := p.counters.entry(key)
+	alone := [1]*keyWaiter{w}
+	chain, left := alone[:], w.admitted // an access that finds its key free leaves as it arrives
+	if !e.take(w) {
+		<-w.wake
+		if w.chain == nil {
+			return acc.value, AccessStats{}, acc.err
+		}
+		chain, left = w.chain, p.sessions.Now()
+	}
+	stats := p.lead(e, chain, left)
+	return acc.value, stats, acc.err
+}
+
+// lead carries chain — single accesses to one key in admission order,
+// the caller's own first, out of the line since left — through one round
+// on the caller's goroutine. The caller owns e, the key's entry; the
+// round gives it up. A chain of one runs under its access's own context,
+// deadline included; a longer one under no member's, so that one member's
+// cancellation never fails another's access (release shed the members
+// already expired), and under the leader's span.
+func (p *LBLProxy) lead(e *counterEntry, chain []*keyWaiter, left time.Time) AccessStats {
+	n := len(chain)
+	accs, ctx := chain[0].acc[:], chain[0].ctx
+	if n > 1 {
+		accs = make([]roundAccess, n)
+		for i, w := range chain {
+			accs[i] = w.acc[0]
+		}
+		ctx = trace.ContextWith(context.Background(), trace.FromContext(ctx))
+	}
+	p.mx.chainLen.Observe(time.Duration(n)) // a count, on the histogram's integer scale
+	stats := p.round(ctx, accs, e)
+	returned := p.sessions.Now()
+	for i, w := range chain {
+		w.acc[0] = accs[i]
+		// The time an access was held for its key is a stage of its own,
+		// never folded into the round trip. The label carries no key
+		// material: the chain and the access's place in it.
+		p.sessions.Record(w.admitted, trace.FromContext(w.ctx).TraceID(), failedAccesses(accs[i].err),
+			func() string { return fmt.Sprintf("chain=%d member=%d", n, i) },
+			left.Sub(w.admitted), returned.Sub(left))
+		if i > 0 {
+			close(w.wake)
+		}
+	}
+	return stats
 }
 
 // AccessBatch performs many oblivious accesses in one round trip: one
@@ -472,9 +532,8 @@ type BatchResult struct {
 // of first-error-wins: every access's value or error is reported at
 // its own index, and an invalid op (unknown op code, wrong write
 // size) fails only itself — the rest of the batch still runs. It
-// exists for front ends that multiplex independent sessions into one
-// request (the Aggregator): one session's malformed write must not
-// fail the rest of its chain.
+// exists for callers that put independent sessions' accesses into one
+// request: one session's malformed write must not fail the rest.
 func (p *LBLProxy) AccessBatchResults(ctx context.Context, ops []BatchOp) ([]BatchResult, AccessStats) {
 	var stats AccessStats
 	results := make([]BatchResult, len(ops))
@@ -498,7 +557,7 @@ func (p *LBLProxy) AccessBatchResults(ctx context.Context, ops []BatchOp) ([]Bat
 		for j, i := range idxs {
 			accs[j].BatchOp = ops[i]
 		}
-		st := p.round(ctx, accs)
+		st := p.round(ctx, accs, nil)
 		stats.PrepBytes += st.PrepBytes
 		stats.RespBytes += st.RespBytes
 		for j, i := range idxs {
@@ -516,7 +575,7 @@ type roundAccess struct {
 }
 
 // A keyChain is a round's accesses to one key, in the order they apply.
-// They share the key's counter entry and its lock, are keyed at
+// They share the key's counter entry, which the round owns, are keyed at
 // consecutive counter values — the table at counter c maps the labels at
 // c to the labels at c+1 whatever the value is (§5.2), so the proxy can
 // build the k-th before the first has run — and the server installs them
@@ -572,13 +631,17 @@ const recoveryAllowance = 3
 
 // round is the one LBL access procedure (§5.2, Fig 1), for k ≥ 1
 // accesses in sorted key order, a key's accesses next to each other in
-// the order they apply: acquire each key's counter, settle rounds parked
+// the order they apply: own each key's counter, settle rounds parked
 // on it, then build, send, and judge each key's chain — recover and
 // commit on success, climb the recovery ladder and go around again on a
 // fence or staleness rejection the configuration lets it repair, fail
 // otherwise. Outcomes land in accs; one key's failure never fails its
-// round mates.
-func (p *LBLProxy) round(ctx context.Context, accs []roundAccess) AccessStats {
+// round mates. owned, when non-nil, is the entry of the one key accs
+// name, which the caller owns already (lead); otherwise the round takes
+// its keys in order, each after whatever was in line for it, so rounds
+// cannot deadlock and a hot key's chains cannot starve a multi-key one.
+// Either way the round gives its keys up as it returns.
+func (p *LBLProxy) round(ctx context.Context, accs []roundAccess, owned *counterEntry) AccessStats {
 	var stats AccessStats
 	clk, ctx := p.start(ctx, "lbl_access")
 
@@ -589,11 +652,13 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess) AccessStats {
 	live := make([]*keyChain, 0, len(chains))
 	defer func() {
 		for i := range chains {
-			chains[i].entry.mu.Unlock()
+			p.counters.release(chains[i].entry)
 		}
 	}()
 	for i := range chains {
-		chains[i].entry = p.counters.acquire(chains[i].key())
+		if chains[i].entry = owned; owned == nil {
+			chains[i].entry = p.counters.acquire(chains[i].key())
+		}
 	}
 	members := 0
 	for i := range chains {

@@ -31,7 +31,7 @@ import (
 
 // The LBL proxy's stages, in LBLStages' order.
 const (
-	lblAcquire = iota // per-key counter acquisition (serialization point), step 1.1
+	lblAcquire = iota // counter lookup, a multi-key round's wait for its keys, and settling a parked round, step 1.1
 	lblBuild          // encryption-table build, steps 1.2–1.5: time spent sealing frames
 	lblRPC            // wire round trip, request out to response in, less the sealing it overlapped
 	lblRecover        // label→bit recovery + §5.4 integrity check, steps 3.1–3.2
@@ -69,13 +69,6 @@ func fheStages(reg *obs.Registry) *obs.Stages {
 	return reg.Stages("ortoa_fhe", "FHE client per-access stage latency (§3.1)", "encrypt", "rpc", "decrypt")
 }
 
-// An aggregated access's stages, per session: the wait for its key's
-// round in flight to return — coalescing latency, never folded into the
-// round trip — and the batch round it shares with its chain.
-func aggStages(reg *obs.Registry) *obs.Stages {
-	return reg.Stages("ortoa_agg", "aggregated access per-session stage latency", "key_wait", "batch_rpc")
-}
-
 // stageObs is what a trusted-side component times accesses with: its
 // stage family and, once TraceWith attached one, a tracer for accesses
 // that arrive without a span of their own.
@@ -87,7 +80,7 @@ type stageObs struct {
 // TraceWith attaches a tracer: subsequent accesses that arrive untraced
 // start their own traces in it — a proxy's or client's stage span tree,
 // whose trace id rides the request frames so the server's spans join
-// it; an aggregator's agg_round span parenting its sessions'.
+// it.
 func (o *stageObs) TraceWith(t *trace.Tracer) {
 	if t != nil {
 		o.tracer.Store(t)
@@ -122,8 +115,9 @@ func traceLabel(encKey prf.Output) string {
 // lblProxyObs counts what the LBL proxy does beyond timing accesses. A
 // round of one key is one access.
 type lblProxyObs struct {
-	keys   *obs.Counter // accesses carried by rounds; keys/rounds is the batching factor
-	frames *obs.Counter // request frames sealed; frames/rounds > 1 means the frame budget is cutting requests
+	keys     *obs.Counter   // accesses carried by rounds; keys/rounds is the batching factor
+	chainLen *obs.Histogram // single accesses a round carried, one key's chain
+	frames   *obs.Counter   // request frames sealed; frames/rounds > 1 means the frame budget is cutting requests
 
 	pendingSaved    *obs.Counter // rounds parked after ambiguous transport failures
 	pendingResolved *obs.Counter // parked rounds settled by a probe
@@ -140,8 +134,15 @@ type lblProxyObs struct {
 // registry leaves the proxy uninstrumented at zero cost.
 func (p *LBLProxy) Instrument(reg *obs.Registry) {
 	p.stages = LBLStages(reg)
+	// A single access's stages, per caller: the time it was held because
+	// its key's round was in flight — zero exactly for an access that found
+	// its key free — and the round it shares with its chain (lead).
+	p.sessions = reg.Stages("ortoa_agg", "single LBL access per-caller stage latency", "key_wait", "batch_rpc")
+	reg.CounterFunc("ortoa_agg_expired_total", "held accesses answered unsent because their deadline passed before their chain left", p.counters.expired.Load)
 	p.mx = lblProxyObs{
-		keys:   reg.Counter("ortoa_lbl_round_accesses_total", "accesses carried by LBL rounds"),
+		keys: reg.Counter("ortoa_lbl_round_accesses_total", "accesses carried by LBL rounds"),
+		chainLen: reg.Histogram("ortoa_agg_chain_accesses",
+			"single accesses a round carried, sent as one key's chain: 1 for an access that found its key free (integer count on the duration scale)"),
 		frames: reg.Counter("ortoa_lbl_request_frames_total", "LBL request frames sealed (more than one per round when the frame budget cuts requests)"),
 
 		pendingSaved:    reg.Counter("ortoa_lbl_pending_rounds_total", "LBL rounds parked after an ambiguous transport failure"),

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,8 +15,8 @@ import (
 )
 
 // Overload-path tests (DESIGN.md §15): deadline budgets dropping work
-// before it costs trial decryptions or table builds, the aggregator
-// shedding expired waiters, and the router's busy breaker.
+// before it costs trial decryptions or table builds, a chain shedding
+// the held accesses that expired, and the router's busy breaker.
 
 // TestExpiredRoundSlot: a request whose deadline has already passed is
 // answered slot by slot with slotExpired — before the fence, before any
@@ -171,179 +170,83 @@ func TestServerDropsExpiredRound(t *testing.T) {
 	}
 }
 
-// gatedBackend is a BatchAccessor whose round trips block on gate,
-// recording each round's operations — a stand-in proxy for aggregator
-// tests that need rounds held in flight deterministically. It also
-// keeps the invariant the aggregator owes a real proxy: a key two
-// rounds hold at once is recorded in shared. With inner set the rounds
-// it lets through are executed there; otherwise it answers them itself.
-type gatedBackend struct {
-	inner   BatchAccessor
-	mu      sync.Mutex
-	rounds  [][]BatchOp
-	busy    map[string]bool
-	shared  []string
-	entered chan struct{} // one tick per round arrival
-	gate    chan struct{} // one token, or its close, releases a round; nil never holds one
-}
-
-func (b *gatedBackend) AccessBatchResults(ctx context.Context, ops []BatchOp) ([]BatchResult, AccessStats) {
-	b.mu.Lock()
-	b.rounds = append(b.rounds, append([]BatchOp(nil), ops...))
-	if b.busy == nil {
-		b.busy = map[string]bool{}
+// TestHoldShedsExpiredWaiter: a held access whose deadline passes before
+// its chain leaves is answered unsent — the round that goes out carries
+// only live accesses — and a key whose every held access expired is free
+// again.
+func TestHoldShedsExpiredWaiter(t *testing.T) {
+	// hotInFlight returns a deployment whose key-00 has a round held in
+	// flight at the server's gate.
+	hotInFlight := func(t *testing.T, wg *sync.WaitGroup) (*LBLProxy, *roundGate, chan struct{}) {
+		gate := make(chan struct{})
+		_, proxy, g := newHoldRig(t, 1, gate)
+		admit(t, proxy, wg, OpRead, "key-00", 0)
+		<-g.entered
+		return proxy, g, gate
 	}
-	mine := map[string]bool{}
-	for _, op := range ops {
-		if b.busy[op.Key] && !mine[op.Key] {
-			b.shared = append(b.shared, op.Key)
-		}
-		b.busy[op.Key], mine[op.Key] = true, true
-	}
-	b.mu.Unlock()
-	b.entered <- struct{}{}
-	if b.gate != nil {
-		<-b.gate
-	}
-	var res []BatchResult
-	if b.inner != nil {
-		res, _ = b.inner.AccessBatchResults(ctx, ops)
-	} else {
-		res = make([]BatchResult, len(ops))
-		for i := range res {
-			res[i] = BatchResult{Value: []byte{byte(i)}}
-		}
-	}
-	b.mu.Lock()
-	for key := range mine {
-		delete(b.busy, key)
-	}
-	b.mu.Unlock()
-	return res, AccessStats{}
-}
-
-// roundKeys renders the rounds seen so far, one string per round: each
-// op's key, followed by its first value byte if it is a write.
-func (b *gatedBackend) roundKeys() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var out []string
-	for _, ops := range b.rounds {
-		var sb strings.Builder
-		for i, op := range ops {
-			if i > 0 {
-				sb.WriteByte(' ')
-			}
-			sb.WriteString(op.Key)
-			if op.Op == OpWrite {
-				fmt.Fprintf(&sb, "=%d", op.Value[0])
-			}
-		}
-		out = append(out, sb.String())
-	}
-	return out
-}
-
-// TestAggregatorShedsExpiredWaiter: a waiter whose deadline passes
-// before its round leaves is answered unsent — the round that goes out
-// carries only live accesses — and a key whose every waiter expired is
-// free again.
-func TestAggregatorShedsExpiredWaiter(t *testing.T) {
-	expiring := func(agg *Aggregator, key string, err *error, wg *sync.WaitGroup) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-			defer cancel()
-			_, _, *err = agg.AccessContext(ctx, OpRead, key, nil)
-		}()
-	}
-	// hotInFlight returns an aggregator whose key "hot" has a round held
-	// in flight at the backend's gate.
-	hotInFlight := func(t *testing.T, wg *sync.WaitGroup) (*gatedBackend, *Aggregator) {
-		backend := &gatedBackend{entered: make(chan struct{}, 4), gate: make(chan struct{})}
-		agg := NewAggregator(backend)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := agg.Access(OpRead, "hot", nil); err != nil {
-				t.Errorf("first access: %v", err)
-			}
-		}()
-		<-backend.entered
-		return backend, agg
+	// expiring admits a read of key-00 whose deadline then passes.
+	expiring := func(t *testing.T, proxy *LBLProxy, wg *sync.WaitGroup) *answer {
+		ctx, cancel := context.WithCancel(context.Background())
+		got := start(t, ctx, proxy, wg, false, OpRead, "key-00", nil)
+		cancel()
+		return got
 	}
 
 	t.Run("held", func(t *testing.T) {
 		var wg sync.WaitGroup
-		backend, agg := hotInFlight(t, &wg)
-		var expiredErr, liveErr error
-		expiring(agg, "hot", &expiredErr, &wg)
-		waitAdmitted(t, agg, 2)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _, liveErr = agg.Access(OpRead, "hot", nil)
-		}()
-		waitAdmitted(t, agg, 3)
-		time.Sleep(10 * time.Millisecond) // the held access's deadline passes
-		close(backend.gate)
+		proxy, g, gate := hotInFlight(t, &wg)
+		expired := expiring(t, proxy, &wg)
+		live := admit(t, proxy, &wg, OpRead, "key-00", 0)
+		close(gate)
 		wg.Wait()
-		if liveErr != nil {
-			t.Errorf("live held access: %v", liveErr)
+		if live.err != nil {
+			t.Errorf("live held access: %v", live.err)
 		}
-		if !IsDeadlineExpired(expiredErr) {
-			t.Errorf("expired held access err = %v, want deadline-expired", expiredErr)
+		if !IsDeadlineExpired(expired.err) {
+			t.Errorf("expired held access err = %v, want deadline-expired", expired.err)
 		}
-		if expired := agg.expired.Load(); expired != 1 {
-			t.Errorf("expired = %d, want 1", expired)
+		if n := proxy.counters.expired.Load(); n != 1 {
+			t.Errorf("expired = %d, want 1", n)
 		}
-		if rounds := backend.roundKeys(); len(rounds) != 2 || rounds[1] != "hot" {
-			t.Errorf("rounds = %q, want [hot hot]: the expired held access is shed, the live one follows alone", rounds)
+		if rounds := g.seen(); len(rounds) != 2 || rounds[1] != "key-00" {
+			t.Errorf("rounds = %q, want [key-00 key-00]: the expired held access is shed, the live one follows alone", rounds)
 		}
 	})
 
-	// A chain whose every waiter expired sends nothing, and must not
-	// leave its key marked in flight: the next access to it would be held
-	// for a round that never returns.
+	// A chain whose every member expired sends nothing, and must not
+	// leave its key owned: the next access to it would be held for a round
+	// that never returns.
 	t.Run("whole chain", func(t *testing.T) {
 		var wg sync.WaitGroup
-		backend, agg := hotInFlight(t, &wg)
-		var expiredErr error
-		expiring(agg, "hot", &expiredErr, &wg)
-		waitAdmitted(t, agg, 2)
-		time.Sleep(10 * time.Millisecond)
-		close(backend.gate)
+		proxy, g, gate := hotInFlight(t, &wg)
+		first, second := expiring(t, proxy, &wg), expiring(t, proxy, &wg)
+		close(gate)
 		wg.Wait()
-		if !IsDeadlineExpired(expiredErr) {
-			t.Fatalf("expired waiter err = %v, want deadline-expired", expiredErr)
+		if !IsDeadlineExpired(first.err) || !IsDeadlineExpired(second.err) {
+			t.Fatalf("expired held accesses err = %v, %v; want deadline-expired", first.err, second.err)
 		}
-		if _, _, err := agg.Access(OpRead, "hot", nil); err != nil {
+		if _, _, err := proxy.Access(OpRead, "key-00", nil); err != nil {
 			t.Fatalf("access after the all-expired chain: %v", err)
 		}
-		if rounds := backend.roundKeys(); len(rounds) != 2 {
-			t.Errorf("rounds = %q, want [hot hot]", rounds)
+		if rounds := g.seen(); len(rounds) != 2 {
+			t.Errorf("rounds = %q, want [key-00 key-00]", rounds)
 		}
 	})
 
-	// An access that arrives already expired is a round of one whose only
-	// waiter is shed: same outcome, same free key.
+	// An access that arrives already expired at a free key is a round of
+	// one dropped before it builds anything: same outcome, same free key.
 	t.Run("arrival", func(t *testing.T) {
-		backend := &gatedBackend{entered: make(chan struct{}, 1)}
-		agg := NewAggregator(backend)
+		_, proxy, g := newHoldRig(t, 1, nil)
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		defer cancel()
-		if _, _, err := agg.AccessContext(ctx, OpRead, "k", nil); !IsDeadlineExpired(err) {
+		if _, _, err := proxy.AccessContext(ctx, OpRead, "key-00", nil); !IsDeadlineExpired(err) {
 			t.Fatalf("expired arrival err = %v, want deadline-expired", err)
 		}
-		if _, _, err := agg.Access(OpRead, "k", nil); err != nil {
+		if _, _, err := proxy.Access(OpRead, "key-00", nil); err != nil {
 			t.Fatalf("access after the expired arrival: %v", err)
 		}
-		if expired := agg.expired.Load(); expired != 1 {
-			t.Errorf("expired = %d, want 1", expired)
-		}
-		if rounds := backend.roundKeys(); len(rounds) != 1 || rounds[0] != "k" {
-			t.Errorf("rounds = %q, want [k]", rounds)
+		if rounds := g.seen(); len(rounds) != 1 {
+			t.Errorf("rounds = %q, want [key-00]", rounds)
 		}
 	})
 }

@@ -22,7 +22,7 @@ import (
 // TestMetricInventory holds DESIGN.md §8 and the code to each other:
 // one registry instruments one of everything a deployment can run — an
 // LBL server with durability and admission control, its proxy behind an
-// aggregating, admission-controlled front end, an end-user router, and
+// admission-controlled front end, an end-user router, and
 // a TEE and an FHE pair — and every ortoa_* family it then exposes must
 // be named in §8, exactly or by a `prefix_*` row, and every exact name
 // in §8 must be exposed. A new metric is documented or the test fails;
@@ -71,7 +71,7 @@ func TestMetricInventory(t *testing.T) {
 		tier.ServerConfig{Protocol: tier.LBL, StateDir: t.TempDir(),
 			Durability: kvstore.DurabilityOptions{Policy: kvstore.SyncGroupCommit}, Admission: admission},
 		tier.ProxyConfig{Protocol: tier.LBL, LBL: core.LBLConfig{Mode: core.LBLPointPermute, ReconcileScan: 4, AutoAdopt: true}})
-	front, err := lbl.NewFront(tier.FrontConfig{Aggregate: true, Admission: admission})
+	front, err := lbl.NewFront(tier.FrontConfig{Admission: admission})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestMetricInventory(t *testing.T) {
 	}
 	t.Cleanup(func() { router.Close() })
 	if _, _, err := router.Access(core.OpRead, "k", nil); err != nil {
-		t.Fatalf("access through router, aggregating front end and LBL proxy: %v", err)
+		t.Fatalf("access through router, front end and LBL proxy: %v", err)
 	}
 	for name, px := range map[string]*tier.Proxy{
 		"tee": pair(tier.ServerConfig{Protocol: tier.TEE}, tier.ProxyConfig{Protocol: tier.TEE}),

@@ -121,8 +121,9 @@ func runORAM(link netsim.Link, mode oram.Mode, numBlocks, accesses int) (oramRun
 // ZipfAblation contrasts LBL-ORTOA under uniform vs Zipfian key
 // popularity (an extension: the paper evaluates uniform only). Hot
 // keys stress LBL's per-key access-counter serialization — concurrent
-// accesses to one object must not interleave, so skew converts
-// parallelism into queueing.
+// accesses to one object must not interleave, so they wait for the key
+// and then share one round trip as a chain: skew costs the wait for the
+// round in flight, not a round trip per access.
 func ZipfAblation(opt Options) (*Table, error) {
 	t := &Table{
 		ID:      "ablation-zipf",
@@ -147,6 +148,6 @@ func ZipfAblation(opt Options) (*Table, error) {
 		t.AddRow(dist.name, fmtMS(res.Latency.Mean), fmtMS(res.Latency.P99), fmtTput(res.Throughput))
 	}
 	t.Notes = append(t.Notes,
-		"hot keys serialize on the per-key counter lock (§5.2's schedule), lifting tail latency under skew")
+		"accesses to a hot key wait for its round in flight and follow it as one chain (§5.2's counter schedule): skew lifts the tail by that wait, not by a round trip per queued access")
 	return t, nil
 }

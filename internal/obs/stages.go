@@ -187,8 +187,8 @@ func (s *Stages) Now() time.Time {
 }
 
 // Record reports one access whose stage durations the caller already
-// holds, in declaration order — an aggregated session's share of its
-// window, say — exactly as a Clock's Done would.
+// holds, in declaration order — a single access's wait for its key and
+// its share of the chain's round — exactly as a Clock's Done would.
 func (s *Stages) Record(at time.Time, traceID uint64, failed int, label func() string, d ...time.Duration) {
 	if s != nil && s.access != nil {
 		s.report(at, traceID, 1, failed, label, d)

@@ -171,11 +171,8 @@ type ProxyConfig struct {
 // A Proxy is a wired trusted tier: the pool to the server, the
 // protocol's trusted side over it, and the front ends NewFront started.
 type Proxy struct {
-	// Accessor performs accesses; Batch is the same proxy's batch entry
-	// point, which aggregating front ends coalesce into (LBL only, else
-	// nil).
+	// Accessor performs accesses.
 	Accessor core.Accessor
-	Batch    core.BatchAccessor
 	RPC      *transport.Client
 	// LBL, TEE and FHE are the protocol's trusted side (counter state,
 	// attestation, keys); nil under other protocols.
@@ -228,7 +225,7 @@ func (p *Proxy) wire(cfg ProxyConfig) error {
 		}
 		proxy.Instrument(p.metrics)
 		proxy.TraceWith(p.tracer)
-		p.Accessor, p.Batch, p.builder, p.LBL = proxy, proxy, proxy, proxy
+		p.Accessor, p.builder, p.LBL = proxy, proxy, proxy
 	case TEE:
 		client, err := core.NewTEEClient(core.TEEConfig{ValueSize: cfg.ValueSize}, cfg.PRF, cfg.DataKey, p.RPC)
 		if err != nil {
@@ -275,14 +272,12 @@ func (p *Proxy) BuildRecord(key string, value []byte) (string, []byte, error) {
 	return p.builder.BuildRecord(key, value)
 }
 
-// FrontConfig tunes one proxy front end. The zero value proxies each
-// end-user request as its own access.
+// FrontConfig tunes one proxy front end. The zero value admits every
+// end-user request; each is one access.
 type FrontConfig struct {
-	// Aggregate coalesces end-user accesses per key (LBL only): an access
-	// to a key whose round is in flight is held and follows it, with
-	// everything else held for the key, as one chain.
-	Aggregate bool
-	// Admission bounds the front end's concurrent end-user requests.
+	// Admission bounds the front end's concurrent end-user requests: the
+	// one bound on what it holds, a request waiting for its key being a
+	// running handler.
 	Admission transport.AdmissionConfig
 }
 
@@ -290,7 +285,6 @@ type FrontConfig struct {
 // Transport.Serve; the owning Proxy's Close stops it.
 type Front struct {
 	Transport *transport.Server
-	Agg       *core.Aggregator // nil unless FrontConfig.Aggregate was set
 }
 
 // NewFront builds a front end exposing p to end users (§2.1's
@@ -303,30 +297,20 @@ func (p *Proxy) NewFront(cfg FrontConfig) (*Front, error) {
 		return nil, transport.ErrClosed
 	}
 	f := &Front{Transport: transport.NewServer()}
-	accessor := p.Accessor
-	if cfg.Aggregate {
-		if p.Batch == nil {
-			return nil, fmt.Errorf("tier: access aggregation requires the LBL protocol")
-		}
-		f.Agg = core.NewAggregator(p.Batch)
-		f.Agg.Instrument(p.metrics)
-		f.Agg.TraceWith(p.tracer)
-		accessor = f.Agg
-	}
 	f.Transport.Instrument(p.metrics)
 	f.Transport.AuditShape(p.auditor, core.ShapeClassify)
 	f.Transport.SetTracer(p.tracer)
 	f.Transport.LimitAdmission(cfg.Admission)
-	core.RegisterProxyService(f.Transport, accessor)
+	core.RegisterProxyService(f.Transport, p.Accessor)
 	p.fronts = append(p.fronts, f)
 	return f, nil
 }
 
 // Close shuts the tier down gracefully: front ends stop accepting and
-// drain (in-flight end-user accesses complete and are answered), the
-// aggregator answers what it still holds, and only then are the
-// connections to the server released and this instance's scrape-time
-// metrics retired.
+// drain (in-flight end-user accesses complete and are answered, those
+// held for a busy key included — each is a handler the drain waits for),
+// and only then are the connections to the server released and this
+// instance's scrape-time metrics retired.
 // Close is idempotent and safe to call concurrently with serving. A
 // crash drill closes RPC first, so in-flight accesses fail instead of
 // draining.
@@ -337,11 +321,6 @@ func (p *Proxy) Close() error {
 	p.mu.Unlock()
 	for _, f := range fronts {
 		f.Transport.Close() //nolint:errcheck // best-effort drain
-	}
-	for _, f := range fronts {
-		if f.Agg != nil {
-			f.Agg.Close()
-		}
 	}
 	err := p.RPC.Close()
 	p.metrics.Retire()

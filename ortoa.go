@@ -739,30 +739,27 @@ func (c *Client) ServeProxy(l net.Listener) error {
 }
 
 // ProxyServeOptions tunes a proxy front end started with
-// ServeProxyOptions. The zero value proxies each end-user request as
-// its own access round trip.
+// ServeProxyOptions. The zero value admits every end-user request.
+// Whatever the options, under ProtocolLBL an access to a key whose round
+// is in flight is held and follows it, with everything else held for
+// the key, as one chain — one request, one round trip.
 type ProxyServeOptions struct {
-	// AggWindow, when positive, turns on cross-session access
-	// aggregation (ProtocolLBL only); its magnitude is not read. An
-	// access to a key with no round in flight is sent at once; accesses
-	// to a key whose round is in flight are held and follow it together
-	// as one chain — one request, one round trip. Nothing waits on a
-	// timer. (The field is an on/off that keeps a duration's name and
-	// type until the repository benchmark, which assigns it, can move.)
+	// AggWindow is not read. It turned on a separate aggregating front
+	// end, which every LBL access now behaves like; the field remains
+	// only because the repository benchmark assigns it.
 	AggWindow time.Duration
 	// Admission, when MaxInflight is positive, bounds the front end's
 	// concurrent end-user requests and sheds overload with
-	// constant-size busy rejections (see AdmissionOptions).
+	// constant-size busy rejections (see AdmissionOptions). It is the
+	// one bound on what a front end holds: a request waiting for its
+	// key is a running handler.
 	Admission AdmissionOptions
 }
 
 // ServeProxyOptions is ServeProxy with explicit front-end options.
 // It blocks until Close.
 func (c *Client) ServeProxyOptions(l net.Listener, opts ProxyServeOptions) error {
-	front, err := c.tier.NewFront(tier.FrontConfig{
-		Aggregate: opts.AggWindow > 0,
-		Admission: opts.Admission,
-	})
+	front, err := c.tier.NewFront(tier.FrontConfig{Admission: opts.Admission})
 	if err != nil {
 		return err
 	}
@@ -771,8 +768,8 @@ func (c *Client) ServeProxyOptions(l net.Listener, opts ProxyServeOptions) error
 
 // Close shuts the client down gracefully: proxy front ends started
 // with ServeProxy stop accepting, accepted end-user connections drain
-// (their in-flight accesses complete and are answered), the aggregator
-// answers what it still holds, and only then are the connections to the
+// (their in-flight accesses complete and are answered, those held for
+// a busy key included), and only then are the connections to the
 // server released. Close is idempotent and safe to call concurrently
 // with serving.
 func (c *Client) Close() error { return c.tier.Close() }

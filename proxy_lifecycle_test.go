@@ -88,11 +88,13 @@ func TestServeProxyShutdown(t *testing.T) {
 }
 
 // TestCloseDrainsInFlightProxyAccess checks the graceful half of
-// shutdown: an end-user access already being proxied when Close is
-// called completes and is answered, not cut mid-response.
+// shutdown: end-user accesses already being proxied when Close is
+// called complete and are answered, not cut mid-response — the one whose
+// round is in the air, and the ones held behind it for the same key,
+// which only leave, as a chain, once that round is back.
 func TestCloseDrainsInFlightProxyAccess(t *testing.T) {
 	// A real RTT to the server keeps the access in flight long enough
-	// for Close to overlap it.
+	// for the others to be held behind it and for Close to overlap all.
 	client, proxyLn := newProxyDeployment(t, 4, 8, netsim.Link{RTT: 60 * time.Millisecond})
 	go client.ServeProxy(proxyLn)
 
@@ -102,41 +104,50 @@ func TestCloseDrainsInFlightProxyAccess(t *testing.T) {
 	}
 	defer users.Close()
 
+	const sessions = 3
 	type result struct {
 		v   []byte
 		err error
 	}
-	res := make(chan result, 1)
-	go func() {
-		v, err := users.Read("key-002")
-		res <- result{v, err}
-	}()
-	// Let the request reach the proxy handler, then shut down while
-	// its server round trip is still in the air.
+	res := make(chan result, sessions)
+	_, _, before := client.TrafficStats()
+	for s := 0; s < sessions; s++ {
+		go func() {
+			v, err := users.Read("key-002")
+			res <- result{v, err}
+		}()
+	}
+	// Let the requests reach the proxy handlers, then shut down while
+	// the first's server round trip is still in the air.
 	time.Sleep(15 * time.Millisecond)
 	if err := client.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	r := <-res
-	if r.err != nil {
-		t.Fatalf("in-flight read was cut by Close: %v", r.err)
+	for s := 0; s < sessions; s++ {
+		r := <-res
+		if r.err != nil {
+			t.Fatalf("in-flight read was cut by Close: %v", r.err)
+		}
+		if r.v[0] != 2 {
+			t.Errorf("in-flight read = %v, want first byte 2", r.v)
+		}
 	}
-	if r.v[0] != 2 {
-		t.Errorf("in-flight read = %v, want first byte 2", r.v)
+	if _, _, after := client.TrafficStats(); after-before != 2 {
+		t.Errorf("%d reads of one key cost %d server RPCs, want 2: one in the air at Close and one chain held behind it", sessions, after-before)
 	}
 }
 
-// TestServeProxyAggregated runs end users through an aggregating
-// front end: every session gets its own answer, and sessions that
+// TestServeProxyHoldsBusyKey runs end users through a plain front end,
+// no options: every session gets its own answer, and sessions that
 // arrive for one key while its round is in flight share the next
 // round trip.
-func TestServeProxyAggregated(t *testing.T) {
+func TestServeProxyHoldsBusyKey(t *testing.T) {
 	const n = 8
 	const valueSize = 8
 	// A real RTT to the server keeps a key's round in flight long enough
 	// for the other sessions to arrive behind it.
 	client, proxyLn := newProxyDeployment(t, n, valueSize, netsim.Link{RTT: 20 * time.Millisecond})
-	go client.ServeProxyOptions(proxyLn, ProxyServeOptions{AggWindow: 1})
+	go client.ServeProxy(proxyLn)
 
 	users, err := DialProxy(proxyLn.Dial, 4)
 	if err != nil {
@@ -190,29 +201,6 @@ func TestServeProxyAggregated(t *testing.T) {
 	wg.Wait()
 	if _, _, after := client.TrafficStats(); after-before >= n {
 		t.Errorf("%d concurrent reads of one key cost %d server RPCs, want fewer: those held for the key leave as one chain", n, after-before)
-	}
-}
-
-// TestServeProxyAggregationRequiresLBL pins the configuration error:
-// aggregation sends a key's held accesses as a chain, which only the
-// LBL protocol has.
-func TestServeProxyAggregationRequiresLBL(t *testing.T) {
-	server, err := NewServer(ServerConfig{Protocol: ProtocolBaseline2RTT, ValueSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { server.Close() })
-	link := netsim.Listen(netsim.Loopback)
-	go server.Serve(link)
-	client, err := NewClient(ClientConfig{Protocol: ProtocolBaseline2RTT, ValueSize: 8, Keys: GenerateKeys()},
-		func() (net.Conn, error) { return link.Dial() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
-	err = client.ServeProxyOptions(netsim.Listen(netsim.Loopback), ProxyServeOptions{AggWindow: time.Millisecond})
-	if err == nil {
-		t.Fatal("aggregated ServeProxy under 2RTT succeeded, want error")
 	}
 }
 
