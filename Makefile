@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify verify-benchmark benchmark-smoke noaes fuzz-smoke bench bench-smoke trace-smoke drills failover-smoke overload-smoke stream-smoke crash experiments
+.PHONY: build test vet race verify verify-benchmark benchmark-smoke noaes fuzz-smoke bench bench-smoke trace-smoke drills failover-smoke overload-smoke stream-smoke crash experiments examples
 
 build:
 	$(GO) build ./...
@@ -53,16 +53,21 @@ benchmark-smoke:
 noaes:
 	GODEBUG=cpu.aes=off $(GO) test -count=1 -run 'Label|Sealer|KnownAnswer|Parity' ./internal/crypto/... ./internal/core/
 
-# fuzz-smoke runs each trust-boundary fuzzer of internal/core for 10 s of
-# generated inputs (`go test` alone runs only their seed corpora): frame
-# sequences at the server's one handler — whole, cut, reordered, with a
-# key repeated — and tampered response slots at the proxy, a chain's
-# included. The fuzz engine takes one target per run; -run='^$$' keeps
-# the unit tests out of it.
+# fuzz-smoke runs each trust-boundary fuzzer for 10 s of generated
+# inputs (`go test` alone runs only their seed corpora): in internal/core,
+# frame sequences at the server's one handler — whole, cut, reordered,
+# with a key repeated — and tampered response slots at the proxy, a
+# chain's included; in internal/kvstore, the snapshot and log a restart
+# parses from its state directory. The fuzz engine takes one target per
+# run; -run='^$$' keeps the unit tests out of it.
+FUZZ_PKGS := ./internal/core/ ./internal/kvstore/
+
 fuzz-smoke:
-	@for f in $$($(GO) test -list '^Fuzz' ./internal/core/ | grep '^Fuzz'); do \
-		echo "== $$f"; \
-		$(GO) test -run='^$$' -fuzz="^$$f\$$" -fuzztime=10s ./internal/core/ || exit 1; \
+	@for p in $(FUZZ_PKGS); do \
+		for f in $$($(GO) test -list '^Fuzz' $$p | grep '^Fuzz'); do \
+			echo "== $$p $$f"; \
+			$(GO) test -run='^$$' -fuzz="^$$f\$$" -fuzztime=10s $$p || exit 1; \
+		done; \
 	done
 
 bench:
@@ -114,6 +119,14 @@ failover-smoke: drill-failover
 overload-smoke: drill-overload
 stream-smoke: drill-stream
 crash: drill-crash
+
+# examples runs every program under examples/; each checks its own
+# outcome and exits non-zero (log.Fatal) when it does not hold.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # experiments prints every registered experiment's table at smoke
 # scale. That each one still runs is already part of `make verify`:

@@ -6,12 +6,11 @@
 //
 //	ortoa-server -listen :7001 -protocol lbl -value-size 160
 //
-// With -snapshot, the store is restored at startup (if the file
-// exists) and saved on SIGINT/SIGTERM, once serving has stopped. With
-// -wal, every mutation is journaled under the -fsync policy
-// (group-commit = durable-on-ack); adding -checkpoint-interval turns
-// -wal into a state directory with background checkpoints bounding
-// recovery replay time.
+// With -state, the store lives in that state directory: it is
+// recovered at startup, every mutation is journaled under the -fsync
+// policy (group-commit = durable-on-ack), and the store checkpoints on
+// its own whenever its log outgrows its last snapshot, which bounds
+// recovery replay time. Without it the store is in memory only.
 package main
 
 import (
@@ -35,11 +34,9 @@ func main() {
 	listen := flag.String("listen", ":7001", "address to listen on")
 	protocol := flag.String("protocol", "lbl", "protocol: lbl, tee, fhe, or 2rtt")
 	valueSize := flag.Int("value-size", 160, "fixed value size in bytes")
-	snapshot := flag.String("snapshot", "", "snapshot file to restore/save the store")
-	walPath := flag.String("wal", "", "write-ahead log for crash durability (replayed at startup); with -checkpoint-interval this names a state directory instead")
-	fsync := flag.String("fsync", "interval", "WAL fsync policy: never, interval, or group-commit (durable-on-ack)")
+	stateDir := flag.String("state", "", "state directory the store is recovered from and made durable in; it checkpoints itself as its log grows (empty: in memory only)")
+	fsync := flag.String("fsync", "interval", "WAL fsync policy under -state: never, interval, or group-commit (durable-on-ack)")
 	walSyncEvery := flag.Duration("wal-sync", 2*time.Second, "fsync cadence for -fsync interval")
-	checkpointInterval := flag.Duration("checkpoint-interval", 0, "run background checkpoints (snapshot + WAL rotation) this often; turns -wal into a state directory (0 disables)")
 	enclaveCost := flag.Duration("enclave-cost", 0, "simulated per-ecall enclave transition cost (tee)")
 	fheDegree := flag.Int("fhe-degree", 512, "BFV ring degree (fhe)")
 	fheBits := flag.Int("fhe-modulus-bits", 370, "BFV modulus bits (fhe)")
@@ -88,36 +85,13 @@ func main() {
 		log.Printf("admission control: max-inflight=%d max-queue=%d shed-deadline=%v", *maxInflight, *maxQueue, *shedDeadline)
 	}
 
-	if *snapshot != "" {
-		if _, err := os.Stat(*snapshot); err == nil {
-			if err := server.LoadSnapshot(*snapshot); err != nil {
-				log.Fatalf("restoring snapshot: %v", err)
-			}
-			log.Printf("restored %d records from %s", server.Records(), *snapshot)
-		}
-	}
-	switch {
-	case *checkpointInterval > 0:
-		// Generation-based state: -wal names a directory holding
-		// MANIFEST + snap-<gen> + wal-<gen>; recovery loads the newest
-		// consistent pair and checkpoints bound replay time.
-		if *walPath == "" {
-			log.Fatal("-checkpoint-interval requires -wal (the state directory)")
-		}
-		if err := server.OpenState(*walPath, ortoa.DurabilityOptions{
-			Fsync:              ortoa.FsyncPolicy(*fsync),
-			SyncInterval:       *walSyncEvery,
-			CheckpointInterval: *checkpointInterval,
-		}); err != nil {
+	if *stateDir != "" {
+		opts := ortoa.DurabilityOptions{Fsync: ortoa.FsyncPolicy(*fsync), SyncInterval: *walSyncEvery}
+		if err := server.OpenState(*stateDir, opts); err != nil {
 			log.Fatalf("opening state directory: %v", err)
 		}
-		log.Printf("state recovered from %s (generation %d, %d records, fsync=%s, checkpoints every %s)",
-			*walPath, server.Generation(), server.Records(), *fsync, *checkpointInterval)
-	case *walPath != "":
-		if err := server.AttachWALPolicy(*walPath, ortoa.FsyncPolicy(*fsync), *walSyncEvery); err != nil {
-			log.Fatalf("attaching WAL: %v", err)
-		}
-		log.Printf("WAL attached at %s (%d records after replay, fsync=%s)", *walPath, server.Records(), *fsync)
+		log.Printf("state recovered from %s (generation %d, %d records, fsync=%s)",
+			*stateDir, server.Generation(), server.Records(), *fsync)
 	}
 
 	l, err := net.Listen("tcp", *listen)
@@ -143,25 +117,17 @@ func main() {
 	case err := <-serveErr:
 		log.Printf("serving ended by itself: %v", err)
 	}
-	shutdown(server, *snapshot)
+	shutdown(server)
 	log.Print("server stopped")
 }
 
 // shutdown stops server without losing an acknowledged access: it stops
-// serving and drains first, then saves the snapshot, when one is named,
-// and only then detaches the log, if there is one. Detached any earlier,
-// the store would go on serving — and acknowledging — accesses that are
-// in neither the snapshot nor the log.
-func shutdown(server *ortoa.Server, snapshot string) {
+// serving and drains first, and only then detaches the log, if there is
+// one. Detached any earlier, the store would go on serving — and
+// acknowledging — accesses that are not in the log.
+func shutdown(server *ortoa.Server) {
 	if err := server.Close(); err != nil {
 		log.Printf("closing server: %v", err)
-	}
-	if snapshot != "" {
-		if err := server.SaveSnapshot(snapshot); err != nil {
-			log.Printf("saving snapshot: %v", err)
-		} else {
-			log.Printf("saved %d records to %s", server.Records(), snapshot)
-		}
 	}
 	if err := server.DetachWAL(); err != nil {
 		log.Printf("closing WAL: %v", err)

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,14 +15,13 @@ import (
 
 // TestShutdownKeepsAcknowledgedWrites drives the SIGTERM sequence with
 // writers running through it, on a server journaling durable-on-ack the
-// way `-snapshot -wal -fsync group-commit` does: a server restarted from
-// the snapshot and the log must hold every write that was acknowledged,
-// however late. Detaching the log before serving has stopped loses the
-// writes acknowledged in between.
+// way `-state D -fsync group-commit` does: a server restarted from the
+// state directory must hold every write that was acknowledged, however
+// late. Detaching the log before serving has stopped loses the writes
+// acknowledged in between.
 func TestShutdownKeepsAcknowledgedWrites(t *testing.T) {
 	const writers, valueSize = 8, 8
 	dir := t.TempDir()
-	snapshot, wal := filepath.Join(dir, "store.snapshot"), filepath.Join(dir, "store.wal")
 
 	var listener atomic.Pointer[netsim.Listener] // whichever server is up
 	start := func() *ortoa.Server {
@@ -33,12 +30,7 @@ func TestShutdownKeepsAcknowledgedWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := os.Stat(snapshot); err == nil { // as main does: not on the first start
-			if err := server.LoadSnapshot(snapshot); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := server.AttachWALPolicy(wal, ortoa.FsyncGroupCommit, 0); err != nil {
+		if err := server.OpenState(dir, ortoa.DurabilityOptions{Fsync: ortoa.FsyncGroupCommit}); err != nil {
 			t.Fatal(err)
 		}
 		l := netsim.Listen(netsim.Loopback)
@@ -79,7 +71,7 @@ func TestShutdownKeepsAcknowledgedWrites(t *testing.T) {
 	for acked[0].Load() < 20 { // every writer is well under way
 		time.Sleep(time.Millisecond)
 	}
-	shutdown(server, snapshot)
+	shutdown(server)
 	wg.Wait()
 
 	server = start()

@@ -41,8 +41,9 @@
 //
 // Beyond single accesses, the package provides ReadBatch/WriteBatch
 // pipelining, ReadRange over the trusted-side key directory (§8.2),
-// ShardedClient scale-out (§6.2.4), durable server state (snapshots
-// and a write-ahead log), LBL proxy-state persistence, and Recommend,
+// ShardedClient scale-out (§6.2.4), durable server state (a state
+// directory that checkpoints itself, Server.OpenState), LBL
+// proxy-state persistence, and Recommend,
 // which evaluates the paper's §6.3.2 protocol-selection rule for a
 // deployment's link and value size.
 //

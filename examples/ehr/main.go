@@ -11,8 +11,9 @@
 // LBL-ORTOA's label encoding also gives integrity for free: the proxy
 // knows which labels can exist, so a tampering server is caught the
 // moment it returns bytes it did not obtain by honestly running the
-// protocol. The example corrupts the server's persisted store and
-// shows the access fail with a tamper error.
+// protocol. The example corrupts the snapshot in the server's state
+// directory, restarts the server from it, and shows the accesses fail
+// with a tamper error.
 //
 // Run with: go run ./examples/ehr
 package main
@@ -69,20 +70,12 @@ func main() {
 
 	// --- Part 2: tamper detection (§5.4) ---
 	fmt.Println("\npart 2: detecting a tampering server")
-	server, err := ortoa.NewServer(ortoa.ServerConfig{Protocol: ortoa.ProtocolLBL, ValueSize: ds.ValueSize})
+	dir, err := os.MkdirTemp("", "ortoa-ehr")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer server.Close()
-	link := netsim.Listen(netsim.Loopback)
-	go server.Serve(link)
-	client, err := ortoa.NewClient(ortoa.ClientConfig{
-		Protocol: ortoa.ProtocolLBL, ValueSize: ds.ValueSize, Keys: keys,
-	}, func() (net.Conn, error) { return link.Dial() })
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer client.Close()
+	defer os.RemoveAll(dir)
+	server, client := serveState(dir, ds.ValueSize, keys)
 	if err := client.Load(ds.Data()); err != nil {
 		log.Fatal(err)
 	}
@@ -91,18 +84,23 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  honest server: patient %s… -> %q\n", patient[:8], v)
+	counters := filepath.Join(dir, "proxy.state")
+	if err := client.SaveState(counters); err != nil {
+		log.Fatal(err)
+	}
+	if err := server.Checkpoint(); err != nil {
+		log.Fatal(err)
+	}
+	snap := filepath.Join(dir, "server", fmt.Sprintf("snap-%08d", server.Generation()))
+	client.Close()
+	server.Close()
+	if err := server.DetachWAL(); err != nil {
+		log.Fatal(err)
+	}
 
 	// The "adversary" flips bits in the server's persisted state —
-	// e.g. a malicious cloud operator editing the disk image.
-	dir, err := os.MkdirTemp("", "ortoa-ehr")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	snap := filepath.Join(dir, "store.snap")
-	if err := server.SaveSnapshot(snap); err != nil {
-		log.Fatal(err)
-	}
+	// e.g. a malicious cloud operator editing the disk image — and the
+	// server restarts from it.
 	raw, err := os.ReadFile(snap)
 	if err != nil {
 		log.Fatal(err)
@@ -113,7 +111,11 @@ func main() {
 	if err := os.WriteFile(snap, raw, 0o600); err != nil {
 		log.Fatal(err)
 	}
-	if err := server.LoadSnapshot(snap); err != nil {
+	server, client = serveState(dir, ds.ValueSize, keys)
+	defer server.DetachWAL()
+	defer server.Close()
+	defer client.Close()
+	if err := client.LoadState(counters); err != nil {
 		log.Fatal(err)
 	}
 
@@ -129,4 +131,24 @@ func main() {
 		log.Fatal("corruption went undetected — §5.4 check failed")
 	}
 	fmt.Printf("  tampering server: corruption detected on %d record(s); data cannot be silently altered\n", tampered)
+}
+
+// serveState starts an LBL server whose store lives in dir/server and
+// connects a client to it.
+func serveState(dir string, valueSize int, keys ortoa.Keys) (*ortoa.Server, *ortoa.Client) {
+	server, err := ortoa.NewServer(ortoa.ServerConfig{Protocol: ortoa.ProtocolLBL, ValueSize: valueSize})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := server.OpenState(filepath.Join(dir, "server"), ortoa.DurabilityOptions{}); err != nil {
+		log.Fatal(err)
+	}
+	link := netsim.Listen(netsim.Loopback)
+	go server.Serve(link)
+	client, err := ortoa.NewClient(ortoa.ClientConfig{Protocol: ortoa.ProtocolLBL, ValueSize: valueSize, Keys: keys},
+		func() (net.Conn, error) { return link.Dial() })
+	if err != nil {
+		log.Fatal(err)
+	}
+	return server, client
 }

@@ -4,12 +4,13 @@
 //
 // The example simulates a full lifecycle:
 //
-//  1. two proxy/server shard pairs are deployed with write-ahead logs,
+//  1. two proxy/server shard pairs are deployed, each server's store in
+//     a state directory that checkpoints itself as its log grows,
 //  2. a workload runs and LBL counters advance,
-//  3. everything is torn down as in a crash (only WALs and the proxy
-//     state file survive),
-//  4. the deployment is rebuilt from the logs and continues serving
-//     with all data intact.
+//  3. everything is torn down (only the state directories and the
+//     proxy state file survive),
+//  4. the deployment is rebuilt from the directories and continues
+//     serving with all data intact.
 //
 // Run with: go run ./examples/production
 package main
@@ -44,7 +45,7 @@ func main() {
 	}
 
 	// --- Phase 1: deploy, load, serve ---
-	fmt.Println("phase 1: deploy 2 shards with WALs, load, serve traffic")
+	fmt.Println("phase 1: deploy 2 shards with state directories, load, serve traffic")
 	cluster, servers := deploy(dir, keys)
 	data := map[string][]byte{}
 	for i := 0; i < records; i++ {
@@ -65,27 +66,27 @@ func main() {
 	}
 	fmt.Printf("  served 50 operations across %d shards\n", cluster.Shards())
 
-	// Persist proxy state, then "crash": close everything without
-	// snapshots — only the WALs survive.
+	// Persist proxy state, then shut everything down: servers stop
+	// serving before their logs are detached.
 	statePrefix := filepath.Join(dir, "proxy-state")
 	if err := cluster.SaveState(statePrefix); err != nil {
 		log.Fatal(err)
 	}
 	cluster.Close()
 	for _, s := range servers {
+		s.Close()
 		if err := s.DetachWAL(); err != nil {
 			log.Fatal(err)
 		}
-		s.Close()
 	}
-	fmt.Println("  crash: processes gone; only WALs + proxy state on disk")
+	fmt.Println("  shut down: processes gone; state directories + proxy state on disk")
 
-	// --- Phase 2: recover from WALs and continue ---
-	fmt.Println("phase 2: rebuild from write-ahead logs")
+	// --- Phase 2: recover from the state directories and continue ---
+	fmt.Println("phase 2: rebuild from the state directories")
 	cluster2, servers2 := deploy(dir, keys)
 	defer cluster2.Close()
 	for i, s := range servers2 {
-		fmt.Printf("  shard %d recovered %d records from WAL\n", i, s.Records())
+		fmt.Printf("  shard %d recovered %d records (checkpoint generation %d)\n", i, s.Records(), s.Generation())
 	}
 	if err := cluster2.LoadState(statePrefix); err != nil {
 		log.Fatal(err)
@@ -106,12 +107,14 @@ func main() {
 	}
 	fmt.Println("  writes accepted post-recovery — deployment fully restored")
 	for _, s := range servers2 {
+		s.Close()
 		s.DetachWAL()
 	}
 }
 
-// deploy builds `shards` proxy/server pairs with WAL-backed stores and
-// returns the sharded client plus server handles.
+// deploy builds `shards` proxy/server pairs whose stores live in state
+// directories under dir and returns the sharded client plus server
+// handles.
 func deploy(dir string, keys []ortoa.Keys) (*ortoa.ShardedClient, []*ortoa.Server) {
 	var clients []*ortoa.Client
 	var servers []*ortoa.Server
@@ -123,7 +126,7 @@ func deploy(dir string, keys []ortoa.Keys) (*ortoa.ShardedClient, []*ortoa.Serve
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := server.AttachWAL(filepath.Join(dir, fmt.Sprintf("shard-%d.wal", i))); err != nil {
+		if err := server.OpenState(filepath.Join(dir, fmt.Sprintf("shard-%d", i)), ortoa.DurabilityOptions{}); err != nil {
 			log.Fatal(err)
 		}
 		link := netsim.Listen(netsim.Oregon)

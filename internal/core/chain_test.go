@@ -163,7 +163,7 @@ func TestLBLChainJournalsOneRecord(t *testing.T) {
 	r, proxy, _ := newLBL(t, LBLPointPermute, 4)
 	loadData(t, r, proxy, map[string][]byte{"k": {1, 1, 1, 1}, "other": {9, 9, 9, 9}})
 	wal := filepath.Join(t.TempDir(), "server.wal")
-	if err := r.store.AttachWAL(wal); err != nil {
+	if err := r.store.AttachWALOptions(wal, kvstore.WALOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	ops, written := chainOps(4, 0x5A)
@@ -176,7 +176,7 @@ func TestLBLChainJournalsOneRecord(t *testing.T) {
 	}
 
 	replayed := kvstore.New()
-	if err := replayed.AttachWAL(wal); err != nil {
+	if err := replayed.AttachWALOptions(wal, kvstore.WALOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	defer replayed.DetachWAL() //nolint:errcheck // read only

@@ -168,53 +168,40 @@ var counterMagic = [8]byte{'O', 'R', 'T', 'O', 'A', 'C', 'T', '1'}
 // the label schedule from the server's records, so deployments persist
 // them across proxy restarts.
 //
-// Snapshotting concurrent with in-flight accesses captures each
-// counter either before or after its access — safe only if the server
-// saw no later access; quiesce the proxy before saving, as ortoa-proxy
-// does on shutdown.
+// A save may run live, alongside accesses: it writes the keys that
+// existed when it began — a key first accessed meanwhile is left to the
+// next save — and captures each counter between its rounds, so it
+// always loads, but it can trail the server by the accesses that
+// completed after their key was captured. A proxy resuming from it
+// closes that gap with the reconcile scan (LBLConfig.ReconcileScan).
 func (t *counterTable) save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(counterMagic[:]); err != nil {
-		return err
-	}
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], uint64(t.Len()))
-	if _, err := bw.Write(cnt[:]); err != nil {
-		return err
-	}
-	written := 0
+	// The stripe locks are not held while waiting for a key: the key's
+	// owner may be a multi-key round about to look up its next key in
+	// the same stripe.
+	var keys []string
 	for i := range t.shards {
-		// The stripe lock is not held while waiting for a key: the key's
-		// owner may be a multi-key round about to look up its next key in
-		// this very stripe.
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		keys := make([]string, 0, len(sh.entries))
 		for key := range sh.entries {
 			keys = append(keys, key)
 		}
 		sh.mu.Unlock()
-		for _, key := range keys {
-			var lenBuf [binary.MaxVarintLen64]byte
-			n := binary.PutUvarint(lenBuf[:], uint64(len(key)))
-			if _, err := bw.Write(lenBuf[:n]); err != nil {
-				return err
-			}
-			if _, err := bw.WriteString(key); err != nil {
-				return err
-			}
-			e := t.acquire(key)
-			ct := e.ct
-			t.release(e)
-			binary.LittleEndian.PutUint64(cnt[:], ct)
-			if _, err := bw.Write(cnt[:]); err != nil {
-				return err
-			}
-			written++
-		}
 	}
-	if got := t.Len(); got != written {
-		return fmt.Errorf("core: counters mutated during save (%d vs %d)", written, got)
+	bw := bufio.NewWriter(w)
+	buf := binary.LittleEndian.AppendUint64(append([]byte(nil), counterMagic[:]...), uint64(len(keys)))
+	for _, key := range keys {
+		if _, err := bw.Write(buf); err != nil {
+			return err
+		}
+		e := t.acquire(key)
+		ct := e.ct
+		t.release(e)
+		buf = binary.AppendUvarint(buf[:0], uint64(len(key)))
+		buf = append(buf, key...)
+		buf = binary.LittleEndian.AppendUint64(buf, ct)
+	}
+	if _, err := bw.Write(buf); err != nil {
+		return err
 	}
 	return bw.Flush()
 }

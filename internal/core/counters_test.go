@@ -273,3 +273,52 @@ func TestCounterSaveWaitsForAKeyOutsideItsStripe(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCounterSaveRacesFirstAccesses: saves running while keys get their
+// first counter entry — a proxy warming up under -state-interval —
+// always succeed and always load, with every key that existed before
+// the save at its counter.
+func TestCounterSaveRacesFirstAccesses(t *testing.T) {
+	tbl := newCounterTable()
+	const old, fresh = 20000, 100000
+	for i := 0; i < old; i++ {
+		e := tbl.acquire(fmt.Sprintf("old-%d", i))
+		e.ct = uint64(i)
+		tbl.release(e)
+	}
+	arriving := make(chan struct{})
+	go func() {
+		defer close(arriving)
+		for i := 0; i < fresh; i++ {
+			tbl.release(tbl.acquire(fmt.Sprintf("new-%d", i)))
+		}
+	}()
+	for saves := 0; ; saves++ {
+		select {
+		case <-arriving:
+			if saves == 0 {
+				t.Fatal("the first accesses were over before a save began")
+			}
+			return
+		default:
+		}
+		var buf bytes.Buffer
+		if err := tbl.save(&buf); err != nil {
+			<-arriving
+			t.Fatalf("save %d under first accesses: %v", saves, err)
+		}
+		restored := newCounterTable()
+		if err := restored.load(&buf); err != nil {
+			<-arriving
+			t.Fatalf("save %d does not load: %v", saves, err)
+		}
+		for k := 0; k < old; k += 997 {
+			e := restored.acquire(fmt.Sprintf("old-%d", k))
+			if e.ct != uint64(k) {
+				<-arriving
+				t.Fatalf("save %d: old-%d restored at %d", saves, k, e.ct)
+			}
+			restored.release(e)
+		}
+	}
+}

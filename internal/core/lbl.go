@@ -351,7 +351,10 @@ func (p *LBLProxy) Config() LBLConfig { return p.cfg }
 func (p *LBLProxy) CounterKeys() int { return p.counters.Len() }
 
 // SaveCounters persists the access-counter table — the one piece of
-// proxy state LBL-ORTOA cannot regenerate. Quiesce accesses first.
+// proxy state LBL-ORTOA cannot regenerate. It may run alongside
+// accesses: each counter is captured between its rounds, so the save
+// always loads, but it can trail the server by the accesses that
+// completed after their key was captured — a gap ReconcileScan closes.
 func (p *LBLProxy) SaveCounters(w io.Writer) error { return p.counters.save(w) }
 
 // LoadCounters restores a SaveCounters snapshot, merging over current

@@ -197,7 +197,8 @@ func truncateTo(b []byte, size int64) []byte {
 // An FS is an in-memory crash-faulty filesystem. The zero value is
 // not usable; call New.
 type FS struct {
-	plan atomic.Pointer[Plan]
+	plan    atomic.Pointer[Plan]
+	observe atomic.Pointer[func(op, name string, n int)]
 
 	mu      sync.Mutex
 	epoch   uint64           // bumped by Crash; invalidates open handles
@@ -230,6 +231,19 @@ func (f *FS) SetPlan(plan *Plan) {
 		plan = &Plan{}
 	}
 	f.plan.Store(plan)
+}
+
+// Observe has fn called before every operation that changes the
+// filesystem — "create" (an open that may create), "write" (n bytes),
+// "rename" (to name), "remove" and "syncdir" — on the caller's
+// goroutine with no lock held, so fn may block that caller: the hook
+// tests pause a checkpoint mid-snapshot with, or watch a directory by.
+func (f *FS) Observe(fn func(op, name string, n int)) { f.observe.Store(&fn) }
+
+func (f *FS) note(op, name string, n int) {
+	if fn := f.observe.Load(); fn != nil && *fn != nil {
+		(*fn)(op, name, n)
+	}
 }
 
 // Stats returns cumulative fault counts.
@@ -324,6 +338,9 @@ func notExist(op, name string) error {
 
 // OpenFile implements vfs.FS.
 func (f *FS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	if flag&os.O_CREATE != 0 {
+		f.note("create", name, 0)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n, ok := f.live[name]
@@ -345,6 +362,7 @@ func (f *FS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error)
 
 // Rename implements vfs.FS. The move is volatile until SyncDir.
 func (f *FS) Rename(oldpath, newpath string) error {
+	f.note("rename", newpath, 0)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n, ok := f.live[oldpath]
@@ -358,6 +376,7 @@ func (f *FS) Rename(oldpath, newpath string) error {
 
 // Remove implements vfs.FS. The removal is volatile until SyncDir.
 func (f *FS) Remove(name string) error {
+	f.note("remove", name, 0)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, ok := f.live[name]; !ok {
@@ -374,6 +393,7 @@ func (f *FS) MkdirAll(dir string, perm os.FileMode) error { return nil }
 // SyncDir implements vfs.FS: every entry change under dir (creations,
 // renames, removals) becomes durable.
 func (f *FS) SyncDir(dir string) error {
+	f.note("syncdir", dir, 0)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for name := range f.durable {
@@ -403,17 +423,31 @@ type File struct {
 	closed bool
 }
 
-func (h *File) check() error {
-	if h.closed {
-		return fmt.Errorf("crashfs: %s: file already closed", h.name)
-	}
+// lock takes the handle's and the filesystem's locks and checks the
+// handle is still usable. The epoch is checked under the filesystem's
+// lock, so an operation either completes before a Crash or fails with
+// ErrCrashed: a dead process's write never lands on its successor's
+// disk, and its fsync never vouches for bytes the crash dropped. On
+// success the caller unlocks.
+func (h *File) lock() error {
+	h.mu.Lock()
 	h.fs.mu.Lock()
-	stale := h.epoch != h.fs.epoch
-	h.fs.mu.Unlock()
-	if stale {
-		return ErrCrashed
+	var err error
+	switch {
+	case h.closed:
+		err = fmt.Errorf("crashfs: %s: file already closed", h.name)
+	case h.epoch != h.fs.epoch:
+		err = ErrCrashed
+	default:
+		return nil
 	}
-	return nil
+	h.unlock()
+	return err
+}
+
+func (h *File) unlock() {
+	h.fs.mu.Unlock()
+	h.mu.Unlock()
 }
 
 // Name implements vfs.File.
@@ -421,25 +455,19 @@ func (h *File) Name() string { return h.name }
 
 // Size implements vfs.File.
 func (h *File) Size() (int64, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if err := h.check(); err != nil {
+	if err := h.lock(); err != nil {
 		return 0, err
 	}
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
+	defer h.unlock()
 	return int64(len(h.node.data)), nil
 }
 
 // Read implements io.Reader.
 func (h *File) Read(p []byte) (int, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if err := h.check(); err != nil {
+	if err := h.lock(); err != nil {
 		return 0, err
 	}
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
+	defer h.unlock()
 	if h.pos >= int64(len(h.node.data)) {
 		return 0, io.EOF
 	}
@@ -451,18 +479,16 @@ func (h *File) Read(p []byte) (int, error) {
 // Write implements io.Writer. The bytes land in the live content and
 // a pending op, durable only after Sync.
 func (h *File) Write(p []byte) (int, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if err := h.check(); err != nil {
+	h.fs.note("write", h.name, len(p))
+	if err := h.lock(); err != nil {
 		return 0, err
 	}
+	defer h.unlock()
 	plan := h.fs.plan.Load()
 	if plan != nil && plan.draw(plan.WriteErrProb) && plan.spend() {
 		plan.writeErrs.Add(1)
 		return 0, fmt.Errorf("crashfs: %s: injected write error", h.name)
 	}
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
 	op := pendingOp{off: h.pos, data: append([]byte(nil), p...)}
 	h.node.applyOp(op)
 	h.node.pending = append(h.node.pending, op)
@@ -472,14 +498,10 @@ func (h *File) Write(p []byte) (int, error) {
 
 // Seek implements io.Seeker.
 func (h *File) Seek(offset int64, whence int) (int64, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if err := h.check(); err != nil {
+	if err := h.lock(); err != nil {
 		return 0, err
 	}
-	h.fs.mu.Lock()
-	size := int64(len(h.node.data))
-	h.fs.mu.Unlock()
+	defer h.unlock()
 	var abs int64
 	switch whence {
 	case io.SeekStart:
@@ -487,7 +509,7 @@ func (h *File) Seek(offset int64, whence int) (int64, error) {
 	case io.SeekCurrent:
 		abs = h.pos + offset
 	case io.SeekEnd:
-		abs = size + offset
+		abs = int64(len(h.node.data)) + offset
 	default:
 		return 0, fmt.Errorf("crashfs: %s: bad whence %d", h.name, whence)
 	}
@@ -500,13 +522,10 @@ func (h *File) Seek(offset int64, whence int) (int64, error) {
 
 // Truncate implements vfs.File; volatile until Sync like any write.
 func (h *File) Truncate(size int64) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if err := h.check(); err != nil {
+	if err := h.lock(); err != nil {
 		return err
 	}
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
+	defer h.unlock()
 	op := pendingOp{truncate: true, off: size}
 	h.node.applyOp(op)
 	h.node.pending = append(h.node.pending, op)
@@ -518,18 +537,15 @@ func (h *File) Truncate(size int64) error {
 // changes — the caller cannot know how much reached the disk, exactly
 // like a real failed fsync).
 func (h *File) Sync() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if err := h.check(); err != nil {
+	if err := h.lock(); err != nil {
 		return err
 	}
+	defer h.unlock()
 	plan := h.fs.plan.Load()
 	if plan != nil && plan.draw(plan.SyncErrProb) && plan.spend() {
 		plan.syncErrs.Add(1)
 		return fmt.Errorf("crashfs: %s: injected fsync error", h.name)
 	}
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
 	// Copy-on-write: alias the live content instead of cloning it. A
 	// later write below this length clones first (see applyOp), so the
 	// durable view stays exactly the content as of this Sync.

@@ -112,12 +112,9 @@ type Config struct {
 // reproducible.
 type DurabilityConfig struct {
 	// Policy is the WAL fsync policy (kvstore.SyncNever /
-	// SyncInterval / SyncGroupCommit).
+	// SyncInterval / SyncGroupCommit). The stores checkpoint on their
+	// own as their logs grow.
 	Policy kvstore.SyncPolicy
-	// SyncInterval is the background fsync cadence for SyncInterval.
-	SyncInterval time.Duration
-	// CheckpointInterval starts background checkpoints when positive.
-	CheckpointInterval time.Duration
 	// Seed seeds the per-shard fault PRNGs.
 	Seed uint64
 	// TornWriteProb is the probability a crash tears the first
@@ -238,8 +235,7 @@ func (c *Cluster) newShard(idx int) (*shard, error) {
 	if d := cfg.Durability; d != nil {
 		sh.fsys = crashfs.New(&crashfs.Plan{Seed: d.Seed + uint64(idx), TornWriteProb: d.TornWriteProb})
 		sh.scfg.StateDir = "state"
-		sh.scfg.Durability = kvstore.DurabilityOptions{Policy: d.Policy, SyncInterval: d.SyncInterval, FS: sh.fsys}
-		sh.scfg.CheckpointInterval = d.CheckpointInterval
+		sh.scfg.Durability = kvstore.WALOptions{Policy: d.Policy, FS: sh.fsys}
 	}
 	if err := sh.serve(); err != nil {
 		return nil, err
@@ -490,7 +486,7 @@ func (c *Cluster) ServerBytes() int64 {
 // Shards returns the number of proxy/server pairs.
 func (c *Cluster) Shards() int { return len(c.shards) }
 
-// Close tears down all connections, servers, and checkpointers.
+// Close tears down all connections and servers.
 func (c *Cluster) Close() {
 	c.closeProxies()
 	for _, sh := range c.shards {

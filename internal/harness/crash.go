@@ -13,8 +13,9 @@ import (
 // Crash runs the drill workload (drill.go) while shard servers are
 // repeatedly crash-killed — no flush, open file handles die, unsynced
 // disk state settles per a seeded crash plan with torn final writes —
-// and recovered from their WAL + snapshot, with background checkpoints
-// racing the crashes. It is the end-to-end check of the durability
+// and recovered from their state directories, which the stores
+// checkpoint on their own as their logs grow, racing the crashes. It
+// is the end-to-end check of the durability
 // layer: the WAL's group-commit contract (§ DESIGN.md 10) promises
 // that an acknowledged write survives any crash, and this experiment
 // is where the repo demonstrates it, across dozens of kill/restart
@@ -24,6 +25,9 @@ import (
 // strand proxy/server counter desync (parked rounds against a
 // rolled-back server), and the proxies' reconciliation scan must
 // re-locate every counter so the final audit reads all keys cleanly.
+// And every shard's store must have checkpointed on its own: no
+// interval is configured, so a generation still at 0 means the trigger
+// never fired.
 // A shard is down for part of every cycle, so any definite failure
 // short of tampering is a skipped operation here.
 //
@@ -36,12 +40,15 @@ import (
 func Crash(opt Options) (*Table, error) {
 	t := &Table{
 		ID:    "crash",
-		Title: "Repeated kill/restart under durable-on-ack (LBL, group-commit WAL + checkpoints)",
+		Title: "Repeated kill/restart under durable-on-ack (LBL, group-commit WAL, self-checkpointing state directories)",
 		Columns: []string{"phase", "ops", "ok", "ambiguous", "down", "restarts",
 			"wal-replayed", "parked/settled", "probes/reconciled"},
 	}
 
-	workers := opt.conc()
+	// Never smaller than the -quick scale: every shard must journal past
+	// its store's 1 MiB checkpoint floor (about 95 accesses at 160 B) for
+	// the generation check below to test the trigger.
+	workers, ops := max(opt.conc(), 8), max(opt.ops(), 3)
 	const keysPerWorker = 2
 	const shards = 2
 	cycles := 50
@@ -60,11 +67,10 @@ func Crash(opt Options) (*Table, error) {
 			ReconnectBackoff: time.Millisecond,
 		},
 		Durability: &DurabilityConfig{
-			Policy:             kvstore.SyncGroupCommit,
-			CheckpointInterval: 15 * time.Millisecond,
-			Seed:               1,
-			TornWriteProb:      0.7,
-			ReconcileScan:      32,
+			Policy:        kvstore.SyncGroupCommit,
+			Seed:          1,
+			TornWriteProb: 0.7,
+			ReconcileScan: 32,
 		},
 	})
 	if err != nil {
@@ -80,7 +86,7 @@ func Crash(opt Options) (*Table, error) {
 			time.Sleep(2 * time.Millisecond)
 			return cluster.Restart(cycle % shards)
 		})
-		if err := d.run(opt.ops()); err != nil {
+		if err := d.run(ops); err != nil {
 			return nil, fmt.Errorf("harness: crash cycle %d: %w", cycle, err)
 		}
 	}
@@ -99,10 +105,15 @@ func Crash(opt Options) (*Table, error) {
 	t.AddRow("audit", fmt.Sprint(audited), fmt.Sprint(audited), "0", "0", "0", "-", "-", "-")
 	disk := cluster.DiskStats()
 	gens := cluster.Generations()
+	for i, g := range gens {
+		if g == 0 {
+			return nil, fmt.Errorf("harness: crash: shard %d never checkpointed (generations %v): its store's trigger did not fire", i, gens)
+		}
+	}
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("audit passed: %d keys consistent after %d crash/restart cycles — zero acknowledged writes lost, zero duplicate applications, all counters re-converged", audited, cycles),
-		fmt.Sprintf("disk: %d crashes, %d torn writes, %d unsynced writes dropped, %d dir entries rolled back; checkpoint generations %v",
+		fmt.Sprintf("disk: %d crashes, %d torn writes, %d unsynced writes dropped, %d dir entries rolled back; generations the stores checkpointed to on their own %v",
 			disk.Crashes, disk.TornWrites, disk.DroppedWrites, disk.DroppedOps, gens),
 		"group commit leaves nothing unsynced at a crash by construction, so the workload phase expects zero rollbacks; \"down\" ops failed fast against a killed shard, \"ambiguous\" ops stay in the audit's acceptable sets")
 	if err := crashRollbackPhase(t); err != nil {
@@ -117,6 +128,8 @@ func Crash(opt Options) (*Table, error) {
 // the proxy's reconciliation scan must re-locate every counter. It
 // appends its row and note to t.
 func crashRollbackPhase(t *Table) error {
+	// 24 records of ≈11 KB stay under the store's 1 MiB checkpoint floor:
+	// a checkpoint would make them durable, leaving nothing to roll back.
 	const rbKeys = 8
 	const rbWrites = 3
 	keys, data := drillData("rollback", rbKeys, paperValueSize, 7)

@@ -26,7 +26,10 @@ import (
 // a TEE and an FHE pair — and every ortoa_* family it then exposes must
 // be named in §8, exactly or by a `prefix_*` row, and every exact name
 // in §8 must be exposed. A new metric is documented or the test fails;
-// a renamed or deleted one takes its row with it.
+// a renamed or deleted one takes its row with it. The store's families
+// are listed by name, not by prefix, so §8 says what each one means —
+// and the checkpoint trigger's input must read what the durable LBL
+// store journaled.
 func TestMetricInventory(t *testing.T) {
 	reg := obs.NewRegistry()
 	const valueSize = 16
@@ -69,7 +72,7 @@ func TestMetricInventory(t *testing.T) {
 
 	lbl := pair(
 		tier.ServerConfig{Protocol: tier.LBL, StateDir: t.TempDir(),
-			Durability: kvstore.DurabilityOptions{Policy: kvstore.SyncGroupCommit}, Admission: admission},
+			Durability: kvstore.WALOptions{Policy: kvstore.SyncGroupCommit}, Admission: admission},
 		tier.ProxyConfig{Protocol: tier.LBL, LBL: core.LBLConfig{Mode: core.LBLPointPermute, ReconcileScan: 4, AutoAdopt: true}})
 	front, err := lbl.NewFront(tier.FrontConfig{Admission: admission})
 	if err != nil {
@@ -93,6 +96,10 @@ func TestMetricInventory(t *testing.T) {
 		if _, _, err := px.Accessor.Access(core.OpRead, "k", nil); err != nil {
 			t.Fatalf("%s access: %v", name, err)
 		}
+	}
+
+	if reg.Value("ortoa_kvstore_wal_bytes") == 0 {
+		t.Error("ortoa_kvstore_wal_bytes reads 0 after the durable store journaled a load and an access")
 	}
 
 	var scrape bytes.Buffer

@@ -10,20 +10,16 @@ import (
 	"ortoa/internal/crashfs"
 )
 
-// FuzzSnapshotRead: snapshot files may come from disk an attacker (or
-// bitrot) touched; parsing must fail cleanly.
+// FuzzSnapshotRead: a checkpoint's snapshot may come back from a disk
+// an attacker (or bitrot) touched; recovery's parse must fail cleanly.
 func FuzzSnapshotRead(f *testing.F) {
 	s := New()
 	s.Put("seed", []byte("value"))
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	f.Add(snapshotBytes(f, s))
 	f.Add([]byte{})
 	f.Add([]byte("ORTOAKV1garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		New().ReadSnapshot(bytes.NewReader(data)) //nolint:errcheck
+		New().readSnapshot(bytes.NewReader(data)) //nolint:errcheck
 	})
 }
 
@@ -33,7 +29,7 @@ func FuzzWALReplay(f *testing.F) {
 	dir := f.TempDir()
 	s := New()
 	path := filepath.Join(dir, "seed.wal")
-	if err := s.AttachWAL(path); err != nil {
+	if err := s.AttachWALOptions(path, WALOptions{}); err != nil {
 		f.Fatal(err)
 	}
 	s.Put("k", []byte("v"))
@@ -72,7 +68,7 @@ func FuzzWALReplay(f *testing.F) {
 			t.Skip()
 		}
 		st := New()
-		if err := st.AttachWAL(p); err != nil {
+		if err := st.AttachWALOptions(p, WALOptions{}); err != nil {
 			return // rejected cleanly
 		}
 		// Store must remain usable after arbitrary replay.

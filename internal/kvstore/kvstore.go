@@ -21,8 +21,9 @@ var ErrNotFound = errors.New("kvstore: key not found")
 const numShards = 256
 
 // A Store is a sharded in-memory byte-string map, safe for concurrent
-// use. AttachWAL adds crash-durable journaling (wal.go); Recover adds
-// generation-based checkpointing on top (durability.go).
+// use. Recover makes it durable in a state directory that it
+// checkpoints on its own (durability.go); AttachWALOptions journals to a
+// bare log that nothing ever checkpoints (wal.go).
 type Store struct {
 	seed    maphash.Seed
 	shards  [numShards]shard
@@ -133,9 +134,7 @@ func (s *Store) applyDelete(key string) {
 // consistent — "error ⇒ store unchanged" is what lets the proxy treat
 // a rejected round as never executed.
 func (s *Store) journal(op byte, key string, value []byte) (uint64, error) {
-	s.walMu.Lock()
-	w := s.wal
-	s.walMu.Unlock()
+	w, ck := s.attached()
 	if w == nil {
 		return 0, nil
 	}
@@ -145,6 +144,9 @@ func (s *Store) journal(op byte, key string, value []byte) (uint64, error) {
 		if err != nil {
 			m.walAppendErrors.Inc()
 		}
+	}
+	if err == nil && ck != nil {
+		s.maybeCheckpoint(ck, w.bytes.Load())
 	}
 	return lsn, err
 }

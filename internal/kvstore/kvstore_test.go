@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"ortoa/internal/crashfs"
+	"ortoa/internal/vfs"
 )
 
 func TestGetPut(t *testing.T) {
@@ -219,17 +222,27 @@ func TestConcurrentUpdateAtomicity(t *testing.T) {
 	}
 }
 
+// snapshotBytes returns the snapshot a checkpoint of s writes.
+func snapshotBytes(t testing.TB, s *Store) []byte {
+	t.Helper()
+	fsys := crashfs.New(nil)
+	if _, err := s.saveFile(fsys, "snap"); err != nil {
+		t.Fatal(err)
+	}
+	b, err := fsys.ReadFile("snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := New()
 	for i := 0; i < 500; i++ {
 		s.Put(fmt.Sprintf("key-%04d", i), bytes.Repeat([]byte{byte(i)}, i%40))
 	}
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
 	restored := New()
-	if err := restored.ReadSnapshot(&buf); err != nil {
+	if err := restored.readSnapshot(bytes.NewReader(snapshotBytes(t, s))); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != s.Len() {
@@ -250,21 +263,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotBadMagic(t *testing.T) {
 	s := New()
-	if err := s.ReadSnapshot(bytes.NewReader([]byte("NOTAMAGIC0000000"))); err == nil {
-		t.Error("ReadSnapshot accepted bad magic")
+	if err := s.readSnapshot(bytes.NewReader([]byte("NOTAMAGIC0000000"))); err == nil {
+		t.Error("readSnapshot accepted bad magic")
 	}
 }
 
 func TestSnapshotTruncated(t *testing.T) {
 	s := New()
 	s.Put("k", []byte("v"))
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-1]
-	if err := New().ReadSnapshot(bytes.NewReader(trunc)); err == nil {
-		t.Error("ReadSnapshot accepted truncated input")
+	snap := snapshotBytes(t, s)
+	if err := New().readSnapshot(bytes.NewReader(snap[:len(snap)-1])); err == nil {
+		t.Error("readSnapshot accepted truncated input")
 	}
 }
 
@@ -272,12 +281,17 @@ func TestSaveLoadFile(t *testing.T) {
 	s := New()
 	s.Put("alpha", []byte("beta"))
 	path := t.TempDir() + "/snap.kv"
-	if err := s.SaveFile(path); err != nil {
+	saved, err := s.saveFile(vfs.OS{}, path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	s2 := New()
-	if err := s2.LoadFile(path); err != nil {
+	loaded, err := s2.loadFile(vfs.OS{}, path)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if loaded != saved {
+		t.Errorf("loaded a %d-byte snapshot, saved %d", loaded, saved)
 	}
 	v, err := s2.Get("alpha")
 	if err != nil || !bytes.Equal(v, []byte("beta")) {

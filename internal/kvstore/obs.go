@@ -20,7 +20,8 @@ type storeMetrics struct {
 // Instrument registers the store's metrics (ortoa_kvstore_*) with reg:
 // live record count and byte footprint (the quantity §5.3.1 prices),
 // WAL queue depth, append/fsync activity and failure state, recovery
-// replay volume, snapshot and checkpoint timings. It also registers a
+// replay volume, the replay debt that triggers checkpoints, snapshot
+// and checkpoint timings. It also registers a
 // kvstore_wal health check so a poisoned journal flips /healthz to
 // 503. A nil registry leaves the store uninstrumented at zero cost.
 func (s *Store) Instrument(reg *obs.Registry) {
@@ -41,6 +42,7 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("ortoa_kvstore_wal_replayed_records_total", "log records replayed into this store at recovery", s.WALReplayed)
 	reg.GaugeFunc("ortoa_kvstore_checkpoint_generation", "committed checkpoint generation",
 		func() int64 { return int64(s.Generation()) })
+	reg.GaugeFunc("ortoa_kvstore_wal_bytes", "journal bytes since the last checkpoint, what a restart replays; the store checkpoints once they exceed the last snapshot's size (and 1 MiB)", s.walBytes)
 	reg.Health("kvstore_wal", s.WALErr)
 	s.metrics.Store(&storeMetrics{
 		walAppends:      reg.Counter("ortoa_kvstore_wal_appends_total", "mutations journaled to the WAL"),
@@ -51,16 +53,14 @@ func (s *Store) Instrument(reg *obs.Registry) {
 
 		checkpointTime:   reg.Histogram("ortoa_kvstore_checkpoint_seconds", "checkpoint duration: WAL rotation + snapshot + manifest commit"),
 		checkpoints:      reg.Counter("ortoa_kvstore_checkpoints_total", "checkpoints committed"),
-		checkpointErrors: reg.Counter("ortoa_kvstore_checkpoint_errors_total", "checkpoints that failed (retried next tick)"),
+		checkpointErrors: reg.Counter("ortoa_kvstore_checkpoint_errors_total", "checkpoints that failed; the next starts once the log has grown by another snapshot's worth"),
 	})
 }
 
 // walBuffered reports journal bytes sitting in the bufio layer — the
 // WAL queue depth an operator watches to size fsync cadence.
 func (s *Store) walBuffered() int64 {
-	s.walMu.Lock()
-	w := s.wal
-	s.walMu.Unlock()
+	w, _ := s.attached()
 	if w == nil {
 		return 0
 	}

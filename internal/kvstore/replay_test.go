@@ -16,7 +16,7 @@ func buildWAL(t *testing.T, muts [][2]string) (raw []byte, offsets []int64) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "build.wal")
 	s := New()
-	if err := s.AttachWAL(path); err != nil {
+	if err := s.AttachWALOptions(path, WALOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	sizeAt := func() int64 {
@@ -60,7 +60,7 @@ func TestReplayEveryTornTailShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := New()
-		if err := s.AttachWAL(path); err != nil {
+		if err := s.AttachWALOptions(path, WALOptions{}); err != nil {
 			t.Fatalf("cut at %d rejected: %v", cut, err)
 		}
 		if v, err := s.Get("alpha"); err != nil || string(v) != "first-value" {
@@ -78,7 +78,7 @@ func TestReplayEveryTornTailShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := New()
-		if err := r.AttachWAL(path); err != nil {
+		if err := r.AttachWALOptions(path, WALOptions{}); err != nil {
 			t.Fatalf("re-attach after cut %d: %v", cut, err)
 		}
 		if v, err := r.Get("gamma"); err != nil || string(v) != "appended" {
@@ -101,7 +101,7 @@ func TestReplayMidFileCorruptionRejected(t *testing.T) {
 		if err := os.WriteFile(path, mut, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		if err := New().AttachWAL(path); err == nil {
+		if err := New().AttachWALOptions(path, WALOptions{}); err == nil {
 			t.Errorf("corruption at offset %d (mid-file) accepted", off)
 		}
 	}
@@ -120,7 +120,7 @@ func TestReplayTornFinalOverwriteTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New()
-	if err := s.AttachWAL(path); err != nil {
+	if err := s.AttachWALOptions(path, WALOptions{}); err != nil {
 		t.Fatalf("torn final overwrite rejected: %v", err)
 	}
 	defer s.DetachWAL()

@@ -13,70 +13,99 @@ import (
 
 // Snapshot format: magic, entry count, then count entries of
 // varint(keyLen) key varint(valLen) val. Values and keys are opaque
-// (already encrypted/encoded by the protocol layer).
+// (already encrypted/encoded by the protocol layer). A snapshot is
+// written only by a checkpoint and read only by Recover
+// (durability.go).
 var snapshotMagic = [8]byte{'O', 'R', 'T', 'O', 'A', 'K', 'V', '1'}
 
-// writeSnapshotEntries streams every key/value pair to bw and returns
-// how many entries were written.
-func (s *Store) writeSnapshotEntries(bw *bufio.Writer) (uint64, error) {
-	var writeErr error
-	written := uint64(0)
-	s.Range(func(k string, v []byte) bool {
-		var lenBuf [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(lenBuf[:], uint64(len(k)))
-		if _, writeErr = bw.Write(lenBuf[:n]); writeErr != nil {
-			return false
-		}
-		if _, writeErr = bw.WriteString(k); writeErr != nil {
-			return false
-		}
-		n = binary.PutUvarint(lenBuf[:], uint64(len(v)))
-		if _, writeErr = bw.Write(lenBuf[:n]); writeErr != nil {
-			return false
-		}
-		if _, writeErr = bw.Write(v); writeErr != nil {
-			return false
-		}
-		written++
-		return true
-	})
-	return written, writeErr
-}
-
-// WriteSnapshot serializes the full store contents to w. Concurrent
-// writers may interleave with the snapshot; per-shard consistency is
-// guaranteed, cross-shard is not (same contract as Range). Because the
-// entry count leads the stream, WriteSnapshot fails if the key set
-// changes mid-iteration; SaveFile has no such restriction (it patches
-// the count in place).
-func (s *Store) WriteSnapshot(w io.Writer) error {
+// saveFile writes a snapshot of the store to path crash-atomically —
+// temp file in the same directory, fsync, rename, directory fsync — so
+// a crash at any point leaves either the old snapshot or the complete
+// new one, and returns its size. The store may be taking writes
+// meanwhile: each shard is encoded into a buffer under its read lock
+// and written out after the lock is released, so no writer waits on
+// the disk, and the entry count is patched in at the end. Per-shard
+// consistency is guaranteed, cross-shard is not (as for Range).
+func (s *Store) saveFile(fsys vfs.FS, path string) (size int64, err error) {
 	if m := s.metrics.Load(); m != nil {
 		defer m.snapshotWrite.Since(time.Now())
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(snapshotMagic[:]); err != nil {
-		return err
-	}
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], uint64(s.Len()))
-	if _, err := bw.Write(cnt[:]); err != nil {
-		return err
-	}
-	written, err := s.writeSnapshotEntries(bw)
+	tmp := path + ".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o600)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	// The count was captured before iterating; if a concurrent writer
-	// changed the key set the snapshot is inconsistent — report it.
-	if got := uint64(s.Len()); got != written {
-		return fmt.Errorf("kvstore: store mutated during snapshot (wrote %d, now %d keys)", written, got)
+	defer func() {
+		if err != nil {
+			f.Close()
+			fsys.Remove(tmp) //nolint:errcheck // best-effort cleanup
+		}
+	}()
+	bw := bufio.NewWriterSize(f, 1<<16)
+	var head [16]byte // magic, then the entry count
+	copy(head[:], snapshotMagic[:])
+	if _, err = bw.Write(head[:]); err != nil {
+		return 0, err
 	}
-	return bw.Flush()
+	size = int64(len(head))
+	var count uint64
+	var buf []byte
+	for i := range s.shards {
+		sh := &s.shards[i]
+		buf = buf[:0]
+		sh.mu.RLock()
+		for k, v := range sh.items {
+			buf = binary.AppendUvarint(buf, uint64(len(k)))
+			buf = append(buf, k...)
+			buf = binary.AppendUvarint(buf, uint64(len(v)))
+			buf = append(buf, v...)
+		}
+		count += uint64(len(sh.items))
+		sh.mu.RUnlock()
+		if _, err = bw.Write(buf); err != nil {
+			return 0, err
+		}
+		size += int64(len(buf))
+	}
+	if err = bw.Flush(); err != nil {
+		return 0, err
+	}
+	if _, err = f.Seek(int64(len(snapshotMagic)), io.SeekStart); err != nil {
+		return 0, err
+	}
+	if _, err = f.Write(binary.LittleEndian.AppendUint64(nil, count)); err != nil {
+		return 0, err
+	}
+	if err = f.Sync(); err != nil {
+		return 0, err
+	}
+	if err = f.Close(); err != nil {
+		return 0, err
+	}
+	if err = fsys.Rename(tmp, path); err != nil {
+		return 0, err
+	}
+	return size, fsys.SyncDir(vfs.Dir(path))
 }
 
-// ReadSnapshot loads entries from r into the store, overwriting
-// duplicates.
-func (s *Store) ReadSnapshot(r io.Reader) error {
+// loadFile reads the snapshot at path into the store and returns its
+// size.
+func (s *Store) loadFile(fsys vfs.FS, path string) (int64, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		return 0, err
+	}
+	return size, s.readSnapshot(f)
+}
+
+// readSnapshot loads entries from r into the store without journaling
+// them, overwriting duplicates.
+func (s *Store) readSnapshot(r io.Reader) error {
 	if m := s.metrics.Load(); m != nil {
 		defer m.snapshotLoad.Since(time.Now())
 	}
@@ -102,9 +131,7 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("kvstore: snapshot entry %d value: %w", i, err)
 		}
-		if err := s.Put(string(key), val); err != nil {
-			return err
-		}
+		s.applyPut(string(key), val)
 	}
 	return nil
 }
@@ -122,76 +149,4 @@ func readBlob(br *bufio.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// SaveFile writes a snapshot to path crash-atomically: temp file in
-// the same directory, fsync, rename, directory fsync. A crash at any
-// point leaves either the old snapshot or the complete new one.
-func (s *Store) SaveFile(path string) error {
-	return s.saveFile(vfs.OS{}, path)
-}
-
-func (s *Store) saveFile(fsys vfs.FS, path string) (err error) {
-	if m := s.metrics.Load(); m != nil {
-		defer m.snapshotWrite.Since(time.Now())
-	}
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			fsys.Remove(tmp) //nolint:errcheck // best-effort cleanup
-		}
-	}()
-	bw := bufio.NewWriterSize(f, 1<<16)
-	if _, err = bw.Write(snapshotMagic[:]); err != nil {
-		return err
-	}
-	// Entry-count placeholder, patched below: the store may be taking
-	// writes while Range iterates, so the count is only known after.
-	var cnt [8]byte
-	if _, err = bw.Write(cnt[:]); err != nil {
-		return err
-	}
-	written, err := s.writeSnapshotEntries(bw)
-	if err != nil {
-		return err
-	}
-	if err = bw.Flush(); err != nil {
-		return err
-	}
-	if _, err = f.Seek(int64(len(snapshotMagic)), io.SeekStart); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(cnt[:], written)
-	if _, err = f.Write(cnt[:]); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	if err = fsys.Rename(tmp, path); err != nil {
-		return err
-	}
-	return fsys.SyncDir(vfs.Dir(path))
-}
-
-// LoadFile reads a snapshot from path into the store.
-func (s *Store) LoadFile(path string) error {
-	return s.loadFile(vfs.OS{}, path)
-}
-
-func (s *Store) loadFile(fsys vfs.FS, path string) error {
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return s.ReadSnapshot(f)
 }

@@ -41,7 +41,8 @@ const (
 
 var walMagic = [8]byte{'O', 'R', 'T', 'O', 'A', 'W', 'L', '1'}
 
-// ErrWALAttached reports an AttachWAL on a store that already has one.
+// ErrWALAttached reports an attach or Recover on a store that already
+// journals.
 var ErrWALAttached = errors.New("kvstore: WAL already attached")
 
 // A SyncPolicy says when journaled mutations reach stable storage.
@@ -96,19 +97,19 @@ type WALOptions struct {
 }
 
 type wal struct {
-	fs     vfs.FS
 	policy SyncPolicy
 
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast on durable/syncing/failed changes
 	f    vfs.File
 	w    *bufio.Writer
-	path string
 
-	seq     uint64 // LSN of the last appended record
-	durable uint64 // highest LSN known to be fsynced
-	syncing bool   // a group-commit leader is mid-fsync
-	failed  error  // sticky first append/flush/fsync failure
+	seq     uint64       // LSN of the last appended record
+	durable uint64       // highest LSN known to be fsynced
+	syncing bool         // a group-commit leader is mid-fsync
+	failed  error        // sticky first append/flush/fsync failure
+	bytes   atomic.Int64 // the live file's length, buffered records included
+	rec     []byte       // append's encoding buffer
 
 	stop chan struct{} // closes the SyncInterval loop; nil otherwise
 	done chan struct{}
@@ -125,17 +126,13 @@ func (w *wal) fail(err error) {
 	w.cond.Broadcast()
 }
 
-// AttachWAL replays the log at path into the store (creating it if
-// absent) and journals every subsequent Put, Update, and Delete with
-// the seed SyncNever policy. Call SyncWAL for durability points and
-// DetachWAL on shutdown.
-func (s *Store) AttachWAL(path string) error {
-	return s.AttachWALOptions(path, WALOptions{})
-}
-
-// AttachWALOptions is AttachWAL with an explicit durability policy and
-// filesystem.
-func (s *Store) AttachWALOptions(path string, opts WALOptions) error {
+// AttachWALOptions replays the log at path into the store (creating it
+// if absent) and journals every subsequent Put, Update, and Delete to it
+// under opts.Policy; call DetachWAL on shutdown. Nothing checkpoints or
+// truncates this bare log, so a restart replays all of it: it is kept
+// for the repository benchmark's deployment, and a durable store uses
+// Recover.
+func (s *Store) AttachWALOptions(path string, opts WALOptions) (err error) {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
 	if s.wal != nil {
@@ -149,52 +146,38 @@ func (s *Store) AttachWALOptions(path string, opts WALOptions) error {
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	replayed, records, err := s.replayWAL(f)
 	if err != nil {
-		f.Close()
 		return err
 	}
 	s.walReplayed.Add(records)
 	// Truncate any torn tail so new records append after the last
 	// valid one.
 	if err := f.Truncate(replayed); err != nil {
-		f.Close()
 		return err
 	}
 	if _, err := f.Seek(replayed, io.SeekStart); err != nil {
-		f.Close()
 		return err
 	}
+	if replayed == 0 {
+		if err := initLog(fsys, f, path); err != nil {
+			return err
+		}
+		replayed = int64(len(walMagic))
+	}
 	w := &wal{
-		fs:      fsys,
 		policy:  opts.Policy,
 		f:       f,
 		w:       bufio.NewWriterSize(f, 1<<16),
-		path:    path,
 		metrics: &s.metrics,
 	}
 	w.cond = sync.NewCond(&w.mu)
-	if replayed == 0 {
-		// A brand-new log: make the file itself durable before any
-		// record is acknowledged against it — a crash must not lose
-		// the journal that writes were promised to be in.
-		if _, err := w.w.Write(walMagic[:]); err != nil {
-			f.Close()
-			return err
-		}
-		if err := w.w.Flush(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := fsys.SyncDir(vfs.Dir(path)); err != nil {
-			f.Close()
-			return err
-		}
-	}
+	w.bytes.Store(replayed)
 	if opts.Policy == SyncInterval {
 		interval := opts.Interval
 		if interval <= 0 {
@@ -206,6 +189,19 @@ func (s *Store) AttachWALOptions(path string, opts WALOptions) error {
 	}
 	s.wal = w
 	return nil
+}
+
+// initLog writes a brand-new log's header to f and makes the file
+// itself durable before any record is acknowledged against it — a
+// crash must not lose the journal that writes were promised to be in.
+func initLog(fsys vfs.FS, f vfs.File, path string) error {
+	if _, err := f.Write(walMagic[:]); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	return fsys.SyncDir(vfs.Dir(path))
 }
 
 // intervalLoop is the SyncInterval background fsync.
@@ -387,39 +383,20 @@ func (w *wal) append(op byte, key string, value []byte) (uint64, error) {
 	if w.failed != nil {
 		return 0, w.failed
 	}
-	crc := crc32.NewIEEE()
-	out := io.MultiWriter(w.w, crc)
-	var lenBuf [binary.MaxVarintLen64]byte
-	if _, err := out.Write([]byte{op}); err != nil {
-		w.fail(err)
-		return 0, w.failed
-	}
-	n := binary.PutUvarint(lenBuf[:], uint64(len(key)))
-	if _, err := out.Write(lenBuf[:n]); err != nil {
-		w.fail(err)
-		return 0, w.failed
-	}
-	if _, err := io.WriteString(out, key); err != nil {
-		w.fail(err)
-		return 0, w.failed
-	}
+	rec := append(w.rec[:0], op)
+	rec = binary.AppendUvarint(rec, uint64(len(key)))
+	rec = append(rec, key...)
 	if op == walOpPut {
-		n = binary.PutUvarint(lenBuf[:], uint64(len(value)))
-		if _, err := out.Write(lenBuf[:n]); err != nil {
-			w.fail(err)
-			return 0, w.failed
-		}
-		if _, err := out.Write(value); err != nil {
-			w.fail(err)
-			return 0, w.failed
-		}
+		rec = binary.AppendUvarint(rec, uint64(len(value)))
+		rec = append(rec, value...)
 	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc.Sum32())
-	if _, err := w.w.Write(crcBuf[:]); err != nil {
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
+	w.rec = rec
+	if _, err := w.w.Write(rec); err != nil {
 		w.fail(err)
 		return 0, w.failed
 	}
+	w.bytes.Add(int64(len(rec)))
 	w.seq++
 	return w.seq, nil
 }
@@ -479,9 +456,7 @@ func (s *Store) waitDurable(lsn uint64) error {
 	if lsn == 0 {
 		return nil
 	}
-	s.walMu.Lock()
-	w := s.wal
-	s.walMu.Unlock()
+	w, _ := s.attached()
 	if w == nil || w.policy != SyncGroupCommit {
 		return nil
 	}
@@ -493,9 +468,7 @@ func (s *Store) waitDurable(lsn uint64) error {
 // SyncWAL flushes buffered log records and fsyncs the file. No-op
 // without an attached WAL.
 func (s *Store) SyncWAL() error {
-	s.walMu.Lock()
-	w := s.wal
-	s.walMu.Unlock()
+	w, _ := s.attached()
 	if w == nil {
 		return nil
 	}
@@ -509,9 +482,7 @@ func (s *Store) SyncWAL() error {
 // and the store is refusing new journaled mutations (fail-stop); it
 // feeds the wal_failed gauge and the /healthz probe.
 func (s *Store) WALErr() error {
-	s.walMu.Lock()
-	w := s.wal
-	s.walMu.Unlock()
+	w, _ := s.attached()
 	if w == nil {
 		return nil
 	}
@@ -521,12 +492,23 @@ func (s *Store) WALErr() error {
 }
 
 // WALReplayed returns the number of log records replayed into this
-// store by AttachWAL/Recover — the recovery volume metric.
+// store by AttachWALOptions/Recover — the recovery volume metric.
 func (s *Store) WALReplayed() int64 { return s.walReplayed.Load() }
 
-// DetachWAL flushes, fsyncs, and closes the log; the store keeps its
-// contents and stops journaling.
+// walBytes returns the live log's length: everything journaled since
+// the last checkpoint, what a restart would replay.
+func (s *Store) walBytes() int64 {
+	if w, _ := s.attached(); w != nil {
+		return w.bytes.Load()
+	}
+	return 0
+}
+
+// DetachWAL stops checkpoints (StopCheckpoints), then flushes, fsyncs,
+// and closes the log; the store keeps its contents and stops
+// journaling.
 func (s *Store) DetachWAL() error {
+	s.StopCheckpoints()
 	s.walMu.Lock()
 	w := s.wal
 	s.wal = nil
@@ -554,81 +536,4 @@ func (s *Store) DetachWAL() error {
 		return err
 	}
 	return w.f.Close()
-}
-
-// CompactWAL rewrites the log as one Put per live key, bounding replay
-// time after long histories of record updates (every ORTOA access is
-// an update, so logs grow fast). The store must have a WAL attached.
-func (s *Store) CompactWAL() error {
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	if s.wal == nil {
-		return errors.New("kvstore: no WAL attached")
-	}
-	w := s.wal
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.failed != nil {
-		return w.failed
-	}
-	for w.syncing {
-		w.cond.Wait()
-	}
-
-	tmpPath := w.path + ".compact"
-	tmp, err := w.fs.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
-	}
-	defer w.fs.Remove(tmpPath) //nolint:errcheck // gone after rename
-	bw := bufio.NewWriterSize(tmp, 1<<16)
-	if _, err := bw.Write(walMagic[:]); err != nil {
-		tmp.Close()
-		return err
-	}
-	fresh := &wal{fs: w.fs, f: tmp, w: bw, path: w.path}
-	fresh.cond = sync.NewCond(&fresh.mu)
-	var writeErr error
-	s.Range(func(key string, value []byte) bool {
-		// fresh.append locks fresh.mu; uncontended here.
-		if _, err := fresh.append(walOpPut, key, value); err != nil {
-			writeErr = err
-			return false
-		}
-		return true
-	})
-	if writeErr != nil {
-		tmp.Close()
-		return writeErr
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := w.fs.Rename(tmpPath, w.path); err != nil {
-		tmp.Close()
-		return err
-	}
-	// Make the rename itself durable: without the directory fsync a
-	// crash can roll the directory entry back to the pre-compaction
-	// log even though the data file was synced.
-	if err := w.fs.SyncDir(vfs.Dir(w.path)); err != nil {
-		tmp.Close()
-		return err
-	}
-	// Swap the live handle to the compacted file. Its entire content
-	// is synced, so everything journaled so far is durable.
-	old := w.f
-	w.f = tmp
-	w.w = bw
-	if w.seq > w.durable {
-		w.durable = w.seq
-	}
-	w.cond.Broadcast()
-	old.Close()
-	return nil
 }

@@ -11,7 +11,7 @@ func TestWALReplayAfterRestart(t *testing.T) {
 	path := t.TempDir() + "/store.wal"
 
 	s1 := New()
-	if err := s1.AttachWAL(path); err != nil {
+	if err := s1.AttachWALOptions(path, WALOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
@@ -24,7 +24,7 @@ func TestWALReplayAfterRestart(t *testing.T) {
 	}
 
 	s2 := New()
-	if err := s2.AttachWAL(path); err != nil {
+	if err := s2.AttachWALOptions(path, WALOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	defer s2.DetachWAL()
@@ -47,7 +47,7 @@ func TestWALReplayAfterRestart(t *testing.T) {
 func TestWALUpdateJournaled(t *testing.T) {
 	path := t.TempDir() + "/store.wal"
 	s1 := New()
-	if err := s1.AttachWAL(path); err != nil {
+	if err := s1.AttachWALOptions(path, WALOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	s1.Put("k", []byte("v1"))
@@ -59,7 +59,7 @@ func TestWALUpdateJournaled(t *testing.T) {
 	s1.DetachWAL()
 
 	s2 := New()
-	if err := s2.AttachWAL(path); err != nil {
+	if err := s2.AttachWALOptions(path, WALOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	defer s2.DetachWAL()
@@ -72,7 +72,7 @@ func TestWALUpdateJournaled(t *testing.T) {
 func TestWALTornTailTolerated(t *testing.T) {
 	path := t.TempDir() + "/store.wal"
 	s1 := New()
-	if err := s1.AttachWAL(path); err != nil {
+	if err := s1.AttachWALOptions(path, WALOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	s1.Put("a", []byte("complete"))
@@ -89,7 +89,7 @@ func TestWALTornTailTolerated(t *testing.T) {
 	}
 
 	s2 := New()
-	if err := s2.AttachWAL(path); err != nil {
+	if err := s2.AttachWALOptions(path, WALOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s2.Get("a"); err != nil {
@@ -103,7 +103,7 @@ func TestWALTornTailTolerated(t *testing.T) {
 	s2.DetachWAL()
 
 	s3 := New()
-	if err := s3.AttachWAL(path); err != nil {
+	if err := s3.AttachWALOptions(path, WALOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	defer s3.DetachWAL()
@@ -115,7 +115,7 @@ func TestWALTornTailTolerated(t *testing.T) {
 func TestWALCorruptRecordStopsReplay(t *testing.T) {
 	path := t.TempDir() + "/store.wal"
 	s1 := New()
-	s1.AttachWAL(path)
+	s1.AttachWALOptions(path, WALOptions{})
 	s1.Put("first", []byte("ok"))
 	s1.Put("second", []byte("ok"))
 	s1.DetachWAL()
@@ -125,7 +125,7 @@ func TestWALCorruptRecordStopsReplay(t *testing.T) {
 	os.WriteFile(path, raw, 0o600)
 
 	s2 := New()
-	if err := s2.AttachWAL(path); err != nil {
+	if err := s2.AttachWALOptions(path, WALOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	defer s2.DetachWAL()
@@ -137,51 +137,14 @@ func TestWALCorruptRecordStopsReplay(t *testing.T) {
 	}
 }
 
-func TestWALCompact(t *testing.T) {
-	path := t.TempDir() + "/store.wal"
-	s1 := New()
-	if err := s1.AttachWAL(path); err != nil {
-		t.Fatal(err)
-	}
-	// Many updates to few keys: log grows, live set stays small.
-	for i := 0; i < 200; i++ {
-		s1.Put(fmt.Sprintf("k%d", i%4), bytes.Repeat([]byte{byte(i)}, 64))
-	}
-	s1.SyncWAL()
-	before, _ := os.Stat(path)
-	if err := s1.CompactWAL(); err != nil {
-		t.Fatal(err)
-	}
-	s1.SyncWAL()
-	after, _ := os.Stat(path)
-	if after.Size() >= before.Size() {
-		t.Errorf("compaction did not shrink log: %d -> %d", before.Size(), after.Size())
-	}
-	// Appends after compaction still work and replay correctly.
-	s1.Put("post", []byte("compact"))
-	s1.DetachWAL()
-
-	s2 := New()
-	if err := s2.AttachWAL(path); err != nil {
-		t.Fatal(err)
-	}
-	defer s2.DetachWAL()
-	if s2.Len() != 5 {
-		t.Errorf("replayed Len = %d, want 5", s2.Len())
-	}
-	if _, err := s2.Get("post"); err != nil {
-		t.Error("post-compaction record lost")
-	}
-}
-
 func TestWALDoubleAttach(t *testing.T) {
 	dir := t.TempDir()
 	s := New()
-	if err := s.AttachWAL(dir + "/a.wal"); err != nil {
+	if err := s.AttachWALOptions(dir+"/a.wal", WALOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	defer s.DetachWAL()
-	if err := s.AttachWAL(dir + "/b.wal"); err != ErrWALAttached {
+	if err := s.AttachWALOptions(dir+"/b.wal", WALOptions{}); err != ErrWALAttached {
 		t.Errorf("second attach = %v, want ErrWALAttached", err)
 	}
 }
@@ -193,15 +156,12 @@ func TestWALDetachWithoutAttach(t *testing.T) {
 	if err := New().SyncWAL(); err != nil {
 		t.Errorf("SyncWAL on plain store = %v", err)
 	}
-	if err := New().CompactWAL(); err == nil {
-		t.Error("CompactWAL on plain store succeeded")
-	}
 }
 
 func TestWALBadMagic(t *testing.T) {
 	path := t.TempDir() + "/bad.wal"
 	os.WriteFile(path, []byte("NOTAWAL-12345678"), 0o600)
-	if err := New().AttachWAL(path); err == nil {
+	if err := New().AttachWALOptions(path, WALOptions{}); err == nil {
 		t.Error("AttachWAL accepted bad magic")
 	}
 }
@@ -209,13 +169,13 @@ func TestWALBadMagic(t *testing.T) {
 func TestWALEmptyValueAndKey(t *testing.T) {
 	path := t.TempDir() + "/edge.wal"
 	s1 := New()
-	s1.AttachWAL(path)
+	s1.AttachWALOptions(path, WALOptions{})
 	s1.Put("", []byte{})
 	s1.Put("k", nil)
 	s1.DetachWAL()
 
 	s2 := New()
-	if err := s2.AttachWAL(path); err != nil {
+	if err := s2.AttachWALOptions(path, WALOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	defer s2.DetachWAL()

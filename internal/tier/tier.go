@@ -44,12 +44,12 @@ type ServerConfig struct {
 	FHE core.FHEConfig
 	// EnclaveTransition simulates per-ecall enclave overhead (TEE only).
 	EnclaveTransition time.Duration
-	// StateDir, when non-empty, is passed to OpenState with Durability
-	// (whose FS is where crash drills inject a faulty disk) and
-	// CheckpointInterval before NewServer returns.
-	StateDir           string
-	Durability         kvstore.DurabilityOptions
-	CheckpointInterval time.Duration
+	// StateDir, when non-empty, is the state directory the store
+	// recovers from and journals to (kvstore.Store.Recover, with
+	// Durability, whose FS is where crash drills inject a faulty disk)
+	// before NewServer returns. The store checkpoints it on its own.
+	StateDir   string
+	Durability kvstore.WALOptions
 	// Metrics, when non-nil, instruments store, transport and protocol
 	// handlers and arms the server-side shape auditor; TraceBuffer, when
 	// also positive, retains that many finished spans for /trace.
@@ -67,8 +67,7 @@ type Server struct {
 	// other protocols.
 	TEE *core.TEEServer
 
-	metrics  *obs.Registry // this instance's scope of cfg.Metrics
-	stopCkpt func()
+	metrics *obs.Registry // this instance's scope of cfg.Metrics
 }
 
 // NewServer builds the server tier for cfg.
@@ -109,7 +108,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("tier: unknown protocol %q", cfg.Protocol)
 	}
 	if cfg.StateDir != "" {
-		if err := s.OpenState(cfg.StateDir, cfg.Durability, cfg.CheckpointInterval); err != nil {
+		if err := s.Store.Recover(cfg.StateDir, cfg.Durability); err != nil {
 			reg.Retire()
 			return nil, err
 		}
@@ -117,29 +116,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// OpenState recovers the newest consistent checkpoint generation from
-// dir into the store, journals every later mutation there, and, when
-// checkpointEvery is positive, checkpoints in the background until
-// Close. Call before serving.
-func (s *Server) OpenState(dir string, opts kvstore.DurabilityOptions, checkpointEvery time.Duration) error {
-	if err := s.Store.Recover(dir, opts); err != nil {
-		return err
-	}
-	if checkpointEvery > 0 {
-		s.stopCkpt = s.Store.StartCheckpoints(checkpointEvery)
-	}
-	return nil
-}
-
-// Close halts background checkpoints, stops serving, and retires this
-// instance's scrape-time metrics so a replacement built against the
-// same registry is not summed with it. It flushes nothing: a graceful
-// caller detaches the store's WAL afterwards, a crash drill does not.
+// Close stops the store's checkpoints — waiting for one in progress, so
+// that a crash drill's dead store never writes into the directory its
+// replacement recovers — stops serving, and retires this instance's
+// scrape-time metrics so a replacement built against the same registry
+// is not summed with it. It flushes nothing: a graceful caller detaches
+// the store's WAL afterwards, a crash drill does not.
 func (s *Server) Close() error {
-	if s.stopCkpt != nil {
-		s.stopCkpt()
-		s.stopCkpt = nil
-	}
+	s.Store.StopCheckpoints()
 	err := s.Transport.Close()
 	s.metrics.Retire()
 	return err

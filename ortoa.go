@@ -62,9 +62,10 @@ type FsyncPolicy string
 
 // Fsync policies.
 const (
-	// FsyncNever leaves fsync scheduling to the caller (SyncWAL,
-	// checkpoints): acknowledged writes survive process death but not
-	// machine crashes.
+	// FsyncNever fsyncs only at SyncWAL and at checkpoints, which the
+	// store takes on its own as its log grows: acknowledged writes
+	// survive process death, and a machine crash rolls back to the
+	// last of those.
 	FsyncNever FsyncPolicy = "never"
 	// FsyncInterval fsyncs on a background cadence; a crash loses at
 	// most one interval of acknowledged writes. Default.
@@ -222,25 +223,11 @@ func (s *Server) Records() int { return s.tier.Store.Len() }
 // StorageBytes returns the server-side storage footprint (§5.3.1).
 func (s *Server) StorageBytes() int64 { return s.tier.Store.Bytes() }
 
-// SaveSnapshot persists the (encrypted) store to path.
-func (s *Server) SaveSnapshot(path string) error { return s.tier.Store.SaveFile(path) }
-
-// LoadSnapshot restores a SaveSnapshot file into the store.
-func (s *Server) LoadSnapshot(path string) error { return s.tier.Store.LoadFile(path) }
-
-// AttachWAL replays the write-ahead log at path into the store and
-// journals every subsequent record mutation, so a crashed server
-// restarts with its records intact. Call before Serve. Mutations are
-// acknowledged from the OS buffer cache (FsyncNever); use
-// AttachWALPolicy or OpenState for a crash-durability guarantee.
-func (s *Server) AttachWAL(path string) error { return s.tier.Store.AttachWAL(path) }
-
-// AttachWALPolicy is AttachWAL with an explicit fsync policy.
-// FsyncInterval fsyncs every syncInterval (zero selects the default of
-// kvstore.WALOptions.Interval); a crash loses at most that window of
-// acknowledged writes. FsyncGroupCommit acknowledges a mutation only
-// after its record is fsynced, with concurrent writers sharing one
-// fsync — durable-on-ack.
+// AttachWALPolicy journals every record mutation to the bare log at
+// path under the fsync policy, replaying it first; nothing ever
+// checkpoints or truncates it. It is kept only because the repository
+// benchmark's deployment (benchmark/deploy.go) calls it, and the
+// benchmark changes in its own pull requests; use OpenState.
 func (s *Server) AttachWALPolicy(path string, fsync FsyncPolicy, syncInterval time.Duration) error {
 	policy, err := fsync.policy()
 	if err != nil {
@@ -253,36 +240,30 @@ func (s *Server) AttachWALPolicy(path string, fsync FsyncPolicy, syncInterval ti
 type DurabilityOptions struct {
 	// Fsync is the WAL fsync policy (default FsyncInterval).
 	Fsync FsyncPolicy
-	// SyncInterval is the FsyncInterval flush cadence, as syncInterval
-	// is AttachWALPolicy's.
+	// SyncInterval is the FsyncInterval cadence; zero selects
+	// kvstore.WALOptions.Interval's default. A crash loses at most that
+	// window of acknowledged writes.
 	SyncInterval time.Duration
-	// CheckpointInterval, when positive, runs background checkpoints —
-	// snapshot + WAL rotation — bounding recovery replay time. The
-	// returned stop function from StartCheckpoints is managed by Close.
-	CheckpointInterval time.Duration
 }
 
-// OpenState recovers the newest consistent checkpoint generation from
-// the state directory dir — snapshot plus WAL, with an interrupted
-// checkpoint rolled forward — and journals every subsequent mutation
-// there. A first run initializes the directory. When
-// opts.CheckpointInterval is positive, background checkpoints start
-// immediately and stop at Close. Call before Serve; OpenState and
-// AttachWAL are mutually exclusive.
+// OpenState makes the store durable in the state directory dir. It
+// recovers the newest consistent checkpoint generation — snapshot plus
+// WAL, with an interrupted checkpoint rolled forward — and journals
+// every later mutation there; a first run initializes the directory.
+// The store checkpoints on its own whenever its log outgrows its last
+// snapshot, so a restart replays at most about one snapshot's worth of
+// log. Call before Serve; on shutdown, Close and then DetachWAL.
 func (s *Server) OpenState(dir string, opts DurabilityOptions) error {
 	policy, err := opts.Fsync.policy()
 	if err != nil {
 		return err
 	}
-	return s.tier.OpenState(dir, kvstore.DurabilityOptions{
-		Policy:       policy,
-		SyncInterval: opts.SyncInterval,
-	}, opts.CheckpointInterval)
+	return s.tier.Store.Recover(dir, kvstore.WALOptions{Policy: policy, Interval: opts.SyncInterval})
 }
 
 // Checkpoint snapshots the store and rotates the WAL to a fresh
-// generation, retiring the previous pair (OpenState stores only). Safe
-// under concurrent traffic.
+// generation now, retiring the previous pair (OpenState stores only,
+// before Close). Safe under concurrent traffic.
 func (s *Server) Checkpoint() error { return s.tier.Store.Checkpoint() }
 
 // Generation returns the committed checkpoint generation (OpenState
@@ -292,15 +273,11 @@ func (s *Server) Generation() uint64 { return s.tier.Store.Generation() }
 // SyncWAL flushes and fsyncs the write-ahead log.
 func (s *Server) SyncWAL() error { return s.tier.Store.SyncWAL() }
 
-// CompactWAL rewrites the log to one record per live key. Every ORTOA
-// access rewrites a record, so logs grow linearly with traffic;
-// periodic compaction bounds restart time.
-func (s *Server) CompactWAL() error { return s.tier.Store.CompactWAL() }
-
 // DetachWAL flushes, fsyncs, and closes the log.
 func (s *Server) DetachWAL() error { return s.tier.Store.DetachWAL() }
 
-// Close stops serving and halts background checkpoints.
+// Close stops the store's checkpoints, waiting for one in progress,
+// then stops serving.
 func (s *Server) Close() error { return s.tier.Close() }
 
 // ClientConfig configures the trusted side.

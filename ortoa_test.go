@@ -187,13 +187,20 @@ func TestServerStats(t *testing.T) {
 	}
 }
 
+// TestServerSnapshotRoundTrip restarts a TEE server from its state
+// directory after a checkpoint: the replacement loads the snapshot, and
+// the same keys decrypt it.
 func TestServerSnapshotRoundTrip(t *testing.T) {
 	scfg := ServerConfig{Protocol: ProtocolTEE, ValueSize: 8}
+	dir := t.TempDir()
 	server, err := NewServer(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
+	if err := server.OpenState(dir, DurabilityOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	l := netsim.Listen(netsim.Loopback)
 	go server.Serve(l)
 	keys := GenerateKeys()
@@ -209,19 +216,25 @@ func TestServerSnapshotRoundTrip(t *testing.T) {
 	if err := client.Load(map[string][]byte{"k": []byte("persist!")}); err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/store.snap"
-	if err := server.SaveSnapshot(path); err != nil {
+	if err := server.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	server.Close()
+	if err := server.DetachWAL(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Fresh server restores the snapshot; same keys decrypt it.
 	server2, err := NewServer(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server2.Close()
-	if err := server2.LoadSnapshot(path); err != nil {
+	if err := server2.OpenState(dir, DurabilityOptions{}); err != nil {
 		t.Fatal(err)
+	}
+	defer server2.DetachWAL()
+	if server2.Generation() != 1 || server2.Records() != 1 {
+		t.Fatalf("restarted at generation %d with %d records, want the checkpoint's 1 and 1", server2.Generation(), server2.Records())
 	}
 	l2 := netsim.Listen(netsim.Loopback)
 	go server2.Serve(l2)

@@ -93,11 +93,12 @@ func TestRealTCPDeployment(t *testing.T) {
 	}
 }
 
-// TestTCPServerCrashRestartWithWAL simulates the server crashing (no
-// snapshot save) and recovering its records from the write-ahead log.
+// TestTCPServerCrashRestartWithWAL stops the server with no checkpoint
+// taken and restarts it from its state directory: the records come back
+// from the write-ahead log.
 func TestTCPServerCrashRestartWithWAL(t *testing.T) {
 	keys := GenerateKeys()
-	walPath := t.TempDir() + "/server.wal"
+	stateDir := t.TempDir() + "/server"
 	statePath := t.TempDir() + "/proxy.state"
 
 	run := func(load bool, fn func(c *Client)) {
@@ -105,7 +106,7 @@ func TestTCPServerCrashRestartWithWAL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := server.AttachWAL(walPath); err != nil {
+		if err := server.OpenState(stateDir, DurabilityOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -134,11 +135,10 @@ func TestTCPServerCrashRestartWithWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 		client.Close()
-		// "Crash": no snapshot — only the WAL survives.
+		server.Close()
 		if err := server.DetachWAL(); err != nil {
 			t.Fatal(err)
 		}
-		server.Close()
 		ln.Close()
 	}
 
