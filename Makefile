@@ -53,21 +53,23 @@ benchmark-smoke:
 noaes:
 	GODEBUG=cpu.aes=off $(GO) test -count=1 -run 'Label|Sealer|KnownAnswer|Parity' ./internal/crypto/... ./internal/core/
 
-# fuzz-smoke runs each trust-boundary fuzzer for 10 s of generated
+# fuzz-smoke runs every fuzzer in the module for 10 s of generated
 # inputs (`go test` alone runs only their seed corpora): in internal/core,
 # frame sequences at the server's one handler — whole, cut, reordered,
 # with a key repeated — and tampered response slots at the proxy, a
 # chain's included; in internal/kvstore, the snapshot and log a restart
-# parses from its state directory. The fuzz engine takes one target per
-# run; -run='^$$' keeps the unit tests out of it.
-FUZZ_PKGS := ./internal/core/ ./internal/kvstore/
-
+# parses from its state directory; in internal/wire, the decoder every
+# payload goes through. The list is `go test -list`'s, so a fuzzer runs
+# here from the change that adds it; a package that fails to build fails
+# the target. The fuzz engine takes one target per run; -run='^$$' keeps
+# the unit tests out of it.
 fuzz-smoke:
-	@for p in $(FUZZ_PKGS); do \
-		for f in $$($(GO) test -list '^Fuzz' $$p | grep '^Fuzz'); do \
-			echo "== $$p $$f"; \
-			$(GO) test -run='^$$' -fuzz="^$$f\$$" -fuzztime=10s $$p || exit 1; \
-		done; \
+	@fuzzers=$$($(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ { f[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2 "," f[i]; n = 0 } /^FAIL/ { bad = 1 } END { exit bad }') && \
+	test -n "$$fuzzers" && \
+	for pf in $$fuzzers; do \
+		p=$${pf%,*}; f=$${pf#*,}; \
+		echo "== $$p $$f"; \
+		$(GO) test -run='^$$' -fuzz="^$$f\$$" -fuzztime=10s $$p || exit 1; \
 	done
 
 bench:
@@ -129,7 +131,9 @@ examples:
 	done
 
 # experiments prints every registered experiment's table at smoke
-# scale. That each one still runs is already part of `make verify`:
-# TestEveryExperimentQuick (internal/harness) ranges over the registry.
+# scale, then the reproduction checklist — each experiment's claim, held
+# or refuted — and fails if any claim was refuted. `make verify` checks
+# the same at test scale: TestEveryExperimentQuick (internal/harness)
+# ranges over the registry.
 experiments:
 	$(GO) run ./cmd/ortoa-bench -quick

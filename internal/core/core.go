@@ -64,9 +64,6 @@ const (
 	// the data key (§4.1). Setup-path only, never on the access path.
 	MsgTEEAttest    byte = 0x08
 	MsgTEEProvision byte = 0x09
-	// MsgFHESetRelin ships a relinearization (evaluation) key to the
-	// FHE server, which then keeps stored ciphertexts at degree 1.
-	MsgFHESetRelin byte = 0x0A
 	// MsgEpochClaim asserts ownership of one counter range in a
 	// multi-proxy deployment: the server bumps the range's fencing
 	// epoch past every epoch it has granted and returns the new one

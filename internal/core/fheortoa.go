@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"ortoa/internal/crypto/prf"
 	"ortoa/internal/fhe"
@@ -27,13 +26,6 @@ type FHEConfig struct {
 	// past the cap the server refuses, mirroring the point where
 	// SEAL's noise made FHE-ORTOA unusable (§3.3).
 	MaxDegree int
-	// RelinBaseBits, when nonzero, enables relinearization: the
-	// client generates an evaluation key (digit width RelinBaseBits)
-	// and provisions it to the server, which then keeps stored
-	// ciphertexts at degree 1 — constant size and compute per access.
-	// Noise still accumulates multiplicatively, so the §3.3 access
-	// budget barely moves (see ablation-fhe-relin).
-	RelinBaseBits int
 }
 
 func (c FHEConfig) withDefaults() FHEConfig {
@@ -62,9 +54,6 @@ type FHEServer struct {
 	maxDegree int
 	store     *kvstore.Store
 	mx        fheServerObs
-
-	mu  sync.RWMutex
-	rlk *fhe.RelinKey
 }
 
 // NewFHEServer returns a server evaluating under params.
@@ -73,30 +62,9 @@ func NewFHEServer(store *kvstore.Store, cfg FHEConfig) *FHEServer {
 	return &FHEServer{params: cfg.Params, maxDegree: cfg.MaxDegree, store: store}
 }
 
-// Register installs the FHE access handler on ts, plus the setup
-// handler that receives a relinearization key.
+// Register installs the FHE access handler on ts.
 func (s *FHEServer) Register(ts *transport.Server) {
 	ts.Handle(MsgFHEAccess, s.handleAccess)
-	ts.Handle(MsgFHESetRelin, s.handleSetRelin)
-}
-
-// handleSetRelin installs an evaluation key. It is public-key
-// material: holding it does not help the server decrypt.
-func (s *FHEServer) handleSetRelin(_ context.Context, payload []byte) ([]byte, error) {
-	rlk, err := s.params.UnmarshalRelinKey(payload)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.rlk = rlk
-	s.mu.Unlock()
-	return nil, nil
-}
-
-func (s *FHEServer) relinKey() *fhe.RelinKey {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.rlk
 }
 
 func (s *FHEServer) handleAccess(ctx context.Context, payload []byte) ([]byte, error) {
@@ -135,19 +103,11 @@ func (s *FHEServer) handleAccess(ctx context.Context, payload []byte) ([]byte, e
 		if ctOld.Degree()+ctR.Degree() > s.maxDegree {
 			return nil, fmt.Errorf("core: ciphertext degree cap %d reached: %w", s.maxDegree, fhe.ErrNoiseOverflow)
 		}
-		rlk := s.relinKey()
-		var left, right *fhe.Ciphertext
-		if rlk != nil {
-			left, err = s.params.MulRelin(ctOld, ctR, rlk)
-			if err == nil {
-				right, err = s.params.MulRelin(ctNew, ctW, rlk)
-			}
-		} else {
-			left, err = s.params.Mul(ctOld, ctR)
-			if err == nil {
-				right, err = s.params.Mul(ctNew, ctW)
-			}
+		left, err := s.params.Mul(ctOld, ctR)
+		if err != nil {
+			return nil, err
 		}
+		right, err := s.params.Mul(ctNew, ctW)
 		if err != nil {
 			return nil, err
 		}
@@ -172,25 +132,6 @@ type FHEClient struct {
 	sk     *fhe.SecretKey
 	client *transport.Client
 	stageObs
-}
-
-// ProvisionRelinKey generates a relinearization key (using
-// cfg.RelinBaseBits, default 24) and ships it to the server. Call once
-// at setup when relinearized evaluation is wanted.
-func (c *FHEClient) ProvisionRelinKey() error {
-	if c.client == nil {
-		return errors.New("core: FHE client has no server connection")
-	}
-	baseBits := c.cfg.RelinBaseBits
-	if baseBits == 0 {
-		baseBits = 24
-	}
-	rlk, err := c.cfg.Params.RelinKeyGen(c.sk, baseBits)
-	if err != nil {
-		return err
-	}
-	_, err = c.client.Call(MsgFHESetRelin, rlk.Marshal(c.cfg.Params))
-	return err
 }
 
 // NewFHEClient generates a fresh secret key for cfg.Params.

@@ -17,6 +17,24 @@ import (
 	"ortoa/internal/workload"
 )
 
+var snapshotClaim = Claim{
+	Statement: "a snapshot-diffing adversary tells every read from every write on a plain encrypted store (100% accurate) and not on ORTOA (below 100%) (§1)",
+	Check: func(t *Table) error {
+		plain, err := t.series("attack-accuracy", "store", "plain-encrypted")
+		if err != nil {
+			return err
+		}
+		ortoa, err := t.series("attack-accuracy", "store", "ORTOA-LBL")
+		if err != nil {
+			return err
+		}
+		if plain[0] != 100 || ortoa[0] >= 100 {
+			return fmt.Errorf("the adversary is %.0f%% accurate on the plain store and %.0f%% on ORTOA", plain[0], ortoa[0])
+		}
+		return nil
+	},
+}
+
 // SnapshotAttack operationalizes the paper's §1 motivation: the
 // John et al. [35] style multi-snapshot adversary, who diffs database
 // snapshots between client operations and flags an operation as a

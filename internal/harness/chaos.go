@@ -8,6 +8,8 @@ import (
 	"ortoa/internal/transport"
 )
 
+var chaosClaim = Claim{Statement: "under injected resets, stalls, blackholes and partitions, and again with a proxy crash-restarted mid-run, no acknowledged write is lost, no round applies twice and no frame leaves its shape class"}
+
 // Chaos runs the drill workload (drill.go) while the link injects
 // connection resets, delivery stalls, blackholed responses, and timed
 // partition windows, then switches the faults off and audits every

@@ -10,6 +10,8 @@ import (
 	"ortoa/internal/transport"
 )
 
+var crashClaim = Claim{Statement: "across repeated server kill/restarts under group commit no acknowledged write is lost and every store checkpoints on its own; under a lossy fsync policy every rolled-back counter re-converges"}
+
 // Crash runs the drill workload (drill.go) while shard servers are
 // repeatedly crash-killed — no flush, open file handles die, unsynced
 // disk state settles per a seeded crash plan with torn final writes —

@@ -92,6 +92,24 @@ func measureSystems(systems []System, link netsim.Link, wl workload.Config, opt 
 	return results, nil
 }
 
+var fig2aClaim = Claim{
+	Statement: "2RTT's mean latency is 1.2–2.2x each one-round protocol's at every Table 2 location (paper: 1.5–1.9x)",
+	Check: func(t *Table) error {
+		lat, err := t.systems("mean-lat(ms)", SystemLBL, SystemTEE, SystemBaseline)
+		if err != nil {
+			return err
+		}
+		for _, sys := range []System{SystemLBL, SystemTEE} {
+			for i, l := range lat[sys] {
+				if r := lat[SystemBaseline][i] / l; r < 1.2 || r > 2.2 {
+					return fmt.Errorf("2RTT's mean latency is %.2fx %s's at %s", r, sys, netsim.Locations[i].Name)
+				}
+			}
+		}
+		return nil
+	},
+}
+
 // Fig2a reproduces Figure 2a: latency and throughput of LBL-ORTOA,
 // TEE-ORTOA, and the 2RTT baseline as the proxy→server distance grows
 // across the Table 2 datacenters.
@@ -103,7 +121,6 @@ func Fig2a(opt Options) (*Table, error) {
 	}
 	systems := []System{SystemLBL, SystemTEE, SystemBaseline}
 	wl := workload.Config{NumKeys: opt.keys(), ValueSize: paperValueSize, WriteFraction: 0.5, Seed: 1}
-	var lblTput, teeTput, baseTput, lblLat, baseLat float64
 	for _, loc := range opt.locations() {
 		results, err := measureSystems(systems, loc.Link, wl, opt, 1)
 		if err != nil {
@@ -112,17 +129,25 @@ func Fig2a(opt Options) (*Table, error) {
 		for i, res := range results {
 			t.AddRow(loc.Name, string(systems[i]), fmtMS(res.Latency.Mean), fmtMS(res.Latency.P99), fmtTput(res.Throughput))
 		}
-		if loc.Name == "Oregon" {
-			lblTput, teeTput, baseTput = results[0].Throughput, results[1].Throughput, results[2].Throughput
-			lblLat, baseLat = float64(results[0].Latency.Mean), float64(results[2].Latency.Mean)
-		}
 	}
-	if baseTput > 0 && baseLat > 0 && lblLat > 0 {
-		t.Notes = append(t.Notes,
-			fmt.Sprintf("Oregon: LBL tput %.2fx of baseline (paper ~1.7x), TEE %.2fx (paper ~3.2x)", lblTput/baseTput, teeTput/baseTput),
-			fmt.Sprintf("Oregon: baseline latency %.2fx of LBL (paper 1.5-1.9x)", baseLat/lblLat))
-	}
+	t.Notes = append(t.Notes, "paper: LBL ~1.7x and TEE ~3.2x the baseline's throughput")
 	return t, nil
+}
+
+var fig2bClaim = Claim{
+	Statement: "throughput grows with concurrency: at the most clients each protocol serves at least 3x one client's throughput (paper: ~24x from 1 to 32)",
+	Check: func(t *Table) error {
+		tput, err := t.systems("tput(ops/s)", SystemLBL, SystemTEE)
+		if err != nil {
+			return err
+		}
+		for _, sys := range []System{SystemLBL, SystemTEE} {
+			if vs := tput[sys]; vs[len(vs)-1] < 3*vs[0] {
+				return fmt.Errorf("%s's throughput grows only %.2fx from one client to the most", sys, vs[len(vs)-1]/vs[0])
+			}
+		}
+		return nil
+	},
 }
 
 // Fig2b reproduces Figure 2b: throughput/latency of both ORTOA
@@ -154,6 +179,29 @@ func Fig2b(opt Options) (*Table, error) {
 	return t, nil
 }
 
+// flatWithin returns a predicate that holds when, for each one-round
+// protocol, column col varies across the table's rows by at most a
+// factor of limit: what each "flat in …" claim of §6 reads.
+func flatWithin(col string, limit float64) func(*Table) error {
+	return func(t *Table) error {
+		vs, err := t.systems(col, SystemLBL, SystemTEE)
+		if err != nil {
+			return err
+		}
+		for _, sys := range []System{SystemLBL, SystemTEE} {
+			if s := spread(vs[sys]); s > limit {
+				return fmt.Errorf("%s's %s varies %.2fx across the sweep", sys, col, s)
+			}
+		}
+		return nil
+	}
+}
+
+var fig2cClaim = Claim{
+	Statement: "latency is flat in the write ratio, the witness of operation-type obliviousness: each protocol's mean latency varies by at most 1.25x from 0 to 100% writes",
+	Check:     flatWithin("mean-lat(ms)", 1.25),
+}
+
 // Fig2c reproduces Figure 2c: performance while the write percentage
 // sweeps 0→100 — flatness is the experimental witness of access-type
 // obliviousness.
@@ -168,7 +216,6 @@ func Fig2c(opt Options) (*Table, error) {
 		fractions = []float64{0, 0.5, 1}
 	}
 	for _, sys := range []System{SystemLBL, SystemTEE} {
-		var minT, maxT float64
 		for _, frac := range fractions {
 			wl := workload.Config{NumKeys: opt.keys(), ValueSize: paperValueSize, WriteFraction: frac, Seed: 3}
 			res, err := Measure(
@@ -179,16 +226,14 @@ func Fig2c(opt Options) (*Table, error) {
 				return nil, fmt.Errorf("%s @%d%% writes: %w", sys, int(frac*100), err)
 			}
 			t.AddRow(fmt.Sprint(int(frac*100)), string(sys), fmtMS(res.Latency.Mean), fmtTput(res.Throughput))
-			if minT == 0 || res.Throughput < minT {
-				minT = res.Throughput
-			}
-			if res.Throughput > maxT {
-				maxT = res.Throughput
-			}
 		}
-		t.Notes = append(t.Notes, fmt.Sprintf("%s: max/min throughput across write ratios = %.2f (paper: ~constant)", sys, maxT/minT))
 	}
 	return t, nil
+}
+
+var fig2dClaim = Claim{
+	Statement: "latency is flat in the database size: each protocol's mean latency varies by at most 1.25x across the sweep (paper: flat to 2^20, LBL −11% at 2^22)",
+	Check:     flatWithin("mean-lat(ms)", 1.25),
 }
 
 // Fig2d reproduces Figure 2d: performance as the database size N
@@ -220,6 +265,26 @@ func Fig2d(opt Options) (*Table, error) {
 	}
 	t.Notes = append(t.Notes, "paper: flat for TEE; LBL degrades ~11% only at 2^22 objects (memory pressure)")
 	return t, nil
+}
+
+var fig3aClaim = Claim{
+	Statement: "throughput scales near-linearly with proxy/server pairs: TEE-ORTOA's speedup at s pairs is at least 0.8·s (paper: ~5x at 5 for both protocols; LBL-ORTOA's is bounded by the cores it runs on)",
+	Check: func(t *Table) error {
+		tee, err := t.series("speedup", "system", string(SystemTEE))
+		if err != nil {
+			return err
+		}
+		shards, err := t.series("shards", "system", string(SystemTEE))
+		if err != nil {
+			return err
+		}
+		for i, s := range shards {
+			if tee[i] < 0.8*s {
+				return fmt.Errorf("%s's speedup at %.0f pairs is %.2fx", SystemTEE, s, tee[i])
+			}
+		}
+		return nil
+	},
 }
 
 // Fig3a reproduces Figure 3a: near-linear scaling as proxy/server
@@ -264,6 +329,27 @@ func fig3bSizes(opt Options) []int {
 	return []int{10, 50, 100, 160, 300, 450, 600}
 }
 
+var fig3bClaim = Claim{
+	Statement: "LBL-ORTOA beats 2RTT at the smallest value and its lead shrinks as ℓ grows, toward the crossover (paper: near 300 B), while TEE-ORTOA's latency stays flat (within 1.25x)",
+	Check: func(t *Table) error {
+		lat, err := t.systems("mean-lat(ms)", SystemLBL, SystemTEE, SystemBaseline)
+		if err != nil {
+			return err
+		}
+		lbl, base, last := lat[SystemLBL], lat[SystemBaseline], len(lat[SystemLBL])-1
+		if lbl[0] >= base[0] {
+			return fmt.Errorf("2RTT (%.1f ms) beats %s (%.1f ms) at the smallest value", base[0], SystemLBL, lbl[0])
+		}
+		if base[last]-lbl[last] >= base[0]-lbl[0] {
+			return fmt.Errorf("%s's lead over 2RTT grows from %.1f to %.1f ms with ℓ", SystemLBL, base[0]-lbl[0], base[last]-lbl[last])
+		}
+		if s := spread(lat[SystemTEE]); s > 1.25 {
+			return fmt.Errorf("%s's latency varies %.2fx across value sizes", SystemTEE, s)
+		}
+		return nil
+	},
+}
+
 // Fig3b reproduces Figure 3b: LBL-ORTOA vs TEE-ORTOA vs the baseline
 // as the value size ℓ grows — the experiment that reveals the
 // LBL/baseline crossover near 300 B.
@@ -294,6 +380,39 @@ func Fig3b(opt Options) (*Table, error) {
 	}
 	t.Notes = append(t.Notes, "paper: TEE flat across value sizes; LBL degrades with ℓ")
 	return t, nil
+}
+
+var fig3cClaim = Claim{
+	Statement: "LBL-ORTOA's communication overhead o grows with ℓ, and §6.3.2's rule c > p + o picks LBL at the smallest value and never where 2RTT measured faster",
+	Check: func(t *Table) error {
+		comm, err := t.series("comm-ovhd(ms)", "", "")
+		if err != nil {
+			return err
+		}
+		for i := 1; i < len(comm); i++ {
+			if comm[i] <= comm[i-1] {
+				return fmt.Errorf("communication overhead falls from %.1f to %.1f ms as ℓ grows", comm[i-1], comm[i])
+			}
+		}
+		total, err := t.series("total(ms)", "", "")
+		if err != nil {
+			return err
+		}
+		base, err := t.series("2rtt-total(ms)", "", "")
+		if err != nil {
+			return err
+		}
+		for i, row := range t.Rows {
+			wins := row[len(row)-1] == "true"
+			if i == 0 && !wins {
+				return fmt.Errorf("the rule picks 2RTT at %s B", row[0])
+			}
+			if wins && total[i] > base[i] {
+				return fmt.Errorf("the rule picks LBL at %s B, where 2RTT measured %.1f ms against LBL's %.1f", row[0], base[i], total[i])
+			}
+		}
+		return nil
+	},
 }
 
 // Fig3c reproduces Figure 3c: the latency breakdown of LBL-ORTOA —
@@ -334,6 +453,20 @@ func Fig3c(opt Options) (*Table, error) {
 	return t, nil
 }
 
+var fig3dClaim = Claim{
+	Statement: "with the server in London, LBL-ORTOA out-serves 2RTT at 300 B: at least 1.3x its throughput (paper: ~1.7x)",
+	Check: func(t *Table) error {
+		tput, err := t.systems("tput(ops/s)", SystemLBL, SystemBaseline)
+		if err != nil {
+			return err
+		}
+		if r := tput[SystemLBL][0] / tput[SystemBaseline][0]; r < 1.3 {
+			return fmt.Errorf("%s's throughput is %.2fx 2RTT's", SystemLBL, r)
+		}
+		return nil
+	},
+}
+
 // Fig3d reproduces Figure 3d: a GDPR-style placement (server in
 // London, 300 B objects) where the long link makes the one-round
 // protocol win despite large messages.
@@ -356,6 +489,24 @@ func Fig3d(opt Options) (*Table, error) {
 			results[0].Throughput/results[1].Throughput))
 	}
 	return t, nil
+}
+
+var fig4Claim = Claim{
+	Statement: "on all three dataset stand-ins both one-round protocols out-serve 2RTT: at least 1.3x its throughput (paper: LBL 1.7–1.9x, TEE ~3.2x)",
+	Check: func(t *Table) error {
+		ratios, err := t.systems("tput vs 2RTT", SystemLBL, SystemTEE)
+		if err != nil {
+			return err
+		}
+		for _, sys := range []System{SystemLBL, SystemTEE} {
+			for i, r := range ratios[sys] {
+				if r < 1.3 {
+					return fmt.Errorf("%s's throughput is %.2fx 2RTT's on dataset %d", sys, r, i+1)
+				}
+			}
+		}
+		return nil
+	},
 }
 
 // Fig4 reproduces Figure 4: all three systems on the three real-world

@@ -1,8 +1,7 @@
 package harness
 
 import (
-	"io"
-	"strconv"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -11,11 +10,17 @@ import (
 var quickOpts = Options{Quick: true, Keys: 32, Ops: 2, Concurrency: 4}
 
 // TestEveryExperimentQuick runs every registered experiment at smoke
-// scale. An experiment must return a nil error — the drills and the
-// trace experiment self-audit, so that is their whole verdict — and a
-// table with rows that renders. It ranges over the registry, so an
-// experiment is covered from the change that registers it; the tests
-// below assert what particular tables must say.
+// scale and holds it to its claim: Run must succeed — the drills and the
+// trace experiment self-audit, so that is their whole verdict — and the
+// claim's predicate must accept the table. It ranges over the registry,
+// so an experiment is covered from the change that registers it.
+//
+// Under the race detector it checks Run alone. The detector multiplies
+// what the CPU-bound stages cost — an LBL access's table build and
+// label recovery — several times over, which moves the timing claims
+// off the shape the paper states, LBL's lead over a second round trip
+// first; so there the test asks that every experiment runs, race-free,
+// and leaves the claims to the plain run.
 func TestEveryExperimentQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measured experiments in -short mode")
@@ -28,129 +33,55 @@ func TestEveryExperimentQuick(t *testing.T) {
 			if e.ID == "overload" && raceEnabled {
 				t.Skip("goodput floor is not meaningful under the race detector")
 			}
-			tbl, err := e.Run(quickOpts)
+			verify := e.Verify
+			if raceEnabled {
+				verify = e.Run
+			}
+			tbl, err := verify(quickOpts)
+			if tbl != nil {
+				var out strings.Builder
+				if rerr := tbl.Render(&out); rerr != nil {
+					t.Fatal(rerr)
+				}
+				if len(tbl.Rows) == 0 {
+					t.Error("table has no rows")
+				}
+				if err != nil {
+					t.Log("\n" + out.String())
+				}
+			}
 			if err != nil {
-				t.Fatal(err)
-			}
-			if len(tbl.Rows) == 0 {
-				t.Fatal("table has no rows")
-			}
-			if err := tbl.Render(io.Discard); err != nil {
-				t.Fatal(err)
+				t.Fatalf("claim %q: %v", e.Claim.Statement, err)
 			}
 		})
 	}
 }
 
-func TestORAMRoundsQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measured experiment in -short mode")
-	}
-	tbl, err := ORAMRounds(quickOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 locations × 2 variants in quick mode.
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("oram-rounds has %d rows", len(tbl.Rows))
-	}
-	// The one-round variant must report exactly 1.0 RPCs/access and
-	// the two-round variant 2.0.
-	for _, row := range tbl.Rows {
-		variant, rpcs := row[1], row[2]
-		want := "2.0"
-		if variant == "one-round" {
-			want = "1.0"
+// TestEveryExperimentStatesAClaim is the registry's admission rule: an
+// experiment is kept only for the claim it checks, so one registered
+// without a statement fails here.
+func TestEveryExperimentStatesAClaim(t *testing.T) {
+	for _, e := range Experiments {
+		if strings.TrimSpace(e.Claim.Statement) == "" {
+			t.Errorf("experiment %s states no claim", e.ID)
 		}
-		if rpcs != want {
-			t.Errorf("%s: rpcs/access = %s, want %s", variant, rpcs, want)
-		}
-	}
-	// One-round latency must be materially below two-round at the
-	// same location.
-	lat := func(row []string) float64 {
-		v, err := strconv.ParseFloat(row[3], 64)
-		if err != nil {
-			t.Fatalf("bad latency %q", row[3])
-		}
-		return v
-	}
-	if !(lat(tbl.Rows[1]) < lat(tbl.Rows[0])*0.75) {
-		t.Errorf("one-round latency %.1f not well below two-round %.1f", lat(tbl.Rows[1]), lat(tbl.Rows[0]))
 	}
 }
 
-func TestFHERelinAblationQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measured experiment in -short mode")
-	}
-	tbl, err := FHERelinAblation(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rows for both configurations must be present.
-	var sawPlain, sawRelin bool
-	var plainSizes, relinSizes []string
-	for _, row := range tbl.Rows {
-		switch row[0] {
-		case "false":
-			sawPlain = true
-			plainSizes = append(plainSizes, row[3])
-		case "true":
-			sawRelin = true
-			relinSizes = append(relinSizes, row[3])
-		}
-	}
-	if !sawPlain || !sawRelin {
-		t.Fatal("missing configuration rows")
-	}
-	// Relinearized sizes constant; plain sizes growing.
-	for i := 1; i < len(relinSizes); i++ {
-		if relinSizes[i] != relinSizes[0] {
-			t.Errorf("relin ciphertext size changed: %v", relinSizes)
-			break
-		}
-	}
-	if len(plainSizes) >= 2 && plainSizes[0] == plainSizes[len(plainSizes)-1] {
-		t.Errorf("plain ciphertext size did not grow: %v", plainSizes)
-	}
-}
-
-func TestFig3bNotesMentionCrossover(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measured experiment in -short mode")
-	}
-	tbl, err := Fig3b(Options{Quick: true, Keys: 32, Ops: 2, Concurrency: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, n := range tbl.Notes {
-		if strings.Contains(n, "300B") || strings.Contains(n, "crossover") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("fig3b notes missing crossover commentary: %v", tbl.Notes)
-	}
-}
-
-func TestSnapshotAttackQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measured experiment in -short mode")
-	}
-	tbl, err := SnapshotAttack(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestChecklistMarksVerdicts pins the checklist's rows: a held claim is
+// ✓, a refuted one ✗ with the error that refuted it.
+func TestChecklistMarksVerdicts(t *testing.T) {
+	held, refuted := Experiments[0], Experiments[1]
+	tbl := Checklist([]Verdict{{Experiment: held}, {Experiment: refuted, Err: errors.New("off by 2x")}})
 	if len(tbl.Rows) != 2 {
-		t.Fatalf("attack-snapshot has %d rows", len(tbl.Rows))
+		t.Fatalf("checklist has %d rows for 2 verdicts", len(tbl.Rows))
 	}
-	// The plain store must be fully identified; ORTOA must not be.
-	if tbl.Rows[0][3] != "100%" {
-		t.Errorf("plain store attack accuracy = %s, want 100%%", tbl.Rows[0][3])
-	}
-	if tbl.Rows[1][3] == "100%" {
-		t.Error("attack fully identified ORTOA operations")
+	for i, want := range [][]string{
+		{held.ID, held.Claim.Statement, "✓"},
+		{refuted.ID, refuted.Claim.Statement, "✗ off by 2x"},
+	} {
+		if strings.Join(tbl.Rows[i], "|") != strings.Join(want, "|") {
+			t.Errorf("checklist row %d = %q, want %q", i, tbl.Rows[i], want)
+		}
 	}
 }

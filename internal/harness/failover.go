@@ -4,23 +4,19 @@ import (
 	"fmt"
 	"time"
 
-	"ortoa/internal/core"
 	"ortoa/internal/netsim"
 	"ortoa/internal/transport"
-	"ortoa/internal/workload"
 )
+
+var failoverClaim = Claim{Statement: "when a proxy is crash-killed mid-workload its peers adopt its ranges through the epoch fence: no acknowledged write is lost, stale rounds are fenced and no frame leaves its shape class"}
 
 // Failover exercises the multi-proxy high-availability deployment:
 // N trusted proxies share one PRF secret, counter ownership is
 // ring-partitioned and epoch-fenced at the server, and clients reach
 // the fleet through the health-probing core.Router.
 //
-// Phase 1 scales the fleet 1→8 proxies over one server and reports
-// latency/throughput — proxy-side crypto (table build, label recovery)
-// scales out until the shared server saturates.
-//
-// Phase 2 is the kill-and-adopt drill: a 3-proxy fleet serves the
-// drill workload (drill.go) while the coordinator crash-kills the proxy
+// It is the kill-and-adopt drill: a 3-proxy fleet serves the drill
+// workload (drill.go) while the coordinator crash-kills the proxy
 // owning the first key's range, lets the survivors adopt its ranges
 // through the epoch fence (claim → counter rebase via the reconcile
 // spiral), then recovers it — the reborn proxy starts empty and
@@ -32,31 +28,10 @@ import (
 func Failover(opt Options) (*Table, error) {
 	t := &Table{
 		ID:    "failover",
-		Title: "Multi-proxy HA: fleet scaling and kill-and-adopt drill (LBL, epoch-fenced ownership)",
-		Columns: []string{"phase", "proxies", "ops", "ok", "mean-lat(ms)",
-			"tput(ops/s)", "failovers", "claims", "fenced@server"},
+		Title: "Multi-proxy HA: kill-and-adopt drill (LBL, epoch-fenced ownership)",
+		Columns: []string{"phase", "proxies", "ops", "ok", "tput(ops/s)",
+			"failovers", "claims", "fenced@server"},
 	}
-
-	// Phase 1: fleet scaling over one shared server.
-	levels := []int{1, 2, 4, 8}
-	if opt.Quick {
-		levels = []int{1, 3}
-	}
-	wl := workload.Config{NumKeys: opt.keys(), ValueSize: paperValueSize, WriteFraction: 0.5, Seed: 21}
-	for _, n := range levels {
-		res, err := Measure(Config{
-			System: SystemLBL, Link: netsim.Oregon, ValueSize: paperValueSize,
-			LBLMode: core.LBLPointPermute, Proxies: n,
-			Transport: transport.Options{ReconnectBackoff: 5 * time.Millisecond},
-		}, wl, opt.conc(), opt.ops())
-		if err != nil {
-			return nil, fmt.Errorf("harness: failover scaling @%d proxies: %w", n, err)
-		}
-		t.AddRow("scale", fmt.Sprint(n), fmt.Sprint(opt.conc()*opt.ops()), "-",
-			fmtMS(res.Latency.Mean), fmtTput(res.Throughput), "-", "-", "-")
-	}
-
-	// Phase 2: the kill-and-adopt drill.
 	workers := opt.conc()
 	const keysPerWorker = 4
 	// The victim is dead for a third of the run. Keep that window several
@@ -135,9 +110,9 @@ func Failover(opt Options) (*Table, error) {
 	}
 
 	tput := float64(totals.ops) / elapsed.Seconds()
-	t.AddRow("kill-adopt", "3", fmt.Sprint(totals.ops), fmt.Sprint(totals.ok), "-",
+	t.AddRow("kill-adopt", "3", fmt.Sprint(totals.ops), fmt.Sprint(totals.ok),
 		fmtTput(tput), fmt.Sprint(failovers), fmt.Sprint(claims), fmt.Sprint(fenced))
-	t.AddRow("audit", "3", fmt.Sprint(audited), fmt.Sprint(audited), "-", "-", "-",
+	t.AddRow("audit", "3", fmt.Sprint(audited), fmt.Sprint(audited), "-", "-",
 		fmt.Sprint(reg.Value("ortoa_lbl_epoch_claims_total")), fmt.Sprint(reg.Value("ortoa_lbl_server_fenced_rounds_total")))
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("audit passed: %d keys consistent across kill+recovery of proxy-%d — zero lost acked writes, label schedules intact", audited, victim),

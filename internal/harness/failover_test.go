@@ -20,9 +20,9 @@ func TestFailoverQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Quick mode: 2 scaling rows + kill-adopt + audit.
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("failover table has %d rows, want 4", len(tbl.Rows))
+	// kill-adopt + audit.
+	if len(tbl.Rows) != 2 {
+		t.Fatalf("failover table has %d rows, want 2", len(tbl.Rows))
 	}
 	found := false
 	for _, n := range tbl.Notes {

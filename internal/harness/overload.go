@@ -9,6 +9,8 @@ import (
 	"ortoa/internal/transport"
 )
 
+var overloadClaim = Claim{Statement: "at 10x offered load admission control sheds the excess: goodput stays at least 70% of capacity, accepted requests' p99 within 2 s, and no rejected request executed"}
+
 // Overload drives the deployment past saturation and checks that it
 // degrades the way §15 of DESIGN.md promises instead of collapsing:
 //

@@ -58,6 +58,8 @@ func streamFaultDrill(cfg core.LBLConfig, accesses int) (resets int64, totals dr
 	return plan.Stats().Resets, d.totals, nil
 }
 
+var streamClaim = Claim{Statement: "requests cut into frames and reset between them lose no acknowledged write, keep the key's label schedule and leave no frame outside its shape class"}
+
 // Stream drives requests cut into several frames through a mid-request
 // fault drill. The config is small: the ambiguity machinery is
 // size-independent, and faults on megabyte tables would only be slow.

@@ -3,7 +3,10 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // A Table is one experiment's output: the rows/series the paper's
@@ -23,6 +26,51 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
+// series reads column col of the rows whose cell in column by is key
+// (every row when by is empty) as numbers, in row order: what a claim's
+// predicate reads back. A cell is read up to its first space, less a
+// leading "$" and a trailing "x" or "%", as the tables format them
+// ("1.94x", "$0.0000093", "10.9 GB").
+func (t *Table) series(col, by, key string) ([]float64, error) {
+	c, b := slices.Index(t.Columns, col), slices.Index(t.Columns, by)
+	if c < 0 || (by != "" && b < 0) {
+		return nil, fmt.Errorf("%s: no column %q or %q", t.ID, col, by)
+	}
+	var out []float64
+	for _, row := range t.Rows {
+		if by != "" && row[b] != key {
+			continue
+		}
+		cell, _, _ := strings.Cut(row[c], " ")
+		v, err := strconv.ParseFloat(strings.TrimRight(strings.TrimPrefix(cell, "$"), "x%"), 64)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %s: %w", t.ID, col, err)
+		}
+		out = append(out, v)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("%s: no %s rows for %s %q", t.ID, col, by, key)
+	}
+	return out, nil
+}
+
+// systems reads column col of each of systems' rows, as series does.
+func (t *Table) systems(col string, systems ...System) (map[System][]float64, error) {
+	out := make(map[System][]float64, len(systems))
+	for _, sys := range systems {
+		vs, err := t.series(col, "system", string(sys))
+		if err != nil {
+			return nil, err
+		}
+		out[sys] = vs
+	}
+	return out, nil
+}
+
+// spread is the ratio of the largest of vs to the smallest: 1 for a
+// flat series.
+func spread(vs []float64) float64 { return slices.Max(vs) / slices.Min(vs) }
+
 // Render writes the table as aligned text.
 func (t *Table) Render(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title); err != nil {
@@ -30,12 +78,12 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
-		widths[i] = len(c)
+		widths[i] = utf8.RuneCountInString(c)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if i < len(widths) && utf8.RuneCountInString(cell) > widths[i] {
+				widths[i] = utf8.RuneCountInString(cell)
 			}
 		}
 	}
@@ -46,7 +94,7 @@ func (t *Table) Render(w io.Writer) error {
 				b.WriteString("  ")
 			}
 			b.WriteString(cell)
-			if pad := widths[i] - len(cell); i < len(cells)-1 && pad > 0 {
+			if pad := widths[i] - utf8.RuneCountInString(cell); i < len(cells)-1 && pad > 0 {
 				b.WriteString(strings.Repeat(" ", pad))
 			}
 		}

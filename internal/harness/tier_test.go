@@ -265,7 +265,7 @@ func TestTierWiringParity(t *testing.T) {
 		{"fhe",
 			fheRig,
 			func(t *testing.T) deployment { return facade(t, ortoa.ProtocolFHE, false) },
-			[]byte{core.MsgLoad, core.MsgFHEAccess, core.MsgFHESetRelin}},
+			[]byte{core.MsgLoad, core.MsgFHEAccess}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

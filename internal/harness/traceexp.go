@@ -40,6 +40,8 @@ var traceOtherSpans = map[string]string{
 	"server_decrypt":    "2.1-2.2 trial decrypt + install",
 }
 
+var traceClaim = Claim{Statement: "an access's trace resolves to the full proxy+server span tree, its stage spans tile the end-to-end span within 1%, the stage histograms sum exactly to the end-to-end one, and tracing moves no frame out of its shape class"}
+
 // TraceBreakdown is the measured companion to Fig 3c: instead of
 // deriving the LBL latency breakdown from link parameters, it runs an
 // instrumented and traced LBL workload over the Oregon link and reads

@@ -231,11 +231,6 @@ func (p *Proxy) wire(cfg ProxyConfig) error {
 		if err != nil {
 			return err
 		}
-		if cfg.FHE.RelinBaseBits > 0 {
-			if err := client.ProvisionRelinKey(); err != nil {
-				return fmt.Errorf("tier: provisioning relinearization key: %w", err)
-			}
-		}
 		client.Instrument(p.metrics)
 		client.TraceWith(p.tracer)
 		p.Accessor, p.builder, p.FHE = client, client, client

@@ -126,7 +126,7 @@ func TestMultiFrameSequencing(t *testing.T) {
 				}
 			}
 			conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond)) //nolint:errcheck
-			_, _, _, _, _, flags, payload, err := readFrame(conn)
+			_, _, _, _, _, flags, payload, err := readFrame(conn, new([headerSize]byte))
 			switch {
 			case tc.silent:
 				if err == nil {

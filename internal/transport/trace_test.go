@@ -36,7 +36,8 @@ func TestFrameLengthConstantTracedOrNot(t *testing.T) {
 
 	// The ref round-trips exactly, and an all-zero ref reads back as an
 	// invalid (untraced) span context.
-	_, _, gotSC, _, _, _, gotPayload, err := readFrame(&traced)
+	var hdr [headerSize]byte
+	_, _, gotSC, _, _, _, gotPayload, err := readFrame(&traced, &hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestFrameLengthConstantTracedOrNot(t *testing.T) {
 	if !bytes.Equal(gotPayload, payload) {
 		t.Fatalf("payload round-trip: %q", gotPayload)
 	}
-	_, _, gotSC, _, _, _, _, err = readFrame(&untraced)
+	_, _, gotSC, _, _, _, _, err = readFrame(&untraced, &hdr)
 	if err != nil {
 		t.Fatal(err)
 	}

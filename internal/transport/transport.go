@@ -272,8 +272,12 @@ func writeFrame(w io.Writer, session, id uint64, tr trace.SpanContext, budget ui
 	return err
 }
 
-func readFrame(r io.Reader) (session, id uint64, tr trace.SpanContext, budget uint32, msgType, flags byte, payload []byte, err error) {
-	var hdr [headerSize]byte
+// readFrame reads one frame from r into hdr, its reader's header
+// buffer, and a payload of its own. A read loop owns one hdr for its
+// connection's lifetime, so waiting for the next frame allocates
+// nothing: everything a frame costs is allocated once its bytes arrive,
+// never as the loop turns around after delivering the previous one.
+func readFrame(r io.Reader, hdr *[headerSize]byte) (session, id uint64, tr trace.SpanContext, budget uint32, msgType, flags byte, payload []byte, err error) {
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, trace.SpanContext{}, 0, 0, 0, nil, err
 	}
@@ -640,8 +644,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	// streams tracks inbound multi-frame requests by request id. Only
 	// this read loop touches the map; handlers see the frame channel.
 	var streams map[uint64]*streamState
+	var hdr [headerSize]byte
 	for {
-		sid, id, tr, budget, msgType, flags, payload, err := readFrame(conn)
+		sid, id, tr, budget, msgType, flags, payload, err := readFrame(conn, &hdr)
 		if err != nil {
 			return // closed, draining, or corrupt; stop reading
 		}
@@ -1589,8 +1594,9 @@ func (cc *clientConn) call(ctx context.Context, id uint64, tr trace.SpanContext,
 // readLoop consumes responses from one physical connection until it
 // fails, then hands the clientConn to the redial loop.
 func (cc *clientConn) readLoop(conn net.Conn) {
+	var hdr [headerSize]byte
 	for {
-		_, id, _, _, _, flags, payload, err := readFrame(conn)
+		_, id, _, _, _, flags, payload, err := readFrame(conn, &hdr)
 		if err != nil {
 			cc.lost(conn, fmt.Errorf("transport: connection lost: %w", err))
 			return

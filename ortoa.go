@@ -108,12 +108,6 @@ type FHEOptions struct {
 	// ModulusBits sizes the ciphertext modulus (default 370). More
 	// bits buy more accesses per object before noise failure.
 	ModulusBits int
-	// RelinBaseBits, when nonzero, enables relinearization: the client
-	// provisions an evaluation key at connect time and the server
-	// keeps stored ciphertexts at constant size. The per-object access
-	// budget is unchanged (noise, not size, is the binding §3.3
-	// constraint).
-	RelinBaseBits int
 }
 
 func (o FHEOptions) params() (fhe.Parameters, error) {
@@ -404,7 +398,7 @@ func NewClient(cfg ClientConfig, dial func() (net.Conn, error)) (*Client, error)
 		if err != nil {
 			return nil, err
 		}
-		tcfg.FHE = core.FHEConfig{Params: params, RelinBaseBits: cfg.FHE.RelinBaseBits}
+		tcfg.FHE = core.FHEConfig{Params: params}
 		if len(cfg.Keys.FHESecretKey) > 0 {
 			if tcfg.FHESecretKey, err = params.UnmarshalSecretKey(cfg.Keys.FHESecretKey); err != nil {
 				return nil, err
