@@ -612,10 +612,13 @@ func TestHoldNeverSharesAKey(t *testing.T) {
 // as everything else that wants a key, so however many sessions keep one
 // of its keys hot it owns that key after at most what was ahead of it —
 // the round in flight and one chain — and never waits behind later
-// arrivals.
+// arrivals. The gate lets the hot key's rounds through one at a time, so
+// what the batch waits for is fixed by the line alone, never by how the
+// scheduler runs sixteen busy sessions against the test.
 func TestBatchNotStarvedByHotKey(t *testing.T) {
 	const sessions, batches = 16, 20
-	_, proxy, g := newHoldRig(t, 2, nil)
+	gate := make(chan struct{})
+	_, proxy, g := newHoldRig(t, 2, gate)
 	var wg sync.WaitGroup
 	done := make(chan struct{})
 	for s := 0; s < sessions; s++ {
@@ -637,34 +640,61 @@ func TestBatchNotStarvedByHotKey(t *testing.T) {
 	}
 	defer func() { // the sessions stop before the test returns, however it returns
 		close(done)
+		close(gate)
 		wg.Wait()
 		if len(g.shared) != 0 {
 			t.Errorf("keys %q were in two rounds at once", g.shared)
 		}
 	}()
-	hotRounds := func() (n int) {
-		for _, round := range g.seen() {
-			if strings.HasSuffix(round, "key-01") {
-				n++
+	// batchInLine reports whether the batch waits in key-01's line: it is
+	// the only caller that wants the key to itself.
+	hot := proxy.counters.entry("key-01")
+	batchInLine := func() bool {
+		hot.mu.Lock()
+		defer hot.mu.Unlock()
+		for _, w := range hot.held {
+			if w.own {
+				return true
 			}
 		}
-		return n
+		return false
 	}
-	for len(g.seen()) < sessions { // the key is hot
-		runtime.Gosched()
+	// Every round names key-01, so one is at the server at a time: the
+	// last it recorded is the one at the gate.
+	atGate := func() string {
+		rounds := g.seen()
+		return rounds[len(rounds)-1]
+	}
+	type outcome struct {
+		values [][]byte
+		err    error
 	}
 	for b := 0; b < batches; b++ {
-		before := hotRounds()
-		values, _, err := proxy.AccessBatch([]BatchOp{{Op: OpRead, Key: "key-00"}, {Op: OpRead, Key: "key-01"}})
-		waited := hotRounds() - before
-		if err != nil || values[0][0] != 0 || values[1][0] != 1 {
-			t.Fatalf("batch %d: %v, %v", b, values, err)
+		<-g.entered // a round on key-01 is at the gate: the key is busy
+		answered := make(chan outcome, 1)
+		go func() {
+			values, _, err := proxy.AccessBatch([]BatchOp{{Op: OpRead, Key: "key-00"}, {Op: OpRead, Key: "key-01"}})
+			answered <- outcome{values, err}
+		}()
+		for !batchInLine() { // nothing on key-01 moves while its round is held
+			runtime.Gosched()
 		}
-		// The round in flight when the batch arrived, the chain that was in
-		// line ahead of it, its own round, and at most the one the next
-		// leader has sent by the time the count is read.
-		if waited > 4 {
-			t.Fatalf("batch %d completed after %d rounds on its hot key, want at most 4", b, waited)
+		waited := 0
+		for {
+			gate <- struct{}{}
+			<-g.entered
+			if strings.HasPrefix(atGate(), "key-00") {
+				break
+			}
+			waited++
+		}
+		gate <- struct{}{} // the batch's own round
+		got := <-answered
+		if got.err != nil || got.values[0][0] != 0 || got.values[1][0] != 1 {
+			t.Fatalf("batch %d: %v, %v", b, got.values, got.err)
+		}
+		if waited > 1 {
+			t.Fatalf("batch %d waited for %d rounds on its hot key after the one in flight, want at most 1: the chain in line ahead of it", b, waited)
 		}
 	}
 }
