@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify verify-benchmark benchmark-smoke noaes fuzz-smoke bench bench-smoke trace-smoke drills failover-smoke overload-smoke stream-smoke crash experiments examples
+.PHONY: build test vet race verify verify-benchmark benchmark-smoke noaes fuzz-smoke bench bench-smoke trace-smoke drills experiments examples
 
 build:
 	$(GO) build ./...
@@ -115,12 +115,6 @@ drill-crash:
 
 drill-%:
 	$(GO) run ./cmd/ortoa-bench -experiment $* -quick
-
-# The per-drill names README, DESIGN.md and the verify skill use.
-failover-smoke: drill-failover
-overload-smoke: drill-overload
-stream-smoke: drill-stream
-crash: drill-crash
 
 # examples runs every program under examples/; each checks its own
 # outcome and exits non-zero (log.Fatal) when it does not hold.

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"log"
 	"net"
@@ -28,7 +29,52 @@ import (
 	"ortoa/internal/workload"
 )
 
+var (
+	serverAddr    = flag.String("server", "localhost:7001", "ortoa-server address")
+	listen        = flag.String("listen", ":7002", "address to serve clients on")
+	protocol      = flag.String("protocol", "lbl", "protocol: lbl, tee, fhe, or 2rtt")
+	valueSize     = flag.Int("value-size", 160, "fixed value size in bytes")
+	keysPath      = flag.String("keys", "ortoa-keys.json", "keys file (created if missing)")
+	variant       = flag.String("lbl-variant", "point-permute", "LBL variant: basic, space-opt, point-permute, wide, wide-point-permute")
+	conns         = flag.Int("conns", 32, "connection pool size to the server")
+	callTimeout   = flag.Duration("call-timeout", 0, "per-attempt deadline for server RPCs, e.g. 500ms (0 disables)")
+	retries       = flag.Int("retries", 0, "total attempts per server RPC; at-most-once retries (<2 disables)")
+	loadSynthetic = flag.Int("load-synthetic", 0, "bulk-load N synthetic records at startup")
+	statePath     = flag.String("state", "", "LBL access-counter state file (restored at startup, saved on shutdown)")
+	stateEvery    = flag.Duration("state-interval", 0, "also save -state crash-atomically this often, bounding the counter-loss window (0 disables; needs -state)")
+	maxInflight   = flag.Int("max-inflight", 0, "handle at most this many client requests concurrently, shedding overload with constant-size busy frames (0 disables admission control)")
+	maxQueue      = flag.Int("max-queue", 0, "client requests waiting for an inflight slot before overflow is shed, served newest-first (needs -max-inflight)")
+	shedDeadline  = flag.Bool("shed-deadline", true, "drop client requests whose deadline budget expired before doing any work (needs -max-inflight)")
+	retryAfter    = flag.Duration("retry-after", 0, "backoff hint carried in busy rejections (0 = default 25ms; needs -max-inflight)")
+	streamChunk   = flag.Int("stream-chunk", 0, "request frame budget in bytes: longer requests are cut at group boundaries and sent frame by frame as they are built, pipelining garbling against the WAN (LBL; 0 never cuts)")
+	peers         = flag.String("peers", "", "comma-separated names of every proxy in a multi-proxy deployment, e.g. host1:7002,host2:7002 (LBL; claims this proxy's ring share of counter ranges and enables adoption on fence; requires -self)")
+	self          = flag.String("self", "", "this proxy's name within -peers (clients' -proxies member names must match for first-try owner routing; needs -peers)")
+	ranges        = flag.String("ranges", "", "comma-separated counter range ids to claim explicitly instead of ring placement, e.g. 0,5,9 (LBL; enables adoption on fence)")
+	fheDegree     = flag.Int("fhe-degree", 512, "BFV ring degree (fhe)")
+	fheBits       = flag.Int("fhe-modulus-bits", 370, "BFV modulus bits (fhe)")
+	metricsAddr   = flag.String("metrics-addr", "", "serve /metrics, /healthz, /slowlog, /trace, and /debug/pprof on this address (e.g. :7092)")
+	traceBuffer   = flag.Int("trace-buffer", 4096, "retain this many finished trace spans for /trace; 0 disables tracing (needs -metrics-addr)")
+)
+
 func main() { os.Exit(run()) }
+
+// checkFlags refuses a flag that the others would leave without effect:
+// a mistyped setting must not pass for a set one.
+func checkFlags() error {
+	switch {
+	case (*peers != "" || *ranges != "") && ortoa.Protocol(*protocol) != ortoa.ProtocolLBL:
+		return errors.New("-peers/-ranges (multi-proxy range ownership) require -protocol lbl")
+	case *peers != "" && *self == "":
+		return errors.New("-peers requires -self (this proxy's name within the peer list)")
+	case *self != "" && *peers == "":
+		return errors.New("-self requires -peers (the list it names this proxy within)")
+	case *maxInflight <= 0 && (*maxQueue != 0 || *retryAfter != 0):
+		return errors.New("-max-queue and -retry-after require -max-inflight (without it nothing is bounded)")
+	case *stateEvery > 0 && *statePath == "":
+		return errors.New("-state-interval requires -state (the file it saves)")
+	}
+	return nil
+}
 
 // run is main's body, returning the exit status so that deferred closes
 // run before the process exits; log.Fatal is for failures before serving.
@@ -36,55 +82,15 @@ func run() int {
 	log.SetPrefix("ortoa-proxy: ")
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 
-	serverAddr := flag.String("server", "localhost:7001", "ortoa-server address")
-	listen := flag.String("listen", ":7002", "address to serve clients on")
-	protocol := flag.String("protocol", "lbl", "protocol: lbl, tee, fhe, or 2rtt")
-	valueSize := flag.Int("value-size", 160, "fixed value size in bytes")
-	keysPath := flag.String("keys", "ortoa-keys.json", "keys file (created if missing)")
-	variant := flag.String("lbl-variant", "point-permute", "LBL variant: basic, space-opt, point-permute, wide, wide-point-permute")
-	conns := flag.Int("conns", 32, "connection pool size to the server")
-	callTimeout := flag.Duration("call-timeout", 0, "per-attempt deadline for server RPCs, e.g. 500ms (0 disables)")
-	retries := flag.Int("retries", 0, "total attempts per server RPC; at-most-once retries (<2 disables)")
-	loadSynthetic := flag.Int("load-synthetic", 0, "bulk-load N synthetic records at startup")
-	statePath := flag.String("state", "", "LBL access-counter state file (restored at startup, saved on shutdown)")
-	stateEvery := flag.Duration("state-interval", 0, "also save -state crash-atomically this often, bounding the counter-loss window (0 disables)")
-	maxInflight := flag.Int("max-inflight", 0, "handle at most this many client requests concurrently, shedding overload with constant-size busy frames (0 disables admission control)")
-	maxQueue := flag.Int("max-queue", 0, "client requests waiting for an inflight slot before overflow is shed, served newest-first (needs -max-inflight)")
-	shedDeadline := flag.Bool("shed-deadline", true, "drop client requests whose deadline budget expired before doing any work (needs -max-inflight)")
-	retryAfter := flag.Duration("retry-after", 0, "backoff hint carried in busy rejections (0 = default 25ms; needs -max-inflight)")
-	reconcileScan := flag.Int("reconcile-scan", 0, "probe up to N counter steps to reconcile after crash desync, e.g. when resuming from a stale -state snapshot (LBL; 0 disables)")
-	streamChunk := flag.Int("stream-chunk", 0, "request frame budget in bytes: longer requests are cut at group boundaries and sent frame by frame as they are built, pipelining garbling against the WAN (LBL; 0 never cuts)")
-	peers := flag.String("peers", "", "comma-separated names of every proxy in a multi-proxy deployment, e.g. host1:7002,host2:7002 (LBL; claims this proxy's ring share of counter ranges and enables adoption on fence; requires -self)")
-	self := flag.String("self", "", "this proxy's name within -peers (clients' -proxies member names must match for first-try owner routing)")
-	ranges := flag.String("ranges", "", "comma-separated counter range ids to claim explicitly instead of ring placement, e.g. 0,5,9 (LBL; enables adoption on fence)")
-	fheDegree := flag.Int("fhe-degree", 512, "BFV ring degree (fhe)")
-	fheBits := flag.Int("fhe-modulus-bits", 370, "BFV modulus bits (fhe)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /slowlog, /trace, and /debug/pprof on this address (e.g. :7092)")
-	traceBuffer := flag.Int("trace-buffer", 4096, "retain this many finished trace spans for /trace; 0 disables tracing (needs -metrics-addr)")
 	flag.Parse()
+	if err := checkFlags(); err != nil {
+		log.Fatal(err)
+	}
+	multiProxy := *peers != "" || *ranges != ""
 
 	keys, err := ortoa.LoadOrGenerateKeys(*keysPath)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	multiProxy := *peers != "" || *ranges != ""
-	if multiProxy && ortoa.Protocol(*protocol) != ortoa.ProtocolLBL {
-		log.Fatal("-peers/-ranges (multi-proxy range ownership) require -protocol lbl")
-	}
-	if *peers != "" && *self == "" {
-		log.Fatal("-peers requires -self (this proxy's name within the peer list)")
-	}
-	if *maxInflight <= 0 && (*maxQueue != 0 || *retryAfter != 0) {
-		// The gate is the one bound a front end has: a mistyped one must not pass for a set one.
-		log.Fatal("-max-queue and -retry-after require -max-inflight (without it nothing is bounded)")
-	}
-	if multiProxy && *reconcileScan <= 0 {
-		// An adopter rebases a dead peer's counters through the
-		// reconcile spiral; without a scan bound adoption would fence
-		// the ex-owner but never recover the counter positions.
-		*reconcileScan = 4096
-		log.Printf("multi-proxy deployment: defaulting -reconcile-scan to %d", *reconcileScan)
 	}
 
 	var reg *obs.Registry
@@ -106,7 +112,6 @@ func run() int {
 		Conns:         *conns,
 		CallTimeout:   *callTimeout,
 		RetryAttempts: *retries,
-		ReconcileScan: *reconcileScan,
 		AutoAdopt:     multiProxy,
 		StreamChunk:   *streamChunk,
 		FHE:           ortoa.FHEOptions{RingDegree: *fheDegree, ModulusBits: *fheBits},
@@ -143,8 +148,8 @@ func run() int {
 	// Claim range ownership after any counter restore: from the claim
 	// on, every in-flight or retried round from a previous owner of
 	// these ranges is fenced at the server before it can touch a
-	// record, and this proxy's stale counter positions rebase through
-	// -reconcile-scan on first access.
+	// record, and this proxy's stale counter positions rebase from each
+	// key's first stale answer.
 	switch {
 	case *ranges != "":
 		var rids []uint32
@@ -198,11 +203,12 @@ func run() int {
 	}
 
 	stopSaver := make(chan struct{})
-	if *statePath != "" && *stateEvery > 0 {
-		// Periodic crash-atomic saves bound the counter state lost to a
-		// proxy crash to one interval; -reconcile-scan closes the
-		// remaining gap on restart. The ticker is stopped on shutdown;
-		// SaveState itself serializes against the final shutdown save.
+	if *stateEvery > 0 {
+		// Periodic crash-atomic saves bound the counters a proxy crash
+		// leaves behind to one interval's accesses, each of which costs
+		// its key one extra round trip after a restart. The ticker is
+		// stopped on shutdown; SaveState itself serializes against the
+		// final shutdown save.
 		ticker := time.NewTicker(*stateEvery)
 		go func() {
 			defer ticker.Stop()

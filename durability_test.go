@@ -68,10 +68,8 @@ func TestDurableServerRestart(t *testing.T) {
 		t.Fatalf("recovered %d records, want 2", s2.Records())
 	}
 	dial2 := func() (net.Conn, error) { return l2.Dial() }
-	c2, err := NewClient(ClientConfig{
-		Protocol: ProtocolLBL, ValueSize: 8, Keys: keys,
-		ReconcileScan: 8, // the stale snapshot trails by the two writes
-	}, dial2)
+	// The stale snapshot trails by the two writes: the first read rebases.
+	c2, err := NewClient(ClientConfig{Protocol: ProtocolLBL, ValueSize: 8, Keys: keys}, dial2)
 	if err != nil {
 		t.Fatal(err)
 	}

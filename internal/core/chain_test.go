@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -74,9 +75,10 @@ func TestLBLChainCutByFrameBudget(t *testing.T) {
 // TestLBLChainTamperedMemberRejectedWhole hands the server a chain whose
 // second member is keyed at the wrong counter — what a corrupted or
 // forged table looks like to trial decryption. The chain is rejected
-// whole: every one of its slots carries the rejection and no label, the
-// record is untouched although the head alone would have applied, and
-// the bystander in the same request is served.
+// whole: every one of its slots carries the rejection and the labels of
+// the record the store holds, the record is untouched although the head
+// alone would have applied, and the bystander in the same request is
+// served.
 func TestLBLChainTamperedMemberRejectedWhole(t *testing.T) {
 	for _, mode := range []LBLMode{LBLSpaceOpt, LBLPointPermute} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -122,8 +124,8 @@ func TestLBLChainTamperedMemberRejectedWhole(t *testing.T) {
 			}
 			for i := 0; i < 3; i++ {
 				slot := resp[i*slotLen : (i+1)*slotLen]
-				if slot[0] != slotStale || !bytes.Equal(slot[1:], make([]byte, slotLen-1)) {
-					t.Errorf("chain slot %d: status %d with labels %x, want slotStale and none", i, slot[0], slot[1:])
+				if held := records["k"][1 : 1+cfg.Groups()*prf.Size]; slot[0] != slotStale || !bytes.Equal(slot[1:], held) {
+					t.Errorf("chain slot %d: status %d with labels %x, want slotStale and the stored %x", i, slot[0], slot[1:], held)
 				}
 			}
 			if resp[3*slotLen] != slotOK {
@@ -225,38 +227,41 @@ func (c cutConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
+// A verdict scripts what the server side does with one access request:
+// whether the real handler runs, and whether its response is lost.
+type verdict struct{ skip, lose bool }
+
 // TestLBLAmbiguousChainResolves: a chain of k whose round fails
-// ambiguously parks as one outcome, and the next access's probe at the
-// parked counter ct settles it to exactly one of two counters. When the
-// response was blackholed the chain ran — all of it — so the probe is
-// rejected stale and the counter is ct+k; when the connection was reset
-// mid-request the chain never ran — none of it — so the probe executes
-// and the counter is ct+1. Probes whose own responses are lost on the way
-// add the counters they may have left behind and nothing else: the entry
-// still settles on the server's counter, with the chain whole or absent.
+// ambiguously leaves its key's counter at ct, and the key's next access
+// settles it with no round trip of its own. If the chain never ran,
+// that access executes at once: one request. If the chain ran — all of
+// it, or the access would not be stale — the server answers stale with
+// the labels the chain left, the proxy rebases to ct+k, and the access
+// goes around once: two requests. A second loss in between changes
+// nothing, whichever of the two rounds ran: the labels say where the
+// record is.
 func TestLBLAmbiguousChainResolves(t *testing.T) {
 	const valueSize, k = 8, 4
 	cfg := streamCfg(LBLPointPermute, valueSize, 4)
 	initial := bytes.Repeat([]byte{7}, valueSize)
+	lost, skipped := &verdict{lose: true}, &verdict{skip: true, lose: true}
 	for _, tc := range []struct {
 		name string
-		ran  bool
-		// lost scripts the settling attempts that fail before the one that
-		// is left alone: for each, whether the response to each probe it
-		// sends is blackholed.
-		lost   [][]bool
-		wantCt uint64
+		// chain is the chain's verdict; nil cuts its request after the
+		// first frame. then, when set, is the verdict on a read of the key
+		// that fails in between.
+		chain, then *verdict
+		ran         bool
+		requests    int    // the next access's
+		wantCt      uint64 // after it
 	}{
-		{"blackholed response", true, nil, 1 + k},
-		{"reset mid-request", false, nil, 1 + 1},
-		// The lost probe ran alone: stale at ct is its doing, and the probe
-		// at ct+1 executes.
-		{"reset mid-request, a probe's response lost", false, [][]bool{{true}}, 1 + 2},
-		// The lost probe was rejected: stale at ct and at ct+1 is the chain.
-		{"blackholed response, a probe's response lost", true, [][]bool{{true}}, 1 + k},
-		// The probe at ct+1 is lost in turn, having run: one more step up.
-		{"reset mid-request, the probes at ct and ct+1 lost", false, [][]bool{{true}, {false, true}}, 1 + 3},
-		{"blackholed response, the probes at ct and ct+1 lost", true, [][]bool{{true}, {false, true}}, 1 + k},
+		{"ran, response lost", lost, nil, true, 2, 1 + k + 1},
+		{"never ran, response lost", skipped, nil, false, 1, 1 + 1},
+		{"cut after the first frame", nil, nil, false, 1, 1 + 1},
+		// Lost twice: the read in between is answered stale, and the answer
+		// lost; or it runs where the chain did not, and its answer is lost.
+		{"ran, then a stale answer lost", lost, lost, true, 2, 1 + k + 1},
+		{"cut, then a read ran and its answer lost", nil, lost, false, 2, 1 + 1 + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := &netsim.FaultPlan{BlackholeProb: 1}
@@ -268,17 +273,19 @@ func TestLBLAmbiguousChainResolves(t *testing.T) {
 			RegisterLoader(r.server, r.store)
 			srv := NewLBLServer(r.store)
 			srv.Register(r.server)
-			// Whether an access request's response is lost is the next
-			// verdict queued here; with none queued it is delivered.
-			lose := make(chan bool, 4)
-			var served atomic.Int64
+			verdicts := make(chan *verdict, 1)
+			var requests, served atomic.Int64
 			r.server.Handle(MsgLBLAccess, func(ctx context.Context, payload []byte) ([]byte, error) {
+				requests.Add(1)
 				defer served.Add(1)
+				v := &verdict{}
 				select {
-				case v := <-lose:
-					plan.SetActive(v)
+				case v = <-verdicts:
 				default:
-					plan.SetActive(false)
+				}
+				plan.SetActive(v.lose)
+				if v.skip {
+					return nil, errors.New("skipped")
 				}
 				return srv.handleAccess(ctx, payload)
 			})
@@ -297,12 +304,22 @@ func TestLBLAmbiguousChainResolves(t *testing.T) {
 				t.Fatal(err)
 			}
 			loadData(t, r, proxy, map[string][]byte{"k": initial, "other": initial})
-			if _, _, err := proxy.Access(OpRead, "k", nil); err != nil { // the chain parks at ct = 1
+			// A cut request's handler outlives the proxy's failure: wait for
+			// the server to have finished n requests before the next access.
+			settled := func(n int64) {
+				t.Helper()
+				for deadline := time.Now().Add(5 * time.Second); served.Load() < n; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("the server finished %d requests, want %d", served.Load(), n)
+					}
+				}
+			}
+			if _, _, err := proxy.Access(OpRead, "k", nil); err != nil { // the chain goes at ct = 1
 				t.Fatal(err)
 			}
 
-			if tc.ran {
-				lose <- true
+			if tc.chain != nil {
+				verdicts <- tc.chain
 			} else {
 				cut.arm(cfg.StreamChunkBytes)
 			}
@@ -314,57 +331,32 @@ func TestLBLAmbiguousChainResolves(t *testing.T) {
 					t.Fatalf("op %d: %v, want an ambiguous failure", i, res.Err)
 				}
 			}
-			// A cut request's handler outlives the proxy's failure; the
-			// verdicts below are for the requests after it.
-			for deadline := time.Now().Add(5 * time.Second); served.Load() < 2; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("the server finished %d requests, want the first read and the chain", served.Load())
+			settled(2) // the first read and the chain
+			if tc.then != nil {
+				verdicts <- tc.then
+				if _, _, err := proxy.Access(OpRead, "k", nil); !transport.Ambiguous(err) {
+					t.Fatalf("the read in between: %v, want an ambiguous failure", err)
 				}
-			}
-			entry := proxy.counters.acquire("k") // held while the test settles it by hand
-			if entry.ct != 1 || entry.pending != k {
-				t.Fatalf("after the failure the entry is at %d with %d parked, want 1 and the chain's %d", entry.ct, entry.pending, k)
+				settled(3)
 			}
 
-			// The settling itself, as the key's next accesses would run it.
-			for i, verdicts := range tc.lost {
-				for _, v := range verdicts {
-					lose <- v
-				}
-				if err := proxy.resolvePending("k", entry); !transport.Ambiguous(err) {
-					t.Fatalf("settling attempt %d with a probe's response lost: %v, want an ambiguous failure", i, err)
-				}
-				if entry.pending == 0 || len(lose) != 0 {
-					t.Fatalf("after attempt %d: %d parked, %d scripted probes unsent", i, entry.pending, len(lose))
-				}
-			}
-			for attempt := 0; ; attempt++ { // the pool redials a cut connection in the background
-				if err = proxy.resolvePending("k", entry); err == nil || attempt == 40 {
-					break
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
-			if err != nil {
-				t.Fatalf("settling the parked chain: %v", err)
-			}
-			if entry.ct != tc.wantCt || entry.pending != 0 || entry.probed {
-				t.Errorf("the probes settled the counter at %d with %d parked (probed %v), want %d and 0", entry.ct, entry.pending, entry.probed, tc.wantCt)
-			}
+			before := requests.Load()
+			value, _, err := proxy.Access(OpRead, "k", nil)
 			want := initial
 			if tc.ran {
 				want = written
 			}
-			proxy.counters.release(entry)
-			// ReconcileScan is 0: a counter off the server's fails this read.
-			var value []byte
-			for attempt := 0; attempt < 40; attempt++ {
-				if value, _, err = proxy.Access(OpRead, "k", nil); err == nil {
-					break
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
 			if err != nil || !bytes.Equal(value, want) {
-				t.Errorf("read %v (%v), want %v: the chain must have run whole or not at all", value, err, want)
+				t.Fatalf("read %v (%v), want %v: the chain must have run whole or not at all", value, err, want)
+			}
+			if n := requests.Load() - before; n != int64(tc.requests) {
+				t.Errorf("the read cost %d requests, want %d", n, tc.requests)
+			}
+			entry := proxy.counters.acquire("k")
+			ct := entry.ct
+			proxy.counters.release(entry)
+			if ct != tc.wantCt {
+				t.Errorf("counter %d after the read, want %d", ct, tc.wantCt)
 			}
 		})
 	}

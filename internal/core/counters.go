@@ -36,17 +36,8 @@ type counterEntry struct {
 	owned bool         // a round — or load, or save — has the key
 	held  []*keyWaiter // what waits for it, in admission order
 
-	// The rest belongs to the key's owner, who alone reads and writes it.
+	// ct belongs to the key's owner, who alone reads and writes it.
 	ct uint64
-	// pending, when positive, records that a round whose chain for this
-	// key was pending accesses long, keyed at counters ct … ct+pending-1,
-	// has an unknown outcome (the transport failed ambiguously). The next
-	// access to the key must settle it — with a probe at ct, pending.go —
-	// before ct can be trusted again. probed records that such a probe
-	// failed ambiguously itself and may have run, which matters to a chain
-	// longer than one; it is never set while pending is 0.
-	pending int
-	probed  bool
 }
 
 // A keyWaiter is one caller in line for a key: a single access, or
@@ -163,17 +154,16 @@ func (t *counterTable) Len() int {
 // counterMagic heads the counter snapshot format.
 var counterMagic = [8]byte{'O', 'R', 'T', 'O', 'A', 'C', 'T', '1'}
 
-// save serializes all counters. The proxy's counters are the only
-// state LBL-ORTOA cannot regenerate (§5.3.1): losing them desynchronizes
-// the label schedule from the server's records, so deployments persist
-// them across proxy restarts.
+// save serializes all counters (§5.3.1), so that a restarted proxy
+// resumes each key where it was instead of rebasing it on its first
+// access (reconcile.go).
 //
 // A save may run live, alongside accesses: it writes the keys that
 // existed when it began — a key first accessed meanwhile is left to the
 // next save — and captures each counter between its rounds, so it
 // always loads, but it can trail the server by the accesses that
 // completed after their key was captured. A proxy resuming from it
-// closes that gap with the reconcile scan (LBLConfig.ReconcileScan).
+// closes that gap the same way.
 func (t *counterTable) save(w io.Writer) error {
 	// The stripe locks are not held while waiting for a key: the key's
 	// owner may be a multi-key round about to look up its next key in
@@ -269,7 +259,6 @@ func (t *counterTable) load(r io.Reader) error {
 	for _, e := range parsed {
 		ent := t.acquire(e.key)
 		ent.ct = e.ct
-		ent.pending, ent.probed = 0, false // a restored counter supersedes any ambiguous round
 		t.release(ent)
 	}
 	return nil

@@ -16,7 +16,7 @@ import (
 // (ring.go), two proxies advancing the same key's counter would fork
 // its label schedule. The protocol's own self-fencing already limits
 // the damage — at most one round per counter value ever applies
-// (pending.go) — but it cannot stop a partitioned ex-owner from
+// (slotStale) — but it cannot stop a partitioned ex-owner from
 // burning counter values the new owner is about to use. Epoch fencing
 // closes that: every access frame carries an ownership claim
 // (rangeID, epoch), the server keeps the highest epoch it has seen per
@@ -24,8 +24,8 @@ import (
 // record is touched. Adopting a dead peer's range is therefore one
 // MsgEpochClaim round — bump the range's epoch at the server — after
 // which every in-flight or retried round from the previous owner is
-// dead on arrival, and the adopter rebases the range's counters lazily
-// through the ordinary ReconcileScan probe spiral.
+// dead on arrival, and the adopter rebases each of the range's counters
+// from its first stale answer (reconcile.go).
 //
 // Shape neutrality: the claim is fixed-width (4+8 bytes, never
 // varint), so request frames are byte-identical in length whatever the
@@ -179,11 +179,11 @@ func (p *LBLProxy) rangeEpoch(rangeID uint32) uint64 {
 // ClaimRange asserts ownership of one counter range: the server bumps
 // the range past every epoch it has seen and returns the granted
 // epoch, which the proxy stamps on subsequent accesses to the range's
-// keys. Rounds built by the previous owner — in flight, parked, or
-// retried — are fenced from this moment on. Counters are NOT
-// transferred; the adopter's first access per key rebases through the
-// ReconcileScan spiral (reconcile.go), which the fence makes safe: the
-// ex-owner can no longer advance the record mid-probe.
+// keys. Rounds built by the previous owner — in flight or retried — are
+// fenced from this moment on. Counters are NOT transferred; the
+// adopter's first access per key is answered stale with the label the
+// record holds and rebases to it (reconcile.go), which the fence keeps
+// settled: the ex-owner can no longer advance the record behind it.
 func (p *LBLProxy) ClaimRange(rangeID uint32) (uint64, error) {
 	if rangeID >= NumRanges {
 		return 0, fmt.Errorf("core: range id %d out of space [0,%d)", rangeID, NumRanges)

@@ -55,7 +55,7 @@ func TestEpochClaimBumpsMonotonically(t *testing.T) {
 }
 
 func TestEpochFenceRejectsStaleOwner(t *testing.T) {
-	r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute, ReconcileScan: 8})
+	r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute})
 	a, b := peers[0], peers[1]
 	loadData(t, r, a, map[string][]byte{"k": {1, 2, 3, 4}})
 	if _, _, err := a.Access(OpWrite, "k", []byte{9, 9, 9, 9}); err != nil {
@@ -72,7 +72,7 @@ func TestEpochFenceRejectsStaleOwner(t *testing.T) {
 	}
 
 	// The fence fired before any record work: b reads the pre-fence
-	// value (rebasing its empty counter through reconciliation).
+	// value (rebasing its empty counter from the stale answer).
 	got, _, err := b.Access(OpRead, "k", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestEpochFenceErrorTextConstant(t *testing.T) {
 }
 
 func TestAutoAdoptReclaimsAndRetries(t *testing.T) {
-	r, peers, srv := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute, ReconcileScan: 8, AutoAdopt: true})
+	r, peers, srv := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute, AutoAdopt: true})
 	a, b := peers[0], peers[1]
 	loadData(t, r, a, map[string][]byte{"k": {1, 2, 3, 4}})
 	if _, _, err := a.Access(OpWrite, "k", []byte{5, 5, 5, 5}); err != nil {
@@ -136,7 +136,7 @@ func TestAutoAdoptReclaimsAndRetries(t *testing.T) {
 }
 
 func TestAdoptionRebasesCountersViaReconcile(t *testing.T) {
-	r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute, ReconcileScan: 8, AutoAdopt: true})
+	r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute, AutoAdopt: true})
 	a, b := peers[0], peers[1]
 	loadData(t, r, a, map[string][]byte{"k": {0, 0, 0, 0}})
 	// a advances k's schedule well past a fresh proxy's counter.
@@ -146,14 +146,19 @@ func TestAdoptionRebasesCountersViaReconcile(t *testing.T) {
 		}
 	}
 	// b — empty counter table, as a just-started adopter — claims the
-	// range and reads: the claim passes the fence, the stale counter is
-	// rebased by the probe spiral, and the read returns a's last write.
+	// range and reads: the claim passes the fence, the stale answer's
+	// labels rebase the counter, and the read returns a's last write, in
+	// two requests.
 	if _, err := b.ClaimRange(RangeOf("k")); err != nil {
 		t.Fatal(err)
 	}
+	requests := accessRequests(r)
 	got, _, err := b.Access(OpRead, "k", nil)
 	if err != nil {
 		t.Fatalf("adopter's first access: %v", err)
+	}
+	if n := requests.Load(); n != 2 {
+		t.Errorf("adopter's first access cost %d requests, want 2", n)
 	}
 	if !bytes.Equal(got, []byte{4, 0, 0, 4}) {
 		t.Fatalf("adopter read = %v, want {4 0 0 4}", got)
@@ -174,7 +179,7 @@ func TestAdoptionRebasesCountersViaReconcile(t *testing.T) {
 // TestEpochFencePerKeyInBatch: one fenced key must not fail its batch
 // mates, and the fenced key's record stays untouched.
 func TestEpochFencePerKeyInBatch(t *testing.T) {
-	r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute, ReconcileScan: 8})
+	r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute})
 	a, b := peers[0], peers[1]
 	// Find two keys in different ranges so only one is fenced.
 	k1, k2 := "k1", ""

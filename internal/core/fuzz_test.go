@@ -45,27 +45,29 @@ func seededLBLServer(tb testing.TB) (*LBLServer, []byte) {
 // left after the last cut is the final frame). Whatever arrives — frames
 // reordered, duplicated, short, oversize, or extra, geometry changing
 // mid-request, an early end, a continuation with no head, a key repeated
-// next to itself (a chain) or apart — the handler must not panic, may
-// change a record only for a key whose slot it answered slotOK in a
-// request it accepted whole, and answers every slot slotOK that it
-// counts as an access served.
+// next to itself (a chain) or apart, a table keyed above or below its
+// record's counter or sealed with garbage — the handler must not panic,
+// may change a record only for a key whose slot it answered slotOK in a
+// request it accepted whole, answers every slot slotOK that it counts as
+// an access served, and fills a slot's body only with what it may show:
+// on slotStale the labels of a record the store held, on any other
+// failure zeros.
 func FuzzLBLServerPayload(f *testing.F) {
 	cfg := LBLConfig{ValueSize: 4, Mode: LBLPointPermute, StreamChunkBytes: 256}
 	proxy, err := NewLBLProxy(cfg, prf.NewRandom(), nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	keys := []string{"a", "b"}
+	// "a" is at counter 0, "b" at counter 5.
+	keys, at := []string{"a", "b"}, []uint64{0, 5}
 	records := map[string][]byte{}
 	specs := make([]tableSpec, len(keys))
 	for i, k := range keys {
-		ek, rec, err := proxy.BuildRecord(k, []byte{1, 2, 3, byte(i)})
-		if err != nil {
-			f.Fatal(err)
-		}
-		records[ek] = rec
-		specs[i] = proxy.spec(OpRead, k, nil, 0)
+		ek := proxy.prf.EncodeKey(k)
+		records[string(ek[:])] = recordAt(proxy, k, []byte{1, 2, 3, byte(i)}, at[i])
+		specs[i] = proxy.spec(OpRead, k, nil, at[i])
 	}
+	labelBlock := func(rec []byte) string { return string(rec[1 : 1+cfg.Groups()*prf.Size]) }
 	var runs []run
 	var frames [][]byte
 	for cut := (frameCutter{cfg: cfg, n: len(specs)}); !cut.done(); {
@@ -123,6 +125,15 @@ func FuzzLBLServerPayload(f *testing.F) {
 	seed(chained(0, 5, 2)...)
 	apart, _ := builtFrames(f, proxy, []tableSpec{specs[0], specs[1], proxy.spec(OpRead, "a", nil, 1)})
 	seed(bytes.Join(apart, nil))
+	// Stale: "a" keyed above its record, "b" below it, and "a" at its
+	// counter with garbage where the table's entries should be.
+	desynced, _ := builtFrames(f, proxy, []tableSpec{proxy.spec(OpRead, "a", nil, 3), proxy.spec(OpRead, "b", nil, 2)})
+	seed(desynced...)
+	garbage := bytes.Clone(frames[0])
+	for i := cfg.segHeaderLen(); i < len(garbage); i++ {
+		garbage[i] ^= byte(i*131 + 7)
+	}
+	seed(append([][]byte{garbage}, frames[1:]...)...)
 	f.Add([]byte{}, []byte{})
 	f.Add(make([]byte, 17), []byte{1, 0})
 
@@ -153,10 +164,21 @@ func FuzzLBLServerPayload(f *testing.F) {
 				changed++
 			}
 		}
+		held := map[string]bool{}
+		for ek, rec := range records {
+			now, _ := store.Get(ek)
+			held[labelBlock(rec)], held[labelBlock(now)] = true, true
+		}
 		installed := 0
 		for i := 0; err == nil && i < len(resp); i += cfg.ResponseBytesPerAccess() {
-			if resp[i] == slotOK {
+			status, body := resp[i], resp[i+1:i+cfg.ResponseBytesPerAccess()]
+			switch {
+			case status == slotOK:
 				installed++
+			case status == slotStale && !held[string(body)]:
+				t.Fatalf("slot at %d is stale with labels %x, which no record held", i, body)
+			case status != slotStale && !bytes.Equal(body, make([]byte, len(body))):
+				t.Fatalf("slot at %d failed with status %d and carries labels %x", i, status, body)
 			}
 		}
 		// A chain answers several slots for one record.
@@ -167,28 +189,46 @@ func FuzzLBLServerPayload(f *testing.F) {
 }
 
 // FuzzLBLProxyResponse plays a tampering server against the proxy's
-// response handling — the slot parser in round and the label check in
-// recoverRange: the honest response to a real request, a chain of two
-// reads of one key, is XORed with mask and grown or shrunk by resize
-// bytes before the proxy sees it. Anything but the honest response must
-// fail closed, for both accesses, wherever the damage is — ErrTampered
-// unless the status bytes became one well-formed rejection — and must
-// never advance the key's counter; no input may panic.
+// response handling — the slot parser in round, the label check in
+// recoverRange and the rebase a stale slot's labels drive. The request is
+// a chain of two reads of one key whose record is at counter base. Every
+// answer the server gives it is XORed with mask and grown or shrunk by
+// resize bytes before the proxy sees it; when forge is set, the first
+// answer, instead of running, is a stale slot pair carrying the labels of
+// the key's record at counter base+shift, which a real server could only
+// send had the record been there. Whatever the answers: no input may
+// panic; an access that succeeds returns the stored value, and both do
+// when every answer was honest; unless forged, the counter never passes
+// the record's — a label is evidence of where the record is; and once the
+// server answers honestly again, the key reads within two accesses, the
+// first of them refused at most (a counter left past the record is a
+// rollback to the proxy).
 func FuzzLBLProxyResponse(f *testing.F) {
+	const base = 128
 	cfg := LBLConfig{ValueSize: 4, Mode: LBLPointPermute}
 	slotLen := cfg.ResponseBytesPerAccess()
-	f.Add([]byte{}, int16(0))                            // honest
-	f.Add([]byte{slotStale}, int16(0))                   // status flipped to a rejection
-	f.Add([]byte{0x80}, int16(0))                        // unknown status
-	f.Add([]byte{0, 1}, int16(0))                        // one label bit flipped
-	f.Add(make([]byte, slotLen), int16(-1))              // one byte short
-	f.Add([]byte{}, int16(slotLen))                      // a slot too many
-	f.Add([]byte{}, int16(-slotLen))                     // empty response
-	f.Add(bytes.Repeat([]byte{0xFF}, slotLen), int16(0)) // everything flipped
+	f.Add([]byte{}, int16(0), false, int8(0))                            // honest
+	f.Add([]byte{slotStale}, int16(0), false, int8(0))                   // status flipped to a rejection
+	f.Add([]byte{0x80}, int16(0), false, int8(0))                        // unknown status
+	f.Add([]byte{0, 1}, int16(0), false, int8(0))                        // one label bit flipped
+	f.Add(make([]byte, slotLen), int16(-1), false, int8(0))              // one byte short
+	f.Add([]byte{}, int16(slotLen), false, int8(0))                      // a slot too many
+	f.Add([]byte{}, int16(-slotLen), false, int8(0))                     // empty response
+	f.Add(bytes.Repeat([]byte{0xFF}, slotLen), int16(0), false, int8(0)) // everything flipped
 	// The chain's second slot alone: its status, then one label bit.
-	f.Add(append(make([]byte, slotLen), slotStale), int16(0))
-	f.Add(append(make([]byte, slotLen), 0, 1), int16(0))
-	f.Add(append(append([]byte{slotStale}, make([]byte, slotLen-1)...), slotStale), int16(0)) // one rejection, twice
+	f.Add(append(make([]byte, slotLen), slotStale), int16(0), false, int8(0))
+	f.Add(append(make([]byte, slotLen), 0, 1), int16(0), false, int8(0))
+	// Both statuses flipped to stale, the bodies left: labels above ct.
+	f.Add(append(append([]byte{slotStale}, make([]byte, slotLen-1)...), slotStale), int16(0), false, int8(0))
+	// Stale slots carrying the labels of a record above, below and at ct,
+	// and garbage labels.
+	f.Add([]byte{}, int16(0), true, int8(1))
+	f.Add([]byte{}, int16(0), true, int8(2))
+	f.Add([]byte{}, int16(0), true, int8(100))
+	f.Add([]byte{}, int16(0), true, int8(-1))
+	f.Add([]byte{}, int16(0), true, int8(-100))
+	f.Add([]byte{}, int16(0), true, int8(0))
+	f.Add([]byte{0, 0xA5, 0x5A, 0xFF}, int16(0), true, int8(1))
 
 	r := &rig{store: kvstore.New(), server: transport.NewServer()}
 	l := netsim.Listen(netsim.Loopback)
@@ -200,10 +240,19 @@ func FuzzLBLProxyResponse(f *testing.F) {
 	}
 	f.Cleanup(func() { r.client.Close() })
 	honestSrv := NewLBLServer(r.store)
+	// What the server does to the answers of the access under test: set
+	// while it runs, and off for the accesses after it. forged is the first
+	// answer when forge is set.
 	var mask []byte
 	var resize int
-	var honest bool
+	var forged []byte
+	var tampered bool
 	r.server.Handle(MsgLBLAccess, func(ctx context.Context, payload []byte) ([]byte, error) {
+		if forged != nil {
+			reply := forged
+			forged, tampered = nil, true
+			return reply, nil
+		}
 		resp, err := honestSrv.handleAccess(ctx, payload)
 		if err != nil {
 			return nil, err
@@ -219,40 +268,59 @@ func FuzzLBLProxyResponse(f *testing.F) {
 		} else {
 			reply = append(reply, make([]byte, resize)...)
 		}
-		honest = bytes.Equal(reply, resp)
+		tampered = tampered || !bytes.Equal(reply, resp)
 		return reply, nil
 	})
 
-	f.Fuzz(func(t *testing.T, m []byte, grow int16) {
-		mask, resize = m, int(grow)
+	f.Fuzz(func(t *testing.T, m []byte, grow int16, forge bool, shift int8) {
+		stored := []byte{1, 2, 3, 4}
 		proxy, err := NewLBLProxy(cfg, prf.NewRandom(), r.client)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ek, rec, err := proxy.BuildRecord("k", []byte{1, 2, 3, 4})
-		if err != nil {
-			t.Fatal(err)
+		ek := proxy.prf.EncodeKey("k")
+		r.store.Put(string(ek[:]), recordAt(proxy, "k", stored, base)) //nolint:errcheck // no WAL attached
+		counter := func() uint64 {
+			entry := proxy.counters.acquire("k")
+			defer proxy.counters.release(entry)
+			return entry.ct
 		}
-		r.store.Put(ek, rec) //nolint:errcheck // no WAL attached
-		results, _ := proxy.AccessBatchResults(context.Background(), []BatchOp{{Op: OpRead, Key: "k"}, {Op: OpRead, Key: "k"}})
 		entry := proxy.counters.acquire("k")
-		ct := entry.ct
+		entry.ct = base
 		proxy.counters.release(entry)
-		for i, res := range results {
-			got, err := res.Value, res.Err
-			if honest {
-				if err != nil || !bytes.Equal(got, []byte{1, 2, 3, 4}) || ct != 2 {
-					t.Fatalf("honest response, access %d: value %v, err %v, counter %d", i, got, err, ct)
+
+		mask, resize, forged, tampered = m, int(grow), nil, false
+		if forge {
+			held := recordAt(proxy, "k", stored, uint64(base+int(shift)))[1 : 1+cfg.Groups()*prf.Size]
+			forged = bytes.Repeat(append([]byte{slotStale}, held...), 2)
+			for i := range forged {
+				if i < len(m) {
+					forged[i] ^= m[i]
 				}
-				continue
 			}
-			var rejected *transport.RemoteError
-			if err == nil || got != nil || !errors.Is(err, ErrTampered) && !errors.As(err, &rejected) {
-				t.Fatalf("tampered response accepted or misreported, access %d: value %v, err %v", i, got, err)
+		}
+		ops := honestSrv.Ops()
+		results, _ := proxy.AccessBatchResults(context.Background(), []BatchOp{{Op: OpRead, Key: "k"}, {Op: OpRead, Key: "k"}})
+		ct, record := counter(), uint64(base+honestSrv.Ops()-ops)
+		for i, res := range results {
+			if res.Err == nil && !bytes.Equal(res.Value, stored) {
+				t.Fatalf("access %d returned %v, want the stored %v", i, res.Value, stored)
 			}
-			if ct != 0 {
-				t.Fatalf("tampered response advanced the counter to %d", ct)
+			if !tampered && (res.Err != nil || ct != base+2) {
+				t.Fatalf("honest answers, access %d: err %v, counter %d", i, res.Err, ct)
 			}
+		}
+		if !forge && ct > record {
+			t.Fatalf("counter %d passed the record's %d", ct, record)
+		}
+
+		mask, resize = nil, 0
+		got, _, err := proxy.Access(OpRead, "k", nil)
+		if errors.Is(err, errRolledBack) {
+			got, _, err = proxy.Access(OpRead, "k", nil)
+		}
+		if err != nil || !bytes.Equal(got, stored) {
+			t.Fatalf("honest server again: read %v, %v; want %v", got, err, stored)
 		}
 	})
 }

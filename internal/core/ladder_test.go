@@ -15,7 +15,7 @@ import (
 	"ortoa/internal/transport"
 )
 
-// The recovery ladder (fence → claim, stale → reconcile) belongs to the
+// The recovery ladder (fence → claim, stale → rebase) belongs to the
 // round, so every way of reaching a round gets it per key: these tests
 // reach it through held chains and through AccessBatch, where a fenced
 // or desynchronized key used to surface its rejection.
@@ -26,7 +26,7 @@ import (
 // complete every session's access.
 func TestHeldRoundAdoptsFencedRange(t *testing.T) {
 	const n = 4
-	r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute, ReconcileScan: 8, AutoAdopt: true})
+	r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute, AutoAdopt: true})
 	a, b := peers[0], peers[1]
 	data := map[string][]byte{}
 	for i := 0; i < n; i++ {
@@ -54,33 +54,52 @@ func TestHeldRoundAdoptsFencedRange(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBatchReconcilesDesyncedKey: one key of a batch is two counters
-// ahead of the server's record. With ReconcileScan the round rebases
-// that key and answers it; its batch mates are answered by the first
-// lap and never fail. The chain row accesses the desynchronized key
-// three times in the batch: the stale chain costs one reconcile, on its
-// head, and its members re-key from the rebased counter.
-func TestBatchReconcilesDesyncedKey(t *testing.T) {
+// TestBatchRebasesDesyncedKey: one key of a batch is desynchronized by
+// two counters. Behind the server's record, the round rebases that key
+// and answers it; ahead of it — a rolled-back server — the key fails
+// errRolledBack once and the same batch then succeeds. Either way its
+// batch mates are answered by the first lap and never fail. The chain
+// rows access the desynchronized key three times in the batch: the stale
+// chain costs one rebase, on its head, and its members re-key from the
+// rebased counter.
+func TestBatchRebasesDesyncedKey(t *testing.T) {
+	single := []BatchOp{{Op: OpRead, Key: "a"}, {Op: OpRead, Key: "b"}, {Op: OpRead, Key: "c"}}
+	chain := []BatchOp{{Op: OpRead, Key: "a"}, {Op: OpRead, Key: "b"}, {Op: OpWrite, Key: "b", Value: []byte{9, 9, 9, 9}}, {Op: OpRead, Key: "b"}, {Op: OpRead, Key: "c"}}
 	for _, tc := range []struct {
-		name string
-		ops  []BatchOp
-		want [][]byte
+		name       string
+		rolledBack bool
+		ops        []BatchOp
+		want       [][]byte
 	}{
-		{"single", []BatchOp{{Op: OpRead, Key: "a"}, {Op: OpRead, Key: "b"}, {Op: OpRead, Key: "c"}},
-			[][]byte{{1, 1, 1, 1}, {2, 2, 2, 2}, {3, 3, 3, 3}}},
-		{"chain", []BatchOp{{Op: OpRead, Key: "a"}, {Op: OpRead, Key: "b"}, {Op: OpWrite, Key: "b", Value: []byte{9, 9, 9, 9}}, {Op: OpRead, Key: "b"}, {Op: OpRead, Key: "c"}},
-			[][]byte{{1, 1, 1, 1}, {2, 2, 2, 2}, {9, 9, 9, 9}, {9, 9, 9, 9}, {3, 3, 3, 3}}},
+		{"behind/single", false, single, [][]byte{{1, 1, 1, 1}, {8, 8, 8, 8}, {3, 3, 3, 3}}},
+		{"behind/chain", false, chain, [][]byte{{1, 1, 1, 1}, {8, 8, 8, 8}, {9, 9, 9, 9}, {9, 9, 9, 9}, {3, 3, 3, 3}}},
+		{"ahead/single", true, single, [][]byte{{1, 1, 1, 1}, {2, 2, 2, 2}, {3, 3, 3, 3}}},
+		{"ahead/chain", true, chain, [][]byte{{1, 1, 1, 1}, {2, 2, 2, 2}, {9, 9, 9, 9}, {9, 9, 9, 9}, {3, 3, 3, 3}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r, proxy := newLBLReconcile(t, LBLPointPermute, 8, prf.NewRandom())
+			r, proxy := newLBLReconcile(t, LBLPointPermute, prf.NewRandom())
 			reg := obs.NewRegistry()
 			proxy.Instrument(reg)
 			loadData(t, r, proxy, map[string][]byte{"a": {1, 1, 1, 1}, "b": {2, 2, 2, 2}, "c": {3, 3, 3, 3}})
 			old := serverRecord(t, r, proxy, "b")
 			mustWrite(t, proxy, "b", []byte{7, 7, 7, 7})
 			mustWrite(t, proxy, "b", []byte{8, 8, 8, 8})
-			regressServer(t, r, proxy, "b", old) // server back at counter 0, proxy at 2
+			if tc.rolledBack {
+				regressServer(t, r, proxy, "b", old) // the server back at counter 0, the proxy at 2
+			} else {
+				e := proxy.counters.acquire("b") // the proxy back at 0, the server at 2
+				e.ct = 0
+				proxy.counters.release(e)
+			}
 
+			if tc.rolledBack {
+				results, _ := proxy.AccessBatchResults(context.Background(), tc.ops)
+				for i, res := range results {
+					if key := tc.ops[i].Key; key == "b" && !errors.Is(res.Err, errRolledBack) || key != "b" && res.Err != nil {
+						t.Errorf("first batch, op %d on %q: %v", i, key, res.Err)
+					}
+				}
+			}
 			values, _, err := proxy.AccessBatch(tc.ops)
 			if err != nil {
 				t.Fatalf("batch with one desynced key: %v", err)
@@ -90,8 +109,9 @@ func TestBatchReconcilesDesyncedKey(t *testing.T) {
 					t.Errorf("value %d = %v, want %v", i, values[i], want)
 				}
 			}
-			if got := reg.Value("ortoa_lbl_reconciled_keys_total"); got != 1 {
-				t.Errorf("%d reconciliations, want 1 for the one desynchronized key", got)
+			rebased, behind := reg.Value("ortoa_lbl_reconciled_keys_total"), reg.Value("ortoa_lbl_rolled_back_keys_total")
+			if want := map[bool][2]int64{false: {1, 0}, true: {0, 1}}[tc.rolledBack]; rebased != want[0] || behind != want[1] {
+				t.Errorf("%d rebased and %d behind, want %d and %d for the one desynchronized key", rebased, behind, want[0], want[1])
 			}
 		})
 	}
@@ -105,7 +125,7 @@ func TestBatchReconcilesDesyncedKey(t *testing.T) {
 func TestLadderLapsBounded(t *testing.T) {
 	for _, k := range []int{1, 3} {
 		t.Run(fmt.Sprintf("chain=%d", k), func(t *testing.T) {
-			r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute, ReconcileScan: 8, AutoAdopt: true})
+			r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute, AutoAdopt: true})
 			a, b := peers[0], peers[1]
 			contested, calm := "key-00", "key-01"
 			for RangeOf(calm) == RangeOf(contested) {
@@ -151,12 +171,11 @@ func TestLadderLapsBounded(t *testing.T) {
 // entry format — here v1, as a proxy older than the stamp wrote it —
 // comes from a different release, whose tables this server's labels
 // cannot open. Left to trial decryption that would answer slotStale and
-// send a reconciling proxy up the ladder, recoveryAllowance scans per
-// key, to report a desynchronization that is not there. Instead it is
-// refused at the header: one request, a constant text, no probe, nothing
-// parked, the record untouched.
+// send the proxy up the ladder to report a desynchronization that is not
+// there. Instead it is refused at the header: one request, a constant
+// text, no rebase, the record untouched.
 func TestEntryFormatMismatchIsDefinite(t *testing.T) {
-	r, proxy := newLBLReconcile(t, LBLPointPermute, 8, prf.NewRandom())
+	r, proxy := newLBLReconcile(t, LBLPointPermute, prf.NewRandom())
 	proxy.Instrument(obs.NewRegistry())
 	loadData(t, r, proxy, map[string][]byte{"k": {1, 2, 3, 4}})
 	before := serverRecord(t, r, proxy, "k")
@@ -179,14 +198,14 @@ func TestEntryFormatMismatchIsDefinite(t *testing.T) {
 		t.Errorf("rejection %v reads as ambiguous or stale", err)
 	}
 	if n := requests.Load(); n != 1 {
-		t.Errorf("server saw %d requests, want 1: the rejection must not start a reconcile scan", n)
+		t.Errorf("server saw %d requests, want 1: the rejection must not be retried", n)
 	}
-	if probes, parked := proxy.mx.reconcileProbes.Value(), proxy.mx.pendingSaved.Value(); probes != 0 || parked != 0 {
-		t.Errorf("proxy sent %d reconcile probes and parked %d rounds, want 0 and 0", probes, parked)
+	if rebased, behind := proxy.mx.reconciledKeys.Value(), proxy.mx.rolledBackKeys.Value(); rebased != 0 || behind != 0 {
+		t.Errorf("proxy rebased %d keys and found %d behind, want 0 and 0", rebased, behind)
 	}
 	entry := proxy.counters.acquire("k")
-	if entry.pending != 0 || entry.ct != 0 {
-		t.Errorf("counter entry after the rejection: ct %d, pending %v", entry.ct, entry.pending)
+	if entry.ct != 0 {
+		t.Errorf("counter entry after the rejection: ct %d, want 0", entry.ct)
 	}
 	proxy.counters.release(entry)
 	if after := serverRecord(t, r, proxy, "k"); !bytes.Equal(after, before) {

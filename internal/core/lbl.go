@@ -106,21 +106,13 @@ type LBLConfig struct {
 	ValueSize int
 	// Mode selects the protocol variant.
 	Mode LBLMode
-	// ReconcileScan, when positive, lets the proxy recover from
-	// counter desynchronization after a crash (a server restarted from
-	// older durable state, or a proxy restarted from an older counter
-	// snapshot) by probing up to this many counter steps each way from
-	// its own value. Zero disables reconciliation: a desynchronized key
-	// fails every access with the server's stale rejection, the §5.3.1
-	// behavior. See reconcile.go.
-	ReconcileScan int
 	// AutoAdopt, in multi-proxy deployments, lets the proxy adopt a
 	// counter range on demand: when an access is epoch-fenced (another
 	// proxy owned the range more recently — typically because this
 	// proxy was just handed the range by the router after its owner
 	// died), the proxy claims the range, bumping its epoch, and retries.
-	// The retry then rebases the key's counter through ReconcileScan,
-	// which AutoAdopt therefore requires to be useful. See epoch.go.
+	// A retry the server answers stale rebases the key's counter from
+	// the label the answer carries (reconcile.go). See epoch.go.
 	AutoAdopt bool
 	// StreamChunkBytes, when positive, is the request frame budget: a
 	// request longer than this is cut at whole-group boundaries into
@@ -350,17 +342,16 @@ func (p *LBLProxy) Config() LBLConfig { return p.cfg }
 // — the proxy state whose size §5.3.1 analyzes.
 func (p *LBLProxy) CounterKeys() int { return p.counters.Len() }
 
-// SaveCounters persists the access-counter table — the one piece of
-// proxy state LBL-ORTOA cannot regenerate. It may run alongside
+// SaveCounters persists the access-counter table. It may run alongside
 // accesses: each counter is captured between its rounds, so the save
 // always loads, but it can trail the server by the accesses that
-// completed after their key was captured — a gap ReconcileScan closes.
+// completed after their key was captured — a gap each key's first stale
+// answer closes (reconcile.go).
 func (p *LBLProxy) SaveCounters(w io.Writer) error { return p.counters.save(w) }
 
 // LoadCounters restores a SaveCounters snapshot, merging over current
-// entries. A proxy restarted without its counters will fail its first
-// access per key with a server-side decryption error rather than
-// corrupt data.
+// entries. A counter that trails the server costs its key one extra
+// round trip on first access; one ahead of it is a server rollback.
 func (p *LBLProxy) LoadCounters(r io.Reader) error { return p.counters.load(r) }
 
 // BuildRecord encodes the initial record for (key, value) at access
@@ -584,7 +575,7 @@ type roundAccess struct {
 // build the k-th before the first has run — and the server installs them
 // all or none (lblserver.go). The chain is therefore the unit of
 // everything that follows a round: one commit of len(accs) counter
-// steps, one parked outcome, one climb of the recovery ladder.
+// steps, one climb of the recovery ladder.
 type keyChain struct {
 	accs  []roundAccess
 	entry *counterEntry
@@ -593,11 +584,13 @@ type keyChain struct {
 	// chain carried, if it was one, for the ladder to answer, and the
 	// error the chain fails with if it cannot — the rejection's, or
 	// ErrTampered's with status left slotOK, nil when every value
-	// recovered.
+	// recovered. held is a stale answer's group-0 label: the label the
+	// server's record holds.
 	status byte
 	err    error
+	held   prf.Output
 	// Laps of the recovery ladder this chain has climbed.
-	claimed, reconciled int
+	claimed, rebased int
 }
 
 func (c *keyChain) key() string { return c.accs[0].Key }
@@ -626,7 +619,7 @@ func chainsOf(accs []roundAccess) []keyChain {
 // recoveryAllowance bounds each recovery transition per chain. The
 // transitions may chain: an adoption (fence → claim) typically exposes
 // a desynchronized counter on its retry (the adopter starts from a
-// stale or empty snapshot), which reconciliation then rebases. The
+// stale or empty snapshot), which a rebase then repairs. The
 // allowance is >1 because during a live ownership handoff a peer can
 // adopt the range back (or advance the counter) between our recovery
 // step and its retry; the transient resolves within a lap or two.
@@ -634,16 +627,17 @@ const recoveryAllowance = 3
 
 // round is the one LBL access procedure (§5.2, Fig 1), for k ≥ 1
 // accesses in sorted key order, a key's accesses next to each other in
-// the order they apply: own each key's counter, settle rounds parked
-// on it, then build, send, and judge each key's chain — recover and
-// commit on success, climb the recovery ladder and go around again on a
-// fence or staleness rejection the configuration lets it repair, fail
-// otherwise. Outcomes land in accs; one key's failure never fails its
-// round mates. owned, when non-nil, is the entry of the one key accs
-// name, which the caller owns already (lead); otherwise the round takes
-// its keys in order, each after whatever was in line for it, so rounds
-// cannot deadlock and a hot key's chains cannot starve a multi-key one.
-// Either way the round gives its keys up as it returns.
+// the order they apply: own each key's counter, then build, send, and
+// judge each key's chain — recover and commit on success, climb the
+// recovery ladder and go around again on a fence or staleness rejection
+// it can repair, fail otherwise. Outcomes land in accs; one key's
+// failure never fails its round mates. An ambiguous failure leaves each
+// counter where it was: the key's next access is its probe (reconcile.go).
+// owned, when non-nil, is the entry of the one key accs name, which the
+// caller owns already (lead); otherwise the round takes its keys in
+// order, each after whatever was in line for it, so rounds cannot
+// deadlock and a hot key's chains cannot starve a multi-key one. Either
+// way the round gives its keys up as it returns.
 func (p *LBLProxy) round(ctx context.Context, accs []roundAccess, owned *counterEntry) AccessStats {
 	var stats AccessStats
 	clk, ctx := p.start(ctx, "lbl_access")
@@ -652,7 +646,7 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess, owned *counter
 	// so a key's rounds must not interleave (see counterTable).
 	clk.Enter(lblAcquire)
 	chains := chainsOf(accs)
-	live := make([]*keyChain, 0, len(chains))
+	live := make([]*keyChain, len(chains))
 	defer func() {
 		for i := range chains {
 			p.counters.release(chains[i].entry)
@@ -662,34 +656,20 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess, owned *counter
 		if chains[i].entry = owned; owned == nil {
 			chains[i].entry = p.counters.acquire(chains[i].key())
 		}
-	}
-	members := 0
-	for i := range chains {
-		c := &chains[i]
-		// A previous round for this key failed ambiguously; settle it
-		// (see pending.go) before building a table at a counter value
-		// that may already be stale.
-		if c.entry.pending > 0 {
-			if err := p.resolvePending(c.key(), c.entry); err != nil {
-				c.fail(err)
-				continue
-			}
-		}
-		live = append(live, c)
-		members += len(c.accs)
+		live[i] = &chains[i]
 	}
 	p.mx.keys.Add(int64(len(accs)))
 
-	specs := make([]tableSpec, 0, members)
+	specs := make([]tableSpec, 0, len(accs))
 	per := p.cfg.scheduleBytes()
-	sched := p.schedules.get(members * per)
+	sched := p.schedules.get(len(accs) * per)
 	defer p.schedules.put(sched)
 	for len(live) > 0 {
 		// Dead callers get no table: garbling is the proxy's most
 		// expensive stage, so a round whose propagated deadline has
 		// already passed is dropped before building anything
 		// (DESIGN.md §15). Nothing was sent — a definite non-execution,
-		// never parked as ambiguous.
+		// never an ambiguous one.
 		if ctx.Err() != nil {
 			failAll(live, errDeadlineBeforeBuild)
 			break
@@ -706,15 +686,6 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess, owned *counter
 		stats.PrepBytes += sent
 		stats.RespBytes += len(resp)
 		if err != nil {
-			if transport.Ambiguous(err) {
-				// The round may have executed; park it on every key, with
-				// its chain's length, so each key's next access settles the
-				// outcome before trusting the counter.
-				for _, c := range live {
-					c.entry.pending = len(c.accs)
-				}
-				p.mx.pendingSaved.Add(int64(len(live)))
-			}
 			failAll(live, err)
 			break
 		}
@@ -783,6 +754,7 @@ func (p *LBLProxy) recoverChain(c *keyChain, specs []tableSpec, slots []byte, wo
 	}
 	if slots[0] != slotOK {
 		c.status, c.err = slots[0], slotError(slots[0])
+		c.held = prf.Output(slots[1 : 1+prf.Size])
 		return
 	}
 	for j := range c.accs {
@@ -795,9 +767,10 @@ func (p *LBLProxy) recoverChain(c *keyChain, specs []tableSpec, slots []byte, wo
 
 // climb takes one step of the recovery ladder for a chain the server
 // rejected, reporting whether the chain should go around again: a fence
-// is answered by claiming the range, staleness by re-locating the
-// server's counter — once for the chain, whose members re-key from the
-// rebased counter — each at most recoveryAllowance times per chain.
+// is answered by claiming the range, staleness by rebasing to the
+// counter the stale answer's label belongs to — once for the chain,
+// whose members re-key from the rebased counter — each at most
+// recoveryAllowance times per chain.
 func (p *LBLProxy) climb(c *keyChain) bool {
 	switch {
 	case c.status == slotFenced && p.cfg.AutoAdopt && c.claimed < recoveryAllowance:
@@ -809,14 +782,9 @@ func (p *LBLProxy) climb(c *keyChain) bool {
 		p.mx.fencedRounds.Inc()
 		_, err := p.ClaimRange(RangeOf(c.key()))
 		return err == nil
-	case c.status == slotStale && p.cfg.ReconcileScan > 0 && c.reconciled < recoveryAllowance:
-		// A fresh stale rejection with no parked round means the
-		// counter and the server's record have desynchronized (crash
-		// recovery on either side, or a just-adopted range whose
-		// counters we never held). Re-locate the server's counter and
-		// retry at the rebased value.
-		c.reconciled++
-		return p.reconcile(c.key(), c.entry) == nil
+	case c.status == slotStale && c.rebased < recoveryAllowance:
+		c.rebased++
+		return p.rebase(c)
 	}
 	return false
 }
@@ -838,8 +806,7 @@ type tableSpec struct {
 
 // A schedulePool recycles the schedule buffers of a proxy's rounds: one
 // buffer per round, taken before the first seal and returned when the
-// round is over, however it ended — an ambiguous failure parks nothing
-// of it, the probe that settles the round takes its own. It keeps a
+// round is over, however it ended. It keeps a
 // returned buffer only while it holds no more of them than rounds are
 // still in flight, so what it retains follows the load down as well as
 // up (at 4 KiB values a buffer is 1 MB) and an idle proxy keeps one. A

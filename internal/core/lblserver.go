@@ -148,20 +148,22 @@ func (g *tableGeometry) validate() error {
 }
 
 // Response slot statuses. A response is one fixed-width slot per
-// request segment — a status, then the label block, left zero on
-// failure — so what happened to each key never shows in a length. The
-// proxy's recovery ladder runs on the codes; slotError turns a failure
-// back into the constant-text error callers and relays classify.
+// request segment — a status, then a label block — so what happened to
+// each key never shows in a length. The block is the installed labels
+// on success, the labels of the record the store holds on slotStale,
+// and zero otherwise. The proxy's recovery ladder runs on the codes;
+// slotError turns a failure back into the constant-text error callers
+// and relays classify.
 const (
 	slotOK byte = iota
 	// slotNotFound: the store was not initialized with this key.
 	slotNotFound
-	// slotStale is the fencing rejection: the table is keyed at a
-	// counter whose labels this record has already moved past (some
-	// entry the stored labels should open does not), or the record moved
-	// while the table was being decrypted. The proxy's ambiguous-round
-	// resolution (pending.go) relies on it — a stale rejection proves
-	// some round at that counter executed.
+	// slotStale is the fencing rejection: the table is not keyed at the
+	// record's counter (some entry the stored labels should open does
+	// not), or the record moved while the table was being decrypted. Out
+	// of all rounds ever built for a key at one counter, at most one
+	// applies. The labels it carries tell the proxy which counter the
+	// record is at (reconcile.go).
 	slotStale
 	// slotFenced: the ownership claim is behind the range's epoch
 	// (epoch.go). Checked before any record work.
@@ -559,9 +561,6 @@ func (req *lblRequest) finish() ([]byte, error) {
 		}
 		chain, slots := req.segs[i:j], out[i*slotLen:j*slotLen]
 		status := req.install(chain, slots)
-		if status != slotOK {
-			clear(slots)
-		}
 		for k := range chain {
 			slots[k*slotLen] = status
 		}
@@ -572,17 +571,21 @@ func (req *lblRequest) finish() ([]byte, error) {
 
 // install swaps the record chain's last member built in for the one its
 // head snapshotted, provided that is still what the store holds, fills
-// slots with each member's label block, and returns the chain's status —
-// the first failure any member met, or what the swap came to. One
-// update, so one WAL record, takes the record through all of the chain's
-// counter steps or none of them: that is what lets the proxy settle an
-// ambiguous chain with one probe (pending.go). A record that moved in
-// between was advanced by a concurrent round keyed at the same counter
-// — which a correct proxy never issues — so this round is, by the label
-// schedule's own fencing, stale.
+// slots with each member's label block — or, stale, with the held
+// record's — and returns the chain's status: the first failure any
+// member met, or what the swap came to. One update, so one WAL record,
+// takes the record through all of the chain's counter steps or none of
+// them, so a stale answer's labels say where a lost chain left the
+// record. A record that moved in between was advanced by a concurrent
+// round keyed at the same counter — which a correct proxy never issues
+// — so this round is, by the label schedule's own fencing, stale.
 func (req *lblRequest) install(chain []*lblSegment, slots []byte) byte {
 	s := req.srv
+	head, tail := chain[0], chain[len(chain)-1]
 	for _, seg := range chain {
+		if seg.status == slotStale {
+			req.answerStale(slots, *head.snap)
+		}
 		if seg.status != slotOK {
 			return seg.status
 		}
@@ -591,12 +594,12 @@ func (req *lblRequest) install(chain []*lblSegment, slots []byte) byte {
 		s.expiredRounds.Add(1)
 		return slotExpired
 	}
-	head, tail := chain[0], chain[len(chain)-1]
 	head.busy.Resume()
 	slotLen := len(slots) / len(chain)
 	swapped := false
 	err := s.store.Update(head.key, func(old []byte) ([]byte, error) {
 		if !bytes.Equal(old, *head.snap) {
+			req.answerStale(slots, old)
 			return nil, errStaleTable
 		}
 		for k, seg := range chain {
@@ -626,6 +629,7 @@ func (req *lblRequest) install(chain []*lblSegment, slots []byte) byte {
 		// failed; the store may retain either buffer, so recycle
 		// neither.
 		*tail.next = nil
+		clear(slots)
 		return slotRejected
 	case errors.Is(err, kvstore.ErrNotFound):
 		return slotNotFound
@@ -633,6 +637,21 @@ func (req *lblRequest) install(chain []*lblSegment, slots []byte) byte {
 		return slotStale
 	default:
 		return slotRejected
+	}
+}
+
+// answerStale fills every slot body of a chain refused stale with the
+// label block of held, the record the store holds — labels the server
+// already knows, sent for reads and writes alike. A record that does
+// not parse leaves the bodies zero, which match no counter.
+func (req *lblRequest) answerStale(slots, held []byte) {
+	rec, err := parseLBLRecord(held, req.geo.mode, req.geo.groups)
+	if err != nil {
+		return
+	}
+	slotLen := 1 + len(rec.labels)
+	for k := 0; k < len(slots); k += slotLen {
+		copy(slots[k+1:k+slotLen], rec.labels)
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 
 // The LBL proxy's stages, in LBLStages' order.
 const (
-	lblAcquire = iota // counter lookup, a multi-key round's wait for its keys, and settling a parked round, step 1.1
+	lblAcquire = iota // counter lookup and a multi-key round's wait for its keys, step 1.1
 	lblBuild          // encryption-table build, steps 1.2–1.5: time spent sealing frames
 	lblRPC            // wire round trip, request out to response in, less the sealing it overlapped
 	lblRecover        // label→bit recovery + §5.4 integrity check, steps 3.1–3.2
@@ -119,11 +119,8 @@ type lblProxyObs struct {
 	chainLen *obs.Histogram // single accesses a round carried, one key's chain
 	frames   *obs.Counter   // request frames sealed; frames/rounds > 1 means the frame budget is cutting requests
 
-	pendingSaved    *obs.Counter // rounds parked after ambiguous transport failures
-	pendingResolved *obs.Counter // parked rounds settled by a probe
-
-	reconcileProbes *obs.Counter // read-shaped probes sent to re-locate a server counter
-	reconciledKeys  *obs.Counter // keys whose counter was rebased after crash desync
+	reconciledKeys *obs.Counter // counters rebased up to a stale answer's label (reconcile.go)
+	rolledBackKeys *obs.Counter // stale answers whose label was behind the counter: a server rollback
 
 	epochClaims  *obs.Counter // counter ranges claimed (adoption or startup, epoch.go)
 	fencedRounds *obs.Counter // accesses rejected by the server's epoch fence
@@ -145,11 +142,8 @@ func (p *LBLProxy) Instrument(reg *obs.Registry) {
 			"single accesses a round carried, sent as one key's chain: 1 for an access that found its key free (integer count on the duration scale)"),
 		frames: reg.Counter("ortoa_lbl_request_frames_total", "LBL request frames sealed (more than one per round when the frame budget cuts requests)"),
 
-		pendingSaved:    reg.Counter("ortoa_lbl_pending_rounds_total", "LBL rounds parked after an ambiguous transport failure"),
-		pendingResolved: reg.Counter("ortoa_lbl_pending_resolved_total", "parked LBL rounds settled by a read-shaped probe at the parked counter"),
-
-		reconcileProbes: reg.Counter("ortoa_lbl_reconcile_probes_total", "read-shaped probes sent to re-locate a server counter after crash desync"),
-		reconciledKeys:  reg.Counter("ortoa_lbl_reconciled_keys_total", "keys whose counter was rebased by reconciliation"),
+		reconciledKeys: reg.Counter("ortoa_lbl_reconciled_keys_total", "key counters rebased up to the record a stale answer reported"),
+		rolledBackKeys: reg.Counter("ortoa_lbl_rolled_back_keys_total", "stale answers reporting a record behind the proxy's counter (a server rollback; the access failed)"),
 
 		epochClaims:  reg.Counter("ortoa_lbl_epoch_claims_total", "counter-range ownership claims issued (startup or failover adoption)"),
 		fencedRounds: reg.Counter("ortoa_lbl_fenced_rounds_total", "accesses rejected by the server's epoch fence before adoption"),

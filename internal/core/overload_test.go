@@ -98,7 +98,7 @@ func TestAccessExpiredBeforeBuild(t *testing.T) {
 	if got := r.client.Stats().Calls; got != callsBefore {
 		t.Errorf("calls went from %d to %d; expired access must not reach the wire", callsBefore, got)
 	}
-	// The drop left no parked round: a fresh access succeeds.
+	// The drop left the counter where it was: a fresh access succeeds.
 	got, _, err := proxy.Access(OpRead, "k", nil)
 	if err != nil {
 		t.Fatalf("access after expired drop: %v", err)
@@ -111,9 +111,8 @@ func TestAccessExpiredBeforeBuild(t *testing.T) {
 // TestServerDropsExpiredRound holds an LBL access in the server's
 // admission queue past its deadline budget (ShedExpired off, so it
 // still runs) and checks the server drops it at checkBudget — before
-// any trial decryption — and that the proxy recovers the round through
-// the dedup replay: the next access resolves the parked round as
-// definitively-not-applied and succeeds.
+// any trial decryption — and that the key's next access, finding the
+// record where its counter is, succeeds in one request.
 func TestServerDropsExpiredRound(t *testing.T) {
 	r, proxy, srv := newLBL(t, LBLPointPermute, 4)
 	loadData(t, r, proxy, map[string][]byte{"k": {1, 2, 3, 4}})
@@ -155,9 +154,8 @@ func TestServerDropsExpiredRound(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The dropped round was never applied; the proxy's ambiguity
-	// resolution (dedup replay under the original request id) must
-	// conclude exactly that and leave the key readable.
+	// The dropped round was never applied, so the next access executes
+	// at the counter the proxy kept.
 	got, _, err := proxy.Access(OpRead, "k", nil)
 	if err != nil {
 		t.Fatalf("access after expired round: %v", err)

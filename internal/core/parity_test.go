@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -20,11 +21,13 @@ import (
 // frame (continuations included) and every response strict, see no
 // violation. The chain row names keys more than once: a chain of reads
 // and a chain of writes are as alike as single accesses are, and the
-// simulator, which knows only the keys, emits the same chain. The desync rows run the same comparison through a crash-
-// recovery episode (reconcile.go): probes are read-shaped and stale
-// rejections are emitted identically for both op types, so a recovery
-// triggered by reads must be indistinguishable from one triggered by
-// writes.
+// simulator, which knows only the keys, emits the same chain. The desync
+// rows run the same comparison through a recovery episode (reconcile.go)
+// in each direction: a proxy behind the server rebases and goes around
+// once, and a proxy ahead of a rolled-back server is refused once and
+// then served. The server answers stale identically for both op types,
+// so a recovery triggered by reads must be indistinguishable from one
+// triggered by writes.
 func TestLBLRequestParity(t *testing.T) {
 	const valueSize = 8
 	for _, mode := range allLBLModes() {
@@ -49,8 +52,8 @@ func TestLBLRequestParity(t *testing.T) {
 				cfg := base
 				cfg.StreamChunkBytes = budget.bytes
 				for _, traced := range []bool{false, true} {
-					for _, desync := range []bool{false, true} {
-						name := fmt.Sprintf("%v/n=%d%s/budget=%s/traced=%v/desync=%v", mode, n, chain, budget.name, traced, desync)
+					for _, desync := range []string{"none", "proxy-behind", "server-behind"} {
+						name := fmt.Sprintf("%v/n=%d%s/budget=%s/traced=%v/desync=%s", mode, n, chain, budget.name, traced, desync)
 						t.Run(name, func(t *testing.T) { requestParity(t, cfg, keys, traced, desync) })
 					}
 				}
@@ -92,7 +95,7 @@ func builtFrames(t testing.TB, p *LBLProxy, specs []tableSpec) (frames [][]byte,
 	return frames, headers
 }
 
-func requestParity(t *testing.T, cfg LBLConfig, keys []string, traced, desync bool) {
+func requestParity(t *testing.T, cfg LBLConfig, keys []string, traced bool, desync string) {
 	n := len(keys)
 	value := bytes.Repeat([]byte{0x5A}, cfg.ValueSize)
 
@@ -169,11 +172,7 @@ func requestParity(t *testing.T, cfg LBLConfig, keys []string, traced, desync bo
 		NewLBLServer(r.store).Register(r.server)
 		r.server.AuditShape(serverAud, ShapeClassify)
 		r.client.AuditShape(proxyAud, ShapeClassify)
-		pcfg := cfg
-		if desync {
-			pcfg.ReconcileScan = 8
-		}
-		proxy, err := NewLBLProxy(pcfg, prf.NewRandom(), r.client)
+		proxy, err := NewLBLProxy(cfg, prf.NewRandom(), r.client)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,10 +191,11 @@ func requestParity(t *testing.T, cfg LBLConfig, keys []string, traced, desync bo
 			}
 		}
 		loadData(t, r, proxy, data)
-		if desync {
-			// The server "crashes" back to its loaded state after two
-			// rounds the proxy counted: every key is two counters behind
-			// for each time the round names it.
+		if desync != "none" {
+			// Two rounds run that one side then forgets: every key is two
+			// counters off for each time the round names it. The proxy
+			// forgets its counters, the server "crashes" back to its
+			// loaded records.
 			old := map[string][]byte{}
 			for _, k := range keys {
 				old[k] = serverRecord(t, r, proxy, k)
@@ -206,7 +206,13 @@ func requestParity(t *testing.T, cfg LBLConfig, keys []string, traced, desync bo
 				}
 			}
 			for _, k := range keys {
-				regressServer(t, r, proxy, k, old[k])
+				if desync == "proxy-behind" {
+					e := proxy.counters.acquire(k)
+					e.ct = 0
+					proxy.counters.release(e)
+				} else {
+					regressServer(t, r, proxy, k, old[k])
+				}
 			}
 		}
 		var mu sync.Mutex
@@ -216,12 +222,21 @@ func requestParity(t *testing.T, cfg LBLConfig, keys []string, traced, desync bo
 			seen = append(seen, exchange{msgType, reqLen, respLen})
 			mu.Unlock()
 		})
-		if n == 1 {
-			_, _, err = proxy.Access(op, keys[0], batch[0].Value)
-		} else {
-			_, _, err = proxy.AccessBatch(batch)
+		access := func() error {
+			if n == 1 {
+				_, _, err := proxy.Access(op, keys[0], batch[0].Value)
+				return err
+			}
+			_, _, err := proxy.AccessBatch(batch)
+			return err
 		}
-		if err != nil {
+		if desync == "server-behind" {
+			// The rollback is refused once, for every key.
+			if err := access(); !errors.Is(err, errRolledBack) {
+				t.Fatalf("round of %v against a rolled-back server: %v, want errRolledBack", op, err)
+			}
+		}
+		if err := access(); err != nil {
 			t.Fatalf("round of %v: %v", op, err)
 		}
 		mu.Lock()
@@ -237,28 +252,34 @@ func requestParity(t *testing.T, cfg LBLConfig, keys []string, traced, desync bo
 	if vp, vs := proxyAud.Violations(), serverAud.Violations(); vp != 0 || vs != 0 {
 		t.Fatalf("shape auditors: proxy=%d server=%d violations, want 0/0", vp, vs)
 	}
-	if !desync {
-		// No recovery traffic: the wire carries exactly the simulated
-		// frames, answered by one response of n slots.
-		var want, got []int
+	// The wire carries exactly the simulated frames, each time answered by
+	// one response of n slots: once, and once more for a recovery — the
+	// stale round before the rebase, or the refused one before the
+	// rollback's rebase — and nothing else.
+	rounds := 1
+	if desync != "none" {
+		rounds = 2
+	}
+	var want, got []int
+	for range rounds {
 		for _, f := range simulated {
 			want = append(want, len(f))
 		}
-		responses := 0
-		for _, e := range seenReads {
-			got = append(got, e.reqLen)
-			if e.respLen > 0 {
-				responses++
-				if e.respLen != n*cfg.ResponseBytesPerAccess() {
-					t.Errorf("response is %dB, want %d slots of %dB", e.respLen, n, cfg.ResponseBytesPerAccess())
-				}
+	}
+	responses := 0
+	for _, e := range seenReads {
+		got = append(got, e.reqLen)
+		if e.respLen > 0 {
+			responses++
+			if e.respLen != n*cfg.ResponseBytesPerAccess() {
+				t.Errorf("response is %dB, want %d slots of %dB", e.respLen, n, cfg.ResponseBytesPerAccess())
 			}
 		}
-		sort.Ints(want)
-		sort.Ints(got)
-		if fmt.Sprint(got) != fmt.Sprint(want) || responses != 1 {
-			t.Fatalf("wire frames %v with %d responses, want the simulated %v with 1", got, responses, want)
-		}
+	}
+	sort.Ints(want)
+	sort.Ints(got)
+	if fmt.Sprint(got) != fmt.Sprint(want) || responses != rounds {
+		t.Fatalf("wire frames %v with %d responses, want the simulated %v with %d", got, responses, want, rounds)
 	}
 	for _, class := range [][]byte{reads[0], simulated[0]} {
 		if _, strictReq, strictResp := ShapeClassify(MsgLBLAccess, class); !strictReq || !strictResp {

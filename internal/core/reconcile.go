@@ -1,109 +1,90 @@
 package core
 
 import (
-	"fmt"
-
+	"ortoa/internal/crypto/prf"
 	"ortoa/internal/transport"
 )
 
-// Counter reconciliation. The label schedule is counter-indexed, so
-// LBL-ORTOA works only while the proxy's per-key counter ct matches
-// the counter of the labels the server's record actually holds. Two
-// crash scenarios break the match:
+// Counter recovery. The label schedule is counter-indexed, so LBL-ORTOA
+// works only while the proxy's per-key counter ct matches the counter
+// of the labels the server's record holds. Whenever it does not, the
+// server answers the access stale (slotStale), and a stale slot's body
+// — fixed-length, zero for every other failure — carries the label
+// block of the record the server holds. The proxy finds the counter
+// that block's group-0 label belongs to by local search and rebases:
 //
-//   - The server restarts from older durable state (a crash under a
-//     lossy fsync policy): its record holds labels for some ct* < ct.
-//   - The proxy restarts from an older counter snapshot: its ct is
-//     below the server's ct*.
+//   - Above ct: the record moved without this proxy's counter. That is
+//     every lost-state case — a chain that ran but whose response was
+//     lost (the ambiguous failure leaves the counter where it was, so
+//     the key's next access is its probe), a proxy resumed from a stale
+//     counter file, an adopter with empty counters. The chain rebases
+//     and goes around once more.
+//   - Below ct: the server rolled back (a crash under a lossy fsync
+//     policy). A proxy commits a counter step only on a verified
+//     response, so nothing else puts its counter past the server's. The
+//     access that finds it fails with errRolledBack, definitely — no
+//     table was installed — and the key rebases, so later accesses
+//     succeed: a rolled-back value is never served silently.
+//   - At ct, or nowhere within reconcileWindow: the chain fails stale.
 //
-// Either way every access to the key fails with the server's stale
-// fencing rejection, forever — the §5.3.1 failure mode. When
-// LBLConfig.ReconcileScan is positive the proxy treats a fresh stale
-// rejection (no parked ambiguous round to explain it) as possible
-// desynchronization and searches for the server's actual counter: it
-// issues read-shaped probe accesses at candidate counters spiraling
-// out from ct (ct-1, ct+1, ct-2, ct+2, …) up to ReconcileScan steps
-// each way. Fencing makes probing safe — a probe keyed at the wrong
-// counter is rejected with the record untouched — and the one probe
-// that decrypts proves the server's position, advances the record one
-// step as any read does, and rebases ct to match. The triggering
-// access is then retried once at the reconciled counter.
-//
-// Obliviousness of recovery traffic: probes are always read-shaped
-// and are triggered by the stale rejection alone, which the server
-// emits identically for reads and writes. An adversary watching a
-// recovery episode sees the same exchange sequence whatever the
-// operation types involved, so crashes add no op-type leak (the
-// recovery-path analogue of the §5.2 argument; asserted by
-// the desync rows of TestLBLRequestParity).
-//
-// Under a lossy policy the server can regress while rounds are parked,
-// in which case pending resolution's fencing inferences can commit a
-// counter step the regressed server never saw. Reconciliation is also
-// the backstop for that: the key's next access hits a fresh stale
-// rejection and the scan re-locates the true counter.
+// A label is evidence: a server cannot produce the label of a counter
+// its record never reached. Obliviousness: the server answers stale
+// identically for reads and writes, and the labels it returns are ones
+// it stores, so recovery adds no exchange and leaks no operation type
+// (the desync rows of TestLBLRequestParity).
 
-// errReconcile wraps a reconciliation failure; callers see the
-// original stale rejection context too.
-func errReconcile(key string, err error) error {
-	return fmt.Errorf("core: reconciling counter for %q: %w", key, err)
+// reconcileWindow bounds the counter search each way from ct. A full
+// miss derives 2·reconcileWindow·2^y labels, under a millisecond at
+// y = 2.
+const reconcileWindow = 4096
+
+// errRolledBack reports an access that found the server's record behind
+// the proxy's counter: the server lost acknowledged state. The access
+// did not execute, and the key's next access runs at the server's
+// counter. It reads the server's stale answer, so like every rejection
+// an answer carries it is a RemoteError with constant text, which
+// transport.Ambiguous reports as definite.
+var errRolledBack error = &transport.RemoteError{Msg: "core: server rolled back: record is behind the proxy's counter"}
+
+// rebase answers c's stale rejection from the label it carried,
+// reporting whether c should go around again (see above).
+func (p *LBLProxy) rebase(c *keyChain) bool {
+	ct, ok := p.locate(c.key(), c.entry.ct, c.held)
+	switch {
+	case !ok || ct == c.entry.ct:
+		return false
+	case ct < c.entry.ct:
+		c.entry.ct, c.err = ct, errRolledBack
+		p.mx.rolledBackKeys.Inc()
+		return false
+	}
+	c.entry.ct = ct
+	p.mx.reconciledKeys.Inc()
+	return true
 }
 
-// reconcile locates the server's actual counter for key by probing and
-// rebases entry.ct to it. On nil return the entry's counter is
-// trustworthy again. The caller must hold entry.mu and must have seen
-// a stale rejection for a round keyed at entry.ct with no pending
-// round parked.
-func (p *LBLProxy) reconcile(key string, entry *counterEntry) error {
-	scan := p.cfg.ReconcileScan
-	for d := uint64(1); d <= uint64(scan); d++ {
-		for _, down := range []bool{true, false} {
-			var cand uint64
-			if down {
-				if d > entry.ct {
-					continue // counters never go below 0
-				}
-				cand = entry.ct - d
-			} else {
-				cand = entry.ct + d
-			}
-			hit, err := p.probeCounter(key, entry, cand)
-			if err != nil {
-				return err
-			}
-			if hit {
-				p.mx.reconciledKeys.Inc()
-				return nil
+// locate returns the counter within reconcileWindow of ct, nearest first,
+// whose group-0 label for some bit value is held.
+func (p *LBLProxy) locate(key string, ct uint64, held prf.Output) (uint64, bool) {
+	gen := p.prf.LabelGen(key)
+	at := func(c uint64) bool {
+		for b := 0; b < p.cfg.Mode.entries(); b++ {
+			if gen.Label(0, uint8(b), c).Equal(held) {
+				return true
 			}
 		}
+		return false
 	}
-	return errReconcile(key, fmt.Errorf("server counter not within %d of %d", scan, entry.ct))
-}
-
-// probeCounter issues one read-shaped round of one keyed at counter
-// cand (pending.go's probe). A hit (the server's record was at cand)
-// advances the record to cand+1 and rebases entry.ct; a stale rejection
-// means cand is wrong and the record is untouched. An ambiguous
-// transport failure parks the probe on the entry — rebased to cand, so
-// the standard resolution path applies — and surfaces the error.
-func (p *LBLProxy) probeCounter(key string, entry *counterEntry, cand uint64) (bool, error) {
-	p.mx.reconcileProbes.Inc()
-	hit, err := p.probe(key, cand)
-	switch {
-	case err == nil && hit:
-		entry.ct = cand + 1
-		return true, nil
-	case err == nil:
-		return false, nil // wrong candidate; record untouched
-	case transport.Ambiguous(err):
-		// The probe may have executed. Rebase to the candidate and park
-		// it so the key's next access settles it exactly like any other
-		// ambiguous round.
-		entry.ct = cand
-		entry.pending = 1
-		p.mx.pendingSaved.Inc()
-		return false, errReconcile(key, err)
-	default:
-		return false, errReconcile(key, err)
+	if at(ct) {
+		return ct, true
 	}
+	for d := uint64(1); d <= reconcileWindow; d++ {
+		if at(ct + d) {
+			return ct + d, true
+		}
+		if d <= ct && at(ct-d) {
+			return ct - d, true
+		}
+	}
+	return 0, false
 }

@@ -41,6 +41,16 @@ func fnv1a(s string) uint64 {
 	return h
 }
 
+// ringHash places a name on the ring: FNV-1a through splitmix64's
+// finalizer. FNV-1a alone leaves the high bits of names that differ in
+// their last bytes close together, and the ring orders points by them.
+func ringHash(s string) uint64 {
+	h := fnv1a(s)
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
 // ringVnodes is the number of virtual points each member contributes
 // to the ring. More points smooth the range distribution; 128 keeps
 // the max/min ownership skew low even at two members.
@@ -85,7 +95,7 @@ func NewRing(members []string) *Ring {
 	for _, m := range r.members {
 		for v := 0; v < ringVnodes; v++ {
 			vbuf = [8]byte{byte(v), byte(v >> 8), '#', 'v', 'n', 'o', 'd', 'e'}
-			r.points = append(r.points, ringPoint{fnv1a(m + string(vbuf[:])), m})
+			r.points = append(r.points, ringPoint{ringHash(m + string(vbuf[:])), m})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -105,7 +115,7 @@ func NewRing(members []string) *Ring {
 // resolve walks clockwise from the range's position to the first
 // member point.
 func (r *Ring) resolve(rangeID uint32) string {
-	h := fnv1a(rangeIDName(rangeID))
+	h := ringHash(rangeIDName(rangeID))
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap

@@ -338,8 +338,8 @@ func (r *Router) Access(op Op, key string, newValue []byte) ([]byte, AccessStats
 		switch {
 		case transport.IsBusy(err):
 			// The member (or its upstream server) shed the access before
-			// executing it — a definite outcome, not an ambiguity, so no
-			// round is parked. Do NOT fail over: a peer serving this key
+			// executing it — a definite outcome, not an ambiguity. Do NOT
+			// fail over: a peer serving this key
 			// would adopt its counter range through the epoch fence, and
 			// under symmetric overload ownership would ping-pong between
 			// saturated proxies, burning a claim + counter rebase per
@@ -360,7 +360,7 @@ func (r *Router) Access(op Op, key string, newValue []byte) ([]byte, AccessStats
 			// The member declined ownership of this key's range (fenced
 			// at the server and did not adopt), or its counter snapshot
 			// lost an ownership ping-pong during a live handoff (stale
-			// past its reconcile allowance). Another member is — or will
+			// past its recovery allowance). Another member is — or will
 			// become — the authoritative owner; redirect.
 			r.mx.redirects.Inc()
 		case isRemote && !transport.Ambiguous(err):

@@ -196,8 +196,7 @@ func TestRecoveryAllocatesOnlyTheValue(t *testing.T) {
 
 // TestScheduleBuffersReturned: every round gives its schedule buffer
 // back, however it ends — concurrent rounds that succeed, a round that
-// fails ambiguously (which parks nothing of the buffer: the probe that
-// settles it takes its own), and that probe.
+// fails ambiguously, and the stale round and retry that settle it.
 func TestScheduleBuffersReturned(t *testing.T) {
 	cfg := streamCfg(LBLPointPermute, 8, 4)
 	plan := &netsim.FaultPlan{BlackholeProb: 1, MaxFaults: 1}
@@ -246,9 +245,9 @@ func TestScheduleBuffersReturned(t *testing.T) {
 	held("after an ambiguous round")
 
 	if _, _, err := proxy.Access(OpRead, "key-00", nil); err != nil {
-		t.Fatalf("read settling the parked round: %v", err)
+		t.Fatalf("read after the ambiguous round: %v", err)
 	}
-	held("after the probe settled the parked round")
+	held("after the rebase settled the ambiguous round")
 }
 
 // TestStoredRecordGolden pins the stored record — labels, then

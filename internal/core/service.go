@@ -130,11 +130,10 @@ func RegisterProxyService(ts *transport.Server, accessor Accessor) {
 		if err != nil {
 			if transport.IsBusy(err) {
 				// The proxy's own server round was shed before executing.
-				// Mislabeling it ambiguous would park a phantom round on
-				// the caller's counter entry; the busy prefix keeps the
-				// definite-but-backoff classification intact across the
-				// hop, so a router backs off this path instead of
-				// resolving an ambiguity that never existed.
+				// The busy prefix keeps the definite-but-backoff
+				// classification intact across the hop, so a router backs
+				// off this path instead of failing over on an ambiguity
+				// that never existed.
 				return nil, fmt.Errorf("%s%w", transport.BusyMsgPrefix, err)
 			}
 			if transport.Ambiguous(err) ||

@@ -189,9 +189,8 @@ func newFaultStreamRig(t *testing.T, cfg LBLConfig, plan *netsim.FaultPlan) (*ri
 
 // TestLBLStreamBlackholedResponse kills the response of a multi-frame
 // write after the server executed it. The access must fail ambiguous,
-// park the round, and the next access must settle it — its probe is
-// rejected stale, proving the write executed — so the write the server
-// applied is not lost.
+// and the next access settles it: answered stale with the labels the
+// write left, it rebases and reads the write the server applied.
 func TestLBLStreamBlackholedResponse(t *testing.T) {
 	cfg := streamCfg(LBLPointPermute, 8, 4)
 	plan := &netsim.FaultPlan{BlackholeProb: 1, MaxFaults: 1}
@@ -211,8 +210,6 @@ func TestLBLStreamBlackholedResponse(t *testing.T) {
 	}
 	plan.SetActive(false)
 
-	// The next access first resolves the parked round with a probe at
-	// the parked counter, then reads at the settled counter.
 	got, _, err := proxy.Access(OpRead, "k", nil)
 	if err != nil {
 		t.Fatalf("read after ambiguous streamed write: %v", err)
@@ -270,9 +267,8 @@ func TestLBLStreamResetStorm(t *testing.T) {
 	}
 	plan.SetActive(false)
 
-	// The storm's last reset may have left a dead pooled connection
-	// (restored by the background redial loop) and a parked round; each
-	// retry makes resolution progress on a healthy network.
+	// The storm's last reset may have left a dead pooled connection,
+	// restored by the background redial loop.
 	var got []byte
 	for attempt := 0; ; attempt++ {
 		var err error

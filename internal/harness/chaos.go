@@ -34,7 +34,7 @@ func Chaos(opt Options) (*Table, error) {
 		ID:    "chaos",
 		Title: "Mixed workload under injected transport faults (LBL, at-most-once retries)",
 		Columns: []string{"phase", "ops", "ok", "ambiguous", "retries", "reconnects",
-			"dedup hits", "rounds parked/settled", "faults (reset/stall/hole/part)"},
+			"dedup hits", "rebased/behind", "faults (reset/stall/hole/part)"},
 	}
 	for _, proxies := range []int{0, 3} {
 		if err := chaosPhase(t, opt, proxies); err != nil {
@@ -110,8 +110,8 @@ func chaosPhase(t *Table, opt Options, proxies int) error {
 		return fmt.Errorf("harness: %schaos workload: %w", name, err)
 	}
 
-	// Recovery audit on a healthy network. Residual parked rounds are
-	// settled by these reads' at-most-once replays.
+	// Recovery audit on a healthy network. A key whose last round was
+	// lost rebases on its read here.
 	plan.SetActive(false)
 	audited, err := d.audit()
 	if err != nil {
@@ -123,7 +123,7 @@ func chaosPhase(t *Table, opt Options, proxies int) error {
 		fmt.Sprint(reg.Value("ortoa_transport_client_retries_total")),
 		fmt.Sprint(reg.Value("ortoa_transport_client_reconnects_total")),
 		fmt.Sprint(reg.Value("ortoa_transport_server_dedup_hits_total")),
-		fmt.Sprintf("%d/%d", reg.Value("ortoa_lbl_pending_rounds_total"), reg.Value("ortoa_lbl_pending_resolved_total")),
+		fmt.Sprintf("%d/%d", reg.Value("ortoa_lbl_reconciled_keys_total"), reg.Value("ortoa_lbl_rolled_back_keys_total")),
 		fmt.Sprintf("%d/%d/%d/%d", fs.Resets, fs.Stalls, fs.Blackholes, fs.PartitionDrops+fs.DialRefusals))
 	t.AddRow(name+"audit", fmt.Sprint(audited), fmt.Sprint(audited), "0", "-", "-", "-", "-", "faults off")
 	if proxies > 0 {
@@ -134,7 +134,7 @@ func chaosPhase(t *Table, opt Options, proxies int) error {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("audit passed: %d keys consistent after %d injected faults — no lost/duplicated writes, label schedules intact", audited, fs.Total()),
-		"ambiguous ops are calls whose outcome the transport could not determine; their parked rounds settle via at-most-once replay on the key's next access",
+		"ambiguous ops are calls whose outcome the transport could not determine; a key whose lost round ran is answered stale on its next access, with the labels its counter is rebased to (\"rebased\"); \"behind\" counts server rollbacks and must be 0 here",
 		"shape auditor: 0 length violations on either side — retried and replayed frames stayed byte-identical to first sends")
 	if fs.Total() == 0 {
 		t.Notes = append(t.Notes, "warning: fault plan injected nothing; increase ops for a meaningful run")

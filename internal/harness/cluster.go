@@ -89,10 +89,6 @@ type Config struct {
 	// deployments. The zero value is an ideal local link (the paper
 	// colocates clients with the trusted proxy).
 	ProxyLink netsim.Link
-	// ProxyReconcileScan bounds an adopting proxy's counter-rebase
-	// probe spiral (multi-proxy only). Zero picks a harness default
-	// large enough for every built-in workload.
-	ProxyReconcileScan int
 	// StreamChunkBytes, when positive, puts every LBL proxy on the
 	// chunked-streaming request path (core.LBLConfig.StreamChunkBytes):
 	// access tables cross the WAN in sealed chunks of about this many
@@ -120,9 +116,6 @@ type DurabilityConfig struct {
 	// TornWriteProb is the probability a crash tears the first
 	// dropped write mid-buffer.
 	TornWriteProb float64
-	// ReconcileScan bounds the proxies' counter-reconciliation probe
-	// spiral after a crash (0 disables recovery, the §5.3.1 behavior).
-	ReconcileScan int
 }
 
 // A Cluster is a running deployment: servers, proxies, and the routing
@@ -243,11 +236,7 @@ func (c *Cluster) newShard(idx int) (*shard, error) {
 	if cfg.Proxies > 0 {
 		return sh, nil
 	}
-	pcfg := c.proxyConfig(prf.NewRandom())
-	if d := cfg.Durability; d != nil {
-		pcfg.LBL.ReconcileScan = d.ReconcileScan
-	}
-	px, err := tier.NewProxy(pcfg, sh.dial)
+	px, err := tier.NewProxy(c.proxyConfig(prf.NewRandom()), sh.dial)
 	if err != nil {
 		return sh, err
 	}
@@ -297,8 +286,8 @@ func (sh *shard) dial() (net.Conn, error) { return sh.listener.Load().Dial() }
 // Restart crash-kills shard i's server — no flush, open handles die,
 // unsynced disk state resolves per the crash plan — then recovers a
 // replacement from the surviving WAL + snapshot and points the proxy's
-// connection pool at it. In-flight calls fail over the proxy's
-// ambiguity/pending machinery; acknowledged writes survive per the
+// connection pool at it. In-flight calls fail ambiguously, and their
+// keys rebase on their next access; acknowledged writes survive per the
 // fsync policy's contract. Requires Config.Durability.
 func (c *Cluster) Restart(i int) error {
 	sh, err := c.durableShard(i)

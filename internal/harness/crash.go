@@ -10,7 +10,7 @@ import (
 	"ortoa/internal/transport"
 )
 
-var crashClaim = Claim{Statement: "across repeated server kill/restarts under group commit no acknowledged write is lost and every store checkpoints on its own; under a lossy fsync policy every rolled-back counter re-converges"}
+var crashClaim = Claim{Statement: "across repeated server kill/restarts under group commit no acknowledged write is lost and every store checkpoints on its own; under a lossy fsync policy every rolled-back key is refused once and then re-converges"}
 
 // Crash runs the drill workload (drill.go) while shard servers are
 // repeatedly crash-killed — no flush, open file handles die, unsynced
@@ -23,28 +23,27 @@ var crashClaim = Claim{Statement: "across repeated server kill/restarts under gr
 // is where the repo demonstrates it, across dozens of kill/restart
 // cycles over one set of acceptable values.
 //
-// On top of the drill's two invariants it pins re-convergence: crashes
-// strand proxy/server counter desync (parked rounds against a
-// rolled-back server), and the proxies' reconciliation scan must
-// re-locate every counter so the final audit reads all keys cleanly.
-// And every shard's store must have checkpointed on its own: no
-// interval is configured, so a generation still at 0 means the trigger
-// never fired.
+// On top of the drill's two invariants it pins re-convergence: a round
+// cut by a crash leaves its key's counter behind the record if it ran,
+// and the key's next stale answer must rebase it, so the final audit
+// reads all keys cleanly. And every shard's store must have
+// checkpointed on its own: no interval is configured, so a generation
+// still at 0 means the trigger never fired.
 // A shard is down for part of every cycle, so any definite failure
 // short of tampering is a skipped operation here.
 //
 // A second, smaller phase reruns the crash machinery at the lossy end
 // of the policy spectrum (SyncNever): acknowledged writes since the
-// last checkpoint are legitimately rolled back, and what must still
-// hold is re-convergence — the proxy's reconciliation probes re-locate
-// every rolled-back counter, reads return the durable (checkpointed)
-// value, and the schedule accepts fresh traffic.
+// last checkpoint are legitimately rolled back. The proxy must refuse
+// each rolled-back key exactly once ("server rolled back") and rebase
+// it, after which reads return the durable (checkpointed) value and the
+// schedule accepts fresh traffic.
 func Crash(opt Options) (*Table, error) {
 	t := &Table{
 		ID:    "crash",
 		Title: "Repeated kill/restart under durable-on-ack (LBL, group-commit WAL, self-checkpointing state directories)",
 		Columns: []string{"phase", "ops", "ok", "ambiguous", "down", "restarts",
-			"wal-replayed", "parked/settled", "probes/reconciled"},
+			"wal-replayed", "rebased/behind"},
 	}
 
 	// Never smaller than the -quick scale: every shard must journal past
@@ -72,7 +71,6 @@ func Crash(opt Options) (*Table, error) {
 			Policy:        kvstore.SyncGroupCommit,
 			Seed:          1,
 			TornWriteProb: 0.7,
-			ReconcileScan: 32,
 		},
 	})
 	if err != nil {
@@ -93,8 +91,8 @@ func Crash(opt Options) (*Table, error) {
 		}
 	}
 
-	// Final audit on live servers. Residual parked rounds and counter
-	// desync settle through these reads.
+	// Final audit on live servers. Residual counter desync settles
+	// through these reads.
 	audited, err := d.audit()
 	if err != nil {
 		return nil, fmt.Errorf("harness: crash audit: %w", err)
@@ -102,9 +100,8 @@ func Crash(opt Options) (*Table, error) {
 
 	t.AddRow("workload", fmt.Sprint(d.totals.ops), fmt.Sprint(d.totals.ok), fmt.Sprint(d.totals.amb),
 		fmt.Sprint(d.totals.failed), fmt.Sprint(cycles), fmt.Sprint(cluster.WALReplayedTotal()),
-		fmt.Sprintf("%d/%d", reg.Value("ortoa_lbl_pending_rounds_total"), reg.Value("ortoa_lbl_pending_resolved_total")),
-		fmt.Sprintf("%d/%d", reg.Value("ortoa_lbl_reconcile_probes_total"), reg.Value("ortoa_lbl_reconciled_keys_total")))
-	t.AddRow("audit", fmt.Sprint(audited), fmt.Sprint(audited), "0", "0", "0", "-", "-", "-")
+		fmt.Sprintf("%d/%d", reg.Value("ortoa_lbl_reconciled_keys_total"), reg.Value("ortoa_lbl_rolled_back_keys_total")))
+	t.AddRow("audit", fmt.Sprint(audited), fmt.Sprint(audited), "0", "0", "0", "-", "-")
 	disk := cluster.DiskStats()
 	gens := cluster.Generations()
 	for i, g := range gens {
@@ -117,7 +114,7 @@ func Crash(opt Options) (*Table, error) {
 		fmt.Sprintf("audit passed: %d keys consistent after %d crash/restart cycles — zero acknowledged writes lost, zero duplicate applications, all counters re-converged", audited, cycles),
 		fmt.Sprintf("disk: %d crashes, %d torn writes, %d unsynced writes dropped, %d dir entries rolled back; generations the stores checkpointed to on their own %v",
 			disk.Crashes, disk.TornWrites, disk.DroppedWrites, disk.DroppedOps, gens),
-		"group commit leaves nothing unsynced at a crash by construction, so the workload phase expects zero rollbacks; \"down\" ops failed fast against a killed shard, \"ambiguous\" ops stay in the audit's acceptable sets")
+		"group commit leaves nothing acknowledged unsynced at a crash by construction; \"down\" ops failed fast against a killed shard, \"ambiguous\" ops stay in the audit's acceptable sets, \"rebased\" counts keys whose counter moved up to a stale answer's label and \"behind\" stale answers below the counter")
 	if err := crashRollbackPhase(t); err != nil {
 		return nil, err
 	}
@@ -125,10 +122,10 @@ func Crash(opt Options) (*Table, error) {
 }
 
 // crashRollbackPhase crashes a SyncNever shard holding
-// acknowledged-but-unsynced writes and verifies the §5.3.1 failure
-// mode is healed: the server rolls back to the last checkpoint, and
-// the proxy's reconciliation scan must re-locate every counter. It
-// appends its row and note to t.
+// acknowledged-but-unsynced writes: the server rolls back to the last
+// checkpoint, and the proxy must refuse each key's first access after
+// it — a rolled-back value is never served silently — and serve every
+// later one. It appends its row and note to t.
 func crashRollbackPhase(t *Table) error {
 	// 24 records of ≈11 KB stay under the store's 1 MiB checkpoint floor:
 	// a checkpoint would make them durable, leaving nothing to roll back.
@@ -143,7 +140,7 @@ func crashRollbackPhase(t *Table) error {
 			Retry:            transport.RetryPolicy{Attempts: 8, Backoff: 2 * time.Millisecond, MaxBackoff: 50 * time.Millisecond},
 			ReconnectBackoff: time.Millisecond,
 		},
-		Durability: &DurabilityConfig{Policy: kvstore.SyncNever, Seed: 2, ReconcileScan: 32},
+		Durability: &DurabilityConfig{Policy: kvstore.SyncNever, Seed: 2},
 	})
 	if err != nil {
 		return err
@@ -168,15 +165,19 @@ func crashRollbackPhase(t *Table) error {
 		return fmt.Errorf("harness: rollback restart: %w", err)
 	}
 	for _, k := range keys {
+		before := reg.Value("ortoa_lbl_rolled_back_keys_total")
 		got, err := readBack(cluster, k)
 		if err != nil {
 			return fmt.Errorf("harness: rollback audit: %q did not re-converge: %w", k, err)
+		}
+		if refused := reg.Value("ortoa_lbl_rolled_back_keys_total") - before; refused != 1 {
+			return fmt.Errorf("harness: rollback audit: %q was refused %d times before it read, want once", k, refused)
 		}
 		ops++
 		if string(got) != string(data[k]) {
 			return fmt.Errorf("harness: rollback audit: %q = %x, want the checkpointed value (rollback must land on the durable baseline)", k, got[:4])
 		}
-		// The schedule must accept fresh traffic after reconciliation.
+		// The schedule must accept fresh traffic after the rebase.
 		nv := chaosValue(paperValueSize, uint64(len(k)), 9)
 		if _, _, err := cluster.Access(core.OpWrite, k, nv); err != nil {
 			return fmt.Errorf("harness: rollback post-write %q: %w", k, err)
@@ -187,15 +188,11 @@ func crashRollbackPhase(t *Table) error {
 		}
 		ops += 2
 	}
-	probes := reg.Value("ortoa_lbl_reconcile_probes_total")
-	reconciled := reg.Value("ortoa_lbl_reconciled_keys_total")
-	if reconciled != int64(rbKeys) {
-		return fmt.Errorf("harness: rollback reconciled %d keys, want %d", reconciled, rbKeys)
-	}
+	behind := reg.Value("ortoa_lbl_rolled_back_keys_total")
 	t.AddRow("rollback", fmt.Sprint(ops), fmt.Sprint(ops), "0", "0", "1",
 		fmt.Sprint(cluster.WALReplayedTotal()),
-		"0/0", fmt.Sprintf("%d/%d", probes, reconciled))
-	t.Notes = append(t.Notes, fmt.Sprintf("rollback phase (SyncNever): %d acknowledged-but-unsynced writes rolled back by a crash as the policy permits; all %d keys re-converged via %d reconciliation probes and accepted fresh traffic",
-		rbKeys*rbWrites, rbKeys, probes))
+		fmt.Sprintf("%d/%d", reg.Value("ortoa_lbl_reconciled_keys_total"), behind))
+	t.Notes = append(t.Notes, fmt.Sprintf("rollback phase (SyncNever): %d acknowledged-but-unsynced writes rolled back by a crash as the policy permits; each of the %d keys was refused once as behind, then read its checkpointed value and accepted fresh traffic",
+		rbKeys*rbWrites, behind))
 	return nil
 }

@@ -24,9 +24,9 @@ func TestCrashQuick(t *testing.T) {
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("crash table has %d rows, want 3 (workload, audit, rollback)", len(tbl.Rows))
 	}
-	// The rollback phase loads 8 keys; its scan must re-locate them all.
+	// The rollback phase loads 8 keys; each is found behind once.
 	if rb := tbl.Rows[2]; rb[0] != "rollback" || !strings.HasSuffix(rb[len(rb)-1], "/8") {
-		t.Errorf("rollback row = %v, want probes/reconciled ending /8", rb)
+		t.Errorf("rollback row = %v, want rebased/behind ending /8", rb)
 	}
 	found := false
 	for _, n := range tbl.Notes {
@@ -54,7 +54,7 @@ func durableClusterConfig(data map[string][]byte, policy kvstore.SyncPolicy) Con
 			Retry:            transport.RetryPolicy{Attempts: 6, Backoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond},
 			ReconnectBackoff: time.Millisecond,
 		},
-		Durability: &DurabilityConfig{Policy: policy, Seed: 9, ReconcileScan: 8},
+		Durability: &DurabilityConfig{Policy: policy, Seed: 9},
 	}
 }
 

@@ -319,9 +319,9 @@ func (d *drill) audit() (int, error) {
 }
 
 // readBack reads key on a deployment whose faults have stopped, riding
-// out the tail of recovery — a pool still redialing, a parked round
-// whose settling probe outlives the caller's deadline — with a bounded
-// retry (about two seconds). An integrity failure is never retried.
+// out the tail of recovery — a pool still redialing, a key refused once
+// for a server rollback — with a bounded retry (about two seconds). An
+// integrity failure is never retried.
 func readBack(cluster *Cluster, key string) ([]byte, error) {
 	for attempt := 1; ; attempt++ {
 		got, _, err := cluster.Access(core.OpRead, key, nil)

@@ -18,8 +18,8 @@ var failoverClaim = Claim{Statement: "when a proxy is crash-killed mid-workload 
 // It is the kill-and-adopt drill: a 3-proxy fleet serves the drill
 // workload (drill.go) while the coordinator crash-kills the proxy
 // owning the first key's range, lets the survivors adopt its ranges
-// through the epoch fence (claim → counter rebase via the reconcile
-// spiral), then recovers it — the reborn proxy starts empty and
+// through the epoch fence (claim → counter rebase from the first stale
+// answer), then recovers it — the reborn proxy starts empty and
 // re-adopts on demand. Handoff rejections are legitimate mid-drill. On
 // top of the drill's audit it requires that the kill really crossed the
 // fence (fenced rounds, adoption claims, router failovers all nonzero)

@@ -23,11 +23,11 @@ import (
 // responses — a round that ran and timed out. One writer writes
 // increasing versions; readers must never see the
 // version go back, nor fall behind a write acknowledged before they
-// asked; and once the link heals the key must read — with no reconcile
-// scan configured, so a chain of k parked by a fault and settled anywhere
-// but at ct+1 or ct+k (pending.go) leaves the key unreadable for good —
-// as the last acknowledged version or a later one whose outcome a reset
-// left unknown.
+// asked; and once the link heals the key must read as the last
+// acknowledged version or a later one whose outcome a reset left
+// unknown. Nothing is configured for recovery: a chain that ran while its
+// response was dropped leaves the counter behind the record, and the
+// key's next access must rebase it from the stale answer's label.
 func TestHotKeyUnderResets(t *testing.T) {
 	const (
 		valueSize = 8
@@ -133,7 +133,7 @@ func TestHotKeyUnderResets(t *testing.T) {
 	plan.SetActive(false)
 
 	var got []byte
-	for attempt := 0; attempt < 100; attempt++ { // the pool redials, a parked chain is probed
+	for attempt := 0; attempt < 100; attempt++ { // the pool redials
 		if got, _, err = users.Access(core.OpRead, key, nil); err == nil {
 			break
 		}
@@ -147,12 +147,15 @@ func TestHotKeyUnderResets(t *testing.T) {
 		t.Errorf("healed key holds version %d, want the last acknowledged %d or a later one left unknown", final, acked.Load())
 	}
 	chains := reg.Histogram("ortoa_agg_chain_accesses", "")
-	parked := reg.Counter("ortoa_lbl_pending_rounds_total", "").Value()
+	rebased := reg.Value("ortoa_lbl_reconciled_keys_total")
 	faults := plan.Stats()
-	t.Logf("%d resets and %d dropped responses, %d rounds parked, %d single accesses in %d chains, %d of %d writes left unknown",
-		faults.Resets, faults.Blackholes, parked, chains.Sum(), chains.Count(), lost, versions)
-	if faults.Resets == 0 || faults.Blackholes == 0 || parked == 0 {
-		t.Errorf("%d resets and %d dropped responses parked %d rounds: the plan never cut a round in flight", faults.Resets, faults.Blackholes, parked)
+	t.Logf("%d resets and %d dropped responses, %d rebases, %d single accesses in %d chains, %d of %d writes left unknown",
+		faults.Resets, faults.Blackholes, rebased, chains.Sum(), chains.Count(), lost, versions)
+	if faults.Resets == 0 || faults.Blackholes == 0 || rebased == 0 {
+		t.Errorf("%d resets and %d dropped responses led to %d rebases: no round ran behind a lost response", faults.Resets, faults.Blackholes, rebased)
+	}
+	if behind := reg.Value("ortoa_lbl_rolled_back_keys_total"); behind != 0 {
+		t.Errorf("%d stale answers were behind the counter on a server that never rolled back", behind)
 	}
 	if uint64(chains.Sum()) <= chains.Count() {
 		t.Error("no chain carried more than one access: the sessions never collided on the key")

@@ -23,12 +23,6 @@ import (
 // crash-kill and rebuild individual proxies behind stable listener
 // identities, so experiments can drive live ownership handoffs.
 
-// defaultProxyReconcileScan bounds an adopting proxy's counter-rebase
-// probe spiral when the experiment does not set one. Adopters start
-// from empty counter tables, so the spiral must reach the hottest key's
-// true counter; 4096 covers every workload in this harness.
-const defaultProxyReconcileScan = 4096
-
 // A proxyNode is one restartable trusted proxy: its own trusted tier —
 // connection pool to the shard server and LBL proxy state — and the
 // front end clients reach through a stable listener pointer.
@@ -98,10 +92,6 @@ func (c *Cluster) buildProxies() error {
 func (c *Cluster) startProxy(pn *proxyNode) error {
 	pcfg := c.proxyConfig(c.prf)
 	pcfg.LBL.AutoAdopt = true
-	pcfg.LBL.ReconcileScan = c.cfg.ProxyReconcileScan
-	if pcfg.LBL.ReconcileScan <= 0 {
-		pcfg.LBL.ReconcileScan = defaultProxyReconcileScan
-	}
 	px, err := tier.NewProxy(pcfg, c.shards[0].dial)
 	if err != nil {
 		return err
@@ -161,7 +151,7 @@ func (c *Cluster) KillProxy(i int) error {
 // RecoverProxy rebuilds a killed proxy behind its stable listener
 // identity, with empty counters and no owned ranges: like any restarted
 // proxy it re-adopts ranges on demand through the epoch fence and
-// rebases counters through the reconcile spiral.
+// rebases each counter from its key's first stale answer.
 func (c *Cluster) RecoverProxy(i int) error {
 	pn, err := c.proxyNodeAt(i)
 	if err != nil {

@@ -35,7 +35,9 @@ func TestBusyClassification(t *testing.T) {
 		{"relayed busy", &RemoteError{Msg: BusyMsgPrefix + "overloaded"}, true, false, false},
 		{"relayed ambiguity", &RemoteError{Msg: AmbiguousMsgPrefix + "conn died"}, false, true, false},
 		{"plain handler error", &RemoteError{Msg: "unknown key"}, false, false, false},
-		{"replay evicted", &RemoteError{Msg: replayEvictedMsg}, false, false, false},
+		// The handler ran and its response is gone: as unknown as a lost
+		// response, and like any RemoteError not retried at this hop.
+		{"replay evicted", &RemoteError{Msg: replayEvictedMsg}, false, true, false},
 		{"client closed", ErrClosed, false, false, false},
 		{"frame too large", ErrFrameTooLarge, false, false, false},
 		{"lost connection", errors.New("transport: send: broken pipe"), false, true, true},

@@ -152,8 +152,8 @@ func (s *dedupSession) complete(id uint64, e *dedupEntry, flags byte, resp []byt
 // on e.done first; the lock is still required because eviction can
 // tombstone the entry at any later point. Tombstoned entries replay
 // as an error response carrying replayEvictedMsg — "executed, but the
-// response bytes are gone" — which stateful callers treat as proof of
-// execution.
+// response bytes are gone" — which Ambiguous reports as an unknown
+// outcome: the handler ran, and whether it succeeded is lost.
 func (s *dedupSession) replay(e *dedupEntry) (flags byte, resp []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -301,8 +301,8 @@ func TestDedupTombstoneOnByteEviction(t *testing.T) {
 	if flags&flagError == 0 || string(resp) != replayEvictedMsg {
 		t.Fatalf("tombstone replay = flags %x resp %q, want error %q", flags, resp, replayEvictedMsg)
 	}
-	if !IsReplayEvicted(&RemoteError{Msg: string(resp)}) {
-		t.Error("IsReplayEvicted does not recognize a tombstone replay")
+	if !Ambiguous(&RemoteError{Msg: string(resp)}) {
+		t.Error("a tombstone replay is not reported ambiguous")
 	}
 	// The newest entry is exempt from eviction; its payload survives.
 	if flags, resp := sess.replay(e2); flags&flagError != 0 || len(resp) != 80 {

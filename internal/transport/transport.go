@@ -127,19 +127,10 @@ func (e *RemoteError) Error() string { return "transport: remote: " + e.Msg }
 
 // replayEvictedMsg is the RemoteError a server returns for a replayed
 // request whose handler DID execute but whose cached response bytes
-// were evicted from the at-most-once cache. The distinction matters to
-// stateful callers: "executed, response lost" commits their state
-// step, where silent re-execution would corrupt it.
+// were evicted from the at-most-once cache. Silent re-execution would
+// apply the request twice; instead the caller learns that its outcome
+// is lost, which Ambiguous reports like a lost response.
 const replayEvictedMsg = "at-most-once cache: request executed, cached response evicted"
-
-// IsReplayEvicted reports whether err is a server's answer to a
-// replayed request that executed but whose cached response was
-// evicted. The caller's operation DID run, exactly once; only its
-// response payload is unrecoverable.
-func IsReplayEvicted(err error) bool {
-	var re *RemoteError
-	return errors.As(err, &re) && re.Msg == replayEvictedMsg
-}
 
 // A NotSentError reports a streamed call that failed before any frame
 // went on the wire: the outcome is definite — the peer never saw the
@@ -195,13 +186,15 @@ func IsBusy(err error) bool {
 // errors arrive in a response, so the server demonstrably executed the
 // request and left its stores untouched — unambiguous, except when the
 // handler says otherwise via AmbiguousMsgPrefix (it relayed the call
-// and its own upstream outcome is unknown). Local validation failures
-// (oversized frame, client already closed) happen before anything is
-// sent — also unambiguous. Everything else (send errors, lost
-// connections, deadline expiry) is ambiguous: stateful callers must
-// resolve the outcome (e.g. by replaying the same request id, which
-// the server's dedup cache answers without re-executing) before
-// issuing a conflicting request.
+// and its own upstream outcome is unknown), and for a replay whose
+// cached response was evicted (the handler ran, and what it returned is
+// gone, so the caller knows no more than after a lost response). Local
+// validation failures (oversized frame, client already closed) happen
+// before anything is sent — also unambiguous. Everything else (send
+// errors, lost connections, deadline expiry) is ambiguous: stateful
+// callers must resolve the outcome (e.g. by replaying the same request
+// id, which the server's dedup cache answers without re-executing)
+// before issuing a conflicting request.
 func Ambiguous(err error) bool {
 	if err == nil {
 		return false
@@ -214,7 +207,7 @@ func Ambiguous(err error) bool {
 	}
 	var re *RemoteError
 	if errors.As(err, &re) {
-		return strings.HasPrefix(re.Msg, AmbiguousMsgPrefix)
+		return strings.HasPrefix(re.Msg, AmbiguousMsgPrefix) || re.Msg == replayEvictedMsg
 	}
 	var be *BusyError
 	if errors.As(err, &be) {

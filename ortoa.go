@@ -301,22 +301,14 @@ type ClientConfig struct {
 	// consistent. Reads and writes retry identically, so the retry
 	// pattern leaks no operation types.
 	RetryAttempts int
-	// ReconcileScan, when positive, lets the proxy recover from
-	// counter desynchronization after a crash (LBL only): on a stale
-	// rejection it probes up to this many counter steps each way to
-	// re-locate the server's position, instead of failing the key
-	// forever (§5.3.1). Probes are read-shaped, so recovery traffic
-	// leaks no operation types. Useful together with a server running
-	// a lossy fsync policy, or when resuming from a stale SaveState
-	// snapshot; zero disables.
-	ReconcileScan int
 	// AutoAdopt, when true, lets this proxy adopt a counter range on
 	// demand in a multi-proxy deployment (LBL only): an access fenced
 	// by the server's epoch check re-claims the range at a fresh epoch
 	// and retries, instead of surfacing the fence to the caller. Set it
 	// on every member of a proxy group so survivors absorb a dead
-	// peer's ranges; pair with ReconcileScan so adopted counters rebase
-	// (the adopter starts from its own, possibly stale, snapshot).
+	// peer's ranges. The adopter starts from its own, possibly stale,
+	// counters; each key rebases on its first access, one round trip
+	// more, from the labels the server's stale answer carries.
 	AutoAdopt bool
 	// StreamChunk, when positive, is the LBL request frame budget in
 	// bytes: a request longer than it is cut at whole-group boundaries
@@ -384,7 +376,7 @@ func NewClient(cfg ClientConfig, dial func() (net.Conn, error)) (*Client, error)
 		ValueSize: cfg.ValueSize,
 		PRF:       f,
 		DataKey:   cfg.Keys.DataKey,
-		LBL:       core.LBLConfig{Mode: mode, ReconcileScan: cfg.ReconcileScan, AutoAdopt: cfg.AutoAdopt, StreamChunkBytes: cfg.StreamChunk},
+		LBL:       core.LBLConfig{Mode: mode, AutoAdopt: cfg.AutoAdopt, StreamChunkBytes: cfg.StreamChunk},
 		Transport: transport.Options{
 			PoolSize:    conns,
 			CallTimeout: cfg.CallTimeout,
@@ -623,14 +615,15 @@ func (c *Client) rangeKeys(start string, limit int) []string {
 	return append([]string(nil), c.directory[idx:end]...)
 }
 
-// SaveState persists trusted-side protocol state that cannot be
-// regenerated from the keys: the LBL access counters (§5.3.1). The
+// SaveState persists the LBL access counters (§5.3.1), so that a
+// resumed client runs each key at its counter from the first access. The
 // write is crash-atomic (temp file, fsync, rename, directory fsync):
 // a crash mid-save leaves the previous snapshot intact, never a torn
 // one. For the stateless protocols SaveState is a no-op, so callers
 // can save unconditionally. Counters saved mid-traffic may trail the
-// server by the in-flight window; a client resuming from such a
-// snapshot needs ClientConfig.ReconcileScan to close the gap.
+// server by the in-flight window; a key a resumed client finds ahead
+// costs one extra round trip, its first access rebasing it. Without a
+// snapshot every key the server has advanced pays that once.
 // Concurrent SaveState calls (for example a periodic saver racing a
 // shutdown save) serialize internally.
 func (c *Client) SaveState(path string) error {

@@ -71,10 +71,11 @@ func TestLBLProxyRestart(t *testing.T) {
 	}
 }
 
-// TestLBLProxyRestartWithoutStateFailsSafe: resuming without counters
-// must error loudly (server decryption mismatch), never corrupt or
-// silently return wrong data.
-func TestLBLProxyRestartWithoutStateFailsSafe(t *testing.T) {
+// TestLBLProxyRestartWithoutStateRebases: a proxy resumed without its
+// counters starts every key at 0, behind the server's records. The
+// server answers its first access stale with the labels the record
+// holds, and the proxy rebases to them and reads the current value.
+func TestLBLProxyRestartWithoutStateRebases(t *testing.T) {
 	keys := GenerateKeys()
 	server, err := NewServer(ServerConfig{Protocol: ProtocolLBL, ValueSize: 8})
 	if err != nil {
@@ -94,8 +95,8 @@ func TestLBLProxyRestartWithoutStateFailsSafe(t *testing.T) {
 
 	c2, _ := NewClient(ClientConfig{Protocol: ProtocolLBL, ValueSize: 8, Keys: keys}, dial)
 	defer c2.Close()
-	if _, err := c2.Read("a"); err == nil {
-		t.Error("stale-counter access succeeded; desync went undetected")
+	if got, err := c2.Read("a"); err != nil || !bytes.Equal(got, []byte("value123")) {
+		t.Errorf("read without counters = %q, %v; want the stored value", got, err)
 	}
 }
 
