@@ -45,13 +45,16 @@ benchmark-smoke:
 	$(GO) -C benchmark test -count=1 -run TestQuickRun ./...
 	bash benchmark/run.sh -workload wan-agg-160b -seconds 2
 
-# noaes re-runs the entry-format tests — the known-answer vectors, the
-# sealer's properties, the carried-schedule and request parity tests —
-# on Go's table-driven AES, which hardware without AES instructions
-# falls back to: both implementations must produce the same bytes, or
-# two hosts of one deployment could not open each other's tables.
+# noaes re-runs the entry- and record-format tests — the known-answer
+# vectors of the sealer and of the label schedule's keystream rows, the
+# rows against single blocks, the sealer's properties, the stored-record
+# golden bytes, the carried-schedule and request parity tests — on Go's
+# table-driven AES and generic CTR, which hardware without AES
+# instructions falls back to: both implementations must produce the same
+# bytes, or two hosts of one deployment could not open each other's
+# tables and records.
 noaes:
-	GODEBUG=cpu.aes=off $(GO) test -count=1 -run 'Label|Sealer|KnownAnswer|Parity' ./internal/crypto/... ./internal/core/
+	GODEBUG=cpu.aes=off $(GO) test -count=1 -run 'Label|Sealer|KnownAnswer|Parity|Golden' ./internal/crypto/... ./internal/core/
 
 # fuzz-smoke runs every fuzzer in the module for 10 s of generated
 # inputs (`go test` alone runs only their seed corpora): in internal/core,

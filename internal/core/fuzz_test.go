@@ -352,7 +352,8 @@ func FuzzLoaderPayload(f *testing.F) {
 }
 
 func FuzzLBLRecordParse(f *testing.F) {
-	f.Add([]byte{byte(LBLPointPermute)}, uint16(4))
+	f.Add([]byte{byte(LBLPointPermute)}, uint16(4)) // no record format: an earlier release's
+	f.Add(append([]byte{LBLPointPermute.recordByte()}, make([]byte, 4*prf.Size+4)...), uint16(4))
 	f.Add([]byte{}, uint16(1))
 	f.Fuzz(func(t *testing.T, raw []byte, groups uint16) {
 		g := int(groups)%64 + 1

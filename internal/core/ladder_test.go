@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strings"
@@ -210,5 +211,62 @@ func TestEntryFormatMismatchIsDefinite(t *testing.T) {
 	proxy.counters.release(entry)
 	if after := serverRecord(t, r, proxy, "k"); !bytes.Equal(after, before) {
 		t.Error("the rejected request changed the record")
+	}
+}
+
+// TestOldRecordFormatIsDefinite: a record the release before recordFormat
+// wrote — the counter-0 record of the per-block label layout, its mode
+// byte carrying no format — is refused before trial decryption with the
+// constant record-format text: one request, no rebase, the record
+// untouched. Trial decryption would have answered slotStale, and the
+// ladder would have searched for a counter no label of this release
+// can match.
+func TestOldRecordFormatIsDefinite(t *testing.T) {
+	key := make([]byte, prf.KeySize)
+	for i := range key {
+		key[i] = byte(i)
+	}
+	f, err := prf.New(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRig(t)
+	srv := NewLBLServer(r.store)
+	var requests atomic.Int64
+	r.server.Handle(MsgLBLAccess, func(ctx context.Context, payload []byte) ([]byte, error) {
+		requests.Add(1)
+		return srv.handleAccess(ctx, payload)
+	})
+	proxy, err := NewLBLProxy(LBLConfig{ValueSize: 2, Mode: LBLPointPermute}, f, r.client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy.Instrument(obs.NewRegistry())
+	// "golden-key" holding C3 5A at counter 0, as the previous release
+	// stored it (TestStoredRecordGolden's counter-0 record before format 1).
+	old, _ := hex.DecodeString("0230b2bc19b94174ee2dbf8415986e4bc58533cae3e78e4f942753232ec93801022b375aeca10b11b15343e9cc58a602" +
+		"c2a8402267828f0e0da1f0080771a79ec3cd557ed9d9e36aaa6de39fe4baf0cac625d3b93056d7911d3233c04ae2e81c" +
+		"494e9529b31dc8dda08c43bb9f073d3468c667d618d7ba50d09718089c0269e70c0001020300010102")
+	regressServer(t, r, proxy, "golden-key", old)
+
+	for _, op := range []Op{OpRead, OpWrite} {
+		requests.Store(0)
+		_, _, err := proxy.Access(op, "golden-key", []byte{1, 2})
+		var remote *transport.RemoteError
+		if !errors.As(err, &remote) || remote.Msg != errRecordFormat.Error() {
+			t.Fatalf("%v against an old record: %v, want the record-format rejection", op, err)
+		}
+		if transport.Ambiguous(err) || isStaleRound(err) {
+			t.Errorf("rejection %v reads as ambiguous or stale", err)
+		}
+		if n := requests.Load(); n != 1 {
+			t.Errorf("%v: server saw %d requests, want 1: the rejection must not be retried", op, n)
+		}
+	}
+	if rebased, behind := proxy.mx.reconciledKeys.Value(), proxy.mx.rolledBackKeys.Value(); rebased != 0 || behind != 0 {
+		t.Errorf("proxy rebased %d keys and found %d behind, want 0 and 0", rebased, behind)
+	}
+	if after := serverRecord(t, r, proxy, "golden-key"); !bytes.Equal(after, old) {
+		t.Error("the rejected requests changed the record")
 	}
 }

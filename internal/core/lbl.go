@@ -361,22 +361,28 @@ func (p *LBLProxy) BuildRecord(key string, value []byte) (encKey string, record 
 	if len(value) != p.cfg.ValueSize {
 		return "", nil, ErrValueSize
 	}
-	y := p.cfg.Mode.Y()
-	groups := p.cfg.Groups()
+	mode, groups := p.cfg.Mode, p.cfg.Groups()
+	rec := make([]byte, p.cfg.ServerBytesPerValue())
+	rec[0] = mode.recordByte()
+	labels, dbits := rec[1:1+groups*prf.Size], rec[1+groups*prf.Size:]
+	n := mode.entries()
 	gen := p.prf.LabelGen(key)
-	rec := make([]byte, 0, p.cfg.ServerBytesPerValue())
-	rec = append(rec, byte(p.cfg.Mode))
-	for g := 0; g < groups; g++ {
-		bits := groupBits(value, g, y)
-		label := gen.Label(g, bits, 0)
-		rec = append(rec, label[:]...)
+	var rows scheduleRows
+	for b := 0; b < n; b++ {
+		rows.add(gen.LabelRow(0, uint8(b), 0))
 	}
-	if p.cfg.Mode.hasDbits() {
-		mask := uint8(p.cfg.Mode.entries() - 1)
-		for g := 0; g < groups; g++ {
-			bits := groupBits(value, g, y)
-			r := gen.PermuteBits(g, 0) & mask
-			rec = append(rec, bits^r)
+	if mode.hasDbits() {
+		rows.add(gen.PermuteRow(0, 0))
+	}
+	for c0 := 0; c0 < groups; c0 += rowChunk {
+		k := rows.next(groups - c0)
+		for i := 0; i < k; i++ {
+			g := c0 + i
+			bits := groupBits(value, g, mode.Y())
+			copy(labels[g*prf.Size:], rows.at(int(bits), i))
+			if mode.hasDbits() {
+				dbits[g] = bits ^ rows.at(n, i)[0]&uint8(n-1)
+			}
 		}
 	}
 	ek := p.prf.EncodeKey(key)
@@ -797,9 +803,9 @@ type tableSpec struct {
 	value []byte
 	ct    uint64
 	// news is the schedule the build carries to recovery: scheduleBytes
-	// long, it receives the 2^y counter-ct+1 labels of each group as the
-	// build derives them (group g's at g·2^y·prf.Size, in bit-value
-	// order), and recovery matches the server's response against them
+	// long, it receives the counter-ct+1 labels bit-major, one row per bit
+	// value — label (g, b) at (b·Groups+g)·prf.Size — as the build derives
+	// them, and recovery matches the server's response against them
 	// instead of deriving them again.
 	news []byte
 }
@@ -938,10 +944,21 @@ func (p *LBLProxy) buildFrame(frame []byte, runs []run, specs []tableSpec) error
 // would answer slotStale and send the proxy up the reconcile ladder.
 // Proxies older than the stamp wrote zeros there, which reads as no
 // version at all.
+//
+// A stored record's first byte is laid out the same way, its high bits
+// holding the record format: the layout of the label schedule, since the
+// labels are the record. Version 1 is the keystream layout of
+// prf.LabelGen; records written before it carry zeros there and no
+// longer open, and a server refuses a request against a record of any
+// other version with errRecordFormat.
 const (
-	modeBits    = 4
-	entryFormat = 2
+	modeBits     = 4
+	entryFormat  = 2
+	recordFormat = 1
 )
+
+// recordByte is the first byte of a record in mode m.
+func (m LBLMode) recordByte() byte { return byte(m) | recordFormat<<modeBits }
 
 // putSegHeader encodes one request segment's header into dst and
 // returns its length.
@@ -961,10 +978,12 @@ func (c LBLConfig) putSegHeader(dst, encKey []byte, rangeID uint32, epoch uint64
 // the goroutine handoff costs more than the work it offloads. Each is
 // where two workers first beat one by more than 10 % on the measured
 // crossover (EXPERIMENTS.md, "Worker crossover"; BenchmarkWorkerCrossover):
-// a group costs ≈500 ns to build — 18 AES blocks — and ≈30 ns to
-// recover, now that recovery only compares, so they cross 64× apart.
+// with the schedule derived as keystream rows a group costs ≈200 ns to
+// build — 10 AES blocks eight at a time, 4 sealed entries — and ≈20 ns
+// to recover, which only compares, so build fans out from 384 groups
+// and recovery from 16,384.
 const (
-	minGroupsPerBuildWorker   = 128
+	minGroupsPerBuildWorker   = 192
 	minGroupsPerRecoverWorker = 8192
 )
 
@@ -1015,8 +1034,9 @@ func ForEach(n, workers int, fn func(i int) error) error {
 // (table[0] holds group g0) and s.news with those groups' new labels,
 // fanning the range out across workers. Entry slots are fixed-size, so
 // each worker seals directly into its precomputed offsets; workers share
-// nothing but the read-only inputs, a cloned label generator each, and
-// one lane each of a seeded crypto-strength shuffle stream (see
+// nothing but the read-only inputs, the label generator (whose rows each
+// worker opens for itself), and one lane each of a seeded crypto-strength
+// shuffle stream (see
 // shuffle.go). The label schedule and the entry-placement distribution
 // are identical to a sequential build of the whole table — placements
 // are independent and uniform per group in every variant — so the
@@ -1032,77 +1052,129 @@ func (p *LBLProxy) buildGroups(table []byte, s *tableSpec, g0, g1, workers int) 
 	workers = min(workers, n)
 	seed := newShuffleSeed()
 	return ForEach(workers, workers, func(wk int) error {
-		return p.buildGroupRange(table, gen.Clone(), seed.stream(uint32(wk)), s,
+		return p.buildGroupRange(table, gen, seed.stream(uint32(wk)), s,
 			g0+n*wk/workers, g0+n*(wk+1)/workers, g0)
 	})
 }
 
+// rowChunk is how many groups of each of its rows a worker derives at
+// a time: a multiple of the eight blocks the CTR stream derives at once,
+// and small enough that one chunk of every row stays in L1.
+const rowChunk = 32
+
+// scheduleRows are the rows of the schedule one worker reads alongside
+// each other, from its first group on: each opened once and read
+// rowChunk groups at a time into one buffer.
+type scheduleRows struct {
+	rows [18]prf.Row // 2^y label rows and two permute rows at most
+	n    int
+	buf  []byte // the current chunk: row j's at j·rowChunk blocks
+}
+
+func (r *scheduleRows) add(row prf.Row) {
+	r.rows[r.n] = row
+	r.n++
+}
+
+// next derives the next chunk — rowChunk groups, or left if fewer are
+// left — and returns its length in groups.
+func (r *scheduleRows) next(left int) int {
+	if r.buf == nil {
+		r.buf = make([]byte, r.n*rowChunk*prf.Size)
+	}
+	k := min(left, rowChunk)
+	for j := 0; j < r.n; j++ {
+		r.rows[j].Fill(r.buf[j*rowChunk*prf.Size : (j*rowChunk+k)*prf.Size])
+	}
+	return k
+}
+
+// at returns row j's block for the chunk's i-th group.
+func (r *scheduleRows) at(j, i int) []byte {
+	o := (j*rowChunk + i) * prf.Size
+	return r.buf[o : o+prf.Size]
+}
+
 // buildGroupRange seals groups [g0, g1) of s's table into their slots
-// (steps 1.2–1.5 of §5.2 for those groups), leaving each group's new
-// labels in s.news. gen and shuf are owned by the caller — one per
-// worker — so the loop body allocates nothing. table holds groups
-// starting at absolute group gBase — the first group of the run being
-// built, so a frame-sized buffer serves any part of the table.
+// (steps 1.2–1.5 of §5.2 for those groups), leaving their new labels in
+// s.news. The counter-ct+1 rows go straight into s.news, one fill each;
+// the counter-ct rows and both permute rows are read chunk by chunk.
+// Every row is opened once for the whole range, so the worker's
+// allocations do not grow with it. shuf is owned by the caller — one per
+// worker. table holds groups starting at absolute group gBase — the
+// first group of the run being built, so a frame-sized buffer serves any
+// part of the table.
 func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *cryptoShuffler, s *tableSpec, g0, g1, gBase int) error {
 	cfg := p.cfg
-	y := cfg.Mode.Y()
+	y, groups := cfg.Mode.Y(), cfg.Groups()
 	nEntries := cfg.Mode.entries()
 	entryLen := cfg.Mode.entryLen()
+	mask := uint8(nEntries - 1)
 	sealer := secretbox.NewLabelSealer()
 	op, ct := s.op, s.ct
+	newLabel := func(b, g int) []byte { return s.news[(b*groups+g)*prf.Size : (b*groups+g+1)*prf.Size] }
 
-	var olds [16]prf.Output
+	// The counter-ct+1 label rows fill this range of s.news. rows reads
+	// the counter-ct label rows — row b for bit value b — then the
+	// permute rows at ct and ct+1.
+	var rows scheduleRows
+	for b := 0; b < nEntries; b++ {
+		gen.LabelRow(g0, uint8(b), ct+1).Fill(s.news[(b*groups+g0)*prf.Size : (b*groups+g1)*prf.Size])
+		rows.add(gen.LabelRow(g0, uint8(b), ct))
+	}
+	if cfg.Mode.hasDbits() {
+		rows.add(gen.PermuteRow(g0, ct))
+		rows.add(gen.PermuteRow(g0, ct+1))
+	}
+
 	var plain [prf.Size + 1]byte
 	var perm [16]int
-	for g := g0; g < g1; g++ {
-		slots := table[(g-gBase)*nEntries*entryLen : (g-gBase+1)*nEntries*entryLen]
-		news := s.news[g*nEntries*prf.Size : (g+1)*nEntries*prf.Size]
-		for b := 0; b < nEntries; b++ {
-			olds[b] = gen.Label(g, uint8(b), ct)
-			l := gen.Label(g, uint8(b), ct+1)
-			copy(news[b*prf.Size:], l[:])
-		}
-		var newBits uint8
-		if op == OpWrite {
-			newBits = groupBits(s.value, g, y)
-		}
+	for c0 := g0; c0 < g1; c0 += rowChunk {
+		k := rows.next(g1 - c0)
+		for i := 0; i < k; i++ {
+			g := c0 + i
+			slots := table[(g-gBase)*nEntries*entryLen : (g-gBase+1)*nEntries*entryLen]
+			var newBits uint8
+			if op == OpWrite {
+				newBits = groupBits(s.value, g, y)
+			}
 
-		if cfg.Mode.hasDbits() {
-			// Point-and-permute: entry e is keyed by old label
-			// ol_{e⊕r}; its plaintext carries the new label and the
-			// next decryption bits, linked through r' (§10.2).
-			mask := uint8(nEntries - 1)
-			r := gen.PermuteBits(g, ct) & mask
-			rNew := gen.PermuteBits(g, ct+1) & mask
-			for e := 0; e < nEntries; e++ {
-				b := uint8(e) ^ r
+			if cfg.Mode.hasDbits() {
+				// Point-and-permute: entry e is keyed by old label
+				// ol_{e⊕r}; its plaintext carries the new label and the
+				// next decryption bits, linked through r' (§10.2).
+				r := rows.at(nEntries, i)[0] & mask
+				rNew := rows.at(nEntries+1, i)[0] & mask
+				for e := 0; e < nEntries; e++ {
+					b := uint8(e) ^ r
+					target := b
+					if op == OpWrite {
+						target = newBits
+					}
+					copy(plain[:prf.Size], newLabel(int(target), g))
+					plain[prf.Size] = target ^ rNew
+					if err := sealer.SealInto(slots[e*entryLen:(e+1)*entryLen], rows.at(int(b), i), plain[:]); err != nil {
+						return err
+					}
+				}
+				continue
+			}
+
+			// Basic / space-optimized: entries are generated in bit-value
+			// order, so each is sealed directly into a uniformly random slot
+			// (step 1.5). The slot permutation must be cryptographically
+			// unpredictable — a guessable placement would leak plaintext
+			// bits by position.
+			shuf.perm(nEntries, perm[:])
+			for b := 0; b < nEntries; b++ {
 				target := b
 				if op == OpWrite {
-					target = newBits
+					target = int(newBits)
 				}
-				copy(plain[:prf.Size], news[int(target)*prf.Size:])
-				plain[prf.Size] = target ^ rNew
-				if err := sealer.SealInto(slots[e*entryLen:(e+1)*entryLen], olds[b][:], plain[:]); err != nil {
+				slot := perm[b]
+				if err := sealer.SealInto(slots[slot*entryLen:(slot+1)*entryLen], rows.at(b, i), newLabel(target, g)); err != nil {
 					return err
 				}
-			}
-			continue
-		}
-
-		// Basic / space-optimized: entries are generated in bit-value
-		// order, so each is sealed directly into a uniformly random slot
-		// (step 1.5). The slot permutation must be cryptographically
-		// unpredictable — a guessable placement would leak plaintext
-		// bits by position.
-		shuf.perm(nEntries, perm[:])
-		for b := 0; b < nEntries; b++ {
-			target := b
-			if op == OpWrite {
-				target = int(newBits)
-			}
-			slot := perm[b]
-			if err := sealer.SealInto(slots[slot*entryLen:(slot+1)*entryLen], olds[b][:], news[target*prf.Size:(target+1)*prf.Size]); err != nil {
-				return err
 			}
 		}
 	}
@@ -1164,14 +1236,13 @@ func (p *LBLProxy) recoverWorkers(op Op, newValue, news, resp []byte, workers in
 // labels (§5.4 check included): a group's bits are the index of the
 // first of its scheduled labels the returned label equals.
 func (p *LBLProxy) recoverRange(value, resp, news []byte, g0, g1 int) error {
-	y := p.cfg.Mode.Y()
+	y, groups := p.cfg.Mode.Y(), p.cfg.Groups()
 	nEntries := p.cfg.Mode.entries()
 	for g := g0; g < g1; g++ {
 		got := prf.Output(resp[g*prf.Size:])
-		cands := news[g*nEntries*prf.Size : (g+1)*nEntries*prf.Size]
 		matched := false
 		for b := 0; b < nEntries; b++ {
-			if got.Equal(prf.Output(cands[b*prf.Size:])) {
+			if got.Equal(prf.Output(news[(b*groups+g)*prf.Size:])) {
 				setGroupBits(value, g, y, uint8(b))
 				matched = true
 				break

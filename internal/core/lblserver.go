@@ -79,7 +79,10 @@ func parseLBLRecord(raw []byte, wantMode LBLMode, wantGroups int) (lblRecord, er
 	if len(raw) < 1 {
 		return lblRecord{}, errors.New("core: empty LBL record")
 	}
-	rec := lblRecord{mode: LBLMode(raw[0])}
+	if raw[0]>>modeBits != recordFormat {
+		return lblRecord{}, errRecordFormat
+	}
+	rec := lblRecord{mode: LBLMode(raw[0] & (1<<modeBits - 1))}
 	if rec.mode != wantMode {
 		return rec, fmt.Errorf("core: record mode %v does not match request mode %v", rec.mode, wantMode)
 	}
@@ -113,6 +116,12 @@ func (g tableGeometry) groupBytes() int { return g.nEntries * g.entryLen }
 // entry format (see entryFormat): proxy and server are different
 // releases. Constant text like every other rejection.
 var errEntryFormat = errors.New("core: table entry format mismatch: proxy and server must run the same release")
+
+// errRecordFormat refuses a request against a stored record of another
+// record format (see recordFormat): the record was written by a release
+// with another label schedule, which no table this proxy builds can
+// open. Definite, so no rebase chases a counter that is not there.
+var errRecordFormat = errors.New("core: stored record format mismatch: records written by another release must be reloaded")
 
 // readSegHeader consumes one request segment's header from r: the
 // encoded key, the ownership claim, and the validated table geometry.
@@ -175,6 +184,10 @@ const (
 	// the claim names no range, or the store could not journal the
 	// update.
 	slotRejected
+	// slotRecordFormat: the stored record is of another record format
+	// (recordFormat), written by another release. Checked before any
+	// trial decryption, so it is never answered stale.
+	slotRecordFormat
 )
 
 // staleTableMarker, like the fence and expiry markers, is the constant
@@ -206,6 +219,8 @@ func slotError(status byte) error {
 		err = errExpiredRound
 	case slotRejected:
 		err = errRejected
+	case slotRecordFormat:
+		err = errRecordFormat
 	default:
 		return errSlotUnknown
 	}
@@ -497,6 +512,9 @@ func (req *lblRequest) begin(key string, claim []byte) *lblSegment {
 	var err error
 	if seg.rec, err = parseLBLRecord(from, geo.mode, geo.groups); err != nil {
 		seg.status = slotRejected
+		if errors.Is(err, errRecordFormat) {
+			seg.status = slotRecordFormat
+		}
 		return seg
 	}
 	seg.next = recPool.Get().(*[]byte)
@@ -504,7 +522,7 @@ func (req *lblRequest) begin(key string, claim []byte) *lblSegment {
 		*seg.next = make([]byte, len(from))
 	}
 	*seg.next = (*seg.next)[:len(from)]
-	(*seg.next)[0] = byte(geo.mode)
+	(*seg.next)[0] = geo.mode.recordByte()
 	return seg
 }
 

@@ -168,7 +168,7 @@ func TestAccessEndToEndWithWorkerPool(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	for _, mode := range []LBLMode{LBLBasic, LBLPointPermute} {
 		t.Run(mode.String(), func(t *testing.T) {
-			// 64 B basic → 512 groups → 4 workers per table.
+			// 64 B basic → 512 groups → 2 build workers per table.
 			r, proxy, _ := newLBL(t, mode, 64)
 			v0 := bytes.Repeat([]byte{0x5A}, 64)
 			loadData(t, r, proxy, map[string][]byte{"k": v0})
@@ -223,26 +223,28 @@ func TestAccessBatchWithInnerWorkers(t *testing.T) {
 }
 
 // The sequential (workers<=1) build path is the per-access hot path on
-// small tables; pin its allocation budget so the pooled-buffer work
-// cannot silently regress. The budget covers the per-access LabelGen
-// (HMAC + AES key schedule) and the shuffler — not per-entry or
-// per-group garbage, which this test would catch.
+// small tables. What it allocates — the label generator, the shuffler,
+// the sealer, each schedule row's stream and one chunk buffer — is fixed
+// per access: it must not grow with the table, so a build allocates as
+// many times at 16 B as at 4 KiB in every mode. A row stream opened per
+// chunk, or any per-group or per-entry garbage, breaks the equality.
 func TestSequentialBuildAllocBudget(t *testing.T) {
-	cfg := LBLConfig{ValueSize: 160, Mode: LBLBasic}
-	k, err := NewTableBuildKernel(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.Op() // warm
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := k.Op(); err != nil {
-			t.Fatal(err)
+	for _, mode := range allLBLModes() {
+		var allocs [2]float64
+		for i, size := range []int{16, 4096} {
+			k, err := NewTableBuildKernel(LBLConfig{ValueSize: size, Mode: mode}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k.Op() // warm
+			allocs[i] = testing.AllocsPerRun(20, func() {
+				if err := k.Op(); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-	})
-	// LabelGen ~6 allocs (HMAC state + AES cipher), shuffler 1,
-	// generous headroom for runtime internals; 1280 groups × 2 entries
-	// would add thousands if per-entry garbage returned.
-	if allocs > 16 {
-		t.Errorf("sequential table build allocates %v times per op, want <= 16", allocs)
+		if allocs[0] != allocs[1] {
+			t.Errorf("%v: sequential table build allocates %v times at 16 B and %v at 4 KiB, want the same", mode, allocs[0], allocs[1])
+		}
 	}
 }

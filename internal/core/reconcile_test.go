@@ -66,7 +66,7 @@ func regressServer(t *testing.T, r *rig, p *LBLProxy, key string, rec []byte) {
 func recordAt(p *LBLProxy, key string, value []byte, ct uint64) []byte {
 	gen := p.prf.LabelGen(key)
 	y, groups := p.cfg.Mode.Y(), p.cfg.Groups()
-	rec := []byte{byte(p.cfg.Mode)}
+	rec := []byte{p.cfg.Mode.recordByte()}
 	for g := 0; g < groups; g++ {
 		l := gen.Label(g, groupBits(value, g, y), ct)
 		rec = append(rec, l[:]...)

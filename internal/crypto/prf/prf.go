@@ -4,10 +4,11 @@
 // Key encoding and per-object key derivation are HMAC-SHA256 with
 // domain-separated inputs; the per-object label schedule (thousands of
 // labels per LBL access) is AES-128 keyed by an HMAC-derived object
-// key, one block per label. All outputs are 128 bits — the label size
-// r used throughout the paper's cost analysis (§6.3.3). Determinism is
-// the load-bearing property: the proxy must be able to regenerate the
-// exact labels the server stores.
+// key, laid out so that one row of it — one counter and bit value over
+// a run of groups — is one AES-CTR keystream (see LabelGen). All
+// outputs are 128 bits — the label size r used throughout the paper's
+// cost analysis (§6.3.3). Determinism is the load-bearing property: the
+// proxy must be able to regenerate the exact labels the server stores.
 package prf
 
 import (
@@ -121,18 +122,28 @@ func (p *PRF) PermuteBits(key string, group int, ct uint64) uint8 {
 	return p.LabelGen(key).PermuteBits(group, ct)
 }
 
-// A LabelGen produces the label schedule of one object at one AES-128
-// block per label. LBL-ORTOA derives thousands of labels per access
-// (two per bit value per group, old and new), so the per-object PRF is
-// instantiated once — an HMAC-derived AES key — and each label is a
-// single block cipher call on a domain-separated input. AES as a PRF
-// is standard up to the 2^64 birthday bound, far beyond any deployment
-// counter.
+// A LabelGen produces the label schedule of one object. LBL-ORTOA
+// derives thousands of labels per access (2^y per group at the old
+// counter and 2^y at the new one, plus two permute words), so the
+// per-object PRF is instantiated once — an HMAC-derived AES-128 key —
+// and every label is the encryption of one counter block:
 //
-// A LabelGen is NOT safe for concurrent use: it carries scratch
-// buffers so label derivation is allocation-free. Accesses hold a
-// per-key lock and derive one generator each, so a generator is never
-// shared.
+//	ct (8 bytes, big-endian) ‖ domain (1) ‖ bits (1) ‖ group (6, big-endian)
+//
+// The group sits in the low bytes, so the labels of one (counter,
+// domain, bit value) over consecutive groups — one row of the schedule —
+// are consecutive AES-CTR keystream blocks, which Row derives eight
+// blocks at a time on hosts with AES instructions. Label and PermuteBits
+// encrypt one block of the same layout and return exactly what a row
+// yields at that position. AES as a PRF is standard up to the 2^64
+// birthday bound, far beyond any deployment counter; groups stay below
+// 2^48, so no row runs into the next one's bit value.
+//
+// A LabelGen is NOT safe for concurrent use through Label and
+// PermuteBits, which share a scratch block so single-label derivation
+// is allocation-free. LabelRow and PermuteRow only read the key
+// schedule: any number of goroutines may open rows of one generator at
+// once, and each row is its own.
 type LabelGen struct {
 	block   cipher.Block
 	in, out [16]byte
@@ -149,39 +160,57 @@ func (p *PRF) LabelGen(key string) *LabelGen {
 	return &LabelGen{block: block}
 }
 
-// Clone returns an independent generator over the same object's label
-// schedule. The underlying AES block cipher is stateless after key
-// expansion and is shared; only the scratch buffers are per-instance.
-// Cloning therefore skips the HMAC key derivation and AES key schedule
-// of LabelGen — the parallel table build hands one clone to each of its
-// workers, and the clones derive labels concurrently.
-func (g *LabelGen) Clone() *LabelGen {
-	return &LabelGen{block: g.block}
-}
-
-// labelBlock packs (domain, bits, group, ct) injectively into one AES
-// block: byte 0 carries the domain tag and bit pattern, bytes 1–7 the
-// group index, bytes 8–15 the counter.
-func (g *LabelGen) labelBlock(domain byte, bits uint8, group int, ct uint64) Output {
-	g.in[0] = domain<<4 | bits&0x0F
-	g.in[1] = byte(group)
-	g.in[2] = byte(group >> 8)
-	g.in[3] = byte(group >> 16)
-	g.in[4] = byte(group >> 24)
-	binary.LittleEndian.PutUint64(g.in[8:16], ct)
-	g.block.Encrypt(g.out[:], g.in[:])
-	return g.out
+// putCounter writes the counter block of (ct, domain, bits, group).
+func putCounter(dst *[16]byte, domain, bits uint8, group int, ct uint64) {
+	binary.BigEndian.PutUint64(dst[0:8], ct)
+	dst[8] = domain
+	dst[9] = bits
+	binary.BigEndian.PutUint16(dst[10:12], uint16(uint64(group)>>32))
+	binary.BigEndian.PutUint32(dst[12:16], uint32(group))
 }
 
 // Label computes the secret label for (group, bits, ct).
 func (g *LabelGen) Label(group int, bits uint8, ct uint64) Output {
-	return g.labelBlock(tagLabel, bits, group, ct)
+	putCounter(&g.in, tagLabel, bits, group, ct)
+	g.block.Encrypt(g.out[:], g.in[:])
+	return g.out
 }
 
-// PermuteBits derives the point-and-permute pad bits for (group, ct).
+// PermuteBits derives the point-and-permute pad bits for (group, ct):
+// the first byte of the block PermuteRow yields there.
 func (g *LabelGen) PermuteBits(group int, ct uint64) uint8 {
-	out := g.labelBlock(tagPermute, 0, group, ct)
-	return out[0]
+	putCounter(&g.in, tagPermute, 0, group, ct)
+	g.block.Encrypt(g.out[:], g.in[:])
+	return g.out[0]
+}
+
+// A Row is one row of an object's label schedule, read from a start
+// group onward: each Fill continues where the last one stopped.
+type Row struct{ s cipher.Stream }
+
+// LabelRow opens the row of labels for bit value bits at counter ct,
+// starting at group g0: its k-th block is Label(g0+k, bits, ct).
+func (g *LabelGen) LabelRow(g0 int, bits uint8, ct uint64) Row {
+	return g.row(tagLabel, bits, g0, ct)
+}
+
+// PermuteRow opens the row of permute blocks at counter ct, starting at
+// group g0: the first byte of its k-th block is PermuteBits(g0+k, ct).
+func (g *LabelGen) PermuteRow(g0 int, ct uint64) Row {
+	return g.row(tagPermute, 0, g0, ct)
+}
+
+func (g *LabelGen) row(domain, bits uint8, g0 int, ct uint64) Row {
+	var iv [16]byte
+	putCounter(&iv, domain, bits, g0, ct)
+	return Row{cipher.NewCTR(g.block, iv[:])}
+}
+
+// Fill writes the row's next len(dst)/Size blocks into dst, whose
+// length is a multiple of Size.
+func (r Row) Fill(dst []byte) {
+	clear(dst)
+	r.s.XORKeyStream(dst, dst)
 }
 
 // DummyValue derives a deterministic pseudorandom value of length n,

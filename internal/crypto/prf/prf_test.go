@@ -2,6 +2,7 @@ package prf
 
 import (
 	"bytes"
+	"encoding/hex"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -131,38 +132,101 @@ func TestQuickEncodeKeyInjectiveish(t *testing.T) {
 	}
 }
 
-func TestCloneSameSchedule(t *testing.T) {
-	p := NewRandom()
-	gen := p.LabelGen("obj")
-	clone := gen.Clone()
-	for g := 0; g < 64; g++ {
-		for b := uint8(0); b < 4; b++ {
-			if gen.Label(g, b, 7) != clone.Label(g, b, 7) {
-				t.Fatalf("clone label (%d,%d) diverges", g, b)
-			}
+// katPRF is the known-answer vectors' generator: master key 00 01 … 1f,
+// object "kat-object".
+func katPRF(t *testing.T) *LabelGen {
+	t.Helper()
+	key := make([]byte, KeySize)
+	for i := range key {
+		key[i] = byte(i)
+	}
+	p, err := New(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.LabelGen("kat-object")
+}
+
+// TestLabelRowKnownAnswer pins the schedule layout: AES-128 under
+// HMAC-SHA256(key, 05 ‖ le64(len) ‖ object)[:16], in CTR mode from the
+// counter block ct ‖ domain ‖ bits ‖ group (big-endian). The vectors
+// were computed with an independent AES-CTR implementation; the label
+// row crosses the 2^32 group boundary, the permute row a byte boundary.
+func TestLabelRowKnownAnswer(t *testing.T) {
+	gen := katPRF(t)
+	for _, v := range []struct {
+		name string
+		row  Row
+		n    int
+		want string
+	}{
+		{"label bits=2 ct=0x0102030405060708 from group 2^32-2", gen.LabelRow(1<<32-2, 2, 0x0102030405060708), 3,
+			"0425063b060057e070f5237ab50eeab3a8038b68421788eba14c313bef8ecfd236373730e5aecb7b8fba62713e149b6e"},
+		{"permute ct=5 from group 255", gen.PermuteRow(255, 5), 2,
+			"a27075ca4f808360a1747e15d60ae0b8851c628ef70ea3e3eb4d2e310bdeda3d"},
+	} {
+		got := make([]byte, v.n*Size)
+		v.row.Fill(got)
+		if hex.EncodeToString(got) != v.want {
+			t.Errorf("%s: %x, want %s", v.name, got, v.want)
 		}
-		if gen.PermuteBits(g, 7) != clone.PermuteBits(g, 7) {
-			t.Fatalf("clone permute bits %d diverge", g)
+	}
+	if got := gen.Label(1<<32, 2, 0x0102030405060708).String(); got != "36373730e5aecb7b8fba62713e149b6e" {
+		t.Errorf("single label = %s, want the row's third block", got)
+	}
+	if got := gen.PermuteBits(256, 5); got != 0x85 {
+		t.Errorf("single permute word = %#x, want 0x85, the first byte of the row's second block", got)
+	}
+}
+
+// TestLabelRowMatchesSingleBlocks: every block of a row equals Label (or,
+// for its first byte, PermuteBits) at the same position — for start
+// groups on and off 8-block boundaries, runs across byte carries of the
+// group field, and rows read in fills of uneven lengths, so the CTR
+// stream's eight-block path, its tail and its continuation across Fill
+// calls all agree with the one-block path.
+func TestLabelRowMatchesSingleBlocks(t *testing.T) {
+	gen := NewRandom().LabelGen("obj")
+	fills := []int{1, 7, 9, 3, 16, 2, 25}
+	for _, g0 := range []int{0, 1, 5, 249, 65531, 1<<24 - 3, 1<<32 - 6, 1<<40 - 1} {
+		for _, ct := range []uint64{0, 1, 0xFFFFFFFFFFFFFFFE} {
+			labels := gen.LabelRow(g0, 3, ct)
+			perm := gen.PermuteRow(g0, ct)
+			g := g0
+			for _, n := range fills {
+				lb, pb := make([]byte, n*Size), make([]byte, n*Size)
+				labels.Fill(lb)
+				perm.Fill(pb)
+				for k := 0; k < n; k, g = k+1, g+1 {
+					if want := gen.Label(g, 3, ct); !bytes.Equal(lb[k*Size:(k+1)*Size], want[:]) {
+						t.Fatalf("label row from %d at ct %d: group %d is %x, Label gives %x", g0, ct, g, lb[k*Size:(k+1)*Size], want)
+					}
+					if want := gen.PermuteBits(g, ct); pb[k*Size] != want {
+						t.Fatalf("permute row from %d at ct %d: group %d is %#x, PermuteBits gives %#x", g0, ct, g, pb[k*Size], want)
+					}
+				}
+			}
 		}
 	}
 }
 
-func TestCloneConcurrentUse(t *testing.T) {
-	// Clones must be independently usable in parallel: each carries its
-	// own scratch over the shared (stateless) block cipher. Run under
-	// -race this is the whole point.
-	p := NewRandom()
-	gen := p.LabelGen("obj")
-	want := gen.Label(3, 1, 9)
+// TestLabelRowsConcurrent: rows opened from one generator on many
+// goroutines at once are independent — each reads the shared key
+// schedule only. Run under -race this is the whole point.
+func TestLabelRowsConcurrent(t *testing.T) {
+	gen := NewRandom().LabelGen("obj")
+	want := make([]byte, 64*Size)
+	gen.LabelRow(3, 1, 9).Fill(want)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := gen.Clone()
-			for i := 0; i < 500; i++ {
-				if c.Label(3, 1, 9) != want {
-					t.Error("concurrent clone produced wrong label")
+			got := make([]byte, len(want))
+			for i := 0; i < 50; i++ {
+				gen.LabelRow(3, 1, 9).Fill(got)
+				if !bytes.Equal(got, want) {
+					t.Error("concurrently opened row diverged")
 					return
 				}
 			}
