@@ -38,12 +38,15 @@ verify-benchmark:
 # it: the benchmark module's quick run without -short — three real tiers,
 # untraced and traced, every value checked, exactly the metric names
 # BENCHMARK.json promises — and two seconds of the chained WAN workload
-# through run.sh, which exits non-zero on any failed or wrong operation.
-# A code change that rewires what benchmark/deploy.go stands on fails
-# here, not in the benchmark pipeline's run.
+# through run.sh, which exits non-zero on any failed or wrong operation,
+# then two of the 4 KiB workload, whose requests are cut into frames —
+# the one run here that exercises the cut-request exchange and recovery
+# at 4 KiB. A code change that rewires what benchmark/deploy.go stands on
+# fails here, not in the benchmark pipeline's run.
 benchmark-smoke:
 	$(GO) -C benchmark test -count=1 -run TestQuickRun ./...
 	bash benchmark/run.sh -workload wan-agg-160b -seconds 2
+	bash benchmark/run.sh -workload dc-4k-stream -seconds 2
 
 # noaes re-runs the entry- and record-format tests — the known-answer
 # vectors of the sealer and of the label schedule's keystream rows, the

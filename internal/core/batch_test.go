@@ -104,7 +104,7 @@ func TestLBLBatchSingleRPC(t *testing.T) {
 func TestLBLBatchDuplicateKeys(t *testing.T) {
 	// A key named more than once travels as one chain: its accesses are
 	// keyed at consecutive counters, applied in input order inside the
-	// one round trip, and each is answered from its own label block — so
+	// one round trip, and each is answered from its own slot — so
 	// the read behind the write returns the written value — in every
 	// variant (point-and-permute carries its decryption bits through the
 	// chain).

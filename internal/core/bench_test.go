@@ -38,7 +38,8 @@ func BenchmarkLBLBuildRequest(b *testing.B) {
 // BenchmarkLBLServerDecrypt isolates the server's per-access work on the
 // table: decryptRange, the trial-decryption pass of step 2.1 of §5.2 that
 // recovers every group's new label (and, under point-and-permute, the
-// next decryption bits), over one prebuilt 160 B table and the record it
+// next decryption bits) and the response slot's fields and digest, over
+// one prebuilt 160 B table and the record it
 // opens. decryptRange is pure — it reads the record and the table and
 // writes into caller buffers — so one table serves every iteration.
 func BenchmarkLBLServerDecrypt(b *testing.B) {
@@ -67,11 +68,13 @@ func BenchmarkLBLServerDecrypt(b *testing.B) {
 				b.Fatal(err)
 			}
 			table := req[len(req)-r.Remaining():]
-			labels, dbits := make([]byte, geo.groups*prf.Size), make([]byte, geo.groups)
+			labels, dbits, fields := make([]byte, geo.groups*prf.Size), make([]byte, geo.groups), make([]byte, geo.fieldBytes())
+			var digest labelDigest
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, ok := decryptRange(geo, &rec, table, 0, geo.groups, labels, dbits); !ok {
+				clear(fields)
+				if _, ok := decryptRange(geo, &rec, table, 0, geo.groups, labels, dbits, fields, &digest); !ok {
 					b.Fatal("the table does not open under its record")
 				}
 			}
@@ -158,40 +161,35 @@ func BenchmarkTableBuildKernel1KiB(b *testing.B) {
 }
 
 // BenchmarkRecoverKernel1KiB measures the server decrypt/install pass
-// plus proxy label recovery against prebuilt tables; table construction
+// plus proxy recovery against prebuilt tables; table construction
 // happens outside the timer.
 func BenchmarkRecoverKernel1KiB(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			k, err := NewRecoverKernel(LBLConfig{ValueSize: 1024, Mode: LBLBasic}, 64, workers)
-			if err != nil {
+	k, err := NewRecoverKernel(LBLConfig{ValueSize: 1024, Mode: LBLBasic}, 64, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	left := 0
+	for i := 0; i < b.N; i++ {
+		if left == 0 {
+			b.StopTimer()
+			if err := k.Prepare(); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			left := 0
-			for i := 0; i < b.N; i++ {
-				if left == 0 {
-					b.StopTimer()
-					if err := k.Prepare(); err != nil {
-						b.Fatal(err)
-					}
-					left = k.Window()
-					b.StartTimer()
-				}
-				if err := k.Op(); err != nil {
-					b.Fatal(err)
-				}
-				left--
-			}
-		})
+			left = k.Window()
+			b.StartTimer()
+		}
+		if err := k.Op(); err != nil {
+			b.Fatal(err)
+		}
+		left--
 	}
 }
 
-// BenchmarkWorkerCrossover is the measurement minGroupsPerBuildWorker and
-// minGroupsPerRecoverWorker are set from (EXPERIMENTS.md, "Worker
-// crossover"): one access's table build and its label recovery,
-// sequential against two workers, from 64 groups to 16 384
+// BenchmarkWorkerCrossover is the measurement minGroupsPerBuildWorker is
+// set from (EXPERIMENTS.md, "Worker crossover"): one access's table
+// build, sequential against two workers, from 64 groups to 16 384
 // (point-and-permute, 16 B to 4 KiB values).
 func BenchmarkWorkerCrossover(b *testing.B) {
 	for _, groups := range []int{64, 128, 256, 384, 512, 640, 16384} {
@@ -205,26 +203,6 @@ func BenchmarkWorkerCrossover(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if err := k.Op(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("recover/groups=%d/workers=%d", groups, workers), func(b *testing.B) {
-				p, err := NewLBLProxy(cfg, prf.NewRandom(), nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ek, rec, err := p.BuildRecord("bench", make([]byte, cfg.ValueSize))
-				if err != nil {
-					b.Fatal(err)
-				}
-				spec := p.spec(OpRead, "bench", nil, 0)
-				resp := serveSpec(b, p, spec, ek, rec)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := p.recoverWorkers(OpRead, nil, spec.news, resp, workers); err != nil {
 						b.Fatal(err)
 					}
 				}

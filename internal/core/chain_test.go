@@ -75,8 +75,8 @@ func TestLBLChainCutByFrameBudget(t *testing.T) {
 // TestLBLChainTamperedMemberRejectedWhole hands the server a chain whose
 // second member is keyed at the wrong counter — what a corrupted or
 // forged table looks like to trial decryption. The chain is rejected
-// whole: every one of its slots carries the rejection and the labels of
-// the record the store holds, the record is untouched although the head
+// whole: every one of its slots carries the rejection and the group-0
+// label of the record the store holds, the record is untouched although the head
 // alone would have applied, and the bystander in the same request is
 // served.
 func TestLBLChainTamperedMemberRejectedWhole(t *testing.T) {
@@ -122,10 +122,12 @@ func TestLBLChainTamperedMemberRejectedWhole(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Zero fields, then the stored group-0 label where a digest goes.
+			held := append(make([]byte, cfg.ValueSize), records["k"][1:1+prf.Size]...)
 			for i := 0; i < 3; i++ {
 				slot := resp[i*slotLen : (i+1)*slotLen]
-				if held := records["k"][1 : 1+cfg.Groups()*prf.Size]; slot[0] != slotStale || !bytes.Equal(slot[1:], held) {
-					t.Errorf("chain slot %d: status %d with labels %x, want slotStale and the stored %x", i, slot[0], slot[1:], held)
+				if slot[0] != slotStale || !bytes.Equal(slot[1:], held) {
+					t.Errorf("chain slot %d: status %d with body %x, want slotStale and %x", i, slot[0], slot[1:], held)
 				}
 			}
 			if resp[3*slotLen] != slotOK {

@@ -45,9 +45,10 @@ const (
 	// one segment per accessed key back to back (encoded key, ownership
 	// claim, table geometry, encryption table), in one frame or cut into
 	// several at group boundaries; the response is one fixed-width slot
-	// per key (status, label block). One key in one frame is the paper's
-	// single access; more keys amortize the round trip without changing
-	// what the adversary learns per access (lbl.go, lblserver.go).
+	// per key (status, the opened entries' indices, a label digest). One
+	// key in one frame is the paper's single access; more keys amortize
+	// the round trip without changing what the adversary learns per
+	// access (lbl.go, lblserver.go).
 	MsgLBLAccess byte = 0x02
 	// MsgTEEAccess is a TEE-ORTOA access (§4.1).
 	MsgTEEAccess byte = 0x03
@@ -82,8 +83,8 @@ var (
 	// initialized with.
 	ErrNotFound = errors.New("core: key not found")
 	// ErrTampered reports server behaviour inconsistent with the
-	// protocol: for LBL-ORTOA, a returned label matching neither
-	// candidate (§5.4).
+	// protocol: for LBL-ORTOA, a response slot whose label digest is not
+	// the one the reported entries select (§5.4).
 	ErrTampered = errors.New("core: server response failed integrity check (tampering or state divergence)")
 )
 

@@ -76,7 +76,8 @@ func newLBL(t *testing.T, mode LBLMode, valueSize int) (*rig, *LBLProxy, *LBLSer
 // spec returns the tableSpec for op on key at counter ct, with a
 // schedule buffer of its own.
 func (p *LBLProxy) spec(op Op, key string, value []byte, ct uint64) tableSpec {
-	return tableSpec{op, key, value, ct, make([]byte, p.cfg.scheduleBytes())}
+	news, olds := p.cfg.carve(make([]byte, p.cfg.scheduleBytes()))
+	return tableSpec{op, key, value, ct, news, olds}
 }
 
 // buildRequest encodes the whole one-key request for key at counter ct
@@ -257,13 +258,13 @@ func TestLBLMissingKey(t *testing.T) {
 }
 
 func TestLBLTamperDetection(t *testing.T) {
-	// A server returning forged labels must trip the §5.4 check. We
-	// simulate a malicious server with a handler that returns
-	// random bytes of the correct length.
+	// A server that answers without opening the table must trip the §5.4
+	// check. We simulate a malicious server with a handler that answers
+	// slotOK with an all-zero body of the correct length.
 	r := newRig(t)
 	cfg := LBLConfig{ValueSize: 4, Mode: LBLPointPermute}
 	r.server.Handle(MsgLBLAccess, func(_ context.Context, payload []byte) ([]byte, error) {
-		return make([]byte, cfg.Groups()*prf.Size), nil // forged all-zero labels
+		return make([]byte, cfg.ResponseBytesPerAccess()), nil
 	})
 	proxy, err := NewLBLProxy(cfg, prf.NewRandom(), r.client)
 	if err != nil {

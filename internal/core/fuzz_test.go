@@ -50,8 +50,8 @@ func seededLBLServer(tb testing.TB) (*LBLServer, []byte) {
 // may change a record only for a key whose slot it answered slotOK in a
 // request it accepted whole, answers every slot slotOK that it counts as
 // an access served, and fills a slot's body only with what it may show:
-// on slotStale the labels of a record the store held, on any other
-// failure zeros.
+// on slotStale zero fields and the group-0 label of a record the store
+// held, on any other failure zeros.
 func FuzzLBLServerPayload(f *testing.F) {
 	cfg := LBLConfig{ValueSize: 4, Mode: LBLPointPermute, StreamChunkBytes: 256}
 	proxy, err := NewLBLProxy(cfg, prf.NewRandom(), nil)
@@ -67,7 +67,7 @@ func FuzzLBLServerPayload(f *testing.F) {
 		records[string(ek[:])] = recordAt(proxy, k, []byte{1, 2, 3, byte(i)}, at[i])
 		specs[i] = proxy.spec(OpRead, k, nil, at[i])
 	}
-	labelBlock := func(rec []byte) string { return string(rec[1 : 1+cfg.Groups()*prf.Size]) }
+	staleBody := func(rec []byte) string { return string(append(make([]byte, cfg.ValueSize), rec[1:1+prf.Size]...)) }
 	var runs []run
 	var frames [][]byte
 	for cut := (frameCutter{cfg: cfg, n: len(specs)}); !cut.done(); {
@@ -99,6 +99,10 @@ func FuzzLBLServerPayload(f *testing.F) {
 	v1 := bytes.Clone(bytes.Join(frames, nil))
 	// As a proxy older than the entry-format stamp wrote it.
 	v1[modeAt] = byte(cfg.Mode)
+	// As a proxy of the release that answered with labels sends it: the
+	// same bytes under the previous stamp.
+	v2 := bytes.Clone(bytes.Join(frames, nil))
+	v2[modeAt] = byte(cfg.Mode) | 2<<modeBits
 
 	seed(frames...)                                                         // well-formed
 	seed(bytes.Join(frames, nil))                                           // the same bytes as one frame
@@ -109,6 +113,7 @@ func FuzzLBLServerPayload(f *testing.F) {
 	seed(append(frames[:last+1:last+1], frames[last])...)                   // extra chunk
 	seed(geometry)                                                          // geometry changes mid-request
 	seed(v1)                                                                // another entry format
+	seed(v2)                                                                // the previous exchange version
 	seed(frames[:last]...)                                                  // early end
 	seed(frames[1:]...)                                                     // continuation with no head
 	// A repeated key: a chain of three and a bystander, cut and whole; the
@@ -167,7 +172,7 @@ func FuzzLBLServerPayload(f *testing.F) {
 		held := map[string]bool{}
 		for ek, rec := range records {
 			now, _ := store.Get(ek)
-			held[labelBlock(rec)], held[labelBlock(now)] = true, true
+			held[staleBody(rec)], held[staleBody(now)] = true, true
 		}
 		installed := 0
 		for i := 0; err == nil && i < len(resp); i += cfg.ResponseBytesPerAccess() {
@@ -176,9 +181,9 @@ func FuzzLBLServerPayload(f *testing.F) {
 			case status == slotOK:
 				installed++
 			case status == slotStale && !held[string(body)]:
-				t.Fatalf("slot at %d is stale with labels %x, which no record held", i, body)
+				t.Fatalf("slot at %d is stale with body %x, which no record held", i, body)
 			case status != slotStale && !bytes.Equal(body, make([]byte, len(body))):
-				t.Fatalf("slot at %d failed with status %d and carries labels %x", i, status, body)
+				t.Fatalf("slot at %d failed with status %d and carries %x", i, status, body)
 			}
 		}
 		// A chain answers several slots for one record.
@@ -189,17 +194,22 @@ func FuzzLBLServerPayload(f *testing.F) {
 }
 
 // FuzzLBLProxyResponse plays a tampering server against the proxy's
-// response handling — the slot parser in round, the label check in
-// recoverRange and the rebase a stale slot's labels drive. The request is
+// response handling — the slot parser in round, the digest check in
+// recoverSlot and the rebase a stale slot's label drives. The request is
 // a chain of two reads of one key whose record is at counter base. Every
-// answer the server gives it is XORed with mask and grown or shrunk by
-// resize bytes before the proxy sees it; when forge is set, the first
-// answer, instead of running, is a stale slot pair carrying the labels of
-// the key's record at counter base+shift, which a real server could only
-// send had the record been there. Whatever the answers: no input may
-// panic; an access that succeeds returns the stored value, and both do
-// when every answer was honest; unless forged, the counter never passes
-// the record's — a label is evidence of where the record is; and once the
+// answer the server gives it is rewritten, XORed with mask and grown or
+// shrunk by resize bytes before the proxy sees it; rewrite (mod 4) leaves
+// it as it is, swaps group 0's field in each slot with the first field
+// that differs from it, replays the honest answer to the same chain one
+// counter earlier, or zeroes every slot's body. When forge is set, the
+// first answer, instead of running, is a stale slot pair carrying the
+// group-0 label of the key's record at counter base+shift, which a real
+// server could only send had the record been there. Whatever the answers:
+// no input may panic; no answer that differs from the honest one is
+// accepted — an access succeeds only on an untouched last answer; an
+// access that succeeds returns the stored value, and both do when every
+// answer was honest; unless forged, the counter never passes the
+// record's — a label is evidence of where the record is; and once the
 // server answers honestly again, the key reads within two accesses, the
 // first of them refused at most (a counter left past the record is a
 // rollback to the proxy).
@@ -207,28 +217,39 @@ func FuzzLBLProxyResponse(f *testing.F) {
 	const base = 128
 	cfg := LBLConfig{ValueSize: 4, Mode: LBLPointPermute}
 	slotLen := cfg.ResponseBytesPerAccess()
-	f.Add([]byte{}, int16(0), false, int8(0))                            // honest
-	f.Add([]byte{slotStale}, int16(0), false, int8(0))                   // status flipped to a rejection
-	f.Add([]byte{0x80}, int16(0), false, int8(0))                        // unknown status
-	f.Add([]byte{0, 1}, int16(0), false, int8(0))                        // one label bit flipped
-	f.Add(make([]byte, slotLen), int16(-1), false, int8(0))              // one byte short
-	f.Add([]byte{}, int16(slotLen), false, int8(0))                      // a slot too many
-	f.Add([]byte{}, int16(-slotLen), false, int8(0))                     // empty response
-	f.Add(bytes.Repeat([]byte{0xFF}, slotLen), int16(0), false, int8(0)) // everything flipped
-	// The chain's second slot alone: its status, then one label bit.
-	f.Add(append(make([]byte, slotLen), slotStale), int16(0), false, int8(0))
-	f.Add(append(make([]byte, slotLen), 0, 1), int16(0), false, int8(0))
-	// Both statuses flipped to stale, the bodies left: labels above ct.
-	f.Add(append(append([]byte{slotStale}, make([]byte, slotLen-1)...), slotStale), int16(0), false, int8(0))
-	// Stale slots carrying the labels of a record above, below and at ct,
-	// and garbage labels.
-	f.Add([]byte{}, int16(0), true, int8(1))
-	f.Add([]byte{}, int16(0), true, int8(2))
-	f.Add([]byte{}, int16(0), true, int8(100))
-	f.Add([]byte{}, int16(0), true, int8(-1))
-	f.Add([]byte{}, int16(0), true, int8(-100))
-	f.Add([]byte{}, int16(0), true, int8(0))
-	f.Add([]byte{0, 0xA5, 0x5A, 0xFF}, int16(0), true, int8(1))
+	const (
+		asIs = iota
+		swapFields
+		replayPrevious
+		zeroBodies
+	)
+	f.Add([]byte{}, int16(0), false, int8(0), uint8(asIs))                            // honest
+	f.Add([]byte{slotStale}, int16(0), false, int8(0), uint8(asIs))                   // status flipped to a rejection
+	f.Add([]byte{0x80}, int16(0), false, int8(0), uint8(asIs))                        // unknown status
+	f.Add([]byte{0, 1}, int16(0), false, int8(0), uint8(asIs))                        // one index field flipped
+	f.Add([]byte{0, 0, 0, 0, 0, 1}, int16(0), false, int8(0), uint8(asIs))            // one digest bit flipped
+	f.Add([]byte{}, int16(0), false, int8(0), uint8(swapFields))                      // two groups' fields swapped
+	f.Add([]byte{}, int16(0), false, int8(0), uint8(replayPrevious))                  // the previous counter's slots replayed
+	f.Add([]byte{}, int16(0), false, int8(0), uint8(zeroBodies))                      // all-zero bodies
+	f.Add(make([]byte, slotLen), int16(-1), false, int8(0), uint8(asIs))              // one byte short
+	f.Add([]byte{}, int16(slotLen), false, int8(0), uint8(asIs))                      // a slot too many
+	f.Add([]byte{}, int16(-slotLen), false, int8(0), uint8(asIs))                     // empty response
+	f.Add(bytes.Repeat([]byte{0xFF}, slotLen), int16(0), false, int8(0), uint8(asIs)) // everything flipped
+	// The chain's second slot alone: its status, then one index bit.
+	f.Add(append(make([]byte, slotLen), slotStale), int16(0), false, int8(0), uint8(asIs))
+	f.Add(append(make([]byte, slotLen), 0, 1), int16(0), false, int8(0), uint8(asIs))
+	// Both statuses flipped to stale, the bodies left: a digest where the
+	// record's label should be.
+	f.Add(append(append([]byte{slotStale}, make([]byte, slotLen-1)...), slotStale), int16(0), false, int8(0), uint8(asIs))
+	// Stale slots carrying the label of a record above, below and at ct,
+	// and a garbage label.
+	f.Add([]byte{}, int16(0), true, int8(1), uint8(asIs))
+	f.Add([]byte{}, int16(0), true, int8(2), uint8(asIs))
+	f.Add([]byte{}, int16(0), true, int8(100), uint8(asIs))
+	f.Add([]byte{}, int16(0), true, int8(-1), uint8(asIs))
+	f.Add([]byte{}, int16(0), true, int8(-100), uint8(asIs))
+	f.Add([]byte{}, int16(0), true, int8(0), uint8(asIs))
+	f.Add([]byte{0, 0, 0, 0, 0, 0xA5, 0x5A, 0xFF}, int16(0), true, int8(1), uint8(asIs))
 
 	r := &rig{store: kvstore.New(), server: transport.NewServer()}
 	l := netsim.Listen(netsim.Loopback)
@@ -242,15 +263,16 @@ func FuzzLBLProxyResponse(f *testing.F) {
 	honestSrv := NewLBLServer(r.store)
 	// What the server does to the answers of the access under test: set
 	// while it runs, and off for the accesses after it. forged is the first
-	// answer when forge is set.
+	// answer when forge is set; previous is what replayPrevious answers.
 	var mask []byte
 	var resize int
-	var forged []byte
-	var tampered bool
+	var rewrite uint8
+	var forged, previous []byte
+	var tampered, last bool // any answer, and the last one, not the honest one
 	r.server.Handle(MsgLBLAccess, func(ctx context.Context, payload []byte) ([]byte, error) {
 		if forged != nil {
 			reply := forged
-			forged, tampered = nil, true
+			forged, tampered, last = nil, true, true
 			return reply, nil
 		}
 		resp, err := honestSrv.handleAccess(ctx, payload)
@@ -258,6 +280,26 @@ func FuzzLBLProxyResponse(f *testing.F) {
 			return nil, err
 		}
 		reply := bytes.Clone(resp)
+		switch rewrite {
+		case swapFields:
+			for s := 0; s+slotLen <= len(reply); s += slotLen {
+				fields := reply[s+1 : s+1+cfg.ValueSize]
+				f0 := groupBits(fields, 0, 2)
+				for g := 1; g < cfg.Groups(); g++ {
+					if d := f0 ^ groupBits(fields, g, 2); d != 0 {
+						fields[0] ^= d
+						fields[g/4] ^= d << (g % 4 * 2)
+						break
+					}
+				}
+			}
+		case replayPrevious:
+			reply = bytes.Clone(previous)
+		case zeroBodies:
+			for s := 0; s+slotLen <= len(reply); s += slotLen {
+				clear(reply[s+1 : s+slotLen])
+			}
+		}
 		for i := range reply {
 			if i < len(mask) {
 				reply[i] ^= mask[i]
@@ -268,11 +310,12 @@ func FuzzLBLProxyResponse(f *testing.F) {
 		} else {
 			reply = append(reply, make([]byte, resize)...)
 		}
-		tampered = tampered || !bytes.Equal(reply, resp)
+		last = !bytes.Equal(reply, resp)
+		tampered = tampered || last
 		return reply, nil
 	})
 
-	f.Fuzz(func(t *testing.T, m []byte, grow int16, forge bool, shift int8) {
+	f.Fuzz(func(t *testing.T, m []byte, grow int16, forge bool, shift int8, rw uint8) {
 		stored := []byte{1, 2, 3, 4}
 		proxy, err := NewLBLProxy(cfg, prf.NewRandom(), r.client)
 		if err != nil {
@@ -289,10 +332,19 @@ func FuzzLBLProxyResponse(f *testing.F) {
 		entry.ct = base
 		proxy.counters.release(entry)
 
-		mask, resize, forged, tampered = m, int(grow), nil, false
+		mask, resize, rewrite, forged, tampered, last = m, int(grow), rw%4, nil, false, false
+		if rewrite == replayPrevious {
+			earlier := kvstore.New()
+			earlier.Put(string(ek[:]), recordAt(proxy, "k", stored, base-1)) //nolint:errcheck // no WAL attached
+			frames, _ := builtFrames(t, proxy, []tableSpec{proxy.spec(OpRead, "k", nil, base-1), proxy.spec(OpRead, "k", nil, base)})
+			if previous, err = NewLBLServer(earlier).handleAccess(context.Background(), bytes.Join(frames, nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if forge {
-			held := recordAt(proxy, "k", stored, uint64(base+int(shift)))[1 : 1+cfg.Groups()*prf.Size]
-			forged = bytes.Repeat(append([]byte{slotStale}, held...), 2)
+			held := recordAt(proxy, "k", stored, uint64(base+int(shift)))[1 : 1+prf.Size]
+			slot := append(append([]byte{slotStale}, make([]byte, cfg.ValueSize)...), held...)
+			forged = bytes.Repeat(slot, 2)
 			for i := range forged {
 				if i < len(m) {
 					forged[i] ^= m[i]
@@ -303,6 +355,9 @@ func FuzzLBLProxyResponse(f *testing.F) {
 		results, _ := proxy.AccessBatchResults(context.Background(), []BatchOp{{Op: OpRead, Key: "k"}, {Op: OpRead, Key: "k"}})
 		ct, record := counter(), uint64(base+honestSrv.Ops()-ops)
 		for i, res := range results {
+			if res.Err == nil && last {
+				t.Fatalf("access %d succeeded on a tampered answer", i)
+			}
 			if res.Err == nil && !bytes.Equal(res.Value, stored) {
 				t.Fatalf("access %d returned %v, want the stored %v", i, res.Value, stored)
 			}
@@ -314,7 +369,7 @@ func FuzzLBLProxyResponse(f *testing.F) {
 			t.Fatalf("counter %d passed the record's %d", ct, record)
 		}
 
-		mask, resize = nil, 0
+		mask, resize, rewrite = nil, 0, asIs
 		got, _, err := proxy.Access(OpRead, "k", nil)
 		if errors.Is(err, errRolledBack) {
 			got, _, err = proxy.Access(OpRead, "k", nil)

@@ -10,7 +10,7 @@ import (
 
 // This file exports fixtures for the two dominant LBL-ORTOA CPU
 // kernels — proxy-side table construction and the server recover/apply
-// pass plus proxy label recovery — so the repository benchmark's
+// pass plus proxy recovery — so the repository benchmark's
 // per-layer ledger and the benchmark smoke job measure the real hot
 // paths with explicit worker counts, without a transport in the way.
 
@@ -30,11 +30,11 @@ func NewTableBuildKernel(cfg LBLConfig, workers int) (*TableBuildKernel, error) 
 	if err != nil {
 		return nil, err
 	}
+	news, olds := cfg.carve(make([]byte, cfg.scheduleBytes()))
 	return &TableBuildKernel{
-		proxy: p,
-		table: make([]byte, cfg.TableBytes()),
-		spec: tableSpec{op: OpWrite, key: "bench", value: make([]byte, cfg.ValueSize),
-			news: make([]byte, cfg.scheduleBytes())},
+		proxy:   p,
+		table:   make([]byte, cfg.TableBytes()),
+		spec:    tableSpec{op: OpWrite, key: "bench", value: make([]byte, cfg.ValueSize), news: news, olds: olds},
 		workers: workers,
 	}, nil
 }
@@ -51,24 +51,24 @@ func (k *TableBuildKernel) Op() error {
 
 // A RecoverKernel repeatedly performs one access's server half — trial
 // decryption and label install (§5.2 steps 2.1–2.2) — followed by the
-// proxy's label recovery and §5.4 integrity check, against prebuilt
-// requests. Table construction is paid in Prepare, outside the measured
-// op; Prepare keeps each table's schedule, as a round does, for Op to
+// proxy's recovery and §5.4 integrity check, against prebuilt requests.
+// Table construction is paid in Prepare, outside the measured op;
+// Prepare keeps each table's schedule, as a round does, for Op to
 // recover against.
 type RecoverKernel struct {
-	proxy   *LBLProxy
-	srv     *LBLServer
-	tables  [][]byte // whole one-key requests, as the handler receives them
-	news    [][]byte // the schedule each table installs
-	workers int
-	ct      uint64 // counter the record sits at; tables[used:] are built from it
-	used    int
+	proxy  *LBLProxy
+	srv    *LBLServer
+	tables [][]byte    // whole one-key requests, as the handler receives them
+	specs  []tableSpec // what each table was built from, schedule included
+	ct     uint64      // counter the record sits at; tables[used:] are built from it
+	used   int
 }
 
 // NewRecoverKernel returns a kernel for cfg holding window prebuilt
-// tables per Prepare; the proxy-side recovery runs with the given
-// worker count.
-func NewRecoverKernel(cfg LBLConfig, window, workers int) (*RecoverKernel, error) {
+// tables per Prepare. The last argument, once the recovery's worker
+// count, is ignored: recovery is one pass over the slot and no longer
+// fans out.
+func NewRecoverKernel(cfg LBLConfig, window, _ int) (*RecoverKernel, error) {
 	p, err := NewLBLProxy(cfg, prf.NewRandom(), nil)
 	if err != nil {
 		return nil, err
@@ -82,15 +82,15 @@ func NewRecoverKernel(cfg LBLConfig, window, workers int) (*RecoverKernel, error
 		return nil, err
 	}
 	k := &RecoverKernel{
-		proxy:   p,
-		srv:     NewLBLServer(store),
-		tables:  make([][]byte, window),
-		news:    make([][]byte, window),
-		workers: workers,
+		proxy:  p,
+		srv:    NewLBLServer(store),
+		tables: make([][]byte, window),
+		specs:  make([]tableSpec, window),
 	}
 	for i := range k.tables {
 		k.tables[i] = make([]byte, cfg.RequestBytesPerAccess())
-		k.news[i] = make([]byte, cfg.scheduleBytes())
+		news, olds := cfg.carve(make([]byte, cfg.scheduleBytes()))
+		k.specs[i] = tableSpec{op: OpRead, key: "bench", news: news, olds: olds}
 	}
 	return k, nil
 }
@@ -103,8 +103,8 @@ func (k *RecoverKernel) Window() int { return len(k.tables) }
 func (k *RecoverKernel) Prepare() error {
 	whole := []run{{seg: 0, g0: 0, g1: k.proxy.cfg.Groups()}}
 	for i := range k.tables {
-		spec := []tableSpec{{op: OpRead, key: "bench", ct: k.ct + uint64(i), news: k.news[i]}}
-		if err := k.proxy.buildFrame(k.tables[i], whole, spec); err != nil {
+		k.specs[i].ct = k.ct + uint64(i)
+		if err := k.proxy.buildFrame(k.tables[i], whole, k.specs[i:i+1]); err != nil {
 			return err
 		}
 	}
@@ -125,7 +125,7 @@ func (k *RecoverKernel) Op() error {
 	if err := slotError(resp[0]); err != nil {
 		return err
 	}
-	_, err = k.proxy.recoverWorkers(OpRead, nil, k.news[k.used], resp[1:], k.workers)
+	_, err = k.proxy.recoverSlot(OpRead, nil, &k.specs[k.used], resp[1:])
 	k.used++
 	k.ct++
 	return err

@@ -169,48 +169,58 @@ func TestLadderLapsBounded(t *testing.T) {
 }
 
 // TestEntryFormatMismatchIsDefinite: a request stamped with another
-// entry format — here v1, as a proxy older than the stamp wrote it —
-// comes from a different release, whose tables this server's labels
-// cannot open. Left to trial decryption that would answer slotStale and
-// send the proxy up the ladder to report a desynchronization that is not
-// there. Instead it is refused at the header: one request, a constant
-// text, no rebase, the record untouched.
+// exchange version — v1, as a proxy older than the stamp wrote it, or v2,
+// whose requests are byte for byte this release's but which reads a
+// label block where this release answers with fields and a digest —
+// comes from a different release. Answered, a v2 proxy would call the
+// slot tampering; a v1 table left to trial decryption would be answered
+// slotStale and send the proxy up the ladder to report a
+// desynchronization that is not there. Instead it is refused at the
+// header: one request, a constant text, no rebase, the record untouched.
 func TestEntryFormatMismatchIsDefinite(t *testing.T) {
-	r, proxy := newLBLReconcile(t, LBLPointPermute, prf.NewRandom())
-	proxy.Instrument(obs.NewRegistry())
-	loadData(t, r, proxy, map[string][]byte{"k": {1, 2, 3, 4}})
-	before := serverRecord(t, r, proxy, "k")
+	for _, format := range []byte{1, 2} {
+		t.Run(fmt.Sprintf("v%d", format), func(t *testing.T) {
+			r, proxy := newLBLReconcile(t, LBLPointPermute, prf.NewRandom())
+			proxy.Instrument(obs.NewRegistry())
+			loadData(t, r, proxy, map[string][]byte{"k": {1, 2, 3, 4}})
+			before := serverRecord(t, r, proxy, "k")
 
-	srv := NewLBLServer(r.store)
-	var requests atomic.Int64
-	r.server.Handle(MsgLBLAccess, func(ctx context.Context, payload []byte) ([]byte, error) {
-		requests.Add(1)
-		v1 := bytes.Clone(payload)
-		v1[prf.Size+lblClaimLen] &= 1<<modeBits - 1
-		return srv.handleAccess(ctx, v1)
-	})
+			srv := NewLBLServer(r.store)
+			var requests atomic.Int64
+			r.server.Handle(MsgLBLAccess, func(ctx context.Context, payload []byte) ([]byte, error) {
+				requests.Add(1)
+				other := bytes.Clone(payload)
+				at := prf.Size + lblClaimLen
+				other[at] &= 1<<modeBits - 1
+				if format > 1 { // v1 proxies wrote no stamp
+					other[at] |= format << modeBits
+				}
+				return srv.handleAccess(ctx, other)
+			})
 
-	_, _, err := proxy.Access(OpRead, "k", nil)
-	var remote *transport.RemoteError
-	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, errEntryFormat.Error()) {
-		t.Fatalf("v1-stamped request: %v, want the entry-format rejection", err)
-	}
-	if transport.Ambiguous(err) || isStaleRound(err) {
-		t.Errorf("rejection %v reads as ambiguous or stale", err)
-	}
-	if n := requests.Load(); n != 1 {
-		t.Errorf("server saw %d requests, want 1: the rejection must not be retried", n)
-	}
-	if rebased, behind := proxy.mx.reconciledKeys.Value(), proxy.mx.rolledBackKeys.Value(); rebased != 0 || behind != 0 {
-		t.Errorf("proxy rebased %d keys and found %d behind, want 0 and 0", rebased, behind)
-	}
-	entry := proxy.counters.acquire("k")
-	if entry.ct != 0 {
-		t.Errorf("counter entry after the rejection: ct %d, want 0", entry.ct)
-	}
-	proxy.counters.release(entry)
-	if after := serverRecord(t, r, proxy, "k"); !bytes.Equal(after, before) {
-		t.Error("the rejected request changed the record")
+			_, _, err := proxy.Access(OpRead, "k", nil)
+			var remote *transport.RemoteError
+			if !errors.As(err, &remote) || !strings.Contains(remote.Msg, errEntryFormat.Error()) {
+				t.Fatalf("v%d-stamped request: %v, want the entry-format rejection", format, err)
+			}
+			if transport.Ambiguous(err) || isStaleRound(err) {
+				t.Errorf("rejection %v reads as ambiguous or stale", err)
+			}
+			if n := requests.Load(); n != 1 {
+				t.Errorf("server saw %d requests, want 1: the rejection must not be retried", n)
+			}
+			if rebased, behind := proxy.mx.reconciledKeys.Value(), proxy.mx.rolledBackKeys.Value(); rebased != 0 || behind != 0 {
+				t.Errorf("proxy rebased %d keys and found %d behind, want 0 and 0", rebased, behind)
+			}
+			entry := proxy.counters.acquire("k")
+			if entry.ct != 0 {
+				t.Errorf("counter entry after the rejection: ct %d, want 0", entry.ct)
+			}
+			proxy.counters.release(entry)
+			if after := serverRecord(t, r, proxy, "k"); !bytes.Equal(after, before) {
+				t.Error("the rejected request changed the record")
+			}
+		})
 	}
 }
 

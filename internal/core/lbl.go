@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -121,10 +122,10 @@ type LBLConfig struct {
 	// while the proxy garbles the next and the WAN carries both. It also
 	// bounds the proxy's request buffer to one frame — not the access's
 	// whole footprint: the label schedule the build carries to recovery
-	// (scheduleBytes, 0.64× the request under y = 2: 40 KB at 160 B, 1 MB
-	// at 4 KiB) stays live per key from first seal to recovery whatever
-	// the budget. Zero sends every request as one frame, as does any
-	// request the budget already covers.
+	// (scheduleBytes, 0.68× the request under y = 2: 43 KB at 160 B,
+	// 1.1 MB at 4 KiB) stays live per key from first seal to recovery
+	// whatever the budget. Zero sends every request as one frame, as does
+	// any request the budget already covers.
 	StreamChunkBytes int
 }
 
@@ -149,10 +150,16 @@ func (c LBLConfig) groupBytes() int { return c.Mode.entries() * c.Mode.entryLen(
 // (2^y · E_len · ℓ/y).
 func (c LBLConfig) TableBytes() int { return c.Groups() * c.groupBytes() }
 
-// scheduleBytes returns the size of the label schedule one access's
-// table installs from: the 2^y counter-ct+1 labels of every group, which
-// the build derives and recovery compares the response against.
-func (c LBLConfig) scheduleBytes() int { return c.Groups() * c.Mode.entries() * prf.Size }
+// scheduleBytes returns the size of the schedule one access's build
+// carries to recovery (tableSpec): per group, the 2^y counter-ct+1 labels
+// and the old bits each of the 2^y entries is keyed by.
+func (c LBLConfig) scheduleBytes() int { return c.Groups() * c.Mode.entries() * (prf.Size + 1) }
+
+// carve splits sched, scheduleBytes long, into a spec's news and olds.
+func (c LBLConfig) carve(sched []byte) (news, olds []byte) {
+	n := c.Groups() * c.Mode.entries() * prf.Size
+	return sched[:n:n], sched[n:]
+}
 
 // segHeaderLen is the size of what precedes the table in one access's
 // request segment: encoded key, the fixed-width ownership claim of
@@ -170,10 +177,11 @@ func (c LBLConfig) segHeaderLen() int {
 func (c LBLConfig) RequestBytesPerAccess() int { return c.segHeaderLen() + c.TableBytes() }
 
 // ResponseBytesPerAccess returns the exact size of one access's
-// response slot: a status code and a label block, zero-filled when the
-// status is a failure, so responses are length-pinned whatever
-// happened to each key.
-func (c LBLConfig) ResponseBytesPerAccess() int { return 1 + c.Groups()*prf.Size }
+// response slot: a status code, y bits per group naming the entry the
+// server opened (ValueSize bytes, laid out as the value's bits are), and
+// a 16-byte digest of the labels it installed. The slot is length-pinned
+// whatever happened to each key (see the slot statuses in lblserver.go).
+func (c LBLConfig) ResponseBytesPerAccess() int { return 1 + c.ValueSize + prf.Size }
 
 func (c LBLConfig) validate() error {
 	if c.ValueSize <= 0 {
@@ -261,22 +269,24 @@ func (c LBLConfig) RequestFrames(n int) int {
 	return frames
 }
 
-// maxRoundBytes caps one request frame and one response, leaving ample
-// headroom under transport.MaxFrameSize, and maxRoundKeys caps the keys
-// of one round, limiting the memory a single request can pin on the
-// server; larger batches are split into several rounds transparently.
+// maxRoundBytes caps one request frame, one response and one round's
+// schedule buffer, leaving ample headroom under transport.MaxFrameSize,
+// and maxRoundKeys caps the keys of one round, limiting the memory a
+// single request can pin on the server; larger batches are split into
+// several rounds transparently.
 const (
 	maxRoundBytes = 48 << 20
 	maxRoundKeys  = 1 << 16
 )
 
 // roundKeys returns how many keys one round may carry: as many as keep
-// the response — and, when no frame budget cuts the request, the
-// request frame too — under maxRoundBytes.
+// the schedule the round carries to recovery — which outweighs its
+// response slots — and, when no frame budget cuts the request, the
+// request frame too, under maxRoundBytes.
 func (c LBLConfig) roundKeys() int {
-	per := c.ResponseBytesPerAccess()
+	per := c.scheduleBytes()
 	if c.StreamChunkBytes <= 0 {
-		per = c.RequestBytesPerAccess()
+		per = max(per, c.RequestBytesPerAccess())
 	}
 	n := maxRoundBytes / per
 	if n > maxRoundKeys {
@@ -302,6 +312,22 @@ func setGroupBits(value []byte, g, y int, bits uint8) {
 	pos := g * y
 	mask := uint8(1)<<y - 1
 	value[pos/8] |= (bits & mask) << (uint(pos) % 8)
+}
+
+// A labelDigest is the XOR of labels, the digest a response slot carries
+// (§5.4), accumulated in two words.
+type labelDigest struct{ lo, hi uint64 }
+
+// add XORs the label l into d.
+func (d *labelDigest) add(l []byte) {
+	d.lo ^= binary.LittleEndian.Uint64(l[:8])
+	d.hi ^= binary.LittleEndian.Uint64(l[8:prf.Size])
+}
+
+// put writes d's prf.Size bytes to dst.
+func (d labelDigest) put(dst []byte) {
+	binary.LittleEndian.PutUint64(dst[:8], d.lo)
+	binary.LittleEndian.PutUint64(dst[8:prf.Size], d.hi)
 }
 
 // An LBLProxy is the trusted, stateful side of LBL-ORTOA. It holds the
@@ -685,7 +711,8 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess, owned *counter
 			c.first = len(specs)
 			for j := range c.accs {
 				a, i := &c.accs[j], len(specs)
-				specs = append(specs, tableSpec{a.Op, a.Key, a.Value, c.entry.ct + uint64(j), sched[i*per : (i+1)*per]})
+				news, olds := p.cfg.carve(sched[i*per : (i+1)*per])
+				specs = append(specs, tableSpec{a.Op, a.Key, a.Value, c.entry.ct + uint64(j), news, olds})
 			}
 		}
 		resp, sent, err := p.exchange(ctx, &clk, specs)
@@ -698,12 +725,9 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess, owned *counter
 
 		clk.Enter(lblRecover)
 		slotLen := p.cfg.ResponseBytesPerAccess()
-		outer, inner := fanOut(len(live), p.cfg.Groups(), minGroupsPerRecoverWorker)
-		ForEach(len(live), outer, func(i int) error { //nolint:errcheck // outcomes land per chain
-			c := live[i]
-			p.recoverChain(c, specs[c.first:], resp[c.first*slotLen:], inner)
-			return nil
-		})
+		for _, c := range live {
+			p.recoverChain(c, specs[c.first:], resp[c.first*slotLen:])
+		}
 		clk.Leave() // ladder time belongs to no stage
 
 		retry := live[:0]
@@ -747,9 +771,9 @@ var errChainSplit = fmt.Errorf("%w: response slots of one key's chain carry diff
 // recoverChain reads c's outcome out of slots, its members' response
 // slots in order, against specs, their table specs. A chain succeeds as
 // a whole — every slot slotOK and every member's value recovered, each
-// from its own label block, so a read behind a write decodes the written
-// value — or fails as a whole, leaving c.status and c.err for the ladder.
-func (p *LBLProxy) recoverChain(c *keyChain, specs []tableSpec, slots []byte, workers int) {
+// from its own slot, so a read behind a write decodes the written value
+// — or fails as a whole, leaving c.status and c.err for the ladder.
+func (p *LBLProxy) recoverChain(c *keyChain, specs []tableSpec, slots []byte) {
 	slotLen := p.cfg.ResponseBytesPerAccess()
 	c.status, c.err = slotOK, nil
 	for j := range c.accs {
@@ -760,12 +784,12 @@ func (p *LBLProxy) recoverChain(c *keyChain, specs []tableSpec, slots []byte, wo
 	}
 	if slots[0] != slotOK {
 		c.status, c.err = slots[0], slotError(slots[0])
-		c.held = prf.Output(slots[1 : 1+prf.Size])
+		c.held = prf.Output(slots[slotLen-prf.Size : slotLen])
 		return
 	}
 	for j := range c.accs {
 		a := &c.accs[j]
-		if a.value, c.err = p.recoverWorkers(a.Op, a.Value, specs[j].news, slots[j*slotLen+1:(j+1)*slotLen], workers); c.err != nil {
+		if a.value, c.err = p.recoverSlot(a.Op, a.Value, &specs[j], slots[j*slotLen+1:(j+1)*slotLen]); c.err != nil {
 			return
 		}
 	}
@@ -802,12 +826,14 @@ type tableSpec struct {
 	key   string
 	value []byte
 	ct    uint64
-	// news is the schedule the build carries to recovery: scheduleBytes
-	// long, it receives the counter-ct+1 labels bit-major, one row per bit
+	// news and olds are the schedule the build carries to recovery, so
+	// that recovery derives nothing (one scheduleBytes buffer, carve).
+	// news receives the counter-ct+1 labels bit-major, one row per bit
 	// value — label (g, b) at (b·Groups+g)·prf.Size — as the build derives
-	// them, and recovery matches the server's response against them
-	// instead of deriving them again.
-	news []byte
+	// them; olds maps each entry to the old bits whose label keys it —
+	// olds[g·2^y+e] for entry e of group g — which is how recovery reads
+	// the entry index the server reports.
+	news, olds []byte
 }
 
 // A schedulePool recycles the schedule buffers of a proxy's rounds: one
@@ -857,10 +883,11 @@ func (sp *schedulePool) put(b []byte) {
 // whether a request crosses the wire as one frame or several: a request
 // that fits is one ordinary call, which the transport may retry; a
 // longer one is the same bytes sealed and written frame by frame from
-// one pooled buffer, which it never retries. Each spec's news receives
-// the labels its table installs, for the caller to recover the response
-// against. On clk it is the table_build stage until the first frame is
-// sealed and the rpc stage from then until the response lands.
+// one pooled buffer, which it never retries. Each spec's news and olds
+// receive the schedule its table was built with, for the caller to
+// recover the response against. On clk it is the table_build stage
+// until the first frame is sealed and the rpc stage from then until the
+// response lands.
 func (p *LBLProxy) exchange(ctx context.Context, clk *obs.Clock, specs []tableSpec) (resp []byte, sent int, err error) {
 	cut := frameCutter{cfg: p.cfg, n: len(specs)}
 	var runsBuf [2]run
@@ -936,14 +963,17 @@ func (p *LBLProxy) buildFrame(frame []byte, runs []run, specs []tableSpec) error
 }
 
 // The mode byte of a segment header carries the LBL variant in its low
-// modeBits bits and, above them, the version of the table-entry format
-// (secretbox's label pad; v2 is the fixed-key-AES pad). Only in-flight
-// table bytes depend on the format, so proxy and server must agree on
-// it, and a server refuses any other version before reading a record —
-// a definite rejection, where leaving the mismatch to trial decryption
-// would answer slotStale and send the proxy up the reconcile ladder.
-// Proxies older than the stamp wrote zeros there, which reads as no
-// version at all.
+// modeBits bits and, above them, the version of the exchange: the
+// table-entry format of the request and the layout of the response slot
+// together. v2 is the fixed-key-AES pad (secretbox's label pad); v3 keeps
+// it and answers with the opened entries' indices and a label digest
+// instead of the installed labels. Only in-flight bytes depend on the
+// version, so proxy and server must agree on it, and a server refuses
+// any other version before reading a record — a definite rejection,
+// where a v2 proxy reading a v3 answer would call it tampering, and a
+// mismatched pad left to trial decryption would answer slotStale and send
+// the proxy up the reconcile ladder. Proxies older than the stamp wrote
+// zeros there, which reads as no version at all.
 //
 // A stored record's first byte is laid out the same way, its high bits
 // holding the record format: the layout of the label schedule, since the
@@ -953,7 +983,7 @@ func (p *LBLProxy) buildFrame(frame []byte, runs []run, specs []tableSpec) error
 // other version with errRecordFormat.
 const (
 	modeBits     = 4
-	entryFormat  = 2
+	entryFormat  = 3
 	recordFormat = 1
 )
 
@@ -973,19 +1003,15 @@ func (c LBLConfig) putSegHeader(dst, encKey []byte, rangeID uint32, epoch uint64
 	return n
 }
 
-// minGroupsPerBuildWorker and minGroupsPerRecoverWorker bound the
-// table-build and recovery fan-out: below this many groups per worker
-// the goroutine handoff costs more than the work it offloads. Each is
-// where two workers first beat one by more than 10 % on the measured
-// crossover (EXPERIMENTS.md, "Worker crossover"; BenchmarkWorkerCrossover):
-// with the schedule derived as keystream rows a group costs ≈200 ns to
-// build — 10 AES blocks eight at a time, 4 sealed entries — and ≈20 ns
-// to recover, which only compares, so build fans out from 384 groups
-// and recovery from 16,384.
-const (
-	minGroupsPerBuildWorker   = 192
-	minGroupsPerRecoverWorker = 8192
-)
+// minGroupsPerBuildWorker bounds the table-build fan-out: below this
+// many groups per worker the goroutine handoff costs more than the work
+// it offloads. It is where two workers first beat one by more than 10 %
+// on the measured crossover (EXPERIMENTS.md, "Worker crossover";
+// BenchmarkWorkerCrossover): with the schedule derived as keystream rows
+// a group costs ≈200 ns to build — 10 AES blocks eight at a time, 4
+// sealed entries — so the build fans out from 384 groups. Recovery
+// never fans out: it is one table lookup and one 16-byte XOR a group.
+const minGroupsPerBuildWorker = 192
 
 // tableWorkers returns the worker count for a CPU-bound pass over
 // groups groups under GOMAXPROCS, never exceeding one worker per
@@ -1097,8 +1123,9 @@ func (r *scheduleRows) at(j, i int) []byte {
 
 // buildGroupRange seals groups [g0, g1) of s's table into their slots
 // (steps 1.2–1.5 of §5.2 for those groups), leaving their new labels in
-// s.news. The counter-ct+1 rows go straight into s.news, one fill each;
-// the counter-ct rows and both permute rows are read chunk by chunk.
+// s.news and which old bits key each entry in s.olds. The counter-ct+1
+// rows go straight into s.news, one fill each; the counter-ct rows and
+// both permute rows are read chunk by chunk.
 // Every row is opened once for the whole range, so the worker's
 // allocations do not grow with it. shuf is owned by the caller — one per
 // worker. table holds groups starting at absolute group gBase — the
@@ -1147,6 +1174,7 @@ func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *crypto
 				rNew := rows.at(nEntries+1, i)[0] & mask
 				for e := 0; e < nEntries; e++ {
 					b := uint8(e) ^ r
+					s.olds[g*nEntries+e] = b
 					target := b
 					if op == OpWrite {
 						target = newBits
@@ -1172,6 +1200,7 @@ func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *crypto
 					target = int(newBits)
 				}
 				slot := perm[b]
+				s.olds[g*nEntries+slot] = uint8(b)
 				if err := sealer.SealInto(slots[slot*entryLen:(slot+1)*entryLen], rows.at(b, i), newLabel(target, g)); err != nil {
 					return err
 				}
@@ -1181,76 +1210,50 @@ func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *crypto
 	return nil
 }
 
-// recoverWorkers maps the server's returned labels back to plaintext
-// bits using news, the schedule the table was built to install, and
-// performs the §5.4 integrity check: every returned label must be one
-// the proxy could have generated. Group ranges are recovered across
-// workers, aligned to whole value bytes because setGroupBits read-
-// modify-writes its byte — two workers must never share one.
-func (p *LBLProxy) recoverWorkers(op Op, newValue, news, resp []byte, workers int) ([]byte, error) {
+// errDigest is the §5.4 check failing: the slot's digest is not the XOR
+// of the labels its fields, and for a write the written value, select.
+var errDigest = fmt.Errorf("%w: label digest mismatch", ErrTampered)
+
+// recoverSlot reads one access's value out of body, its response slot
+// past the status, against s, the schedule its table was built with
+// (§5.2 step 3 with the §5.4 check). Each group's field is the entry the
+// server opened, and s.olds says which old bits key it. A read's value
+// is those bits and a write's is the value it wrote; one byte mask picks
+// between them, so reads and writes run the same loop. The slot's digest
+// must be the XOR of the counter-ct+1 labels the value selects from
+// s.news. The server learns one new label a group, the one in the entry
+// it opened, so a field it misreports — or, for a write, labels it
+// installed other than the written value's — passes only with
+// probability 2^-128: for a write this comparison is the write-back check.
+func (p *LBLProxy) recoverSlot(op Op, newValue []byte, s *tableSpec, body []byte) ([]byte, error) {
 	cfg := p.cfg
-	groups := cfg.Groups()
-	if len(resp) != groups*prf.Size {
-		return nil, fmt.Errorf("%w: response has %d bytes, want %d", ErrTampered, len(resp), groups*prf.Size)
+	if len(body) != cfg.ValueSize+prf.Size {
+		return nil, fmt.Errorf("%w: response slot has %d bytes, want %d", ErrTampered, len(body), cfg.ValueSize+prf.Size)
 	}
+	y, groups, n := cfg.Mode.Y(), cfg.Groups(), cfg.Mode.entries()
+	mask := byte(n - 1)
+	// keep is 0xFF for a read, which keeps the old bits, and 0 for a
+	// write, which takes the bits it wrote.
+	keep := byte(-subtle.ConstantTimeByteEq(uint8(op), uint8(OpRead)))
 	value := make([]byte, cfg.ValueSize)
-	if workers > cfg.ValueSize {
-		workers = cfg.ValueSize
-	}
-	if workers <= 1 {
-		if err := p.recoverRange(value, resp, news, 0, groups); err != nil {
-			return nil, err
+	copy(value, newValue)
+	var digest labelDigest
+	for i, f := range body[:cfg.ValueSize] {
+		g0 := i * 8 / y // the byte's first group
+		var old byte
+		for j := 0; j < 8; j += y {
+			old |= s.olds[(g0+j/y)*n+int(f>>j&mask)] << j
 		}
-	} else {
-		groupsPerByte := 8 / cfg.Mode.Y()
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for wk := 0; wk < workers; wk++ {
-			b0 := cfg.ValueSize * wk / workers
-			b1 := cfg.ValueSize * (wk + 1) / workers
-			wg.Add(1)
-			go func(wk, g0, g1 int) {
-				defer wg.Done()
-				errs[wk] = p.recoverRange(value, resp, news, g0, g1)
-			}(wk, b0*groupsPerByte, b1*groupsPerByte)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		v := old&keep | value[i]&^keep
+		value[i] = v
+		for j := 0; j < 8; j += y {
+			digest.add(s.news[(int(v>>j&mask)*groups+g0+j/y)*prf.Size:])
 		}
 	}
-	if op == OpWrite {
-		// The installed labels must reflect exactly the written value.
-		for i := range value {
-			if value[i] != newValue[i] {
-				return nil, fmt.Errorf("%w: write-back mismatch at byte %d", ErrTampered, i)
-			}
-		}
+	var want [prf.Size]byte
+	digest.put(want[:])
+	if subtle.ConstantTimeCompare(want[:], body[cfg.ValueSize:]) != 1 {
+		return nil, errDigest
 	}
 	return value, nil
-}
-
-// recoverRange recovers groups [g0, g1) of value from the response
-// labels (§5.4 check included): a group's bits are the index of the
-// first of its scheduled labels the returned label equals.
-func (p *LBLProxy) recoverRange(value, resp, news []byte, g0, g1 int) error {
-	y, groups := p.cfg.Mode.Y(), p.cfg.Groups()
-	nEntries := p.cfg.Mode.entries()
-	for g := g0; g < g1; g++ {
-		got := prf.Output(resp[g*prf.Size:])
-		matched := false
-		for b := 0; b < nEntries; b++ {
-			if got.Equal(prf.Output(news[(b*groups+g)*prf.Size:])) {
-				setGroupBits(value, g, y, uint8(b))
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			return fmt.Errorf("%w: group %d label unrecognized", ErrTampered, g)
-		}
-	}
-	return nil
 }

@@ -112,9 +112,16 @@ type tableGeometry struct {
 
 func (g tableGeometry) groupBytes() int { return g.nEntries * g.entryLen }
 
-// errEntryFormat refuses a request whose tables were sealed in another
-// entry format (see entryFormat): proxy and server are different
-// releases. Constant text like every other rejection.
+// fieldBytes is the size of a response slot's index fields: y bits a
+// group, rounded up to whole bytes.
+func (g tableGeometry) fieldBytes() int { return (g.groups*g.mode.Y() + 7) / 8 }
+
+// slotLen is the size of one response slot (LBLConfig.ResponseBytesPerAccess).
+func (g tableGeometry) slotLen() int { return 1 + g.fieldBytes() + prf.Size }
+
+// errEntryFormat refuses a request of another exchange version (see
+// entryFormat): proxy and server are different releases. Constant text
+// like every other rejection.
 var errEntryFormat = errors.New("core: table entry format mismatch: proxy and server must run the same release")
 
 // errRecordFormat refuses a request against a stored record of another
@@ -157,12 +164,14 @@ func (g *tableGeometry) validate() error {
 }
 
 // Response slot statuses. A response is one fixed-width slot per
-// request segment — a status, then a label block — so what happened to
-// each key never shows in a length. The block is the installed labels
-// on success, the labels of the record the store holds on slotStale,
-// and zero otherwise. The proxy's recovery ladder runs on the codes;
-// slotError turns a failure back into the constant-text error callers
-// and relays classify.
+// request segment — a status, y bits per group, a 16-byte digest — so
+// what happened to each key never shows in a length. On success the
+// fields name the entry the server opened in each group and the digest
+// is the XOR of the labels it installed; on slotStale the fields are zero
+// and the digest's place holds the group-0 label of the record the store
+// holds; otherwise the body is zero. The proxy's recovery ladder runs on
+// the codes; slotError turns a failure back into the constant-text error
+// callers and relays classify.
 const (
 	slotOK byte = iota
 	// slotNotFound: the store was not initialized with this key.
@@ -171,7 +180,7 @@ const (
 	// record's counter (some entry the stored labels should open does
 	// not), or the record moved while the table was being decrypted. Out
 	// of all rounds ever built for a key at one counter, at most one
-	// applies. The labels it carries tell the proxy which counter the
+	// applies. The label it carries tells the proxy which counter the
 	// record is at (reconcile.go).
 	slotStale
 	// slotFenced: the ownership claim is behind the range's epoch
@@ -277,12 +286,14 @@ var recPool = sync.Pool{New: func() any { return new([]byte) }}
 // decryptRange executes step 2.1 of §5.2 for groups [g0, g1): trial-
 // decrypt the table entries rec's stored labels open, writing the
 // recovered new labels (and, under point-and-permute, the next
-// decryption bits) into newLabels/newDbits at absolute group offsets.
+// decryption bits) into newLabels/newDbits at absolute group offsets,
+// the index of the entry each group opened into fields — zeroed, laid out
+// as a value's bits are — and the XOR of the new labels into digest.
 // table holds exactly those groups' entries (table[0] is group g0's).
 // Returns the number of authenticated decryptions attempted and whether
 // every group opened; a group none of whose entries opens means the
 // table is not keyed at the record's counter.
-func decryptRange(geo tableGeometry, rec *lblRecord, table []byte, g0, g1 int, newLabels, newDbits []byte) (attempts int64, ok bool) {
+func decryptRange(geo tableGeometry, rec *lblRecord, table []byte, g0, g1 int, newLabels, newDbits, fields []byte, digest *labelDigest) (attempts int64, ok bool) {
 	mode, entryLen, nEntries := geo.mode, geo.entryLen, geo.nEntries
 	var plainBuf [prf.Size + 1]byte
 	plain := plainBuf[:mode.entryPlainLen()]
@@ -298,28 +309,32 @@ func decryptRange(geo tableGeometry, rec *lblRecord, table []byte, g0, g1 int, n
 		if oerr != nil {
 			return attempts, false
 		}
+		e := 0
 		if mode.hasDbits() {
 			// Point-and-permute: exactly one decryption, at the
 			// stored entry index.
-			d := int(rec.dbits[g]) & (nEntries - 1)
+			e = int(rec.dbits[g]) & (nEntries - 1)
 			attempts++
-			if opener.OpenInto(plain, entries[d*entryLen:(d+1)*entryLen]) != nil {
+			if opener.OpenInto(plain, entries[e*entryLen:(e+1)*entryLen]) != nil {
 				return attempts, false
 			}
 			newDbits[g] = plain[prf.Size]
 		} else {
 			// Try each shuffled entry; the recognition tag
 			// identifies the one our label opens (§5.2 step 2.1).
-			hit := false
-			for e := 0; e < nEntries && !hit; e++ {
+			for ; e < nEntries; e++ {
 				attempts++
-				hit = opener.OpenInto(plain, entries[e*entryLen:(e+1)*entryLen]) == nil
+				if opener.OpenInto(plain, entries[e*entryLen:(e+1)*entryLen]) == nil {
+					break
+				}
 			}
-			if !hit {
+			if e == nEntries {
 				return attempts, false
 			}
 		}
+		setGroupBits(fields, g, mode.Y(), uint8(e))
 		copy(newLabels[g*prf.Size:], plain[:prf.Size])
+		digest.add(plain)
 	}
 	return attempts, true
 }
@@ -388,8 +403,8 @@ type lblRequest struct {
 
 // An lblSegment is one access within a request: the status its chain
 // has earned through it and, while that is still slotOK, the record its
-// table is being decrypted against and the record being built from what
-// the decryptions recover.
+// table is being decrypted against, the record being built from what
+// the decryptions recover, and the answer for its response slot.
 type lblSegment struct {
 	key    string
 	status byte
@@ -401,6 +416,8 @@ type lblSegment struct {
 	rec      lblRecord
 	snap     *[]byte // pooled, a chain's head only: the stored record as it was when the chain began
 	next     *[]byte // pooled: the record this segment builds
+	fields   []byte  // the entry each group opened, y bits a group
+	digest   labelDigest
 	attempts int64
 	busy     obs.Interval // record work: snapshot, trial decryptions, install
 }
@@ -523,6 +540,7 @@ func (req *lblRequest) begin(key string, claim []byte) *lblSegment {
 	}
 	*seg.next = (*seg.next)[:len(from)]
 	(*seg.next)[0] = geo.mode.recordByte()
+	seg.fields = make([]byte, geo.fieldBytes())
 	return seg
 }
 
@@ -548,7 +566,7 @@ func (req *lblRequest) decrypt(run segRun) {
 	seg.busy.Resume()
 	defer seg.busy.Pause()
 	labels, dbits := seg.labels(req.geo)
-	a, ok := decryptRange(req.geo, &seg.rec, run.table, run.g0, run.g1, labels, dbits)
+	a, ok := decryptRange(req.geo, &seg.rec, run.table, run.g0, run.g1, labels, dbits, seg.fields, &seg.digest)
 	seg.attempts += a
 	if !ok {
 		seg.status = slotStale
@@ -559,7 +577,7 @@ func (req *lblRequest) decrypt(run segRun) {
 // end on a segment boundary — a cut or truncated request can never
 // pass as complete — and only then does any key's record change. Each
 // chain's new labels install by compare-and-swap against its head's
-// snapshot (step 2.2) and are copied into its members' response slots.
+// snapshot (step 2.2), and its members' response slots are answered.
 func (req *lblRequest) finish() ([]byte, error) {
 	n := len(req.segs)
 	if n == 0 || req.segs[n-1].fed < req.geo.groups {
@@ -567,7 +585,7 @@ func (req *lblRequest) finish() ([]byte, error) {
 	}
 	// The response is retained by the transport's at-most-once dedup
 	// cache, so it must be freshly allocated, never pooled.
-	slotLen := 1 + req.geo.groups*prf.Size
+	slotLen := req.geo.slotLen()
 	out := make([]byte, n*slotLen)
 	ForEach(n, min(n, runtime.GOMAXPROCS(0)), func(i int) error { //nolint:errcheck // outcomes land per slot
 		if req.segs[i].prev != nil {
@@ -589,12 +607,12 @@ func (req *lblRequest) finish() ([]byte, error) {
 
 // install swaps the record chain's last member built in for the one its
 // head snapshotted, provided that is still what the store holds, fills
-// slots with each member's label block — or, stale, with the held
-// record's — and returns the chain's status: the first failure any
-// member met, or what the swap came to. One update, so one WAL record,
-// takes the record through all of the chain's counter steps or none of
-// them, so a stale answer's labels say where a lost chain left the
-// record. A record that moved in between was advanced by a concurrent
+// slots with each member's fields and digest — or, stale, with the held
+// record's group-0 label — and returns the chain's status: the first
+// failure any member met, or what the swap came to. One update, so one
+// WAL record, takes the record through all of the chain's counter steps
+// or none of them, so a stale answer's label says where a lost chain left
+// the record. A record that moved in between was advanced by a concurrent
 // round keyed at the same counter — which a correct proxy never issues
 // — so this round is, by the label schedule's own fencing, stale.
 func (req *lblRequest) install(chain []*lblSegment, slots []byte) byte {
@@ -613,16 +631,11 @@ func (req *lblRequest) install(chain []*lblSegment, slots []byte) byte {
 		return slotExpired
 	}
 	head.busy.Resume()
-	slotLen := len(slots) / len(chain)
 	swapped := false
 	err := s.store.Update(head.key, func(old []byte) ([]byte, error) {
 		if !bytes.Equal(old, *head.snap) {
 			req.answerStale(slots, old)
 			return nil, errStaleTable
-		}
-		for k, seg := range chain {
-			labels, _ := seg.labels(req.geo)
-			copy(slots[k*slotLen+1:(k+1)*slotLen], labels)
 		}
 		// Hand the store the new record; the displaced old slice is
 		// recycled by release once the update commits.
@@ -633,6 +646,12 @@ func (req *lblRequest) install(chain []*lblSegment, slots []byte) byte {
 	})
 	switch {
 	case err == nil:
+		slotLen := req.geo.slotLen()
+		for k, seg := range chain {
+			body := slots[k*slotLen+1 : (k+1)*slotLen]
+			copy(body, seg.fields)
+			seg.digest.put(body[len(seg.fields):])
+		}
 		s.ops.Add(int64(len(chain)))
 		// Trial decryptions are counted per segment and published once:
 		// a per-entry atomic add is a cross-core cacheline ping-pong when
@@ -647,7 +666,6 @@ func (req *lblRequest) install(chain []*lblSegment, slots []byte) byte {
 		// failed; the store may retain either buffer, so recycle
 		// neither.
 		*tail.next = nil
-		clear(slots)
 		return slotRejected
 	case errors.Is(err, kvstore.ErrNotFound):
 		return slotNotFound
@@ -658,18 +676,19 @@ func (req *lblRequest) install(chain []*lblSegment, slots []byte) byte {
 	}
 }
 
-// answerStale fills every slot body of a chain refused stale with the
-// label block of held, the record the store holds — labels the server
-// already knows, sent for reads and writes alike. A record that does
-// not parse leaves the bodies zero, which match no counter.
+// answerStale puts held's group-0 label — a label of the record the
+// store holds, which the server already knows, and all the proxy's
+// counter search reads (reconcile.go) — in the digest's place of every
+// slot of a chain refused stale, for reads and writes alike. A record
+// that does not parse leaves the bodies zero, which match no counter.
 func (req *lblRequest) answerStale(slots, held []byte) {
 	rec, err := parseLBLRecord(held, req.geo.mode, req.geo.groups)
 	if err != nil {
 		return
 	}
-	slotLen := 1 + len(rec.labels)
-	for k := 0; k < len(slots); k += slotLen {
-		copy(slots[k+1:k+slotLen], rec.labels)
+	slotLen := req.geo.slotLen()
+	for k := slotLen - prf.Size; k < len(slots); k += slotLen {
+		copy(slots[k:k+prf.Size], rec.labels)
 	}
 }
 

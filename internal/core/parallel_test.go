@@ -13,9 +13,9 @@ import (
 )
 
 // applyTable runs the server half of one access directly against a
-// fresh store seeded with record, returning the response labels and the
-// post-access stored record.
-func applyTable(t *testing.T, cfg LBLConfig, ek string, record, table []byte) (labels, newRec []byte) {
+// fresh store seeded with record, returning the response slot's body and
+// the post-access stored record.
+func applyTable(t *testing.T, cfg LBLConfig, ek string, record, table []byte) (body, newRec []byte) {
 	t.Helper()
 	store := kvstore.New()
 	if err := store.Put(ek, append([]byte(nil), record...)); err != nil {
@@ -30,19 +30,22 @@ func applyTable(t *testing.T, cfg LBLConfig, ek string, record, table []byte) (l
 	if err := slotError(resp[0]); err != nil {
 		t.Fatal(err)
 	}
-	labels = resp[1:]
+	body = resp[1:]
 	newRec, err = store.Get(ek)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return labels, newRec
+	return body, newRec
 }
 
 // A table built with a worker pool must be exactly as applicable as a
 // sequential one: applied to identical server state, both installs end
-// at the identical record (the new-label schedule is deterministic),
-// and both recover to the same value — the cross-check that parallel
-// sealing writes every slot of every worker's range correctly.
+// at the identical record (the new-label schedule is deterministic) and
+// answer with the same digest, and each recovers to the written value
+// from its own schedule — the cross-check that parallel sealing writes
+// every slot, and every old-bits entry, of every worker's range
+// correctly. The fields may differ: outside point-and-permute they name
+// slots each build shuffled on its own.
 func TestParallelBuildMatchesSequential(t *testing.T) {
 	for _, mode := range allLBLModes() {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -78,24 +81,25 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 				t.Error("carried schedules diverge after sequential vs parallel build")
 			}
 
-			seqLabels, seqRec := applyTable(t, cfg, ek, rec, seq)
-			parLabels, parRec := applyTable(t, cfg, ek, rec, par)
+			seqBody, seqRec := applyTable(t, cfg, ek, rec, seq)
+			parBody, parRec := applyTable(t, cfg, ek, rec, par)
 			if !bytes.Equal(seqRec, parRec) {
 				t.Error("stored records diverge after sequential vs parallel table")
 			}
-			if !bytes.Equal(seqLabels, parLabels) {
-				t.Error("response labels diverge")
+			if !bytes.Equal(seqBody[cfg.ValueSize:], parBody[cfg.ValueSize:]) {
+				t.Error("response digests diverge")
 			}
-
-			// Both recoveries — sequential and fanned out — must yield
-			// the written value.
-			for _, workers := range []int{1, 4} {
-				got, err := proxy.recoverWorkers(OpWrite, newValue, parSpec.news, parLabels, workers)
+			for _, c := range []struct {
+				name string
+				spec *tableSpec
+				body []byte
+			}{{"sequential", &seqSpec, seqBody}, {"parallel", &parSpec, parBody}} {
+				got, err := proxy.recoverSlot(OpWrite, newValue, c.spec, c.body)
 				if err != nil {
-					t.Fatalf("recover with %d workers: %v", workers, err)
+					t.Fatalf("recover the %s build: %v", c.name, err)
 				}
 				if !bytes.Equal(got, newValue) {
-					t.Errorf("recover with %d workers = %x, want %x", workers, got, newValue)
+					t.Errorf("recover the %s build = %x, want %x", c.name, got, newValue)
 				}
 			}
 		})
@@ -160,9 +164,7 @@ func TestParallelBuildShuffleUniform(t *testing.T) {
 // End-to-end accesses with the worker pool engaged (GOMAXPROCS raised
 // so tableWorkers fans out): values must round-trip exactly as in the
 // sequential configuration. Run under -race this also checks the build
-// goroutines share no state (recovery fans out only past
-// minGroupsPerRecoverWorker; TestCarriedScheduleParity and
-// TestParallelBuildMatchesSequential drive its workers directly).
+// goroutines share no state.
 func TestAccessEndToEndWithWorkerPool(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)

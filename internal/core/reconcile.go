@@ -9,9 +9,10 @@ import (
 // works only while the proxy's per-key counter ct matches the counter
 // of the labels the server's record holds. Whenever it does not, the
 // server answers the access stale (slotStale), and a stale slot's body
-// — fixed-length, zero for every other failure — carries the label
-// block of the record the server holds. The proxy finds the counter
-// that block's group-0 label belongs to by local search and rebases:
+// — fixed-length, zero for every other failure — carries, in the
+// digest's place, the group-0 label of the record the server holds. The
+// proxy finds the counter that label belongs to by local search and
+// rebases:
 //
 //   - Above ct: the record moved without this proxy's counter. That is
 //     every lost-state case — a chain that ran but whose response was
@@ -29,8 +30,8 @@ import (
 //
 // A label is evidence: a server cannot produce the label of a counter
 // its record never reached. Obliviousness: the server answers stale
-// identically for reads and writes, and the labels it returns are ones
-// it stores, so recovery adds no exchange and leaks no operation type
+// identically for reads and writes, and the label it returns is one it
+// stores, so recovery adds no exchange and leaks no operation type
 // (the desync rows of TestLBLRequestParity).
 
 // reconcileWindow bounds the counter search each way from ct. A full

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/subtle"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync"
@@ -11,57 +13,84 @@ import (
 	"time"
 
 	"ortoa/internal/crypto/prf"
+	"ortoa/internal/crypto/secretbox"
 	"ortoa/internal/kvstore"
 	"ortoa/internal/netsim"
 	"ortoa/internal/transport"
 )
 
-// The table build carries the label schedule it derives to recovery
-// (tableSpec.news). These tests hold that carried schedule to the
-// definition it replaced — re-deriving every candidate label from the
-// PRF — and pin what carrying it is for: recovery derives nothing.
+// The table build carries the schedule it derives to recovery
+// (tableSpec.news and olds). These tests hold that carried schedule to
+// the definition it stands for — re-deriving every label and permute
+// word from the PRF — and pin what carrying it is for: recovery derives
+// nothing.
 
-// recoverFromPRF is the reference recovery: the §5.4 check against
-// labels derived afresh at counter ctNew, as the proxy did before the
-// schedule was carried. Kept here only, for the parity test.
-func recoverFromPRF(p *LBLProxy, op Op, key string, newValue []byte, ctNew uint64, resp []byte) ([]byte, error) {
+// recoverFromPRF is the reference recovery of a response slot's body,
+// sharing nothing with the carried schedule: it finds the old bits keying
+// each opened entry from the PRF — the permute word at counter ct under
+// point-and-permute, otherwise the one counter-ct label that opens the
+// entry in table — and recomputes the digest over labels derived afresh
+// at counter ct+1.
+func recoverFromPRF(p *LBLProxy, op Op, key string, newValue []byte, ct uint64, table, body []byte) ([]byte, error) {
 	cfg := p.cfg
-	if len(resp) != cfg.Groups()*prf.Size {
-		return nil, fmt.Errorf("%w: response has %d bytes, want %d", ErrTampered, len(resp), cfg.Groups()*prf.Size)
+	y, n, entryLen := cfg.Mode.Y(), cfg.Mode.entries(), cfg.Mode.entryLen()
+	if len(body) != cfg.ValueSize+prf.Size {
+		return nil, fmt.Errorf("%w: response slot has %d bytes, want %d", ErrTampered, len(body), cfg.ValueSize+prf.Size)
 	}
 	gen := p.prf.LabelGen(key)
+	sealer := secretbox.NewLabelSealer()
+	plain := make([]byte, cfg.Mode.entryPlainLen())
 	value := make([]byte, cfg.ValueSize)
+	var digest prf.Output
 	for g := 0; g < cfg.Groups(); g++ {
-		got := prf.Output(resp[g*prf.Size:])
-		matched := false
-		for b := 0; b < cfg.Mode.entries() && !matched; b++ {
-			if matched = got.Equal(gen.Label(g, uint8(b), ctNew)); matched {
-				setGroupBits(value, g, cfg.Mode.Y(), uint8(b))
+		e := int(groupBits(body, g, y))
+		old := -1
+		if cfg.Mode.hasDbits() {
+			old = e ^ int(gen.PermuteBits(g, ct))&(n-1)
+		}
+		entry := table[(g*n+e)*entryLen : (g*n+e+1)*entryLen]
+		for b := 0; old < 0 && b < n; b++ {
+			l := gen.Label(g, uint8(b), ct)
+			opener, err := sealer.Opener(l[:])
+			if err != nil {
+				return nil, err
+			}
+			if opener.OpenInto(plain, entry) == nil {
+				old = b
 			}
 		}
-		if !matched {
-			return nil, fmt.Errorf("%w: group %d label unrecognized", ErrTampered, g)
+		if old < 0 {
+			return nil, fmt.Errorf("reference: entry %d of group %d opens under no counter-%d label", e, g, ct)
 		}
+		bits := uint8(old)
+		if op == OpWrite {
+			bits = groupBits(newValue, g, y)
+		}
+		setGroupBits(value, g, y, bits)
+		l := gen.Label(g, bits, ct+1)
+		subtle.XORBytes(digest[:], digest[:], l[:])
 	}
-	if op == OpWrite {
-		for i := range value {
-			if value[i] != newValue[i] {
-				return nil, fmt.Errorf("%w: write-back mismatch at byte %d", ErrTampered, i)
-			}
-		}
+	if !digest.Equal(prf.Output(body[cfg.ValueSize:])) {
+		return nil, fmt.Errorf("%w: label digest mismatch", ErrTampered)
 	}
 	return value, nil
 }
 
-// serveSpec builds spec's request frame by frame as exchange does,
-// applies it to a server holding record, and returns the response
-// labels.
-func serveSpec(t testing.TB, p *LBLProxy, spec tableSpec, ek string, record []byte) []byte {
+// specStore returns a store holding record under ek.
+func specStore(t testing.TB, ek string, record []byte) *kvstore.Store {
 	t.Helper()
 	store := kvstore.New()
 	if err := store.Put(ek, bytes.Clone(record)); err != nil {
 		t.Fatal(err)
 	}
+	return store
+}
+
+// serveSpec builds spec's request frame by frame as exchange does and
+// applies it to a server over store, returning the request's table and
+// the body of the slot it was answered with.
+func serveSpec(t testing.TB, p *LBLProxy, spec tableSpec, store *kvstore.Store) (table, body []byte) {
+	t.Helper()
 	frames, _ := builtFrames(t, p, []tableSpec{spec})
 	if len(frames) != p.cfg.RequestFrames(1) {
 		t.Fatalf("built %d frames, want %d", len(frames), p.cfg.RequestFrames(1))
@@ -81,15 +110,18 @@ func serveSpec(t testing.TB, p *LBLProxy, spec tableSpec, ek string, record []by
 	if err := slotError(resp[0]); err != nil {
 		t.Fatal(err)
 	}
-	return resp[1:]
+	return bytes.Join(frames, nil)[p.cfg.segHeaderLen():], resp[1:]
 }
 
 // TestCarriedScheduleParity: over every mode, value sizes from one
 // byte to 4 KiB, and requests sent whole and cut into frames, recovery
-// from the carried schedule must agree with re-derivation from the PRF
-// — the same value, or the same ErrTampered text — on an honest
-// response, on one with a label flipped at a random group, and on a
-// write whose installed labels disagree with the value written.
+// from the carried schedule must agree with the PRF reference — the same
+// value, or the same ErrTampered text — on honest slots, and must fail
+// with ErrTampered on tampered ones: an index field flipped, a digest bit
+// flipped, two groups' fields swapped, the previous counter's honest slot
+// replayed, an all-zero body, a body a byte short, and a write whose
+// installed labels are not the value written. A write's fields select
+// nothing, so one flipped there is accepted by both.
 func TestCarriedScheduleParity(t *testing.T) {
 	rnd := rand.New(rand.NewPCG(16, 1))
 	randomValue := func(n int) []byte {
@@ -108,6 +140,11 @@ func TestCarriedScheduleParity(t *testing.T) {
 			t.Fatalf("%s: carried schedule recovered %x, PRF reference %x", what, got, want)
 		}
 	}
+	flipped := func(body []byte, i int) []byte {
+		b := bytes.Clone(body)
+		b[i] ^= 1 << rnd.IntN(8)
+		return b
+	}
 	for _, mode := range allLBLModes() {
 		for _, size := range []int{1, 160, 4096} {
 			for _, frames := range []int{1, 5} {
@@ -120,48 +157,85 @@ func TestCarriedScheduleParity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					y := mode.Y()
 					stored, written := randomValue(size), randomValue(size)
 					ek, rec, err := p.BuildRecord("obj", stored)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, workers := range []int{1, 3} {
-						read := p.spec(OpRead, "obj", nil, 0)
-						resp := serveSpec(t, p, read, ek, rec)
-						got, gotErr := p.recoverWorkers(OpRead, nil, read.news, resp, workers)
-						want, wantErr := recoverFromPRF(p, OpRead, "obj", nil, 1, resp)
-						same(t, "read", got, gotErr, want, wantErr)
-						if !bytes.Equal(got, stored) {
+					store := specStore(t, ek, rec)
+					check := func(what string, op Op, value []byte, s *tableSpec, table, body []byte) ([]byte, error) {
+						t.Helper()
+						got, gotErr := p.recoverSlot(op, value, s, body)
+						want, wantErr := recoverFromPRF(p, op, "obj", value, s.ct, table, body)
+						same(t, what, got, gotErr, want, wantErr)
+						return got, gotErr
+					}
+
+					// Reads at successive counters, at least two and until
+					// one is answered with group 0's field differing from
+					// some group g's, so that swapping the two changes the
+					// slot.
+					var read tableSpec
+					var table, body, prev []byte
+					g := 0
+					for ct := uint64(0); ct < 2 || g == 0; ct++ {
+						if ct == 16 {
+							t.Fatal("16 reads in a row answered with every field equal")
+						}
+						read, prev = p.spec(OpRead, "obj", nil, ct), body
+						table, body = serveSpec(t, p, read, store)
+						if got, _ := check("read", OpRead, nil, &read, table, body); !bytes.Equal(got, stored) {
 							t.Fatalf("read recovered %x, want the stored %x", got, stored)
 						}
-
-						flipped := bytes.Clone(resp)
-						flipped[rnd.IntN(cfg.Groups())*prf.Size+rnd.IntN(prf.Size)] ^= 1 << rnd.IntN(8)
-						got, gotErr = p.recoverWorkers(OpRead, nil, read.news, flipped, workers)
-						want, wantErr = recoverFromPRF(p, OpRead, "obj", nil, 1, flipped)
-						same(t, "flipped label", got, gotErr, want, wantErr)
-						if gotErr == nil {
-							t.Fatal("a flipped label was accepted")
+						for g = cfg.Groups() - 1; g > 0 && groupBits(body, g, y) == groupBits(body, 0, y); g-- {
 						}
-
-						write := p.spec(OpWrite, "obj", written, 0)
-						resp = serveSpec(t, p, write, ek, rec)
-						got, gotErr = p.recoverWorkers(OpWrite, written, write.news, resp, workers)
-						want, wantErr = recoverFromPRF(p, OpWrite, "obj", written, 1, resp)
-						same(t, "write", got, gotErr, want, wantErr)
-						if !bytes.Equal(got, written) {
-							t.Fatalf("write echoed %x, want %x", got, written)
+					}
+					swapped := bytes.Clone(body)
+					d := groupBits(body, 0, y) ^ groupBits(body, g, y)
+					swapped[0] ^= d
+					swapped[g*y/8] ^= d << (g * y % 8)
+					zero := make([]byte, len(body))
+					for _, c := range []struct {
+						name string
+						body []byte
+					}{
+						{"an index field flipped", flipped(body, rnd.IntN(size))},
+						{"a digest bit flipped", flipped(body, size+rnd.IntN(prf.Size))},
+						{"two groups' fields swapped", swapped},
+						{"the previous counter's slot replayed", prev},
+						{"an all-zero body", zero},
+						{"a byte short", body[:len(body)-1]},
+					} {
+						if _, err := check("read, "+c.name, OpRead, nil, &read, table, c.body); !errors.Is(err, ErrTampered) {
+							t.Fatalf("read, %s: %v, want ErrTampered", c.name, err)
 						}
+					}
 
-						// The server installed labels for written; a proxy that
-						// meant another value must notice.
-						other := bytes.Clone(written)
-						other[rnd.IntN(size)] ^= 1 << rnd.IntN(8)
-						got, gotErr = p.recoverWorkers(OpWrite, other, write.news, resp, workers)
-						want, wantErr = recoverFromPRF(p, OpWrite, "obj", other, 1, resp)
-						same(t, "write-back mismatch", got, gotErr, want, wantErr)
-						if gotErr == nil {
-							t.Fatal("a write-back mismatch was accepted")
+					prev = body
+					write := p.spec(OpWrite, "obj", written, read.ct+1)
+					table, body = serveSpec(t, p, write, store)
+					if got, _ := check("write", OpWrite, written, &write, table, body); !bytes.Equal(got, written) {
+						t.Fatalf("write echoed %x, want %x", got, written)
+					}
+					if got, _ := check("write, an index field flipped", OpWrite, written, &write, table, flipped(body, rnd.IntN(size))); !bytes.Equal(got, written) {
+						t.Fatalf("write with a field flipped echoed %x, want %x", got, written)
+					}
+					// The server installed labels for written; a proxy that
+					// meant another value must notice.
+					other := flipped(written, rnd.IntN(size))
+					for _, c := range []struct {
+						name  string
+						value []byte
+						body  []byte
+					}{
+						{"write-back mismatch", other, body},
+						{"a digest bit flipped", written, flipped(body, size+rnd.IntN(prf.Size))},
+						{"the previous counter's slot replayed", written, prev},
+						{"an all-zero body", written, zero},
+					} {
+						if _, err := check("write, "+c.name, OpWrite, c.value, &write, table, c.body); !errors.Is(err, ErrTampered) {
+							t.Fatalf("write, %s: %v, want ErrTampered", c.name, err)
 						}
 					}
 				})
@@ -184,9 +258,9 @@ func TestRecoveryAllocatesOnlyTheValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := p.spec(OpRead, "obj", nil, 0)
-	resp := serveSpec(t, p, spec, ek, rec)
+	_, body := serveSpec(t, p, spec, specStore(t, ek, rec))
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := p.recoverWorkers(OpRead, nil, spec.news, resp, 1); err != nil {
+		if _, err := p.recoverSlot(OpRead, nil, &spec, body); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 1 {

@@ -140,7 +140,7 @@ func EstimateCost(cfg core.LBLConfig, objects int) CostEstimate {
 	e := CostEstimate{Objects: objects}
 	e.RecordBytes = cfg.ServerBytesPerValue() + prf.Size // record + encoded key
 	e.RequestBytes = cfg.RequestBytesPerAccess()
-	e.ResponseBytes = cfg.Groups() * prf.Size
+	e.ResponseBytes = cfg.ResponseBytesPerAccess()
 	e.StorageGB = float64(e.RecordBytes) * float64(objects) / 1e9
 	e.StorageUSDMonth = e.StorageGB * usdPerGBMonth
 	e.NetworkGBPer1M = float64(e.RequestBytes+e.ResponseBytes) * 1e6 / 1e9
@@ -198,7 +198,7 @@ func CostModel(opt Options) (*Table, error) {
 	t.AddRow("proxy counter state", fmt.Sprintf("%.1f MB", e.ProxyCounterMB))
 	t.Notes = append(t.Notes,
 		"paper (§6.3.3): $1.52/month storage, $18.3 bandwidth + $3.7 compute per 1M accesses, $0.000023/request",
-		"our sizes include AES-GCM tags and framing; the paper prices idealized 128-bit ciphertexts")
+		"our sizes include each table entry's recognition tag and the framing; the paper prices idealized 128-bit ciphertexts")
 	return t, nil
 }
 

@@ -27,8 +27,8 @@ import (
 //     key, must return a member of that set; a write acknowledged and
 //     then rolled back, or applied twice, surfaces as a non-member.
 //   - At most one round per counter value. A read only succeeds if the
-//     proxy recognizes every returned label under the key's current
-//     counter (§5.4), so a double-applied or half-applied round — which
+//     slot's label digest is that of labels at the key's current counter
+//     (§5.4), so a double-applied or half-applied round — which
 //     would desynchronize the label schedule for good (§5.3.1) — fails
 //     a later read as ErrTampered. After the faults stop every key must
 //     read cleanly.
