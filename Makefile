@@ -8,8 +8,12 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also fails on any Go file gofmt would change, the benchmark
+# module's included: `gofmt -l` lists them and prints nothing otherwise.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
 
 # race runs the full test suite under the race detector; the batched
 # pipeline tests exercise concurrent AccessBatch/Access interleavings,
@@ -51,7 +55,7 @@ benchmark-smoke:
 # noaes re-runs the entry- and record-format tests — the known-answer
 # vectors of the sealer and of the label schedule's keystream rows, the
 # rows against single blocks, the sealer's properties, the stored-record
-# golden bytes, the carried-schedule and request parity tests — on Go's
+# golden bytes and each mode's pinned bytes, the carried-schedule and request parity tests — on Go's
 # table-driven AES and generic CTR, which hardware without AES
 # instructions falls back to: both implementations must produce the same
 # bytes, or two hosts of one deployment could not open each other's
@@ -62,8 +66,8 @@ noaes:
 # fuzz-smoke runs every fuzzer in the module for 10 s of generated
 # inputs (`go test` alone runs only their seed corpora): in internal/core,
 # frame sequences at the server's one handler — whole, cut, reordered,
-# with a key repeated — and tampered response slots at the proxy, a
-# chain's included; in internal/kvstore, the snapshot and log a restart
+# with a key repeated — and tampered response slots and epoch grants at
+# the proxy, a chain's included; in internal/kvstore, the snapshot and log a restart
 # parses from its state directory; in internal/wire, the decoder every
 # payload goes through. The list is `go test -list`'s, so a fuzzer runs
 # here from the change that adds it; a package that fails to build fails

@@ -35,7 +35,7 @@ var (
 	protocol      = flag.String("protocol", "lbl", "protocol: lbl, tee, fhe, or 2rtt")
 	valueSize     = flag.Int("value-size", 160, "fixed value size in bytes")
 	keysPath      = flag.String("keys", "ortoa-keys.json", "keys file (created if missing)")
-	variant       = flag.String("lbl-variant", "point-permute", "LBL variant: basic, space-opt, point-permute, wide, wide-point-permute")
+	variant       = flag.String("lbl-variant", "point-permute", "LBL variant: basic, space-opt, point-permute")
 	conns         = flag.Int("conns", 32, "connection pool size to the server")
 	callTimeout   = flag.Duration("call-timeout", 0, "per-attempt deadline for server RPCs, e.g. 500ms (0 disables)")
 	retries       = flag.Int("retries", 0, "total attempts per server RPC; at-most-once retries (<2 disables)")

@@ -59,22 +59,22 @@ func BenchmarkLBLServerDecrypt(b *testing.B) {
 				b.Fatal(err)
 			}
 			r := wire.NewReader(req)
-			_, _, geo, err := readSegHeader(r)
-			if err != nil {
+			if _, _, _, err := readSegHeader(r); err != nil {
 				b.Fatal(err)
 			}
-			rec, err := parseLBLRecord(raw, mode, geo.groups)
+			rec, err := parseLBLRecord(raw, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			table := req[len(req)-r.Remaining():]
-			labels, dbits, fields := make([]byte, geo.groups*prf.Size), make([]byte, geo.groups), make([]byte, geo.fieldBytes())
+			groups := cfg.Groups()
+			labels, dbits, fields := make([]byte, groups*prf.Size), make([]byte, groups), make([]byte, cfg.ValueSize)
 			var digest labelDigest
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				clear(fields)
-				if _, ok := decryptRange(geo, &rec, table, 0, geo.groups, labels, dbits, fields, &digest); !ok {
+				if _, ok := decryptRange(mode, &rec, table, 0, groups, labels, dbits, fields, &digest); !ok {
 					b.Fatal("the table does not open under its record")
 				}
 			}

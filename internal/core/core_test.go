@@ -89,7 +89,7 @@ func (p *LBLProxy) buildRequest(op Op, key string, value []byte, ct uint64) ([]b
 }
 
 func allLBLModes() []LBLMode {
-	return []LBLMode{LBLBasic, LBLSpaceOpt, LBLPointPermute, LBLWide, LBLWidePointPermute}
+	return []LBLMode{LBLBasic, LBLSpaceOpt, LBLPointPermute}
 }
 
 func TestLBLReadInitialValue(t *testing.T) {
@@ -210,10 +210,8 @@ func TestLBLDecryptAttempts(t *testing.T) {
 		perGroupMax float64
 	}{
 		{LBLPointPermute, true, 1},
-		{LBLWidePointPermute, true, 1},
 		{LBLBasic, false, 2},
 		{LBLSpaceOpt, false, 4},
-		{LBLWide, false, 16},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {
 			r, proxy, srv := newLBL(t, tc.mode, valueSize)

@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"ortoa/internal/crypto/prf"
 	"ortoa/internal/kvstore"
 	"ortoa/internal/netsim"
 	"ortoa/internal/transport"
+	"ortoa/internal/wire"
 )
 
 // The server-side handlers parse payloads from an untrusted network.
@@ -94,8 +96,11 @@ func FuzzLBLServerPayload(f *testing.F) {
 	last := len(frames) - 1
 	modeAt := prf.Size + lblClaimLen // a segment's mode byte
 	geometry := bytes.Clone(bytes.Join(frames, nil))
-	// The second segment's mode.
-	geometry[cfg.RequestBytesPerAccess()+modeAt] = byte(LBLWide) | entryFormat<<modeBits
+	// The second segment's header names space-opt, entry length
+	// included: a header the server accepts, of another configuration.
+	second := cfg.RequestBytesPerAccess() + modeAt
+	geometry[second] = byte(LBLSpaceOpt) | entryFormat<<modeBits
+	geometry[second+1+wire.UvarintLen(uint64(cfg.Groups()))] = byte(LBLSpaceOpt.entryLen())
 	v1 := bytes.Clone(bytes.Join(frames, nil))
 	// As a proxy older than the entry-format stamp wrote it.
 	v1[modeAt] = byte(cfg.Mode)
@@ -380,6 +385,77 @@ func FuzzLBLProxyResponse(f *testing.F) {
 	})
 }
 
+// FuzzEpochGrant plays a server that answers ownership claims with
+// arbitrary bytes: grants is cut into one answer per claim, cuts saying
+// where (as in FuzzLBLServerPayload), and the proxy claims one range once
+// per answer, the range's epoch starting at start. No answer may panic;
+// one of other than exactly 8 bytes must fail its claim with the
+// malformed-grant error; and the epoch the range stamps never decreases:
+// a well-formed grant is returned as granted, and stamped only if it is
+// ahead.
+func FuzzEpochGrant(f *testing.F) {
+	grant := func(e uint64) []byte { return binary.LittleEndian.AppendUint64(nil, e) }
+	f.Add(grant(7), []byte{}, uint64(0))                                  // a grant ahead
+	f.Add(grant(3), []byte{}, uint64(9))                                  // a grant behind
+	f.Add(append(grant(5), grant(4)...), []byte{8, 0}, uint64(0))         // two grants, the second behind
+	f.Add([]byte{}, []byte{}, uint64(1))                                  // empty
+	f.Add(make([]byte, 7), []byte{}, uint64(1))                           // a byte short
+	f.Add(make([]byte, 9), []byte{}, uint64(1))                           // a byte long
+	f.Add(append(grant(^uint64(0)), 1), []byte{8, 0}, uint64(^uint64(0))) // the top epoch, then a byte
+
+	r := &rig{store: kvstore.New(), server: transport.NewServer()}
+	l := netsim.Listen(netsim.Loopback)
+	go r.server.Serve(l) //nolint:errcheck // returns on Close
+	f.Cleanup(func() { r.server.Close() })
+	var err error
+	if r.client, err = transport.Dial(l.Dial, 1); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { r.client.Close() })
+	var answers [][]byte
+	r.server.Handle(MsgEpochClaim, func(_ context.Context, _ []byte) ([]byte, error) {
+		if len(answers) == 0 {
+			return nil, errors.New("no answer left")
+		}
+		a := answers[0]
+		answers = answers[1:]
+		return a, nil
+	})
+
+	const rid = 7
+	f.Fuzz(func(t *testing.T, grants, cuts []byte, start uint64) {
+		var sequence [][]byte
+		for ; len(cuts) >= 2; cuts = cuts[2:] {
+			n := min(int(binary.LittleEndian.Uint16(cuts)), len(grants))
+			sequence, grants = append(sequence, grants[:n]), grants[n:]
+		}
+		sequence = append(sequence, grants)
+		answers = sequence
+		proxy, err := NewLBLProxy(LBLConfig{ValueSize: 4, Mode: LBLPointPermute}, prf.NewRandom(), r.client)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proxy.epochs[rid].Store(start)
+		for i, a := range sequence {
+			before := proxy.rangeEpoch(rid)
+			granted, err := proxy.ClaimRange(rid)
+			after := proxy.rangeEpoch(rid)
+			if len(a) != 8 {
+				if err == nil || !strings.Contains(err.Error(), "malformed grant") {
+					t.Fatalf("answer %d, %d bytes: granted %d, %v; want the malformed-grant error", i, len(a), granted, err)
+				}
+			} else if want := binary.LittleEndian.Uint64(a); err != nil || granted != want {
+				t.Fatalf("answer %d, a grant of %d: granted %d, %v", i, want, granted, err)
+			} else if after != max(before, want) {
+				t.Fatalf("answer %d, a grant of %d at epoch %d: the range stamps %d", i, want, before, after)
+			}
+			if after < before {
+				t.Fatalf("answer %d: the range's epoch went from %d to %d", i, before, after)
+			}
+		}
+	})
+}
+
 func FuzzTEEServerPayload(f *testing.F) {
 	store := kvstore.New()
 	srv, err := NewTEEServer(store, 0)
@@ -407,13 +483,12 @@ func FuzzLoaderPayload(f *testing.F) {
 }
 
 func FuzzLBLRecordParse(f *testing.F) {
-	f.Add([]byte{byte(LBLPointPermute)}, uint16(4)) // no record format: an earlier release's
-	f.Add(append([]byte{LBLPointPermute.recordByte()}, make([]byte, 4*prf.Size+4)...), uint16(4))
+	f.Add([]byte{byte(LBLPointPermute)}, uint16(4))                                                 // no record format: an earlier release's
+	f.Add(append([]byte{LBLPointPermute.recordByte()}, make([]byte, 16*prf.Size+16)...), uint16(3)) // a 4 B value's record
 	f.Add([]byte{}, uint16(1))
 	f.Fuzz(func(t *testing.T, raw []byte, groups uint16) {
-		g := int(groups)%64 + 1
-		parseLBLRecord(raw, LBLPointPermute, g) //nolint:errcheck
-		parseLBLRecord(raw, LBLBasic, g)        //nolint:errcheck
-		parseLBLRecord(raw, LBLWide, g)         //nolint:errcheck
+		for _, mode := range allLBLModes() {
+			parseLBLRecord(raw, LBLConfig{ValueSize: int(groups)%64 + 1, Mode: mode}) //nolint:errcheck
+		}
 	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"ortoa/internal/crypto/prf"
 	"ortoa/internal/obs"
 	"ortoa/internal/transport"
+	"ortoa/internal/wire"
 )
 
 // The recovery ladder (fence → claim, stale → rebase) belongs to the
@@ -219,6 +221,75 @@ func TestEntryFormatMismatchIsDefinite(t *testing.T) {
 			proxy.counters.release(entry)
 			if after := serverRecord(t, r, proxy, "k"); !bytes.Equal(after, before) {
 				t.Error("the rejected request changed the record")
+			}
+		})
+	}
+}
+
+// TestSegHeaderRefused: a segment header naming what the mode table does
+// not hold — a mode with no row, a group count that is not whole bytes of
+// value or is out of range, an entry length of another mode, another
+// exchange version — rejects the request at the header, before any
+// record is read: the request is answered with an error, not slots, no
+// entry is trial-decrypted and the record is untouched.
+func TestSegHeaderRefused(t *testing.T) {
+	cfg := LBLConfig{ValueSize: 4, Mode: LBLPointPermute}
+	p, err := NewLBLProxy(cfg, prf.NewRandom(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ek, rec, err := p.BuildRecord("k", []byte{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := p.buildRequest(OpRead, "k", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each payload keeps the request's key, claim and table and rewrites
+	// the header from the mode byte on, so one that passed the header
+	// would open the stored record.
+	at := prf.Size + lblClaimLen
+	payload := func(mode byte, groups, entryLen uint64) []byte {
+		b := append(bytes.Clone(req[:at]), mode)
+		b = binary.AppendUvarint(b, groups)
+		b = binary.AppendUvarint(b, entryLen)
+		return append(b, req[cfg.segHeaderLen():]...)
+	}
+	v3 := byte(entryFormat << modeBits)
+	pp := v3 | byte(LBLPointPermute)
+	if _, _, got, err := readSegHeader(wire.NewReader(payload(pp, 16, 25))); err != nil || got != cfg {
+		t.Fatalf("the request's own header reads as %+v, %v; want %+v", got, err, cfg)
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"mode 3", payload(v3|3, 16, 25)},
+		{"mode 4", payload(v3|4, 16, 24)},
+		{"mode 15", payload(v3|15, 16, 25)},
+		{"y = 2 groups not whole bytes", payload(pp, 15, 25)},
+		{"y = 1 groups not whole bytes", payload(v3|byte(LBLBasic), 12, 24)},
+		{"0 groups", payload(pp, 0, 25)},
+		{"more than 2^22 groups", payload(pp, maxGroups+4, 25)},
+		{"entry length of another mode", payload(pp, 16, 24)},
+		{"entry format 2", payload(2<<modeBits|byte(LBLPointPermute), 16, 25)},
+		{"entry format 4", payload(4<<modeBits|byte(LBLPointPermute), 16, 25)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, _, _, err := readSegHeader(wire.NewReader(c.payload)); err == nil {
+				t.Fatal("the header was accepted")
+			}
+			store := specStore(t, ek, rec)
+			srv := NewLBLServer(store)
+			if resp, err := srv.access(context.Background(), c.payload, nil); err == nil {
+				t.Fatalf("the request was answered with %d bytes of slots, want a rejection", len(resp))
+			}
+			if srv.Ops() != 0 || srv.DecryptAttempts() != 0 {
+				t.Errorf("%d accesses served, %d trial decryptions; want 0 and 0", srv.Ops(), srv.DecryptAttempts())
+			}
+			if now, _ := store.Get(ek); !bytes.Equal(now, rec) {
+				t.Error("the refused request changed the record")
 			}
 		})
 	}

@@ -22,7 +22,10 @@ import (
 	"ortoa/internal/wire"
 )
 
-// LBLMode selects the LBL-ORTOA variant.
+// LBLMode selects the LBL-ORTOA variant: it is an index into lblModes,
+// the one table every variant's parameters are read from. The index is
+// the low bits of the mode byte on the wire and in stored records, so a
+// row keeps its number for good.
 type LBLMode uint8
 
 const (
@@ -38,55 +41,58 @@ const (
 	// decrypts exactly one entry. This is the configuration the
 	// paper's cost analysis assumes (§6.3.3).
 	LBLPointPermute
-	// LBLWide generalizes the space optimization to y=4 (one label
-	// per four plaintext bits, 2^4 = 16 shuffled entries per group).
-	// Appendix §10.1 analyzes this point: storage shrinks to ℓ/4
-	// labels but communication doubles relative to y=2, which is why
-	// the paper settles on y=2. Implemented so the Fig 6 trade-off can
-	// be measured rather than only computed.
-	LBLWide
-	// LBLWidePointPermute is y=4 with point-and-permute decryption
-	// bits (four per group).
-	LBLWidePointPermute
 )
 
-// String names the mode for experiment labels.
+// lblModes holds one row per variant: its name (the public package's
+// LBLVariant), how many plaintext bits one label represents, and
+// whether records carry point-and-permute decryption bits.
+var lblModes = [...]struct {
+	name    string
+	y       int
+	permute bool
+}{
+	LBLBasic:        {"basic", 1, false},
+	LBLSpaceOpt:     {"space-opt", 2, false},
+	LBLPointPermute: {"point-permute", 2, true},
+}
+
+// maxEntries bounds 2^y over lblModes: the table entries of one group.
+const maxEntries = 4
+
+// LBLModeNamed returns the mode whose row is named name.
+func LBLModeNamed(name string) (LBLMode, bool) {
+	for m, row := range lblModes {
+		if row.name == name {
+			return LBLMode(m), true
+		}
+	}
+	return 0, false
+}
+
+// checkMode refuses a mode lblModes has no row for.
+func checkMode(m LBLMode) error {
+	if int(m) >= len(lblModes) {
+		return fmt.Errorf("core: unknown LBL mode %d", m)
+	}
+	return nil
+}
+
+// String returns the mode's row name.
 func (m LBLMode) String() string {
-	switch m {
-	case LBLBasic:
-		return "basic(y=1)"
-	case LBLSpaceOpt:
-		return "spaceopt(y=2)"
-	case LBLPointPermute:
-		return "point-permute(y=2)"
-	case LBLWide:
-		return "wide(y=4)"
-	case LBLWidePointPermute:
-		return "wide-point-permute(y=4)"
-	default:
+	if checkMode(m) != nil {
 		return fmt.Sprintf("mode(%d)", uint8(m))
 	}
+	return lblModes[m].name
 }
 
 // Y returns how many plaintext bits one label represents.
-func (m LBLMode) Y() int {
-	switch m {
-	case LBLBasic:
-		return 1
-	case LBLWide, LBLWidePointPermute:
-		return 4
-	default:
-		return 2
-	}
-}
+func (m LBLMode) Y() int { return lblModes[m].y }
 
 // entries returns the encryption-table entries per group (2^y).
 func (m LBLMode) entries() int { return 1 << m.Y() }
 
 // hasDbits reports whether records carry decryption bits.
-func (m LBLMode) hasDbits() bool {
-	return m == LBLPointPermute || m == LBLWidePointPermute
-}
+func (m LBLMode) hasDbits() bool { return lblModes[m].permute }
 
 // entryPlainLen is the plaintext length of one table entry: the new
 // label, plus the next decryption bits under point-and-permute.
@@ -101,11 +107,15 @@ func (m LBLMode) entryPlainLen() int {
 func (m LBLMode) entryLen() int { return m.entryPlainLen() + secretbox.LabelTagSize }
 
 // LBLConfig fixes the parameters shared by an LBL proxy and the
-// records it creates.
+// records it creates. The server derives one from every request
+// segment's header (readSegHeader), so both sides size requests,
+// response slots and records with the same methods.
 type LBLConfig struct {
 	// ValueSize is the fixed plaintext value length in bytes (ℓ/8).
 	ValueSize int
-	// Mode selects the protocol variant.
+	// Mode selects the protocol variant. Its zero value is LBLBasic
+	// (y = 1, trial decryption); the public package's empty LBLVariant
+	// is point-and-permute instead.
 	Mode LBLMode
 	// AutoAdopt, in multi-proxy deployments, lets the proxy adopt a
 	// counter range on demand: when an access is epoch-fenced (another
@@ -140,6 +150,13 @@ func (c LBLConfig) ServerBytesPerValue() int {
 		n += c.Groups()
 	}
 	return n
+}
+
+// recordParts splits rec, a record of ServerBytesPerValue bytes, into
+// the labels and the decryption bits that follow its mode byte.
+func (c LBLConfig) recordParts(rec []byte) (labels, dbits []byte) {
+	n := 1 + c.Groups()*prf.Size
+	return rec[1:n], rec[n:]
 }
 
 // groupBytes returns the size of one group's table entries
@@ -187,8 +204,8 @@ func (c LBLConfig) validate() error {
 	if c.ValueSize <= 0 {
 		return fmt.Errorf("core: LBL value size %d must be positive", c.ValueSize)
 	}
-	if c.Mode > LBLWidePointPermute {
-		return fmt.Errorf("core: unknown LBL mode %d", c.Mode)
+	if err := checkMode(c.Mode); err != nil {
+		return err
 	}
 	if c.StreamChunkBytes < 0 {
 		return fmt.Errorf("core: negative stream chunk budget %d", c.StreamChunkBytes)
@@ -299,7 +316,7 @@ func (c LBLConfig) roundKeys() int {
 }
 
 // groupBits extracts the y-bit group g from value (little-endian bit
-// order within each byte; y ∈ {1, 2, 4} always divides 8, so a group
+// order within each byte; y ∈ {1, 2} always divides 8, so a group
 // never straddles a byte boundary).
 func groupBits(value []byte, g, y int) uint8 {
 	bit := g * y
@@ -390,7 +407,7 @@ func (p *LBLProxy) BuildRecord(key string, value []byte) (encKey string, record 
 	mode, groups := p.cfg.Mode, p.cfg.Groups()
 	rec := make([]byte, p.cfg.ServerBytesPerValue())
 	rec[0] = mode.recordByte()
-	labels, dbits := rec[1:1+groups*prf.Size], rec[1+groups*prf.Size:]
+	labels, dbits := p.cfg.recordParts(rec)
 	n := mode.entries()
 	gen := p.prf.LabelGen(key)
 	var rows scheduleRows
@@ -962,8 +979,9 @@ func (p *LBLProxy) buildFrame(frame []byte, runs []run, specs []tableSpec) error
 	})
 }
 
-// The mode byte of a segment header carries the LBL variant in its low
-// modeBits bits and, above them, the version of the exchange: the
+// The mode byte of a segment header carries the LBLMode — the variant's
+// row in lblModes — in its low modeBits bits and, above them, the
+// version of the exchange: the
 // table-entry format of the request and the layout of the response slot
 // together. v2 is the fixed-key-AES pad (secretbox's label pad); v3 keeps
 // it and answers with the opened entries' indices and a label digest
@@ -1092,7 +1110,7 @@ const rowChunk = 32
 // each other, from its first group on: each opened once and read
 // rowChunk groups at a time into one buffer.
 type scheduleRows struct {
-	rows [18]prf.Row // 2^y label rows and two permute rows at most
+	rows [maxEntries + 2]prf.Row // 2^y label rows and two permute rows at most
 	n    int
 	buf  []byte // the current chunk: row j's at j·rowChunk blocks
 }
@@ -1155,7 +1173,7 @@ func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *crypto
 	}
 
 	var plain [prf.Size + 1]byte
-	var perm [16]int
+	var perm [maxEntries]int
 	for c0 := g0; c0 < g1; c0 += rowChunk {
 		k := rows.next(g1 - c0)
 		for i := 0; i < k; i++ {

@@ -70,54 +70,32 @@ func (s *LBLServer) DecryptAttempts() int64 { return s.decryptAttempts.Load() }
 
 // lblRecord is the parsed server-side state for one object.
 type lblRecord struct {
-	mode   LBLMode
 	labels []byte // groups × prf.Size
 	dbits  []byte // groups × 1, point-and-permute only
 }
 
-func parseLBLRecord(raw []byte, wantMode LBLMode, wantGroups int) (lblRecord, error) {
+// parseLBLRecord splits raw, a stored record, into its labels and
+// decryption bits, provided it is a record in cfg's mode and size.
+func parseLBLRecord(raw []byte, cfg LBLConfig) (lblRecord, error) {
 	if len(raw) < 1 {
 		return lblRecord{}, errors.New("core: empty LBL record")
 	}
 	if raw[0]>>modeBits != recordFormat {
 		return lblRecord{}, errRecordFormat
 	}
-	rec := lblRecord{mode: LBLMode(raw[0] & (1<<modeBits - 1))}
-	if rec.mode != wantMode {
-		return rec, fmt.Errorf("core: record mode %v does not match request mode %v", rec.mode, wantMode)
+	if mode := LBLMode(raw[0] & (1<<modeBits - 1)); mode != cfg.Mode {
+		return lblRecord{}, fmt.Errorf("core: record mode %v does not match request mode %v", mode, cfg.Mode)
 	}
-	body := raw[1:]
-	need := wantGroups * prf.Size
-	if rec.mode.hasDbits() {
-		need += wantGroups
+	if len(raw) != cfg.ServerBytesPerValue() {
+		return lblRecord{}, fmt.Errorf("core: LBL record %d bytes, want %d", len(raw), cfg.ServerBytesPerValue())
 	}
-	if len(body) != need {
-		return rec, fmt.Errorf("core: LBL record body %d bytes, want %d", len(body), need)
-	}
-	rec.labels = body[:wantGroups*prf.Size]
-	if rec.mode.hasDbits() {
-		rec.dbits = body[wantGroups*prf.Size:]
-	}
+	var rec lblRecord
+	rec.labels, rec.dbits = cfg.recordParts(raw)
 	return rec, nil
 }
 
-// tableGeometry is the shape every encryption table in one request
-// shares: the variant plus the derived per-table sizes.
-type tableGeometry struct {
-	mode     LBLMode
-	groups   int
-	entryLen int
-	nEntries int
-}
-
-func (g tableGeometry) groupBytes() int { return g.nEntries * g.entryLen }
-
-// fieldBytes is the size of a response slot's index fields: y bits a
-// group, rounded up to whole bytes.
-func (g tableGeometry) fieldBytes() int { return (g.groups*g.mode.Y() + 7) / 8 }
-
-// slotLen is the size of one response slot (LBLConfig.ResponseBytesPerAccess).
-func (g tableGeometry) slotLen() int { return 1 + g.fieldBytes() + prf.Size }
+// maxGroups bounds the group count a request may name.
+const maxGroups = 1 << 22
 
 // errEntryFormat refuses a request of another exchange version (see
 // entryFormat): proxy and server are different releases. Constant text
@@ -131,36 +109,34 @@ var errEntryFormat = errors.New("core: table entry format mismatch: proxy and se
 var errRecordFormat = errors.New("core: stored record format mismatch: records written by another release must be reloaded")
 
 // readSegHeader consumes one request segment's header from r: the
-// encoded key, the ownership claim, and the validated table geometry.
-func readSegHeader(r *wire.Reader) (encKey, claim []byte, geo tableGeometry, err error) {
+// encoded key, the ownership claim, and the configuration the header
+// names — its mode, and the value size its group count makes, which
+// must be whole bytes.
+func readSegHeader(r *wire.Reader) (encKey, claim []byte, cfg LBLConfig, err error) {
 	encKey = r.Raw(prf.Size)
 	claim = r.Raw(lblClaimLen)
 	mode := r.Byte()
-	geo.mode = LBLMode(mode & (1<<modeBits - 1))
-	geo.groups = int(r.Uvarint())
-	geo.entryLen = int(r.Uvarint())
+	groups := r.Uvarint()
+	entryLen := r.Uvarint()
 	if err := r.Err(); err != nil {
-		return nil, nil, geo, err
+		return nil, nil, cfg, err
 	}
 	if mode>>modeBits != entryFormat {
-		return nil, nil, geo, errEntryFormat
+		return nil, nil, cfg, errEntryFormat
 	}
-	return encKey, claim, geo, geo.validate()
-}
-
-// validate checks the parsed header fields and fills nEntries.
-func (g *tableGeometry) validate() error {
-	if g.mode > LBLWidePointPermute {
-		return fmt.Errorf("core: unknown LBL mode %d", g.mode)
+	cfg.Mode = LBLMode(mode & (1<<modeBits - 1))
+	if err := checkMode(cfg.Mode); err != nil {
+		return nil, nil, cfg, err
 	}
-	if g.groups <= 0 || g.groups > 1<<22 {
-		return fmt.Errorf("core: implausible group count %d", g.groups)
+	bits := groups * uint64(cfg.Mode.Y())
+	if groups == 0 || groups > maxGroups || bits%8 != 0 {
+		return nil, nil, cfg, fmt.Errorf("core: implausible group count %d", groups)
 	}
-	if g.entryLen != g.mode.entryLen() {
-		return fmt.Errorf("core: entry length %d, want %d", g.entryLen, g.mode.entryLen())
+	cfg.ValueSize = int(bits / 8)
+	if entryLen != uint64(cfg.Mode.entryLen()) {
+		return nil, nil, cfg, fmt.Errorf("core: entry length %d, want %d", entryLen, cfg.Mode.entryLen())
 	}
-	g.nEntries = g.mode.entries()
-	return nil
+	return encKey, claim, cfg, nil
 }
 
 // Response slot statuses. A response is one fixed-width slot per
@@ -293,8 +269,8 @@ var recPool = sync.Pool{New: func() any { return new([]byte) }}
 // Returns the number of authenticated decryptions attempted and whether
 // every group opened; a group none of whose entries opens means the
 // table is not keyed at the record's counter.
-func decryptRange(geo tableGeometry, rec *lblRecord, table []byte, g0, g1 int, newLabels, newDbits, fields []byte, digest *labelDigest) (attempts int64, ok bool) {
-	mode, entryLen, nEntries := geo.mode, geo.entryLen, geo.nEntries
+func decryptRange(mode LBLMode, rec *lblRecord, table []byte, g0, g1 int, newLabels, newDbits, fields []byte, digest *labelDigest) (attempts int64, ok bool) {
+	entryLen, nEntries := mode.entryLen(), mode.entries()
 	var plainBuf [prf.Size + 1]byte
 	plain := plainBuf[:mode.entryPlainLen()]
 	sealer := secretbox.NewLabelSealer()
@@ -397,7 +373,7 @@ func (s *LBLServer) access(ctx context.Context, head []byte, next func() ([]byte
 type lblRequest struct {
 	srv  *LBLServer
 	ctx  context.Context
-	geo  tableGeometry // the first segment's; every later segment must repeat it
+	cfg  LBLConfig     // the first segment's header's; every later segment must repeat it
 	segs []*lblSegment // in arrival order
 }
 
@@ -438,17 +414,17 @@ func (req *lblRequest) consume(frame []byte) error {
 	runs := runsBuf[:0]
 	for len(frame) > 0 {
 		var seg *lblSegment
-		if n := len(req.segs); n > 0 && req.segs[n-1].fed < req.geo.groups {
+		if n := len(req.segs); n > 0 && req.segs[n-1].fed < req.cfg.Groups() {
 			seg = req.segs[n-1]
 		} else {
 			r := wire.NewReader(frame)
-			encKey, claim, geo, err := readSegHeader(r)
+			encKey, claim, cfg, err := readSegHeader(r)
 			if err != nil {
 				return err
 			}
 			if n == 0 {
-				req.geo = geo
-			} else if geo != req.geo {
+				req.cfg = cfg
+			} else if cfg != req.cfg {
 				return fmt.Errorf("core: %s: segment %d changes the table geometry", requestAbortMarker, n)
 			}
 			if n == maxRoundKeys {
@@ -458,8 +434,8 @@ func (req *lblRequest) consume(frame []byte) error {
 			req.segs = append(req.segs, seg)
 			frame = frame[len(frame)-r.Remaining():]
 		}
-		gl := req.geo.groupBytes()
-		k := min(req.geo.groups-seg.fed, len(frame)/gl)
+		gl := req.cfg.groupBytes()
+		k := min(req.cfg.Groups()-seg.fed, len(frame)/gl)
 		if k == 0 {
 			return fmt.Errorf("core: %s: frame is not cut at a group boundary", requestAbortMarker)
 		}
@@ -489,7 +465,7 @@ func (req *lblRequest) consume(frame []byte) error {
 // the stored record; a segment naming the same key as the one before it
 // continues that chain from the record its predecessor is building.
 func (req *lblRequest) begin(key string, claim []byte) *lblSegment {
-	s, geo := req.srv, req.geo
+	s, cfg := req.srv, req.cfg
 	seg := &lblSegment{key: key}
 	if n := len(req.segs); n > 0 && req.segs[n-1].key == key {
 		seg.prev = req.segs[n-1]
@@ -527,7 +503,7 @@ func (req *lblRequest) begin(key string, claim []byte) *lblSegment {
 		from = *seg.prev.next
 	}
 	var err error
-	if seg.rec, err = parseLBLRecord(from, geo.mode, geo.groups); err != nil {
+	if seg.rec, err = parseLBLRecord(from, cfg); err != nil {
 		seg.status = slotRejected
 		if errors.Is(err, errRecordFormat) {
 			seg.status = slotRecordFormat
@@ -539,16 +515,9 @@ func (req *lblRequest) begin(key string, claim []byte) *lblSegment {
 		*seg.next = make([]byte, len(from))
 	}
 	*seg.next = (*seg.next)[:len(from)]
-	(*seg.next)[0] = geo.mode.recordByte()
-	seg.fields = make([]byte, geo.fieldBytes())
+	(*seg.next)[0] = cfg.Mode.recordByte()
+	seg.fields = make([]byte, cfg.ValueSize)
 	return seg
-}
-
-// labels returns the label block and decryption bits of the record
-// being built.
-func (seg *lblSegment) labels(geo tableGeometry) (labels, dbits []byte) {
-	body := (*seg.next)[1:]
-	return body[:geo.groups*prf.Size], body[geo.groups*prf.Size:]
 }
 
 // decrypt trial-decrypts one arrived run against its segment's
@@ -565,8 +534,8 @@ func (req *lblRequest) decrypt(run segRun) {
 	}
 	seg.busy.Resume()
 	defer seg.busy.Pause()
-	labels, dbits := seg.labels(req.geo)
-	a, ok := decryptRange(req.geo, &seg.rec, run.table, run.g0, run.g1, labels, dbits, seg.fields, &seg.digest)
+	labels, dbits := req.cfg.recordParts(*seg.next)
+	a, ok := decryptRange(req.cfg.Mode, &seg.rec, run.table, run.g0, run.g1, labels, dbits, seg.fields, &seg.digest)
 	seg.attempts += a
 	if !ok {
 		seg.status = slotStale
@@ -580,12 +549,12 @@ func (req *lblRequest) decrypt(run segRun) {
 // snapshot (step 2.2), and its members' response slots are answered.
 func (req *lblRequest) finish() ([]byte, error) {
 	n := len(req.segs)
-	if n == 0 || req.segs[n-1].fed < req.geo.groups {
+	if n == 0 || req.segs[n-1].fed < req.cfg.Groups() {
 		return nil, fmt.Errorf("core: %s: request ends inside segment %d", requestAbortMarker, n)
 	}
 	// The response is retained by the transport's at-most-once dedup
 	// cache, so it must be freshly allocated, never pooled.
-	slotLen := req.geo.slotLen()
+	slotLen := req.cfg.ResponseBytesPerAccess()
 	out := make([]byte, n*slotLen)
 	ForEach(n, min(n, runtime.GOMAXPROCS(0)), func(i int) error { //nolint:errcheck // outcomes land per slot
 		if req.segs[i].prev != nil {
@@ -646,7 +615,7 @@ func (req *lblRequest) install(chain []*lblSegment, slots []byte) byte {
 	})
 	switch {
 	case err == nil:
-		slotLen := req.geo.slotLen()
+		slotLen := req.cfg.ResponseBytesPerAccess()
 		for k, seg := range chain {
 			body := slots[k*slotLen+1 : (k+1)*slotLen]
 			copy(body, seg.fields)
@@ -682,11 +651,11 @@ func (req *lblRequest) install(chain []*lblSegment, slots []byte) byte {
 // slot of a chain refused stale, for reads and writes alike. A record
 // that does not parse leaves the bodies zero, which match no counter.
 func (req *lblRequest) answerStale(slots, held []byte) {
-	rec, err := parseLBLRecord(held, req.geo.mode, req.geo.groups)
+	rec, err := parseLBLRecord(held, req.cfg)
 	if err != nil {
 		return
 	}
-	slotLen := req.geo.slotLen()
+	slotLen := req.cfg.ResponseBytesPerAccess()
 	for k := slotLen - prf.Size; k < len(slots); k += slotLen {
 		copy(slots[k:k+prf.Size], rec.labels)
 	}

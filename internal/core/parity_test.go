@@ -27,34 +27,39 @@ import (
 // once, and a proxy ahead of a rolled-back server is refused once and
 // then served. The server answers stale identically for both op types,
 // so a recovery triggered by reads must be indistinguishable from one
-// triggered by writes.
+// triggered by writes. Two value sizes run every row: a word, and a single
+// byte, whose segments hold the fewest groups any mode builds (8 at y = 1,
+// 4 at y = 2), so the cuts-segments budget leaves one to three groups per
+// frame.
 func TestLBLRequestParity(t *testing.T) {
-	const valueSize = 8
 	for _, mode := range allLBLModes() {
-		base := LBLConfig{ValueSize: valueSize, Mode: mode}
-		seg := base.RequestBytesPerAccess()
-		for _, keys := range [][]string{parityKeys(1), parityKeys(3), parityKeys(64),
-			{"key-00", "key-00", "key-00", "key-01", "key-02", "key-02"}} {
-			n := len(keys)
-			chain := ""
-			if keys[0] == keys[1%n] && n > 1 {
-				chain = "/chain"
-			}
-			for _, budget := range []struct {
-				name  string
-				bytes int
-			}{
-				{"none", 0},
-				{"covers", n * seg},
-				{"cuts-segments", seg * 2 / 5},
-				{"cuts-between", seg * 5 / 2},
-			} {
-				cfg := base
-				cfg.StreamChunkBytes = budget.bytes
-				for _, traced := range []bool{false, true} {
-					for _, desync := range []string{"none", "proxy-behind", "server-behind"} {
-						name := fmt.Sprintf("%v/n=%d%s/budget=%s/traced=%v/desync=%s", mode, n, chain, budget.name, traced, desync)
-						t.Run(name, func(t *testing.T) { requestParity(t, cfg, keys, traced, desync) })
+		for _, valueSize := range []int{8, 1} {
+			base := LBLConfig{ValueSize: valueSize, Mode: mode}
+			seg := base.RequestBytesPerAccess()
+			for _, keys := range [][]string{parityKeys(1), parityKeys(3), parityKeys(64),
+				{"key-00", "key-00", "key-00", "key-01", "key-02", "key-02"}} {
+				n := len(keys)
+				chain := ""
+				if keys[0] == keys[1%n] && n > 1 {
+					chain = "/chain"
+				}
+				for _, budget := range []struct {
+					name  string
+					bytes int
+				}{
+					{"none", 0},
+					{"covers", n * seg},
+					{"cuts-segments", seg * 2 / 5},
+					{"cuts-between", seg * 5 / 2},
+				} {
+					cfg := base
+					cfg.StreamChunkBytes = budget.bytes
+					for _, traced := range []bool{false, true} {
+						for _, desync := range []string{"none", "proxy-behind", "server-behind"} {
+							name := fmt.Sprintf("%v/value=%dB/n=%d%s/budget=%s/traced=%v/desync=%s",
+								mode, valueSize, n, chain, budget.name, traced, desync)
+							t.Run(name, func(t *testing.T) { requestParity(t, cfg, keys, traced, desync) })
+						}
 					}
 				}
 			}

@@ -17,6 +17,7 @@ import (
 	"ortoa/internal/kvstore"
 	"ortoa/internal/netsim"
 	"ortoa/internal/transport"
+	"ortoa/internal/wire"
 )
 
 // The table build carries the schedule it derives to recovery
@@ -378,5 +379,64 @@ func TestStoredRecordGolden(t *testing.T) {
 	mustWrite(t, proxy, "golden-key", []byte{0x96, 0x69})
 	if got := hex.EncodeToString(serverRecord(t, r, proxy, "golden-key")); got != counter3 {
 		t.Errorf("record at counter 3 = %s, want %s", got, counter3)
+	}
+}
+
+// TestModeTableGolden pins, per row of the mode table, the bytes a mode
+// puts on the wire and in the store: its name (the public variant), the
+// first byte of its records and the mode byte of its segment headers,
+// its entry length, and the record, request and response sizes at 160 B.
+// A mode's number is in every stored record, so a table that renumbered
+// a row would make a previous release's store parse as another mode; a
+// row added or removed fails here too.
+func TestModeTableGolden(t *testing.T) {
+	type pinned struct {
+		recordByte, headerByte    byte
+		entryLen                  int
+		record, request, response int
+	}
+	rows := []struct {
+		mode LBLMode
+		name string
+		want pinned
+	}{
+		{LBLBasic, "basic", pinned{0x10, 0x30, 24, 20481, 61472, 177}},
+		{LBLSpaceOpt, "space-opt", pinned{0x11, 0x31, 24, 10241, 61472, 177}},
+		{LBLPointPermute, "point-permute", pinned{0x12, 0x32, 25, 10881, 64032, 177}},
+	}
+	if len(lblModes) != len(rows) {
+		t.Fatalf("the mode table has %d rows, this test pins %d", len(lblModes), len(rows))
+	}
+	for _, c := range rows {
+		cfg := LBLConfig{ValueSize: 160, Mode: c.mode}
+		p, err := NewLBLProxy(cfg, prf.NewRandom(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rec, err := p.BuildRecord("k", make([]byte, cfg.ValueSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := p.buildRequest(OpRead, "k", nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, ok := LBLModeNamed(c.name); !ok || m != c.mode || c.mode.String() != c.name {
+			t.Errorf("mode %d is named %q; %q names mode %d (found %v)", c.mode, c.mode, c.name, m, ok)
+		}
+		got := pinned{rec[0], req[prf.Size+lblClaimLen], c.mode.entryLen(), len(rec), len(req), cfg.ResponseBytesPerAccess()}
+		if got != c.want {
+			t.Errorf("%v: got %+v, want %+v", c.mode, got, c.want)
+		}
+		if cfg.ServerBytesPerValue() != len(rec) || cfg.RequestBytesPerAccess() != len(req) {
+			t.Errorf("%v: the size methods say %d B records and %d B requests, the proxy built %d and %d", c.mode,
+				cfg.ServerBytesPerValue(), cfg.RequestBytesPerAccess(), len(rec), len(req))
+		}
+		if _, _, got, err := readSegHeader(wire.NewReader(req)); err != nil || got != cfg {
+			t.Errorf("%v: the server reads the header as %+v, %v; want %+v", c.mode, got, err, cfg)
+		}
+		if c.mode.entries() > maxEntries {
+			t.Errorf("%v: %d entries a group, more than maxEntries = %d", c.mode, c.mode.entries(), maxEntries)
+		}
 	}
 }

@@ -8,9 +8,9 @@ import "ortoa/internal/wire"
 // frames of a given class are byte-identical in length" as a live
 // invariant (§2.2, §5.3.2).
 //
-//   - MsgLBLAccess: class folds the table geometry (mode, group
-//     count, entry length — all in the clear in the first segment's
-//     header) and how many whole groups the frame carries, which tells
+//   - MsgLBLAccess: class folds the configuration (mode and group
+//     count, both in the clear in the first segment's header) and how
+//     many whole groups the frame carries, which tells
 //     requests for different key counts — and the head frame of a
 //     request cut under a frame budget — apart. Requests and responses
 //     (fixed-width slots) are strict. Only a request's first frame is
@@ -26,11 +26,11 @@ import "ortoa/internal/wire"
 func ShapeClassify(msgType byte, payload []byte) (class uint64, strictReq, strictResp bool) {
 	switch msgType {
 	case MsgLBLAccess:
-		_, _, geo, err := readSegHeader(wire.NewReader(payload))
+		_, _, cfg, err := readSegHeader(wire.NewReader(payload))
 		if err != nil {
 			return 0, false, false
 		}
-		return lblShapeClass(geo, uint64(len(payload)/geo.groupBytes())), true, true
+		return lblShapeClass(cfg, uint64(len(payload)/cfg.groupBytes())), true, true
 	case MsgTEEAccess:
 		return 0, true, true
 	case MsgEpochClaim:
@@ -42,11 +42,12 @@ func ShapeClassify(msgType byte, payload []byte) (class uint64, strictReq, stric
 	return 0, false, false
 }
 
-// lblShapeClass packs the public geometry parameters and the frame's
-// group count into one class value. Collisions would only ever merge
-// classes — which can produce a false alarm, never mask a real
-// divergence — and the fields (3, 7, 22 and 31 bits) do not overlap
-// for any configuration the server accepts.
-func lblShapeClass(geo tableGeometry, n uint64) uint64 {
-	return uint64(geo.mode)<<60 ^ uint64(geo.entryLen)<<53 ^ uint64(geo.groups)<<31 ^ n
+// lblShapeClass packs the public configuration — the mode, which fixes
+// the entry length, and the group count — and the frame's group count
+// into one class value. Collisions would only ever merge classes —
+// which can produce a false alarm, never mask a real divergence — and
+// the fields (4, 23 and 31 bits) do not overlap for any configuration
+// the server accepts.
+func lblShapeClass(cfg LBLConfig, n uint64) uint64 {
+	return uint64(cfg.Mode)<<60 ^ uint64(cfg.Groups())<<31 ^ n
 }

@@ -88,7 +88,7 @@ func (s *LBLSimulator) Simulate(keys ...string) ([][]byte, error) {
 	plain := make([]byte, plainLen)
 	junkKey := make([]byte, prf.Size)
 	zeroPlain := make([]byte, plainLen)
-	var perm [16]int
+	var perm [maxEntries]int
 
 	var frames [][]byte
 	var runs []run

@@ -272,11 +272,7 @@ func LBLModeAblation(opt Options) (*Table, error) {
 		Columns: []string{"mode", "record(B)", "request(B)", "mean-lat(ms)", "tput(ops/s)", "decrypts/op"},
 	}
 	wl := workloadDefaults(opt)
-	modes := []core.LBLMode{core.LBLBasic, core.LBLSpaceOpt, core.LBLPointPermute, core.LBLWide, core.LBLWidePointPermute}
-	if opt.Quick {
-		modes = modes[:3]
-	}
-	for _, mode := range modes {
+	for _, mode := range []core.LBLMode{core.LBLBasic, core.LBLSpaceOpt, core.LBLPointPermute} {
 		cfg := core.LBLConfig{ValueSize: paperValueSize, Mode: mode}
 		// The decrypt count is the server's own exported counter, which
 		// outlives the cluster Measure tears down.
@@ -292,8 +288,7 @@ func LBLModeAblation(opt Options) (*Table, error) {
 			fmtMS(res.Latency.Mean), fmtTput(res.Throughput), fmt.Sprintf("%.0f", decryptsPerOp))
 	}
 	t.Notes = append(t.Notes,
-		"space-opt halves the record vs basic; point-and-permute halves server decrypts vs space-opt (§10)",
-		"y=4 halves the record again but doubles the request (Fig 6's f_c=4) — why the paper picks y=2")
+		"space-opt halves the record vs basic; point-and-permute halves server decrypts vs space-opt (§10)")
 	return t, nil
 }
 

@@ -49,8 +49,9 @@ type Config struct {
 	// Shards is the number of proxy/server pairs (Fig 3a); keys are
 	// hash-partitioned across them. Zero means 1.
 	Shards int
-	// LBLMode selects the LBL variant (default point-and-permute, the
-	// configuration of the paper's cost analysis).
+	// LBLMode selects the LBL variant, passed to the proxies as is: the
+	// zero value is core.LBLBasic (y = 1, trial decryption). Experiments
+	// that stand for the paper's cost analysis set core.LBLPointPermute.
 	LBLMode core.LBLMode
 	// EnclaveTransition is the simulated ecall overhead for TEE.
 	EnclaveTransition time.Duration

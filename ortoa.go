@@ -37,7 +37,8 @@ const (
 	ProtocolBaseline2RTT Protocol = "2rtt"
 )
 
-// LBLVariant selects the label-protocol optimization level.
+// LBLVariant selects the label-protocol optimization level by the name
+// of its row in the core's mode table.
 type LBLVariant string
 
 // LBL variants (§5.2, §10).
@@ -49,11 +50,6 @@ const (
 	LBLSpaceOpt LBLVariant = "space-opt"
 	// LBLBasic is the unoptimized one-label-per-bit protocol.
 	LBLBasic LBLVariant = "basic"
-	// LBLWide packs four bits per label (appendix §10.1 generalized):
-	// half the server storage of y=2, double the request size.
-	LBLWide LBLVariant = "wide"
-	// LBLWidePointPermute is y=4 with point-and-permute.
-	LBLWidePointPermute LBLVariant = "wide-point-permute"
 )
 
 // FsyncPolicy names a WAL durability policy: when journaled mutations
@@ -82,21 +78,17 @@ func (p FsyncPolicy) policy() (kvstore.SyncPolicy, error) {
 	return kvstore.ParseSyncPolicy(string(p))
 }
 
+// mode returns the core mode named v; the empty variant is
+// point-and-permute.
 func (v LBLVariant) mode() (core.LBLMode, error) {
-	switch v {
-	case LBLPointPermute, "":
-		return core.LBLPointPermute, nil
-	case LBLSpaceOpt:
-		return core.LBLSpaceOpt, nil
-	case LBLBasic:
-		return core.LBLBasic, nil
-	case LBLWide:
-		return core.LBLWide, nil
-	case LBLWidePointPermute:
-		return core.LBLWidePointPermute, nil
-	default:
+	if v == "" {
+		v = LBLPointPermute
+	}
+	m, ok := core.LBLModeNamed(string(v))
+	if !ok {
 		return 0, fmt.Errorf("ortoa: unknown LBL variant %q", v)
 	}
+	return m, nil
 }
 
 // FHEOptions tunes the BFV parameter set; client and server must
@@ -284,6 +276,7 @@ type ClientConfig struct {
 	// Keys are the trusted side's secrets.
 	Keys Keys
 	// LBLVariant selects the label-protocol optimization (LBL only).
+	// Empty means LBLPointPermute.
 	LBLVariant LBLVariant
 	// FHE must match the server's FHE options (FHE only).
 	FHE FHEOptions

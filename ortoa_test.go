@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"ortoa/internal/core"
 	"ortoa/internal/netsim"
 )
 
@@ -92,8 +93,29 @@ func TestEndToEndAllProtocols(t *testing.T) {
 	}
 }
 
+// TestLBLVariantNames: a variant is the name of its core mode's row, the
+// empty one is point-and-permute, and a name with no row is refused, the
+// y = 4 pair's names included.
+func TestLBLVariantNames(t *testing.T) {
+	for v, want := range map[LBLVariant]core.LBLMode{
+		LBLBasic: core.LBLBasic, LBLSpaceOpt: core.LBLSpaceOpt, LBLPointPermute: core.LBLPointPermute, "": core.LBLPointPermute,
+	} {
+		if m, err := v.mode(); err != nil || m != want {
+			t.Errorf("variant %q: mode %v, %v; want %v", v, m, err, want)
+		}
+		if v != "" && want.String() != string(v) {
+			t.Errorf("mode %d is named %q, its variant %q", want, want, v)
+		}
+	}
+	for _, v := range []LBLVariant{"wide", "wide-point-permute", "point-permute(y=2)", "Basic"} {
+		if _, err := v.mode(); err == nil {
+			t.Errorf("variant %q accepted", v)
+		}
+	}
+}
+
 func TestLBLVariants(t *testing.T) {
-	for _, v := range []LBLVariant{LBLBasic, LBLSpaceOpt, LBLPointPermute, LBLWide, LBLWidePointPermute} {
+	for _, v := range []LBLVariant{LBLBasic, LBLSpaceOpt, LBLPointPermute} {
 		t.Run(string(v), func(t *testing.T) {
 			client := deploy(t, ProtocolLBL, 8, func(c *ClientConfig, _ *ServerConfig) {
 				c.LBLVariant = v
