@@ -45,17 +45,22 @@ verify-benchmark:
 # through run.sh, which exits non-zero on any failed or wrong operation,
 # then two of the 4 KiB workload, whose requests are cut into frames —
 # the one run here that exercises the cut-request exchange and recovery
-# at 4 KiB. A code change that rewires what benchmark/deploy.go stands on
+# at 4 KiB — and two more of it traced, so the instrument's per-layer
+# readings, the hand-encoded request's length identity at 16,384 groups
+# among them, are checked here too and not first in the benchmark
+# pipeline. A code change that rewires what benchmark/deploy.go stands on
 # fails here, not in the benchmark pipeline's run.
 benchmark-smoke:
 	$(GO) -C benchmark test -count=1 -run TestQuickRun ./...
 	bash benchmark/run.sh -workload wan-agg-160b -seconds 2
 	bash benchmark/run.sh -workload dc-4k-stream -seconds 2
+	bash benchmark/run.sh -workload dc-4k-stream -seconds 2 -trace 1
 
 # noaes re-runs the entry- and record-format tests — the known-answer
-# vectors of the sealer and of the label schedule's keystream rows, the
-# rows against single blocks, the sealer's properties, the stored-record
-# golden bytes and each mode's pinned bytes, the carried-schedule and request parity tests — on Go's
+# vectors of the sealer, of the one-block pad, of the record verifier and
+# of the label schedule's keystream rows, the rows against single blocks,
+# the sealer's properties, the stored-record golden bytes and each mode's
+# pinned bytes, the carried-schedule and request parity tests — on Go's
 # table-driven AES and generic CTR, which hardware without AES
 # instructions falls back to: both implementations must produce the same
 # bytes, or two hosts of one deployment could not open each other's
@@ -95,7 +100,7 @@ bench-smoke:
 # trace-smoke runs the measured Fig 3c experiment: an instrumented and
 # traced LBL workload, with requests sent whole and again cut into
 # several frames, must yield a complete cross-process span tree whose
-# stage spans sum to the end-to-end span within 1%, stage histograms
+# stage spans sum to the end-to-end span exactly, stage histograms
 # whose sums add up to the end-to-end histogram's exactly (one stage
 # clock feeds both, DESIGN.md §8), and zero obliviousness shape
 # violations while tracing is on (DESIGN.md §13). The experiment

@@ -106,7 +106,7 @@ func TestLBLBatchDuplicateKeys(t *testing.T) {
 	// keyed at consecutive counters, applied in input order inside the
 	// one round trip, and each is answered from its own slot — so
 	// the read behind the write returns the written value — in every
-	// variant (point-and-permute carries its decryption bits through the
+	// variant (point-and-permute carries its colour bits through the
 	// chain).
 	for _, mode := range allLBLModes() {
 		t.Run(mode.String(), func(t *testing.T) {

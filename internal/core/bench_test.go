@@ -9,7 +9,6 @@ import (
 	"ortoa/internal/netsim"
 	"ortoa/internal/obs"
 	"ortoa/internal/transport"
-	"ortoa/internal/wire"
 )
 
 // BenchmarkLBLBuildRequest isolates the proxy's table construction
@@ -36,11 +35,9 @@ func BenchmarkLBLBuildRequest(b *testing.B) {
 }
 
 // BenchmarkLBLServerDecrypt isolates the server's per-access work on the
-// table: decryptRange, the trial-decryption pass of step 2.1 of §5.2 that
-// recovers every group's new label (and, under point-and-permute, the
-// next decryption bits) and the response slot's fields and digest, over
-// one prebuilt 160 B table and the record it
-// opens. decryptRange is pure — it reads the record and the table and
+// table: decryptRange, the decryption pass of step 2.1 of §5.2 that
+// recovers every group's new label and the response slot's fields and
+// digest, over one prebuilt 160 B table and the record it opens. decryptRange is pure — it reads the record and the table and
 // writes into caller buffers — so one table serves every iteration.
 func BenchmarkLBLServerDecrypt(b *testing.B) {
 	for _, mode := range allLBLModes() {
@@ -58,23 +55,19 @@ func BenchmarkLBLServerDecrypt(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r := wire.NewReader(req)
-			if _, _, _, err := readSegHeader(r); err != nil {
-				b.Fatal(err)
-			}
 			rec, err := parseLBLRecord(raw, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			table := req[len(req)-r.Remaining():]
+			table := req[cfg.segPrefixLen():]
 			groups := cfg.Groups()
-			labels, dbits, fields := make([]byte, groups*prf.Size), make([]byte, groups), make([]byte, cfg.ValueSize)
+			labels, fields := make([]byte, groups*prf.Size), make([]byte, cfg.ValueSize)
 			var digest labelDigest
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				clear(fields)
-				if _, ok := decryptRange(mode, &rec, table, 0, groups, labels, dbits, fields, &digest); !ok {
+				if _, ok := decryptRange(mode, &rec, table, 0, groups, labels, fields, &digest); !ok {
 					b.Fatal("the table does not open under its record")
 				}
 			}

@@ -73,12 +73,11 @@ func TestLBLChainCutByFrameBudget(t *testing.T) {
 }
 
 // TestLBLChainTamperedMemberRejectedWhole hands the server a chain whose
-// second member is keyed at the wrong counter — what a corrupted or
-// forged table looks like to trial decryption. The chain is rejected
-// whole: every one of its slots carries the rejection and the group-0
-// label of the record the store holds, the record is untouched although the head
-// alone would have applied, and the bystander in the same request is
-// served.
+// second member is keyed at the wrong counter: the verifier it expects is
+// not the one its predecessor installs. The chain is rejected whole:
+// every one of its slots carries the rejection and the verifier of the
+// record the store holds, the record is untouched although the head alone
+// would have applied, and the bystander in the same request is served.
 func TestLBLChainTamperedMemberRejectedWhole(t *testing.T) {
 	for _, mode := range []LBLMode{LBLSpaceOpt, LBLPointPermute} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -122,8 +121,8 @@ func TestLBLChainTamperedMemberRejectedWhole(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Zero fields, then the stored group-0 label where a digest goes.
-			held := append(make([]byte, cfg.ValueSize), records["k"][1:1+prf.Size]...)
+			// Zero fields, then the stored verifier where a digest goes.
+			held := append(make([]byte, cfg.ValueSize), records["k"][len(records["k"])-verifierLen:]...)
 			for i := 0; i < 3; i++ {
 				slot := resp[i*slotLen : (i+1)*slotLen]
 				if slot[0] != slotStale || !bytes.Equal(slot[1:], held) {
@@ -238,9 +237,9 @@ type verdict struct{ skip, lose bool }
 // settles it with no round trip of its own. If the chain never ran,
 // that access executes at once: one request. If the chain ran — all of
 // it, or the access would not be stale — the server answers stale with
-// the labels the chain left, the proxy rebases to ct+k, and the access
+// the verifier the chain left, the proxy rebases to ct+k, and the access
 // goes around once: two requests. A second loss in between changes
-// nothing, whichever of the two rounds ran: the labels say where the
+// nothing, whichever of the two rounds ran: the verifier says where the
 // record is.
 func TestLBLAmbiguousChainResolves(t *testing.T) {
 	const valueSize, k = 8, 4

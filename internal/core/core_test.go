@@ -76,8 +76,7 @@ func newLBL(t *testing.T, mode LBLMode, valueSize int) (*rig, *LBLProxy, *LBLSer
 // spec returns the tableSpec for op on key at counter ct, with a
 // schedule buffer of its own.
 func (p *LBLProxy) spec(op Op, key string, value []byte, ct uint64) tableSpec {
-	news, olds := p.cfg.carve(make([]byte, p.cfg.scheduleBytes()))
-	return tableSpec{op, key, value, ct, news, olds}
+	return p.newSpec(op, key, value, ct, make([]byte, p.cfg.scheduleBytes()))
 }
 
 // buildRequest encodes the whole one-key request for key at counter ct

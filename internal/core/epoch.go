@@ -181,7 +181,7 @@ func (p *LBLProxy) rangeEpoch(rangeID uint32) uint64 {
 // epoch, which the proxy stamps on subsequent accesses to the range's
 // keys. Rounds built by the previous owner — in flight or retried — are
 // fenced from this moment on. Counters are NOT transferred; the
-// adopter's first access per key is answered stale with the label the
+// adopter's first access per key is answered stale with the verifier the
 // record holds and rebases to it (reconcile.go), which the fence keeps
 // settled: the ex-owner can no longer advance the record behind it.
 func (p *LBLProxy) ClaimRange(rangeID uint32) (uint64, error) {

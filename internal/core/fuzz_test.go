@@ -52,8 +52,8 @@ func seededLBLServer(tb testing.TB) (*LBLServer, []byte) {
 // may change a record only for a key whose slot it answered slotOK in a
 // request it accepted whole, answers every slot slotOK that it counts as
 // an access served, and fills a slot's body only with what it may show:
-// on slotStale zero fields and the group-0 label of a record the store
-// held, on any other failure zeros.
+// on slotStale zero fields and the verifier of a record the store held,
+// on any other failure zeros.
 func FuzzLBLServerPayload(f *testing.F) {
 	cfg := LBLConfig{ValueSize: 4, Mode: LBLPointPermute, StreamChunkBytes: 256}
 	proxy, err := NewLBLProxy(cfg, prf.NewRandom(), nil)
@@ -69,7 +69,9 @@ func FuzzLBLServerPayload(f *testing.F) {
 		records[string(ek[:])] = recordAt(proxy, k, []byte{1, 2, 3, byte(i)}, at[i])
 		specs[i] = proxy.spec(OpRead, k, nil, at[i])
 	}
-	staleBody := func(rec []byte) string { return string(append(make([]byte, cfg.ValueSize), rec[1:1+prf.Size]...)) }
+	staleBody := func(rec []byte) string {
+		return string(append(make([]byte, cfg.ValueSize), rec[max(len(rec)-verifierLen, 0):]...))
+	}
 	var runs []run
 	var frames [][]byte
 	for cut := (frameCutter{cfg: cfg, n: len(specs)}); !cut.done(); {
@@ -108,6 +110,9 @@ func FuzzLBLServerPayload(f *testing.F) {
 	// same bytes under the previous stamp.
 	v2 := bytes.Clone(bytes.Join(frames, nil))
 	v2[modeAt] = byte(cfg.Mode) | 2<<modeBits
+	// As a proxy of the release whose entries carried tags sends it.
+	v3 := bytes.Clone(bytes.Join(frames, nil))
+	v3[modeAt] = byte(cfg.Mode) | 3<<modeBits
 
 	seed(frames...)                                                         // well-formed
 	seed(bytes.Join(frames, nil))                                           // the same bytes as one frame
@@ -118,7 +123,8 @@ func FuzzLBLServerPayload(f *testing.F) {
 	seed(append(frames[:last+1:last+1], frames[last])...)                   // extra chunk
 	seed(geometry)                                                          // geometry changes mid-request
 	seed(v1)                                                                // another entry format
-	seed(v2)                                                                // the previous exchange version
+	seed(v2)                                                                // an earlier exchange version
+	seed(v3)                                                                // the previous exchange version
 	seed(frames[:last]...)                                                  // early end
 	seed(frames[1:]...)                                                     // continuation with no head
 	// A repeated key: a chain of three and a bystander, cut and whole; the
@@ -133,6 +139,11 @@ func FuzzLBLServerPayload(f *testing.F) {
 	seed(chained(0, 1, 2)...)
 	seed(bytes.Join(chained(0, 1, 2), nil))
 	seed(chained(0, 5, 2)...)
+	// The chain rightly keyed, but the verifier its middle member expects
+	// flipped: the table is the right one, the claim about the record not.
+	wrongMiddle := bytes.Join(chained(0, 1, 2), nil)
+	wrongMiddle[cfg.RequestBytesPerAccess()+cfg.segHeaderLen()] ^= 0x80
+	seed(wrongMiddle)
 	apart, _ := builtFrames(f, proxy, []tableSpec{specs[0], specs[1], proxy.spec(OpRead, "a", nil, 1)})
 	seed(bytes.Join(apart, nil))
 	// Stale: "a" keyed above its record, "b" below it, and "a" at its
@@ -200,24 +211,26 @@ func FuzzLBLServerPayload(f *testing.F) {
 
 // FuzzLBLProxyResponse plays a tampering server against the proxy's
 // response handling — the slot parser in round, the digest check in
-// recoverSlot and the rebase a stale slot's label drives. The request is
-// a chain of two reads of one key whose record is at counter base. Every
-// answer the server gives it is rewritten, XORed with mask and grown or
-// shrunk by resize bytes before the proxy sees it; rewrite (mod 4) leaves
-// it as it is, swaps group 0's field in each slot with the first field
-// that differs from it, replays the honest answer to the same chain one
-// counter earlier, or zeroes every slot's body. When forge is set, the
-// first answer, instead of running, is a stale slot pair carrying the
-// group-0 label of the key's record at counter base+shift, which a real
-// server could only send had the record been there. Whatever the answers:
-// no input may panic; no answer that differs from the honest one is
-// accepted — an access succeeds only on an untouched last answer; an
-// access that succeeds returns the stored value, and both do when every
-// answer was honest; unless forged, the counter never passes the
-// record's — a label is evidence of where the record is; and once the
-// server answers honestly again, the key reads within two accesses, the
-// first of them refused at most (a counter left past the record is a
-// rollback to the proxy).
+// recoverSlot and the rebase a stale slot's verifier drives. The request
+// is a chain of two reads of one key whose record is at counter base.
+// Every answer the server gives it is rewritten, XORed with mask and
+// grown or shrunk by resize bytes before the proxy sees it; rewrite
+// (mod 4) leaves it as it is, swaps group 0's field in each slot with the
+// first field that differs from it, replays the honest answer to the same
+// chain one counter earlier, or zeroes every slot's body. When forge
+// (mod 3) is set, the first answer, instead of running, is a stale slot
+// pair carrying the verifier of the key's record at counter base+shift —
+// which a real server could only send had the record been there — or, at
+// 2, another key's verifier at that counter, both XORed with mask too.
+// Whatever the answers: no input may panic; no answer that differs from
+// the honest one is accepted — an access succeeds only on an untouched
+// last answer; an access that succeeds returns the stored value, and both
+// do when every answer was honest; unless forged, the counter never
+// passes the record's — a verifier is evidence of where the record is;
+// another key's verifier never moves the counter; and once the server
+// answers honestly again, the key reads within two accesses, the first of
+// them refused at most (a counter left past the record is a rollback to
+// the proxy).
 func FuzzLBLProxyResponse(f *testing.F) {
 	const base = 128
 	cfg := LBLConfig{ValueSize: 4, Mode: LBLPointPermute}
@@ -228,33 +241,41 @@ func FuzzLBLProxyResponse(f *testing.F) {
 		replayPrevious
 		zeroBodies
 	)
-	f.Add([]byte{}, int16(0), false, int8(0), uint8(asIs))                            // honest
-	f.Add([]byte{slotStale}, int16(0), false, int8(0), uint8(asIs))                   // status flipped to a rejection
-	f.Add([]byte{0x80}, int16(0), false, int8(0), uint8(asIs))                        // unknown status
-	f.Add([]byte{0, 1}, int16(0), false, int8(0), uint8(asIs))                        // one index field flipped
-	f.Add([]byte{0, 0, 0, 0, 0, 1}, int16(0), false, int8(0), uint8(asIs))            // one digest bit flipped
-	f.Add([]byte{}, int16(0), false, int8(0), uint8(swapFields))                      // two groups' fields swapped
-	f.Add([]byte{}, int16(0), false, int8(0), uint8(replayPrevious))                  // the previous counter's slots replayed
-	f.Add([]byte{}, int16(0), false, int8(0), uint8(zeroBodies))                      // all-zero bodies
-	f.Add(make([]byte, slotLen), int16(-1), false, int8(0), uint8(asIs))              // one byte short
-	f.Add([]byte{}, int16(slotLen), false, int8(0), uint8(asIs))                      // a slot too many
-	f.Add([]byte{}, int16(-slotLen), false, int8(0), uint8(asIs))                     // empty response
-	f.Add(bytes.Repeat([]byte{0xFF}, slotLen), int16(0), false, int8(0), uint8(asIs)) // everything flipped
+	const (
+		honest = iota
+		ownVerifier
+		otherVerifier
+	)
+	f.Add([]byte{}, int16(0), uint8(honest), int8(0), uint8(asIs))                            // honest
+	f.Add([]byte{slotStale}, int16(0), uint8(honest), int8(0), uint8(asIs))                   // status flipped to a rejection
+	f.Add([]byte{0x80}, int16(0), uint8(honest), int8(0), uint8(asIs))                        // unknown status
+	f.Add([]byte{0, 1}, int16(0), uint8(honest), int8(0), uint8(asIs))                        // one index field flipped
+	f.Add([]byte{0, 0, 0, 0, 0, 1}, int16(0), uint8(honest), int8(0), uint8(asIs))            // one digest bit flipped
+	f.Add([]byte{}, int16(0), uint8(honest), int8(0), uint8(swapFields))                      // two groups' fields swapped
+	f.Add([]byte{}, int16(0), uint8(honest), int8(0), uint8(replayPrevious))                  // the previous counter's slots replayed
+	f.Add([]byte{}, int16(0), uint8(honest), int8(0), uint8(zeroBodies))                      // all-zero bodies
+	f.Add(make([]byte, slotLen), int16(-1), uint8(honest), int8(0), uint8(asIs))              // one byte short
+	f.Add([]byte{}, int16(slotLen), uint8(honest), int8(0), uint8(asIs))                      // a slot too many
+	f.Add([]byte{}, int16(-slotLen), uint8(honest), int8(0), uint8(asIs))                     // empty response
+	f.Add(bytes.Repeat([]byte{0xFF}, slotLen), int16(0), uint8(honest), int8(0), uint8(asIs)) // everything flipped
 	// The chain's second slot alone: its status, then one index bit.
-	f.Add(append(make([]byte, slotLen), slotStale), int16(0), false, int8(0), uint8(asIs))
-	f.Add(append(make([]byte, slotLen), 0, 1), int16(0), false, int8(0), uint8(asIs))
+	f.Add(append(make([]byte, slotLen), slotStale), int16(0), uint8(honest), int8(0), uint8(asIs))
+	f.Add(append(make([]byte, slotLen), 0, 1), int16(0), uint8(honest), int8(0), uint8(asIs))
 	// Both statuses flipped to stale, the bodies left: a digest where the
-	// record's label should be.
-	f.Add(append(append([]byte{slotStale}, make([]byte, slotLen-1)...), slotStale), int16(0), false, int8(0), uint8(asIs))
-	// Stale slots carrying the label of a record above, below and at ct,
-	// and a garbage label.
-	f.Add([]byte{}, int16(0), true, int8(1), uint8(asIs))
-	f.Add([]byte{}, int16(0), true, int8(2), uint8(asIs))
-	f.Add([]byte{}, int16(0), true, int8(100), uint8(asIs))
-	f.Add([]byte{}, int16(0), true, int8(-1), uint8(asIs))
-	f.Add([]byte{}, int16(0), true, int8(-100), uint8(asIs))
-	f.Add([]byte{}, int16(0), true, int8(0), uint8(asIs))
-	f.Add([]byte{0, 0, 0, 0, 0, 0xA5, 0x5A, 0xFF}, int16(0), true, int8(1), uint8(asIs))
+	// record's verifier should be.
+	f.Add(append(append([]byte{slotStale}, make([]byte, slotLen-1)...), slotStale), int16(0), uint8(honest), int8(0), uint8(asIs))
+	// Stale slots carrying the verifier of a record above, below and at
+	// ct; another key's verifier above and below; random bytes.
+	f.Add([]byte{}, int16(0), uint8(ownVerifier), int8(1), uint8(asIs))
+	f.Add([]byte{}, int16(0), uint8(ownVerifier), int8(2), uint8(asIs))
+	f.Add([]byte{}, int16(0), uint8(ownVerifier), int8(100), uint8(asIs))
+	f.Add([]byte{}, int16(0), uint8(ownVerifier), int8(-1), uint8(asIs))
+	f.Add([]byte{}, int16(0), uint8(ownVerifier), int8(-100), uint8(asIs))
+	f.Add([]byte{}, int16(0), uint8(ownVerifier), int8(0), uint8(asIs))
+	f.Add([]byte{}, int16(0), uint8(otherVerifier), int8(1), uint8(asIs))
+	f.Add([]byte{}, int16(0), uint8(otherVerifier), int8(-1), uint8(asIs))
+	f.Add([]byte{0, 0, 0, 0, 0, 0xA5, 0x5A, 0xFF, 0x3C, 0xC3, 0x0F, 0xF0, 0x99, 0x66, 0x55, 0xAA, 0x12, 0x34, 0x56, 0x78, 0x9A},
+		int16(0), uint8(ownVerifier), int8(1), uint8(asIs))
 
 	r := &rig{store: kvstore.New(), server: transport.NewServer()}
 	l := netsim.Listen(netsim.Loopback)
@@ -320,7 +341,7 @@ func FuzzLBLProxyResponse(f *testing.F) {
 		return reply, nil
 	})
 
-	f.Fuzz(func(t *testing.T, m []byte, grow int16, forge bool, shift int8, rw uint8) {
+	f.Fuzz(func(t *testing.T, m []byte, grow int16, forge uint8, shift int8, rw uint8) {
 		stored := []byte{1, 2, 3, 4}
 		proxy, err := NewLBLProxy(cfg, prf.NewRandom(), r.client)
 		if err != nil {
@@ -346,8 +367,10 @@ func FuzzLBLProxyResponse(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		if forge {
-			held := recordAt(proxy, "k", stored, uint64(base+int(shift)))[1 : 1+prf.Size]
+		forge %= 3
+		if forge != honest {
+			key := map[uint8]string{ownVerifier: "k", otherVerifier: "other"}[forge]
+			held := verifierAt(proxy, key, uint64(base+int(shift)))
 			slot := append(append([]byte{slotStale}, make([]byte, cfg.ValueSize)...), held...)
 			forged = bytes.Repeat(slot, 2)
 			for i := range forged {
@@ -370,8 +393,11 @@ func FuzzLBLProxyResponse(f *testing.F) {
 				t.Fatalf("honest answers, access %d: err %v, counter %d", i, res.Err, ct)
 			}
 		}
-		if !forge && ct > record {
+		if forge != ownVerifier && ct > record {
 			t.Fatalf("counter %d passed the record's %d", ct, record)
+		}
+		if forge == otherVerifier && ct != base {
+			t.Fatalf("another key's verifier moved the counter from %d to %d", base, ct)
 		}
 
 		mask, resize, rewrite = nil, 0, asIs

@@ -30,11 +30,10 @@ func NewTableBuildKernel(cfg LBLConfig, workers int) (*TableBuildKernel, error) 
 	if err != nil {
 		return nil, err
 	}
-	news, olds := cfg.carve(make([]byte, cfg.scheduleBytes()))
 	return &TableBuildKernel{
 		proxy:   p,
 		table:   make([]byte, cfg.TableBytes()),
-		spec:    tableSpec{op: OpWrite, key: "bench", value: make([]byte, cfg.ValueSize), news: news, olds: olds},
+		spec:    p.newSpec(OpWrite, "bench", make([]byte, cfg.ValueSize), 0, make([]byte, cfg.scheduleBytes())),
 		workers: workers,
 	}, nil
 }
@@ -89,8 +88,7 @@ func NewRecoverKernel(cfg LBLConfig, window, _ int) (*RecoverKernel, error) {
 	}
 	for i := range k.tables {
 		k.tables[i] = make([]byte, cfg.RequestBytesPerAccess())
-		news, olds := cfg.carve(make([]byte, cfg.scheduleBytes()))
-		k.specs[i] = tableSpec{op: OpRead, key: "bench", news: news, olds: olds}
+		k.specs[i] = p.newSpec(OpRead, "bench", nil, 0, make([]byte, cfg.scheduleBytes()))
 	}
 	return k, nil
 }

@@ -171,16 +171,16 @@ func TestLadderLapsBounded(t *testing.T) {
 }
 
 // TestEntryFormatMismatchIsDefinite: a request stamped with another
-// exchange version — v1, as a proxy older than the stamp wrote it, or v2,
-// whose requests are byte for byte this release's but which reads a
-// label block where this release answers with fields and a digest —
-// comes from a different release. Answered, a v2 proxy would call the
-// slot tampering; a v1 table left to trial decryption would be answered
+// exchange version — v1, as a proxy older than the stamp wrote it, v2,
+// which read a label block where this release answers with fields and a
+// digest, or v3, whose tables carried a tag per entry and no verifiers —
+// comes from a different release. Answered, an older proxy would call the
+// slot tampering; its table left to the server would be answered
 // slotStale and send the proxy up the ladder to report a
 // desynchronization that is not there. Instead it is refused at the
 // header: one request, a constant text, no rebase, the record untouched.
 func TestEntryFormatMismatchIsDefinite(t *testing.T) {
-	for _, format := range []byte{1, 2} {
+	for _, format := range []byte{1, 2, 3} {
 		t.Run(fmt.Sprintf("v%d", format), func(t *testing.T) {
 			r, proxy := newLBLReconcile(t, LBLPointPermute, prf.NewRandom())
 			proxy.Instrument(obs.NewRegistry())
@@ -256,25 +256,27 @@ func TestSegHeaderRefused(t *testing.T) {
 		b = binary.AppendUvarint(b, entryLen)
 		return append(b, req[cfg.segHeaderLen():]...)
 	}
-	v3 := byte(entryFormat << modeBits)
-	pp := v3 | byte(LBLPointPermute)
-	if _, _, got, err := readSegHeader(wire.NewReader(payload(pp, 16, 25))); err != nil || got != cfg {
+	cur := byte(entryFormat << modeBits)
+	pp := cur | byte(LBLPointPermute)
+	if _, _, got, err := readSegHeader(wire.NewReader(payload(pp, 16, 16))); err != nil || got != cfg {
 		t.Fatalf("the request's own header reads as %+v, %v; want %+v", got, err, cfg)
 	}
 	for _, c := range []struct {
 		name    string
 		payload []byte
 	}{
-		{"mode 3", payload(v3|3, 16, 25)},
-		{"mode 4", payload(v3|4, 16, 24)},
-		{"mode 15", payload(v3|15, 16, 25)},
-		{"y = 2 groups not whole bytes", payload(pp, 15, 25)},
-		{"y = 1 groups not whole bytes", payload(v3|byte(LBLBasic), 12, 24)},
-		{"0 groups", payload(pp, 0, 25)},
-		{"more than 2^22 groups", payload(pp, maxGroups+4, 25)},
+		{"mode 3", payload(cur|3, 16, 16)},
+		{"mode 4", payload(cur|4, 16, 24)},
+		{"mode 15", payload(cur|15, 16, 16)},
+		{"y = 2 groups not whole bytes", payload(pp, 15, 16)},
+		{"y = 1 groups not whole bytes", payload(cur|byte(LBLBasic), 12, 24)},
+		{"0 groups", payload(pp, 0, 16)},
+		{"more than 2^22 groups", payload(pp, maxGroups+4, 16)},
 		{"entry length of another mode", payload(pp, 16, 24)},
-		{"entry format 2", payload(2<<modeBits|byte(LBLPointPermute), 16, 25)},
-		{"entry format 4", payload(4<<modeBits|byte(LBLPointPermute), 16, 25)},
+		{"the tagged entry length of the previous format", payload(pp, 16, 25)},
+		{"entry format 2", payload(2<<modeBits|byte(LBLPointPermute), 16, 16)},
+		{"entry format 3", payload(3<<modeBits|byte(LBLPointPermute), 16, 16)},
+		{"entry format 5", payload(5<<modeBits|byte(LBLPointPermute), 16, 16)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if _, _, _, err := readSegHeader(wire.NewReader(c.payload)); err == nil {
@@ -295,14 +297,33 @@ func TestSegHeaderRefused(t *testing.T) {
 	}
 }
 
-// TestOldRecordFormatIsDefinite: a record the release before recordFormat
-// wrote — the counter-0 record of the per-block label layout, its mode
-// byte carrying no format — is refused before trial decryption with the
-// constant record-format text: one request, no rebase, the record
-// untouched. Trial decryption would have answered slotStale, and the
-// ladder would have searched for a counter no label of this release
-// can match.
+// TestOldRecordFormatIsDefinite: a record an earlier release wrote — the
+// counter-0 record of the per-block label layout, its mode byte carrying
+// no format, or the format-1 record of the keystream layout with
+// decryption bits and no verifier — is refused before anything is
+// decrypted with the constant record-format text: one request, no
+// rebase, the record untouched. Answered stale, the ladder would have
+// read a counter from bytes that are no verifier.
 func TestOldRecordFormatIsDefinite(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		hex  string
+	}{
+		// "golden-key" holding C3 5A at counter 0, as each earlier release
+		// stored it (TestStoredRecordGolden's counter-0 record before format
+		// 1, and under format 1).
+		{"no format", "0230b2bc19b94174ee2dbf8415986e4bc58533cae3e78e4f942753232ec93801022b375aeca10b11b15343e9cc58a602" +
+			"c2a8402267828f0e0da1f0080771a79ec3cd557ed9d9e36aaa6de39fe4baf0cac625d3b93056d7911d3233c04ae2e81c" +
+			"494e9529b31dc8dda08c43bb9f073d3468c667d618d7ba50d09718089c0269e70c0001020300010102"},
+		{"format 1", "12d0d8f4d0dfa1773b02f5d27eebc9fa2c11a24d9e2d92cd9d3db70abbcd3194aa231242c475fec65a3681dcf07279f4" +
+			"d84f3167d39947036341e411736c7f8f0ee1363d24ceb5d8a2bd1dac16f2da665f5a5d283d0dc00e7afd4daf2387c91b" +
+			"c487564597b42197739088425291df8da37624f55aab05d4f8ac421333af7d10950001000101020000"},
+	} {
+		t.Run(c.name, func(t *testing.T) { oldRecordIsDefinite(t, c.hex) })
+	}
+}
+
+func oldRecordIsDefinite(t *testing.T, oldHex string) {
 	key := make([]byte, prf.KeySize)
 	for i := range key {
 		key[i] = byte(i)
@@ -323,11 +344,7 @@ func TestOldRecordFormatIsDefinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	proxy.Instrument(obs.NewRegistry())
-	// "golden-key" holding C3 5A at counter 0, as the previous release
-	// stored it (TestStoredRecordGolden's counter-0 record before format 1).
-	old, _ := hex.DecodeString("0230b2bc19b94174ee2dbf8415986e4bc58533cae3e78e4f942753232ec93801022b375aeca10b11b15343e9cc58a602" +
-		"c2a8402267828f0e0da1f0080771a79ec3cd557ed9d9e36aaa6de39fe4baf0cac625d3b93056d7911d3233c04ae2e81c" +
-		"494e9529b31dc8dda08c43bb9f073d3468c667d618d7ba50d09718089c0269e70c0001020300010102")
+	old, _ := hex.DecodeString(oldHex)
 	regressServer(t, r, proxy, "golden-key", old)
 
 	for _, op := range []Op{OpRead, OpWrite} {

@@ -37,23 +37,26 @@ const (
 	// to four entries per group.
 	LBLSpaceOpt
 	// LBLPointPermute adds the §10.2 point-and-permute optimization
-	// to y=2: the server stores two decryption bits per group and
-	// decrypts exactly one entry. This is the configuration the
-	// paper's cost analysis assumes (§6.3.3).
+	// to y=2: a label's low two bits name the entry it opens, so the
+	// server decrypts exactly one entry and entries carry no tag. This
+	// is the configuration the paper's cost analysis assumes (§6.3.3).
 	LBLPointPermute
 )
 
 // lblModes holds one row per variant: its name (the public package's
-// LBLVariant), how many plaintext bits one label represents, and
-// whether records carry point-and-permute decryption bits.
+// LBLVariant), how many plaintext bits one label represents, whether a
+// label's low y bits are its point-and-permute colour — the index of the
+// entry it opens — and how many bytes of recognition tag each table
+// entry carries for trial decryption to find its entry by.
 var lblModes = [...]struct {
 	name    string
 	y       int
 	permute bool
+	tag     int
 }{
-	LBLBasic:        {"basic", 1, false},
-	LBLSpaceOpt:     {"space-opt", 2, false},
-	LBLPointPermute: {"point-permute", 2, true},
+	LBLBasic:        {"basic", 1, false, secretbox.LabelTagSize},
+	LBLSpaceOpt:     {"space-opt", 2, false, secretbox.LabelTagSize},
+	LBLPointPermute: {"point-permute", 2, true, 0},
 }
 
 // maxEntries bounds 2^y over lblModes: the table entries of one group.
@@ -91,20 +94,33 @@ func (m LBLMode) Y() int { return lblModes[m].y }
 // entries returns the encryption-table entries per group (2^y).
 func (m LBLMode) entries() int { return 1 << m.Y() }
 
-// hasDbits reports whether records carry decryption bits.
-func (m LBLMode) hasDbits() bool { return lblModes[m].permute }
+// permute reports whether labels carry point-and-permute colour bits.
+func (m LBLMode) permute() bool { return lblModes[m].permute }
 
-// entryPlainLen is the plaintext length of one table entry: the new
-// label, plus the next decryption bits under point-and-permute.
-func (m LBLMode) entryPlainLen() int {
-	if m.hasDbits() {
-		return prf.Size + 1
+// colourMask masks a label's colour: the low y bits of its first byte.
+func (m LBLMode) colourMask() uint8 { return uint8(m.entries() - 1) }
+
+// entryLen is the length of one table entry: the new label, plus the
+// mode's recognition tag.
+func (m LBLMode) entryLen() int { return prf.Size + lblModes[m].tag }
+
+// seal writes the table entry carrying label under key into dst: the
+// label XOR key's one-block pad under point-and-permute, where the
+// opener is told which entry is its own, and sealed with a recognition
+// tag otherwise.
+func (m LBLMode) seal(s *secretbox.LabelSealer, dst, key, label []byte) error {
+	if m.permute() {
+		return s.PadInto(dst, key, label)
 	}
-	return prf.Size
+	return s.SealInto(dst, key, label)
 }
 
-// entryLen is the sealed length of one table entry.
-func (m LBLMode) entryLen() int { return m.entryPlainLen() + secretbox.LabelTagSize }
+// paint sets label's colour — its first byte's bits under mask, the
+// index of the entry it opens under point-and-permute (§10.2) — to b ⊕ r,
+// where r is the colour bit value 0's label has in the same group and at
+// the same counter. That label keeps its own, so the 2^y labels of a group
+// name 2^y distinct entries and a colour says nothing about b.
+func paint(label []byte, b, r, mask uint8) { label[0] = label[0]&^mask | (b^r)&mask }
 
 // LBLConfig fixes the parameters shared by an LBL proxy and the
 // records it creates. The server derives one from every request
@@ -132,8 +148,8 @@ type LBLConfig struct {
 	// while the proxy garbles the next and the WAN carries both. It also
 	// bounds the proxy's request buffer to one frame — not the access's
 	// whole footprint: the label schedule the build carries to recovery
-	// (scheduleBytes, 0.68× the request under y = 2: 43 KB at 160 B,
-	// 1.1 MB at 4 KiB) stays live per key from first seal to recovery
+	// (scheduleBytes, 1.06× the request under point-and-permute: 43 KB at
+	// 160 B, 1.1 MB at 4 KiB) stays live per key from first seal to recovery
 	// whatever the budget. Zero sends every request as one frame, as does
 	// any request the budget already covers.
 	StreamChunkBytes int
@@ -143,18 +159,13 @@ type LBLConfig struct {
 func (c LBLConfig) Groups() int { return c.ValueSize * 8 / c.Mode.Y() }
 
 // ServerBytesPerValue returns the server-side record size, the
-// quantity §5.3.1 and the Fig 6 storage factor analysis price.
-func (c LBLConfig) ServerBytesPerValue() int {
-	n := 1 + c.Groups()*prf.Size
-	if c.Mode.hasDbits() {
-		n += c.Groups()
-	}
-	return n
-}
+// quantity §5.3.1 and the Fig 6 storage factor analysis price: the mode
+// byte, one label per group, and the record's verifier (reconcile.go).
+func (c LBLConfig) ServerBytesPerValue() int { return 1 + c.Groups()*prf.Size + verifierLen }
 
 // recordParts splits rec, a record of ServerBytesPerValue bytes, into
-// the labels and the decryption bits that follow its mode byte.
-func (c LBLConfig) recordParts(rec []byte) (labels, dbits []byte) {
+// the labels and the verifier that follow its mode byte.
+func (c LBLConfig) recordParts(rec []byte) (labels, verifier []byte) {
 	n := 1 + c.Groups()*prf.Size
 	return rec[1:n], rec[n:]
 }
@@ -163,9 +174,10 @@ func (c LBLConfig) recordParts(rec []byte) (labels, dbits []byte) {
 // (2^y · E_len).
 func (c LBLConfig) groupBytes() int { return c.Mode.entries() * c.Mode.entryLen() }
 
-// TableBytes returns the size of one access's encryption table
-// (2^y · E_len · ℓ/y).
-func (c LBLConfig) TableBytes() int { return c.Groups() * c.groupBytes() }
+// TableBytes returns the size of one access's encryption table: the
+// verifier pair — the record's verifier at the table's counter and the
+// one it installs — then 2^y · E_len · ℓ/y entries.
+func (c LBLConfig) TableBytes() int { return 2*verifierLen + c.Groups()*c.groupBytes() }
 
 // scheduleBytes returns the size of the schedule one access's build
 // carries to recovery (tableSpec): per group, the 2^y counter-ct+1 labels
@@ -187,6 +199,10 @@ func (c LBLConfig) segHeaderLen() int {
 		wire.UvarintLen(uint64(c.Groups())) +
 		wire.UvarintLen(uint64(c.Mode.entryLen()))
 }
+
+// segPrefixLen is the size of what precedes a segment's first group: its
+// header and the verifier pair at the front of its table.
+func (c LBLConfig) segPrefixLen() int { return c.segHeaderLen() + 2*verifierLen }
 
 // RequestBytesPerAccess returns the exact size of one access's request
 // segment (§5.3.2: 2^y · E_len · ℓ/y table entries plus framing). A
@@ -214,13 +230,15 @@ func (c LBLConfig) validate() error {
 }
 
 // A run is a range of one segment's groups carried by one frame. A run
-// starting at group 0 is preceded by its segment's header.
+// starting at group 0 is preceded by its segment's header and verifier
+// pair.
 type run struct{ seg, g0, g1 int }
 
 // A frameCutter walks an n-segment request frame by frame. It is the
 // one chunking rule: the logical payload is cut at whole-group
 // boundaries, each frame taking as many groups (and the segment
-// headers between them) as fit in StreamChunkBytes, and at least one.
+// headers and verifier pairs between them) as fit in StreamChunkBytes,
+// and at least one.
 // Cuts depend only on the table geometry, n, and the budget — never on
 // operations or values — so frame counts and lengths are as
 // operation-oblivious as the payload itself.
@@ -241,7 +259,7 @@ func (c *frameCutter) next(runs []run) []run {
 	}
 	for c.seg < c.n {
 		if c.g == 0 {
-			room -= c.cfg.segHeaderLen()
+			room -= c.cfg.segPrefixLen()
 		}
 		k := groups - c.g
 		if fit := room / gl; fit < k {
@@ -267,7 +285,7 @@ func (c LBLConfig) frameBytes(runs []run) int {
 	n := 0
 	for _, r := range runs {
 		if r.g0 == 0 {
-			n += c.segHeaderLen()
+			n += c.segPrefixLen()
 		}
 		n += (r.g1 - r.g0) * c.groupBytes()
 	}
@@ -361,6 +379,10 @@ type LBLProxy struct {
 	// always admits.
 	epochs    [NumRanges]atomic.Uint64
 	schedules schedulePool
+	vk        verifierKey
+	// zero is what a read's table is built from: a value of zeros, which
+	// the build's keep mask discards (newSpec).
+	zero []byte
 	stageObs
 	sessions *obs.Stages // the per-caller family of single accesses (ortoa_agg); nil unmetered
 	mx       lblProxyObs
@@ -373,7 +395,7 @@ func NewLBLProxy(cfg LBLConfig, f *prf.PRF, client *transport.Client) (*LBLProxy
 		return nil, err
 	}
 	p := &LBLProxy{cfg: cfg, prf: f, counters: newCounterTable(), client: client,
-		stageObs: stageObs{stages: LBLStages(nil)}}
+		vk: newVerifierKey(f), zero: make([]byte, cfg.ValueSize), stageObs: stageObs{stages: LBLStages(nil)}}
 	p.counters.maxChain = cfg.roundKeys()
 	return p, nil
 }
@@ -405,30 +427,26 @@ func (p *LBLProxy) BuildRecord(key string, value []byte) (encKey string, record 
 		return "", nil, ErrValueSize
 	}
 	mode, groups := p.cfg.Mode, p.cfg.Groups()
+	ek := p.prf.EncodeKey(key)
 	rec := make([]byte, p.cfg.ServerBytesPerValue())
 	rec[0] = mode.recordByte()
-	labels, dbits := p.cfg.recordParts(rec)
-	n := mode.entries()
+	labels, verifier := p.cfg.recordParts(rec)
+	p.vk.seal(verifier, ek, 0)
 	gen := p.prf.LabelGen(key)
 	var rows scheduleRows
-	for b := 0; b < n; b++ {
+	for b := 0; b < mode.entries(); b++ {
 		rows.add(gen.LabelRow(0, uint8(b), 0))
-	}
-	if mode.hasDbits() {
-		rows.add(gen.PermuteRow(0, 0))
 	}
 	for c0 := 0; c0 < groups; c0 += rowChunk {
 		k := rows.next(groups - c0)
+		if mode.permute() {
+			rows.paint(k, mode.colourMask())
+		}
 		for i := 0; i < k; i++ {
 			g := c0 + i
-			bits := groupBits(value, g, mode.Y())
-			copy(labels[g*prf.Size:], rows.at(int(bits), i))
-			if mode.hasDbits() {
-				dbits[g] = bits ^ rows.at(n, i)[0]&uint8(n-1)
-			}
+			copy(labels[g*prf.Size:], rows.at(int(groupBits(value, g, mode.Y())), i))
 		}
 	}
-	ek := p.prf.EncodeKey(key)
 	return string(ek[:]), rec, nil
 }
 
@@ -464,7 +482,8 @@ func (p *LBLProxy) Access(op Op, key string, newValue []byte) ([]byte, AccessSta
 // AccessContext is Access with a caller context: cancellation plus the
 // active trace span. An access that finds its key free runs at once, a
 // round of one on its caller's goroutine and context, the proxy-side
-// stage tree (counter_acquire, table_build, rpc, label_recover) under
+// stage tree (counter_acquire, table_build, rpc, label_recover, and
+// recovery_ladder when it climbs) under
 // the caller's span. One that finds its key's round in flight is held on
 // the key's counter entry, and when that round returns everything held
 // for the key leaves together, in the order it was admitted, as one chain
@@ -633,11 +652,11 @@ type keyChain struct {
 	// chain carried, if it was one, for the ladder to answer, and the
 	// error the chain fails with if it cannot — the rejection's, or
 	// ErrTampered's with status left slotOK, nil when every value
-	// recovered. held is a stale answer's group-0 label: the label the
-	// server's record holds.
+	// recovered. held is a stale answer's verifier: the one the server's
+	// record holds (reconcile.go).
 	status byte
 	err    error
-	held   prf.Output
+	held   [verifierLen]byte
 	// Laps of the recovery ladder this chain has climbed.
 	claimed, rebased int
 }
@@ -728,8 +747,7 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess, owned *counter
 			c.first = len(specs)
 			for j := range c.accs {
 				a, i := &c.accs[j], len(specs)
-				news, olds := p.cfg.carve(sched[i*per : (i+1)*per])
-				specs = append(specs, tableSpec{a.Op, a.Key, a.Value, c.entry.ct + uint64(j), news, olds})
+				specs = append(specs, p.newSpec(a.Op, a.Key, a.Value, c.entry.ct+uint64(j), sched[i*per:(i+1)*per]))
 			}
 		}
 		resp, sent, err := p.exchange(ctx, &clk, specs)
@@ -745,17 +763,21 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess, owned *counter
 		for _, c := range live {
 			p.recoverChain(c, specs[c.first:], resp[c.first*slotLen:])
 		}
-		clk.Leave() // ladder time belongs to no stage
 
-		retry := live[:0]
+		retry, climbing := live[:0], false
 		for _, c := range live {
-			switch {
-			case c.err == nil:
+			if c.err == nil {
 				// Commit the counter only after a successful round.
 				c.entry.ct += uint64(len(c.accs))
-			case p.climb(c):
+				continue
+			}
+			if !climbing {
+				clk.Enter(lblLadder)
+				climbing = true
+			}
+			if p.climb(c) {
 				retry = append(retry, c)
-			default:
+			} else {
 				c.fail(c.err)
 			}
 		}
@@ -801,7 +823,7 @@ func (p *LBLProxy) recoverChain(c *keyChain, specs []tableSpec, slots []byte) {
 	}
 	if slots[0] != slotOK {
 		c.status, c.err = slots[0], slotError(slots[0])
-		c.held = prf.Output(slots[slotLen-prf.Size : slotLen])
+		copy(c.held[:], slots[slotLen-verifierLen:slotLen])
 		return
 	}
 	for j := range c.accs {
@@ -815,7 +837,7 @@ func (p *LBLProxy) recoverChain(c *keyChain, specs []tableSpec, slots []byte) {
 // climb takes one step of the recovery ladder for a chain the server
 // rejected, reporting whether the chain should go around again: a fence
 // is answered by claiming the range, staleness by rebasing to the
-// counter the stale answer's label belongs to — once for the chain,
+// counter the stale answer's verifier carries — once for the chain,
 // whose members re-key from the rebased counter — each at most
 // recoveryAllowance times per chain.
 func (p *LBLProxy) climb(c *keyChain) bool {
@@ -837,7 +859,8 @@ func (p *LBLProxy) climb(c *keyChain) bool {
 }
 
 // A tableSpec says what one request segment encodes: the operation on
-// key, keyed at counter ct.
+// key, keyed at counter ct, built from value — the written value, or a
+// read's zeros (newSpec).
 type tableSpec struct {
 	op    Op
 	key   string
@@ -851,6 +874,18 @@ type tableSpec struct {
 	// olds[g·2^y+e] for entry e of group g — which is how recovery reads
 	// the entry index the server reports.
 	news, olds []byte
+}
+
+// newSpec returns the spec of op on key at counter ct, its schedule
+// carved from sched (scheduleBytes long). A read carries the proxy's zero
+// value where a write carries the value it writes: the build reads the
+// same bytes for both, and its keep mask discards a read's.
+func (p *LBLProxy) newSpec(op Op, key string, value []byte, ct uint64, sched []byte) tableSpec {
+	if op != OpWrite {
+		value = p.zero
+	}
+	news, olds := p.cfg.carve(sched)
+	return tableSpec{op, key, value, ct, news, olds}
 }
 
 // A schedulePool recycles the schedule buffers of a proxy's rounds: one
@@ -953,9 +988,9 @@ func (p *LBLProxy) exchange(ctx context.Context, clk *obs.Clock, specs []tableSp
 }
 
 // buildFrame encodes the frame carrying runs into frame (steps 1.1–1.5
-// of §5.2 for those groups): each run's segment header when it starts
-// its segment, then its groups' table entries, sealed in place across
-// workers.
+// of §5.2 for those groups): each run's segment header and verifier pair
+// when it starts its segment, then its groups' table entries, sealed in
+// place across workers.
 func (p *LBLProxy) buildFrame(frame []byte, runs []run, specs []tableSpec) error {
 	gl := p.cfg.groupBytes()
 	var tablesBuf [2][]byte
@@ -963,9 +998,13 @@ func (p *LBLProxy) buildFrame(frame []byte, runs []run, specs []tableSpec) error
 	total := 0
 	for _, r := range runs {
 		if r.g0 == 0 {
-			ek := p.prf.EncodeKey(specs[r.seg].key)
-			rid := RangeOf(specs[r.seg].key)
+			s := &specs[r.seg]
+			ek := p.prf.EncodeKey(s.key)
+			rid := RangeOf(s.key)
 			frame = frame[p.cfg.putSegHeader(frame, ek[:], rid, p.rangeEpoch(rid)):]
+			p.vk.seal(frame[:verifierLen], ek, s.ct)
+			p.vk.seal(frame[verifierLen:2*verifierLen], ek, s.ct+1)
+			frame = frame[2*verifierLen:]
 		}
 		n := (r.g1 - r.g0) * gl
 		tables = append(tables, frame[:n])
@@ -985,24 +1024,27 @@ func (p *LBLProxy) buildFrame(frame []byte, runs []run, specs []tableSpec) error
 // table-entry format of the request and the layout of the response slot
 // together. v2 is the fixed-key-AES pad (secretbox's label pad); v3 keeps
 // it and answers with the opened entries' indices and a label digest
-// instead of the installed labels. Only in-flight bytes depend on the
-// version, so proxy and server must agree on it, and a server refuses
+// instead of the installed labels; v4 puts the verifier pair at the front
+// of the table, answers stale with the record's verifier, and makes a
+// point-and-permute entry one padded label. Only in-flight bytes depend on
+// the version, so proxy and server must agree on it, and a server refuses
 // any other version before reading a record — a definite rejection,
-// where a v2 proxy reading a v3 answer would call it tampering, and a
-// mismatched pad left to trial decryption would answer slotStale and send
-// the proxy up the reconcile ladder. Proxies older than the stamp wrote
-// zeros there, which reads as no version at all.
+// where a proxy reading another version's answer would call it tampering,
+// and a mismatched table would answer slotStale and send the proxy up the
+// recovery ladder. Proxies older than the stamp wrote zeros there, which
+// reads as no version at all.
 //
 // A stored record's first byte is laid out the same way, its high bits
-// holding the record format: the layout of the label schedule, since the
-// labels are the record. Version 1 is the keystream layout of
-// prf.LabelGen; records written before it carry zeros there and no
-// longer open, and a server refuses a request against a record of any
-// other version with errRecordFormat.
+// holding the record format: the layout of the label schedule and of
+// what follows the labels, since those are the record. Version 1 was the
+// keystream layout of prf.LabelGen with point-and-permute decryption bits;
+// version 2 colours the labels instead and ends every record with its
+// verifier. Records of another version no longer open, and a server
+// refuses a request against one with errRecordFormat.
 const (
 	modeBits     = 4
-	entryFormat  = 3
-	recordFormat = 1
+	entryFormat  = 4
+	recordFormat = 2
 )
 
 // recordByte is the first byte of a record in mode m.
@@ -1023,12 +1065,14 @@ func (c LBLConfig) putSegHeader(dst, encKey []byte, rangeID uint32, epoch uint64
 
 // minGroupsPerBuildWorker bounds the table-build fan-out: below this
 // many groups per worker the goroutine handoff costs more than the work
-// it offloads. It is where two workers first beat one by more than 10 %
-// on the measured crossover (EXPERIMENTS.md, "Worker crossover";
-// BenchmarkWorkerCrossover): with the schedule derived as keystream rows
-// a group costs ≈200 ns to build — 10 AES blocks eight at a time, 4
-// sealed entries — so the build fans out from 384 groups. Recovery
-// never fans out: it is one table lookup and one 16-byte XOR a group.
+// it offloads. It was set where two workers first beat one by more than
+// 10 % on the measured crossover (EXPERIMENTS.md, "Worker crossover";
+// BenchmarkWorkerCrossover), when a group cost ≈200 ns to build — 10
+// AES blocks eight at a time, 4 two-block seals — so the build fans out
+// from 384 groups. A point-and-permute group is now 8 blocks and 4
+// one-block pads, ≈140 ns, and two workers gain less there
+// (EXPERIMENTS.md, "16-byte entries"). Recovery never fans out: it is
+// one table lookup and one 16-byte XOR a group.
 const minGroupsPerBuildWorker = 192
 
 // tableWorkers returns the worker count for a CPU-bound pass over
@@ -1110,7 +1154,7 @@ const rowChunk = 32
 // each other, from its first group on: each opened once and read
 // rowChunk groups at a time into one buffer.
 type scheduleRows struct {
-	rows [maxEntries + 2]prf.Row // 2^y label rows and two permute rows at most
+	rows [maxEntries]prf.Row // 2^y label rows
 	n    int
 	buf  []byte // the current chunk: row j's at j·rowChunk blocks
 }
@@ -1139,67 +1183,84 @@ func (r *scheduleRows) at(j, i int) []byte {
 	return r.buf[o : o+prf.Size]
 }
 
+// paint colours the labels of the chunk's first k groups, row b holding
+// bit value b's labels (paint).
+func (r *scheduleRows) paint(k int, mask uint8) {
+	for i := 0; i < k; i++ {
+		colour := r.at(0, i)[0] & mask
+		for b := 1; b < r.n; b++ {
+			paint(r.at(b, i), uint8(b), colour, mask)
+		}
+	}
+}
+
 // buildGroupRange seals groups [g0, g1) of s's table into their slots
 // (steps 1.2–1.5 of §5.2 for those groups), leaving their new labels in
 // s.news and which old bits key each entry in s.olds. The counter-ct+1
-// rows go straight into s.news, one fill each; the counter-ct rows and
-// both permute rows are read chunk by chunk.
-// Every row is opened once for the whole range, so the worker's
-// allocations do not grow with it. shuf is owned by the caller — one per
-// worker. table holds groups starting at absolute group gBase — the
-// first group of the run being built, so a frame-sized buffer serves any
-// part of the table.
+// rows go straight into s.news, one fill each; the counter-ct rows are
+// read chunk by chunk. Every row is opened once for the whole range, so
+// the worker's allocations do not grow with it. shuf is owned by the
+// caller — one per worker. table holds groups starting at absolute group
+// gBase — the first group of the run being built, so a frame-sized
+// buffer serves any part of the table.
+//
+// Reads and writes run the same instructions over the same rows: each
+// entry carries the new label of its target bits, which a byte mask picks
+// — a read's keep the bits keying the entry, a write's are the written
+// value's, read from s.value either way (a read's is zeros, newSpec).
 func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *cryptoShuffler, s *tableSpec, g0, g1, gBase int) error {
 	cfg := p.cfg
-	y, groups := cfg.Mode.Y(), cfg.Groups()
-	nEntries := cfg.Mode.entries()
-	entryLen := cfg.Mode.entryLen()
-	mask := uint8(nEntries - 1)
+	mode := cfg.Mode
+	y, groups := mode.Y(), cfg.Groups()
+	nEntries := mode.entries()
+	entryLen := mode.entryLen()
+	mask := mode.colourMask()
 	sealer := secretbox.NewLabelSealer()
-	op, ct := s.op, s.ct
-	newLabel := func(b, g int) []byte { return s.news[(b*groups+g)*prf.Size : (b*groups+g+1)*prf.Size] }
+	// keep is 0xFF for a read, which keeps the old bits, and 0 for a
+	// write, which takes the bits it writes.
+	keep := byte(-subtle.ConstantTimeByteEq(uint8(s.op), uint8(OpRead)))
+	newLabel := func(b uint8, g int) []byte {
+		o := (int(b)*groups + g) * prf.Size
+		return s.news[o : o+prf.Size]
+	}
 
-	// The counter-ct+1 label rows fill this range of s.news. rows reads
-	// the counter-ct label rows — row b for bit value b — then the
-	// permute rows at ct and ct+1.
+	// The counter-ct+1 label rows fill this range of s.news; rows reads
+	// the counter-ct label rows, row b for bit value b.
 	var rows scheduleRows
 	for b := 0; b < nEntries; b++ {
-		gen.LabelRow(g0, uint8(b), ct+1).Fill(s.news[(b*groups+g0)*prf.Size : (b*groups+g1)*prf.Size])
-		rows.add(gen.LabelRow(g0, uint8(b), ct))
+		gen.LabelRow(g0, uint8(b), s.ct+1).Fill(s.news[(b*groups+g0)*prf.Size : (b*groups+g1)*prf.Size])
+		rows.add(gen.LabelRow(g0, uint8(b), s.ct))
 	}
-	if cfg.Mode.hasDbits() {
-		rows.add(gen.PermuteRow(g0, ct))
-		rows.add(gen.PermuteRow(g0, ct+1))
+	if mode.permute() {
+		for g := g0; g < g1; g++ {
+			colour := newLabel(0, g)[0] & mask
+			for b := uint8(1); b < uint8(nEntries); b++ {
+				paint(newLabel(b, g), b, colour, mask)
+			}
+		}
 	}
 
-	var plain [prf.Size + 1]byte
 	var perm [maxEntries]int
 	for c0 := g0; c0 < g1; c0 += rowChunk {
 		k := rows.next(g1 - c0)
+		if mode.permute() {
+			rows.paint(k, mask)
+		}
 		for i := 0; i < k; i++ {
 			g := c0 + i
 			slots := table[(g-gBase)*nEntries*entryLen : (g-gBase+1)*nEntries*entryLen]
-			var newBits uint8
-			if op == OpWrite {
-				newBits = groupBits(s.value, g, y)
-			}
+			written := groupBits(s.value, g, y)
 
-			if cfg.Mode.hasDbits() {
-				// Point-and-permute: entry e is keyed by old label
-				// ol_{e⊕r}; its plaintext carries the new label and the
-				// next decryption bits, linked through r' (§10.2).
-				r := rows.at(nEntries, i)[0] & mask
-				rNew := rows.at(nEntries+1, i)[0] & mask
-				for e := 0; e < nEntries; e++ {
-					b := uint8(e) ^ r
-					s.olds[g*nEntries+e] = b
-					target := b
-					if op == OpWrite {
-						target = newBits
-					}
-					copy(plain[:prf.Size], newLabel(int(target), g))
-					plain[prf.Size] = target ^ rNew
-					if err := sealer.SealInto(slots[e*entryLen:(e+1)*entryLen], rows.at(int(b), i), plain[:]); err != nil {
+			if mode.permute() {
+				// Point-and-permute: entry e is keyed by the old label whose
+				// colour is e, the one for bits e ⊕ r (§10.2), and is the new
+				// label XOR that label's pad.
+				r := rows.at(0, i)[0] & mask
+				for e := uint8(0); e < uint8(nEntries); e++ {
+					b := e ^ r
+					s.olds[g*nEntries+int(e)] = b
+					target := b&keep | written&^keep
+					if err := sealer.PadInto(slots[int(e)*entryLen:int(e+1)*entryLen], rows.at(int(b), i), newLabel(target, g)); err != nil {
 						return err
 					}
 				}
@@ -1212,14 +1273,11 @@ func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *crypto
 			// unpredictable — a guessable placement would leak plaintext
 			// bits by position.
 			shuf.perm(nEntries, perm[:])
-			for b := 0; b < nEntries; b++ {
-				target := b
-				if op == OpWrite {
-					target = int(newBits)
-				}
+			for b := uint8(0); b < uint8(nEntries); b++ {
 				slot := perm[b]
-				s.olds[g*nEntries+slot] = uint8(b)
-				if err := sealer.SealInto(slots[slot*entryLen:(slot+1)*entryLen], rows.at(b, i), newLabel(target, g)); err != nil {
+				s.olds[g*nEntries+slot] = b
+				target := b&keep | written&^keep
+				if err := sealer.SealInto(slots[slot*entryLen:(slot+1)*entryLen], rows.at(int(b), i), newLabel(target, g)); err != nil {
 					return err
 				}
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"runtime"
@@ -20,10 +21,10 @@ import (
 )
 
 // An LBLServer is the untrusted side of LBL-ORTOA: it stores one
-// secret label per bit group (plus decryption bits under
-// point-and-permute) and, per access, decrypts exactly the table
-// entries its stored labels open, installing the recovered new labels
-// (steps 2.1–2.2 of §5.2). It learns nothing about the operation type:
+// secret label per bit group and the record's verifier and, per access,
+// decrypts exactly the table entries its stored labels open, installing
+// the recovered new labels and the next verifier (steps 2.1–2.2 of
+// §5.2). It learns nothing about the operation type:
 // reads and writes present identical work.
 type LBLServer struct {
 	store *kvstore.Store
@@ -70,12 +71,12 @@ func (s *LBLServer) DecryptAttempts() int64 { return s.decryptAttempts.Load() }
 
 // lblRecord is the parsed server-side state for one object.
 type lblRecord struct {
-	labels []byte // groups × prf.Size
-	dbits  []byte // groups × 1, point-and-permute only
+	labels   []byte // groups × prf.Size
+	verifier []byte // verifierLen: which counter the labels are at (reconcile.go)
 }
 
 // parseLBLRecord splits raw, a stored record, into its labels and
-// decryption bits, provided it is a record in cfg's mode and size.
+// verifier, provided it is a record in cfg's mode and size.
 func parseLBLRecord(raw []byte, cfg LBLConfig) (lblRecord, error) {
 	if len(raw) < 1 {
 		return lblRecord{}, errors.New("core: empty LBL record")
@@ -90,7 +91,7 @@ func parseLBLRecord(raw []byte, cfg LBLConfig) (lblRecord, error) {
 		return lblRecord{}, fmt.Errorf("core: LBL record %d bytes, want %d", len(raw), cfg.ServerBytesPerValue())
 	}
 	var rec lblRecord
-	rec.labels, rec.dbits = cfg.recordParts(raw)
+	rec.labels, rec.verifier = cfg.recordParts(raw)
 	return rec, nil
 }
 
@@ -144,7 +145,7 @@ func readSegHeader(r *wire.Reader) (encKey, claim []byte, cfg LBLConfig, err err
 // what happened to each key never shows in a length. On success the
 // fields name the entry the server opened in each group and the digest
 // is the XOR of the labels it installed; on slotStale the fields are zero
-// and the digest's place holds the group-0 label of the record the store
+// and the digest's place holds the verifier of the record the store
 // holds; otherwise the body is zero. The proxy's recovery ladder runs on
 // the codes; slotError turns a failure back into the constant-text error
 // callers and relays classify.
@@ -153,11 +154,12 @@ const (
 	// slotNotFound: the store was not initialized with this key.
 	slotNotFound
 	// slotStale is the fencing rejection: the table is not keyed at the
-	// record's counter (some entry the stored labels should open does
-	// not), or the record moved while the table was being decrypted. Out
-	// of all rounds ever built for a key at one counter, at most one
-	// applies. The label it carries tells the proxy which counter the
-	// record is at (reconcile.go).
+	// record's counter (the verifier it expects is not the record's, or an
+	// entry the stored labels should open does not), or the record moved
+	// while the table was being decrypted. Out of all rounds ever built
+	// for a key at one counter, at most one applies. The verifier it
+	// carries tells the proxy which counter the record is at
+	// (reconcile.go).
 	slotStale
 	// slotFenced: the ownership claim is behind the range's epoch
 	// (epoch.go). Checked before any record work.
@@ -259,48 +261,43 @@ func IsDeadlineExpired(err error) bool {
 // new-record buffer. Steady-state record churn then allocates nothing.
 var recPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// decryptRange executes step 2.1 of §5.2 for groups [g0, g1): trial-
-// decrypt the table entries rec's stored labels open, writing the
-// recovered new labels (and, under point-and-permute, the next
-// decryption bits) into newLabels/newDbits at absolute group offsets,
-// the index of the entry each group opened into fields — zeroed, laid out
-// as a value's bits are — and the XOR of the new labels into digest.
-// table holds exactly those groups' entries (table[0] is group g0's).
-// Returns the number of authenticated decryptions attempted and whether
-// every group opened; a group none of whose entries opens means the
-// table is not keyed at the record's counter.
-func decryptRange(mode LBLMode, rec *lblRecord, table []byte, g0, g1 int, newLabels, newDbits, fields []byte, digest *labelDigest) (attempts int64, ok bool) {
+// decryptRange executes step 2.1 of §5.2 for groups [g0, g1): decrypt
+// the table entries rec's stored labels open, writing the recovered new
+// labels into newLabels at absolute group offsets, the index of the entry
+// each group opened into fields — zeroed, laid out as a value's bits are
+// — and the XOR of the new labels into digest. table holds exactly those
+// groups' entries (table[0] is group g0's). Returns the number of
+// decryptions attempted and whether every group opened; a group none of
+// whose entries opens means the table is not keyed at the record's
+// labels.
+func decryptRange(mode LBLMode, rec *lblRecord, table []byte, g0, g1 int, newLabels, fields []byte, digest *labelDigest) (attempts int64, ok bool) {
 	entryLen, nEntries := mode.entryLen(), mode.entries()
-	var plainBuf [prf.Size + 1]byte
-	plain := plainBuf[:mode.entryPlainLen()]
 	sealer := secretbox.NewLabelSealer()
 	for g := g0; g < g1; g++ {
 		stored := rec.labels[g*prf.Size : (g+1)*prf.Size]
 		entries := table[(g-g0)*nEntries*entryLen : (g-g0+1)*nEntries*entryLen]
-		// Every trial in a group opens under the same stored label,
-		// so the pad is derived once and each trial is a tag
-		// comparison — up to 2^y−1 derivations saved per group on the
-		// try-all path.
-		opener, oerr := sealer.Opener(stored)
-		if oerr != nil {
-			return attempts, false
-		}
+		newLabel := newLabels[g*prf.Size : (g+1)*prf.Size]
 		e := 0
-		if mode.hasDbits() {
-			// Point-and-permute: exactly one decryption, at the
-			// stored entry index.
-			e = int(rec.dbits[g]) & (nEntries - 1)
+		if mode.permute() {
+			// Point-and-permute: the stored label's colour names its
+			// entry, and opening it is one pad.
+			e = int(stored[0] & mode.colourMask())
 			attempts++
-			if opener.OpenInto(plain, entries[e*entryLen:(e+1)*entryLen]) != nil {
+			if sealer.PadInto(newLabel, stored, entries[e*entryLen:(e+1)*entryLen]) != nil {
 				return attempts, false
 			}
-			newDbits[g] = plain[prf.Size]
 		} else {
-			// Try each shuffled entry; the recognition tag
-			// identifies the one our label opens (§5.2 step 2.1).
+			// Try each shuffled entry; the recognition tag identifies the
+			// one our label opens (§5.2 step 2.1). Every trial opens under
+			// the same stored label, so the pad is derived once and each
+			// trial is a tag comparison.
+			opener, err := sealer.Opener(stored)
+			if err != nil {
+				return attempts, false
+			}
 			for ; e < nEntries; e++ {
 				attempts++
-				if opener.OpenInto(plain, entries[e*entryLen:(e+1)*entryLen]) == nil {
+				if opener.OpenInto(newLabel, entries[e*entryLen:(e+1)*entryLen]) == nil {
 					break
 				}
 			}
@@ -309,8 +306,7 @@ func decryptRange(mode LBLMode, rec *lblRecord, table []byte, g0, g1 int, newLab
 			}
 		}
 		setGroupBits(fields, g, mode.Y(), uint8(e))
-		copy(newLabels[g*prf.Size:], plain[:prf.Size])
-		digest.add(plain)
+		digest.add(newLabel)
 	}
 	return attempts, true
 }
@@ -323,7 +319,8 @@ const requestAbortMarker = "request aborted before completion"
 
 // handleAccess is the one LBL access handler (steps 2.1–2.2 of §5.2).
 // A request is n ≥ 1 segments back to back — encoded key, ownership
-// claim, geometry, table — arriving whole in payload or, when the proxy
+// claim, geometry, verifier pair, table — arriving whole in payload or,
+// when the proxy
 // cut it, continued over the transport's StreamReader; the handler
 // consumes segments as their bytes land, trial-decrypting each arrived
 // run of groups against a snapshot of the key's record, and installs
@@ -422,6 +419,10 @@ func (req *lblRequest) consume(frame []byte) error {
 			if err != nil {
 				return err
 			}
+			want, next := r.Raw(verifierLen), r.Raw(verifierLen)
+			if err := r.Err(); err != nil {
+				return err
+			}
 			if n == 0 {
 				req.cfg = cfg
 			} else if cfg != req.cfg {
@@ -430,7 +431,7 @@ func (req *lblRequest) consume(frame []byte) error {
 			if n == maxRoundKeys {
 				return fmt.Errorf("core: request exceeds %d accesses", maxRoundKeys)
 			}
-			seg = req.begin(string(encKey), claim)
+			seg = req.begin(string(encKey), claim, want, next)
 			req.segs = append(req.segs, seg)
 			frame = frame[len(frame)-r.Remaining():]
 		}
@@ -460,11 +461,14 @@ func (req *lblRequest) consume(frame []byte) error {
 }
 
 // begin opens a segment: budget, then the ownership fence, then the
-// record its table opens — in that order, so an expired or fenced access
-// costs no record work and no trial decryption. A chain's head snapshots
-// the stored record; a segment naming the same key as the one before it
-// continues that chain from the record its predecessor is building.
-func (req *lblRequest) begin(key string, claim []byte) *lblSegment {
+// record its table opens and its verifier — in that order, so an expired
+// or fenced access costs no record work and a stale one no decryption.
+// A chain's head snapshots the stored record; a segment naming the same
+// key as the one before it continues that chain from the record its
+// predecessor is building, whose verifier is the one the predecessor
+// installs. The record built starts with next, the verifier the segment
+// installs.
+func (req *lblRequest) begin(key string, claim, want, next []byte) *lblSegment {
 	s, cfg := req.srv, req.cfg
 	seg := &lblSegment{key: key}
 	if n := len(req.segs); n > 0 && req.segs[n-1].key == key {
@@ -510,12 +514,18 @@ func (req *lblRequest) begin(key string, claim []byte) *lblSegment {
 		}
 		return seg
 	}
+	if subtle.ConstantTimeCompare(seg.rec.verifier, want) != 1 {
+		seg.status = slotStale
+		return seg
+	}
 	seg.next = recPool.Get().(*[]byte)
 	if cap(*seg.next) < len(from) {
 		*seg.next = make([]byte, len(from))
 	}
 	*seg.next = (*seg.next)[:len(from)]
 	(*seg.next)[0] = cfg.Mode.recordByte()
+	_, verifier := cfg.recordParts(*seg.next)
+	copy(verifier, next)
 	seg.fields = make([]byte, cfg.ValueSize)
 	return seg
 }
@@ -534,8 +544,8 @@ func (req *lblRequest) decrypt(run segRun) {
 	}
 	seg.busy.Resume()
 	defer seg.busy.Pause()
-	labels, dbits := req.cfg.recordParts(*seg.next)
-	a, ok := decryptRange(req.cfg.Mode, &seg.rec, run.table, run.g0, run.g1, labels, dbits, seg.fields, &seg.digest)
+	labels, _ := req.cfg.recordParts(*seg.next)
+	a, ok := decryptRange(req.cfg.Mode, &seg.rec, run.table, run.g0, run.g1, labels, seg.fields, &seg.digest)
 	seg.attempts += a
 	if !ok {
 		seg.status = slotStale
@@ -577,10 +587,10 @@ func (req *lblRequest) finish() ([]byte, error) {
 // install swaps the record chain's last member built in for the one its
 // head snapshotted, provided that is still what the store holds, fills
 // slots with each member's fields and digest — or, stale, with the held
-// record's group-0 label — and returns the chain's status: the first
-// failure any member met, or what the swap came to. One update, so one
-// WAL record, takes the record through all of the chain's counter steps
-// or none of them, so a stale answer's label says where a lost chain left
+// record's verifier — and returns the chain's status: the first failure
+// any member met, or what the swap came to. One update, so one WAL
+// record, takes the record through all of the chain's counter steps or
+// none of them, so a stale answer's verifier says where a lost chain left
 // the record. A record that moved in between was advanced by a concurrent
 // round keyed at the same counter — which a correct proxy never issues
 // — so this round is, by the label schedule's own fencing, stale.
@@ -645,19 +655,19 @@ func (req *lblRequest) install(chain []*lblSegment, slots []byte) byte {
 	}
 }
 
-// answerStale puts held's group-0 label — a label of the record the
-// store holds, which the server already knows, and all the proxy's
-// counter search reads (reconcile.go) — in the digest's place of every
-// slot of a chain refused stale, for reads and writes alike. A record
-// that does not parse leaves the bodies zero, which match no counter.
+// answerStale puts held's verifier — which the server already knows, and
+// from which the proxy reads the record's counter (reconcile.go) — in the
+// digest's place of every slot of a chain refused stale, for reads and
+// writes alike. A record that does not parse leaves the bodies zero,
+// which no proxy reads as a counter.
 func (req *lblRequest) answerStale(slots, held []byte) {
 	rec, err := parseLBLRecord(held, req.cfg)
 	if err != nil {
 		return
 	}
 	slotLen := req.cfg.ResponseBytesPerAccess()
-	for k := slotLen - prf.Size; k < len(slots); k += slotLen {
-		copy(slots[k:k+prf.Size], rec.labels)
+	for k := slotLen - verifierLen; k < len(slots); k += slotLen {
+		copy(slots[k:k+verifierLen], rec.verifier)
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 // Stage names follow the step structure of the paper: LBL stages are
 // the proxy-side steps 1.1–1.5 and 3.1–3.2 of §5.2 plus the wire time
 // between them, which together make up the per-access latency that
-// Fig 3 decomposes. DESIGN.md §8 maps every metric to its paper
+// Fig 3 decomposes, and the recovery ladder a rejected round climbs. DESIGN.md §8 maps every metric to its paper
 // stage. Each family is declared here and nowhere else: the
 // declaration names the stage histograms, the spans and the slow-log
 // columns, and the constants beside it are the stages' positions.
@@ -34,7 +34,8 @@ const (
 	lblAcquire = iota // counter lookup and a multi-key round's wait for its keys, step 1.1
 	lblBuild          // encryption-table build, steps 1.2–1.5: time spent sealing frames
 	lblRPC            // wire round trip, request out to response in, less the sealing it overlapped
-	lblRecover        // label→bit recovery + §5.4 integrity check, steps 3.1–3.2
+	lblRecover        // label→bit recovery + §5.4 integrity check, steps 3.1–3.2, and the counter commit
+	lblLadder         // the recovery ladder: claims after a fence, rebases after a stale answer, until the next lap's build
 )
 
 // LBLStages declares the LBL proxy's stage family (ortoa_lbl_*, slow
@@ -42,7 +43,7 @@ const (
 // the family — the trace experiment — take the stage names from here.
 func LBLStages(reg *obs.Registry) *obs.Stages {
 	return reg.Stages("ortoa_lbl", "LBL proxy per-round stage latency (§5.2 steps)",
-		"counter_acquire", "table_build", "rpc", "label_recover")
+		"counter_acquire", "table_build", "rpc", "label_recover", "recovery_ladder")
 }
 
 // The TEE client's stages: selector + value sealing, the round trip,
@@ -119,8 +120,8 @@ type lblProxyObs struct {
 	chainLen *obs.Histogram // single accesses a round carried, one key's chain
 	frames   *obs.Counter   // request frames sealed; frames/rounds > 1 means the frame budget is cutting requests
 
-	reconciledKeys *obs.Counter // counters rebased up to a stale answer's label (reconcile.go)
-	rolledBackKeys *obs.Counter // stale answers whose label was behind the counter: a server rollback
+	reconciledKeys *obs.Counter // counters rebased up to a stale answer's verifier (reconcile.go)
+	rolledBackKeys *obs.Counter // stale answers whose verifier was behind the counter: a server rollback
 
 	epochClaims  *obs.Counter // counter ranges claimed (adoption or startup, epoch.go)
 	fencedRounds *obs.Counter // accesses rejected by the server's epoch fence

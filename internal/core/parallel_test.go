@@ -12,18 +12,23 @@ import (
 	"ortoa/internal/kvstore"
 )
 
-// applyTable runs the server half of one access directly against a
-// fresh store seeded with record, returning the response slot's body and
-// the post-access stored record.
-func applyTable(t *testing.T, cfg LBLConfig, ek string, record, table []byte) (body, newRec []byte) {
+// applyTable runs the server half of one access to key at counter 0
+// directly against a fresh store seeded with record, the table's entries
+// behind p's header and verifier pair, returning the response slot's body
+// and the post-access stored record.
+func applyTable(t *testing.T, p *LBLProxy, key string, record, table []byte) (body, newRec []byte) {
 	t.Helper()
+	cfg := p.cfg
+	ek := p.prf.EncodeKey(key)
 	store := kvstore.New()
-	if err := store.Put(ek, append([]byte(nil), record...)); err != nil {
+	if err := store.Put(string(ek[:]), append([]byte(nil), record...)); err != nil {
 		t.Fatal(err)
 	}
-	req := make([]byte, cfg.segHeaderLen(), cfg.RequestBytesPerAccess())
-	cfg.putSegHeader(req, []byte(ek), 0, 0)
-	resp, err := NewLBLServer(store).handleAccess(context.Background(), append(req, table...))
+	req := make([]byte, cfg.segPrefixLen(), cfg.RequestBytesPerAccess())
+	n := cfg.putSegHeader(req, ek[:], 0, 0)
+	p.vk.seal(req[n:], ek, 0)
+	p.vk.seal(req[n+verifierLen:], ek, 1)
+	resp, err := NewLBLServer(store).handleAccess(context.Background(), append(req, table[:cfg.Groups()*cfg.groupBytes()]...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +36,7 @@ func applyTable(t *testing.T, cfg LBLConfig, ek string, record, table []byte) (b
 		t.Fatal(err)
 	}
 	body = resp[1:]
-	newRec, err = store.Get(ek)
+	newRec, err = store.Get(string(ek[:]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +64,7 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 			for i := range value {
 				value[i] = byte(rnd.Uint32())
 			}
-			ek, rec, err := proxy.BuildRecord("obj", value)
+			_, rec, err := proxy.BuildRecord("obj", value)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,8 +86,8 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 				t.Error("carried schedules diverge after sequential vs parallel build")
 			}
 
-			seqBody, seqRec := applyTable(t, cfg, ek, rec, seq)
-			parBody, parRec := applyTable(t, cfg, ek, rec, par)
+			seqBody, seqRec := applyTable(t, proxy, "obj", rec, seq)
+			parBody, parRec := applyTable(t, proxy, "obj", rec, par)
 			if !bytes.Equal(seqRec, parRec) {
 				t.Error("stored records diverge after sequential vs parallel table")
 			}

@@ -91,7 +91,7 @@ func builtFrames(t testing.TB, p *LBLProxy, specs []tableSpec) (frames [][]byte,
 		for _, r := range runs {
 			if r.g0 == 0 {
 				at = append(at, off)
-				off += p.cfg.segHeaderLen()
+				off += p.cfg.segPrefixLen()
 			}
 			off += (r.g1 - r.g0) * p.cfg.groupBytes()
 		}

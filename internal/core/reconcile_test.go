@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/aes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -61,6 +63,34 @@ func regressServer(t *testing.T, r *rig, p *LBLProxy, key string, rec []byte) {
 	}
 }
 
+// labelAt is the label of bit value b of group g at counter ct, derived
+// afresh block by block: under point-and-permute with its colour, b XOR
+// the low y bits of bit value 0's label.
+func labelAt(p *LBLProxy, gen *prf.LabelGen, g int, b uint8, ct uint64) prf.Output {
+	l := gen.Label(g, b, ct)
+	if p.cfg.Mode.permute() {
+		mask := uint8(p.cfg.Mode.entries() - 1)
+		r := gen.Label(g, 0, ct)[0] & mask
+		l[0] = l[0]&^mask | (b^r)&mask
+	}
+	return l
+}
+
+// verifierAt is key's record verifier at counter ct under p's PRF key,
+// AES(VerifierKey, PRF(key)[:8] ‖ ct big-endian), computed straight from
+// crypto/aes.
+func verifierAt(p *LBLProxy, key string, ct uint64) []byte {
+	k := p.prf.VerifierKey()
+	block, err := aes.NewCipher(k[:])
+	if err != nil {
+		panic(err)
+	}
+	ek := p.prf.EncodeKey(key)
+	v := binary.BigEndian.AppendUint64(bytes.Clone(ek[:8]), ct)
+	block.Encrypt(v, v)
+	return v
+}
+
 // recordAt builds the record holding value at counter ct — what ct
 // accesses leave behind BuildRecord's, the last writing value.
 func recordAt(p *LBLProxy, key string, value []byte, ct uint64) []byte {
@@ -68,16 +98,10 @@ func recordAt(p *LBLProxy, key string, value []byte, ct uint64) []byte {
 	y, groups := p.cfg.Mode.Y(), p.cfg.Groups()
 	rec := []byte{p.cfg.Mode.recordByte()}
 	for g := 0; g < groups; g++ {
-		l := gen.Label(g, groupBits(value, g, y), ct)
+		l := labelAt(p, gen, g, groupBits(value, g, y), ct)
 		rec = append(rec, l[:]...)
 	}
-	if p.cfg.Mode.hasDbits() {
-		mask := uint8(p.cfg.Mode.entries() - 1)
-		for g := 0; g < groups; g++ {
-			rec = append(rec, groupBits(value, g, y)^gen.PermuteBits(g, ct)&mask)
-		}
-	}
-	return rec
+	return append(rec, verifierAt(p, key, ct)...)
 }
 
 func mustWrite(t *testing.T, p *LBLProxy, key string, value []byte) {
@@ -113,11 +137,10 @@ func TestRecordAt(t *testing.T) {
 // TestProxyBehindHeals: the server's record is gap accesses past the
 // proxy's counter — a proxy resumed from a stale counter file, an
 // adopter, a lost response. The key's next access is answered stale
-// with the record's labels, rebases and goes around once: two requests
-// whatever the gap, up to reconcileWindow. Past it the access fails
-// stale.
+// with the record's verifier, rebases and goes around once: two requests
+// whatever the gap, with no window to fall out of.
 func TestProxyBehindHeals(t *testing.T) {
-	for _, gap := range []uint64{2, 500, reconcileWindow, reconcileWindow + 1} {
+	for _, gap := range []uint64{2, 500, 4096, 4097, 100_000} {
 		t.Run(fmt.Sprintf("gap=%d", gap), func(t *testing.T) {
 			r, proxy := newLBLReconcile(t, LBLPointPermute, prf.NewRandom())
 			reg := obs.NewRegistry()
@@ -128,12 +151,6 @@ func TestProxyBehindHeals(t *testing.T) {
 
 			requests := accessRequests(r)
 			got, _, err := proxy.Access(OpRead, "k", nil)
-			if gap > reconcileWindow {
-				if !isStaleRound(err) || requests.Load() != 1 {
-					t.Fatalf("gap past the window: %v after %d requests, want one stale rejection", err, requests.Load())
-				}
-				return
-			}
 			if err != nil || !bytes.Equal(got, []byte{4, 4, 4, 4}) {
 				t.Fatalf("read %v (%v), want the server's live value 4444", got, err)
 			}
@@ -148,6 +165,81 @@ func TestProxyBehindHeals(t *testing.T) {
 				t.Errorf("write/read after the rebase = %v, %v", got, err)
 			}
 		})
+	}
+}
+
+// TestStaleVerifierRules holds the rebase to the verifier a stale slot
+// carries, for a proxy whose counter for "k" is 10: its own key's
+// verifier above 10 rebases and goes around, at 10 fails stale, below it
+// fails errRolledBack and moves the counter down to it; another key's
+// verifier, another PRF key's, random bytes and zeros fail stale and
+// leave the counter where it was. No verifier moves the counter anywhere
+// but to the counter it carries for this key.
+func TestStaleVerifierRules(t *testing.T) {
+	p, err := NewLBLProxy(LBLConfig{ValueSize: 4, Mode: LBLPointPermute}, prf.NewRandom(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stranger, err := NewLBLProxy(p.cfg, prf.NewRandom(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	random := bytes.Repeat([]byte{0xA5, 0x3C, 0x96, 0x0F}, verifierLen/4)
+	stale := slotError(slotStale)
+	for _, c := range []struct {
+		name   string
+		held   []byte
+		again  bool
+		wantCt uint64
+		err    error
+	}{
+		{"its own, above", verifierAt(p, "k", 15), true, 15, stale},
+		{"its own, far above", verifierAt(p, "k", 1<<40), true, 1 << 40, stale},
+		{"its own, at the counter", verifierAt(p, "k", 10), false, 10, stale},
+		{"its own, below", verifierAt(p, "k", 4), false, 4, errRolledBack},
+		{"another key's, above", verifierAt(p, "other", 15), false, 10, stale},
+		{"another key's, below", verifierAt(p, "other", 4), false, 10, stale},
+		{"another PRF key's", verifierAt(stranger, "k", 15), false, 10, stale},
+		{"random bytes", random, false, 10, stale},
+		{"zeros", make([]byte, verifierLen), false, 10, stale},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := p.counters.acquire("k")
+			e.ct = 10
+			chain := &keyChain{accs: []roundAccess{{BatchOp: BatchOp{Op: OpRead, Key: "k"}}}, entry: e, status: slotStale, err: stale}
+			copy(chain.held[:], c.held)
+			again := p.rebase(chain)
+			ct := e.ct
+			p.counters.release(e)
+			if again != c.again || ct != c.wantCt || chain.err.Error() != c.err.Error() {
+				t.Errorf("rebase: again %v, counter %d, err %v; want %v, %d, %v", again, ct, chain.err, c.again, c.wantCt, c.err)
+			}
+		})
+	}
+}
+
+// TestMisplacedRecordIsDefinite: the server holds, under "k", another
+// key's record — a verifier of a counter far above the proxy's, but not
+// "k"'s. The access fails stale in one request; the proxy neither rebases
+// nor counts a rollback, and "k"'s counter stays where it was.
+func TestMisplacedRecordIsDefinite(t *testing.T) {
+	r, proxy := newLBLReconcile(t, LBLPointPermute, prf.NewRandom())
+	proxy.Instrument(obs.NewRegistry())
+	loadData(t, r, proxy, map[string][]byte{"k": {1, 1, 1, 1}})
+	mustWrite(t, proxy, "k", []byte{2, 2, 2, 2})
+	regressServer(t, r, proxy, "k", recordAt(proxy, "other", []byte{3, 3, 3, 3}, 500))
+	requests := accessRequests(r)
+	_, _, err := proxy.Access(OpRead, "k", nil)
+	if !isStaleRound(err) || requests.Load() != 1 {
+		t.Fatalf("access against another key's record: %v after %d requests, want one stale rejection", err, requests.Load())
+	}
+	if rebased, behind := proxy.mx.reconciledKeys.Value(), proxy.mx.rolledBackKeys.Value(); rebased != 0 || behind != 0 {
+		t.Errorf("proxy rebased %d keys and found %d behind, want 0 and 0", rebased, behind)
+	}
+	e := proxy.counters.acquire("k")
+	defer proxy.counters.release(e)
+	if e.ct != 1 {
+		t.Errorf("counter %d after the rejection, want 1", e.ct)
 	}
 }
 

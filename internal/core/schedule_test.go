@@ -3,7 +3,11 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/aes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"crypto/subtle"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -28,10 +32,10 @@ import (
 
 // recoverFromPRF is the reference recovery of a response slot's body,
 // sharing nothing with the carried schedule: it finds the old bits keying
-// each opened entry from the PRF — the permute word at counter ct under
-// point-and-permute, otherwise the one counter-ct label that opens the
-// entry in table — and recomputes the digest over labels derived afresh
-// at counter ct+1.
+// each opened entry from labels derived afresh at counter ct — the one
+// whose colour is the entry's index under point-and-permute, otherwise
+// the one that opens the entry in table — and recomputes the digest over
+// labels derived afresh at counter ct+1.
 func recoverFromPRF(p *LBLProxy, op Op, key string, newValue []byte, ct uint64, table, body []byte) ([]byte, error) {
 	cfg := p.cfg
 	y, n, entryLen := cfg.Mode.Y(), cfg.Mode.entries(), cfg.Mode.entryLen()
@@ -40,18 +44,21 @@ func recoverFromPRF(p *LBLProxy, op Op, key string, newValue []byte, ct uint64, 
 	}
 	gen := p.prf.LabelGen(key)
 	sealer := secretbox.NewLabelSealer()
-	plain := make([]byte, cfg.Mode.entryPlainLen())
+	plain := make([]byte, prf.Size)
 	value := make([]byte, cfg.ValueSize)
 	var digest prf.Output
 	for g := 0; g < cfg.Groups(); g++ {
 		e := int(groupBits(body, g, y))
 		old := -1
-		if cfg.Mode.hasDbits() {
-			old = e ^ int(gen.PermuteBits(g, ct))&(n-1)
-		}
 		entry := table[(g*n+e)*entryLen : (g*n+e+1)*entryLen]
 		for b := 0; old < 0 && b < n; b++ {
-			l := gen.Label(g, uint8(b), ct)
+			l := labelAt(p, gen, g, uint8(b), ct)
+			if cfg.Mode.permute() {
+				if int(l[0])&(n-1) == e {
+					old = b
+				}
+				continue
+			}
 			opener, err := sealer.Opener(l[:])
 			if err != nil {
 				return nil, err
@@ -68,7 +75,7 @@ func recoverFromPRF(p *LBLProxy, op Op, key string, newValue []byte, ct uint64, 
 			bits = groupBits(newValue, g, y)
 		}
 		setGroupBits(value, g, y, bits)
-		l := gen.Label(g, bits, ct+1)
+		l := labelAt(p, gen, g, bits, ct+1)
 		subtle.XORBytes(digest[:], digest[:], l[:])
 	}
 	if !digest.Equal(prf.Output(body[cfg.ValueSize:])) {
@@ -88,8 +95,8 @@ func specStore(t testing.TB, ek string, record []byte) *kvstore.Store {
 }
 
 // serveSpec builds spec's request frame by frame as exchange does and
-// applies it to a server over store, returning the request's table and
-// the body of the slot it was answered with.
+// applies it to a server over store, returning the request's table
+// entries and the body of the slot it was answered with.
 func serveSpec(t testing.TB, p *LBLProxy, spec tableSpec, store *kvstore.Store) (table, body []byte) {
 	t.Helper()
 	frames, _ := builtFrames(t, p, []tableSpec{spec})
@@ -111,7 +118,7 @@ func serveSpec(t testing.TB, p *LBLProxy, spec tableSpec, store *kvstore.Store) 
 	if err := slotError(resp[0]); err != nil {
 		t.Fatal(err)
 	}
-	return bytes.Join(frames, nil)[p.cfg.segHeaderLen():], resp[1:]
+	return bytes.Join(frames, nil)[p.cfg.segPrefixLen():], resp[1:]
 }
 
 // TestCarriedScheduleParity: over every mode, value sizes from one
@@ -326,24 +333,25 @@ func TestScheduleBuffersReturned(t *testing.T) {
 }
 
 // TestStoredRecordGolden pins the stored record — the mode byte with the
-// record format in its high bits, labels, then decryption bits — under
-// record format 1: the record BuildRecord writes at counter 0, and the
-// one three accesses leave at counter 3. Both were checked against an
-// independent AES/HMAC implementation of the keystream layout
-// (prf.LabelGen). Format 1 re-pinned this test because the layout moved
-// every label, so records written earlier no longer open
-// (TestOldRecordFormatIsDefinite). If this test fails, the change at
-// hand has moved the label schedule or the record layout, and existing
-// deployments' data with it: bump recordFormat, and re-pin.
+// record format in its high bits, the labels, coloured under
+// point-and-permute, then the verifier — under record format 2: the
+// record BuildRecord writes at counter 0, and the one three accesses
+// leave at counter 3. Both equal recordAt's, which derives every label
+// block by block and the verifier straight from crypto/aes. Format 1
+// (TestOldRecordFormatIsDefinite) differs from format 2 in the labels'
+// colour bits and carried decryption bits where format 2 carries the
+// verifier. If this test fails, the change at hand has moved the label
+// schedule or the record layout, and existing deployments' data with it:
+// bump recordFormat, and re-pin.
 func TestStoredRecordGolden(t *testing.T) {
 	const (
 		encKey   = "6fdf74f44de6d9dccb9052036d363aeb"
-		counter0 = "12d0d8f4d0dfa1773b02f5d27eebc9fa2c11a24d9e2d92cd9d3db70abbcd3194aa231242c475fec65a3681dcf07279f4" +
-			"d84f3167d39947036341e411736c7f8f0ee1363d24ceb5d8a2bd1dac16f2da665f5a5d283d0dc00e7afd4daf2387c91b" +
-			"c487564597b42197739088425291df8da37624f55aab05d4f8ac421333af7d10950001000101020000"
-		counter3 = "1219b58e7c54d70319eaa532bc4d69ac0e8a5caeb84c57264d3ef5f583eaadffe5aa38e5c8ea56964bee5873814b0c27" +
-			"1d545ea6b0e5c7a6f37f59346dca0ff47baedc6ffe4211739c1d49236769158bcf100541ffb51670098aa70388ec3254" +
-			"5451c941eb9ccde118f4d15d4f7ed833b30b8e3b413c2c7eee428b2c7074071ee90300030103000300"
+		counter0 = "22d0d8f4d0dfa1773b02f5d27eebc9fa2c11a24d9e2d92cd9d3db70abbcd3194aa231242c475fec65a3681dcf07279f4" +
+			"d84f3167d39947036341e411736c7f8f0ee1363d24ceb5d8a2bd1dac16f2da665f585d283d0dc00e7afd4daf2387c91b" +
+			"c486564597b42197739088425291df8da37424f55aab05d4f8ac421333af7d109543dc437d6c66bfeaa6ae290b0e12baee"
+		counter3 = "2218b58e7c54d70319eaa532bc4d69ac0e885caeb84c57264d3ef5f583eaadffe5ab38e5c8ea56964bee5873814b0c27" +
+			"1d565ea6b0e5c7a6f37f59346dca0ff47baddc6ffe4211739c1d49236769158bcf120541ffb51670098aa70388ec3254" +
+			"5453c941eb9ccde118f4d15d4f7ed833b30b8e3b413c2c7eee428b2c7074071ee99e356bf26d05bc7ccf9c302bad39eeaf"
 	)
 	key := make([]byte, prf.KeySize)
 	for i := range key {
@@ -368,6 +376,12 @@ func TestStoredRecordGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(rec); got != counter0 {
 		t.Errorf("record at counter 0 = %s, want %s", got, counter0)
+	}
+	if got := hex.EncodeToString(recordAt(proxy, "golden-key", []byte{0xC3, 0x5A}, 0)); got != counter0 {
+		t.Errorf("recordAt(0) = %s, want %s", got, counter0)
+	}
+	if got := hex.EncodeToString(recordAt(proxy, "golden-key", []byte{0x96, 0x69}, 3)); got != counter3 {
+		t.Errorf("recordAt(3) = %s, want %s", got, counter3)
 	}
 	if err := r.store.Put(ek, rec); err != nil {
 		t.Fatal(err)
@@ -400,9 +414,9 @@ func TestModeTableGolden(t *testing.T) {
 		name string
 		want pinned
 	}{
-		{LBLBasic, "basic", pinned{0x10, 0x30, 24, 20481, 61472, 177}},
-		{LBLSpaceOpt, "space-opt", pinned{0x11, 0x31, 24, 10241, 61472, 177}},
-		{LBLPointPermute, "point-permute", pinned{0x12, 0x32, 25, 10881, 64032, 177}},
+		{LBLBasic, "basic", pinned{0x20, 0x40, 24, 20497, 61504, 177}},
+		{LBLSpaceOpt, "space-opt", pinned{0x21, 0x41, 24, 10257, 61504, 177}},
+		{LBLPointPermute, "point-permute", pinned{0x22, 0x42, 16, 10257, 41024, 177}},
 	}
 	if len(lblModes) != len(rows) {
 		t.Fatalf("the mode table has %d rows, this test pins %d", len(lblModes), len(rows))
@@ -438,5 +452,123 @@ func TestModeTableGolden(t *testing.T) {
 		if c.mode.entries() > maxEntries {
 			t.Errorf("%v: %d entries a group, more than maxEntries = %d", c.mode, c.mode.entries(), maxEntries)
 		}
+	}
+}
+
+// TestVerifierKnownAnswer pins the record verifier: v_ct = AES-128 under
+// HMAC-SHA256(key, 06)[:16] of PRF(k)[:8] ‖ ct (big-endian), computed here
+// from crypto/hmac and crypto/aes alone, for "golden-key" at counter 3
+// under the key 00 01 … 1f — on AES instructions and on Go's table-driven
+// fallback alike (make noaes). Opening it gives the counter back for its
+// own key and refuses it for another.
+func TestVerifierKnownAnswer(t *testing.T) {
+	const want = "9e356bf26d05bc7ccf9c302bad39eeaf" // the last 16 bytes of TestStoredRecordGolden's counter-3 record
+	key := make([]byte, prf.KeySize)
+	for i := range key {
+		key[i] = byte(i)
+	}
+	mac := func(parts ...[]byte) []byte {
+		h := hmac.New(sha256.New, key)
+		for _, p := range parts {
+			h.Write(p)
+		}
+		return h.Sum(nil)
+	}
+	kv, err := aes.NewCipher(mac([]byte{0x06})[:16])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ek := mac([]byte{0x01}, binary.LittleEndian.AppendUint64(nil, uint64(len("golden-key"))), []byte("golden-key"))[:16]
+	ref := binary.BigEndian.AppendUint64(bytes.Clone(ek[:8]), 3)
+	kv.Encrypt(ref, ref)
+	if got := hex.EncodeToString(ref); got != want {
+		t.Errorf("reference verifier = %s, want %s", got, want)
+	}
+
+	f, err := prf.New(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewLBLProxy(LBLConfig{ValueSize: 2, Mode: LBLPointPermute}, f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, verifierLen)
+	p.vk.seal(got, f.EncodeKey("golden-key"), 3)
+	if hex.EncodeToString(got) != want {
+		t.Errorf("sealed verifier = %x, want %s", got, want)
+	}
+	if ct, ok := p.vk.open(got, f.EncodeKey("golden-key")); !ok || ct != 3 {
+		t.Errorf("opened as counter %d (its own key's: %v), want 3 and true", ct, ok)
+	}
+	if _, ok := p.vk.open(got, f.EncodeKey("other-key")); ok {
+		t.Error("another key opened the verifier as its own")
+	}
+}
+
+// TestBuildIsOpIndependent: a read and a write of one key at one counter,
+// built over the same shuffle stream, make the same sealer calls over the
+// same schedule rows, group for group: every slot is sealed under the
+// same old label (olds agree, and the entry opens under that label
+// derived afresh), the new-label rows are the same (news agree), and the
+// entries differ only in which of those new labels each carries — the
+// read's the bits keying it, the write's the written value's. In every
+// mode, with the value's bits and a read's zero value disagreeing.
+func TestBuildIsOpIndependent(t *testing.T) {
+	for _, mode := range allLBLModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := LBLConfig{ValueSize: 8, Mode: mode}
+			p, err := NewLBLProxy(cfg, prf.NewRandom(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const ct = 7
+			written := []byte{0xFF, 0x5A, 0xA5, 0x0F, 0xF0, 0x3C, 0xC3, 0x99}
+			seed := newShuffleSeed()
+			build := func(op Op) (tableSpec, []byte) {
+				s := p.spec(op, "k", written, ct)
+				table := make([]byte, cfg.TableBytes())
+				if err := p.buildGroupRange(table, p.prf.LabelGen("k"), seed.stream(0), &s, 0, cfg.Groups(), 0); err != nil {
+					t.Fatal(err)
+				}
+				return s, table
+			}
+			read, readTable := build(OpRead)
+			write, writeTable := build(OpWrite)
+			if !bytes.Equal(read.news, write.news) || !bytes.Equal(read.olds, write.olds) {
+				t.Fatal("a read and a write carry different schedules")
+			}
+			gen := p.prf.LabelGen("k")
+			sealer := secretbox.NewLabelSealer()
+			y, n, entryLen := mode.Y(), mode.entries(), mode.entryLen()
+			for g := 0; g < cfg.Groups(); g++ {
+				for e := 0; e < n; e++ {
+					b := read.olds[g*n+e]
+					key := labelAt(p, gen, g, b, ct)
+					for _, c := range []struct {
+						op     Op
+						table  []byte
+						target uint8
+					}{{OpRead, readTable, b}, {OpWrite, writeTable, groupBits(written, g, y)}} {
+						entry := c.table[(g*n+e)*entryLen : (g*n+e+1)*entryLen]
+						got := make([]byte, prf.Size)
+						if mode.permute() {
+							err = sealer.PadInto(got, key[:], entry)
+						} else {
+							var o secretbox.LabelOpener
+							if o, err = sealer.Opener(key[:]); err == nil {
+								err = o.OpenInto(got, entry)
+							}
+						}
+						if err != nil {
+							t.Fatalf("%v group %d entry %d: does not open under the old label for bits %d: %v", c.op, g, e, b, err)
+						}
+						if want := labelAt(p, gen, g, c.target, ct+1); !bytes.Equal(got, want[:]) {
+							t.Fatalf("%v group %d entry %d carries %x, want the new label for bits %d", c.op, g, e, got, c.target)
+						}
+					}
+				}
+			}
+		})
 	}
 }

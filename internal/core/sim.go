@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/rand"
 	"fmt"
 
@@ -20,12 +21,21 @@ import (
 // count, same sizes, same framing.
 
 // An LBLSimulator is the §11.2 simulator (Figure 7): it keeps one
-// random "old label" per group per key and, per access, emits one
-// valid encryption (a fresh random label under the stored old label)
-// and 2^y−1 encryptions of zeros under fresh random labels, shuffled.
+// random "old label" per group per key and a random verifier per key
+// and, per access, emits the stored verifier and a fresh one, and per
+// group one valid encryption (a fresh random label under the stored old
+// label) and 2^y−1 encryptions of zeros under fresh random labels, the
+// valid one at a uniformly drawn slot — or, under point-and-permute, at
+// the slot its key's colour names, as the real proxy places it.
 type LBLSimulator struct {
 	cfg   LBLConfig
-	state map[string][][]byte // key → stored per-group labels
+	state map[string]*simRecord
+}
+
+// A simRecord is what the simulator's server holds for one key.
+type simRecord struct {
+	labels   [][]byte // per group
+	verifier []byte
 }
 
 // NewLBLSimulator returns a simulator for cfg.
@@ -33,7 +43,7 @@ func NewLBLSimulator(cfg LBLConfig) (*LBLSimulator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &LBLSimulator{cfg: cfg, state: make(map[string][][]byte)}, nil
+	return &LBLSimulator{cfg: cfg, state: make(map[string]*simRecord)}, nil
 }
 
 func randomLabel() ([]byte, error) {
@@ -44,22 +54,27 @@ func randomLabel() ([]byte, error) {
 	return l, nil
 }
 
-// labelState returns (creating on first use) the simulator's stored
-// per-group labels for key.
-func (s *LBLSimulator) labelState(key string) ([][]byte, error) {
-	if labels, ok := s.state[key]; ok {
-		return labels, nil
+// record returns (creating on first use) the simulator's stored record
+// for key.
+func (s *LBLSimulator) record(key string) (*simRecord, error) {
+	if rec, ok := s.state[key]; ok {
+		return rec, nil
 	}
-	labels := make([][]byte, s.cfg.Groups())
-	for g := range labels {
+	rec := &simRecord{labels: make([][]byte, s.cfg.Groups())}
+	for g := range rec.labels {
 		l, err := randomLabel()
 		if err != nil {
 			return nil, err
 		}
-		labels[g] = l
+		rec.labels[g] = l
 	}
-	s.state[key] = labels
-	return labels, nil
+	v, err := randomLabel()
+	if err != nil {
+		return nil, err
+	}
+	rec.verifier = v
+	s.state[key] = rec
+	return rec, nil
 }
 
 // Simulate produces the server-bound frames of one access round over
@@ -68,27 +83,24 @@ func (s *LBLSimulator) labelState(key string) ([][]byte, error) {
 // ROR-RW projection holds frame by frame: real read requests, real
 // write requests, and simulated requests have identical frame counts,
 // per-frame lengths, and segment headers. A key named more than once is
-// a chain here as it is on the wire: the simulator's stored labels move
-// group by group as it goes, so each of the key's segments is sealed
-// under the labels the one before it installed — the order the server
-// applies them in.
+// a chain here as it is on the wire: the simulator's stored record moves
+// as it goes, so each of the key's segments expects the verifier and is
+// sealed under the labels the one before it installed — the order the
+// server applies them in.
 func (s *LBLSimulator) Simulate(keys ...string) ([][]byte, error) {
 	cfg := s.cfg
-	nEntries := cfg.Mode.entries()
-	entryLen := cfg.Mode.entryLen()
-	plainLen := cfg.Mode.entryPlainLen()
+	mode := cfg.Mode
+	nEntries := mode.entries()
+	entryLen := mode.entryLen()
 
-	// Scratch shared across groups: the valid entry's plaintext, one
-	// junk-key buffer, the all-zeros junk plaintext, and the slot
-	// permutation. Entries are sealed directly into the frame at
-	// permuted slots, mirroring the real proxy's build — per group only
-	// the retained new label allocates.
+	// Scratch shared across groups: one junk-key buffer and the all-zeros
+	// junk plaintext. Entries are sealed directly into the frame, as the
+	// real proxy's build does — per group only the retained new label
+	// allocates.
 	shuf := newCryptoShuffler()
 	sealer := secretbox.NewLabelSealer()
-	plain := make([]byte, plainLen)
 	junkKey := make([]byte, prf.Size)
-	zeroPlain := make([]byte, plainLen)
-	var perm [maxEntries]int
+	zeroPlain := make([]byte, prf.Size)
 
 	var frames [][]byte
 	var runs []run
@@ -98,7 +110,7 @@ func (s *LBLSimulator) Simulate(keys ...string) ([][]byte, error) {
 		frames = append(frames, frame)
 		for _, r := range runs {
 			key := keys[r.seg]
-			labels, err := s.labelState(key)
+			rec, err := s.record(key)
 			if err != nil {
 				return nil, err
 			}
@@ -116,37 +128,47 @@ func (s *LBLSimulator) Simulate(keys ...string) ([][]byte, error) {
 					return nil, err
 				}
 				frame = frame[cfg.putSegHeader(frame, ek, RangeOf(key), 0):]
+				// The verifier pair: the one the simulator's server holds and
+				// a fresh one it will.
+				copy(frame, rec.verifier)
+				if _, err := rand.Read(frame[verifierLen : 2*verifierLen]); err != nil {
+					return nil, err
+				}
+				rec.verifier = bytes.Clone(frame[verifierLen : 2*verifierLen])
+				frame = frame[2*verifierLen:]
 			}
 			for g := r.g0; g < r.g1; g++ {
 				nl, err := randomLabel()
 				if err != nil {
 					return nil, err
 				}
-				// Like the real proxy's step 1.5, the simulator's entry
-				// order must be cryptographically unpredictable — the single
-				// openable entry is generated first, so a guessable
-				// placement would distinguish simulated transcripts.
-				shuf.perm(nEntries, perm[:])
+				// Like the real proxy's step 1.5, the simulator's placement of
+				// the one openable entry must be cryptographically
+				// unpredictable, or it would distinguish simulated
+				// transcripts; under point-and-permute the stored label's
+				// colour, uniform as the real one is, names it.
+				valid := shuf.intN(nEntries)
+				if mode.permute() {
+					valid = int(rec.labels[g][0] & mode.colourMask())
+				}
 				slots := frame[:nEntries*entryLen]
 				frame = frame[nEntries*entryLen:]
-				// One valid entry: Enc_{ol}(nl ‖ pad).
-				copy(plain, nl)
-				if err := sealer.SealInto(slots[perm[0]*entryLen:(perm[0]+1)*entryLen], labels[g], plain); err != nil {
-					return nil, err
-				}
-				// 2^y − 1 entries of zeros under fresh labels the server
-				// cannot open.
-				for e := 1; e < nEntries; e++ {
-					if _, err := rand.Read(junkKey); err != nil {
-						return nil, err
+				for e := 0; e < nEntries; e++ {
+					// One valid entry, Enc_{ol}(nl), and 2^y − 1 entries of
+					// zeros under fresh labels the server cannot open.
+					key, plain := rec.labels[g], nl
+					if e != valid {
+						if _, err := rand.Read(junkKey); err != nil {
+							return nil, err
+						}
+						key, plain = junkKey, zeroPlain
 					}
-					slot := perm[e]
-					if err := sealer.SealInto(slots[slot*entryLen:(slot+1)*entryLen], junkKey, zeroPlain); err != nil {
+					if err := mode.seal(&sealer, slots[e*entryLen:(e+1)*entryLen], key, plain); err != nil {
 						return nil, err
 					}
 				}
 				// The simulator's server now stores the new label.
-				labels[g] = nl
+				rec.labels[g] = nl
 			}
 		}
 	}

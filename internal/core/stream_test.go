@@ -117,7 +117,7 @@ func TestLBLRequestFraming(t *testing.T) {
 			if total != cfg.RequestBytesPerAccess() || stats.PrepBytes != total {
 				t.Errorf("frames carried %dB (PrepBytes %d), want the %dB request", total, stats.PrepBytes, cfg.RequestBytesPerAccess())
 			}
-			if floor := cfg.segHeaderLen() + cfg.groupBytes(); tc.budget > 0 && largest > max(tc.budget, floor) {
+			if floor := cfg.segPrefixLen() + cfg.groupBytes(); tc.budget > 0 && largest > max(tc.budget, floor) {
 				t.Errorf("largest frame %dB exceeds the %dB budget", largest, tc.budget)
 			}
 			if stats.RespBytes != cfg.ResponseBytesPerAccess() {

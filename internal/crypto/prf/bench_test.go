@@ -18,9 +18,8 @@ func BenchmarkLabelGenCreate(b *testing.B) {
 	}
 }
 
-// BenchmarkLabel is the single-block path: the one Label call behind each
-// counter a stale answer's search tries (core's locate), and the per-block
-// reference the rows are held to.
+// BenchmarkLabel is the single-block path: the per-block reference the
+// rows are held to.
 func BenchmarkLabel(b *testing.B) {
 	gen := NewRandom().LabelGen("key-00001234")
 	b.ReportAllocs()
@@ -48,23 +47,22 @@ func BenchmarkLabelSlowPath(b *testing.B) {
 // BenchmarkAccessLabelSchedule160B times the label schedule of one
 // 160-byte access (y = 2, point-and-permute, 640 groups) as core's table
 // build derives it: the four counter-ct+1 label rows each in one fill of
-// the 40 KB schedule, the four counter-ct label rows and both permute
-// rows 32 groups at a time — 6,400 blocks from ten streams.
+// the 40 KB schedule, the four counter-ct label rows 32 groups at a time
+// — 5,120 blocks from eight streams.
 func BenchmarkAccessLabelSchedule160B(b *testing.B) {
 	const groups, chunk = 640, 32
 	p := NewRandom()
 	news := make([]byte, 4*groups*Size)
-	buf := make([]byte, 6*chunk*Size)
+	buf := make([]byte, 4*chunk*Size)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		gen := p.LabelGen("key-00001234")
 		ct := uint64(i)
-		var rows [6]Row
+		var rows [4]Row
 		for bits := uint8(0); bits < 4; bits++ {
 			gen.LabelRow(0, bits, ct+1).Fill(news[int(bits)*groups*Size : (int(bits)+1)*groups*Size])
 			rows[bits] = gen.LabelRow(0, bits, ct)
 		}
-		rows[4], rows[5] = gen.PermuteRow(0, ct), gen.PermuteRow(0, ct+1)
 		for g := 0; g < groups; g += chunk {
 			for j, r := range rows {
 				r.Fill(buf[j*chunk*Size : (j+1)*chunk*Size])

@@ -34,9 +34,10 @@ const KeySize = 32
 const (
 	tagKeyEncode = 0x01 // PRF(k): server-side key encoding
 	tagLabel     = 0x02 // secret labels for LBL-ORTOA
-	tagPermute   = 0x03 // point-and-permute bits (§10.2)
+	tagPermute   = 0x03 // point-and-permute bits of an earlier layout (PermuteBits)
 	tagDummy     = 0x04 // dummy value padding for TEE reads
 	tagLabelKey  = 0x05 // per-object AES key for LabelGen
+	tagVerifier  = 0x06 // the AES key of LBL-ORTOA's record verifiers
 )
 
 // An Output is a 128-bit PRF output (a secret label, an encoded key, …).
@@ -115,35 +116,35 @@ func (p *PRF) Label(key string, group int, bits uint8, ct uint64) Output {
 	return p.LabelGen(key).Label(group, bits, ct)
 }
 
-// PermuteBits derives the y one-time-pad bits r1…ry that link table
-// positions to labels in the point-and-permute optimization (§10.2).
-// The result's low y bits are used. See LabelGen for the bulk path.
-func (p *PRF) PermuteBits(key string, group int, ct uint64) uint8 {
-	return p.LabelGen(key).PermuteBits(group, ct)
+// VerifierKey returns the AES-128 key of LBL-ORTOA's record verifiers:
+// one per PRF key, so every proxy sharing the key shares it, under a
+// domain of its own.
+func (p *PRF) VerifierKey() Output {
+	return p.eval(tagVerifier)
 }
 
 // A LabelGen produces the label schedule of one object. LBL-ORTOA
 // derives thousands of labels per access (2^y per group at the old
-// counter and 2^y at the new one, plus two permute words), so the
-// per-object PRF is instantiated once — an HMAC-derived AES-128 key —
-// and every label is the encryption of one counter block:
+// counter and 2^y at the new one), so the per-object PRF is instantiated
+// once — an HMAC-derived AES-128 key — and every label is the encryption
+// of one counter block:
 //
 //	ct (8 bytes, big-endian) ‖ domain (1) ‖ bits (1) ‖ group (6, big-endian)
 //
 // The group sits in the low bytes, so the labels of one (counter,
 // domain, bit value) over consecutive groups — one row of the schedule —
 // are consecutive AES-CTR keystream blocks, which Row derives eight
-// blocks at a time on hosts with AES instructions. Label and PermuteBits
-// encrypt one block of the same layout and return exactly what a row
-// yields at that position. AES as a PRF is standard up to the 2^64
+// blocks at a time on hosts with AES instructions. Label encrypts one
+// block of the same layout and returns exactly what a row yields at that
+// position. AES as a PRF is standard up to the 2^64
 // birthday bound, far beyond any deployment counter; groups stay below
 // 2^48, so no row runs into the next one's bit value.
 //
 // A LabelGen is NOT safe for concurrent use through Label and
 // PermuteBits, which share a scratch block so single-label derivation
-// is allocation-free. LabelRow and PermuteRow only read the key
-// schedule: any number of goroutines may open rows of one generator at
-// once, and each row is its own.
+// is allocation-free. LabelRow only reads the key schedule: any number
+// of goroutines may open rows of one generator at once, and each row is
+// its own.
 type LabelGen struct {
 	block   cipher.Block
 	in, out [16]byte
@@ -177,7 +178,10 @@ func (g *LabelGen) Label(group int, bits uint8, ct uint64) Output {
 }
 
 // PermuteBits derives the point-and-permute pad bits for (group, ct):
-// the first byte of the block PermuteRow yields there.
+// the first byte of its domain's block there. The protocol no
+// longer reads them — point-and-permute takes its colour bits from the
+// labels — and only the repository benchmark's crypto layer
+// (measureCrypto) calls this, to time a schedule of the old shape.
 func (g *LabelGen) PermuteBits(group int, ct uint64) uint8 {
 	putCounter(&g.in, tagPermute, 0, group, ct)
 	g.block.Encrypt(g.out[:], g.in[:])
@@ -192,12 +196,6 @@ type Row struct{ s cipher.Stream }
 // starting at group g0: its k-th block is Label(g0+k, bits, ct).
 func (g *LabelGen) LabelRow(g0 int, bits uint8, ct uint64) Row {
 	return g.row(tagLabel, bits, g0, ct)
-}
-
-// PermuteRow opens the row of permute blocks at counter ct, starting at
-// group g0: the first byte of its k-th block is PermuteBits(g0+k, ct).
-func (g *LabelGen) PermuteRow(g0 int, ct uint64) Row {
-	return g.row(tagPermute, 0, g0, ct)
 }
 
 func (g *LabelGen) row(domain, bits uint8, g0 int, ct uint64) Row {

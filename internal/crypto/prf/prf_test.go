@@ -25,7 +25,7 @@ func TestDeterminism(t *testing.T) {
 	if p.Label("k1", 3, 1, 7) != p.Label("k1", 3, 1, 7) {
 		t.Error("Label not deterministic")
 	}
-	if p.PermuteBits("k1", 3, 7) != p.PermuteBits("k1", 3, 7) {
+	if g := p.LabelGen("k1"); g.PermuteBits(3, 7) != g.PermuteBits(3, 7) {
 		t.Error("PermuteBits not deterministic")
 	}
 	if !bytes.Equal(p.DummyValue("k1", 2, 40), p.DummyValue("k1", 2, 40)) {
@@ -151,7 +151,7 @@ func katPRF(t *testing.T) *LabelGen {
 // HMAC-SHA256(key, 05 ‖ le64(len) ‖ object)[:16], in CTR mode from the
 // counter block ct ‖ domain ‖ bits ‖ group (big-endian). The vectors
 // were computed with an independent AES-CTR implementation; the label
-// row crosses the 2^32 group boundary, the permute row a byte boundary.
+// row crosses the 2^32 group boundary.
 func TestLabelRowKnownAnswer(t *testing.T) {
 	gen := katPRF(t)
 	for _, v := range []struct {
@@ -162,8 +162,6 @@ func TestLabelRowKnownAnswer(t *testing.T) {
 	}{
 		{"label bits=2 ct=0x0102030405060708 from group 2^32-2", gen.LabelRow(1<<32-2, 2, 0x0102030405060708), 3,
 			"0425063b060057e070f5237ab50eeab3a8038b68421788eba14c313bef8ecfd236373730e5aecb7b8fba62713e149b6e"},
-		{"permute ct=5 from group 255", gen.PermuteRow(255, 5), 2,
-			"a27075ca4f808360a1747e15d60ae0b8851c628ef70ea3e3eb4d2e310bdeda3d"},
 	} {
 		got := make([]byte, v.n*Size)
 		v.row.Fill(got)
@@ -175,12 +173,12 @@ func TestLabelRowKnownAnswer(t *testing.T) {
 		t.Errorf("single label = %s, want the row's third block", got)
 	}
 	if got := gen.PermuteBits(256, 5); got != 0x85 {
-		t.Errorf("single permute word = %#x, want 0x85, the first byte of the row's second block", got)
+		t.Errorf("single permute word = %#x, want 0x85, the first byte of the permute block at group 256, ct 5", got)
 	}
 }
 
-// TestLabelRowMatchesSingleBlocks: every block of a row equals Label (or,
-// for its first byte, PermuteBits) at the same position — for start
+// TestLabelRowMatchesSingleBlocks: every block of a row equals Label at
+// the same position — for start
 // groups on and off 8-block boundaries, runs across byte carries of the
 // group field, and rows read in fills of uneven lengths, so the CTR
 // stream's eight-block path, its tail and its continuation across Fill
@@ -191,18 +189,13 @@ func TestLabelRowMatchesSingleBlocks(t *testing.T) {
 	for _, g0 := range []int{0, 1, 5, 249, 65531, 1<<24 - 3, 1<<32 - 6, 1<<40 - 1} {
 		for _, ct := range []uint64{0, 1, 0xFFFFFFFFFFFFFFFE} {
 			labels := gen.LabelRow(g0, 3, ct)
-			perm := gen.PermuteRow(g0, ct)
 			g := g0
 			for _, n := range fills {
-				lb, pb := make([]byte, n*Size), make([]byte, n*Size)
+				lb := make([]byte, n*Size)
 				labels.Fill(lb)
-				perm.Fill(pb)
 				for k := 0; k < n; k, g = k+1, g+1 {
 					if want := gen.Label(g, 3, ct); !bytes.Equal(lb[k*Size:(k+1)*Size], want[:]) {
 						t.Fatalf("label row from %d at ct %d: group %d is %x, Label gives %x", g0, ct, g, lb[k*Size:(k+1)*Size], want)
-					}
-					if want := gen.PermuteBits(g, ct); pb[k*Size] != want {
-						t.Fatalf("permute row from %d at ct %d: group %d is %#x, PermuteBits gives %#x", g0, ct, g, pb[k*Size], want)
 					}
 				}
 			}

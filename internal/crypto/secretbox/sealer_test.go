@@ -48,20 +48,24 @@ func refSeal(label, plaintext []byte) []byte {
 	return append(out, pad[24:]...)
 }
 
+// sealerVectors are the entry format's recorded bytes: a label, a
+// 17-byte plaintext and the entry SealInto makes of them.
+var sealerVectors = []struct{ label, plaintext, sealed string }{
+	{"00000000000000000000000000000000", "0000000000000000000000000000000000",
+		"e975ad40e97bcfc981b997d72e11d23c69302fc1b93563e119"},
+	{"000102030405060708090a0b0c0d0e0f", "101112131415161718191a1b1c1d1e1f20",
+		"bb2018d1df444c09db13394402877b64f2e76929aac2bd0abf"},
+	{"ffeeddccbbaa99887766554433221100", "6f72746f612d6c626c2d656e7472792121",
+		"176230aacfd896b201b95327c4b843e70e4f1edcdbf304849b"},
+}
+
 // TestLabelSealerKnownAnswer pins the entry format: the sealer, the
 // independent reference above and the recorded bytes must agree, on
 // AES instructions and on Go's table-driven fallback alike (CI runs
 // this with GODEBUG=cpu.aes=off too). A change to these vectors is a
 // wire-format change and needs a new labelDomain version.
 func TestLabelSealerKnownAnswer(t *testing.T) {
-	for _, v := range []struct{ label, plaintext, sealed string }{
-		{"00000000000000000000000000000000", "0000000000000000000000000000000000",
-			"e975ad40e97bcfc981b997d72e11d23c69302fc1b93563e119"},
-		{"000102030405060708090a0b0c0d0e0f", "101112131415161718191a1b1c1d1e1f20",
-			"bb2018d1df444c09db13394402877b64f2e76929aac2bd0abf"},
-		{"ffeeddccbbaa99887766554433221100", "6f72746f612d6c626c2d656e7472792121",
-			"176230aacfd896b201b95327c4b843e70e4f1edcdbf304849b"},
-	} {
+	for _, v := range sealerVectors {
 		label, _ := hex.DecodeString(v.label)
 		plaintext, _ := hex.DecodeString(v.plaintext)
 		want, _ := hex.DecodeString(v.sealed)
@@ -87,6 +91,48 @@ func TestLabelSealerKnownAnswer(t *testing.T) {
 		if want := refSeal(label, plaintext); !bytes.Equal(got, want) {
 			t.Errorf("plaintext len %d: sealer = %x, reference = %x", n, got, want)
 		}
+	}
+}
+
+// TestLabelPadKnownAnswer pins the tagless entry of point-and-permute:
+// PadInto over a vector's label and the first 16 bytes of its plaintext
+// must give the first 16 bytes of the vector's sealed entry — the same
+// first pad block, on AES instructions and on the table-driven fallback
+// alike — and opening it again must give the body back.
+func TestLabelPadKnownAnswer(t *testing.T) {
+	s := NewLabelSealer()
+	for _, v := range sealerVectors {
+		label, _ := hex.DecodeString(v.label)
+		plaintext, _ := hex.DecodeString(v.plaintext)
+		sealed, _ := hex.DecodeString(v.sealed)
+		got := make([]byte, PadSize)
+		if err := s.PadInto(got, label, plaintext[:PadSize]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, sealed[:PadSize]) {
+			t.Errorf("label %s: padded = %x, want %x", v.label, got, sealed[:PadSize])
+		}
+		if err := s.PadInto(got, label, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, plaintext[:PadSize]) {
+			t.Errorf("label %s: padding twice gives %x, want the body %x", v.label, got, plaintext[:PadSize])
+		}
+	}
+	buf := make([]byte, PadSize)
+	for _, c := range []struct{ dst, label, body []byte }{
+		{buf, make([]byte, 15), buf}, {buf, buf, make([]byte, 17)}, {make([]byte, 15), buf, buf},
+	} {
+		if err := s.PadInto(c.dst, c.label, c.body); err == nil {
+			t.Errorf("PadInto accepted a %d-byte slot, %d-byte label and %d-byte body", len(c.dst), len(c.label), len(c.body))
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := s.PadInto(buf, buf, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("PadInto allocates %v times per op, want 0", allocs)
 	}
 }
 

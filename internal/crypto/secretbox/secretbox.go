@@ -27,8 +27,10 @@
 // pad. The tag is what lets the server recognize the one entry its
 // stored label opens (§5.2 step 2.1); end-to-end integrity against a
 // tampering server comes from the proxy-side label check of §5.4, which
-// accepts only labels its PRF could have produced. Two AES blocks per
-// entry keep the proxy's 2^y·ℓ/y seals per access well under the
+// accepts only labels its PRF could have produced. Where the server is
+// told which entry is its own — point-and-permute, §10.2 — an entry
+// needs no tag, and PadInto XORs a 16-byte body with the first block
+// alone: one π call. Two AES blocks per tagged entry keep the proxy's 2^y·ℓ/y seals per access well under the
 // ~2 ms/object the paper reports (§6.3.3); an AES-GCM instance per
 // entry would dominate the access path, and so did the SHA-256 this
 // replaced. On hardware without AES instructions Go's table-driven AES
@@ -176,6 +178,31 @@ func (s *LabelSealer) derive(label []byte) {
 	le.PutUint64(s.pad[8:], le.Uint64(s.pad[8:])^l1)
 	le.PutUint64(s.pad[16:], le.Uint64(s.pad[16:])^l0^1)
 	le.PutUint64(s.pad[24:], le.Uint64(s.pad[24:])^l1)
+}
+
+// PadSize is the body of a PadInto entry: one label.
+const PadSize = aes.BlockSize
+
+// PadInto sets dst to body XOR the one-block pad of label, H(L) = π(L) ⊕ L
+// — the first block of the pad SealInto derives, so one π call where a
+// seal makes two. dst, label and body are PadSize bytes; dst may alias
+// body. It carries no tag, so it opens under any label: it is for
+// entries whose opener is told which one is its own (LBL-ORTOA's
+// point-and-permute colour bits), and it is its own inverse. The
+// one-pad-per-label precondition of SealInto holds here too. It
+// allocates nothing.
+func (s *LabelSealer) PadInto(dst, label, body []byte) error {
+	if len(label) != PadSize || len(body) != PadSize || len(dst) != PadSize {
+		return fmt.Errorf("secretbox: pad label, body and slot must be %d bytes, got %d, %d and %d",
+			PadSize, len(label), len(body), len(dst))
+	}
+	le := binary.LittleEndian
+	l0, l1 := le.Uint64(label), le.Uint64(label[8:])
+	pi.Encrypt(s.pad[:aes.BlockSize], label)
+	b0, b1 := le.Uint64(body), le.Uint64(body[8:])
+	le.PutUint64(dst, b0^le.Uint64(s.pad[0:])^l0)
+	le.PutUint64(dst[8:], b1^le.Uint64(s.pad[8:])^l1)
+	return nil
 }
 
 // SealInto encrypts plaintext (≤ MaxLabelPlaintext bytes) under the

@@ -198,7 +198,7 @@ func CostModel(opt Options) (*Table, error) {
 	t.AddRow("proxy counter state", fmt.Sprintf("%.1f MB", e.ProxyCounterMB))
 	t.Notes = append(t.Notes,
 		"paper (§6.3.3): $1.52/month storage, $18.3 bandwidth + $3.7 compute per 1M accesses, $0.000023/request",
-		"our sizes include each table entry's recognition tag and the framing; the paper prices idealized 128-bit ciphertexts")
+		"our sizes are the exchange's own: 16-byte entries (a label under a one-block pad, no tag), the segment header and the record's verifier pair, and the framing; the paper prices idealized 128-bit ciphertexts")
 	return t, nil
 }
 

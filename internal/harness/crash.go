@@ -114,7 +114,7 @@ func Crash(opt Options) (*Table, error) {
 		fmt.Sprintf("audit passed: %d keys consistent after %d crash/restart cycles — zero acknowledged writes lost, zero duplicate applications, all counters re-converged", audited, cycles),
 		fmt.Sprintf("disk: %d crashes, %d torn writes, %d unsynced writes dropped, %d dir entries rolled back; generations the stores checkpointed to on their own %v",
 			disk.Crashes, disk.TornWrites, disk.DroppedWrites, disk.DroppedOps, gens),
-		"group commit leaves nothing acknowledged unsynced at a crash by construction; \"down\" ops failed fast against a killed shard, \"ambiguous\" ops stay in the audit's acceptable sets, \"rebased\" counts keys whose counter moved up to a stale answer's label and \"behind\" stale answers below the counter")
+		"group commit leaves nothing acknowledged unsynced at a crash by construction; \"down\" ops failed fast against a killed shard, \"ambiguous\" ops stay in the audit's acceptable sets, \"rebased\" counts keys whose counter moved up to a stale answer's verifier and \"behind\" stale answers below the counter")
 	if err := crashRollbackPhase(t); err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ import (
 // acknowledged version or a later one whose outcome a reset left
 // unknown. Nothing is configured for recovery: a chain that ran while its
 // response was dropped leaves the counter behind the record, and the
-// key's next access must rebase it from the stale answer's label.
+// key's next access must rebase it from the stale answer's verifier.
 func TestHotKeyUnderResets(t *testing.T) {
 	const (
 		valueSize = 8

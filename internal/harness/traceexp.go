@@ -13,19 +13,26 @@ import (
 	"ortoa/internal/workload"
 )
 
-// traceStageSteps are the §5.2 steps the four LBL stages time, in the
-// order core.LBLStages declares them: counter acquire (step 1.1),
-// encryption-table build (1.2–1.4), the single round trip, and
-// label/value recovery (3.1–3.2). The names themselves are read from
-// the declaration. One clock times each access (DESIGN.md §8): a stage
-// boundary is one reading that closes one stage's lap and span and
-// opens the next, so the spans must tile the lbl_access root span and
-// the stage histograms must add up to the end-to-end one exactly.
-var traceStageSteps = []string{
-	"1.1 counter lookup",
-	"1.2-1.4 PRF labels + enc table",
-	"one round trip (wire)",
-	"3.1-3.2 decrypt result",
+// traceStageSteps are the §5.2 steps the LBL stages time, in the order
+// core.LBLStages declares them: counter acquire (step 1.1),
+// encryption-table build (1.2–1.4), the single round trip, label/value
+// recovery (3.1–3.2), and the recovery ladder, which only an access the
+// server rejected climbs. The names themselves are read from the
+// declaration. One clock times each access (DESIGN.md §8): the first
+// stage begins with the lbl_access root span, a stage boundary is one
+// reading that closes one stage's lap and span and opens the next, and
+// the root ends on the reading that closes the last, so the stage spans'
+// durations must sum to the root's exactly and the stage histograms must
+// add up to the end-to-end one exactly.
+var traceStageSteps = []struct {
+	step   string
+	always bool // every access has the stage's span
+}{
+	{"1.1 counter lookup", true},
+	{"1.2-1.4 PRF labels + enc table", true},
+	{"one round trip (wire)", true},
+	{"3.1-3.2 decrypt result", true},
+	{"recovery ladder (rejected rounds only)", false},
 }
 
 // traceOtherSpans are the spans a complete cross-process trace of one
@@ -40,7 +47,7 @@ var traceOtherSpans = map[string]string{
 	"server_decrypt":    "2.1-2.2 trial decrypt + install",
 }
 
-var traceClaim = Claim{Statement: "an access's trace resolves to the full proxy+server span tree, its stage spans tile the end-to-end span within 1%, the stage histograms sum exactly to the end-to-end one, and tracing moves no frame out of its shape class"}
+var traceClaim = Claim{Statement: "an access's trace resolves to the full proxy+server span tree, its stage spans sum to the end-to-end span exactly, the stage histograms sum exactly to the end-to-end one, and tracing moves no frame out of its shape class"}
 
 // TraceBreakdown is the measured companion to Fig 3c: instead of
 // deriving the LBL latency breakdown from link parameters, it runs an
@@ -54,7 +61,7 @@ var traceClaim = Claim{Statement: "an access's trace resolves to the full proxy+
 // frame budget that cuts every request into several frames, and holds
 // both to the same tree. It fails if no trace resolves to a complete
 // cross-process span tree, if the proxy stage spans do not sum to the
-// end-to-end root span within 1%, if the stage histograms' sums do not
+// end-to-end root span exactly, if the stage histograms' sums do not
 // add up to the end-to-end histogram's sum exactly or their counts
 // differ from its count, or if the shape auditor saw any frame-length
 // divergence while tracing was on.
@@ -95,11 +102,16 @@ func traceRun(t *Table, opt Options, path string, chunk int) error {
 	// instrumented proxy observed into.
 	stages := core.LBLStages(reg)
 	steps := make(map[string]string, len(traceOtherSpans)+len(traceStageSteps))
+	required := make([]string, 0, len(steps))
 	for name, step := range traceOtherSpans {
 		steps[name] = step
+		required = append(required, name)
 	}
 	for i, name := range stages.Names() {
-		steps[name] = traceStageSteps[i]
+		steps[name] = traceStageSteps[i].step
+		if traceStageSteps[i].always {
+			required = append(required, name)
+		}
 	}
 
 	byTrace := make(map[uint64][]trace.SpanRecord)
@@ -119,7 +131,7 @@ func traceRun(t *Table, opt Options, path string, chunk int) error {
 			}
 		}
 		ok := root != nil
-		for name := range steps {
+		for _, name := range required {
 			ok = ok && have[name]
 		}
 		if !ok {
@@ -147,15 +159,14 @@ func traceRun(t *Table, opt Options, path string, chunk int) error {
 		}
 	}
 	// The stage spans tile the root span, so their sum must reproduce
-	// it: a larger gap means a stage went untimed.
-	dev := 100 * (float64(stageSum) - float64(bestRoot.Duration)) / float64(bestRoot.Duration)
+	// it to the nanosecond: any gap means a stretch went untimed.
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("%s: trace %016x: %d spans across proxy+server; stage-span sum %s ms vs end-to-end span %s ms (%+.2f%% deviation, acceptance: within 1%%)",
-			path, bestRoot.TraceID, len(best), fmtMSf(stageSum), fmtMSf(int64(bestRoot.Duration)), dev),
+		fmt.Sprintf("%s: trace %016x: %d spans across proxy+server; stage-span sum %d ns vs end-to-end span %d ns (acceptance: equal)",
+			path, bestRoot.TraceID, len(best), stageSum, int64(bestRoot.Duration)),
 		fmt.Sprintf("%s: %d of %d recorded traces resolved to complete cross-process span trees (incomplete ones were evicted from a ring buffer side)",
 			path, complete, len(byTrace)))
-	if dev > 1 || dev < -1 {
-		return fmt.Errorf("stage spans sum to %+.2f%% of the end-to-end span (acceptance: within 1%%)", dev)
+	if stageSum != int64(bestRoot.Duration) {
+		return fmt.Errorf("stage spans sum to %d ns, the end-to-end span is %d ns (acceptance: equal)", stageSum, int64(bestRoot.Duration))
 	}
 
 	// The same run's stage histograms, over every access rather than

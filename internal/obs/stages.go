@@ -14,7 +14,7 @@ var now = time.Now
 
 // maxStages bounds a stage family, so a Clock's per-stage accumulators
 // are a fixed array on its caller's stack.
-const maxStages = 4
+const maxStages = 5
 
 // Stages is one declared stage family: the ordered stage names of one
 // kind of access and, when the registry is live, every sink a stage
@@ -65,53 +65,59 @@ func (s *Stages) Histogram(stage int) *Histogram { return s.stage[stage] }
 func (s *Stages) Access() *Histogram { return s.access }
 
 // A Clock times one access through its family's stages. It lives on
-// its caller's stack. Exactly one stage — or none — runs at any moment:
-// Enter is the boundary between two, one clock reading that closes the
-// running stage's lap and span and opens the next, so laps and spans
-// tile the access with no gap and no overlap, and Done reports what
-// accumulated. An inert clock — no family, or an unmetered family with
-// no span in the caller's context and no tracer — never reads the clock
-// and never allocates; a metered but untraced one allocates only when
-// the slow log retains the access.
+// its caller's stack. From the first Enter on exactly one stage runs at
+// any moment, and the first begins when the access did: Enter is the
+// boundary between two, one clock reading that closes the running
+// stage's lap and span and opens the next, and Done closes the last on
+// the reading that ends the root, so laps and spans tile the access with
+// no gap and no overlap, and Done reports what accumulated. An inert
+// clock — no family, or an unmetered family with no span in the caller's
+// context and no tracer — never reads the clock and never allocates; a
+// metered but untraced one allocates only when the slow log retains the
+// access.
 type Clock struct {
 	fam  *Stages // nil on an inert clock
 	root *trace.Span
 	span *trace.Span // the running stage's
-	cur  int         // 1 + the running stage; 0 when none runs
-	mark time.Time   // when the running stage began
+	cur  int         // 1 + the running stage; 0 before the first Enter
+	mark time.Time   // when the running stage began; before the first Enter, when the access did
 	d    [maxStages]time.Duration
 }
 
-// Start begins timing one access and opens its root span, named root: a
-// child of the span ctx carries, else a new trace in tracer, else none.
-// The returned context carries the root span. Time before the first
-// Enter belongs to no stage.
+// Start begins timing one access, on one clock reading, and opens its
+// root span, named root: a child of the span ctx carries, else a new
+// trace in tracer, else none. The returned context carries the root
+// span. Time before the first Enter belongs to the first stage entered.
 func (s *Stages) Start(ctx context.Context, tracer *trace.Tracer, root string) (Clock, context.Context) {
 	parent := trace.FromContext(ctx)
 	if s == nil || s.access == nil && parent == nil && tracer == nil {
 		return Clock{}, ctx
 	}
-	c := Clock{fam: s}
+	c := Clock{fam: s, mark: now()}
 	switch {
 	case parent != nil:
-		c.root = parent.ChildAt(root, now())
+		c.root = parent.ChildAt(root, c.mark)
 	case tracer != nil:
-		c.root = tracer.StartRootAt(root, now())
+		c.root = tracer.StartRootAt(root, c.mark)
 	}
 	return c, trace.ContextWith(ctx, c.root)
 }
 
-// Enter crosses a stage boundary: the running stage, if any, ends and
-// stage begins, on one clock reading. A stage may be entered more than
-// once; its laps add up.
+// Enter crosses a stage boundary: the running stage ends and stage
+// begins, on one clock reading — or, entered first, begins when the
+// access did. A stage may be entered more than once; its laps add up.
 func (c *Clock) Enter(stage int) {
 	if c.fam == nil {
 		return
 	}
 	t := now()
-	c.close(t)
-	c.cur, c.mark = stage+1, t
-	c.span = c.root.ChildAt(c.fam.names[stage], t)
+	begin := c.mark
+	if c.cur != 0 {
+		c.close(t)
+		begin = t
+	}
+	c.cur, c.mark = stage+1, begin
+	c.span = c.root.ChildAt(c.fam.names[stage], begin)
 }
 
 // Context returns ctx carrying the running stage's span, so what the
@@ -121,23 +127,10 @@ func (c *Clock) Context(ctx context.Context) context.Context {
 	return trace.ContextWith(ctx, c.span)
 }
 
-// Leave ends the running stage without beginning another: the time
-// until the next Enter belongs to no stage and is in no histogram — the
-// recovery ladder's claims and probes, which are not part of an
-// access's four stages.
-func (c *Clock) Leave() {
-	if c.cur != 0 {
-		c.close(now())
-	}
-}
-
 func (c *Clock) close(t time.Time) {
-	if c.cur == 0 {
-		return
-	}
 	c.d[c.cur-1] += t.Sub(c.mark)
 	c.span.EndAt(t)
-	c.cur, c.span = 0, nil
+	c.span = nil
 }
 
 // Overlap runs work, which belongs to stage, while another stage's
@@ -161,16 +154,19 @@ func (c *Clock) Overlap(stage int, work func() error) error {
 	return err
 }
 
-// Done ends the access — the running stage and the root span — and
-// reports it: failed of its accesses failed (a round carries several).
-// label is called only if the slow log retains the entry.
+// Done ends the access — the running stage and the root span, on one
+// clock reading — and reports it: failed of its accesses failed (a round
+// carries several). label is called only if the slow log retains the
+// entry.
 func (c *Clock) Done(accesses, failed int, label func() string) {
 	if c.fam == nil {
 		return
 	}
 	if c.cur != 0 || c.root != nil {
 		t := now()
-		c.close(t)
+		if c.cur != 0 {
+			c.close(t)
+		}
 		c.root.EndAt(t)
 	}
 	c.fam.report(time.Time{}, c.root.TraceID(), accesses, failed, label, c.d[:len(c.fam.names)])

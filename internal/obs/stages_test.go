@@ -26,8 +26,8 @@ func scriptClock(t *testing.T, step time.Duration) (reads *int) {
 	return reads
 }
 
-func fourStages(reg *Registry) *Stages {
-	return reg.Stages("ortoa_test", "test stages", "acquire", "build", "rpc", "recover")
+func fiveStages(reg *Registry) *Stages {
+	return reg.Stages("ortoa_test", "test stages", "acquire", "build", "rpc", "recover", "ladder")
 }
 
 // TestInertClockReadsNothing is the contract uninstrumented deployments
@@ -37,7 +37,7 @@ func fourStages(reg *Registry) *Stages {
 // interval helper and a family's Now/Record.
 func TestInertClockReadsNothing(t *testing.T) {
 	reads := scriptClock(t, time.Millisecond)
-	for _, fam := range []*Stages{nil, fourStages(nil)} {
+	for _, fam := range []*Stages{nil, fiveStages(nil)} {
 		access := func() {
 			clk, ctx := fam.Start(context.Background(), nil, "access")
 			clk.Enter(0)
@@ -46,7 +46,7 @@ func TestInertClockReadsNothing(t *testing.T) {
 			_ = clk.Context(ctx)
 			clk.Overlap(1, func() error { return nil }) //nolint:errcheck // returns work's nil
 			clk.Enter(3)
-			clk.Leave()
+			clk.Enter(4)
 			clk.Done(1, 0, func() string { t.Error("inert clock asked for a label"); return "" })
 			fam.Record(fam.Now(), 0, 0, nil, time.Second, time.Second)
 			iv := Time(nil, nil)
@@ -69,34 +69,36 @@ func TestInertClockReadsNothing(t *testing.T) {
 }
 
 // TestClockAccounting scripts the clock at 1ms per reading and checks
-// every rule of the accounting: a boundary is one reading, laps of a
-// re-entered stage add up, Overlap conserves the total, no-stage time is
-// in no histogram, and the end-to-end observation is exactly the stages'
-// sum.
+// every rule of the accounting: a boundary is one reading, the first
+// stage begins when the access does, laps of a re-entered stage add up,
+// Overlap conserves the total, Done closes the running stage, and the
+// end-to-end observation is exactly the stages' sum — every reading from
+// Start to Done.
 func TestClockAccounting(t *testing.T) {
 	reads := scriptClock(t, time.Millisecond)
 	reg := NewRegistry()
-	fam := fourStages(reg)
+	fam := fiveStages(reg)
 
-	clk, _ := fam.Start(context.Background(), nil, "access") // metered, untraced: no reading
-	clk.Enter(0)                                             // t=1
-	clk.Enter(1)                                             // t=2: acquire 1ms
-	clk.Enter(2)                                             // t=3: build 1ms
+	clk, _ := fam.Start(context.Background(), nil, "access") // t=1: the access begins
+	now()                                                    // t=2: before the first Enter, in the first stage
+	clk.Enter(0)                                             // t=3: acquire from t=1
+	clk.Enter(1)                                             // t=4: acquire 3ms
+	clk.Enter(2)                                             // t=5: build 1ms
 	if err := clk.Overlap(1, func() error { return errors.New("from work") }); err == nil || err.Error() != "from work" {
 		t.Fatalf("Overlap returned %v, want work's error", err)
-	} // t=4,5: 1ms moves from rpc to build
-	clk.Enter(3) // t=6: rpc 3ms wall − 1ms overlapped = 2ms
-	clk.Leave()  // t=7: recover 1ms
-	if before := *reads; before != 7 {
-		t.Fatalf("%d clock readings so far, want 7 (one per boundary, two per Overlap)", before)
+	} // t=6,7: 1ms moves from rpc to build
+	clk.Enter(3) // t=8: rpc 3ms wall − 1ms overlapped = 2ms
+	clk.Enter(4) // t=9: recover 1ms
+	if before := *reads; before != 9 {
+		t.Fatalf("%d clock readings so far, want 9 (one at Start, one per boundary, two per Overlap)", before)
 	}
-	now()        // t=8: a millisecond on the ladder, in no stage
-	clk.Enter(2) // t=9
-	clk.Enter(3) // t=10: rpc +1ms
+	now()        // t=10: a millisecond on the ladder
+	clk.Enter(2) // t=11: ladder 2ms
+	clk.Enter(3) // t=12: rpc +1ms
 	clk.Done(1, 0, func() string { return "label" })
-	// Done closed recover at t=11: +1ms.
+	// Done closed recover at t=13: +1ms.
 
-	want := []time.Duration{1, 2, 3, 2}
+	want := []time.Duration{3, 2, 3, 2, 2}
 	var sum time.Duration
 	for i, name := range fam.Names() {
 		h := fam.Histogram(i)
@@ -105,13 +107,13 @@ func TestClockAccounting(t *testing.T) {
 		}
 		sum += h.Sum()
 	}
-	if got := fam.Access(); got.Count() != 1 || got.Sum() != sum || sum != 8*time.Millisecond {
-		t.Fatalf("end-to-end count %d sum %v, stages sum %v: want 1, equal, and 8ms (11ms of readings less 1ms before the first stage and 2ms on the ladder)",
+	if got := fam.Access(); got.Count() != 1 || got.Sum() != sum || sum != 12*time.Millisecond {
+		t.Fatalf("end-to-end count %d sum %v, stages sum %v: want 1, equal, and 12ms (Start at t=1 to Done at t=13)",
 			got.Count(), got.Sum(), sum)
 	}
 	entries := reg.SlowLog("test_access", 0).Entries()
-	if len(entries) != 1 || entries[0].Total != sum || entries[0].Label != "label" || len(entries[0].Stages) != 4 {
-		t.Fatalf("slow log holds %+v, want one entry totalling %v with four stages", entries, sum)
+	if len(entries) != 1 || entries[0].Total != sum || entries[0].Label != "label" || len(entries[0].Stages) != 5 {
+		t.Fatalf("slow log holds %+v, want one entry totalling %v with five stages", entries, sum)
 	}
 	for i, s := range entries[0].Stages {
 		if s.Name != fam.Names()[i] || s.D != want[i]*time.Millisecond {
@@ -126,12 +128,12 @@ func TestClockAccounting(t *testing.T) {
 func TestDoneOnlyFailures(t *testing.T) {
 	scriptClock(t, time.Millisecond)
 	reg := NewRegistry()
-	fam := fourStages(reg)
+	fam := fiveStages(reg)
 	clk, _ := fam.Start(context.Background(), nil, "access")
 	clk.Enter(0)
 	clk.Enter(2)
 	clk.Done(3, 3, func() string { t.Error("failed round asked for a label"); return "" })
-	fam.Record(fam.Now(), 0, 1, nil, time.Second, time.Second, time.Second, time.Second)
+	fam.Record(fam.Now(), 0, 1, nil, time.Second, time.Second, time.Second, time.Second, time.Second)
 
 	if got := reg.Value("ortoa_test_access_errors_total"); got != 4 {
 		t.Fatalf("error counter = %d, want 4 (3 failed keys + 1 failed record)", got)
@@ -154,15 +156,16 @@ func TestDoneOnlyFailures(t *testing.T) {
 }
 
 // TestClockSpansTile checks the span side of a boundary: under a tracer
-// the clock opens a root span and one child per stage entered, adjacent
-// spans share their boundary instant, the running stage's span is what
-// Context hands down, and the slow-log entry and the exemplar carry the
-// trace id. An unmetered family (nil registry) still names the spans.
+// the clock opens a root span and one child per stage entered, the first
+// starting with the root, adjacent spans sharing their boundary instant
+// and the last ending with it — so the stage spans' durations sum to the
+// root's exactly — the running stage's span is what Context hands down,
+// and the slow-log entry and the exemplar carry the trace id. An unmetered family (nil registry) still names the spans.
 func TestClockSpansTile(t *testing.T) {
 	scriptClock(t, time.Millisecond)
 	for _, reg := range []*Registry{NewRegistry(), nil} {
 		tr := trace.NewTracer("proxy", 64)
-		fam := fourStages(reg)
+		fam := fiveStages(reg)
 		clk, ctx := fam.Start(context.Background(), tr, "access")
 		root := trace.FromContext(ctx)
 		if root == nil {
@@ -183,9 +186,12 @@ func TestClockSpansTile(t *testing.T) {
 		if len(byName) != 3 || acq.ParentID != acc.SpanID || rpc.ParentID != acc.SpanID || acc.ParentID != 0 {
 			t.Fatalf("span tree = %+v, want access parenting acquire and rpc", byName)
 		}
-		if !acq.Start.Add(acq.Duration).Equal(rpc.Start) || !rpc.Start.Add(rpc.Duration).Equal(acc.Start.Add(acc.Duration)) {
+		if !acq.Start.Equal(acc.Start) || !acq.Start.Add(acq.Duration).Equal(rpc.Start) || !rpc.Start.Add(rpc.Duration).Equal(acc.Start.Add(acc.Duration)) {
 			t.Fatalf("spans do not tile: acquire %v+%v, rpc %v+%v, access %v+%v",
 				acq.Start, acq.Duration, rpc.Start, rpc.Duration, acc.Start, acc.Duration)
+		}
+		if acq.Duration+rpc.Duration != acc.Duration {
+			t.Fatalf("stage spans sum to %v, the root span is %v", acq.Duration+rpc.Duration, acc.Duration)
 		}
 		if reg == nil {
 			continue
@@ -205,7 +211,7 @@ func TestClockSpansTile(t *testing.T) {
 	// A caller's span wins over the component's tracer.
 	outer := trace.NewTracer("front", 16)
 	parent := outer.StartRoot("server_handle")
-	clk, _ := fourStages(nil).Start(trace.ContextWith(context.Background(), parent), trace.NewTracer("proxy", 16), "access")
+	clk, _ := fiveStages(nil).Start(trace.ContextWith(context.Background(), parent), trace.NewTracer("proxy", 16), "access")
 	clk.Done(1, 0, nil)
 	if recs := outer.Snapshot(); len(recs) != 1 || recs[0].Name != "access" || recs[0].ParentID != parent.Context().SpanID {
 		t.Fatalf("root span %+v is not a child of the caller's span", recs)
@@ -236,13 +242,13 @@ func TestInterval(t *testing.T) {
 	}
 }
 
-// BenchmarkClock measures what the four boundaries of one access cost:
-// inert (the uninstrumented path: branches only) and metered.
+// BenchmarkClock measures what the boundaries of one access cost: inert
+// (the uninstrumented path: branches only) and metered.
 func BenchmarkClock(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		fam  *Stages
-	}{{"inert", fourStages(nil)}, {"metered", fourStages(NewRegistry())}} {
+	}{{"inert", fiveStages(nil)}, {"metered", fiveStages(NewRegistry())}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			ctx := context.Background()
@@ -252,7 +258,6 @@ func BenchmarkClock(b *testing.B) {
 				clk.Enter(1)
 				clk.Enter(2)
 				clk.Enter(3)
-				clk.Leave()
 				clk.Done(1, 0, func() string { return "" })
 			}
 		})

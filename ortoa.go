@@ -46,7 +46,8 @@ const (
 	// LBLPointPermute is y=2 with point-and-permute — the default and
 	// the configuration of the paper's cost analysis.
 	LBLPointPermute LBLVariant = "point-permute"
-	// LBLSpaceOpt is y=2 without decryption bits.
+	// LBLSpaceOpt is y=2 without point-and-permute: the server
+	// trial-decrypts up to four tagged entries a group.
 	LBLSpaceOpt LBLVariant = "space-opt"
 	// LBLBasic is the unoptimized one-label-per-bit protocol.
 	LBLBasic LBLVariant = "basic"

@@ -3,6 +3,8 @@ package ortoa
 import (
 	"fmt"
 	"time"
+
+	"ortoa/internal/core"
 )
 
 // This file implements the paper's §6.3.2 deployment guidance as code:
@@ -51,11 +53,11 @@ func Recommend(d Deployment) (Recommendation, error) {
 			Reason:   "TEE-ORTOA: flat cost in value size and one round trip (§6.1); use when enclaves are acceptable",
 		}, nil
 	}
-	// Sizes from the LBL point-and-permute configuration: table
-	// 2^y·ℓ/y entries of 25 B, response ℓ/y labels of 16 B.
-	groups := d.ValueSize * 8 / 2
-	requestBytes := groups*4*25 + 64
-	responseBytes := groups * 16
+	// Sizes from the LBL point-and-permute configuration: a table of
+	// 2^y·ℓ/y 16-byte entries behind the segment header and verifier
+	// pair, a response slot of y bits per group and a digest.
+	cfg := core.LBLConfig{ValueSize: d.ValueSize, Mode: core.LBLPointPermute}
+	requestBytes, responseBytes := cfg.RequestBytesPerAccess(), cfg.ResponseBytesPerAccess()
 
 	perKB := d.ProcessingPerKB
 	if perKB == 0 {
