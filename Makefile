@@ -70,9 +70,10 @@ noaes:
 
 # fuzz-smoke runs every fuzzer in the module for 10 s of generated
 # inputs (`go test` alone runs only their seed corpora): in internal/core,
-# frame sequences at the server's one handler — whole, cut, reordered,
-# with a key repeated — and tampered response slots and epoch grants at
-# the proxy, a chain's included; in internal/kvstore, the snapshot and log a restart
+# frame sequences at the LBL server's one handler — whole, cut,
+# reordered, with a key repeated — and tampered response slots at the LBL
+# proxy, a chain's included, then arbitrary payloads at the TEE and FHE
+# servers and arbitrary answers at their proxies; in internal/kvstore, the snapshot and log a restart
 # parses from its state directory; in internal/wire, the decoder every
 # payload goes through. The list is `go test -list`'s, so a fuzzer runs
 # here from the change that adds it; a package that fails to build fails
@@ -110,7 +111,7 @@ trace-smoke:
 
 # drills runs every fault drill through ortoa-bench: chaos (transport
 # faults, then the same with a proxy crash-restart), failover
-# (kill-and-adopt across the epoch fence, DESIGN.md §14), overload (10x
+# (peers serve a killed proxy's keys, DESIGN.md §14), overload (10x
 # offered load against admission control, §15) and stream (requests cut
 # under a frame budget, reset mid-request, §16) in -quick mode, and crash
 # (50 seeded kill/restart cycles under the group-commit WAL and the
@@ -118,7 +119,7 @@ trace-smoke:
 # the same harness.Cluster and runs the one workload and audit of
 # internal/harness/drill.go under its own fault — no acknowledged write
 # lost, at most one round per counter value, zero obliviousness shape
-# violations — plus whatever it adds (goodput floor, fence crossings).
+# violations — plus whatever it adds (goodput floor, rebases after a kill).
 # The experiments self-audit; a zero exit is the assertion.
 # `make drill-<id>` runs one; CI runs them as one matrix job.
 DRILLS := chaos failover overload stream crash

@@ -9,8 +9,8 @@
 //	ortoa-cli -proxy localhost:7002 -value-size 160 bench -ops 100 -clients 8 -keys 1000
 //
 // Against a multi-proxy deployment, pass every proxy instead: requests
-// route to the proxy owning each key's counter range and fail over to
-// the surviving peers when one dies mid-command:
+// go to the proxy the ring places each key on and fail over to the
+// surviving peers when one dies mid-command:
 //
 //	ortoa-cli -proxies host1:7002,host2:7002,host3:7002 get key-00000007
 package main
@@ -44,7 +44,7 @@ func main() {
 	log.SetFlags(0)
 
 	proxyAddr := flag.String("proxy", "localhost:7002", "ortoa-proxy address")
-	proxyList := flag.String("proxies", "", "comma-separated addresses of every proxy in a multi-proxy deployment (overrides -proxy; routes to range owners, fails over on proxy death; names must match the proxies' -peers list)")
+	proxyList := flag.String("proxies", "", "comma-separated addresses of every proxy in a multi-proxy deployment (overrides -proxy; places each key on one proxy, fails over on proxy death)")
 	valueSize := flag.Int("value-size", 160, "store's fixed value size (put pads; bench generates)")
 	callTimeout := flag.Duration("call-timeout", 2*time.Second, "per-attempt deadline with -proxies, so a dead proxy costs a failover instead of a hang (0 disables)")
 	flag.Parse()

@@ -19,8 +19,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -47,9 +45,6 @@ var (
 	shedDeadline  = flag.Bool("shed-deadline", true, "drop client requests whose deadline budget expired before doing any work (needs -max-inflight)")
 	retryAfter    = flag.Duration("retry-after", 0, "backoff hint carried in busy rejections (0 = default 25ms; needs -max-inflight)")
 	streamChunk   = flag.Int("stream-chunk", 0, "request frame budget in bytes: longer requests are cut at group boundaries and sent frame by frame as they are built, pipelining garbling against the WAN (LBL; 0 never cuts)")
-	peers         = flag.String("peers", "", "comma-separated names of every proxy in a multi-proxy deployment, e.g. host1:7002,host2:7002 (LBL; claims this proxy's ring share of counter ranges and enables adoption on fence; requires -self)")
-	self          = flag.String("self", "", "this proxy's name within -peers (clients' -proxies member names must match for first-try owner routing; needs -peers)")
-	ranges        = flag.String("ranges", "", "comma-separated counter range ids to claim explicitly instead of ring placement, e.g. 0,5,9 (LBL; enables adoption on fence)")
 	fheDegree     = flag.Int("fhe-degree", 512, "BFV ring degree (fhe)")
 	fheBits       = flag.Int("fhe-modulus-bits", 370, "BFV modulus bits (fhe)")
 	metricsAddr   = flag.String("metrics-addr", "", "serve /metrics, /healthz, /slowlog, /trace, and /debug/pprof on this address (e.g. :7092)")
@@ -62,12 +57,6 @@ func main() { os.Exit(run()) }
 // a mistyped setting must not pass for a set one.
 func checkFlags() error {
 	switch {
-	case (*peers != "" || *ranges != "") && ortoa.Protocol(*protocol) != ortoa.ProtocolLBL:
-		return errors.New("-peers/-ranges (multi-proxy range ownership) require -protocol lbl")
-	case *peers != "" && *self == "":
-		return errors.New("-peers requires -self (this proxy's name within the peer list)")
-	case *self != "" && *peers == "":
-		return errors.New("-self requires -peers (the list it names this proxy within)")
 	case *maxInflight <= 0 && (*maxQueue != 0 || *retryAfter != 0):
 		return errors.New("-max-queue and -retry-after require -max-inflight (without it nothing is bounded)")
 	case *stateEvery > 0 && *statePath == "":
@@ -86,7 +75,6 @@ func run() int {
 	if err := checkFlags(); err != nil {
 		log.Fatal(err)
 	}
-	multiProxy := *peers != "" || *ranges != ""
 
 	keys, err := ortoa.LoadOrGenerateKeys(*keysPath)
 	if err != nil {
@@ -112,7 +100,6 @@ func run() int {
 		Conns:         *conns,
 		CallTimeout:   *callTimeout,
 		RetryAttempts: *retries,
-		AutoAdopt:     multiProxy,
 		StreamChunk:   *streamChunk,
 		FHE:           ortoa.FHEOptions{RingDegree: *fheDegree, ModulusBits: *fheBits},
 		Metrics:       reg,
@@ -143,44 +130,6 @@ func run() int {
 			}
 			log.Printf("restored LBL counters from %s", *statePath)
 		}
-	}
-
-	// Claim range ownership after any counter restore: from the claim
-	// on, every in-flight or retried round from a previous owner of
-	// these ranges is fenced at the server before it can touch a
-	// record, and this proxy's stale counter positions rebase from each
-	// key's first stale answer.
-	switch {
-	case *ranges != "":
-		var rids []uint32
-		for _, f := range strings.Split(*ranges, ",") {
-			f = strings.TrimSpace(f)
-			if f == "" {
-				continue
-			}
-			id, err := strconv.ParseUint(f, 10, 32)
-			if err != nil || id >= ortoa.NumCounterRanges {
-				log.Fatalf("-ranges: %q is not a range id in [0,%d)", f, ortoa.NumCounterRanges)
-			}
-			rids = append(rids, uint32(id))
-		}
-		if err := client.ClaimRanges(rids); err != nil {
-			log.Fatalf("claiming ranges: %v", err)
-		}
-		log.Printf("claimed %d explicit counter ranges", len(rids))
-	case *peers != "":
-		var names []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				names = append(names, p)
-			}
-		}
-		rids, err := client.ClaimOwnedRanges(names, *self)
-		if err != nil {
-			log.Fatalf("claiming owned ranges: %v", err)
-		}
-		log.Printf("claimed %d/%d counter ranges as %q (ring of %d proxies)",
-			len(rids), ortoa.NumCounterRanges, *self, len(names))
 	}
 
 	if *loadSynthetic > 0 {

@@ -15,14 +15,8 @@ func TestCheckFlags(t *testing.T) {
 	}{
 		{nil, ""},
 		{[]string{"-state", "c.state", "-state-interval", "1s"}, ""},
-		{[]string{"-peers", "a,b", "-self", "a"}, ""},
-		{[]string{"-ranges", "0,5"}, ""},
 		{[]string{"-max-inflight", "8", "-max-queue", "8"}, ""},
 		{[]string{"-state-interval", "1s"}, "-state-interval requires -state"},
-		{[]string{"-self", "a"}, "-self requires -peers"},
-		{[]string{"-self", "a", "-ranges", "0"}, "-self requires -peers"},
-		{[]string{"-peers", "a,b"}, "-peers requires -self"},
-		{[]string{"-ranges", "0", "-protocol", "tee"}, "require -protocol lbl"},
 		{[]string{"-max-queue", "8"}, "require -max-inflight"},
 		{[]string{"-retry-after", "50ms"}, "require -max-inflight"},
 	} {

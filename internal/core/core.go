@@ -65,12 +65,6 @@ const (
 	// the data key (§4.1). Setup-path only, never on the access path.
 	MsgTEEAttest    byte = 0x08
 	MsgTEEProvision byte = 0x09
-	// MsgEpochClaim asserts ownership of one counter range in a
-	// multi-proxy deployment: the server bumps the range's fencing
-	// epoch past every epoch it has granted and returns the new one
-	// (epoch.go). Fixed-width request (rangeID ‖ minEpoch) and response
-	// (epoch), so claims are strict shape classes both ways.
-	MsgEpochClaim byte = 0x0C
 )
 
 // Protocol errors.

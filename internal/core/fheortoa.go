@@ -93,6 +93,9 @@ func (s *FHEServer) handleAccess(ctx context.Context, payload []byte) ([]byte, e
 	if err != nil {
 		return nil, fmt.Errorf("core: v_new: %w", err)
 	}
+	if ctNew.Degree()+ctW.Degree() > s.maxDegree {
+		return nil, fmt.Errorf("core: ciphertext degree cap %d exceeded by v_new·c_w: %w", s.maxDegree, fhe.ErrNoiseOverflow)
+	}
 
 	var result []byte
 	err = s.store.Update(string(encKey), func(old []byte) ([]byte, error) {
@@ -237,20 +240,30 @@ func (c *FHEClient) Access(op Op, key string, newValue []byte) (value []byte, st
 	}
 	clk.Enter(fheDecrypt)
 	stats.RespBytes = len(resp)
+	value, err = c.result(resp)
+	return value, stats, err
+}
+
+// result decrypts the server's answer to exactly ValueSize bytes or
+// fails. FHE-ORTOA has no integrity check (§3.1): a server may answer
+// with any well-formed ciphertext, which decrypts to some value, so a
+// result is only as good as the server that computed it.
+func (c *FHEClient) result(resp []byte) ([]byte, error) {
+	params := c.cfg.Params
 	res, err := fhe.UnmarshalCiphertext(params, resp)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
 	coeffs, err := params.Decrypt(c.sk, res)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
-	value, err = params.DecodeBytes(coeffs)
+	value, err := params.DecodeBytes(coeffs)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
 	if len(value) != c.cfg.ValueSize {
-		return nil, stats, fmt.Errorf("core: decrypted %d bytes, want %d: %w", len(value), c.cfg.ValueSize, fhe.ErrNoiseOverflow)
+		return nil, fmt.Errorf("core: decrypted %d bytes, want %d: %w", len(value), c.cfg.ValueSize, fhe.ErrNoiseOverflow)
 	}
-	return value, stats, nil
+	return value, nil
 }

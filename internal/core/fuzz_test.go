@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"strings"
+	"runtime"
 	"testing"
 
 	"ortoa/internal/crypto/prf"
+	"ortoa/internal/crypto/secretbox"
+	"ortoa/internal/fhe"
 	"ortoa/internal/kvstore"
 	"ortoa/internal/netsim"
 	"ortoa/internal/transport"
@@ -96,7 +98,7 @@ func FuzzLBLServerPayload(f *testing.F) {
 		f.Add(payload, cuts)
 	}
 	last := len(frames) - 1
-	modeAt := prf.Size + lblClaimLen // a segment's mode byte
+	modeAt := prf.Size + reservedLen // a segment's mode byte
 	geometry := bytes.Clone(bytes.Join(frames, nil))
 	// The second segment's header names space-opt, entry length
 	// included: a header the server accepts, of another configuration.
@@ -411,77 +413,6 @@ func FuzzLBLProxyResponse(f *testing.F) {
 	})
 }
 
-// FuzzEpochGrant plays a server that answers ownership claims with
-// arbitrary bytes: grants is cut into one answer per claim, cuts saying
-// where (as in FuzzLBLServerPayload), and the proxy claims one range once
-// per answer, the range's epoch starting at start. No answer may panic;
-// one of other than exactly 8 bytes must fail its claim with the
-// malformed-grant error; and the epoch the range stamps never decreases:
-// a well-formed grant is returned as granted, and stamped only if it is
-// ahead.
-func FuzzEpochGrant(f *testing.F) {
-	grant := func(e uint64) []byte { return binary.LittleEndian.AppendUint64(nil, e) }
-	f.Add(grant(7), []byte{}, uint64(0))                                  // a grant ahead
-	f.Add(grant(3), []byte{}, uint64(9))                                  // a grant behind
-	f.Add(append(grant(5), grant(4)...), []byte{8, 0}, uint64(0))         // two grants, the second behind
-	f.Add([]byte{}, []byte{}, uint64(1))                                  // empty
-	f.Add(make([]byte, 7), []byte{}, uint64(1))                           // a byte short
-	f.Add(make([]byte, 9), []byte{}, uint64(1))                           // a byte long
-	f.Add(append(grant(^uint64(0)), 1), []byte{8, 0}, uint64(^uint64(0))) // the top epoch, then a byte
-
-	r := &rig{store: kvstore.New(), server: transport.NewServer()}
-	l := netsim.Listen(netsim.Loopback)
-	go r.server.Serve(l) //nolint:errcheck // returns on Close
-	f.Cleanup(func() { r.server.Close() })
-	var err error
-	if r.client, err = transport.Dial(l.Dial, 1); err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() { r.client.Close() })
-	var answers [][]byte
-	r.server.Handle(MsgEpochClaim, func(_ context.Context, _ []byte) ([]byte, error) {
-		if len(answers) == 0 {
-			return nil, errors.New("no answer left")
-		}
-		a := answers[0]
-		answers = answers[1:]
-		return a, nil
-	})
-
-	const rid = 7
-	f.Fuzz(func(t *testing.T, grants, cuts []byte, start uint64) {
-		var sequence [][]byte
-		for ; len(cuts) >= 2; cuts = cuts[2:] {
-			n := min(int(binary.LittleEndian.Uint16(cuts)), len(grants))
-			sequence, grants = append(sequence, grants[:n]), grants[n:]
-		}
-		sequence = append(sequence, grants)
-		answers = sequence
-		proxy, err := NewLBLProxy(LBLConfig{ValueSize: 4, Mode: LBLPointPermute}, prf.NewRandom(), r.client)
-		if err != nil {
-			t.Fatal(err)
-		}
-		proxy.epochs[rid].Store(start)
-		for i, a := range sequence {
-			before := proxy.rangeEpoch(rid)
-			granted, err := proxy.ClaimRange(rid)
-			after := proxy.rangeEpoch(rid)
-			if len(a) != 8 {
-				if err == nil || !strings.Contains(err.Error(), "malformed grant") {
-					t.Fatalf("answer %d, %d bytes: granted %d, %v; want the malformed-grant error", i, len(a), granted, err)
-				}
-			} else if want := binary.LittleEndian.Uint64(a); err != nil || granted != want {
-				t.Fatalf("answer %d, a grant of %d: granted %d, %v", i, want, granted, err)
-			} else if after != max(before, want) {
-				t.Fatalf("answer %d, a grant of %d at epoch %d: the range stamps %d", i, want, before, after)
-			}
-			if after < before {
-				t.Fatalf("answer %d: the range's epoch went from %d to %d", i, before, after)
-			}
-		}
-	})
-}
-
 func FuzzTEEServerPayload(f *testing.F) {
 	store := kvstore.New()
 	srv, err := NewTEEServer(store, 0)
@@ -515,6 +446,165 @@ func FuzzLBLRecordParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, groups uint16) {
 		for _, mode := range allLBLModes() {
 			parseLBLRecord(raw, LBLConfig{ValueSize: int(groups)%64 + 1, Mode: mode}) //nolint:errcheck
+		}
+	})
+}
+
+// allocated returns the heap bytes allocated while fn runs — by fn, and
+// by whatever else runs meanwhile, which the callers' bounds leave room
+// for: a megabyte over what the input's length accounts for.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzTEEProxyResponse plays a server answering a TEE access with
+// arbitrary bytes. The client never panics, allocates no more than a
+// small multiple of what it was sent, and accepts exactly one kind of
+// answer: a sealing of a ValueSize value under the data key, whose value
+// it returns. Anything else fails with ErrTampered.
+func FuzzTEEProxyResponse(f *testing.F) {
+	key := secretbox.NewRandomKey()
+	box, err := secretbox.NewBox(key)
+	if err != nil {
+		f.Fatal(err)
+	}
+	client, err := NewTEEClient(TEEConfig{ValueSize: 4}, prf.NewRandom(), key, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	other, err := secretbox.NewBox(secretbox.NewRandomKey())
+	if err != nil {
+		f.Fatal(err)
+	}
+	honest := box.Seal([]byte{1, 2, 3, 4})
+	f.Add(honest)
+	f.Add(box.Seal([]byte{1, 2, 3}))      // another length
+	f.Add(box.Seal(nil))                  // empty value
+	f.Add(other.Seal([]byte{1, 2, 3, 4})) // another key
+	f.Add(honest[:len(honest)-1])         // truncated
+	f.Add(append(bytes.Clone(honest), 0)) // a byte more
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, resp []byte) {
+		var value []byte
+		if n := allocated(func() { value, err = client.result(resp) }); n > 16*uint64(len(resp))+1<<20 {
+			t.Fatalf("%d bytes of answer cost %d bytes of heap", len(resp), n)
+		}
+		if plain, oerr := box.Open(resp); oerr == nil && len(plain) == 4 {
+			if err != nil || !bytes.Equal(value, plain) {
+				t.Fatalf("a sealing of %x: %x, %v", plain, value, err)
+			}
+		} else if !errors.Is(err, ErrTampered) || value != nil {
+			t.Fatalf("not a sealing of a 4-byte value: %x, %v; want ErrTampered", value, err)
+		}
+	})
+}
+
+// fheFuzzConfig is the small parameter set the FHE fuzzers run under.
+func fheFuzzConfig(f *testing.F) FHEConfig {
+	params, err := fhe.NewParameters(64, 220)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return FHEConfig{Params: params, ValueSize: 4}
+}
+
+// FuzzFHEProxyResponse plays a server answering an FHE access with
+// arbitrary bytes. FHE-ORTOA has no integrity check, so the property is
+// weaker than TEE's: the client never panics, its heap grows with what
+// it was sent and not with any count inside it, and the answer is an
+// error or exactly ValueSize bytes — which bytes, only an honest server
+// decides.
+func FuzzFHEProxyResponse(f *testing.F) {
+	cfg := fheFuzzConfig(f)
+	client, err := NewFHEClient(cfg, prf.NewRandom(), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ct, err := client.encryptValue([]byte{1, 2, 3, 4})
+	if err != nil {
+		f.Fatal(err)
+	}
+	bit, err := cfg.Params.Encrypt(client.sk, cfg.Params.EncodeBit(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	squared, err := cfg.Params.Mul(ct, bit)
+	if err != nil {
+		f.Fatal(err)
+	}
+	honest := ct.Marshal(cfg.Params)
+	f.Add(honest)
+	f.Add(squared.Marshal(cfg.Params))       // degree 2, as after one access
+	f.Add(honest[:len(honest)-1])            // truncated
+	f.Add(append([]byte{64}, honest[1:]...)) // 64 polynomials claimed, 2 sent
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, resp []byte) {
+		var value []byte
+		if n := allocated(func() { value, err = client.result(resp) }); n > 2048*uint64(len(resp))+1<<20 {
+			t.Fatalf("%d bytes of answer cost %d bytes of heap", len(resp), n)
+		}
+		if err == nil && len(value) != cfg.ValueSize {
+			t.Fatalf("a %d-byte value, want %d", len(value), cfg.ValueSize)
+		}
+	})
+}
+
+// FuzzFHEServerPayload sends the FHE server arbitrary access payloads
+// against a store holding one record. It never panics, and a payload it
+// refuses leaves the store as it was: the record untouched, no key
+// added.
+func FuzzFHEServerPayload(f *testing.F) {
+	cfg := fheFuzzConfig(f)
+	client, err := NewFHEClient(cfg, prf.NewRandom(), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ek, rec, err := client.BuildRecord("k", []byte{1, 2, 3, 4})
+	if err != nil {
+		f.Fatal(err)
+	}
+	store := kvstore.New()
+	srv := NewFHEServer(store, cfg)
+	payload := func(cr, cw int, v []byte) []byte {
+		w := wire.NewWriter(0)
+		w.Raw([]byte(ek))
+		for _, b := range []int{cr, cw} {
+			ct, err := cfg.Params.Encrypt(client.sk, cfg.Params.EncodeBit(b))
+			if err != nil {
+				f.Fatal(err)
+			}
+			w.BytesPfx(ct.Marshal(cfg.Params))
+		}
+		ct, err := client.encryptValue(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		w.BytesPfx(ct.Marshal(cfg.Params))
+		return w.Bytes()
+	}
+	read := payload(1, 0, make([]byte, 4))
+	f.Add(read)
+	f.Add(payload(0, 1, []byte{5, 6, 7, 8}))
+	f.Add(read[:len(read)-1])
+	f.Add(append(bytes.Clone(read), 0))
+	f.Add(append([]byte("not-the-key-0000"), read[prf.Size:]...))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if err := store.Put(ek, rec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.handleAccess(context.Background(), payload); err == nil {
+			return
+		}
+		if now, err := store.Get(ek); err != nil || !bytes.Equal(now, rec) {
+			t.Fatalf("a refused payload changed the record: %v", err)
+		}
+		if n := store.Len(); n != 1 {
+			t.Fatalf("a refused payload left %d keys in the store, want 1", n)
 		}
 	})
 }

@@ -18,28 +18,28 @@ import (
 	"ortoa/internal/wire"
 )
 
-// The recovery ladder (fence → claim, stale → rebase) belongs to the
-// round, so every way of reaching a round gets it per key: these tests
-// reach it through held chains and through AccessBatch, where a fenced
-// or desynchronized key used to surface its rejection.
+// The recovery ladder (stale → rebase) belongs to the round, so every
+// way of reaching a round gets it per key: these tests reach it through
+// AccessBatch, where a desynchronized key used to surface its rejection.
 
-// TestHeldRoundAdoptsFencedRange: concurrent sessions, three to a key so
-// that some are held and leave as chains, on an AutoAdopt proxy whose
-// ranges a peer has claimed: their rounds must claim the ranges back and
-// complete every session's access.
-func TestHeldRoundAdoptsFencedRange(t *testing.T) {
+// TestHeldRoundRebasesPeerAdvancedKey: a peer has written every key
+// once, so this proxy's counters are one behind the server's records.
+// Three concurrent sessions per key reach it at once; those that find
+// their key's round in flight are held and follow it as one chain. The
+// chain's head is answered stale and rebases, its members re-key from
+// the rebased counter, and every session reads the peer's value — at one
+// rebase per key, however many sessions were held behind it.
+func TestHeldRoundRebasesPeerAdvancedKey(t *testing.T) {
 	const n = 4
-	r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute, AutoAdopt: true})
+	r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute})
 	a, b := peers[0], peers[1]
 	data := map[string][]byte{}
 	for i := 0; i < n; i++ {
 		data[fmt.Sprintf("key-%02d", i)] = []byte{byte(i), 0, 0, 0}
 	}
 	loadData(t, r, a, data)
-	for k := range data {
-		if _, err := b.ClaimRange(RangeOf(k)); err != nil {
-			t.Fatal(err)
-		}
+	for k, v := range data {
+		mustWrite(t, b, k, []byte{v[0], 1, 1, 1})
 	}
 	var wg sync.WaitGroup
 	for s := 0; s < 3*n; s++ {
@@ -48,13 +48,16 @@ func TestHeldRoundAdoptsFencedRange(t *testing.T) {
 			defer wg.Done()
 			v, _, err := a.Access(OpRead, fmt.Sprintf("key-%02d", i), nil)
 			if err != nil {
-				t.Errorf("session on key %d surfaced %v instead of adopting the fenced range", i, err)
-			} else if v[0] != byte(i) {
-				t.Errorf("session on key %d read %v", i, v)
+				t.Errorf("session on key %d: %v, want the peer's value after a rebase", i, err)
+			} else if want := []byte{byte(i), 1, 1, 1}; !bytes.Equal(v, want) {
+				t.Errorf("session on key %d read %v, want %v", i, v, want)
 			}
 		}(s % n)
 	}
 	wg.Wait()
+	if got := a.mx.reconciledKeys.Value(); got != n {
+		t.Errorf("%d rebases, want one per key (%d)", got, n)
+	}
 }
 
 // TestBatchRebasesDesyncedKey: one key of a batch is desynchronized by
@@ -120,35 +123,43 @@ func TestBatchRebasesDesyncedKey(t *testing.T) {
 	}
 }
 
-// TestLadderLapsBounded: a peer that re-claims the range every time
-// this proxy claims it keeps every retry fenced. The round must give up
-// after recoveryAllowance claims and surface the fence — for that key
-// only, and once per chain however many of the round's accesses name
-// the key.
+// TestLadderLapsBounded: a peer that advances the contested key each
+// time this proxy is answered stale on it — before the answer arrives —
+// leaves every rebase one step behind. The round must give up after
+// recoveryAllowance rebases and surface the stale rejection — for that
+// key only, and once per chain however many of the round's accesses name
+// the key — while the calm key in the same round succeeds.
 func TestLadderLapsBounded(t *testing.T) {
 	for _, k := range []int{1, 3} {
 		t.Run(fmt.Sprintf("chain=%d", k), func(t *testing.T) {
-			r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute, AutoAdopt: true})
+			r, peers, srv := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute})
 			a, b := peers[0], peers[1]
 			contested, calm := "key-00", "key-01"
-			for RangeOf(calm) == RangeOf(contested) {
-				calm += "x"
-			}
 			loadData(t, r, a, map[string][]byte{contested: {1, 1, 1, 1}, calm: {2, 2, 2, 2}})
-			if _, err := b.ClaimRange(RangeOf(contested)); err != nil {
-				t.Fatal(err)
-			}
-			var claims atomic.Int64
-			var reclaiming atomic.Bool
-			r.server.SetObserver(func(msgType byte, _, _ int) {
-				// Every claim a makes is answered — before a hears back — by b
-				// taking the range again. b's own claim passes through here too,
-				// nested inside a's, and is let through.
-				if msgType == MsgEpochClaim && reclaiming.CompareAndSwap(false, true) {
-					claims.Add(1)
-					b.ClaimRange(RangeOf(contested)) //nolint:errcheck
-					reclaiming.Store(false)
+			mustWrite(t, b, contested, []byte{3, 3, 3, 3}) // a's first lap is stale
+
+			var staleAnswers atomic.Int64
+			var advancing atomic.Bool
+			slotLen := a.cfg.ResponseBytesPerAccess()
+			r.server.Handle(MsgLBLAccess, func(ctx context.Context, payload []byte) ([]byte, error) {
+				resp, err := srv.handleAccess(ctx, payload)
+				// Every stale answer to a is overtaken by b advancing the key.
+				// b's own access passes through here too, nested inside a's,
+				// and is let through.
+				if err != nil || !advancing.CompareAndSwap(false, true) {
+					return resp, err
 				}
+				defer advancing.Store(false)
+				for i := 0; i < len(resp); i += slotLen {
+					if resp[i] == slotStale {
+						staleAnswers.Add(1)
+						if _, _, err := b.Access(OpWrite, contested, []byte{4, 4, 4, 4}); err != nil {
+							t.Errorf("peer advancing the key: %v", err)
+						}
+						break
+					}
+				}
+				return resp, nil
 			})
 			ops := []BatchOp{{Op: OpRead, Key: calm}}
 			for i := 0; i < k; i++ {
@@ -159,14 +170,32 @@ func TestLadderLapsBounded(t *testing.T) {
 				t.Errorf("calm key: %v, %v", results[0].Value, results[0].Err)
 			}
 			for i := 1; i <= k; i++ {
-				if !isFencedRound(results[i].Err) {
-					t.Errorf("contested access %d: %v, want the fence to surface once the allowance is spent", i, results[i].Err)
+				if !IsStaleRound(results[i].Err) {
+					t.Errorf("contested access %d: %v, want the stale rejection once the allowance is spent", i, results[i].Err)
 				}
 			}
-			if got := claims.Load(); got != recoveryAllowance {
-				t.Errorf("proxy claimed the range %d times, want recoveryAllowance = %d", got, recoveryAllowance)
+			if got := a.mx.reconciledKeys.Value(); got != recoveryAllowance {
+				t.Errorf("proxy rebased the key %d times, want recoveryAllowance = %d", got, recoveryAllowance)
+			}
+			if got := staleAnswers.Load(); got != recoveryAllowance+1 {
+				t.Errorf("proxy was answered stale %d times, want one more than its %d rebases", got, recoveryAllowance)
 			}
 		})
+	}
+}
+
+// TestSlotStatusNumbers pins the response statuses' wire values: 3 stays
+// unassigned, so every other status keeps the number it had, and an
+// answer carrying 3 — like any number no status has — is tampering.
+func TestSlotStatusNumbers(t *testing.T) {
+	got := []byte{slotOK, slotNotFound, slotStale, slotExpired, slotRejected, slotRecordFormat}
+	if want := []byte{0, 1, 2, 4, 5, 6}; !bytes.Equal(got, want) {
+		t.Errorf("statuses are numbered %v, want %v", got, want)
+	}
+	for _, status := range []byte{3, 7, 255} {
+		if err := slotError(status); !errors.Is(err, ErrTampered) {
+			t.Errorf("status %d reads as %v, want ErrTampered", status, err)
+		}
 	}
 }
 
@@ -192,7 +221,7 @@ func TestEntryFormatMismatchIsDefinite(t *testing.T) {
 			r.server.Handle(MsgLBLAccess, func(ctx context.Context, payload []byte) ([]byte, error) {
 				requests.Add(1)
 				other := bytes.Clone(payload)
-				at := prf.Size + lblClaimLen
+				at := prf.Size + reservedLen
 				other[at] &= 1<<modeBits - 1
 				if format > 1 { // v1 proxies wrote no stamp
 					other[at] |= format << modeBits
@@ -205,7 +234,7 @@ func TestEntryFormatMismatchIsDefinite(t *testing.T) {
 			if !errors.As(err, &remote) || !strings.Contains(remote.Msg, errEntryFormat.Error()) {
 				t.Fatalf("v%d-stamped request: %v, want the entry-format rejection", format, err)
 			}
-			if transport.Ambiguous(err) || isStaleRound(err) {
+			if transport.Ambiguous(err) || IsStaleRound(err) {
 				t.Errorf("rejection %v reads as ambiguous or stale", err)
 			}
 			if n := requests.Load(); n != 1 {
@@ -246,10 +275,10 @@ func TestSegHeaderRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each payload keeps the request's key, claim and table and rewrites
-	// the header from the mode byte on, so one that passed the header
-	// would open the stored record.
-	at := prf.Size + lblClaimLen
+	// Each payload keeps the request's key, reserved bytes and table and
+	// rewrites the header from the mode byte on, so one that passed the
+	// header would open the stored record.
+	at := prf.Size + reservedLen
 	payload := func(mode byte, groups, entryLen uint64) []byte {
 		b := append(bytes.Clone(req[:at]), mode)
 		b = binary.AppendUvarint(b, groups)
@@ -258,7 +287,7 @@ func TestSegHeaderRefused(t *testing.T) {
 	}
 	cur := byte(entryFormat << modeBits)
 	pp := cur | byte(LBLPointPermute)
-	if _, _, got, err := readSegHeader(wire.NewReader(payload(pp, 16, 16))); err != nil || got != cfg {
+	if _, got, err := readSegHeader(wire.NewReader(payload(pp, 16, 16))); err != nil || got != cfg {
 		t.Fatalf("the request's own header reads as %+v, %v; want %+v", got, err, cfg)
 	}
 	for _, c := range []struct {
@@ -279,7 +308,7 @@ func TestSegHeaderRefused(t *testing.T) {
 		{"entry format 5", payload(5<<modeBits|byte(LBLPointPermute), 16, 16)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if _, _, _, err := readSegHeader(wire.NewReader(c.payload)); err == nil {
+			if _, _, err := readSegHeader(wire.NewReader(c.payload)); err == nil {
 				t.Fatal("the header was accepted")
 			}
 			store := specStore(t, ek, rec)
@@ -354,7 +383,7 @@ func oldRecordIsDefinite(t *testing.T, oldHex string) {
 		if !errors.As(err, &remote) || remote.Msg != errRecordFormat.Error() {
 			t.Fatalf("%v against an old record: %v, want the record-format rejection", op, err)
 		}
-		if transport.Ambiguous(err) || isStaleRound(err) {
+		if transport.Ambiguous(err) || IsStaleRound(err) {
 			t.Errorf("rejection %v reads as ambiguous or stale", err)
 		}
 		if n := requests.Load(); n != 1 {

@@ -133,14 +133,6 @@ type LBLConfig struct {
 	// (y = 1, trial decryption); the public package's empty LBLVariant
 	// is point-and-permute instead.
 	Mode LBLMode
-	// AutoAdopt, in multi-proxy deployments, lets the proxy adopt a
-	// counter range on demand: when an access is epoch-fenced (another
-	// proxy owned the range more recently — typically because this
-	// proxy was just handed the range by the router after its owner
-	// died), the proxy claims the range, bumping its epoch, and retries.
-	// A retry the server answers stale rebases the key's counter from
-	// the label the answer carries (reconcile.go). See epoch.go.
-	AutoAdopt bool
 	// StreamChunkBytes, when positive, is the request frame budget: a
 	// request longer than this is cut at whole-group boundaries into
 	// frames of at most about this many bytes, written to the wire as
@@ -191,11 +183,11 @@ func (c LBLConfig) carve(sched []byte) (news, olds []byte) {
 }
 
 // segHeaderLen is the size of what precedes the table in one access's
-// request segment: encoded key, the fixed-width ownership claim of
-// epoch.go, the mode byte (which also carries the entry format), and the
-// group count and entry length as uvarints.
+// request segment: encoded key, the reserved bytes, the mode byte (which
+// also carries the entry format), and the group count and entry length as
+// uvarints.
 func (c LBLConfig) segHeaderLen() int {
-	return prf.Size + lblClaimLen + 1 +
+	return prf.Size + reservedLen + 1 +
 		wire.UvarintLen(uint64(c.Groups())) +
 		wire.UvarintLen(uint64(c.Mode.entryLen()))
 }
@@ -369,15 +361,10 @@ func (d labelDigest) put(dst []byte) {
 // PRF master secret and the per-key access counters, and talks to the
 // untrusted server over client.
 type LBLProxy struct {
-	cfg      LBLConfig
-	prf      *prf.PRF
-	counters *counterTable
-	client   *transport.Client
-	// epochs holds the proxy's last granted epoch per counter range,
-	// stamped into every access frame (epoch.go). All zeros — the
-	// single-proxy state — stamps legacy epoch-0 claims the server
-	// always admits.
-	epochs    [NumRanges]atomic.Uint64
+	cfg       LBLConfig
+	prf       *prf.PRF
+	counters  *counterTable
+	client    *transport.Client
 	schedules schedulePool
 	vk        verifierKey
 	// zero is what a read's table is built from: a value of zeros, which
@@ -658,7 +645,7 @@ type keyChain struct {
 	err    error
 	held   [verifierLen]byte
 	// Laps of the recovery ladder this chain has climbed.
-	claimed, rebased int
+	rebased int
 }
 
 func (c *keyChain) key() string { return c.accs[0].Key }
@@ -684,23 +671,21 @@ func chainsOf(accs []roundAccess) []keyChain {
 	return chains
 }
 
-// recoveryAllowance bounds each recovery transition per chain. The
-// transitions may chain: an adoption (fence → claim) typically exposes
-// a desynchronized counter on its retry (the adopter starts from a
-// stale or empty snapshot), which a rebase then repairs. The
-// allowance is >1 because during a live ownership handoff a peer can
-// adopt the range back (or advance the counter) between our recovery
-// step and its retry; the transient resolves within a lap or two.
+// recoveryAllowance bounds the rebases per chain. One rebase repairs any
+// desynchronized counter, however far the record moved; the allowance is
+// >1 because while two proxies serve one key the other can advance the
+// record again between our rebase and its retry, a transient that
+// resolves within a lap or two.
 const recoveryAllowance = 3
 
 // round is the one LBL access procedure (§5.2, Fig 1), for k ≥ 1
 // accesses in sorted key order, a key's accesses next to each other in
 // the order they apply: own each key's counter, then build, send, and
 // judge each key's chain — recover and commit on success, climb the
-// recovery ladder and go around again on a fence or staleness rejection
-// it can repair, fail otherwise. Outcomes land in accs; one key's
-// failure never fails its round mates. An ambiguous failure leaves each
-// counter where it was: the key's next access is its probe (reconcile.go).
+// recovery ladder and go around again on a stale answer it can repair,
+// fail otherwise. Outcomes land in accs; one key's failure never fails
+// its round mates. An ambiguous failure leaves each counter where it
+// was: the key's next access is its probe (reconcile.go).
 // owned, when non-nil, is the entry of the one key accs name, which the
 // caller owns already (lead); otherwise the round takes its keys in
 // order, each after whatever was in line for it, so rounds cannot
@@ -834,28 +819,17 @@ func (p *LBLProxy) recoverChain(c *keyChain, specs []tableSpec, slots []byte) {
 	}
 }
 
-// climb takes one step of the recovery ladder for a chain the server
-// rejected, reporting whether the chain should go around again: a fence
-// is answered by claiming the range, staleness by rebasing to the
-// counter the stale answer's verifier carries — once for the chain,
-// whose members re-key from the rebased counter — each at most
-// recoveryAllowance times per chain.
+// climb takes the recovery ladder's one step for a chain the server
+// rejected, reporting whether the chain should go around again: a stale
+// answer is repaired by rebasing to the counter its verifier carries —
+// once for the chain, whose members re-key from the rebased counter — at
+// most recoveryAllowance times per chain.
 func (p *LBLProxy) climb(c *keyChain) bool {
-	switch {
-	case c.status == slotFenced && p.cfg.AutoAdopt && c.claimed < recoveryAllowance:
-		// The range's epoch moved past ours: we are being handed
-		// ownership (or re-learning it after a restart). Claim the
-		// range — fencing out every older owner — and retry at the
-		// granted epoch.
-		c.claimed++
-		p.mx.fencedRounds.Inc()
-		_, err := p.ClaimRange(RangeOf(c.key()))
-		return err == nil
-	case c.status == slotStale && c.rebased < recoveryAllowance:
-		c.rebased++
-		return p.rebase(c)
+	if c.status != slotStale || c.rebased == recoveryAllowance {
+		return false
 	}
-	return false
+	c.rebased++
+	return p.rebase(c)
 }
 
 // A tableSpec says what one request segment encodes: the operation on
@@ -1000,8 +974,7 @@ func (p *LBLProxy) buildFrame(frame []byte, runs []run, specs []tableSpec) error
 		if r.g0 == 0 {
 			s := &specs[r.seg]
 			ek := p.prf.EncodeKey(s.key)
-			rid := RangeOf(s.key)
-			frame = frame[p.cfg.putSegHeader(frame, ek[:], rid, p.rangeEpoch(rid)):]
+			frame = frame[p.cfg.putSegHeader(frame, ek[:]):]
 			p.vk.seal(frame[:verifierLen], ek, s.ct)
 			p.vk.seal(frame[verifierLen:2*verifierLen], ek, s.ct+1)
 			frame = frame[2*verifierLen:]
@@ -1050,12 +1023,19 @@ const (
 // recordByte is the first byte of a record in mode m.
 func (m LBLMode) recordByte() byte { return byte(m) | recordFormat<<modeBits }
 
+// reservedLen is the width of the zero bytes that follow a segment's
+// encoded key. They carried a range ownership claim (range id and epoch)
+// while proxies fenced each other; now the proxy writes zeros and the
+// server skips them unread. They leave the header in the next entryFormat
+// bump, once the benchmark stops writing the header by hand.
+const reservedLen = 12
+
 // putSegHeader encodes one request segment's header into dst and
 // returns its length.
-func (c LBLConfig) putSegHeader(dst, encKey []byte, rangeID uint32, epoch uint64) int {
+func (c LBLConfig) putSegHeader(dst, encKey []byte) int {
 	n := copy(dst, encKey)
-	putClaim(dst[n:], rangeID, epoch)
-	n += lblClaimLen
+	clear(dst[n : n+reservedLen])
+	n += reservedLen
 	dst[n] = byte(c.Mode) | entryFormat<<modeBits
 	n++
 	n += binary.PutUvarint(dst[n:], uint64(c.Groups()))

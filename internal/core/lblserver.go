@@ -33,17 +33,6 @@ type LBLServer struct {
 	ops             atomic.Int64
 	decryptAttempts atomic.Int64
 
-	// epochs is the per-range ownership fence (epoch.go): the highest
-	// epoch claimed for each counter range. In-memory only — a restarted
-	// server relearns epochs from the first frame per range, and fencing
-	// correctness never depends on the server remembering them (the
-	// label schedule itself is the at-most-once guarantee; epochs only
-	// shut out ex-owners promptly).
-	epochs       [NumRanges]atomic.Uint64
-	fencedRounds atomic.Int64
-	epochBumps   atomic.Int64
-	maxEpoch     atomic.Uint64
-
 	// expiredRounds counts accesses dropped because their propagated
 	// deadline budget ran out before trial decryption (DESIGN.md §15).
 	expiredRounds atomic.Int64
@@ -54,11 +43,9 @@ func NewLBLServer(store *kvstore.Store) *LBLServer {
 	return &LBLServer{store: store}
 }
 
-// Register installs the LBL access handler and the ownership-claim
-// handler of epoch.go on ts.
+// Register installs the LBL access handler on ts.
 func (s *LBLServer) Register(ts *transport.Server) {
 	ts.Handle(MsgLBLAccess, s.handleAccess)
-	ts.Handle(MsgEpochClaim, s.handleEpochClaim)
 }
 
 // Ops returns the number of accesses served.
@@ -110,34 +97,34 @@ var errEntryFormat = errors.New("core: table entry format mismatch: proxy and se
 var errRecordFormat = errors.New("core: stored record format mismatch: records written by another release must be reloaded")
 
 // readSegHeader consumes one request segment's header from r: the
-// encoded key, the ownership claim, and the configuration the header
-// names — its mode, and the value size its group count makes, which
-// must be whole bytes.
-func readSegHeader(r *wire.Reader) (encKey, claim []byte, cfg LBLConfig, err error) {
+// encoded key, the reserved bytes (skipped unread), and the configuration
+// the header names — its mode, and the value size its group count makes,
+// which must be whole bytes.
+func readSegHeader(r *wire.Reader) (encKey []byte, cfg LBLConfig, err error) {
 	encKey = r.Raw(prf.Size)
-	claim = r.Raw(lblClaimLen)
+	r.Raw(reservedLen)
 	mode := r.Byte()
 	groups := r.Uvarint()
 	entryLen := r.Uvarint()
 	if err := r.Err(); err != nil {
-		return nil, nil, cfg, err
+		return nil, cfg, err
 	}
 	if mode>>modeBits != entryFormat {
-		return nil, nil, cfg, errEntryFormat
+		return nil, cfg, errEntryFormat
 	}
 	cfg.Mode = LBLMode(mode & (1<<modeBits - 1))
 	if err := checkMode(cfg.Mode); err != nil {
-		return nil, nil, cfg, err
+		return nil, cfg, err
 	}
 	bits := groups * uint64(cfg.Mode.Y())
 	if groups == 0 || groups > maxGroups || bits%8 != 0 {
-		return nil, nil, cfg, fmt.Errorf("core: implausible group count %d", groups)
+		return nil, cfg, fmt.Errorf("core: implausible group count %d", groups)
 	}
 	cfg.ValueSize = int(bits / 8)
 	if entryLen != uint64(cfg.Mode.entryLen()) {
-		return nil, nil, cfg, fmt.Errorf("core: entry length %d, want %d", entryLen, cfg.Mode.entryLen())
+		return nil, cfg, fmt.Errorf("core: entry length %d, want %d", entryLen, cfg.Mode.entryLen())
 	}
-	return encKey, claim, cfg, nil
+	return encKey, cfg, nil
 }
 
 // Response slot statuses. A response is one fixed-width slot per
@@ -153,23 +140,22 @@ const (
 	slotOK byte = iota
 	// slotNotFound: the store was not initialized with this key.
 	slotNotFound
-	// slotStale is the fencing rejection: the table is not keyed at the
-	// record's counter (the verifier it expects is not the record's, or an
-	// entry the stored labels should open does not), or the record moved
-	// while the table was being decrypted. Out of all rounds ever built
-	// for a key at one counter, at most one applies. The verifier it
-	// carries tells the proxy which counter the record is at
-	// (reconcile.go).
+	// slotStale: the table is not keyed at the record's counter (the
+	// verifier it expects is not the record's, or an entry the stored
+	// labels should open does not), or the record moved while the table
+	// was being decrypted. Out of all rounds ever built for a key at one
+	// counter, at most one applies. The verifier it carries tells the
+	// proxy which counter the record is at (reconcile.go).
 	slotStale
-	// slotFenced: the ownership claim is behind the range's epoch
-	// (epoch.go). Checked before any record work.
-	slotFenced
+	// Status 3 is unassigned, so the statuses after it keep their
+	// numbers; like any unassigned status it reads as unknown, which is
+	// tampering (slotError).
+	_
 	// slotExpired: the deadline budget ran out before the key's labels
 	// were installed (DESIGN.md §15).
 	slotExpired
 	// slotRejected: the record and the request disagree (mode or size),
-	// the claim names no range, or the store could not journal the
-	// update.
+	// or the store could not journal the update.
 	slotRejected
 	// slotRecordFormat: the stored record is of another record format
 	// (recordFormat), written by another release. Checked before any
@@ -177,8 +163,8 @@ const (
 	slotRecordFormat
 )
 
-// staleTableMarker, like the fence and expiry markers, is the constant
-// text a stale rejection carries across relays.
+// staleTableMarker, like the expiry markers, is the constant text a
+// stale rejection carries across relays.
 const staleTableMarker = "stale access table"
 
 var (
@@ -189,8 +175,8 @@ var (
 
 // slotError returns the error a response slot's status stands for, nil
 // for slotOK. The record is untouched in every failure case. Failures
-// are RemoteErrors with constant texts — no key, counter, or epoch
-// values — exactly what a relay one hop up would forward.
+// are RemoteErrors with constant texts — no key or counter values —
+// exactly what a relay one hop up would forward.
 func slotError(status byte) error {
 	var err error
 	switch status {
@@ -200,8 +186,6 @@ func slotError(status byte) error {
 		err = ErrNotFound
 	case slotStale:
 		err = errStaleTable
-	case slotFenced:
-		err = errFencedEpoch
 	case slotExpired:
 		err = errExpiredRound
 	case slotRejected:
@@ -214,10 +198,14 @@ func slotError(status byte) error {
 	return &transport.RemoteError{Msg: err.Error()}
 }
 
-// isStaleRound reports whether err is the server's fencing rejection:
-// an access table keyed at a counter whose labels the server has
-// already replaced.
-func isStaleRound(err error) bool {
+// IsStaleRound reports whether err is the server's stale rejection: an
+// access table keyed at a counter whose labels the server has already
+// replaced. One that reaches a caller surfaced through every recovery
+// layer — another proxy serving the same key kept advancing its record
+// past each rebase until the round's recovery allowance ran out. The
+// round demonstrably did not execute (the server refuses before
+// installing anything), so callers may simply retry the operation.
+func IsStaleRound(err error) bool {
 	var re *transport.RemoteError
 	return errors.As(err, &re) && strings.Contains(re.Msg, staleTableMarker)
 }
@@ -226,16 +214,16 @@ func isStaleRound(err error) bool {
 // propagated budget (frame header, DESIGN.md §15) ran out before trial
 // decryption began, so the round was dropped without touching the
 // record — a definite, retryable non-execution. Constant text, like
-// the fence and staleness markers, so rejections carry no
-// request-specific information.
+// the staleness marker, so rejections carry no request-specific
+// information.
 const expiredRoundMarker = "deadline budget expired before decrypt"
 
 var errExpiredRound = errors.New("core: " + expiredRoundMarker)
 
 // expiredBuildMarker is the proxy-side analogue of expiredRoundMarker:
 // the caller's deadline passed before the access table was built, so
-// nothing was ever sent. One constant error value — like the fence —
-// so the rejection carries no request-specific information.
+// nothing was ever sent. One constant error value, so the rejection
+// carries no request-specific information.
 const expiredBuildMarker = "deadline expired before table build; access not sent"
 
 var errDeadlineBeforeBuild = errors.New("core: " + expiredBuildMarker)
@@ -318,8 +306,8 @@ func decryptRange(mode LBLMode, rec *lblRecord, table []byte, g0, g1 int, newLab
 const requestAbortMarker = "request aborted before completion"
 
 // handleAccess is the one LBL access handler (steps 2.1–2.2 of §5.2).
-// A request is n ≥ 1 segments back to back — encoded key, ownership
-// claim, geometry, verifier pair, table — arriving whole in payload or,
+// A request is n ≥ 1 segments back to back — encoded key, reserved
+// bytes, geometry, verifier pair, table — arriving whole in payload or,
 // when the proxy
 // cut it, continued over the transport's StreamReader; the handler
 // consumes segments as their bytes land, trial-decrypting each arrived
@@ -415,7 +403,7 @@ func (req *lblRequest) consume(frame []byte) error {
 			seg = req.segs[n-1]
 		} else {
 			r := wire.NewReader(frame)
-			encKey, claim, cfg, err := readSegHeader(r)
+			encKey, cfg, err := readSegHeader(r)
 			if err != nil {
 				return err
 			}
@@ -431,7 +419,7 @@ func (req *lblRequest) consume(frame []byte) error {
 			if n == maxRoundKeys {
 				return fmt.Errorf("core: request exceeds %d accesses", maxRoundKeys)
 			}
-			seg = req.begin(string(encKey), claim, want, next)
+			seg = req.begin(string(encKey), want, next)
 			req.segs = append(req.segs, seg)
 			frame = frame[len(frame)-r.Remaining():]
 		}
@@ -460,15 +448,15 @@ func (req *lblRequest) consume(frame []byte) error {
 	return nil
 }
 
-// begin opens a segment: budget, then the ownership fence, then the
-// record its table opens and its verifier — in that order, so an expired
-// or fenced access costs no record work and a stale one no decryption.
+// begin opens a segment: budget, then the record its table opens and its
+// verifier — in that order, so an expired access costs no record work and
+// a stale one no decryption.
 // A chain's head snapshots the stored record; a segment naming the same
 // key as the one before it continues that chain from the record its
 // predecessor is building, whose verifier is the one the predecessor
 // installs. The record built starts with next, the verifier the segment
 // installs.
-func (req *lblRequest) begin(key string, claim, want, next []byte) *lblSegment {
+func (req *lblRequest) begin(key string, want, next []byte) *lblSegment {
 	s, cfg := req.srv, req.cfg
 	seg := &lblSegment{key: key}
 	if n := len(req.segs); n > 0 && req.segs[n-1].key == key {
@@ -477,13 +465,6 @@ func (req *lblRequest) begin(key string, claim, want, next []byte) *lblSegment {
 	if req.ctx.Err() != nil {
 		s.expiredRounds.Add(1)
 		seg.status = slotExpired
-		return seg
-	}
-	if err := s.checkEpoch(readClaim(claim)); err != nil {
-		seg.status = slotRejected
-		if errors.Is(err, errFencedEpoch) {
-			seg.status = slotFenced
-		}
 		return seg
 	}
 	seg.busy = obs.Time(s.mx.access, nil)
@@ -592,8 +573,9 @@ func (req *lblRequest) finish() ([]byte, error) {
 // record, takes the record through all of the chain's counter steps or
 // none of them, so a stale answer's verifier says where a lost chain left
 // the record. A record that moved in between was advanced by a concurrent
-// round keyed at the same counter — which a correct proxy never issues
-// — so this round is, by the label schedule's own fencing, stale.
+// round keyed at the same counter — another proxy's serving the same key,
+// since one proxy never issues two — so this round is stale: of all rounds
+// built at one counter, at most one installs.
 func (req *lblRequest) install(chain []*lblSegment, slots []byte) byte {
 	s := req.srv
 	head, tail := chain[0], chain[len(chain)-1]

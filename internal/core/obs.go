@@ -35,7 +35,7 @@ const (
 	lblBuild          // encryption-table build, steps 1.2–1.5: time spent sealing frames
 	lblRPC            // wire round trip, request out to response in, less the sealing it overlapped
 	lblRecover        // label→bit recovery + §5.4 integrity check, steps 3.1–3.2, and the counter commit
-	lblLadder         // the recovery ladder: claims after a fence, rebases after a stale answer, until the next lap's build
+	lblLadder         // the recovery ladder: rebases after a stale answer, until the next lap's build
 )
 
 // LBLStages declares the LBL proxy's stage family (ortoa_lbl_*, slow
@@ -122,9 +122,6 @@ type lblProxyObs struct {
 
 	reconciledKeys *obs.Counter // counters rebased up to a stale answer's verifier (reconcile.go)
 	rolledBackKeys *obs.Counter // stale answers whose verifier was behind the counter: a server rollback
-
-	epochClaims  *obs.Counter // counter ranges claimed (adoption or startup, epoch.go)
-	fencedRounds *obs.Counter // accesses rejected by the server's epoch fence
 }
 
 // Instrument registers the proxy's stage family and counters
@@ -145,11 +142,7 @@ func (p *LBLProxy) Instrument(reg *obs.Registry) {
 
 		reconciledKeys: reg.Counter("ortoa_lbl_reconciled_keys_total", "key counters rebased up to the record a stale answer reported"),
 		rolledBackKeys: reg.Counter("ortoa_lbl_rolled_back_keys_total", "stale answers reporting a record behind the proxy's counter (a server rollback; the access failed)"),
-
-		epochClaims:  reg.Counter("ortoa_lbl_epoch_claims_total", "counter-range ownership claims issued (startup or failover adoption)"),
-		fencedRounds: reg.Counter("ortoa_lbl_fenced_rounds_total", "accesses rejected by the server's epoch fence before adoption"),
 	}
-	reg.GaugeFunc("ortoa_lbl_owned_ranges", "counter ranges this proxy has claimed (epoch > 0)", p.OwnedRanges)
 }
 
 // lblServerObs instruments the untrusted LBL server's handler work:
@@ -165,12 +158,6 @@ func (s *LBLServer) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("ortoa_lbl_server_ops_total", "LBL accesses served", s.ops.Load)
 	reg.CounterFunc("ortoa_lbl_server_decrypt_attempts_total",
 		"authenticated decryptions attempted (the cost §10.2 halves)", s.decryptAttempts.Load)
-	reg.CounterFunc("ortoa_lbl_server_fenced_rounds_total",
-		"accesses rejected by the epoch fence (stale range ownership)", s.fencedRounds.Load)
-	reg.CounterFunc("ortoa_lbl_server_epoch_bumps_total",
-		"range-epoch installs (claims plus relearned epochs after restart)", s.epochBumps.Load)
-	reg.GaugeFunc("ortoa_lbl_server_max_epoch",
-		"highest range ownership epoch granted", func() int64 { return int64(s.maxEpoch.Load()) })
 	reg.CounterFunc("ortoa_lbl_server_expired_rounds_total",
 		"accesses dropped because their deadline budget expired before trial decryption", s.expiredRounds.Load)
 	s.mx = lblServerObs{

@@ -19,7 +19,7 @@ import (
 // the held accesses that expired, and the router's busy breaker.
 
 // TestExpiredRoundSlot: a request whose deadline has already passed is
-// answered slot by slot with slotExpired — before the fence, before any
+// answered slot by slot with slotExpired — before any record work or
 // trial decryption — and leaves the record untouched.
 func TestExpiredRoundSlot(t *testing.T) {
 	srv, req := seededLBLServer(t)
@@ -252,7 +252,7 @@ func TestHoldShedsExpiredWaiter(t *testing.T) {
 // TestRouterBusyBreaker: consecutive busy rejections bench a member
 // behind fail-fast busies — no wire traffic — and the first access
 // after the retry-after window is the readmission probe. The member is
-// never evicted from the ring (benching must not move range ownership).
+// never evicted from the ring (benching must not move its keys to a peer).
 func TestRouterBusyBreaker(t *testing.T) {
 	const retryAfter = 60 * time.Millisecond
 	s := transport.NewServer()

@@ -25,7 +25,7 @@ func applyTable(t *testing.T, p *LBLProxy, key string, record, table []byte) (bo
 		t.Fatal(err)
 	}
 	req := make([]byte, cfg.segPrefixLen(), cfg.RequestBytesPerAccess())
-	n := cfg.putSegHeader(req, ek[:], 0, 0)
+	n := cfg.putSegHeader(req, ek[:])
 	p.vk.seal(req[n:], ek, 0)
 	p.vk.seal(req[n+verifierLen:], ek, 1)
 	resp, err := NewLBLServer(store).handleAccess(context.Background(), append(req, table[:cfg.Groups()*cfg.groupBytes()]...))

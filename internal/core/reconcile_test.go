@@ -135,10 +135,11 @@ func TestRecordAt(t *testing.T) {
 }
 
 // TestProxyBehindHeals: the server's record is gap accesses past the
-// proxy's counter — a proxy resumed from a stale counter file, an
-// adopter, a lost response. The key's next access is answered stale
-// with the record's verifier, rebases and goes around once: two requests
-// whatever the gap, with no window to fall out of.
+// proxy's counter — a proxy resumed from a stale counter file, a peer
+// taking over a dead proxy's keys, a lost response. The key's next
+// access is answered stale with the record's verifier, rebases and goes
+// around once: two requests whatever the gap, with no window to fall
+// out of.
 func TestProxyBehindHeals(t *testing.T) {
 	for _, gap := range []uint64{2, 500, 4096, 4097, 100_000} {
 		t.Run(fmt.Sprintf("gap=%d", gap), func(t *testing.T) {
@@ -230,7 +231,7 @@ func TestMisplacedRecordIsDefinite(t *testing.T) {
 	regressServer(t, r, proxy, "k", recordAt(proxy, "other", []byte{3, 3, 3, 3}, 500))
 	requests := accessRequests(r)
 	_, _, err := proxy.Access(OpRead, "k", nil)
-	if !isStaleRound(err) || requests.Load() != 1 {
+	if !IsStaleRound(err) || requests.Load() != 1 {
 		t.Fatalf("access against another key's record: %v after %d requests, want one stale rejection", err, requests.Load())
 	}
 	if rebased, behind := proxy.mx.reconciledKeys.Value(), proxy.mx.rolledBackKeys.Value(); rebased != 0 || behind != 0 {

@@ -5,29 +5,28 @@ import (
 	"strconv"
 )
 
-// Counter-range partitioning for multi-proxy deployments. The LBL
-// proxy's only irreplaceable state is the per-key access counter
-// (§5.3.1); running N proxies therefore means partitioning counter
-// OWNERSHIP, not data — every proxy holds the same PRF secret and can
-// serve any key, but at any moment exactly one proxy should be
-// advancing a given key's counter, or two proxies would race the same
-// label schedule. Keys are folded into a fixed number of counter
-// ranges, and a consistent-hash ring maps each range to the proxy that
-// currently owns it. Ownership is enforced by the server's epoch fence
-// (epoch.go): the ring is a routing hint, the fence is the guarantee.
+// Counter-range placement for multi-proxy and sharded deployments.
+// Every proxy holds the same PRF secret and can serve any key; the
+// record's verifier decides between proxies, since the server installs a
+// round only by compare-and-swap against the record its table expects,
+// so at most one round per counter value applies whoever sent it
+// (lblserver.go). Two proxies serving one key stay correct but pay stale
+// laps, each rebasing whenever the other moved the record. Placement
+// keeps that rare: keys are folded into a fixed number of counter ranges,
+// and a consistent-hash ring places each range on one member, which the
+// Router tries first.
 
-// NumRanges is the fixed size of the counter-range partition space.
-// Ranges — not raw keys — are the unit of ownership, epoch fencing,
-// and failover handoff, so the space must be stable across membership
-// changes; 64 ranges keep the per-range epoch tables one cache line's
-// worth of counters while still splitting finely across the ≤8-proxy
-// deployments the failover experiment scales to.
+// NumRanges is the fixed size of the counter-range space. Ranges — not
+// raw keys — are the unit of placement, for proxies and shards alike, so
+// the space must be stable across membership changes; 64 ranges still
+// split finely across the ≤8-proxy deployments the failover experiment
+// scales to.
 const NumRanges = 64
 
 // RangeOf maps a plaintext key to its counter range — the one place a
 // key is hashed for placement: the proxy's counter table stripes its
-// locks by it, proxies own ranges, and sharded deployments place whole
-// ranges (RangePlacement).
+// locks by it, the Router places ranges on proxies, and sharded
+// deployments place whole ranges on shards (RangePlacement).
 func RangeOf(key string) uint32 { return uint32(fnv1a(key) % NumRanges) }
 
 // fnv1a is 64-bit FNV-1a, written out because hash/fnv costs an
@@ -56,8 +55,8 @@ func ringHash(s string) uint64 {
 // the max/min ownership skew low even at two members.
 const ringVnodes = 128
 
-// A Ring is a consistent-hash assignment of the NumRanges counter
-// ranges to a set of named members (proxies). It is immutable once
+// A Ring is a consistent-hash placement of the NumRanges counter
+// ranges on a set of named members (proxies or shards). It is immutable once
 // built; membership changes build a new Ring, and consistent hashing
 // guarantees the rebuild moves only the ranges that must move — on
 // average 1/N of them when one of N members joins or leaves, never a
@@ -145,21 +144,10 @@ func (r *Ring) OwnerOfKey(key string) string { return r.Owner(RangeOf(key)) }
 // is shared; callers must not modify it.
 func (r *Ring) Members() []string { return r.members }
 
-// Ranges returns the range ids owned by member, in ascending order.
-func (r *Ring) Ranges(member string) []uint32 {
-	var out []uint32
-	for rid := uint32(0); rid < NumRanges; rid++ {
-		if r.owners[rid] == member {
-			out = append(out, rid)
-		}
-	}
-	return out
-}
-
 // RangePlacement spreads the counter ranges over n shards through a
 // ring of shard names and returns the shard index holding each range,
-// so a sharded deployment places keys by the same unit proxy ownership
-// moves: growing or shrinking the shard set relocates only the ranges
+// so a sharded deployment places keys by the same unit the Router places
+// on proxies: growing or shrinking the shard set relocates only the ranges
 // consistent hashing must move.
 func RangePlacement(n int) [NumRanges]int {
 	names := make([]string, n)

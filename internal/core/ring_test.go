@@ -66,7 +66,13 @@ func TestRingDistribution(t *testing.T) {
 			r := NewRing(ringMembers(n))
 			var owned []int
 			for _, m := range r.Members() {
-				owned = append(owned, len(r.Ranges(m)))
+				o := 0
+				for rid := uint32(0); rid < NumRanges; rid++ {
+					if r.Owner(rid) == m {
+						o++
+					}
+				}
+				owned = append(owned, o)
 			}
 			if fmt.Sprint(owned) != fmt.Sprint(want) {
 				t.Errorf("members own %v ranges, want %v", owned, want)
@@ -173,7 +179,7 @@ func TestRingMembershipEdgeCases(t *testing.T) {
 }
 
 // TestRangePlacement pins the one placement function sharded
-// deployments share with proxy ownership: every range lands on a valid
+// deployments share with proxy placement: every range lands on a valid
 // shard, every shard of a realistic deployment holds some, and growing
 // the shard set moves ranges only onto the new shard.
 func TestRangePlacement(t *testing.T) {

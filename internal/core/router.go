@@ -14,22 +14,21 @@ import (
 
 // Client-side proxy-set routing for multi-proxy deployments. A Router
 // fronts N proxies behind the one Accessor interface every workload
-// already uses: each access is steered to the proxy owning the key's
-// counter range (ring.go), a dead proxy is detected by its transport
-// failures and routed around immediately, and a background prober
-// re-admits it — with bounded exponential backoff — once its listener
-// answers again. Ownership rejections (epoch fences that a proxy
-// declined to adopt through) redirect to the next peer rather than
-// failing the caller, so a kill mid-workload costs one redirect, not an
-// outage. Busy rejections (admission-control sheds — a definite
-// not-executed outcome) are NOT failed over: offering the access to a
-// peer would adopt the key's counter range through the epoch fence, and
-// under symmetric overload ownership would ping-pong between saturated
-// proxies, paying a claim plus counter rebase per flip. The shed is
-// surfaced to the caller, who backs off per the retry-after hint; a
-// member that sheds consecutively is circuit-broken into a fail-fast
-// bench — accesses return busy without a wire round trip — and the
-// first access after the bench window is the readmission probe.
+// already uses: each access is first offered to the proxy the ring
+// places the key's counter range on (ring.go), a dead proxy is detected
+// by its transport failures and routed around immediately — any peer can
+// serve any key, and its first access to a key it has not served rebases
+// from the stale answer — and a background prober re-admits it, with
+// bounded exponential backoff, once its listener answers again. Busy
+// rejections (admission-control sheds — a definite not-executed outcome)
+// are NOT failed over: a peer serving the key would contend with the
+// placed proxy for the key's counter, each paying stale laps whenever the
+// other moved the record, and under symmetric overload that contention
+// would only add work to saturated proxies. The shed is surfaced to the
+// caller, who backs off per the retry-after hint; a member that sheds
+// consecutively is circuit-broken into a fail-fast bench — accesses
+// return busy without a wire round trip — and the first access after the
+// bench window is the readmission probe.
 
 // A RouterMember names one proxy and how to reach it.
 type RouterMember struct {
@@ -42,27 +41,24 @@ type RouterOptions struct {
 	// Client is the per-member transport configuration (pool size,
 	// call timeouts, retry policy).
 	Client transport.Options
-	// Attempts bounds how many members one access may try before its
-	// last error is surfaced. Default: member count + 1, so a full
-	// sweep plus one redirect always fits.
-	Attempts int
 	// ProbeInterval is the health-prober tick. Default 100ms.
 	ProbeInterval time.Duration
-	// ProbeBackoffMax caps the per-member probe backoff that doubles on
-	// every failed probe. Default 2s.
-	ProbeBackoffMax time.Duration
 	// BusyBreaker is the number of consecutive busy rejections from one
 	// member before the router circuit-breaks it: accesses to the member
 	// fail fast with busy — no wire round trip — until its retry-after
 	// window passes, and the first access after the window is the
 	// readmission probe. The member stays in the routing ring throughout
 	// (benching is backpressure, not failure — moving its keys to a peer
-	// would steal range ownership). Default 3.
+	// would make two proxies contend for their counters). Default 3.
 	BusyBreaker int
 	// Metrics, when non-nil, registers the router's metrics
 	// (ortoa_router_*) before the health prober starts.
 	Metrics *obs.Registry
 }
+
+// probeBackoffMax caps the per-member probe backoff that doubles on
+// every failed probe.
+const probeBackoffMax = 2 * time.Second
 
 // ErrNoProxies reports an access that found no member to try.
 var ErrNoProxies = errors.New("core: router has no reachable proxies")
@@ -134,7 +130,6 @@ type Router struct {
 
 // routerObs is the Router's metric bundle (nil-safe handles).
 type routerObs struct {
-	redirects *obs.Counter // fence rejections redirected to a peer
 	failovers *obs.Counter // accesses moved off a failed member
 	busies    *obs.Counter // busy rejections routed around
 	trips     *obs.Counter // busy-breaker trips (member benched until probed)
@@ -150,7 +145,6 @@ func (r *Router) instrument(reg *obs.Registry) {
 		return
 	}
 	r.mx = routerObs{
-		redirects: reg.Counter("ortoa_router_redirects_total", "accesses redirected to a peer after an ownership fence"),
 		failovers: reg.Counter("ortoa_router_failovers_total", "accesses moved off a member after a transport failure"),
 		busies:    reg.Counter("ortoa_router_busy_total", "busy rejections (shed before executing) surfaced for caller backoff"),
 		trips:     reg.Counter("ortoa_router_breaker_trips_total", "members benched behind fail-fast busies after consecutive sheds"),
@@ -166,14 +160,8 @@ func NewRouter(members []RouterMember, opts RouterOptions) (*Router, error) {
 	if len(members) == 0 {
 		return nil, errors.New("core: router needs at least one member")
 	}
-	if opts.Attempts <= 0 {
-		opts.Attempts = len(members) + 1
-	}
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 100 * time.Millisecond
-	}
-	if opts.ProbeBackoffMax <= 0 {
-		opts.ProbeBackoffMax = 2 * time.Second
 	}
 	if opts.BusyBreaker <= 0 {
 		opts.BusyBreaker = 3
@@ -227,7 +215,7 @@ func (r *Router) healthyCount() int {
 	return n
 }
 
-// rebuildRing re-resolves range ownership over the currently healthy
+// rebuildRing re-resolves range placement over the currently healthy
 // member set (all members if none are healthy, so routing still has
 // candidates while everything is down).
 func (r *Router) rebuildRing() {
@@ -254,9 +242,10 @@ func (r *Router) markDown(m *routerMember) {
 	}
 }
 
-// pick returns the next member to try for key: the ring owner first,
-// then the remaining healthy members, then — last resort — unhealthy
-// ones (they may have just recovered). tried is consulted and updated.
+// pick returns the next member to try for key: the ring's placement
+// first, then the remaining healthy members, then — last resort —
+// unhealthy ones (they may have just recovered); nil once every member
+// has been tried. tried is consulted and updated.
 func (r *Router) pick(key string, tried map[*routerMember]bool) *routerMember {
 	owner := r.ring.Load().OwnerOfKey(key)
 	var healthyUntried, anyUntried *routerMember
@@ -285,23 +274,18 @@ func (r *Router) pick(key string, tried map[*routerMember]bool) *routerMember {
 	return next
 }
 
-// Access implements Accessor: route to the key's owner, failing over
-// on dead members and redirecting on ownership fences, up to
-// opts.Attempts members.
+// Access implements Accessor: route to the key's placed member, failing
+// over on dead members, each member tried at most once.
 func (r *Router) Access(op Op, key string, newValue []byte) ([]byte, AccessStats, error) {
 	var lastErr, ambigErr error
 	var lastStats AccessStats
 	tried := make(map[*routerMember]bool, 2)
-	for attempt := 0; attempt < r.opts.Attempts; attempt++ {
-		m := r.pick(key, tried)
-		if m == nil {
-			break
-		}
+	for m := r.pick(key, tried); m != nil; m = r.pick(key, tried) {
 		if until := m.benchedUntil.Load(); until != 0 {
 			if wait := time.Until(time.Unix(0, until)); wait > 0 {
 				// Benched by the busy breaker: fail fast with the
 				// shedder's outcome instead of offering more load (or
-				// letting a peer steal the key's range ownership).
+				// letting a peer contend for the key's counter).
 				err := &transport.BusyError{RetryAfter: wait}
 				if ambigErr != nil {
 					return nil, lastStats, ambigErr
@@ -339,13 +323,12 @@ func (r *Router) Access(op Op, key string, newValue []byte) ([]byte, AccessStats
 		case transport.IsBusy(err):
 			// The member (or its upstream server) shed the access before
 			// executing it — a definite outcome, not an ambiguity. Do NOT
-			// fail over: a peer serving this key
-			// would adopt its counter range through the epoch fence, and
-			// under symmetric overload ownership would ping-pong between
-			// saturated proxies, burning a claim + counter rebase per
-			// flip. Surface the shed so the caller backs off; consecutive
-			// sheds bench the member behind fail-fast busies until its
-			// retry-after window passes.
+			// fail over: a peer serving this key contends with the
+			// member for its counter, and each pays stale laps whenever
+			// the other moved the record — under symmetric overload, work
+			// added to saturated proxies. Surface the shed so the caller
+			// backs off; consecutive sheds bench the member behind
+			// fail-fast busies until its retry-after window passes.
 			r.mx.busies.Inc()
 			if m.busyStreak.Add(1) >= int64(r.opts.BusyBreaker) {
 				m.busyStreak.Store(0)
@@ -356,24 +339,23 @@ func (r *Router) Access(op Op, key string, newValue []byte) ([]byte, AccessStats
 				return nil, lastStats, ambigErr
 			}
 			return nil, stats, err
-		case isFencedRound(err), isStaleRound(err):
-			// The member declined ownership of this key's range (fenced
-			// at the server and did not adopt), or its counter snapshot
-			// lost an ownership ping-pong during a live handoff (stale
-			// past its recovery allowance). Another member is — or will
-			// become — the authoritative owner; redirect.
-			r.mx.redirects.Inc()
 		case isRemote && !transport.Ambiguous(err):
-			// Any other definite application-level error is the
-			// access's real outcome (unknown key, bad value): failing
-			// over cannot change it.
+			// A definite application-level error is the access's real
+			// outcome (unknown key, bad value, stale past the member's
+			// recovery allowance): failing over cannot change it. An
+			// earlier member's unknown outcome still wins — that round
+			// may have applied, so the access's outcome is unknown.
+			if ambigErr != nil {
+				return nil, lastStats, ambigErr
+			}
 			return nil, stats, err
 		case isRemote:
 			// The member is alive but its own server round's outcome is
 			// unknown (AmbiguousMsgPrefix). Retrying on a peer is safe —
-			// the at-most-once replay and the protocol's counter
-			// self-fencing make a duplicate application impossible — and
-			// the member stays in the ring.
+			// the at-most-once replay and the record's verifier, which
+			// lets at most one round per counter value install, make a
+			// duplicate application impossible — and the member stays in
+			// the ring.
 			r.mx.failovers.Inc()
 			ambigErr = err
 		default:
@@ -423,10 +405,7 @@ func (r *Router) probeLoop() {
 						r.rebuildRing()
 					}
 				} else {
-					b := 2 * time.Duration(m.backoff.Load())
-					if b > r.opts.ProbeBackoffMax {
-						b = r.opts.ProbeBackoffMax
-					}
+					b := min(2*time.Duration(m.backoff.Load()), probeBackoffMax)
 					m.backoff.Store(int64(b))
 					m.nextProbe.Store(now.Add(b).UnixNano())
 				}

@@ -438,7 +438,7 @@ func TestModeTableGolden(t *testing.T) {
 		if m, ok := LBLModeNamed(c.name); !ok || m != c.mode || c.mode.String() != c.name {
 			t.Errorf("mode %d is named %q; %q names mode %d (found %v)", c.mode, c.mode, c.name, m, ok)
 		}
-		got := pinned{rec[0], req[prf.Size+lblClaimLen], c.mode.entryLen(), len(rec), len(req), cfg.ResponseBytesPerAccess()}
+		got := pinned{rec[0], req[prf.Size+reservedLen], c.mode.entryLen(), len(rec), len(req), cfg.ResponseBytesPerAccess()}
 		if got != c.want {
 			t.Errorf("%v: got %+v, want %+v", c.mode, got, c.want)
 		}
@@ -446,7 +446,7 @@ func TestModeTableGolden(t *testing.T) {
 			t.Errorf("%v: the size methods say %d B records and %d B requests, the proxy built %d and %d", c.mode,
 				cfg.ServerBytesPerValue(), cfg.RequestBytesPerAccess(), len(rec), len(req))
 		}
-		if _, _, got, err := readSegHeader(wire.NewReader(req)); err != nil || got != cfg {
+		if _, got, err := readSegHeader(wire.NewReader(req)); err != nil || got != cfg {
 			t.Errorf("%v: the server reads the header as %+v, %v; want %+v", c.mode, got, err, cfg)
 		}
 		if c.mode.entries() > maxEntries {

@@ -26,17 +26,12 @@ import "ortoa/internal/wire"
 func ShapeClassify(msgType byte, payload []byte) (class uint64, strictReq, strictResp bool) {
 	switch msgType {
 	case MsgLBLAccess:
-		_, _, cfg, err := readSegHeader(wire.NewReader(payload))
+		_, cfg, err := readSegHeader(wire.NewReader(payload))
 		if err != nil {
 			return 0, false, false
 		}
 		return lblShapeClass(cfg, uint64(len(payload)/cfg.groupBytes())), true, true
 	case MsgTEEAccess:
-		return 0, true, true
-	case MsgEpochClaim:
-		// Ownership claims are fixed-width both ways (epoch.go), and
-		// carry no secrets — but pinning them strict proves failover
-		// traffic is as shape-invariant as access traffic.
 		return 0, true, true
 	}
 	return 0, false, false

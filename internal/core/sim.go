@@ -117,17 +117,12 @@ func (s *LBLSimulator) Simulate(keys ...string) ([][]byte, error) {
 			if r.g0 == 0 {
 				// The simulator does not know the PRF key; a random encoded
 				// key of the right size stands in (the adversary sees PRF
-				// outputs either way). It does know the key, so it stamps the
-				// key's range — routing data, the same datum sharded
-				// deployments already reveal by which server a request
-				// reaches — under the single-proxy epoch 0. The claim is
-				// fixed-width, so simulated and real frames are structurally
-				// identical whatever the epoch.
+				// outputs either way).
 				ek, err := randomLabel()
 				if err != nil {
 					return nil, err
 				}
-				frame = frame[cfg.putSegHeader(frame, ek, RangeOf(key), 0):]
+				frame = frame[cfg.putSegHeader(frame, ek):]
 				// The verifier pair: the one the simulator's server holds and
 				// a fresh one it will.
 				copy(frame, rec.verifier)

@@ -283,12 +283,19 @@ func (c *TEEClient) Access(op Op, key string, newValue []byte) (value []byte, st
 	}
 	clk.Enter(teeOpen)
 	stats.RespBytes = len(resp)
-	value, err = c.box.Open(resp)
+	value, err = c.result(resp)
+	return value, stats, err
+}
+
+// result opens the server's answer: it must be a sealing of a ValueSize
+// value under the data key, and anything else is ErrTampered.
+func (c *TEEClient) result(resp []byte) ([]byte, error) {
+	value, err := c.box.Open(resp)
 	if err != nil {
-		return nil, stats, fmt.Errorf("%w: %v", ErrTampered, err)
+		return nil, fmt.Errorf("%w: %v", ErrTampered, err)
 	}
 	if len(value) != c.cfg.ValueSize {
-		return nil, stats, fmt.Errorf("%w: result has %d bytes", ErrTampered, len(value))
+		return nil, fmt.Errorf("%w: result has %d bytes", ErrTampered, len(value))
 	}
-	return value, stats, nil
+	return value, nil
 }

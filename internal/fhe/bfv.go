@@ -467,6 +467,11 @@ func UnmarshalCiphertext(p Parameters, data []byte) (*Ciphertext, error) {
 		return nil, fmt.Errorf("fhe: ciphertext with %d polynomials", nPolys)
 	}
 	cb := p.coeffBytes()
+	// Sized by the bytes at hand, never by the count alone: a short
+	// ciphertext is refused before anything is allocated for it.
+	if want := int(nPolys) * p.N * cb; r.Remaining() != want {
+		return nil, fmt.Errorf("fhe: %d polynomials need %d coefficient bytes, have %d", nPolys, want, r.Remaining())
+	}
 	polys := make([][]*big.Int, nPolys)
 	for i := range polys {
 		poly := make([]*big.Int, p.N)

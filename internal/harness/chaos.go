@@ -20,9 +20,9 @@ var chaosClaim = Claim{Statement: "under injected resets, stalls, blackholes and
 // absorb everything else — so any definite failure is fatal.
 //
 // A second phase reruns the faults against a 3-proxy HA deployment and
-// crash-restarts one proxy mid-run, so transport faults, ownership
-// handoff, and epoch-fence adoption all overlap; there handoff
-// rejections are legitimate too.
+// crash-restarts one proxy mid-run, so transport faults, failover and
+// peers rebasing the keys they take over all overlap; there stale
+// rejections past a round's recovery allowance are legitimate too.
 //
 // Obliviousness under retries is asserted separately by the
 // deterministic-fault test in internal/core (the traces here are
@@ -89,9 +89,9 @@ func chaosPhase(t *Table, opt Options, proxies int) error {
 
 	d := newDrill(cluster, keys, workers, gen+1, tolerate)
 	if proxies > 0 {
-		// Crash-restart one proxy halfway through: its ranges are adopted
-		// by the survivors under fault injection, then re-adopted back on
-		// demand once it returns.
+		// Crash-restart one proxy halfway through: the survivors serve its
+		// keys under fault injection, rebasing each, and it rebases them
+		// back on demand once it returns.
 		d.at(int64(workers*opsPerWorker/2), func() error {
 			if err := cluster.KillProxy(0); err != nil {
 				return err
@@ -128,8 +128,8 @@ func chaosPhase(t *Table, opt Options, proxies int) error {
 	t.AddRow(name+"audit", fmt.Sprint(audited), fmt.Sprint(audited), "0", "-", "-", "-", "-", "faults off")
 	if proxies > 0 {
 		t.Notes = append(t.Notes,
-			fmt.Sprintf("multi-proxy audit passed: %d keys consistent across %d faults plus a proxy crash-restart — %d adoption claims, %d rounds fenced, 0 shape violations",
-				audited, fs.Total(), reg.Value("ortoa_lbl_epoch_claims_total"), reg.Value("ortoa_lbl_server_fenced_rounds_total")))
+			fmt.Sprintf("multi-proxy audit passed: %d keys consistent across %d faults plus a proxy crash-restart — %d key rebases, %d router failovers, 0 shape violations",
+				audited, fs.Total(), reg.Value("ortoa_lbl_reconciled_keys_total"), reg.Value("ortoa_router_failovers_total")))
 		return nil
 	}
 	t.Notes = append(t.Notes,

@@ -80,8 +80,8 @@ type Config struct {
 	// enabling Restart (kill-without-flush + recovery). LBL only.
 	Durability *DurabilityConfig
 	// Proxies, when positive, deploys that many trusted proxies sharing
-	// one PRF secret over a single LBL shard, with counter ownership
-	// ring-partitioned and epoch-fenced; Cluster.Access then routes
+	// one PRF secret over a single LBL shard, keys placed on them by a
+	// consistent-hash ring; Cluster.Access then routes
 	// through a health-probing core.Router, and KillProxy /
 	// RecoverProxy / RestartProxy drive live failover. Requires
 	// System == SystemLBL and Shards <= 1.

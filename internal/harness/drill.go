@@ -53,8 +53,9 @@ const (
 	// operation is offered again after the shedder's hint.
 	outcomeBusy
 	// outcomeRejected: refused before executing by a named protocol
-	// check — an ownership handoff's fence or stale-table rejection, or
-	// an expired deadline budget; the set is unchanged, the op skipped.
+	// check — a stale rejection past the round's recovery allowance while
+	// two proxies serve one key, or an expired deadline budget; the set
+	// is unchanged, the op skipped.
 	outcomeRejected
 	// outcomeFailed: any other definite error; the set is unchanged.
 	// Legitimate only while a tier is being killed under the workload.
@@ -79,7 +80,7 @@ func classify(err error) outcome {
 		return outcomeBusy
 	case transport.Ambiguous(err):
 		return outcomeAmbiguous
-	case core.IsHandoffTransient(err), core.IsDeadlineExpired(err):
+	case core.IsStaleRound(err), core.IsDeadlineExpired(err):
 		return outcomeRejected
 	default:
 		return outcomeFailed
@@ -291,7 +292,7 @@ func (d *drill) offer(sets map[string]valSet, key string, val []byte, t *drillTo
 
 // audit reads every tracked key back once the drill's faults are over:
 // each must read cleanly and hold an acceptable value, and whatever the
-// faults made the tiers send — retries, replays, fences, busy frames,
+// faults made the tiers send — retries, replays, stale answers, busy frames,
 // cut requests — the shape auditors on both sides must have seen no
 // frame leave its class's pinned length. It returns the number of keys
 // audited.

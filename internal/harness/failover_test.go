@@ -13,14 +13,14 @@ import (
 
 // TestFailoverQuick runs the failover experiment end to end at
 // unit-test scale. The drill self-audits (zero lost acked writes,
-// label-schedule consistency across the handoff, zero shape
+// label-schedule consistency across the kill, zero shape
 // violations), so a nil error is the assertion.
 func TestFailoverQuick(t *testing.T) {
 	tbl, err := Failover(Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// kill-adopt + audit.
+	// kill + audit.
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("failover table has %d rows, want 2", len(tbl.Rows))
 	}
@@ -66,7 +66,7 @@ func newFailoverCluster(t *testing.T, reg *obs.Registry) *Cluster {
 
 // TestRestartProxyStableIdentity crash-kills and recovers one proxy
 // behind its listener identity: accesses keep succeeding throughout,
-// and the reborn proxy re-adopts ownership on demand.
+// and the reborn proxy rebases each key on its first access.
 func TestRestartProxyStableIdentity(t *testing.T) {
 	reg := obs.NewRegistry()
 	cluster := newFailoverCluster(t, reg)

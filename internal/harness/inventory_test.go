@@ -73,7 +73,7 @@ func TestMetricInventory(t *testing.T) {
 	lbl := pair(
 		tier.ServerConfig{Protocol: tier.LBL, StateDir: t.TempDir(),
 			Durability: kvstore.WALOptions{Policy: kvstore.SyncGroupCommit}, Admission: admission},
-		tier.ProxyConfig{Protocol: tier.LBL, LBL: core.LBLConfig{Mode: core.LBLPointPermute, AutoAdopt: true}})
+		tier.ProxyConfig{Protocol: tier.LBL, LBL: core.LBLConfig{Mode: core.LBLPointPermute}})
 	front, err := lbl.NewFront(tier.FrontConfig{Admission: admission})
 	if err != nil {
 		t.Fatal(err)

@@ -15,13 +15,13 @@ import (
 
 // Multi-proxy high-availability deployments (LBL only). With
 // Config.Proxies > 0 the cluster runs N trusted proxies sharing one PRF
-// secret against a single LBL server. Counter ownership is partitioned
-// across the proxies by the consistent-hash ring and enforced by the
-// server's epoch fence (core/ring.go, core/epoch.go); clients reach the
-// deployment through a core.Router that health-checks the proxies and
-// fails over between them. KillProxy / RecoverProxy / RestartProxy
-// crash-kill and rebuild individual proxies behind stable listener
-// identities, so experiments can drive live ownership handoffs.
+// secret against a single LBL server. Clients reach the deployment
+// through a core.Router that places keys on the proxies by the
+// consistent-hash ring (core/ring.go), health-checks them and fails over
+// between them; the records' verifiers decide between proxies serving one
+// key. KillProxy / RecoverProxy / RestartProxy crash-kill and rebuild
+// individual proxies behind stable listener identities, so experiments
+// can move keys between live proxies.
 
 // A proxyNode is one restartable trusted proxy: its own trusted tier —
 // connection pool to the shard server and LBL proxy state — and the
@@ -49,18 +49,12 @@ func (c *Cluster) buildProxies() error {
 	for i := range names {
 		names[i] = fmt.Sprintf("proxy-%d", i)
 	}
-	ring := core.NewRing(names)
 	for _, name := range names {
 		pn := &proxyNode{name: name}
 		if err := c.startProxy(pn); err != nil {
 			return fmt.Errorf("harness: starting %s: %w", name, err)
 		}
 		c.proxies = append(c.proxies, pn)
-		// Startup handshake: each proxy claims its ring partition, so
-		// every range starts at epoch ≥ 1 with exactly one owner.
-		if err := pn.px.LBL.ClaimOwned(ring, pn.name); err != nil {
-			return fmt.Errorf("harness: %s claiming ranges: %w", pn.name, err)
-		}
 	}
 
 	members := make([]core.RouterMember, len(c.proxies))
@@ -86,13 +80,11 @@ func (c *Cluster) buildProxies() error {
 }
 
 // startProxy builds (or rebuilds) the node's trusted tier and front
-// end. A rebuilt node starts with empty counters and no claimed ranges:
-// ownership is re-acquired on demand through the epoch fence
-// (AutoAdopt), exactly like a production proxy restarted from nothing.
+// end. A rebuilt node starts with empty counters: each key's first
+// access is answered stale and rebases, exactly like a production proxy
+// restarted from nothing.
 func (c *Cluster) startProxy(pn *proxyNode) error {
-	pcfg := c.proxyConfig(c.prf)
-	pcfg.LBL.AutoAdopt = true
-	px, err := tier.NewProxy(pcfg, c.shards[0].dial)
+	px, err := tier.NewProxy(c.proxyConfig(c.prf), c.shards[0].dial)
 	if err != nil {
 		return err
 	}
@@ -127,7 +119,7 @@ func (c *Cluster) proxyNodeAt(i int) (*proxyNode, error) {
 
 // KillProxy crash-kills proxy i: its server connections drop, its
 // front end closes (in-flight client rounds fail over at the router),
-// and its listener stops answering — counters, claimed ranges, and all.
+// and its listener stops answering — counters and all.
 // The proxy stays dead until RecoverProxy.
 func (c *Cluster) KillProxy(i int) error {
 	pn, err := c.proxyNodeAt(i)
@@ -149,9 +141,8 @@ func (c *Cluster) KillProxy(i int) error {
 }
 
 // RecoverProxy rebuilds a killed proxy behind its stable listener
-// identity, with empty counters and no owned ranges: like any restarted
-// proxy it re-adopts ranges on demand through the epoch fence and
-// rebases each counter from its key's first stale answer.
+// identity, with empty counters: like any restarted proxy it rebases
+// each counter from its key's first stale answer.
 func (c *Cluster) RecoverProxy(i int) error {
 	pn, err := c.proxyNodeAt(i)
 	if err != nil {

@@ -46,7 +46,7 @@ var Experiments = []Experiment{
 	{"ablation-tee", "TEE transition-cost sensitivity (§6.2.1, extension)", EnclaveCostAblation, enclaveCostClaim},
 	{"ablation-zipf", "LBL-ORTOA under Zipfian key skew (extension)", ZipfAblation, zipfClaim},
 	{"chaos", "mixed workload under injected transport faults (robustness extension)", Chaos, chaosClaim},
-	{"failover", "multi-proxy kill-and-adopt drill with epoch-fenced ownership (robustness extension)", Failover, failoverClaim},
+	{"failover", "multi-proxy kill drill: peers serve a killed proxy's keys (robustness extension)", Failover, failoverClaim},
 	{"overload", "overload shedding: goodput and bounded latency at 10x offered load (robustness extension)", Overload, overloadClaim},
 	{"crash", "repeated kill/restart under durable-on-ack group commit (robustness extension)", Crash, crashClaim},
 	{"attack-snapshot", "multi-snapshot adversary vs plain store and ORTOA (§1)", SnapshotAttack, snapshotClaim},

@@ -87,27 +87,21 @@ func TestRestartedTiersKeepReporting(t *testing.T) {
 	t.Run("proxy", func(t *testing.T) {
 		reg := obs.NewRegistry()
 		cluster := newFailoverCluster(t, reg)
-		if got := reg.Value("ortoa_lbl_owned_ranges"); got != core.NumRanges {
-			t.Fatalf("fleet owns %d ranges at startup, want %d", got, core.NumRanges)
-		}
-		if err := cluster.RestartProxy(0); err != nil {
-			t.Fatal(err)
-		}
-		// The reborn proxy owns nothing until traffic makes it adopt.
-		lost := int64(len(cluster.Router().Ring().Ranges("proxy-0")))
-		if got := reg.Value("ortoa_lbl_owned_ranges"); got != core.NumRanges-lost {
-			t.Errorf("ortoa_lbl_owned_ranges = %d after restarting proxy-0, want %d (the dead proxy's %d ranges still reported?)",
-				got, core.NumRanges-lost, lost)
-		}
-		// Restart the rest too: from here on only rebuilt proxies serve.
-		for i := 1; i < cluster.Proxies(); i++ {
+		touch(t, cluster, 6)
+		calls := reg.Value("ortoa_transport_client_calls_total")
+		// Restart every proxy: from here on only rebuilt proxies serve.
+		for i := 0; i < cluster.Proxies(); i++ {
 			if err := cluster.RestartProxy(i); err != nil {
 				t.Fatal(err)
 			}
 		}
+		// A retired pool's scrape-time count is kept, not dropped.
+		if got := reg.Value("ortoa_transport_client_calls_total"); got != calls {
+			t.Errorf("ortoa_transport_client_calls_total = %d after restarting every proxy, want the %d calls made before", got, calls)
+		}
 		before := snapshot(reg,
 			"ortoa_lbl_round_accesses_total",                 // handle-backed, LBL proxy
-			"ortoa_lbl_epoch_claims_total",                   // handle-backed, fed by re-adoption
+			"ortoa_lbl_reconciled_keys_total",                // handle-backed, fed by the reborn proxies' rebases
 			"ortoa_transport_client_calls_total",             // func-backed, pool
 			`ortoa_transport_server_frames_total{dir="out"}`) // front ends and shard server
 		touch(t, cluster, 7)
@@ -150,11 +144,6 @@ func TestTierWiringParity(t *testing.T) {
 		t.Cleanup(func() { client.Close() })
 		d.server = ln.Dial
 		if front {
-			// The harness fleet's startup handshake, so both proxies have
-			// sent the same kinds of frame.
-			if _, err := client.ClaimOwnedRanges([]string{"proxy-0"}, "proxy-0"); err != nil {
-				t.Fatal(err)
-			}
 			fl := netsim.Listen(netsim.Loopback)
 			go client.ServeProxy(fl) //nolint:errcheck // returns on Close
 			d.front = fl.Dial
@@ -253,7 +242,7 @@ func TestTierWiringParity(t *testing.T) {
 		{"lbl",
 			func(t *testing.T) deployment { return cluster(t, SystemLBL, 1) },
 			func(t *testing.T) deployment { return facade(t, ortoa.ProtocolLBL, true) },
-			[]byte{core.MsgLoad, core.MsgLBLAccess, core.MsgEpochClaim}},
+			[]byte{core.MsgLoad, core.MsgLBLAccess}},
 		{"tee",
 			func(t *testing.T) deployment { return cluster(t, SystemTEE, 0) },
 			func(t *testing.T) deployment { return facade(t, ortoa.ProtocolTEE, false) },

@@ -295,15 +295,6 @@ type ClientConfig struct {
 	// consistent. Reads and writes retry identically, so the retry
 	// pattern leaks no operation types.
 	RetryAttempts int
-	// AutoAdopt, when true, lets this proxy adopt a counter range on
-	// demand in a multi-proxy deployment (LBL only): an access fenced
-	// by the server's epoch check re-claims the range at a fresh epoch
-	// and retries, instead of surfacing the fence to the caller. Set it
-	// on every member of a proxy group so survivors absorb a dead
-	// peer's ranges. The adopter starts from its own, possibly stale,
-	// counters; each key rebases on its first access, one round trip
-	// more, from the labels the server's stale answer carries.
-	AutoAdopt bool
 	// StreamChunk, when positive, is the LBL request frame budget in
 	// bytes: a request longer than it is cut at whole-group boundaries
 	// and written to the server frame by frame as it is built, so the
@@ -370,7 +361,7 @@ func NewClient(cfg ClientConfig, dial func() (net.Conn, error)) (*Client, error)
 		ValueSize: cfg.ValueSize,
 		PRF:       f,
 		DataKey:   cfg.Keys.DataKey,
-		LBL:       core.LBLConfig{Mode: mode, AutoAdopt: cfg.AutoAdopt, StreamChunkBytes: cfg.StreamChunk},
+		LBL:       core.LBLConfig{Mode: mode, StreamChunkBytes: cfg.StreamChunk},
 		Transport: transport.Options{
 			PoolSize:    conns,
 			CallTimeout: cfg.CallTimeout,
@@ -642,51 +633,6 @@ func (c *Client) LoadState(path string) error {
 	defer f.Close()
 	return c.tier.LBL.LoadCounters(f)
 }
-
-// ClaimRanges asserts ownership of explicit counter ranges (LBL
-// multi-proxy deployments): the server bumps each range to a fresh
-// epoch, fencing every in-flight or retried round from the previous
-// owner before it can touch a record. Range ids live in
-// [0, NumCounterRanges). Returns an error for non-LBL protocols.
-func (c *Client) ClaimRanges(rangeIDs []uint32) error {
-	if c.tier.LBL == nil {
-		return fmt.Errorf("ortoa: range ownership requires ProtocolLBL")
-	}
-	return c.tier.LBL.ClaimRanges(rangeIDs)
-}
-
-// ClaimOwnedRanges claims the counter ranges the deployment's
-// consistent-hash ring assigns to this proxy: peers is the full list
-// of proxy names (every member must use the identical list, in any
-// order) and self is this proxy's name within it. Returns the range
-// ids claimed. This is the startup handshake of a multi-proxy
-// deployment; the routing side is DialProxyGroup, whose member names
-// must match peers for first-try routing to land on owners.
-func (c *Client) ClaimOwnedRanges(peers []string, self string) ([]uint32, error) {
-	if c.tier.LBL == nil {
-		return nil, fmt.Errorf("ortoa: range ownership requires ProtocolLBL")
-	}
-	found := false
-	for _, p := range peers {
-		if p == self {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("ortoa: self %q is not in the peer list %v", self, peers)
-	}
-	rids := core.NewRing(peers).Ranges(self)
-	if err := c.tier.LBL.ClaimRanges(rids); err != nil {
-		return nil, err
-	}
-	return rids, nil
-}
-
-// NumCounterRanges is the fixed size of the counter-range space that
-// multi-proxy deployments partition ownership over (core range ids are
-// [0, NumCounterRanges)).
-const NumCounterRanges = core.NumRanges
 
 // ServeProxy exposes this trusted client as a network proxy: end
 // users connect to l and route oblivious accesses through it (the

@@ -11,11 +11,11 @@ import (
 )
 
 // A ProxyGroupMember names one proxy of a multi-proxy deployment and
-// how to reach it. Name must match the name the proxy claimed its
-// ranges under (ClaimOwnedRanges / ortoa-proxy -peers) — the group
-// places keys on the same consistent-hash ring the proxies partitioned
-// ownership over, so matching names mean the first attempt lands on
-// the range's owner instead of paying a redirect.
+// how to reach it. The group places keys on a consistent-hash ring over
+// the member names, so names only need to agree across the clients of
+// one deployment: then one key queues at one proxy, which holds its
+// concurrent accesses as one chain, instead of two proxies contending for
+// its counter.
 type ProxyGroupMember struct {
 	Name string
 	Dial func() (net.Conn, error)
@@ -43,21 +43,22 @@ type ProxyGroupOptions struct {
 	// that member fail fast with IsBusy — no wire round trip — until
 	// its retry-after window passes, so a saturated proxy drains
 	// instead of being hammered. Busy rejections never fail over to a
-	// peer (the peer would adopt the key's counter range, and overload
-	// would turn into ownership ping-pong); callers back off and retry.
+	// peer (the peer would contend for the key's counter, adding stale
+	// laps to an overloaded fleet); callers back off and retry.
 	// Default 3.
 	BusyBreaker int
 	// Metrics, when non-nil, registers the group's routing metrics
-	// (ortoa_router_*: redirects, failovers, probes, healthy members).
+	// (ortoa_router_*: failovers, busy rejections, breaker trips, probes,
+	// healthy members).
 	Metrics *obs.Registry
 }
 
 // A ProxyGroup is an end-user handle over several trusted proxies with
-// live failover: each access is steered to the proxy owning the key's
-// counter range, a dead member is routed around immediately and
-// re-admitted by background probes once it answers again, and
-// ownership rejections (epoch fences during a handoff) redirect to the
-// adopting peer. It holds no secrets and is safe for concurrent use.
+// live failover: each access is first offered to the proxy the key's
+// counter range is placed on, and a dead member is routed around
+// immediately — any peer serves any key — and re-admitted by background
+// probes once it answers again. It holds no secrets and is safe for
+// concurrent use.
 //
 // Error contract: an access that fails definitively on every reachable
 // member returns that error; an access whose outcome is unknown on any
@@ -95,14 +96,14 @@ func DialProxyGroup(members []ProxyGroupMember, opts ProxyGroupOptions) (*ProxyG
 	return &ProxyGroup{router: router}, nil
 }
 
-// Read fetches the value stored under key via the key's owning proxy,
+// Read fetches the value stored under key via the key's placed proxy,
 // failing over to peers as needed.
 func (g *ProxyGroup) Read(key string) ([]byte, error) {
 	v, _, err := g.router.Access(core.OpRead, key, nil)
 	return v, err
 }
 
-// Write replaces the value stored under key via the key's owning
+// Write replaces the value stored under key via the key's placed
 // proxy, failing over to peers as needed. The value must already match
 // the store's fixed size (the proxy rejects mismatches). On an
 // Ambiguous error the write may or may not have applied; rewriting the

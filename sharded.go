@@ -37,11 +37,10 @@ func NewShardedClient(clients []*Client) (*ShardedClient, error) {
 // Shards returns the number of partitions.
 func (s *ShardedClient) Shards() int { return len(s.shards) }
 
-// shardIndex is the partition function: the key's counter range
-// (NumCounterRanges of them), placed on a shard by a consistent-hash
-// ring over the shard positions — the same unit and ring that assign
-// counter ownership to proxies, so adding a shard moves whole ranges
-// and only those that must move. It is the single source of truth for
+// shardIndex is the partition function: the key's counter range, placed
+// on a shard by a consistent-hash ring over the shard positions — the
+// same unit and ring that place keys on proxies, so adding a shard moves
+// whole ranges and only those that must move. It is the single source of truth for
 // placement — Load, the access paths, and the batch paths all route
 // through it, so the mapping cannot silently diverge between loading
 // and accessing.
