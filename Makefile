@@ -92,11 +92,14 @@ bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
 # bench-smoke is the CI benchmark smoke: one short pass over the kernel
-# and hot-path benchmarks, checking they still run. Timings are gated
-# elsewhere — the repository benchmark (benchmark/, BENCHMARK.json)
-# measures these kernels in its per-layer ledger on every PR.
+# and hot-path benchmarks, then one WAN bulk load (2,000 × 160 B over a
+# simulated 21.84 ms, 12 MiB/s link) through the public Load, checking
+# they still run. Timings are gated elsewhere — the repository benchmark
+# (benchmark/, BENCHMARK.json) measures these kernels in its per-layer
+# ledger, and the load as its setup_s, on every PR.
 bench-smoke:
 	$(GO) test -run XXX -bench 'Kernel1KiB|LBLBuildRequest|LabelSeal|LabelOpen' -benchtime 5x ./internal/core/ ./internal/crypto/secretbox/
+	$(GO) test -run XXX -bench 'Load/wan' -benchtime 1x .
 
 # trace-smoke runs the measured Fig 3c experiment: an instrumented and
 # traced LBL workload, with requests sent whole and again cut into

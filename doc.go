@@ -39,6 +39,15 @@
 //	v, _ := client.Read("account-17")
 //	client.Write("account-17", newBalance)
 //
+// Load is the paper's Init. It builds records on every core and sends
+// them in batches of at most 1 MiB, two in flight on each pooled
+// connection, so it holds the batches in flight and never every record.
+// It checks every value's length before it sends anything. A later
+// failure — a batch the server refuses, a connection lost — is returned
+// once the batches in flight are answered, and no batch is sent after
+// it. Batches acknowledged before it stay stored; Keys is unchanged, and
+// loading the same data again is safe.
+//
 // Beyond single accesses, the package provides ReadBatch/WriteBatch
 // pipelining, ReadRange over the trusted-side key directory (§8.2),
 // ShardedClient scale-out (§6.2.4), durable server state (a state

@@ -185,7 +185,7 @@ func BenchmarkRecoverKernel1KiB(b *testing.B) {
 // build, sequential against two workers, from 64 groups to 16 384
 // (point-and-permute, 16 B to 4 KiB values).
 func BenchmarkWorkerCrossover(b *testing.B) {
-	for _, groups := range []int{64, 128, 256, 384, 512, 640, 16384} {
+	for _, groups := range []int{64, 128, 256, 384, 512, 640, 1024, 2048, 4096, 16384} {
 		cfg := LBLConfig{ValueSize: groups / 4, Mode: LBLPointPermute}
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("build/groups=%d/workers=%d", groups, workers), func(b *testing.B) {

@@ -7,8 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ortoa/internal/crypto/prf"
 	"ortoa/internal/crypto/secretbox"
@@ -16,7 +19,6 @@ import (
 	"ortoa/internal/kvstore"
 	"ortoa/internal/netsim"
 	"ortoa/internal/transport"
-	"ortoa/internal/wire"
 )
 
 // rig is an in-process protocol deployment over a loopback netsim link.
@@ -48,15 +50,18 @@ type recordBuilder interface {
 
 func loadData(t *testing.T, r *rig, b recordBuilder, data map[string][]byte) {
 	t.Helper()
-	var records []KV
-	for k, v := range data {
-		ek, rec, err := b.BuildRecord(k, v)
-		if err != nil {
-			t.Fatalf("BuildRecord(%q): %v", k, err)
-		}
-		records = append(records, KV{Key: ek, Record: rec})
+	keys := make([]string, 0, len(data))
+	for k := range data {
+		keys = append(keys, k)
 	}
-	if err := BulkLoad(r.client, records); err != nil {
+	err := BulkLoad(r.client, len(keys), func(i int) (KV, error) {
+		ek, rec, err := b.BuildRecord(keys[i], data[keys[i]])
+		if err != nil {
+			return KV{}, fmt.Errorf("BuildRecord(%q): %w", keys[i], err)
+		}
+		return KV{Key: ek, Record: rec}, nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 }
@@ -821,25 +826,29 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-// TestBulkLoadCutsFramesByBytes: 1,024 records of a 4 KiB value's LBL
-// encoding do not fit one frame, so BulkLoad must cut by bytes as well
-// as by count — while small records keep the 1,024-record framing.
+// TestBulkLoadCutsFramesByBytes: BulkLoad packs as many records into a
+// frame as fit in loadFrameBytes, so 2,000 records take exactly the
+// frames that budget demands — 20 at 160 B, 667 at 4 KiB — none larger
+// than the budget, and every record arrives exactly once.
 func TestBulkLoadCutsFramesByBytes(t *testing.T) {
 	r := newRig(t)
-	var frames, records, largest int
+	var mu sync.Mutex
+	var frames, largest int
+	var seen map[string]int
 	r.server.Handle(MsgLoad, func(_ context.Context, payload []byte) ([]byte, error) {
-		rd := wire.NewReader(payload)
-		n := int(rd.Uvarint())
-		for i := 0; i < n; i++ {
-			rd.BytesPfx()
-			rd.BytesPfx()
+		batch, err := parseLoad(payload)
+		if err != nil {
+			return nil, err
 		}
-		frames, records, largest = frames+1, records+n, max(largest, len(payload))
-		return nil, rd.Finish()
+		mu.Lock()
+		defer mu.Unlock()
+		frames, largest = frames+1, max(largest, len(payload))
+		for _, kv := range batch {
+			seen[kv.Key]++
+		}
+		return nil, nil
 	})
-	for _, tc := range []struct {
-		valueSize, frames int // frames 0: as many as the byte budget demands
-	}{{160, 2}, {4 << 10, 0}} {
+	for _, tc := range []struct{ valueSize, frames int }{{160, 20}, {4 << 10, 667}} {
 		proxy, err := NewLBLProxy(LBLConfig{ValueSize: tc.valueSize, Mode: LBLPointPermute}, prf.NewRandom(), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -849,23 +858,130 @@ func TestBulkLoadCutsFramesByBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		// One encoded record stands in for all 2,000: framing depends on
-		// sizes only.
-		kvs := make([]KV, 2000)
-		for i := range kvs {
-			kvs[i] = KV{Key: fmt.Sprintf("%016d", i), Record: rec}
+		// sizes only. A frame is a count, then per record a one-byte key
+		// length, the 16-byte key, the record's length and the record.
+		const n = 2000
+		entry := 1 + 16 + len(binary.AppendUvarint(nil, uint64(len(rec)))) + len(rec)
+		perFrame := (loadFrameBytes - binary.MaxVarintLen32) / entry
+		if want := (n + perFrame - 1) / perFrame; want != tc.frames {
+			t.Fatalf("%d B values: the byte budget demands %d frames, the test pins %d", tc.valueSize, want, tc.frames)
 		}
-		frames, records, largest = 0, 0, 0
-		if err := BulkLoad(r.client, kvs); err != nil {
-			t.Fatalf("loading 2000 × %d B values: %v", tc.valueSize, err)
+		frames, largest, seen = 0, 0, make(map[string]int)
+		err = BulkLoad(r.client, n, func(i int) (KV, error) {
+			return KV{Key: fmt.Sprintf("%016d", i), Record: rec}, nil
+		})
+		if err != nil {
+			t.Fatalf("loading %d × %d B values: %v", n, tc.valueSize, err)
 		}
-		want := tc.frames
-		if want == 0 {
-			perFrame := bulkLoadBytes / (len(rec) + 16 + 2*binary.MaxVarintLen32)
-			want = (len(kvs) + perFrame - 1) / perFrame
+		if frames != tc.frames || largest > loadFrameBytes {
+			t.Errorf("%d B values: %d frames, the largest %d B; want %d frames of at most %d B",
+				tc.valueSize, frames, largest, tc.frames, loadFrameBytes)
 		}
-		if records != len(kvs) || frames != want || largest > bulkLoadBytes {
-			t.Errorf("%d B values: %d records in %d frames (largest %d B), want %d records in %d frames of at most %d B",
-				tc.valueSize, records, frames, largest, len(kvs), want, bulkLoadBytes)
+		if len(seen) != n {
+			t.Errorf("%d B values: %d distinct records arrived, want %d", tc.valueSize, len(seen), n)
+		}
+		for k, c := range seen {
+			if c != 1 {
+				t.Fatalf("%d B values: record %s arrived %d times", tc.valueSize, k, c)
+			}
+		}
+	}
+}
+
+// countingListener counts the bytes each accepted connection carries
+// to the server.
+type countingListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []*atomic.Int64
+}
+
+type countingConn struct {
+	net.Conn
+	read *atomic.Int64
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.read.Add(int64(n))
+	return n, err
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	read := new(atomic.Int64)
+	l.mu.Lock()
+	l.conns = append(l.conns, read)
+	l.mu.Unlock()
+	return countingConn{c, read}, nil
+}
+
+// busy returns how many connections carried at least min bytes.
+func (l *countingListener) busy(min int64) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, read := range l.conns {
+		if read.Load() >= min {
+			n++
+		}
+	}
+	return n
+}
+
+// TestBulkLoadPipelinesOverThePool: over a link with a round trip and a
+// server that takes a while per frame, BulkLoad keeps frames in flight on
+// more than one pooled connection, never more payload bytes than
+// loadFramesPerConn frames a connection, and stores every record.
+func TestBulkLoadPipelinesOverThePool(t *testing.T) {
+	store := kvstore.New()
+	server := transport.NewServer()
+	nl := netsim.Listen(netsim.Link{RTT: 2 * time.Millisecond})
+	l := &countingListener{Listener: nl}
+	go server.Serve(l)
+	t.Cleanup(func() { server.Close() })
+	load := loaderHandler(store)
+	var inflight, peak atomic.Int64
+	server.Handle(MsgLoad, func(ctx context.Context, payload []byte) ([]byte, error) {
+		now := inflight.Add(int64(len(payload)))
+		for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+		}
+		defer inflight.Add(-int64(len(payload)))
+		// A slow store lets frames pile up to whatever BulkLoad allows.
+		time.Sleep(20 * time.Millisecond)
+		return load(ctx, payload)
+	})
+	const pool = 4
+	client, err := transport.Dial(nl.Dial, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+
+	// 160 records of 100 KiB: ten to a frame, sixteen frames.
+	const n, size = 160, 100 << 10
+	record := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, size) }
+	err = BulkLoad(client, n, func(i int) (KV, error) {
+		return KV{Key: fmt.Sprintf("k%03d", i), Record: record(i)}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := int64(loadFramesPerConn * pool * loadFrameBytes); peak.Load() > limit {
+		t.Errorf("%d payload bytes in flight at once, the bound is %d", peak.Load(), limit)
+	}
+	if peak.Load() <= loadFrameBytes {
+		t.Errorf("at most %d payload bytes in flight: frames were sent one at a time", peak.Load())
+	}
+	if busy := l.busy(loadFrameBytes); busy < 2 {
+		t.Errorf("%d of %d pooled connections carried a frame, want more than one", busy, pool)
+	}
+	for i := 0; i < n; i++ {
+		if got, err := store.Get(fmt.Sprintf("k%03d", i)); err != nil || !bytes.Equal(got, record(i)) {
+			t.Fatalf("record %d: %d bytes, %v", i, len(got), err)
 		}
 	}
 }

@@ -427,15 +427,25 @@ func FuzzTEEServerPayload(f *testing.F) {
 	})
 }
 
-func FuzzLoaderPayload(f *testing.F) {
-	store := kvstore.New()
+// FuzzLoadPayload plays a peer sending the loader arbitrary bytes. The
+// loader never panics, allocates nothing sized by a count it was sent —
+// no more than a small multiple of the payload — and a payload that
+// fails to parse stores nothing.
+func FuzzLoadPayload(f *testing.F) {
 	f.Add([]byte{1, 1, 'k', 1, 'v'})
+	f.Add([]byte{2, 1, 'a', 1, 'x', 1, 'b', 2, 'y'}) // the second record cut short
 	f.Add([]byte{0xFF, 0xFF, 0xFF})
+	f.Add(binary.AppendUvarint(nil, 1<<40)) // a count no payload could hold
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		// Reconstruct the loader handler logic through a server the
-		// same way RegisterLoader does, via a direct call.
+		store := kvstore.New()
 		handler := loaderHandler(store)
-		handler(context.Background(), payload) //nolint:errcheck
+		var err error
+		if n := allocated(func() { _, err = handler(context.Background(), payload) }); n > 64*uint64(len(payload))+1<<20 {
+			t.Fatalf("a %d-byte payload allocated %d bytes", len(payload), n)
+		}
+		if err != nil && store.Len() != 0 {
+			t.Fatalf("a payload that failed to parse (%v) stored %d records", err, store.Len())
+		}
 	})
 }
 

@@ -1045,15 +1045,15 @@ func (c LBLConfig) putSegHeader(dst, encKey []byte) int {
 
 // minGroupsPerBuildWorker bounds the table-build fan-out: below this
 // many groups per worker the goroutine handoff costs more than the work
-// it offloads. It was set where two workers first beat one by more than
+// it offloads. It is set where two workers first beat one by more than
 // 10 % on the measured crossover (EXPERIMENTS.md, "Worker crossover";
-// BenchmarkWorkerCrossover), when a group cost ≈200 ns to build — 10
-// AES blocks eight at a time, 4 two-block seals — so the build fans out
-// from 384 groups. A point-and-permute group is now 8 blocks and 4
-// one-block pads, ≈140 ns, and two workers gain less there
-// (EXPERIMENTS.md, "16-byte entries"). Recovery never fans out: it is
-// one table lookup and one 16-byte XOR a group.
-const minGroupsPerBuildWorker = 192
+// BenchmarkWorkerCrossover): with a point-and-permute group at ≈140 ns —
+// 8 AES blocks and 4 one-block pads — that is 1,024 groups (1.22× over
+// 27 pairs, and above 1.1× in each of three rounds), while 640 groups (a
+// 160 B value) read 1.11× pooled and 0.77× to 1.16× by round. So the
+// build fans out from 1,024 groups: a 256 B value's table and up. Recovery
+// never fans out: it is one table lookup and one 16-byte XOR a group.
+const minGroupsPerBuildWorker = 512
 
 // tableWorkers returns the worker count for a CPU-bound pass over
 // groups groups under GOMAXPROCS, never exceeding one worker per

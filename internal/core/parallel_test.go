@@ -175,9 +175,10 @@ func TestAccessEndToEndWithWorkerPool(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	for _, mode := range []LBLMode{LBLBasic, LBLPointPermute} {
 		t.Run(mode.String(), func(t *testing.T) {
-			// 64 B basic → 512 groups → 2 build workers per table.
-			r, proxy, _ := newLBL(t, mode, 64)
-			v0 := bytes.Repeat([]byte{0x5A}, 64)
+			// 256 B → 2,048 basic or 1,024 point-and-permute groups → at
+			// least 2 build workers per table.
+			r, proxy, _ := newLBL(t, mode, 256)
+			v0 := bytes.Repeat([]byte{0x5A}, 256)
 			loadData(t, r, proxy, map[string][]byte{"k": v0})
 			got, _, err := proxy.Access(OpRead, "k", nil)
 			if err != nil {
@@ -186,7 +187,7 @@ func TestAccessEndToEndWithWorkerPool(t *testing.T) {
 			if !bytes.Equal(got, v0) {
 				t.Errorf("read = %x, want %x", got, v0)
 			}
-			v1 := bytes.Repeat([]byte{0xC3}, 64)
+			v1 := bytes.Repeat([]byte{0xC3}, 256)
 			if _, _, err := proxy.Access(OpWrite, "k", v1); err != nil {
 				t.Fatal(err)
 			}
@@ -201,20 +202,36 @@ func TestAccessEndToEndWithWorkerPool(t *testing.T) {
 	}
 }
 
+// TestBuildFansOutAtTheCrossover pins minGroupsPerBuildWorker's rule on
+// two CPUs: a 160 B table (640 groups), where two workers do not win by
+// 10 %, builds on one, and tables from 1,024 groups on build on two — a
+// 4 KiB table (16,384 groups) included.
+func TestBuildFansOutAtTheCrossover(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	for _, tc := range []struct{ groups, workers int }{{640, 1}, {1023, 1}, {1024, 2}, {16384, 2}} {
+		if got := tableWorkers(tc.groups, minGroupsPerBuildWorker); got != tc.workers {
+			t.Errorf("%d groups build on %d workers, want %d", tc.groups, got, tc.workers)
+		}
+	}
+}
+
 // The batched path with inner workers engaged: batch of few keys on a
 // many-core setting multiplies inner fan-out.
 func TestAccessBatchWithInnerWorkers(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
-	r, proxy, _ := newLBL(t, LBLBasic, 64)
+	// Two 256 B basic tables, 2,048 groups each: 2 outer workers of 4
+	// inner ones.
+	r, proxy, _ := newLBL(t, LBLBasic, 256)
 	data := map[string][]byte{
-		"a": bytes.Repeat([]byte{1}, 64),
-		"b": bytes.Repeat([]byte{2}, 64),
+		"a": bytes.Repeat([]byte{1}, 256),
+		"b": bytes.Repeat([]byte{2}, 256),
 	}
 	loadData(t, r, proxy, data)
 	ops := []BatchOp{
 		{Op: OpRead, Key: "a"},
-		{Op: OpWrite, Key: "b", Value: bytes.Repeat([]byte{9}, 64)},
+		{Op: OpWrite, Key: "b", Value: bytes.Repeat([]byte{9}, 256)},
 		{Op: OpRead, Key: "b"},
 	}
 	vals, _, err := proxy.AccessBatch(ops)
@@ -224,7 +241,7 @@ func TestAccessBatchWithInnerWorkers(t *testing.T) {
 	if !bytes.Equal(vals[0], data["a"]) {
 		t.Errorf("batch read a = %x", vals[0])
 	}
-	if !bytes.Equal(vals[2], bytes.Repeat([]byte{9}, 64)) {
+	if !bytes.Equal(vals[2], bytes.Repeat([]byte{9}, 256)) {
 		t.Errorf("batch read-after-write b = %x", vals[2])
 	}
 }

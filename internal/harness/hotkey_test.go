@@ -57,7 +57,7 @@ func TestHotKeyUnderResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.BulkLoad(px.RPC, []core.KV{{Key: ek, Record: rec}}); err != nil {
+	if err := core.BulkLoad(px.RPC, 1, func(int) (core.KV, error) { return core.KV{Key: ek, Record: rec}, nil }); err != nil {
 		t.Fatal(err)
 	}
 	front, err := px.NewFront(tier.FrontConfig{})

@@ -64,7 +64,7 @@ func TestMetricInventory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := core.BulkLoad(px.RPC, []core.KV{{Key: ek, Record: rec}}); err != nil {
+		if err := core.BulkLoad(px.RPC, 1, func(int) (core.KV, error) { return core.KV{Key: ek, Record: rec}, nil }); err != nil {
 			t.Fatal(err)
 		}
 		return px

@@ -684,6 +684,63 @@ func TestGroupCommitConcurrentWritersShareFsyncs(t *testing.T) {
 	}
 }
 
+// TestPutBatchSharesOneFsync: a 1,024-pair batch under group commit
+// waits for durability once — one fsync, where 1,024 Puts in a row wait
+// for 1,024 — and a crash after it returns loses none of its pairs.
+func TestPutBatchSharesOneFsync(t *testing.T) {
+	fsys := crashfs.New(nil)
+	s := recoverStore(t, fsys, "state", SyncGroupCommit)
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	fsyncs := reg.Histogram("ortoa_kvstore_wal_fsync_seconds", "")
+	const n = 1024
+	batch := make([]KV, n)
+	for i := range batch {
+		batch[i] = KV{Key: fmt.Sprintf("k%04d", i), Value: bytes.Repeat([]byte{byte(i)}, 64)}
+	}
+	before := fsyncs.Count()
+	if err := s.PutBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if got := fsyncs.Count() - before; got != 1 {
+		t.Errorf("a %d-pair batch took %d fsyncs, want 1", n, got)
+	}
+	fsys.Crash()
+	r := recoverStore(t, fsys, "state", SyncGroupCommit)
+	defer r.DetachWAL()
+	for _, kv := range batch {
+		if got, err := r.Get(kv.Key); err != nil || !bytes.Equal(got, kv.Value) {
+			t.Fatalf("after the crash %s = %x, %v; want %x", kv.Key, got, err, kv.Value)
+		}
+	}
+}
+
+// TestPutBatchJournalingFailureFailsBatch: a batch is acknowledged only
+// if every pair reached the log. A failed fsync fails the batch; a
+// failed write fails it at that pair and stores none after it.
+func TestPutBatchJournalingFailureFailsBatch(t *testing.T) {
+	batch := make([]KV, 256)
+	for i := range batch {
+		// 256 × 1 KiB outgrows the log's 64 KiB write buffer, so writes
+		// reach the file mid-batch.
+		batch[i] = KV{Key: fmt.Sprintf("k%03d", i), Value: make([]byte, 1<<10)}
+	}
+	for _, plan := range []*crashfs.Plan{{SyncErrProb: 1}, {WriteErrProb: 1}} {
+		fsys := crashfs.New(nil)
+		s := recoverStore(t, fsys, "state", SyncGroupCommit)
+		fsys.SetPlan(plan)
+		if err := s.PutBatch(batch); err == nil {
+			t.Errorf("sync errors %v, write errors %v: PutBatch succeeded while the log was failing", plan.SyncErrProb, plan.WriteErrProb)
+		}
+		if plan.WriteErrProb > 0 {
+			if _, err := s.Get(batch[len(batch)-1].Key); !errors.Is(err, ErrNotFound) {
+				t.Errorf("a pair after the failed write was stored: %v", err)
+			}
+		}
+		s.DetachWAL() //nolint:errcheck // poisoned on purpose
+	}
+}
+
 func benchmarkPutPolicy(b *testing.B, policy SyncPolicy) {
 	dir := b.TempDir()
 	s := New()

@@ -79,14 +79,52 @@ func (s *Store) AppendGet(dst []byte, key string) ([]byte, error) {
 // so an error means the store is unchanged; under SyncGroupCommit Put
 // returns only after the record is on stable storage.
 func (s *Store) Put(key string, value []byte) error {
+	lsn, err := s.put(key, value)
+	if err != nil {
+		return err
+	}
+	// The durability wait happens after the shard lock is released:
+	// fsync latency must never serialize a shard, and group commit
+	// needs concurrent writers parked together to share the fsync.
+	return s.waitDurable(lsn)
+}
+
+// A KV is one key and value of a PutBatch.
+type KV struct {
+	Key   string
+	Value []byte
+}
+
+// PutBatch stores each pair as Put does, in order, and waits for
+// durability once, on the last pair's commit point: under
+// SyncGroupCommit a batch costs one fsync wait, not one a pair, and
+// when PutBatch returns nil every pair is as durable as Put would have
+// left it. A pair that fails to journal stops the batch there: the pairs
+// before it stay applied, it and those after it are not. A failed
+// durability wait fails the whole batch, as it fails a Put.
+func (s *Store) PutBatch(kvs []KV) error {
+	var last uint64
+	for _, kv := range kvs {
+		lsn, err := s.put(kv.Key, kv.Value)
+		if err != nil {
+			return err
+		}
+		last = max(last, lsn)
+	}
+	return s.waitDurable(last)
+}
+
+// put stores a copy of value under key and returns its journal LSN
+// without waiting for it to be durable.
+func (s *Store) put(key string, value []byte) (uint64, error) {
 	v := make([]byte, len(value))
 	copy(v, value)
 	sh := s.shardFor(key)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	lsn, err := s.journal(walOpPut, key, v)
 	if err != nil {
-		sh.mu.Unlock()
-		return err
+		return 0, err
 	}
 	if old, ok := sh.items[key]; ok {
 		sh.bytes -= int64(len(old))
@@ -95,11 +133,7 @@ func (s *Store) Put(key string, value []byte) error {
 	}
 	sh.items[key] = v
 	sh.bytes += int64(len(v))
-	sh.mu.Unlock()
-	// The durability wait happens after the shard lock is released:
-	// fsync latency must never serialize a shard, and group commit
-	// needs concurrent writers parked together to share the fsync.
-	return s.waitDurable(lsn)
+	return lsn, nil
 }
 
 // applyPut mutates without journaling (WAL replay).

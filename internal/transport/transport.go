@@ -1453,6 +1453,9 @@ func (c *Client) pickConn() *clientConn {
 	return nil
 }
 
+// PoolSize returns the number of pooled connections, live or not.
+func (c *Client) PoolSize() int { return len(c.conns) }
+
 // retryable classifies call errors: remote handler errors mean the
 // request executed (a retry would only replay the same error), and
 // local validation errors cannot succeed on retry. A busy rejection is

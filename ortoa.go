@@ -409,26 +409,38 @@ func (c *Client) Provision() error {
 
 // Load encodes initial records and bulk-loads them into the server —
 // the Init procedure of Figure 1. Values shorter than ValueSize are
-// zero-padded.
+// zero-padded. Records are built on every core and sent in batches kept
+// in flight on every pooled connection; memory holds the batches in
+// flight, never every record.
+//
+// Load checks every value's length before it sends anything, so a value
+// longer than ValueSize stores nothing. A later failure — the server
+// refusing a batch, the connection lost — is returned once the batches
+// in flight are answered, and no batch is sent after it. Batches
+// acknowledged before it stay stored: a failed Load may leave any part
+// of data on the server, but it leaves Keys unchanged, and loading the
+// same data again is safe.
 func (c *Client) Load(data map[string][]byte) error {
-	records := make([]core.KV, 0, len(data))
-	for k, v := range data {
-		padded, err := core.PadValue(v, c.valueSize)
-		if err != nil {
-			return fmt.Errorf("ortoa: value for %q: %w", k, err)
-		}
-		ek, rec, err := c.tier.BuildRecord(k, padded)
-		if err != nil {
-			return fmt.Errorf("ortoa: encoding %q: %w", k, err)
-		}
-		records = append(records, core.KV{Key: ek, Record: rec})
-	}
-	if err := core.BulkLoad(c.tier.RPC, records); err != nil {
-		return err
-	}
 	keys := make([]string, 0, len(data))
-	for k := range data {
+	for k, v := range data {
+		if len(v) > c.valueSize {
+			return fmt.Errorf("ortoa: value for %q: %d bytes exceeds the fixed size %d", k, len(v), c.valueSize)
+		}
 		keys = append(keys, k)
+	}
+	err := core.BulkLoad(c.tier.RPC, len(keys), func(i int) (core.KV, error) {
+		padded, err := core.PadValue(data[keys[i]], c.valueSize)
+		if err != nil {
+			return core.KV{}, err
+		}
+		ek, rec, err := c.tier.BuildRecord(keys[i], padded)
+		if err != nil {
+			return core.KV{}, fmt.Errorf("ortoa: encoding %q: %w", keys[i], err)
+		}
+		return core.KV{Key: ek, Record: rec}, nil
+	})
+	if err != nil {
+		return err
 	}
 	c.addToDirectory(keys)
 	return nil
