@@ -92,13 +92,19 @@ bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
 # bench-smoke is the CI benchmark smoke: one short pass over the kernel
-# and hot-path benchmarks, then one WAN bulk load (2,000 × 160 B over a
+# and hot-path benchmarks — the deployed point-and-permute kernels among
+# them: the server's decryption pass and the one-worker table build at 640
+# and 16,384 groups (a 160 B and a 4 KiB value), each reporting ns per AES
+# block of its floor; a command of their own, since -bench splits its
+# pattern at every slash — then one WAN bulk load (2,000 × 160 B over a
 # simulated 21.84 ms, 12 MiB/s link) through the public Load, checking
 # they still run. Timings are gated elsewhere — the repository benchmark
 # (benchmark/, BENCHMARK.json) measures these kernels in its per-layer
 # ledger, and the load as its setup_s, on every PR.
 bench-smoke:
 	$(GO) test -run XXX -bench 'Kernel1KiB|LBLBuildRequest|LabelSeal|LabelOpen' -benchtime 5x ./internal/core/ ./internal/crypto/secretbox/
+	$(GO) test -run XXX -bench 'LBLServerDecrypt/point-permute' -benchtime 5x ./internal/core/
+	$(GO) test -run XXX -bench 'WorkerCrossover/build/groups=(640|16384)/workers=1$$' -benchtime 5x ./internal/core/
 	$(GO) test -run XXX -bench 'Load/wan' -benchtime 1x .
 
 # trace-smoke runs the measured Fig 3c experiment: an instrumented and

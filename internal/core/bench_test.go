@@ -37,8 +37,10 @@ func BenchmarkLBLBuildRequest(b *testing.B) {
 // BenchmarkLBLServerDecrypt isolates the server's per-access work on the
 // table: decryptRange, the decryption pass of step 2.1 of §5.2 that
 // recovers every group's new label and the response slot's fields and
-// digest, over one prebuilt 160 B table and the record it opens. decryptRange is pure — it reads the record and the table and
-// writes into caller buffers — so one table serves every iteration.
+// digest, over one prebuilt 160 B table and the record it opens.
+// decryptRange is pure — it reads the record and the table and writes
+// into caller buffers — so one table serves every iteration. ns/block is
+// ns/op over the access's server floor, ServerAESBlocks.
 func BenchmarkLBLServerDecrypt(b *testing.B) {
 	for _, mode := range allLBLModes() {
 		b.Run(mode.String(), func(b *testing.B) {
@@ -71,6 +73,8 @@ func BenchmarkLBLServerDecrypt(b *testing.B) {
 					b.Fatal("the table does not open under its record")
 				}
 			}
+			ctr, single := cfg.ServerAESBlocks()
+			reportPerBlock(b, ctr+single)
 		})
 	}
 }
@@ -130,10 +134,13 @@ func newBenchLBL(b *testing.B, mode LBLMode, valueSize int) (*rig, *LBLProxy, *L
 	return r, proxy, srv
 }
 
-// BenchmarkTableBuildKernel1KiB measures the headline perf kernel:
-// 1 KiB basic-mode encryption-table construction across worker counts.
-// CI runs this as a smoke check; the repository benchmark's per-layer
-// ledger (core.proxy.table_build_us and friends) holds the gated numbers.
+// BenchmarkTableBuildKernel1KiB measures 1 KiB basic-mode
+// encryption-table construction across worker counts: the generic,
+// tagged-entry build, which no deployment runs by default — the public
+// package's default variant is point-and-permute, whose kernels
+// BenchmarkWorkerCrossover and BenchmarkLBLServerDecrypt measure. The
+// repository benchmark's per-layer ledger (core.proxy.table_build_us and
+// friends) holds the gated numbers.
 func BenchmarkTableBuildKernel1KiB(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -183,7 +190,9 @@ func BenchmarkRecoverKernel1KiB(b *testing.B) {
 // BenchmarkWorkerCrossover is the measurement minGroupsPerBuildWorker is
 // set from (EXPERIMENTS.md, "Worker crossover"): one access's table
 // build, sequential against two workers, from 64 groups to 16 384
-// (point-and-permute, 16 B to 4 KiB values).
+// (point-and-permute, 16 B to 4 KiB values). ns/block is ns/op over the
+// access's proxy floor, ProxyAESBlocks, two blocks of which — of 7,682 at
+// 640 groups — are the verifier pair, which the build alone does not seal.
 func BenchmarkWorkerCrossover(b *testing.B) {
 	for _, groups := range []int{64, 128, 256, 384, 512, 640, 1024, 2048, 4096, 16384} {
 		cfg := LBLConfig{ValueSize: groups / 4, Mode: LBLPointPermute}
@@ -199,7 +208,15 @@ func BenchmarkWorkerCrossover(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				ctr, single := cfg.ProxyAESBlocks()
+				reportPerBlock(b, ctr+single)
 			})
 		}
 	}
+}
+
+// reportPerBlock reports the benchmark's ns/op over the AES blocks of
+// one op.
+func reportPerBlock(b *testing.B, blocks int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(blocks), "ns/block")
 }

@@ -1,0 +1,195 @@
+package core
+
+import (
+	"bytes"
+	"crypto/aes"
+	"crypto/sha256"
+	"crypto/subtle"
+	"encoding/hex"
+	"testing"
+
+	"ortoa/internal/crypto/prf"
+	"ortoa/internal/crypto/secretbox"
+)
+
+// goldenPRF is the PRF under the key 00 01 … 1f.
+func goldenPRF(t testing.TB) *prf.PRF {
+	t.Helper()
+	key := make([]byte, prf.KeySize)
+	for i := range key {
+		key[i] = byte(i)
+	}
+	f, err := prf.New(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestRequestTableGolden pins the bytes of a whole 160 B point-and-permute
+// request — header, verifier pair and every table entry — for a read and
+// for a write of "golden-key" at counter 7 under the key 00 01 … 1f, by
+// their SHA-256. The build has no randomness in this mode, so the request
+// is a function of these inputs alone: a kernel rewrite that moves one
+// byte of it fails here, on AES instructions and on the table-driven
+// fallback alike (make noaes).
+func TestRequestTableGolden(t *testing.T) {
+	const (
+		readSum  = "b517841431b3f3d5ad18c2b204c6400d6be4ef6eaef1585383fa2d2ca1b92bf0"
+		writeSum = "cdc37639ce55e61c14ac673836b7ded7534fd6d2b42b0ce9a3df9f661ad7add4"
+	)
+	cfg := LBLConfig{ValueSize: 160, Mode: LBLPointPermute}
+	p, err := NewLBLProxy(cfg, goldenPRF(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := make([]byte, cfg.ValueSize)
+	for i := range value {
+		value[i] = byte(i*37 + 1)
+	}
+	for _, c := range []struct {
+		op   Op
+		want string
+	}{{OpRead, readSum}, {OpWrite, writeSum}} {
+		req, err := p.buildRequest(c.op, "golden-key", value, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(req)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%v request: sha256 = %s, want %s", c.op, got, c.want)
+		}
+	}
+}
+
+// TestPermuteModesAreY2 pins the fact the point-and-permute kernels
+// (buildPermuteRange, decryptPermuteRange) are written for instead of
+// branching on: every point-and-permute row of the mode table has y = 2,
+// so a group is secretbox.GroupPads entries of one padded label, with no
+// tag, and a colour is a label's low two bits.
+func TestPermuteModesAreY2(t *testing.T) {
+	for m, row := range lblModes {
+		mode := LBLMode(m)
+		if !row.permute {
+			continue
+		}
+		if mode.Y() != 2 || mode.entries() != secretbox.GroupPads || mode.entryLen() != secretbox.PadSize || mode.colourMask() != 3 {
+			t.Errorf("%v: y = %d, %d entries of %d bytes, colour mask %#x; the permute kernels need y = 2, %d entries of %d bytes, mask 0x3",
+				mode, mode.Y(), mode.entries(), mode.entryLen(), mode.colourMask(), secretbox.GroupPads, secretbox.PadSize)
+		}
+	}
+}
+
+// refPad is the point-and-permute entry written straight from crypto/aes,
+// sharing no code with the sealer: body ⊕ π(label) ⊕ label, π being
+// AES-128 under the entry domain folded to 16 bytes.
+func refPad(t testing.TB, label, body []byte) []byte {
+	t.Helper()
+	key := make([]byte, 16)
+	for i, c := range []byte("ortoa/lbl-entry/v2") {
+		key[i%16] ^= c
+	}
+	pi, err := aes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]byte, prf.Size)
+	pi.Encrypt(out, label)
+	subtle.XORBytes(out, out, label)
+	subtle.XORBytes(out, out, body)
+	return out
+}
+
+// TestPermuteKernelParity holds the point-and-permute kernels to the
+// protocol's definition, derived block by block: at value sizes from one
+// byte to past a schedule chunk, for a read and a write (of another value
+// than the record holds), built whole and
+// in worker-sized and frame-sized pieces, every entry e of group g must be
+// the counter-ct+1 label of its target bits padded (refPad) under the
+// counter-ct label (labelAt) whose colour is e, and the schedule the
+// build carries must be those labels. The server's kernel, run over the
+// table against recordAt's record in pieces, must recover the record
+// recordAt builds at ct+1, name every group's entry by its stored label's
+// colour, and digest the labels it installed.
+func TestPermuteKernelParity(t *testing.T) {
+	const ct = 9
+	for _, size := range []int{1, 3, 160, 4096} {
+		cfg := LBLConfig{ValueSize: size, Mode: LBLPointPermute}
+		p, err := NewLBLProxy(cfg, goldenPRF(t), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := p.prf.LabelGen("k")
+		groups := cfg.Groups()
+		value, stored := make([]byte, size), make([]byte, size)
+		for i := range value {
+			value[i], stored[i] = byte(i*151+7), byte(i*29+200)
+		}
+		for _, op := range []Op{OpRead, OpWrite} {
+			want := make([]byte, cfg.TableBytes()-2*verifierLen)
+			for g := 0; g < groups; g++ {
+				r := labelAt(p, gen, g, 0, ct)[0] & 3
+				for e := uint8(0); e < 4; e++ {
+					b := e ^ r
+					target := b
+					if op == OpWrite {
+						target = groupBits(value, g, 2)
+					}
+					key, body := labelAt(p, gen, g, b, ct), labelAt(p, gen, g, target, ct+1)
+					copy(want[(g*4+int(e))*prf.Size:], refPad(t, key[:], body[:]))
+				}
+			}
+			for _, pieces := range []int{1, 3, groups} {
+				s := p.spec(op, "k", value, ct)
+				table := make([]byte, len(want))
+				for i := 0; i < pieces && i < groups; i++ {
+					g0, g1 := groups*i/pieces, groups*(i+1)/pieces
+					if err := p.buildGroupRange(table[g0*64:g1*64], gen, newCryptoShuffler(), &s, g0, g1, g0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !bytes.Equal(table, want) {
+					t.Fatalf("%d B %v in %d pieces: the table differs from the block-by-block one", size, op, pieces)
+				}
+				for g := 0; g < groups; g++ {
+					for b := uint8(0); b < 4; b++ {
+						l := labelAt(p, gen, g, b, ct+1)
+						if !bytes.Equal(s.news[(int(b)*groups+g)*prf.Size:][:prf.Size], l[:]) {
+							t.Fatalf("%d B %v: carried label for bits %d of group %d is not the counter-%d label", size, op, b, g, ct+1)
+						}
+					}
+				}
+
+				rec, err := parseLBLRecord(recordAt(p, "k", stored, ct), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				labels, fields := make([]byte, groups*prf.Size), make([]byte, size)
+				var digest, wantDigest labelDigest
+				for i := 0; i < pieces && i < groups; i++ {
+					g0, g1 := groups*i/pieces, groups*(i+1)/pieces
+					if n, ok := decryptRange(cfg.Mode, &rec, table[g0*64:g1*64], g0, g1, labels, fields, &digest); !ok || n != int64(g1-g0) {
+						t.Fatalf("%d B %v: groups %d–%d opened %v in %d attempts", size, op, g0, g1, ok, n)
+					}
+				}
+				installed := value
+				if op == OpRead {
+					installed = stored
+				}
+				next, _ := cfg.recordParts(recordAt(p, "k", installed, ct+1))
+				if !bytes.Equal(labels, next) {
+					t.Fatalf("%d B %v in %d pieces: the server installed other labels than the counter-%d record's", size, op, pieces, ct+1)
+				}
+				for g := 0; g < groups; g++ {
+					if got, want := groupBits(fields, g, 2), rec.labels[g*prf.Size]&3; got != want {
+						t.Fatalf("%d B %v: group %d's field names entry %d, its stored label's colour is %d", size, op, g, got, want)
+					}
+					wantDigest.add(next[g*prf.Size:])
+				}
+				if digest != wantDigest {
+					t.Fatalf("%d B %v: digest is not the XOR of the installed labels", size, op)
+				}
+			}
+		}
+	}
+}

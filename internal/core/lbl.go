@@ -110,7 +110,8 @@ func (m LBLMode) entryLen() int { return prf.Size + lblModes[m].tag }
 // tag otherwise.
 func (m LBLMode) seal(s *secretbox.LabelSealer, dst, key, label []byte) error {
 	if m.permute() {
-		return s.PadInto(dst, key, label)
+		s.Pad((*[prf.Size]byte)(dst), (*[prf.Size]byte)(key), (*[prf.Size]byte)(label))
+		return nil
 	}
 	return s.SealInto(dst, key, label)
 }
@@ -207,6 +208,33 @@ func (c LBLConfig) RequestBytesPerAccess() int { return c.segHeaderLen() + c.Tab
 // a 16-byte digest of the labels it installed. The slot is length-pinned
 // whatever happened to each key (see the slot statuses in lblserver.go).
 func (c LBLConfig) ResponseBytesPerAccess() int { return 1 + c.ValueSize + prf.Size }
+
+// ProxyAESBlocks returns the AES work one access costs the proxy, the
+// floor of its table build (§6.3.2's p): ctr AES-CTR keystream blocks —
+// the 2^y labels of every group at the access's counter and at the next
+// (prf.LabelGen's rows) — and single one-block π calls: every entry's pad
+// (padBlocks), and the verifier pair.
+func (c LBLConfig) ProxyAESBlocks() (ctr, single int) {
+	entries := c.Groups() * c.Mode.entries()
+	return 2 * entries, entries*c.Mode.padBlocks() + 2
+}
+
+// ServerAESBlocks returns the AES work one access costs the server: one
+// pad a group, which opens the group's one entry under point-and-permute
+// and every trial of it otherwise (secretbox.LabelOpener). It derives no
+// labels.
+func (c LBLConfig) ServerAESBlocks() (ctr, single int) {
+	return 0, c.Groups() * c.Mode.padBlocks()
+}
+
+// padBlocks is how many π calls one entry's pad takes: a tagged entry's
+// pad-and-tag block is two, a point-and-permute pad one (secretbox).
+func (m LBLMode) padBlocks() int {
+	if lblModes[m].tag == 0 {
+		return 1
+	}
+	return 2
+}
 
 func (c LBLConfig) validate() error {
 	if c.ValueSize <= 0 {
@@ -1047,12 +1075,12 @@ func (c LBLConfig) putSegHeader(dst, encKey []byte) int {
 // many groups per worker the goroutine handoff costs more than the work
 // it offloads. It is set where two workers first beat one by more than
 // 10 % on the measured crossover (EXPERIMENTS.md, "Worker crossover";
-// BenchmarkWorkerCrossover): with a point-and-permute group at ≈140 ns —
-// 8 AES blocks and 4 one-block pads — that is 1,024 groups (1.22× over
-// 27 pairs, and above 1.1× in each of three rounds), while 640 groups (a
-// 160 B value) read 1.11× pooled and 0.77× to 1.16× by round. So the
-// build fans out from 1,024 groups: a 256 B value's table and up. Recovery
-// never fans out: it is one table lookup and one 16-byte XOR a group.
+// BenchmarkWorkerCrossover). Re-taken with the point-and-permute kernels
+// at the floor (a group ≈130–180 ns on one worker, 8 AES blocks and 4
+// one-block pads): 1,024 groups read 1.13× (median of 17 pairs), 640
+// groups (a 160 B value) 1.05× and 512 groups 1.02×. So the build fans
+// out from 1,024 groups: a 256 B value's table and up. Recovery never
+// fans out: it is one table lookup and one 16-byte XOR a group.
 const minGroupsPerBuildWorker = 512
 
 // tableWorkers returns the worker count for a CPU-bound pass over
@@ -1174,6 +1202,11 @@ func (r *scheduleRows) paint(k int, mask uint8) {
 	}
 }
 
+// block returns row j's block for the chunk's i-th group.
+func (r *scheduleRows) block(j, i int) *[prf.Size]byte {
+	return (*[prf.Size]byte)(r.buf[(j*rowChunk+i)*prf.Size:])
+}
+
 // buildGroupRange seals groups [g0, g1) of s's table into their slots
 // (steps 1.2–1.5 of §5.2 for those groups), leaving their new labels in
 // s.news and which old bits key each entry in s.olds. The counter-ct+1
@@ -1191,18 +1224,10 @@ func (r *scheduleRows) paint(k int, mask uint8) {
 func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *cryptoShuffler, s *tableSpec, g0, g1, gBase int) error {
 	cfg := p.cfg
 	mode := cfg.Mode
-	y, groups := mode.Y(), cfg.Groups()
-	nEntries := mode.entries()
-	entryLen := mode.entryLen()
-	mask := mode.colourMask()
-	sealer := secretbox.NewLabelSealer()
+	groups, nEntries := cfg.Groups(), mode.entries()
 	// keep is 0xFF for a read, which keeps the old bits, and 0 for a
 	// write, which takes the bits it writes.
 	keep := byte(-subtle.ConstantTimeByteEq(uint8(s.op), uint8(OpRead)))
-	newLabel := func(b uint8, g int) []byte {
-		o := (int(b)*groups + g) * prf.Size
-		return s.news[o : o+prf.Size]
-	}
 
 	// The counter-ct+1 label rows fill this range of s.news; rows reads
 	// the counter-ct label rows, row b for bit value b.
@@ -1212,58 +1237,75 @@ func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *crypto
 		rows.add(gen.LabelRow(g0, uint8(b), s.ct))
 	}
 	if mode.permute() {
-		for g := g0; g < g1; g++ {
-			colour := newLabel(0, g)[0] & mask
-			for b := uint8(1); b < uint8(nEntries); b++ {
-				paint(newLabel(b, g), b, colour, mask)
-			}
-		}
+		p.buildPermuteRange(table, &rows, s, g0, g1, gBase, keep)
+		return nil
 	}
 
+	// Basic / space-optimized: entries are generated in bit-value order,
+	// so each is sealed directly into a uniformly random slot (step 1.5).
+	// The slot permutation must be cryptographically unpredictable — a
+	// guessable placement would leak plaintext bits by position.
+	y, entryLen := mode.Y(), mode.entryLen()
+	sealer := secretbox.NewLabelSealer()
 	var perm [maxEntries]int
 	for c0 := g0; c0 < g1; c0 += rowChunk {
 		k := rows.next(g1 - c0)
-		if mode.permute() {
-			rows.paint(k, mask)
-		}
 		for i := 0; i < k; i++ {
 			g := c0 + i
 			slots := table[(g-gBase)*nEntries*entryLen : (g-gBase+1)*nEntries*entryLen]
 			written := groupBits(s.value, g, y)
-
-			if mode.permute() {
-				// Point-and-permute: entry e is keyed by the old label whose
-				// colour is e, the one for bits e ⊕ r (§10.2), and is the new
-				// label XOR that label's pad.
-				r := rows.at(0, i)[0] & mask
-				for e := uint8(0); e < uint8(nEntries); e++ {
-					b := e ^ r
-					s.olds[g*nEntries+int(e)] = b
-					target := b&keep | written&^keep
-					if err := sealer.PadInto(slots[int(e)*entryLen:int(e+1)*entryLen], rows.at(int(b), i), newLabel(target, g)); err != nil {
-						return err
-					}
-				}
-				continue
-			}
-
-			// Basic / space-optimized: entries are generated in bit-value
-			// order, so each is sealed directly into a uniformly random slot
-			// (step 1.5). The slot permutation must be cryptographically
-			// unpredictable — a guessable placement would leak plaintext
-			// bits by position.
 			shuf.perm(nEntries, perm[:])
 			for b := uint8(0); b < uint8(nEntries); b++ {
 				slot := perm[b]
 				s.olds[g*nEntries+slot] = b
 				target := b&keep | written&^keep
-				if err := sealer.SealInto(slots[slot*entryLen:(slot+1)*entryLen], rows.at(int(b), i), newLabel(target, g)); err != nil {
+				o := (int(target)*groups + g) * prf.Size
+				if err := sealer.SealInto(slots[slot*entryLen:(slot+1)*entryLen], rows.at(int(b), i), s.news[o:o+prf.Size]); err != nil {
 					return err
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// buildPermuteRange is buildGroupRange under point-and-permute, one pass
+// a group over fixed-size blocks. Every point-and-permute row of lblModes
+// has y = 2 (TestPermuteModesAreY2), so a group is four 16-byte entries,
+// its bits two of a value byte's, and its labels' colours their first
+// byte's low two bits. Per group it paints the four new labels and the
+// chunk's four old ones (paint), writes which old bits key each entry to
+// s.olds — entry e is keyed by the old label whose colour is e, the one
+// for bits e ⊕ r (§10.2) — and pads the four entries in one sealer call.
+func (p *LBLProxy) buildPermuteRange(table []byte, rows *scheduleRows, s *tableSpec, g0, g1, gBase int, keep byte) {
+	const n = secretbox.GroupPads
+	const mask = n - 1
+	groups := p.cfg.Groups()
+	sealer := secretbox.NewLabelSealer()
+	var news, olds, keys, bodies [n]*[prf.Size]byte
+	for c0 := g0; c0 < g1; c0 += rowChunk {
+		k := rows.next(g1 - c0)
+		for i := 0; i < k; i++ {
+			g := c0 + i
+			for b := range news {
+				news[b] = (*[prf.Size]byte)(s.news[(b*groups+g)*prf.Size:])
+				olds[b] = rows.block(b, i)
+			}
+			rn, r := news[0][0]&mask, olds[0][0]&mask
+			for b := 1; b < n; b++ {
+				paint(news[b][:], uint8(b), rn, mask)
+				paint(olds[b][:], uint8(b), r, mask)
+			}
+			written := s.value[g/n] >> (g % n * 2) & mask
+			keyedBy := (*[n]byte)(s.olds[g*n:])
+			for e := range keys {
+				b := uint8(e) ^ r
+				keyedBy[e] = b
+				keys[e], bodies[e] = olds[b], news[b&keep|written&^keep]
+			}
+			sealer.PadGroup((*[n * prf.Size]byte)(table[(g-gBase)*n*prf.Size:]), &keys, &bodies)
+		}
+	}
 }
 
 // errDigest is the §5.4 check failing: the slot's digest is not the XOR

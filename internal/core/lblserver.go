@@ -259,44 +259,56 @@ var recPool = sync.Pool{New: func() any { return new([]byte) }}
 // whose entries opens means the table is not keyed at the record's
 // labels.
 func decryptRange(mode LBLMode, rec *lblRecord, table []byte, g0, g1 int, newLabels, fields []byte, digest *labelDigest) (attempts int64, ok bool) {
+	if mode.permute() {
+		decryptPermuteRange(rec, table, g0, g1, newLabels, fields, digest)
+		return int64(g1 - g0), true
+	}
+	// Try each shuffled entry; the recognition tag identifies the one our
+	// label opens (§5.2 step 2.1). Every trial opens under the same stored
+	// label, so the pad is derived once and each trial is a tag comparison.
 	entryLen, nEntries := mode.entryLen(), mode.entries()
 	sealer := secretbox.NewLabelSealer()
 	for g := g0; g < g1; g++ {
 		stored := rec.labels[g*prf.Size : (g+1)*prf.Size]
 		entries := table[(g-g0)*nEntries*entryLen : (g-g0+1)*nEntries*entryLen]
 		newLabel := newLabels[g*prf.Size : (g+1)*prf.Size]
+		opener, err := sealer.Opener(stored)
+		if err != nil {
+			return attempts, false
+		}
 		e := 0
-		if mode.permute() {
-			// Point-and-permute: the stored label's colour names its
-			// entry, and opening it is one pad.
-			e = int(stored[0] & mode.colourMask())
+		for ; e < nEntries; e++ {
 			attempts++
-			if sealer.PadInto(newLabel, stored, entries[e*entryLen:(e+1)*entryLen]) != nil {
-				return attempts, false
+			if opener.OpenInto(newLabel, entries[e*entryLen:(e+1)*entryLen]) == nil {
+				break
 			}
-		} else {
-			// Try each shuffled entry; the recognition tag identifies the
-			// one our label opens (§5.2 step 2.1). Every trial opens under
-			// the same stored label, so the pad is derived once and each
-			// trial is a tag comparison.
-			opener, err := sealer.Opener(stored)
-			if err != nil {
-				return attempts, false
-			}
-			for ; e < nEntries; e++ {
-				attempts++
-				if opener.OpenInto(newLabel, entries[e*entryLen:(e+1)*entryLen]) == nil {
-					break
-				}
-			}
-			if e == nEntries {
-				return attempts, false
-			}
+		}
+		if e == nEntries {
+			return attempts, false
 		}
 		setGroupBits(fields, g, mode.Y(), uint8(e))
 		digest.add(newLabel)
 	}
 	return attempts, true
+}
+
+// decryptPermuteRange is decryptRange under point-and-permute, where y = 2
+// (TestPermuteModesAreY2): each stored label's colour, its first byte's low
+// two bits, names the one entry of its group it opens, and opening it is
+// one pad. Every group opens — an entry has no tag to refuse — so the
+// attempts are one a group.
+func decryptPermuteRange(rec *lblRecord, table []byte, g0, g1 int, newLabels, fields []byte, digest *labelDigest) {
+	const n = secretbox.GroupPads
+	const mask = n - 1
+	sealer := secretbox.NewLabelSealer()
+	for g := g0; g < g1; g++ {
+		stored := (*[prf.Size]byte)(rec.labels[g*prf.Size:])
+		newLabel := (*[prf.Size]byte)(newLabels[g*prf.Size:])
+		e := int(stored[0] & mask)
+		sealer.Pad(newLabel, stored, (*[prf.Size]byte)(table[((g-g0)*n+e)*prf.Size:]))
+		fields[g/n] |= byte(e) << (g % n * 2)
+		digest.add(newLabel[:])
+	}
 }
 
 // requestAbortMarker tags the rejection of a request that died or

@@ -455,6 +455,31 @@ func TestModeTableGolden(t *testing.T) {
 	}
 }
 
+// TestAESBlocksGolden pins, per row of the mode table, the AES blocks one
+// 160 B access costs each side (ProxyAESBlocks, ServerAESBlocks): the
+// floor the kernel benchmarks report ns/block against. Point-and-permute
+// is 8 keystream blocks and 4 pads a group at the proxy, one pad a group
+// at the server (§10.2).
+func TestAESBlocksGolden(t *testing.T) {
+	for _, c := range []struct {
+		mode                    LBLMode
+		proxyCTR, proxySingle   int
+		serverCTR, serverSingle int
+	}{
+		{LBLBasic, 5120, 5122, 0, 2560},
+		{LBLSpaceOpt, 5120, 5122, 0, 1280},
+		{LBLPointPermute, 5120, 2562, 0, 640},
+	} {
+		cfg := LBLConfig{ValueSize: 160, Mode: c.mode}
+		pc, ps := cfg.ProxyAESBlocks()
+		sc, ss := cfg.ServerAESBlocks()
+		if pc != c.proxyCTR || ps != c.proxySingle || sc != c.serverCTR || ss != c.serverSingle {
+			t.Errorf("%v: proxy %d CTR + %d single, server %d + %d; want %d + %d, %d + %d",
+				c.mode, pc, ps, sc, ss, c.proxyCTR, c.proxySingle, c.serverCTR, c.serverSingle)
+		}
+	}
+}
+
 // TestVerifierKnownAnswer pins the record verifier: v_ct = AES-128 under
 // HMAC-SHA256(key, 06)[:16] of PRF(k)[:8] ‖ ct (big-endian), computed here
 // from crypto/hmac and crypto/aes alone, for "golden-key" at counter 3
@@ -553,7 +578,7 @@ func TestBuildIsOpIndependent(t *testing.T) {
 						entry := c.table[(g*n+e)*entryLen : (g*n+e+1)*entryLen]
 						got := make([]byte, prf.Size)
 						if mode.permute() {
-							err = sealer.PadInto(got, key[:], entry)
+							sealer.Pad((*[prf.Size]byte)(got), (*[prf.Size]byte)(key[:]), (*[prf.Size]byte)(entry))
 						} else {
 							var o secretbox.LabelOpener
 							if o, err = sealer.Opener(key[:]); err == nil {

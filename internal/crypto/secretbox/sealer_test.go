@@ -95,44 +95,43 @@ func TestLabelSealerKnownAnswer(t *testing.T) {
 }
 
 // TestLabelPadKnownAnswer pins the tagless entry of point-and-permute:
-// PadInto over a vector's label and the first 16 bytes of its plaintext
-// must give the first 16 bytes of the vector's sealed entry — the same
-// first pad block, on AES instructions and on the table-driven fallback
-// alike — and opening it again must give the body back.
+// Pad over a vector's label and the first 16 bytes of its plaintext must
+// give the first 16 bytes of the vector's sealed entry — the same first
+// pad block, on AES instructions and on the table-driven fallback alike —
+// and padding it again must give the body back. PadGroup over the three
+// vectors and a fourth label must give each entry Pad gives, in place.
+// Neither allocates.
 func TestLabelPadKnownAnswer(t *testing.T) {
 	s := NewLabelSealer()
-	for _, v := range sealerVectors {
+	var labels, bodies [GroupPads]*[PadSize]byte
+	var want [GroupPads * PadSize]byte
+	for i, v := range sealerVectors {
 		label, _ := hex.DecodeString(v.label)
 		plaintext, _ := hex.DecodeString(v.plaintext)
 		sealed, _ := hex.DecodeString(v.sealed)
-		got := make([]byte, PadSize)
-		if err := s.PadInto(got, label, plaintext[:PadSize]); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, sealed[:PadSize]) {
+		labels[i], bodies[i] = (*[PadSize]byte)(label), (*[PadSize]byte)(plaintext)
+		var got [PadSize]byte
+		s.Pad(&got, labels[i], bodies[i])
+		if !bytes.Equal(got[:], sealed[:PadSize]) {
 			t.Errorf("label %s: padded = %x, want %x", v.label, got, sealed[:PadSize])
 		}
-		if err := s.PadInto(got, label, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, plaintext[:PadSize]) {
+		copy(want[i*PadSize:], got[:])
+		if s.Pad(&got, labels[i], &got); !bytes.Equal(got[:], plaintext[:PadSize]) {
 			t.Errorf("label %s: padding twice gives %x, want the body %x", v.label, got, plaintext[:PadSize])
 		}
 	}
-	buf := make([]byte, PadSize)
-	for _, c := range []struct{ dst, label, body []byte }{
-		{buf, make([]byte, 15), buf}, {buf, buf, make([]byte, 17)}, {make([]byte, 15), buf, buf},
-	} {
-		if err := s.PadInto(c.dst, c.label, c.body); err == nil {
-			t.Errorf("PadInto accepted a %d-byte slot, %d-byte label and %d-byte body", len(c.dst), len(c.label), len(c.body))
-		}
+	last := len(sealerVectors)
+	labels[last], bodies[last] = (*[PadSize]byte)(randBytes(t, PadSize)), (*[PadSize]byte)(randBytes(t, PadSize))
+	s.Pad((*[PadSize]byte)(want[last*PadSize:]), labels[last], bodies[last])
+	var got [GroupPads * PadSize]byte
+	if s.PadGroup(&got, &labels, &bodies); got != want {
+		t.Errorf("PadGroup = %x, want the four Pad entries %x", got, want)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if err := s.PadInto(buf, buf, buf); err != nil {
-			t.Fatal(err)
-		}
+		s.Pad(bodies[0], labels[0], bodies[0])
+		s.PadGroup(&got, &labels, &bodies)
 	}); allocs != 0 {
-		t.Errorf("PadInto allocates %v times per op, want 0", allocs)
+		t.Errorf("Pad and PadGroup allocate %v times per op, want 0", allocs)
 	}
 }
 

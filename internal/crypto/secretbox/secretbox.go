@@ -29,9 +29,10 @@
 // tampering server comes from the proxy-side label check of §5.4, which
 // accepts only labels its PRF could have produced. Where the server is
 // told which entry is its own — point-and-permute, §10.2 — an entry
-// needs no tag, and PadInto XORs a 16-byte body with the first block
-// alone: one π call. Two AES blocks per tagged entry keep the proxy's 2^y·ℓ/y seals per access well under the
-// ~2 ms/object the paper reports (§6.3.3); an AES-GCM instance per
+// needs no tag, and Pad XORs a 16-byte body with the first block alone:
+// one π call, four for a group's entries in one PadGroup call. Two AES
+// blocks per tagged entry keep the proxy's 2^y·ℓ/y seals per access well
+// under the ~2 ms/object the paper reports (§6.3.3); an AES-GCM instance per
 // entry would dominate the access path, and so did the SHA-256 this
 // replaced. On hardware without AES instructions Go's table-driven AES
 // makes the pad no faster than a hash and no less constant-time than
@@ -154,6 +155,7 @@ var pi = func() cipher.Block {
 // worker owns one.
 type LabelSealer struct {
 	x, pad [padSize]byte
+	group  [GroupPads][PadSize]byte // π of each label a Pad or PadGroup call pads
 }
 
 // NewLabelSealer returns a ready sealer.
@@ -180,29 +182,46 @@ func (s *LabelSealer) derive(label []byte) {
 	le.PutUint64(s.pad[24:], le.Uint64(s.pad[24:])^l1)
 }
 
-// PadSize is the body of a PadInto entry: one label.
+// PadSize is the body of a padded entry: one label.
 const PadSize = aes.BlockSize
 
-// PadInto sets dst to body XOR the one-block pad of label, H(L) = π(L) ⊕ L
-// — the first block of the pad SealInto derives, so one π call where a
-// seal makes two. dst, label and body are PadSize bytes; dst may alias
-// body. It carries no tag, so it opens under any label: it is for
-// entries whose opener is told which one is its own (LBL-ORTOA's
-// point-and-permute colour bits), and it is its own inverse. The
-// one-pad-per-label precondition of SealInto holds here too. It
-// allocates nothing.
-func (s *LabelSealer) PadInto(dst, label, body []byte) error {
-	if len(label) != PadSize || len(body) != PadSize || len(dst) != PadSize {
-		return fmt.Errorf("secretbox: pad label, body and slot must be %d bytes, got %d, %d and %d",
-			PadSize, len(label), len(body), len(dst))
+// GroupPads is the number of entries PadGroup pads at once: the 2^y
+// entries of one point-and-permute group, y = 2.
+const GroupPads = 4
+
+// Pad sets dst to body XOR the one-block pad of label, H(L) = π(L) ⊕ L —
+// the first block of the pad SealInto derives, so one π call where a seal
+// makes two; dst may alias body. It carries no tag, so it opens under any
+// label: it is for entries whose opener is told which one is its own
+// (LBL-ORTOA's point-and-permute colour bits), and it is its own inverse.
+// The one-pad-per-label precondition of SealInto holds here too. Its
+// blocks are fixed-size, so the only checks left are the stdlib's inside
+// π, and it allocates nothing.
+func (s *LabelSealer) Pad(dst, label, body *[PadSize]byte) {
+	pi.Encrypt(s.group[0][:], label[:])
+	xorPad(dst, body, label, &s.group[0])
+}
+
+// PadGroup is Pad over the GroupPads entries of one group: entry e of dst
+// becomes bodies[e] XOR the pad of labels[e]. The four π calls come
+// first, into the sealer's scratch, then the word XORs; dst aliases no
+// label or body.
+func (s *LabelSealer) PadGroup(dst *[GroupPads * PadSize]byte, labels, bodies *[GroupPads]*[PadSize]byte) {
+	for e, l := range labels {
+		pi.Encrypt(s.group[e][:], l[:])
 	}
+	for e, l := range labels {
+		xorPad((*[PadSize]byte)(dst[e*PadSize:]), bodies[e], l, &s.group[e])
+	}
+}
+
+// xorPad sets dst = body ⊕ label ⊕ π(label), two words at a time.
+func xorPad(dst, body, label, enc *[PadSize]byte) {
 	le := binary.LittleEndian
-	l0, l1 := le.Uint64(label), le.Uint64(label[8:])
-	pi.Encrypt(s.pad[:aes.BlockSize], label)
-	b0, b1 := le.Uint64(body), le.Uint64(body[8:])
-	le.PutUint64(dst, b0^le.Uint64(s.pad[0:])^l0)
-	le.PutUint64(dst[8:], b1^le.Uint64(s.pad[8:])^l1)
-	return nil
+	lo := le.Uint64(body[:]) ^ le.Uint64(label[:]) ^ le.Uint64(enc[:])
+	hi := le.Uint64(body[8:]) ^ le.Uint64(label[8:]) ^ le.Uint64(enc[8:])
+	le.PutUint64(dst[:], lo)
+	le.PutUint64(dst[8:], hi)
 }
 
 // SealInto encrypts plaintext (≤ MaxLabelPlaintext bytes) under the

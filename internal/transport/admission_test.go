@@ -222,12 +222,12 @@ func gateServer(t *testing.T, cfg AdmissionConfig) (*Server, *netsim.Listener, c
 	s := NewServer()
 	s.Handle(msgEcho, func(_ context.Context, p []byte) ([]byte, error) {
 		executed.Add(1)
-		return p, nil
+		return bytes.Clone(p), nil
 	})
 	s.Handle(msgSlow, func(_ context.Context, p []byte) ([]byte, error) {
 		executed.Add(1)
 		<-gate
-		return p, nil
+		return bytes.Clone(p), nil
 	})
 	s.LimitAdmission(cfg)
 	l := netsim.Listen(netsim.Loopback)

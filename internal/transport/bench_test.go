@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -11,7 +12,7 @@ import (
 func benchServer(b *testing.B) *netsim.Listener {
 	b.Helper()
 	s := NewServer()
-	s.Handle(1, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	s.Handle(1, func(_ context.Context, p []byte) ([]byte, error) { return bytes.Clone(p), nil })
 	l := netsim.Listen(netsim.Loopback)
 	go s.Serve(l)
 	b.Cleanup(func() { s.Close() })

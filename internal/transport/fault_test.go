@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -38,7 +39,7 @@ func TestOversizedResponseBecomesRemoteError(t *testing.T) {
 	s.Handle(msgCount, func(_ context.Context, p []byte) ([]byte, error) {
 		return make([]byte, MaxFrameSize), nil
 	})
-	s.Handle(msgEcho, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	s.Handle(msgEcho, func(_ context.Context, p []byte) ([]byte, error) { return bytes.Clone(p), nil })
 	l := netsim.Listen(netsim.Loopback)
 	go s.Serve(l)
 	defer s.Close()
@@ -158,7 +159,7 @@ func TestReconnectAfterReset(t *testing.T) {
 	// the retry must complete through it.
 	plan := &netsim.FaultPlan{ResetProb: 1, MaxFaults: 1}
 	s := NewServer()
-	s.Handle(msgEcho, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	s.Handle(msgEcho, func(_ context.Context, p []byte) ([]byte, error) { return bytes.Clone(p), nil })
 	l := netsim.Listen(netsim.Link{Fault: plan})
 	go s.Serve(l)
 	defer s.Close()
@@ -251,7 +252,7 @@ func TestServeConnTearsDownOnWriteError(t *testing.T) {
 	// not left accepting requests: the client's pending call then fails
 	// fast via its read loop instead of hanging forever.
 	s := NewServer()
-	s.Handle(msgEcho, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	s.Handle(msgEcho, func(_ context.Context, p []byte) ([]byte, error) { return bytes.Clone(p), nil })
 	inner := netsim.Listen(netsim.Loopback)
 	go s.Serve(&writeFailListener{inner})
 	defer s.Close()

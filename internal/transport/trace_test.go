@@ -153,7 +153,7 @@ func TestUntracedClientSendsZeroRef(t *testing.T) {
 	serverTr := reg.Tracer("server", 64)
 	s := NewServer()
 	s.SetTracer(serverTr)
-	s.Handle(msgEcho, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	s.Handle(msgEcho, func(_ context.Context, p []byte) ([]byte, error) { return bytes.Clone(p), nil })
 	l := netsim.Listen(netsim.Loopback)
 	go s.Serve(l)
 	defer s.Close()
@@ -180,7 +180,7 @@ func TestReplayedResponseJoinsOriginalTrace(t *testing.T) {
 	var execs atomic.Int64
 	s.Handle(msgCount, func(_ context.Context, p []byte) ([]byte, error) {
 		execs.Add(1)
-		return p, nil
+		return bytes.Clone(p), nil
 	})
 	l := netsim.Listen(netsim.Link{Fault: plan})
 	go s.Serve(l)
@@ -247,7 +247,7 @@ func TestShapeAuditorSeesTransportFrames(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := NewServer()
 	s.AuditShape(obs.NewShapeAuditor(reg, "server"), classify)
-	s.Handle(msgEcho, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	s.Handle(msgEcho, func(_ context.Context, p []byte) ([]byte, error) { return bytes.Clone(p), nil })
 	l := netsim.Listen(netsim.Loopback)
 	go s.Serve(l)
 	defer s.Close()

@@ -219,10 +219,14 @@ func Ambiguous(err error) bool {
 	return !errors.Is(err, ErrFrameTooLarge) && !errors.Is(err, ErrClosed)
 }
 
-// maxPooledFrameBuf caps the coalesce buffers the frame pool retains;
-// rare multi-megabyte batch frames are left to the garbage collector
-// rather than pinned for the process lifetime.
-const maxPooledFrameBuf = 4 << 20
+// maxPooledFrameBuf caps the coalesce buffers the frame pool retains,
+// and the request buffers the request pools do (requestBuf); rare
+// multi-megabyte batch frames are left to the garbage collector rather
+// than pinned for the process lifetime.
+const (
+	maxPooledFrameShift = 22
+	maxPooledFrameBuf   = 1 << maxPooledFrameShift // 4 MiB
+)
 
 // frameBufPool recycles the per-frame coalesce buffer of writeFrame.
 // net.Conn.Write must not retain its argument past return, so the
@@ -271,24 +275,32 @@ func writeFrame(w io.Writer, session, id uint64, tr trace.SpanContext, budget ui
 // nothing: everything a frame costs is allocated once its bytes arrive,
 // never as the loop turns around after delivering the previous one.
 func readFrame(r io.Reader, hdr *[headerSize]byte) (session, id uint64, tr trace.SpanContext, budget uint32, msgType, flags byte, payload []byte, err error) {
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+	session, id, tr, budget, msgType, flags, n, err := readHeader(r, hdr)
+	if err != nil {
 		return 0, 0, trace.SpanContext{}, 0, 0, 0, nil, err
+	}
+	payload = make([]byte, n)
+	if _, err = io.ReadFull(r, payload); err != nil {
+		return 0, 0, trace.SpanContext{}, 0, 0, 0, nil, err
+	}
+	return session, id, tr, budget, msgType, flags, payload, nil
+}
+
+// readHeader reads one frame's header from r into hdr and returns its
+// fields and the length of the payload that follows it.
+func readHeader(r io.Reader, hdr *[headerSize]byte) (session, id uint64, tr trace.SpanContext, budget uint32, msgType, flags byte, n int, err error) {
+	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, trace.SpanContext{}, 0, 0, 0, 0, err
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
 	if length < minFrameLen || length > MaxFrameSize {
-		return 0, 0, trace.SpanContext{}, 0, 0, 0, nil, fmt.Errorf("transport: invalid frame length %d", length)
+		return 0, 0, trace.SpanContext{}, 0, 0, 0, 0, fmt.Errorf("transport: invalid frame length %d", length)
 	}
 	session = binary.LittleEndian.Uint64(hdr[4:12])
 	id = binary.LittleEndian.Uint64(hdr[12:20])
 	tr.TraceID, tr.SpanID = wire.TraceRef(hdr[20 : 20+wire.TraceRefLen])
 	budget = wire.Budget(hdr[36 : 36+wire.BudgetLen])
-	msgType = hdr[40]
-	flags = hdr[41]
-	payload = make([]byte, length-minFrameLen)
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return 0, 0, trace.SpanContext{}, 0, 0, 0, nil, err
-	}
-	return session, id, tr, budget, msgType, flags, payload, nil
+	return session, id, tr, budget, hdr[40], hdr[41], int(length - minFrameLen), nil
 }
 
 // A HandlerFunc serves one request payload and returns the response
@@ -296,6 +308,14 @@ func readFrame(r io.Reader, hdr *[headerSize]byte) (session, id uint64, tr trace
 // carries the request's trace span (if the frame was traced and the
 // server has a tracer); handlers start children of it via
 // trace.StartChild and otherwise ignore it.
+//
+// The payload is lent, not given: the server reads every request frame
+// into a recycled buffer and takes it back once the handler has
+// returned. A handler copies what it keeps — into the store, a record, a
+// key string — and never returns a slice of the payload: the
+// at-most-once cache keeps the response to replay to a retry, long
+// after the request's buffer holds another request. The continuation
+// frames StreamReader.Next yields are lent the same way (see Next).
 type HandlerFunc func(ctx context.Context, payload []byte) ([]byte, error)
 
 // A ShapeClassifier maps a request payload to its obliviousness shape
@@ -552,9 +572,9 @@ func (fs *frameShape) response(complete bool) uint64 {
 
 // A streamFrame is one continuation frame on its way to the handler.
 type streamFrame struct {
-	payload []byte
-	more    bool // further frames follow
-	lost    bool // a frame before this one never arrived
+	buf  *requestBuf // nil for the failure a lost frame stands for
+	more bool        // further frames follow
+	lost bool        // a frame before this one never arrived
 }
 
 // streamState is the read loop's record of one inbound multi-frame
@@ -572,6 +592,7 @@ type StreamReader struct {
 	st       *streamState
 	connDone chan struct{} // closed when the carrying connection's read loop exits
 	complete bool          // the handler consumed the request's last frame
+	held     *requestBuf   // the payload Next returned last, lent to the handler
 }
 
 // Next returns the next continuation payload and whether further
@@ -579,7 +600,14 @@ type StreamReader struct {
 // the carrying connection is lost. A request one of whose frames was
 // lost or reordered fails here: the frames that did arrive can never
 // pass for the whole request.
+//
+// Like the head frame's payload (HandlerFunc), the payload is lent: the
+// server takes its buffer back at the next call to Next, or when the
+// handler returns, so the handler consumes a frame before it asks for
+// the one after it and keeps nothing of it but copies.
 func (sr *StreamReader) Next(ctx context.Context) (payload []byte, more bool, err error) {
+	sr.held.release()
+	sr.held = nil
 	var f streamFrame
 	select {
 	case f = <-sr.st.ch:
@@ -598,10 +626,12 @@ func (sr *StreamReader) Next(ctx context.Context) (payload []byte, more bool, er
 		}
 	}
 	if f.lost {
+		f.buf.release()
 		return nil, false, errors.New("transport: request frame lost or out of order")
 	}
 	sr.complete = !f.more
-	return f.payload, f.more, nil
+	sr.held = f.buf
+	return f.buf.payload, f.more, nil
 }
 
 type streamCtxKey struct{}
@@ -639,10 +669,16 @@ func (s *Server) serveConn(conn net.Conn) {
 	var streams map[uint64]*streamState
 	var hdr [headerSize]byte
 	for {
-		sid, id, tr, budget, msgType, flags, payload, err := readFrame(conn, &hdr)
+		sid, id, tr, budget, msgType, flags, n, err := readHeader(conn, &hdr)
 		if err != nil {
 			return // closed, draining, or corrupt; stop reading
 		}
+		buf := getRequestBuf(n)
+		if _, err := io.ReadFull(conn, buf.payload); err != nil {
+			buf.release()
+			return
+		}
+		payload := buf.payload
 		m := s.metrics.Load()
 		if m != nil {
 			m.framesIn.Inc()
@@ -663,7 +699,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				default:
 				}
 			}
-			f := streamFrame{payload: payload, more: flags&flagMore != 0}
+			f := streamFrame{buf: buf, more: flags&flagMore != 0}
 			var class uint64
 			var strict bool
 			aud, _ := s.shape()
@@ -677,13 +713,16 @@ func (s *Server) serveConn(conn net.Conn) {
 			if st == nil || f.lost || !f.more {
 				delete(streams, id)
 			}
-			if st != nil {
-				// A full buffer blocks this read loop — deliberate
-				// backpressure — unless the handler finishes first.
-				select {
-				case st.ch <- f:
-				case <-st.done:
-				}
+			if st == nil {
+				buf.release()
+				continue
+			}
+			// A full buffer blocks this read loop — deliberate
+			// backpressure — unless the handler finishes first.
+			select {
+			case st.ch <- f:
+			case <-st.done:
+				buf.release()
 			}
 			continue
 		}
@@ -711,6 +750,7 @@ func (s *Server) serveConn(conn net.Conn) {
 					aud, _ := s.shape()
 					aud.Observe("in", msgType, 0, false, len(payload))
 					s.observe(msgType, len(payload), 0)
+					buf.release()
 					continue
 				case <-old.done:
 				}
@@ -734,6 +774,12 @@ func (s *Server) serveConn(conn net.Conn) {
 				defer close(sr.st.done)
 			}
 			s.serveRequest(conn, &wmu, sid, id, tr, deadline, msgType, payload, m, sr)
+			// The exchange is answered and audited: nothing reads the
+			// request's frames any more.
+			buf.release()
+			if sr != nil {
+				sr.held.release()
+			}
 		}()
 	}
 }

@@ -24,7 +24,7 @@ const (
 func startTestServer(t *testing.T, link netsim.Link) (*Server, *netsim.Listener) {
 	t.Helper()
 	s := NewServer()
-	s.Handle(msgEcho, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	s.Handle(msgEcho, func(_ context.Context, p []byte) ([]byte, error) { return bytes.Clone(p), nil })
 	s.Handle(msgFail, func(_ context.Context, p []byte) ([]byte, error) { return nil, errors.New("handler exploded") })
 	s.Handle(msgSlow, func(_ context.Context, p []byte) ([]byte, error) {
 		time.Sleep(50 * time.Millisecond)
@@ -354,7 +354,7 @@ func TestOverSimulatedWAN(t *testing.T) {
 
 func TestFrameCorruptionDropsConn(t *testing.T) {
 	s := NewServer()
-	s.Handle(msgEcho, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	s.Handle(msgEcho, func(_ context.Context, p []byte) ([]byte, error) { return bytes.Clone(p), nil })
 	l := netsim.Listen(netsim.Loopback)
 	go s.Serve(l)
 	defer s.Close()
