@@ -19,10 +19,13 @@ vet:
 # pipeline tests exercise concurrent AccessBatch/Access interleavings,
 # parallel per-shard batch fan-out, and server shutdown draining, and the
 # hold tests arrivals for a key racing that key's round returning, held
-# chains leaving as their keys come back under resets, and Close draining
-# both.
+# accesses leaving folded as their keys come back under resets, and Close
+# draining both. The hold, fold, two-proxy and repeated-key tests then run
+# ten times more: a folded round's values pass from the goroutine that
+# carried it to each member's.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'Hold|Held|Coalesce|TwoProxies|BatchDuplicate' ./...
 
 # verify is the fast CI gate: static checks plus the plain test suite,
 # then the same for the repository benchmark, which is a module of its
@@ -41,9 +44,9 @@ verify-benchmark:
 # benchmark-smoke runs the instrument, where verify-benchmark only builds
 # it: the benchmark module's quick run without -short — three real tiers,
 # untraced and traced, every value checked, exactly the metric names
-# BENCHMARK.json promises — and two seconds of the chained WAN workload
-# through run.sh, which exits non-zero on any failed or wrong operation,
-# then two of the 4 KiB workload, whose requests are cut into frames —
+# BENCHMARK.json promises — and two seconds of the hot-key WAN workload,
+# whose held accesses leave folded, through run.sh, which exits non-zero
+# on any failed or wrong operation, then two of the 4 KiB workload, whose requests are cut into frames —
 # the one run here that exercises the cut-request exchange and recovery
 # at 4 KiB — and two more of it traced, so the instrument's per-layer
 # readings, the hand-encoded request's length identity at 16,384 groups
@@ -71,8 +74,9 @@ noaes:
 # fuzz-smoke runs every fuzzer in the module for 10 s of generated
 # inputs (`go test` alone runs only their seed corpora): in internal/core,
 # frame sequences at the LBL server's one handler — whole, cut,
-# reordered, with a key repeated — and tampered response slots at the LBL
-# proxy, a chain's included, then arbitrary payloads at the TEE and FHE
+# reordered, with a key repeated, of which at most one segment installs —
+# and tampered response slots at the LBL proxy, a folded round's
+# included, then arbitrary payloads at the TEE and FHE
 # servers and arbitrary answers at their proxies; in internal/kvstore, the snapshot and log a restart
 # parses from its state directory; in internal/wire, the decoder every
 # payload goes through. The list is `go test -list`'s, so a fuzzer runs

@@ -101,46 +101,63 @@ func TestLBLBatchSingleRPC(t *testing.T) {
 	}
 }
 
+// TestLBLBatchDuplicateKeys: a key named more than once is folded into
+// one access (foldKey) — one segment, one install, one counter step — and
+// each access is answered as if applied in input order, so the read behind
+// a write returns the written value, in every variant.
 func TestLBLBatchDuplicateKeys(t *testing.T) {
-	// A key named more than once travels as one chain: its accesses are
-	// keyed at consecutive counters, applied in input order inside the
-	// one round trip, and each is answered from its own slot — so
-	// the read behind the write returns the written value — in every
-	// variant (point-and-permute carries its colour bits through the
-	// chain).
 	for _, mode := range allLBLModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			r, proxy, srv := newLBL(t, mode, 2)
-			loadData(t, r, proxy, map[string][]byte{"dup": {1, 1}, "other": {9, 9}})
-			ops := []BatchOp{
+		for _, tc := range []struct {
+			name  string
+			ops   []BatchOp
+			want  [][]byte
+			final []byte // "dup" after the batch
+		}{
+			{"read write read", []BatchOp{
 				{Op: OpRead, Key: "dup"},
 				{Op: OpWrite, Key: "dup", Value: []byte{2, 2}},
 				{Op: OpRead, Key: "dup"},
 				{Op: OpRead, Key: "other"},
-			}
-			before := r.client.Stats().Calls
-			values, _, err := proxy.AccessBatch(ops)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := r.client.Stats().Calls - before; got != 1 {
-				t.Errorf("batch with a triplicate key made %d RPCs, want 1", got)
-			}
-			want := [][]byte{{1, 1}, {2, 2}, {2, 2}, {9, 9}}
-			for i := range want {
-				if !bytes.Equal(values[i], want[i]) {
-					t.Errorf("op %d value = %v, want %v", i, values[i], want[i])
+			}, [][]byte{{1, 1}, {2, 2}, {2, 2}, {9, 9}}, []byte{2, 2}},
+			// The repeated key apart in the input: the stable sort puts its
+			// accesses next to each other, in input order.
+			{"write read write, apart", []BatchOp{
+				{Op: OpWrite, Key: "dup", Value: []byte{3, 3}},
+				{Op: OpRead, Key: "other"},
+				{Op: OpRead, Key: "dup"},
+				{Op: OpWrite, Key: "dup", Value: []byte{4, 4}},
+				{Op: OpRead, Key: "other"},
+			}, [][]byte{{3, 3}, {9, 9}, {3, 3}, {4, 4}, {9, 9}}, []byte{4, 4}},
+		} {
+			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
+				r, proxy, srv := newLBL(t, mode, 2)
+				loadData(t, r, proxy, map[string][]byte{"dup": {1, 1}, "other": {9, 9}})
+				before := r.client.Stats().Calls
+				values, stats, err := proxy.AccessBatch(tc.ops)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if got := srv.Ops(); got != 4 {
-				t.Errorf("server counted %d accesses, want 4", got)
-			}
-			// The counter committed all three steps: the key is still in step.
-			got, _, err := proxy.Access(OpRead, "dup", nil)
-			if err != nil || !bytes.Equal(got, []byte{2, 2}) {
-				t.Errorf("read after the chain = %v, %v", got, err)
-			}
-		})
+				if got := r.client.Stats().Calls - before; got != 1 {
+					t.Errorf("batch with a repeated key made %d RPCs, want 1", got)
+				}
+				if want := 2 * proxy.cfg.RequestBytesPerAccess(); stats.PrepBytes != want {
+					t.Errorf("request carried %d bytes, want %d: one segment per key", stats.PrepBytes, want)
+				}
+				for i := range tc.want {
+					if !bytes.Equal(values[i], tc.want[i]) {
+						t.Errorf("op %d value = %v, want %v", i, values[i], tc.want[i])
+					}
+				}
+				if got := srv.Ops(); got != 2 {
+					t.Errorf("server installed %d accesses, want 2: one per key", got)
+				}
+				// The counter moved one step: the key is still in step.
+				got, _, err := proxy.Access(OpRead, "dup", nil)
+				if err != nil || !bytes.Equal(got, tc.final) {
+					t.Errorf("read after the batch = %v, %v; want %v", got, err, tc.final)
+				}
+			})
+		}
 	}
 }
 
@@ -362,8 +379,8 @@ func TestAccessBatchResultsPerOpErrors(t *testing.T) {
 	if res[4].Err == nil {
 		t.Error("op 4 (unknown op) succeeded, want error")
 	}
-	// Ops 3 and 5 hit the same key, so they ran as one chain, in input
-	// order; the read behind the write sees it.
+	// Ops 3 and 5 hit the same key, so they were folded into one access,
+	// answered in input order; the read behind the write sees it.
 	if res[5].Err != nil || res[5].Value[0] != 7 {
 		t.Errorf("op 5 = %+v, want beta's new value", res[5])
 	}

@@ -21,9 +21,8 @@ import (
 // has one owner at a time and whatever else wants it waits on its entry,
 // in the order it arrived.
 type counterTable struct {
-	shards   [NumRanges]counterShard // lock stripes, one per counter range
-	maxChain int                     // most held accesses that leave as one chain; below 2, one at a time
-	expired  atomic.Int64            // held accesses answered unsent: deadline passed before their chain left
+	shards  [NumRanges]counterShard // lock stripes, one per counter range
+	expired atomic.Int64            // held accesses answered unsent: deadline passed before they left
 }
 
 type counterShard struct {
@@ -44,17 +43,17 @@ type counterEntry struct {
 // (own) a caller that wants the key to itself — a multi-key round, load,
 // save — and uses none of the access's fields.
 type keyWaiter struct {
-	acc      [1]roundAccess  // the access, then its outcome; an array so that a chain of one is its round's accesses as it stands
+	acc      [1]roundAccess  // the access, then its outcome; an array so that a round of one is its round's members as it stands
 	ctx      context.Context // its caller's
 	admitted time.Time       // when it arrived, on the stage family's clock
 	sp       *trace.Span     // its wait, under the caller's span
 	own      bool
-	// wake is closed when the wait is over. chain is then the waiters,
+	// wake is closed when the wait is over. carry is then the waiters,
 	// this one first, that the key was handed to and that this one
 	// carries through a round (alone, if own) — or nil: another access
 	// carried this one, and its outcome is in acc.
 	wake  chan struct{}
-	chain []*keyWaiter
+	carry []*keyWaiter
 }
 
 func newCounterTable() *counterTable {
@@ -106,20 +105,22 @@ func (t *counterTable) acquire(key string) *counterEntry {
 // release gives e's key up. If anything waits, the key passes on still
 // owned — so an arrival is in the line already or behind what leaves now,
 // never in between — to the head of the line: alone if it wants the key
-// to itself, else with the single accesses behind it, up to maxChain in
-// all, which it carries as one chain (LBLProxy.lead). Accesses whose
-// deadline has passed are answered unsent first — a definite outcome
-// (IsDeadlineExpired), and no trial decryptions for a caller that has
-// given up — and a chain that leaves empty serves the next in line.
+// to itself, else with every single access behind it up to the next
+// caller that wants the key to itself, which it carries through one round
+// as one folded access (LBLProxy.lead): however many there are, they add
+// no bytes. Accesses whose deadline has passed are answered unsent first
+// — a definite outcome (IsDeadlineExpired), and no trial decryptions for a
+// caller that has given up — and a group that leaves empty serves the
+// next in line.
 func (t *counterTable) release(e *counterEntry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for len(e.held) > 0 {
 		n := 1
-		for !e.held[0].own && n < len(e.held) && n < t.maxChain && !e.held[n].own {
+		for !e.held[0].own && n < len(e.held) && !e.held[n].own {
 			n++
 		}
-		chain := make([]*keyWaiter, 0, n)
+		carry := make([]*keyWaiter, 0, n)
 		for _, w := range e.held[:n] {
 			w.sp.End()
 			if !w.own && w.ctx.Err() != nil {
@@ -128,12 +129,12 @@ func (t *counterTable) release(e *counterEntry) {
 				close(w.wake)
 				continue
 			}
-			chain = append(chain, w)
+			carry = append(carry, w)
 		}
 		e.held = e.held[n:]
-		if len(chain) > 0 {
-			chain[0].chain = chain
-			close(chain[0].wake)
+		if len(carry) > 0 {
+			carry[0].carry = carry
+			close(carry[0].wake)
 			return
 		}
 	}

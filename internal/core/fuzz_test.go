@@ -49,13 +49,13 @@ func seededLBLServer(tb testing.TB) (*LBLServer, []byte) {
 // left after the last cut is the final frame). Whatever arrives — frames
 // reordered, duplicated, short, oversize, or extra, geometry changing
 // mid-request, an early end, a continuation with no head, a key repeated
-// next to itself (a chain) or apart, a table keyed above or below its
-// record's counter or sealed with garbage — the handler must not panic,
-// may change a record only for a key whose slot it answered slotOK in a
-// request it accepted whole, answers every slot slotOK that it counts as
-// an access served, and fills a slot's body only with what it may show:
-// on slotStale zero fields and the verifier of a record the store held,
-// on any other failure zeros.
+// next to itself or apart (which no proxy sends), a table keyed above or
+// below its record's counter or sealed with garbage — the handler must not
+// panic, may change a record only for a key whose slot it answered slotOK
+// in a request it accepted whole, answers at most one slot per key slotOK,
+// and every slot slotOK that it counts as an access served, and fills a
+// slot's body only with what it may show: on slotStale zero fields and the
+// verifier of a record the store held, on any other failure zeros.
 func FuzzLBLServerPayload(f *testing.F) {
 	cfg := LBLConfig{ValueSize: 4, Mode: LBLPointPermute, StreamChunkBytes: 256}
 	proxy, err := NewLBLProxy(cfg, prf.NewRandom(), nil)
@@ -129,21 +129,22 @@ func FuzzLBLServerPayload(f *testing.F) {
 	seed(v3)                                                                // the previous exchange version
 	seed(frames[:last]...)                                                  // early end
 	seed(frames[1:]...)                                                     // continuation with no head
-	// A repeated key: a chain of three and a bystander, cut and whole; the
-	// chain with its middle member keyed wrong; the key repeated with the
-	// bystander in between, which is no chain.
-	chained := func(counters ...uint64) [][]byte {
-		chain := []tableSpec{proxy.spec(OpRead, "a", nil, counters[0]), proxy.spec(OpWrite, "a", []byte{9, 9, 9, 9}, counters[1]),
+	// A repeated key, which no proxy sends: three segments of "a" and a
+	// bystander, cut and whole, keyed at consecutive counters as a chain of
+	// the previous exchange version was, with the middle one keyed wrong,
+	// and all three at the record's counter; the middle one's expected
+	// verifier flipped; the key repeated with the bystander in between.
+	repeated := func(counters ...uint64) [][]byte {
+		segs := []tableSpec{proxy.spec(OpRead, "a", nil, counters[0]), proxy.spec(OpWrite, "a", []byte{9, 9, 9, 9}, counters[1]),
 			proxy.spec(OpRead, "a", nil, counters[2]), specs[1]}
-		frames, _ := builtFrames(f, proxy, chain)
+		frames, _ := builtFrames(f, proxy, segs)
 		return frames
 	}
-	seed(chained(0, 1, 2)...)
-	seed(bytes.Join(chained(0, 1, 2), nil))
-	seed(chained(0, 5, 2)...)
-	// The chain rightly keyed, but the verifier its middle member expects
-	// flipped: the table is the right one, the claim about the record not.
-	wrongMiddle := bytes.Join(chained(0, 1, 2), nil)
+	seed(repeated(0, 1, 2)...)
+	seed(bytes.Join(repeated(0, 1, 2), nil))
+	seed(repeated(0, 5, 2)...)
+	seed(repeated(0, 0, 0)...)
+	wrongMiddle := bytes.Join(repeated(0, 0, 0), nil)
 	wrongMiddle[cfg.RequestBytesPerAccess()+cfg.segHeaderLen()] ^= 0x80
 	seed(wrongMiddle)
 	apart, _ := builtFrames(f, proxy, []tableSpec{specs[0], specs[1], proxy.spec(OpRead, "a", nil, 1)})
@@ -192,20 +193,28 @@ func FuzzLBLServerPayload(f *testing.F) {
 			now, _ := store.Get(ek)
 			held[staleBody(rec)], held[staleBody(now)] = true, true
 		}
-		installed := 0
+		// A request accepted whole is its slots' segments of one length back
+		// to back, each opening with its encoded key.
+		slots := len(resp) / cfg.ResponseBytesPerAccess()
+		whole := bytes.Join(sequence, nil)
+		installed, perKey := 0, map[string]int{}
 		for i := 0; err == nil && i < len(resp); i += cfg.ResponseBytesPerAccess() {
 			status, body := resp[i], resp[i+1:i+cfg.ResponseBytesPerAccess()]
 			switch {
 			case status == slotOK:
 				installed++
+				seg := i / cfg.ResponseBytesPerAccess() * (len(whole) / slots)
+				ek := string(whole[seg : seg+prf.Size])
+				if perKey[ek]++; perKey[ek] > 1 {
+					t.Fatalf("slot at %d installed a second segment of one key", i)
+				}
 			case status == slotStale && !held[string(body)]:
 				t.Fatalf("slot at %d is stale with body %x, which no record held", i, body)
 			case status != slotStale && !bytes.Equal(body, make([]byte, len(body))):
 				t.Fatalf("slot at %d failed with status %d and carries %x", i, status, body)
 			}
 		}
-		// A chain answers several slots for one record.
-		if changed > installed || (changed == 0) != (installed == 0) || srv.Ops() != int64(installed) {
+		if changed != installed || srv.Ops() != int64(installed) {
 			t.Fatalf("%d records changed, %d slots answered slotOK, %d accesses counted (err %v)", changed, installed, srv.Ops(), err)
 		}
 	})
@@ -214,14 +223,15 @@ func FuzzLBLServerPayload(f *testing.F) {
 // FuzzLBLProxyResponse plays a tampering server against the proxy's
 // response handling — the slot parser in round, the digest check in
 // recoverSlot and the rebase a stale slot's verifier drives. The request
-// is a chain of two reads of one key whose record is at counter base.
+// is two reads of one key whose record is at counter base, folded into
+// one segment.
 // Every answer the server gives it is rewritten, XORed with mask and
 // grown or shrunk by resize bytes before the proxy sees it; rewrite
 // (mod 4) leaves it as it is, swaps group 0's field in each slot with the
 // first field that differs from it, replays the honest answer to the same
-// chain one counter earlier, or zeroes every slot's body. When forge
+// request one counter earlier, or zeroes every slot's body. When forge
 // (mod 3) is set, the first answer, instead of running, is a stale slot
-// pair carrying the verifier of the key's record at counter base+shift —
+// carrying the verifier of the key's record at counter base+shift —
 // which a real server could only send had the record been there — or, at
 // 2, another key's verifier at that counter, both XORed with mask too.
 // Whatever the answers: no input may panic; no answer that differs from
@@ -260,12 +270,6 @@ func FuzzLBLProxyResponse(f *testing.F) {
 	f.Add([]byte{}, int16(slotLen), uint8(honest), int8(0), uint8(asIs))                      // a slot too many
 	f.Add([]byte{}, int16(-slotLen), uint8(honest), int8(0), uint8(asIs))                     // empty response
 	f.Add(bytes.Repeat([]byte{0xFF}, slotLen), int16(0), uint8(honest), int8(0), uint8(asIs)) // everything flipped
-	// The chain's second slot alone: its status, then one index bit.
-	f.Add(append(make([]byte, slotLen), slotStale), int16(0), uint8(honest), int8(0), uint8(asIs))
-	f.Add(append(make([]byte, slotLen), 0, 1), int16(0), uint8(honest), int8(0), uint8(asIs))
-	// Both statuses flipped to stale, the bodies left: a digest where the
-	// record's verifier should be.
-	f.Add(append(append([]byte{slotStale}, make([]byte, slotLen-1)...), slotStale), int16(0), uint8(honest), int8(0), uint8(asIs))
 	// Stale slots carrying the verifier of a record above, below and at
 	// ct; another key's verifier above and below; random bytes.
 	f.Add([]byte{}, int16(0), uint8(ownVerifier), int8(1), uint8(asIs))
@@ -364,7 +368,7 @@ func FuzzLBLProxyResponse(f *testing.F) {
 		if rewrite == replayPrevious {
 			earlier := kvstore.New()
 			earlier.Put(string(ek[:]), recordAt(proxy, "k", stored, base-1)) //nolint:errcheck // no WAL attached
-			frames, _ := builtFrames(t, proxy, []tableSpec{proxy.spec(OpRead, "k", nil, base-1), proxy.spec(OpRead, "k", nil, base)})
+			frames, _ := builtFrames(t, proxy, []tableSpec{proxy.spec(OpRead, "k", nil, base-1)})
 			if previous, err = NewLBLServer(earlier).handleAccess(context.Background(), bytes.Join(frames, nil)); err != nil {
 				t.Fatal(err)
 			}
@@ -373,8 +377,7 @@ func FuzzLBLProxyResponse(f *testing.F) {
 		if forge != honest {
 			key := map[uint8]string{ownVerifier: "k", otherVerifier: "other"}[forge]
 			held := verifierAt(proxy, key, uint64(base+int(shift)))
-			slot := append(append([]byte{slotStale}, make([]byte, cfg.ValueSize)...), held...)
-			forged = bytes.Repeat(slot, 2)
+			forged = append(append([]byte{slotStale}, make([]byte, cfg.ValueSize)...), held...)
 			for i := range forged {
 				if i < len(m) {
 					forged[i] ^= m[i]
@@ -391,7 +394,7 @@ func FuzzLBLProxyResponse(f *testing.F) {
 			if res.Err == nil && !bytes.Equal(res.Value, stored) {
 				t.Fatalf("access %d returned %v, want the stored %v", i, res.Value, stored)
 			}
-			if !tampered && (res.Err != nil || ct != base+2) {
+			if !tampered && (res.Err != nil || ct != base+1) {
 				t.Fatalf("honest answers, access %d: err %v, counter %d", i, res.Err, ct)
 			}
 		}

@@ -28,7 +28,8 @@ const holdValueSize = 4
 // A roundGate stands in front of a rig's LBL access handler: it records
 // each request's keys, ticks entered, holds the request until the test
 // lets it through, and keeps the invariant the proxy owes its server — a
-// key that two requests in flight name at once is recorded in shared.
+// key that two requests in flight name at once, or one request twice, is
+// recorded in shared.
 type roundGate struct {
 	names   map[string]string // encoded key → plaintext key
 	per     int               // request bytes per access
@@ -56,8 +57,8 @@ func gateRounds(r *rig, proxy *LBLProxy, srv *LBLServer, gate chan struct{}, key
 		}
 		g.mu.Lock()
 		g.rounds = append(g.rounds, strings.Join(mine, " "))
-		for i, k := range mine {
-			if g.busy[k] && (i == 0 || mine[i-1] != k) {
+		for _, k := range mine {
+			if g.busy[k] {
 				g.shared = append(g.shared, k)
 			}
 			g.busy[k] = true
@@ -173,8 +174,9 @@ func held(proxy *LBLProxy, key string) int {
 // TestHeldAccessesLeaveAsOneChain checks the core promise: sessions on
 // distinct keys never wait for each other — n keys are n rounds in flight
 // at once — and sessions that arrive for a key while its round is in
-// flight leave together, as one chain in one server RPC, applied in the
-// order they were admitted, each session getting its own answer.
+// flight leave together, folded into one access — one segment of one
+// server RPC — answered in the order they were admitted, each session
+// getting its own answer.
 func TestHeldAccessesLeaveAsOneChain(t *testing.T) {
 	const n = 8
 	gate := make(chan struct{})
@@ -203,20 +205,20 @@ func TestHeldAccessesLeaveAsOneChain(t *testing.T) {
 		}
 	}
 	if w1.value[0] != 41 || rd.value[0] != 41 || w2.value[0] != 42 {
-		t.Errorf("chain answered %v %v %v, want 41 41 42: members apply in admission order", w1.value, rd.value, w2.value)
+		t.Errorf("the fold answered %v %v %v, want 41 41 42: members apply in admission order", w1.value, rd.value, w2.value)
 	}
 	rounds := g.seen()
-	if len(rounds) != n+1 || rounds[n] != "key-00 key-00 key-00" {
-		t.Errorf("rounds = %q, want %d rounds of one and the chain key-00 key-00 key-00", rounds, n)
+	if len(rounds) != n+1 || rounds[n] != "key-00" {
+		t.Errorf("rounds = %q, want %d rounds of one and the fold's key-00, one segment", rounds, n)
 	}
 	if rpcs := len(view.sorted()); rpcs != n+1 {
-		t.Errorf("server answered %d RPCs, want %d: the chain of three costs one", rpcs, n+1)
+		t.Errorf("server answered %d RPCs, want %d: the fold of three costs one", rpcs, n+1)
 	}
 	if accesses, rounds := proxy.mx.keys.Value(), proxy.stages.Access().Count(); accesses != n+3 || rounds != n+1 {
 		t.Errorf("counted %d accesses in %d rounds, want %d in %d", accesses, rounds, n+3, n+1)
 	}
 	if v, _, err := proxy.Access(OpRead, "key-00", nil); err != nil || v[0] != 42 {
-		t.Errorf("key-00 after the chain reads %v, %v; want the last write's 42", v, err)
+		t.Errorf("key-00 after the fold reads %v, %v; want the last write's 42", v, err)
 	}
 }
 
@@ -243,7 +245,7 @@ func TestHoldArrivalRacesRoundReturn(t *testing.T) {
 			}
 			answers[i] = start(t, context.Background(), proxy, &wg, true, op, "key-00", value)
 			// Vary what the next arrival meets: a round in flight (it is
-			// held), the line just emptied (it races the chain leaving, or
+			// held), the line just emptied (it races the fold leaving, or
 			// coming back), or the last answer just delivered (it races the
 			// key being given up, or finds it free).
 			switch i % 3 {
@@ -343,13 +345,13 @@ func TestHoldArrivalRacesRoundReturn(t *testing.T) {
 // TestHoldErrorIsolation: a doomed access never costs another its answer.
 // A malformed write to a busy key fails at once, by itself, and is never
 // held; an unloaded key fails in a round of its own while the busy key's
-// chain and another key's round go through.
+// fold and another key's round go through.
 func TestHoldErrorIsolation(t *testing.T) {
 	gate := make(chan struct{})
 	_, proxy, g := newHoldRig(t, 2, gate)
 	var wg sync.WaitGroup
 	admit(t, proxy, &wg, OpRead, "key-00", 0)
-	<-g.entered // key-00 is in flight: what follows is its chain
+	<-g.entered // key-00 is in flight: what follows is folded
 	w := admit(t, proxy, &wg, OpWrite, "key-00", 7)
 	if _, _, err := proxy.Access(OpWrite, "key-00", []byte{1, 2}); !errors.Is(err, ErrValueSize) {
 		t.Errorf("wrong-size write to a busy key: %v, want ErrValueSize at once", err)
@@ -368,36 +370,37 @@ func TestHoldErrorIsolation(t *testing.T) {
 	if w.value[0] != 7 || rd.value[0] != 7 || other.value[0] != 1 {
 		t.Errorf("good accesses answered %v %v %v, want first bytes 7 7 1", w.value, rd.value, other.value)
 	}
-	want := []string{"key-00", "ghost", "key-01", "key-00 key-00"}
+	want := []string{"key-00", "ghost", "key-01", "key-00"}
 	if rounds := g.seen(); fmt.Sprint(rounds) != fmt.Sprint(want) {
 		t.Errorf("rounds = %q, want %q", rounds, want)
 	}
 }
 
 // TestObliviousnessHeldChain checks the hold's security argument at the
-// adversary's boundary: the server's view of a held chain — k sessions'
-// accesses to one key, held while the key's round was in flight and sent
-// together — is identical to its view of a natural AccessBatch of the
-// same k ops, and read chains are indistinguishable from write chains.
+// adversary's boundary: k sessions' accesses to one key, held while the
+// key's round was in flight, leave folded into one segment, and the
+// server's view of them is identical whether they are all reads, all
+// writes or a mix, and identical to its view of a natural AccessBatch
+// naming the key once.
 func TestObliviousnessHeldChain(t *testing.T) {
 	for _, k := range []int{1, 3, 6} {
 		t.Run(fmt.Sprintf("chain=%d", k), func(t *testing.T) {
 			// A round of one puts the key in flight; the k accesses admitted
-			// behind it are the chain.
-			heldRun := func(t *testing.T, op Op) []exchange {
+			// behind it are folded. op picks the i-th access's operation.
+			heldRun := func(t *testing.T, op func(i int) Op) []exchange {
 				gate := make(chan struct{})
 				r, proxy, g := newHoldRig(t, 1, gate)
 				view := observe(r)
 				var wg sync.WaitGroup
-				admit(t, proxy, &wg, op, "key-00", 100)
+				admit(t, proxy, &wg, op(0), "key-00", 100)
 				<-g.entered
-				for i := 0; i < k; i++ {
-					admit(t, proxy, &wg, op, "key-00", byte(101+i))
+				for i := 1; i <= k; i++ {
+					admit(t, proxy, &wg, op(i), "key-00", byte(100+i))
 				}
 				close(gate)
 				wg.Wait()
-				if rounds := g.seen(); len(rounds) != 2 {
-					t.Errorf("the %d held sessions left in %d rounds, want 1", k, len(rounds)-1)
+				if rounds := g.seen(); len(rounds) != 2 || rounds[1] != "key-00" {
+					t.Errorf("the %d held sessions left as %q, want one round of one segment", k, rounds[1:])
 				}
 				return view.sorted()
 			}
@@ -405,34 +408,40 @@ func TestObliviousnessHeldChain(t *testing.T) {
 				r, proxy, _ := newLBL(t, LBLPointPermute, holdValueSize)
 				loadData(t, r, proxy, map[string][]byte{"key-00": make([]byte, holdValueSize)})
 				view := observe(r)
-				for _, n := range []int{1, k} {
-					ops := make([]BatchOp, n)
-					for i := range ops {
-						ops[i] = BatchOp{Op: OpRead, Key: "key-00"}
-					}
-					if _, _, err := proxy.AccessBatch(ops); err != nil {
+				for range 2 {
+					if _, _, err := proxy.AccessBatch([]BatchOp{{Op: OpRead, Key: "key-00"}}); err != nil {
 						t.Fatal(err)
 					}
 				}
 				return view.sorted()
 			}
 
-			heldReads := heldRun(t, OpRead)
-			heldWrites := heldRun(t, OpWrite)
+			heldReads := heldRun(t, func(int) Op { return OpRead })
+			heldWrites := heldRun(t, func(int) Op { return OpWrite })
+			mixed := heldRun(t, func(i int) Op { return []Op{OpRead, OpWrite}[i%2] })
 			natural := naturalRun(t)
 			if len(natural) != 2 {
 				t.Fatalf("the two natural batches crossed as %d exchanges, want 2", len(natural))
 			}
-			// Held chain vs natural batch of the same ops: identical.
+			segment := LBLConfig{ValueSize: holdValueSize, Mode: LBLPointPermute}.RequestBytesPerAccess()
+			for _, e := range natural {
+				if e.reqLen != segment {
+					t.Errorf("a request of %d bytes, want one segment's %d", e.reqLen, segment)
+				}
+			}
+			// Held accesses vs a natural batch naming the key once: identical.
 			assertIdenticalViews(t, heldReads, natural)
-			// Held reads vs held writes: identical.
+			// Held reads vs held writes vs a mix: identical.
 			assertIdenticalViews(t, heldReads, heldWrites)
+			assertIdenticalViews(t, heldReads, mixed)
 		})
 	}
 }
 
 // TestHoldSlowlogMetadata checks what a single access leaves behind: a
-// slow-log entry that names the chain it rode (chain=N member=i) and
+// slow-log entry that names the round it rode — how many accesses it
+// carried for the key and this one's place among them (chain=N member=i) —
+// and
 // reports the time it was held for its key as a stage of its own —
 // key_wait, zero exactly for an access that found its key free — beside
 // batch_rpc, never folded into it; the two sum to the entry's total and,
@@ -491,7 +500,7 @@ func TestHoldSlowlogMetadata(t *testing.T) {
 		}
 		wasHeld := strings.HasPrefix(e.Label, fmt.Sprintf("chain=%d ", k))
 		if wasHeld != (e.Stages[0].D > 0) || wasHeld != waited[e.TraceID] {
-			t.Errorf("entry %q was held for %v (key_wait span: %v): only a chain's members wait for their key", e.Label, e.Stages[0].D, waited[e.TraceID])
+			t.Errorf("entry %q was held for %v (key_wait span: %v): only held accesses wait for their key", e.Label, e.Stages[0].D, waited[e.TraceID])
 		}
 		if sum := e.Stages[0].D + e.Stages[1].D; sum != e.Total {
 			t.Fatalf("entry %q stages sum to %v but total is %v: latency misattributed", e.Label, sum, e.Total)
@@ -530,7 +539,7 @@ func assertSessionStagesSum(t *testing.T, proxy *LBLProxy, accesses uint64) {
 // flight, accesses to it are held — no round carries them to queue on the
 // key's counter — and accesses to other keys leave without waiting for
 // it; when the round returns, everything held for the key leaves
-// together, in the order it was admitted.
+// together as one access, answered in the order it was admitted.
 func TestHoldsBusyKey(t *testing.T) {
 	gate := make(chan struct{}, 8)
 	_, proxy, g := newHoldRig(t, 2, gate)
@@ -548,15 +557,15 @@ func TestHoldsBusyKey(t *testing.T) {
 	}
 	gate <- struct{}{} // round 1 returns; nothing says which of the two the token reaches first
 	gate <- struct{}{}
-	<-g.entered // the held chain
+	<-g.entered // the held accesses, folded
 	gate <- struct{}{}
 	wg.Wait()
-	want := []string{"key-00", "key-01", "key-00 key-00 key-00 key-00"}
+	want := []string{"key-00", "key-01", "key-00"}
 	if rounds := g.seen(); fmt.Sprint(rounds) != fmt.Sprint(want) {
-		t.Errorf("rounds = %q, want %q", rounds, want)
+		t.Errorf("rounds = %q, want %q: the four held accesses leave as one segment", rounds, want)
 	}
 	if w1.value[0] != 1 || w2.value[0] != 2 || rd.value[0] != 2 || w3.value[0] != 3 {
-		t.Errorf("chain answered %v %v %v %v, want 1 2 2 3: members apply in admission order", w1.value, w2.value, rd.value, w3.value)
+		t.Errorf("the fold answered %v %v %v %v, want 1 2 2 3: members apply in admission order", w1.value, w2.value, rd.value, w3.value)
 	}
 	if len(g.shared) != 0 {
 		t.Errorf("keys %q were in two rounds at once", g.shared)
@@ -565,7 +574,8 @@ func TestHoldsBusyKey(t *testing.T) {
 
 // TestHoldNeverSharesAKey is the invariant behind the hold, under a
 // workload where one key draws most of the traffic: no two in-flight
-// rounds ever carry the same key, and every round carries one key only.
+// rounds ever carry the same key, every round of single accesses carries
+// one segment, and held accesses are folded into it.
 func TestHoldNeverSharesAKey(t *testing.T) {
 	const sessions, laps = 16, 40
 	_, proxy, g := newHoldRig(t, sessions, nil)
@@ -591,27 +601,22 @@ func TestHoldNeverSharesAKey(t *testing.T) {
 	if len(g.shared) != 0 {
 		t.Fatalf("%d times a key was in two rounds at once (first: %q)", len(g.shared), g.shared[0])
 	}
-	chained := 0
-	for _, round := range g.seen() {
-		keys := strings.Fields(round)
-		for _, k := range keys {
-			if k != keys[0] {
-				t.Fatalf("a round carried keys %q: every round of single accesses is one key's chain", round)
-			}
-		}
-		if len(keys) > 1 {
-			chained++
+	rounds := g.seen()
+	for _, round := range rounds {
+		if keys := strings.Fields(round); len(keys) != 1 {
+			t.Fatalf("a round carried segments %q: every round of single accesses is one key's one segment", round)
 		}
 	}
-	if chained == 0 {
-		t.Error("no round carried the hot key more than once: the workload never exercised a chain")
+	if folds := proxy.mx.chainLen; uint64(folds.Sum()) <= folds.Count() || folds.Count() != uint64(len(rounds)) {
+		t.Errorf("%d rounds on the wire, %d counted carrying %d accesses: want one per round, some carrying several", len(rounds), folds.Count(), folds.Sum())
 	}
 }
 
 // TestBatchNotStarvedByHotKey: a multi-key round waits in the same line
 // as everything else that wants a key, so however many sessions keep one
 // of its keys hot it owns that key after at most what was ahead of it —
-// the round in flight and one chain — and never waits behind later
+// the round in flight and one fold of held accesses — and never waits
+// behind later
 // arrivals. The gate lets the hot key's rounds through one at a time, so
 // what the batch waits for is fixed by the line alone, never by how the
 // scheduler runs sixteen busy sessions against the test.
@@ -694,7 +699,7 @@ func TestBatchNotStarvedByHotKey(t *testing.T) {
 			t.Fatalf("batch %d: %v, %v", b, got.values, got.err)
 		}
 		if waited > 1 {
-			t.Fatalf("batch %d waited for %d rounds on its hot key after the one in flight, want at most 1: the chain in line ahead of it", b, waited)
+			t.Fatalf("batch %d waited for %d rounds on its hot key after the one in flight, want at most 1: the fold in line ahead of it", b, waited)
 		}
 	}
 }

@@ -25,10 +25,10 @@ import (
 // TestHeldRoundRebasesPeerAdvancedKey: a peer has written every key
 // once, so this proxy's counters are one behind the server's records.
 // Three concurrent sessions per key reach it at once; those that find
-// their key's round in flight are held and follow it as one chain. The
-// chain's head is answered stale and rebases, its members re-key from
-// the rebased counter, and every session reads the peer's value — at one
-// rebase per key, however many sessions were held behind it.
+// their key's round in flight are held and follow it folded into one
+// access. Each key's first round is answered stale and rebases, and every
+// session reads the peer's value — at one rebase per key, however many
+// sessions were held behind it.
 func TestHeldRoundRebasesPeerAdvancedKey(t *testing.T) {
 	const n = 4
 	r, peers, _ := newLBLPeers(t, 2, LBLConfig{ValueSize: 4, Mode: LBLPointPermute})
@@ -64,13 +64,13 @@ func TestHeldRoundRebasesPeerAdvancedKey(t *testing.T) {
 // two counters. Behind the server's record, the round rebases that key
 // and answers it; ahead of it — a rolled-back server — the key fails
 // errRolledBack once and the same batch then succeeds. Either way its
-// batch mates are answered by the first lap and never fail. The chain
-// rows access the desynchronized key three times in the batch: the stale
-// chain costs one rebase, on its head, and its members re-key from the
-// rebased counter.
+// batch mates are answered by the first lap and never fail. The fold
+// rows access the desynchronized key three times in the batch: folded,
+// they cost one rebase, and every one of them is answered as if applied
+// in input order.
 func TestBatchRebasesDesyncedKey(t *testing.T) {
 	single := []BatchOp{{Op: OpRead, Key: "a"}, {Op: OpRead, Key: "b"}, {Op: OpRead, Key: "c"}}
-	chain := []BatchOp{{Op: OpRead, Key: "a"}, {Op: OpRead, Key: "b"}, {Op: OpWrite, Key: "b", Value: []byte{9, 9, 9, 9}}, {Op: OpRead, Key: "b"}, {Op: OpRead, Key: "c"}}
+	fold := []BatchOp{{Op: OpRead, Key: "a"}, {Op: OpRead, Key: "b"}, {Op: OpWrite, Key: "b", Value: []byte{9, 9, 9, 9}}, {Op: OpRead, Key: "b"}, {Op: OpRead, Key: "c"}}
 	for _, tc := range []struct {
 		name       string
 		rolledBack bool
@@ -78,9 +78,9 @@ func TestBatchRebasesDesyncedKey(t *testing.T) {
 		want       [][]byte
 	}{
 		{"behind/single", false, single, [][]byte{{1, 1, 1, 1}, {8, 8, 8, 8}, {3, 3, 3, 3}}},
-		{"behind/chain", false, chain, [][]byte{{1, 1, 1, 1}, {8, 8, 8, 8}, {9, 9, 9, 9}, {9, 9, 9, 9}, {3, 3, 3, 3}}},
+		{"behind/fold", false, fold, [][]byte{{1, 1, 1, 1}, {8, 8, 8, 8}, {9, 9, 9, 9}, {9, 9, 9, 9}, {3, 3, 3, 3}}},
 		{"ahead/single", true, single, [][]byte{{1, 1, 1, 1}, {2, 2, 2, 2}, {3, 3, 3, 3}}},
-		{"ahead/chain", true, chain, [][]byte{{1, 1, 1, 1}, {2, 2, 2, 2}, {9, 9, 9, 9}, {9, 9, 9, 9}, {3, 3, 3, 3}}},
+		{"ahead/fold", true, fold, [][]byte{{1, 1, 1, 1}, {2, 2, 2, 2}, {9, 9, 9, 9}, {9, 9, 9, 9}, {3, 3, 3, 3}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, proxy := newLBLReconcile(t, LBLPointPermute, prf.NewRandom())
@@ -127,8 +127,8 @@ func TestBatchRebasesDesyncedKey(t *testing.T) {
 // time this proxy is answered stale on it — before the answer arrives —
 // leaves every rebase one step behind. The round must give up after
 // recoveryAllowance rebases and surface the stale rejection — for that
-// key only, and once per chain however many of the round's accesses name
-// the key — while the calm key in the same round succeeds.
+// key only, and once however many of the round's accesses name the key,
+// folded — while the calm key in the same round succeeds.
 func TestLadderLapsBounded(t *testing.T) {
 	for _, k := range []int{1, 3} {
 		t.Run(fmt.Sprintf("chain=%d", k), func(t *testing.T) {
@@ -305,7 +305,8 @@ func TestSegHeaderRefused(t *testing.T) {
 		{"the tagged entry length of the previous format", payload(pp, 16, 25)},
 		{"entry format 2", payload(2<<modeBits|byte(LBLPointPermute), 16, 16)},
 		{"entry format 3", payload(3<<modeBits|byte(LBLPointPermute), 16, 16)},
-		{"entry format 5", payload(5<<modeBits|byte(LBLPointPermute), 16, 16)},
+		{"entry format 4, whose requests chained a key's accesses", payload(4<<modeBits|byte(LBLPointPermute), 16, 16)},
+		{"entry format 6", payload(6<<modeBits|byte(LBLPointPermute), 16, 16)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if _, _, err := readSegHeader(wire.NewReader(c.payload)); err == nil {

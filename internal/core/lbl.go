@@ -411,7 +411,6 @@ func NewLBLProxy(cfg LBLConfig, f *prf.PRF, client *transport.Client) (*LBLProxy
 	}
 	p := &LBLProxy{cfg: cfg, prf: f, counters: newCounterTable(), client: client,
 		vk: newVerifierKey(f), zero: make([]byte, cfg.ValueSize), stageObs: stageObs{stages: LBLStages(nil)}}
-	p.counters.maxChain = cfg.roundKeys()
 	return p, nil
 }
 
@@ -501,11 +500,11 @@ func (p *LBLProxy) Access(op Op, key string, newValue []byte) ([]byte, AccessSta
 // recovery_ladder when it climbs) under
 // the caller's span. One that finds its key's round in flight is held on
 // the key's counter entry, and when that round returns everything held
-// for the key leaves together, in the order it was admitted, as one chain
-// (lead). Nothing else makes an access wait — no timer, no size to fill —
-// and which access waits for which depends on key identity and arrival
-// time only, never on operation type. AccessStats is the round's for the
-// access that carried it and zero for the others of its chain.
+// for the key leaves together, folded into one access in the order it was
+// admitted (lead). Nothing else makes an access wait — no timer, no size
+// to fill — and which access waits for which depends on key identity and
+// arrival time only, never on operation type. AccessStats is the round's
+// for the access that carried it and zero for the others it carried.
 func (p *LBLProxy) AccessContext(ctx context.Context, op Op, key string, newValue []byte) ([]byte, AccessStats, error) {
 	w := &keyWaiter{ctx: ctx}
 	acc := &w.acc[0]
@@ -516,44 +515,46 @@ func (p *LBLProxy) AccessContext(ctx context.Context, op Op, key string, newValu
 	w.admitted = p.sessions.Now()
 	e := p.counters.entry(key)
 	alone := [1]*keyWaiter{w}
-	chain, left := alone[:], w.admitted // an access that finds its key free leaves as it arrives
+	held, left := alone[:], w.admitted // an access that finds its key free leaves as it arrives
 	if !e.take(w) {
 		<-w.wake
-		if w.chain == nil {
+		if w.carry == nil {
 			return acc.value, AccessStats{}, acc.err
 		}
-		chain, left = w.chain, p.sessions.Now()
+		held, left = w.carry, p.sessions.Now()
 	}
-	stats := p.lead(e, chain, left)
+	stats := p.lead(e, held, left)
 	return acc.value, stats, acc.err
 }
 
-// lead carries chain — single accesses to one key in admission order,
-// the caller's own first, out of the line since left — through one round
-// on the caller's goroutine. The caller owns e, the key's entry; the
-// round gives it up. A chain of one runs under its access's own context,
-// deadline included; a longer one under no member's, so that one member's
-// cancellation never fails another's access (release shed the members
-// already expired), and under the leader's span.
-func (p *LBLProxy) lead(e *counterEntry, chain []*keyWaiter, left time.Time) AccessStats {
-	n := len(chain)
-	accs, ctx := chain[0].acc[:], chain[0].ctx
+// lead carries held — single accesses to one key in admission order, the
+// caller's own first, out of the line since left — through one round on
+// the caller's goroutine, folded into one access (foldKey). The caller
+// owns e, the key's entry; the round gives it up. A round of one runs
+// under its access's own context, deadline included; a fold of several
+// under no member's, so that one member's cancellation never fails
+// another's access (release shed the members already expired), and under
+// the leader's span.
+func (p *LBLProxy) lead(e *counterEntry, held []*keyWaiter, left time.Time) AccessStats {
+	n := len(held)
+	members, ctx := held[0].acc[:], held[0].ctx
 	if n > 1 {
-		accs = make([]roundAccess, n)
-		for i, w := range chain {
-			accs[i] = w.acc[0]
+		members = make([]roundAccess, n)
+		for i, w := range held {
+			members[i] = w.acc[0]
 		}
 		ctx = trace.ContextWith(context.Background(), trace.FromContext(ctx))
 	}
 	p.mx.chainLen.Observe(time.Duration(n)) // a count, on the histogram's integer scale
-	stats := p.round(ctx, accs, e)
+	stats := p.round(ctx, []keyRound{foldKey(members)}, e)
 	returned := p.sessions.Now()
-	for i, w := range chain {
-		w.acc[0] = accs[i]
+	for i, w := range held {
+		w.acc[0] = members[i]
 		// The time an access was held for its key is a stage of its own,
 		// never folded into the round trip. The label carries no key
-		// material: the chain and the access's place in it.
-		p.sessions.Record(w.admitted, trace.FromContext(w.ctx).TraceID(), failedAccesses(accs[i].err),
+		// material: how many accesses the round carried for the key and
+		// this one's place among them.
+		p.sessions.Record(w.admitted, trace.FromContext(w.ctx).TraceID(), failedAccesses(members[i].err),
 			func() string { return fmt.Sprintf("chain=%d member=%d", n, i) },
 			left.Sub(w.admitted), returned.Sub(left))
 		if i > 0 {
@@ -570,10 +571,10 @@ func (p *LBLProxy) lead(e *counterEntry, chain []*keyWaiter, left time.Time) Acc
 //
 // Results are returned in input order; reads yield the stored value,
 // writes echo the written value. A key may appear more than once: its
-// accesses travel as one chain, keyed at consecutive counter values and
-// applied by the server in input order, so a read after a write to the
-// same key returns the written value — still within the one round trip.
-// Only batches past the per-round key cap are split into several rounds.
+// accesses are folded into one (foldKey) and answered as if applied in
+// input order, so a read after a write to the same key returns the
+// written value — still one segment of the one round trip. Only batches
+// past the per-round key cap are split into several rounds.
 //
 // On a per-key failure (e.g. an unloaded key), the remaining accesses
 // still complete — their values are set and their counters committed —
@@ -624,22 +625,27 @@ func (p *LBLProxy) AccessBatchResults(ctx context.Context, ops []BatchOp) ([]Bat
 	}
 	// Deterministic lock order: counters are acquired in sorted key
 	// order, so concurrent rounds cannot deadlock. The sort is stable, so
-	// a key's accesses stay in input order — the order its chain applies.
+	// a key's accesses sit next to each other in input order — the order
+	// its fold applies them in.
 	sort.SliceStable(order, func(a, b int) bool { return ops[order[a]].Key < ops[order[b]].Key })
-	perRound := p.cfg.roundKeys()
-	for len(order) > 0 {
-		idxs := order[:min(perRound, len(order))]
-		order = order[len(idxs):]
-		accs := make([]roundAccess, len(idxs))
-		for j, i := range idxs {
-			accs[j].BatchOp = ops[i]
+	accs, keys := make([]roundAccess, len(order)), make([]keyRound, 0, len(order))
+	for lo := 0; lo < len(order); {
+		hi := lo
+		for ; hi < len(order) && ops[order[hi]].Key == ops[order[lo]].Key; hi++ {
+			accs[hi].BatchOp = ops[order[hi]]
 		}
-		st := p.round(ctx, accs, nil)
+		keys = append(keys, foldKey(accs[lo:hi]))
+		lo = hi
+	}
+	for perRound := p.cfg.roundKeys(); len(keys) > 0; {
+		n := min(perRound, len(keys))
+		st := p.round(ctx, keys[:n], nil)
 		stats.PrepBytes += st.PrepBytes
 		stats.RespBytes += st.RespBytes
-		for j, i := range idxs {
-			results[i] = BatchResult{Value: accs[j].value, Err: accs[j].err}
-		}
+		keys = keys[n:]
+	}
+	for j, i := range order {
+		results[i] = BatchResult{Value: accs[j].value, Err: accs[j].err}
 	}
 	return results, stats
 }
@@ -651,99 +657,117 @@ type roundAccess struct {
 	err   error  // or why there is none
 }
 
-// A keyChain is a round's accesses to one key, in the order they apply.
-// They share the key's counter entry, which the round owns, are keyed at
-// consecutive counter values — the table at counter c maps the labels at
-// c to the labels at c+1 whatever the value is (§5.2), so the proxy can
-// build the k-th before the first has run — and the server installs them
-// all or none (lblserver.go). The chain is therefore the unit of
-// everything that follows a round: one commit of len(accs) counter
-// steps, one climb of the recovery ladder.
-type keyChain struct {
-	accs  []roundAccess
-	entry *counterEntry
-	first int // the head's spec and response slot in the current lap
-	// What the last lap's response said: the rejection every slot of the
-	// chain carried, if it was one, for the ladder to answer, and the
-	// error the chain fails with if it cannot — the rejection's, or
-	// ErrTampered's with status left slotOK, nil when every value
-	// recovered. held is a stale answer's verifier: the one the server's
-	// record holds (reconcile.go).
+// A keyRound is a round's accesses to one key and the one access the round
+// sends for them (foldKey): one segment, one counter step, one install.
+// Every member was invoked before the table was built and is answered
+// after the round returns, so ordering the members at the install point
+// is a valid linearization: settle answers each from what the response
+// says the key held before (recoverSlot).
+type keyRound struct {
+	BatchOp               // the fold: a write of the last value written if any member writes, else a read
+	members []roundAccess // the accesses folded, in the order they apply; their outcomes
+	entry   *counterEntry
+	// What the last lap's response said: the rejection its slot carried,
+	// if it was one, for the ladder to answer, and the error the key's
+	// accesses fail with if it cannot — the rejection's, or ErrTampered's
+	// with status left slotOK, nil when the value recovered. held is a
+	// stale answer's verifier: the one the server's record holds
+	// (reconcile.go).
 	status byte
 	err    error
 	held   [verifierLen]byte
-	// Laps of the recovery ladder this chain has climbed.
+	// Laps of the recovery ladder this key has climbed.
 	rebased int
 }
 
-func (c *keyChain) key() string { return c.accs[0].Key }
-
-func (c *keyChain) fail(err error) {
-	for i := range c.accs {
-		c.accs[i].value, c.accs[i].err = nil, err
-	}
-}
-
-// chainsOf cuts accs, in which a key's accesses sit next to each other,
-// into one chain per key.
-func chainsOf(accs []roundAccess) []keyChain {
-	chains := make([]keyChain, 0, len(accs))
-	for i := 0; i < len(accs); {
-		j := i + 1
-		for j < len(accs) && accs[j].Key == accs[i].Key {
-			j++
+// foldKey folds members — one key's accesses, in the order they apply —
+// into one access: a write of the last value written if any member
+// writes, else a read. Who is folded with whom depends on key identity
+// and arrival or input order alone, and the build is op-independent, so
+// the segment is the same for any mix of members.
+func foldKey(members []roundAccess) keyRound {
+	k := keyRound{BatchOp: BatchOp{Op: OpRead, Key: members[0].Key}, members: members}
+	for _, m := range members {
+		if m.Op == OpWrite {
+			k.Op, k.Value = OpWrite, m.Value
 		}
-		chains = append(chains, keyChain{accs: accs[i:j]})
-		i = j
 	}
-	return chains
+	return k
 }
 
-// recoveryAllowance bounds the rebases per chain. One rebase repairs any
-// desynchronized counter, however far the record moved; the allowance is
-// >1 because while two proxies serve one key the other can advance the
-// record again between our rebase and its retry, a transient that
-// resolves within a lap or two.
+func (c *keyRound) fail(err error) {
+	for i := range c.members {
+		c.members[i].value, c.members[i].err = nil, err
+	}
+}
+
+// settle answers every member from old, the value the key held before the
+// round: a read with what the latest member before it wrote, or old if
+// none did, and a write with its own value echoed. Each member gets a
+// value of its own, the first member old's buffer.
+func (c *keyRound) settle(old []byte) {
+	cur := old
+	for i := range c.members {
+		m := &c.members[i]
+		v := old
+		if i > 0 {
+			v = make([]byte, len(old))
+		}
+		if m.Op == OpWrite {
+			copy(v, m.Value)
+		} else {
+			copy(v, cur)
+		}
+		m.value, m.err, cur = v, nil, v
+	}
+}
+
+// recoveryAllowance bounds the rebases per key a round climbs. One rebase
+// repairs any desynchronized counter, however far the record moved; the
+// allowance is >1 because while two proxies serve one key the other can
+// advance the record again between our rebase and its retry, a transient
+// that resolves within a lap or two.
 const recoveryAllowance = 3
 
-// round is the one LBL access procedure (§5.2, Fig 1), for k ≥ 1
-// accesses in sorted key order, a key's accesses next to each other in
-// the order they apply: own each key's counter, then build, send, and
-// judge each key's chain — recover and commit on success, climb the
-// recovery ladder and go around again on a stale answer it can repair,
-// fail otherwise. Outcomes land in accs; one key's failure never fails
-// its round mates. An ambiguous failure leaves each counter where it
-// was: the key's next access is its probe (reconcile.go).
-// owned, when non-nil, is the entry of the one key accs name, which the
+// round is the one LBL access procedure (§5.2, Fig 1), for k ≥ 1 keys in
+// sorted key order, each named once, its accesses folded: own each key's
+// counter, then build, send, and judge each key's access — recover and
+// commit on success, climb the recovery ladder and go around again on a
+// stale answer it can repair, fail otherwise. Outcomes land in the keys'
+// members; one key's failure never fails its round mates. An ambiguous
+// failure leaves each counter where it was: the key's next access is its
+// probe (reconcile.go).
+// owned, when non-nil, is the entry of the one key keys name, which the
 // caller owns already (lead); otherwise the round takes its keys in
 // order, each after whatever was in line for it, so rounds cannot
-// deadlock and a hot key's chains cannot starve a multi-key one. Either
-// way the round gives its keys up as it returns.
-func (p *LBLProxy) round(ctx context.Context, accs []roundAccess, owned *counterEntry) AccessStats {
+// deadlock and a hot key's held accesses cannot starve a multi-key round.
+// Either way the round gives its keys up as it returns.
+func (p *LBLProxy) round(ctx context.Context, keys []keyRound, owned *counterEntry) AccessStats {
 	var stats AccessStats
 	clk, ctx := p.start(ctx, "lbl_access")
 
 	// Per-key serialization: the label schedule is counter-indexed,
 	// so a key's rounds must not interleave (see counterTable).
 	clk.Enter(lblAcquire)
-	chains := chainsOf(accs)
-	live := make([]*keyChain, len(chains))
+	live := make([]*keyRound, len(keys))
 	defer func() {
-		for i := range chains {
-			p.counters.release(chains[i].entry)
+		for i := range keys {
+			p.counters.release(keys[i].entry)
 		}
 	}()
-	for i := range chains {
-		if chains[i].entry = owned; owned == nil {
-			chains[i].entry = p.counters.acquire(chains[i].key())
+	accesses := 0
+	for i := range keys {
+		if keys[i].entry = owned; owned == nil {
+			keys[i].entry = p.counters.acquire(keys[i].Key)
 		}
-		live[i] = &chains[i]
+		live[i] = &keys[i]
+		accesses += len(keys[i].members)
 	}
-	p.mx.keys.Add(int64(len(accs)))
+	p.mx.keys.Add(int64(accesses))
 
-	specs := make([]tableSpec, 0, len(accs))
+	specs := make([]tableSpec, 0, len(keys))
 	per := p.cfg.scheduleBytes()
-	sched := p.schedules.get(len(accs) * per)
+	sched := p.schedules.get(len(keys) * per)
 	defer p.schedules.put(sched)
 	for len(live) > 0 {
 		// Dead callers get no table: garbling is the proxy's most
@@ -756,12 +780,8 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess, owned *counter
 			break
 		}
 		specs = specs[:0]
-		for _, c := range live {
-			c.first = len(specs)
-			for j := range c.accs {
-				a, i := &c.accs[j], len(specs)
-				specs = append(specs, p.newSpec(a.Op, a.Key, a.Value, c.entry.ct+uint64(j), sched[i*per:(i+1)*per]))
-			}
+		for i, c := range live {
+			specs = append(specs, p.newSpec(c.Op, c.Key, c.Value, c.entry.ct, sched[i*per:(i+1)*per]))
 		}
 		resp, sent, err := p.exchange(ctx, &clk, specs)
 		stats.PrepBytes += sent
@@ -773,15 +793,15 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess, owned *counter
 
 		clk.Enter(lblRecover)
 		slotLen := p.cfg.ResponseBytesPerAccess()
-		for _, c := range live {
-			p.recoverChain(c, specs[c.first:], resp[c.first*slotLen:])
+		for i, c := range live {
+			p.recoverKey(c, &specs[i], resp[i*slotLen:(i+1)*slotLen])
 		}
 
 		retry, climbing := live[:0], false
 		for _, c := range live {
 			if c.err == nil {
 				// Commit the counter only after a successful round.
-				c.entry.ct += uint64(len(c.accs))
+				c.entry.ct++
 				continue
 			}
 			if !climbing {
@@ -798,61 +818,45 @@ func (p *LBLProxy) round(ctx context.Context, accs []roundAccess, owned *counter
 	}
 
 	failed := 0
-	for i := range accs {
-		if accs[i].err != nil {
-			failed++
+	for i := range keys {
+		for _, m := range keys[i].members {
+			if m.err != nil {
+				failed++
+			}
 		}
 	}
-	clk.Done(len(accs), failed, func() string {
-		return fmt.Sprintf("keys=%d %s", len(accs), traceLabel(p.prf.EncodeKey(accs[0].Key)))
+	clk.Done(accesses, failed, func() string {
+		return fmt.Sprintf("keys=%d %s", accesses, traceLabel(p.prf.EncodeKey(keys[0].Key)))
 	})
 	return stats
 }
 
-func failAll(live []*keyChain, err error) {
+func failAll(live []*keyRound, err error) {
 	for _, c := range live {
 		c.fail(err)
 	}
 }
 
-// errChainSplit rejects a response whose slots for one chain disagree:
-// the server installs a chain whole or not at all, so it answers every
-// member with one status.
-var errChainSplit = fmt.Errorf("%w: response slots of one key's chain carry different statuses", ErrTampered)
-
-// recoverChain reads c's outcome out of slots, its members' response
-// slots in order, against specs, their table specs. A chain succeeds as
-// a whole — every slot slotOK and every member's value recovered, each
-// from its own slot, so a read behind a write decodes the written value
-// — or fails as a whole, leaving c.status and c.err for the ladder.
-func (p *LBLProxy) recoverChain(c *keyChain, specs []tableSpec, slots []byte) {
-	slotLen := p.cfg.ResponseBytesPerAccess()
-	c.status, c.err = slotOK, nil
-	for j := range c.accs {
-		if slots[j*slotLen] != slots[0] {
-			c.err = errChainSplit
-			return
-		}
-	}
-	if slots[0] != slotOK {
-		c.status, c.err = slots[0], slotError(slots[0])
-		copy(c.held[:], slots[slotLen-verifierLen:slotLen])
+// recoverKey reads c's outcome out of slot, its response slot, against s,
+// its table spec: every member answered (settle) when the slot is slotOK
+// and the value recovers, else c.status and c.err left for the ladder.
+func (p *LBLProxy) recoverKey(c *keyRound, s *tableSpec, slot []byte) {
+	c.status, c.err = slot[0], slotError(slot[0])
+	if c.status != slotOK {
+		copy(c.held[:], slot[len(slot)-verifierLen:])
 		return
 	}
-	for j := range c.accs {
-		a := &c.accs[j]
-		if a.value, c.err = p.recoverSlot(a.Op, a.Value, &specs[j], slots[j*slotLen+1:(j+1)*slotLen]); c.err != nil {
-			return
-		}
+	old := make([]byte, p.cfg.ValueSize)
+	if c.err = p.recoverSlot(old, s, slot[1:]); c.err == nil {
+		c.settle(old)
 	}
 }
 
-// climb takes the recovery ladder's one step for a chain the server
-// rejected, reporting whether the chain should go around again: a stale
-// answer is repaired by rebasing to the counter its verifier carries —
-// once for the chain, whose members re-key from the rebased counter — at
-// most recoveryAllowance times per chain.
-func (p *LBLProxy) climb(c *keyChain) bool {
+// climb takes the recovery ladder's one step for a key the server
+// rejected, reporting whether it should go around again: a stale answer
+// is repaired by rebasing to the counter its verifier carries, at most
+// recoveryAllowance times per key.
+func (p *LBLProxy) climb(c *keyRound) bool {
 	if c.status != slotStale || c.rebased == recoveryAllowance {
 		return false
 	}
@@ -1027,8 +1031,13 @@ func (p *LBLProxy) buildFrame(frame []byte, runs []run, specs []tableSpec) error
 // it and answers with the opened entries' indices and a label digest
 // instead of the installed labels; v4 puts the verifier pair at the front
 // of the table, answers stale with the record's verifier, and makes a
-// point-and-permute entry one padded label. Only in-flight bytes depend on
-// the version, so proxy and server must agree on it, and a server refuses
+// point-and-permute entry one padded label; v5 changes no byte but makes a
+// request name each key at most once, where v4's named a key several times
+// in a row as a chain, applied in order and installed whole — so a v4
+// proxy's chain is refused here definitely instead of getting split
+// statuses back, which it would read as tampering. Only in-flight bytes
+// and their rules depend on the version, so proxy and server must agree
+// on it, and a server refuses
 // any other version before reading a record — a definite rejection,
 // where a proxy reading another version's answer would call it tampering,
 // and a mismatched table would answer slotStale and send the proxy up the
@@ -1044,7 +1053,7 @@ func (p *LBLProxy) buildFrame(frame []byte, runs []run, specs []tableSpec) error
 // refuses a request against one with errRecordFormat.
 const (
 	modeBits     = 4
-	entryFormat  = 4
+	entryFormat  = 5
 	recordFormat = 2
 )
 
@@ -1312,38 +1321,37 @@ func (p *LBLProxy) buildPermuteRange(table []byte, rows *scheduleRows, s *tableS
 // of the labels its fields, and for a write the written value, select.
 var errDigest = fmt.Errorf("%w: label digest mismatch", ErrTampered)
 
-// recoverSlot reads one access's value out of body, its response slot
-// past the status, against s, the schedule its table was built with
-// (§5.2 step 3 with the §5.4 check). Each group's field is the entry the
-// server opened, and s.olds says which old bits key it. A read's value
-// is those bits and a write's is the value it wrote; one byte mask picks
-// between them, so reads and writes run the same loop. The slot's digest
-// must be the XOR of the counter-ct+1 labels the value selects from
-// s.news. The server learns one new label a group, the one in the entry
-// it opened, so a field it misreports — or, for a write, labels it
-// installed other than the written value's — passes only with
+// recoverSlot reads what the key held before the access into old, out of
+// body, its response slot past the status, against s, the schedule its
+// table was built with (§5.2 step 3 with the §5.4 check). Each group's
+// field is the entry the server opened, and s.olds says which old bits
+// key it: those are old's. The labels installed are those of the value
+// the access leaves — old for a read, s.value for a write, one byte mask
+// picking between them so that reads and writes run the same loop — and
+// the slot's digest must be the XOR of the counter-ct+1 labels that value
+// selects from s.news. The server learns one new label a group, the one
+// in the entry it opened, so a field it misreports — or, for a write,
+// labels it installed other than the written value's — passes only with
 // probability 2^-128: for a write this comparison is the write-back check.
-func (p *LBLProxy) recoverSlot(op Op, newValue []byte, s *tableSpec, body []byte) ([]byte, error) {
+func (p *LBLProxy) recoverSlot(old []byte, s *tableSpec, body []byte) error {
 	cfg := p.cfg
 	if len(body) != cfg.ValueSize+prf.Size {
-		return nil, fmt.Errorf("%w: response slot has %d bytes, want %d", ErrTampered, len(body), cfg.ValueSize+prf.Size)
+		return fmt.Errorf("%w: response slot has %d bytes, want %d", ErrTampered, len(body), cfg.ValueSize+prf.Size)
 	}
 	y, groups, n := cfg.Mode.Y(), cfg.Groups(), cfg.Mode.entries()
 	mask := byte(n - 1)
 	// keep is 0xFF for a read, which keeps the old bits, and 0 for a
 	// write, which takes the bits it wrote.
-	keep := byte(-subtle.ConstantTimeByteEq(uint8(op), uint8(OpRead)))
-	value := make([]byte, cfg.ValueSize)
-	copy(value, newValue)
+	keep := byte(-subtle.ConstantTimeByteEq(uint8(s.op), uint8(OpRead)))
 	var digest labelDigest
 	for i, f := range body[:cfg.ValueSize] {
 		g0 := i * 8 / y // the byte's first group
-		var old byte
+		var o byte
 		for j := 0; j < 8; j += y {
-			old |= s.olds[(g0+j/y)*n+int(f>>j&mask)] << j
+			o |= s.olds[(g0+j/y)*n+int(f>>j&mask)] << j
 		}
-		v := old&keep | value[i]&^keep
-		value[i] = v
+		old[i] = o
+		v := o&keep | s.value[i]&^keep
 		for j := 0; j < 8; j += y {
 			digest.add(s.news[(int(v>>j&mask)*groups+g0+j/y)*prf.Size:])
 		}
@@ -1351,7 +1359,7 @@ func (p *LBLProxy) recoverSlot(op Op, newValue []byte, s *tableSpec, body []byte
 	var want [prf.Size]byte
 	digest.put(want[:])
 	if subtle.ConstantTimeCompare(want[:], body[cfg.ValueSize:]) != 1 {
-		return nil, errDigest
+		return errDigest
 	}
-	return value, nil
+	return nil
 }

@@ -325,14 +325,16 @@ const requestAbortMarker = "request aborted before completion"
 // consumes segments as their bytes land, trial-decrypting each arrived
 // run of groups against a snapshot of the key's record, and installs
 // every key's new labels once the last byte confirms the request
-// complete. Consecutive segments that name one key are a chain: each is
-// decrypted against the record the one before it built, and the chain
-// installs as one compare-and-swap from the first's snapshot to the
-// last's record, all or none. The response is one fixed-width slot per
-// segment. Work and response shape depend only on the table geometry, n,
-// and which encoded keys repeat — all in clear in the request — never on
-// operation types, so the server learns nothing beyond "these n accesses
-// were made to these objects".
+// complete. Each segment stands alone: snapshot, verifier check,
+// decryption, then a compare-and-swap install from its snapshot. A proxy
+// names a key at most once a request (it folds a key's accesses, lbl.go);
+// a request that names one twice gets no path of its own — both segments
+// snapshot the same record, the compare-and-swap installs at most one of
+// them, and the other is answered stale. The response is one fixed-width
+// slot per segment. Work and response shape depend only on the table
+// geometry and n — both in clear in the request — never on operation
+// types, so the server learns nothing beyond "these n accesses were made
+// to these objects".
 func (s *LBLServer) handleAccess(ctx context.Context, payload []byte) ([]byte, error) {
 	var next func() ([]byte, bool, error)
 	if sr := transport.StreamFrom(ctx); sr != nil {
@@ -374,20 +376,16 @@ type lblRequest struct {
 	segs []*lblSegment // in arrival order
 }
 
-// An lblSegment is one access within a request: the status its chain
-// has earned through it and, while that is still slotOK, the record its
-// table is being decrypted against, the record being built from what
-// the decryptions recover, and the answer for its response slot.
+// An lblSegment is one access within a request: the status it has earned
+// and, while that is still slotOK, the record its table is being
+// decrypted against, the record being built from what the decryptions
+// recover, and the answer for its response slot.
 type lblSegment struct {
-	key    string
-	status byte
-	fed    int // groups consumed so far
-	// prev is the segment before this one when that names the same key:
-	// this segment continues prev's chain, and rec is the record prev
-	// builds, not a stored one.
-	prev     *lblSegment
+	key      string
+	status   byte
+	fed      int // groups consumed so far
 	rec      lblRecord
-	snap     *[]byte // pooled, a chain's head only: the stored record as it was when the chain began
+	snap     *[]byte // pooled: the stored record as it was when the segment began
 	next     *[]byte // pooled: the record this segment builds
 	fields   []byte  // the entry each group opened, y bits a group
 	digest   labelDigest
@@ -444,36 +442,22 @@ func (req *lblRequest) consume(frame []byte) error {
 		seg.fed += k
 		frame = frame[k*gl:]
 	}
-	// Runs in one frame fan out across workers like whole keys do, a
-	// chain's runs to one worker in order: a member's table opens under
-	// the labels its predecessor's recovers.
+	// Runs in one frame are runs of distinct segments, which share
+	// nothing: they fan out across workers like whole keys do.
 	ForEach(len(runs), min(len(runs), runtime.GOMAXPROCS(0)), func(i int) error { //nolint:errcheck // outcomes land per segment
-		if i > 0 && runs[i].seg.prev == runs[i-1].seg {
-			return nil // decrypted behind its predecessor
-		}
 		req.decrypt(runs[i])
-		for i++; i < len(runs) && runs[i].seg.prev == runs[i-1].seg; i++ {
-			req.decrypt(runs[i])
-		}
 		return nil
 	})
 	return nil
 }
 
-// begin opens a segment: budget, then the record its table opens and its
-// verifier — in that order, so an expired access costs no record work and
-// a stale one no decryption.
-// A chain's head snapshots the stored record; a segment naming the same
-// key as the one before it continues that chain from the record its
-// predecessor is building, whose verifier is the one the predecessor
-// installs. The record built starts with next, the verifier the segment
-// installs.
+// begin opens a segment: budget, then a snapshot of the stored record
+// its table opens and the record's verifier — in that order, so an
+// expired access costs no record work and a stale one no decryption. The
+// record built starts with next, the verifier the segment installs.
 func (req *lblRequest) begin(key string, want, next []byte) *lblSegment {
 	s, cfg := req.srv, req.cfg
 	seg := &lblSegment{key: key}
-	if n := len(req.segs); n > 0 && req.segs[n-1].key == key {
-		seg.prev = req.segs[n-1]
-	}
 	if req.ctx.Err() != nil {
 		s.expiredRounds.Add(1)
 		seg.status = slotExpired
@@ -481,26 +465,14 @@ func (req *lblRequest) begin(key string, want, next []byte) *lblSegment {
 	}
 	seg.busy = obs.Time(s.mx.access, nil)
 	defer seg.busy.Pause()
-	var from []byte
-	if seg.prev == nil {
-		seg.snap = recPool.Get().(*[]byte)
-		snap, err := s.store.AppendGet((*seg.snap)[:0], key)
-		*seg.snap = snap
-		if err != nil {
-			seg.status = slotNotFound
-			return seg
-		}
-		from = snap
-	} else if seg.prev.next == nil {
-		// The chain failed before this segment: there is no record to go on
-		// from, and install reports the earlier status for all of it.
-		seg.status = seg.prev.status
+	seg.snap = recPool.Get().(*[]byte)
+	snap, err := s.store.AppendGet((*seg.snap)[:0], key)
+	*seg.snap = snap
+	if err != nil {
+		seg.status = slotNotFound
 		return seg
-	} else {
-		from = *seg.prev.next
 	}
-	var err error
-	if seg.rec, err = parseLBLRecord(from, cfg); err != nil {
+	if seg.rec, err = parseLBLRecord(snap, cfg); err != nil {
 		seg.status = slotRejected
 		if errors.Is(err, errRecordFormat) {
 			seg.status = slotRecordFormat
@@ -512,10 +484,10 @@ func (req *lblRequest) begin(key string, want, next []byte) *lblSegment {
 		return seg
 	}
 	seg.next = recPool.Get().(*[]byte)
-	if cap(*seg.next) < len(from) {
-		*seg.next = make([]byte, len(from))
+	if cap(*seg.next) < len(snap) {
+		*seg.next = make([]byte, len(snap))
 	}
-	*seg.next = (*seg.next)[:len(from)]
+	*seg.next = (*seg.next)[:len(snap)]
 	(*seg.next)[0] = cfg.Mode.recordByte()
 	_, verifier := cfg.recordParts(*seg.next)
 	copy(verifier, next)
@@ -548,8 +520,8 @@ func (req *lblRequest) decrypt(run segRun) {
 // finish completes the request once its last byte has landed: it must
 // end on a segment boundary — a cut or truncated request can never
 // pass as complete — and only then does any key's record change. Each
-// chain's new labels install by compare-and-swap against its head's
-// snapshot (step 2.2), and its members' response slots are answered.
+// segment's new labels install by compare-and-swap against its snapshot
+// (step 2.2), and its response slot is answered.
 func (req *lblRequest) finish() ([]byte, error) {
 	n := len(req.segs)
 	if n == 0 || req.segs[n-1].fed < req.cfg.Groups() {
@@ -560,85 +532,64 @@ func (req *lblRequest) finish() ([]byte, error) {
 	slotLen := req.cfg.ResponseBytesPerAccess()
 	out := make([]byte, n*slotLen)
 	ForEach(n, min(n, runtime.GOMAXPROCS(0)), func(i int) error { //nolint:errcheck // outcomes land per slot
-		if req.segs[i].prev != nil {
-			return nil // answered with its chain's head
-		}
-		j := i + 1
-		for j < n && req.segs[j].prev != nil {
-			j++
-		}
-		chain, slots := req.segs[i:j], out[i*slotLen:j*slotLen]
-		status := req.install(chain, slots)
-		for k := range chain {
-			slots[k*slotLen] = status
-		}
+		slot := out[i*slotLen : (i+1)*slotLen]
+		slot[0] = req.install(req.segs[i], slot)
 		return nil
 	})
 	return out, nil
 }
 
-// install swaps the record chain's last member built in for the one its
-// head snapshotted, provided that is still what the store holds, fills
-// slots with each member's fields and digest — or, stale, with the held
-// record's verifier — and returns the chain's status: the first failure
-// any member met, or what the swap came to. One update, so one WAL
-// record, takes the record through all of the chain's counter steps or
-// none of them, so a stale answer's verifier says where a lost chain left
-// the record. A record that moved in between was advanced by a concurrent
-// round keyed at the same counter — another proxy's serving the same key,
-// since one proxy never issues two — so this round is stale: of all rounds
-// built at one counter, at most one installs.
-func (req *lblRequest) install(chain []*lblSegment, slots []byte) byte {
+// install swaps the record seg built in for the one it snapshotted,
+// provided that is still what the store holds, fills slot's body with
+// seg's fields and digest — or, stale, with the held record's verifier —
+// and returns seg's status: the failure it met, or what the swap came to.
+// A record that moved in between was advanced by a concurrent round keyed
+// at the same counter — another proxy's serving the same key, or another
+// segment of this request naming it, since one proxy never issues two — so
+// this one is stale: of all rounds built at one counter, at most one
+// installs.
+func (req *lblRequest) install(seg *lblSegment, slot []byte) byte {
 	s := req.srv
-	head, tail := chain[0], chain[len(chain)-1]
-	for _, seg := range chain {
-		if seg.status == slotStale {
-			req.answerStale(slots, *head.snap)
-		}
-		if seg.status != slotOK {
-			return seg.status
-		}
+	if seg.status == slotStale {
+		req.answerStale(slot, *seg.snap)
+	}
+	if seg.status != slotOK {
+		return seg.status
 	}
 	if req.ctx.Err() != nil {
 		s.expiredRounds.Add(1)
 		return slotExpired
 	}
-	head.busy.Resume()
+	seg.busy.Resume()
 	swapped := false
-	err := s.store.Update(head.key, func(old []byte) ([]byte, error) {
-		if !bytes.Equal(old, *head.snap) {
-			req.answerStale(slots, old)
+	err := s.store.Update(seg.key, func(old []byte) ([]byte, error) {
+		if !bytes.Equal(old, *seg.snap) {
+			req.answerStale(slot, old)
 			return nil, errStaleTable
 		}
 		// Hand the store the new record; the displaced old slice is
 		// recycled by release once the update commits.
-		newRec := *tail.next
-		*tail.next = old
+		newRec := *seg.next
+		*seg.next = old
 		swapped = true
 		return newRec, nil
 	})
 	switch {
 	case err == nil:
-		slotLen := req.cfg.ResponseBytesPerAccess()
-		for k, seg := range chain {
-			body := slots[k*slotLen+1 : (k+1)*slotLen]
-			copy(body, seg.fields)
-			seg.digest.put(body[len(seg.fields):])
-		}
-		s.ops.Add(int64(len(chain)))
+		copy(slot[1:], seg.fields)
+		seg.digest.put(slot[1+len(seg.fields):])
+		s.ops.Add(1)
 		// Trial decryptions are counted per segment and published once:
 		// a per-entry atomic add is a cross-core cacheline ping-pong when
 		// workers run in parallel.
-		for _, seg := range chain {
-			s.decryptAttempts.Add(seg.attempts)
-			seg.busy.End() // only an access that installed is observed
-		}
+		s.decryptAttempts.Add(seg.attempts)
+		seg.busy.End() // only an access that installed is observed
 		return slotOK
 	case swapped:
 		// The closure succeeded but journaling or the durability wait
 		// failed; the store may retain either buffer, so recycle
 		// neither.
-		*tail.next = nil
+		*seg.next = nil
 		return slotRejected
 	case errors.Is(err, kvstore.ErrNotFound):
 		return slotNotFound
@@ -651,23 +602,17 @@ func (req *lblRequest) install(chain []*lblSegment, slots []byte) byte {
 
 // answerStale puts held's verifier — which the server already knows, and
 // from which the proxy reads the record's counter (reconcile.go) — in the
-// digest's place of every slot of a chain refused stale, for reads and
-// writes alike. A record that does not parse leaves the bodies zero,
-// which no proxy reads as a counter.
-func (req *lblRequest) answerStale(slots, held []byte) {
-	rec, err := parseLBLRecord(held, req.cfg)
-	if err != nil {
-		return
-	}
-	slotLen := req.cfg.ResponseBytesPerAccess()
-	for k := slotLen - verifierLen; k < len(slots); k += slotLen {
-		copy(slots[k:k+verifierLen], rec.verifier)
+// digest's place of a slot refused stale, for reads and writes alike. A
+// record that does not parse leaves the body zero, which no proxy reads
+// as a counter.
+func (req *lblRequest) answerStale(slot, held []byte) {
+	if rec, err := parseLBLRecord(held, req.cfg); err == nil {
+		copy(slot[len(slot)-verifierLen:], rec.verifier)
 	}
 }
 
 // release returns every segment's pooled buffers: after a successful
-// install the record the store displaced and the records a chain passed
-// through, otherwise the unused ones.
+// install the record the store displaced, otherwise the unused ones.
 func (req *lblRequest) release() {
 	for _, seg := range req.segs {
 		if seg.snap != nil {

@@ -117,7 +117,7 @@ func traceLabel(encKey prf.Output) string {
 // round of one key is one access.
 type lblProxyObs struct {
 	keys     *obs.Counter   // accesses carried by rounds; keys/rounds is the batching factor
-	chainLen *obs.Histogram // single accesses a round carried, one key's chain
+	chainLen *obs.Histogram // single accesses a round carried for one key, folded into one access
 	frames   *obs.Counter   // request frames sealed; frames/rounds > 1 means the frame budget is cutting requests
 
 	reconciledKeys *obs.Counter // counters rebased up to a stale answer's verifier (reconcile.go)
@@ -131,13 +131,14 @@ func (p *LBLProxy) Instrument(reg *obs.Registry) {
 	p.stages = LBLStages(reg)
 	// A single access's stages, per caller: the time it was held because
 	// its key's round was in flight — zero exactly for an access that found
-	// its key free — and the round it shares with its chain (lead).
+	// its key free — and the round it shares with the accesses held with
+	// it (lead).
 	p.sessions = reg.Stages("ortoa_agg", "single LBL access per-caller stage latency", "key_wait", "batch_rpc")
-	reg.CounterFunc("ortoa_agg_expired_total", "held accesses answered unsent because their deadline passed before their chain left", p.counters.expired.Load)
+	reg.CounterFunc("ortoa_agg_expired_total", "held accesses answered unsent because their deadline passed before they left", p.counters.expired.Load)
 	p.mx = lblProxyObs{
 		keys: reg.Counter("ortoa_lbl_round_accesses_total", "accesses carried by LBL rounds"),
 		chainLen: reg.Histogram("ortoa_agg_chain_accesses",
-			"single accesses a round carried, sent as one key's chain: 1 for an access that found its key free (integer count on the duration scale)"),
+			"accesses one round carried for one key: 1 for an access that found its key free (integer count on the duration scale)"),
 		frames: reg.Counter("ortoa_lbl_request_frames_total", "LBL request frames sealed (more than one per round when the frame budget cuts requests)"),
 
 		reconciledKeys: reg.Counter("ortoa_lbl_reconciled_keys_total", "key counters rebased up to the record a stale answer reported"),

@@ -15,7 +15,7 @@ import (
 )
 
 // Overload-path tests (DESIGN.md §15): deadline budgets dropping work
-// before it costs trial decryptions or table builds, a chain shedding
+// before it costs trial decryptions or table builds, a hold shedding
 // the held accesses that expired, and the router's busy breaker.
 
 // TestExpiredRoundSlot: a request whose deadline has already passed is
@@ -169,7 +169,7 @@ func TestServerDropsExpiredRound(t *testing.T) {
 }
 
 // TestHoldShedsExpiredWaiter: a held access whose deadline passes before
-// its chain leaves is answered unsent — the round that goes out carries
+// it leaves is answered unsent — the round that goes out carries
 // only live accesses — and a key whose every held access expired is free
 // again.
 func TestHoldShedsExpiredWaiter(t *testing.T) {
@@ -211,10 +211,10 @@ func TestHoldShedsExpiredWaiter(t *testing.T) {
 		}
 	})
 
-	// A chain whose every member expired sends nothing, and must not
+	// Held accesses that all expired send nothing, and must not
 	// leave its key owned: the next access to it would be held for a round
 	// that never returns.
-	t.Run("whole chain", func(t *testing.T) {
+	t.Run("every held access", func(t *testing.T) {
 		var wg sync.WaitGroup
 		proxy, g, gate := hotInFlight(t, &wg)
 		first, second := expiring(t, proxy, &wg), expiring(t, proxy, &wg)
@@ -224,7 +224,7 @@ func TestHoldShedsExpiredWaiter(t *testing.T) {
 			t.Fatalf("expired held accesses err = %v, %v; want deadline-expired", first.err, second.err)
 		}
 		if _, _, err := proxy.Access(OpRead, "key-00", nil); err != nil {
-			t.Fatalf("access after the all-expired chain: %v", err)
+			t.Fatalf("access after every held access expired: %v", err)
 		}
 		if rounds := g.seen(); len(rounds) != 2 {
 			t.Errorf("rounds = %q, want [key-00 key-00]", rounds)

@@ -99,7 +99,7 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 				spec *tableSpec
 				body []byte
 			}{{"sequential", &seqSpec, seqBody}, {"parallel", &parSpec, parBody}} {
-				got, err := proxy.recoverSlot(OpWrite, newValue, c.spec, c.body)
+				got, err := answered(proxy, c.spec, c.body)
 				if err != nil {
 					t.Fatalf("recover the %s build: %v", c.name, err)
 				}

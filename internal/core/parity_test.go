@@ -19,9 +19,9 @@ import (
 // per-frame lengths, same segment headers — and answer with the same
 // response, while the live shape auditors, which hold every request
 // frame (continuations included) and every response strict, see no
-// violation. The chain row names keys more than once: a chain of reads
-// and a chain of writes are as alike as single accesses are, and the
-// simulator, which knows only the keys, emits the same chain. The desync
+// violation. The repeated row names keys more than once: the proxy folds
+// a key's accesses into one segment, so the wire carries each key once, as
+// the simulator — which refuses a key named twice — emits it. The desync
 // rows run the same comparison through a recovery episode (reconcile.go)
 // in each direction: a proxy behind the server rebases and goes around
 // once, and a proxy ahead of a rolled-back server is refused once and
@@ -39,9 +39,9 @@ func TestLBLRequestParity(t *testing.T) {
 			for _, keys := range [][]string{parityKeys(1), parityKeys(3), parityKeys(64),
 				{"key-00", "key-00", "key-00", "key-01", "key-02", "key-02"}} {
 				n := len(keys)
-				chain := ""
+				repeated := ""
 				if keys[0] == keys[1%n] && n > 1 {
-					chain = "/chain"
+					repeated = "/repeated"
 				}
 				for _, budget := range []struct {
 					name  string
@@ -57,7 +57,7 @@ func TestLBLRequestParity(t *testing.T) {
 					for _, traced := range []bool{false, true} {
 						for _, desync := range []string{"none", "proxy-behind", "server-behind"} {
 							name := fmt.Sprintf("%v/value=%dB/n=%d%s/budget=%s/traced=%v/desync=%s",
-								mode, valueSize, n, chain, budget.name, traced, desync)
+								mode, valueSize, n, repeated, budget.name, traced, desync)
 							t.Run(name, func(t *testing.T) { requestParity(t, cfg, keys, traced, desync) })
 						}
 					}
@@ -101,7 +101,17 @@ func builtFrames(t testing.TB, p *LBLProxy, specs []tableSpec) (frames [][]byte,
 }
 
 func requestParity(t *testing.T, cfg LBLConfig, keys []string, traced bool, desync string) {
-	n := len(keys)
+	// The keys the wire carries: each once, however often the batch names
+	// it (foldKey).
+	var wire []string
+	named := map[string]bool{}
+	for _, k := range keys {
+		if !named[k] {
+			named[k] = true
+			wire = append(wire, k)
+		}
+	}
+	n := len(wire)
 	value := bytes.Repeat([]byte{0x5A}, cfg.ValueSize)
 
 	// Off the wire: what the builder seals for reads, for writes, and
@@ -111,15 +121,9 @@ func requestParity(t *testing.T, cfg LBLConfig, keys []string, traced bool, desy
 		t.Fatal(err)
 	}
 	readSpecs, writeSpecs := make([]tableSpec, n), make([]tableSpec, n)
-	for i, k := range keys {
-		// A key's accesses are keyed at consecutive counters, as round
-		// keys a chain.
-		ct := uint64(3)
-		if i > 0 && keys[i-1] == k {
-			ct = readSpecs[i-1].ct + 1
-		}
-		readSpecs[i] = offline.spec(OpRead, k, nil, ct)
-		writeSpecs[i] = offline.spec(OpWrite, k, value, ct)
+	for i, k := range wire {
+		readSpecs[i] = offline.spec(OpRead, k, nil, 3)
+		writeSpecs[i] = offline.spec(OpWrite, k, value, 3)
 	}
 	reads, headers := builtFrames(t, offline, readSpecs)
 	writes, _ := builtFrames(t, offline, writeSpecs)
@@ -127,7 +131,12 @@ func requestParity(t *testing.T, cfg LBLConfig, keys []string, traced bool, desy
 	if err != nil {
 		t.Fatal(err)
 	}
-	simulated, err := sim.Simulate(keys...)
+	if len(wire) < len(keys) {
+		if _, err := sim.Simulate(keys...); err == nil {
+			t.Fatal("the simulator emitted a round naming a key twice")
+		}
+	}
+	simulated, err := sim.Simulate(wire...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +167,7 @@ func requestParity(t *testing.T, cfg LBLConfig, keys []string, traced bool, desy
 	if total != n*cfg.RequestBytesPerAccess() {
 		t.Fatalf("frames carry %dB, want n segments = %dB", total, n*cfg.RequestBytesPerAccess())
 	}
-	again, err := sim.Simulate(keys...)
+	again, err := sim.Simulate(wire...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +196,7 @@ func requestParity(t *testing.T, cfg LBLConfig, keys []string, traced bool, desy
 			proxy.TraceWith(reg.Tracer("proxy", 1<<12))
 		}
 		data := map[string][]byte{}
-		batch := make([]BatchOp, n)
+		batch := make([]BatchOp, len(keys))
 		for i, k := range keys {
 			data[k] = make([]byte, cfg.ValueSize)
 			batch[i] = BatchOp{Op: op, Key: k}
@@ -198,11 +207,10 @@ func requestParity(t *testing.T, cfg LBLConfig, keys []string, traced bool, desy
 		loadData(t, r, proxy, data)
 		if desync != "none" {
 			// Two rounds run that one side then forgets: every key is two
-			// counters off for each time the round names it. The proxy
-			// forgets its counters, the server "crashes" back to its
-			// loaded records.
+			// counters off. The proxy forgets its counters, the server
+			// "crashes" back to its loaded records.
 			old := map[string][]byte{}
-			for _, k := range keys {
+			for _, k := range wire {
 				old[k] = serverRecord(t, r, proxy, k)
 			}
 			for i := 0; i < 2; i++ {
@@ -210,7 +218,7 @@ func requestParity(t *testing.T, cfg LBLConfig, keys []string, traced bool, desy
 					t.Fatal(err)
 				}
 			}
-			for _, k := range keys {
+			for _, k := range wire {
 				if desync == "proxy-behind" {
 					e := proxy.counters.acquire(k)
 					e.ct = 0
@@ -228,7 +236,7 @@ func requestParity(t *testing.T, cfg LBLConfig, keys []string, traced bool, desy
 			mu.Unlock()
 		})
 		access := func() error {
-			if n == 1 {
+			if len(keys) == 1 {
 				_, _, err := proxy.Access(op, keys[0], batch[0].Value)
 				return err
 			}

@@ -24,10 +24,10 @@ import (
 // the counter it carries:
 //
 //   - Above ct: the record moved without this proxy's counter. That is
-//     every lost-state case — a chain that ran but whose response was
+//     every lost-state case — a round that ran but whose response was
 //     lost (the ambiguous failure leaves the counter where it was, so
 //     the key's next access is its probe), a proxy resumed from a stale
-//     counter file, an adopter with empty counters. The chain rebases
+//     counter file, an adopter with empty counters. The key rebases
 //     and goes around once more, however far the record moved.
 //   - Below ct: the server rolled back (a crash under a lossy fsync
 //     policy). A proxy commits a counter step only on a verified
@@ -35,7 +35,7 @@ import (
 //     access that finds it fails with errRolledBack, definitely — no
 //     table was installed — and the key rebases, so later accesses
 //     succeed: a rolled-back value is never served silently.
-//   - At ct, or another key's verifier, or none at all: the chain fails
+//   - At ct, or another key's verifier, or none at all: the access fails
 //     stale.
 //
 // A verifier is evidence: without kv a server cannot produce the verifier
@@ -89,8 +89,8 @@ var errRolledBack error = &transport.RemoteError{Msg: "core: server rolled back:
 
 // rebase answers c's stale rejection from the verifier it carried,
 // reporting whether c should go around again (see above).
-func (p *LBLProxy) rebase(c *keyChain) bool {
-	ct, ok := p.vk.open(c.held[:], p.prf.EncodeKey(c.key()))
+func (p *LBLProxy) rebase(c *keyRound) bool {
+	ct, ok := p.vk.open(c.held[:], p.prf.EncodeKey(c.Key))
 	switch {
 	case !ok || ct == c.entry.ct:
 		return false

@@ -207,13 +207,14 @@ func TestStaleVerifierRules(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			e := p.counters.acquire("k")
 			e.ct = 10
-			chain := &keyChain{accs: []roundAccess{{BatchOp: BatchOp{Op: OpRead, Key: "k"}}}, entry: e, status: slotStale, err: stale}
-			copy(chain.held[:], c.held)
-			again := p.rebase(chain)
+			k := foldKey([]roundAccess{{BatchOp: BatchOp{Op: OpRead, Key: "k"}}})
+			k.entry, k.status, k.err = e, slotStale, stale
+			copy(k.held[:], c.held)
+			again := p.rebase(&k)
 			ct := e.ct
 			p.counters.release(e)
-			if again != c.again || ct != c.wantCt || chain.err.Error() != c.err.Error() {
-				t.Errorf("rebase: again %v, counter %d, err %v; want %v, %d, %v", again, ct, chain.err, c.again, c.wantCt, c.err)
+			if again != c.again || ct != c.wantCt || k.err.Error() != c.err.Error() {
+				t.Errorf("rebase: again %v, counter %d, err %v; want %v, %d, %v", again, ct, k.err, c.again, c.wantCt, c.err)
 			}
 		})
 	}

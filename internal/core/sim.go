@@ -82,12 +82,17 @@ func (s *LBLSimulator) record(key string) (*simRecord, error) {
 // key, cut into frames by the same rule — from dummy values only. The
 // ROR-RW projection holds frame by frame: real read requests, real
 // write requests, and simulated requests have identical frame counts,
-// per-frame lengths, and segment headers. A key named more than once is
-// a chain here as it is on the wire: the simulator's stored record moves
-// as it goes, so each of the key's segments expects the verifier and is
-// sealed under the labels the one before it installed — the order the
-// server applies them in.
+// per-frame lengths, and segment headers. A round names each key at most
+// once — the proxy folds a key's accesses into one — so a key named twice
+// is refused.
 func (s *LBLSimulator) Simulate(keys ...string) ([][]byte, error) {
+	named := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		if named[k] {
+			return nil, fmt.Errorf("core: simulated round names key %q twice", k)
+		}
+		named[k] = true
+	}
 	cfg := s.cfg
 	mode := cfg.Mode
 	nEntries := mode.entries()

@@ -360,8 +360,8 @@ var zipfClaim = Claim{
 // popularity (an extension: the paper evaluates uniform only). Hot
 // keys stress LBL's per-key access-counter serialization — concurrent
 // accesses to one object must not interleave, so they wait for the key
-// and then share one round trip as a chain: skew costs the wait for the
-// round in flight, not a round trip per access.
+// and then share one round trip folded into one access: skew costs the
+// wait for the round in flight, not a round trip or a table per access.
 func ZipfAblation(opt Options) (*Table, error) {
 	t := &Table{
 		ID:      "ablation-zipf",
@@ -386,6 +386,6 @@ func ZipfAblation(opt Options) (*Table, error) {
 		t.AddRow(dist.name, fmtMS(res.Latency.Mean), fmtMS(res.Latency.P99), fmtTput(res.Throughput))
 	}
 	t.Notes = append(t.Notes,
-		"accesses to a hot key wait for its round in flight and follow it as one chain (§5.2's counter schedule): skew lifts the tail by that wait, not by a round trip per queued access")
+		"accesses to a hot key wait for its round in flight and follow it folded into one access (§5.2's counter schedule): skew lifts the tail by that wait, not by a round trip or a table per queued access")
 	return t, nil
 }

@@ -17,7 +17,7 @@ import (
 
 // TestHotKeyUnderResets is the case the fault drills cannot run, their
 // workers owning disjoint keys: sessions that share ONE key through a
-// front end, so that their accesses are held for it and leave as chains,
+// front end, so that their accesses are held for it and leave folded,
 // while a seeded plan resets the proxy's connections to the server under
 // them — a round cut before it was sent, which never ran — and drops
 // responses — a round that ran and timed out. One writer writes
@@ -25,7 +25,7 @@ import (
 // version go back, nor fall behind a write acknowledged before they
 // asked; and once the link heals the key must read as the last
 // acknowledged version or a later one whose outcome a reset left
-// unknown. Nothing is configured for recovery: a chain that ran while its
+// unknown. Nothing is configured for recovery: a fold that ran while its
 // response was dropped leaves the counter behind the record, and the
 // key's next access must rebase it from the stale answer's verifier.
 func TestHotKeyUnderResets(t *testing.T) {
@@ -146,19 +146,19 @@ func TestHotKeyUnderResets(t *testing.T) {
 	if _, maybe := unknown.Load(final); final != acked.Load() && !(maybe && final > acked.Load()) {
 		t.Errorf("healed key holds version %d, want the last acknowledged %d or a later one left unknown", final, acked.Load())
 	}
-	chains := reg.Histogram("ortoa_agg_chain_accesses", "")
+	folds := reg.Histogram("ortoa_agg_chain_accesses", "")
 	rebased := reg.Value("ortoa_lbl_reconciled_keys_total")
 	faults := plan.Stats()
-	t.Logf("%d resets and %d dropped responses, %d rebases, %d single accesses in %d chains, %d of %d writes left unknown",
-		faults.Resets, faults.Blackholes, rebased, chains.Sum(), chains.Count(), lost, versions)
+	t.Logf("%d resets and %d dropped responses, %d rebases, %d single accesses in %d rounds, %d of %d writes left unknown",
+		faults.Resets, faults.Blackholes, rebased, folds.Sum(), folds.Count(), lost, versions)
 	if faults.Resets == 0 || faults.Blackholes == 0 || rebased == 0 {
 		t.Errorf("%d resets and %d dropped responses led to %d rebases: no round ran behind a lost response", faults.Resets, faults.Blackholes, rebased)
 	}
 	if behind := reg.Value("ortoa_lbl_rolled_back_keys_total"); behind != 0 {
 		t.Errorf("%d stale answers were behind the counter on a server that never rolled back", behind)
 	}
-	if uint64(chains.Sum()) <= chains.Count() {
-		t.Error("no chain carried more than one access: the sessions never collided on the key")
+	if uint64(folds.Sum()) <= folds.Count() {
+		t.Error("no round carried more than one access: the sessions never collided on the key")
 	}
 	if vp, vs := shapeViolations(reg); vp+vs != 0 {
 		t.Errorf("obliviousness shape violations under resets: proxy=%d server=%d", vp, vs)

@@ -511,8 +511,8 @@ type KVPair struct {
 // input order. Under ProtocolLBL the whole batch is packed into a
 // single LBL round — one request out, one response back —
 // amortizing the per-access framing and round-trip overhead (§5.2,
-// §6.3); the adversary learns only how many objects were accessed,
-// exactly as with the equivalent sequence of single accesses. Other
+// §6.3); the adversary learns only which objects were accessed, a key
+// named twice sent once (folded, see core.LBLProxy.AccessBatch). Other
 // protocols fall back to pipelining concurrent single accesses over the
 // connection pool.
 func (c *Client) ReadBatch(keys []string) ([]KVPair, error) {
@@ -658,7 +658,8 @@ func (c *Client) ServeProxy(l net.Listener) error {
 // ServeProxyOptions. The zero value admits every end-user request.
 // Whatever the options, under ProtocolLBL an access to a key whose round
 // is in flight is held and follows it, with everything else held for
-// the key, as one chain — one request, one round trip.
+// the key, folded into one access — one segment of one request, one
+// round trip.
 type ProxyServeOptions struct {
 	// AggWindow is not read. It turned on a separate aggregating front
 	// end, which every LBL access now behaves like; the field remains

@@ -91,7 +91,7 @@ func TestServeProxyShutdown(t *testing.T) {
 // shutdown: end-user accesses already being proxied when Close is
 // called complete and are answered, not cut mid-response — the one whose
 // round is in the air, and the ones held behind it for the same key,
-// which only leave, as a chain, once that round is back.
+// which only leave, folded into one access, once that round is back.
 func TestCloseDrainsInFlightProxyAccess(t *testing.T) {
 	// A real RTT to the server keeps the access in flight long enough
 	// for the others to be held behind it and for Close to overlap all.
@@ -133,7 +133,7 @@ func TestCloseDrainsInFlightProxyAccess(t *testing.T) {
 		}
 	}
 	if _, _, after := client.TrafficStats(); after-before != 2 {
-		t.Errorf("%d reads of one key cost %d server RPCs, want 2: one in the air at Close and one chain held behind it", sessions, after-before)
+		t.Errorf("%d reads of one key cost %d server RPCs, want 2: one in the air at Close and one fold of those held behind it", sessions, after-before)
 	}
 }
 
@@ -200,7 +200,7 @@ func TestServeProxyHoldsBusyKey(t *testing.T) {
 	}
 	wg.Wait()
 	if _, _, after := client.TrafficStats(); after-before >= n {
-		t.Errorf("%d concurrent reads of one key cost %d server RPCs, want fewer: those held for the key leave as one chain", n, after-before)
+		t.Errorf("%d concurrent reads of one key cost %d server RPCs, want fewer: those held for the key leave folded into one access", n, after-before)
 	}
 }
 

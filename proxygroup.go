@@ -13,9 +13,9 @@ import (
 // A ProxyGroupMember names one proxy of a multi-proxy deployment and
 // how to reach it. The group places keys on a consistent-hash ring over
 // the member names, so names only need to agree across the clients of
-// one deployment: then one key queues at one proxy, which holds its
-// concurrent accesses as one chain, instead of two proxies contending for
-// its counter.
+// one deployment: then one key queues at one proxy, which folds its
+// concurrent accesses into one per round, instead of two proxies
+// contending for its counter.
 type ProxyGroupMember struct {
 	Name string
 	Dial func() (net.Conn, error)
