@@ -40,13 +40,12 @@ var (
 	loadSynthetic = flag.Int("load-synthetic", 0, "bulk-load N synthetic records at startup")
 	statePath     = flag.String("state", "", "LBL access-counter state file (restored at startup, saved on shutdown)")
 	stateEvery    = flag.Duration("state-interval", 0, "also save -state crash-atomically this often, bounding the counter-loss window (0 disables; needs -state)")
-	maxInflight   = flag.Int("max-inflight", 0, "handle at most this many client requests concurrently, shedding overload with constant-size busy frames (0 disables admission control)")
+	maxInflight   = flag.Int("max-inflight", 0, "handle at most this many client requests concurrently, shedding overload and requests whose deadline budget expired with constant-size busy frames (0 disables admission control)")
 	maxQueue      = flag.Int("max-queue", 0, "client requests waiting for an inflight slot before overflow is shed, served newest-first (needs -max-inflight)")
-	shedDeadline  = flag.Bool("shed-deadline", true, "drop client requests whose deadline budget expired before doing any work (needs -max-inflight)")
 	retryAfter    = flag.Duration("retry-after", 0, "backoff hint carried in busy rejections (0 = default 25ms; needs -max-inflight)")
 	streamChunk   = flag.Int("stream-chunk", 0, "request frame budget in bytes: longer requests are cut at group boundaries and sent frame by frame as they are built, pipelining garbling against the WAN (LBL; 0 never cuts)")
-	fheDegree     = flag.Int("fhe-degree", 512, "BFV ring degree (fhe)")
-	fheBits       = flag.Int("fhe-modulus-bits", 370, "BFV modulus bits (fhe)")
+	fheDegree     = flag.Int("fhe-degree", 0, "BFV ring degree (fhe; 0: the default of ortoa.FHEOptions.RingDegree); the server must agree")
+	fheBits       = flag.Int("fhe-modulus-bits", 0, "BFV modulus bits (fhe; 0: the default of ortoa.FHEOptions.ModulusBits); the server must agree")
 	metricsAddr   = flag.String("metrics-addr", "", "serve /metrics, /healthz, /slowlog, /trace, and /debug/pprof on this address (e.g. :7092)")
 	traceBuffer   = flag.Int("trace-buffer", 4096, "retain this many finished trace spans for /trace; 0 disables tracing (needs -metrics-addr)")
 )
@@ -148,7 +147,7 @@ func run() int {
 	}
 	log.Printf("proxying protocol=%s server=%s on %s", *protocol, *serverAddr, l.Addr())
 	if *maxInflight > 0 {
-		log.Printf("admission control: max-inflight=%d max-queue=%d shed-deadline=%v", *maxInflight, *maxQueue, *shedDeadline)
+		log.Printf("admission control: max-inflight=%d max-queue=%d", *maxInflight, *maxQueue)
 	}
 
 	stopSaver := make(chan struct{})
@@ -178,7 +177,6 @@ func run() int {
 		Admission: ortoa.AdmissionOptions{
 			MaxInflight: *maxInflight,
 			MaxQueue:    *maxQueue,
-			ShedExpired: *shedDeadline,
 			RetryAfter:  *retryAfter,
 		},
 	}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -27,30 +28,39 @@ import (
 	"ortoa/internal/obs"
 )
 
+var (
+	listen       = flag.String("listen", ":7001", "address to listen on")
+	protocol     = flag.String("protocol", "lbl", "protocol: lbl, tee, fhe, or 2rtt")
+	valueSize    = flag.Int("value-size", 160, "fixed value size in bytes")
+	stateDir     = flag.String("state", "", "state directory the store is recovered from and made durable in; it checkpoints itself as its log grows (empty: in memory only)")
+	fsync        = flag.String("fsync", "interval", "WAL fsync policy under -state: never, interval, or group-commit (durable-on-ack)")
+	walSyncEvery = flag.Duration("wal-sync", 0, "fsync cadence for -fsync interval (0: the store's default, kvstore.WALOptions.Interval)")
+	enclaveCost  = flag.Duration("enclave-cost", 0, "simulated per-ecall enclave transition cost (tee)")
+	fheDegree    = flag.Int("fhe-degree", 0, "BFV ring degree (fhe; 0: the default of ortoa.FHEOptions.RingDegree); the proxy must agree")
+	fheBits      = flag.Int("fhe-modulus-bits", 0, "BFV modulus bits (fhe; 0: the default of ortoa.FHEOptions.ModulusBits); the proxy must agree")
+	metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /healthz, /slowlog, /trace, and /debug/pprof on this address (e.g. :7091)")
+	traceBuffer  = flag.Int("trace-buffer", 4096, "retain this many finished trace spans for /trace; 0 disables tracing (needs -metrics-addr)")
+	maxInflight  = flag.Int("max-inflight", 0, "handle at most this many requests concurrently, shedding overload and requests whose deadline budget expired with constant-size busy frames (0 disables admission control)")
+	maxQueue     = flag.Int("max-queue", 0, "requests waiting for an inflight slot before overflow is shed, served newest-first (needs -max-inflight)")
+	retryAfter   = flag.Duration("retry-after", 0, "backoff hint carried in busy rejections (0 = default 25ms; needs -max-inflight)")
+)
+
+// checkFlags refuses a flag that the others would leave without effect:
+// a mistyped setting must not pass for a set one.
+func checkFlags() error {
+	if *maxInflight <= 0 && (*maxQueue != 0 || *retryAfter != 0) {
+		return errors.New("-max-queue and -retry-after require -max-inflight (without it nothing is bounded)")
+	}
+	return nil
+}
+
 func main() {
 	log.SetPrefix("ortoa-server: ")
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 
-	listen := flag.String("listen", ":7001", "address to listen on")
-	protocol := flag.String("protocol", "lbl", "protocol: lbl, tee, fhe, or 2rtt")
-	valueSize := flag.Int("value-size", 160, "fixed value size in bytes")
-	stateDir := flag.String("state", "", "state directory the store is recovered from and made durable in; it checkpoints itself as its log grows (empty: in memory only)")
-	fsync := flag.String("fsync", "interval", "WAL fsync policy under -state: never, interval, or group-commit (durable-on-ack)")
-	walSyncEvery := flag.Duration("wal-sync", 2*time.Second, "fsync cadence for -fsync interval")
-	enclaveCost := flag.Duration("enclave-cost", 0, "simulated per-ecall enclave transition cost (tee)")
-	fheDegree := flag.Int("fhe-degree", 512, "BFV ring degree (fhe)")
-	fheBits := flag.Int("fhe-modulus-bits", 370, "BFV modulus bits (fhe)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /slowlog, /trace, and /debug/pprof on this address (e.g. :7091)")
-	traceBuffer := flag.Int("trace-buffer", 4096, "retain this many finished trace spans for /trace; 0 disables tracing (needs -metrics-addr)")
-	maxInflight := flag.Int("max-inflight", 0, "handle at most this many requests concurrently, shedding overload with constant-size busy frames (0 disables admission control)")
-	maxQueue := flag.Int("max-queue", 0, "requests waiting for an inflight slot before overflow is shed, served newest-first (needs -max-inflight)")
-	shedDeadline := flag.Bool("shed-deadline", true, "drop requests whose propagated deadline budget expired before doing any work (needs -max-inflight)")
-	retryAfter := flag.Duration("retry-after", 0, "backoff hint carried in busy rejections (0 = default 25ms; needs -max-inflight)")
 	flag.Parse()
-
-	if *maxInflight <= 0 && (*maxQueue != 0 || *retryAfter != 0) {
-		// There is no gate without -max-inflight: a mistyped bound must not pass for a set one.
-		log.Fatal("-max-queue and -retry-after require -max-inflight (without it nothing is bounded)")
+	if err := checkFlags(); err != nil {
+		log.Fatal(err)
 	}
 
 	var reg *obs.Registry
@@ -74,7 +84,6 @@ func main() {
 		Admission: ortoa.AdmissionOptions{
 			MaxInflight: *maxInflight,
 			MaxQueue:    *maxQueue,
-			ShedExpired: *shedDeadline,
 			RetryAfter:  *retryAfter,
 		},
 	})
@@ -82,7 +91,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *maxInflight > 0 {
-		log.Printf("admission control: max-inflight=%d max-queue=%d shed-deadline=%v", *maxInflight, *maxQueue, *shedDeadline)
+		log.Printf("admission control: max-inflight=%d max-queue=%d", *maxInflight, *maxQueue)
 	}
 
 	if *stateDir != "" {

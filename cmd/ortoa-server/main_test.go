@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/binary"
+	"flag"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -92,5 +94,38 @@ func TestShutdownKeepsAcknowledgedWrites(t *testing.T) {
 		if v := binary.BigEndian.Uint64(got); v != want && v != want+1 {
 			t.Errorf("%s restarted at version %d, want the last acknowledged %d (or the one cut after it)", key, v, want)
 		}
+	}
+}
+
+// TestCheckFlags: a flag whose partner is missing would have no effect,
+// so the server refuses it before it opens state or listens.
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		refuse string // a fragment of the refusal; "" when the flags pass
+	}{
+		{nil, ""},
+		{[]string{"-max-inflight", "8"}, ""},
+		{[]string{"-max-inflight", "8", "-max-queue", "8", "-retry-after", "50ms"}, ""},
+		{[]string{"-max-queue", "8"}, "require -max-inflight"},
+		{[]string{"-retry-after", "50ms"}, "require -max-inflight"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			flag.VisitAll(func(f *flag.Flag) {
+				if !strings.HasPrefix(f.Name, "test.") {
+					f.Value.Set(f.DefValue) //nolint:errcheck // a default always parses
+				}
+			})
+			if err := flag.CommandLine.Parse(tc.args); err != nil {
+				t.Fatal(err)
+			}
+			err := checkFlags()
+			switch {
+			case tc.refuse == "" && err != nil:
+				t.Errorf("refused: %v", err)
+			case tc.refuse != "" && (err == nil || !strings.Contains(err.Error(), tc.refuse)):
+				t.Errorf("got %v, want the refusal %q", err, tc.refuse)
+			}
+		})
 	}
 }

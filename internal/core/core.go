@@ -89,9 +89,6 @@ type AccessStats struct {
 	PrepBytes int
 	// RespBytes is the response payload size received.
 	RespBytes int
-	// ServerAttempts counts server-side decryption attempts
-	// (LBL only; 2 per bit-group without point-and-permute, 1 with).
-	ServerAttempts int
 }
 
 // PadValue right-pads v with zeros to size. It returns an error if v

@@ -526,7 +526,7 @@ func newFHE(t *testing.T) (*rig, *FHEClient) {
 	r := newRig(t)
 	cfg := fheTestConfig(t)
 	NewFHEServer(r.store, cfg).Register(r.server)
-	client, err := NewFHEClient(cfg, prf.NewRandom(), r.client)
+	client, err := NewFHEClient(cfg, prf.NewRandom(), nil, r.client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +606,7 @@ func TestFHEValueSizeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewFHEClient(FHEConfig{Params: params, ValueSize: 1 << 20}, prf.NewRandom(), nil); err == nil {
+	if _, err := NewFHEClient(FHEConfig{Params: params, ValueSize: 1 << 20}, prf.NewRandom(), nil, nil); err == nil {
 		t.Error("accepted value size beyond plaintext capacity")
 	}
 }

@@ -137,21 +137,19 @@ type FHEClient struct {
 	stageObs
 }
 
-// NewFHEClient generates a fresh secret key for cfg.Params.
-func NewFHEClient(cfg FHEConfig, f *prf.PRF, client *transport.Client) (*FHEClient, error) {
-	sk, err := cfg.Params.KeyGen()
-	if err != nil {
-		return nil, err
-	}
-	return NewFHEClientWithKey(cfg, f, sk, client)
-}
-
-// NewFHEClientWithKey builds a client around an existing secret key,
-// for deployments where trusted parties share it (§3.1).
-func NewFHEClientWithKey(cfg FHEConfig, f *prf.PRF, sk *fhe.SecretKey, client *transport.Client) (*FHEClient, error) {
+// NewFHEClient builds a client around the secret key sk, which trusted
+// parties may share (§3.1); a nil sk generates a fresh one for
+// cfg.Params.
+func NewFHEClient(cfg FHEConfig, f *prf.PRF, sk *fhe.SecretKey, client *transport.Client) (*FHEClient, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	if sk == nil {
+		var err error
+		if sk, err = cfg.Params.KeyGen(); err != nil {
+			return nil, err
+		}
 	}
 	return &FHEClient{cfg: cfg, prf: f, sk: sk, client: client, stageObs: stageObs{stages: fheStages(nil)}}, nil
 }

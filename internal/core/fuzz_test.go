@@ -533,7 +533,7 @@ func fheFuzzConfig(f *testing.F) FHEConfig {
 // decides.
 func FuzzFHEProxyResponse(f *testing.F) {
 	cfg := fheFuzzConfig(f)
-	client, err := NewFHEClient(cfg, prf.NewRandom(), nil)
+	client, err := NewFHEClient(cfg, prf.NewRandom(), nil, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -572,7 +572,7 @@ func FuzzFHEProxyResponse(f *testing.F) {
 // added.
 func FuzzFHEServerPayload(f *testing.F) {
 	cfg := fheFuzzConfig(f)
-	client, err := NewFHEClient(cfg, prf.NewRandom(), nil)
+	client, err := NewFHEClient(cfg, prf.NewRandom(), nil, nil)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -128,7 +128,7 @@ func TestObliviousnessFHE(t *testing.T) {
 		}
 		cfg := FHEConfig{Params: params, ValueSize: valueSize}
 		NewFHEServer(r.store, cfg).Register(r.server)
-		client, err := NewFHEClient(cfg, prf.NewRandom(), r.client)
+		client, err := NewFHEClient(cfg, prf.NewRandom(), nil, r.client)
 		if err != nil {
 			t.Fatal(err)
 		}

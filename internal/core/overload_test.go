@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ortoa/internal/crypto/prf"
+	"ortoa/internal/kvstore"
 	"ortoa/internal/netsim"
 	"ortoa/internal/transport"
 )
@@ -108,43 +109,41 @@ func TestAccessExpiredBeforeBuild(t *testing.T) {
 	}
 }
 
-// TestServerDropsExpiredRound holds an LBL access in the server's
-// admission queue past its deadline budget (ShedExpired off, so it
-// still runs) and checks the server drops it at checkBudget — before
-// any trial decryption — and that the key's next access, finding the
-// record where its counter is, succeeds in one request.
+// TestServerDropsExpiredRound sends an LBL access, cut into frames,
+// over a link that takes longer than the access's deadline budget to
+// carry it, to a server with no admission gate. The budget is
+// rehydrated when the head frame lands, so it runs out while the later
+// frames are still crossing: the server drops the round at its budget
+// check — before the rest of the table is trial-decrypted — and the
+// key's next access, finding the record where its counter is, succeeds
+// in one request.
 func TestServerDropsExpiredRound(t *testing.T) {
-	r, proxy, srv := newLBL(t, LBLPointPermute, 4)
+	cfg := LBLConfig{ValueSize: 4, Mode: LBLPointPermute}
+	cfg.StreamChunkBytes = cfg.RequestBytesPerAccess() / 4
+	r := &rig{store: kvstore.New(), server: transport.NewServer()}
+	RegisterLoader(r.server, r.store)
+	srv := NewLBLServer(r.store)
+	srv.Register(r.server)
+	// Each frame takes 50ms to cross, the whole request 200ms.
+	l := netsim.Listen(netsim.Link{Bandwidth: int64(cfg.StreamChunkBytes) * 20})
+	go r.server.Serve(l)
+	t.Cleanup(func() { r.server.Close() })
+	var err error
+	if r.client, err = transport.Dial(l.Dial, 1); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.client.Close() })
+	proxy, err := NewLBLProxy(cfg, prf.NewRandom(), r.client)
+	if err != nil {
+		t.Fatal(err)
+	}
 	loadData(t, r, proxy, map[string][]byte{"k": {1, 2, 3, 4}})
 
-	// One slot, occupied by a gated raw call, so the access queues.
-	const msgOccupy = 0xEE
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 1)
-	r.server.Handle(msgOccupy, func(context.Context, []byte) ([]byte, error) {
-		entered <- struct{}{}
-		<-gate
-		return nil, nil
-	})
-	r.server.LimitAdmission(transport.AdmissionConfig{MaxInflight: 1, MaxQueue: 2})
-
-	occupied := make(chan struct{})
-	go func() {
-		defer close(occupied)
-		r.client.Call(msgOccupy, nil)
-	}()
-	<-entered
-
-	// 15ms of budget, then 40ms stuck in queue: the handler finally
-	// runs with its rehydrated deadline already passed.
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 	defer cancel()
 	if _, _, err := proxy.AccessContext(ctx, OpRead, "k", nil); err == nil {
 		t.Fatal("expired access succeeded")
 	}
-	time.Sleep(40 * time.Millisecond)
-	close(gate)
-	<-occupied
 
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.expiredRounds.Load() == 0 {
@@ -279,16 +278,15 @@ func TestRouterBusyBreaker(t *testing.T) {
 	<-entered
 
 	router, err := NewRouter([]RouterMember{{Name: "p0", Dial: l.Dial}}, RouterOptions{
-		Client:      transport.Options{PoolSize: 1, Retry: transport.RetryPolicy{Attempts: 1}},
-		BusyBreaker: 2,
+		Client: transport.Options{PoolSize: 1, Retry: transport.RetryPolicy{Attempts: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { router.Close() })
 
-	// Two busy rejections trip the breaker.
-	for i := 0; i < 2; i++ {
+	// Three busy rejections trip the breaker.
+	for i := 0; i < busyBreaker; i++ {
 		_, _, err := router.Access(OpRead, "k", nil)
 		if !transport.IsBusy(err) || transport.Ambiguous(err) {
 			t.Fatalf("access %d: err = %v, want definite busy", i, err)

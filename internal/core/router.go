@@ -43,18 +43,19 @@ type RouterOptions struct {
 	Client transport.Options
 	// ProbeInterval is the health-prober tick. Default 100ms.
 	ProbeInterval time.Duration
-	// BusyBreaker is the number of consecutive busy rejections from one
-	// member before the router circuit-breaks it: accesses to the member
-	// fail fast with busy — no wire round trip — until its retry-after
-	// window passes, and the first access after the window is the
-	// readmission probe. The member stays in the routing ring throughout
-	// (benching is backpressure, not failure — moving its keys to a peer
-	// would make two proxies contend for their counters). Default 3.
-	BusyBreaker int
 	// Metrics, when non-nil, registers the router's metrics
 	// (ortoa_router_*) before the health prober starts.
 	Metrics *obs.Registry
 }
+
+// busyBreaker is the number of consecutive busy rejections from one
+// member before the router circuit-breaks it: accesses to the member
+// fail fast with busy — no wire round trip — until its retry-after
+// window passes, and the first access after the window is the
+// readmission probe. The member stays in the routing ring throughout
+// (benching is backpressure, not failure — moving its keys to a peer
+// would make two proxies contend for their counters).
+const busyBreaker = 3
 
 // probeBackoffMax caps the per-member probe backoff that doubles on
 // every failed probe.
@@ -85,7 +86,7 @@ type routerMember struct {
 	acc    *RemoteAccessor
 
 	// busyStreak counts consecutive busy rejections; any other outcome
-	// resets it. At opts.BusyBreaker the Access path benches the member.
+	// resets it. At busyBreaker the Access path benches the member.
 	busyStreak atomic.Int64
 
 	// benchedUntil (unix nanos, 0 = not benched) is the busy breaker's
@@ -162,9 +163,6 @@ func NewRouter(members []RouterMember, opts RouterOptions) (*Router, error) {
 	}
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 100 * time.Millisecond
-	}
-	if opts.BusyBreaker <= 0 {
-		opts.BusyBreaker = 3
 	}
 	r := &Router{opts: opts, stop: make(chan struct{})}
 	r.instrument(opts.Metrics)
@@ -330,7 +328,7 @@ func (r *Router) Access(op Op, key string, newValue []byte) ([]byte, AccessStats
 			// backs off; consecutive sheds bench the member behind
 			// fail-fast busies until its retry-after window passes.
 			r.mx.busies.Inc()
-			if m.busyStreak.Add(1) >= int64(r.opts.BusyBreaker) {
+			if m.busyStreak.Add(1) >= busyBreaker {
 				m.busyStreak.Store(0)
 				m.benchedUntil.Store(time.Now().Add(busyRetryAfter(err, r.opts.ProbeInterval)).UnixNano())
 				r.mx.trips.Inc()

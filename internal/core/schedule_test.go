@@ -78,7 +78,7 @@ func recoverFromPRF(p *LBLProxy, op Op, key string, newValue []byte, ct uint64, 
 		l := labelAt(p, gen, g, bits, ct+1)
 		subtle.XORBytes(digest[:], digest[:], l[:])
 	}
-	if !digest.Equal(prf.Output(body[cfg.ValueSize:])) {
+	if digest != prf.Output(body[cfg.ValueSize:]) {
 		return nil, fmt.Errorf("%w: label digest mismatch", ErrTampered)
 	}
 	return value, nil

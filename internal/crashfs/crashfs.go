@@ -51,15 +51,10 @@ type Plan struct {
 	// TornWriteProb is the probability, at crash time, that the first
 	// dropped pending write is partially applied — a torn write.
 	TornWriteProb float64
-	// MaxFaults caps injected write/sync errors (torn writes and
-	// dropped buffers at a crash are crash-driven and exempt). Zero
-	// means unlimited.
-	MaxFaults int64
 
 	once sync.Once
 	mu   sync.Mutex
 	rng  *rand.Rand
-	used atomic.Int64
 
 	writeErrs atomic.Int64
 	syncErrs  atomic.Int64
@@ -94,22 +89,6 @@ func (p *Plan) intn(n int) int {
 	v := p.rng.IntN(n)
 	p.mu.Unlock()
 	return v
-}
-
-// spend claims one unit of the MaxFaults budget.
-func (p *Plan) spend() bool {
-	if p.MaxFaults <= 0 {
-		return true
-	}
-	for {
-		u := p.used.Load()
-		if u >= p.MaxFaults {
-			return false
-		}
-		if p.used.CompareAndSwap(u, u+1) {
-			return true
-		}
-	}
 }
 
 // Stats counts injected faults.
@@ -485,7 +464,7 @@ func (h *File) Write(p []byte) (int, error) {
 	}
 	defer h.unlock()
 	plan := h.fs.plan.Load()
-	if plan != nil && plan.draw(plan.WriteErrProb) && plan.spend() {
+	if plan != nil && plan.draw(plan.WriteErrProb) {
 		plan.writeErrs.Add(1)
 		return 0, fmt.Errorf("crashfs: %s: injected write error", h.name)
 	}
@@ -542,7 +521,7 @@ func (h *File) Sync() error {
 	}
 	defer h.unlock()
 	plan := h.fs.plan.Load()
-	if plan != nil && plan.draw(plan.SyncErrProb) && plan.spend() {
+	if plan != nil && plan.draw(plan.SyncErrProb) {
 		plan.syncErrs.Add(1)
 		return fmt.Errorf("crashfs: %s: injected fsync error", h.name)
 	}
@@ -589,18 +568,4 @@ func (f *FS) ReadFile(path string) ([]byte, error) {
 		return nil, notExist("read", path)
 	}
 	return append([]byte(nil), n.data...), nil
-}
-
-// WriteFile replaces path's live content in one unsynced write,
-// creating it if needed.
-func (f *FS) WriteFile(path string, data []byte) error {
-	h, err := f.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
-	}
-	if _, err := h.Write(data); err != nil {
-		h.Close()
-		return err
-	}
-	return h.Close()
 }

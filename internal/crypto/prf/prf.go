@@ -17,7 +17,6 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 )
@@ -31,22 +30,17 @@ const KeySize = 32
 
 // Domain separation tags. Each distinct use of the master secret gets
 // its own tag so outputs from one role can never collide with another.
+// Tag 0x04 padded TEE reads once; it stays retired, never reused.
 const (
 	tagKeyEncode = 0x01 // PRF(k): server-side key encoding
 	tagLabel     = 0x02 // secret labels for LBL-ORTOA
 	tagPermute   = 0x03 // point-and-permute bits of an earlier layout (PermuteBits)
-	tagDummy     = 0x04 // dummy value padding for TEE reads
 	tagLabelKey  = 0x05 // per-object AES key for LabelGen
 	tagVerifier  = 0x06 // the AES key of LBL-ORTOA's record verifiers
 )
 
 // An Output is a 128-bit PRF output (a secret label, an encoded key, …).
 type Output [Size]byte
-
-// Equal reports whether two outputs are equal in constant time.
-func (o Output) Equal(p Output) bool {
-	return subtle.ConstantTimeCompare(o[:], p[:]) == 1
-}
 
 // String renders the output as hex for logs and tests.
 func (o Output) String() string { return fmt.Sprintf("%x", o[:]) }
@@ -209,19 +203,4 @@ func (g *LabelGen) row(domain, bits uint8, g0 int, ct uint64) Row {
 func (r Row) Fill(dst []byte) {
 	clear(dst)
 	r.s.XORKeyStream(dst, dst)
-}
-
-// DummyValue derives a deterministic pseudorandom value of length n,
-// used as the indistinguishable v_new payload of TEE-ORTOA reads (§4.1).
-func (p *PRF) DummyValue(key string, ct uint64, n int) []byte {
-	out := make([]byte, 0, n)
-	var ctr [8]byte
-	binary.LittleEndian.PutUint64(ctr[:], ct)
-	for block := uint64(0); len(out) < n; block++ {
-		var blk [8]byte
-		binary.LittleEndian.PutUint64(blk[:], block)
-		o := p.eval(tagDummy, []byte(key), ctr[:], blk[:])
-		out = append(out, o[:]...)
-	}
-	return out[:n]
 }

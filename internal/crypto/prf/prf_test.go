@@ -28,9 +28,6 @@ func TestDeterminism(t *testing.T) {
 	if g := p.LabelGen("k1"); g.PermuteBits(3, 7) != g.PermuteBits(3, 7) {
 		t.Error("PermuteBits not deterministic")
 	}
-	if !bytes.Equal(p.DummyValue("k1", 2, 40), p.DummyValue("k1", 2, 40)) {
-		t.Error("DummyValue not deterministic")
-	}
 }
 
 func TestKeyRestoration(t *testing.T) {
@@ -83,27 +80,6 @@ func TestInjectiveEncoding(t *testing.T) {
 	p := NewRandom()
 	if p.EncodeKey("ab") == p.EncodeKey("a\x00b") {
 		t.Error("encoding is not injective across embedded separators")
-	}
-}
-
-func TestDummyValueLengths(t *testing.T) {
-	p := NewRandom()
-	for _, n := range []int{0, 1, 15, 16, 17, 160, 600} {
-		if got := len(p.DummyValue("k", 0, n)); got != n {
-			t.Errorf("DummyValue(%d) has length %d", n, got)
-		}
-	}
-}
-
-func TestOutputEqual(t *testing.T) {
-	var a, b Output
-	a[0] = 1
-	if a.Equal(b) {
-		t.Error("distinct outputs compare equal")
-	}
-	b[0] = 1
-	if !a.Equal(b) {
-		t.Error("equal outputs compare unequal")
 	}
 }
 

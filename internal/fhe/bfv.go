@@ -62,18 +62,6 @@ func NewParameters(n int, qBits int) (Parameters, error) {
 	return params, nil
 }
 
-// DefaultParameters mirrors the paper's working point: enough noise
-// budget that Proc applications succeed for a handful of accesses and
-// then fail (§3.3 reports roughly 10 with SEAL's N=32768 defaults).
-// N=1024 keeps the simulation tractable while preserving that arc.
-func DefaultParameters() Parameters {
-	p, err := NewParameters(1024, 440)
-	if err != nil {
-		panic("fhe: default parameters invalid: " + err.Error())
-	}
-	return p
-}
-
 // CiphertextExpansion returns the ratio of serialized ciphertext bytes
 // to plaintext capacity bytes — the paper reports ~225x for SEAL's
 // configuration (§3.3).

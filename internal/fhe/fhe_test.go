@@ -476,7 +476,10 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 }
 
 func TestCiphertextExpansionReported(t *testing.T) {
-	p := DefaultParameters()
+	p, err := NewParameters(1024, 440)
+	if err != nil {
+		t.Fatal(err)
+	}
 	exp := p.CiphertextExpansion()
 	if exp < 10 {
 		t.Errorf("expansion factor = %.0f, expected large (paper: ~225x)", exp)

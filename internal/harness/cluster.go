@@ -83,13 +83,9 @@ type Config struct {
 	// one PRF secret over a single LBL shard, keys placed on them by a
 	// consistent-hash ring; Cluster.Access then routes
 	// through a health-probing core.Router, and KillProxy /
-	// RecoverProxy / RestartProxy drive live failover. Requires
+	// RecoverProxy drive live failover. Requires
 	// System == SystemLBL and Shards <= 1.
 	Proxies int
-	// ProxyLink is the client↔proxy network path in multi-proxy
-	// deployments. The zero value is an ideal local link (the paper
-	// colocates clients with the trusted proxy).
-	ProxyLink netsim.Link
 	// StreamChunkBytes, when positive, puts every LBL proxy on the
 	// chunked-streaming request path (core.LBLConfig.StreamChunkBytes):
 	// access tables cross the WAN in sealed chunks of about this many

@@ -86,8 +86,11 @@ func TestRestartProxyStableIdentity(t *testing.T) {
 	}
 	rw("pre-")
 	for i := 0; i < cluster.Proxies(); i++ {
-		if err := cluster.RestartProxy(i); err != nil {
-			t.Fatalf("restarting proxy %d: %v", i, err)
+		if err := cluster.KillProxy(i); err != nil {
+			t.Fatalf("killing proxy %d: %v", i, err)
+		}
+		if err := cluster.RecoverProxy(i); err != nil {
+			t.Fatalf("recovering proxy %d: %v", i, err)
 		}
 		rw("r" + string(rune('0'+i)) + "--")
 	}

@@ -73,7 +73,6 @@ func Overload(opt Options) (*Table, error) {
 		Admission: &transport.AdmissionConfig{
 			MaxInflight: baseWorkers,
 			MaxQueue:    2 * baseWorkers,
-			ShedExpired: true,
 			RetryAfter:  5 * time.Millisecond,
 		},
 	})

@@ -19,7 +19,7 @@ import (
 // through a core.Router that places keys on the proxies by the
 // consistent-hash ring (core/ring.go), health-checks them and fails over
 // between them; the records' verifiers decide between proxies serving one
-// key. KillProxy / RecoverProxy / RestartProxy crash-kill and rebuild
+// key. KillProxy / RecoverProxy crash-kill and rebuild
 // individual proxies behind stable listener identities, so experiments
 // can move keys between live proxies.
 
@@ -97,7 +97,8 @@ func (c *Cluster) startProxy(pn *proxyNode) error {
 		px.Close() //nolint:errcheck // reporting the front-end error
 		return err
 	}
-	l := netsim.Listen(c.cfg.ProxyLink)
+	// Clients are colocated with the proxies.
+	l := netsim.Listen(netsim.Loopback)
 	go front.Transport.Serve(l) //nolint:errcheck // returns on Close
 
 	pn.px, pn.front = px, front
@@ -154,15 +155,6 @@ func (c *Cluster) RecoverProxy(i int) error {
 		return fmt.Errorf("harness: proxy %d is not down", i)
 	}
 	return c.startProxy(pn)
-}
-
-// RestartProxy crash-kills proxy i and immediately recovers it — the
-// proxy-side analogue of Cluster.Restart for shard servers.
-func (c *Cluster) RestartProxy(i int) error {
-	if err := c.KillProxy(i); err != nil {
-		return err
-	}
-	return c.RecoverProxy(i)
 }
 
 // Proxies returns the proxy fleet size (0 for single-proxy clusters).

@@ -91,7 +91,10 @@ func TestRestartedTiersKeepReporting(t *testing.T) {
 		calls := reg.Value("ortoa_transport_client_calls_total")
 		// Restart every proxy: from here on only rebuilt proxies serve.
 		for i := 0; i < cluster.Proxies(); i++ {
-			if err := cluster.RestartProxy(i); err != nil {
+			if err := cluster.KillProxy(i); err != nil {
+				t.Fatal(err)
+			}
+			if err := cluster.RecoverProxy(i); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -159,9 +159,6 @@ func TestWALStickyFailureFailStop(t *testing.T) {
 	if err := s.Update("ok", func(old []byte) ([]byte, error) { return old, nil }); err == nil {
 		t.Error("Update accepted on a poisoned WAL")
 	}
-	if _, err := s.Delete("ok"); err == nil {
-		t.Error("Delete accepted on a poisoned WAL")
-	}
 	if err := s.Checkpoint(); err == nil {
 		t.Error("Checkpoint succeeded on a poisoned WAL")
 	}
@@ -187,21 +184,17 @@ func TestWALStickyFailureFailStop(t *testing.T) {
 }
 
 // TestCheckpointBoundsReplayAndRetires: after a checkpoint, recovery
-// holds exactly the live keys at their last values — overwritten keys
-// once, deleted keys not at all — and replays only what was journaled
-// since.
+// holds exactly the keys at their last values — overwritten keys
+// once — and replays only what was journaled since.
 func TestCheckpointBoundsReplayAndRetires(t *testing.T) {
 	fsys := crashfs.New(nil)
 	s := recoverStore(t, fsys, "state", SyncGroupCommit)
 	for round := 0; round < 4; round++ { // many updates to few keys
-		for i := 0; i < 51; i++ {
+		for i := 0; i < 50; i++ {
 			if err := s.Put(fmt.Sprintf("pre-%02d", i), []byte{byte(i), byte(round)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	if _, err := s.Delete("pre-50"); err != nil {
-		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -223,9 +216,6 @@ func TestCheckpointBoundsReplayAndRetires(t *testing.T) {
 	}
 	if v, err := r.Get("pre-07"); err != nil || !bytes.Equal(v, []byte{7, 3}) {
 		t.Errorf("pre-07 = %v, %v; want its last value [7 3]", v, err)
-	}
-	if _, err := r.Get("pre-50"); err == nil {
-		t.Error("a key deleted before the checkpoint came back")
 	}
 	// Replay only covered the records journaled after the checkpoint:
 	// the 50 pre-checkpoint keys came from the snapshot.
@@ -489,6 +479,10 @@ func TestCheckpointsUnderWritersLoseNothing(t *testing.T) {
 // TestCheckpointGrowthIsGeometric: a bulk load from empty checkpoints
 // at sizes that at least double, so it takes O(log n) checkpoints and
 // writes at most twice the final store (plus the floor) in snapshots.
+// The load waits out each checkpoint its Put starts before the next
+// Put, so every checkpoint snapshots the store as it was when the log
+// outgrew the last one: the count depends on the bytes written, not on
+// how the scheduler interleaves a checkpoint with the load.
 func TestCheckpointGrowthIsGeometric(t *testing.T) {
 	fsys := crashfs.New(nil)
 	var snapBytes atomic.Int64
@@ -499,8 +493,12 @@ func TestCheckpointGrowthIsGeometric(t *testing.T) {
 	})
 	s := recoverStore(t, fsys, "state", SyncNever)
 	defer s.DetachWAL()
-	fill(t, s, "key", 4096, 4096, 2048) // 8 MiB, every key new
-	ckpt(s).running.Wait()
+	for i := 0; i < 4096; i++ { // 8 MiB, every key new
+		if err := s.Put(fmt.Sprintf("key-%d", i), bytes.Repeat([]byte{byte(i)}, 2048)); err != nil {
+			t.Fatal(err)
+		}
+		ckpt(s).running.Wait()
+	}
 	final, gens := s.Bytes(), s.Generation()
 	t.Logf("%d checkpoints, %d snapshot bytes loading a %d-byte store", gens, snapBytes.Load(), final)
 	if most := uint64(bits.Len64(uint64(final/checkpointFloor))) + 1; gens < 2 || gens > most {

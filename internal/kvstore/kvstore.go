@@ -122,7 +122,7 @@ func (s *Store) put(key string, value []byte) (uint64, error) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	lsn, err := s.journal(walOpPut, key, v)
+	lsn, err := s.journal(key, v)
 	if err != nil {
 		return 0, err
 	}
@@ -150,29 +150,18 @@ func (s *Store) applyPut(key string, value []byte) {
 	sh.mu.Unlock()
 }
 
-// applyDelete mutates without journaling (WAL replay).
-func (s *Store) applyDelete(key string) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	if v, ok := sh.items[key]; ok {
-		sh.bytes -= int64(len(key) + len(v))
-		delete(sh.items, key)
-	}
-	sh.mu.Unlock()
-}
-
 // journal appends a mutation to the WAL, if attached, returning its
 // LSN. Called with the key's shard lock held, so replay order per key
 // matches application order. A failure is sticky (see wal.fail):
 // callers must not apply the mutation, keeping memory and log
 // consistent — "error ⇒ store unchanged" is what lets the proxy treat
 // a rejected round as never executed.
-func (s *Store) journal(op byte, key string, value []byte) (uint64, error) {
+func (s *Store) journal(key string, value []byte) (uint64, error) {
 	w, ck := s.attached()
 	if w == nil {
 		return 0, nil
 	}
-	lsn, err := w.append(op, key, value)
+	lsn, err := w.append(key, value)
 	if m := s.metrics.Load(); m != nil {
 		m.walAppends.Inc()
 		if err != nil {
@@ -207,7 +196,7 @@ func (s *Store) Update(key string, fn func(old []byte) ([]byte, error)) error {
 		sh.mu.Unlock()
 		return err
 	}
-	lsn, err := s.journal(walOpPut, key, nv)
+	lsn, err := s.journal(key, nv)
 	if err != nil {
 		sh.mu.Unlock()
 		return err
@@ -216,27 +205,6 @@ func (s *Store) Update(key string, fn func(old []byte) ([]byte, error)) error {
 	sh.items[key] = nv
 	sh.mu.Unlock()
 	return s.waitDurable(lsn)
-}
-
-// Delete removes key. It reports whether the key was present; the
-// error mirrors Put's journaling contract.
-func (s *Store) Delete(key string) (bool, error) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	v, ok := sh.items[key]
-	if !ok {
-		sh.mu.Unlock()
-		return false, nil
-	}
-	lsn, err := s.journal(walOpDelete, key, nil)
-	if err != nil {
-		sh.mu.Unlock()
-		return false, err
-	}
-	sh.bytes -= int64(len(key) + len(v))
-	delete(sh.items, key)
-	sh.mu.Unlock()
-	return true, s.waitDurable(lsn)
 }
 
 // Len returns the number of keys in the store.

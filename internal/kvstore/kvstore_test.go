@@ -85,20 +85,6 @@ func TestUpdateError(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	s := New()
-	s.Put("k", []byte("v"))
-	if ok, err := s.Delete("k"); !ok || err != nil {
-		t.Errorf("Delete(existing) = %v, %v", ok, err)
-	}
-	if ok, err := s.Delete("k"); ok || err != nil {
-		t.Errorf("Delete(deleted) = %v, %v", ok, err)
-	}
-	if _, err := s.Get("k"); !errors.Is(err, ErrNotFound) {
-		t.Error("key still present after Delete")
-	}
-}
-
 func TestLenAndBytes(t *testing.T) {
 	s := New()
 	if s.Len() != 0 || s.Bytes() != 0 {
@@ -115,10 +101,6 @@ func TestLenAndBytes(t *testing.T) {
 	s.Put("ab", []byte("x")) // now 2+1
 	if s.Bytes() != 6 {
 		t.Errorf("Bytes after overwrite = %d, want 6", s.Bytes())
-	}
-	s.Delete("c")
-	if s.Bytes() != 3 {
-		t.Errorf("Bytes after delete = %d, want 3", s.Bytes())
 	}
 }
 

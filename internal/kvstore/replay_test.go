@@ -1,7 +1,9 @@
 package kvstore
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -88,21 +90,38 @@ func TestReplayEveryTornTailShape(t *testing.T) {
 	}
 }
 
-// TestReplayMidFileCorruptionRejected flips a byte in the FIRST of two
-// records: valid data follows the damage, so this cannot be a torn
-// tail and replay must reject the log rather than resurrect stale
-// state by skipping interior records.
+// TestReplayMidFileCorruptionRejected damages the FIRST of two records:
+// valid data follows the damage, so this cannot be a torn tail and
+// replay must reject the log rather than resurrect stale state by
+// skipping interior records. The op byte is flipped to an unknown op,
+// and also replaced by a well-formed record of op 2, a delete, which
+// the log no longer holds: its CRC is right, and it is refused like any
+// unknown op.
 func TestReplayMidFileCorruptionRejected(t *testing.T) {
 	raw, offsets := buildWAL(t, [][2]string{{"alpha", "first-value"}, {"beta", "second-value"}})
-	for _, off := range []int64{offsets[0], offsets[0] + 3, offsets[1] - 2} {
+	flip := func(off int64) []byte {
 		mut := append([]byte(nil), raw...)
 		mut[off] ^= 0xFF
+		return mut
+	}
+	del := binary.AppendUvarint([]byte{2}, uint64(len("alpha")))
+	del = append(del, "alpha"...)
+	del = binary.LittleEndian.AppendUint32(del, crc32.ChecksumIEEE(del))
+	for _, tc := range []struct {
+		name string
+		log  []byte
+	}{
+		{"op byte", flip(offsets[0])},
+		{"key bytes", flip(offsets[0] + 3)},
+		{"crc", flip(offsets[1] - 2)},
+		{"delete op", append(append(append([]byte(nil), raw[:offsets[0]]...), del...), raw[offsets[1]:]...)},
+	} {
 		path := filepath.Join(t.TempDir(), "corrupt.wal")
-		if err := os.WriteFile(path, mut, 0o600); err != nil {
+		if err := os.WriteFile(path, tc.log, 0o600); err != nil {
 			t.Fatal(err)
 		}
 		if err := New().AttachWALOptions(path, WALOptions{}); err == nil {
-			t.Errorf("corruption at offset %d (mid-file) accepted", off)
+			t.Errorf("%s: mid-file damage accepted", tc.name)
 		}
 	}
 }

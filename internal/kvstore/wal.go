@@ -22,7 +22,9 @@ import (
 // tail and rejects mid-file corruption (see replayWAL).
 //
 // Log record: [1B op][uvarint keyLen][key][uvarint valLen][value]
-// [4B crc32 of everything before it]. Deletes carry no value.
+// [4B crc32 of everything before it]. The one op is a put: the server
+// sees reads and writes alike as a record replaced, and nothing deletes
+// one.
 //
 // Durability is governed by a SyncPolicy. Under SyncGroupCommit a
 // mutation is acknowledged only after its record is fsynced; the fsync
@@ -34,10 +36,7 @@ import (
 // replay. The sticky error is surfaced by WALErr, the wal_failed
 // gauge, and the /healthz endpoint.
 
-const (
-	walOpPut    byte = 1
-	walOpDelete byte = 2
-)
+const walOpPut byte = 1
 
 var walMagic = [8]byte{'O', 'R', 'T', 'O', 'A', 'W', 'L', '1'}
 
@@ -127,7 +126,7 @@ func (w *wal) fail(err error) {
 }
 
 // AttachWALOptions replays the log at path into the store (creating it
-// if absent) and journals every subsequent Put, Update, and Delete to it
+// if absent) and journals every subsequent Put and Update to it
 // under opts.Policy; call DetachWAL on shutdown. Nothing checkpoints or
 // truncates this bare log, so a restart replays all of it: it is kept
 // for the repository benchmark's deployment, and a durable store uses
@@ -259,12 +258,7 @@ func (s *Store) replayWAL(f vfs.File) (int64, int64, error) {
 		rec, n, err := readWALRecord(br)
 		switch {
 		case err == nil:
-			switch rec.op {
-			case walOpPut:
-				s.applyPut(rec.key, rec.value)
-			case walOpDelete:
-				s.applyDelete(rec.key)
-			}
+			s.applyPut(rec.key, rec.value)
 			valid += n
 			records++
 		case errors.Is(err, io.EOF) && n == 0:
@@ -287,7 +281,6 @@ func (s *Store) replayWAL(f vfs.File) (int64, int64, error) {
 var errWALCRC = errors.New("kvstore: WAL record CRC mismatch")
 
 type walRecord struct {
-	op    byte
 	key   string
 	value []byte
 }
@@ -304,8 +297,7 @@ func readWALRecord(br *bufio.Reader) (walRecord, int64, error) {
 		return rec, n, err
 	}
 	n = 1
-	rec.op = opBuf[0]
-	if rec.op != walOpPut && rec.op != walOpDelete {
+	if opBuf[0] != walOpPut {
 		return rec, n, errors.New("kvstore: bad WAL op")
 	}
 	readBlobLen := func() ([]byte, error) {
@@ -330,11 +322,8 @@ func readWALRecord(br *bufio.Reader) (walRecord, int64, error) {
 		return rec, n, err
 	}
 	rec.key = string(key)
-	if rec.op == walOpPut {
-		rec.value, err = readBlobLen()
-		if err != nil {
-			return rec, n, err
-		}
+	if rec.value, err = readBlobLen(); err != nil {
+		return rec, n, err
 	}
 	want := crc.Sum32()
 	var crcBuf [4]byte
@@ -377,19 +366,17 @@ func readUvarintCounted(r io.Reader) (uint64, int64, error) {
 // order. After any failure the log is poisoned: the write may be
 // partially in the buffer, so every later append fails with the same
 // sticky error.
-func (w *wal) append(op byte, key string, value []byte) (uint64, error) {
+func (w *wal) append(key string, value []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.failed != nil {
 		return 0, w.failed
 	}
-	rec := append(w.rec[:0], op)
+	rec := append(w.rec[:0], walOpPut)
 	rec = binary.AppendUvarint(rec, uint64(len(key)))
 	rec = append(rec, key...)
-	if op == walOpPut {
-		rec = binary.AppendUvarint(rec, uint64(len(value)))
-		rec = append(rec, value...)
-	}
+	rec = binary.AppendUvarint(rec, uint64(len(value)))
+	rec = append(rec, value...)
 	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
 	w.rec = rec
 	if _, err := w.w.Write(rec); err != nil {

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net"
 	"os"
 	"sync"
@@ -28,10 +27,6 @@ type Link struct {
 	// Bandwidth is the per-connection throughput in bytes/second.
 	// Zero means unlimited.
 	Bandwidth int64
-	// Jitter adds a uniform random extra delay in [0, Jitter) to each
-	// delivery, modeling WAN variance. Zero means deterministic
-	// latency (the default; experiments average over runs instead).
-	Jitter time.Duration
 	// Fault, when non-nil, injects connection resets, stalls,
 	// blackholed responses, and partition windows into every
 	// connection traversing the link (see FaultPlan). The plan is
@@ -149,11 +144,7 @@ func (q *queue) push(link Link, p []byte, stall time.Duration) error {
 	}
 	done := start.Add(link.TransferTime(len(p)))
 	q.busyUntil = done
-	delay := link.OneWay() + stall
-	if link.Jitter > 0 {
-		delay += time.Duration(rand.Int64N(int64(link.Jitter)))
-	}
-	q.chunks = append(q.chunks, chunk{deliverAt: done.Add(delay), data: data})
+	q.chunks = append(q.chunks, chunk{deliverAt: done.Add(link.OneWay() + stall), data: data})
 	q.cond.Broadcast()
 	return nil
 }

@@ -283,60 +283,6 @@ func TestManyConcurrentConns(t *testing.T) {
 	wg.Wait()
 }
 
-func TestJitterDelaysButPreservesOrder(t *testing.T) {
-	link := Link{RTT: 4 * time.Millisecond, Jitter: 10 * time.Millisecond}
-	a, b := Pipe(link)
-	defer a.Close()
-	defer b.Close()
-	go func() {
-		for i := 0; i < 8; i++ {
-			a.Write([]byte{byte(i)})
-		}
-	}()
-	start := time.Now()
-	buf := make([]byte, 8)
-	if _, err := io.ReadFull(b, buf); err != nil {
-		t.Fatal(err)
-	}
-	for i := range buf {
-		if buf[i] != byte(i) {
-			t.Fatalf("jitter reordered delivery: %v", buf)
-		}
-	}
-	if elapsed := time.Since(start); elapsed < 2*time.Millisecond {
-		t.Errorf("delivery took %v, want ≥ one-way latency", elapsed)
-	}
-}
-
-func TestJitterVariesDelivery(t *testing.T) {
-	link := Link{Jitter: 30 * time.Millisecond}
-	var times []time.Duration
-	for i := 0; i < 6; i++ {
-		a, b := Pipe(link)
-		start := time.Now()
-		go a.Write([]byte{1})
-		buf := make([]byte, 1)
-		if _, err := io.ReadFull(b, buf); err != nil {
-			t.Fatal(err)
-		}
-		times = append(times, time.Since(start))
-		a.Close()
-		b.Close()
-	}
-	minT, maxT := times[0], times[0]
-	for _, d := range times {
-		if d < minT {
-			minT = d
-		}
-		if d > maxT {
-			maxT = d
-		}
-	}
-	if maxT-minT < time.Millisecond {
-		t.Errorf("jitter produced near-identical deliveries: %v", times)
-	}
-}
-
 func TestTable2Links(t *testing.T) {
 	// Sanity-check that the Table 2 presets carry the paper's RTTs.
 	want := map[string]time.Duration{

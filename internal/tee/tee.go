@@ -117,9 +117,6 @@ func Create(cfg Config) (*Enclave, error) {
 	}, nil
 }
 
-// Measurement returns the enclave's code identity.
-func (e *Enclave) Measurement() Measurement { return e.measurement }
-
 // Attest produces a Report over the verifier's nonce.
 func (e *Enclave) Attest(nonce [16]byte) Report {
 	return Report{

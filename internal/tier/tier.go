@@ -220,14 +220,7 @@ func (p *Proxy) wire(cfg ProxyConfig) error {
 		p.Accessor, p.builder, p.TEE = client, client, client
 	case FHE:
 		cfg.FHE.ValueSize = cfg.ValueSize
-		sk := cfg.FHESecretKey
-		if sk == nil {
-			var err error
-			if sk, err = cfg.FHE.Params.KeyGen(); err != nil {
-				return err
-			}
-		}
-		client, err := core.NewFHEClientWithKey(cfg.FHE, cfg.PRF, sk, p.RPC)
+		client, err := core.NewFHEClient(cfg.FHE, cfg.PRF, cfg.FHESecretKey, p.RPC)
 		if err != nil {
 			return err
 		}

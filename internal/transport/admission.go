@@ -43,9 +43,12 @@ import (
 // preserves goodput where FIFO would age every request to its deadline
 // — and requests that cannot be served are rejected with a
 // constant-size busy frame (IsBusy) carrying a retry-after hint, before
-// any protocol work happens. Rejections are shape-audited under the
-// request's own class, so shedding leaks no operation types. The zero
-// value disables admission control.
+// any protocol work happens. A request whose propagated deadline
+// budget has already expired — work the caller has abandoned — is
+// answered busy on arrival, while queued, and when the queue needs
+// room, before it spends an inflight slot. Rejections are shape-audited
+// under the request's own class, so shedding leaks no operation types.
+// The zero value disables admission control.
 type AdmissionConfig struct {
 	// MaxInflight is the number of requests handled concurrently;
 	// zero or negative disables admission control entirely.
@@ -53,11 +56,6 @@ type AdmissionConfig struct {
 	// MaxQueue bounds requests waiting for an inflight slot. Zero
 	// means no queue: overflow is shed immediately.
 	MaxQueue int
-	// ShedExpired drops requests whose propagated deadline budget has
-	// already expired — work the caller has abandoned — on arrival,
-	// while queued, and when the queue needs room, answering them busy
-	// before spending an inflight slot on them.
-	ShedExpired bool
 	// RetryAfter is the backoff hint carried in busy rejections
 	// (default 25ms). Clients honor it as a floor on their retry
 	// backoff.
@@ -162,7 +160,7 @@ func (a *admission) admit(deadline time.Time) admVerdict {
 		a.mu.Unlock()
 		return admitShed
 	}
-	if a.cfg.ShedExpired && !deadline.IsZero() && now.After(deadline) {
+	if !deadline.IsZero() && now.After(deadline) {
 		a.expired.Add(1)
 		a.mu.Unlock()
 		return admitExpired
@@ -184,7 +182,7 @@ func (a *admission) admit(deadline time.Time) admVerdict {
 	a.depth.Store(int64(len(a.queue)))
 	a.mu.Unlock()
 
-	if deadline.IsZero() || !a.cfg.ShedExpired {
+	if deadline.IsZero() {
 		return <-w.ch
 	}
 	t := time.NewTimer(time.Until(deadline))
@@ -210,8 +208,8 @@ func (a *admission) admit(deadline time.Time) admVerdict {
 }
 
 // makeRoomLocked evicts one queued waiter so a newcomer can queue:
-// the oldest already-expired waiter if ShedExpired (it was dead
-// anyway), else the oldest overall (LIFO service order means it was
+// the oldest already-expired waiter (it was dead anyway), else the
+// oldest overall (LIFO service order means it was
 // last in line regardless). Reports false when there is nothing to
 // evict (MaxQueue == 0).
 func (a *admission) makeRoomLocked(now time.Time) bool {
@@ -220,12 +218,10 @@ func (a *admission) makeRoomLocked(now time.Time) bool {
 	}
 	victim := 0
 	verdict := admitShed
-	if a.cfg.ShedExpired {
-		for i, w := range a.queue {
-			if !w.deadline.IsZero() && now.After(w.deadline) {
-				victim, verdict = i, admitExpired
-				break
-			}
+	for i, w := range a.queue {
+		if !w.deadline.IsZero() && now.After(w.deadline) {
+			victim, verdict = i, admitExpired
+			break
 		}
 	}
 	w := a.queue[victim]
@@ -258,19 +254,17 @@ func (a *admission) removeLocked(w *admWaiter) {
 func (a *admission) release() {
 	now := time.Now()
 	a.mu.Lock()
-	if a.cfg.ShedExpired {
-		kept := a.queue[:0]
-		for _, w := range a.queue {
-			if !w.deadline.IsZero() && now.After(w.deadline) {
-				w.done = true
-				w.ch <- admitExpired
-				a.expired.Add(1)
-			} else {
-				kept = append(kept, w)
-			}
+	kept := a.queue[:0]
+	for _, w := range a.queue {
+		if !w.deadline.IsZero() && now.After(w.deadline) {
+			w.done = true
+			w.ch <- admitExpired
+			a.expired.Add(1)
+		} else {
+			kept = append(kept, w)
 		}
-		a.queue = kept
 	}
+	a.queue = kept
 	if n := len(a.queue); n > 0 {
 		w := a.queue[n-1]
 		a.queue = a.queue[:n-1]

@@ -73,17 +73,12 @@ func limitedServer(t *testing.T, cfg AdmissionConfig) (*Server, *admission) {
 }
 
 func TestAdmissionExpiredOnArrival(t *testing.T) {
-	_, a := limitedServer(t, AdmissionConfig{MaxInflight: 4, ShedExpired: true})
+	_, a := limitedServer(t, AdmissionConfig{MaxInflight: 4})
 	if v := a.admit(time.Now().Add(-time.Millisecond)); v != admitExpired {
 		t.Fatalf("expired-on-arrival verdict = %v, want admitExpired", v)
 	}
 	if got := a.expired.Load(); got != 1 {
 		t.Errorf("expired counter = %d, want 1", got)
-	}
-	// Without ShedExpired the budget field is advisory: the request runs.
-	_, a = limitedServer(t, AdmissionConfig{MaxInflight: 4})
-	if v := a.admit(time.Now().Add(-time.Millisecond)); v != admitRun {
-		t.Fatalf("verdict without ShedExpired = %v, want admitRun", v)
 	}
 }
 
@@ -143,7 +138,7 @@ func TestAdmissionLIFOService(t *testing.T) {
 // older), the expired waiter is the eviction victim even though LIFO
 // alone would have picked the oldest.
 func TestAdmissionMakeRoomEvictsExpiredFirst(t *testing.T) {
-	a := &admission{cfg: AdmissionConfig{MaxInflight: 1, MaxQueue: 2, ShedExpired: true}}
+	a := &admission{cfg: AdmissionConfig{MaxInflight: 1, MaxQueue: 2}}
 	fresh := &admWaiter{ch: make(chan admVerdict, 1), deadline: time.Now().Add(time.Hour)}
 	dead := &admWaiter{ch: make(chan admVerdict, 1), deadline: time.Now().Add(-time.Millisecond)}
 	a.queue = []*admWaiter{fresh, dead} // fresh is oldest
@@ -170,7 +165,7 @@ func TestAdmissionMakeRoomEvictsExpiredFirst(t *testing.T) {
 	}
 
 	// With no expired waiter, the oldest overall goes.
-	b := &admission{cfg: AdmissionConfig{MaxInflight: 1, MaxQueue: 2, ShedExpired: true}}
+	b := &admission{cfg: AdmissionConfig{MaxInflight: 1, MaxQueue: 2}}
 	w1 := &admWaiter{ch: make(chan admVerdict, 1)}
 	w2 := &admWaiter{ch: make(chan admVerdict, 1)}
 	b.queue = []*admWaiter{w1, w2}
@@ -191,7 +186,7 @@ func TestAdmissionMakeRoomEvictsExpiredFirst(t *testing.T) {
 // every deadline-dead waiter busy, then transfers to the newest
 // survivor without changing the running count.
 func TestAdmissionReleaseShedsExpiredWaiters(t *testing.T) {
-	a := &admission{cfg: AdmissionConfig{MaxInflight: 1, MaxQueue: 4, ShedExpired: true}}
+	a := &admission{cfg: AdmissionConfig{MaxInflight: 1, MaxQueue: 4}}
 	a.running = 1
 	dead := &admWaiter{ch: make(chan admVerdict, 1), deadline: time.Now().Add(-time.Millisecond)}
 	live := &admWaiter{ch: make(chan admVerdict, 1), deadline: time.Now().Add(time.Hour)}
@@ -355,16 +350,16 @@ func TestExpiredBudgetNeverSent(t *testing.T) {
 	}
 }
 
-// TestZeroBudgetUnaffectedByShedExpired: frames without a deadline
-// budget (header field 0) pass a ShedExpired admission gate — absence
+// TestZeroBudgetPassesAdmission: frames without a deadline
+// budget (header field 0) pass an admission gate — absence
 // of a deadline means "no deadline", never "already expired".
-func TestZeroBudgetUnaffectedByShedExpired(t *testing.T) {
-	_, l, gate, _ := gateServer(t, AdmissionConfig{MaxInflight: 2, MaxQueue: 2, ShedExpired: true})
+func TestZeroBudgetPassesAdmission(t *testing.T) {
+	_, l, gate, _ := gateServer(t, AdmissionConfig{MaxInflight: 2, MaxQueue: 2})
 	close(gate)
 	c := dialTest(t, l, 1)
 	resp, err := c.Call(msgEcho, []byte("no-deadline"))
 	if err != nil {
-		t.Fatalf("zero-budget call under ShedExpired: %v", err)
+		t.Fatalf("zero-budget call under admission: %v", err)
 	}
 	if !bytes.Equal(resp, []byte("no-deadline")) {
 		t.Errorf("echo = %q", resp)
@@ -376,7 +371,7 @@ func TestZeroBudgetUnaffectedByShedExpired(t *testing.T) {
 // handler — admission runs before the dedup cache, so the replay needs
 // (and gets) a slot, but the one execution stays one.
 func TestBudgetSurvivesDedupReplay(t *testing.T) {
-	_, l, gate, executed := gateServer(t, AdmissionConfig{MaxInflight: 1, MaxQueue: 1, ShedExpired: true})
+	_, l, gate, executed := gateServer(t, AdmissionConfig{MaxInflight: 1, MaxQueue: 1})
 	close(gate)
 	c := dialTest(t, l, 1)
 

@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"ortoa"
+	"ortoa/internal/core"
 	"ortoa/internal/netsim"
 	"ortoa/internal/obs"
+	"ortoa/internal/transport"
 )
 
 // TestHandlersKeepNoPayload holds every handler a deployment registers —
@@ -86,18 +88,31 @@ func TestHandlersKeepNoPayload(t *testing.T) {
 			frontFaults := &netsim.FaultPlan{Seed: 2, BlackholeProb: 0.3, MaxFaults: 4}
 			fl := netsim.Listen(netsim.Link{Fault: frontFaults})
 			go client.ServeProxy(fl) //nolint:errcheck // returns on Close
-			front, err := ortoa.DialProxyOptions(fl.Dial, 1, ortoa.ProxyOptions{CallTimeout: 100 * time.Millisecond, RetryAttempts: 8})
+			// An end user that retries the responses the front end drops;
+			// a ProxyClient makes one attempt.
+			frontRPC, err := transport.DialOptions(fl.Dial, transport.Options{
+				PoolSize: 1, CallTimeout: 100 * time.Millisecond, Retry: transport.RetryPolicy{Attempts: 8},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { front.Close() })
+			t.Cleanup(func() { frontRPC.Close() })
+			front := core.NewRemoteAccessor(frontRPC)
+			frontWrite := func(key string, v []byte) error {
+				_, _, err := front.Access(core.OpWrite, key, v)
+				return err
+			}
+			frontRead := func(key string) ([]byte, error) {
+				v, _, err := front.Access(core.OpRead, key, nil)
+				return v, err
+			}
 
 			type writer struct {
 				name  string
 				write func(string, []byte) error
 				drops bool // whether the server drops responses meanwhile
 			}
-			writers := []writer{{"client", client.Write, true}, {"front end", front.Write, true}}
+			writers := []writer{{"client", client.Write, true}, {"front end", frontWrite, true}}
 			if p == ortoa.ProtocolLBL {
 				// A request cut into frames is never retried, so the server
 				// drops none of its answers.
@@ -115,7 +130,7 @@ func TestHandlersKeepNoPayload(t *testing.T) {
 					want[k] = v
 				}
 				check("after the "+w.name+"'s writes", client.Read)
-				check("after the "+w.name+"'s writes, through the front end", front.Read)
+				check("after the "+w.name+"'s writes, through the front end", frontRead)
 			}
 			if s, f := serverFaults.Stats().Blackholes, frontFaults.Stats().Blackholes; s == 0 || f == 0 {
 				t.Errorf("responses dropped: %d by the server, %d by the front end; want some of each", s, f)

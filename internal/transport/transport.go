@@ -1045,23 +1045,19 @@ type Options struct {
 	// Retry governs at-most-once retries of failed attempts.
 	Retry RetryPolicy
 	// ReconnectBackoff is the initial delay between redial attempts for
-	// a lost pooled connection; each failure doubles it (plus jitter).
-	// Zero means 10ms.
+	// a lost pooled connection; each failure doubles it (plus jitter),
+	// up to reconnectMaxBackoff. Zero means 10ms.
 	ReconnectBackoff time.Duration
-	// ReconnectMaxBackoff caps the redial backoff. Zero means 2s.
-	ReconnectMaxBackoff time.Duration
 }
 
-func (o Options) reconnectBackoff() (base, maxB time.Duration) {
-	base = o.ReconnectBackoff
-	if base <= 0 {
-		base = 10 * time.Millisecond
+// reconnectMaxBackoff caps the redial backoff.
+const reconnectMaxBackoff = 2 * time.Second
+
+func (o Options) reconnectBackoff() time.Duration {
+	if o.ReconnectBackoff <= 0 {
+		return 10 * time.Millisecond
 	}
-	maxB = o.ReconnectMaxBackoff
-	if maxB <= 0 {
-		maxB = 2 * time.Second
-	}
-	return base, maxB
+	return o.ReconnectBackoff
 }
 
 // clientMetrics is the client's wire-level instrumentation: call
@@ -1708,7 +1704,7 @@ func (cc *clientConn) lost(conn net.Conn, err error) {
 // jitter until it succeeds or the client closes. While it runs, calls
 // round-robin past this connection instead of hanging on it.
 func (cc *clientConn) reconnect() {
-	backoff, maxB := cc.client.opts.reconnectBackoff()
+	backoff := cc.client.opts.reconnectBackoff()
 	for {
 		if cc.client.closed.Load() {
 			return
@@ -1731,8 +1727,8 @@ func (cc *clientConn) reconnect() {
 			return
 		}
 		time.Sleep(backoff + rand.N(backoff/2+1))
-		if backoff *= 2; backoff > maxB {
-			backoff = maxB
+		if backoff *= 2; backoff > reconnectMaxBackoff {
+			backoff = reconnectMaxBackoff
 		}
 	}
 }

@@ -84,20 +84,6 @@ func (w *Writer) Reset() { w.buf = w.buf[:0] }
 // Byte appends a single byte.
 func (w *Writer) Byte(b byte) { w.buf = append(w.buf, b) }
 
-// Bool appends a boolean as one byte (0 or 1).
-func (w *Writer) Bool(b bool) {
-	if b {
-		w.Byte(1)
-	} else {
-		w.Byte(0)
-	}
-}
-
-// Uint16 appends a fixed-width little-endian uint16.
-func (w *Writer) Uint16(v uint16) {
-	w.buf = binary.LittleEndian.AppendUint16(w.buf, v)
-}
-
 // Uint32 appends a fixed-width little-endian uint32.
 func (w *Writer) Uint32(v uint32) {
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
@@ -144,12 +130,6 @@ func (w *Writer) Extend(n int) []byte {
 	}
 	return w.buf[l : l+n]
 }
-
-// Append passes the writer's buffer to f, which must only extend it by
-// appending; the returned slice replaces the buffer. It lets encoders
-// (e.g. bulk sealing) write thousands of entries without intermediate
-// allocations.
-func (w *Writer) Append(f func(dst []byte) []byte) { w.buf = f(w.buf) }
 
 // A Reader consumes primitive values from a byte slice. Methods record
 // the first error and subsequent calls return zero values, so a decode
@@ -207,18 +187,6 @@ func (r *Reader) Byte() byte {
 		return 0
 	}
 	return p[0]
-}
-
-// Bool consumes one byte and reports whether it is nonzero.
-func (r *Reader) Bool() bool { return r.Byte() != 0 }
-
-// Uint16 consumes a little-endian uint16.
-func (r *Reader) Uint16() uint16 {
-	p := r.take(2)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(p)
 }
 
 // Uint32 consumes a little-endian uint32.

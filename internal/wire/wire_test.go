@@ -12,9 +12,6 @@ import (
 func TestRoundTripAllTypes(t *testing.T) {
 	w := NewWriter(64)
 	w.Byte(0xAB)
-	w.Bool(true)
-	w.Bool(false)
-	w.Uint16(0xBEEF)
 	w.Uint32(0xDEADBEEF)
 	w.Uint64(math.MaxUint64)
 	w.Uvarint(300)
@@ -25,15 +22,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 	r := NewReader(w.Bytes())
 	if got := r.Byte(); got != 0xAB {
 		t.Errorf("Byte = %#x, want 0xAB", got)
-	}
-	if !r.Bool() {
-		t.Error("first Bool = false, want true")
-	}
-	if r.Bool() {
-		t.Error("second Bool = true, want false")
-	}
-	if got := r.Uint16(); got != 0xBEEF {
-		t.Errorf("Uint16 = %#x", got)
 	}
 	if got := r.Uint32(); got != 0xDEADBEEF {
 		t.Errorf("Uint32 = %#x", got)
@@ -64,7 +52,6 @@ func TestShortBuffer(t *testing.T) {
 		read func(*Reader)
 	}{
 		{"byte", func(r *Reader) { r.Byte() }},
-		{"uint16", func(r *Reader) { r.Uint16() }},
 		{"uint32", func(r *Reader) { r.Uint32() }},
 		{"uint64", func(r *Reader) { r.Uint64() }},
 		{"uvarint", func(r *Reader) { r.Uvarint() }},
@@ -171,14 +158,13 @@ func TestQuickBytesRoundTrip(t *testing.T) {
 }
 
 func TestQuickFixedWidthRoundTrip(t *testing.T) {
-	f := func(a uint16, b uint32, c uint64, d bool) bool {
+	f := func(a byte, b uint32, c uint64) bool {
 		w := NewWriter(0)
-		w.Uint16(a)
+		w.Byte(a)
 		w.Uint32(b)
 		w.Uint64(c)
-		w.Bool(d)
 		r := NewReader(w.Bytes())
-		return r.Uint16() == a && r.Uint32() == b && r.Uint64() == c && r.Bool() == d && r.Finish() == nil
+		return r.Byte() == a && r.Uint32() == b && r.Uint64() == c && r.Finish() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

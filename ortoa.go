@@ -698,38 +698,26 @@ type ProxyClient struct {
 	rpc    *transport.Client
 }
 
-// ProxyOptions tunes a ProxyClient's fault tolerance; the zero value
-// means no per-call deadline and no retries.
-type ProxyOptions struct {
-	// CallTimeout bounds each request attempt to the proxy; zero means
-	// no deadline.
-	CallTimeout time.Duration
-	// RetryAttempts is the total number of attempts per request,
-	// including the first; values below 2 disable retries. Retries are
-	// at-most-once (see ClientConfig.RetryAttempts).
-	RetryAttempts int
-}
+// ProxyOptions has no fields. It remains, with DialProxyOptions, only
+// because the repository benchmark names both; use DialProxy.
+type ProxyOptions struct{}
 
 // DialProxy connects to a proxy with no deadline or retries.
 func DialProxy(dial func() (net.Conn, error), conns int) (*ProxyClient, error) {
-	return DialProxyOptions(dial, conns, ProxyOptions{})
-}
-
-// DialProxyOptions connects to a proxy with explicit fault-tolerance
-// options.
-func DialProxyOptions(dial func() (net.Conn, error), conns int, opts ProxyOptions) (*ProxyClient, error) {
 	if conns <= 0 {
 		conns = 2
 	}
-	rpc, err := transport.DialOptions(dial, transport.Options{
-		PoolSize:    conns,
-		CallTimeout: opts.CallTimeout,
-		Retry:       transport.RetryPolicy{Attempts: opts.RetryAttempts},
-	})
+	rpc, err := transport.Dial(dial, conns)
 	if err != nil {
 		return nil, err
 	}
 	return &ProxyClient{remote: core.NewRemoteAccessor(rpc), rpc: rpc}, nil
+}
+
+// DialProxyOptions is DialProxy. It remains, with the empty
+// ProxyOptions, only because the repository benchmark calls it.
+func DialProxyOptions(dial func() (net.Conn, error), conns int, _ ProxyOptions) (*ProxyClient, error) {
+	return DialProxy(dial, conns)
 }
 
 // Read fetches the value stored under key via the proxy.

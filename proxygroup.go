@@ -22,7 +22,17 @@ type ProxyGroupMember struct {
 }
 
 // ProxyGroupOptions tunes a ProxyGroup; the zero value gets sane
-// defaults (2 connections per member, no deadline, no retries).
+// defaults (2 connections per member, no deadline).
+//
+// Each request is one attempt at one member: failover to other members
+// happens per access. Down members are probed every 100ms, backing off
+// exponentially per member. Three consecutive busy rejections (IsBusy)
+// from one member circuit-break it: accesses to that member fail fast
+// with IsBusy — no wire round trip — until its retry-after window
+// passes, so a saturated proxy drains instead of being hammered. Busy
+// rejections never fail over to a peer (the peer would contend for the
+// key's counter, adding stale laps to an overloaded fleet); callers
+// back off and retry.
 type ProxyGroupOptions struct {
 	// Conns sizes the connection pool to each member (default 2).
 	Conns int
@@ -30,23 +40,6 @@ type ProxyGroupOptions struct {
 	// no deadline. Set it in failover deployments — it is what turns a
 	// silently dead proxy into a prompt failover instead of a hang.
 	CallTimeout time.Duration
-	// RetryAttempts is the total number of attempts per request to one
-	// member, including the first; values below 2 disable retries.
-	// Retries are at-most-once (see ClientConfig.RetryAttempts).
-	// Failover to other members happens above this, per access.
-	RetryAttempts int
-	// ProbeInterval is the health-prober tick for members marked down
-	// (default 100ms). Probes back off exponentially per member.
-	ProbeInterval time.Duration
-	// BusyBreaker is the number of consecutive busy rejections (IsBusy)
-	// from one member before the group circuit-breaks it: accesses to
-	// that member fail fast with IsBusy — no wire round trip — until
-	// its retry-after window passes, so a saturated proxy drains
-	// instead of being hammered. Busy rejections never fail over to a
-	// peer (the peer would contend for the key's counter, adding stale
-	// laps to an overloaded fleet); callers back off and retry.
-	// Default 3.
-	BusyBreaker int
 	// Metrics, when non-nil, registers the group's routing metrics
 	// (ortoa_router_*: failovers, busy rejections, breaker trips, probes,
 	// healthy members).
@@ -81,14 +74,8 @@ func DialProxyGroup(members []ProxyGroupMember, opts ProxyGroupOptions) (*ProxyG
 		rms[i] = core.RouterMember{Name: m.Name, Dial: m.Dial}
 	}
 	router, err := core.NewRouter(rms, core.RouterOptions{
-		Client: transport.Options{
-			PoolSize:    conns,
-			CallTimeout: opts.CallTimeout,
-			Retry:       transport.RetryPolicy{Attempts: opts.RetryAttempts},
-		},
-		ProbeInterval: opts.ProbeInterval,
-		BusyBreaker:   opts.BusyBreaker,
-		Metrics:       opts.Metrics,
+		Client:  transport.Options{PoolSize: conns, CallTimeout: opts.CallTimeout},
+		Metrics: opts.Metrics,
 	})
 	if err != nil {
 		return nil, err
@@ -135,7 +122,7 @@ func Ambiguous(err error) bool {
 // (Ambiguous reports false for it): nothing happened, and the caller
 // should back off before retrying, ideally by the BusyError's
 // RetryAfter hint. A ProxyGroup does not fail busy accesses over to
-// peers (see ProxyGroupOptions.BusyBreaker); backing off and retrying
+// peers (see ProxyGroupOptions); backing off and retrying
 // the same call is the intended response.
 func IsBusy(err error) bool { return transport.IsBusy(err) }
 

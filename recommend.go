@@ -26,12 +26,11 @@ type Deployment struct {
 	// enclaves the application is willing to rely on (§4.3's hardware
 	// and side-channel caveats).
 	TEEAvailable bool
-	// ProcessingPerKB is LBL's measured compute per KiB of value, for
-	// the p term. Zero uses a default calibrated on this
-	// implementation (~6 µs/KiB of table, ≈2 ms for 160 B values on a
-	// 2 GHz core, matching §6.3.3's 2 ms figure).
-	ProcessingPerKB time.Duration
 }
+
+// lblProcessingPerKB is LBL's compute per KiB of table, the p term's
+// rate, calibrated on this implementation.
+const lblProcessingPerKB = 6 * time.Microsecond
 
 // Recommendation is the outcome of the §6.3.2 rule.
 type Recommendation struct {
@@ -59,11 +58,7 @@ func Recommend(d Deployment) (Recommendation, error) {
 	cfg := core.LBLConfig{ValueSize: d.ValueSize, Mode: core.LBLPointPermute}
 	requestBytes, responseBytes := cfg.RequestBytesPerAccess(), cfg.ResponseBytesPerAccess()
 
-	perKB := d.ProcessingPerKB
-	if perKB == 0 {
-		perKB = 6 * time.Microsecond
-	}
-	p := time.Duration(float64(requestBytes) / 1024 * float64(perKB))
+	p := time.Duration(float64(requestBytes) / 1024 * float64(lblProcessingPerKB))
 	var o time.Duration
 	if d.Bandwidth > 0 {
 		o = time.Duration(float64(requestBytes+responseBytes) / float64(d.Bandwidth) * float64(time.Second))
