@@ -164,6 +164,30 @@ func TestInjectedErrors(t *testing.T) {
 	}
 }
 
+func TestInjectedSyncErrorLeavesDurableContent(t *testing.T) {
+	f := New(nil)
+	h, _ := f.OpenFile("a", os.O_RDWR|os.O_CREATE, 0o600)
+	writeAll(t, h, []byte("old"))
+	if err := h.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.SyncDir(".")
+	f.SetPlan(&Plan{Seed: 7, SyncErrProb: 1})
+	writeAll(t, h, []byte("-new"))
+	if err := h.Sync(); err == nil {
+		t.Fatal("Sync succeeded under SyncErrProb 1")
+	}
+	if f.Stats().SyncErrs != 1 {
+		t.Errorf("Stats.SyncErrs = %d, want 1", f.Stats().SyncErrs)
+	}
+	if got, ok := f.ReadFileDurable("a"); !ok || !bytes.Equal(got, []byte("old")) {
+		t.Errorf("durable content after failed fsync = %q, %v; want %q", got, ok, "old")
+	}
+	if got, _ := f.ReadFile("a"); !bytes.Equal(got, []byte("old-new")) {
+		t.Errorf("live content = %q, want %q", got, "old-new")
+	}
+}
+
 func TestSeekReadTruncate(t *testing.T) {
 	f := New(nil)
 	h, _ := f.OpenFile("a", os.O_RDWR|os.O_CREATE, 0o600)

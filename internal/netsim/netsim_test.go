@@ -283,6 +283,31 @@ func TestManyConcurrentConns(t *testing.T) {
 	wg.Wait()
 }
 
+func TestLatencyPreservesOrder(t *testing.T) {
+	link := Link{RTT: 4 * time.Millisecond}
+	a, b := Pipe(link)
+	defer a.Close()
+	defer b.Close()
+	go func() {
+		for i := 0; i < 8; i++ {
+			a.Write([]byte{byte(i)})
+		}
+	}()
+	start := time.Now()
+	buf := make([]byte, 8)
+	if _, err := io.ReadFull(b, buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		if buf[i] != byte(i) {
+			t.Fatalf("latency reordered delivery: %v", buf)
+		}
+	}
+	if elapsed := time.Since(start); elapsed < 2*time.Millisecond {
+		t.Errorf("delivery took %v, want ≥ one-way latency", elapsed)
+	}
+}
+
 func TestTable2Links(t *testing.T) {
 	// Sanity-check that the Table 2 presets carry the paper's RTTs.
 	want := map[string]time.Duration{

@@ -56,6 +56,8 @@ func TestShortBuffer(t *testing.T) {
 		{"uint64", func(r *Reader) { r.Uint64() }},
 		{"uvarint", func(r *Reader) { r.Uvarint() }},
 		{"bytes", func(r *Reader) { r.BytesPfx() }},
+		{"bytes copy", func(r *Reader) { r.BytesCopy() }},
+		{"string", func(r *Reader) { _ = r.String() }},
 		{"raw", func(r *Reader) { r.Raw(5) }},
 	}
 	for _, tc := range cases {
