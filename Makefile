@@ -111,16 +111,18 @@ bench-smoke:
 	$(GO) test -run XXX -bench 'WorkerCrossover/build/groups=(640|16384)/workers=1$$' -benchtime 5x ./internal/core/
 	$(GO) test -run XXX -bench 'Load/wan' -benchtime 1x .
 
-# trace-smoke runs the measured Fig 3c experiment: an instrumented and
-# traced LBL workload, with requests sent whole and again cut into
-# several frames, must yield a complete cross-process span tree whose
-# stage spans sum to the end-to-end span exactly, stage histograms
-# whose sums add up to the end-to-end histogram's exactly (one stage
-# clock feeds both, DESIGN.md §8), and zero obliviousness shape
-# violations while tracing is on (DESIGN.md §13). The experiment
-# self-audits; a zero exit is the assertion.
+# trace-smoke runs the value-size sweep (Figs 3b and 3c) at smoke scale.
+# Every LBL run is instrumented and traced, and at 160 B the workload
+# runs again with requests cut into several frames; each must yield a
+# complete cross-process span tree whose stage spans sum to the
+# end-to-end span exactly, stage histograms whose counts are the
+# end-to-end one's and whose breakdown c + o + p adds up to its sum
+# exactly (one stage clock feeds both, DESIGN.md §8), and zero
+# obliviousness shape violations while tracing is on (DESIGN.md §13).
+# The runs self-audit and the claim is checked; a zero exit is the
+# assertion.
 trace-smoke:
-	$(GO) run ./cmd/ortoa-bench -experiment trace -quick
+	$(GO) run ./cmd/ortoa-bench -experiment fig3b -quick
 
 # drills runs every fault drill through ortoa-bench: chaos (transport
 # faults, then the same with a proxy crash-restart), failover

@@ -40,7 +40,7 @@ const (
 
 // LBLStages declares the LBL proxy's stage family (ortoa_lbl_*, slow
 // log lbl_access) against reg; nil declares it unmetered. Readers of
-// the family — the trace experiment — take the stage names from here.
+// the family — the value-size sweep — take the stage names from here.
 func LBLStages(reg *obs.Registry) *obs.Stages {
 	return reg.Stages("ortoa_lbl", "LBL proxy per-round stage latency (§5.2 steps)",
 		"counter_acquire", "table_build", "rpc", "label_recover", "recovery_ladder")

@@ -34,8 +34,7 @@ const (
 	fig2cCols = "write%|system|mean-lat(ms)|tput(ops/s)"
 	fig2dCols = "N|system|mean-lat(ms)|tput(ops/s)"
 	fig3aCols = "shards|system|mean-lat(ms)|tput(ops/s)|speedup"
-	fig3bCols = "value(B)|system|mean-lat(ms)|tput(ops/s)"
-	fig3cCols = "value(B)|total(ms)|rtt(ms)|comm-ovhd(ms)|compute(ms)|2rtt-total(ms)|LBL wins (c>p+o)"
+	fig3bCols = "value(B)|system|mean-lat(ms)|tput(ops/s)|rtt(ms)|comm-ovhd(ms)|compute(ms)|LBL wins (c>p+o)"
 	fig4Cols  = "dataset|value(B)|system|mean-lat(ms)|tput(ops/s)|tput vs 2RTT"
 	costCols  = "quantity|value"
 	fig6Cols  = "y|f_s (storage)|f_c (comm)|total"
@@ -52,6 +51,20 @@ func fheNoiseTable(last int, fails bool) *Table {
 	for a := 1; a <= last; a++ {
 		ok := a < last || !fails
 		t.AddRow(fmt.Sprint(a), fmt.Sprint(a+1), fmt.Sprint(max(0, 240-24*a)), fmt.Sprint(4096*(a+1)), fmt.Sprint(ok))
+	}
+	return t
+}
+
+// fig3bTable is the value-size sweep's table at 10, 160 and 300 B, from
+// three cells per size: LBL's "mean|rtt|comm-ovhd|compute|wins", then
+// TEE's and 2RTT's mean latency.
+func fig3bTable(cells ...string) *Table {
+	t := tab("fig3b", fig3bCols)
+	for i, size := range []string{"10", "160", "300"} {
+		lbl := strings.SplitN(cells[3*i], "|", 2)
+		t.AddRow(append([]string{size, string(SystemLBL), lbl[0], "900"}, strings.Split(lbl[1], "|")...)...)
+		t.AddRow(size, string(SystemTEE), cells[3*i+1], "1300", "-", "-", "-", "-")
+		t.AddRow(size, string(SystemBaseline), cells[3*i+2], "700", "-", "-", "-", "-")
 	}
 	return t
 }
@@ -148,36 +161,49 @@ var claimCases = map[string][]claimCase{
 			"1|TEE-ORTOA|25.0|1200|1.00x", "2|TEE-ORTOA|33.0|1800|1.50x"),
 			"TEE-ORTOA's speedup at 2 pairs is 1.50x"},
 	},
+	// The value-size sweep: fig3b's rows, with the breakdown columns
+	// (rtt, comm-ovhd, compute, the rule's verdict) filled on LBL's.
 	"fig3b": {
-		{"holds", tab("fig3b", fig3bCols,
-			"10|LBL-ORTOA|25.0|1280", "10|TEE-ORTOA|24.0|1330", "10|2RTT|45.0|710",
-			"160|LBL-ORTOA|32.0|1000", "160|TEE-ORTOA|24.5|1300", "160|2RTT|45.5|700",
-			"300|LBL-ORTOA|40.0|800", "300|TEE-ORTOA|24.8|1290", "300|2RTT|46.0|695"), ""},
-		{"2RTT ahead at the smallest value", tab("fig3b", fig3bCols,
-			"10|LBL-ORTOA|50.0|640", "10|TEE-ORTOA|24.0|1330", "10|2RTT|45.0|710",
-			"300|LBL-ORTOA|60.0|530", "300|TEE-ORTOA|24.8|1290", "300|2RTT|46.0|695"),
+		{"holds", fig3bTable(
+			"25.0|21.8|0.5|2.7|true", "24.0", "45.0",
+			"30.0|21.8|4.0|4.2|true", "24.5", "45.5",
+			"40.0|21.8|8.0|10.2|true", "24.8", "46.0"), ""},
+		{"2RTT ahead at the smallest value", fig3bTable(
+			"50.0|21.8|0.5|27.7|false", "24.0", "45.0",
+			"30.0|21.8|4.0|4.2|true", "24.5", "45.5",
+			"60.0|21.8|8.0|30.2|false", "24.8", "46.0"),
 			"2RTT (45.0 ms) beats LBL-ORTOA (50.0 ms) at the smallest value"},
-		{"LBL's lead grows with the value", tab("fig3b", fig3bCols,
-			"10|LBL-ORTOA|40.0|800", "10|TEE-ORTOA|24.0|1330", "10|2RTT|45.0|710",
-			"300|LBL-ORTOA|30.0|1060", "300|TEE-ORTOA|24.8|1290", "300|2RTT|46.0|695"),
+		{"LBL's lead grows with the value", fig3bTable(
+			"40.0|21.8|0.5|17.7|true", "24.0", "45.0",
+			"30.0|21.8|4.0|4.2|true", "24.5", "45.5",
+			"30.0|21.8|8.0|0.2|true", "24.8", "46.0"),
 			"lead over 2RTT grows from 5.0 to 16.0 ms"},
-		{"TEE grows with the value", tab("fig3b", fig3bCols,
-			"10|LBL-ORTOA|25.0|1280", "10|TEE-ORTOA|24.0|1330", "10|2RTT|45.0|710",
-			"160|LBL-ORTOA|32.0|1000", "160|TEE-ORTOA|28.0|1140", "160|2RTT|45.5|700",
-			"300|LBL-ORTOA|40.0|800", "300|TEE-ORTOA|32.0|1000", "300|2RTT|46.0|695"),
+		{"TEE grows with the value", fig3bTable(
+			"25.0|21.8|0.5|2.7|true", "24.0", "45.0",
+			"30.0|21.8|4.0|4.2|true", "28.0", "45.5",
+			"40.0|21.8|8.0|10.2|true", "32.0", "46.0"),
 			"TEE-ORTOA's latency varies 1.33x across value sizes"},
-	},
-	"fig3c": {
-		{"holds", tab("fig3c", fig3cCols,
-			"10|25.0|21.8|0.5|2.7|45.0|true", "160|30.0|21.8|4.0|4.2|45.5|true", "300|50.0|21.8|8.0|20.2|46.0|false"), ""},
-		{"overhead falls with the value", tab("fig3c", fig3cCols,
-			"10|25.0|21.8|0.5|2.7|45.0|true", "160|30.0|21.8|4.0|4.2|45.5|true", "300|50.0|21.8|3.0|25.2|46.0|false"),
+		{"overhead falls with the value", fig3bTable(
+			"25.0|21.8|0.5|2.7|true", "24.0", "45.0",
+			"30.0|21.8|4.0|4.2|true", "24.5", "45.5",
+			"40.0|21.8|3.0|15.2|true", "24.8", "46.0"),
 			"communication overhead falls from 4.0 to 3.0 ms"},
-		{"rule picks 2RTT at the smallest value", tab("fig3c", fig3cCols,
-			"10|25.0|21.8|0.5|22.7|45.0|false", "160|30.0|21.8|4.0|4.2|45.5|true", "300|50.0|21.8|8.0|20.2|46.0|false"),
+		// A measured o is not clamped: a term that goes negative between
+		// sizes is reported as it is, and refutes the claim.
+		{"overhead falls below zero between sizes", fig3bTable(
+			"25.0|21.8|0.5|2.7|true", "24.0", "45.0",
+			"30.0|21.8|-0.3|8.5|true", "24.5", "45.5",
+			"40.0|21.8|8.0|10.2|true", "24.8", "46.0"),
+			"communication overhead falls from 0.5 to -0.3 ms"},
+		{"rule picks 2RTT at the smallest value", fig3bTable(
+			"44.0|21.8|0.5|21.7|false", "24.0", "45.0",
+			"30.0|21.8|4.0|4.2|true", "24.5", "45.5",
+			"45.5|21.8|8.0|15.7|false", "24.8", "46.0"),
 			"the rule picks 2RTT at 10 B"},
-		{"rule picks LBL where 2RTT was faster", tab("fig3c", fig3cCols,
-			"10|25.0|21.8|0.5|2.7|45.0|true", "160|30.0|21.8|4.0|4.2|45.5|true", "300|50.0|21.8|8.0|10.2|46.0|true"),
+		{"rule picks LBL where 2RTT was faster", fig3bTable(
+			"25.0|21.8|0.5|2.7|true", "24.0", "45.0",
+			"30.0|21.8|4.0|4.2|true", "24.5", "45.5",
+			"50.0|21.8|8.0|10.2|true", "24.8", "46.0"),
 			"the rule picks LBL at 300 B, where 2RTT measured 46.0 ms against LBL's 50.0"},
 	},
 	"fig3d": {

@@ -65,8 +65,8 @@ type Config struct {
 	Transport transport.Options
 	// Metrics, when non-nil, instruments every shard's store,
 	// transport, and protocol sides against one shared registry (series
-	// aggregate across shards), first and on every restart. The trace
-	// experiment reads per-stage latency breakdowns from it. Metrics
+	// aggregate across shards), first and on every restart. The
+	// value-size sweep reads LBL's latency breakdown from it. Metrics
 	// also arms the obliviousness shape auditors on both sides of every
 	// shard's link.
 	Metrics *obs.Registry

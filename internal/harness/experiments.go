@@ -75,14 +75,14 @@ func fmtMS(d time.Duration) string {
 
 func fmtTput(t float64) string { return fmt.Sprintf("%.0f", t) }
 
-// measureSystems runs each system against the same workload/link and
-// returns results keyed by system order.
-func measureSystems(systems []System, link netsim.Link, wl workload.Config, opt Options, shards int) ([]Result, error) {
+// measureSystems runs each system against the same workload/link, one
+// proxy/server pair each, and returns results keyed by system order.
+func measureSystems(systems []System, link netsim.Link, wl workload.Config, opt Options) ([]Result, error) {
 	results := make([]Result, 0, len(systems))
 	for _, sys := range systems {
 		res, err := Measure(
-			Config{System: sys, Link: link, ValueSize: wl.ValueSize, Shards: shards, LBLMode: core.LBLPointPermute},
-			wl, opt.conc()*max(1, shards), opt.ops(),
+			Config{System: sys, Link: link, ValueSize: wl.ValueSize, LBLMode: core.LBLPointPermute},
+			wl, opt.conc(), opt.ops(),
 		)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sys, err)
@@ -122,7 +122,7 @@ func Fig2a(opt Options) (*Table, error) {
 	systems := []System{SystemLBL, SystemTEE, SystemBaseline}
 	wl := workload.Config{NumKeys: opt.keys(), ValueSize: paperValueSize, WriteFraction: 0.5, Seed: 1}
 	for _, loc := range opt.locations() {
-		results, err := measureSystems(systems, loc.Link, wl, opt, 1)
+		results, err := measureSystems(systems, loc.Link, wl, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -321,138 +321,6 @@ func Fig3a(opt Options) (*Table, error) {
 	return t, nil
 }
 
-// fig3bSizes is the value-size sweep of Figures 3b/3c.
-func fig3bSizes(opt Options) []int {
-	if opt.Quick {
-		return []int{10, 160, 300}
-	}
-	return []int{10, 50, 100, 160, 300, 450, 600}
-}
-
-var fig3bClaim = Claim{
-	Statement: "LBL-ORTOA beats 2RTT at the smallest value and its lead shrinks as ℓ grows, toward the crossover (paper: near 300 B), while TEE-ORTOA's latency stays flat (within 1.25x)",
-	Check: func(t *Table) error {
-		lat, err := t.systems("mean-lat(ms)", SystemLBL, SystemTEE, SystemBaseline)
-		if err != nil {
-			return err
-		}
-		lbl, base, last := lat[SystemLBL], lat[SystemBaseline], len(lat[SystemLBL])-1
-		if lbl[0] >= base[0] {
-			return fmt.Errorf("2RTT (%.1f ms) beats %s (%.1f ms) at the smallest value", base[0], SystemLBL, lbl[0])
-		}
-		if base[last]-lbl[last] >= base[0]-lbl[0] {
-			return fmt.Errorf("%s's lead over 2RTT grows from %.1f to %.1f ms with ℓ", SystemLBL, base[0]-lbl[0], base[last]-lbl[last])
-		}
-		if s := spread(lat[SystemTEE]); s > 1.25 {
-			return fmt.Errorf("%s's latency varies %.2fx across value sizes", SystemTEE, s)
-		}
-		return nil
-	},
-}
-
-// Fig3b reproduces Figure 3b: LBL-ORTOA vs TEE-ORTOA vs the baseline
-// as the value size ℓ grows — the experiment that reveals the
-// LBL/baseline crossover near 300 B.
-func Fig3b(opt Options) (*Table, error) {
-	t := &Table{
-		ID:      "fig3b",
-		Title:   "Varying value size (Oregon link)",
-		Columns: []string{"value(B)", "system", "mean-lat(ms)", "tput(ops/s)"},
-	}
-	var cross int
-	for _, size := range fig3bSizes(opt) {
-		wl := workload.Config{NumKeys: opt.keys(), ValueSize: size, WriteFraction: 0.5, Seed: 6}
-		results, err := measureSystems([]System{SystemLBL, SystemTEE, SystemBaseline}, netsim.Oregon, wl, opt, 1)
-		if err != nil {
-			return nil, fmt.Errorf("@%dB: %w", size, err)
-		}
-		for i, sys := range []System{SystemLBL, SystemTEE, SystemBaseline} {
-			t.AddRow(fmt.Sprint(size), string(sys), fmtMS(results[i].Latency.Mean), fmtTput(results[i].Throughput))
-		}
-		if cross == 0 && results[0].Latency.Mean > results[2].Latency.Mean {
-			cross = size
-		}
-	}
-	if cross > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf("baseline first outperforms LBL at %dB values (paper: ~300B)", cross))
-	} else {
-		t.Notes = append(t.Notes, "LBL stayed ahead of the baseline across this sweep (paper crossover: ~300B)")
-	}
-	t.Notes = append(t.Notes, "paper: TEE flat across value sizes; LBL degrades with ℓ")
-	return t, nil
-}
-
-var fig3cClaim = Claim{
-	Statement: "LBL-ORTOA's communication overhead o grows with ℓ, and §6.3.2's rule c > p + o picks LBL at the smallest value and never where 2RTT measured faster",
-	Check: func(t *Table) error {
-		comm, err := t.series("comm-ovhd(ms)", "", "")
-		if err != nil {
-			return err
-		}
-		for i := 1; i < len(comm); i++ {
-			if comm[i] <= comm[i-1] {
-				return fmt.Errorf("communication overhead falls from %.1f to %.1f ms as ℓ grows", comm[i-1], comm[i])
-			}
-		}
-		total, err := t.series("total(ms)", "", "")
-		if err != nil {
-			return err
-		}
-		base, err := t.series("2rtt-total(ms)", "", "")
-		if err != nil {
-			return err
-		}
-		for i, row := range t.Rows {
-			wins := row[len(row)-1] == "true"
-			if i == 0 && !wins {
-				return fmt.Errorf("the rule picks 2RTT at %s B", row[0])
-			}
-			if wins && total[i] > base[i] {
-				return fmt.Errorf("the rule picks LBL at %s B, where 2RTT measured %.1f ms against LBL's %.1f", row[0], base[i], total[i])
-			}
-		}
-		return nil
-	},
-}
-
-// Fig3c reproduces Figure 3c: the latency breakdown of LBL-ORTOA —
-// computation, the constant link RTT, and the large-message
-// communication overhead `o` — against the baseline's total latency.
-func Fig3c(opt Options) (*Table, error) {
-	t := &Table{
-		ID:      "fig3c",
-		Title:   "LBL-ORTOA latency breakdown vs value size (Oregon link)",
-		Columns: []string{"value(B)", "total(ms)", "rtt(ms)", "comm-ovhd(ms)", "compute(ms)", "2rtt-total(ms)", "LBL wins (c>p+o)"},
-	}
-	link := netsim.Oregon
-	for _, size := range fig3bSizes(opt) {
-		wl := workload.Config{NumKeys: opt.keys(), ValueSize: size, WriteFraction: 0.5, Seed: 7}
-		lbl, err := Measure(Config{System: SystemLBL, Link: link, ValueSize: size, LBLMode: core.LBLPointPermute}, wl, opt.conc(), opt.ops())
-		if err != nil {
-			return nil, fmt.Errorf("lbl @%dB: %w", size, err)
-		}
-		base, err := Measure(Config{System: SystemBaseline, Link: link, ValueSize: size}, wl, opt.conc(), opt.ops())
-		if err != nil {
-			return nil, fmt.Errorf("baseline @%dB: %w", size, err)
-		}
-		total := lbl.Latency.Mean
-		rtt := link.RTT
-		commOvhd := link.TransferTime(int(lbl.BytesSentOp)) + link.TransferTime(int(lbl.BytesRecvOp))
-		compute := total - rtt - commOvhd
-		if compute < 0 {
-			compute = 0
-		}
-		// §6.3.2's rule: one extra round (c) vs processing + overhead.
-		wins := float64(rtt) > float64(compute+commOvhd)
-		t.AddRow(fmt.Sprint(size), fmtMS(total), fmtMS(rtt), fmtMS(commOvhd), fmtMS(compute),
-			fmtMS(base.Latency.Mean), fmt.Sprint(wins))
-	}
-	t.Notes = append(t.Notes,
-		"paper: communication overhead (not compute) dominates LBL's growth with ℓ",
-		"decision rule (§6.3.2): choose LBL-ORTOA when c > p + o")
-	return t, nil
-}
-
 var fig3dClaim = Claim{
 	Statement: "with the server in London, LBL-ORTOA out-serves 2RTT at 300 B: at least 1.3x its throughput (paper: ~1.7x)",
 	Check: func(t *Table) error {
@@ -477,7 +345,7 @@ func Fig3d(opt Options) (*Table, error) {
 		Columns: []string{"system", "mean-lat(ms)", "tput(ops/s)"},
 	}
 	wl := workload.Config{NumKeys: opt.keys(), ValueSize: 300, WriteFraction: 0.5, Seed: 8}
-	results, err := measureSystems([]System{SystemLBL, SystemBaseline}, netsim.London, wl, opt, 1)
+	results, err := measureSystems([]System{SystemLBL, SystemBaseline}, netsim.London, wl, opt)
 	if err != nil {
 		return nil, err
 	}

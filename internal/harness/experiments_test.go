@@ -10,9 +10,9 @@ import (
 var quickOpts = Options{Quick: true, Keys: 32, Ops: 2, Concurrency: 4}
 
 // TestEveryExperimentQuick runs every registered experiment at smoke
-// scale and holds it to its claim: Run must succeed — the drills and the
-// trace experiment self-audit, so that is their whole verdict — and the
-// claim's predicate must accept the table. It ranges over the registry,
+// scale and holds it to its claim: Run must succeed — the drills
+// self-audit, so that is their whole verdict, and the value-size sweep
+// audits its traces — and the claim's predicate must accept the table. It ranges over the registry,
 // so an experiment is covered from the change that registers it.
 //
 // Under the race detector it checks Run alone. The detector multiplies

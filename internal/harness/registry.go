@@ -35,8 +35,7 @@ var Experiments = []Experiment{
 	{"fig2c", "varying write percentage (Fig 2c)", Fig2c, fig2cClaim},
 	{"fig2d", "varying database size (Fig 2d)", Fig2d, fig2dClaim},
 	{"fig3a", "scaling proxy/server pairs (Fig 3a)", Fig3a, fig3aClaim},
-	{"fig3b", "varying value size vs baseline (Fig 3b)", Fig3b, fig3bClaim},
-	{"fig3c", "LBL latency breakdown (Fig 3c)", Fig3c, fig3cClaim},
+	{"fig3b", "varying value size vs baseline, with LBL's latency breakdown from its traced stage clock (Figs 3b, 3c)", ValueSizeSweep, fig3bClaim},
 	{"fig3d", "EU server, 300B objects (Fig 3d)", Fig3d, fig3dClaim},
 	{"fig4", "real-world datasets (Fig 4)", Fig4, fig4Claim},
 	{"fhe-noise", "FHE noise growth to failure (§3.3)", FHENoise, fheNoiseClaim},
@@ -50,7 +49,6 @@ var Experiments = []Experiment{
 	{"overload", "overload shedding: goodput and bounded latency at 10x offered load (robustness extension)", Overload, overloadClaim},
 	{"crash", "repeated kill/restart under durable-on-ack group commit (robustness extension)", Crash, crashClaim},
 	{"attack-snapshot", "multi-snapshot adversary vs plain store and ORTOA (§1)", SnapshotAttack, snapshotClaim},
-	{"trace", "measured Fig 3c companion: one cross-process trace plus the run's stage histograms (observability extension)", TraceBreakdown, traceClaim},
 	{"stream", "requests cut under a frame budget, reset mid-request (robustness extension)", Stream, streamClaim},
 }
 

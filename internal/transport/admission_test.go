@@ -207,6 +207,35 @@ func TestAdmissionReleaseShedsExpiredWaiters(t *testing.T) {
 	}
 }
 
+// TestAdmissionQueuedWaiterExpires: a waiter whose own deadline fires
+// while it waits in the queue is answered expired by its timer and
+// leaves the queue, so a later release finds no dead waiter to wake and
+// retires its slot.
+func TestAdmissionQueuedWaiterExpires(t *testing.T) {
+	_, a := limitedServer(t, AdmissionConfig{MaxInflight: 1, MaxQueue: 1})
+	if v := a.admit(time.Time{}); v != admitRun {
+		t.Fatalf("slot admit = %v, want admitRun", v)
+	}
+	if v := a.admit(time.Now().Add(20 * time.Millisecond)); v != admitExpired {
+		t.Fatalf("queued waiter's verdict = %v, want admitExpired", v)
+	}
+	if got := a.expired.Load(); got != 1 {
+		t.Errorf("expired counter = %d, want 1", got)
+	}
+	if d := a.depth.Load(); d != 0 {
+		t.Errorf("queue depth after the waiter's timeout = %d, want 0", d)
+	}
+
+	a.release()
+	a.mu.Lock()
+	running, queued := a.running, len(a.queue)
+	a.mu.Unlock()
+	if running != 0 || queued != 0 || a.expired.Load() != 1 {
+		t.Errorf("after release: running = %d, queue = %d, expired = %d; want 0/0/1 (no dead waiter woken)",
+			running, queued, a.expired.Load())
+	}
+}
+
 // gateServer starts a server whose msgSlow handler blocks until the
 // returned release func is called, so tests can hold its admission
 // slots at will.

@@ -28,8 +28,10 @@ type Deployment struct {
 	TEEAvailable bool
 }
 
-// lblProcessingPerKB is LBL's compute per KiB of table, the p term's
-// rate, calibrated on this implementation.
+// lblProcessingPerKB is the p term's rate: LBL's proxy and server
+// compute per KiB of request. It is an unmeasured constant, not a
+// calibration; EXPERIMENTS.md quotes the p that the fig3b sweep
+// measures beside it.
 const lblProcessingPerKB = 6 * time.Microsecond
 
 // Recommendation is the outcome of the §6.3.2 rule.
