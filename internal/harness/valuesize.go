@@ -173,21 +173,13 @@ type lblRun struct {
 
 // tracedLBL measures one instrumented and traced LBL workload over the
 // Oregon link — requests cut under a frame budget of chunk bytes when
-// positive — and reads its breakdown off the stage clock. One clock
-// times each access (DESIGN.md §8): a stage boundary is one reading that
-// closes one stage's lap and span and opens the next, and the root ends
-// on the reading that closes the last. So the run fails unless some
-// trace resolves to a complete proxy+server span tree, the slowest
-// such tree's stage spans sum to its root span to the nanosecond,
-// every stage histogram counts what the end-to-end one counts and
-// c + o + p over the run adds up to the end-to-end histogram's sum
-// exactly, and the shape auditor saw no frame-length divergence while
-// tracing was on.
+// positive — audits its traces (auditTraces), reads its breakdown off
+// the stage clock (lblTerms), and fails unless the shape auditor saw no
+// frame-length divergence while tracing was on.
 func tracedLBL(opt Options, wl workload.Config, chunk int) (lblRun, error) {
 	reg := obs.NewRegistry()
-	link := netsim.Oregon
 	res, err := Measure(
-		Config{System: SystemLBL, Link: link, ValueSize: wl.ValueSize, LBLMode: core.LBLPointPermute,
+		Config{System: SystemLBL, Link: netsim.Oregon, ValueSize: wl.ValueSize, LBLMode: core.LBLPointPermute,
 			StreamChunkBytes: chunk, Metrics: reg, TraceBuffer: 1 << 15},
 		wl, opt.conc(), opt.ops(),
 	)
@@ -196,12 +188,30 @@ func tracedLBL(opt Options, wl workload.Config, chunk int) (lblRun, error) {
 	}
 	// Registry lookups are get-or-create, so these are the families the
 	// instrumented tiers observed into.
-	stages := core.LBLStages(reg)
-	names := stages.Names()
-	required := slices.Concat(traceSpans, names[:stageLadder])
+	slowest, err := auditTraces(reg.TraceRecords(), core.LBLStages(reg).Names())
+	if err != nil {
+		return lblRun{}, err
+	}
+	c, o, p, err := lblTerms(reg, netsim.Oregon.RTT)
+	if err != nil {
+		return lblRun{}, err
+	}
+	if vp, vs := shapeViolations(reg); vp+vs != 0 {
+		return lblRun{}, fmt.Errorf("obliviousness shape violations while tracing: proxy=%d server=%d", vp, vs)
+	}
+	return lblRun{Result: res, c: c, o: o, p: p, slowest: slowest}, nil
+}
 
+// auditTraces fails unless some trace among recs resolves to a complete
+// proxy+server span tree (traceSpans and every stage but the ladder)
+// and the slowest such tree's stage spans sum to its root span to the
+// nanosecond: one clock times each access (DESIGN.md §8), and a stage
+// boundary is one reading that closes one stage's span and opens the
+// next. It describes that slowest tree, for a note.
+func auditTraces(recs []trace.SpanRecord, names []string) (string, error) {
+	required := slices.Concat(traceSpans, names[:stageLadder])
 	byTrace := make(map[uint64][]trace.SpanRecord)
-	for _, rec := range reg.TraceRecords() {
+	for _, rec := range recs {
 		byTrace[rec.TraceID] = append(byTrace[rec.TraceID], rec)
 	}
 	var best []trace.SpanRecord
@@ -229,7 +239,7 @@ func tracedLBL(opt Options, wl workload.Config, chunk int) (lblRun, error) {
 		}
 	}
 	if best == nil {
-		return lblRun{}, fmt.Errorf("no complete cross-process trace among %d recorded traces", len(byTrace))
+		return "", fmt.Errorf("no complete cross-process trace among %d recorded traces", len(byTrace))
 	}
 	sort.Slice(best, func(a, b int) bool { // by start, the root before a stage that opens on its reading
 		sa, sb := best[a].Start, best[b].Start
@@ -244,23 +254,31 @@ func tracedLBL(opt Options, wl workload.Config, chunk int) (lblRun, error) {
 		}
 	}
 	if stageSum != root.Duration {
-		return lblRun{}, fmt.Errorf("stage spans sum to %d ns, the end-to-end span is %d ns (acceptance: equal)", stageSum, root.Duration)
+		return "", fmt.Errorf("stage spans sum to %d ns, the end-to-end span is %d ns (acceptance: equal)", stageSum, root.Duration)
 	}
+	return fmt.Sprintf("the slowest of %d complete traces (of %d recorded), %016x: %s; its stage spans sum to its root's %d ns exactly",
+		complete, len(byTrace), root.TraceID, strings.Join(spans, ", "), root.Duration), nil
+}
 
-	// §6.3.2's terms as sums over the run's accesses, so that they add up
-	// exactly: the end-to-end histogram's sum is the stage histograms'
-	// sum, c and the server's share cancelling between o and p.
+// lblTerms reads §6.3.2's terms, each a mean over the accesses, off the
+// LBL stage clock in reg over a link of the given RTT. They are taken
+// as sums so that they add up exactly: c and the server's share cancel
+// between o and p, so c + o + p is the stage histograms' sum, which one
+// clock makes the end-to-end histogram's. It fails unless every stage
+// histogram counts what the end-to-end one counts and that sum holds.
+func lblTerms(reg *obs.Registry, rtt time.Duration) (c, o, p time.Duration, err error) {
+	stages := core.LBLStages(reg)
 	e2e := stages.Access()
 	n := time.Duration(e2e.Count())
 	if n == 0 {
-		return lblRun{}, fmt.Errorf("instrumented run recorded no end-to-end access latency")
+		return 0, 0, 0, fmt.Errorf("instrumented run recorded no end-to-end access latency")
 	}
 	server := reg.Histogram("ortoa_lbl_server_access_seconds", "").Mean() * n
-	var p, rpc time.Duration
-	for i, name := range names {
+	var rpc time.Duration
+	for i, name := range stages.Names() {
 		h := stages.Histogram(i)
 		if h.Count() != e2e.Count() {
-			return lblRun{}, fmt.Errorf("stage %s has %d observations, end-to-end has %d", name, h.Count(), e2e.Count())
+			return 0, 0, 0, fmt.Errorf("stage %s has %d observations, end-to-end has %d", name, h.Count(), e2e.Count())
 		}
 		if i == stageRPC {
 			rpc = h.Sum()
@@ -268,21 +286,13 @@ func tracedLBL(opt Options, wl workload.Config, chunk int) (lblRun, error) {
 			p += h.Sum()
 		}
 	}
-	c := link.RTT * n
-	o := rpc - c - server
+	c = rtt * n
+	o = rpc - c - server
 	p += server
 	if c+o+p != e2e.Sum() {
-		return lblRun{}, fmt.Errorf("c + o + p sum to %v over %d accesses, the end-to-end histogram to %v: one clock must make them equal", c+o+p, n, e2e.Sum())
+		return 0, 0, 0, fmt.Errorf("c + o + p sum to %v over %d accesses, the end-to-end histogram to %v: one clock must make them equal", c+o+p, n, e2e.Sum())
 	}
-
-	if vp, vs := shapeViolations(reg); vp+vs != 0 {
-		return lblRun{}, fmt.Errorf("obliviousness shape violations while tracing: proxy=%d server=%d", vp, vs)
-	}
-	return lblRun{
-		Result: res, c: c / n, o: o / n, p: p / n,
-		slowest: fmt.Sprintf("the slowest of %d complete traces (of %d recorded), %016x: %s; its stage spans sum to its root's %d ns exactly",
-			complete, len(byTrace), root.TraceID, strings.Join(spans, ", "), root.Duration),
-	}, nil
+	return c / n, o / n, p / n, nil
 }
 
 // shapeViolations reads both processes' obliviousness shape-violation
