@@ -22,10 +22,12 @@ vet:
 # accesses leaving folded as their keys come back under resets, and Close
 # draining both. The hold, fold, two-proxy and repeated-key tests then run
 # ten times more: a folded round's values pass from the goroutine that
-# carried it to each member's.
+# carried it to each member's. So do the retry, multi-frame and stream
+# tests: every request's frames go out through one send path, whose check
+# for an early response races the read loop delivering it.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'Hold|Held|Coalesce|TwoProxies|BatchDuplicate' ./...
+	$(GO) test -race -count=10 -run 'Hold|Held|Coalesce|TwoProxies|BatchDuplicate|Retry|MultiFrame|Stream' ./...
 
 # verify is the fast CI gate: static checks plus the plain test suite,
 # then the same for the repository benchmark, which is a module of its

@@ -936,16 +936,15 @@ func (sp *schedulePool) put(b []byte) {
 
 // exchange is the one builder and sender: it encodes specs as one
 // request — one segment per spec, back to back — cuts it into frames,
-// and returns the server's response, validated to hold one slot per
-// spec, and the request bytes sealed. This is the only place that knows
-// whether a request crosses the wire as one frame or several: a request
-// that fits is one ordinary call, which the transport may retry; a
-// longer one is the same bytes sealed and written frame by frame from
-// one pooled buffer, which it never retries. Each spec's news and olds
-// receive the schedule its table was built with, for the caller to
-// recover the response against. On clk it is the table_build stage
-// until the first frame is sealed and the rpc stage from then until the
-// response lands.
+// seals each into one pooled buffer as the transport asks for it, and
+// returns the server's response, validated to hold one slot per spec,
+// and the request bytes sealed. Whether a request is retried is the
+// transport's call, made from what the producer sends: a request of one
+// frame is resent from the buffer it was sealed into, one of several is
+// sent once. Each spec's news and olds receive the schedule its table
+// was built with, for the caller to recover the response against. On clk
+// it is the table_build stage until the first frame is sealed and the
+// rpc stage from then until the response lands.
 func (p *LBLProxy) exchange(ctx context.Context, clk *obs.Clock, specs []tableSpec) (resp []byte, sent int, err error) {
 	cut := frameCutter{cfg: p.cfg, n: len(specs)}
 	var runsBuf [2]run
@@ -964,27 +963,21 @@ func (p *LBLProxy) exchange(ctx context.Context, clk *obs.Clock, specs []tableSp
 	if err = seal(); err != nil {
 		return nil, 0, err // nothing was sent
 	}
-	id := p.client.NextID()
 	clk.Enter(lblRPC)
-	ctx = clk.Context(ctx)
-	if cut.done() {
-		resp, err = p.client.CallContextID(ctx, id, MsgLBLAccess, w.Bytes())
-	} else {
-		resp, err = p.client.CallStreamContextID(ctx, id, MsgLBLAccess, func(send func([]byte, bool) error) error {
-			for {
-				last := cut.done()
-				if err := send(w.Bytes(), last); err != nil || last {
-					return err
-				}
-				runs = cut.next(runs[:0])
-				// Sealed while earlier frames are on the wire: the time is
-				// table_build's, not the round trip's.
-				if err := clk.Overlap(lblBuild, seal); err != nil {
-					return err
-				}
+	resp, err = p.client.CallStream(clk.Context(ctx), MsgLBLAccess, func(send func([]byte, bool) error) error {
+		for {
+			last := cut.done()
+			if err := send(w.Bytes(), last); err != nil || last {
+				return err
 			}
-		})
-	}
+			runs = cut.next(runs[:0])
+			// Sealed while earlier frames are on the wire: the time is
+			// table_build's, not the round trip's.
+			if err := clk.Overlap(lblBuild, seal); err != nil {
+				return err
+			}
+		}
+	})
 	p.mx.frames.Add(int64(frames))
 	if err == nil && len(resp) != len(specs)*p.cfg.ResponseBytesPerAccess() {
 		err = fmt.Errorf("%w: response has %d bytes, want %d slots of %d", ErrTampered,

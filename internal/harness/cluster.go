@@ -411,28 +411,6 @@ func (c *Cluster) Access(op core.Op, key string, value []byte) ([]byte, core.Acc
 	return c.shardFor(key).px.Accessor.Access(op, key, value)
 }
 
-// TrafficStats aggregates proxy→server traffic across shards and, in
-// multi-proxy deployments, across the proxy fleet's server pools.
-func (c *Cluster) TrafficStats() transport.Stats {
-	var total transport.Stats
-	add := func(st transport.Stats) {
-		total.BytesSent += st.BytesSent
-		total.BytesReceived += st.BytesReceived
-		total.Calls += st.Calls
-	}
-	for _, sh := range c.shards {
-		if sh.px != nil {
-			add(sh.px.RPC.Stats())
-		}
-	}
-	for _, pn := range c.proxies {
-		pn.mu.Lock()
-		add(pn.px.RPC.Stats())
-		pn.mu.Unlock()
-	}
-	return total
-}
-
 // AdmissionStats sums admission-control counters across shard servers
 // and live proxy front ends (zero value when Config.Admission is
 // unset).

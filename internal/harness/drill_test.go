@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -55,7 +54,7 @@ func TestDrillClassifier(t *testing.T) {
 		{"relayed ambiguous", relayed(transport.AmbiguousMsgPrefix + "connection reset"), outcomeAmbiguous, widens, false},
 		{"relayed ambiguous deadline", relayed(transport.AmbiguousMsgPrefix + "core: deadline expired before table build; access not sent"), outcomeAmbiguous, widens, false},
 		{"no live conns", transport.ErrNoLiveConns, outcomeAmbiguous, widens, false},
-		{"not sent", &transport.NotSentError{Err: errors.New("dial refused")}, outcomeFailed, leaves, false},
+		{"client closed", transport.ErrClosed, outcomeFailed, leaves, false},
 		{"handoff transient", relayed("core: stale access table: record is not at this table's counter"), outcomeRejected, leaves, false},
 		{"deadline expired", relayed("core: deadline budget expired before decrypt"), outcomeRejected, leaves, false},
 		{"plain remote error", relayed("core: key not found"), outcomeFailed, leaves, false},

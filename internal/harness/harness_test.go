@@ -48,9 +48,6 @@ func TestMeasureAllSystems(t *testing.T) {
 			if res.Latency.Mean < fastLink.RTT {
 				t.Errorf("mean latency %v below one RTT %v", res.Latency.Mean, fastLink.RTT)
 			}
-			if res.BytesSentOp <= 0 || res.BytesRecvOp <= 0 {
-				t.Error("per-op traffic not recorded")
-			}
 		})
 	}
 }

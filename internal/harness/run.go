@@ -26,14 +26,12 @@ type RunConfig struct {
 
 // Result is one measured data point.
 type Result struct {
-	System      System
-	Latency     stats.Summary
-	Throughput  float64 // ops/s
-	Elapsed     time.Duration
-	Ops         int
-	Errors      int
-	BytesSentOp float64 // proxy→server bytes per op
-	BytesRecvOp float64 // server→proxy bytes per op
+	System     System
+	Latency    stats.Summary
+	Throughput float64 // ops/s
+	Elapsed    time.Duration
+	Ops        int
+	Errors     int
 }
 
 // Run drives the workload and measures latency and throughput.
@@ -77,16 +75,15 @@ func RunKeyed(cluster *Cluster, records []workload.Record, concurrency, opsPerCl
 // runClosedLoop has `concurrency` client threads each issue
 // opsPerClient requests drawn from their own source(worker) stream,
 // waiting for every response before the next request (§6), and
-// measures latency, throughput and proxy↔server traffic. Failed
-// operations are counted and the first error returned alongside the
-// result; a run in which every operation failed returns no result.
+// measures latency and throughput. Failed operations are counted and
+// the first error returned alongside the result; a run in which every
+// operation failed returns no result.
 func runClosedLoop(cluster *Cluster, concurrency, opsPerClient int, source func(worker int) (func() workload.Request, error)) (Result, error) {
 	if concurrency <= 0 || opsPerClient <= 0 {
 		return Result{}, fmt.Errorf("harness: Concurrency and OpsPerClient must be positive")
 	}
 	totalOps := concurrency * opsPerClient
 	rec := stats.NewRecorder(totalOps)
-	before := cluster.TrafficStats()
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -130,16 +127,13 @@ func runClosedLoop(cluster *Cluster, concurrency, opsPerClient int, source func(
 		return Result{}, firstErr
 	}
 
-	after := cluster.TrafficStats()
 	return Result{
-		System:      cluster.cfg.System,
-		Latency:     rec.Summarize(),
-		Throughput:  stats.Throughput(totalOps, elapsed),
-		Elapsed:     elapsed,
-		Ops:         totalOps,
-		Errors:      errCount,
-		BytesSentOp: float64(after.BytesSent-before.BytesSent) / float64(totalOps),
-		BytesRecvOp: float64(after.BytesReceived-before.BytesReceived) / float64(totalOps),
+		System:     cluster.cfg.System,
+		Latency:    rec.Summarize(),
+		Throughput: stats.Throughput(totalOps, elapsed),
+		Elapsed:    elapsed,
+		Ops:        totalOps,
+		Errors:     errCount,
 	}, firstErr
 }
 

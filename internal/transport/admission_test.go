@@ -406,12 +406,13 @@ func TestBudgetSurvivesDedupReplay(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	id := c.NextID()
-	first, err := c.CallContextID(ctx, id, msgEcho, []byte("once"))
+	once := func(send func([]byte, bool) error) error { return send([]byte("once"), true) }
+	id := c.reqID.Add(1)
+	first, err := c.do(ctx, id, msgEcho, once)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := c.CallContextID(ctx, id, msgEcho, []byte("once"))
+	replay, err := c.do(ctx, id, msgEcho, once)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,51 +106,152 @@ func TestCallContextCancellation(t *testing.T) {
 
 func TestRetryReplaysWithoutReexecuting(t *testing.T) {
 	// Blackhole exactly one response: the handler runs, its response
-	// vanishes, the attempt times out, and the retry — same request id —
-	// must be answered from the dedup cache, not by running the handler
-	// again.
-	plan := &netsim.FaultPlan{BlackholeProb: 1, MaxFaults: 1}
-	s := NewServer()
-	var execs atomic.Int64
-	s.Handle(msgCount, func(_ context.Context, p []byte) ([]byte, error) {
-		execs.Add(1)
-		return append([]byte("ok:"), p...), nil
-	})
-	reg := obs.NewRegistry()
-	s.Instrument(reg)
-	l := netsim.Listen(netsim.Link{Fault: plan})
-	go s.Serve(l)
-	defer s.Close()
-	c, err := DialOptions(l.Dial, Options{
-		PoolSize:    1,
-		CallTimeout: 50 * time.Millisecond,
-		Retry:       RetryPolicy{Attempts: 6, Backoff: 2 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.Instrument(reg)
+	// vanishes, and the attempt times out. A request of one frame is
+	// retried — its producer runs again and sends the same frame under the
+	// same request id — and must be answered from the dedup cache, not by
+	// running the handler again. A request of several frames is sent once:
+	// its outcome stays unknown.
+	for _, tc := range []struct {
+		name   string
+		frames []string
+	}{
+		{"one frame", []string{"x"}},
+		{"three frames", []string{"a", "b", "c"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := &netsim.FaultPlan{BlackholeProb: 1, MaxFaults: 1}
+			s := NewServer()
+			var execs atomic.Int64
+			s.Handle(msgCount, func(ctx context.Context, p []byte) ([]byte, error) {
+				execs.Add(1)
+				out := append([]byte("ok:"), p...)
+				for sr, more := StreamFrom(ctx), StreamFrom(ctx) != nil; more; {
+					var frame []byte
+					var err error
+					if frame, more, err = sr.Next(ctx); err != nil {
+						return nil, err
+					}
+					out = append(out, frame...)
+				}
+				return out, nil
+			})
+			reg := obs.NewRegistry()
+			s.Instrument(reg)
+			l := netsim.Listen(netsim.Link{Fault: plan})
+			go s.Serve(l)
+			defer s.Close()
+			c, err := DialOptions(l.Dial, Options{
+				PoolSize:    1,
+				CallTimeout: 50 * time.Millisecond,
+				Retry:       RetryPolicy{Attempts: 6, Backoff: 2 * time.Millisecond},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.Instrument(reg)
 
-	resp, err := c.Call(msgCount, []byte("x"))
-	if err != nil {
-		t.Fatalf("call failed despite retries: %v", err)
+			var runs int
+			resp, err := c.CallStream(context.Background(), msgCount, func(send func([]byte, bool) error) error {
+				runs++
+				for i, f := range tc.frames {
+					if err := send([]byte(f), i == len(tc.frames)-1); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			retries := reg.Counter("ortoa_transport_client_retries_total", "").Value()
+			hits := reg.Counter("ortoa_transport_server_dedup_hits_total", "").Value()
+			if len(tc.frames) == 1 {
+				if err != nil {
+					t.Fatalf("call failed despite retries: %v", err)
+				}
+				if string(resp) != "ok:x" {
+					t.Errorf("resp = %q", resp)
+				}
+				if runs < 2 || retries < 1 || hits < 1 {
+					t.Errorf("producer ran %d times, %d retries, %d dedup hits: want the request resent and replayed", runs, retries, hits)
+				}
+			} else {
+				if !Ambiguous(err) {
+					t.Fatalf("err = %v, want an unknown outcome", err)
+				}
+				if runs != 1 || retries != 0 {
+					t.Errorf("producer ran %d times, %d retries: a request of several frames must be sent once", runs, retries)
+				}
+			}
+			if n := execs.Load(); n != 1 {
+				t.Errorf("handler executed %d times, want exactly 1 (at-most-once broken)", n)
+			}
+			if bh := plan.Stats().Blackholes; bh != 1 {
+				t.Errorf("blackholes injected = %d, want 1", bh)
+			}
+		})
 	}
-	if string(resp) != "ok:x" {
-		t.Errorf("resp = %q", resp)
+}
+
+// TestRetryKeepsOutcomeUnknown: once an attempt may have executed, a
+// later attempt's failure says nothing about it — a busy shed happens
+// before the dedup cache is consulted — so the call reports the outcome
+// as unknown. Only the handler's answer to the id settles it.
+func TestRetryKeepsOutcomeUnknown(t *testing.T) {
+	opts := Options{
+		PoolSize:    1,
+		CallTimeout: 30 * time.Millisecond,
+		Retry:       RetryPolicy{Attempts: 3, Backoff: time.Millisecond},
 	}
-	if n := execs.Load(); n != 1 {
-		t.Errorf("handler executed %d times, want exactly 1 (at-most-once broken)", n)
-	}
-	if v := reg.Counter("ortoa_transport_client_retries_total", "").Value(); v < 1 {
-		t.Errorf("retries = %d, want >= 1", v)
-	}
-	if v := reg.Counter("ortoa_transport_server_dedup_hits_total", "").Value(); v < 1 {
-		t.Errorf("dedup hits = %d, want >= 1", v)
-	}
-	if bh := plan.Stats().Blackholes; bh != 1 {
-		t.Errorf("blackholes injected = %d, want 1", bh)
-	}
+	t.Run("shed after a timeout", func(t *testing.T) {
+		s, l, gate, executed := gateServer(t, AdmissionConfig{MaxInflight: 1, RetryAfter: time.Millisecond})
+		defer close(gate)
+		c, err := DialOptions(l.Dial, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		// The first attempt is admitted and blocks in the handler until it
+		// times out; the other two are shed busy.
+		_, err = c.Call(msgSlow, []byte("once"))
+		if !Ambiguous(err) || IsBusy(err) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("err = %v (Ambiguous %v, IsBusy %v), want the first attempt's unknown outcome", err, Ambiguous(err), IsBusy(err))
+		}
+		if n, shed := executed.Load(), s.AdmissionStats().Shed; n != 1 || shed != 2 {
+			t.Errorf("handler ran %d times, %d attempts shed: want 1 and 2", n, shed)
+		}
+	})
+	t.Run("answered after a timeout", func(t *testing.T) {
+		s := NewServer()
+		gate := make(chan struct{})
+		s.Handle(msgFail, func(context.Context, []byte) ([]byte, error) {
+			<-gate
+			return nil, errors.New("refused")
+		})
+		l := netsim.Listen(netsim.Loopback)
+		go s.Serve(l)
+		defer s.Close()
+		c, err := DialOptions(l.Dial, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		reg := obs.NewRegistry()
+		c.Instrument(reg)
+		// The handler answers once the first attempt has timed out: the
+		// retry reads that answer from the dedup cache.
+		go func() {
+			defer close(gate)
+			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if reg.Counter("ortoa_transport_client_retries_total", "").Value() >= 1 {
+					return
+				}
+			}
+		}()
+		_, err = c.Call(msgFail, nil)
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Msg != "refused" || Ambiguous(err) {
+			t.Errorf("err = %v, want the handler's definite answer", err)
+		}
+	})
 }
 
 func TestReconnectAfterReset(t *testing.T) {

@@ -50,7 +50,7 @@ func TestMultiFrameCall(t *testing.T) {
 	parts := []string{"head-", "middle-", "middle-", "tail"}
 	for round := 0; round < 3; round++ {
 		before := c.Stats().Calls
-		resp, err := c.CallStreamContextID(context.Background(), c.NextID(), msgJoin, func(send func([]byte, bool) error) error {
+		resp, err := c.CallStream(context.Background(), msgJoin, func(send func([]byte, bool) error) error {
 			for i, p := range parts {
 				if err := send([]byte(p), i == len(parts)-1); err != nil {
 					return err
@@ -73,7 +73,7 @@ func TestMultiFrameCall(t *testing.T) {
 	}
 	// A request of the same head class whose second frame differs in
 	// length breaks the positional pin — on both ends.
-	if _, err := c.CallStreamContextID(context.Background(), c.NextID(), msgJoin, func(send func([]byte, bool) error) error {
+	if _, err := c.CallStream(context.Background(), msgJoin, func(send func([]byte, bool) error) error {
 		for i, p := range []string{"head-", "a much longer second frame", "tail"} {
 			if err := send([]byte(p), i == 2); err != nil {
 				return err

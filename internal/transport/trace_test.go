@@ -93,7 +93,7 @@ func tracePropagates(t *testing.T, frames []string) {
 	if len(frames) == 1 {
 		resp, err = c.CallContext(ctx, msgJoin, []byte(frames[0]))
 	} else {
-		resp, err = c.CallStreamContextID(ctx, c.NextID(), msgJoin, func(send func([]byte, bool) error) error {
+		resp, err = c.CallStream(ctx, msgJoin, func(send func([]byte, bool) error) error {
 			for i, f := range frames {
 				if err := send([]byte(f), i == len(frames)-1); err != nil {
 					return err

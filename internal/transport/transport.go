@@ -24,29 +24,33 @@
 // Multiple requests may be in flight on one connection; responses are
 // matched by id, so a slow request does not stall the pipeline.
 //
-// A request too long for one frame travels as several frames sharing
-// one id on one connection (CallStreamContextID): flagMore on every
-// frame but the last, flagCont on every frame but the first, each
-// continuation frame's budget field carrying its position so a lost or
-// reordered frame fails the request instead of shortening it. There are
-// no separate begin or end frames — the frames' payloads are simply
-// consecutive runs of the request's bytes — and the response is the one
-// ordinary frame.
+// A request is the frames its producer writes (CallStream); Call sends
+// a request of one frame, which carries neither flagMore nor flagCont.
+// A longer request travels as several frames sharing one id on one
+// connection: flagMore on every frame but the last, flagCont on every
+// frame but the first, each continuation frame's budget field carrying
+// its position so a lost or reordered frame fails the request instead of
+// shortening it. There are no separate begin or end frames — the frames'
+// payloads are simply consecutive runs of the request's bytes — and the
+// response is the one ordinary frame.
 //
 // The session id gives the transport at-most-once semantics across
 // connection failures: every Client stamps its frames with one random
 // session id, request ids are unique within a session, and the server
 // keeps a bounded per-session cache of completed responses (dedup.go).
-// A retried request — same session, same id, possibly over a different
-// pooled connection — is answered from the cache instead of being
-// re-executed, so retrying after a lost response cannot apply a
-// side-effecting handler twice. ORTOA's LBL proxy depends on this:
+// A request of one frame is retried by sending it again under the same
+// id, possibly over a different pooled connection, and the server
+// answers the resend from the cache instead of re-executing it, so
+// retrying after a lost response cannot apply a side-effecting handler
+// twice. A request of several frames is never retried: its frames are
+// produced as they are sent. ORTOA's LBL proxy depends on this:
 // replaying an access at a stale counter would desynchronize the label
 // schedule from the server's records (§5.3.1), the one failure the
 // proxy cannot recover from.
 package transport
 
 import (
+	"cmp"
 	"context"
 	cryptorand "crypto/rand"
 	"encoding/binary"
@@ -132,15 +136,6 @@ func (e *RemoteError) Error() string { return "transport: remote: " + e.Msg }
 // is lost, which Ambiguous reports like a lost response.
 const replayEvictedMsg = "at-most-once cache: request executed, cached response evicted"
 
-// A NotSentError reports a streamed call that failed before any frame
-// went on the wire: the outcome is definite — the peer never saw the
-// request — so Ambiguous reports false for it and stateful callers may
-// rebuild and reissue freely.
-type NotSentError struct{ Err error }
-
-func (e *NotSentError) Error() string { return "transport: not sent: " + e.Err.Error() }
-func (e *NotSentError) Unwrap() error { return e.Err }
-
 // AmbiguousMsgPrefix marks a RemoteError whose handler itself hit an
 // ambiguous failure one hop further upstream (a proxy whose server
 // round's outcome is unknown). Relays prefix their error text with it
@@ -191,18 +186,11 @@ func IsBusy(err error) bool {
 // gone, so the caller knows no more than after a lost response). Local
 // validation failures (oversized frame, client already closed) happen
 // before anything is sent — also unambiguous. Everything else (send
-// errors, lost connections, deadline expiry) is ambiguous: stateful
-// callers must resolve the outcome (e.g. by replaying the same request
-// id, which the server's dedup cache answers without re-executing)
-// before issuing a conflicting request.
+// errors, lost connections, deadline expiry, an all-dead pool) is
+// ambiguous, and stays so across a call's retries (see RetryPolicy): a
+// stateful caller must not assume the request did not run.
 func Ambiguous(err error) bool {
 	if err == nil {
-		return false
-	}
-	var ns *NotSentError
-	if errors.As(err, &ns) {
-		// The stream failed before its first frame: nothing reached the
-		// peer, so the call definitively did not execute.
 		return false
 	}
 	var re *RemoteError
@@ -990,12 +978,17 @@ type Stats struct {
 	Calls         int64
 }
 
-// A RetryPolicy governs at-most-once retries of failed calls. Retries
-// reuse the original request id, so a request whose response was lost
+// A RetryPolicy governs at-most-once retries of failed calls. Only a
+// request whose first frame is its last is retried, by sending the same
+// frame under the same request id, so a request whose response was lost
 // is answered from the server's dedup cache instead of re-executing —
-// safe even for side-effecting handlers. The policy never inspects the
-// request, so reads and writes retry identically and the retry pattern
-// leaks nothing about operation types.
+// safe even for side-effecting handlers. Busy sheds are retried too,
+// though definite, after the peer's retry-after hint. A call whose
+// attempt left the outcome unknown reports it unknown unless a later
+// attempt reads the handler's answer (a RemoteError): a shed, a dead pool
+// or a closed client says nothing about the earlier attempt. The policy
+// never inspects the request, so reads and writes retry identically and
+// the retry pattern leaks nothing about operation types.
 type RetryPolicy struct {
 	// Attempts is the total number of attempts per call, including the
 	// first; values below 2 disable retries.
@@ -1215,14 +1208,9 @@ func (c *Client) shape() (*obs.ShapeAuditor, ShapeClassifier) {
 	return c.shapeAud, c.shapeClassify
 }
 
-// NextID reserves a fresh request id. Combined with CallContextID it
-// lets stateful callers replay a request byte-for-byte after an
-// ambiguous failure: the server's dedup cache answers the replay
-// without re-executing if the original attempt did execute.
-func (c *Client) NextID() uint64 { return c.reqID.Add(1) }
-
-// Call sends payload as a msgType request and blocks for the response,
-// applying the client's configured deadline and retry policy.
+// Call sends payload as a msgType request of one frame and blocks for
+// the response, applying the client's configured deadline and retry
+// policy.
 func (c *Client) Call(msgType byte, payload []byte) ([]byte, error) {
 	return c.CallContext(context.Background(), msgType, payload)
 }
@@ -1231,28 +1219,44 @@ func (c *Client) Call(msgType byte, payload []byte) ([]byte, error) {
 // (including retries and backoff) aborts when ctx is done. The
 // configured CallTimeout additionally bounds each individual attempt.
 func (c *Client) CallContext(ctx context.Context, msgType byte, payload []byte) ([]byte, error) {
-	return c.CallContextID(ctx, c.NextID(), msgType, payload)
+	return c.do(ctx, c.reqID.Add(1), msgType, func(send func([]byte, bool) error) error {
+		return send(payload, true)
+	})
 }
 
-// CallContextID is CallContext with an explicit request id, for
-// replaying a previously-attempted request under at-most-once
-// semantics. ids must come from NextID; reusing an id with a different
-// payload returns the original request's cached response, not the new
-// payload's.
-func (c *Client) CallContextID(ctx context.Context, id uint64, msgType byte, payload []byte) ([]byte, error) {
+// CallStream issues one request as the frames produce writes: produce
+// calls send once per frame, in order, marking the last, and the call
+// then blocks for the single response frame. The payload passed to send
+// is copied before send returns, so the producer may reuse one buffer
+// across frames — peak memory stays bounded by the frame size. send
+// returns errStreamDone (an internal sentinel) once the peer has
+// answered early; produce returns any error from send unchanged and
+// keeps no reference to send once it returns.
+//
+// A request whose first frame is its last is retried like Call, by
+// running produce again, which must then send the same frame. A request
+// of several frames rides one pooled connection in order and is never
+// retried: its frames are produced once, as they are sent.
+func (c *Client) CallStream(ctx context.Context, msgType byte, produce func(send func(payload []byte, last bool) error) error) ([]byte, error) {
+	return c.do(ctx, c.reqID.Add(1), msgType, produce)
+}
+
+// A frameProducer writes a request: it calls send once per frame, in
+// order, marking the last (see CallStream).
+type frameProducer = func(send func(payload []byte, last bool) error) error
+
+// errStreamDone is the sentinel send returns once the peer has already
+// answered (busy, error, or early response): the producer should stop
+// sending and let the call return that response.
+var errStreamDone = errors.New("transport: request already answered")
+
+// do is the one instrumented call: in-flight and pool-saturation
+// accounting, send-to-response latency across every attempt, and the
+// error count.
+func (c *Client) do(ctx context.Context, id uint64, msgType byte, produce frameProducer) ([]byte, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
 	}
-	if len(payload) > MaxFrameSize-minFrameLen {
-		return nil, ErrFrameTooLarge
-	}
-	return c.do(ctx, id, msgType, payload, nil)
-}
-
-// do is the one instrumented call, for a request of one frame (payload)
-// or of several (produce): in-flight and pool-saturation accounting,
-// send-to-response latency across every attempt, and the error count.
-func (c *Client) do(ctx context.Context, id uint64, msgType byte, payload []byte, produce frameProducer) ([]byte, error) {
 	m := c.metrics.Load()
 	var latency *obs.Histogram
 	if m != nil {
@@ -1262,7 +1266,11 @@ func (c *Client) do(ctx context.Context, id uint64, msgType byte, payload []byte
 		latency = m.callLatency
 	}
 	iv := obs.Time(latency, nil)
-	resp, err := c.callRetry(ctx, id, msgType, payload, produce, m)
+	cl := callPool.Get().(*call)
+	cl.c, cl.id, cl.msgType = c, id, msgType
+	resp, err := c.callRetry(ctx, cl, produce, m)
+	*cl = call{send: cl.send}
+	callPool.Put(cl)
 	iv.End()
 	if m != nil {
 		m.inflight.Dec()
@@ -1273,165 +1281,24 @@ func (c *Client) do(ctx context.Context, id uint64, msgType byte, payload []byte
 	return resp, err
 }
 
-// A frameProducer writes a multi-frame request: it calls send once per
-// frame, in order, marking the last (see CallStreamContextID).
-type frameProducer = func(send func(payload []byte, last bool) error) error
-
-// errStreamDone is the sentinel send returns once the peer has already
-// answered (busy, error, or early response): the producer should stop
-// sending and let the call return that response.
-var errStreamDone = errors.New("transport: request already answered")
-
-// CallStreamContextID issues one request whose payload is too long for
-// one frame as several frames sharing the request id: produce calls
-// send once per frame, in order, marking the last; the call then blocks
-// for the single response frame. The payload passed to send is copied
-// before send returns, so the producer may reuse one buffer across
-// frames — peak memory stays bounded by the frame size.
-//
-// Multi-frame requests are conn-affine (every frame rides one pooled
-// connection, in order) and never retried by the transport: a failure
-// after the first frame is ambiguous exactly like a one-frame send
-// failure, and a failure before it is reported as a *NotSentError,
-// which Ambiguous classifies as definite. send returns errStreamDone
-// (an internal sentinel) once the peer has answered early; produce
-// should return any error from send unchanged.
-func (c *Client) CallStreamContextID(ctx context.Context, id uint64, msgType byte, produce func(send func(payload []byte, last bool) error) error) ([]byte, error) {
-	if c.closed.Load() {
-		return nil, &NotSentError{Err: ErrClosed}
-	}
-	resp, err := c.do(ctx, id, msgType, nil, produce)
-	if errors.Is(err, ErrNoLiveConns) {
-		err = &NotSentError{Err: err}
-	}
-	return resp, err
-}
-
-// callStream runs one multi-frame call on this connection. All frames
-// are written under wmu in producer order, so they arrive in sequence.
-func (cc *clientConn) callStream(ctx context.Context, id uint64, tr trace.SpanContext, msgType byte, produce frameProducer) ([]byte, error) {
-	pc := pendingCall{ch: make(chan result, 1), msgType: msgType}
-	aud, classify := cc.client.shape()
-	var shape frameShape
-	var sent uint32   // frames written so far
-	var conn net.Conn // pinned at registration: the whole request rides one physical conn
-	var early *result
-	send := func(payload []byte, last bool) error {
-		if early != nil {
-			return errStreamDone
-		}
-		if sent > 0 {
-			// An early response (busy, handler error) aborts the
-			// producer: the remaining frames would only be dropped.
-			select {
-			case res := <-pc.ch:
-				early = &res
-				return errStreamDone
-			default:
-			}
-		}
-		if len(payload) > MaxFrameSize-minFrameLen {
-			return ErrFrameTooLarge
-		}
-		// The head frame carries the caller's remaining budget; a
-		// continuation frame carries its position instead, but still
-		// refuses to go out once the caller's deadline has passed.
-		budget, err := callBudget(ctx)
-		if err != nil {
-			return err
-		}
-		var flags byte
-		if !last {
-			flags |= flagMore
-		}
-		if sent == 0 {
-			if aud != nil {
-				shape.head, shape.strictReq, shape.strictResp = classify(msgType, payload)
-				shape.total = len(payload)
-				aud.Observe("out", msgType, shape.head, shape.strictReq, len(payload))
-				pc.class, pc.strictResp = shape.head, shape.strictResp
-			}
-			cc.mu.Lock()
-			if cc.dead != nil {
-				err := cc.dead
-				cc.mu.Unlock()
-				return err
-			}
-			conn = cc.conn
-			cc.pending[id] = pc
-			cc.mu.Unlock()
-		} else {
-			flags |= flagCont
-			budget = sent
-			if aud != nil {
-				aud.Observe("out", msgType, shape.cont(sent, len(payload), last), shape.strictReq, len(payload))
-				if last {
-					// The response is audited under the last frame's class.
-					pc.class = shape.last
-					cc.mu.Lock()
-					if _, ok := cc.pending[id]; ok {
-						cc.pending[id] = pc
-					}
-					cc.mu.Unlock()
-				}
-			}
-		}
-		sent++
-		cc.wmu.Lock()
-		err = writeFrame(conn, cc.client.session, id, tr, budget, msgType, flags, payload)
-		cc.wmu.Unlock()
-		if err != nil {
-			return fmt.Errorf("transport: send: %w", err)
-		}
-		cc.client.bytesSent.Add(int64(headerSize + len(payload)))
-		return nil
-	}
-	perr := produce(send)
-	if perr != nil && !errors.Is(perr, errStreamDone) {
-		if sent > 0 {
-			cc.mu.Lock()
-			delete(cc.pending, id)
-			cc.mu.Unlock()
-			// At least the head frame may have reached the peer: the
-			// outcome is unknown, exactly like a one-frame send failure.
-			return nil, perr
-		}
-		return nil, &NotSentError{Err: perr}
-	}
-	if sent == 0 {
-		// produce sent nothing and reported success — a producer bug,
-		// but a definite one.
-		return nil, &NotSentError{Err: errors.New("transport: request produced no frames")}
-	}
-	cc.client.calls.Add(1)
-	if early != nil {
-		return early.payload, early.err
-	}
-	select {
-	case res := <-pc.ch:
-		return res.payload, res.err
-	case <-ctx.Done():
-		cc.mu.Lock()
-		delete(cc.pending, id)
-		cc.mu.Unlock()
-		return nil, ctx.Err()
-	}
-}
-
-func (c *Client) callRetry(ctx context.Context, id uint64, msgType byte, payload []byte, produce frameProducer, m *clientMetrics) ([]byte, error) {
-	attempts := c.opts.Retry.attempts()
-	if produce != nil {
-		// The frames are produced once, as they are sent: there is
-		// nothing to send again.
-		attempts = 1
-	}
+// callRetry runs a call's attempts under the client's RetryPolicy. A
+// handler's answer ends the call: the dedup cache makes it the one answer
+// the id ever gets, whatever an earlier attempt left unknown.
+func (c *Client) callRetry(ctx context.Context, cl *call, produce frameProducer, m *clientMetrics) ([]byte, error) {
+	var unknown error // the last attempt that left the outcome unknown
 	for attempt := 0; ; attempt++ {
-		resp, err := c.attempt(ctx, id, msgType, payload, produce)
+		resp, err := c.attempt(ctx, cl, produce)
 		if err == nil {
 			return resp, nil
 		}
-		if !retryable(err) || ctx.Err() != nil || c.closed.Load() || attempt+1 >= attempts {
+		if errors.As(err, new(*RemoteError)) {
 			return nil, err
+		}
+		if Ambiguous(err) {
+			unknown = err
+		}
+		if !cl.single || !retryable(err) || ctx.Err() != nil || c.closed.Load() || attempt+1 >= c.opts.Retry.attempts() {
+			return nil, cmp.Or(unknown, err)
 		}
 		if m != nil {
 			m.retries.Inc()
@@ -1443,25 +1310,48 @@ func (c *Client) callRetry(ctx context.Context, id uint64, msgType byte, payload
 		if errors.As(err, &be) && be.RetryAfter > d {
 			d = be.RetryAfter
 		}
-		if serr := sleepCtx(ctx, d); serr != nil {
-			return nil, err
+		if sleepCtx(ctx, d) != nil {
+			return nil, cmp.Or(unknown, err)
 		}
 	}
 }
 
-// attempt issues one try of a call, of one frame or several, on the
-// next live pooled connection, bounded by the per-attempt CallTimeout.
-// Each attempt gets its own transport_attempt span — a child of the
-// caller's span when ctx carries one, a fresh root when only the
-// client's own tracer is set — and the attempt's span context rides the
-// frame header, so retries reuse the request id AND the trace id: a
-// response replayed from the server's dedup cache lands in the original
-// trace.
-func (c *Client) attempt(ctx context.Context, id uint64, msgType byte, payload []byte, produce frameProducer) ([]byte, error) {
-	cc := c.pickConn()
-	if cc == nil {
-		return nil, ErrNoLiveConns
-	}
+// A call is one request on its way through the client: what its
+// attempts share, and what the attempt under way has sent. Its producer
+// writes frames through send, which is bound once per pooled call
+// (callPool), so a request allocates neither the state nor the func
+// value its producer is handed. The read loop keeps only a copy of pc,
+// so a call is free for reuse as soon as do returns.
+type call struct {
+	c       *Client
+	id      uint64
+	msgType byte
+	send    func(payload []byte, last bool) error // sendFrame, bound once
+
+	ctx    context.Context // the attempt's
+	tr     trace.SpanContext
+	cc     *clientConn
+	conn   net.Conn // pinned at the first frame: the whole request rides one physical conn
+	pc     pendingCall
+	shape  frameShape
+	sent   uint32 // frames written so far
+	single bool   // the first frame offered was marked last
+}
+
+var callPool = sync.Pool{New: func() any {
+	cl := new(call)
+	cl.send = cl.sendFrame
+	return cl
+}}
+
+// attempt issues one try of a call on the next live pooled connection,
+// bounded by the per-attempt CallTimeout. Each attempt gets its own
+// transport_attempt span — a child of the caller's span when ctx carries
+// one, a fresh root when only the client's own tracer is set — and the
+// attempt's span context rides the frame header, so retries reuse the
+// request id AND the trace id: a response replayed from the server's
+// dedup cache lands in the original trace.
+func (c *Client) attempt(ctx context.Context, cl *call, produce frameProducer) ([]byte, error) {
 	sp := trace.StartChild(ctx, "transport_attempt")
 	if sp == nil {
 		sp = c.tracer.Load().StartRoot("transport_attempt")
@@ -1472,10 +1362,116 @@ func (c *Client) attempt(ctx context.Context, id uint64, msgType byte, payload [
 		defer cancel()
 		ctx = actx
 	}
-	if produce != nil {
-		return cc.callStream(ctx, id, sp.Context(), msgType, produce)
+	*cl = call{c: c, id: cl.id, msgType: cl.msgType, send: cl.send, ctx: ctx, tr: sp.Context()}
+	perr := produce(cl.send)
+	if perr != nil && !errors.Is(perr, errStreamDone) {
+		if cl.sent > 0 {
+			// At least the first frame may have reached the peer: the
+			// outcome is unknown.
+			cl.cc.forget(cl.id)
+		}
+		return nil, perr
 	}
-	return cc.call(ctx, id, sp.Context(), msgType, payload)
+	if cl.sent == 0 {
+		return nil, errors.New("transport: request produced no frames")
+	}
+	c.calls.Add(1)
+	select {
+	case res := <-cl.pc.ch:
+		return res.payload, res.err
+	case <-ctx.Done():
+		cl.cc.forget(cl.id)
+		return nil, ctx.Err()
+	}
+}
+
+// sendFrame writes the request's next frame. The first frame picks the
+// connection and registers the call on it; every frame is written under
+// the connection's wmu in producer order, so they arrive in sequence.
+func (cl *call) sendFrame(payload []byte, last bool) error {
+	if cl.sent == 0 {
+		cl.single = last
+	} else {
+		// An early response (busy, handler error) aborts the producer:
+		// the remaining frames would only be dropped. It goes back into
+		// the channel, which nothing else sends on once the read loop has
+		// delivered, for the call to return.
+		select {
+		case res := <-cl.pc.ch:
+			cl.pc.ch <- res
+			return errStreamDone
+		default:
+		}
+	}
+	if len(payload) > MaxFrameSize-minFrameLen {
+		return ErrFrameTooLarge
+	}
+	// The first frame carries the caller's remaining budget; a
+	// continuation frame carries its position instead, but still refuses
+	// to go out once the caller's deadline has passed. An exhausted budget
+	// sends nothing: the peer would only shed it.
+	budget, err := callBudget(cl.ctx)
+	if err != nil {
+		return err
+	}
+	var flags byte
+	if !last {
+		flags |= flagMore
+	}
+	aud, classify := cl.c.shape()
+	if cl.sent == 0 {
+		if cl.cc = cl.c.pickConn(); cl.cc == nil {
+			return ErrNoLiveConns
+		}
+		cl.pc = pendingCall{ch: make(chan result, 1), msgType: cl.msgType}
+		if aud != nil {
+			cl.shape.head, cl.shape.strictReq, cl.shape.strictResp = classify(cl.msgType, payload)
+			cl.shape.total = len(payload)
+			aud.Observe("out", cl.msgType, cl.shape.head, cl.shape.strictReq, len(payload))
+			cl.pc.class, cl.pc.strictResp = cl.shape.head, cl.shape.strictResp
+		}
+		cl.cc.mu.Lock()
+		if cl.cc.dead != nil {
+			err := cl.cc.dead
+			cl.cc.mu.Unlock()
+			return err
+		}
+		cl.conn = cl.cc.conn
+		cl.cc.pending[cl.id] = cl.pc
+		cl.cc.mu.Unlock()
+	} else {
+		flags |= flagCont
+		budget = cl.sent
+		if aud != nil {
+			aud.Observe("out", cl.msgType, cl.shape.cont(cl.sent, len(payload), last), cl.shape.strictReq, len(payload))
+			if last {
+				// The response is audited under the last frame's class.
+				cl.pc.class = cl.shape.last
+				cl.cc.mu.Lock()
+				if _, ok := cl.cc.pending[cl.id]; ok {
+					cl.cc.pending[cl.id] = cl.pc
+				}
+				cl.cc.mu.Unlock()
+			}
+		}
+	}
+	cl.sent++
+	cl.cc.wmu.Lock()
+	err = writeFrame(cl.conn, cl.c.session, cl.id, cl.tr, budget, cl.msgType, flags, payload)
+	cl.cc.wmu.Unlock()
+	if err != nil {
+		return fmt.Errorf("transport: send: %w", err)
+	}
+	cl.c.bytesSent.Add(int64(headerSize + len(payload)))
+	return nil
+}
+
+// forget withdraws id's pending call: a response that still comes is
+// dropped.
+func (cc *clientConn) forget(id uint64) {
+	cc.mu.Lock()
+	delete(cc.pending, id)
+	cc.mu.Unlock()
 }
 
 // pickConn returns the next live connection in round-robin order, or
@@ -1580,53 +1576,6 @@ func callBudget(ctx context.Context) (uint32, error) {
 		return ^uint32(0), nil
 	}
 	return uint32(millis), nil
-}
-
-func (cc *clientConn) call(ctx context.Context, id uint64, tr trace.SpanContext, msgType byte, payload []byte) ([]byte, error) {
-	budget, err := callBudget(ctx)
-	if err != nil {
-		// The budget is already exhausted: sending would only make the
-		// peer shed it. Nothing went on the wire.
-		return nil, err
-	}
-	pc := pendingCall{ch: make(chan result, 1), msgType: msgType}
-	aud, classify := cc.client.shape()
-	if aud != nil {
-		var strictReq bool
-		pc.class, strictReq, pc.strictResp = classify(msgType, payload)
-		aud.Observe("out", msgType, pc.class, strictReq, len(payload))
-	}
-	cc.mu.Lock()
-	if cc.dead != nil {
-		err := cc.dead
-		cc.mu.Unlock()
-		return nil, err
-	}
-	conn := cc.conn
-	cc.pending[id] = pc
-	cc.mu.Unlock()
-
-	cc.wmu.Lock()
-	err = writeFrame(conn, cc.client.session, id, tr, budget, msgType, 0, payload)
-	cc.wmu.Unlock()
-	if err != nil {
-		cc.mu.Lock()
-		delete(cc.pending, id)
-		cc.mu.Unlock()
-		return nil, fmt.Errorf("transport: send: %w", err)
-	}
-	cc.client.bytesSent.Add(int64(headerSize + len(payload)))
-	cc.client.calls.Add(1)
-
-	select {
-	case res := <-pc.ch:
-		return res.payload, res.err
-	case <-ctx.Done():
-		cc.mu.Lock()
-		delete(cc.pending, id)
-		cc.mu.Unlock()
-		return nil, ctx.Err()
-	}
 }
 
 // readLoop consumes responses from one physical connection until it
