@@ -10,8 +10,13 @@ test:
 
 # vet also fails on any Go file gofmt would change, the benchmark
 # module's included: `gofmt -l` lists them and prints nothing otherwise.
+# It vets the module a second time as arm64, which builds the files an
+# arch without the amd64 π kernel builds (the standard library
+# cross-compiles offline), so a missing fallback fails here, not on a
+# user's machine.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
 
@@ -62,16 +67,21 @@ benchmark-smoke:
 	bash benchmark/run.sh -workload dc-4k-stream -seconds 2 -trace 1
 
 # noaes re-runs the entry- and record-format tests — the known-answer
-# vectors of the sealer, of the one-block pad, of the record verifier and
-# of the label schedule's keystream rows, the rows against single blocks,
-# the sealer's properties, the stored-record golden bytes and each mode's
-# pinned bytes, the carried-schedule and request parity tests — on Go's
+# vectors of the sealer, of the one-block pad, of the record verifier,
+# of the label schedule's keystream rows and of the π kernel's key
+# expansion, the rows against single blocks, the sealer's properties, the
+# stored-record golden bytes and each mode's pinned bytes, the
+# carried-schedule, request and π-kernel parity tests — on Go's
 # table-driven AES and generic CTR, which hardware without AES
 # instructions falls back to: both implementations must produce the same
 # bytes, or two hosts of one deployment could not open each other's
-# tables and records.
+# tables and records. GODEBUG=cpu.aes=off reaches crypto/aes but not the
+# π kernel's own CPUID check, so that run holds the kernel to generic
+# AES; the purego tag then switches both to their generic code, as on a
+# host without AES instructions.
 noaes:
 	GODEBUG=cpu.aes=off $(GO) test -count=1 -run 'Label|Sealer|KnownAnswer|Parity|Golden' ./internal/crypto/... ./internal/core/
+	$(GO) test -count=1 -tags purego -run 'Label|Sealer|KnownAnswer|Parity|Golden' ./internal/crypto/... ./internal/core/
 
 # fuzz-smoke runs every fuzzer in the module for 10 s of generated
 # inputs (`go test` alone runs only their seed corpora): in internal/core,
@@ -99,16 +109,17 @@ bench:
 
 # bench-smoke is the CI benchmark smoke: one short pass over the kernel
 # and hot-path benchmarks — the deployed point-and-permute kernels among
-# them: the server's decryption pass and the one-worker table build at 640
-# and 16,384 groups (a 160 B and a 4 KiB value), each reporting ns per AES
-# block of its floor; a command of their own, since -bench splits its
+# them: the pad of one group and of 640, the server's decryption pass and
+# the one-worker table build at 640 and 16,384 groups (a 160 B and a
+# 4 KiB value), each reporting ns per AES block of its floor; the last
+# two on a command of their own, since -bench splits its
 # pattern at every slash — then one WAN bulk load (2,000 × 160 B over a
 # simulated 21.84 ms, 12 MiB/s link) through the public Load, checking
 # they still run. Timings are gated elsewhere — the repository benchmark
 # (benchmark/, BENCHMARK.json) measures these kernels in its per-layer
 # ledger, and the load as its setup_s, on every PR.
 bench-smoke:
-	$(GO) test -run XXX -bench 'Kernel1KiB|LBLBuildRequest|LabelSeal|LabelOpen' -benchtime 5x ./internal/core/ ./internal/crypto/secretbox/
+	$(GO) test -run XXX -bench 'Kernel1KiB|LBLBuildRequest|LabelSeal|LabelOpen|PadGroup' -benchtime 5x ./internal/core/ ./internal/crypto/secretbox/
 	$(GO) test -run XXX -bench 'LBLServerDecrypt/point-permute' -benchtime 5x ./internal/core/
 	$(GO) test -run XXX -bench 'WorkerCrossover/build/groups=(640|16384)/workers=1$$' -benchtime 5x ./internal/core/
 	$(GO) test -run XXX -bench 'Load/wan' -benchtime 1x .

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"crypto/aes"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"ortoa/internal/crypto/prf"
@@ -190,6 +192,103 @@ func TestPermuteKernelParity(t *testing.T) {
 					t.Fatalf("%d B %v: digest is not the XOR of the installed labels", size, op)
 				}
 			}
+		}
+	}
+}
+
+// TestPermuteServerBatchParity holds the server's point-and-permute pass,
+// which pads four groups per PadGroup call and the last (g1-g0) % 4 one
+// at a time, to a reference that runs it one group at a time. The runs
+// start off multiples of four and leave tails of one, two and three
+// groups: called directly over those runs, and through the handler on
+// the request sent whole and cut into frames of those runs, the new
+// labels, the fields and the digest must be the reference's.
+func TestPermuteServerBatchParity(t *testing.T) {
+	const ct = 5
+	cfg := LBLConfig{ValueSize: 160, Mode: LBLPointPermute}
+	p, err := NewLBLProxy(cfg, goldenPRF(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, gl := cfg.Groups(), cfg.groupBytes()
+	value, stored := make([]byte, cfg.ValueSize), make([]byte, cfg.ValueSize)
+	for i := range value {
+		value[i], stored[i] = byte(i*151+7), byte(i*29+200)
+	}
+	record := recordAt(p, "k", stored, ct)
+	rec, err := parseLBLRecord(record, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Run lengths 1, 5, 6, 7, 3, 10, 2, 11, 4, 8, repeated: after the
+	// first every run starts off a multiple of four.
+	var cuts []int
+	for g, i := 0, 0; g < groups; i++ {
+		g = min(g+[]int{1, 5, 6, 7, 3, 10, 2, 11, 4, 8}[i%10], groups)
+		cuts = append(cuts, g)
+	}
+	ek := p.prf.EncodeKey("k")
+	for _, op := range []Op{OpRead, OpWrite} {
+		req, err := p.buildRequest(op, "k", value, ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := cfg.segPrefixLen()
+		table := req[prefix:]
+		wantLabels, wantFields := make([]byte, groups*prf.Size), make([]byte, cfg.ValueSize)
+		var wantDigest labelDigest
+		for g := 0; g < groups; g++ {
+			decryptRange(cfg.Mode, &rec, table[g*gl:(g+1)*gl], g, g+1, wantLabels, wantFields, &wantDigest)
+		}
+		check := func(how string, labels, fields []byte, digest labelDigest) {
+			t.Helper()
+			if !bytes.Equal(labels, wantLabels) {
+				t.Errorf("%v %s: new labels differ from one group at a time", op, how)
+			}
+			if !bytes.Equal(fields, wantFields) {
+				t.Errorf("%v %s: fields %x, one group at a time %x", op, how, fields, wantFields)
+			}
+			if digest != wantDigest {
+				t.Errorf("%v %s: digest differs from one group at a time", op, how)
+			}
+		}
+
+		labels, fields := make([]byte, groups*prf.Size), make([]byte, cfg.ValueSize)
+		var digest labelDigest
+		for i, g0 := 0, 0; i < len(cuts); g0, i = cuts[i], i+1 {
+			decryptRange(cfg.Mode, &rec, table[g0*gl:cuts[i]*gl], g0, cuts[i], labels, fields, &digest)
+		}
+		check("in runs", labels, fields, digest)
+
+		cut := [][]byte{req[:prefix+cuts[0]*gl]}
+		for i := 1; i < len(cuts); i++ {
+			cut = append(cut, table[cuts[i-1]*gl:cuts[i]*gl])
+		}
+		for _, frames := range [][][]byte{{req}, cut} {
+			store := specStore(t, string(ek[:]), record)
+			var next func() ([]byte, bool, error)
+			if len(frames) > 1 {
+				i := 0
+				next = func() ([]byte, bool, error) {
+					i++
+					return frames[i], i < len(frames)-1, nil
+				}
+			}
+			resp, err := NewLBLServer(store).access(context.Background(), frames[0], next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := slotError(resp[0]); err != nil {
+				t.Fatal(err)
+			}
+			installed, err := store.Get(string(ek[:]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			labels, _ := cfg.recordParts(installed)
+			var digest labelDigest
+			digest.add(resp[1+cfg.ValueSize:])
+			check(fmt.Sprintf("in %d frames", len(frames)), labels, resp[1:1+cfg.ValueSize], digest)
 		}
 	}
 }

@@ -1077,13 +1077,12 @@ func (c LBLConfig) putSegHeader(dst, encKey []byte) int {
 // many groups per worker the goroutine handoff costs more than the work
 // it offloads. It is set where two workers first beat one by more than
 // 10 % on the measured crossover (EXPERIMENTS.md, "Worker crossover";
-// BenchmarkWorkerCrossover). Re-taken with the point-and-permute kernels
-// at the floor (a group ≈130–180 ns on one worker, 8 AES blocks and 4
-// one-block pads): 1,024 groups read 1.13× (median of 17 pairs), 640
-// groups (a 160 B value) 1.05× and 512 groups 1.02×. So the build fans
-// out from 1,024 groups: a 256 B value's table and up. Recovery never
-// fans out: it is one table lookup and one 16-byte XOR a group.
-const minGroupsPerBuildWorker = 512
+// BenchmarkWorkerCrossover). Re-taken with the pads four blocks a kernel
+// call (a group ≈90 ns on one worker): 1,024 groups read 0.91× (median
+// of 24 pairs), 2,048 groups 1.17× (40 pairs). So the build fans out
+// from 2,048 groups: a 512 B value's table and up. Recovery never fans
+// out: it is one table lookup and one 16-byte XOR a group.
+const minGroupsPerBuildWorker = 1024
 
 // tableWorkers returns the worker count for a CPU-bound pass over
 // groups groups under GOMAXPROCS, never exceeding one worker per

@@ -296,18 +296,34 @@ func decryptRange(mode LBLMode, rec *lblRecord, table []byte, g0, g1 int, newLab
 // (TestPermuteModesAreY2): each stored label's colour, its first byte's low
 // two bits, names the one entry of its group it opens, and opening it is
 // one pad. Every group opens — an entry has no tag to refuse — so the
-// attempts are one a group.
+// attempts are one a group. Four consecutive groups pad in one PadGroup
+// call, their new labels contiguous in newLabels; the last (g1-g0) % 4
+// pad one at a time.
 func decryptPermuteRange(rec *lblRecord, table []byte, g0, g1 int, newLabels, fields []byte, digest *labelDigest) {
 	const n = secretbox.GroupPads
 	const mask = n - 1
 	sealer := secretbox.NewLabelSealer()
+	var stored, bodies [n]*[prf.Size]byte
+	g := g0
+	for ; g+n <= g1; g += n {
+		labels := (*[n * prf.Size]byte)(rec.labels[g*prf.Size:])
+		entries := (*[n * n * prf.Size]byte)(table[(g-g0)*n*prf.Size:])
+		for i := range stored {
+			e := labels[i*prf.Size] & mask
+			stored[i] = (*[prf.Size]byte)(labels[i*prf.Size:])
+			bodies[i] = (*[prf.Size]byte)(entries[(i*n+int(e))*prf.Size:])
+			fields[(g+i)/n] |= e << ((g + i) % n * 2)
+		}
+		sealer.PadGroup((*[n * prf.Size]byte)(newLabels[g*prf.Size:]), &stored, &bodies)
+	}
+	for ; g < g1; g++ {
+		label := (*[prf.Size]byte)(rec.labels[g*prf.Size:])
+		e := label[0] & mask
+		sealer.Pad((*[prf.Size]byte)(newLabels[g*prf.Size:]), label, (*[prf.Size]byte)(table[((g-g0)*n+int(e))*prf.Size:]))
+		fields[g/n] |= e << (g % n * 2)
+	}
 	for g := g0; g < g1; g++ {
-		stored := (*[prf.Size]byte)(rec.labels[g*prf.Size:])
-		newLabel := (*[prf.Size]byte)(newLabels[g*prf.Size:])
-		e := int(stored[0] & mask)
-		sealer.Pad(newLabel, stored, (*[prf.Size]byte)(table[((g-g0)*n+e)*prf.Size:]))
-		fields[g/n] |= byte(e) << (g % n * 2)
-		digest.add(newLabel[:])
+		digest.add(newLabels[g*prf.Size:])
 	}
 }
 

@@ -30,13 +30,16 @@
 // accepts only labels its PRF could have produced. Where the server is
 // told which entry is its own — point-and-permute, §10.2 — an entry
 // needs no tag, and Pad XORs a 16-byte body with the first block alone:
-// one π call, four for a group's entries in one PadGroup call. Two AES
+// one π call. PadGroup pads a group's four entries at once, on amd64
+// through a kernel that runs their four π blocks interleaved on AES-NI
+// (pi_amd64.s) under round keys expanded from π's public key. Two AES
 // blocks per tagged entry keep the proxy's 2^y·ℓ/y seals per access well
 // under the ~2 ms/object the paper reports (§6.3.3); an AES-GCM instance per
 // entry would dominate the access path, and so did the SHA-256 this
-// replaced. On hardware without AES instructions Go's table-driven AES
-// makes the pad no faster than a hash and no less constant-time than
-// prf.LabelGen, which already runs AES on secret inputs.
+// replaced. On hardware without AES instructions, or built with the
+// purego tag, both pads run on Go's table-driven AES, no faster than a
+// hash and no less constant-time than prf.LabelGen, which already runs
+// AES on secret inputs.
 package secretbox
 
 import (
@@ -124,26 +127,6 @@ const LabelTagSize = 8
 // padSize is the pad-and-tag block of one label: two AES blocks.
 const padSize = 2 * aes.BlockSize
 
-// labelDomain names the entry format. Bumping it re-keys π, so entries
-// of two formats never open each other; internal/core stamps the same
-// version into every request so a mixed pair is refused outright.
-const labelDomain = "ortoa/lbl-entry/v2"
-
-// pi is the fixed-key permutation π of the entry pad: AES-128 under a
-// public constant, the domain string folded to key length. Nothing
-// about the key is secret; the pad's secrecy comes from the label.
-var pi = func() cipher.Block {
-	var key [aes.BlockSize]byte
-	for i := 0; i < len(labelDomain); i++ {
-		key[i%len(key)] ^= labelDomain[i]
-	}
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		panic("secretbox: " + err.Error()) // only on a bad key size
-	}
-	return block
-}()
-
 // A LabelSealer seals and opens the label-keyed entries of LBL-ORTOA's
 // encryption tables, writing into caller-owned slots: the table build
 // seals 2^y·ℓ/y fixed-size entries per access into precomputed offsets
@@ -195,18 +178,24 @@ const GroupPads = 4
 // label: it is for entries whose opener is told which one is its own
 // (LBL-ORTOA's point-and-permute colour bits), and it is its own inverse.
 // The one-pad-per-label precondition of SealInto holds here too. Its
-// blocks are fixed-size, so the only checks left are the stdlib's inside
-// π, and it allocates nothing.
+// blocks are fixed-size, so it checks no length, and it allocates
+// nothing. It is one crypto/aes call; where the kernel runs, PadGroup
+// pads four entries for about the cost of one such call, so the server's
+// decryption pass calls Pad only for a run's last groups short of four.
 func (s *LabelSealer) Pad(dst, label, body *[PadSize]byte) {
 	pi.Encrypt(s.group[0][:], label[:])
 	xorPad(dst, body, label, &s.group[0])
 }
 
 // PadGroup is Pad over the GroupPads entries of one group: entry e of dst
-// becomes bodies[e] XOR the pad of labels[e]. The four π calls come
-// first, into the sealer's scratch, then the word XORs; dst aliases no
-// label or body.
+// becomes bodies[e] XOR the pad of labels[e]; dst aliases no label or
+// body. On amd64 with AES-NI the four π blocks run through one kernel,
+// their rounds interleaved; elsewhere, or built with the purego tag, the
+// four π calls come first, into the sealer's scratch, then the word XORs.
 func (s *LabelSealer) PadGroup(dst *[GroupPads * PadSize]byte, labels, bodies *[GroupPads]*[PadSize]byte) {
+	if padGroupKernel(&piRounds, dst, labels, bodies) {
+		return
+	}
 	for e, l := range labels {
 		pi.Encrypt(s.group[e][:], l[:])
 	}
