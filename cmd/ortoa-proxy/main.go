@@ -36,7 +36,7 @@ var (
 	variant       = flag.String("lbl-variant", "point-permute", "LBL variant: basic, space-opt, point-permute")
 	conns         = flag.Int("conns", 32, "connection pool size to the server")
 	callTimeout   = flag.Duration("call-timeout", 0, "per-attempt deadline for server RPCs, e.g. 500ms (0 disables)")
-	retries       = flag.Int("retries", 0, "total attempts per server RPC; at-most-once retries (<2 disables)")
+	retries       = flag.Int("retries", 0, "total attempts per server RPC; at-most-once retries (<2 disables); a request -stream-chunk cuts into several frames gets one attempt")
 	loadSynthetic = flag.Int("load-synthetic", 0, "bulk-load N synthetic records at startup")
 	statePath     = flag.String("state", "", "LBL access-counter state file (restored at startup, saved on shutdown)")
 	stateEvery    = flag.Duration("state-interval", 0, "also save -state crash-atomically this often, bounding the counter-loss window (0 disables; needs -state)")

@@ -101,14 +101,13 @@ func (p *BaselineProxy) BuildRecord(key string, value []byte) (string, []byte, e
 	return string(ek[:]), p.box.Seal(value), nil
 }
 
-// Access performs the two-round read-then-write dance.
-func (p *BaselineProxy) Access(op Op, key string, newValue []byte) ([]byte, AccessStats, error) {
-	var stats AccessStats
+// AccessContext performs the two-round read-then-write dance under ctx.
+func (p *BaselineProxy) AccessContext(ctx context.Context, op Op, key string, newValue []byte) ([]byte, error) {
 	if op == OpWrite && len(newValue) != p.cfg.ValueSize {
-		return nil, stats, ErrValueSize
+		return nil, ErrValueSize
 	}
 	if p.client == nil {
-		return nil, stats, errors.New("core: baseline proxy has no server connection")
+		return nil, errors.New("core: baseline proxy has no server connection")
 	}
 	// Serialize per key so a concurrent get→put pair cannot interleave
 	// and lose an update.
@@ -120,18 +119,16 @@ func (p *BaselineProxy) Access(op Op, key string, newValue []byte) ([]byte, Acce
 	// Round 1: GET.
 	getReq := make([]byte, prf.Size)
 	copy(getReq, ek[:])
-	stats.PrepBytes += len(getReq)
-	sealed, err := p.client.Call(MsgBaselineGet, getReq)
+	sealed, err := p.client.CallContext(ctx, MsgBaselineGet, getReq)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
-	stats.RespBytes += len(sealed)
 	value, err := p.box.Open(sealed)
 	if err != nil {
-		return nil, stats, fmt.Errorf("%w: %v", ErrTampered, err)
+		return nil, fmt.Errorf("%w: %v", ErrTampered, err)
 	}
 	if len(value) != p.cfg.ValueSize {
-		return nil, stats, fmt.Errorf("%w: stored value has %d bytes", ErrTampered, len(value))
+		return nil, fmt.Errorf("%w: stored value has %d bytes", ErrTampered, len(value))
 	}
 
 	// Round 2: PUT a fresh encryption — of the same value for reads,
@@ -144,9 +141,8 @@ func (p *BaselineProxy) Access(op Op, key string, newValue []byte) ([]byte, Acce
 	w := wire.NewWriter(prf.Size + len(toStore) + secretbox.Overhead + 8)
 	w.Raw(ek[:])
 	w.BytesPfx(p.box.Seal(toStore))
-	stats.PrepBytes += w.Len()
-	if _, err := p.client.Call(MsgBaselinePut, w.Bytes()); err != nil {
-		return nil, stats, err
+	if _, err := p.client.CallContext(ctx, MsgBaselinePut, w.Bytes()); err != nil {
+		return nil, err
 	}
-	return toStore, stats, nil
+	return toStore, nil
 }

@@ -23,7 +23,7 @@ func TestLBLBatchReadInitialValues(t *testing.T) {
 				ops = append(ops, BatchOp{Op: OpRead, Key: k})
 			}
 			loadData(t, r, proxy, data)
-			values, _, err := proxy.AccessBatch(ops)
+			values, err := batchValues(proxy.AccessBatch(context.Background(), ops))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +55,7 @@ func TestLBLBatchMixedReadWrite(t *testing.T) {
 					ops = append(ops, BatchOp{Op: OpRead, Key: k})
 				}
 			}
-			values, _, err := proxy.AccessBatch(ops)
+			values, err := batchValues(proxy.AccessBatch(context.Background(), ops))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func TestLBLBatchMixedReadWrite(t *testing.T) {
 				}
 			}
 			// Writes must be visible to later single accesses.
-			got, _, err := proxy.Access(OpRead, "k0", nil)
+			got, err := proxy.AccessContext(context.Background(), OpRead, "k0", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestLBLBatchSingleRPC(t *testing.T) {
 	}
 	loadData(t, r, proxy, data)
 	before := r.client.Stats().Calls
-	if _, _, err := proxy.AccessBatch(ops); err != nil {
+	if _, err := batchValues(proxy.AccessBatch(context.Background(), ops)); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.client.Stats().Calls - before; got != 1 {
@@ -132,16 +132,22 @@ func TestLBLBatchDuplicateKeys(t *testing.T) {
 			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
 				r, proxy, srv := newLBL(t, mode, 2)
 				loadData(t, r, proxy, map[string][]byte{"dup": {1, 1}, "other": {9, 9}})
+				var sent int
+				r.server.SetObserver(func(msgType byte, reqLen, _ int) {
+					if msgType == MsgLBLAccess {
+						sent += reqLen
+					}
+				})
 				before := r.client.Stats().Calls
-				values, stats, err := proxy.AccessBatch(tc.ops)
+				values, err := batchValues(proxy.AccessBatch(context.Background(), tc.ops))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := r.client.Stats().Calls - before; got != 1 {
 					t.Errorf("batch with a repeated key made %d RPCs, want 1", got)
 				}
-				if want := 2 * proxy.cfg.RequestBytesPerAccess(); stats.PrepBytes != want {
-					t.Errorf("request carried %d bytes, want %d: one segment per key", stats.PrepBytes, want)
+				if want := 2 * proxy.cfg.RequestBytesPerAccess(); sent != want {
+					t.Errorf("request carried %d bytes, want %d: one segment per key", sent, want)
 				}
 				for i := range tc.want {
 					if !bytes.Equal(values[i], tc.want[i]) {
@@ -152,7 +158,7 @@ func TestLBLBatchDuplicateKeys(t *testing.T) {
 					t.Errorf("server installed %d accesses, want 2: one per key", got)
 				}
 				// The counter moved one step: the key is still in step.
-				got, _, err := proxy.Access(OpRead, "dup", nil)
+				got, err := proxy.AccessContext(context.Background(), OpRead, "dup", nil)
 				if err != nil || !bytes.Equal(got, tc.final) {
 					t.Errorf("read after the batch = %v, %v; want %v", got, err, tc.final)
 				}
@@ -166,11 +172,11 @@ func TestLBLBatchMissingKeyPartialFailure(t *testing.T) {
 	// and commits its counter, so subsequent accesses still work.
 	r, proxy, _ := newLBL(t, LBLPointPermute, 2)
 	loadData(t, r, proxy, map[string][]byte{"a": {1, 1}, "b": {2, 2}})
-	values, _, err := proxy.AccessBatch([]BatchOp{
+	values, err := batchValues(proxy.AccessBatch(context.Background(), []BatchOp{
 		{Op: OpRead, Key: "a"},
 		{Op: OpRead, Key: "ghost"},
 		{Op: OpWrite, Key: "b", Value: []byte{3, 3}},
-	})
+	}))
 	if err == nil {
 		t.Fatal("batch containing a missing key returned no error")
 	}
@@ -185,14 +191,14 @@ func TestLBLBatchMissingKeyPartialFailure(t *testing.T) {
 	}
 	// Counters of the successful accesses committed: the proxy and
 	// server label schedules still agree.
-	got, _, err := proxy.Access(OpRead, "a", nil)
+	got, err := proxy.AccessContext(context.Background(), OpRead, "a", nil)
 	if err != nil {
 		t.Fatalf("access after partial batch failure: %v", err)
 	}
 	if !bytes.Equal(got, []byte{1, 1}) {
 		t.Errorf("read a = %v", got)
 	}
-	got, _, err = proxy.Access(OpRead, "b", nil)
+	got, err = proxy.AccessContext(context.Background(), OpRead, "b", nil)
 	if err != nil {
 		t.Fatalf("access after partial batch failure: %v", err)
 	}
@@ -203,7 +209,7 @@ func TestLBLBatchMissingKeyPartialFailure(t *testing.T) {
 
 func TestLBLBatchValueSizeValidation(t *testing.T) {
 	_, proxy, _ := newLBL(t, LBLPointPermute, 4)
-	_, _, err := proxy.AccessBatch([]BatchOp{{Op: OpWrite, Key: "k", Value: []byte{1}}})
+	_, err := batchValues(proxy.AccessBatch(context.Background(), []BatchOp{{Op: OpWrite, Key: "k", Value: []byte{1}}}))
 	if !errors.Is(err, ErrValueSize) {
 		t.Errorf("short batch write = %v, want ErrValueSize", err)
 	}
@@ -212,7 +218,7 @@ func TestLBLBatchValueSizeValidation(t *testing.T) {
 func TestLBLBatchEmpty(t *testing.T) {
 	r, proxy, _ := newLBL(t, LBLPointPermute, 4)
 	before := r.client.Stats().Calls
-	values, _, err := proxy.AccessBatch(nil)
+	values, err := batchValues(proxy.AccessBatch(context.Background(), nil))
 	if err != nil || len(values) != 0 {
 		t.Errorf("empty batch = %v, %v", values, err)
 	}
@@ -242,14 +248,14 @@ func TestLBLBatchInterleavedWithSingles(t *testing.T) {
 			for _, k := range keys {
 				ops = append(ops, BatchOp{Op: OpWrite, Key: k, Value: []byte{byte(w), 1}})
 			}
-			if _, _, err := proxy.AccessBatch(ops); err != nil {
+			if _, err := batchValues(proxy.AccessBatch(context.Background(), ops)); err != nil {
 				t.Errorf("batch %d: %v", w, err)
 			}
 		}(w)
 		go func(w int) {
 			defer wg.Done()
 			for _, k := range keys {
-				if _, _, err := proxy.Access(OpRead, k, nil); err != nil {
+				if _, err := proxy.AccessContext(context.Background(), OpRead, k, nil); err != nil {
 					t.Errorf("single read %s: %v", k, err)
 				}
 			}
@@ -258,7 +264,7 @@ func TestLBLBatchInterleavedWithSingles(t *testing.T) {
 	wg.Wait()
 	// Every key must still be consistently accessible.
 	for _, k := range keys {
-		if _, _, err := proxy.Access(OpRead, k, nil); err != nil {
+		if _, err := proxy.AccessContext(context.Background(), OpRead, k, nil); err != nil {
 			t.Errorf("final read %s: %v", k, err)
 		}
 	}
@@ -348,15 +354,15 @@ func TestCryptoShufflerIntNBounds(t *testing.T) {
 	}
 }
 
-// TestAccessBatchResultsPerOpErrors exercises the per-op outcome API
-// directly: valid and invalid ops mixed in one call.
-func TestAccessBatchResultsPerOpErrors(t *testing.T) {
+// TestAccessBatchPerOpErrors exercises the per-op outcomes directly:
+// valid and invalid ops mixed in one call.
+func TestAccessBatchPerOpErrors(t *testing.T) {
 	r, proxy, _ := newLBL(t, LBLPointPermute, 4)
 	loadData(t, r, proxy, map[string][]byte{
 		"alpha": {1, 0, 0, 0},
 		"beta":  {2, 0, 0, 0},
 	})
-	res, _ := proxy.AccessBatchResults(context.Background(), []BatchOp{
+	res := proxy.AccessBatch(context.Background(), []BatchOp{
 		{Op: OpRead, Key: "alpha"},
 		{Op: OpWrite, Key: "beta", Value: []byte{9}}, // wrong size
 		{Op: OpRead, Key: "missing"},
@@ -384,4 +390,18 @@ func TestAccessBatchResultsPerOpErrors(t *testing.T) {
 	if res[5].Err != nil || res[5].Value[0] != 7 {
 		t.Errorf("op 5 = %+v, want beta's new value", res[5])
 	}
+}
+
+// batchValues returns a batch's values in input order and its first
+// error, the way ortoa.Client.ReadBatch reports a batch.
+func batchValues(results []BatchResult) ([][]byte, error) {
+	values := make([][]byte, len(results))
+	var first error
+	for i, r := range results {
+		values[i] = r.Value
+		if r.Err != nil && first == nil {
+			first = r.Err
+		}
+	}
+	return values, first
 }

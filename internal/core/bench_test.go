@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"ortoa/internal/crypto/prf"
+	"ortoa/internal/crypto/secretbox"
 	"ortoa/internal/kvstore"
 	"ortoa/internal/netsim"
 	"ortoa/internal/obs"
@@ -65,11 +67,12 @@ func BenchmarkLBLServerDecrypt(b *testing.B) {
 			groups := cfg.Groups()
 			labels, fields := make([]byte, groups*prf.Size), make([]byte, cfg.ValueSize)
 			var digest labelDigest
+			var sealer secretbox.LabelSealer
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				clear(fields)
-				if _, ok := decryptRange(mode, &rec, table, 0, groups, labels, fields, &digest); !ok {
+				if _, ok := decryptRange(mode, &sealer, &rec, table, 0, groups, labels, fields, &digest); !ok {
 					b.Fatal("the table does not open under its record")
 				}
 			}
@@ -99,7 +102,7 @@ func BenchmarkLBLAccess160B(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := proxy.Access(OpRead, "bench", nil); err != nil {
+				if _, err := proxy.AccessContext(context.Background(), OpRead, "bench", nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -82,15 +82,6 @@ var (
 	ErrTampered = errors.New("core: server response failed integrity check (tampering or state divergence)")
 )
 
-// AccessStats describes one access, for the latency breakdown of
-// Fig 3c and the communication accounting of §5.3.2.
-type AccessStats struct {
-	// PrepBytes is the request payload size sent to the server.
-	PrepBytes int
-	// RespBytes is the response payload size received.
-	RespBytes int
-}
-
 // PadValue right-pads v with zeros to size. It returns an error if v
 // is longer than size. ORTOA stores require equal-length values so
 // ciphertext sizes leak nothing (§2.2).

@@ -18,6 +18,8 @@ import (
 	"ortoa/internal/fhe"
 	"ortoa/internal/kvstore"
 	"ortoa/internal/netsim"
+	"ortoa/internal/obs"
+	"ortoa/internal/obs/trace"
 	"ortoa/internal/transport"
 )
 
@@ -104,14 +106,14 @@ func TestLBLReadInitialValue(t *testing.T) {
 				"alpha": {1, 2, 3, 4},
 				"beta":  {0xFF, 0, 0xAA, 0x55},
 			})
-			got, _, err := proxy.Access(OpRead, "alpha", nil)
+			got, err := proxy.AccessContext(context.Background(), OpRead, "alpha", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, []byte{1, 2, 3, 4}) {
 				t.Errorf("read alpha = %v", got)
 			}
-			got, _, err = proxy.Access(OpRead, "beta", nil)
+			got, err = proxy.AccessContext(context.Background(), OpRead, "beta", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,10 +130,10 @@ func TestLBLWriteThenRead(t *testing.T) {
 			r, proxy, _ := newLBL(t, mode, 4)
 			loadData(t, r, proxy, map[string][]byte{"k": {0, 0, 0, 0}})
 			want := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-			if _, _, err := proxy.Access(OpWrite, "k", want); err != nil {
+			if _, err := proxy.AccessContext(context.Background(), OpWrite, "k", want); err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := proxy.Access(OpRead, "k", nil)
+			got, err := proxy.AccessContext(context.Background(), OpRead, "k", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,11 +155,11 @@ func TestLBLManySequentialAccesses(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				if i%3 == 0 {
 					current = []byte{byte(i), byte(i * 3)}
-					if _, _, err := proxy.Access(OpWrite, "k", current); err != nil {
+					if _, err := proxy.AccessContext(context.Background(), OpWrite, "k", current); err != nil {
 						t.Fatalf("access %d: %v", i, err)
 					}
 				} else {
-					got, _, err := proxy.Access(OpRead, "k", nil)
+					got, err := proxy.AccessContext(context.Background(), OpRead, "k", nil)
 					if err != nil {
 						t.Fatalf("access %d: %v", i, err)
 					}
@@ -177,7 +179,7 @@ func TestLBLServerStateChangesOnRead(t *testing.T) {
 	loadData(t, r, proxy, map[string][]byte{"k": {9, 9, 9, 9}})
 	ek := keyOf(t, r.store)
 	before, _ := r.store.Get(ek)
-	if _, _, err := proxy.Access(OpRead, "k", nil); err != nil {
+	if _, err := proxy.AccessContext(context.Background(), OpRead, "k", nil); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := r.store.Get(ek)
@@ -222,7 +224,7 @@ func TestLBLDecryptAttempts(t *testing.T) {
 			loadData(t, r, proxy, map[string][]byte{"k": {1, 2, 3, 4}})
 			const ops = 20
 			for i := 0; i < ops; i++ {
-				if _, _, err := proxy.Access(OpRead, "k", nil); err != nil {
+				if _, err := proxy.AccessContext(context.Background(), OpRead, "k", nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -243,7 +245,7 @@ func TestLBLDecryptAttempts(t *testing.T) {
 
 func TestLBLValueSizeValidation(t *testing.T) {
 	_, proxy, _ := newLBL(t, LBLPointPermute, 4)
-	if _, _, err := proxy.Access(OpWrite, "k", []byte{1}); !errors.Is(err, ErrValueSize) {
+	if _, err := proxy.AccessContext(context.Background(), OpWrite, "k", []byte{1}); !errors.Is(err, ErrValueSize) {
 		t.Errorf("short write = %v, want ErrValueSize", err)
 	}
 	if _, _, err := proxy.BuildRecord("k", []byte{1, 2, 3}); !errors.Is(err, ErrValueSize) {
@@ -253,7 +255,7 @@ func TestLBLValueSizeValidation(t *testing.T) {
 
 func TestLBLMissingKey(t *testing.T) {
 	_, proxy, _ := newLBL(t, LBLPointPermute, 4)
-	_, _, err := proxy.Access(OpRead, "ghost", nil)
+	_, err := proxy.AccessContext(context.Background(), OpRead, "ghost", nil)
 	if err == nil {
 		t.Fatal("access to missing key succeeded")
 	}
@@ -272,7 +274,7 @@ func TestLBLTamperDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = proxy.Access(OpRead, "k", nil)
+	_, err = proxy.AccessContext(context.Background(), OpRead, "k", nil)
 	if !errors.Is(err, ErrTampered) {
 		t.Errorf("forged response error = %v, want ErrTampered", err)
 	}
@@ -287,7 +289,7 @@ func TestLBLCorruptedStoreDetected(t *testing.T) {
 	rec, _ := r.store.Get(ek)
 	rec[5] ^= 0xFF
 	r.store.Put(ek, rec)
-	if _, _, err := proxy.Access(OpRead, "k", nil); err == nil {
+	if _, err := proxy.AccessContext(context.Background(), OpRead, "k", nil); err == nil {
 		t.Error("access over corrupted store succeeded")
 	}
 }
@@ -302,9 +304,9 @@ func TestLBLConcurrentSameKey(t *testing.T) {
 			defer wg.Done()
 			var err error
 			if i%2 == 0 {
-				_, _, err = proxy.Access(OpWrite, "hot", []byte{byte(i), 1})
+				_, err = proxy.AccessContext(context.Background(), OpWrite, "hot", []byte{byte(i), 1})
 			} else {
-				_, _, err = proxy.Access(OpRead, "hot", nil)
+				_, err = proxy.AccessContext(context.Background(), OpRead, "hot", nil)
 			}
 			if err != nil {
 				t.Errorf("concurrent access %d: %v", i, err)
@@ -313,7 +315,7 @@ func TestLBLConcurrentSameKey(t *testing.T) {
 	}
 	wg.Wait()
 	// The key must still be readable and consistent afterwards.
-	got, _, err := proxy.Access(OpRead, "hot", nil)
+	got, err := proxy.AccessContext(context.Background(), OpRead, "hot", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +338,7 @@ func TestLBLConcurrentDistinctKeys(t *testing.T) {
 			defer wg.Done()
 			key := fmt.Sprintf("k%d", i)
 			for j := 0; j < 5; j++ {
-				got, _, err := proxy.Access(OpRead, key, nil)
+				got, err := proxy.AccessContext(context.Background(), OpRead, key, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -351,27 +353,12 @@ func TestLBLConcurrentDistinctKeys(t *testing.T) {
 	wg.Wait()
 }
 
-func TestLBLStatsPopulated(t *testing.T) {
-	r, proxy, _ := newLBL(t, LBLPointPermute, 4)
-	loadData(t, r, proxy, map[string][]byte{"k": {1, 2, 3, 4}})
-	_, stats, err := proxy.Access(OpRead, "k", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.PrepBytes != proxy.Config().RequestBytesPerAccess() {
-		t.Errorf("PrepBytes = %d, want %d", stats.PrepBytes, proxy.Config().RequestBytesPerAccess())
-	}
-	if stats.RespBytes != proxy.Config().ResponseBytesPerAccess() {
-		t.Errorf("RespBytes = %d, want %d", stats.RespBytes, proxy.Config().ResponseBytesPerAccess())
-	}
-}
-
 func TestLBLCounterState(t *testing.T) {
 	r, proxy, _ := newLBL(t, LBLPointPermute, 2)
 	loadData(t, r, proxy, map[string][]byte{"a": {0, 0}, "b": {0, 0}})
-	proxy.Access(OpRead, "a", nil)
-	proxy.Access(OpRead, "b", nil)
-	proxy.Access(OpRead, "a", nil)
+	proxy.AccessContext(context.Background(), OpRead, "a", nil)
+	proxy.AccessContext(context.Background(), OpRead, "b", nil)
+	proxy.AccessContext(context.Background(), OpRead, "a", nil)
 	if got := proxy.CounterKeys(); got != 2 {
 		t.Errorf("CounterKeys = %d, want 2", got)
 	}
@@ -427,7 +414,7 @@ func newTEE(t *testing.T, valueSize int) (*rig, *TEEClient, *TEEServer) {
 func TestTEEReadWrite(t *testing.T) {
 	r, client, _ := newTEE(t, 8)
 	loadData(t, r, client, map[string][]byte{"k": {1, 2, 3, 4, 5, 6, 7, 8}})
-	got, _, err := client.Access(OpRead, "k", nil)
+	got, err := client.AccessContext(context.Background(), OpRead, "k", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,10 +422,10 @@ func TestTEEReadWrite(t *testing.T) {
 		t.Errorf("read = %v", got)
 	}
 	want := []byte{8, 7, 6, 5, 4, 3, 2, 1}
-	if _, _, err := client.Access(OpWrite, "k", want); err != nil {
+	if _, err := client.AccessContext(context.Background(), OpWrite, "k", want); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err = client.Access(OpRead, "k", nil)
+	got, err = client.AccessContext(context.Background(), OpRead, "k", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +439,7 @@ func TestTEEServerStateChangesOnRead(t *testing.T) {
 	loadData(t, r, client, map[string][]byte{"k": {1, 1, 1, 1}})
 	ek := keyOf(t, r.store)
 	before, _ := r.store.Get(ek)
-	client.Access(OpRead, "k", nil)
+	client.AccessContext(context.Background(), OpRead, "k", nil)
 	after, _ := r.store.Get(ek)
 	if bytes.Equal(before, after) {
 		t.Error("TEE record unchanged after read")
@@ -474,7 +461,7 @@ func TestTEEUnprovisionedEnclaveFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	loadData(t, r, client, map[string][]byte{"k": {1, 2, 3, 4}})
-	if _, _, err := client.Access(OpRead, "k", nil); err == nil {
+	if _, err := client.AccessContext(context.Background(), OpRead, "k", nil); err == nil {
 		t.Error("access succeeded without enclave provisioning")
 	}
 }
@@ -483,30 +470,10 @@ func TestTEEEcallCount(t *testing.T) {
 	r, client, srv := newTEE(t, 4)
 	loadData(t, r, client, map[string][]byte{"k": {0, 0, 0, 0}})
 	for i := 0; i < 7; i++ {
-		client.Access(OpRead, "k", nil)
+		client.AccessContext(context.Background(), OpRead, "k", nil)
 	}
 	if got := srv.Enclave().ECalls(); got != 7 {
 		t.Errorf("ECalls = %d, want 7", got)
-	}
-}
-
-func TestTEERequestSizesEqualForReadAndWrite(t *testing.T) {
-	// Read and write requests must be byte-for-byte the same length.
-	r, client, _ := newTEE(t, 16)
-	loadData(t, r, client, map[string][]byte{"k": bytes.Repeat([]byte{1}, 16)})
-	_, readStats, err := client.Access(OpRead, "k", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, writeStats, err := client.Access(OpWrite, "k", bytes.Repeat([]byte{2}, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if readStats.PrepBytes != writeStats.PrepBytes {
-		t.Errorf("request sizes differ: read %d, write %d", readStats.PrepBytes, writeStats.PrepBytes)
-	}
-	if readStats.RespBytes != writeStats.RespBytes {
-		t.Errorf("response sizes differ: read %d, write %d", readStats.RespBytes, writeStats.RespBytes)
 	}
 }
 
@@ -536,7 +503,7 @@ func newFHE(t *testing.T) (*rig, *FHEClient) {
 func TestFHEReadWrite(t *testing.T) {
 	r, client := newFHE(t)
 	loadData(t, r, client, map[string][]byte{"k": {1, 2, 3, 4, 5, 6, 7, 8}})
-	got, _, err := client.Access(OpRead, "k", nil)
+	got, err := client.AccessContext(context.Background(), OpRead, "k", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,10 +511,10 @@ func TestFHEReadWrite(t *testing.T) {
 		t.Errorf("read = %v", got)
 	}
 	want := []byte{9, 9, 9, 9, 8, 8, 8, 8}
-	if _, _, err := client.Access(OpWrite, "k", want); err != nil {
+	if _, err := client.AccessContext(context.Background(), OpWrite, "k", want); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err = client.Access(OpRead, "k", nil)
+	got, err = client.AccessContext(context.Background(), OpRead, "k", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +530,7 @@ func TestFHENoiseEventuallyFails(t *testing.T) {
 	loadData(t, r, client, map[string][]byte{"k": {1, 2, 3, 4, 5, 6, 7, 8}})
 	failedAt := -1
 	for i := 0; i < 30; i++ {
-		got, _, err := client.Access(OpRead, "k", nil)
+		got, err := client.AccessContext(context.Background(), OpRead, "k", nil)
 		if err != nil || !bytes.Equal(got, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
 			failedAt = i + 1
 			break
@@ -587,7 +554,7 @@ func TestFHENoiseBudgetDecreases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := client.Access(OpRead, "k", nil); err != nil {
+	if _, err := client.AccessContext(context.Background(), OpRead, "k", nil); err != nil {
 		t.Fatal(err)
 	}
 	rec, _ = r.store.Get(ek)
@@ -627,7 +594,7 @@ func newBaseline(t *testing.T, valueSize int) (*rig, *BaselineProxy) {
 func TestBaselineReadWrite(t *testing.T) {
 	r, proxy := newBaseline(t, 4)
 	loadData(t, r, proxy, map[string][]byte{"k": {1, 2, 3, 4}})
-	got, _, err := proxy.Access(OpRead, "k", nil)
+	got, err := proxy.AccessContext(context.Background(), OpRead, "k", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -635,10 +602,10 @@ func TestBaselineReadWrite(t *testing.T) {
 		t.Errorf("read = %v", got)
 	}
 	want := []byte{4, 3, 2, 1}
-	if _, _, err := proxy.Access(OpWrite, "k", want); err != nil {
+	if _, err := proxy.AccessContext(context.Background(), OpWrite, "k", want); err != nil {
 		t.Fatal(err)
 	}
-	got, _, _ = proxy.Access(OpRead, "k", nil)
+	got, _ = proxy.AccessContext(context.Background(), OpRead, "k", nil)
 	if !bytes.Equal(got, want) {
 		t.Errorf("read after write = %v", got)
 	}
@@ -649,7 +616,7 @@ func TestBaselineReencryptsOnRead(t *testing.T) {
 	loadData(t, r, proxy, map[string][]byte{"k": {5, 5, 5, 5}})
 	ek := keyOf(t, r.store)
 	before, _ := r.store.Get(ek)
-	proxy.Access(OpRead, "k", nil)
+	proxy.AccessContext(context.Background(), OpRead, "k", nil)
 	after, _ := r.store.Get(ek)
 	if bytes.Equal(before, after) {
 		t.Error("baseline record unchanged after read — reads distinguishable")
@@ -661,8 +628,8 @@ func TestBaselineTwoRounds(t *testing.T) {
 	r, proxy := newBaseline(t, 4)
 	loadData(t, r, proxy, map[string][]byte{"k": {0, 0, 0, 0}})
 	callsBefore := r.client.Stats().Calls
-	proxy.Access(OpRead, "k", nil)
-	proxy.Access(OpWrite, "k", []byte{1, 1, 1, 1})
+	proxy.AccessContext(context.Background(), OpRead, "k", nil)
+	proxy.AccessContext(context.Background(), OpWrite, "k", []byte{1, 1, 1, 1})
 	callsAfter := r.client.Stats().Calls
 	if got := callsAfter - callsBefore; got != 4 {
 		t.Errorf("2 accesses made %d RPCs, want 4 (two rounds each)", got)
@@ -677,13 +644,13 @@ func TestBaselineConcurrentSameKey(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, _, err := proxy.Access(OpWrite, "hot", []byte{byte(i), 9}); err != nil {
+			if _, err := proxy.AccessContext(context.Background(), OpWrite, "hot", []byte{byte(i), 9}); err != nil {
 				t.Error(err)
 			}
 		}(i)
 	}
 	wg.Wait()
-	got, _, err := proxy.Access(OpRead, "hot", nil)
+	got, err := proxy.AccessContext(context.Background(), OpRead, "hot", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -701,8 +668,8 @@ func TestSingleRoundTripProperty(t *testing.T) {
 		r, proxy, _ := newLBL(t, LBLPointPermute, 4)
 		loadData(t, r, proxy, map[string][]byte{"k": {0, 0, 0, 0}})
 		before := r.client.Stats().Calls
-		proxy.Access(OpRead, "k", nil)
-		proxy.Access(OpWrite, "k", []byte{1, 2, 3, 4})
+		proxy.AccessContext(context.Background(), OpRead, "k", nil)
+		proxy.AccessContext(context.Background(), OpWrite, "k", []byte{1, 2, 3, 4})
 		if got := r.client.Stats().Calls - before; got != 2 {
 			t.Errorf("2 LBL accesses made %d RPCs, want 2", got)
 		}
@@ -711,8 +678,8 @@ func TestSingleRoundTripProperty(t *testing.T) {
 		r, client, _ := newTEE(t, 4)
 		loadData(t, r, client, map[string][]byte{"k": {0, 0, 0, 0}})
 		before := r.client.Stats().Calls
-		client.Access(OpRead, "k", nil)
-		client.Access(OpWrite, "k", []byte{1, 2, 3, 4})
+		client.AccessContext(context.Background(), OpRead, "k", nil)
+		client.AccessContext(context.Background(), OpWrite, "k", []byte{1, 2, 3, 4})
 		if got := r.client.Stats().Calls - before; got != 2 {
 			t.Errorf("2 TEE accesses made %d RPCs, want 2", got)
 		}
@@ -721,7 +688,7 @@ func TestSingleRoundTripProperty(t *testing.T) {
 		r, client := newFHE(t)
 		loadData(t, r, client, map[string][]byte{"k": {0, 0, 0, 0, 0, 0, 0, 0}})
 		before := r.client.Stats().Calls
-		client.Access(OpRead, "k", nil)
+		client.AccessContext(context.Background(), OpRead, "k", nil)
 		if got := r.client.Stats().Calls - before; got != 1 {
 			t.Errorf("1 FHE access made %d RPCs, want 1", got)
 		}
@@ -730,41 +697,121 @@ func TestSingleRoundTripProperty(t *testing.T) {
 
 // --- client→proxy→server chain ---
 
+// TestRemoteAccessorChain runs every protocol in the full deployment —
+// end user → (RPC) → proxy front end → (RPC) → server — and pins that
+// the front end hands the protocol its caller's context: an end user's
+// deadline reaches each of the protocol's server handlers, and where the
+// protocol keeps a stage clock its access span is a child of the front
+// end's server_handle span.
 func TestRemoteAccessorChain(t *testing.T) {
-	// Full deployment: client → (RPC) → proxy → (RPC) → server.
-	r, proxy, _ := newLBL(t, LBLPointPermute, 4)
-	loadData(t, r, proxy, map[string][]byte{"k": {3, 1, 4, 1}})
+	type deployed interface {
+		Accessor
+		recordBuilder
+	}
+	for _, tc := range []struct {
+		name  string
+		root  string // the access's root span; 2RTT keeps no stage clock
+		setup func(t *testing.T) (*rig, deployed, map[byte]transport.HandlerFunc)
+	}{
+		{"LBL", "lbl_access", func(t *testing.T) (*rig, deployed, map[byte]transport.HandlerFunc) {
+			r, proxy, srv := newLBL(t, LBLPointPermute, 8)
+			return r, proxy, map[byte]transport.HandlerFunc{MsgLBLAccess: srv.handleAccess}
+		}},
+		{"TEE", "tee_access", func(t *testing.T) (*rig, deployed, map[byte]transport.HandlerFunc) {
+			r, client, srv := newTEE(t, 8)
+			return r, client, map[byte]transport.HandlerFunc{MsgTEEAccess: srv.handleAccess}
+		}},
+		{"2RTT", "", func(t *testing.T) (*rig, deployed, map[byte]transport.HandlerFunc) {
+			r, proxy := newBaseline(t, 8)
+			srv := NewBaselineServer(r.store)
+			return r, proxy, map[byte]transport.HandlerFunc{MsgBaselineGet: srv.handleGet, MsgBaselinePut: srv.handlePut}
+		}},
+		{"FHE", "fhe_access", func(t *testing.T) (*rig, deployed, map[byte]transport.HandlerFunc) {
+			r, client := newFHE(t)
+			srv := NewFHEServer(r.store, client.cfg)
+			return r, client, map[byte]transport.HandlerFunc{MsgFHEAccess: srv.handleAccess}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, acc, handlers := tc.setup(t)
+			loadData(t, r, acc, map[string][]byte{"k": {3, 1, 4, 1, 5, 9, 2, 6}})
+			var mu sync.Mutex
+			var calls, deadlines int
+			for msgType, h := range handlers {
+				r.server.Handle(msgType, func(ctx context.Context, payload []byte) ([]byte, error) {
+					_, ok := ctx.Deadline()
+					mu.Lock()
+					calls++
+					if ok {
+						deadlines++
+					}
+					mu.Unlock()
+					return h(ctx, payload)
+				})
+			}
 
-	proxyServer := transport.NewServer()
-	pl := netsim.Listen(netsim.Loopback)
-	go proxyServer.Serve(pl)
-	defer proxyServer.Close()
-	RegisterProxyService(proxyServer, proxy)
+			reg := obs.NewRegistry()
+			userTr, frontTr := reg.Tracer("user", 64), reg.Tracer("proxy", 64)
+			front := transport.NewServer()
+			front.SetTracer(frontTr)
+			pl := netsim.Listen(netsim.Loopback)
+			go front.Serve(pl)
+			defer front.Close()
+			RegisterProxyService(front, acc)
+			pc, err := transport.Dial(pl.Dial, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pc.Close()
+			pc.SetTracer(userTr)
+			remote := NewRemoteAccessor(pc)
 
-	pc, err := transport.Dial(pl.Dial, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	remote := NewRemoteAccessor(pc)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			user := userTr.StartRoot("user_access")
+			ctx = trace.ContextWith(ctx, user)
+			want := []byte{2, 7, 1, 8, 2, 8, 1, 8}
+			for i, step := range []struct {
+				op    Op
+				value []byte
+				want  []byte
+			}{{OpRead, nil, []byte{3, 1, 4, 1, 5, 9, 2, 6}}, {OpWrite, want, want}, {OpRead, nil, want}} {
+				got, err := remote.AccessContext(ctx, step.op, "k", step.value)
+				if err != nil {
+					t.Fatalf("access %d: %v", i, err)
+				}
+				if !bytes.Equal(got, step.want) {
+					t.Errorf("access %d (%v) = %v, want %v", i, step.op, got, step.want)
+				}
+			}
+			user.End()
 
-	got, _, err := remote.Access(OpRead, "k", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, []byte{3, 1, 4, 1}) {
-		t.Errorf("remote read = %v", got)
-	}
-	want := []byte{2, 7, 1, 8}
-	if _, _, err := remote.Access(OpWrite, "k", want); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err = remote.Access(OpRead, "k", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("remote read after write = %v", got)
+			if calls == 0 || deadlines != calls {
+				t.Errorf("%d of %d server handler calls carried the end user's deadline, want all", deadlines, calls)
+			}
+			if tc.root == "" {
+				return
+			}
+			handles, roots := map[uint64]bool{}, 0
+			spans := frontTr.Snapshot()
+			for _, sp := range spans {
+				if sp.Name == "server_handle" {
+					handles[sp.SpanID] = true
+				}
+			}
+			for _, sp := range spans {
+				if sp.Name != tc.root {
+					continue
+				}
+				roots++
+				if !handles[sp.ParentID] || sp.TraceID != user.TraceID() {
+					t.Errorf("%s span %+v is not a child of a front end server_handle span in the end user's trace", tc.root, sp)
+				}
+			}
+			if roots != 3 {
+				t.Errorf("front end recorded %d %s spans, want 3", roots, tc.root)
+			}
+		})
 	}
 }
 
@@ -786,7 +833,7 @@ func TestLBLMatchesModel(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				key := keys[rng.IntN(len(keys))]
 				if rng.IntN(2) == 0 {
-					got, _, err := proxy.Access(OpRead, key, nil)
+					got, err := proxy.AccessContext(context.Background(), OpRead, key, nil)
 					if err != nil {
 						t.Fatalf("op %d read %s: %v", i, key, err)
 					}
@@ -795,7 +842,7 @@ func TestLBLMatchesModel(t *testing.T) {
 					}
 				} else {
 					v := []byte{byte(rng.IntN(256)), byte(rng.IntN(256)), byte(rng.IntN(256))}
-					if _, _, err := proxy.Access(OpWrite, key, v); err != nil {
+					if _, err := proxy.AccessContext(context.Background(), OpWrite, key, v); err != nil {
 						t.Fatalf("op %d write %s: %v", i, key, err)
 					}
 					model[key] = v

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"runtime"
@@ -121,7 +122,7 @@ func TestLBLCountersSurviveProxySwap(t *testing.T) {
 	r, proxyA, _ := newLBL(t, LBLPointPermute, 4)
 	loadData(t, r, proxyA, map[string][]byte{"k": {1, 2, 3, 4}})
 	for i := 0; i < 4; i++ {
-		if _, _, err := proxyA.Access(OpRead, "k", nil); err != nil {
+		if _, err := proxyA.AccessContext(context.Background(), OpRead, "k", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +138,7 @@ func TestLBLCountersSurviveProxySwap(t *testing.T) {
 	if err := proxyB.LoadCounters(&state); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := proxyB.Access(OpRead, "k", nil)
+	got, err := proxyB.AccessContext(context.Background(), OpRead, "k", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

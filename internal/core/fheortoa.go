@@ -190,16 +190,16 @@ func (c *FHEClient) NoiseBudgetOf(record []byte) (int, error) {
 	return c.cfg.Params.NoiseBudget(c.sk, ct)
 }
 
-// Access performs one oblivious access (§3.1): it sends FHE(c_r),
-// FHE(c_w), and FHE(v_new) and decrypts the homomorphic result. After
-// too many accesses to the same object the accumulated noise corrupts
-// decryption; the error wraps fhe.ErrNoiseOverflow.
-func (c *FHEClient) Access(op Op, key string, newValue []byte) (value []byte, stats AccessStats, err error) {
+// AccessContext performs one oblivious access (§3.1) under ctx: it
+// sends FHE(c_r), FHE(c_w), and FHE(v_new) and decrypts the homomorphic
+// result. After too many accesses to the same object the accumulated
+// noise corrupts decryption; the error wraps fhe.ErrNoiseOverflow.
+func (c *FHEClient) AccessContext(ctx context.Context, op Op, key string, newValue []byte) (value []byte, err error) {
 	if op == OpWrite && len(newValue) != c.cfg.ValueSize {
-		return nil, stats, ErrValueSize
+		return nil, ErrValueSize
 	}
 	if c.client == nil {
-		return nil, stats, errors.New("core: FHE client has no server connection")
+		return nil, errors.New("core: FHE client has no server connection")
 	}
 	crBit, cwBit := 0, 1
 	vNew := newValue
@@ -207,39 +207,36 @@ func (c *FHEClient) Access(op Op, key string, newValue []byte) (value []byte, st
 		crBit, cwBit = 1, 0
 		vNew = make([]byte, c.cfg.ValueSize) // 'empty' value (§3.1)
 	}
-	clk, ctx := c.start(context.Background(), "fhe_access")
+	clk, ctx := c.start(ctx, "fhe_access")
 	clk.Enter(fheEncrypt)
 	ek := c.prf.EncodeKey(key)
 	defer func() { clk.Done(1, failedAccesses(err), func() string { return traceLabel(ek) }) }()
 	params := c.cfg.Params
 	ctR, err := params.Encrypt(c.sk, params.EncodeBit(crBit))
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
 	ctW, err := params.Encrypt(c.sk, params.EncodeBit(cwBit))
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
 	ctNew, err := c.encryptValue(vNew)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
 	w := wire.NewWriter(prf.Size + 3*(params.PlaintextCapacity()*8))
 	w.Raw(ek[:])
 	w.BytesPfx(ctR.Marshal(params))
 	w.BytesPfx(ctW.Marshal(params))
 	w.BytesPfx(ctNew.Marshal(params))
-	stats.PrepBytes = w.Len()
 
 	clk.Enter(fheRPC)
 	resp, err := c.client.CallContext(clk.Context(ctx), MsgFHEAccess, w.Bytes())
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
 	clk.Enter(fheDecrypt)
-	stats.RespBytes = len(resp)
-	value, err = c.result(resp)
-	return value, stats, err
+	return c.result(resp)
 }
 
 // result decrypts the server's answer to exactly ValueSize bytes or

@@ -139,7 +139,7 @@ func TestHeldAccessesCoalesce(t *testing.T) {
 					// keyed at, every lap: each rebase is one step behind.
 					v := []byte{byte(200 + lap), 0, 0, 0}
 					op := registerOp{write: true, value: string(v), call: clock.Add(1)}
-					if _, _, err := b.Access(OpWrite, key, v); err != nil {
+					if _, err := b.AccessContext(context.Background(), OpWrite, key, v); err != nil {
 						t.Errorf("peer write: %v", err)
 					}
 					op.ret = clock.Add(1)
@@ -487,7 +487,7 @@ func TestLBLAmbiguousFoldResolves(t *testing.T) {
 					}
 				}
 			}
-			if _, _, err := proxy.Access(OpRead, "k", nil); err != nil { // the fold goes at ct = 1
+			if _, err := proxy.AccessContext(context.Background(), OpRead, "k", nil); err != nil { // the fold goes at ct = 1
 				t.Fatal(err)
 			}
 
@@ -498,7 +498,7 @@ func TestLBLAmbiguousFoldResolves(t *testing.T) {
 			}
 			ops, written := foldOps(valueSize, 0xAB)
 			ops = append(ops, BatchOp{Op: OpRead, Key: "k"})
-			results, _ := proxy.AccessBatchResults(context.Background(), ops)
+			results := proxy.AccessBatch(context.Background(), ops)
 			for i, res := range results {
 				if !transport.Ambiguous(res.Err) {
 					t.Fatalf("op %d: %v, want an ambiguous failure", i, res.Err)
@@ -507,14 +507,14 @@ func TestLBLAmbiguousFoldResolves(t *testing.T) {
 			settled(2) // the first read and the fold
 			if tc.then != nil {
 				verdicts <- tc.then
-				if _, _, err := proxy.Access(OpRead, "k", nil); !transport.Ambiguous(err) {
+				if _, err := proxy.AccessContext(context.Background(), OpRead, "k", nil); !transport.Ambiguous(err) {
 					t.Fatalf("the read in between: %v, want an ambiguous failure", err)
 				}
 				settled(3)
 			}
 
 			before := requests.Load()
-			value, _, err := proxy.Access(OpRead, "k", nil)
+			value, err := proxy.AccessContext(context.Background(), OpRead, "k", nil)
 			want := initial
 			if tc.ran {
 				want = written

@@ -385,7 +385,7 @@ func FuzzLBLProxyResponse(f *testing.F) {
 			}
 		}
 		ops := honestSrv.Ops()
-		results, _ := proxy.AccessBatchResults(context.Background(), []BatchOp{{Op: OpRead, Key: "k"}, {Op: OpRead, Key: "k"}})
+		results := proxy.AccessBatch(context.Background(), []BatchOp{{Op: OpRead, Key: "k"}, {Op: OpRead, Key: "k"}})
 		ct, record := counter(), uint64(base+honestSrv.Ops()-ops)
 		for i, res := range results {
 			if res.Err == nil && last {
@@ -406,9 +406,9 @@ func FuzzLBLProxyResponse(f *testing.F) {
 		}
 
 		mask, resize, rewrite = nil, 0, asIs
-		got, _, err := proxy.Access(OpRead, "k", nil)
+		got, err := proxy.AccessContext(context.Background(), OpRead, "k", nil)
 		if errors.Is(err, errRolledBack) {
-			got, _, err = proxy.Access(OpRead, "k", nil)
+			got, err = proxy.AccessContext(context.Background(), OpRead, "k", nil)
 		}
 		if err != nil || !bytes.Equal(got, stored) {
 			t.Fatalf("honest server again: read %v, %v; want %v", got, err, stored)

@@ -142,7 +142,7 @@ func start(t *testing.T, ctx context.Context, proxy *LBLProxy, wg *sync.WaitGrou
 	go func() {
 		defer wg.Done()
 		defer close(got.done)
-		got.value, _, got.err = proxy.AccessContext(ac, op, key, value)
+		got.value, got.err = proxy.AccessContext(ac, op, key, value)
 		if must && got.err != nil {
 			t.Errorf("access %s %s: %v", op, key, got.err)
 		}
@@ -217,7 +217,7 @@ func TestHeldAccessesLeaveAsOneChain(t *testing.T) {
 	if accesses, rounds := proxy.mx.keys.Value(), proxy.stages.Access().Count(); accesses != n+3 || rounds != n+1 {
 		t.Errorf("counted %d accesses in %d rounds, want %d in %d", accesses, rounds, n+3, n+1)
 	}
-	if v, _, err := proxy.Access(OpRead, "key-00", nil); err != nil || v[0] != 42 {
+	if v, err := proxy.AccessContext(context.Background(), OpRead, "key-00", nil); err != nil || v[0] != 42 {
 		t.Errorf("key-00 after the fold reads %v, %v; want the last write's 42", v, err)
 	}
 }
@@ -299,13 +299,13 @@ func TestHoldArrivalRacesRoundReturn(t *testing.T) {
 				defer writers.Done()
 				want := byte(s)
 				for lap := 0; lap < laps; lap++ {
-					v, _, err := proxy.Access(OpRead, key, nil)
+					v, err := proxy.AccessContext(context.Background(), OpRead, key, nil)
 					if err != nil || v[0] != want {
 						t.Errorf("writer %d lap %d read %v, %v; want first byte %d", s, lap, v, err, want)
 						return
 					}
 					want = byte(s + 16*(lap+1))
-					if _, _, err := proxy.Access(OpWrite, key, []byte{want, 0, 0, 0}); err != nil {
+					if _, err := proxy.AccessContext(context.Background(), OpWrite, key, []byte{want, 0, 0, 0}); err != nil {
 						t.Errorf("writer %d lap %d write: %v", s, lap, err)
 						return
 					}
@@ -321,7 +321,7 @@ func TestHoldArrivalRacesRoundReturn(t *testing.T) {
 						return
 					default:
 					}
-					v, _, err := proxy.Access(OpRead, key, nil)
+					v, err := proxy.AccessContext(context.Background(), OpRead, key, nil)
 					if err != nil || v[0] < last || (v[0]-byte(s))%16 != 0 {
 						t.Errorf("reader %d read %v, %v after %d: values go s, s+16, s+32, … and never back", s, v, err, last)
 						return
@@ -353,7 +353,7 @@ func TestHoldErrorIsolation(t *testing.T) {
 	admit(t, proxy, &wg, OpRead, "key-00", 0)
 	<-g.entered // key-00 is in flight: what follows is folded
 	w := admit(t, proxy, &wg, OpWrite, "key-00", 7)
-	if _, _, err := proxy.Access(OpWrite, "key-00", []byte{1, 2}); !errors.Is(err, ErrValueSize) {
+	if _, err := proxy.AccessContext(context.Background(), OpWrite, "key-00", []byte{1, 2}); !errors.Is(err, ErrValueSize) {
 		t.Errorf("wrong-size write to a busy key: %v, want ErrValueSize at once", err)
 	}
 	rd := admit(t, proxy, &wg, OpRead, "key-00", 0)
@@ -409,7 +409,7 @@ func TestObliviousnessHeldChain(t *testing.T) {
 				loadData(t, r, proxy, map[string][]byte{"key-00": make([]byte, holdValueSize)})
 				view := observe(r)
 				for range 2 {
-					if _, _, err := proxy.AccessBatch([]BatchOp{{Op: OpRead, Key: "key-00"}}); err != nil {
+					if _, err := batchValues(proxy.AccessBatch(context.Background(), []BatchOp{{Op: OpRead, Key: "key-00"}})); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -589,7 +589,7 @@ func TestHoldNeverSharesAKey(t *testing.T) {
 				if (s+lap)%4 == 0 && s > 0 {
 					key = fmt.Sprintf("key-%02d", s)
 				}
-				if _, _, err := proxy.Access(OpRead, key, nil); err != nil {
+				if _, err := proxy.AccessContext(context.Background(), OpRead, key, nil); err != nil {
 					t.Errorf("session %d access %d: %v", s, lap, err)
 					return
 				}
@@ -636,7 +636,7 @@ func TestBatchNotStarvedByHotKey(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := proxy.Access(OpRead, "key-01", nil); err != nil {
+				if _, err := proxy.AccessContext(context.Background(), OpRead, "key-01", nil); err != nil {
 					t.Errorf("hot session: %v", err)
 					return
 				}
@@ -678,7 +678,7 @@ func TestBatchNotStarvedByHotKey(t *testing.T) {
 		<-g.entered // a round on key-01 is at the gate: the key is busy
 		answered := make(chan outcome, 1)
 		go func() {
-			values, _, err := proxy.AccessBatch([]BatchOp{{Op: OpRead, Key: "key-00"}, {Op: OpRead, Key: "key-01"}})
+			values, err := batchValues(proxy.AccessBatch(context.Background(), []BatchOp{{Op: OpRead, Key: "key-00"}, {Op: OpRead, Key: "key-01"}}))
 			answered <- outcome{values, err}
 		}()
 		for !batchInLine() { // nothing on key-01 moves while its round is held

@@ -146,7 +146,7 @@ func TestPermuteKernelParity(t *testing.T) {
 				table := make([]byte, len(want))
 				for i := 0; i < pieces && i < groups; i++ {
 					g0, g1 := groups*i/pieces, groups*(i+1)/pieces
-					if err := p.buildGroupRange(table[g0*64:g1*64], gen, newCryptoShuffler(), &s, g0, g1, g0); err != nil {
+					if err := p.buildGroupRange(table[g0*64:g1*64], gen, &buildWorker{shuf: newCryptoShuffler()}, &s, g0, g1, g0); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -170,7 +170,7 @@ func TestPermuteKernelParity(t *testing.T) {
 				var digest, wantDigest labelDigest
 				for i := 0; i < pieces && i < groups; i++ {
 					g0, g1 := groups*i/pieces, groups*(i+1)/pieces
-					if n, ok := decryptRange(cfg.Mode, &rec, table[g0*64:g1*64], g0, g1, labels, fields, &digest); !ok || n != int64(g1-g0) {
+					if n, ok := decryptRange(cfg.Mode, new(secretbox.LabelSealer), &rec, table[g0*64:g1*64], g0, g1, labels, fields, &digest); !ok || n != int64(g1-g0) {
 						t.Fatalf("%d B %v: groups %d–%d opened %v in %d attempts", size, op, g0, g1, ok, n)
 					}
 				}
@@ -238,7 +238,7 @@ func TestPermuteServerBatchParity(t *testing.T) {
 		wantLabels, wantFields := make([]byte, groups*prf.Size), make([]byte, cfg.ValueSize)
 		var wantDigest labelDigest
 		for g := 0; g < groups; g++ {
-			decryptRange(cfg.Mode, &rec, table[g*gl:(g+1)*gl], g, g+1, wantLabels, wantFields, &wantDigest)
+			decryptRange(cfg.Mode, new(secretbox.LabelSealer), &rec, table[g*gl:(g+1)*gl], g, g+1, wantLabels, wantFields, &wantDigest)
 		}
 		check := func(how string, labels, fields []byte, digest labelDigest) {
 			t.Helper()
@@ -256,7 +256,7 @@ func TestPermuteServerBatchParity(t *testing.T) {
 		labels, fields := make([]byte, groups*prf.Size), make([]byte, cfg.ValueSize)
 		var digest labelDigest
 		for i, g0 := 0, 0; i < len(cuts); g0, i = cuts[i], i+1 {
-			decryptRange(cfg.Mode, &rec, table[g0*gl:cuts[i]*gl], g0, cuts[i], labels, fields, &digest)
+			decryptRange(cfg.Mode, new(secretbox.LabelSealer), &rec, table[g0*gl:cuts[i]*gl], g0, cuts[i], labels, fields, &digest)
 		}
 		check("in runs", labels, fields, digest)
 
@@ -290,5 +290,40 @@ func TestPermuteServerBatchParity(t *testing.T) {
 			digest.add(resp[1+cfg.ValueSize:])
 			check(fmt.Sprintf("in %d frames", len(frames)), labels, resp[1:1+cfg.ValueSize], digest)
 		}
+	}
+}
+
+// TestServerPassSealerAllocations pins the server's decryption pass over
+// an arrived run at zero allocations in every mode. The pass decrypts
+// with its segment's sealer: a sealer of its own escapes to the heap,
+// since its scratch reaches π through an interface on the generic path
+// (make noaes runs this under the purego tag, which takes that path).
+func TestServerPassSealerAllocations(t *testing.T) {
+	const ct = 3
+	for _, mode := range allLBLModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := LBLConfig{ValueSize: 160, Mode: mode}
+			p, err := NewLBLProxy(cfg, goldenPRF(t), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame, err := p.buildRequest(OpRead, "k", nil, ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ek := p.prf.EncodeKey("k")
+			req := &lblRequest{srv: NewLBLServer(specStore(t, string(ek[:]), recordAt(p, "k", make([]byte, cfg.ValueSize), ct))), ctx: context.Background()}
+			if err := req.consume(frame); err != nil {
+				t.Fatal(err)
+			}
+			seg := req.segs[0]
+			run := segRun{seg, 0, cfg.Groups(), frame[cfg.segPrefixLen():]}
+			if allocs := testing.AllocsPerRun(20, func() { req.decrypt(run) }); allocs != 0 {
+				t.Errorf("the server pass over %d groups allocated %.0f times, want 0", cfg.Groups(), allocs)
+			}
+			if seg.status != slotOK {
+				t.Fatalf("the table does not open under its record: slot status %d", seg.status)
+			}
+		})
 	}
 }

@@ -46,7 +46,7 @@ func TestHeldRoundRebasesPeerAdvancedKey(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := a.Access(OpRead, fmt.Sprintf("key-%02d", i), nil)
+			v, err := a.AccessContext(context.Background(), OpRead, fmt.Sprintf("key-%02d", i), nil)
 			if err != nil {
 				t.Errorf("session on key %d: %v, want the peer's value after a rebase", i, err)
 			} else if want := []byte{byte(i), 1, 1, 1}; !bytes.Equal(v, want) {
@@ -99,14 +99,14 @@ func TestBatchRebasesDesyncedKey(t *testing.T) {
 			}
 
 			if tc.rolledBack {
-				results, _ := proxy.AccessBatchResults(context.Background(), tc.ops)
+				results := proxy.AccessBatch(context.Background(), tc.ops)
 				for i, res := range results {
 					if key := tc.ops[i].Key; key == "b" && !errors.Is(res.Err, errRolledBack) || key != "b" && res.Err != nil {
 						t.Errorf("first batch, op %d on %q: %v", i, key, res.Err)
 					}
 				}
 			}
-			values, _, err := proxy.AccessBatch(tc.ops)
+			values, err := batchValues(proxy.AccessBatch(context.Background(), tc.ops))
 			if err != nil {
 				t.Fatalf("batch with one desynced key: %v", err)
 			}
@@ -153,7 +153,7 @@ func TestLadderLapsBounded(t *testing.T) {
 				for i := 0; i < len(resp); i += slotLen {
 					if resp[i] == slotStale {
 						staleAnswers.Add(1)
-						if _, _, err := b.Access(OpWrite, contested, []byte{4, 4, 4, 4}); err != nil {
+						if _, err := b.AccessContext(context.Background(), OpWrite, contested, []byte{4, 4, 4, 4}); err != nil {
 							t.Errorf("peer advancing the key: %v", err)
 						}
 						break
@@ -165,7 +165,7 @@ func TestLadderLapsBounded(t *testing.T) {
 			for i := 0; i < k; i++ {
 				ops = append(ops, BatchOp{Op: OpRead, Key: contested})
 			}
-			results, _ := a.AccessBatchResults(context.Background(), ops)
+			results := a.AccessBatch(context.Background(), ops)
 			if results[0].Err != nil || !bytes.Equal(results[0].Value, []byte{2, 2, 2, 2}) {
 				t.Errorf("calm key: %v, %v", results[0].Value, results[0].Err)
 			}
@@ -229,7 +229,7 @@ func TestEntryFormatMismatchIsDefinite(t *testing.T) {
 				return srv.handleAccess(ctx, other)
 			})
 
-			_, _, err := proxy.Access(OpRead, "k", nil)
+			_, err := proxy.AccessContext(context.Background(), OpRead, "k", nil)
 			var remote *transport.RemoteError
 			if !errors.As(err, &remote) || !strings.Contains(remote.Msg, errEntryFormat.Error()) {
 				t.Fatalf("v%d-stamped request: %v, want the entry-format rejection", format, err)
@@ -379,7 +379,7 @@ func oldRecordIsDefinite(t *testing.T, oldHex string) {
 
 	for _, op := range []Op{OpRead, OpWrite} {
 		requests.Store(0)
-		_, _, err := proxy.Access(op, "golden-key", []byte{1, 2})
+		_, err := proxy.AccessContext(context.Background(), op, "golden-key", []byte{1, 2})
 		var remote *transport.RemoteError
 		if !errors.As(err, &remote) || remote.Msg != errRecordFormat.Error() {
 			t.Fatalf("%v against an old record: %v, want the record-format rejection", op, err)

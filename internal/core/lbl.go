@@ -485,32 +485,34 @@ func (p *LBLProxy) check(op *BatchOp) error {
 	return nil
 }
 
-// Access performs one oblivious access (§5.2). For reads, newValue is
-// ignored and the stored value is returned. For writes, newValue
-// (exactly ValueSize bytes) replaces the stored value; the returned
-// slice echoes the written value.
-func (p *LBLProxy) Access(op Op, key string, newValue []byte) ([]byte, AccessStats, error) {
-	return p.AccessContext(context.Background(), op, key, newValue)
+// Access is AccessContext under no deadline or span, with an empty
+// second result so that its one caller compiles unchanged. It remains
+// only because the repository benchmark calls it.
+func (p *LBLProxy) Access(op Op, key string, newValue []byte) ([]byte, struct{}, error) {
+	v, err := p.AccessContext(context.Background(), op, key, newValue)
+	return v, struct{}{}, err
 }
 
-// AccessContext is Access with a caller context: cancellation plus the
-// active trace span. An access that finds its key free runs at once, a
-// round of one on its caller's goroutine and context, the proxy-side
-// stage tree (counter_acquire, table_build, rpc, label_recover, and
-// recovery_ladder when it climbs) under
-// the caller's span. One that finds its key's round in flight is held on
+// AccessContext performs one oblivious access (§5.2) under ctx:
+// cancellation plus the active trace span. For reads, newValue is
+// ignored and the stored value is returned. For writes, newValue
+// (exactly ValueSize bytes) replaces the stored value; the returned
+// slice echoes the written value. An access that finds its key free runs
+// at once, a round of one on its caller's goroutine and context, the
+// proxy-side stage tree (counter_acquire, table_build, rpc,
+// label_recover, and recovery_ladder when it climbs) under the caller's
+// span. One that finds its key's round in flight is held on
 // the key's counter entry, and when that round returns everything held
 // for the key leaves together, folded into one access in the order it was
 // admitted (lead). Nothing else makes an access wait — no timer, no size
 // to fill — and which access waits for which depends on key identity and
-// arrival time only, never on operation type. AccessStats is the round's
-// for the access that carried it and zero for the others it carried.
-func (p *LBLProxy) AccessContext(ctx context.Context, op Op, key string, newValue []byte) ([]byte, AccessStats, error) {
+// arrival time only, never on operation type.
+func (p *LBLProxy) AccessContext(ctx context.Context, op Op, key string, newValue []byte) ([]byte, error) {
 	w := &keyWaiter{ctx: ctx}
 	acc := &w.acc[0]
 	acc.BatchOp = BatchOp{Op: op, Key: key, Value: newValue}
 	if err := p.check(&acc.BatchOp); err != nil {
-		return nil, AccessStats{}, err
+		return nil, err
 	}
 	w.admitted = p.sessions.Now()
 	e := p.counters.entry(key)
@@ -519,12 +521,12 @@ func (p *LBLProxy) AccessContext(ctx context.Context, op Op, key string, newValu
 	if !e.take(w) {
 		<-w.wake
 		if w.carry == nil {
-			return acc.value, AccessStats{}, acc.err
+			return acc.value, acc.err
 		}
 		held, left = w.carry, p.sessions.Now()
 	}
-	stats := p.lead(e, held, left)
-	return acc.value, stats, acc.err
+	p.lead(e, held, left)
+	return acc.value, acc.err
 }
 
 // lead carries held — single accesses to one key in admission order, the
@@ -535,7 +537,7 @@ func (p *LBLProxy) AccessContext(ctx context.Context, op Op, key string, newValu
 // under no member's, so that one member's cancellation never fails
 // another's access (release shed the members already expired), and under
 // the leader's span.
-func (p *LBLProxy) lead(e *counterEntry, held []*keyWaiter, left time.Time) AccessStats {
+func (p *LBLProxy) lead(e *counterEntry, held []*keyWaiter, left time.Time) {
 	n := len(held)
 	members, ctx := held[0].acc[:], held[0].ctx
 	if n > 1 {
@@ -546,7 +548,7 @@ func (p *LBLProxy) lead(e *counterEntry, held []*keyWaiter, left time.Time) Acce
 		ctx = trace.ContextWith(context.Background(), trace.FromContext(ctx))
 	}
 	p.mx.chainLen.Observe(time.Duration(n)) // a count, on the histogram's integer scale
-	stats := p.round(ctx, []keyRound{foldKey(members)}, e)
+	p.round(ctx, []keyRound{foldKey(members)}, e)
 	returned := p.sessions.Now()
 	for i, w := range held {
 		w.acc[0] = members[i]
@@ -561,41 +563,6 @@ func (p *LBLProxy) lead(e *counterEntry, held []*keyWaiter, left time.Time) Acce
 			close(w.wake)
 		}
 	}
-	return stats
-}
-
-// AccessBatch performs many oblivious accesses in one round trip: one
-// round acquires every key's counter, builds all encryption tables,
-// sends them as one request, and recovers every value from the one
-// response (§5.2 amortized; see DESIGN.md).
-//
-// Results are returned in input order; reads yield the stored value,
-// writes echo the written value. A key may appear more than once: its
-// accesses are folded into one (foldKey) and answered as if applied in
-// input order, so a read after a write to the same key returns the
-// written value — still one segment of the one round trip. Only batches
-// past the per-round key cap are split into several rounds.
-//
-// On a per-key failure (e.g. an unloaded key), the remaining accesses
-// still complete — their values are set and their counters committed —
-// and AccessBatch returns the first error alongside the partial
-// results.
-func (p *LBLProxy) AccessBatch(ops []BatchOp) ([][]byte, AccessStats, error) {
-	for i := range ops {
-		if err := p.check(&ops[i]); err != nil {
-			return nil, AccessStats{}, fmt.Errorf("batch op %d (%q): %w", i, ops[i].Key, err)
-		}
-	}
-	results, stats := p.AccessBatchResults(context.Background(), ops)
-	values := make([][]byte, len(ops))
-	var firstErr error
-	for i, r := range results {
-		values[i] = r.Value
-		if r.Err != nil && firstErr == nil {
-			firstErr = r.Err
-		}
-	}
-	return values, stats, firstErr
 }
 
 // A BatchResult is one access's outcome within a batched round: the
@@ -606,14 +573,22 @@ type BatchResult struct {
 	Err   error
 }
 
-// AccessBatchResults is AccessBatch with per-access outcomes instead
-// of first-error-wins: every access's value or error is reported at
-// its own index, and an invalid op (unknown op code, wrong write
-// size) fails only itself — the rest of the batch still runs. It
-// exists for callers that put independent sessions' accesses into one
-// request: one session's malformed write must not fail the rest.
-func (p *LBLProxy) AccessBatchResults(ctx context.Context, ops []BatchOp) ([]BatchResult, AccessStats) {
-	var stats AccessStats
+// AccessBatch performs many oblivious accesses under ctx in one round
+// trip: one round acquires every key's counter, builds all encryption
+// tables, sends them as one request, and recovers every value from the
+// one response (§5.2 amortized; see DESIGN.md).
+//
+// Every access's outcome is reported at its own index: reads yield the
+// stored value, writes echo the written value. A key may appear more
+// than once: its accesses are folded into one (foldKey) and answered as
+// if applied in input order, so a read after a write to the same key
+// returns the written value — still one segment of the one round trip.
+// Only batches past the per-round key cap are split into several
+// rounds. One access's failure fails only itself: an invalid op
+// (unknown op code, wrong write size) is never sent, and an unloaded
+// key's access fails while the rest complete, their counters
+// committed.
+func (p *LBLProxy) AccessBatch(ctx context.Context, ops []BatchOp) []BatchResult {
 	results := make([]BatchResult, len(ops))
 	order := make([]int, 0, len(ops))
 	for i := range ops {
@@ -639,15 +614,13 @@ func (p *LBLProxy) AccessBatchResults(ctx context.Context, ops []BatchOp) ([]Bat
 	}
 	for perRound := p.cfg.roundKeys(); len(keys) > 0; {
 		n := min(perRound, len(keys))
-		st := p.round(ctx, keys[:n], nil)
-		stats.PrepBytes += st.PrepBytes
-		stats.RespBytes += st.RespBytes
+		p.round(ctx, keys[:n], nil)
 		keys = keys[n:]
 	}
 	for j, i := range order {
 		results[i] = BatchResult{Value: accs[j].value, Err: accs[j].err}
 	}
-	return results, stats
+	return results
 }
 
 // A roundAccess is one access on its way through a round.
@@ -742,8 +715,7 @@ const recoveryAllowance = 3
 // order, each after whatever was in line for it, so rounds cannot
 // deadlock and a hot key's held accesses cannot starve a multi-key round.
 // Either way the round gives its keys up as it returns.
-func (p *LBLProxy) round(ctx context.Context, keys []keyRound, owned *counterEntry) AccessStats {
-	var stats AccessStats
+func (p *LBLProxy) round(ctx context.Context, keys []keyRound, owned *counterEntry) {
 	clk, ctx := p.start(ctx, "lbl_access")
 
 	// Per-key serialization: the label schedule is counter-indexed,
@@ -783,9 +755,7 @@ func (p *LBLProxy) round(ctx context.Context, keys []keyRound, owned *counterEnt
 		for i, c := range live {
 			specs = append(specs, p.newSpec(c.Op, c.Key, c.Value, c.entry.ct, sched[i*per:(i+1)*per]))
 		}
-		resp, sent, err := p.exchange(ctx, &clk, specs)
-		stats.PrepBytes += sent
-		stats.RespBytes += len(resp)
+		resp, err := p.exchange(ctx, &clk, specs)
 		if err != nil {
 			failAll(live, err)
 			break
@@ -828,7 +798,6 @@ func (p *LBLProxy) round(ctx context.Context, keys []keyRound, owned *counterEnt
 	clk.Done(accesses, failed, func() string {
 		return fmt.Sprintf("keys=%d %s", accesses, traceLabel(p.prf.EncodeKey(keys[0].Key)))
 	})
-	return stats
 }
 
 func failAll(live []*keyRound, err error) {
@@ -937,15 +906,14 @@ func (sp *schedulePool) put(b []byte) {
 // exchange is the one builder and sender: it encodes specs as one
 // request — one segment per spec, back to back — cuts it into frames,
 // seals each into one pooled buffer as the transport asks for it, and
-// returns the server's response, validated to hold one slot per spec,
-// and the request bytes sealed. Whether a request is retried is the
-// transport's call, made from what the producer sends: a request of one
-// frame is resent from the buffer it was sealed into, one of several is
-// sent once. Each spec's news and olds receive the schedule its table
+// returns the server's response, validated to hold one slot per spec.
+// Whether a request is retried is the transport's call, made from what
+// the producer sends: a request of one frame is resent from the buffer
+// it was sealed into, one of several is sent once. Each spec's news and olds receive the schedule its table
 // was built with, for the caller to recover the response against. On clk
 // it is the table_build stage until the first frame is sealed and the
 // rpc stage from then until the response lands.
-func (p *LBLProxy) exchange(ctx context.Context, clk *obs.Clock, specs []tableSpec) (resp []byte, sent int, err error) {
+func (p *LBLProxy) exchange(ctx context.Context, clk *obs.Clock, specs []tableSpec) ([]byte, error) {
 	cut := frameCutter{cfg: p.cfg, n: len(specs)}
 	var runsBuf [2]run
 	runs := cut.next(runsBuf[:0])
@@ -955,16 +923,14 @@ func (p *LBLProxy) exchange(ctx context.Context, clk *obs.Clock, specs []tableSp
 	frames := 0
 	seal := func() error {
 		w.Reset()
-		err := p.buildFrame(w.Extend(p.cfg.frameBytes(runs)), runs, specs)
-		sent += w.Len()
 		frames++
-		return err
+		return p.buildFrame(w.Extend(p.cfg.frameBytes(runs)), runs, specs)
 	}
-	if err = seal(); err != nil {
-		return nil, 0, err // nothing was sent
+	if err := seal(); err != nil {
+		return nil, err // nothing was sent
 	}
 	clk.Enter(lblRPC)
-	resp, err = p.client.CallStream(clk.Context(ctx), MsgLBLAccess, func(send func([]byte, bool) error) error {
+	resp, err := p.client.CallStream(clk.Context(ctx), MsgLBLAccess, func(send func([]byte, bool) error) error {
 		for {
 			last := cut.done()
 			if err := send(w.Bytes(), last); err != nil || last {
@@ -983,7 +949,7 @@ func (p *LBLProxy) exchange(ctx context.Context, clk *obs.Clock, specs []tableSp
 		err = fmt.Errorf("%w: response has %d bytes, want %d slots of %d", ErrTampered,
 			len(resp), len(specs), p.cfg.ResponseBytesPerAccess())
 	}
-	return resp, sent, err
+	return resp, err
 }
 
 // buildFrame encodes the frame carrying runs into frame (steps 1.1–1.5
@@ -1144,14 +1110,22 @@ func (p *LBLProxy) buildGroups(table []byte, s *tableSpec, g0, g1, workers int) 
 	gen := p.prf.LabelGen(s.key)
 	n := g1 - g0
 	if workers <= 1 || n <= 1 {
-		return p.buildGroupRange(table, gen, newCryptoShuffler(), s, g0, g1, g0)
+		return p.buildGroupRange(table, gen, &buildWorker{shuf: newCryptoShuffler()}, s, g0, g1, g0)
 	}
 	workers = min(workers, n)
 	seed := newShuffleSeed()
 	return ForEach(workers, workers, func(wk int) error {
-		return p.buildGroupRange(table, gen, seed.stream(uint32(wk)), s,
+		return p.buildGroupRange(table, gen, &buildWorker{shuf: seed.stream(uint32(wk))}, s,
 			g0+n*wk/workers, g0+n*(wk+1)/workers, g0)
 	})
+}
+
+// A buildWorker is what one table-build worker owns: its shuffle stream
+// and its sealer, in one heap object, since a sealer's scratch reaches π
+// through an interface and would escape from a worker's stack.
+type buildWorker struct {
+	shuf   cryptoShuffler
+	sealer secretbox.LabelSealer
 }
 
 // rowChunk is how many groups of each of its rows a worker derives at
@@ -1213,7 +1187,7 @@ func (r *scheduleRows) block(j, i int) *[prf.Size]byte {
 // s.news and which old bits key each entry in s.olds. The counter-ct+1
 // rows go straight into s.news, one fill each; the counter-ct rows are
 // read chunk by chunk. Every row is opened once for the whole range, so
-// the worker's allocations do not grow with it. shuf is owned by the
+// the worker's allocations do not grow with it. w is owned by the
 // caller — one per worker. table holds groups starting at absolute group
 // gBase — the first group of the run being built, so a frame-sized
 // buffer serves any part of the table.
@@ -1222,7 +1196,7 @@ func (r *scheduleRows) block(j, i int) *[prf.Size]byte {
 // entry carries the new label of its target bits, which a byte mask picks
 // — a read's keep the bits keying the entry, a write's are the written
 // value's, read from s.value either way (a read's is zeros, newSpec).
-func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *cryptoShuffler, s *tableSpec, g0, g1, gBase int) error {
+func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, w *buildWorker, s *tableSpec, g0, g1, gBase int) error {
 	cfg := p.cfg
 	mode := cfg.Mode
 	groups, nEntries := cfg.Groups(), mode.entries()
@@ -1238,7 +1212,7 @@ func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *crypto
 		rows.add(gen.LabelRow(g0, uint8(b), s.ct))
 	}
 	if mode.permute() {
-		p.buildPermuteRange(table, &rows, s, g0, g1, gBase, keep)
+		p.buildPermuteRange(table, &rows, &w.sealer, s, g0, g1, gBase, keep)
 		return nil
 	}
 
@@ -1247,7 +1221,6 @@ func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *crypto
 	// The slot permutation must be cryptographically unpredictable — a
 	// guessable placement would leak plaintext bits by position.
 	y, entryLen := mode.Y(), mode.entryLen()
-	sealer := secretbox.NewLabelSealer()
 	var perm [maxEntries]int
 	for c0 := g0; c0 < g1; c0 += rowChunk {
 		k := rows.next(g1 - c0)
@@ -1255,13 +1228,13 @@ func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *crypto
 			g := c0 + i
 			slots := table[(g-gBase)*nEntries*entryLen : (g-gBase+1)*nEntries*entryLen]
 			written := groupBits(s.value, g, y)
-			shuf.perm(nEntries, perm[:])
+			w.shuf.perm(nEntries, perm[:])
 			for b := uint8(0); b < uint8(nEntries); b++ {
 				slot := perm[b]
 				s.olds[g*nEntries+slot] = b
 				target := b&keep | written&^keep
 				o := (int(target)*groups + g) * prf.Size
-				if err := sealer.SealInto(slots[slot*entryLen:(slot+1)*entryLen], rows.at(int(b), i), s.news[o:o+prf.Size]); err != nil {
+				if err := w.sealer.SealInto(slots[slot*entryLen:(slot+1)*entryLen], rows.at(int(b), i), s.news[o:o+prf.Size]); err != nil {
 					return err
 				}
 			}
@@ -1278,11 +1251,10 @@ func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *crypto
 // chunk's four old ones (paint), writes which old bits key each entry to
 // s.olds — entry e is keyed by the old label whose colour is e, the one
 // for bits e ⊕ r (§10.2) — and pads the four entries in one sealer call.
-func (p *LBLProxy) buildPermuteRange(table []byte, rows *scheduleRows, s *tableSpec, g0, g1, gBase int, keep byte) {
+func (p *LBLProxy) buildPermuteRange(table []byte, rows *scheduleRows, sealer *secretbox.LabelSealer, s *tableSpec, g0, g1, gBase int, keep byte) {
 	const n = secretbox.GroupPads
 	const mask = n - 1
 	groups := p.cfg.Groups()
-	sealer := secretbox.NewLabelSealer()
 	var news, olds, keys, bodies [n]*[prf.Size]byte
 	for c0 := g0; c0 < g1; c0 += rowChunk {
 		k := rows.next(g1 - c0)

@@ -254,20 +254,19 @@ var recPool = sync.Pool{New: func() any { return new([]byte) }}
 // labels into newLabels at absolute group offsets, the index of the entry
 // each group opened into fields — zeroed, laid out as a value's bits are
 // — and the XOR of the new labels into digest. table holds exactly those
-// groups' entries (table[0] is group g0's). Returns the number of
-// decryptions attempted and whether every group opened; a group none of
-// whose entries opens means the table is not keyed at the record's
-// labels.
-func decryptRange(mode LBLMode, rec *lblRecord, table []byte, g0, g1 int, newLabels, fields []byte, digest *labelDigest) (attempts int64, ok bool) {
+// groups' entries (table[0] is group g0's); sealer is the caller's, for
+// this call alone. Returns the number of decryptions attempted and
+// whether every group opened; a group none of whose entries opens means
+// the table is not keyed at the record's labels.
+func decryptRange(mode LBLMode, sealer *secretbox.LabelSealer, rec *lblRecord, table []byte, g0, g1 int, newLabels, fields []byte, digest *labelDigest) (attempts int64, ok bool) {
 	if mode.permute() {
-		decryptPermuteRange(rec, table, g0, g1, newLabels, fields, digest)
+		decryptPermuteRange(sealer, rec, table, g0, g1, newLabels, fields, digest)
 		return int64(g1 - g0), true
 	}
 	// Try each shuffled entry; the recognition tag identifies the one our
 	// label opens (§5.2 step 2.1). Every trial opens under the same stored
 	// label, so the pad is derived once and each trial is a tag comparison.
 	entryLen, nEntries := mode.entryLen(), mode.entries()
-	sealer := secretbox.NewLabelSealer()
 	for g := g0; g < g1; g++ {
 		stored := rec.labels[g*prf.Size : (g+1)*prf.Size]
 		entries := table[(g-g0)*nEntries*entryLen : (g-g0+1)*nEntries*entryLen]
@@ -299,10 +298,9 @@ func decryptRange(mode LBLMode, rec *lblRecord, table []byte, g0, g1 int, newLab
 // attempts are one a group. Four consecutive groups pad in one PadGroup
 // call, their new labels contiguous in newLabels; the last (g1-g0) % 4
 // pad one at a time.
-func decryptPermuteRange(rec *lblRecord, table []byte, g0, g1 int, newLabels, fields []byte, digest *labelDigest) {
+func decryptPermuteRange(sealer *secretbox.LabelSealer, rec *lblRecord, table []byte, g0, g1 int, newLabels, fields []byte, digest *labelDigest) {
 	const n = secretbox.GroupPads
 	const mask = n - 1
-	sealer := secretbox.NewLabelSealer()
 	var stored, bodies [n]*[prf.Size]byte
 	g := g0
 	for ; g+n <= g1; g += n {
@@ -407,6 +405,10 @@ type lblSegment struct {
 	digest   labelDigest
 	attempts int64
 	busy     obs.Interval // record work: snapshot, trial decryptions, install
+	// sealer decrypts the segment's runs: no two workers share it, the
+	// runs of one frame being distinct segments', and a sealer on a
+	// worker's stack would escape to the heap on every run.
+	sealer secretbox.LabelSealer
 }
 
 // segRun is a run of groups [g0, g1) of seg's table, as it arrived.
@@ -526,7 +528,7 @@ func (req *lblRequest) decrypt(run segRun) {
 	seg.busy.Resume()
 	defer seg.busy.Pause()
 	labels, _ := req.cfg.recordParts(*seg.next)
-	a, ok := decryptRange(req.cfg.Mode, &seg.rec, run.table, run.g0, run.g1, labels, seg.fields, &seg.digest)
+	a, ok := decryptRange(req.cfg.Mode, &seg.sealer, &seg.rec, run.table, run.g0, run.g1, labels, seg.fields, &seg.digest)
 	seg.attempts += a
 	if !ok {
 		seg.status = slotStale

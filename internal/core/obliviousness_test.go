@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -77,9 +78,9 @@ func observedRun(t *testing.T, mkRig func(t *testing.T) (*rig, Accessor), op Op,
 		var err error
 		if op == OpWrite {
 			value[0] = byte(i)
-			_, _, err = accessor.Access(OpWrite, key, value)
+			_, err = accessor.AccessContext(context.Background(), OpWrite, key, value)
 		} else {
-			_, _, err = accessor.Access(OpRead, key, nil)
+			_, err = accessor.AccessContext(context.Background(), OpRead, key, nil)
 		}
 		if err != nil {
 			t.Fatalf("%s %d: %v", op, i, err)

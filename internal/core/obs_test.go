@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -42,20 +43,20 @@ func TestStageCountsMatchAccessCount(t *testing.T) {
 		}
 	}
 
-	if _, _, err := proxy.Access(OpRead, "never-loaded", nil); err == nil || !strings.Contains(err.Error(), ErrNotFound.Error()) {
+	if _, err := proxy.AccessContext(context.Background(), OpRead, "never-loaded", nil); err == nil || !strings.Contains(err.Error(), ErrNotFound.Error()) {
 		t.Fatalf("access to an unloaded key: %v, want the server's not-found rejection", err)
 	}
 	check("after a round whose only key failed", 0, 1)
 
-	if _, _, err := proxy.Access(OpRead, "loaded", nil); err != nil {
+	if _, err := proxy.AccessContext(context.Background(), OpRead, "loaded", nil); err != nil {
 		t.Fatal(err)
 	}
 	check("after one good access", 1, 1)
 
 	// A round of three with one failure: one observation, one more error.
-	if _, _, err := proxy.AccessBatch([]BatchOp{
+	if _, err := batchValues(proxy.AccessBatch(context.Background(), []BatchOp{
 		{Op: OpRead, Key: "loaded"}, {Op: OpRead, Key: "never-loaded"}, {Op: OpRead, Key: "also"},
-	}); err == nil || !strings.Contains(err.Error(), ErrNotFound.Error()) {
+	})); err == nil || !strings.Contains(err.Error(), ErrNotFound.Error()) {
 		t.Fatalf("batch with an unloaded key: %v, want the server's not-found rejection", err)
 	}
 	check("after a partly failed round", 2, 2)
@@ -95,7 +96,7 @@ func TestInstrumentationAllocations(t *testing.T) {
 			}
 		}
 		return steadyAllocs(500, func() {
-			if _, _, err := proxy.Access(OpRead, "k", nil); err != nil {
+			if _, err := proxy.AccessContext(context.Background(), OpRead, "k", nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -168,10 +169,10 @@ func TestTEEAndFHEAccessesAreTraced(t *testing.T) {
 			c.Instrument(reg)
 			c.TraceWith(tr)
 			loadData(t, r, c, map[string][]byte{"k": {1, 2, 3, 4, 5, 6, 7, 8}})
-			if _, _, err := c.Access(OpRead, "k", nil); err != nil {
+			if _, err := c.AccessContext(context.Background(), OpRead, "k", nil); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := c.Access(OpRead, "never-loaded", nil); err == nil {
+			if _, err := c.AccessContext(context.Background(), OpRead, "never-loaded", nil); err == nil {
 				t.Fatal("access to an unloaded key succeeded")
 			}
 

@@ -92,7 +92,7 @@ func TestAccessExpiredBeforeBuild(t *testing.T) {
 	callsBefore := r.client.Stats().Calls
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
-	_, _, err := proxy.AccessContext(ctx, OpRead, "k", nil)
+	_, err := proxy.AccessContext(ctx, OpRead, "k", nil)
 	if !IsDeadlineExpired(err) {
 		t.Fatalf("err = %v, want deadline-expired", err)
 	}
@@ -100,7 +100,7 @@ func TestAccessExpiredBeforeBuild(t *testing.T) {
 		t.Errorf("calls went from %d to %d; expired access must not reach the wire", callsBefore, got)
 	}
 	// The drop left the counter where it was: a fresh access succeeds.
-	got, _, err := proxy.Access(OpRead, "k", nil)
+	got, err := proxy.AccessContext(context.Background(), OpRead, "k", nil)
 	if err != nil {
 		t.Fatalf("access after expired drop: %v", err)
 	}
@@ -141,7 +141,7 @@ func TestServerDropsExpiredRound(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 	defer cancel()
-	if _, _, err := proxy.AccessContext(ctx, OpRead, "k", nil); err == nil {
+	if _, err := proxy.AccessContext(ctx, OpRead, "k", nil); err == nil {
 		t.Fatal("expired access succeeded")
 	}
 
@@ -155,7 +155,7 @@ func TestServerDropsExpiredRound(t *testing.T) {
 
 	// The dropped round was never applied, so the next access executes
 	// at the counter the proxy kept.
-	got, _, err := proxy.Access(OpRead, "k", nil)
+	got, err := proxy.AccessContext(context.Background(), OpRead, "k", nil)
 	if err != nil {
 		t.Fatalf("access after expired round: %v", err)
 	}
@@ -222,7 +222,7 @@ func TestHoldShedsExpiredWaiter(t *testing.T) {
 		if !IsDeadlineExpired(first.err) || !IsDeadlineExpired(second.err) {
 			t.Fatalf("expired held accesses err = %v, %v; want deadline-expired", first.err, second.err)
 		}
-		if _, _, err := proxy.Access(OpRead, "key-00", nil); err != nil {
+		if _, err := proxy.AccessContext(context.Background(), OpRead, "key-00", nil); err != nil {
 			t.Fatalf("access after every held access expired: %v", err)
 		}
 		if rounds := g.seen(); len(rounds) != 2 {
@@ -236,10 +236,10 @@ func TestHoldShedsExpiredWaiter(t *testing.T) {
 		_, proxy, g := newHoldRig(t, 1, nil)
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		defer cancel()
-		if _, _, err := proxy.AccessContext(ctx, OpRead, "key-00", nil); !IsDeadlineExpired(err) {
+		if _, err := proxy.AccessContext(ctx, OpRead, "key-00", nil); !IsDeadlineExpired(err) {
 			t.Fatalf("expired arrival err = %v, want deadline-expired", err)
 		}
-		if _, _, err := proxy.Access(OpRead, "key-00", nil); err != nil {
+		if _, err := proxy.AccessContext(context.Background(), OpRead, "key-00", nil); err != nil {
 			t.Fatalf("access after the expired arrival: %v", err)
 		}
 		if rounds := g.seen(); len(rounds) != 1 {
@@ -287,7 +287,7 @@ func TestRouterBusyBreaker(t *testing.T) {
 
 	// Three busy rejections trip the breaker.
 	for i := 0; i < busyBreaker; i++ {
-		_, _, err := router.Access(OpRead, "k", nil)
+		_, err := router.AccessContext(context.Background(), OpRead, "k", nil)
 		if !transport.IsBusy(err) || transport.Ambiguous(err) {
 			t.Fatalf("access %d: err = %v, want definite busy", i, err)
 		}
@@ -295,7 +295,7 @@ func TestRouterBusyBreaker(t *testing.T) {
 	shedsAtTrip := s.AdmissionStats().Shed
 
 	// Benched: accesses fail fast with busy and produce no wire traffic.
-	_, _, err = router.Access(OpRead, "k", nil)
+	_, err = router.AccessContext(context.Background(), OpRead, "k", nil)
 	var be *transport.BusyError
 	if !errors.As(err, &be) {
 		t.Fatalf("benched access err = %v, want *BusyError", err)
@@ -310,7 +310,7 @@ func TestRouterBusyBreaker(t *testing.T) {
 	// After the window the next access is the readmission probe: it
 	// reaches the (still saturated) server again.
 	time.Sleep(retryAfter + 20*time.Millisecond)
-	_, _, err = router.Access(OpRead, "k", nil)
+	_, err = router.AccessContext(context.Background(), OpRead, "k", nil)
 	if !transport.IsBusy(err) {
 		t.Fatalf("probe access err = %v, want busy (server still saturated)", err)
 	}

@@ -180,7 +180,7 @@ func TestAccessEndToEndWithWorkerPool(t *testing.T) {
 			r, proxy, _ := newLBL(t, mode, 512)
 			v0 := bytes.Repeat([]byte{0x5A}, 512)
 			loadData(t, r, proxy, map[string][]byte{"k": v0})
-			got, _, err := proxy.Access(OpRead, "k", nil)
+			got, err := proxy.AccessContext(context.Background(), OpRead, "k", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,10 +188,10 @@ func TestAccessEndToEndWithWorkerPool(t *testing.T) {
 				t.Errorf("read = %x, want %x", got, v0)
 			}
 			v1 := bytes.Repeat([]byte{0xC3}, 512)
-			if _, _, err := proxy.Access(OpWrite, "k", v1); err != nil {
+			if _, err := proxy.AccessContext(context.Background(), OpWrite, "k", v1); err != nil {
 				t.Fatal(err)
 			}
-			got, _, err = proxy.Access(OpRead, "k", nil)
+			got, err = proxy.AccessContext(context.Background(), OpRead, "k", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,7 +235,7 @@ func TestAccessBatchWithInnerWorkers(t *testing.T) {
 		{Op: OpWrite, Key: "b", Value: bytes.Repeat([]byte{9}, 512)},
 		{Op: OpRead, Key: "b"},
 	}
-	vals, _, err := proxy.AccessBatch(ops)
+	vals, err := batchValues(proxy.AccessBatch(context.Background(), ops))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -214,7 +215,7 @@ func requestParity(t *testing.T, cfg LBLConfig, keys []string, traced bool, desy
 				old[k] = serverRecord(t, r, proxy, k)
 			}
 			for i := 0; i < 2; i++ {
-				if _, _, err := proxy.AccessBatch(batch); err != nil {
+				if _, err := batchValues(proxy.AccessBatch(context.Background(), batch)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -237,10 +238,10 @@ func requestParity(t *testing.T, cfg LBLConfig, keys []string, traced bool, desy
 		})
 		access := func() error {
 			if len(keys) == 1 {
-				_, _, err := proxy.Access(op, keys[0], batch[0].Value)
+				_, err := proxy.AccessContext(context.Background(), op, keys[0], batch[0].Value)
 				return err
 			}
-			_, _, err := proxy.AccessBatch(batch)
+			_, err := batchValues(proxy.AccessBatch(context.Background(), batch))
 			return err
 		}
 		if desync == "server-behind" {

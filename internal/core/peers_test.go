@@ -222,7 +222,7 @@ func TestTwoProxiesOneHotKey(t *testing.T) {
 						value = binary.LittleEndian.AppendUint64(nil, uint64(p)<<40|uint64(c)<<20|uint64(i)+1)
 					}
 					op := registerOp{write: kind == OpWrite, call: clock.Add(1)}
-					got, _, err := proxy.Access(kind, key, value)
+					got, err := proxy.AccessContext(context.Background(), kind, key, value)
 					op.ret = clock.Add(1)
 					mu.Lock()
 					switch {
@@ -306,7 +306,7 @@ func TestRouterReturnsStale(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { router.Close() })
-			_, _, err = router.Access(OpRead, "k", nil)
+			_, err = router.AccessContext(context.Background(), OpRead, "k", nil)
 			if got := transport.Ambiguous(err); got != tc.ambiguous || !tc.ambiguous && !IsStaleRound(err) {
 				t.Fatalf("access: %v (ambiguous %v), want ambiguous %v", err, got, tc.ambiguous)
 			}

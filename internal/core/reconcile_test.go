@@ -106,7 +106,7 @@ func recordAt(p *LBLProxy, key string, value []byte, ct uint64) []byte {
 
 func mustWrite(t *testing.T, p *LBLProxy, key string, value []byte) {
 	t.Helper()
-	if _, _, err := p.Access(OpWrite, key, value); err != nil {
+	if _, err := p.AccessContext(context.Background(), OpWrite, key, value); err != nil {
 		t.Fatalf("write %q: %v", key, err)
 	}
 }
@@ -125,7 +125,7 @@ func TestRecordAt(t *testing.T) {
 		}
 		loadData(t, r, proxy, map[string][]byte{"k": {1, 2, 3, 4}})
 		mustWrite(t, proxy, "k", []byte{5, 6, 7, 8})
-		if _, _, err := proxy.Access(OpRead, "k", nil); err != nil {
+		if _, err := proxy.AccessContext(context.Background(), OpRead, "k", nil); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(recordAt(proxy, "k", []byte{5, 6, 7, 8}, 2), serverRecord(t, r, proxy, "k")) {
@@ -151,7 +151,7 @@ func TestProxyBehindHeals(t *testing.T) {
 			regressServer(t, r, proxy, "k", recordAt(proxy, "k", []byte{4, 4, 4, 4}, 1+gap))
 
 			requests := accessRequests(r)
-			got, _, err := proxy.Access(OpRead, "k", nil)
+			got, err := proxy.AccessContext(context.Background(), OpRead, "k", nil)
 			if err != nil || !bytes.Equal(got, []byte{4, 4, 4, 4}) {
 				t.Fatalf("read %v (%v), want the server's live value 4444", got, err)
 			}
@@ -162,7 +162,7 @@ func TestProxyBehindHeals(t *testing.T) {
 				t.Errorf("%d rebases, want 1", n)
 			}
 			mustWrite(t, proxy, "k", []byte{5, 5, 5, 5})
-			if got, _, err := proxy.Access(OpRead, "k", nil); err != nil || !bytes.Equal(got, []byte{5, 5, 5, 5}) {
+			if got, err := proxy.AccessContext(context.Background(), OpRead, "k", nil); err != nil || !bytes.Equal(got, []byte{5, 5, 5, 5}) {
 				t.Errorf("write/read after the rebase = %v, %v", got, err)
 			}
 		})
@@ -231,7 +231,7 @@ func TestMisplacedRecordIsDefinite(t *testing.T) {
 	mustWrite(t, proxy, "k", []byte{2, 2, 2, 2})
 	regressServer(t, r, proxy, "k", recordAt(proxy, "other", []byte{3, 3, 3, 3}, 500))
 	requests := accessRequests(r)
-	_, _, err := proxy.Access(OpRead, "k", nil)
+	_, err := proxy.AccessContext(context.Background(), OpRead, "k", nil)
 	if !IsStaleRound(err) || requests.Load() != 1 {
 		t.Fatalf("access against another key's record: %v after %d requests, want one stale rejection", err, requests.Load())
 	}
@@ -266,7 +266,7 @@ func TestProxyBehindAfterStateLoss(t *testing.T) {
 	if err := fresh.LoadCounters(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, err := fresh.Access(OpRead, "k", nil); err != nil || !bytes.Equal(got, []byte{3, 3, 3, 3}) {
+	if got, err := fresh.AccessContext(context.Background(), OpRead, "k", nil); err != nil || !bytes.Equal(got, []byte{3, 3, 3, 3}) {
 		t.Fatalf("read after proxy state loss = %v, %v; want the live value 3333", got, err)
 	}
 }
@@ -286,25 +286,25 @@ func TestServerRollbackRefusedOnce(t *testing.T) {
 			mustWrite(t, proxy, "k", []byte{3, 3, 3, 3})
 			old := serverRecord(t, r, proxy, "k") // counter 1, value 3333
 			mustWrite(t, proxy, "k", []byte{4, 4, 4, 4})
-			if _, _, err := proxy.Access(OpRead, "k", nil); err != nil {
+			if _, err := proxy.AccessContext(context.Background(), OpRead, "k", nil); err != nil {
 				t.Fatal(err)
 			}
 			regressServer(t, r, proxy, "k", old) // the proxy at 3
 
 			requests := accessRequests(r)
-			_, _, err := proxy.Access(OpRead, "k", nil)
+			_, err := proxy.AccessContext(context.Background(), OpRead, "k", nil)
 			if !errors.Is(err, errRolledBack) || transport.Ambiguous(err) || requests.Load() != 1 {
 				t.Fatalf("access after a rollback: %v after %d requests, want errRolledBack after 1", err, requests.Load())
 			}
 			if n := reg.Value("ortoa_lbl_rolled_back_keys_total"); n != 1 {
 				t.Errorf("%d rollbacks counted, want 1", n)
 			}
-			got, _, err := proxy.Access(OpRead, "k", nil)
+			got, err := proxy.AccessContext(context.Background(), OpRead, "k", nil)
 			if err != nil || !bytes.Equal(got, []byte{3, 3, 3, 3}) {
 				t.Fatalf("read after the refusal = %v, %v; want the rolled-back value 3333", got, err)
 			}
 			mustWrite(t, proxy, "k", []byte{5, 5, 5, 5})
-			if got, _, err := proxy.Access(OpRead, "k", nil); err != nil || !bytes.Equal(got, []byte{5, 5, 5, 5}) {
+			if got, err := proxy.AccessContext(context.Background(), OpRead, "k", nil); err != nil || !bytes.Equal(got, []byte{5, 5, 5, 5}) {
 				t.Errorf("write/read after the rebase = %v, %v", got, err)
 			}
 			if n := reg.Value("ortoa_lbl_rolled_back_keys_total"); n != 1 {
@@ -332,10 +332,10 @@ func TestReplayEvictedIsAmbiguous(t *testing.T) {
 		return resp, err
 	})
 	evict.Store(true)
-	if _, _, err := proxy.Access(OpWrite, "k", []byte{9, 9, 9, 9}); !transport.Ambiguous(err) {
+	if _, err := proxy.AccessContext(context.Background(), OpWrite, "k", []byte{9, 9, 9, 9}); !transport.Ambiguous(err) {
 		t.Fatalf("write answered with the tombstone: %v, want an ambiguous failure", err)
 	}
-	if got, _, err := proxy.Access(OpRead, "k", nil); err != nil || !bytes.Equal(got, []byte{9, 9, 9, 9}) {
+	if got, err := proxy.AccessContext(context.Background(), OpRead, "k", nil); err != nil || !bytes.Equal(got, []byte{9, 9, 9, 9}) {
 		t.Errorf("read after the write = %v, %v; want 9999", got, err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -272,11 +273,11 @@ func (r *Router) pick(key string, tried map[*routerMember]bool) *routerMember {
 	return next
 }
 
-// Access implements Accessor: route to the key's placed member, failing
-// over on dead members, each member tried at most once.
-func (r *Router) Access(op Op, key string, newValue []byte) ([]byte, AccessStats, error) {
+// AccessContext implements Accessor: route to the key's placed member
+// under ctx, failing over on dead members, each member tried at most
+// once.
+func (r *Router) AccessContext(ctx context.Context, op Op, key string, newValue []byte) ([]byte, error) {
 	var lastErr, ambigErr error
-	var lastStats AccessStats
 	tried := make(map[*routerMember]bool, 2)
 	for m := r.pick(key, tried); m != nil; m = r.pick(key, tried) {
 		if until := m.benchedUntil.Load(); until != 0 {
@@ -286,9 +287,9 @@ func (r *Router) Access(op Op, key string, newValue []byte) ([]byte, AccessStats
 				// letting a peer contend for the key's counter).
 				err := &transport.BusyError{RetryAfter: wait}
 				if ambigErr != nil {
-					return nil, lastStats, ambigErr
+					return nil, ambigErr
 				}
-				return nil, lastStats, err
+				return nil, err
 			}
 			// Window passed; this access is the readmission probe.
 			m.benchedUntil.Store(0)
@@ -299,7 +300,7 @@ func (r *Router) Access(op Op, key string, newValue []byte) ([]byte, AccessStats
 			lastErr = ErrNoProxies
 			continue
 		}
-		value, stats, err := acc.Access(op, key, newValue)
+		value, err := acc.AccessContext(ctx, op, key, newValue)
 		if err == nil {
 			m.busyStreak.Store(0)
 			if !m.healthy.Load() {
@@ -308,9 +309,9 @@ func (r *Router) Access(op Op, key string, newValue []byte) ([]byte, AccessStats
 					r.rebuildRing()
 				}
 			}
-			return value, stats, nil
+			return value, nil
 		}
-		lastErr, lastStats = err, stats
+		lastErr = err
 		var re *transport.RemoteError
 		isRemote := errors.As(err, &re)
 		if !transport.IsBusy(err) {
@@ -334,9 +335,9 @@ func (r *Router) Access(op Op, key string, newValue []byte) ([]byte, AccessStats
 				r.mx.trips.Inc()
 			}
 			if ambigErr != nil {
-				return nil, lastStats, ambigErr
+				return nil, ambigErr
 			}
-			return nil, stats, err
+			return nil, err
 		case isRemote && !transport.Ambiguous(err):
 			// A definite application-level error is the access's real
 			// outcome (unknown key, bad value, stale past the member's
@@ -344,9 +345,9 @@ func (r *Router) Access(op Op, key string, newValue []byte) ([]byte, AccessStats
 			// earlier member's unknown outcome still wins — that round
 			// may have applied, so the access's outcome is unknown.
 			if ambigErr != nil {
-				return nil, lastStats, ambigErr
+				return nil, ambigErr
 			}
-			return nil, stats, err
+			return nil, err
 		case isRemote:
 			// The member is alive but its own server round's outcome is
 			// unknown (AmbiguousMsgPrefix). Retrying on a peer is safe —
@@ -370,12 +371,12 @@ func (r *Router) Access(op Op, key string, newValue []byte) ([]byte, AccessStats
 	// outcome is unknown no matter what a later member answered —
 	// surface the ambiguity, not a definite-looking rejection.
 	if ambigErr != nil {
-		return nil, lastStats, ambigErr
+		return nil, ambigErr
 	}
 	if lastErr == nil {
 		lastErr = ErrNoProxies
 	}
-	return nil, lastStats, lastErr
+	return nil, lastErr
 }
 
 // probeLoop periodically probes unhealthy members' listeners and

@@ -333,21 +333,21 @@ func TestScheduleBuffersReturned(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				if _, _, err := proxy.Access(OpRead, k, nil); err != nil {
+				if _, err := proxy.AccessContext(context.Background(), OpRead, k, nil); err != nil {
 					t.Error(err)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if _, _, err := proxy.AccessBatch([]BatchOp{{Op: OpRead, Key: "key-00"}, {Op: OpRead, Key: "key-01"}, {Op: OpRead, Key: "never-loaded"}}); err == nil {
+	if _, err := batchValues(proxy.AccessBatch(context.Background(), []BatchOp{{Op: OpRead, Key: "key-00"}, {Op: OpRead, Key: "key-01"}, {Op: OpRead, Key: "never-loaded"}})); err == nil {
 		t.Fatal("batch with an unloaded key succeeded")
 	}
 	held("after concurrent rounds and a partly failed batch")
 
 	plan.SetActive(true)
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
-	_, _, err := proxy.AccessContext(ctx, OpWrite, "key-00", bytes.Repeat([]byte{0xAB}, 8))
+	_, err := proxy.AccessContext(ctx, OpWrite, "key-00", bytes.Repeat([]byte{0xAB}, 8))
 	cancel()
 	if !transport.Ambiguous(err) {
 		t.Fatalf("blackholed write: %v, want an ambiguous failure", err)
@@ -355,7 +355,7 @@ func TestScheduleBuffersReturned(t *testing.T) {
 	plan.SetActive(false)
 	held("after an ambiguous round")
 
-	if _, _, err := proxy.Access(OpRead, "key-00", nil); err != nil {
+	if _, err := proxy.AccessContext(context.Background(), OpRead, "key-00", nil); err != nil {
 		t.Fatalf("read after the ambiguous round: %v", err)
 	}
 	held("after the rebase settled the ambiguous round")
@@ -416,7 +416,7 @@ func TestStoredRecordGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustWrite(t, proxy, "golden-key", []byte{0x0F, 0xF0})
-	if _, _, err := proxy.Access(OpRead, "golden-key", nil); err != nil {
+	if _, err := proxy.AccessContext(context.Background(), OpRead, "golden-key", nil); err != nil {
 		t.Fatal(err)
 	}
 	mustWrite(t, proxy, "golden-key", []byte{0x96, 0x69})
@@ -582,7 +582,7 @@ func TestBuildIsOpIndependent(t *testing.T) {
 			build := func(op Op) (tableSpec, []byte) {
 				s := p.spec(op, "k", written, ct)
 				table := make([]byte, cfg.TableBytes())
-				if err := p.buildGroupRange(table, p.prf.LabelGen("k"), seed.stream(0), &s, 0, cfg.Groups(), 0); err != nil {
+				if err := p.buildGroupRange(table, p.prf.LabelGen("k"), &buildWorker{shuf: seed.stream(0)}, &s, 0, cfg.Groups(), 0); err != nil {
 					t.Fatal(err)
 				}
 				return s, table

@@ -13,19 +13,13 @@ import (
 	"ortoa/internal/wire"
 )
 
-// An Accessor performs one oblivious single-object access. All four
-// protocol clients (LBL, TEE, FHE, baseline) implement it, as does the
-// client→proxy RPC stub, so workloads and experiments are written once.
+// An Accessor performs one oblivious single-object access under the
+// caller's context, its deadline and trace span: a read returns the
+// stored value, a write (newValue exactly the value size) echoes it. The
+// four protocol clients, the client→proxy RPC stub and the Router
+// implement it, so workloads and experiments are written once.
 type Accessor interface {
-	Access(op Op, key string, newValue []byte) ([]byte, AccessStats, error)
-}
-
-// A ContextAccessor is an Accessor that can additionally thread a
-// context through the access — cancellation plus the active trace
-// span. The proxy front end type-asserts for it so an inbound traced
-// request's span parents the whole proxy-side span tree.
-type ContextAccessor interface {
-	AccessContext(ctx context.Context, op Op, key string, newValue []byte) ([]byte, AccessStats, error)
+	AccessContext(ctx context.Context, op Op, key string, newValue []byte) ([]byte, error)
 }
 
 // A KV is one record for bulk loading.
@@ -269,7 +263,6 @@ func loadEntryLen(kv KV) int {
 // untrusted-network clients can route requests through the proxy
 // (§2.1's client→proxy→server deployment).
 func RegisterProxyService(ts *transport.Server, accessor Accessor) {
-	ctxAccessor, _ := accessor.(ContextAccessor)
 	ts.Handle(MsgClientAccess, func(ctx context.Context, payload []byte) ([]byte, error) {
 		r := wire.NewReader(payload)
 		op := Op(r.Byte())
@@ -284,13 +277,7 @@ func RegisterProxyService(ts *transport.Server, accessor Accessor) {
 		if op != OpRead && op != OpWrite {
 			return nil, fmt.Errorf("core: unknown op %d", op)
 		}
-		var out []byte
-		var err error
-		if ctxAccessor != nil {
-			out, _, err = ctxAccessor.AccessContext(ctx, op, key, value)
-		} else {
-			out, _, err = accessor.Access(op, key, value)
-		}
+		out, err := accessor.AccessContext(ctx, op, key, value)
 		if err != nil {
 			if transport.IsBusy(err) {
 				// The proxy's own server round was shed before executing.
@@ -329,18 +316,12 @@ func NewRemoteAccessor(client *transport.Client) *RemoteAccessor {
 	return &RemoteAccessor{client: client}
 }
 
-// Access sends the request to the proxy and returns its response.
-func (a *RemoteAccessor) Access(op Op, key string, newValue []byte) ([]byte, AccessStats, error) {
+// AccessContext sends the request to the proxy under ctx and returns its
+// response.
+func (a *RemoteAccessor) AccessContext(ctx context.Context, op Op, key string, newValue []byte) ([]byte, error) {
 	w := wire.NewWriter(2 + len(key) + len(newValue) + 16)
 	w.Byte(byte(op))
 	w.String(key)
 	w.BytesPfx(newValue)
-	var stats AccessStats
-	stats.PrepBytes = w.Len()
-	resp, err := a.client.Call(MsgClientAccess, w.Bytes())
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.RespBytes = len(resp)
-	return resp, stats, nil
+	return a.client.CallContext(ctx, MsgClientAccess, w.Bytes())
 }

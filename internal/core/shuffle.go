@@ -37,8 +37,8 @@ type cryptoShuffler struct {
 
 // newCryptoShuffler returns a shuffler backed directly by crypto/rand,
 // with an empty buffer; the first draw fills it.
-func newCryptoShuffler() *cryptoShuffler {
-	s := &cryptoShuffler{refill: osRandom}
+func newCryptoShuffler() cryptoShuffler {
+	s := cryptoShuffler{refill: osRandom}
 	s.off = len(s.buf)
 	return s
 }
@@ -67,7 +67,7 @@ func newShuffleSeed() shuffleSeed {
 // The lane index occupies the top of the IV and CTR increments from the
 // bottom, so distinct lanes use disjoint counter ranges: workers of one
 // build share a single 16-byte seed yet never reuse a stream block.
-func (seed shuffleSeed) stream(lane uint32) *cryptoShuffler {
+func (seed shuffleSeed) stream(lane uint32) cryptoShuffler {
 	block, err := aes.NewCipher(seed[:])
 	if err != nil {
 		panic("core: " + err.Error()) // 16-byte key; cannot fail
@@ -75,7 +75,7 @@ func (seed shuffleSeed) stream(lane uint32) *cryptoShuffler {
 	var iv [16]byte
 	binary.LittleEndian.PutUint32(iv[:4], lane)
 	ctr := cipher.NewCTR(block, iv[:])
-	s := &cryptoShuffler{refill: func(p []byte) {
+	s := cryptoShuffler{refill: func(p []byte) {
 		clear(p)
 		ctr.XORKeyStream(p, p)
 	}}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"ortoa/internal/crypto/prf"
@@ -90,21 +91,25 @@ func TestTEESimulatorMatchesRealShape(t *testing.T) {
 func newTestKey() []byte { return bytes.Repeat([]byte{7}, 16) }
 
 func TestTEERealReadWriteSameShapeEndToEnd(t *testing.T) {
-	// End-to-end capture: the request bytes of a read and a write must
-	// have identical length (newRig captures sizes via Stats).
+	// End-to-end capture: the request and the response bytes of a read
+	// and a write must have identical lengths (newRig captures sizes via
+	// Stats).
 	r, client, _ := newTEE(t, 16)
 	loadData(t, r, client, map[string][]byte{"k": bytes.Repeat([]byte{3}, 16)})
-	sent0 := r.client.Stats().BytesSent
-	if _, _, err := client.Access(OpRead, "k", nil); err != nil {
+	sent0, recv0 := r.client.Stats().BytesSent, r.client.Stats().BytesReceived
+	if _, err := client.AccessContext(context.Background(), OpRead, "k", nil); err != nil {
 		t.Fatal(err)
 	}
-	sent1 := r.client.Stats().BytesSent
-	if _, _, err := client.Access(OpWrite, "k", bytes.Repeat([]byte{4}, 16)); err != nil {
+	sent1, recv1 := r.client.Stats().BytesSent, r.client.Stats().BytesReceived
+	if _, err := client.AccessContext(context.Background(), OpWrite, "k", bytes.Repeat([]byte{4}, 16)); err != nil {
 		t.Fatal(err)
 	}
-	sent2 := r.client.Stats().BytesSent
+	sent2, recv2 := r.client.Stats().BytesSent, r.client.Stats().BytesReceived
 	if sent1-sent0 != sent2-sent1 {
 		t.Errorf("read sent %dB, write sent %dB", sent1-sent0, sent2-sent1)
+	}
+	if recv1-recv0 != recv2-recv1 {
+		t.Errorf("read recv %dB, write recv %dB", recv1-recv0, recv2-recv1)
 	}
 }
 
@@ -114,11 +119,11 @@ func TestLBLRealReadWriteSameShapeEndToEnd(t *testing.T) {
 			r, proxy, _ := newLBL(t, mode, 8)
 			loadData(t, r, proxy, map[string][]byte{"k": bytes.Repeat([]byte{3}, 8)})
 			sent0, recv0 := r.client.Stats().BytesSent, r.client.Stats().BytesReceived
-			if _, _, err := proxy.Access(OpRead, "k", nil); err != nil {
+			if _, err := proxy.AccessContext(context.Background(), OpRead, "k", nil); err != nil {
 				t.Fatal(err)
 			}
 			sent1, recv1 := r.client.Stats().BytesSent, r.client.Stats().BytesReceived
-			if _, _, err := proxy.Access(OpWrite, "k", bytes.Repeat([]byte{9}, 8)); err != nil {
+			if _, err := proxy.AccessContext(context.Background(), OpWrite, "k", bytes.Repeat([]byte{9}, 8)); err != nil {
 				t.Fatal(err)
 			}
 			sent2, recv2 := r.client.Stats().BytesSent, r.client.Stats().BytesReceived
@@ -136,11 +141,11 @@ func TestFHERealReadWriteSameShapeEndToEnd(t *testing.T) {
 	r, client := newFHE(t)
 	loadData(t, r, client, map[string][]byte{"k": bytes.Repeat([]byte{1}, 8)})
 	sent0 := r.client.Stats().BytesSent
-	if _, _, err := client.Access(OpRead, "k", nil); err != nil {
+	if _, err := client.AccessContext(context.Background(), OpRead, "k", nil); err != nil {
 		t.Fatal(err)
 	}
 	sent1 := r.client.Stats().BytesSent
-	if _, _, err := client.Access(OpWrite, "k", bytes.Repeat([]byte{2}, 8)); err != nil {
+	if _, err := client.AccessContext(context.Background(), OpWrite, "k", bytes.Repeat([]byte{2}, 8)); err != nil {
 		t.Fatal(err)
 	}
 	sent2 := r.client.Stats().BytesSent

@@ -54,11 +54,11 @@ func TestLBLStreamReadWrite(t *testing.T) {
 			for i := 0; i < 12; i++ {
 				if i%3 == 1 {
 					current = bytes.Repeat([]byte{byte(i + 1)}, 8)
-					if _, _, err := proxy.Access(OpWrite, "k", current); err != nil {
+					if _, err := proxy.AccessContext(context.Background(), OpWrite, "k", current); err != nil {
 						t.Fatalf("access %d: %v", i, err)
 					}
 				} else {
-					got, _, err := proxy.Access(OpRead, "k", nil)
+					got, err := proxy.AccessContext(context.Background(), OpRead, "k", nil)
 					if err != nil {
 						t.Fatalf("access %d: %v", i, err)
 					}
@@ -97,15 +97,14 @@ func TestLBLRequestFraming(t *testing.T) {
 			}
 			r, proxy, _ := newLBLStream(t, cfg)
 			loadData(t, r, proxy, map[string][]byte{"k": make([]byte, 8)})
-			var frames, total, largest int
+			var frames, total, largest, resp int
 			r.server.SetObserver(func(msgType byte, reqLen, respLen int) {
 				if msgType == MsgLBLAccess {
-					frames, total, largest = frames+1, total+reqLen, max(largest, reqLen)
+					frames, total, largest, resp = frames+1, total+reqLen, max(largest, reqLen), resp+respLen
 				}
 			})
 			before := r.client.Stats().Calls
-			_, stats, err := proxy.Access(OpWrite, "k", bytes.Repeat([]byte{1}, 8))
-			if err != nil {
+			if _, err := proxy.AccessContext(context.Background(), OpWrite, "k", bytes.Repeat([]byte{1}, 8)); err != nil {
 				t.Fatal(err)
 			}
 			if got := r.client.Stats().Calls - before; got != 1 {
@@ -114,14 +113,14 @@ func TestLBLRequestFraming(t *testing.T) {
 			if frames != want {
 				t.Errorf("request crossed as %d frames, want %d", frames, want)
 			}
-			if total != cfg.RequestBytesPerAccess() || stats.PrepBytes != total {
-				t.Errorf("frames carried %dB (PrepBytes %d), want the %dB request", total, stats.PrepBytes, cfg.RequestBytesPerAccess())
+			if total != cfg.RequestBytesPerAccess() {
+				t.Errorf("frames carried %dB, want the %dB request", total, cfg.RequestBytesPerAccess())
 			}
 			if floor := cfg.segPrefixLen() + cfg.groupBytes(); tc.budget > 0 && largest > max(tc.budget, floor) {
 				t.Errorf("largest frame %dB exceeds the %dB budget", largest, tc.budget)
 			}
-			if stats.RespBytes != cfg.ResponseBytesPerAccess() {
-				t.Errorf("RespBytes = %d, want %d", stats.RespBytes, cfg.ResponseBytesPerAccess())
+			if resp != cfg.ResponseBytesPerAccess() {
+				t.Errorf("response carried %dB, want %d", resp, cfg.ResponseBytesPerAccess())
 			}
 		})
 	}
@@ -144,14 +143,14 @@ func TestLBLCutBatch(t *testing.T) {
 	for i := 0; i < n; i++ {
 		writes = append(writes, BatchOp{Op: OpWrite, Key: fmt.Sprintf("k%d", i), Value: bytes.Repeat([]byte{byte(0x40 + i)}, 8)})
 	}
-	if _, _, err := proxy.AccessBatch(writes); err != nil {
+	if _, err := batchValues(proxy.AccessBatch(context.Background(), writes)); err != nil {
 		t.Fatal(err)
 	}
 	var reads []BatchOp
 	for i := 0; i < n; i++ {
 		reads = append(reads, BatchOp{Op: OpRead, Key: fmt.Sprintf("k%d", i)})
 	}
-	values, _, err := proxy.AccessBatch(reads)
+	values, err := batchValues(proxy.AccessBatch(context.Background(), reads))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +199,7 @@ func TestLBLStreamBlackholedResponse(t *testing.T) {
 	plan.SetActive(true)
 	want := bytes.Repeat([]byte{0xAB}, 8)
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
-	_, _, err := proxy.AccessContext(ctx, OpWrite, "k", want)
+	_, err := proxy.AccessContext(ctx, OpWrite, "k", want)
 	cancel()
 	if err == nil {
 		t.Fatal("blackholed streamed write succeeded")
@@ -210,7 +209,7 @@ func TestLBLStreamBlackholedResponse(t *testing.T) {
 	}
 	plan.SetActive(false)
 
-	got, _, err := proxy.Access(OpRead, "k", nil)
+	got, err := proxy.AccessContext(context.Background(), OpRead, "k", nil)
 	if err != nil {
 		t.Fatalf("read after ambiguous streamed write: %v", err)
 	}
@@ -244,7 +243,7 @@ func TestLBLStreamResetStorm(t *testing.T) {
 	failures := 0
 	for i := 0; i < 60; i++ {
 		if i%3 == 2 {
-			got, _, err := proxy.Access(OpRead, "k", nil)
+			got, err := proxy.AccessContext(context.Background(), OpRead, "k", nil)
 			if err != nil {
 				failures++
 				continue
@@ -256,7 +255,7 @@ func TestLBLStreamResetStorm(t *testing.T) {
 			continue
 		}
 		v := bytes.Repeat([]byte{byte(i + 1)}, 8)
-		if _, _, err := proxy.Access(OpWrite, "k", v); err != nil {
+		if _, err := proxy.AccessContext(context.Background(), OpWrite, "k", v); err != nil {
 			failures++
 			if transport.Ambiguous(err) {
 				possible[string(v)] = true // may or may not have applied
@@ -272,7 +271,7 @@ func TestLBLStreamResetStorm(t *testing.T) {
 	var got []byte
 	for attempt := 0; ; attempt++ {
 		var err error
-		got, _, err = proxy.Access(OpRead, "k", nil)
+		got, err = proxy.AccessContext(context.Background(), OpRead, "k", nil)
 		if err == nil {
 			break
 		}

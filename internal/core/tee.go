@@ -248,14 +248,15 @@ func (c *TEEClient) BuildRecord(key string, value []byte) (string, []byte, error
 	return string(ek[:]), c.box.Seal(value), nil
 }
 
-// Access performs one oblivious access (§4.1). Reads send an
-// indistinguishable random dummy as v_new; the enclave discards it.
-func (c *TEEClient) Access(op Op, key string, newValue []byte) (value []byte, stats AccessStats, err error) {
+// AccessContext performs one oblivious access (§4.1) under ctx. Reads
+// send an indistinguishable random dummy as v_new; the enclave discards
+// it.
+func (c *TEEClient) AccessContext(ctx context.Context, op Op, key string, newValue []byte) (value []byte, err error) {
 	if op == OpWrite && len(newValue) != c.cfg.ValueSize {
-		return nil, stats, ErrValueSize
+		return nil, ErrValueSize
 	}
 	if c.client == nil {
-		return nil, stats, errors.New("core: TEE client has no server connection")
+		return nil, errors.New("core: TEE client has no server connection")
 	}
 	cr := byte(0)
 	vNew := newValue
@@ -263,10 +264,10 @@ func (c *TEEClient) Access(op Op, key string, newValue []byte) (value []byte, st
 		cr = 1
 		vNew = make([]byte, c.cfg.ValueSize)
 		if _, err := rand.Read(vNew); err != nil {
-			return nil, stats, err
+			return nil, err
 		}
 	}
-	clk, ctx := c.start(context.Background(), "tee_access")
+	clk, ctx := c.start(ctx, "tee_access")
 	clk.Enter(teeSeal)
 	ek := c.prf.EncodeKey(key)
 	defer func() { clk.Done(1, failedAccesses(err), func() string { return traceLabel(ek) }) }()
@@ -274,17 +275,14 @@ func (c *TEEClient) Access(op Op, key string, newValue []byte) (value []byte, st
 	w.Raw(ek[:])
 	w.BytesPfx(c.box.Seal([]byte{cr}))
 	w.BytesPfx(c.box.Seal(vNew))
-	stats.PrepBytes = w.Len()
 
 	clk.Enter(teeRPC)
 	resp, err := c.client.CallContext(clk.Context(ctx), MsgTEEAccess, w.Bytes())
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
 	clk.Enter(teeOpen)
-	stats.RespBytes = len(resp)
-	value, err = c.result(resp)
-	return value, stats, err
+	return c.result(resp)
 }
 
 // result opens the server's answer: it must be a sealing of a ValueSize

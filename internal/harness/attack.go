@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"sort"
@@ -81,26 +82,24 @@ type plainEncryptedAccessor struct {
 	rpc *transport.Client
 }
 
-func (p *plainEncryptedAccessor) Access(op core.Op, key string, newValue []byte) ([]byte, core.AccessStats, error) {
-	var stats core.AccessStats
+func (p *plainEncryptedAccessor) AccessContext(ctx context.Context, op core.Op, key string, newValue []byte) ([]byte, error) {
 	ek := p.prf.EncodeKey(key)
 	if op == core.OpWrite {
-		return nil, stats, p.putRecord(ek[:], p.box.Seal(newValue))
+		return nil, p.putRecord(ctx, ek[:], p.box.Seal(newValue))
 	}
-	resp, err := p.rpc.Call(core.MsgBaselineGet, ek[:])
+	resp, err := p.rpc.CallContext(ctx, core.MsgBaselineGet, ek[:])
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
-	v, err := p.box.Open(resp)
-	return v, stats, err
+	return p.box.Open(resp)
 }
 
-func (p *plainEncryptedAccessor) putRecord(ek, sealed []byte) error {
+func (p *plainEncryptedAccessor) putRecord(ctx context.Context, ek, sealed []byte) error {
 	// MsgBaselinePut payload: encKey ‖ uvarint len ‖ sealed.
 	w := wire.NewWriter(len(ek) + len(sealed) + 4)
 	w.Raw(ek)
 	w.BytesPfx(sealed)
-	_, err := p.rpc.Call(core.MsgBaselinePut, w.Bytes())
+	_, err := p.rpc.CallContext(ctx, core.MsgBaselinePut, w.Bytes())
 	return err
 }
 
@@ -197,9 +196,9 @@ func runSnapshotAttack(target string, numKeys, ops int, writeFrac float64) (floa
 			writes++
 			v := make([]byte, valueSize)
 			v[0] = byte(i)
-			_, _, err = accessor.Access(core.OpWrite, key, v)
+			_, err = accessor.AccessContext(context.Background(), core.OpWrite, key, v)
 		} else {
-			_, _, err = accessor.Access(core.OpRead, key, nil)
+			_, err = accessor.AccessContext(context.Background(), core.OpRead, key, nil)
 		}
 		if err != nil {
 			return 0, 0, 0, err

@@ -6,6 +6,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"runtime"
@@ -401,14 +402,14 @@ func (c *Cluster) shardFor(key string) *shard {
 	return c.shards[c.placement[core.RangeOf(key)]]
 }
 
-// Access routes one operation to the owning shard — or, in a
-// multi-proxy deployment, through the failover router to the proxy
-// owning the key's counter range.
-func (c *Cluster) Access(op core.Op, key string, value []byte) ([]byte, core.AccessStats, error) {
+// Access routes one operation, under no deadline, to the owning shard
+// — or, in a multi-proxy deployment, through the failover router to the
+// proxy owning the key's counter range.
+func (c *Cluster) Access(op core.Op, key string, value []byte) ([]byte, error) {
 	if c.router != nil {
-		return c.router.Access(op, key, value)
+		return c.router.AccessContext(context.Background(), op, key, value)
 	}
-	return c.shardFor(key).px.Accessor.Access(op, key, value)
+	return c.shardFor(key).px.Accessor.AccessContext(context.Background(), op, key, value)
 }
 
 // AdmissionStats sums admission-control counters across shard servers

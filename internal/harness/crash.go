@@ -155,7 +155,7 @@ func crashRollbackPhase(t *Table) error {
 	ops := 0
 	for _, k := range keys {
 		for i := 0; i < rbWrites; i++ {
-			if _, _, err := cluster.Access(core.OpWrite, k, chaosValue(paperValueSize, uint64(i), 8)); err != nil {
+			if _, err := cluster.Access(core.OpWrite, k, chaosValue(paperValueSize, uint64(i), 8)); err != nil {
 				return fmt.Errorf("harness: rollback write %q: %w", k, err)
 			}
 			ops++
@@ -179,10 +179,10 @@ func crashRollbackPhase(t *Table) error {
 		}
 		// The schedule must accept fresh traffic after the rebase.
 		nv := chaosValue(paperValueSize, uint64(len(k)), 9)
-		if _, _, err := cluster.Access(core.OpWrite, k, nv); err != nil {
+		if _, err := cluster.Access(core.OpWrite, k, nv); err != nil {
 			return fmt.Errorf("harness: rollback post-write %q: %w", k, err)
 		}
-		got, _, err = cluster.Access(core.OpRead, k, nil)
+		got, err = cluster.Access(core.OpRead, k, nil)
 		if err != nil || string(got) != string(nv) {
 			return fmt.Errorf("harness: rollback post-read %q: %v", k, err)
 		}

@@ -76,13 +76,13 @@ func TestClusterRestartDurable(t *testing.T) {
 	defer cluster.Close()
 
 	for cycle := byte(1); cycle <= 3; cycle++ {
-		if _, _, err := cluster.Access(core.OpWrite, "k", val(cycle)); err != nil {
+		if _, err := cluster.Access(core.OpWrite, "k", val(cycle)); err != nil {
 			t.Fatalf("cycle %d write: %v", cycle, err)
 		}
 		if err := cluster.Restart(0); err != nil {
 			t.Fatalf("cycle %d restart: %v", cycle, err)
 		}
-		got, _, err := cluster.Access(core.OpRead, "k", nil)
+		got, err := cluster.Access(core.OpRead, "k", nil)
 		if err != nil {
 			t.Fatalf("cycle %d read after restart: %v", cycle, err)
 		}

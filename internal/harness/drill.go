@@ -246,7 +246,7 @@ func (d *drill) offer(sets map[string]valSet, key string, val []byte, t *drillTo
 	}
 	for tries := 0; ; tries++ {
 		start := time.Now()
-		got, _, err := d.cluster.Access(op, key, val)
+		got, err := d.cluster.Access(op, key, val)
 		out := classify(err)
 		if out > d.tolerate {
 			return fmt.Errorf("%s %q: %w", name, key, err)
@@ -325,7 +325,7 @@ func (d *drill) audit() (int, error) {
 // integrity failure is never retried.
 func readBack(cluster *Cluster, key string) ([]byte, error) {
 	for attempt := 1; ; attempt++ {
-		got, _, err := cluster.Access(core.OpRead, key, nil)
+		got, err := cluster.Access(core.OpRead, key, nil)
 		if err == nil || classify(err) == outcomeTampered || attempt == 40 {
 			return got, err
 		}

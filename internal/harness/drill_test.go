@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -18,16 +19,16 @@ type scriptedAccessor struct {
 	value []byte
 }
 
-func (a *scriptedAccessor) Access(op core.Op, _ string, v []byte) ([]byte, core.AccessStats, error) {
+func (a *scriptedAccessor) AccessContext(_ context.Context, op core.Op, _ string, v []byte) ([]byte, error) {
 	err := a.errs[a.calls]
 	a.calls++
 	if err != nil {
-		return nil, core.AccessStats{}, err
+		return nil, err
 	}
 	if op == core.OpWrite {
 		a.value = v
 	}
-	return a.value, core.AccessStats{}, nil
+	return a.value, nil
 }
 
 // TestDrillClassifier pins the drills' one error classifier and what

@@ -72,10 +72,10 @@ func TestRestartProxyStableIdentity(t *testing.T) {
 	cluster := newFailoverCluster(t, reg)
 	rw := func(tag string) {
 		for _, k := range []string{"fa", "fb", "fc", "fd", "fe", "ff"} {
-			if _, _, err := cluster.Access(core.OpWrite, k, []byte(tag+"123456789abc")); err != nil {
+			if _, err := cluster.Access(core.OpWrite, k, []byte(tag+"123456789abc")); err != nil {
 				t.Fatalf("write %q (%s): %v", k, tag, err)
 			}
-			got, _, err := cluster.Access(core.OpRead, k, nil)
+			got, err := cluster.Access(core.OpRead, k, nil)
 			if err != nil {
 				t.Fatalf("read %q (%s): %v", k, tag, err)
 			}
@@ -118,7 +118,7 @@ func TestKillProxyLifecycleErrors(t *testing.T) {
 	if err := cluster.RecoverProxy(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cluster.Access(core.OpRead, "fa", nil); err != nil {
+	if _, err := cluster.Access(core.OpRead, "fa", nil); err != nil {
 		t.Fatalf("access after recover: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"ortoa/internal/core"
@@ -67,7 +68,7 @@ type fheObjectState struct {
 
 // access reads the object once and inspects what the server now stores.
 func (r *fheRig) access() (fheObjectState, error) {
-	got, _, err := r.px.Accessor.Access(core.OpRead, "object", nil)
+	got, err := r.px.Accessor.AccessContext(context.Background(), core.OpRead, "object", nil)
 	st := fheObjectState{degree: "-", ok: err == nil && string(got) == string(r.value)}
 	rec, err := r.srv.Store.Get(r.ek)
 	if err != nil {

@@ -93,7 +93,7 @@ func TestClusterRouting(t *testing.T) {
 	}
 	defer cluster.Close()
 	for k, v := range data {
-		got, _, err := cluster.Access(core.OpRead, k, nil)
+		got, err := cluster.Access(core.OpRead, k, nil)
 		if err != nil {
 			t.Fatalf("read %q: %v", k, err)
 		}

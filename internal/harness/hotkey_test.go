@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
@@ -104,7 +105,7 @@ func TestHotKeyUnderResets(t *testing.T) {
 				default:
 				}
 				floor := max(last, acked.Load())
-				got, _, err := users.Access(core.OpRead, key, nil)
+				got, err := users.AccessContext(context.Background(), core.OpRead, key, nil)
 				if settle("reader", err) != outcomeOK {
 					continue
 				}
@@ -119,7 +120,7 @@ func TestHotKeyUnderResets(t *testing.T) {
 	}
 	for v := uint64(1); v <= versions && !t.Failed(); v++ {
 		attempted.Store(v)
-		_, _, err := users.Access(core.OpWrite, key, version(v))
+		_, err := users.AccessContext(context.Background(), core.OpWrite, key, version(v))
 		switch settle("writer", err) {
 		case outcomeOK:
 			acked.Store(v)
@@ -134,7 +135,7 @@ func TestHotKeyUnderResets(t *testing.T) {
 
 	var got []byte
 	for attempt := 0; attempt < 100; attempt++ { // the pool redials
-		if got, _, err = users.Access(core.OpRead, key, nil); err == nil {
+		if got, err = users.AccessContext(context.Background(), core.OpRead, key, nil); err == nil {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"regexp"
 	"sort"
@@ -85,7 +86,7 @@ func TestMetricInventory(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { router.Close() })
-	if _, _, err := router.Access(core.OpRead, "k", nil); err != nil {
+	if _, err := router.AccessContext(context.Background(), core.OpRead, "k", nil); err != nil {
 		t.Fatalf("access through router, front end and LBL proxy: %v", err)
 	}
 	for name, px := range map[string]*tier.Proxy{
@@ -93,7 +94,7 @@ func TestMetricInventory(t *testing.T) {
 		"fhe": pair(tier.ServerConfig{Protocol: tier.FHE, FHE: core.FHEConfig{Params: params}},
 			tier.ProxyConfig{Protocol: tier.FHE, FHE: core.FHEConfig{Params: params}}),
 	} {
-		if _, _, err := px.Accessor.Access(core.OpRead, "k", nil); err != nil {
+		if _, err := px.Accessor.AccessContext(context.Background(), core.OpRead, "k", nil); err != nil {
 			t.Fatalf("%s access: %v", name, err)
 		}
 	}

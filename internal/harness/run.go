@@ -110,7 +110,7 @@ func runClosedLoop(cluster *Cluster, concurrency, opsPerClient int, source func(
 			for i := 0; i < opsPerClient; i++ {
 				req := next()
 				opStart := time.Now()
-				_, _, err := cluster.Access(req.Op, req.Key, req.Value)
+				_, err := cluster.Access(req.Op, req.Key, req.Value)
 				rec.Add(time.Since(opStart))
 				if err != nil {
 					mu.Lock()

@@ -33,7 +33,7 @@ func TestRestartedTiersKeepReporting(t *testing.T) {
 			if _, err := readBack(c, k); err != nil {
 				t.Fatalf("read %q: %v", k, err)
 			}
-			if _, _, err := c.Access(core.OpWrite, k, val(b)); err != nil {
+			if _, err := c.Access(core.OpWrite, k, val(b)); err != nil {
 				t.Fatalf("write %q: %v", k, err)
 			}
 		}

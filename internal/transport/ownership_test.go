@@ -2,6 +2,7 @@ package transport_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -99,11 +100,11 @@ func TestHandlersKeepNoPayload(t *testing.T) {
 			t.Cleanup(func() { frontRPC.Close() })
 			front := core.NewRemoteAccessor(frontRPC)
 			frontWrite := func(key string, v []byte) error {
-				_, _, err := front.Access(core.OpWrite, key, v)
+				_, err := front.AccessContext(context.Background(), core.OpWrite, key, v)
 				return err
 			}
 			frontRead := func(key string) ([]byte, error) {
-				v, _, err := front.Access(core.OpRead, key, nil)
+				v, err := front.AccessContext(context.Background(), core.OpRead, key, nil)
 				return v, err
 			}
 

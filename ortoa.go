@@ -1,6 +1,7 @@
 package ortoa
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -293,7 +294,9 @@ type ClientConfig struct {
 	// response was lost is answered from the server's dedup cache
 	// rather than re-executed, and the LBL label schedule stays
 	// consistent. Reads and writes retry identically, so the retry
-	// pattern leaks no operation types.
+	// pattern leaks no operation types. A request StreamChunk cuts into
+	// several frames gets one attempt whatever this says: it is sent
+	// once, as it is built, and never resent.
 	RetryAttempts int
 	// StreamChunk, when positive, is the LBL request frame budget in
 	// bytes: a request longer than it is cut at whole-group boundaries
@@ -471,8 +474,7 @@ func (c *Client) Keys() []string {
 // Read obliviously fetches the value stored under key. The server
 // cannot distinguish this from a Write.
 func (c *Client) Read(key string) ([]byte, error) {
-	v, _, err := c.tier.Accessor.Access(core.OpRead, key, nil)
-	return v, err
+	return c.tier.Accessor.AccessContext(context.Background(), core.OpRead, key, nil)
 }
 
 // Write obliviously replaces the value stored under key, zero-padding
@@ -483,7 +485,7 @@ func (c *Client) Write(key string, value []byte) error {
 	if err != nil {
 		return err
 	}
-	_, _, err = c.tier.Accessor.Access(core.OpWrite, key, padded)
+	_, err = c.tier.Accessor.AccessContext(context.Background(), core.OpWrite, key, padded)
 	return err
 }
 
@@ -521,13 +523,13 @@ func (c *Client) ReadBatch(keys []string) ([]KVPair, error) {
 		for i, key := range keys {
 			ops[i] = core.BatchOp{Op: core.OpRead, Key: key}
 		}
-		values, _, err := c.tier.LBL.AccessBatch(ops)
-		if err != nil {
-			return nil, fmt.Errorf("ortoa: batch read: %w", err)
-		}
+		results := c.tier.LBL.AccessBatch(context.Background(), ops)
 		out := make([]KVPair, len(keys))
 		for i, key := range keys {
-			out[i] = KVPair{Key: key, Value: values[i]}
+			if err := results[i].Err; err != nil {
+				return nil, fmt.Errorf("ortoa: batch read: %w", err)
+			}
+			out[i] = KVPair{Key: key, Value: results[i].Value}
 		}
 		return out, nil
 	}
@@ -567,8 +569,10 @@ func (c *Client) WriteBatch(entries map[string][]byte) error {
 			}
 			ops = append(ops, core.BatchOp{Op: core.OpWrite, Key: key, Value: padded})
 		}
-		if _, _, err := c.tier.LBL.AccessBatch(ops); err != nil {
-			return fmt.Errorf("ortoa: batch write: %w", err)
+		for _, r := range c.tier.LBL.AccessBatch(context.Background(), ops) {
+			if r.Err != nil {
+				return fmt.Errorf("ortoa: batch write: %w", r.Err)
+			}
 		}
 		return nil
 	}
@@ -722,15 +726,14 @@ func DialProxyOptions(dial func() (net.Conn, error), conns int, _ ProxyOptions) 
 
 // Read fetches the value stored under key via the proxy.
 func (p *ProxyClient) Read(key string) ([]byte, error) {
-	v, _, err := p.remote.Access(core.OpRead, key, nil)
-	return v, err
+	return p.remote.AccessContext(context.Background(), core.OpRead, key, nil)
 }
 
 // Write replaces the value stored under key via the proxy. The value
 // must already match the store's fixed size (the proxy rejects
 // mismatches).
 func (p *ProxyClient) Write(key string, value []byte) error {
-	_, _, err := p.remote.Access(core.OpWrite, key, value)
+	_, err := p.remote.AccessContext(context.Background(), core.OpWrite, key, value)
 	return err
 }
 

@@ -1,6 +1,7 @@
 package ortoa
 
 import (
+	"context"
 	"errors"
 	"net"
 	"time"
@@ -86,8 +87,7 @@ func DialProxyGroup(members []ProxyGroupMember, opts ProxyGroupOptions) (*ProxyG
 // Read fetches the value stored under key via the key's placed proxy,
 // failing over to peers as needed.
 func (g *ProxyGroup) Read(key string) ([]byte, error) {
-	v, _, err := g.router.Access(core.OpRead, key, nil)
-	return v, err
+	return g.router.AccessContext(context.Background(), core.OpRead, key, nil)
 }
 
 // Write replaces the value stored under key via the key's placed
@@ -96,7 +96,7 @@ func (g *ProxyGroup) Read(key string) ([]byte, error) {
 // Ambiguous error the write may or may not have applied; rewriting the
 // same value is always safe.
 func (g *ProxyGroup) Write(key string, value []byte) error {
-	_, _, err := g.router.Access(core.OpWrite, key, value)
+	_, err := g.router.AccessContext(context.Background(), core.OpWrite, key, value)
 	return err
 }
 
