@@ -11,9 +11,9 @@ test:
 # vet also fails on any Go file gofmt would change, the benchmark
 # module's included: `gofmt -l` lists them and prints nothing otherwise.
 # It vets the module a second time as arm64, which builds the files an
-# arch without the amd64 π kernel builds (the standard library
-# cross-compiles offline), so a missing fallback fails here, not on a
-# user's machine.
+# arch without the amd64 kernels — the π pad and the point-and-permute
+# table build — builds (the standard library cross-compiles offline), so
+# a missing fallback fails here, not on a user's machine.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
@@ -68,15 +68,15 @@ benchmark-smoke:
 
 # noaes re-runs the entry- and record-format tests — the known-answer
 # vectors of the sealer, of the one-block pad, of the record verifier,
-# of the label schedule's keystream rows and of the π kernel's key
-# expansion, the rows against single blocks, the sealer's properties, the
+# of the label schedule's keystream rows and of both kernels' key
+# expansions, the rows against single blocks, the sealer's properties, the
 # stored-record golden bytes and each mode's pinned bytes, the
-# carried-schedule, request and π-kernel parity tests — on Go's
-# table-driven AES and generic CTR, which hardware without AES
-# instructions falls back to: both implementations must produce the same
-# bytes, or two hosts of one deployment could not open each other's
+# carried-schedule, request, π-kernel and point-and-permute build parity
+# tests — on Go's table-driven AES and generic CTR, which hardware without
+# AES instructions falls back to: both implementations must produce the
+# same bytes, or two hosts of one deployment could not open each other's
 # tables and records. GODEBUG=cpu.aes=off reaches crypto/aes but not the
-# π kernel's own CPUID check, so that run holds the kernel to generic
+# kernels' own CPUID check, so that run holds the kernels to generic
 # AES; the purego tag then switches both to their generic code, as on a
 # host without AES instructions.
 noaes:
@@ -89,7 +89,9 @@ noaes:
 # reordered, with a key repeated, of which at most one segment installs —
 # and tampered response slots at the LBL proxy, a folded round's
 # included, then arbitrary payloads at the TEE and FHE
-# servers and arbitrary answers at their proxies; in internal/kvstore, the snapshot and log a restart
+# servers and arbitrary answers at their proxies, and generated runs of
+# the point-and-permute table build, the kernel against the portable
+# path; in internal/kvstore, the snapshot and log a restart
 # parses from its state directory; in internal/wire, the decoder every
 # payload goes through. The list is `go test -list`'s, so a fuzzer runs
 # here from the change that adds it; a package that fails to build fails
@@ -109,7 +111,8 @@ bench:
 
 # bench-smoke is the CI benchmark smoke: one short pass over the kernel
 # and hot-path benchmarks — the deployed point-and-permute kernels among
-# them: the pad of one group and of 640, the server's decryption pass and
+# them: the pad of one group and of 640, the fused table-build kernel
+# alone at 640 and 16,384 groups, the server's decryption pass and
 # the one-worker table build at 640 and 16,384 groups (a 160 B and a
 # 4 KiB value), each reporting ns per AES block of its floor; the last
 # two on a command of their own, since -bench splits its
@@ -119,7 +122,7 @@ bench:
 # (benchmark/, BENCHMARK.json) measures these kernels in its per-layer
 # ledger, and the load as its setup_s, on every PR.
 bench-smoke:
-	$(GO) test -run XXX -bench 'Kernel1KiB|LBLBuildRequest|LabelSeal|LabelOpen|PadGroup' -benchtime 5x ./internal/core/ ./internal/crypto/secretbox/
+	$(GO) test -run XXX -bench 'Kernel1KiB|LBLBuildRequest|LabelSeal|LabelOpen|PadGroup|PermuteGroups' -benchtime 5x ./internal/core/ ./internal/crypto/secretbox/
 	$(GO) test -run XXX -bench 'LBLServerDecrypt/point-permute' -benchtime 5x ./internal/core/
 	$(GO) test -run XXX -bench 'WorkerCrossover/build/groups=(640|16384)/workers=1$$' -benchtime 5x ./internal/core/
 	$(GO) test -run XXX -bench 'Load/wan' -benchtime 1x .

@@ -116,6 +116,12 @@ func (m LBLMode) seal(s *secretbox.LabelSealer, dst, key, label []byte) error {
 	return s.SealInto(dst, key, label)
 }
 
+// keepMask is 0xFF for a read, which keeps the old bits, and 0 for a
+// write, which takes the bits it writes: the byte mask the build and
+// recovery pick an entry's target bits by, with no branch on the
+// operation.
+func keepMask(op Op) byte { return byte(-subtle.ConstantTimeByteEq(uint8(op), uint8(OpRead))) }
+
 // paint sets label's colour — its first byte's bits under mask, the
 // index of the entry it opens under point-and-permute (§10.2) — to b ⊕ r,
 // where r is the colour bit value 0's label has in the same group and at
@@ -1043,12 +1049,12 @@ func (c LBLConfig) putSegHeader(dst, encKey []byte) int {
 // many groups per worker the goroutine handoff costs more than the work
 // it offloads. It is set where two workers first beat one by more than
 // 10 % on the measured crossover (EXPERIMENTS.md, "Worker crossover";
-// BenchmarkWorkerCrossover). Re-taken with the pads four blocks a kernel
-// call (a group ≈90 ns on one worker): 1,024 groups read 0.91× (median
-// of 24 pairs), 2,048 groups 1.17× (40 pairs). So the build fans out
-// from 2,048 groups: a 512 B value's table and up. Recovery never fans
-// out: it is one table lookup and one 16-byte XOR a group.
-const minGroupsPerBuildWorker = 1024
+// BenchmarkWorkerCrossover). Re-taken with point-and-permute groups built
+// by the fused kernel (a group ≈52 ns on one worker): 2,048 groups read
+// 1.08× (median of 28 pairs), 4,096 groups 1.24× (28 pairs). So the build
+// fans out from 4,096 groups: a 1 KiB value's table and up. Recovery
+// never fans out: it is one table lookup and one 16-byte XOR a group.
+const minGroupsPerBuildWorker = 2048
 
 // tableWorkers returns the worker count for a CPU-bound pass over
 // groups groups under GOMAXPROCS, never exceeding one worker per
@@ -1097,32 +1103,44 @@ func ForEach(n, workers int, fn func(i int) error) error {
 // (table[0] holds group g0) and s.news with those groups' new labels,
 // fanning the range out across workers. Entry slots are fixed-size, so
 // each worker seals directly into its precomputed offsets; workers share
-// nothing but the read-only inputs, the label generator (whose rows each
-// worker opens for itself), and one lane each of a seeded crypto-strength
-// shuffle stream (see
-// shuffle.go). The label schedule and the entry-placement distribution
-// are identical to a sequential build of the whole table — placements
-// are independent and uniform per group in every variant — so the
-// server-visible transcript distribution, and with it the obliviousness
-// argument, does not depend on how a table is split across workers or
-// frames. workers <= 1 builds inline.
+// nothing but the read-only inputs, the label generator, and, in the
+// modes that shuffle, one lane each of a seeded crypto-strength shuffle
+// stream (see shuffle.go). The label schedule and the entry-placement
+// distribution are identical to a sequential build of the whole table —
+// placements are independent and uniform per group in every variant — so
+// the server-visible transcript distribution, and with it the
+// obliviousness argument, does not depend on how a table is split across
+// workers or frames. workers <= 1 builds inline. Point-and-permute places
+// every entry by its key's colour, so its workers get no shuffle source.
 func (p *LBLProxy) buildGroups(table []byte, s *tableSpec, g0, g1, workers int) error {
 	gen := p.prf.LabelGen(s.key)
 	n := g1 - g0
+	shuffles := !p.cfg.Mode.permute()
 	if workers <= 1 || n <= 1 {
-		return p.buildGroupRange(table, gen, &buildWorker{shuf: newCryptoShuffler()}, s, g0, g1, g0)
+		var w *buildWorker
+		if shuffles {
+			w = &buildWorker{shuf: newCryptoShuffler()}
+		}
+		return p.buildGroupRange(table, gen, w, s, g0, g1, g0)
 	}
 	workers = min(workers, n)
-	seed := newShuffleSeed()
+	var seed shuffleSeed
+	if shuffles {
+		seed = newShuffleSeed()
+	}
 	return ForEach(workers, workers, func(wk int) error {
-		return p.buildGroupRange(table, gen, &buildWorker{shuf: seed.stream(uint32(wk))}, s,
-			g0+n*wk/workers, g0+n*(wk+1)/workers, g0)
+		var w *buildWorker
+		if shuffles {
+			w = &buildWorker{shuf: seed.stream(uint32(wk))}
+		}
+		return p.buildGroupRange(table, gen, w, s, g0+n*wk/workers, g0+n*(wk+1)/workers, g0)
 	})
 }
 
-// A buildWorker is what one table-build worker owns: its shuffle stream
-// and its sealer, in one heap object, since a sealer's scratch reaches π
-// through an interface and would escape from a worker's stack.
+// A buildWorker is what one table-build worker of a shuffling mode owns:
+// its shuffle stream and its sealer, in one heap object, since a sealer's
+// scratch reaches π through an interface and would escape from a
+// worker's stack.
 type buildWorker struct {
 	shuf   cryptoShuffler
 	sealer secretbox.LabelSealer
@@ -1184,13 +1202,11 @@ func (r *scheduleRows) block(j, i int) *[prf.Size]byte {
 
 // buildGroupRange seals groups [g0, g1) of s's table into their slots
 // (steps 1.2–1.5 of §5.2 for those groups), leaving their new labels in
-// s.news and which old bits key each entry in s.olds. The counter-ct+1
-// rows go straight into s.news, one fill each; the counter-ct rows are
-// read chunk by chunk. Every row is opened once for the whole range, so
-// the worker's allocations do not grow with it. w is owned by the
-// caller — one per worker. table holds groups starting at absolute group
-// gBase — the first group of the run being built, so a frame-sized
-// buffer serves any part of the table.
+// s.news and which old bits key each entry in s.olds. w is owned by the
+// caller — one per worker — and nil under point-and-permute, which
+// neither shuffles nor seals through it. table holds groups starting at
+// absolute group gBase — the first group of the run being built, so a
+// frame-sized buffer serves any part of the table.
 //
 // Reads and writes run the same instructions over the same rows: each
 // entry carries the new label of its target bits, which a byte mask picks
@@ -1200,19 +1216,11 @@ func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, w *buildWork
 	cfg := p.cfg
 	mode := cfg.Mode
 	groups, nEntries := cfg.Groups(), mode.entries()
-	// keep is 0xFF for a read, which keeps the old bits, and 0 for a
-	// write, which takes the bits it writes.
-	keep := byte(-subtle.ConstantTimeByteEq(uint8(s.op), uint8(OpRead)))
-
-	// The counter-ct+1 label rows fill this range of s.news; rows reads
-	// the counter-ct label rows, row b for bit value b.
-	var rows scheduleRows
-	for b := 0; b < nEntries; b++ {
-		gen.LabelRow(g0, uint8(b), s.ct+1).Fill(s.news[(b*groups+g0)*prf.Size : (b*groups+g1)*prf.Size])
-		rows.add(gen.LabelRow(g0, uint8(b), s.ct))
-	}
+	keep := keepMask(s.op)
 	if mode.permute() {
-		p.buildPermuteRange(table, &rows, &w.sealer, s, g0, g1, gBase, keep)
+		if !p.permuteKernel(table, gen, s, g0, g1, gBase, keep) {
+			p.buildPermuteRange(table, gen, s, g0, g1, gBase, keep)
+		}
 		return nil
 	}
 
@@ -1220,6 +1228,8 @@ func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, w *buildWork
 	// so each is sealed directly into a uniformly random slot (step 1.5).
 	// The slot permutation must be cryptographically unpredictable — a
 	// guessable placement would leak plaintext bits by position.
+	var rows scheduleRows
+	p.openRows(&rows, gen, s, g0, g1)
 	y, entryLen := mode.Y(), mode.entryLen()
 	var perm [maxEntries]int
 	for c0 := g0; c0 < g1; c0 += rowChunk {
@@ -1243,18 +1253,51 @@ func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, w *buildWork
 	return nil
 }
 
+// openRows fills groups [g0, g1) of s.news with their counter-ct+1
+// labels, one row fill per bit value, and opens in rows the counter-ct
+// label rows from g0, row b for bit value b, for the caller to read chunk
+// by chunk. Every row is opened once for the whole range, so a worker's
+// allocations do not grow with it.
+func (p *LBLProxy) openRows(rows *scheduleRows, gen *prf.LabelGen, s *tableSpec, g0, g1 int) {
+	groups := p.cfg.Groups()
+	for b := 0; b < p.cfg.Mode.entries(); b++ {
+		gen.LabelRow(g0, uint8(b), s.ct+1).Fill(s.news[(b*groups+g0)*prf.Size : (b*groups+g1)*prf.Size])
+		rows.add(gen.LabelRow(g0, uint8(b), s.ct))
+	}
+}
+
+// permuteKernel builds groups [g0, g1) of s's point-and-permute table as
+// buildPermuteRange does, byte for byte, through secretbox's fused kernel
+// (PermuteGroups), and reports false, doing nothing, where that kernel
+// does not run.
+func (p *LBLProxy) permuteKernel(table []byte, gen *prf.LabelGen, s *tableSpec, g0, g1, gBase int, keep byte) bool {
+	const n = secretbox.GroupPads
+	var ctrs [2 * n][prf.Size]byte
+	for b := range n {
+		ctrs[b] = prf.Counter(0, uint8(b), s.ct+1)
+		ctrs[n+b] = prf.Counter(0, uint8(b), s.ct)
+	}
+	return secretbox.PermuteGroups(gen.Key(), &ctrs, table[(g0-gBase)*n*prf.Size:], s.news, s.olds, s.value,
+		p.cfg.Groups(), g0, g1, keep)
+}
+
 // buildPermuteRange is buildGroupRange under point-and-permute, one pass
-// a group over fixed-size blocks. Every point-and-permute row of lblModes
-// has y = 2 (TestPermuteModesAreY2), so a group is four 16-byte entries,
-// its bits two of a value byte's, and its labels' colours their first
-// byte's low two bits. Per group it paints the four new labels and the
-// chunk's four old ones (paint), writes which old bits key each entry to
-// s.olds — entry e is keyed by the old label whose colour is e, the one
-// for bits e ⊕ r (§10.2) — and pads the four entries in one sealer call.
-func (p *LBLProxy) buildPermuteRange(table []byte, rows *scheduleRows, sealer *secretbox.LabelSealer, s *tableSpec, g0, g1, gBase int, keep byte) {
+// a group over fixed-size blocks: the portable path, and the reference
+// the kernel (permuteKernel) is held to. Every point-and-permute row of
+// lblModes has y = 2 (TestPermuteModesAreY2), so a group is four 16-byte
+// entries, its bits two of a value byte's, and its labels' colours their
+// first byte's low two bits. Per group it paints the four new labels and
+// the chunk's four old ones (paint), writes which old bits key each entry
+// to s.olds — entry e is keyed by the old label whose colour is e, the
+// one for bits e ⊕ r (§10.2) — and pads the four entries in one sealer
+// call.
+func (p *LBLProxy) buildPermuteRange(table []byte, gen *prf.LabelGen, s *tableSpec, g0, g1, gBase int, keep byte) {
 	const n = secretbox.GroupPads
 	const mask = n - 1
 	groups := p.cfg.Groups()
+	var rows scheduleRows
+	p.openRows(&rows, gen, s, g0, g1)
+	sealer := new(secretbox.LabelSealer)
 	var news, olds, keys, bodies [n]*[prf.Size]byte
 	for c0 := g0; c0 < g1; c0 += rowChunk {
 		k := rows.next(g1 - c0)
@@ -1304,9 +1347,7 @@ func (p *LBLProxy) recoverSlot(old []byte, s *tableSpec, body []byte) error {
 	}
 	y, groups, n := cfg.Mode.Y(), cfg.Groups(), cfg.Mode.entries()
 	mask := byte(n - 1)
-	// keep is 0xFF for a read, which keeps the old bits, and 0 for a
-	// write, which takes the bits it wrote.
-	keep := byte(-subtle.ConstantTimeByteEq(uint8(s.op), uint8(OpRead)))
+	keep := keepMask(s.op)
 	var digest labelDigest
 	for i, f := range body[:cfg.ValueSize] {
 		g0 := i * 8 / y // the byte's first group

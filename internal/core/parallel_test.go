@@ -175,10 +175,10 @@ func TestAccessEndToEndWithWorkerPool(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	for _, mode := range []LBLMode{LBLBasic, LBLPointPermute} {
 		t.Run(mode.String(), func(t *testing.T) {
-			// 512 B → 4,096 basic or 2,048 point-and-permute groups → at
+			// 1 KiB → 8,192 basic or 4,096 point-and-permute groups → at
 			// least 2 build workers per table.
-			r, proxy, _ := newLBL(t, mode, 512)
-			v0 := bytes.Repeat([]byte{0x5A}, 512)
+			r, proxy, _ := newLBL(t, mode, 1024)
+			v0 := bytes.Repeat([]byte{0x5A}, 1024)
 			loadData(t, r, proxy, map[string][]byte{"k": v0})
 			got, err := proxy.AccessContext(context.Background(), OpRead, "k", nil)
 			if err != nil {
@@ -187,7 +187,7 @@ func TestAccessEndToEndWithWorkerPool(t *testing.T) {
 			if !bytes.Equal(got, v0) {
 				t.Errorf("read = %x, want %x", got, v0)
 			}
-			v1 := bytes.Repeat([]byte{0xC3}, 512)
+			v1 := bytes.Repeat([]byte{0xC3}, 1024)
 			if _, err := proxy.AccessContext(context.Background(), OpWrite, "k", v1); err != nil {
 				t.Fatal(err)
 			}
@@ -203,14 +203,14 @@ func TestAccessEndToEndWithWorkerPool(t *testing.T) {
 }
 
 // TestBuildFansOutAtTheCrossover pins minGroupsPerBuildWorker's rule on
-// two CPUs: tables up to 1,024 groups (256 B), where two workers do not
-// win by 10 %, build on one — a 160 B table (640 groups) included — and
-// tables from 2,048 groups on build on two, a 4 KiB table (16,384 groups)
-// included.
+// two CPUs: tables up to 2,048 groups (512 B), where two workers do not
+// win by 10 %, build on one — a 160 B table (640 groups) and a 4 KiB
+// request's 128 KiB frame (2,048 groups) included — and tables from 4,096
+// groups on build on two, a whole 4 KiB table (16,384 groups) included.
 func TestBuildFansOutAtTheCrossover(t *testing.T) {
 	prev := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(prev)
-	for _, tc := range []struct{ groups, workers int }{{640, 1}, {1024, 1}, {2047, 1}, {2048, 2}, {16384, 2}} {
+	for _, tc := range []struct{ groups, workers int }{{640, 1}, {2048, 1}, {4095, 1}, {4096, 2}, {16384, 2}} {
 		if got := tableWorkers(tc.groups, minGroupsPerBuildWorker); got != tc.workers {
 			t.Errorf("%d groups build on %d workers, want %d", tc.groups, got, tc.workers)
 		}
@@ -222,17 +222,17 @@ func TestBuildFansOutAtTheCrossover(t *testing.T) {
 func TestAccessBatchWithInnerWorkers(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
-	// Two 512 B basic tables, 4,096 groups each: 2 outer workers of 4
+	// Two 1 KiB basic tables, 8,192 groups each: 2 outer workers of 4
 	// inner ones.
-	r, proxy, _ := newLBL(t, LBLBasic, 512)
+	r, proxy, _ := newLBL(t, LBLBasic, 1024)
 	data := map[string][]byte{
-		"a": bytes.Repeat([]byte{1}, 512),
-		"b": bytes.Repeat([]byte{2}, 512),
+		"a": bytes.Repeat([]byte{1}, 1024),
+		"b": bytes.Repeat([]byte{2}, 1024),
 	}
 	loadData(t, r, proxy, data)
 	ops := []BatchOp{
 		{Op: OpRead, Key: "a"},
-		{Op: OpWrite, Key: "b", Value: bytes.Repeat([]byte{9}, 512)},
+		{Op: OpWrite, Key: "b", Value: bytes.Repeat([]byte{9}, 1024)},
 		{Op: OpRead, Key: "b"},
 	}
 	vals, err := batchValues(proxy.AccessBatch(context.Background(), ops))
@@ -242,7 +242,7 @@ func TestAccessBatchWithInnerWorkers(t *testing.T) {
 	if !bytes.Equal(vals[0], data["a"]) {
 		t.Errorf("batch read a = %x", vals[0])
 	}
-	if !bytes.Equal(vals[2], bytes.Repeat([]byte{9}, 512)) {
+	if !bytes.Equal(vals[2], bytes.Repeat([]byte{9}, 1024)) {
 		t.Errorf("batch read-after-write b = %x", vals[2])
 	}
 }

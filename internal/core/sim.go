@@ -30,6 +30,10 @@ import (
 type LBLSimulator struct {
 	cfg   LBLConfig
 	state map[string]*simRecord
+	// sealer seals every simulated entry; it lives here because its
+	// scratch reaches π through an interface, so a local one escapes to
+	// the heap on every Simulate.
+	sealer secretbox.LabelSealer
 }
 
 // A simRecord is what the simulator's server holds for one key.
@@ -103,7 +107,6 @@ func (s *LBLSimulator) Simulate(keys ...string) ([][]byte, error) {
 	// real proxy's build does — per group only the retained new label
 	// allocates.
 	shuf := newCryptoShuffler()
-	sealer := secretbox.NewLabelSealer()
 	junkKey := make([]byte, prf.Size)
 	zeroPlain := make([]byte, prf.Size)
 
@@ -163,7 +166,7 @@ func (s *LBLSimulator) Simulate(keys ...string) ([][]byte, error) {
 						}
 						key, plain = junkKey, zeroPlain
 					}
-					if err := mode.seal(&sealer, slots[e*entryLen:(e+1)*entryLen], key, plain); err != nil {
+					if err := mode.seal(&s.sealer, slots[e*entryLen:(e+1)*entryLen], key, plain); err != nil {
 						return nil, err
 					}
 				}

@@ -5,7 +5,11 @@
 // domain-separated inputs; the per-object label schedule (thousands of
 // labels per LBL access) is AES-128 keyed by an HMAC-derived object
 // key, laid out so that one row of it — one counter and bit value over
-// a run of groups — is one AES-CTR keystream (see LabelGen). All
+// a run of groups — is one AES-CTR keystream (see LabelGen). Rows are
+// the portable path: where secretbox's point-and-permute kernel runs
+// (amd64 with AES-NI), the proxy's table build derives its labels there,
+// from the generator's Key and this package's Counter blocks, and rows
+// serve every other build, the record build, and other hosts. All
 // outputs are 128 bits — the label size r used throughout the paper's
 // cost analysis (§6.3.3). Determinism is the load-bearing property: the
 // proxy must be able to regenerate the exact labels the server stores.
@@ -141,6 +145,7 @@ func (p *PRF) VerifierKey() Output {
 // its own.
 type LabelGen struct {
 	block   cipher.Block
+	key     Output
 	in, out [16]byte
 }
 
@@ -152,7 +157,21 @@ func (p *PRF) LabelGen(key string) *LabelGen {
 		// aes.NewCipher only fails on bad key sizes; seed is 16 bytes.
 		panic("prf: " + err.Error())
 	}
-	return &LabelGen{block: block}
+	return &LabelGen{block: block, key: seed}
+}
+
+// Key returns the AES-128 key the generator's labels are encryptions
+// under, for a kernel that derives them itself. It is as secret as the
+// labels: such a kernel expands it without secret-indexed tables.
+func (g *LabelGen) Key() [Size]byte { return g.key }
+
+// Counter returns the counter block Label(group, bits, ct) encrypts.
+// The block of group g is the block of group 0 with g written big-endian
+// into its last six bytes, so a kernel that steps through groups needs
+// only the group-0 blocks of the rows it reads.
+func Counter(group int, bits uint8, ct uint64) (block [Size]byte) {
+	putCounter(&block, tagLabel, bits, group, ct)
+	return block
 }
 
 // putCounter writes the counter block of (ct, domain, bits, group).

@@ -32,7 +32,10 @@
 // needs no tag, and Pad XORs a 16-byte body with the first block alone:
 // one π call. PadGroup pads a group's four entries at once, on amd64
 // through a kernel that runs their four π blocks interleaved on AES-NI
-// (pi_amd64.s) under round keys expanded from π's public key. Two AES
+// (pi_amd64.s) under round keys expanded from π's public key; and
+// PermuteGroups runs the proxy's whole point-and-permute table build —
+// labels, colours, pads and placement — in one amd64 pass (permute.go),
+// where the portable build pads through PadGroup. Two AES
 // blocks per tagged entry keep the proxy's 2^y·ℓ/y seals per access well
 // under the ~2 ms/object the paper reports (§6.3.3); an AES-GCM instance per
 // entry would dominate the access path, and so did the SHA-256 this
